@@ -10,8 +10,14 @@
 //! ship to the shard so one-hop expansions resolve locally; here they feed
 //! the replication and locality accounting).
 //!
-//! The store implements [`PatternStore`], presenting exactly the same graph,
-//! label index and remoteness semantics as the sequential
+//! The arena lives entirely in **position space**: a vertex is named by its
+//! `u32` position in the partition-major order, adjacency is stored as
+//! positions, and one packed 16-byte record per position carries everything
+//! the matcher asks about a candidate (label, home partition or tombstone,
+//! adjacency offset, live degree). The store implements [`PatternStore`]
+//! with `Handle = u32`, so a query resolves `VertexId → position` once per
+//! root and never touches a hash table again; it presents exactly the same
+//! graph, label index and remoteness semantics as the sequential
 //! [`loom_sim::store::PartitionedStore`] — the serving engine's parity tests
 //! rely on the two producing identical metrics for identical queries.
 
@@ -22,9 +28,49 @@ use loom_sim::matcher::PatternStore;
 use loom_sim::store::PartitionedStore;
 use std::ops::Range;
 
-/// Sentinel partition index for vertices without an assignment (they count as
-/// remote to everyone, mirroring `PartitionedStore`).
+/// [`Slot::home`] of a vertex without an assignment (it counts as remote to
+/// everyone, mirroring `PartitionedStore`).
 const UNASSIGNED: u32 = u32::MAX;
+/// [`Slot::home`] of a tombstoned vertex. Which shard's range the position
+/// lies in still says where it physically lives.
+const DEAD: u32 = u32::MAX - 1;
+/// Filler for the tombstoned tail of an adjacency slice. Tails are padding
+/// that keeps a shard's physical extent (and so its tombstone fraction)
+/// until compaction; nothing ever reads them.
+const VACANT: u32 = u32::MAX;
+
+/// Everything the matcher asks about one arena position, packed into 16
+/// bytes so a candidate costs one cache line.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    label: Label,
+    /// Home partition index, [`UNASSIGNED`] or [`DEAD`].
+    home: u32,
+    /// Start of the position's adjacency slice in both arenas; the slice
+    /// physically ends where the next slot's begins.
+    offset: u32,
+    /// Live adjacency length: `offset..offset + live` is the live
+    /// neighbourhood, the rest of the physical slice is tombstoned tail.
+    live: u32,
+}
+
+impl Slot {
+    fn live_range(self) -> Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.live as usize
+    }
+}
+
+/// The closing sentinel of a slot array: it only carries the arena length,
+/// so `slots[pos + 1].offset` bounds every real position's physical slice.
+fn end_slot(arena_len: usize) -> Slot {
+    Slot {
+        label: Label::new(0),
+        home: UNASSIGNED,
+        offset: u32::try_from(arena_len).expect("adjacency arena fits u32 offsets"),
+        live: 0,
+    }
+}
 
 /// Build one shard's label index, boundary and halo by scanning its slice of
 /// the partition-major arena. Shared by the full build
@@ -32,38 +78,30 @@ const UNASSIGNED: u32 = u32::MAX;
 /// ([`ShardedStore::apply_migration`]) and the epoch-compaction rebuild
 /// ([`ShardedStore::compact`]), which invoke it only for shards actually
 /// touched. Tombstoned vertices are skipped entirely and only the live
-/// prefix of each adjacency slice is scanned.
-#[allow(clippy::too_many_arguments)]
+/// prefix of each adjacency slice is scanned; a neighbour's home is a slot
+/// read, not a lookup.
 fn build_shard(
     p: u32,
     range: Range<usize>,
     order: &[VertexId],
-    labels: &[Label],
-    partition: &[u32],
-    offsets: &[usize],
-    targets: &[VertexId],
-    live_degree: &[u32],
-    dead: &[bool],
-    position_of: &FxHashMap<VertexId, u32>,
+    slots: &[Slot],
+    targets: &[u32],
 ) -> Shard {
     let mut label_index: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
     let mut boundary = Vec::new();
     let mut halo = Vec::new();
     for pos in range.clone() {
-        if dead[pos] {
+        let slot = slots[pos];
+        if slot.home == DEAD {
             continue;
         }
         let v = order[pos];
-        label_index.entry(labels[pos]).or_default().push(v);
+        label_index.entry(slot.label).or_default().push(v);
         let mut is_boundary = false;
-        for &u in &targets[offsets[pos]..offsets[pos] + live_degree[pos] as usize] {
-            let u_part = position_of
-                .get(&u)
-                .map(|&q| partition[q as usize])
-                .unwrap_or(UNASSIGNED);
-            if u_part != p {
+        for &q in &targets[slot.live_range()] {
+            if slots[q as usize].home != p {
                 is_boundary = true;
-                halo.push(u);
+                halo.push(order[q as usize]);
             }
         }
         if is_boundary {
@@ -151,31 +189,21 @@ pub struct ShardedStore {
     /// Position → original vertex id, partition-major (shard 0's home
     /// vertices first, then shard 1's, …, unassigned vertices last).
     order: Vec<VertexId>,
-    /// Original id → position.
+    /// Original id → position. Consulted once per query root and by the
+    /// mutators; never inside the search.
     position_of: FxHashMap<VertexId, u32>,
-    /// CSR offsets over positions.
-    offsets: Vec<usize>,
-    /// Adjacency in the data graph's stable iteration order (keeps traversal
-    /// order — and therefore match-limited metrics — identical to the
-    /// sequential store).
-    targets: Vec<VertexId>,
-    /// Adjacency sorted per vertex, for O(log d) edge-membership checks.
-    targets_sorted: Vec<VertexId>,
-    /// Partition index per position (`UNASSIGNED` for unplaced vertices).
-    partition: Vec<u32>,
-    /// Label per position.
-    labels: Vec<Label>,
+    /// One packed record per position plus a closing sentinel (see
+    /// [`end_slot`]), so `slots.len() == order.len() + 1`.
+    slots: Vec<Slot>,
+    /// Adjacency as positions, in the data graph's stable iteration order
+    /// (keeps traversal order — and therefore match-limited metrics —
+    /// identical to the sequential store).
+    targets: Vec<u32>,
+    /// The same adjacency with each live prefix sorted by position, for
+    /// O(log d) edge-membership checks.
+    targets_sorted: Vec<u32>,
     /// Global label index: label → *live* vertices, sorted by id.
     by_label: FxHashMap<Label, Vec<VertexId>>,
-    /// Live adjacency length per position:
-    /// `targets[offsets[pos]..offsets[pos] + live_degree[pos]]` is the live
-    /// neighbourhood; the rest of the slice up to `offsets[pos + 1]` holds
-    /// slots vacated by removals — tombstoned slots every query skips.
-    live_degree: Vec<u32>,
-    /// Vertex tombstone flag per position: marked dead by
-    /// [`ShardedStore::apply_mutations`], physically removed by
-    /// [`ShardedStore::compact`].
-    dead: Vec<bool>,
     /// Tombstoned home vertices per shard.
     dead_vertices: Vec<usize>,
     /// Tombstoned adjacency slots per shard.
@@ -188,24 +216,16 @@ pub struct ShardedStore {
 /// Per-shard tombstone counters recomputed after a structural rebuild
 /// (migration or compaction reshuffles which positions belong to which
 /// shard, so the incremental counters must be re-derived).
-fn dead_counters(
-    k: usize,
-    partition: &[u32],
-    dead: &[bool],
-    offsets: &[usize],
-    live_degree: &[u32],
-) -> (Vec<usize>, Vec<usize>) {
-    let mut dead_vertices = vec![0usize; k];
-    let mut dead_slots = vec![0usize; k];
-    for pos in 0..partition.len() {
-        let p = partition[pos];
-        if p == UNASSIGNED {
-            continue;
+fn dead_counters(ranges: &[Range<usize>], slots: &[Slot]) -> (Vec<usize>, Vec<usize>) {
+    let mut dead_vertices = vec![0usize; ranges.len()];
+    let mut dead_slots = vec![0usize; ranges.len()];
+    for (p, range) in ranges.iter().enumerate() {
+        for pos in range.clone() {
+            if slots[pos].home == DEAD {
+                dead_vertices[p] += 1;
+            }
+            dead_slots[p] += (slots[pos + 1].offset - slots[pos].offset - slots[pos].live) as usize;
         }
-        if dead[pos] {
-            dead_vertices[p as usize] += 1;
-        }
-        dead_slots[p as usize] += (offsets[pos + 1] - offsets[pos]) - live_degree[pos] as usize;
     }
     (dead_vertices, dead_slots)
 }
@@ -215,91 +235,85 @@ impl ShardedStore {
     /// vertices are tolerated: they live outside every shard and count as
     /// remote to everyone.
     pub fn from_parts(graph: &LabelledGraph, partitioning: &Partitioning) -> Self {
-        let k = partitioning.k();
-        // Partition-major vertex order: (partition, id) ascending, with
-        // unassigned vertices (sentinel) last.
-        let mut order = graph.vertices_sorted();
-        let part_key = |v: &VertexId| {
-            partitioning
-                .partition_of(*v)
+        let k = partitioning.k() as usize;
+        let ids = graph.vertices_sorted();
+        let n = ids.len();
+
+        // One partition probe and one label probe per vertex, in id order:
+        // the label lists come out id-sorted, and a stable bucket pass
+        // (bucket `k` = unassigned) turns id order into the partition-major
+        // (partition, id) order without a comparison sort.
+        let mut keyed: Vec<(u32, Label)> = Vec::with_capacity(n);
+        let mut starts = vec![0usize; k + 2];
+        let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
+        for &v in &ids {
+            let home = partitioning
+                .partition_of(v)
                 .map(|p| p.0)
-                .unwrap_or(UNASSIGNED)
-        };
-        order.sort_by_key(|v| (part_key(v), *v));
+                .unwrap_or(UNASSIGNED);
+            let label = graph.label(v).expect("vertex present in snapshot");
+            by_label.entry(label).or_default().push(v);
+            starts[(home as usize).min(k) + 1] += 1;
+            keyed.push((home, label));
+        }
+        for bucket in 0..=k {
+            starts[bucket + 1] += starts[bucket];
+        }
+        let mut cursor = starts.clone();
+        let mut order = vec![VertexId::new(0); n];
+        let mut slots = vec![end_slot(0); n + 1];
+        for (&v, &(home, label)) in ids.iter().zip(&keyed) {
+            let pos = &mut cursor[(home as usize).min(k)];
+            order[*pos] = v;
+            slots[*pos] = Slot {
+                label,
+                home,
+                offset: 0,
+                live: 0,
+            };
+            *pos += 1;
+        }
         let position_of: FxHashMap<VertexId, u32> = order
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, i as u32))
             .collect();
 
-        let n = order.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * graph.edge_count());
-        let mut partition = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        let mut live_degree = Vec::with_capacity(n);
-        offsets.push(0);
-        for &v in &order {
+        // The adjacency arena, renamed to positions as it is laid down: the
+        // one `position_of` probe per directed edge the whole freeze pays.
+        let mut targets: Vec<u32> = Vec::with_capacity(2 * graph.edge_count());
+        for (pos, &v) in order.iter().enumerate() {
             let neighbors = graph.neighbors(v);
-            targets.extend_from_slice(neighbors);
-            offsets.push(targets.len());
-            partition.push(part_key(&v));
-            labels.push(graph.label(v).expect("vertex present in snapshot"));
-            live_degree.push(neighbors.len() as u32);
+            slots[pos].offset = targets.len() as u32;
+            slots[pos].live = neighbors.len() as u32;
+            targets.extend(neighbors.iter().map(|u| position_of[u]));
         }
+        slots[n] = end_slot(targets.len());
         let mut targets_sorted = targets.clone();
-        for i in 0..n {
-            targets_sorted[offsets[i]..offsets[i + 1]].sort_unstable();
-        }
-        let dead = vec![false; n];
-
-        let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
-        for (v, l) in graph.labelled_vertices() {
-            by_label.entry(l).or_default().push(v);
-        }
-        for members in by_label.values_mut() {
-            members.sort_unstable();
+        for slot in &slots[..n] {
+            targets_sorted[slot.live_range()].sort_unstable();
         }
 
         // Per-shard slices, label indexes, boundaries and halos.
-        let mut shards = Vec::with_capacity(k as usize);
-        let mut cursor = 0usize;
-        for p in 0..k {
-            let start = cursor;
-            while cursor < n && partition[cursor] == p {
-                cursor += 1;
-            }
-            shards.push(build_shard(
-                p,
-                start..cursor,
-                &order,
-                &labels,
-                &partition,
-                &offsets,
-                &targets,
-                &live_degree,
-                &dead,
-                &position_of,
-            ));
-        }
+        let shards = (0..k)
+            .map(|p| build_shard(p as u32, starts[p]..starts[p + 1], &order, &slots, &targets))
+            .collect();
 
-        Self {
+        let store = Self {
             order,
             position_of,
-            offsets,
+            slots,
             targets,
             targets_sorted,
-            partition,
-            labels,
             by_label,
-            live_degree,
-            dead,
-            dead_vertices: vec![0; k as usize],
-            dead_slots: vec![0; k as usize],
+            dead_vertices: vec![0; k],
+            dead_slots: vec![0; k],
             shards,
             edge_count: graph.edge_count(),
             epoch: 0,
-        }
+        };
+        debug_assert_eq!(store.check_arena(), Ok(()));
+        store
     }
 
     /// Build a sharded store from a sequential [`PartitionedStore`].
@@ -308,13 +322,14 @@ impl ShardedStore {
     }
 
     /// Apply a bounded batch of vertex moves *incrementally*: the adjacency
-    /// arena is copied slice-by-slice in the new partition-major order (no
-    /// graph lookups, no re-sorting), and only the shards a move actually
-    /// touched — the sources and targets — get their label index, boundary
-    /// and halo rebuilt. Every other shard's indexes are reused verbatim:
-    /// a vertex moving between partitions `a` and `b` cannot change the
-    /// boundary or halo membership of any third shard (it was remote to it
-    /// before and remains remote after).
+    /// arenas are copied slice-by-slice in the new partition-major order and
+    /// renamed through an old → new position array (no graph lookups, no
+    /// hash probes), and only the shards a move actually touched — the
+    /// sources and targets — get their label index, boundary and halo
+    /// rebuilt. Every other shard's indexes are reused verbatim: a vertex
+    /// moving between partitions `a` and `b` cannot change the boundary or
+    /// halo membership of any third shard (it was remote to it before and
+    /// remains remote after).
     ///
     /// Moves referencing unknown or unassigned vertices, out-of-range
     /// partitions, or a vertex's current partition are ignored; when several
@@ -325,8 +340,8 @@ impl ShardedStore {
     pub fn apply_migration(&self, moves: &[(VertexId, PartitionId)]) -> MigratedStore {
         let k = self.shards.len();
         let n = self.order.len();
-        // Final destination per vertex; only real changes survive.
-        let mut dest: FxHashMap<VertexId, u32> = FxHashMap::default();
+        // Final destination per position; only real changes survive.
+        let mut dest: FxHashMap<u32, u32> = FxHashMap::default();
         for &(v, to) in moves {
             if to.index() >= k {
                 continue;
@@ -337,12 +352,12 @@ impl ShardedStore {
             // Tombstoned vertices cannot be moved: the planner must not plan
             // moves for dead vertices, and ignoring them here keeps a stale
             // plan harmless.
-            if self.partition[pos as usize] == UNASSIGNED || self.dead[pos as usize] {
+            if self.slots[pos as usize].home >= DEAD {
                 continue;
             }
-            dest.insert(v, to.0);
+            dest.insert(pos, to.0);
         }
-        dest.retain(|v, to| self.partition[self.position_of[v] as usize] != *to);
+        dest.retain(|&pos, to| self.slots[pos as usize].home != *to);
         if dest.is_empty() {
             return MigratedStore {
                 store: self.clone(),
@@ -352,98 +367,36 @@ impl ShardedStore {
         }
 
         let mut affected = vec![false; k];
-        let mut incoming: Vec<Vec<VertexId>> = vec![Vec::new(); k];
-        for (&v, &to) in &dest {
-            affected[self.partition[self.position_of[&v] as usize] as usize] = true;
+        let mut incoming: Vec<Vec<u32>> = vec![Vec::new(); k];
+        for (&pos, &to) in &dest {
+            affected[self.slots[pos as usize].home as usize] = true;
             affected[to as usize] = true;
-            incoming[to as usize].push(v);
+            incoming[to as usize].push(pos);
         }
 
-        // New partition-major order: unaffected shards keep their slices
-        // verbatim; affected shards drop movers-out, merge movers-in and
-        // re-sort by id. The unassigned tail is untouched.
-        let mut order: Vec<VertexId> = Vec::with_capacity(n);
+        // New partition-major order, as old positions: unaffected shards
+        // keep their slices verbatim; affected shards drop movers-out, merge
+        // movers-in and re-sort by id. The unassigned tail is untouched.
+        let mut from: Vec<u32> = Vec::with_capacity(n);
         let mut ranges: Vec<Range<usize>> = Vec::with_capacity(k);
         for p in 0..k {
-            let start = order.len();
-            let old = &self.order[self.shards[p].range.clone()];
+            let start = from.len();
+            let old = self.shards[p].range.clone();
             if affected[p] {
-                let mut members: Vec<VertexId> = old
-                    .iter()
-                    .copied()
-                    .filter(|v| !dest.contains_key(v))
-                    .collect();
-                members.extend_from_slice(&incoming[p]);
-                members.sort_unstable();
-                order.extend_from_slice(&members);
+                from.extend((old.start as u32..old.end as u32).filter(|q| !dest.contains_key(q)));
+                from.extend_from_slice(&incoming[p]);
+                from[start..].sort_unstable_by_key(|&q| self.order[q as usize]);
             } else {
-                order.extend_from_slice(old);
+                from.extend(old.start as u32..old.end as u32);
             }
-            ranges.push(start..order.len());
+            ranges.push(start..from.len());
         }
-        let assigned_end = self.shards.last().map(|s| s.range.end).unwrap_or(0);
-        order.extend_from_slice(&self.order[assigned_end..]);
+        let assigned_end = self.assigned_end();
+        from.extend(assigned_end as u32..n as u32);
 
-        // Copy the positional arrays in the new order straight from the old
-        // slices — migration changes placement tags, never adjacency.
-        let mut position_of: FxHashMap<VertexId, u32> = FxHashMap::default();
-        position_of.reserve(n);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len());
-        let mut targets_sorted = Vec::with_capacity(self.targets_sorted.len());
-        let mut labels = Vec::with_capacity(n);
-        let mut live_degree = Vec::with_capacity(n);
-        let mut dead = Vec::with_capacity(n);
-        offsets.push(0);
-        for (i, &v) in order.iter().enumerate() {
-            let old_pos = self.position_of[&v] as usize;
-            position_of.insert(v, i as u32);
-            let slice = self.offsets[old_pos]..self.offsets[old_pos + 1];
-            targets.extend_from_slice(&self.targets[slice.clone()]);
-            targets_sorted.extend_from_slice(&self.targets_sorted[slice]);
-            offsets.push(targets.len());
-            labels.push(self.labels[old_pos]);
-            live_degree.push(self.live_degree[old_pos]);
-            dead.push(self.dead[old_pos]);
-        }
-        let mut partition = vec![UNASSIGNED; n];
-        for (p, range) in ranges.iter().enumerate() {
-            partition[range.clone()].fill(p as u32);
-        }
-        let (dead_vertices, dead_slots) =
-            dead_counters(k, &partition, &dead, &offsets, &live_degree);
-
-        // Shards: rebuild the touched ones, rebase the rest onto their
-        // (possibly shifted) new ranges with their indexes reused.
-        let mut shards = Vec::with_capacity(k);
-        for p in 0..k {
-            let range = ranges[p].clone();
-            if affected[p] {
-                shards.push(build_shard(
-                    p as u32,
-                    range,
-                    &order,
-                    &labels,
-                    &partition,
-                    &offsets,
-                    &targets,
-                    &live_degree,
-                    &dead,
-                    &position_of,
-                ));
-            } else {
-                let old = &self.shards[p];
-                debug_assert_eq!(range.len(), old.range.len());
-                shards.push(Shard {
-                    id: old.id,
-                    range,
-                    label_index: old.label_index.clone(),
-                    boundary: old.boundary.clone(),
-                    halo: old.halo.clone(),
-                });
-            }
-        }
-
+        // Migration changes placement tags, never adjacency: nothing is
+        // trimmed, tombstoned tails included.
+        let store = self.relaid(&from, ranges, &affected, false);
         let affected_shards: Vec<PartitionId> = affected
             .iter()
             .enumerate()
@@ -453,50 +406,137 @@ impl ShardedStore {
         MigratedStore {
             moved: dest.len(),
             affected_shards,
-            store: Self {
-                order,
-                position_of,
-                offsets,
-                targets,
-                targets_sorted,
-                partition,
-                labels,
-                by_label: self.by_label.clone(),
-                live_degree,
-                dead,
-                dead_vertices,
-                dead_slots,
-                shards,
-                edge_count: self.edge_count,
-                epoch: 0,
-            },
+            store,
         }
+    }
+
+    /// Rebuild this snapshot in a new partition-major layout. `from` lists
+    /// the surviving vertices' old positions in their new order — shard
+    /// `p`'s at `ranges[p]`, the unassigned tail after the last range. The
+    /// positional arrays are copied straight from the old slices and renamed
+    /// through an old → new position array (no graph lookups, one
+    /// `position_of` insert per vertex); `touched` shards get their indexes
+    /// re-derived, the rest are rebased with their indexes reused. With
+    /// `trim`, touched shards and the unassigned tail keep only their live
+    /// adjacency prefix; everything else keeps its physical extent,
+    /// tombstoned tail included.
+    fn relaid(
+        &self,
+        from: &[u32],
+        ranges: Vec<Range<usize>>,
+        touched: &[bool],
+        trim: bool,
+    ) -> Self {
+        // Old position → new position; purged vertices keep `VACANT`, which
+        // no live adjacency names.
+        let mut renamed = vec![VACANT; self.order.len()];
+        for (new, &old) in from.iter().enumerate() {
+            renamed[old as usize] = new as u32;
+        }
+        let mut slots: Vec<Slot> = Vec::with_capacity(from.len() + 1);
+        let mut targets: Vec<u32> = Vec::with_capacity(self.targets.len());
+        let mut targets_sorted: Vec<u32> = Vec::with_capacity(self.targets.len());
+        // Append the vertex at old position `old`, homed at `home`
+        // (tombstones stay tombstones). With `keep_tail` its tombstoned
+        // adjacency slots survive as padding.
+        let mut push = |old: u32, home: u32, keep_tail: bool| {
+            let slot = self.slots[old as usize];
+            let start = targets.len();
+            let rename = |&q: &u32| renamed[q as usize];
+            targets.extend(self.targets[slot.live_range()].iter().map(rename));
+            targets_sorted.extend(self.targets_sorted[slot.live_range()].iter().map(rename));
+            // Renaming keeps the relative order of everything but migrated
+            // vertices, so this is a linear pass over an all-but-sorted slice.
+            targets_sorted[start..].sort_unstable();
+            if keep_tail {
+                let physical = (self.slots[old as usize + 1].offset - slot.offset) as usize;
+                targets.resize(start + physical, VACANT);
+                targets_sorted.resize(start + physical, VACANT);
+            }
+            slots.push(Slot {
+                home: if slot.home == DEAD { DEAD } else { home },
+                offset: start as u32,
+                ..slot
+            });
+        };
+        for (p, range) in ranges.iter().enumerate() {
+            for &old in &from[range.clone()] {
+                push(old, p as u32, !(trim && touched[p]));
+            }
+        }
+        for &old in &from[ranges.last().map_or(0, |r| r.end)..] {
+            push(old, UNASSIGNED, !trim);
+        }
+        slots.push(end_slot(targets.len()));
+        let order: Vec<VertexId> = from.iter().map(|&q| self.order[q as usize]).collect();
+        let position_of: FxHashMap<VertexId, u32> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u32))
+            .collect();
+        let (dead_vertices, dead_slots) = dead_counters(&ranges, &slots);
+        let shards = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(p, range)| {
+                if touched[p] {
+                    build_shard(p as u32, range, &order, &slots, &targets)
+                } else {
+                    let old = &self.shards[p];
+                    debug_assert_eq!(range.len(), old.range.len());
+                    Shard {
+                        range,
+                        ..old.clone()
+                    }
+                }
+            })
+            .collect();
+        let store = Self {
+            order,
+            position_of,
+            slots,
+            targets,
+            targets_sorted,
+            by_label: self.by_label.clone(),
+            dead_vertices,
+            dead_slots,
+            shards,
+            edge_count: self.edge_count,
+            epoch: 0,
+        };
+        debug_assert_eq!(store.check_arena(), Ok(()));
+        store
+    }
+
+    /// First position of the unassigned tail.
+    fn assigned_end(&self) -> usize {
+        self.shards.last().map(|s| s.range.end).unwrap_or(0)
     }
 
     /// The live adjacency range of a position (the physical slice minus its
     /// tombstoned tail).
     fn live_range(&self, pos: usize) -> Range<usize> {
-        let start = self.offsets[pos];
-        start..start + self.live_degree[pos] as usize
+        self.slots[pos].live_range()
     }
 
-    /// Tombstone the directed occurrence of `to` in `from_pos`'s adjacency:
-    /// shift it out of the live prefix of both the traversal-ordered and the
-    /// sorted arena (preserving the relative order of the survivors, which is
-    /// what keeps match-limited metrics identical to a from-scratch build of
-    /// the mutated graph) and grow the owning shard's dead-slot count.
-    fn tombstone_arc(&mut self, from_pos: usize, to: VertexId) -> bool {
-        let live = self.live_range(from_pos);
-        let Some(occ) = self.targets[live.clone()].iter().position(|&u| u == to) else {
+    /// Tombstone the directed occurrence of position `to` in `from`'s
+    /// adjacency: shift it out of the live prefix of both the
+    /// traversal-ordered and the sorted arena (preserving the relative order
+    /// of the survivors, which is what keeps match-limited metrics identical
+    /// to a from-scratch build of the mutated graph) and grow the owning
+    /// shard's dead-slot count.
+    fn tombstone_arc(&mut self, from: usize, to: u32) -> bool {
+        let live = self.live_range(from);
+        let Some(occ) = self.targets[live.clone()].iter().position(|&q| q == to) else {
             return false;
         };
         self.targets[live.start + occ..live.end].rotate_left(1);
         if let Ok(sorted_occ) = self.targets_sorted[live.clone()].binary_search(&to) {
             self.targets_sorted[live.start + sorted_occ..live.end].rotate_left(1);
         }
-        self.live_degree[from_pos] -= 1;
-        let p = self.partition[from_pos];
-        if p != UNASSIGNED {
+        self.slots[from].live -= 1;
+        let p = self.slots[from].home;
+        if p < DEAD {
             self.dead_slots[p as usize] += 1;
         }
         true
@@ -517,7 +557,7 @@ impl ShardedStore {
                 self.by_label.remove(&label);
             }
         }
-        if shard != UNASSIGNED {
+        if shard < DEAD {
             if let Some(members) = self.shards[shard as usize].label_index.get_mut(&label) {
                 Self::remove_sorted(members, v);
                 if members.is_empty() {
@@ -527,73 +567,67 @@ impl ShardedStore {
         }
     }
 
+    /// The position of a live vertex.
+    fn live_position(&self, v: VertexId) -> Option<usize> {
+        let pos = *self.position_of.get(&v)? as usize;
+        (self.slots[pos].home != DEAD).then_some(pos)
+    }
+
     /// Tombstone a vertex: drop all incident live edges, mark the vertex
     /// dead and remove it from every label index. Queries skip it without a
     /// rebuild; [`ShardedStore::compact`] removes it physically.
     fn tombstone_vertex(&mut self, v: VertexId) -> bool {
-        let Some(&pos) = self.position_of.get(&v) else {
+        let Some(pos) = self.live_position(v) else {
             return false;
         };
-        let pos = pos as usize;
-        if self.dead[pos] {
-            return false;
-        }
-        let neighbours: Vec<VertexId> = self.targets[self.live_range(pos)].to_vec();
+        let neighbours: Vec<u32> = self.targets[self.live_range(pos)].to_vec();
         for &u in &neighbours {
-            let u_pos = self.position_of[&u] as usize;
-            self.tombstone_arc(u_pos, v);
+            self.tombstone_arc(u as usize, pos as u32);
         }
         self.edge_count -= neighbours.len();
-        let p = self.partition[pos];
-        if p != UNASSIGNED {
-            self.dead_slots[p as usize] += self.live_degree[pos] as usize;
-            self.dead_vertices[p as usize] += 1;
+        let Slot { label, home, .. } = self.slots[pos];
+        if home < DEAD {
+            self.dead_slots[home as usize] += neighbours.len();
+            self.dead_vertices[home as usize] += 1;
         }
-        self.live_degree[pos] = 0;
-        self.dead[pos] = true;
-        self.unindex_label(v, self.labels[pos], p);
+        self.slots[pos].live = 0;
+        self.slots[pos].home = DEAD;
+        self.unindex_label(v, label, home);
         true
     }
 
     /// Tombstone one undirected edge in both adjacency directions.
     fn tombstone_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        let (Some(&pa), Some(&pb)) = (self.position_of.get(&a), self.position_of.get(&b)) else {
+        let (Some(pa), Some(pb)) = (self.live_position(a), self.live_position(b)) else {
             return false;
         };
-        let (pa, pb) = (pa as usize, pb as usize);
-        if self.dead[pa] || self.dead[pb] {
+        if !self.tombstone_arc(pa, pb as u32) {
             return false;
         }
-        if !self.tombstone_arc(pa, b) {
-            return false;
-        }
-        self.tombstone_arc(pb, a);
+        self.tombstone_arc(pb, pa as u32);
         self.edge_count -= 1;
         true
     }
 
     /// Re-label a live vertex in place, keeping both label indexes sorted.
     fn relabel_in_place(&mut self, v: VertexId, label: Label) -> bool {
-        let Some(&pos) = self.position_of.get(&v) else {
+        let Some(pos) = self.live_position(v) else {
             return false;
         };
-        let pos = pos as usize;
-        if self.dead[pos] {
-            return false;
-        }
-        let old = self.labels[pos];
+        let Slot {
+            label: old, home, ..
+        } = self.slots[pos];
         if old == label {
             return true;
         }
-        let p = self.partition[pos];
-        self.unindex_label(v, old, p);
-        self.labels[pos] = label;
+        self.unindex_label(v, old, home);
+        self.slots[pos].label = label;
         let members = self.by_label.entry(label).or_default();
         if let Err(at) = members.binary_search(&v) {
             members.insert(at, v);
         }
-        if p != UNASSIGNED {
-            let members = self.shards[p as usize]
+        if home < DEAD {
+            let members = self.shards[home as usize]
                 .label_index
                 .entry(label)
                 .or_default();
@@ -638,6 +672,7 @@ impl ShardedStore {
                 | loom_graph::StreamElement::AddEdge { .. } => {}
             }
         }
+        debug_assert_eq!(store.check_arena(), Ok(()));
         MutatedStore {
             store,
             removed_vertices,
@@ -652,8 +687,8 @@ impl ShardedStore {
         let Some(shard) = self.shards.get(p.index()) else {
             return 0.0;
         };
-        let slots = self.offsets[shard.range.end] - self.offsets[shard.range.start];
-        let total = shard.range.len() + slots;
+        let slots = self.slots[shard.range.end].offset - self.slots[shard.range.start].offset;
+        let total = shard.range.len() + slots as usize;
         if total == 0 {
             return 0.0;
         }
@@ -662,16 +697,16 @@ impl ShardedStore {
 
     /// Total tombstoned vertices across the snapshot.
     pub fn tombstoned_vertices(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
+        self.slots.iter().filter(|s| s.home == DEAD).count()
     }
 
     /// Epoch compaction: physically rewrite every shard whose
     /// [`ShardedStore::tombstone_fraction`] reaches `threshold` (and holds at
     /// least one tombstone), dropping dead vertices and reclaiming dead
     /// adjacency slots. Shards below the threshold keep their slices —
-    /// including their tombstones — verbatim and only get rebased onto
-    /// shifted ranges; dead vertices in the unassigned tail are always
-    /// purged. `compact(0.0)` therefore rewrites exactly the shards with any
+    /// including their tombstones — and only get rebased onto shifted
+    /// ranges; dead vertices in the unassigned tail are always purged.
+    /// `compact(0.0)` therefore rewrites exactly the shards with any
     /// tombstone at all.
     ///
     /// The result is semantically identical to a from-scratch build of the
@@ -679,14 +714,16 @@ impl ShardedStore {
     /// it through an [`crate::epoch::EpochStore`] exactly like a migration.
     pub fn compact(&self, threshold: f64) -> CompactedStore {
         let k = self.shards.len();
+        let n = self.order.len();
         let crossing: Vec<bool> = (0..k)
             .map(|p| {
                 (self.dead_vertices[p] + self.dead_slots[p]) > 0
                     && self.tombstone_fraction(PartitionId::new(p as u32)) >= threshold
             })
             .collect();
-        let assigned_end = self.shards.last().map(|s| s.range.end).unwrap_or(0);
-        let tail_dead = self.dead[assigned_end..].iter().any(|&d| d);
+        let assigned_end = self.assigned_end();
+        let is_live = |pos: &u32| self.slots[*pos as usize].home != DEAD;
+        let tail_dead = (assigned_end as u32..n as u32).any(|pos| !is_live(&pos));
         if !tail_dead && crossing.iter().all(|&c| !c) {
             return CompactedStore {
                 store: self.clone(),
@@ -696,124 +733,39 @@ impl ShardedStore {
             };
         }
 
-        // New partition-major order: crossing shards and the unassigned tail
-        // drop their dead vertices; everything else keeps its slice verbatim.
-        let n = self.order.len();
-        let mut order: Vec<VertexId> = Vec::with_capacity(n);
+        // New partition-major order, as old positions: crossing shards and
+        // the unassigned tail drop their dead vertices; everything else
+        // keeps its slice verbatim.
+        let mut from: Vec<u32> = Vec::with_capacity(n);
         let mut ranges: Vec<Range<usize>> = Vec::with_capacity(k);
         for (p, &cross) in crossing.iter().enumerate() {
-            let start = order.len();
-            let old = self.shards[p].range.clone();
+            let start = from.len();
+            let old = &self.shards[p].range;
+            let old = old.start as u32..old.end as u32;
             if cross {
-                order.extend(
-                    old.filter(|&pos| !self.dead[pos])
-                        .map(|pos| self.order[pos]),
-                );
+                from.extend(old.filter(is_live));
             } else {
-                order.extend_from_slice(&self.order[old]);
+                from.extend(old);
             }
-            ranges.push(start..order.len());
+            ranges.push(start..from.len());
         }
-        order.extend(
-            (assigned_end..n)
-                .filter(|&pos| !self.dead[pos])
-                .map(|pos| self.order[pos]),
-        );
+        from.extend((assigned_end as u32..n as u32).filter(is_live));
 
-        // Rebuild the positional arrays: vertices of rewritten shards (and
-        // the tail) keep only their live adjacency prefix; vertices of
-        // rebased shards keep their physical slice, tombstoned tail included.
-        let mut position_of: FxHashMap<VertexId, u32> = FxHashMap::default();
-        position_of.reserve(order.len());
-        let mut offsets = Vec::with_capacity(order.len() + 1);
-        let mut targets = Vec::with_capacity(self.targets.len());
-        let mut targets_sorted = Vec::with_capacity(self.targets_sorted.len());
-        let mut labels = Vec::with_capacity(order.len());
-        let mut live_degree = Vec::with_capacity(order.len());
-        let mut dead = Vec::with_capacity(order.len());
-        offsets.push(0);
-        for (i, &v) in order.iter().enumerate() {
-            let old_pos = self.position_of[&v] as usize;
-            position_of.insert(v, i as u32);
-            let p = self.partition[old_pos];
-            let rewritten = p == UNASSIGNED || crossing[p as usize];
-            let slice = if rewritten {
-                self.live_range(old_pos)
-            } else {
-                self.offsets[old_pos]..self.offsets[old_pos + 1]
-            };
-            targets.extend_from_slice(&self.targets[slice.clone()]);
-            targets_sorted.extend_from_slice(&self.targets_sorted[slice]);
-            offsets.push(targets.len());
-            labels.push(self.labels[old_pos]);
-            live_degree.push(self.live_degree[old_pos]);
-            dead.push(self.dead[old_pos] && !rewritten);
-        }
-        let mut partition = vec![UNASSIGNED; order.len()];
-        for (p, range) in ranges.iter().enumerate() {
-            partition[range.clone()].fill(p as u32);
-        }
-        let (dead_vertices, dead_slots) =
-            dead_counters(k, &partition, &dead, &offsets, &live_degree);
-
-        let mut shards = Vec::with_capacity(k);
-        for (p, &cross) in crossing.iter().enumerate() {
-            let range = ranges[p].clone();
-            if cross {
-                shards.push(build_shard(
-                    p as u32,
-                    range,
-                    &order,
-                    &labels,
-                    &partition,
-                    &offsets,
-                    &targets,
-                    &live_degree,
-                    &dead,
-                    &position_of,
-                ));
-            } else {
-                let old = &self.shards[p];
-                debug_assert_eq!(range.len(), old.range.len());
-                shards.push(Shard {
-                    id: old.id,
-                    range,
-                    label_index: old.label_index.clone(),
-                    boundary: old.boundary.clone(),
-                    halo: old.halo.clone(),
-                });
-            }
-        }
-
+        // Rewritten shards (and the tail) keep only their live adjacency
+        // prefix; rebased shards keep their physical extent. Purged vertices
+        // are renamed to nothing — no live adjacency names them.
+        let store = self.relaid(&from, ranges, &crossing, true);
         let compacted_shards: Vec<PartitionId> = crossing
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c)
             .map(|(p, _)| PartitionId::new(p as u32))
             .collect();
-        let purged_vertices = n - order.len();
-        let purged_slots = self.targets.len() - targets.len();
         CompactedStore {
             compacted_shards,
-            purged_vertices,
-            purged_slots,
-            store: Self {
-                order,
-                position_of,
-                offsets,
-                targets,
-                targets_sorted,
-                partition,
-                labels,
-                by_label: self.by_label.clone(),
-                live_degree,
-                dead,
-                dead_vertices,
-                dead_slots,
-                shards,
-                edge_count: self.edge_count,
-                epoch: 0,
-            },
+            purged_vertices: n - store.order.len(),
+            purged_slots: self.targets.len() - store.targets.len(),
+            store,
         }
     }
 
@@ -865,12 +817,8 @@ impl ShardedStore {
 
     /// The shard hosting a vertex, if the vertex is assigned and live.
     pub fn home_shard(&self, v: VertexId) -> Option<PartitionId> {
-        let pos = *self.position_of.get(&v)?;
-        if self.dead[pos as usize] {
-            return None;
-        }
-        match self.partition[pos as usize] {
-            UNASSIGNED => None,
+        match self.slots[*self.position_of.get(&v)? as usize].home {
+            UNASSIGNED | DEAD => None,
             p => Some(PartitionId::new(p)),
         }
     }
@@ -884,7 +832,7 @@ impl ShardedStore {
         let stored: usize = self.shards.iter().map(|s| s.len() + s.halo.len()).sum();
         // Unassigned vertices are stored nowhere; count them once so the
         // factor stays an "average copies per vertex" over all vertices.
-        let unassigned = self.partition.iter().filter(|&&p| p == UNASSIGNED).count();
+        let unassigned = self.order.len() - self.assigned_end();
         (stored + unassigned) as f64 / self.order.len() as f64
     }
 
@@ -902,15 +850,96 @@ impl ShardedStore {
     /// partitioner had not placed when the snapshot was frozen (e.g. still
     /// buffered in a streaming window). Empty when everything is assigned.
     pub fn unassigned_slice(&self) -> ArenaSlice<'_> {
-        let start = self.shards.last().map(|s| s.range.end).unwrap_or(0);
         ArenaSlice {
             store: self,
-            range: start..self.order.len(),
+            range: self.assigned_end()..self.order.len(),
         }
     }
 
-    fn position(&self, v: VertexId) -> Option<usize> {
-        self.position_of.get(&v).map(|&p| p as usize)
+    /// Check the position-space arena's invariants, naming the first one
+    /// that fails. Every constructor and mutator runs it under
+    /// `debug_assertions`; tests call it after each operation.
+    ///
+    /// * `order`, `position_of` and `slots` describe the same vertices;
+    /// * slot offsets tile the arenas and every live prefix fits its
+    ///   physical slice;
+    /// * a live adjacency slot names a live position, never its own, and the
+    ///   named vertex names this one back (undirected edges are stored
+    ///   twice, and tombstoned twice);
+    /// * each live prefix of the sorted arena is strictly increasing and
+    ///   holds exactly the positions of the traversal-ordered prefix;
+    /// * a slot's home is its shard's index (or a tombstone) inside a shard
+    ///   range and never a partition outside one, and the per-shard
+    ///   tombstone counters equal a recount.
+    pub fn check_arena(&self) -> Result<(), String> {
+        let n = self.order.len();
+        if self.slots.len() != n + 1 || self.position_of.len() != n {
+            return Err(format!(
+                "{n} vertices but {} slots and {} position entries",
+                self.slots.len(),
+                self.position_of.len()
+            ));
+        }
+        if self.slots[n].offset as usize != self.targets.len()
+            || self.targets.len() != self.targets_sorted.len()
+        {
+            return Err("closing slot does not bound both arenas".into());
+        }
+        let mut arcs = 0usize;
+        for pos in 0..n {
+            let slot = self.slots[pos];
+            if self.position_of.get(&self.order[pos]) != Some(&(pos as u32)) {
+                return Err(format!("position_of disagrees with order at {pos}"));
+            }
+            let physical = self.slots[pos + 1].offset.checked_sub(slot.offset);
+            if physical.is_none_or(|len| slot.live > len) {
+                return Err(format!("live prefix of {pos} overruns its slice"));
+            }
+            if slot.home == DEAD && slot.live != 0 {
+                return Err(format!("tombstoned {pos} keeps live adjacency"));
+            }
+            let live = &self.targets[slot.live_range()];
+            let sorted = &self.targets_sorted[slot.live_range()];
+            if !sorted.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("sorted prefix of {pos} is not strictly increasing"));
+            }
+            for &q in live {
+                if q as usize >= n || q as usize == pos || self.slots[q as usize].home == DEAD {
+                    return Err(format!("{pos} names {q}, which is not a live neighbour"));
+                }
+                if sorted.binary_search(&q).is_err() {
+                    return Err(format!("sorted prefix of {pos} misses {q}"));
+                }
+                if !self.adjacent(q, pos as u32) {
+                    return Err(format!("arc {pos} → {q} has no reverse arc"));
+                }
+            }
+            arcs += live.len();
+        }
+        if arcs != 2 * self.edge_count {
+            return Err(format!("{arcs} live arcs for {} edges", self.edge_count));
+        }
+        let ranges: Vec<Range<usize>> = self.shards.iter().map(|s| s.range.clone()).collect();
+        let mut cursor = 0;
+        for (p, range) in ranges.iter().enumerate() {
+            if range.start != cursor || range.end < range.start || range.end > n {
+                return Err(format!("shard {p} does not continue the tiling"));
+            }
+            cursor = range.end;
+            let strays = |&pos: &usize| ![p as u32, DEAD].contains(&self.slots[pos].home);
+            if let Some(pos) = range.clone().find(strays) {
+                return Err(format!("position {pos} in shard {p} is homed elsewhere"));
+            }
+        }
+        if let Some(pos) = (cursor..n).find(|&pos| self.slots[pos].home < DEAD) {
+            return Err(format!("unassigned-tail position {pos} has a home"));
+        }
+        if dead_counters(&ranges, &self.slots)
+            != (self.dead_vertices.clone(), self.dead_slots.clone())
+        {
+            return Err("per-shard tombstone counters drifted from a recount".into());
+        }
+        Ok(())
     }
 }
 
@@ -940,22 +969,30 @@ impl<'a> ArenaSlice<'a> {
         &self.store.order[self.range.clone()]
     }
 
-    /// The slice's vertex labels, parallel to [`ArenaSlice::vertices`].
-    pub fn labels(&self) -> &'a [Label] {
-        &self.store.labels[self.range.clone()]
-    }
-
-    /// Live adjacency of the `i`-th vertex of the slice, in the data graph's
-    /// stable iteration order (the order the arena stores and traversals
-    /// follow). Tombstoned slots are excluded, so checkpoint blobs never
-    /// carry dead edges.
+    /// Label of the `i`-th vertex of the slice.
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
-    pub fn neighbors(&self, i: usize) -> &'a [VertexId] {
+    pub fn label(&self, i: usize) -> Label {
         assert!(i < self.range.len(), "slice index out of range");
-        &self.store.targets[self.store.live_range(self.range.start + i)]
+        self.store.slots[self.range.start + i].label
+    }
+
+    /// Live adjacency of the `i`-th vertex of the slice, in the data graph's
+    /// stable iteration order (the order the arena stores and traversals
+    /// follow), turned back from positions into vertex ids. Tombstoned slots
+    /// are excluded, so checkpoint blobs never carry dead edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn neighbors(&self, i: usize) -> impl ExactSizeIterator<Item = VertexId> + 'a {
+        assert!(i < self.range.len(), "slice index out of range");
+        let store = self.store;
+        store.targets[store.live_range(self.range.start + i)]
+            .iter()
+            .map(move |&q| store.order[q as usize])
     }
 }
 
@@ -1016,36 +1053,46 @@ pub fn record_tombstone_gauges(store: &ShardedStore, telemetry: &loom_obs::Telem
 }
 
 impl PatternStore for ShardedStore {
-    fn label(&self, v: VertexId) -> Option<Label> {
-        self.position(v)
-            .filter(|&p| !self.dead[p])
-            .map(|p| self.labels[p])
+    /// A vertex's position in the partition-major arena.
+    type Handle = u32;
+
+    fn resolve(&self, v: VertexId) -> Option<u32> {
+        self.live_position(v).map(|pos| pos as u32)
     }
 
-    fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.position(v) {
-            Some(p) => &self.targets[self.live_range(p)],
-            None => &[],
-        }
+    #[inline]
+    fn vertex_of(&self, h: u32) -> VertexId {
+        self.order[h as usize]
     }
 
-    fn contains_edge(&self, a: VertexId, b: VertexId) -> bool {
-        let Some(p) = self.position(a) else {
-            return false;
-        };
-        self.targets_sorted[self.live_range(p)]
+    #[inline]
+    fn label_of(&self, h: u32) -> Label {
+        self.slots[h as usize].label
+    }
+
+    #[inline]
+    fn neighbors_of(&self, h: u32) -> &[u32] {
+        &self.targets[self.slots[h as usize].live_range()]
+    }
+
+    #[inline]
+    fn degree_of(&self, h: u32) -> usize {
+        self.slots[h as usize].live as usize
+    }
+
+    #[inline]
+    fn adjacent(&self, a: u32, b: u32) -> bool {
+        self.targets_sorted[self.slots[a as usize].live_range()]
             .binary_search(&b)
             .is_ok()
     }
 
-    fn is_remote_traversal(&self, from: VertexId, to: VertexId) -> bool {
-        match (self.position(from), self.position(to)) {
-            (Some(a), Some(b)) if !self.dead[a] && !self.dead[b] => {
-                let (pa, pb) = (self.partition[a], self.partition[b]);
-                pa == UNASSIGNED || pb == UNASSIGNED || pa != pb
-            }
-            _ => true,
-        }
+    #[inline]
+    fn crosses(&self, from: u32, to: u32) -> bool {
+        let (a, b) = (self.slots[from as usize].home, self.slots[to as usize].home);
+        // Equal homes are local unless the shared "home" is a sentinel:
+        // unassigned and tombstoned vertices are remote to everyone.
+        a != b || a >= DEAD
     }
 
     fn vertices_with_label(&self, label: Label) -> &[VertexId] {
@@ -1099,38 +1146,63 @@ mod tests {
         assert!(store.replication_factor() > 1.0);
     }
 
+    /// Assert two stores give the matcher the same answers — compared
+    /// through the handle interface, with handles turned back into ids.
+    fn assert_same_answers<A: PatternStore, B: PatternStore>(a: &A, b: &B, vs: &[VertexId]) {
+        fn ids<S: PatternStore>(store: &S, hs: &[S::Handle]) -> Vec<VertexId> {
+            hs.iter().map(|&h| store.vertex_of(h)).collect()
+        }
+        for &v in vs {
+            let (Some(ha), Some(hb)) = (a.resolve(v), b.resolve(v)) else {
+                assert_eq!(
+                    a.resolve(v).is_some(),
+                    b.resolve(v).is_some(),
+                    "resolve({v})"
+                );
+                continue;
+            };
+            assert_eq!((a.vertex_of(ha), b.vertex_of(hb)), (v, v));
+            assert_eq!(a.label_of(ha), b.label_of(hb), "label_of({v})");
+            assert_eq!(
+                ids(a, a.neighbors_of(ha)),
+                ids(b, b.neighbors_of(hb)),
+                "neighbors_of({v})"
+            );
+            assert_eq!(a.degree_of(ha), a.neighbors_of(ha).len());
+            assert_eq!(a.degree_of(ha), b.degree_of(hb), "degree_of({v})");
+            for &u in vs {
+                let (Some(ua), Some(ub)) = (a.resolve(u), b.resolve(u)) else {
+                    continue;
+                };
+                assert_eq!(a.adjacent(ha, ua), b.adjacent(hb, ub), "adjacent({v},{u})");
+                assert_eq!(a.crosses(ha, ua), b.crosses(hb, ub), "crosses({v},{u})");
+            }
+        }
+        for l in [0, 1, 2, 9].map(Label::new) {
+            assert_eq!(
+                a.vertices_with_label(l),
+                b.vertices_with_label(l),
+                "vertices_with_label({l:?})"
+            );
+        }
+    }
+
     #[test]
     fn pattern_store_semantics_match_the_sequential_store() {
         let (g, part) = fixture();
         let vs = g.vertices_sorted();
         let sharded = ShardedStore::from_parts(&g, &part);
+        sharded.check_arena().unwrap();
         let sequential = PartitionedStore::new(g.clone(), part.clone());
-        for &v in &vs {
-            assert_eq!(
-                PatternStore::label(&sharded, v),
-                PatternStore::label(&sequential, v)
-            );
-            assert_eq!(
-                PatternStore::neighbors(&sharded, v),
-                PatternStore::neighbors(&sequential, v)
-            );
-            for &u in &vs {
-                assert_eq!(
-                    PatternStore::contains_edge(&sharded, v, u),
-                    PatternStore::contains_edge(&sequential, v, u)
-                );
-                assert_eq!(
-                    PatternStore::is_remote_traversal(&sharded, v, u),
-                    PatternStore::is_remote_traversal(&sequential, v, u)
-                );
-            }
-        }
-        for l in [Label::new(0), Label::new(1), Label::new(9)] {
-            assert_eq!(
-                PatternStore::vertices_with_label(&sharded, l),
-                PatternStore::vertices_with_label(&sequential, l)
-            );
-        }
+        assert_same_answers(&sharded, &sequential, &vs);
+        // The unassigned vertex is remote to everyone, itself included.
+        let (h2, h3) = (
+            sharded.resolve(vs[2]).unwrap(),
+            sharded.resolve(vs[3]).unwrap(),
+        );
+        assert!(sharded.crosses(h2, h3) && sharded.crosses(h3, h3));
+        assert_eq!(sharded.resolve(VertexId::new(10_000)), None);
+        assert_eq!(sequential.resolve(VertexId::new(10_000)), None);
     }
 
     #[test]
@@ -1165,7 +1237,7 @@ mod tests {
     }
 
     /// Assert two stores are semantically identical: same layout, same
-    /// shard indexes, same `PatternStore` answers.
+    /// shard indexes, sound arenas, same `PatternStore` answers.
     fn assert_stores_equal(a: &ShardedStore, b: &ShardedStore, vs: &[VertexId]) {
         assert_eq!(a.vertex_count(), b.vertex_count());
         assert_eq!(a.edge_count(), b.edge_count());
@@ -1185,20 +1257,11 @@ mod tests {
             }
         }
         for &v in vs {
-            assert_eq!(PatternStore::label(a, v), PatternStore::label(b, v));
-            assert_eq!(PatternStore::neighbors(a, v), PatternStore::neighbors(b, v));
             assert_eq!(a.home_shard(v), b.home_shard(v));
-            for &u in vs {
-                assert_eq!(
-                    PatternStore::contains_edge(a, v, u),
-                    PatternStore::contains_edge(b, v, u)
-                );
-                assert_eq!(
-                    PatternStore::is_remote_traversal(a, v, u),
-                    PatternStore::is_remote_traversal(b, v, u)
-                );
-            }
         }
+        a.check_arena().unwrap();
+        b.check_arena().unwrap();
+        assert_same_answers(a, b, vs);
     }
 
     #[test]
@@ -1301,7 +1364,7 @@ mod tests {
             .store;
 
         // Apply the same mutations to the graph and compare PatternStore
-        // answers against a from-scratch build.
+        // answers against a from-scratch build and the sequential store.
         let mut mutated_graph = g.clone();
         mutated_graph.remove_edge(vs[1], vs[2]);
         mutated_graph.remove_vertex(vs[4]);
@@ -1310,32 +1373,16 @@ mod tests {
         live_part.unassign(vs[4]);
         let rebuilt = ShardedStore::from_parts(&mutated_graph, &live_part);
 
-        for &v in &vs {
-            assert_eq!(
-                PatternStore::label(&mutated, v),
-                PatternStore::label(&rebuilt, v),
-                "label({v})"
-            );
-            assert_eq!(
-                PatternStore::neighbors(&mutated, v),
-                PatternStore::neighbors(&rebuilt, v),
-                "neighbors({v})"
-            );
-            for &u in &vs {
-                assert_eq!(
-                    PatternStore::contains_edge(&mutated, v, u),
-                    PatternStore::contains_edge(&rebuilt, v, u),
-                    "contains_edge({v},{u})"
-                );
-            }
-        }
-        for l in [Label::new(0), Label::new(1), Label::new(2)] {
-            assert_eq!(
-                PatternStore::vertices_with_label(&mutated, l),
-                PatternStore::vertices_with_label(&rebuilt, l),
-                "by_label({l:?})"
-            );
-        }
+        mutated.check_arena().unwrap();
+        assert_same_answers(&mutated, &rebuilt, &vs);
+        assert_same_answers(
+            &mutated,
+            &PartitionedStore::new(mutated_graph.clone(), live_part),
+            &vs,
+        );
+        // A tombstoned vertex resolves to nothing, exactly like a purged one.
+        assert_eq!(mutated.resolve(vs[4]), None);
+        assert_eq!(rebuilt.resolve(vs[4]), None);
         assert_eq!(mutated.edge_count(), mutated_graph.edge_count());
         assert_eq!(mutated.home_shard(vs[4]), None);
         assert_eq!(mutated.tombstoned_vertices(), 1);
@@ -1418,7 +1465,37 @@ mod tests {
         // The spared shard keeps its tombstoned slots (still hidden from
         // queries) until its own fraction crosses the threshold.
         assert!(store.tombstone_fraction(PartitionId::new(2)) > 0.0);
-        assert!(!PatternStore::contains_edge(store, vs[7], vs[8]));
+        store.check_arena().unwrap();
+        let (h7, h8) = (store.resolve(vs[7]).unwrap(), store.resolve(vs[8]).unwrap());
+        assert!(!store.adjacent(h7, h8) && !store.adjacent(h8, h7));
+    }
+
+    #[test]
+    fn check_arena_names_a_broken_invariant() {
+        let (g, part) = migration_fixture();
+        let vs = g.vertices_sorted();
+        let store = ShardedStore::from_parts(&g, &part);
+        store.check_arena().unwrap();
+
+        // A one-sided tombstone: the arc 3 → 4 goes, 4 → 3 stays.
+        let mut lopsided = store.clone();
+        let (p3, p4) = (lopsided.position_of[&vs[3]], lopsided.position_of[&vs[4]]);
+        assert!(lopsided.tombstone_arc(p3 as usize, p4));
+        assert!(lopsided.check_arena().unwrap_err().contains("reverse arc"));
+
+        // The sorted arena out of step with the traversal-ordered one.
+        let mut unsorted = store.clone();
+        let live = unsorted.live_range(p4 as usize);
+        unsorted.targets_sorted[live].reverse();
+        assert!(unsorted
+            .check_arena()
+            .unwrap_err()
+            .contains("strictly increasing"));
+
+        // A tombstone the per-shard counters never heard of.
+        let mut uncounted = store.apply_mutations(&[]).store;
+        uncounted.dead_slots[0] += 1;
+        assert!(uncounted.check_arena().unwrap_err().contains("recount"));
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //!   [`plan::PlanCache`] shares the compiled [`plan::QueryPlan`]s (one per
 //!   workload query) with the router, the sequential executor and every
 //!   serving worker;
-//! * [`matcher`] — the reusable instrumented backtracking sub-graph matcher,
-//!   generic over the [`matcher::PatternStore`] storage abstraction and
-//!   driven by compiled plans ([`matcher::execute_plan`]) so the concurrent
-//!   `loom-serve` engine executes the exact same search;
+//! * [`matcher`] — the one instrumented backtracking sub-graph matcher,
+//!   driven by compiled plans ([`matcher::execute_plan`]) and written
+//!   against the handle-keyed [`matcher::PatternStore`] interface: a store
+//!   names vertices by its own `Handle` (the [`store::PartitionedStore`]
+//!   by `VertexId`, `loom-serve`'s CSR store by `u32` arena position), a
+//!   root is resolved to a handle once and the whole search then runs in
+//!   handle space — the same kernel, monomorphised per store, behind the
+//!   sequential executor and every concurrent worker;
 //! * [`executor`] — the sequential executor driving the matcher against a
 //!   [`store::PartitionedStore`], counting every traversal it performs and
 //!   whether the traversal stayed on the local partition or had to hop to a

@@ -2,19 +2,25 @@
 //!
 //! Both the sequential [`crate::executor::QueryExecutor`] and the concurrent
 //! `loom-serve` worker shards execute rooted pattern queries with exactly the
-//! same search; this module is that search, extracted behind the
-//! [`PatternStore`] abstraction so each engine can plug in its own storage
-//! (hash-map adjacency for the simulator, partition-major CSR slices for the
-//! serving engine) without copy-pasting the matching logic.
+//! same search; this module is that search, written once against the
+//! [`PatternStore`] abstraction and monomorphised per store.
 //!
-//! Since the query-plan redesign the search is **plan-driven**:
-//! [`execute_plan`] consumes a pre-compiled
-//! [`QueryPlan`] — matching order, root label,
-//! per-position labels/degrees and binding edges all materialised at
-//! compile time — so an execution performs zero ordering work. The legacy
-//! [`execute_query`] entry point survives as a thin wrapper that compiles a
-//! [`QueryPlan::legacy`] on the spot and produces bit-identical metrics to
-//! the pre-plan code path.
+//! The search runs in the store's own **handle space**. A store names its
+//! vertices by a cheap `Copy` [`PatternStore::Handle`] — the hash-map
+//! [`PartitionedStore`](crate::store::PartitionedStore) uses the
+//! [`VertexId`] itself, the CSR `loom_serve::ShardedStore` uses the vertex's
+//! `u32` arena position — and every question the inner loop asks (label,
+//! live degree, adjacency, edge membership, partition crossing) is keyed by
+//! handle. A [`VertexId`] is resolved to a handle **once per root**; from
+//! there neighbours arrive as handles, the partial mapping holds handles,
+//! and ids reappear only when an [`Embedding`] is collected. On a position
+//! store a candidate therefore costs array reads and no hash probe.
+//!
+//! The search is **plan-driven**: [`execute_plan`] consumes a pre-compiled
+//! [`QueryPlan`] — matching order, root label, per-position labels/degrees
+//! and binding edges all materialised at compile time — so an execution
+//! performs zero ordering work. Callers without a plan cache compile a
+//! [`QueryPlan::legacy`] themselves.
 //!
 //! The search itself is a VF2-style backtracking enumeration (the same
 //! semantics as `loom_motif::isomorphism`) instrumented to record every
@@ -27,9 +33,7 @@
 use crate::context::{CancelToken, RequestContext};
 use crate::executor::{ExecutionMetrics, LatencyModel, QueryMode};
 use crate::plan::QueryPlan;
-use loom_graph::fxhash::FxHashSet;
 use loom_graph::{Label, VertexId};
-use loom_motif::query::PatternQuery;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -42,30 +46,51 @@ use std::time::Instant;
 /// microseconds of extra expansion.
 const DEADLINE_CHECK_STRIDE: u32 = 64;
 
-/// Storage abstraction the matcher runs against.
+/// Storage abstraction the matcher runs against, keyed by the store's own
+/// vertex [`Handle`](PatternStore::Handle).
 ///
-/// Implementations must agree on semantics: `neighbors` returns the adjacency
-/// list in a stable order, `vertices_with_label` returns the label index
-/// sorted by vertex id, and `is_remote_traversal` treats vertices without a
-/// partition assignment as remote to everyone. Two stores presenting the same
-/// graph and partitioning produce **identical** [`ExecutionMetrics`] for the
-/// same `(plan, mode, seed)` — the property the serving-engine parity tests
-/// assert.
+/// A handle names one **live** vertex of the store. Handles come from
+/// [`resolve`](PatternStore::resolve) or from
+/// [`neighbors_of`](PatternStore::neighbors_of) and are only meaningful for
+/// the store (snapshot) that issued them.
+///
+/// Implementations must agree on semantics: `neighbors_of` returns the live
+/// adjacency in the data graph's stable iteration order and is symmetric
+/// (`b ∈ neighbors_of(a)` exactly when `adjacent(a, b)` and `adjacent(b, a)`
+/// — edges are undirected, and the search relies on it to skip re-checking
+/// the edge it arrived by), `vertices_with_label` returns the live label
+/// index sorted by vertex id, and `crosses` treats vertices without a
+/// partition assignment as remote to everyone. Two stores presenting the
+/// same graph and partitioning produce **identical** [`ExecutionMetrics`]
+/// for the same `(plan, mode, seed)` — the property the serving-engine
+/// parity tests assert.
 pub trait PatternStore {
-    /// The label of a vertex, if present.
-    fn label(&self, v: VertexId) -> Option<Label>;
+    /// The store's name for a vertex inside the search.
+    type Handle: Copy + Eq;
 
-    /// Adjacency list of a vertex (empty if absent), in the store's stable
-    /// iteration order.
-    fn neighbors(&self, v: VertexId) -> &[VertexId];
+    /// The handle of a vertex id; `None` if the vertex is absent or
+    /// tombstoned.
+    fn resolve(&self, v: VertexId) -> Option<Self::Handle>;
+
+    /// The vertex id a handle names.
+    fn vertex_of(&self, h: Self::Handle) -> VertexId;
+
+    /// The label of a vertex.
+    fn label_of(&self, h: Self::Handle) -> Label;
+
+    /// Live adjacency of a vertex, in the store's stable iteration order.
+    fn neighbors_of(&self, h: Self::Handle) -> &[Self::Handle];
+
+    /// Live degree: `neighbors_of(h).len()`.
+    fn degree_of(&self, h: Self::Handle) -> usize;
 
     /// Whether the undirected edge `a – b` exists.
-    fn contains_edge(&self, a: VertexId, b: VertexId) -> bool;
+    fn adjacent(&self, a: Self::Handle, b: Self::Handle) -> bool;
 
     /// Whether following `from → to` crosses a partition boundary.
-    fn is_remote_traversal(&self, from: VertexId, to: VertexId) -> bool;
+    fn crosses(&self, from: Self::Handle, to: Self::Handle) -> bool;
 
-    /// All vertices carrying `label`, sorted by id.
+    /// All live vertices carrying `label`, sorted by id.
     fn vertices_with_label(&self, label: Label) -> &[VertexId];
 }
 
@@ -86,22 +111,6 @@ pub fn matching_order(pattern: &loom_graph::LabelledGraph) -> Vec<VertexId> {
         return Vec::new();
     };
     crate::plan::greedy_order_from(pattern, start)
-}
-
-/// The root vertices one query execution is anchored on, in execution order
-/// — the legacy entry point, deriving the matching order on the spot. The
-/// router and engines now resolve roots from a compiled plan via
-/// [`plan_roots`]; this remains for callers without one.
-pub fn root_candidates<S: PatternStore + ?Sized>(
-    store: &S,
-    query: &PatternQuery,
-    mode: QueryMode,
-    root_seed: u64,
-) -> Vec<VertexId> {
-    if query.graph().is_empty() {
-        return Vec::new();
-    }
-    plan_roots(store, &QueryPlan::legacy(query), mode, root_seed)
 }
 
 /// The root vertices an execution of `plan` is anchored on, resolved from
@@ -218,37 +227,6 @@ pub struct PlanExecution {
     pub embeddings: Vec<Embedding>,
 }
 
-/// Execute one pattern query against a store and return its metrics — the
-/// legacy entry point, compiling a [`QueryPlan::legacy`] on the spot.
-/// Bit-identical metrics to the pre-plan code path; engines that hold a
-/// [`PlanCache`](crate::plan::PlanCache) call [`execute_plan`] directly and
-/// skip the per-call compilation.
-pub fn execute_query<S: PatternStore + ?Sized>(
-    store: &S,
-    query: &PatternQuery,
-    mode: QueryMode,
-    match_limit: usize,
-    latency: LatencyModel,
-    root_seed: u64,
-) -> ExecutionMetrics {
-    if query.graph().is_empty() {
-        return ExecutionMetrics {
-            queries_executed: 1,
-            local_only_queries: 1,
-            ..ExecutionMetrics::default()
-        };
-    }
-    let plan = QueryPlan::legacy(query);
-    let opts = ExecOptions {
-        mode,
-        match_limit,
-        latency,
-        root_seed,
-        ..ExecOptions::default()
-    };
-    execute_plan(store, &plan, &opts).metrics
-}
-
 /// Execute a pre-compiled plan against a store.
 ///
 /// This is the single code path behind the sequential executor, the
@@ -286,7 +264,9 @@ pub fn execute_plan_ctx<S: PatternStore + ?Sized>(
 /// handoff, where a home shard executes only the roots it owns and ships the
 /// rest to their owning shards. Roots are executed in slice order; callers
 /// wanting parity with [`execute_plan_ctx`] pass a sorted, de-duplicated
-/// subset of that execution's root candidates.
+/// subset of that execution's root candidates. A root the store cannot
+/// [`resolve`](PatternStore::resolve) — an unknown id, a tombstone — anchors
+/// nothing and costs no traversal.
 pub fn execute_plan_with_roots<S: PatternStore + ?Sized>(
     store: &S,
     plan: &QueryPlan,
@@ -344,8 +324,7 @@ fn run_plan<S: PatternStore + ?Sized>(
         let mut search = PlanSearch {
             store,
             plan,
-            mapping: vec![VertexId::new(u64::MAX); plan.len()],
-            used: FxHashSet::default(),
+            mapping: Vec::with_capacity(plan.len()),
             metrics: &mut metrics,
             match_limit,
             traversal_budget,
@@ -359,12 +338,17 @@ fn run_plan<S: PatternStore + ?Sized>(
             },
         };
         for &root in candidates {
+            // The one id → handle resolution of this root's whole search. A
+            // root the store does not hold live (unknown id, tombstone)
+            // anchors nothing.
+            let Some(root) = store.resolve(root) else {
+                continue;
+            };
             // Routing the query to the partition hosting the seed vertex is
             // free; expansion from there is what costs traversals.
-            search.mapping[0] = root;
-            search.used.insert(root);
+            search.mapping.clear();
+            search.mapping.resize(plan.len(), root);
             search.extend(1);
-            search.used.remove(&root);
             if search.exhausted() {
                 break;
             }
@@ -389,9 +373,10 @@ fn run_plan<S: PatternStore + ?Sized>(
 struct PlanSearch<'a, S: PatternStore + ?Sized> {
     store: &'a S,
     plan: &'a QueryPlan,
-    /// Data vertex bound at each order position; positions `< depth` valid.
-    mapping: Vec<VertexId>,
-    used: FxHashSet<VertexId>,
+    /// Data vertex bound at each order position, as a store handle;
+    /// positions `< depth` are valid and double as the "already used" set
+    /// (patterns are a handful of vertices, so a scan beats any hash set).
+    mapping: Vec<S::Handle>,
     metrics: &'a mut ExecutionMetrics,
     match_limit: usize,
     traversal_budget: usize,
@@ -439,52 +424,54 @@ impl<S: PatternStore + ?Sized> PlanSearch<'_, S> {
         if self.exhausted() {
             return;
         }
+        let store = self.store;
         if depth == self.plan.len() {
             self.metrics.matches_found += 1;
             if let Some(out) = self.out.as_deref_mut() {
+                // The only place handles turn back into vertex ids.
                 out.push(Embedding::new(
                     self.plan
                         .order()
                         .iter()
                         .copied()
-                        .zip(self.mapping.iter().copied())
+                        .zip(self.mapping.iter().map(|&h| store.vertex_of(h)))
                         .collect(),
                 ));
             }
             return;
         }
-        let bindings = self.plan.bindings(depth);
         // Expansion anchor: the first already-matched pattern neighbour. The
         // distributed engine fetches the anchor's adjacency list and follows
         // each candidate edge — that is the traversal we meter.
-        let Some(&anchor_position) = bindings.first() else {
+        let Some(&anchor_position) = self.plan.bindings(depth).first() else {
             // Disconnected pattern component: re-seed from the label index
             // (costless routing, like the root seed).
-            let candidates = self.store.vertices_with_label(self.plan.label_at(depth));
-            for &tv in candidates {
-                self.try_candidate(depth, tv, None);
+            for &tv in store.vertices_with_label(self.plan.label_at(depth)) {
+                if let Some(tv) = store.resolve(tv) {
+                    self.try_candidate(depth, tv, None);
+                }
                 if self.exhausted() {
                     return;
                 }
             }
             return;
         };
-        let anchor_image = self.mapping[anchor_position];
-        let candidates = self.store.neighbors(anchor_image);
-        for &tv in candidates {
-            self.try_candidate(depth, tv, Some(anchor_image));
+        let anchor = self.mapping[anchor_position];
+        for &tv in store.neighbors_of(anchor) {
+            self.try_candidate(depth, tv, Some(anchor));
             if self.exhausted() {
                 return;
             }
         }
     }
 
-    fn try_candidate(&mut self, depth: usize, tv: VertexId, anchor_image: Option<VertexId>) {
+    #[inline]
+    fn try_candidate(&mut self, depth: usize, tv: S::Handle, anchor: Option<S::Handle>) {
         // Following the edge anchor → candidate is one traversal, local or
         // remote depending on where the two vertices live.
-        if let Some(anchor) = anchor_image {
+        if let Some(anchor) = anchor {
             self.metrics.total_traversals += 1;
-            if self.store.is_remote_traversal(anchor, tv) {
+            if self.store.crosses(anchor, tv) {
                 self.metrics.remote_traversals += 1;
             }
             self.observe_context();
@@ -492,26 +479,30 @@ impl<S: PatternStore + ?Sized> PlanSearch<'_, S> {
                 return;
             }
         }
-        if self.used.contains(&tv) {
+        if self.mapping[..depth].contains(&tv) {
             return;
         }
-        if self.store.label(tv) != Some(self.plan.label_at(depth)) {
+        if self.store.label_of(tv) != self.plan.label_at(depth) {
             return;
         }
-        if self.store.neighbors(tv).len() < self.plan.degree_at(depth) {
+        if self.store.degree_of(tv) < self.plan.degree_at(depth) {
             return;
         }
-        let consistent = self.plan.bindings(depth).iter().all(|&position| {
-            let image = self.mapping[position];
-            self.store.contains_edge(tv, image)
-        });
+        // The first binding is the anchor, and the candidate came out of the
+        // anchor's adjacency: that edge holds by the store's symmetry
+        // contract. Only the other bindings need an edge-membership check
+        // (a re-seeded candidate has no bindings at all).
+        let consistent = self
+            .plan
+            .bindings(depth)
+            .iter()
+            .skip(1)
+            .all(|&position| self.store.adjacent(tv, self.mapping[position]));
         if !consistent {
             return;
         }
         self.mapping[depth] = tv;
-        self.used.insert(tv);
         self.extend(depth + 1);
-        self.used.remove(&tv);
     }
 }
 
@@ -521,7 +512,7 @@ mod tests {
     use crate::store::PartitionedStore;
     use loom_graph::generators::regular::path_graph;
     use loom_graph::LabelledGraph;
-    use loom_motif::query::QueryId;
+    use loom_motif::query::{PatternQuery, QueryId};
     use loom_partition::partition::{PartitionId, Partitioning};
 
     fn l(x: u32) -> Label {
@@ -538,48 +529,64 @@ mod tests {
         PartitionedStore::new(g, part)
     }
 
+    fn legacy_roots(
+        store: &PartitionedStore,
+        query: &PatternQuery,
+        mode: QueryMode,
+        seed: u64,
+    ) -> Vec<VertexId> {
+        plan_roots(store, &QueryPlan::legacy(query), mode, seed)
+    }
+
     #[test]
     fn execute_query_counts_matches_and_traversals() {
         let store = path_store();
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap();
-        let metrics = execute_query(
-            &store,
-            &query,
-            QueryMode::FullEnumeration,
-            10_000,
-            LatencyModel::default(),
-            0,
-        );
+        let plan = QueryPlan::legacy(&query);
+        let run = execute_plan(&store, &plan, &ExecOptions::default());
+        let metrics = run.metrics;
         assert_eq!(metrics.matches_found, 1);
         assert!(metrics.total_traversals >= 2);
         assert!(metrics.remote_traversals >= 1);
         assert!(!metrics.matches_limited);
-        assert_eq!(metrics.plan, Some(QueryPlan::legacy(&query).id()));
+        assert_eq!(metrics.plan, Some(plan.id()));
+        assert!(run.embeddings.is_empty(), "collect defaults off");
     }
 
     #[test]
     fn execute_plan_matches_the_legacy_wrapper_exactly() {
+        // `QueryPlan::legacy` is the compile-on-the-spot wrapper callers
+        // without a plan cache use; a Legacy-strategy planner compiles the
+        // same plan, and explicit roots equal to the resolved ones change
+        // nothing — for every mode and seed.
         let store = path_store();
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap();
-        let plan = QueryPlan::legacy(&query);
+        let stats = crate::plan::GraphStatistics::from_graph(store.graph());
+        let planned =
+            crate::plan::QueryPlanner::new(crate::plan::PlanStrategy::Legacy).plan(&query, &stats);
+        let wrapper = QueryPlan::legacy(&query);
         for mode in [
             QueryMode::FullEnumeration,
             QueryMode::Rooted { seed_count: 2 },
         ] {
             for seed in 0..5u64 {
-                let wrapped =
-                    execute_query(&store, &query, mode, 10_000, LatencyModel::default(), seed);
-                let planned = execute_plan(
+                let opts = ExecOptions {
+                    mode,
+                    root_seed: seed,
+                    ..ExecOptions::default()
+                };
+                let wrapped = execute_plan(&store, &wrapper, &opts);
+                let run = execute_plan(&store, &planned, &opts);
+                assert_eq!(wrapped.metrics, run.metrics, "mode {mode:?} seed {seed}");
+                assert!(run.embeddings.is_empty(), "collect defaults off");
+                let rooted = execute_plan_with_roots(
                     &store,
-                    &plan,
-                    &ExecOptions {
-                        mode,
-                        root_seed: seed,
-                        ..ExecOptions::default()
-                    },
+                    &wrapper,
+                    &opts,
+                    &RequestContext::unbounded(),
+                    &legacy_roots(&store, &query, mode, seed),
                 );
-                assert_eq!(wrapped, planned.metrics, "mode {mode:?} seed {seed}");
-                assert!(planned.embeddings.is_empty(), "collect defaults off");
+                assert_eq!(wrapped.metrics, rooted.metrics, "mode {mode:?} seed {seed}");
             }
         }
     }
@@ -647,18 +654,18 @@ mod tests {
 
     #[test]
     fn zero_match_limit_is_a_no_op_probe() {
-        // Legacy parity: a zero limit never expanded anything — no matches,
-        // no traversals — and the plan path preserves that exactly.
+        // A zero limit never expands anything — no matches, no traversals.
         let store = path_store();
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap();
-        let metrics = execute_query(
+        let metrics = execute_plan(
             &store,
-            &query,
-            QueryMode::FullEnumeration,
-            0,
-            LatencyModel::default(),
-            0,
-        );
+            &QueryPlan::legacy(&query),
+            &ExecOptions {
+                match_limit: 0,
+                ..ExecOptions::default()
+            },
+        )
+        .metrics;
         assert_eq!(metrics.matches_found, 0);
         assert_eq!(metrics.total_traversals, 0);
         assert!(metrics.matches_limited, "a zero-limit run is limited");
@@ -668,16 +675,11 @@ mod tests {
     fn root_candidates_full_mode_covers_the_label_index() {
         let store = path_store();
         let query = PatternQuery::path(QueryId::new(0), &[l(1), l(2)]).unwrap();
-        let roots = root_candidates(&store, &query, QueryMode::FullEnumeration, 0);
+        let roots = legacy_roots(&store, &query, QueryMode::FullEnumeration, 0);
         // The matching order anchors on the higher-degree l(1) vertex.
         assert_eq!(roots.len(), 1);
         assert_eq!(store.label(roots[0]), Some(l(1)));
-        // The plan-driven resolution agrees.
-        let plan = QueryPlan::legacy(&query);
-        assert_eq!(
-            plan_roots(&store, &plan, QueryMode::FullEnumeration, 0),
-            roots
-        );
+        assert_eq!(roots, store.vertices_with_label(l(1)));
     }
 
     #[test]
@@ -685,8 +687,8 @@ mod tests {
         let store = path_store();
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
         let mode = QueryMode::Rooted { seed_count: 2 };
-        let a = root_candidates(&store, &query, mode, 9);
-        let b = root_candidates(&store, &query, mode, 9);
+        let a = legacy_roots(&store, &query, mode, 9);
+        let b = legacy_roots(&store, &query, mode, 9);
         assert_eq!(a, b);
         assert!(!a.is_empty());
         assert!(a.windows(2).all(|w| w[0] < w[1]));
@@ -696,7 +698,7 @@ mod tests {
     fn missing_root_label_yields_no_candidates() {
         let store = path_store();
         let query = PatternQuery::path(QueryId::new(0), &[l(9), l(1)]).unwrap();
-        assert!(root_candidates(&store, &query, QueryMode::FullEnumeration, 0).is_empty());
-        assert!(root_candidates(&store, &query, QueryMode::Rooted { seed_count: 3 }, 0).is_empty());
+        assert!(legacy_roots(&store, &query, QueryMode::FullEnumeration, 0).is_empty());
+        assert!(legacy_roots(&store, &query, QueryMode::Rooted { seed_count: 3 }, 0).is_empty());
     }
 }

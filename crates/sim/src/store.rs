@@ -113,21 +113,40 @@ impl PartitionedStore {
     }
 }
 
+/// The hash-map store names vertices by their id: resolving a root is one
+/// presence check and the search then asks the graph directly, so building
+/// the sequential reference path costs nothing beyond the two indexes above.
 impl PatternStore for PartitionedStore {
-    fn label(&self, v: VertexId) -> Option<Label> {
-        PartitionedStore::label(self, v)
+    type Handle = VertexId;
+
+    fn resolve(&self, v: VertexId) -> Option<VertexId> {
+        self.graph.contains_vertex(v).then_some(v)
     }
 
-    fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        PartitionedStore::neighbors(self, v)
+    fn vertex_of(&self, h: VertexId) -> VertexId {
+        h
     }
 
-    fn contains_edge(&self, a: VertexId, b: VertexId) -> bool {
+    fn label_of(&self, h: VertexId) -> Label {
+        self.graph
+            .label(h)
+            .expect("handles name vertices the graph holds")
+    }
+
+    fn neighbors_of(&self, h: VertexId) -> &[VertexId] {
+        self.graph.neighbors(h)
+    }
+
+    fn degree_of(&self, h: VertexId) -> usize {
+        self.graph.degree(h)
+    }
+
+    fn adjacent(&self, a: VertexId, b: VertexId) -> bool {
         self.graph.contains_edge(a, b)
     }
 
-    fn is_remote_traversal(&self, from: VertexId, to: VertexId) -> bool {
-        PartitionedStore::is_remote_traversal(self, from, to)
+    fn crosses(&self, from: VertexId, to: VertexId) -> bool {
+        self.is_remote_traversal(from, to)
     }
 
     fn vertices_with_label(&self, label: Label) -> &[VertexId] {

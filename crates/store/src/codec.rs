@@ -63,10 +63,9 @@ fn put_ids(buf: &mut BytesMut, ids: &[VertexId]) {
 
 fn encode_slice(buf: &mut BytesMut, slice: &ArenaSlice<'_>) {
     buf.put_u64_le(slice.len() as u64);
-    let (vertices, labels) = (slice.vertices(), slice.labels());
-    for i in 0..slice.len() {
-        buf.put_u64_le(vertices[i].raw());
-        buf.put_u32_le(labels[i].raw());
+    for (i, v) in slice.vertices().iter().enumerate() {
+        buf.put_u64_le(v.raw());
+        buf.put_u32_le(slice.label(i).raw());
         let neighbours = slice.neighbors(i);
         buf.put_u32_le(neighbours.len() as u32);
         for n in neighbours {

@@ -354,8 +354,9 @@ proptest! {
     /// identical whether the final graph is (1) queried sequentially from a
     /// from-scratch build, (2) served from a from-scratch sharded store,
     /// (3) served from a pre-dissolve store that reached the final state
-    /// through tombstoning, or (4) rebuilt from a WAL round-trip of the
-    /// full mutation history.
+    /// through tombstoning (and from its compaction), or (4) rebuilt from a
+    /// WAL round-trip of the full mutation history. Every sharded store on
+    /// the way passes `check_arena`.
     #[test]
     fn mutation_interleavings_preserve_match_parity(
         build_ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..4), 6..40),
@@ -434,13 +435,10 @@ proptest! {
 
             // Leg 2 (sharded, from scratch): same partitioning, frozen into
             // the concurrent store.
+            let frozen = ShardedStore::from_parts(&final_graph, &partitioning);
+            prop_assert_eq!(frozen.check_arena(), Ok(()));
             let sharded = engine
-                .serve_batch(
-                    &std::sync::Arc::new(ShardedStore::from_parts(&final_graph, &partitioning)),
-                    &workload,
-                    samples,
-                    seed,
-                )
+                .serve_batch(&std::sync::Arc::new(frozen), &workload, samples, seed)
                 .aggregate;
             prop_assert_eq!(sharded.matches_found, seq);
 
@@ -453,10 +451,18 @@ proptest! {
             let tombstoned = ShardedStore::from_parts(&pre_destroy, &pre_partitioning)
                 .apply_mutations(&destroy)
                 .store;
-            let tomb = engine
-                .serve_batch(&std::sync::Arc::new(tombstoned), &workload, samples, seed)
-                .aggregate;
-            prop_assert_eq!(tomb.matches_found, seq);
+            // The position arenas stay in step through every tombstone, and
+            // through the compaction that purges them.
+            prop_assert_eq!(tombstoned.check_arena(), Ok(()));
+            let compacted = tombstoned.compact(0.0).store;
+            prop_assert_eq!(compacted.check_arena(), Ok(()));
+            prop_assert_eq!(compacted.tombstoned_vertices(), 0);
+            for store in [tombstoned, compacted] {
+                let served = engine
+                    .serve_batch(&std::sync::Arc::new(store), &workload, samples, seed)
+                    .aggregate;
+                prop_assert_eq!(served.matches_found, seq);
+            }
         }
 
         // Leg 4 (recovered from WAL): the full mutation history round-trips

@@ -4,8 +4,8 @@
 //!
 //! * **planner-vs-legacy parity** — executing a compiled plan returns
 //!   *identical* match counts and traversal metrics to the pre-redesign
-//!   per-call path (`loom_sim::matcher::execute_query`) for every workload
-//!   query, seed and mode under [`PlanStrategy::Legacy`], and identical
+//!   per-call path (a [`QueryPlan::legacy`] compiled on the spot) for every
+//!   workload query, seed and mode under [`PlanStrategy::Legacy`], and identical
 //!   full-enumeration match counts under the default cost-ranked strategy
 //!   (the embedding count of a query is order-invariant);
 //! * **compile-once reuse** — one [`QueryPlan`] instance per [`QueryId`]
@@ -85,14 +85,18 @@ fn legacy_plans_reproduce_the_pre_redesign_path_exactly() {
                 .with_plan_cache(Arc::clone(&cache));
             for (query, _) in workload.iter() {
                 for seed in 0..4u64 {
-                    let reference = matcher::execute_query(
+                    let reference = matcher::execute_plan(
                         &store,
-                        query,
-                        mode,
-                        executor.match_limit(),
-                        executor.latency_model(),
-                        seed,
-                    );
+                        &QueryPlan::legacy(query),
+                        &matcher::ExecOptions {
+                            mode,
+                            match_limit: executor.match_limit(),
+                            latency: executor.latency_model(),
+                            root_seed: seed,
+                            ..Default::default()
+                        },
+                    )
+                    .metrics;
                     let planned = executor.execute_seeded(&store, query, seed);
                     assert_eq!(
                         planned,
