@@ -238,9 +238,7 @@ impl AdaptiveServing {
         // (another handle firing the round) unwinds it cooperatively.
         let ctx = RequestContext::unbounded().with_cancel(self.round_cancel.clone());
         let request = QueryRequest::workload(samples).with_seed(seed);
-        let (report, _) = self
-            .engine
-            .run_request_epochs_ctx(&self.epochs, workload, request, &ctx);
+        let (report, _) = self.engine.run(&self.epochs, workload, request, &ctx);
         self.tracker.observe(&report);
         let outcome = if self.tracker.is_drifted() {
             Some(self.adapt_now()?)
@@ -443,12 +441,12 @@ impl AdaptiveServing {
 /// safe to call concurrently with external epoch readers; drifted live
 /// traffic goes through [`AdaptiveServing::serve`], which closes the loop.
 /// Metric parity: for the same request, `run` returns exactly the metrics
-/// of [`loom_serve::engine::ServeEngine::serve_epochs`] over the mined
-/// workload at the current epoch.
+/// of [`loom_serve::engine::ServeEngine::run`] on the epoch store over the
+/// mined workload at the current epoch.
 impl QueryEngine for AdaptiveServing {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
         self.engine
-            .run_request_epochs_ctx(&self.epochs, self.tracker.workload(), request, ctx)
+            .run(&self.epochs, self.tracker.workload(), request, ctx)
             .1
     }
 
@@ -466,6 +464,26 @@ mod tests {
 
     fn l(x: u32) -> Label {
         Label::new(x)
+    }
+
+    /// A closed-loop run straight through the engine underneath: no drift
+    /// tracking, no adaptation.
+    fn engine_report(
+        adaptive: &AdaptiveServing,
+        workload: &Workload,
+        samples: usize,
+        seed: u64,
+    ) -> ServeReport {
+        let request = QueryRequest::workload(samples).with_seed(seed);
+        adaptive
+            .engine
+            .run(
+                &adaptive.epochs,
+                workload,
+                request,
+                &RequestContext::unbounded(),
+            )
+            .0
     }
 
     /// A 12-vertex abc-path graph over 2 partitions, deliberately splitting
@@ -498,9 +516,7 @@ mod tests {
         );
         let request = QueryRequest::workload(60).with_seed(11);
         let response = adaptive.run(request);
-        let legacy = adaptive
-            .engine
-            .serve_epochs(&adaptive.epochs, &workload, 60, 11);
+        let legacy = engine_report(&adaptive, &workload, 60, 11);
         assert_eq!(response.metrics, legacy.aggregate);
         // Read-only: no adaptation, no epoch churn, no observation.
         assert_eq!(adaptive.current_epoch(), 1);
@@ -536,18 +552,14 @@ mod tests {
             ServeConfig::new(2),
             AdaptConfig::default(),
         );
-        let before = adaptive
-            .engine
-            .serve_epochs(&adaptive.epochs, &workload, 200, 7);
+        let before = engine_report(&adaptive, &workload, 200, 7);
         adaptive.tracker.observe_counts(&[200]);
         let outcome = adaptive.adapt_now().unwrap();
         assert!(outcome.moved > 0);
         assert!(outcome.rounds >= 1);
         assert_eq!(outcome.epoch, 2);
         assert_eq!(adaptive.current_epoch(), 2);
-        let after = adaptive
-            .engine
-            .serve_epochs(&adaptive.epochs, &workload, 200, 7);
+        let after = engine_report(&adaptive, &workload, 200, 7);
         assert!(
             after.remote_hop_fraction() < before.remote_hop_fraction(),
             "migration should cut remote hops: {} -> {}",
@@ -708,9 +720,7 @@ mod tests {
         assert_eq!(idle.epoch, 1);
         assert_eq!(adaptive.current_epoch(), 1);
         adaptive.apply_mutations(&[StreamElement::RemoveVertex { id: dead }]);
-        let before = adaptive
-            .engine
-            .serve_epochs(&adaptive.epochs, &workload, 100, 3);
+        let before = engine_report(&adaptive, &workload, 100, 3);
         let outcome = adaptive.compact_now(0.0);
         assert_eq!(outcome.purged_vertices, 1);
         assert!(outcome.purged_slots >= 2, "a path vertex frees both arcs");
@@ -722,9 +732,7 @@ mod tests {
             assert_eq!(snapshot.tombstone_fraction(shard.id()), 0.0);
         }
         // Same answers over the compacted snapshot as over the tombstoned one.
-        let after = adaptive
-            .engine
-            .serve_epochs(&adaptive.epochs, &workload, 100, 3);
+        let after = engine_report(&adaptive, &workload, 100, 3);
         assert_eq!(
             before.aggregate.matches_found,
             after.aggregate.matches_found

@@ -26,7 +26,9 @@ use loom_partition::traits::partition_stream;
 use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
+use loom_sim::context::RequestContext;
 use loom_sim::drift::DriftScenario;
+use loom_sim::engine::QueryRequest;
 use loom_sim::executor::QueryMode;
 use std::hint::black_box;
 use std::path::Path;
@@ -56,7 +58,11 @@ fn mine(graph: &LabelledGraph, stream: &GraphStream, workload: &Workload) -> Par
 
 fn measure(graph: &LabelledGraph, partitioning: &Partitioning, workload: &Workload) -> ServeReport {
     let store = Arc::new(ShardedStore::from_parts(graph, partitioning));
-    ServeEngine::new(serve_config()).serve_batch(&store, workload, SAMPLES, SEED)
+    let request = QueryRequest::workload(SAMPLES).with_seed(SEED);
+    let engine = ServeEngine::new(serve_config());
+    engine
+        .run(&store, workload, request, &RequestContext::unbounded())
+        .0
 }
 
 /// Run the adaptive arm through the phase change and return its placement.

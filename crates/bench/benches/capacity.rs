@@ -52,6 +52,7 @@ use loom_partition::spec::{LoomConfig, PartitionerSpec};
 use loom_partition::traits::partition_stream;
 use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::shard::ShardedStore;
+use loom_sim::context::RequestContext;
 use loom_sim::executor::QueryMode;
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use std::hint::black_box;
@@ -202,7 +203,12 @@ fn calibrate_hold(hash: &StoreUnderTest, workload: &Workload, plans: &Arc<PlanCa
     let request = loom_sim::engine::QueryRequest::workload(PROBE_SAMPLES)
         .with_seed(SEED)
         .with_traversal_budget(TRAVERSAL_BUDGET);
-    let (probe, _) = engine.run_request(&hash.sharded, workload, request);
+    let (probe, _) = engine.run(
+        &hash.sharded,
+        workload,
+        request,
+        &RequestContext::unbounded(),
+    );
     let mean_us = probe.aggregate.estimated_latency_us / PROBE_SAMPLES as f64;
     assert!(mean_us > 0.0, "probe must execute modelled work");
     let scale = 1e6 / (target_rps() * mean_us);

@@ -29,6 +29,8 @@ use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
 use loom_sim::churn::DeletionChurnScenario;
+use loom_sim::context::RequestContext;
+use loom_sim::engine::QueryRequest;
 use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
@@ -77,7 +79,11 @@ fn mine(graph: &LabelledGraph, stream: &GraphStream, workload: &Workload) -> Par
 }
 
 fn measure(store: &Arc<ShardedStore>, workload: &Workload) -> ServeReport {
-    ServeEngine::new(ServeConfig::new(K as usize)).serve_batch(store, workload, samples(), SEED)
+    let request = QueryRequest::workload(samples()).with_seed(SEED);
+    let engine = ServeEngine::new(ServeConfig::new(K as usize));
+    engine
+        .run(store, workload, request, &RequestContext::unbounded())
+        .0
 }
 
 struct Setup {

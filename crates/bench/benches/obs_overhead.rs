@@ -34,6 +34,8 @@ use loom_partition::traits::partition_stream;
 use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
+use loom_sim::context::RequestContext;
+use loom_sim::engine::QueryRequest;
 use loom_sim::executor::QueryMode;
 use loom_sim::plan::{GraphStatistics, PlanCache, QueryPlanner};
 use std::hint::black_box;
@@ -120,7 +122,10 @@ fn serve(
     if let Some(telemetry) = telemetry {
         engine = engine.with_telemetry(Arc::clone(telemetry));
     }
-    engine.serve_batch(store, workload, samples, SEED)
+    let request = QueryRequest::workload(samples).with_seed(SEED);
+    engine
+        .run(store, workload, request, &RequestContext::unbounded())
+        .0
 }
 
 fn median(samples: &mut [f64]) -> f64 {

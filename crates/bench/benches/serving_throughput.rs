@@ -51,6 +51,8 @@ use loom_partition::traits::partition_stream;
 use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
+use loom_sim::context::RequestContext;
+use loom_sim::engine::QueryRequest;
 use loom_sim::executor::{QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, QueryPlanner};
 use loom_sim::store::PartitionedStore;
@@ -186,10 +188,13 @@ fn serve(
     shards: usize,
     samples: usize,
 ) -> ServeReport {
-    ServeEngine::new(ServeConfig::new(shards).with_mode(mode()))
+    let request = QueryRequest::workload(samples).with_seed(SEED);
+    let engine = ServeEngine::new(ServeConfig::new(shards).with_mode(mode()))
         .with_plan_cache(Arc::clone(plans))
-        .with_telemetry(Arc::clone(telemetry))
-        .serve_batch(store, workload, samples, SEED)
+        .with_telemetry(Arc::clone(telemetry));
+    engine
+        .run(store, workload, request, &RequestContext::unbounded())
+        .0
 }
 
 /// One JSON result cell.

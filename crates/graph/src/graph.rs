@@ -10,6 +10,7 @@
 use crate::error::{GraphError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{EdgeKey, Label, VertexId};
+use crate::stream::StreamElement;
 use serde::{Deserialize, Serialize};
 
 /// An undirected, vertex-labelled graph.
@@ -218,6 +219,34 @@ impl LabelledGraph {
         match self.labels.get_mut(&v) {
             Some(slot) => Ok(std::mem::replace(slot, label)),
             None => Err(GraphError::MissingVertex(v)),
+        }
+    }
+
+    /// Apply one stream element with the no-op-on-missing semantics every
+    /// replay path shares (stream materialisation, the durable mirror, WAL
+    /// recovery, growth experiments): re-adding a vertex updates its label,
+    /// a duplicate edge or one with a missing endpoint is ignored, and
+    /// removing or relabelling something absent does nothing — so any
+    /// element interleaving applies without error, and "recovered ≡ live"
+    /// cannot drift between two copies of this match.
+    #[inline]
+    pub fn apply(&mut self, element: &StreamElement) {
+        match *element {
+            StreamElement::AddVertex { id, label } => {
+                self.insert_vertex(id, label);
+            }
+            StreamElement::AddEdge { source, target } => {
+                let _ = self.add_edge_idempotent(source, target);
+            }
+            StreamElement::RemoveVertex { id } => {
+                self.remove_vertex(id);
+            }
+            StreamElement::RemoveEdge { source, target } => {
+                self.remove_edge(source, target);
+            }
+            StreamElement::Relabel { id, label } => {
+                let _ = self.set_label(id, label);
+            }
         }
     }
 
@@ -591,5 +620,80 @@ mod tests {
         set.insert(b);
         set.insert(c);
         assert_eq!(g.edges_into_set(a, &set), 2);
+    }
+    #[test]
+    fn apply_is_idempotent_and_ignores_missing_targets() {
+        let v = VertexId::new;
+        let script = [
+            StreamElement::AddVertex {
+                id: v(0),
+                label: Label::new(0),
+            },
+            StreamElement::AddVertex {
+                id: v(1),
+                label: Label::new(1),
+            },
+            StreamElement::AddVertex {
+                id: v(2),
+                label: Label::new(2),
+            },
+            StreamElement::AddEdge {
+                source: v(0),
+                target: v(1),
+            },
+            StreamElement::AddEdge {
+                source: v(1),
+                target: v(2),
+            },
+            StreamElement::RemoveVertex { id: v(1) },
+            // Every target below is missing by now: all no-ops.
+            StreamElement::Relabel {
+                id: v(1),
+                label: Label::new(5),
+            },
+            StreamElement::RemoveEdge {
+                source: v(0),
+                target: v(1),
+            },
+            StreamElement::AddEdge {
+                source: v(0),
+                target: v(1),
+            },
+            StreamElement::RemoveVertex { id: v(9) },
+            // Re-add under a new label and reconnect one side.
+            StreamElement::AddVertex {
+                id: v(1),
+                label: Label::new(9),
+            },
+            StreamElement::AddEdge {
+                source: v(1),
+                target: v(2),
+            },
+            StreamElement::Relabel {
+                id: v(0),
+                label: Label::new(7),
+            },
+        ];
+        let state = |g: &LabelledGraph| {
+            let mut labelled: Vec<_> = g.labelled_vertices().collect();
+            labelled.sort_unstable();
+            (labelled, g.edges_sorted())
+        };
+        let mut g = LabelledGraph::new();
+        script.iter().for_each(|e| g.apply(e));
+        let once = state(&g);
+        assert_eq!(
+            once.0,
+            vec![
+                (v(0), Label::new(7)),
+                (v(1), Label::new(9)),
+                (v(2), Label::new(2)),
+            ]
+        );
+        assert_eq!(once.1, vec![EdgeKey::new(v(1), v(2))]);
+        assert_eq!(g.neighbors(v(0)), &[] as &[VertexId]);
+        // A second pass over the same script lands in the same state.
+        script.iter().for_each(|e| g.apply(e));
+        assert_eq!(state(&g), once);
     }
 }

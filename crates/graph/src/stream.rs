@@ -217,23 +217,7 @@ impl GraphStream {
     pub fn materialise(&self) -> LabelledGraph {
         let mut graph = LabelledGraph::with_capacity(self.vertex_count(), self.edge_count());
         for element in &self.elements {
-            match *element {
-                StreamElement::AddVertex { id, label } => {
-                    graph.insert_vertex(id, label);
-                }
-                StreamElement::AddEdge { source, target } => {
-                    let _ = graph.add_edge_idempotent(source, target);
-                }
-                StreamElement::RemoveVertex { id } => {
-                    graph.remove_vertex(id);
-                }
-                StreamElement::RemoveEdge { source, target } => {
-                    graph.remove_edge(source, target);
-                }
-                StreamElement::Relabel { id, label } => {
-                    let _ = graph.set_label(id, label);
-                }
-            }
+            graph.apply(element);
         }
         graph
     }

@@ -1,22 +1,31 @@
 //! The concurrent serving engine: a message-passing coordinator over
 //! independent shard workers.
 //!
-//! [`ServeEngine::serve_batch`] executes a sampled query load against a
-//! pinned [`ShardedStore`] snapshot; [`ServeEngine::serve_epochs`] does the
-//! same against an [`EpochStore`], with workers re-pinning on epoch
-//! publication notices so ingestion can keep publishing new snapshots
-//! mid-run; and [`ServeEngine::run_request`] /
-//! [`ServeEngine::run_request_ctx`] are the unified [`QueryRequest`] entry
-//! points behind the `QueryEngine` implementations. All paths share the
-//! same machinery:
+//! There are exactly two ways to run load, and both are thin drivers over
+//! one private run scaffold:
+//!
+//! * [`ServeEngine::run`] — **closed-loop**: executes a [`QueryRequest`]
+//!   against a [`Source`] and returns the [`ServeReport`] plus the request's
+//!   [`QueryResponse`]. The source is either one pinned snapshot
+//!   (`engine.run(&store, ..)`, an `&Arc<ShardedStore>`) or an
+//!   [`EpochStore`] (`engine.run(&epochs, ..)`), in which case workers re-pin
+//!   on epoch publication notices so ingestion can keep publishing new
+//!   snapshots mid-run. Admission blocks on a full worker inbox
+//!   (backpressure) until the request's deadline.
+//! * [`ServeEngine::open_loop`] — the caller's driver decides *when* each
+//!   pre-scheduled arrival is issued through an [`OpenLoopInjector`];
+//!   admission never blocks.
+//!
+//! The scaffold both share:
 //!
 //! * every workload query's compiled [`QueryPlan`] is resolved **once per
 //!   run** from the shared [`PlanCache`] (or compiled as a legacy plan when
 //!   no cache is wired in) — the router and every worker execute the same
 //!   instance, with zero per-call ordering derivation;
 //! * the coordinator (this thread) routes each query to its home shard
-//!   ([`QueryRouter::home_shard_planned`]) and **sends it as a message**
-//!   over that worker's [`ShardTransport`] endpoint — admission applies
+//!   ([`QueryRouter::home_shard_planned`]) against the snapshot current at
+//!   admission and **sends it as a message** over that worker's
+//!   [`ShardTransport`] endpoint — closed-loop admission applies
 //!   deadline-aware backpressure: a full worker inbox blocks the send until
 //!   the request's deadline and then rejects it (counted per shard) instead
 //!   of wedging forever;
@@ -76,8 +85,6 @@ pub struct ServeConfig {
     /// (backpressure) until the request's deadline instead of growing an
     /// unbounded backlog.
     pub queue_capacity: usize,
-    /// How many queries the router samples and routes per admission batch.
-    pub batch_size: usize,
     /// Query execution mode (rooted is the online mode the paper targets).
     pub mode: QueryMode,
     /// Cap on embeddings enumerated per query execution.
@@ -103,12 +110,11 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A config with `workers` worker shards and serving-oriented defaults
-    /// (rooted queries anchored at 4 seeds, queue capacity 64, batch 32).
+    /// (rooted queries anchored at 4 seeds, queue capacity 64).
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
             queue_capacity: 64,
-            batch_size: 32,
             mode: QueryMode::Rooted { seed_count: 4 },
             match_limit: 10_000,
             latency: LatencyModel::default(),
@@ -142,13 +148,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Builder-style router admission batch size (minimum 1).
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -187,13 +186,30 @@ pub(crate) struct RunOptions {
     pub(crate) hold_scale: Option<f64>,
 }
 
-/// Where workers pin their snapshots from.
-pub(crate) enum Source<'a> {
+/// What a run serves from — and where its workers pin their snapshots.
+/// Built by `.into()` from the two things a caller can hold:
+/// `engine.run(&store, ..)` or `engine.run(&epochs, ..)`.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
     /// One snapshot for the whole run.
     Pinned(&'a Arc<ShardedStore>),
     /// The epoch store; workers pin at spawn and re-pin on publication
-    /// notices.
+    /// notices, and the router re-pins whenever a newer epoch is current at
+    /// admission — a query observes exactly one epoch end-to-end (no torn
+    /// reads) and the report lists every epoch the run touched.
     Epochs(&'a EpochStore),
+}
+
+impl<'a> From<&'a Arc<ShardedStore>> for Source<'a> {
+    fn from(store: &'a Arc<ShardedStore>) -> Self {
+        Source::Pinned(store)
+    }
+}
+
+impl<'a> From<&'a EpochStore> for Source<'a> {
+    fn from(epochs: &'a EpochStore) -> Self {
+        Source::Epochs(epochs)
+    }
 }
 
 impl Source<'_> {
@@ -377,10 +393,9 @@ impl<'a> Coordinator<'a> {
         if self.handoff {
             self.meta.insert(task.seq, (worker, task.query as usize));
         }
-        let seq = task.seq;
         if let Some(t) = self.telemetry {
             t.flight().record(FlightKind::Admitted {
-                request: seq,
+                request: task.seq,
                 shard: worker as u32,
                 epoch,
             });
@@ -395,17 +410,7 @@ impl<'a> Coordinator<'a> {
             }
             Err(err) => {
                 if let ShardMsg::Query(task) = err.into_msg() {
-                    if let Some(t) = self.telemetry {
-                        t.flight().record(FlightKind::Rejected {
-                            request: seq,
-                            shard: worker as u32,
-                            epoch,
-                        });
-                    }
-                    self.reject(worker, &task, epoch);
-                    if let Some(t) = self.telemetry {
-                        t.flight().latch("admission rejected");
-                    }
+                    self.reject_admission(worker, &task, epoch);
                 }
                 false
             }
@@ -453,18 +458,8 @@ impl<'a> Coordinator<'a> {
                                     shard: worker as u32,
                                     waited_us: started.elapsed().as_micros() as u64,
                                 });
-                                t.flight().record(FlightKind::Rejected {
-                                    request: task.seq,
-                                    shard: worker as u32,
-                                    epoch,
-                                });
                             }
-                            self.reject(worker, &task, epoch);
-                            if let Some(t) = self.telemetry {
-                                // Rejection is a trigger: dump the timeline
-                                // leading up to it automatically.
-                                t.flight().latch("admission rejected");
-                            }
+                            self.reject_admission(worker, &task, epoch);
                         }
                         return;
                     }
@@ -474,6 +469,20 @@ impl<'a> Coordinator<'a> {
                 // The transport only closes during teardown, after admission.
                 Err(TransportError::Closed(_)) => return,
             }
+        }
+    }
+
+    /// An admission push was refused: account it, flight-record it, and latch
+    /// — rejection is a trigger, dumping the timeline leading up to it.
+    fn reject_admission(&mut self, worker: usize, task: &QueryTaskMsg, epoch: u64) {
+        self.reject(worker, task, epoch);
+        if let Some(t) = self.telemetry {
+            t.flight().record(FlightKind::Rejected {
+                request: task.seq,
+                shard: worker as u32,
+                epoch,
+            });
+            t.flight().latch("admission rejected");
         }
     }
 
@@ -594,24 +603,16 @@ impl<'a> Coordinator<'a> {
                 self.complete_pending(seq);
             }
         } else {
-            self.observe_done(worker as usize, seq, epoch, &metrics);
-            if let Some(sink) = self.completions.as_mut() {
-                sink.push(Completion {
-                    seq,
-                    at: Instant::now(),
-                    deadline_exceeded: metrics.deadline_exceeded,
-                });
-            }
-            self.logs[worker as usize].record(metrics, epoch);
-            self.outstanding -= 1;
+            self.complete(worker as usize, seq, epoch, metrics);
         }
     }
 
-    /// Flight-record a completed query that blew its deadline (and latch a
-    /// dump — the other automatic trigger besides admission rejection).
-    fn observe_done(&self, worker: usize, seq: u64, epoch: u64, metrics: &ExecutionMetrics) {
-        let Some(t) = self.telemetry else { return };
-        if metrics.deadline_exceeded {
+    /// One admitted query is complete — directly, or once every handoff
+    /// piece arrived: flight-record a blown deadline (and latch a dump — the
+    /// other automatic trigger besides admission rejection), timestamp the
+    /// completion for an open-loop driver, and charge the home shard.
+    fn complete(&mut self, worker: usize, seq: u64, epoch: u64, metrics: ExecutionMetrics) {
+        if let (Some(t), true) = (self.telemetry, metrics.deadline_exceeded) {
             t.flight().record(FlightKind::DeadlineExceeded {
                 request: seq,
                 shard: worker as u32,
@@ -619,6 +620,15 @@ impl<'a> Coordinator<'a> {
             });
             t.flight().latch("deadline exceeded");
         }
+        if let Some(sink) = self.completions.as_mut() {
+            sink.push(Completion {
+                seq,
+                at: Instant::now(),
+                deadline_exceeded: metrics.deadline_exceeded,
+            });
+        }
+        self.logs[worker].record(metrics, epoch);
+        self.outstanding -= 1;
     }
 
     /// All pieces of a handoff query arrived: normalise the merged raw
@@ -640,16 +650,7 @@ impl<'a> Coordinator<'a> {
             cancelled: acc.cancelled,
             plan: self.plans[query].as_ref().map(|p| p.id()),
         };
-        self.observe_done(worker, seq, pending.epoch, &metrics);
-        if let Some(sink) = self.completions.as_mut() {
-            sink.push(Completion {
-                seq,
-                at: Instant::now(),
-                deadline_exceeded: metrics.deadline_exceeded,
-            });
-        }
-        self.logs[worker].record(metrics, pending.epoch);
-        self.outstanding -= 1;
+        self.complete(worker, seq, pending.epoch, metrics);
     }
 
     /// Pump the inbox until every admitted query has completed.
@@ -706,9 +707,10 @@ impl<'a> Coordinator<'a> {
     }
 }
 
-/// Driver-side handle for one open-loop run (see
-/// [`ServeEngine::open_loop`]). The load is pre-scheduled exactly like a
-/// closed-loop run; the driver injects it one arrival at a time with
+/// Driver-side handle for one run's pre-scheduled load. The schedule is
+/// expanded up front; a driver issues it one arrival at a time. The
+/// closed-loop driver behind [`ServeEngine::run`] admits with backpressure;
+/// an open-loop driver (see [`ServeEngine::open_loop`]) injects with
 /// **non-blocking** admission ([`OpenLoopInjector::inject_next`]), so
 /// injection timing is a pure function of the driver's clock — never of the
 /// engine keeping up. A full inbox rejects on the spot; a late arrival can
@@ -718,11 +720,15 @@ impl<'a> Coordinator<'a> {
 pub struct OpenLoopInjector<'a> {
     coordinator: Coordinator<'a>,
     router: &'a QueryRouter,
+    source: Source<'a>,
+    /// The routing snapshot: fixed for a pinned source, re-pinned for an
+    /// epoch source whenever a newer epoch is current at admission.
     snapshot: Arc<ShardedStore>,
     tasks: &'a [QueryTaskMsg],
+    /// The run's effective deadline, bounding closed-loop admission.
+    deadline: Option<Instant>,
     workers: usize,
     next: usize,
-    issued: usize,
     query_counts: Vec<usize>,
     run_start: Instant,
 }
@@ -740,7 +746,7 @@ impl OpenLoopInjector<'_> {
 
     /// Requests issued so far (admitted + rejected + shed).
     pub fn issued(&self) -> usize {
-        self.issued
+        self.next
     }
 
     /// Admitted requests whose completion has not been consumed yet — the
@@ -749,37 +755,59 @@ impl OpenLoopInjector<'_> {
         self.coordinator.outstanding
     }
 
-    /// Issue the next scheduled arrival with non-blocking admission. An
-    /// explicit `deadline` overrides the request-level one for this arrival
-    /// (the natural choice is `arrival + SLO timeout`). Never blocks: a full
-    /// home-worker inbox means [`Admission::Rejected`], charged to that
-    /// shard's error budget.
-    pub fn inject_next(&mut self, deadline: Option<Instant>) -> Admission {
-        let tasks = self.tasks;
-        let Some(task) = tasks.get(self.next) else {
-            return Admission::Exhausted;
-        };
+    /// Take the next scheduled arrival, count it as issued, and route it to
+    /// its home worker against the snapshot current at admission. For an
+    /// epoch source that costs one `Acquire` load per arrival; the snapshot
+    /// is re-pinned only when a newer epoch has been published.
+    fn next_routed(&mut self) -> Option<(usize, QueryTaskMsg)> {
+        let task = self.tasks.get(self.next)?.clone();
         self.next += 1;
-        self.issued += 1;
         self.query_counts[task.query as usize] += 1;
-        let mut task = task.clone();
-        if let Some(d) = deadline {
-            task.deadline_us = Some(d.saturating_duration_since(self.run_start).as_micros() as u64);
+        if let Source::Epochs(epochs) = self.source {
+            if epochs.current_epoch() != self.snapshot.epoch() {
+                self.snapshot = epochs.load();
+            }
         }
         let plans = self.coordinator.plans;
         let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
         let shard = self
             .router
             .home_shard_planned(&self.snapshot, plan, task.root_seed);
-        let worker = shard.index() % self.workers;
+        Some((shard.index() % self.workers, task))
+    }
+
+    /// Closed-loop admission of the next scheduled arrival: a full home
+    /// inbox blocks (backpressure) until the run's deadline, then rejects.
+    /// Returns `false` once the schedule is exhausted.
+    fn admit_next(&mut self) -> bool {
+        let Some((worker, task)) = self.next_routed() else {
+            return false;
+        };
+        self.coordinator
+            .admit(worker, task, self.deadline, self.snapshot.epoch());
+        true
+    }
+
+    /// Issue the next scheduled arrival with non-blocking admission. An
+    /// explicit `deadline` overrides the request-level one for this arrival
+    /// (the natural choice is `arrival + SLO timeout`). Never blocks: a full
+    /// home-worker inbox means [`Admission::Rejected`], charged to that
+    /// shard's error budget.
+    pub fn inject_next(&mut self, deadline: Option<Instant>) -> Admission {
+        let Some((shard, mut task)) = self.next_routed() else {
+            return Admission::Exhausted;
+        };
+        if let Some(d) = deadline {
+            task.deadline_us = Some(d.saturating_duration_since(self.run_start).as_micros() as u64);
+        }
         let seq = task.seq;
         if self
             .coordinator
-            .admit_open(worker, task, self.snapshot.epoch())
+            .admit_open(shard, task, self.snapshot.epoch())
         {
-            Admission::Admitted { seq, shard: worker }
+            Admission::Admitted { seq, shard }
         } else {
-            Admission::Rejected { seq, shard: worker }
+            Admission::Rejected { seq, shard }
         }
     }
 
@@ -789,19 +817,9 @@ impl OpenLoopInjector<'_> {
     /// an admission rejection on the arrival's home shard. Returns the shed
     /// sequence number, or `None` when the schedule is exhausted.
     pub fn shed_next(&mut self) -> Option<u64> {
-        let tasks = self.tasks;
-        let task = tasks.get(self.next)?;
-        self.next += 1;
-        self.issued += 1;
-        self.query_counts[task.query as usize] += 1;
-        let plans = self.coordinator.plans;
-        let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
-        let shard = self
-            .router
-            .home_shard_planned(&self.snapshot, plan, task.root_seed);
-        let worker = shard.index() % self.workers;
-        let epoch = self.snapshot.epoch();
-        self.coordinator.reject(worker, task, epoch);
+        let (worker, task) = self.next_routed()?;
+        self.coordinator
+            .reject(worker, &task, self.snapshot.epoch());
         Some(task.seq)
     }
 
@@ -891,105 +909,35 @@ impl ServeEngine {
         self.plans.as_ref()
     }
 
-    /// Serve `samples` queries drawn from `workload` (deterministically from
-    /// `seed`) against one pinned snapshot.
+    /// Execute a [`QueryRequest`] **closed-loop** against `source` — one
+    /// pinned snapshot (`engine.run(&store, ..)`) or an [`EpochStore`]
+    /// (`engine.run(&epochs, ..)`) — under `ctx`, and return both the serving
+    /// report and the request's [`QueryResponse`] (metrics + match cursor).
     ///
     /// The sampled load and the per-query root seeds are exactly those of
     /// [`loom_sim::executor::QueryExecutor::execute_workload`], and each
     /// query runs the same compiled plan through the same matcher, so the
     /// report's aggregate [`ExecutionMetrics`] equal a sequential run's —
-    /// the parity the serving tests assert.
-    pub fn serve_batch(
+    /// the parity the serving tests assert. The effective deadline is the
+    /// earlier of the context's and the request's, and firing the context's
+    /// cancel token cooperatively unwinds every in-flight worker execution.
+    pub fn run<'a>(
         &self,
-        store: &Arc<ShardedStore>,
-        workload: &Workload,
-        samples: usize,
-        seed: u64,
-    ) -> ServeReport {
-        let request = QueryRequest::workload(samples).with_seed(seed);
-        self.run(
-            Source::Pinned(store),
-            workload,
-            request,
-            &RequestContext::unbounded(),
-        )
-        .0
-    }
-
-    /// Serve `samples` queries while ingestion concurrently publishes new
-    /// epochs into `epochs`. Workers pin a snapshot at spawn and re-pin on
-    /// each epoch-publication notice; a query observes exactly one epoch
-    /// end-to-end (no torn reads) and the report lists every epoch the run
-    /// touched.
-    pub fn serve_epochs(
-        &self,
-        epochs: &EpochStore,
-        workload: &Workload,
-        samples: usize,
-        seed: u64,
-    ) -> ServeReport {
-        let request = QueryRequest::workload(samples).with_seed(seed);
-        self.run(
-            Source::Epochs(epochs),
-            workload,
-            request,
-            &RequestContext::unbounded(),
-        )
-        .0
-    }
-
-    /// Execute a unified [`QueryRequest`] against one pinned snapshot and
-    /// return both the serving report and the request's
-    /// [`QueryResponse`] (metrics + match cursor).
-    pub fn run_request(
-        &self,
-        store: &Arc<ShardedStore>,
-        workload: &Workload,
-        request: QueryRequest,
-    ) -> (ServeReport, QueryResponse) {
-        self.run_request_ctx(store, workload, request, &RequestContext::unbounded())
-    }
-
-    /// Like [`ServeEngine::run_request`], under an explicit
-    /// [`RequestContext`]: the effective deadline is the earlier of the
-    /// context's and the request's, and firing the context's cancel token
-    /// cooperatively unwinds every in-flight worker execution.
-    pub fn run_request_ctx(
-        &self,
-        store: &Arc<ShardedStore>,
+        source: impl Into<Source<'a>>,
         workload: &Workload,
         request: QueryRequest,
         ctx: &RequestContext,
     ) -> (ServeReport, QueryResponse) {
-        self.run(Source::Pinned(store), workload, request, ctx)
-    }
-
-    /// Like [`ServeEngine::run_request`], but serving from an
-    /// [`EpochStore`] (workers re-pin on epoch publication notices).
-    pub fn run_request_epochs(
-        &self,
-        epochs: &EpochStore,
-        workload: &Workload,
-        request: QueryRequest,
-    ) -> (ServeReport, QueryResponse) {
-        self.run_request_epochs_ctx(epochs, workload, request, &RequestContext::unbounded())
-    }
-
-    /// Like [`ServeEngine::run_request_epochs`], under an explicit
-    /// [`RequestContext`].
-    pub fn run_request_epochs_ctx(
-        &self,
-        epochs: &EpochStore,
-        workload: &Workload,
-        request: QueryRequest,
-        ctx: &RequestContext,
-    ) -> (ServeReport, QueryResponse) {
-        self.run(Source::Epochs(epochs), workload, request, ctx)
+        let (report, response, ()) =
+            self.drive(source.into(), workload, request, ctx, |injector| {
+                while injector.admit_next() {}
+            });
+        (report, response)
     }
 
     /// Run an **open-loop** load against one pinned snapshot: the engine
     /// spins up the same workers, router, and transport as
-    /// [`ServeEngine::run_request`], then hands control to `driver`, which
+    /// [`ServeEngine::run`], then hands control to `driver`, which
     /// owns *when* each pre-scheduled arrival is issued via the
     /// [`OpenLoopInjector`]. Admission never blocks — a full inbox rejects
     /// immediately — so the driver's injection timing is independent of the
@@ -1009,123 +957,14 @@ impl ServeEngine {
         request: QueryRequest,
         driver: impl FnOnce(&mut OpenLoopInjector<'_>) -> R,
     ) -> (ServeReport, R) {
-        let started = Instant::now();
-        let options = self.options_for(&request);
-        let workers = self.config.workers.max(1);
-        let router = QueryRouter::new(options.mode);
-        let effective = RequestContext::unbounded().tightened_by(request.deadline);
-        let handoff = self.config.halo_handoff;
-        let deadline_us = effective
-            .deadline
-            .map(|d| d.saturating_duration_since(started).as_micros() as u64);
-
-        let schedule = request_schedule(workload, &request);
-        let tasks: Vec<QueryTaskMsg> = schedule
-            .iter()
-            .enumerate()
-            .map(|(seq, &(query, root_seed))| QueryTaskMsg {
-                seq: seq as u64,
-                query: query as u32,
-                root_seed,
-                deadline_us,
-            })
-            .collect();
-        let plans = resolve_schedule_plans(self.plans.as_ref(), workload, &schedule);
-
-        let hub = InProcTransport::hub_observed(
-            workers,
-            self.config.queue_capacity,
-            self.telemetry.as_deref(),
-        );
-        let source = Source::Pinned(store);
-
-        let (logs, reports, embeddings, issued, query_counts, value) =
-            std::thread::scope(|scope| {
-                for (w, endpoint) in hub.workers.iter().enumerate() {
-                    let source = &source;
-                    let plans = &plans;
-                    let cancel = effective.cancel.clone();
-                    let exec_hist = self
-                        .telemetry
-                        .as_ref()
-                        .map(|t| t.shard_histogram(stage::SERVE_EXECUTE, w as u32));
-                    let halo_hist = self
-                        .telemetry
-                        .as_ref()
-                        .map(|t| t.shard_histogram(stage::SERVE_HALO_HANDOFF, w as u32));
-                    scope.spawn(move || {
-                        worker_loop(
-                            endpoint,
-                            source,
-                            WorkerSetup {
-                                worker: w as u32,
-                                workers: workers as u32,
-                                options,
-                                handoff,
-                                plans,
-                                run_start: started,
-                                cancel,
-                                exec_hist,
-                                halo_hist,
-                            },
-                        );
-                    });
-                }
-
-                let mut coordinator = Coordinator::new(
-                    &hub.coordinator,
-                    &plans,
-                    &effective.cancel,
-                    handoff,
-                    self.telemetry.as_deref(),
-                );
-                coordinator.completions = Some(Vec::new());
-                let mut injector = OpenLoopInjector {
-                    coordinator,
-                    router: &router,
-                    snapshot: Arc::clone(store),
-                    tasks: &tasks,
-                    workers,
-                    next: 0,
-                    issued: 0,
-                    query_counts: vec![0usize; workload.len()],
-                    run_start: started,
-                };
-                let value = driver(&mut injector);
-                let OpenLoopInjector {
-                    mut coordinator,
-                    issued,
-                    query_counts,
-                    ..
-                } = injector;
-                coordinator.await_completion();
-                coordinator.finish();
-                hub.coordinator[0].shutdown();
-                (
-                    coordinator.logs,
-                    coordinator.reports,
-                    coordinator.embeddings,
-                    issued,
-                    query_counts,
-                    value,
-                )
+        let ctx = RequestContext::unbounded();
+        let (report, _, value) =
+            self.drive(Source::Pinned(store), workload, request, &ctx, |injector| {
+                // Only open-loop runs timestamp completions; closed-loop
+                // runs keep the sink off and read no per-completion clock.
+                injector.coordinator.completions = Some(Vec::new());
+                driver(injector)
             });
-
-        let depths: Vec<usize> = hub
-            .coordinator
-            .iter()
-            .map(|l| l.peer_inbox_depth())
-            .collect();
-        let (report, _) = self.assemble(
-            logs,
-            reports,
-            depths,
-            embeddings,
-            issued,
-            query_counts,
-            started,
-            &request,
-        );
         (report, value)
     }
 
@@ -1142,13 +981,17 @@ impl ServeEngine {
         }
     }
 
-    fn run(
+    /// The one run scaffold: expand the schedule, resolve plans, stand up
+    /// the transport hub and one worker per shard, hand the injector to
+    /// `driver`, then await completions, tear down and assemble the report.
+    fn drive<R>(
         &self,
         source: Source<'_>,
         workload: &Workload,
         request: QueryRequest,
         ctx: &RequestContext,
-    ) -> (ServeReport, QueryResponse) {
+        driver: impl FnOnce(&mut OpenLoopInjector<'_>) -> R,
+    ) -> (ServeReport, QueryResponse, R) {
         let started = Instant::now();
         let options = self.options_for(&request);
         let workers = self.config.workers.max(1);
@@ -1167,21 +1010,16 @@ impl ServeEngine {
         // Expand the load up front through the engine-shared schedule (the
         // exact sampling and root-seed scheme of the sequential executor).
         let schedule = request_schedule(workload, &request);
-        let mut query_counts = vec![0usize; workload.len()];
         let tasks: Vec<QueryTaskMsg> = schedule
             .iter()
             .enumerate()
-            .map(|(seq, &(query, root_seed))| {
-                query_counts[query] += 1;
-                QueryTaskMsg {
-                    seq: seq as u64,
-                    query: query as u32,
-                    root_seed,
-                    deadline_us,
-                }
+            .map(|(seq, &(query, root_seed))| QueryTaskMsg {
+                seq: seq as u64,
+                query: query as u32,
+                root_seed,
+                deadline_us,
             })
             .collect();
-        let samples = tasks.len();
 
         // One plan resolution per *distinct* scheduled query for the whole
         // run — the router and every worker share these instances (and the
@@ -1195,12 +1033,12 @@ impl ServeEngine {
         );
         // Epoch publications reach workers as broadcast messages: the store
         // notifies the coordinator's inbox, the coordinator relays.
-        let subscription = match &source {
-            Source::Epochs(epochs) => Some((*epochs, epochs.subscribe(hub.notice_sink()))),
+        let subscription = match source {
+            Source::Epochs(epochs) => Some((epochs, epochs.subscribe(hub.notice_sink()))),
             Source::Pinned(_) => None,
         };
 
-        let (logs, reports, embeddings) = std::thread::scope(|scope| {
+        let (coordinator, issued, query_counts, value) = std::thread::scope(|scope| {
             for (w, endpoint) in hub.workers.iter().enumerate() {
                 let source = &source;
                 let plans = &plans;
@@ -1232,33 +1070,37 @@ impl ServeEngine {
                 });
             }
 
-            let mut coordinator = Coordinator::new(
-                &hub.coordinator,
-                &plans,
-                &effective.cancel,
-                handoff,
-                self.telemetry.as_deref(),
-            );
-            for batch in tasks.chunks(self.config.batch_size) {
-                // Route against the snapshot current at admission time.
-                let snapshot = source.pin();
-                for task in batch {
-                    let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
-                    let shard = router.home_shard_planned(&snapshot, plan, task.root_seed);
-                    let worker = shard.index() % workers;
-                    coordinator.admit(worker, task.clone(), effective.deadline, snapshot.epoch());
-                }
-            }
+            let mut injector = OpenLoopInjector {
+                coordinator: Coordinator::new(
+                    &hub.coordinator,
+                    &plans,
+                    &effective.cancel,
+                    handoff,
+                    self.telemetry.as_deref(),
+                ),
+                router: &router,
+                source,
+                snapshot: source.pin(),
+                tasks: &tasks,
+                deadline: effective.deadline,
+                workers,
+                next: 0,
+                query_counts: vec![0usize; workload.len()],
+                run_start: started,
+            };
+            let value = driver(&mut injector);
+            let OpenLoopInjector {
+                mut coordinator,
+                next: issued,
+                query_counts,
+                ..
+            } = injector;
             coordinator.await_completion();
             coordinator.finish();
             // Tear the run down: closing the shared inbox ends the epoch
             // subscription's delivery path too.
             hub.coordinator[0].shutdown();
-            (
-                coordinator.logs,
-                coordinator.reports,
-                coordinator.embeddings,
-            )
+            (coordinator, issued, query_counts, value)
         });
 
         if let Some((epochs, id)) = subscription {
@@ -1270,30 +1112,26 @@ impl ServeEngine {
             .iter()
             .map(|l| l.peer_inbox_depth())
             .collect();
-        self.assemble(
-            logs,
-            reports,
-            depths,
-            embeddings,
-            samples,
-            query_counts,
-            started,
-            &request,
-        )
+        let (report, response) =
+            self.assemble(coordinator, depths, issued, query_counts, started, &request);
+        (report, response, value)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
-        logs: Vec<CoordLog>,
-        reports: Vec<Option<ShardReportMsg>>,
+        run: Coordinator<'_>,
         depths: Vec<usize>,
-        mut embeddings: Vec<(u64, u64, Embedding)>,
         samples: usize,
         query_counts: Vec<usize>,
         started: Instant,
         request: &QueryRequest,
     ) -> (ServeReport, QueryResponse) {
+        let Coordinator {
+            logs,
+            reports,
+            mut embeddings,
+            ..
+        } = run;
         let mut aggregate = ExecutionMetrics::default();
         let mut all_latencies: Vec<f64> = Vec::with_capacity(samples);
         let mut epochs_observed: Vec<u64> = Vec::new();
@@ -1378,18 +1216,12 @@ impl ServeEngine {
             deadline_expired: shards.iter().map(|s| s.deadline_expired).sum(),
         };
         let wall_clock_us = started.elapsed().as_secs_f64() * 1e6;
-        let wall_clock_qps = if wall_clock_us <= 0.0 {
-            0.0
-        } else {
-            samples as f64 / (wall_clock_us / 1e6)
-        };
         let report = ServeReport {
             shards,
             aggregate,
             queries: samples,
             makespan_us,
             wall_clock_us,
-            wall_clock_qps,
             p50_latency_us: p50,
             p99_latency_us: p99,
             epochs_observed,
@@ -1418,13 +1250,18 @@ mod tests {
         Label::new(x)
     }
 
-    fn fixture() -> (Arc<ShardedStore>, Workload) {
+    /// The 12-vertex abc path over 4 partitions, vertex `i` on `shard_of(i)`.
+    fn path_store(shard_of: impl Fn(usize) -> u32) -> ShardedStore {
         let g = path_graph(12, &[l(0), l(1), l(2)]);
         let mut part = Partitioning::new(4, 12).unwrap();
         for (i, v) in g.vertices_sorted().into_iter().enumerate() {
-            part.assign(v, PartitionId::new((i / 3) as u32)).unwrap();
+            part.assign(v, PartitionId::new(shard_of(i))).unwrap();
         }
-        let store = Arc::new(ShardedStore::from_parts(&g, &part));
+        ShardedStore::from_parts(&g, &part)
+    }
+
+    fn fixture() -> (Arc<ShardedStore>, Workload) {
+        let store = Arc::new(path_store(|i| (i / 3) as u32));
         let workload = Workload::uniform(vec![
             PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap(),
             PatternQuery::path(QueryId::new(1), &[l(1), l(2)]).unwrap(),
@@ -1433,11 +1270,25 @@ mod tests {
         (store, workload)
     }
 
+    /// `samples` workload queries from `seed`, closed-loop and unbounded.
+    fn serve(
+        engine: &ServeEngine,
+        store: &Arc<ShardedStore>,
+        workload: &Workload,
+        samples: usize,
+        seed: u64,
+    ) -> ServeReport {
+        let request = QueryRequest::workload(samples).with_seed(seed);
+        engine
+            .run(store, workload, request, &RequestContext::unbounded())
+            .0
+    }
+
     #[test]
     fn serve_batch_executes_every_sample() {
         let (store, workload) = fixture();
         let engine = ServeEngine::new(ServeConfig::new(4));
-        let report = engine.serve_batch(&store, &workload, 50, 9);
+        let report = serve(&engine, &store, &workload, 50, 9);
         assert_eq!(report.queries, 50);
         assert_eq!(report.aggregate.queries_executed, 50);
         assert_eq!(report.shards.len(), 4);
@@ -1451,8 +1302,20 @@ mod tests {
     #[test]
     fn serving_is_deterministic_per_seed_modulo_worker_count() {
         let (store, workload) = fixture();
-        let one = ServeEngine::new(ServeConfig::new(1)).serve_batch(&store, &workload, 40, 3);
-        let four = ServeEngine::new(ServeConfig::new(4)).serve_batch(&store, &workload, 40, 3);
+        let one = serve(
+            &ServeEngine::new(ServeConfig::new(1)),
+            &store,
+            &workload,
+            40,
+            3,
+        );
+        let four = serve(
+            &ServeEngine::new(ServeConfig::new(4)),
+            &store,
+            &workload,
+            40,
+            3,
+        );
         // The aggregate execution metrics do not depend on the worker count.
         assert_eq!(one.aggregate, four.aggregate);
         // But the work is spread: the busiest shard shrinks.
@@ -1462,8 +1325,20 @@ mod tests {
     #[test]
     fn more_workers_raise_modelled_throughput() {
         let (store, workload) = fixture();
-        let one = ServeEngine::new(ServeConfig::new(1)).serve_batch(&store, &workload, 200, 5);
-        let four = ServeEngine::new(ServeConfig::new(4)).serve_batch(&store, &workload, 200, 5);
+        let one = serve(
+            &ServeEngine::new(ServeConfig::new(1)),
+            &store,
+            &workload,
+            200,
+            5,
+        );
+        let four = serve(
+            &ServeEngine::new(ServeConfig::new(4)),
+            &store,
+            &workload,
+            200,
+            5,
+        );
         assert!(four.aggregate_qps() > one.aggregate_qps());
     }
 
@@ -1484,7 +1359,13 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let report = ServeEngine::new(ServeConfig::new(4)).serve_batch(&store, &workload, 60, 11);
+        let report = serve(
+            &ServeEngine::new(ServeConfig::new(4)),
+            &store,
+            &workload,
+            60,
+            11,
+        );
         assert_eq!(report.queries, 60);
         let busy_max = report
             .shards
@@ -1504,7 +1385,13 @@ mod tests {
     #[test]
     fn report_records_the_observed_query_mix() {
         let (store, workload) = fixture();
-        let report = ServeEngine::new(ServeConfig::new(2)).serve_batch(&store, &workload, 80, 7);
+        let report = serve(
+            &ServeEngine::new(ServeConfig::new(2)),
+            &store,
+            &workload,
+            80,
+            7,
+        );
         assert_eq!(report.query_counts.len(), workload.len());
         assert_eq!(report.query_counts.iter().sum::<usize>(), 80);
         // A uniform 2-query workload: both queries appear.
@@ -1514,7 +1401,7 @@ mod tests {
     #[test]
     fn zero_samples_produce_an_empty_report() {
         let (store, workload) = fixture();
-        let report = ServeEngine::default().serve_batch(&store, &workload, 0, 1);
+        let report = serve(&ServeEngine::default(), &store, &workload, 0, 1);
         assert_eq!(report.queries, 0);
         assert_eq!(report.aggregate_qps(), 0.0);
         assert_eq!(report.p99_latency_us, 0.0);
@@ -1523,10 +1410,8 @@ mod tests {
     #[test]
     fn backpressure_keeps_queue_depth_bounded() {
         let (store, workload) = fixture();
-        let config = ServeConfig::new(2)
-            .with_queue_capacity(4)
-            .with_batch_size(8);
-        let report = ServeEngine::new(config).serve_batch(&store, &workload, 100, 2);
+        let config = ServeConfig::new(2).with_queue_capacity(4);
+        let report = serve(&ServeEngine::new(config), &store, &workload, 100, 2);
         for shard in &report.shards {
             assert!(shard.max_queue_depth <= 4);
         }
@@ -1546,8 +1431,8 @@ mod tests {
         let engine = ServeEngine::new(ServeConfig::new(2)).with_plan_cache(Arc::clone(&cache));
         assert!(engine.plan_cache().is_some());
         let uncached = ServeEngine::new(ServeConfig::new(2));
-        let a = engine.serve_batch(&store, &workload, 60, 5);
-        let b = uncached.serve_batch(&store, &workload, 60, 5);
+        let a = serve(&engine, &store, &workload, 60, 5);
+        let b = serve(&uncached, &store, &workload, 60, 5);
         // One lookup per workload query per run, not per sample.
         assert_eq!(cache.hits(), workload.len());
         assert_eq!(cache.misses(), 0);
@@ -1563,10 +1448,18 @@ mod tests {
         let request = QueryRequest::workload(30)
             .with_seed(9)
             .collect_matches(true);
-        let (_, one) =
-            ServeEngine::new(ServeConfig::new(1)).run_request(&store, &workload, request);
-        let (_, four) =
-            ServeEngine::new(ServeConfig::new(4)).run_request(&store, &workload, request);
+        let (_, one) = ServeEngine::new(ServeConfig::new(1)).run(
+            &store,
+            &workload,
+            request,
+            &RequestContext::unbounded(),
+        );
+        let (_, four) = ServeEngine::new(ServeConfig::new(4)).run(
+            &store,
+            &workload,
+            request,
+            &RequestContext::unbounded(),
+        );
         assert_eq!(one.metrics, four.metrics);
         let a: Vec<_> = one.into_cursor().collect();
         let b: Vec<_> = four.into_cursor().collect();
@@ -1578,21 +1471,23 @@ mod tests {
     fn single_query_requests_run_only_that_query() {
         let (store, workload) = fixture();
         let engine = ServeEngine::new(ServeConfig::new(2));
-        let (report, response) = engine.run_request(
+        let (report, response) = engine.run(
             &store,
             &workload,
             QueryRequest::query(QueryId::new(1))
                 .with_samples(20)
                 .with_seed(3),
+            &RequestContext::unbounded(),
         );
         assert_eq!(report.queries, 20);
         assert_eq!(report.query_counts, vec![0, 20]);
         assert_eq!(response.metrics.queries_executed, 20);
         // Unknown ids run nothing.
-        let (empty, _) = engine.run_request(
+        let (empty, _) = engine.run(
             &store,
             &workload,
             QueryRequest::query(QueryId::new(42)).with_samples(5),
+            &RequestContext::unbounded(),
         );
         assert_eq!(empty.queries, 0);
         assert_eq!(empty.aggregate, ExecutionMetrics::default());
@@ -1605,7 +1500,8 @@ mod tests {
         let request = QueryRequest::workload(20)
             .with_seed(4)
             .with_deadline(Instant::now() - Duration::from_secs(1));
-        let (report, response) = engine.run_request(&store, &workload, request);
+        let (report, response) =
+            engine.run(&store, &workload, request, &RequestContext::unbounded());
         assert_eq!(report.queries, 20);
         assert_eq!(report.aggregate.queries_executed, 20);
         assert_eq!(report.aggregate.total_traversals, 0);
@@ -1621,7 +1517,7 @@ mod tests {
         let engine = ServeEngine::new(ServeConfig::new(2));
         let ctx = RequestContext::unbounded();
         ctx.cancel.cancel();
-        let (report, response) = engine.run_request_ctx(
+        let (report, response) = engine.run(
             &store,
             &workload,
             QueryRequest::workload(15).with_seed(6),
@@ -1639,8 +1535,8 @@ mod tests {
         let telemetry = Telemetry::new();
         let observed = ServeEngine::new(ServeConfig::new(2)).with_telemetry(Arc::clone(&telemetry));
         let plain = ServeEngine::new(ServeConfig::new(2));
-        let a = observed.serve_batch(&store, &workload, 40, 3);
-        let b = plain.serve_batch(&store, &workload, 40, 3);
+        let a = serve(&observed, &store, &workload, 40, 3);
+        let b = serve(&plain, &store, &workload, 40, 3);
         // Instrumentation must not perturb the modelled execution.
         assert_eq!(a.aggregate, b.aggregate);
         assert_eq!(a.queries, b.queries);
@@ -1734,11 +1630,88 @@ mod tests {
     }
 
     #[test]
+    fn open_loop_and_closed_loop_drivers_agree() {
+        let (store, workload) = fixture();
+        let modes = [
+            QueryMode::Rooted { seed_count: 4 },
+            QueryMode::FullEnumeration,
+        ];
+        for mode in modes {
+            for workers in [1, 4] {
+                // The queue holds the whole load, so back-to-back
+                // non-blocking injection never rejects.
+                let config = ServeConfig::new(workers)
+                    .with_mode(mode)
+                    .with_queue_capacity(64);
+                let engine = ServeEngine::new(config);
+                let request = QueryRequest::workload(40)
+                    .with_seed(8)
+                    .collect_matches(true);
+                let ctx = RequestContext::unbounded();
+                let inject_all = |inj: &mut OpenLoopInjector<'_>| {
+                    while inj.inject_next(None) != Admission::Exhausted {}
+                };
+                let (closed, response) = engine.run(&store, &workload, request, &ctx);
+                let (open, ()) = engine.open_loop(&store, &workload, request, inject_all);
+                let (_, open_response, ()) =
+                    engine.drive(Source::Pinned(&store), &workload, request, &ctx, inject_all);
+                assert_eq!(closed.aggregate, open.aggregate);
+                assert_eq!(closed.query_counts, open.query_counts);
+                assert_eq!(closed.error_budget, open.error_budget);
+                assert_eq!(closed.error_budget.rejected, 0);
+                let per_shard = |r: &ServeReport| -> Vec<usize> {
+                    r.shards.iter().map(|s| s.queries).collect()
+                };
+                assert_eq!(per_shard(&closed), per_shard(&open));
+                assert_eq!(response.metrics, open_response.metrics);
+                let a: Vec<_> = response.into_cursor().collect();
+                let b: Vec<_> = open_response.into_cursor().collect();
+                assert_eq!(a, b, "{mode:?} x {workers}: cursor contents");
+                assert!(!a.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_runs_route_and_execute_on_the_epoch_current_at_admission() {
+        let (_, workload) = fixture();
+        let epochs = EpochStore::new(path_store(|i| (i / 3) as u32));
+        let engine = ServeEngine::new(ServeConfig::new(4));
+        let request = QueryRequest::workload(60).with_seed(5);
+        let ctx = RequestContext::unbounded();
+        let (first, _) = engine.run(&epochs, &workload, request, &ctx);
+        assert_eq!(first.epochs_observed, vec![1]);
+        // Publish a scattered placement: the next run must route against it
+        // (per-shard counts equal a pinned run on the new snapshot) and
+        // execute on it, with no re-pin cadence to tune.
+        let published = epochs.publish(path_store(|i| (i % 4) as u32));
+        let (second, _) = engine.run(&epochs, &workload, request, &ctx);
+        assert_eq!(second.epochs_observed, vec![published]);
+        let (pinned, _) = engine.run(&epochs.load(), &workload, request, &ctx);
+        assert_eq!(second.aggregate, pinned.aggregate);
+        let per_shard =
+            |r: &ServeReport| -> Vec<usize> { r.shards.iter().map(|s| s.queries).collect() };
+        assert_eq!(per_shard(&second), per_shard(&pinned));
+        assert_ne!(first.aggregate, second.aggregate);
+    }
+
+    #[test]
     fn service_hold_changes_wall_clock_only() {
         let (store, workload) = fixture();
-        let plain = ServeEngine::new(ServeConfig::new(2)).serve_batch(&store, &workload, 40, 3);
-        let held = ServeEngine::new(ServeConfig::new(2).with_service_hold(5.0))
-            .serve_batch(&store, &workload, 40, 3);
+        let plain = serve(
+            &ServeEngine::new(ServeConfig::new(2)),
+            &store,
+            &workload,
+            40,
+            3,
+        );
+        let held = serve(
+            &ServeEngine::new(ServeConfig::new(2).with_service_hold(5.0)),
+            &store,
+            &workload,
+            40,
+            3,
+        );
         // The hold occupies the shard in wall-clock time but must not perturb
         // the modelled execution or its accounting.
         assert_eq!(plain.aggregate, held.aggregate);
@@ -1749,9 +1722,16 @@ mod tests {
     #[test]
     fn report_carries_wall_clock_qps() {
         let (store, workload) = fixture();
-        let report = ServeEngine::new(ServeConfig::new(2)).serve_batch(&store, &workload, 30, 1);
-        assert!(report.wall_clock_qps > 0.0);
-        assert!((report.wall_clock_qps - report.wall_clock_qps()).abs() < 1e-9);
+        let report = serve(
+            &ServeEngine::new(ServeConfig::new(2)),
+            &store,
+            &workload,
+            30,
+            1,
+        );
+        assert!(report.wall_clock_qps() > 0.0);
+        let derived = report.queries as f64 / (report.wall_clock_us / 1e6);
+        assert!((report.wall_clock_qps() - derived).abs() < 1e-9);
     }
 
     #[test]
@@ -1762,8 +1742,8 @@ mod tests {
         let request = QueryRequest::workload(40)
             .with_seed(8)
             .collect_matches(true);
-        let (dr, dresp) = direct.run_request(&store, &workload, request);
-        let (hr, hresp) = handoff.run_request(&store, &workload, request);
+        let (dr, dresp) = direct.run(&store, &workload, request, &RequestContext::unbounded());
+        let (hr, hresp) = handoff.run(&store, &workload, request, &RequestContext::unbounded());
         assert_eq!(dr.queries, hr.queries);
         assert_eq!(
             dr.aggregate.matches_found, hr.aggregate.matches_found,

@@ -19,7 +19,10 @@
 //!   results, shard reports, epoch notices) — no shared-memory handle ever
 //!   does. [`transport::InProcTransport`] is the bounded-channel in-process
 //!   implementation;
-//! * [`engine`] — [`engine::ServeEngine`]: the run coordinator. It routes
+//! * [`engine`] — [`engine::ServeEngine`]: the run coordinator, with one
+//!   closed-loop door — `run(source, workload, request, ctx)`, where the
+//!   [`engine::Source`] is a pinned `&Arc<ShardedStore>` or an
+//!   `&EpochStore` — beside `open_loop` for driver-paced load. It routes
 //!   queries and owns only transport endpoints; one independent worker event
 //!   loop per shard (a `std::thread::scope` thread) executes them with the
 //!   shared instrumented matcher from `loom-sim` under each request's
@@ -46,6 +49,8 @@
 //! use loom_motif::query::{PatternQuery, QueryId};
 //! use loom_motif::workload::Workload;
 //! use loom_partition::partition::{PartitionId, Partitioning};
+//! use loom_sim::context::RequestContext;
+//! use loom_sim::engine::QueryRequest;
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,8 +66,17 @@
 //!     &[Label::new(0), Label::new(1)],
 //! )?])?;
 //! let engine = ServeEngine::new(ServeConfig::new(2));
-//! let report = engine.serve_batch(&store, &workload, 100, 42);
+//! let request = QueryRequest::workload(100).with_seed(42);
+//! let ctx = RequestContext::unbounded();
+//! // One pinned snapshot …
+//! let (report, response) = engine.run(&store, &workload, request, &ctx);
 //! assert_eq!(report.aggregate.queries_executed, 100);
+//! assert_eq!(response.metrics, report.aggregate);
+//! // … or an epoch store ingestion can keep publishing into.
+//! let epochs = EpochStore::new(ShardedStore::from_parts(&graph, &partitioning));
+//! let (served, _) = engine.run(&epochs, &workload, request, &ctx);
+//! assert_eq!(served.aggregate, report.aggregate);
+//! assert_eq!(served.epochs_observed, vec![epochs.current_epoch()]);
 //! # Ok(())
 //! # }
 //! ```
@@ -79,7 +93,7 @@ pub mod shard;
 pub mod transport;
 mod worker;
 
-pub use engine::{Admission, Completion, OpenLoopInjector, ServeConfig, ServeEngine};
+pub use engine::{Admission, Completion, OpenLoopInjector, ServeConfig, ServeEngine, Source};
 pub use epoch::{EpochSink, EpochStore, SubscriptionId};
 pub use metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
 pub use queue::ShardQueue;
@@ -92,7 +106,9 @@ pub use transport::{
 
 /// Convenient re-exports for examples, tests and the umbrella crate.
 pub mod prelude {
-    pub use crate::engine::{Admission, Completion, OpenLoopInjector, ServeConfig, ServeEngine};
+    pub use crate::engine::{
+        Admission, Completion, OpenLoopInjector, ServeConfig, ServeEngine, Source,
+    };
     pub use crate::epoch::{EpochSink, EpochStore};
     pub use crate::metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
     pub use crate::queue::ShardQueue;

@@ -123,12 +123,6 @@ pub struct ServeReport {
     pub makespan_us: f64,
     /// Wall-clock duration of the run in this process, µs.
     pub wall_clock_us: f64,
-    /// Wall-clock aggregate throughput (queries ÷ wall-clock seconds),
-    /// carried on the report so callers stop re-deriving it. Populated at
-    /// assembly; reports built by hand can leave it 0.0 and use
-    /// [`ServeReport::wall_clock_qps`], which always derives from
-    /// `wall_clock_us`.
-    pub wall_clock_qps: f64,
     /// Median per-query modelled latency across all shards, µs.
     pub p50_latency_us: f64,
     /// 99th-percentile per-query modelled latency across all shards, µs.

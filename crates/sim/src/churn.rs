@@ -14,7 +14,6 @@
 //! must reclaim the space afterwards. The churn benchmark measures qps and
 //! tail latency before, during and after the dissolve phase.
 
-use crate::growth::apply_element;
 use loom_graph::generators::motif_planted::{MotifPlantConfig, PlantedInstance};
 use loom_graph::generators::motif_planted_graph;
 use loom_graph::generators::regular::path_graph;
@@ -94,7 +93,7 @@ impl DeletionChurnScenario {
             self.dissolve_elements(&instances);
         let mut final_graph = graph.clone();
         for element in &dissolve {
-            apply_element(&mut final_graph, element);
+            final_graph.apply(element);
         }
         Ok(ChurnRun {
             graph,

@@ -291,7 +291,6 @@ pub trait QueryEngine {
     }
 }
 
-/// Run a request through the sequential executor — the shared
 /// Expand a request into its execution schedule: one `(workload query
 /// index, root seed)` per sample, in admission order.
 ///
@@ -346,30 +345,14 @@ pub fn resolve_schedule_plans(
     plans
 }
 
-/// Run a request through the sequential executor — the shared
+/// Run a request through the sequential executor under `ctx` — the shared
 /// implementation behind [`SequentialEngine`], the `loom` façade's
-/// sequential serving handle and `QueryExecutor::execute_workload`.
-pub fn run_sequential(
-    executor: &QueryExecutor,
-    store: &PartitionedStore,
-    workload: &Workload,
-    request: QueryRequest,
-) -> QueryResponse {
-    run_sequential_ctx(
-        executor,
-        store,
-        workload,
-        request,
-        &RequestContext::unbounded(),
-    )
-}
-
-/// [`run_sequential`] under an explicit [`RequestContext`]: every scheduled
-/// execution observes the context's deadline (tightened by the request's
-/// own) and cancellation token; executions scheduled after the cut are
-/// pre-flighted away at zero traversal cost, so they still count in
+/// sequential serving handle and `QueryExecutor::execute_workload`. Every
+/// scheduled execution observes the context's deadline (tightened by the
+/// request's own) and cancellation token; executions scheduled after the
+/// cut are pre-flighted away at zero traversal cost, so they still count in
 /// `queries_executed` but do no work.
-pub fn run_sequential_ctx(
+pub fn run_sequential(
     executor: &QueryExecutor,
     store: &PartitionedStore,
     workload: &Workload,
@@ -442,7 +425,7 @@ impl SequentialEngine {
 
 impl QueryEngine for SequentialEngine {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
-        run_sequential_ctx(&self.executor, &self.store, &self.workload, request, ctx)
+        run_sequential(&self.executor, &self.store, &self.workload, request, ctx)
     }
 
     fn plan_cache(&self) -> Option<&Arc<PlanCache>> {

@@ -283,7 +283,8 @@ impl QueryExecutor {
         seed: u64,
     ) -> ExecutionMetrics {
         let request = crate::engine::QueryRequest::workload(samples).with_seed(seed);
-        crate::engine::run_sequential(self, store, workload, request).metrics
+        let ctx = crate::context::RequestContext::unbounded();
+        crate::engine::run_sequential(self, store, workload, request, &ctx).metrics
     }
 }
 

@@ -22,7 +22,7 @@
 
 use crate::runner::{SimError, SimResult};
 use loom_graph::fxhash::FxHashMap;
-use loom_graph::{GraphStream, LabelledGraph, StreamElement, VertexId};
+use loom_graph::{GraphStream, LabelledGraph, VertexId};
 use loom_partition::metrics::evaluate;
 use loom_partition::offline::{MultilevelConfig, MultilevelPartitioner};
 use loom_partition::partition::{PartitionId, Partitioning};
@@ -106,7 +106,7 @@ impl GrowthScenario {
                 .ingest_batch(&stream.elements()[consumed..*end])
                 .map_err(SimError::from)?;
             for element in &stream.elements()[consumed..*end] {
-                apply_element(&mut graph_so_far, element);
+                graph_so_far.apply(element);
             }
             let partitioning = if index == last_segment {
                 partitioner.finish().map_err(SimError::from)?
@@ -142,7 +142,7 @@ impl GrowthScenario {
         let mut consumed = 0usize;
         for (index, end) in segments.iter().enumerate() {
             for element in &stream.elements()[consumed..*end] {
-                apply_element(&mut graph_so_far, element);
+                graph_so_far.apply(element);
             }
             consumed = *end;
             let partitioner = MultilevelPartitioner::new(MultilevelConfig {
@@ -209,29 +209,6 @@ impl GrowthScenario {
 /// Element index boundaries for `checkpoints` equal segments.
 fn segment_bounds(len: usize, checkpoints: usize) -> Vec<usize> {
     (1..=checkpoints).map(|i| len * i / checkpoints).collect()
-}
-
-/// Apply one stream element to a materialised graph (the same idempotent
-/// semantics as `GraphStream::materialise`). Shared with the deletion-churn
-/// scenario, which replays a mutation stream onto a grown graph.
-pub(crate) fn apply_element(graph: &mut LabelledGraph, element: &StreamElement) {
-    match *element {
-        StreamElement::AddVertex { id, label } => {
-            graph.insert_vertex(id, label);
-        }
-        StreamElement::AddEdge { source, target } => {
-            let _ = graph.add_edge_idempotent(source, target);
-        }
-        StreamElement::RemoveVertex { id } => {
-            graph.remove_vertex(id);
-        }
-        StreamElement::RemoveEdge { source, target } => {
-            graph.remove_edge(source, target);
-        }
-        StreamElement::Relabel { id, label } => {
-            let _ = graph.set_label(id, label);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -275,29 +275,6 @@ impl ExperimentRunner {
             .with_slack(self.config.slack)
     }
 
-    /// Run a single partitioner over a pre-built stream and evaluate it.
-    ///
-    /// Builds a fresh workload registry first; when comparing several
-    /// partitioners, prefer [`ExperimentRunner::run_many`] (or
-    /// [`ExperimentRunner::run_one_with_registry`]) so the registry is built
-    /// once and shared.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioner failures.
-    pub fn run_one(
-        &self,
-        kind: PartitionerKind,
-        graph: &LabelledGraph,
-        stream: &GraphStream,
-        ordering_name: &str,
-        workload: &Workload,
-        tpstry: &Tpstry,
-    ) -> SimResult<ExperimentResult> {
-        let registry = workload_registry(tpstry);
-        self.run_one_with_registry(kind, graph, stream, ordering_name, workload, &registry)
-    }
-
     /// Compile the workload's plans once against this graph's statistics —
     /// shared by every partitioner's execution run, so the planning cost is
     /// amortised from per-execution to per-workload.
@@ -307,44 +284,18 @@ impl ExperimentRunner {
         Arc::new(PlanCache::compile(&planner, workload, &stats))
     }
 
-    /// Like [`ExperimentRunner::run_one`], but with a pre-built registry so
-    /// the timed partitioning region covers partitioning work only (registry
-    /// construction clones the workload summary and stays outside the clock).
-    /// Compiles a fresh plan cache; use
-    /// [`ExperimentRunner::run_one_with_plans`] to share one across runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioner failures.
-    pub fn run_one_with_registry(
-        &self,
-        kind: PartitionerKind,
-        graph: &LabelledGraph,
-        stream: &GraphStream,
-        ordering_name: &str,
-        workload: &Workload,
-        registry: &PartitionerRegistry,
-    ) -> SimResult<ExperimentResult> {
-        let plans = self.plan_cache(graph, workload);
-        self.run_one_with_plans(
-            kind,
-            graph,
-            stream,
-            ordering_name,
-            workload,
-            registry,
-            &plans,
-        )
-    }
-
-    /// Like [`ExperimentRunner::run_one_with_registry`], but executing the
-    /// sampled workload through a pre-compiled shared plan cache.
+    /// Run a single partitioner over a pre-built stream and evaluate it,
+    /// executing the sampled workload through a pre-compiled shared plan
+    /// cache ([`ExperimentRunner::plan_cache`]). The registry is pre-built
+    /// too, so the timed partitioning region covers partitioning work only
+    /// (registry construction clones the workload summary and stays outside
+    /// the clock). [`ExperimentRunner::run_many`] shares both across kinds.
     ///
     /// # Errors
     ///
     /// Propagates partitioner failures.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_one_with_plans(
+    pub fn run_one(
         &self,
         kind: PartitionerKind,
         graph: &LabelledGraph,
@@ -355,7 +306,7 @@ impl ExperimentRunner {
         plans: &Arc<PlanCache>,
     ) -> SimResult<ExperimentResult> {
         let start = Instant::now();
-        let partitioning = self.partition_with_registry(kind, graph, stream, registry)?;
+        let partitioning = self.partition(kind, graph, stream, registry)?;
         let partition_time_ms = start.elapsed().as_secs_f64() * 1_000.0;
 
         let store = PartitionedStore::new(graph.clone(), partitioning.clone());
@@ -408,7 +359,7 @@ impl ExperimentRunner {
                 let registry = &registry;
                 let plans = &plans;
                 scope.spawn(move || {
-                    let outcome = self.run_one_with_plans(
+                    let outcome = self.run_one(
                         kind,
                         graph,
                         stream,
@@ -470,31 +421,15 @@ impl ExperimentRunner {
     /// Produce a partitioning of `graph` with the requested partitioner.
     ///
     /// Streaming partitioners are built from their declarative spec through
-    /// the workload registry and driven as `Box<dyn Partitioner>` trait
-    /// objects with batched ingestion; the offline multilevel reference keeps
-    /// its direct whole-graph path. Builds a fresh registry per call; use
-    /// [`ExperimentRunner::partition_with_registry`] to share one.
+    /// the workload `registry` (see [`loom_core::workload_registry`]) and
+    /// driven as `Box<dyn Partitioner>` trait objects with batched
+    /// ingestion; the offline multilevel reference keeps its direct
+    /// whole-graph path.
     ///
     /// # Errors
     ///
     /// Propagates partitioner failures.
-    pub fn partition_with(
-        &self,
-        kind: PartitionerKind,
-        graph: &LabelledGraph,
-        stream: &GraphStream,
-        tpstry: &Tpstry,
-    ) -> SimResult<Partitioning> {
-        self.partition_with_registry(kind, graph, stream, &workload_registry(tpstry))
-    }
-
-    /// Like [`ExperimentRunner::partition_with`], but building the streaming
-    /// partitioner from a pre-built registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioner failures.
-    pub fn partition_with_registry(
+    pub fn partition(
         &self,
         kind: PartitionerKind,
         graph: &LabelledGraph,

@@ -154,7 +154,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             Ok(())
         });
-        let report = engine.serve_epochs(&epochs, &workload, 800, 23);
+        let request = QueryRequest::workload(800).with_seed(23);
+        let (report, _) = engine.run(&epochs, &workload, request, &RequestContext::unbounded());
         ingest.join().expect("ingest thread panicked").unwrap();
         Ok(report)
     })?;

@@ -56,7 +56,7 @@ use loom_serve::epoch::{EpochStore, SubscriptionId};
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
 use loom_sim::context::RequestContext;
-use loom_sim::engine::{run_sequential_ctx, QueryEngine, QueryRequest, QueryResponse};
+use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse};
 use loom_sim::executor::{ExecutionMetrics, LatencyModel, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
@@ -64,7 +64,7 @@ use loom_store::recovery::RecoveryReport;
 use loom_store::{CheckpointSink, StoreError, Wal, WAL_FILE};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Errors produced while building or driving a [`Session`].
@@ -254,7 +254,17 @@ impl SessionBuilder {
             Some(root) => Some(DurableState::create(root, &self, partitioner.name())?),
             None => None,
         };
-        Ok(Session {
+        Ok(self.into_session(partitioner, durable))
+    }
+
+    /// The one place a [`Session`] is assembled from its configuration
+    /// (fresh and recovered alike).
+    fn into_session(
+        self,
+        partitioner: Box<dyn Partitioner>,
+        durable: Option<DurableState>,
+    ) -> Session {
+        Session {
             partitioner,
             durable,
             ingest_spans: self.telemetry.as_deref().map(IngestSpans::resolve),
@@ -266,7 +276,7 @@ impl SessionBuilder {
             query_mode: self.query_mode,
             match_limit: self.match_limit,
             plan_strategy: self.plan_strategy,
-        })
+        }
     }
 
     /// Recover a crashed durable session from this configuration's
@@ -301,16 +311,21 @@ impl fmt::Debug for DurableState {
     }
 }
 
+/// Make sure the durability root exists.
+fn create_root(root: &Path) -> SessionResult<()> {
+    std::fs::create_dir_all(root).map_err(|e| {
+        SessionError::Store(StoreError::Io {
+            path: root.to_path_buf(),
+            source: e.to_string(),
+        })
+    })
+}
+
 impl DurableState {
     /// Stand up a **fresh** durability root: refuses to clobber one that
     /// already holds a WAL (that state belongs to [`Session::recover`]).
     fn create(root: &Path, builder: &SessionBuilder, spec_name: &str) -> SessionResult<Self> {
-        std::fs::create_dir_all(root).map_err(|e| {
-            SessionError::Store(StoreError::Io {
-                path: root.to_path_buf(),
-                source: e.to_string(),
-            })
-        })?;
+        create_root(root)?;
         let wal_path = root.join(WAL_FILE);
         if wal_path.exists() {
             return Err(SessionError::Durability(format!(
@@ -366,27 +381,11 @@ impl DurableState {
         })
     }
 
-    /// Mirror an acknowledged batch into the in-memory durable graph (same
-    /// idempotent semantics as `GraphStream::materialise`).
+    /// Mirror an acknowledged batch into the in-memory durable graph
+    /// ([`LabelledGraph::apply`], the semantics recovery replays with).
     fn apply(&mut self, batch: &[StreamElement]) {
         for element in batch {
-            match *element {
-                StreamElement::AddVertex { id, label } => {
-                    self.graph.insert_vertex(id, label);
-                }
-                StreamElement::AddEdge { source, target } => {
-                    let _ = self.graph.add_edge_idempotent(source, target);
-                }
-                StreamElement::RemoveVertex { id } => {
-                    self.graph.remove_vertex(id);
-                }
-                StreamElement::RemoveEdge { source, target } => {
-                    self.graph.remove_edge(source, target);
-                }
-                StreamElement::Relabel { id, label } => {
-                    let _ = self.graph.set_label(id, label);
-                }
-            }
+            self.graph.apply(element);
         }
     }
 }
@@ -631,26 +630,47 @@ impl Session {
     /// Propagates partitioner assignment errors from the final flush.
     pub fn serve(mut self, graph: LabelledGraph) -> SessionResult<Serving> {
         let partitioning = self.partitioner.finish()?;
-        let plans = self.workload.as_ref().map(|workload| {
-            let stats = GraphStatistics::from_graph(&graph);
+        let plans = self.compile_plans(&graph);
+        Ok(self.serving_over(graph, partitioning, plans))
+    }
+
+    /// The compile-once step: every workload query planned against `graph`'s
+    /// statistics (`None` without a workload).
+    fn compile_plans(&self, graph: &LabelledGraph) -> Option<Arc<PlanCache>> {
+        self.workload.as_ref().map(|workload| {
+            let stats = GraphStatistics::from_graph(graph);
             let planner = QueryPlanner::new(self.plan_strategy);
             Arc::new(PlanCache::compile(&planner, workload, &stats))
-        });
-        let store = PartitionedStore::new(graph, partitioning);
+        })
+    }
+
+    /// The session's executor settings (latency model, query mode, match
+    /// limit) over `plans` — what every engine the session stands up,
+    /// sequential or sharded, is configured from.
+    fn executor(&self, plans: Option<Arc<PlanCache>>) -> QueryExecutor {
         let mut executor = QueryExecutor::new(self.latency).with_mode(self.query_mode);
         if let Some(limit) = self.match_limit {
             executor = executor.with_match_limit(limit);
         }
-        if let Some(plans) = &plans {
-            executor = executor.with_plan_cache(Arc::clone(plans));
+        if let Some(plans) = plans {
+            executor = executor.with_plan_cache(plans);
         }
-        Ok(Serving {
-            store,
-            executor,
-            workload: self.workload,
-            plans,
-            telemetry: self.telemetry,
-        })
+        executor
+    }
+
+    /// The one place a [`Serving`] is wired (live and recovered alike).
+    fn serving_over(
+        &self,
+        graph: LabelledGraph,
+        partitioning: Partitioning,
+        plans: Option<Arc<PlanCache>>,
+    ) -> Serving {
+        Serving {
+            store: PartitionedStore::new(graph, partitioning),
+            executor: self.executor(plans),
+            workload: self.workload.clone(),
+            telemetry: self.telemetry.clone(),
+        }
     }
 
     /// Finish partitioning and run an open-loop capacity measurement in one
@@ -692,12 +712,7 @@ impl Session {
                 "recover() needs a durability root: configure with_durability(root)".into(),
             )
         })?;
-        std::fs::create_dir_all(&root).map_err(|e| {
-            SessionError::Store(StoreError::Io {
-                path: root.clone(),
-                source: e.to_string(),
-            })
-        })?;
+        create_root(&root)?;
         let state = loom_store::recover(&root)?;
         if let Some(t) = &builder.telemetry {
             if state.report.wal_truncated_bytes > 0 {
@@ -735,23 +750,7 @@ impl Session {
         for batch in &state.batches {
             partitioner.ingest_batch(batch)?;
             for element in batch {
-                match *element {
-                    StreamElement::AddVertex { id, label } => {
-                        graph.insert_vertex(id, label);
-                    }
-                    StreamElement::AddEdge { source, target } => {
-                        let _ = graph.add_edge_idempotent(source, target);
-                    }
-                    StreamElement::RemoveVertex { id } => {
-                        graph.remove_vertex(id);
-                    }
-                    StreamElement::RemoveEdge { source, target } => {
-                        graph.remove_edge(source, target);
-                    }
-                    StreamElement::Relabel { id, label } => {
-                        let _ = graph.set_label(id, label);
-                    }
-                }
+                graph.apply(element);
             }
         }
 
@@ -774,27 +773,43 @@ impl Session {
             builder.telemetry.as_ref(),
         )?;
         let store = durable.epochs.load();
-        let session = Session {
-            partitioner,
-            durable: Some(durable),
-            ingest_spans: builder.telemetry.as_deref().map(IngestSpans::resolve),
-            telemetry: builder.telemetry,
-            spec: builder.spec,
-            workload: builder.workload,
-            chunk_size: builder.chunk_size,
-            latency: builder.latency,
-            query_mode: builder.query_mode,
-            match_limit: builder.match_limit,
-            plan_strategy: builder.plan_strategy,
-        };
         Ok(Recovered {
-            session,
+            session: builder.into_session(partitioner, Some(durable)),
             graph: pinned_graph,
             partitioning: pinned_partitioning,
             store,
             report,
+            plans: OnceLock::new(),
         })
     }
+}
+
+/// The one place a session-side [`ServeEngine`] is wired: `config` from
+/// [`serve_config`], plus the executor's compiled plan cache and the
+/// session's telemetry — shared `Arc`s, never recompiled or re-created.
+fn serve_engine(
+    config: ServeConfig,
+    plans: Option<&Arc<PlanCache>>,
+    telemetry: Option<&Arc<Telemetry>>,
+) -> ServeEngine {
+    let mut engine = ServeEngine::new(config);
+    if let Some(plans) = plans {
+        engine = engine.with_plan_cache(Arc::clone(plans));
+    }
+    if let Some(telemetry) = telemetry {
+        engine = engine.with_telemetry(Arc::clone(telemetry));
+    }
+    engine
+}
+
+/// A `workers`-shard [`ServeConfig`] inheriting `executor`'s query mode,
+/// latency model and match limit, so sharded metrics are directly comparable
+/// to (in fact, identical to) the sequential path's for the same request.
+fn serve_config(executor: &QueryExecutor, workers: usize) -> ServeConfig {
+    ServeConfig::new(workers)
+        .with_mode(executor.mode())
+        .with_latency(executor.latency_model())
+        .with_match_limit(executor.match_limit())
 }
 
 /// A durable session brought back by [`Session::recover`]: the live
@@ -808,6 +823,9 @@ pub struct Recovered {
     partitioning: Partitioning,
     store: Arc<ShardedStore>,
     report: RecoveryReport,
+    /// Plans over the recovered graph, compiled on first use and shared by
+    /// every engine this handle stands up (the compile-once contract).
+    plans: OnceLock<Option<Arc<PlanCache>>>,
 }
 
 impl Recovered {
@@ -850,53 +868,37 @@ impl Recovered {
 
     /// Sequential serving over the recovered checkpoint state, configured
     /// exactly like the original session (same latency model, query mode,
-    /// match limit, plan strategy — plans recompiled from the recovered
-    /// graph's statistics, which recovery restored bit-identically).
+    /// match limit, plan strategy — plans compiled once from the recovered
+    /// graph's statistics, which recovery restored bit-identically, and
+    /// shared with [`Recovered::sharded`]).
     pub fn serving(&self) -> Serving {
-        let plans = self.session.workload.as_ref().map(|workload| {
-            let stats = GraphStatistics::from_graph(&self.graph);
-            let planner = QueryPlanner::new(self.session.plan_strategy);
-            Arc::new(PlanCache::compile(&planner, workload, &stats))
-        });
-        let store = PartitionedStore::new(self.graph.clone(), self.partitioning.clone());
-        let mut executor =
-            QueryExecutor::new(self.session.latency).with_mode(self.session.query_mode);
-        if let Some(limit) = self.session.match_limit {
-            executor = executor.with_match_limit(limit);
-        }
-        if let Some(plans) = &plans {
-            executor = executor.with_plan_cache(Arc::clone(plans));
-        }
-        Serving {
-            store,
-            executor,
-            workload: self.session.workload.clone(),
-            plans,
-            telemetry: self.session.telemetry.clone(),
-        }
+        self.session.serving_over(
+            self.graph.clone(),
+            self.partitioning.clone(),
+            self.plans().cloned(),
+        )
     }
 
     /// Concurrent serving over the recovered store with `workers` worker
     /// shards — the store keeps its pre-crash `epoch_seq`, so per-shard
     /// metrics are directly diffable against the pre-crash run.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
-        let serving = self.serving();
-        let config = ServeConfig::new(workers)
-            .with_mode(serving.executor.mode())
-            .with_latency(serving.executor.latency_model())
-            .with_match_limit(serving.executor.match_limit());
-        let mut engine = ServeEngine::new(config);
-        if let Some(plans) = &serving.plans {
-            engine = engine.with_plan_cache(Arc::clone(plans));
-        }
-        if let Some(telemetry) = &serving.telemetry {
-            engine = engine.with_telemetry(Arc::clone(telemetry));
-        }
+        let executor = self.session.executor(self.plans().cloned());
         ShardedServing {
             store: Arc::clone(&self.store),
-            engine,
+            engine: serve_engine(
+                serve_config(&executor, workers),
+                executor.plan_cache(),
+                self.session.telemetry.as_ref(),
+            ),
             workload: self.session.workload.clone(),
         }
+    }
+
+    fn plans(&self) -> Option<&Arc<PlanCache>> {
+        self.plans
+            .get_or_init(|| self.session.compile_plans(&self.graph))
+            .as_ref()
     }
 }
 
@@ -907,7 +909,6 @@ pub struct Serving {
     store: PartitionedStore,
     executor: QueryExecutor,
     workload: Option<Workload>,
-    plans: Option<Arc<PlanCache>>,
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -930,7 +931,7 @@ impl Serving {
     /// The compiled plan cache every engine spawned from this handle shares
     /// (`None` when the session has no workload to compile).
     pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plans.as_ref()
+        self.executor.plan_cache()
     }
 
     /// The session's workload, if one was configured.
@@ -961,20 +962,13 @@ impl Serving {
     /// fact, identical to) the sequential [`Serving::run`] path for the
     /// same request.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
-        let config = ServeConfig::new(workers)
-            .with_mode(self.executor.mode())
-            .with_latency(self.executor.latency_model())
-            .with_match_limit(self.executor.match_limit());
-        let mut engine = ServeEngine::new(config);
-        if let Some(plans) = &self.plans {
-            engine = engine.with_plan_cache(Arc::clone(plans));
-        }
-        if let Some(telemetry) = &self.telemetry {
-            engine = engine.with_telemetry(Arc::clone(telemetry));
-        }
         ShardedServing {
             store: Arc::new(ShardedStore::from_store(&self.store)),
-            engine,
+            engine: serve_engine(
+                serve_config(&self.executor, workers),
+                self.executor.plan_cache(),
+                self.telemetry.as_ref(),
+            ),
             workload: self.workload.clone(),
         }
     }
@@ -995,18 +989,14 @@ impl Serving {
         let Some(workload) = &self.workload else {
             return Err(SessionError::MissingWorkload("adaptive serving"));
         };
-        let serve = ServeConfig::new(workers)
-            .with_mode(self.executor.mode())
-            .with_latency(self.executor.latency_model())
-            .with_match_limit(self.executor.match_limit());
         let mut adaptive = AdaptiveServing::new(
             self.store.graph().clone(),
             self.store.partitioning().clone(),
             workload.clone(),
-            serve,
+            serve_config(&self.executor, workers),
             config,
         );
-        if let Some(plans) = &self.plans {
+        if let Some(plans) = self.executor.plan_cache() {
             adaptive = adaptive.with_plan_cache(Arc::clone(plans));
         }
         if let Some(telemetry) = &self.telemetry {
@@ -1027,9 +1017,7 @@ impl Serving {
 impl QueryEngine for Serving {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
         match &self.workload {
-            Some(workload) => {
-                run_sequential_ctx(&self.executor, &self.store, workload, request, ctx)
-            }
+            Some(workload) => run_sequential(&self.executor, &self.store, workload, request, ctx),
             None => QueryResponse::from_engine(
                 ExecutionMetrics::default(),
                 Vec::new(),
@@ -1039,7 +1027,7 @@ impl QueryEngine for Serving {
     }
 
     fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plans.as_ref()
+        self.executor.plan_cache()
     }
 }
 
@@ -1068,8 +1056,10 @@ impl ShardedServing {
     /// compiled plans; structurally foreign queries — even under colliding
     /// ids — are planned on the spot with the legacy heuristic.
     pub fn serve(&self, workload: &Workload, samples: usize, seed: u64) -> ServeReport {
+        let request = QueryRequest::workload(samples).with_seed(seed);
         self.engine
-            .serve_batch(&self.store, workload, samples, seed)
+            .run(&self.store, workload, request, &RequestContext::unbounded())
+            .0
     }
 
     /// Execute a unified [`QueryRequest`] and return both the per-shard
@@ -1089,9 +1079,7 @@ impl ShardedServing {
         ctx: &RequestContext,
     ) -> (ServeReport, QueryResponse) {
         match &self.workload {
-            Some(workload) => self
-                .engine
-                .run_request_ctx(&self.store, workload, request, ctx),
+            Some(workload) => self.engine.run(&self.store, workload, request, ctx),
             None => (
                 ServeReport::default(),
                 QueryResponse::from_engine(
@@ -1127,13 +1115,7 @@ impl ShardedServing {
         if let Some(scale) = config.service_hold {
             serve = serve.with_service_hold(scale);
         }
-        let mut engine = ServeEngine::new(serve);
-        if let Some(plans) = self.engine.plan_cache() {
-            engine = engine.with_plan_cache(Arc::clone(plans));
-        }
-        if let Some(telemetry) = self.engine.telemetry() {
-            engine = engine.with_telemetry(Arc::clone(telemetry));
-        }
+        let engine = serve_engine(serve, self.engine.plan_cache(), self.engine.telemetry());
         Ok(run_capacity(&engine, &self.store, workload, config))
     }
 }

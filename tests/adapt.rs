@@ -52,7 +52,14 @@ fn mine(graph: &LabelledGraph, stream: &GraphStream, workload: &Workload) -> Par
 /// Serve one measurement batch against a fixed placement.
 fn measure(graph: &LabelledGraph, partitioning: &Partitioning, workload: &Workload) -> ServeReport {
     let store = Arc::new(ShardedStore::from_parts(graph, partitioning));
-    ServeEngine::new(serve_config()).serve_batch(&store, workload, SAMPLES, MEASURE_SEED)
+    ServeEngine::new(serve_config())
+        .run(
+            &store,
+            workload,
+            QueryRequest::workload(SAMPLES).with_seed(MEASURE_SEED),
+            &RequestContext::unbounded(),
+        )
+        .0
 }
 
 /// Drive adaptive serving through the phase change and return it after it
@@ -111,8 +118,22 @@ fn migrated_store_matches_a_from_scratch_rebuild() {
     let rebuilt = Arc::new(ShardedStore::from_parts(&graph, adaptive.partitioning()));
     let engine = ServeEngine::new(serve_config());
     for (samples, seed) in [(200usize, 3u64), (SAMPLES, MEASURE_SEED)] {
-        let a = engine.serve_batch(&migrated, &scenario.phase_b(), samples, seed);
-        let b = engine.serve_batch(&rebuilt, &scenario.phase_b(), samples, seed);
+        let a = engine
+            .run(
+                &migrated,
+                &scenario.phase_b(),
+                QueryRequest::workload(samples).with_seed(seed),
+                &RequestContext::unbounded(),
+            )
+            .0;
+        let b = engine
+            .run(
+                &rebuilt,
+                &scenario.phase_b(),
+                QueryRequest::workload(samples).with_seed(seed),
+                &RequestContext::unbounded(),
+            )
+            .0;
         assert_eq!(a.aggregate, b.aggregate, "aggregate metrics diverge");
         assert_eq!(a.query_counts, b.query_counts);
         let a_shards: Vec<usize> = a.shards.iter().map(|s| s.queries).collect();

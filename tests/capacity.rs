@@ -203,7 +203,7 @@ fn error_budget_accounts_for_every_scheduled_arrival() {
     assert!(budget.deadline_expired >= expired);
     assert_eq!(budget.dropped(), budget.rejected + budget.deadline_expired);
     assert!(budget.dropped() > 0, "overload must burn error budget");
-    assert!(run.report.wall_clock_qps > 0.0);
+    assert!(run.report.wall_clock_qps() > 0.0);
 }
 
 #[test]
@@ -225,7 +225,14 @@ fn answers_stay_identical_to_sequential_under_service_hold() {
             .with_mode(rooted())
             .with_service_hold(3.0),
     );
-    let report = engine.serve_batch(&sharded, &workload, 120, 42);
+    let report = engine
+        .run(
+            &sharded,
+            &workload,
+            QueryRequest::workload(120).with_seed(42),
+            &RequestContext::unbounded(),
+        )
+        .0;
     assert_eq!(
         report.aggregate, expected,
         "service-time emulation changed the answers"

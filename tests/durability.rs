@@ -140,7 +140,21 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     // unassigned, exactly as checkpointed) — `Serving::serve` would flush
     // them, which is post-crash work the checkpoint never saw.
     let samples = 200;
-    let recovered_report = recovered.sharded(2).serve(&motif_workload(), samples, 7);
+    let recovered_sharded = recovered.sharded(2);
+    let recovered_report = recovered_sharded.serve(&motif_workload(), samples, 7);
+    // Compile-once: the recovered plans are built on first use and every
+    // engine the handle stands up — sharded or sequential, however many
+    // times — shares that one cache.
+    let recovered_plans = recovered_sharded.plan_cache().expect("workload session");
+    for other in [
+        recovered.serving().plan_cache().cloned(),
+        recovered.sharded(4).plan_cache().cloned(),
+    ] {
+        assert!(Arc::ptr_eq(
+            recovered_plans,
+            &other.expect("workload session")
+        ));
+    }
     let stats = GraphStatistics::from_graph(&control_graph);
     let plans = Arc::new(PlanCache::compile(
         &QueryPlanner::new(PlanStrategy::default()),
@@ -157,8 +171,14 @@ fn kill_mid_ingest_recover_and_serve_identically() {
             .with_match_limit(executor.match_limit()),
     )
     .with_plan_cache(plans);
-    let control_report =
-        control_engine.serve_batch(&Arc::new(control_store), &motif_workload(), samples, 7);
+    let control_report = control_engine
+        .run(
+            &Arc::new(control_store),
+            &motif_workload(),
+            QueryRequest::workload(samples).with_seed(7),
+            &RequestContext::unbounded(),
+        )
+        .0;
     assert_eq!(recovered_report.aggregate, control_report.aggregate);
     assert!(recovered_report.aggregate.matches_found > 0);
     assert_eq!(recovered_report.queries, samples);
@@ -276,8 +296,14 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
             .with_match_limit(executor.match_limit()),
     )
     .with_plan_cache(plans);
-    let control_report =
-        control_engine.serve_batch(&Arc::new(control_store), &workload, samples, 7);
+    let control_report = control_engine
+        .run(
+            &Arc::new(control_store),
+            &workload,
+            QueryRequest::workload(samples).with_seed(7),
+            &RequestContext::unbounded(),
+        )
+        .0;
     assert_eq!(recovered_report.aggregate, control_report.aggregate);
     assert!(recovered_report.aggregate.matches_found > 0);
 

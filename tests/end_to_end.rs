@@ -3,6 +3,7 @@
 //! partitioner, execute the workload in the simulator, and check that the
 //! headline claims of the paper hold in direction.
 
+use loom::loom_core::workload_registry;
 use loom::loom_sim::runner::{ExperimentConfig, ExperimentRunner, PartitionerKind};
 use loom::prelude::*;
 use loom_graph::generators::motif_planted::MotifPlantConfig;
@@ -43,7 +44,7 @@ fn every_partitioner_assigns_every_vertex() {
         window_size: 128,
         ..ExperimentConfig::new(4)
     });
-    let tpstry = runner.mine_workload(&workload).unwrap();
+    let registry = workload_registry(&runner.mine_workload(&workload).unwrap());
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 2 });
     for kind in [
         PartitionerKind::Hash,
@@ -53,7 +54,7 @@ fn every_partitioner_assigns_every_vertex() {
         PartitionerKind::Offline,
     ] {
         let partitioning = runner
-            .partition_with(kind, &graph, &stream, &tpstry)
+            .partition(kind, &graph, &stream, &registry)
             .unwrap_or_else(|e| panic!("{} failed: {e}", kind.name()));
         assert_eq!(
             partitioning.assigned_count(),

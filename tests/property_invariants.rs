@@ -437,8 +437,11 @@ proptest! {
             // the concurrent store.
             let frozen = ShardedStore::from_parts(&final_graph, &partitioning);
             prop_assert_eq!(frozen.check_arena(), Ok(()));
+            let request = QueryRequest::workload(samples).with_seed(seed);
+            let ctx = RequestContext::unbounded();
             let sharded = engine
-                .serve_batch(&std::sync::Arc::new(frozen), &workload, samples, seed)
+                .run(&std::sync::Arc::new(frozen), &workload, request, &ctx)
+                .0
                 .aggregate;
             prop_assert_eq!(sharded.matches_found, seq);
 
@@ -459,7 +462,8 @@ proptest! {
             prop_assert_eq!(compacted.tombstoned_vertices(), 0);
             for store in [tombstoned, compacted] {
                 let served = engine
-                    .serve_batch(&std::sync::Arc::new(store), &workload, samples, seed)
+                    .run(&std::sync::Arc::new(store), &workload, request, &ctx)
+                    .0
                     .aggregate;
                 prop_assert_eq!(served.matches_found, seq);
             }

@@ -282,7 +282,12 @@ fn cursors_are_identical_across_engines() {
         .with_seed(2)
         .collect_matches(true);
     let a: Vec<Embedding> = sequential.run(request).into_cursor().collect();
-    let (_, response) = engine.run_request(&sharded_store, &workload, request);
+    let (_, response) = engine.run(
+        &sharded_store,
+        &workload,
+        request,
+        &RequestContext::unbounded(),
+    );
     let b: Vec<Embedding> = response.into_cursor().collect();
     assert_eq!(a, b);
     assert!(!a.is_empty());

@@ -51,6 +51,21 @@ fn partitioned(graph: &LabelledGraph, spec: PartitionerSpec, workload: &Workload
     session.into_partitioning().unwrap()
 }
 
+/// `samples` workload queries from `seed`, closed-loop and unbounded, against
+/// a pinned snapshot (`&Arc<ShardedStore>`) or an epoch store.
+fn serve<'a>(
+    engine: &ServeEngine,
+    source: impl Into<Source<'a>>,
+    workload: &Workload,
+    samples: usize,
+    seed: u64,
+) -> ServeReport {
+    let request = QueryRequest::workload(samples).with_seed(seed);
+    engine
+        .run(source, workload, request, &RequestContext::unbounded())
+        .0
+}
+
 #[test]
 fn sharded_execution_matches_sequential_metrics_exactly() {
     let graph = social_graph(600, 11);
@@ -69,7 +84,7 @@ fn sharded_execution_matches_sequential_metrics_exactly() {
         let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
         for workers in [1usize, 2, 4, 8] {
             let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
-            let report = engine.serve_batch(&sharded, &workload, 120, 42);
+            let report = serve(&engine, &sharded, &workload, 120, 42);
             assert_eq!(
                 report.aggregate, expected,
                 "workers={workers}: sharded aggregate diverged from sequential"
@@ -94,7 +109,7 @@ fn parity_holds_under_full_enumeration_too() {
 
     let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
     let engine = ServeEngine::new(ServeConfig::new(4).with_mode(QueryMode::FullEnumeration));
-    let report = engine.serve_batch(&sharded, &workload, 30, 7);
+    let report = serve(&engine, &sharded, &workload, 30, 7);
     assert_eq!(report.aggregate, expected);
 }
 
@@ -114,7 +129,13 @@ fn four_workers_beat_one_by_more_than_one_point_five_x() {
     let mode = QueryMode::Rooted { seed_count: 3 };
     let qps = |workers: usize| {
         ServeEngine::new(ServeConfig::new(workers).with_mode(mode))
-            .serve_batch(&sharded, &workload, 200, 13)
+            .run(
+                &sharded,
+                &workload,
+                QueryRequest::workload(200).with_seed(13),
+                &RequestContext::unbounded(),
+            )
+            .0
             .aggregate_qps()
     };
     let one = qps(1);
@@ -203,7 +224,7 @@ fn queries_survive_epoch_swaps_without_torn_reads() {
                 epochs_ref.publish(ShardedStore::from_parts(&grown, &partitioner.snapshot()));
             }
         });
-        let report = engine.serve_epochs(&epochs, &workload, 400, 23);
+        let report = serve(&engine, &epochs, &workload, 400, 23);
         ingest.join().expect("ingest thread panicked");
         report
     });
@@ -215,7 +236,7 @@ fn queries_survive_epoch_swaps_without_torn_reads() {
     assert!(report.epochs_observed.iter().all(|&e| e >= 1 && e <= last));
     assert!(report.aggregate.total_traversals > 0);
     // Serving continued after the swaps: the final epoch serves correctly too.
-    let final_report = engine.serve_batch(&epochs.load(), &workload, 50, 31);
+    let final_report = serve(&engine, &epochs.load(), &workload, 50, 31);
     assert_eq!(final_report.aggregate.queries_executed, 50);
 }
 
@@ -235,8 +256,8 @@ fn epoch_pinned_results_are_reproducible_after_the_run() {
     let epochs = EpochStore::new(ShardedStore::from_parts(&graph, &partitioning));
     let engine =
         ServeEngine::new(ServeConfig::new(4).with_mode(QueryMode::Rooted { seed_count: 2 }));
-    let a = engine.serve_epochs(&epochs, &workload, 100, 37);
-    let b = engine.serve_epochs(&epochs, &workload, 100, 37);
+    let a = serve(&engine, &epochs, &workload, 100, 37);
+    let b = serve(&engine, &epochs, &workload, 100, 37);
     assert_eq!(a.aggregate, b.aggregate);
     assert_eq!(a.epochs_observed, vec![1]);
 }

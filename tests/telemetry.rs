@@ -61,7 +61,6 @@ fn serve_through(builder: SessionBuilder, graph: &LabelledGraph) -> Serving {
 fn modelled(report: &ServeReport) -> ServeReport {
     let mut r = report.clone();
     r.wall_clock_us = 0.0;
-    r.wall_clock_qps = 0.0;
     for shard in &mut r.shards {
         shard.queue_wait_p99_us = 0.0;
         shard.max_queue_depth = 0;
@@ -338,16 +337,13 @@ fn rejected_admission_latches_a_flight_dump_with_the_request_timeline() {
     let mut latched: Option<(FlightDump, Vec<ShardServeMetrics>)> = None;
     for seed in 0..25 {
         let telemetry = Telemetry::new();
-        let engine = ServeEngine::new(
-            ServeConfig::new(1)
-                .with_queue_capacity(1)
-                .with_batch_size(1),
-        )
-        .with_telemetry(Arc::clone(&telemetry));
+        let engine = ServeEngine::new(ServeConfig::new(1).with_queue_capacity(1))
+            .with_telemetry(Arc::clone(&telemetry));
         let request = QueryRequest::workload(200)
             .with_seed(seed)
             .with_deadline(Instant::now() - Duration::from_secs(1));
-        let (report, response) = engine.run_request(&store, &workload, request);
+        let (report, response) =
+            engine.run(&store, &workload, request, &RequestContext::unbounded());
         assert_eq!(report.queries, 200);
         assert!(response.metrics.deadline_exceeded);
         if report.shards.iter().any(|s| s.rejected > 0) {

@@ -81,7 +81,7 @@ fn transport_engine_matches_sequential_for_unbounded_requests() {
         let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
         let request = QueryRequest::workload(150).with_seed(42);
         let (report, response) =
-            engine.run_request_ctx(&sharded, &workload, request, &RequestContext::unbounded());
+            engine.run(&sharded, &workload, request, &RequestContext::unbounded());
         assert_eq!(
             report.aggregate, expected,
             "workers={workers}: transport aggregate diverged from sequential"
@@ -110,7 +110,7 @@ fn collected_matches_are_worker_count_invariant() {
         .collect_matches(true);
     let collect = |workers: usize| {
         ServeEngine::new(ServeConfig::new(workers).with_mode(QueryMode::Rooted { seed_count: 2 }))
-            .run_request(&sharded, &workload, request)
+            .run(&sharded, &workload, request, &RequestContext::unbounded())
             .1
             .into_cursor()
             .map(|e| e.iter().collect::<Vec<_>>())
@@ -142,8 +142,7 @@ fn expired_deadline_short_circuits_at_zero_traversals() {
     let request = QueryRequest::workload(30)
         .with_seed(3)
         .with_deadline(expired);
-    let (report, response) =
-        engine.run_request_ctx(&sharded, &workload, request, &RequestContext::unbounded());
+    let (report, response) = engine.run(&sharded, &workload, request, &RequestContext::unbounded());
     assert_eq!(response.metrics.queries_executed, 30);
     assert_eq!(response.metrics.total_traversals, 0);
     assert_eq!(response.metrics.matches_found, 0);
@@ -153,7 +152,7 @@ fn expired_deadline_short_circuits_at_zero_traversals() {
 
     // Same deadline on the context instead: identical outcome.
     let ctx = RequestContext::unbounded().with_deadline(expired);
-    let (_, via_ctx) = engine.run_request_ctx(
+    let (_, via_ctx) = engine.run(
         &sharded,
         &workload,
         QueryRequest::workload(30).with_seed(3),
@@ -178,10 +177,11 @@ fn mid_run_deadline_cuts_traversals() {
     let samples = 300;
 
     let unbounded = engine
-        .run_request(
+        .run(
             &sharded,
             &workload,
             QueryRequest::workload(samples).with_seed(17),
+            &RequestContext::unbounded(),
         )
         .1;
     assert!(unbounded.metrics.total_traversals > 0);
@@ -199,12 +199,13 @@ fn mid_run_deadline_cuts_traversals() {
         Duration::ZERO,
     ] {
         let attempt = engine
-            .run_request(
+            .run(
                 &sharded,
                 &workload,
                 QueryRequest::workload(samples)
                     .with_seed(17)
                     .with_timeout(timeout),
+                &RequestContext::unbounded(),
             )
             .1;
         assert_eq!(attempt.metrics.queries_executed, samples);
@@ -258,7 +259,7 @@ fn cancelling_mid_run_never_tears_an_epoch_pin() {
             std::thread::sleep(Duration::from_millis(2));
             cancel.cancel();
         });
-        let out = engine.run_request_epochs_ctx(
+        let out = engine.run(
             &epochs,
             &workload,
             QueryRequest::workload(500).with_seed(29),
@@ -278,7 +279,14 @@ fn cancelling_mid_run_never_tears_an_epoch_pin() {
     // longer than 2ms) and unwound cooperatively.
     assert!(response.metrics.cancelled);
     // The store still serves correctly after the cancelled run.
-    let after = engine.serve_epochs(&epochs, &workload, 50, 31);
+    let after = engine
+        .run(
+            &epochs,
+            &workload,
+            QueryRequest::workload(50).with_seed(31),
+            &RequestContext::unbounded(),
+        )
+        .0;
     assert_eq!(after.aggregate.queries_executed, 50);
     assert!(!after.aggregate.cancelled);
 }
@@ -301,10 +309,10 @@ fn halo_handoff_preserves_answers() {
         .collect_matches(true);
 
     let direct = ServeEngine::new(ServeConfig::new(4).with_mode(mode))
-        .run_request(&sharded, &workload, request)
+        .run(&sharded, &workload, request, &RequestContext::unbounded())
         .1;
     let handoff = ServeEngine::new(ServeConfig::new(4).with_mode(mode).with_halo_handoff(true))
-        .run_request(&sharded, &workload, request)
+        .run(&sharded, &workload, request, &RequestContext::unbounded())
         .1;
     assert_eq!(
         handoff.metrics.queries_executed,
@@ -340,7 +348,14 @@ fn shard_reports_carry_queue_wait_instrumentation() {
             .with_mode(QueryMode::Rooted { seed_count: 2 })
             .with_queue_capacity(2),
     );
-    let report = engine.serve_batch(&sharded, &workload, 200, 41);
+    let report = engine
+        .run(
+            &sharded,
+            &workload,
+            QueryRequest::workload(200).with_seed(41),
+            &RequestContext::unbounded(),
+        )
+        .0;
     assert_eq!(report.aggregate.queries_executed, 200);
     for shard in &report.shards {
         assert!(shard.queue_wait_p99_us.is_finite());
