@@ -31,7 +31,6 @@ use loom_sim::drift::DriftScenario;
 use loom_sim::engine::QueryRequest;
 use loom_sim::executor::QueryMode;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 
 const K: u32 = 4;
@@ -158,11 +157,7 @@ fn sweep_and_persist(setup: &Setup) {
          \"rooted(seed_count=3)\",\n  \"results\": [\n{}\n  ]\n}}\n",
         cells.join(",\n")
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_adapt.json");
-    std::fs::write(&path, json).expect("BENCH_adapt.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_adapt.json", &json);
 }
 
 fn bench_adapt(c: &mut Criterion) {

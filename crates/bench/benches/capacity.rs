@@ -33,10 +33,10 @@
 //! the full per-step offered/achieved/latency table. `LOOM_BENCH_FAST=1`
 //! (the CI smoke mode) shrinks the graph and runs a two-step ramp whose
 //! second step is far past every cell's knee, so the smoke asserts the knee
-//! machinery end to end.
+//! machinery end to end, and writes to `target/bench-fast/` instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use loom_bench::scenarios;
+use loom_bench::{fast_mode, scenarios};
 use loom_core::workload_registry;
 use loom_graph::ordering::StreamOrder;
 use loom_graph::GraphStream;
@@ -56,7 +56,6 @@ use loom_sim::context::RequestContext;
 use loom_sim::executor::QueryMode;
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,10 +80,6 @@ const MATCH_LIMIT: usize = 64;
 /// (within the same budget, LOOM's placement turns remote hops into local
 /// ones, so its queries still hold their shards for less time).
 const TRAVERSAL_BUDGET: usize = 512;
-
-fn fast_mode() -> bool {
-    std::env::var("LOOM_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 fn vertices() -> usize {
     if fast_mode() {
@@ -306,13 +301,7 @@ fn assert_sweep(report: &CapacityReport) {
 
 fn persist(report: &CapacityReport) {
     let json = report.to_json();
-    // The bench runs with the package as cwd; the JSON belongs at the
-    // workspace root next to the other reports.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_capacity.json");
-    std::fs::write(&path, json).expect("BENCH_capacity.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_capacity.json", &json);
     println!("{}", report.text_report());
 }
 

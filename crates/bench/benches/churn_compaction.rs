@@ -15,9 +15,11 @@
 //! Besides Criterion-style timings, the bench emits `BENCH_churn.json` at
 //! the workspace root: per `(strategy, phase)` cell the QPS, p50/p99 and
 //! match count, plus the one-off compaction vs rebuild costs. Setting
-//! `LOOM_BENCH_FAST=1` (the CI smoke mode) shrinks the scenario.
+//! `LOOM_BENCH_FAST=1` (the CI smoke mode) shrinks the scenario and writes
+//! to `target/bench-fast/` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use loom_bench::fast_mode;
 use loom_core::workload_registry;
 use loom_graph::{GraphStream, LabelledGraph};
 use loom_motif::mining::MotifMiner;
@@ -32,7 +34,6 @@ use loom_sim::churn::DeletionChurnScenario;
 use loom_sim::context::RequestContext;
 use loom_sim::engine::QueryRequest;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,10 +41,6 @@ const K: u32 = 4;
 const SEED: u64 = 42;
 /// Compaction threshold: rewrite a shard once 5% of its slots are dead.
 const THRESHOLD: f64 = 0.05;
-
-fn fast_mode() -> bool {
-    std::env::var("LOOM_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 fn samples() -> usize {
     if fast_mode() {
@@ -210,11 +207,7 @@ fn sweep_and_persist(setup: &Setup) {
         setup.rebuild_ms,
         cells.join(",\n")
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_churn.json");
-    std::fs::write(&path, json).expect("BENCH_churn.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_churn.json", &json);
 }
 
 fn bench_churn(c: &mut Criterion) {

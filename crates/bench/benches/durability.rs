@@ -16,10 +16,10 @@
 //! Besides the Criterion wall-clock timings, the bench emits
 //! `BENCH_durability.json` at the workspace root so the durability numbers
 //! have a trail across PRs. `LOOM_BENCH_FAST=1` (CI smoke mode) shrinks the
-//! graph and batch counts.
+//! graph and batch counts and writes to `target/bench-fast/` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use loom_bench::scenarios;
+use loom_bench::{fast_mode, scenarios};
 use loom_core::workload_registry;
 use loom_graph::ordering::StreamOrder;
 use loom_graph::GraphStream;
@@ -36,10 +36,6 @@ use std::time::Instant;
 const PARTITIONS: u32 = 8;
 const SEED: u64 = 42;
 const EPOCH: u64 = 3;
-
-fn fast_mode() -> bool {
-    std::env::var("LOOM_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 /// (graph vertices, WAL batch size) per mode.
 fn sizes() -> (usize, usize) {
@@ -166,11 +162,7 @@ fn measure_and_persist(stream: &GraphStream, store: &ShardedStore) -> (PathBuf, 
         element_rate,
         replay_rate,
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_durability.json");
-    std::fs::write(&path, json).expect("BENCH_durability.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_durability.json", &json);
     (root, batches.len())
 }
 

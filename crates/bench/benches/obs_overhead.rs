@@ -19,10 +19,11 @@
 //!   [`SpanTimer`], one disarmed (`None`) span.
 //!
 //! Results land in `BENCH_obs.json` at the workspace root. `LOOM_BENCH_FAST=1`
-//! shrinks the graph and sample counts for the CI smoke run.
+//! shrinks the graph and sample counts for the CI smoke run and writes to
+//! `target/bench-fast/` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use loom_bench::scenarios;
+use loom_bench::{fast_mode, scenarios};
 use loom_core::workload_registry;
 use loom_graph::ordering::StreamOrder;
 use loom_graph::GraphStream;
@@ -39,7 +40,6 @@ use loom_sim::engine::QueryRequest;
 use loom_sim::executor::QueryMode;
 use loom_sim::plan::{GraphStatistics, PlanCache, QueryPlanner};
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,10 +49,6 @@ const PARTITIONS: u32 = 8;
 const SEED: u64 = 42;
 /// Maximum modelled per-query overhead telemetry may introduce.
 const OVERHEAD_BUDGET: f64 = 0.02;
-
-fn fast_mode() -> bool {
-    std::env::var("LOOM_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 fn sizes() -> (usize, usize) {
     if fast_mode() {
@@ -225,11 +221,7 @@ fn measure_and_persist(
         modelled_overhead,
         series.len(),
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_obs.json");
-    std::fs::write(&path, json).expect("BENCH_obs.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_obs.json", &json);
 }
 
 fn bench_obs(c: &mut Criterion) {

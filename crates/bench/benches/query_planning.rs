@@ -20,10 +20,11 @@
 //! Besides the Criterion-style timings, the bench emits
 //! `BENCH_query_plan.json` at the workspace root so the plan-path numbers
 //! have machine-readable data points across PRs. Setting `LOOM_BENCH_FAST=1`
-//! (the CI smoke mode) shrinks the graph and sample counts.
+//! (the CI smoke mode) shrinks the graph and sample counts and writes to
+//! `target/bench-fast/` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use loom_bench::scenarios;
+use loom_bench::{fast_mode, scenarios};
 use loom_graph::ordering::StreamOrder;
 use loom_graph::GraphStream;
 use loom_motif::workload::Workload;
@@ -33,16 +34,11 @@ use loom_sim::executor::{QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 const SEED: u64 = 42;
 const K: u32 = 8;
-
-fn fast_mode() -> bool {
-    std::env::var("LOOM_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
-}
 
 fn setup() -> (PartitionedStore, Workload, GraphStatistics, usize) {
     let (vertices, samples) = if fast_mode() { (600, 60) } else { (3_000, 300) };
@@ -150,11 +146,7 @@ fn sweep_and_persist(
         plans.hits(),
         plans.misses(),
     );
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_query_plan.json");
-    std::fs::write(&path, json).expect("BENCH_query_plan.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_query_plan.json", &json);
     plans
 }
 

@@ -19,7 +19,7 @@
 //! `shards × partitioner → {qps, p99}` table plus the transport-overhead
 //! records, so the perf trajectory of the serving layer has data points
 //! across PRs. Setting `LOOM_BENCH_FAST=1` (the CI smoke mode) shrinks the
-//! graph and sample counts.
+//! graph and sample counts and writes to `target/bench-fast/` instead.
 //!
 //! Every serve run routes through a **shared pre-compiled plan cache** (one
 //! plan per workload query, compiled once in setup), so the numbers reflect
@@ -38,7 +38,7 @@
 //! telemetry cannot silently tax the serving layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use loom_bench::scenarios;
+use loom_bench::{fast_mode, scenarios};
 use loom_core::workload_registry;
 use loom_graph::ordering::StreamOrder;
 use loom_graph::GraphStream;
@@ -57,7 +57,6 @@ use loom_sim::executor::{QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, QueryPlanner};
 use loom_sim::store::PartitionedStore;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,10 +105,6 @@ fn assert_reference_qps(partitioner: &str, shards: usize, qps: f64) {
         drift * 100.0,
         QPS_DRIFT_BUDGET * 100.0,
     );
-}
-
-fn fast_mode() -> bool {
-    std::env::var("LOOM_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 fn sizes() -> (usize, usize) {
@@ -342,13 +337,7 @@ fn sweep_and_persist(
         cells.join(",\n"),
         overhead.join(",\n")
     );
-    // The bench runs with the package as cwd; the JSON belongs at the
-    // workspace root next to the other reports.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_serving.json");
-    std::fs::write(&path, json).expect("BENCH_serving.json is writable");
-    println!("wrote {}", path.display());
+    loom_bench::persist("BENCH_serving.json", &json);
 }
 
 fn bench_serving(c: &mut Criterion) {

@@ -42,7 +42,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
-pub mod config;
 pub mod index;
 pub mod loom;
 pub mod matcher;
@@ -50,16 +49,15 @@ pub mod registry;
 pub mod stats;
 
 pub use builder::LoomBuilder;
-pub use config::LoomConfig;
 pub use index::FrequentMotifIndex;
 pub use loom::LoomPartitioner;
+pub use loom_partition::spec::LoomConfig;
 pub use registry::{workload_registry, workload_registry_with_index};
 pub use stats::LoomStats;
 
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::builder::LoomBuilder;
-    pub use crate::config::LoomConfig;
     pub use crate::index::FrequentMotifIndex;
     pub use crate::loom::LoomPartitioner;
     pub use crate::matcher::{MotifMatch, StreamMotifMatcher};

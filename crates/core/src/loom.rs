@@ -16,7 +16,6 @@
 //! assignments to protect balance (the failure mode the paper's §4.4 flags as
 //! an open problem).
 
-use crate::config::LoomConfig;
 use crate::index::FrequentMotifIndex;
 use crate::matcher::StreamMotifMatcher;
 use crate::stats::LoomStats;
@@ -26,6 +25,7 @@ use loom_motif::tpstry::Tpstry;
 use loom_partition::error::Result;
 use loom_partition::ldg::LdgPartitioner;
 use loom_partition::partition::{PartitionId, Partitioning};
+use loom_partition::spec::LoomConfig;
 use loom_partition::traits::{Partitioner, PartitionerStats};
 use loom_partition::window::{EdgePlacement, StreamWindow};
 
@@ -242,52 +242,24 @@ impl LoomPartitioner {
     /// `incoming` new vertices at once. Honour the capacity-penalty ablation
     /// switch and prefer partitions that still have room for the whole group.
     fn choose_partition_for(&self, neighbours: &[VertexId], incoming: usize) -> PartitionId {
+        let partitioning = &self.partitioning;
         if self.config.capacity_penalty {
             // Prefer a partition with room for the whole group; if none has
             // room, fall back to the plain LDG choice.
-            let mut best: Option<(PartitionId, f64)> = None;
-            for p in self.partitioning.partitions() {
-                if !self.partitioning.has_room_for(p, incoming) {
-                    continue;
-                }
-                let in_p = neighbours
-                    .iter()
-                    .filter(|&&n| self.partitioning.partition_of(n) == Some(p))
-                    .count() as f64;
-                let score = in_p * self.partitioning.capacity_penalty(p);
-                let better = match best {
-                    None => true,
-                    Some((bp, bs)) => {
-                        score > bs + 1e-12
-                            || ((score - bs).abs() <= 1e-12
-                                && self.partitioning.size(p) < self.partitioning.size(bp))
-                    }
-                };
-                if better {
-                    best = Some((p, score));
-                }
-            }
-            best.map(|(p, _)| p)
-                .unwrap_or_else(|| LdgPartitioner::choose_partition(&self.partitioning, neighbours))
+            partitioning
+                .best_partition(neighbours, None, |p, in_p| {
+                    partitioning
+                        .has_room_for(p, incoming)
+                        .then(|| in_p as f64 * partitioning.capacity_penalty(p))
+                })
+                .unwrap_or_else(|| LdgPartitioner::choose_partition(partitioning, neighbours))
         } else {
             // Ablation: pure neighbour-majority greedy, ties to the emptier
             // partition.
-            let mut best = self.partitioning.least_loaded();
-            let mut best_count = 0usize;
-            for p in self.partitioning.partitions() {
-                let count = neighbours
-                    .iter()
-                    .filter(|&&n| self.partitioning.partition_of(n) == Some(p))
-                    .count();
-                if count > best_count
-                    || (count == best_count
-                        && self.partitioning.size(p) < self.partitioning.size(best))
-                {
-                    best = p;
-                    best_count = count;
-                }
-            }
-            best
+            let seed = (partitioning.least_loaded(), 0.0);
+            partitioning
+                .best_partition(neighbours, Some(seed), |_, in_p| Some(in_p as f64))
+                .expect("a seeded choice always holds a partition")
         }
     }
 

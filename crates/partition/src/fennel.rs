@@ -12,12 +12,12 @@
 //! interpolates between edge-cut minimisation and balance.
 //!
 //! The streaming model (one pending vertex, decided when the next vertex
-//! arrives) is identical to [`crate::ldg`].
+//! arrives) is [`crate::pending`]'s; this module supplies the rule.
 
 use crate::error::{PartitionError, Result};
 use crate::partition::{PartitionId, Partitioning};
-use crate::traits::{Partitioner, PartitionerStats};
-use loom_graph::{StreamElement, VertexId};
+use crate::pending::{PendingVertexPartitioner, PlacementRule};
+use loom_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for [`FennelPartitioner`].
@@ -59,22 +59,33 @@ impl FennelConfig {
 }
 
 /// The Fennel streaming partitioner.
-#[derive(Debug, Clone)]
-pub struct FennelPartitioner {
-    config: FennelConfig,
+pub type FennelPartitioner = PendingVertexPartitioner<FennelRule>;
+
+/// The Fennel placement rule (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct FennelRule {
     alpha: f64,
+    gamma: f64,
     hard_cap: usize,
-    partitioning: Partitioning,
-    pending: Option<PendingVertex>,
-    /// Recycled neighbour buffer from the last flushed pending vertex.
-    spare_neighbours: Vec<VertexId>,
-    stats: PartitionerStats,
 }
 
-#[derive(Debug, Clone)]
-struct PendingVertex {
-    id: VertexId,
-    assigned_neighbours: Vec<VertexId>,
+impl PlacementRule for FennelRule {
+    const NAME: &'static str = "fennel";
+
+    fn place(&self, partitioning: &Partitioning, neighbours: &[VertexId]) -> PartitionId {
+        partitioning
+            .best_partition(neighbours, None, |p, in_p| {
+                let size = partitioning.size(p);
+                (size < self.hard_cap).then(|| {
+                    let marginal_cost =
+                        self.alpha * self.gamma * (size as f64).powf(self.gamma - 1.0);
+                    in_p as f64 - marginal_cost
+                })
+            })
+            // Every partition hit the hard cap (only possible when the stream
+            // exceeds the expected size): fall back to the least loaded one.
+            .unwrap_or_else(|| partitioning.least_loaded())
+    }
 }
 
 impl FennelPartitioner {
@@ -98,177 +109,20 @@ impl FennelPartitioner {
         }
         let ideal = config.expected_vertices as f64 / config.k.max(1) as f64;
         let hard_cap = ((ideal * config.balance_cap).ceil() as usize).max(1);
-        let partitioning = Partitioning::new(config.k, hard_cap)?;
-        Ok(Self {
+        let rule = FennelRule {
             alpha: config.alpha(),
+            gamma: config.gamma,
             hard_cap,
-            config,
-            partitioning,
-            pending: None,
-            spare_neighbours: Vec::new(),
-            stats: PartitionerStats::default(),
-        })
-    }
-
-    /// Read-only access to the partitioning built so far.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        };
+        Ok(Self::with_rule(
+            rule,
+            Partitioning::new(config.k, hard_cap)?,
+        ))
     }
 
     /// The hard per-partition vertex cap `ν · n / k`.
     pub fn hard_cap(&self) -> usize {
-        self.hard_cap
-    }
-
-    fn marginal_cost(&self, size: usize) -> f64 {
-        self.alpha * self.config.gamma * (size as f64).powf(self.config.gamma - 1.0)
-    }
-
-    fn choose_partition(&self, neighbours: &[VertexId]) -> PartitionId {
-        let mut best: Option<(PartitionId, f64)> = None;
-        for p in self.partitioning.partitions() {
-            let size = self.partitioning.size(p);
-            if size >= self.hard_cap {
-                continue;
-            }
-            let in_p = neighbours
-                .iter()
-                .filter(|&&n| self.partitioning.partition_of(n) == Some(p))
-                .count() as f64;
-            let score = in_p - self.marginal_cost(size);
-            let better = match best {
-                None => true,
-                Some((bp, bs)) => {
-                    score > bs + 1e-12
-                        || ((score - bs).abs() <= 1e-12
-                            && self.partitioning.size(p) < self.partitioning.size(bp))
-                }
-            };
-            if better {
-                best = Some((p, score));
-            }
-        }
-        // If every partition hit the hard cap (only possible when the stream
-        // exceeds the expected size), fall back to the least loaded one.
-        best.map(|(p, _)| p)
-            .unwrap_or_else(|| self.partitioning.least_loaded())
-    }
-
-    fn flush_pending(&mut self) -> Result<()> {
-        if let Some(mut pending) = self.pending.take() {
-            let target = self.choose_partition(&pending.assigned_neighbours);
-            self.partitioning.assign(pending.id, target)?;
-            pending.assigned_neighbours.clear();
-            self.spare_neighbours = pending.assigned_neighbours;
-        }
-        Ok(())
-    }
-
-    /// The shared per-element transition, used by both ingestion paths.
-    fn ingest_element(&mut self, element: &StreamElement) -> Result<()> {
-        match *element {
-            StreamElement::AddVertex { id, .. } => {
-                self.stats.vertices_ingested += 1;
-                self.flush_pending()?;
-                self.pending = Some(PendingVertex {
-                    id,
-                    assigned_neighbours: std::mem::take(&mut self.spare_neighbours),
-                });
-            }
-            StreamElement::AddEdge { source, target } => {
-                self.stats.edges_ingested += 1;
-                if let Some(pending) = self.pending.as_mut() {
-                    let other = if source == pending.id {
-                        Some(target)
-                    } else if target == pending.id {
-                        Some(source)
-                    } else {
-                        None
-                    };
-                    if let Some(other) = other {
-                        if self.partitioning.is_assigned(other) {
-                            pending.assigned_neighbours.push(other);
-                        }
-                    }
-                }
-            }
-            StreamElement::RemoveVertex { id } => {
-                if self.pending.as_ref().is_some_and(|p| p.id == id) {
-                    // The vertex never got placed: drop the buffered decision
-                    // and recycle its neighbour buffer.
-                    let mut pending = self.pending.take().expect("checked above");
-                    pending.assigned_neighbours.clear();
-                    self.spare_neighbours = pending.assigned_neighbours;
-                } else {
-                    self.partitioning.unassign(id);
-                    if let Some(pending) = self.pending.as_mut() {
-                        pending.assigned_neighbours.retain(|&n| n != id);
-                    }
-                }
-            }
-            StreamElement::RemoveEdge { source, target } => {
-                if let Some(pending) = self.pending.as_mut() {
-                    let other = if source == pending.id {
-                        Some(target)
-                    } else if target == pending.id {
-                        Some(source)
-                    } else {
-                        None
-                    };
-                    if let Some(other) = other {
-                        // Remove one occurrence, mirroring the one push the
-                        // matching AddEdge performed.
-                        if let Some(pos) =
-                            pending.assigned_neighbours.iter().position(|&n| n == other)
-                        {
-                            pending.assigned_neighbours.swap_remove(pos);
-                        }
-                    }
-                }
-            }
-            // Fennel's objective never looks at labels.
-            StreamElement::Relabel { .. } => {}
-        }
-        Ok(())
-    }
-}
-
-impl Partitioner for FennelPartitioner {
-    fn name(&self) -> &'static str {
-        "fennel"
-    }
-
-    fn ingest(&mut self, element: &StreamElement) -> Result<()> {
-        self.ingest_element(element)
-    }
-
-    fn ingest_batch(&mut self, batch: &[StreamElement]) -> Result<()> {
-        // Amortised fast path, mirroring LDG: one reservation for the whole
-        // chunk's placements, then a dispatch-free tight loop.
-        self.stats.batches_ingested += 1;
-        let vertices = batch.iter().filter(|e| e.is_vertex()).count();
-        self.partitioning.reserve(vertices);
-        for element in batch {
-            self.ingest_element(element)?;
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Partitioning {
-        self.partitioning.clone()
-    }
-
-    fn finish(&mut self) -> Result<Partitioning> {
-        self.flush_pending()?;
-        Ok(self.partitioning.take())
-    }
-
-    fn stats(&self) -> PartitionerStats {
-        PartitionerStats {
-            assigned: self.partitioning.assigned_count(),
-            buffered: usize::from(self.pending.is_some()),
-            ..self.stats
-        }
+        self.rule().hard_cap
     }
 }
 
@@ -276,10 +130,10 @@ impl Partitioner for FennelPartitioner {
 mod tests {
     use super::*;
     use crate::metrics::evaluate;
-    use crate::traits::partition_stream;
+    use crate::traits::{partition_stream, Partitioner};
     use loom_graph::generators::{barabasi_albert, GeneratorConfig};
     use loom_graph::ordering::StreamOrder;
-    use loom_graph::GraphStream;
+    use loom_graph::{GraphStream, StreamElement};
 
     #[test]
     fn config_validation_and_alpha() {

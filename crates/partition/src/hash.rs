@@ -100,12 +100,13 @@ impl Partitioner for HashPartitioner {
         "hash"
     }
 
+    /// The one per-element transition; `ingest_batch` runs it too.
     fn ingest(&mut self, element: &StreamElement) -> Result<()> {
-        match element {
+        match *element {
             StreamElement::AddVertex { id, .. } => {
                 self.stats.vertices_ingested += 1;
                 let target = self.target(id.raw());
-                self.partitioning.assign(*id, target)?;
+                self.partitioning.assign(id, target)?;
             }
             StreamElement::AddEdge { .. } => {
                 self.stats.edges_ingested += 1;
@@ -113,7 +114,7 @@ impl Partitioner for HashPartitioner {
             StreamElement::RemoveVertex { id } => {
                 // Reclaim the load slot; a later re-add hashes to the same
                 // partition, so placement stays deterministic across churn.
-                self.partitioning.unassign(*id);
+                self.partitioning.unassign(id);
             }
             // Hash placement ignores edges and labels entirely.
             StreamElement::RemoveEdge { .. } | StreamElement::Relabel { .. } => {}
@@ -122,28 +123,12 @@ impl Partitioner for HashPartitioner {
     }
 
     fn ingest_batch(&mut self, batch: &[StreamElement]) -> Result<()> {
-        // Amortised fast path: grow the assignment table once for the whole
-        // chunk, then place vertices in a tight loop. Edges never affect hash
-        // placement, so they are only counted; mutations run through the
-        // per-element transition.
+        // Grow the assignment table once for the whole chunk.
         self.stats.batches_ingested += 1;
         let vertices = batch.iter().filter(|e| e.is_vertex()).count();
         self.partitioning.reserve(vertices);
-        self.stats.vertices_ingested += vertices;
-        self.stats.edges_ingested += batch.iter().filter(|e| e.is_edge()).count();
         for element in batch {
-            match element {
-                StreamElement::AddVertex { id, .. } => {
-                    let target = self.target(id.raw());
-                    self.partitioning.assign(*id, target)?;
-                }
-                StreamElement::RemoveVertex { id } => {
-                    self.partitioning.unassign(*id);
-                }
-                StreamElement::AddEdge { .. }
-                | StreamElement::RemoveEdge { .. }
-                | StreamElement::Relabel { .. } => {}
-            }
+            self.ingest(element)?;
         }
         Ok(())
     }
@@ -290,5 +275,27 @@ mod tests {
         // Snapshot is non-destructive; finish then moves the result out.
         assert_eq!(partitioner.finish().unwrap().assigned_count(), 500);
         assert_eq!(partitioner.stats().assigned, 0);
+
+        // A chunk that fails part-way counts exactly what the per-element
+        // path counts: the elements ingested before the failure.
+        let mut elements = stream.elements().to_vec();
+        let first_vertex = *elements.iter().find(|e| e.is_vertex()).unwrap();
+        elements.insert(elements.len() / 2, first_vertex);
+        let mut per_element = HashPartitioner::new(4, 200).unwrap();
+        let failed_one_by_one = elements.iter().try_for_each(|e| per_element.ingest(e));
+        let mut chunked = HashPartitioner::new(4, 200).unwrap();
+        let failed_as_chunk = chunked.ingest_batch(&elements);
+        assert!(matches!(
+            failed_one_by_one,
+            Err(crate::PartitionError::AlreadyAssigned(_))
+        ));
+        assert_eq!(failed_as_chunk, failed_one_by_one);
+        assert_eq!(
+            chunked.stats(),
+            PartitionerStats {
+                batches_ingested: 1,
+                ..per_element.stats()
+            }
+        );
     }
 }

@@ -12,21 +12,14 @@
 //! the emptier partition, and a vertex with no placed neighbours goes to the
 //! least-loaded partition.
 //!
-//! ## Streaming model
-//!
-//! In a [`loom_graph::GraphStream`] a vertex arrives *before* the edges
-//! linking it to previously streamed vertices. The partitioner therefore
-//! buffers exactly one pending vertex: the decision for vertex `v` is made
-//! when the next vertex arrives (by which point all of `v`'s back-edges have
-//! been seen) or when the stream ends. This gives LDG exactly the
-//! neighbourhood information the original formulation assumes, with O(1)
-//! buffered state.
+//! The streaming model (one pending vertex, decided when the next vertex
+//! arrives) is [`crate::pending`]'s; this module supplies the rule.
 
 use crate::error::Result;
 use crate::partition::{PartitionId, Partitioning};
-use crate::traits::{Partitioner, PartitionerStats};
+use crate::pending::{PendingVertexPartitioner, PlacementRule};
 use loom_graph::fxhash::FxHashMap;
-use loom_graph::{Label, StreamElement, VertexId};
+use loom_graph::VertexId;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for [`LdgPartitioner`].
@@ -53,24 +46,18 @@ impl LdgConfig {
 }
 
 /// The LDG streaming partitioner.
-#[derive(Debug, Clone)]
-pub struct LdgPartitioner {
-    partitioning: Partitioning,
-    /// The vertex whose placement decision is still pending, with the
-    /// neighbours (already-assigned vertices) seen for it so far.
-    pending: Option<PendingVertex>,
-    /// Recycled neighbour buffer from the last flushed pending vertex, so
-    /// steady-state ingestion allocates nothing per vertex.
-    spare_neighbours: Vec<VertexId>,
-    stats: PartitionerStats,
-}
+pub type LdgPartitioner = PendingVertexPartitioner<LdgRule>;
 
-#[derive(Debug, Clone)]
-struct PendingVertex {
-    id: VertexId,
-    #[allow(dead_code)]
-    label: Label,
-    assigned_neighbours: Vec<VertexId>,
+/// The LDG placement rule (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct LdgRule;
+
+impl PlacementRule for LdgRule {
+    const NAME: &'static str = "ldg";
+
+    fn place(&self, partitioning: &Partitioning, neighbours: &[VertexId]) -> PartitionId {
+        LdgPartitioner::choose_partition(partitioning, neighbours)
+    }
 }
 
 impl LdgPartitioner {
@@ -80,184 +67,22 @@ impl LdgPartitioner {
     ///
     /// Propagates invalid `k` / slack configurations.
     pub fn new(config: LdgConfig) -> Result<Self> {
-        Ok(Self {
-            partitioning: Partitioning::with_slack(
-                config.k,
-                config.expected_vertices,
-                config.slack,
-            )?,
-            pending: None,
-            spare_neighbours: Vec::new(),
-            stats: PartitionerStats::default(),
-        })
-    }
-
-    /// Read-only access to the partitioning built so far (excluding the
-    /// pending vertex).
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
-    /// Compute the LDG score of placing a vertex with the given placed
-    /// neighbours into partition `p`.
-    fn score(partitioning: &Partitioning, neighbours: &[VertexId], p: PartitionId) -> f64 {
-        let in_p = neighbours
-            .iter()
-            .filter(|&&n| partitioning.partition_of(n) == Some(p))
-            .count() as f64;
-        in_p * partitioning.capacity_penalty(p)
+        let partitioning =
+            Partitioning::with_slack(config.k, config.expected_vertices, config.slack)?;
+        Ok(Self::with_rule(LdgRule, partitioning))
     }
 
     /// Pick the LDG-best partition for a vertex with the given placed
-    /// neighbours. Exposed for reuse by the workload-aware extension in
+    /// neighbours: the least-loaded partition unless some partition scores
+    /// above zero. Exposed for reuse by the workload-aware extension in
     /// `loom-core`, which scores whole motif clusters the same way.
     pub fn choose_partition(partitioning: &Partitioning, neighbours: &[VertexId]) -> PartitionId {
-        let mut best = partitioning.least_loaded();
-        let mut best_score = 0.0f64;
-        for p in partitioning.partitions() {
-            let score = Self::score(partitioning, neighbours, p);
-            let better = score > best_score + 1e-12
-                || ((score - best_score).abs() <= 1e-12
-                    && partitioning.size(p) < partitioning.size(best));
-            if better {
-                best = p;
-                best_score = score;
-            }
-        }
-        best
-    }
-
-    fn flush_pending(&mut self) -> Result<()> {
-        if let Some(mut pending) = self.pending.take() {
-            let target = Self::choose_partition(&self.partitioning, &pending.assigned_neighbours);
-            self.partitioning.assign(pending.id, target)?;
-            // Recycle the neighbour buffer for the next pending vertex.
-            pending.assigned_neighbours.clear();
-            self.spare_neighbours = pending.assigned_neighbours;
-        }
-        Ok(())
-    }
-
-    /// The shared per-element transition, used by both ingestion paths.
-    fn ingest_element(&mut self, element: &StreamElement) -> Result<()> {
-        match *element {
-            StreamElement::AddVertex { id, label } => {
-                self.stats.vertices_ingested += 1;
-                // The previous vertex has now seen all of its back-edges.
-                self.flush_pending()?;
-                self.pending = Some(PendingVertex {
-                    id,
-                    label,
-                    assigned_neighbours: std::mem::take(&mut self.spare_neighbours),
-                });
-            }
-            StreamElement::AddEdge { source, target } => {
-                self.stats.edges_ingested += 1;
-                if let Some(pending) = self.pending.as_mut() {
-                    let other = if source == pending.id {
-                        Some(target)
-                    } else if target == pending.id {
-                        Some(source)
-                    } else {
-                        None
-                    };
-                    if let Some(other) = other {
-                        if self.partitioning.is_assigned(other) {
-                            pending.assigned_neighbours.push(other);
-                        }
-                        return Ok(());
-                    }
-                }
-                // An edge between two already-assigned vertices does not
-                // change any placement decision for LDG.
-            }
-            StreamElement::RemoveVertex { id } => {
-                if self.pending.as_ref().is_some_and(|p| p.id == id) {
-                    // The vertex never got placed: drop the buffered decision
-                    // and recycle its neighbour buffer.
-                    let mut pending = self.pending.take().expect("checked above");
-                    pending.assigned_neighbours.clear();
-                    self.spare_neighbours = pending.assigned_neighbours;
-                } else {
-                    self.partitioning.unassign(id);
-                    if let Some(pending) = self.pending.as_mut() {
-                        // The dead vertex must no longer pull the pending
-                        // vertex towards its old partition.
-                        pending.assigned_neighbours.retain(|&n| n != id);
-                    }
-                }
-            }
-            StreamElement::RemoveEdge { source, target } => {
-                if let Some(pending) = self.pending.as_mut() {
-                    let other = if source == pending.id {
-                        Some(target)
-                    } else if target == pending.id {
-                        Some(source)
-                    } else {
-                        None
-                    };
-                    if let Some(other) = other {
-                        // Remove one occurrence, mirroring the one push the
-                        // matching AddEdge performed.
-                        if let Some(pos) =
-                            pending.assigned_neighbours.iter().position(|&n| n == other)
-                        {
-                            pending.assigned_neighbours.swap_remove(pos);
-                        }
-                    }
-                }
-            }
-            StreamElement::Relabel { id, label } => {
-                if let Some(pending) = self.pending.as_mut() {
-                    if pending.id == id {
-                        pending.label = label;
-                    }
-                }
-                // Labels of already-placed vertices do not feed LDG's score.
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Partitioner for LdgPartitioner {
-    fn name(&self) -> &'static str {
-        "ldg"
-    }
-
-    fn ingest(&mut self, element: &StreamElement) -> Result<()> {
-        self.ingest_element(element)
-    }
-
-    fn ingest_batch(&mut self, batch: &[StreamElement]) -> Result<()> {
-        // Amortised fast path: one assignment-table reservation covers every
-        // vertex placement the chunk will trigger (each AddVertex flushes at
-        // most one pending decision), then the chunk runs through the
-        // monomorphised per-element transition without dynamic dispatch.
-        self.stats.batches_ingested += 1;
-        let vertices = batch.iter().filter(|e| e.is_vertex()).count();
-        self.partitioning.reserve(vertices);
-        for element in batch {
-            self.ingest_element(element)?;
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Partitioning {
-        self.partitioning.clone()
-    }
-
-    fn finish(&mut self) -> Result<Partitioning> {
-        self.flush_pending()?;
-        Ok(self.partitioning.take())
-    }
-
-    fn stats(&self) -> PartitionerStats {
-        PartitionerStats {
-            assigned: self.partitioning.assigned_count(),
-            buffered: usize::from(self.pending.is_some()),
-            ..self.stats
-        }
+        let seed = (partitioning.least_loaded(), 0.0);
+        partitioning
+            .best_partition(neighbours, Some(seed), |p, in_p| {
+                Some(in_p as f64 * partitioning.capacity_penalty(p))
+            })
+            .expect("a seeded choice always holds a partition")
     }
 }
 
@@ -268,12 +93,12 @@ pub type AssignmentMap = FxHashMap<VertexId, PartitionId>;
 mod tests {
     use super::*;
     use crate::metrics::evaluate;
-    use crate::traits::partition_stream;
+    use crate::traits::{partition_stream, Partitioner};
     use loom_graph::generators::{
         barabasi_albert, community_graph, CommunityConfig, GeneratorConfig,
     };
     use loom_graph::ordering::StreamOrder;
-    use loom_graph::{GraphStream, LabelledGraph};
+    use loom_graph::{GraphStream, Label, LabelledGraph, StreamElement};
 
     fn run_ldg(graph: &LabelledGraph, k: u32, order: &StreamOrder) -> Partitioning {
         let stream = GraphStream::from_graph(graph, order);
@@ -425,7 +250,6 @@ mod tests {
 
     #[test]
     fn removals_update_pending_state_and_reclaim_load() {
-        use loom_graph::{Label, VertexId};
         let mut p = LdgPartitioner::new(LdgConfig::new(2, 10)).unwrap();
         let add = |id: u64| StreamElement::AddVertex {
             id: VertexId::new(id),
@@ -457,7 +281,7 @@ mod tests {
         assert_eq!(finished.partition_of(VertexId::new(0)), None);
 
         // RemoveEdge cancels exactly one matching AddEdge for the pending
-        // vertex; Relabel updates the buffered label without placing anything.
+        // vertex; Relabel places nothing.
         let mut p = LdgPartitioner::new(LdgConfig::new(2, 10)).unwrap();
         p.ingest_batch(&[
             add(0),
@@ -473,9 +297,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let pending = p.pending.as_ref().unwrap();
-        assert!(pending.assigned_neighbours.is_empty());
-        assert_eq!(pending.label, Label::new(5));
+        assert!(p.pending_neighbours().unwrap().is_empty());
         assert_eq!(p.finish().unwrap().assigned_count(), 2);
     }
 

@@ -8,7 +8,10 @@
 //! partitioner (in `loom-core`) reuses:
 //!
 //! * [`partition`] — partition identifiers, the assignment table
-//!   ([`Partitioning`]) and capacity accounting;
+//!   ([`Partitioning`]), capacity accounting, and the one greedy placement
+//!   rule ([`Partitioning::best_partition`]: highest score, ties to the
+//!   smaller partition) that LDG, Fennel and both LOOM placement modes call
+//!   with their own score;
 //! * [`metrics`] — edge cut, cut ratio, balance/imbalance, communication
 //!   volume and ground-truth community agreement;
 //! * [`migrate`] — the incremental re-partitioner: bounded batches of
@@ -23,11 +26,14 @@
 //!   serde data;
 //! * [`hash`] — hash partitioning (the default placement strategy of
 //!   distributed graph stores, the paper's strawman);
+//! * [`pending`] — the one-pending-vertex stream driver (buffer a vertex,
+//!   place it when the next one arrives) that LDG and Fennel instantiate
+//!   with their placement rule;
 //! * [`ldg`] — Linear Deterministic Greedy (Stanton & Kliot, KDD 2012), the
 //!   heuristic LOOM extends;
 //! * [`fennel`] — Fennel (Tsourakakis et al., WSDM 2014);
-//! * [`window`] — a sliding buffer over a graph stream, shared by LOOM and
-//!   by windowed variants of the baselines;
+//! * [`window`] — the sliding buffer over a graph stream that LOOM places
+//!   from;
 //! * [`offline`] — a multilevel (METIS-like) offline partitioner used as the
 //!   quality reference point.
 
@@ -42,6 +48,7 @@ pub mod metrics;
 pub mod migrate;
 pub mod offline;
 pub mod partition;
+pub mod pending;
 pub mod spec;
 pub mod traits;
 pub mod window;

@@ -272,6 +272,58 @@ impl Partitioning {
         PartitionId::new(index as u32)
     }
 
+    /// The greedy placement rule every streaming partitioner here shares:
+    /// the partition with the highest score wins; scores within `1e-12` of
+    /// each other tie towards the strictly smaller partition; otherwise the
+    /// first one seen (the `seed`, then ascending partition id) stays.
+    ///
+    /// `score(p, in_p)` is asked once per partition in id order, with `in_p`
+    /// the number of entries of `neighbours` currently assigned to `p` (an
+    /// entry listed twice counts twice, unassigned entries count nowhere);
+    /// `None` makes `p` ineligible. `seed` is a candidate that holds unless a
+    /// partition beats it by the rule above. Returns `None` only when there
+    /// is no seed and every partition is ineligible.
+    pub fn best_partition(
+        &self,
+        neighbours: &[VertexId],
+        seed: Option<(PartitionId, f64)>,
+        mut score: impl FnMut(PartitionId, usize) -> Option<f64>,
+    ) -> Option<PartitionId> {
+        // Counted in one pass over `neighbours`, on the stack for the usual
+        // small k: a heap allocation per placement measurably slows ingest.
+        let k = self.sizes.len();
+        let mut inline = [0usize; 32];
+        let mut spilled = Vec::new();
+        let in_p: &mut [usize] = if k <= inline.len() {
+            &mut inline[..k]
+        } else {
+            spilled.resize(k, 0);
+            &mut spilled
+        };
+        for n in neighbours {
+            if let Some(p) = self.assignment.get(n) {
+                in_p[p.index()] += 1;
+            }
+        }
+        let mut best = seed;
+        for p in self.partitions() {
+            let Some(score) = score(p, in_p[p.index()]) else {
+                continue;
+            };
+            let better = match best {
+                None => true,
+                Some((held, held_score)) => {
+                    score > held_score + 1e-12
+                        || ((score - held_score).abs() <= 1e-12 && self.size(p) < self.size(held))
+                }
+            };
+            if better {
+                best = Some((p, score));
+            }
+        }
+        best.map(|(p, _)| p)
+    }
+
     /// The imbalance factor `max_i |V_i| / (n / k)` where `n` is the number of
     /// assigned vertices. 1.0 is perfectly balanced; empty partitionings
     /// report 1.0.
@@ -394,6 +446,81 @@ mod tests {
         // max = 6, ideal = 4 → 1.5
         assert!((part.imbalance() - 1.5).abs() < 1e-12);
         assert_eq!(part.least_loaded(), p(1));
+    }
+
+    /// Partition sizes 3 / 1 / 2 over vertices 0..6.
+    fn three_partitions() -> Partitioning {
+        let mut part = Partitioning::new(3, 10).unwrap();
+        for (vertex, partition) in [(0, 0), (1, 0), (2, 0), (3, 1), (4, 2), (5, 2)] {
+            part.assign(v(vertex), p(partition)).unwrap();
+        }
+        part
+    }
+
+    #[test]
+    fn best_partition_ranks_score_then_size_then_first_seen() {
+        let part = three_partitions();
+        let by_table =
+            |scores: [f64; 3]| part.best_partition(&[], None, |q, _| Some(scores[q.index()]));
+        // Score beats size: the fullest partition wins on score alone.
+        assert_eq!(by_table([2.0, 1.0, 1.0]), Some(p(0)));
+        // Equal scores (within 1e-12): the strictly smaller partition wins.
+        assert_eq!(by_table([1.0, 1.0, 1.0]), Some(p(1)));
+        assert_eq!(by_table([1.0, 1.0 - 1e-13, 1.0]), Some(p(1)));
+        // A later partition needs more than 1e-12 to win on score.
+        assert_eq!(by_table([0.0, 1.0, 1.0 + 1e-13]), Some(p(1)));
+        assert_eq!(by_table([0.0, 1.0, 1.0 + 1e-9]), Some(p(2)));
+        // Equal score and equal size: first seen stays.
+        let mut even = Partitioning::new(3, 10).unwrap();
+        even.assign(v(0), p(1)).unwrap();
+        even.assign(v(1), p(2)).unwrap();
+        assert_eq!(
+            even.best_partition(&[], None, |q, _| (q != p(0)).then_some(1.0)),
+            Some(p(1))
+        );
+    }
+
+    #[test]
+    fn best_partition_seed_yields_only_to_a_better_score_or_a_smaller_equal() {
+        let part = three_partitions();
+        let seeded = |seed: u32, scores: [f64; 3]| {
+            part.best_partition(&[], Some((p(seed), 0.5)), |q, _| Some(scores[q.index()]))
+        };
+        // Equal score on an equally sized partition (itself): the seed holds.
+        assert_eq!(seeded(2, [0.0, 0.0, 0.5]), Some(p(2)));
+        // Equal score on a larger partition: the seed holds.
+        assert_eq!(seeded(2, [0.5, 0.0, 0.0]), Some(p(2)));
+        // Equal score on a strictly smaller partition displaces it.
+        assert_eq!(seeded(2, [0.0, 0.5, 0.0]), Some(p(1)));
+        // A strictly better score displaces it, whatever the size.
+        assert_eq!(seeded(1, [0.6, 0.0, 0.0]), Some(p(0)));
+        // Nobody eligible: the seed is the answer; without one there is none.
+        assert_eq!(
+            part.best_partition(&[], Some((p(2), 0.0)), |_, _| None),
+            Some(p(2))
+        );
+        assert_eq!(part.best_partition(&[], None, |_, _| None), None);
+    }
+
+    #[test]
+    fn best_partition_counts_each_listed_neighbour_once_per_listing() {
+        let part = three_partitions();
+        // v3 listed twice (an edge added twice), v9 unassigned.
+        let neighbours = [v(0), v(3), v(3), v(4), v(9)];
+        let mut seen = Vec::new();
+        part.best_partition(&neighbours, None, |q, in_p| {
+            seen.push((q, in_p));
+            Some(0.0)
+        });
+        assert_eq!(seen, vec![(p(0), 1), (p(1), 2), (p(2), 1)]);
+
+        // Same counting when k outgrows the inline count buffer.
+        let mut wide = Partitioning::new(40, 10).unwrap();
+        wide.assign(v(0), p(39)).unwrap();
+        wide.assign(v(1), p(39)).unwrap();
+        wide.assign(v(2), p(7)).unwrap();
+        let choice = wide.best_partition(&[v(0), v(1), v(2)], None, |_, in_p| Some(in_p as f64));
+        assert_eq!(choice, Some(p(39)));
     }
 
     #[test]

@@ -87,10 +87,11 @@ pub trait Partitioner: Send {
     /// Consume a contiguous chunk of stream elements at once.
     ///
     /// Semantically identical to calling [`Partitioner::ingest`] on each
-    /// element in order — batched and per-element ingestion MUST yield the
-    /// same partitioning. Implementations override this to amortise work
-    /// across the chunk (table pre-reservation, scratch-buffer reuse, batched
-    /// degree/label lookups).
+    /// element in order — same partitioning, same counters, same error after
+    /// the same prefix. Every partitioner in this workspace gets that by
+    /// construction: its override is a per-chunk preamble (count the batch,
+    /// pre-reserve the assignment table) followed by this very loop over its
+    /// one `ingest` transition, so there is no second transition to drift.
     ///
     /// # Errors
     ///

@@ -39,6 +39,32 @@ fn readme_usage_snippet_compiles_and_runs() -> Result<(), Box<dyn std::error::Er
     Ok(())
 }
 
+/// Every `PartitionerSpec` variant at `k` partitions for a graph of `n`
+/// vertices and `m` edges, plus LOOM's `capacity_penalty = false` ablation
+/// (a fifth placement rule behind the same `Loom` variant).
+fn all_specs(k: u32, n: usize, m: usize, window: usize) -> [(&'static str, PartitionerSpec); 5] {
+    let loom = LoomConfig::new(k, n).with_window_size(window);
+    [
+        ("hash", PartitionerSpec::Hash(HashConfig::new(k, n))),
+        ("ldg", PartitionerSpec::Ldg(LdgConfig::new(k, n))),
+        (
+            "fennel",
+            PartitionerSpec::Fennel(FennelConfig::new(k, n, m)),
+        ),
+        ("loom", PartitionerSpec::Loom(loom)),
+        (
+            "loom-no-penalty",
+            PartitionerSpec::Loom(loom.without_capacity_penalty()),
+        ),
+    ]
+}
+
+fn sorted_assignments(p: &Partitioning) -> Vec<(VertexId, PartitionId)> {
+    let mut rows: Vec<(VertexId, PartitionId)> = p.assignments().collect();
+    rows.sort_unstable();
+    rows
+}
+
 /// Every `PartitionerSpec` variant builds a `Box<dyn Partitioner>` through
 /// the workload registry; batched (several chunk sizes) and per-element
 /// ingestion of the paper-example stream yield identical partitionings.
@@ -51,14 +77,9 @@ fn every_spec_round_trips_as_a_trait_object() -> Result<(), Box<dyn std::error::
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
     let n = graph.vertex_count();
 
-    let specs = [
-        PartitionerSpec::Hash(HashConfig::new(2, n)),
-        PartitionerSpec::Ldg(LdgConfig::new(2, n)),
-        PartitionerSpec::Fennel(FennelConfig::new(2, n, graph.edge_count())),
-        PartitionerSpec::Loom(LoomConfig::new(2, n).with_window_size(4)),
-    ];
+    let specs = all_specs(2, n, graph.edge_count(), 4);
 
-    for spec in specs {
+    for (_, spec) in specs {
         // Per-element reference run.
         let mut reference: Box<dyn Partitioner> = registry.build(&spec)?;
         assert_eq!(reference.name(), spec.name());
@@ -68,24 +89,139 @@ fn every_spec_round_trips_as_a_trait_object() -> Result<(), Box<dyn std::error::
         let reference = reference.finish()?;
         assert_eq!(reference.assigned_count(), n, "{}", spec.name());
 
-        let assignments = |p: &Partitioning| {
-            let mut rows: Vec<(VertexId, PartitionId)> = p.assignments().collect();
-            rows.sort_unstable();
-            rows
-        };
-
         // Batched runs at several chunk sizes must agree exactly.
         for chunk_size in [1usize, 3, 64, 1024] {
             let mut partitioner = registry.build(&spec)?;
             let batched = partition_stream_batched(partitioner.as_mut(), &stream, chunk_size)?;
             assert_eq!(
-                assignments(&batched),
-                assignments(&reference),
+                sorted_assignments(&batched),
+                sorted_assignments(&reference),
                 "{} diverged at chunk size {chunk_size}",
                 spec.name()
             );
         }
     }
+    Ok(())
+}
+
+/// FNV-1a over the id-sorted `(vertex, partition)` pairs of a partitioning.
+fn placement_digest(p: &Partitioning) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (v, part) in sorted_assignments(p) {
+        for byte in v
+            .raw()
+            .to_le_bytes()
+            .into_iter()
+            .chain(part.0.to_le_bytes())
+        {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Golden placements: every vertex of four seeded streams lands where it
+/// landed when the digests were recorded (at the commit before the shared
+/// placement kernel existed), for every spec of [`all_specs`]. The inputs
+/// are an insert-only BFS stream of a Barabási–Albert graph at k = 2 and at
+/// k = 8, the same graph in random order at k = 8 with the stream a quarter
+/// longer than announced (so the no-room / over-cap fallbacks run, and the
+/// neighbour-count ablation does not collapse into one partition as it does
+/// on a connected BFS stream), and the deletion-churn scenario's build
+/// stream followed by its dissolve stream (vertex removals, edge removals,
+/// relabels).
+#[test]
+fn every_spec_reproduces_its_golden_placement() -> Result<(), Box<dyn std::error::Error>> {
+    use loom::loom_sim::churn::DeletionChurnScenario;
+
+    const GOLDEN: [(&str, [u64; 4]); 5] = [
+        (
+            "hash",
+            [
+                0x1609_4ffb_5cdd_e61d,
+                0xee51_15ec_2150_96e7,
+                0xee51_15ec_2150_96e7,
+                0x8a1e_de28_cdf1_7031,
+            ],
+        ),
+        (
+            "ldg",
+            [
+                0x5415_2783_804d_3f69,
+                0x7a0b_7b7f_4a1a_592f,
+                0x14ce_abe6_40c0_d569,
+                0x1f67_2800_7676_81d9,
+            ],
+        ),
+        (
+            "fennel",
+            [
+                0x3278_8bd4_51c4_d8f5,
+                0x4d0b_a0d5_8729_aafc,
+                0x4842_a5ee_d967_d1c5,
+                0xeed2_c320_61b4_6d78,
+            ],
+        ),
+        (
+            "loom",
+            [
+                0xdf50_63bf_74c0_0899,
+                0x3403_9f5d_f172_2fae,
+                0x4bb7_d4a8_3879_5b51,
+                0xa1d9_3842_91b2_a9af,
+            ],
+        ),
+        (
+            "loom-no-penalty",
+            [
+                0x5e6f_6db1_a3d1_1805,
+                0x5e6f_6db1_a3d1_1805,
+                0x4630_c0cc_b783_15ca,
+                0xb1a3_9564_2c6c_4895,
+            ],
+        ),
+    ];
+
+    let tpstry = MotifMiner::default().mine(&DeletionChurnScenario::workload())?;
+    let registry = workload_registry(&tpstry);
+
+    let ba = barabasi_albert(GeneratorConfig::new(2_000, 4, 29), 3)?;
+    let ba_stream = GraphStream::from_graph(&ba, &StreamOrder::Bfs);
+    let ba_shuffled = GraphStream::from_graph(&ba, &StreamOrder::Random { seed: 31 });
+    let churn = DeletionChurnScenario::small(5).build()?;
+    let mut churn_elements = churn.build_stream.elements().to_vec();
+    churn_elements.extend_from_slice(&churn.dissolve);
+    let churn_stream = GraphStream::from_elements(churn_elements);
+
+    // (k, announced vertices, edges, stream, vertices left at the end)
+    let (n, m) = (ba.vertex_count(), ba.edge_count());
+    let inputs = [
+        (2, n, m, &ba_stream, n),
+        (8, n, m, &ba_stream, n),
+        (8, n * 4 / 5, m, &ba_shuffled, n),
+        (
+            4,
+            churn.graph.vertex_count(),
+            churn.graph.edge_count(),
+            &churn_stream,
+            churn.final_graph.vertex_count(),
+        ),
+    ];
+
+    let mut actual = GOLDEN.map(|(tag, _)| (tag, [0u64; 4]));
+    for (slot, (k, announced, edges, stream, survivors)) in inputs.into_iter().enumerate() {
+        for (row, (tag, spec)) in all_specs(k, announced, edges, 64).into_iter().enumerate() {
+            assert_eq!(tag, actual[row].0, "GOLDEN rows follow all_specs");
+            let mut partitioner = registry.build(&spec)?;
+            let placed = partition_stream_batched(partitioner.as_mut(), stream, 256)?;
+            assert_eq!(placed.assigned_count(), survivors, "{tag} input {slot}");
+            actual[row].1[slot] = placement_digest(&placed);
+        }
+    }
+    assert_eq!(
+        actual, GOLDEN,
+        "placements moved; actual digests: {actual:#x?}"
+    );
     Ok(())
 }
 
@@ -100,13 +236,8 @@ fn trait_objects_snapshot_and_report_stats() -> Result<(), Box<dyn std::error::E
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
     let n = graph.vertex_count();
 
-    let specs = [
-        PartitionerSpec::Hash(HashConfig::new(2, n)),
-        PartitionerSpec::Ldg(LdgConfig::new(2, n)),
-        PartitionerSpec::Fennel(FennelConfig::new(2, n, graph.edge_count())),
-        PartitionerSpec::Loom(LoomConfig::new(2, n).with_window_size(4)),
-    ];
-    for spec in specs {
+    let specs = all_specs(2, n, graph.edge_count(), 4);
+    for (_, spec) in specs {
         let mut partitioner = registry.build(&spec)?;
         partitioner.ingest_batch(stream.elements())?;
         let stats = partitioner.stats();
