@@ -63,16 +63,25 @@ impl LabelledGraph {
     where
         I: IntoIterator<Item = (VertexId, Label, Vec<VertexId>)>,
     {
-        let mut graph = Self::new();
-        let mut adjacency: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
+        let lists = lists.into_iter();
+        let mut graph = Self::with_capacity(lists.size_hint().0, 0);
         for (v, label, neighbours) in lists {
             graph.insert_vertex(v, label);
-            adjacency.insert(v, neighbours);
+            // Installed verbatim — order preserved.
+            graph.adjacency.insert(v, neighbours);
         }
-        // Each undirected edge must be named once by each endpoint: count
-        // directed appearances and demand exactly two per edge key.
-        let mut seen_directed: FxHashSet<(VertexId, VertexId)> = FxHashSet::default();
-        for (&v, neighbours) in &adjacency {
+        // Each undirected edge must be named once by each endpoint. The
+        // lower endpoint's mention claims the edge's key …
+        let arcs: usize = graph.adjacency.values().map(Vec::len).sum();
+        graph.edges.reserve(arcs / 2);
+        let mut sorted: Vec<VertexId> = Vec::new();
+        for (&v, neighbours) in &graph.adjacency {
+            sorted.clear();
+            sorted.extend_from_slice(neighbours);
+            sorted.sort_unstable();
+            if let Some(twice) = sorted.windows(2).find(|w| w[0] == w[1]) {
+                return Err(GraphError::DuplicateEdge(v, twice[0]));
+            }
             for &u in neighbours {
                 if u == v {
                     return Err(GraphError::SelfLoop(v));
@@ -80,28 +89,37 @@ impl LabelledGraph {
                 if !graph.labels.contains_key(&u) {
                     return Err(GraphError::MissingVertex(u));
                 }
-                if !seen_directed.insert((v, u)) {
-                    return Err(GraphError::DuplicateEdge(v, u));
+                if v < u {
+                    graph.edges.insert(EdgeKey::new(v, u));
                 }
-                graph.edges.insert(EdgeKey::new(v, u));
             }
         }
-        for &key in &graph.edges {
-            if !seen_directed.contains(&(key.lo, key.hi))
-                || !seen_directed.contains(&(key.hi, key.lo))
-            {
-                return Err(GraphError::Parse {
-                    line: 0,
-                    message: format!(
-                        "asymmetric adjacency: edge ({}, {}) is missing from one endpoint's list",
-                        key.lo, key.hi
-                    ),
-                });
+        // … and the higher endpoint's mention must find it claimed. No list
+        // repeats a neighbour, so mentions map to keys one to one: when each
+        // downward mention finds its key and there are as many of them as
+        // keys, every edge is named exactly twice.
+        let asymmetric = |lo: VertexId, hi: VertexId| GraphError::Parse {
+            line: 0,
+            message: format!(
+                "asymmetric adjacency: edge ({lo}, {hi}) is missing from one endpoint's list"
+            ),
+        };
+        let mut downward = 0usize;
+        for (&v, neighbours) in &graph.adjacency {
+            for &u in neighbours.iter().filter(|&&u| u < v) {
+                if !graph.edges.contains(&EdgeKey::new(u, v)) {
+                    return Err(asymmetric(u, v));
+                }
+                downward += 1;
             }
         }
-        // Install the lists verbatim — order preserved.
-        for (v, neighbours) in adjacency {
-            graph.adjacency.insert(v, neighbours);
+        if downward != graph.edges.len() {
+            let unanswered = graph
+                .edges
+                .iter()
+                .find(|key| !graph.adjacency[&key.hi].contains(&key.lo));
+            let key = unanswered.expect("fewer answers than claims leaves one unanswered");
+            return Err(asymmetric(key.lo, key.hi));
         }
         Ok(graph)
     }
@@ -599,11 +617,18 @@ mod tests {
             ]),
             Err(GraphError::DuplicateEdge(_, _))
         ));
-        // Asymmetric edge: 0 lists 1 but 1 does not list 0.
-        assert!(matches!(
-            LabelledGraph::from_adjacency_lists(vec![(v(0), l, vec![v(1)]), (v(1), l, vec![]),]),
-            Err(GraphError::Parse { .. })
-        ));
+        // Asymmetric edge: 0 lists 1 but 1 does not list 0 — and the other
+        // way round, with a sound edge beside it either time.
+        for (zero, one) in [(vec![v(1), v(2)], vec![]), (vec![v(2)], vec![v(0)])] {
+            assert!(matches!(
+                LabelledGraph::from_adjacency_lists(vec![
+                    (v(0), l, zero),
+                    (v(1), l, one),
+                    (v(2), l, vec![v(0)]),
+                ]),
+                Err(GraphError::Parse { .. })
+            ));
+        }
     }
 
     #[test]

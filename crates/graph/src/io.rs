@@ -10,7 +10,7 @@
 //! The module additionally provides the checksummed-frame primitives the
 //! durability layer (`loom-store`) builds its write-ahead log and checkpoint
 //! blobs on: [`crc32`] (CRC-32/ISO-HDLC) and the
-//! [`put_frame`]/[`take_frame`] length-prefixed frame codec. A frame is
+//! [`seal_frame`]/[`take_frame`] length-prefixed frame codec. A frame is
 //! `[len: u32 le][crc32(payload): u32 le][payload]`; a reader that hits a
 //! torn or bit-flipped frame gets a clean `Err` with nothing consumed, so a
 //! torn log tail can be truncated at the last good frame boundary.
@@ -107,10 +107,13 @@ const VERTEX_RECORD_BYTES: u64 = 12;
 /// Bytes per serialized edge record (two `u64` endpoints).
 const EDGE_RECORD_BYTES: u64 = 16;
 
-/// Lookup table for the reflected CRC-32 polynomial `0xEDB88320`
+/// Lookup tables for the reflected CRC-32 polynomial `0xEDB88320`
 /// (CRC-32/ISO-HDLC, the zlib/Ethernet checksum), built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table; `CRC32_TABLES[k]`
+/// advances a byte's contribution past `k` further zero bytes, which is what
+/// lets [`crc32`] fold eight input bytes per step (slice-by-8).
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -123,81 +126,122 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
+
+/// One byte-at-a-time CRC step: the definition the word-at-a-time kernel
+/// must agree with, and the loop for the tail shorter than a word.
+#[inline]
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+}
 
 /// CRC-32/ISO-HDLC of `bytes` (the zlib `crc32`; `crc32(b"123456789") ==
 /// 0xCBF4_3926`). Used to checksum WAL records, checkpoint blobs and
-/// manifests in the durability layer.
+/// manifests in the durability layer. Eight bytes are folded per step
+/// through eight tables; the values are those of the bytewise definition.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = CRC32_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC32_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC32_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC32_TABLES[4][(lo >> 24) as usize]
+            ^ CRC32_TABLES[3][w[4] as usize]
+            ^ CRC32_TABLES[2][w[5] as usize]
+            ^ CRC32_TABLES[1][w[6] as usize]
+            ^ CRC32_TABLES[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = crc32_step(c, b);
     }
     c ^ 0xFFFF_FFFF
 }
 
-/// Append one checksummed frame — `[len: u32 le][crc32: u32 le][payload]` —
-/// to `buf`.
+/// The bytewise reference the slice-by-8 kernel is checked against.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(0xFFFF_FFFFu32, |c, &b| crc32_step(c, b))
+}
+
+/// Bytes of header in front of every frame's payload: `[len: u32 le]
+/// [crc32(payload): u32 le]`.
+pub const FRAME_HEADER: usize = 8;
+
+/// Seal a frame built in place: `frame` is [`FRAME_HEADER`] reserved bytes
+/// followed by the payload, and the payload's length and checksum are
+/// written into the reserved header. A writer that encodes its payload
+/// straight behind a reserved header needs no second buffer.
 ///
 /// # Panics
 ///
-/// Panics if the payload exceeds `u32::MAX` bytes (a frame is a bounded
-/// record, not a container format).
-pub fn put_frame(buf: &mut BytesMut, payload: &[u8]) {
+/// Panics if `frame` is shorter than the header or the payload exceeds
+/// `u32::MAX` bytes (a frame is a bounded record, not a container format).
+pub fn seal_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
     let len = u32::try_from(payload.len()).expect("frame payload fits in u32");
-    buf.put_u32_le(len);
-    buf.put_u32_le(crc32(payload));
-    buf.put_slice(payload);
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Take one checksummed frame off the front of `bytes` and return its
-/// payload.
+/// payload, borrowed from the input.
 ///
 /// Returns `Ok(None)` when `bytes` is empty (a clean end); `Err` when the
 /// header or payload is truncated, the payload length exceeds `max_len`
-/// (guarding against absurd allocations from a corrupt length prefix), or
-/// the checksum does not match. On `Err`, `bytes` is left exactly as it was,
-/// so the caller knows the offset of the last good frame boundary.
-pub fn take_frame(bytes: &mut Bytes, max_len: usize) -> Result<Option<Bytes>> {
-    if bytes.remaining() == 0 {
+/// (guarding against absurd lengths from a corrupt prefix), or the checksum
+/// does not match. On `Err`, `bytes` is left exactly as it was, so the
+/// caller knows the offset of the last good frame boundary.
+pub fn take_frame<'a>(bytes: &mut &'a [u8], max_len: usize) -> Result<Option<&'a [u8]>> {
+    let view = *bytes;
+    if view.is_empty() {
         return Ok(None);
     }
     let corrupt = |message: String| GraphError::Parse { line: 0, message };
-    // Peek the whole frame without consuming: a bad frame must leave `bytes`
-    // untouched so the caller can locate the last good frame boundary.
-    let view = bytes.as_slice();
-    if view.len() < 8 {
+    if view.len() < FRAME_HEADER {
         return Err(corrupt(format!(
             "torn frame header: {} trailing bytes",
             view.len()
         )));
     }
-    let len = u32::from_le_bytes(view[0..4].try_into().expect("4 bytes")) as usize;
-    let want = u32::from_le_bytes(view[4..8].try_into().expect("4 bytes"));
+    let (header, rest) = view.split_at(FRAME_HEADER);
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let want = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
     if len > max_len {
         return Err(corrupt(format!(
             "frame length {len} exceeds the {max_len}-byte limit"
         )));
     }
-    if view.len() - 8 < len {
+    if rest.len() < len {
         return Err(corrupt(format!(
             "torn frame payload: header promises {len} bytes, {} remain",
-            view.len() - 8
+            rest.len()
         )));
     }
-    let payload = view[8..8 + len].to_vec();
-    let got = crc32(&payload);
+    let (payload, rest) = rest.split_at(len);
+    let got = crc32(payload);
     if got != want {
         return Err(corrupt(format!(
             "frame checksum mismatch (expected 0x{want:08x}, got 0x{got:08x})"
         )));
     }
-    bytes.take_bytes(8 + len);
-    Ok(Some(Bytes::from(payload)))
+    *bytes = rest;
+    Ok(Some(payload))
 }
 
 /// Serialise a graph into the compact binary format.
@@ -418,25 +462,51 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"loom"), crc32(b"looM"));
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b""), 0);
+    }
+
+    proptest::proptest! {
+        /// The word-at-a-time kernel equals the bytewise definition on every
+        /// length 0..=64 (word loop, tail loop, and both) and on longer
+        /// buffers at every start alignment.
+        #[test]
+        fn crc32_kernel_equals_the_bytewise_reference(
+            words in proptest::collection::vec(0u64..u64::MAX, 9..10),
+            long in proptest::collection::vec(0u64..u64::MAX, 16..512),
+            odd in 0usize..8,
+        ) {
+            let bytes = |words: &[u64]| -> Vec<u8> {
+                words.iter().flat_map(|w| w.to_le_bytes()).collect()
+            };
+            let (short, long) = (bytes(&words), bytes(&long));
+            for len in 0..=64 {
+                proptest::prop_assert_eq!(crc32(&short[..len]), crc32_bytewise(&short[..len]));
+            }
+            let long = &long[..long.len() - odd];
+            for start in 0..8 {
+                proptest::prop_assert_eq!(crc32(&short[start..]), crc32_bytewise(&short[start..]));
+                proptest::prop_assert_eq!(crc32(&long[start..]), crc32_bytewise(&long[start..]));
+            }
+        }
+    }
+
+    /// One sealed frame around `payload`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0; FRAME_HEADER];
+        frame.extend_from_slice(payload);
+        seal_frame(&mut frame);
+        frame
     }
 
     #[test]
     fn frames_roundtrip_and_survive_concatenation() {
-        let mut buf = BytesMut::new();
-        put_frame(&mut buf, b"first");
-        put_frame(&mut buf, b"");
-        put_frame(&mut buf, b"third record");
-        let mut bytes = buf.freeze();
+        let log = [framed(b"first"), framed(b""), framed(b"third record")].concat();
+        let mut bytes = log.as_slice();
+        assert_eq!(take_frame(&mut bytes, 1024).unwrap().unwrap(), b"first");
+        assert_eq!(take_frame(&mut bytes, 1024).unwrap().unwrap(), b"");
         assert_eq!(
-            take_frame(&mut bytes, 1024).unwrap().unwrap().as_slice(),
-            b"first"
-        );
-        assert_eq!(
-            take_frame(&mut bytes, 1024).unwrap().unwrap().as_slice(),
-            b""
-        );
-        assert_eq!(
-            take_frame(&mut bytes, 1024).unwrap().unwrap().as_slice(),
+            take_frame(&mut bytes, 1024).unwrap().unwrap(),
             b"third record"
         );
         assert!(take_frame(&mut bytes, 1024).unwrap().is_none());
@@ -444,36 +514,32 @@ mod tests {
 
     #[test]
     fn torn_and_corrupt_frames_error_without_consuming() {
-        let mut buf = BytesMut::new();
-        put_frame(&mut buf, b"good");
-        let mut blob = buf.freeze().as_slice().to_vec();
+        let mut blob = framed(b"good");
         // Append a torn second frame: header promising more than remains.
         blob.extend_from_slice(&9999u32.to_le_bytes());
         blob.extend_from_slice(&0u32.to_le_bytes());
         blob.extend_from_slice(b"tail");
-        let mut bytes = Bytes::from(blob);
-        let before_good = bytes.remaining();
+        let mut bytes = blob.as_slice();
+        let before_good = bytes.len();
         assert!(take_frame(&mut bytes, 1 << 20).unwrap().is_some());
-        assert_eq!(before_good - bytes.remaining(), 8 + 4);
-        let at_tear = bytes.remaining();
+        assert_eq!(before_good - bytes.len(), 8 + 4);
+        let at_tear = bytes.len();
         assert!(take_frame(&mut bytes, 1 << 20).is_err());
         // Nothing consumed: the caller can truncate at this exact offset.
-        assert_eq!(bytes.remaining(), at_tear);
+        assert_eq!(bytes.len(), at_tear);
 
         // A checksum flip errors too, also without consuming.
-        let mut buf = BytesMut::new();
-        put_frame(&mut buf, b"payload");
-        let mut flipped = buf.freeze().as_slice().to_vec();
+        let mut flipped = framed(b"payload");
         *flipped.last_mut().unwrap() ^= 0x40;
-        let mut bytes = Bytes::from(flipped);
+        let mut bytes = flipped.as_slice();
         assert!(take_frame(&mut bytes, 1 << 20).is_err());
-        assert_eq!(bytes.remaining(), 8 + b"payload".len());
+        assert_eq!(bytes.len(), 8 + b"payload".len());
 
-        // A length prefix beyond the caller's limit is rejected before any
-        // allocation happens.
+        // A length prefix beyond the caller's limit is rejected before the
+        // payload is looked at.
         let mut huge = Vec::new();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
         huge.extend_from_slice(&0u32.to_le_bytes());
-        assert!(take_frame(&mut Bytes::from(huge), 1 << 20).is_err());
+        assert!(take_frame(&mut huge.as_slice(), 1 << 20).is_err());
     }
 }

@@ -41,6 +41,14 @@ pub mod stage {
     /// One epoch-compaction pass: rewriting tombstone-heavy shards and
     /// publishing the compacted store.
     pub const SERVE_COMPACTION: &str = "serve.compaction";
+    /// Loading and bit-verifying the newest checkpoint during recovery (runs
+    /// beside the two stages below, on a thread of its own).
+    pub const RECOVER_CHECKPOINT_LOAD: &str = "recover.checkpoint_load";
+    /// Reading, CRC-checking and decoding the whole WAL during recovery.
+    pub const RECOVER_WAL_DECODE: &str = "recover.wal_decode";
+    /// Replaying the decoded history through a fresh partitioner and into
+    /// the durable graph mirror during recovery.
+    pub const RECOVER_REPLAY: &str = "recover.replay";
 
     /// Every stage above, for exporters and smoke tests that assert the
     /// catalogue is live.
@@ -56,6 +64,9 @@ pub mod stage {
         ADAPT_MIGRATE,
         INGEST_APPLY_DELETE,
         SERVE_COMPACTION,
+        RECOVER_CHECKPOINT_LOAD,
+        RECOVER_WAL_DECODE,
+        RECOVER_REPLAY,
     ];
 }
 
@@ -145,6 +156,6 @@ mod tests {
             assert!(name.contains('.'), "{name} is not stage-scoped");
             assert!(seen.insert(name), "{name} appears twice");
         }
-        assert_eq!(seen.len(), 11);
+        assert_eq!(seen.len(), 14);
     }
 }

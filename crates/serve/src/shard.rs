@@ -288,18 +288,44 @@ impl ShardedStore {
             slots[pos].live = neighbors.len() as u32;
             targets.extend(neighbors.iter().map(|u| position_of[u]));
         }
+        let store = Self::assemble(
+            order,
+            position_of,
+            slots,
+            targets,
+            &starts[..=k],
+            by_label,
+            graph.edge_count(),
+        );
+        debug_assert_eq!(store.check_arena(), Ok(()));
+        store
+    }
+
+    /// The tail every from-scratch build shares ([`ShardedStore::from_parts`]
+    /// and the checkpoint loader's [`ArenaLoader::finish`]): close the slot
+    /// array, derive the sorted arena, and build each shard's label index,
+    /// boundary and halo from its slice. `slots[..n]` carry label, home,
+    /// offset and live degree; `starts` holds the `k + 1` shard boundaries.
+    fn assemble(
+        order: Vec<VertexId>,
+        position_of: FxHashMap<VertexId, u32>,
+        mut slots: Vec<Slot>,
+        targets: Vec<u32>,
+        starts: &[usize],
+        by_label: FxHashMap<Label, Vec<VertexId>>,
+        edge_count: usize,
+    ) -> Self {
+        let n = order.len();
+        let k = starts.len() - 1;
         slots[n] = end_slot(targets.len());
         let mut targets_sorted = targets.clone();
         for slot in &slots[..n] {
             targets_sorted[slot.live_range()].sort_unstable();
         }
-
-        // Per-shard slices, label indexes, boundaries and halos.
         let shards = (0..k)
             .map(|p| build_shard(p as u32, starts[p]..starts[p + 1], &order, &slots, &targets))
             .collect();
-
-        let store = Self {
+        Self {
             order,
             position_of,
             slots,
@@ -309,16 +335,39 @@ impl ShardedStore {
             dead_vertices: vec![0; k],
             dead_slots: vec![0; k],
             shards,
-            edge_count: graph.edge_count(),
+            edge_count,
             epoch: 0,
-        };
-        debug_assert_eq!(store.check_arena(), Ok(()));
-        store
+        }
     }
 
     /// Build a sharded store from a sequential [`PartitionedStore`].
     pub fn from_store(store: &PartitionedStore) -> Self {
         Self::from_parts(store.graph(), store.partitioning())
+    }
+
+    /// The inverse of [`ShardedStore::from_parts`]: the live graph — every
+    /// adjacency list in arena order, so a store rebuilt from it traverses
+    /// identically — and the vertex→partition assignment the shard ranges
+    /// encode. Tombstoned vertices and edges are left out.
+    pub fn to_parts(&self) -> (LabelledGraph, Partitioning) {
+        let live = |pos: &usize| self.slots[*pos].home != DEAD;
+        let lists = (0..self.order.len()).filter(live).map(|pos| {
+            let neighbours = &self.targets[self.live_range(pos)];
+            let ids = neighbours.iter().map(|&q| self.order[q as usize]);
+            (self.order[pos], self.slots[pos].label, ids.collect())
+        });
+        let graph = LabelledGraph::from_adjacency_lists(lists)
+            .expect("a sound arena is a simple undirected graph");
+        let mut partitioning = Partitioning::new(self.shard_count(), graph.vertex_count().max(1))
+            .expect("a store has at least one shard");
+        for shard in &self.shards {
+            for pos in shard.range.clone().filter(live) {
+                partitioning
+                    .assign(self.order[pos], shard.id)
+                    .expect("an arena holds each vertex once, in its home shard's range");
+            }
+        }
+        (graph, partitioning)
     }
 
     /// Apply a bounded batch of vertex moves *incrementally*: the adjacency
@@ -869,8 +918,9 @@ impl ShardedStore {
     /// * each live prefix of the sorted arena is strictly increasing and
     ///   holds exactly the positions of the traversal-ordered prefix;
     /// * a slot's home is its shard's index (or a tombstone) inside a shard
-    ///   range and never a partition outside one, and the per-shard
-    ///   tombstone counters equal a recount.
+    ///   range and never a partition outside one, each shard's slice and the
+    ///   unassigned tail are in strictly ascending id order, and the
+    ///   per-shard tombstone counters equal a recount.
     pub fn check_arena(&self) -> Result<(), String> {
         let n = self.order.len();
         if self.slots.len() != n + 1 || self.position_of.len() != n {
@@ -934,12 +984,177 @@ impl ShardedStore {
         if let Some(pos) = (cursor..n).find(|&pos| self.slots[pos].home < DEAD) {
             return Err(format!("unassigned-tail position {pos} has a home"));
         }
+        let tail = std::iter::once(cursor..n);
+        for range in ranges.iter().cloned().chain(tail) {
+            let ids = &self.order[range];
+            if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!("{} precedes {} within one slice", w[0], w[1]));
+            }
+        }
         if dead_counters(&ranges, &self.slots)
             != (self.dead_vertices.clone(), self.dead_slots.clone())
         {
             return Err("per-shard tombstone counters drifted from a recount".into());
         }
         Ok(())
+    }
+}
+
+/// The checkpoint loader's door into the arena: vertices are appended in
+/// the partition-major order the blobs were serialized in — shard 0's slice,
+/// shard 1's, …, then the unassigned tail — with adjacency as the ids the
+/// blobs carry. [`ArenaLoader::finish`] renames the adjacency to positions
+/// (the one `position_of` probe per directed edge a freeze pays) and shares
+/// [`ShardedStore::from_parts`]' tail; what it returns becomes a
+/// [`ShardedStore`] only through [`UncheckedArena::check`]. Nothing appended
+/// is trusted: every way the input can fail to be a sound arena is an `Err`
+/// naming it, from one step or the other.
+#[derive(Debug)]
+pub struct ArenaLoader {
+    shards: u32,
+    order: Vec<VertexId>,
+    /// Label, home, offset and live degree per appended vertex; offsets
+    /// index `neighbours` until `finish` renames it.
+    slots: Vec<Slot>,
+    neighbours: Vec<VertexId>,
+}
+
+impl ArenaLoader {
+    /// A loader for a store of `shards` shards.
+    pub fn new(shards: u32) -> Self {
+        Self {
+            shards,
+            order: Vec::new(),
+            slots: Vec::new(),
+            neighbours: Vec::new(),
+        }
+    }
+
+    /// Vertices appended so far.
+    pub fn vertex_count(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Append the next vertex of the arena: homed at `home` (`None` for the
+    /// unassigned tail), with its adjacency list in traversal order.
+    pub fn push_vertex(
+        &mut self,
+        home: Option<PartitionId>,
+        v: VertexId,
+        label: Label,
+        neighbours: impl IntoIterator<Item = VertexId>,
+    ) {
+        let offset = self.neighbours.len();
+        self.neighbours.extend(neighbours);
+        self.order.push(v);
+        // Offsets past `u32` are refused in `finish` before any is read.
+        self.slots.push(Slot {
+            label,
+            home: home.map_or(UNASSIGNED, |p| p.0),
+            offset: offset as u32,
+            live: (self.neighbours.len() - offset) as u32,
+        });
+    }
+
+    /// Freeze what was appended (epoch 0). Building allocates and checking
+    /// does not, so the two are separate steps a caller may run on separate
+    /// threads.
+    ///
+    /// # Errors
+    ///
+    /// Names the first thing that keeps an arena from being laid out at all:
+    /// no shards, a home outside them or out of partition-major order, a
+    /// vertex listed twice, a neighbour listed nowhere.
+    pub fn finish(self) -> Result<UncheckedArena, String> {
+        let Self {
+            shards,
+            mut order,
+            mut slots,
+            neighbours,
+        } = self;
+        let (n, k) = (order.len(), shards as usize);
+        // Lives as long as the store: drop the slack growing it left.
+        order.shrink_to_fit();
+        if k == 0 {
+            return Err("a store needs at least one shard".into());
+        }
+        if n >= VACANT as usize || neighbours.len() > u32::MAX as usize {
+            return Err(format!(
+                "{n} vertices and {} arcs overflow u32 positions",
+                neighbours.len()
+            ));
+        }
+        // Bucket `k` is the unassigned tail, as in `from_parts`.
+        let mut starts = vec![0usize; k + 2];
+        let mut last = 0;
+        for (slot, v) in slots.iter().zip(&order) {
+            let bucket = (slot.home as usize).min(k);
+            if slot.home != UNASSIGNED && bucket == k {
+                return Err(format!("{v} is homed at shard {} of {k}", slot.home));
+            }
+            if bucket < last {
+                return Err(format!("{v} breaks the partition-major order"));
+            }
+            last = bucket;
+            starts[bucket + 1] += 1;
+        }
+        for bucket in 0..=k {
+            starts[bucket + 1] += starts[bucket];
+        }
+        let mut position_of: FxHashMap<VertexId, u32> = FxHashMap::default();
+        position_of.reserve(n);
+        let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
+        for (pos, (&v, slot)) in order.iter().zip(&slots).enumerate() {
+            if position_of.insert(v, pos as u32).is_some() {
+                return Err(format!("{v} is listed twice"));
+            }
+            by_label.entry(slot.label).or_default().push(v);
+        }
+        // Arena order is (partition, id); the global index is by id alone.
+        for members in by_label.values_mut() {
+            members.sort_unstable();
+        }
+        let mut targets: Vec<u32> = Vec::with_capacity(neighbours.len());
+        for (slot, &v) in slots.iter().zip(&order) {
+            for u in &neighbours[slot.live_range()] {
+                let Some(&q) = position_of.get(u) else {
+                    return Err(format!("{v} names {u}, which is listed nowhere"));
+                };
+                targets.push(q);
+            }
+        }
+        slots.push(end_slot(0));
+        slots.shrink_to_fit();
+        let edge_count = targets.len() / 2;
+        let store = ShardedStore::assemble(
+            order,
+            position_of,
+            slots,
+            targets,
+            &starts[..=k],
+            by_label,
+            edge_count,
+        );
+        Ok(UncheckedArena(store))
+    }
+}
+
+/// An arena laid out by [`ArenaLoader::finish`] from untrusted input, not
+/// yet shown to be sound. It answers nothing; [`UncheckedArena::check`] is
+/// the only way on.
+#[derive(Debug)]
+pub struct UncheckedArena(ShardedStore);
+
+impl UncheckedArena {
+    /// Run [`ShardedStore::check_arena`] and release the store if it holds.
+    ///
+    /// # Errors
+    ///
+    /// Names the invariant that fails: a self-loop, a repeated neighbour, an
+    /// edge only one endpoint lists, a slice out of id order.
+    pub fn check(self) -> Result<ShardedStore, String> {
+        self.0.check_arena()?;
+        Ok(self.0)
     }
 }
 
@@ -1518,5 +1733,57 @@ mod tests {
             migrated.store.replication_factor(),
             rebuilt.replication_factor()
         );
+    }
+
+    /// Feed `store`'s own arena back through an [`ArenaLoader`], each vertex
+    /// passed through `edit` (which may rewrite its home) on the way.
+    fn reload(
+        store: &ShardedStore,
+        shards: u32,
+        mut edit: impl FnMut(usize, Option<PartitionId>) -> Option<PartitionId>,
+    ) -> Result<ShardedStore, String> {
+        let mut loader = ArenaLoader::new(shards);
+        for pos in 0..store.vertex_count() {
+            let home = match store.slots[pos].home {
+                UNASSIGNED => None,
+                p => Some(PartitionId::new(p)),
+            };
+            let neighbours = store.neighbors_of(pos as u32).iter();
+            loader.push_vertex(
+                edit(pos, home),
+                store.order[pos],
+                store.slots[pos].label,
+                neighbours.map(|&q| store.order[q as usize]),
+            );
+        }
+        assert_eq!(loader.vertex_count(), store.vertex_count());
+        loader.finish()?.check()
+    }
+
+    #[test]
+    fn arena_loader_rebuilds_the_store_and_names_what_is_unsound() {
+        let (g, part) = fixture();
+        let vs = g.vertices_sorted();
+        let store = ShardedStore::from_parts(&g, &part);
+        let loaded = reload(&store, 2, |_, home| home).unwrap();
+        assert_stores_equal(&loaded, &store, &vs);
+        assert_eq!(loaded.replication_factor(), store.replication_factor());
+        // And back out: the parts a store was frozen from.
+        let (graph, partitioning) = loaded.to_parts();
+        assert_eq!(graph.edges_sorted(), g.edges_sorted());
+        for &v in &vs {
+            assert_eq!(graph.label(v), g.label(v));
+            assert_eq!(graph.neighbors(v), g.neighbors(v));
+            assert_eq!(partitioning.partition_of(v), part.partition_of(v));
+        }
+
+        let err = |shards, edit: &dyn Fn(usize, Option<PartitionId>) -> Option<PartitionId>| {
+            reload(&store, shards, edit).unwrap_err()
+        };
+        assert!(err(0, &|_, _| None).contains("at least one shard"));
+        assert!(err(1, &|_, home| home).contains("shard 1 of 1"));
+        // The unassigned vertex dragged to the front of the arena.
+        let homeless_first = |pos, home| if pos == 0 { None } else { home };
+        assert!(err(2, &homeless_first).contains("partition-major"));
     }
 }

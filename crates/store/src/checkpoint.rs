@@ -9,17 +9,42 @@
 //! checkpoint or a directory without a valid `MANIFEST` — which recovery
 //! simply skips in favour of the previous epoch. Nothing in a checkpoint is
 //! ever trusted without its checksum.
+//!
+//! Loading ([`load_checkpoint`]) goes from the blobs straight to the arena
+//! they were cut from, in two halves:
+//!
+//! * [`read_checkpoint`] — the half that allocates. (1) Each blob is read,
+//!   size- and CRC-checked against the manifest, and decoded — shard blobs
+//!   in id order, then the tail, which is the arena's own order — into an
+//!   [`ArenaLoader`], with every count bounded by the bytes behind it and
+//!   the shard id a blob claims checked against its file name.
+//!   (2) [`ArenaLoader::finish`] renames adjacency to positions and derives
+//!   the sorted arena and each shard's label index, boundary and halo; a
+//!   vertex listed twice or a neighbour no blob lists fails here.
+//! * [`UnverifiedCheckpoint::verify`] — the half that only reads.
+//!   (3) [`ShardedStore::check_arena`] over the whole arena: a self-loop, a
+//!   repeated neighbour, an edge only one endpoint lists, a slice out of id
+//!   order all fail here. (4) The vertex and edge totals must equal the
+//!   manifest's. (5) Every shard and the tail are re-encoded from the loaded
+//!   store and must reproduce the manifest's checksums — the bit-identity
+//!   proof.
+//!
+//! Every failure is a [`StoreError::Corrupt`]. No `LabelledGraph` or
+//! `Partitioning` is built on the way: a caller that wants them
+//! ([`LoadedCheckpoint::graph`], [`LoadedCheckpoint::partitioning`]) gets
+//! them derived from the verified arena, once, on first use.
 
-use crate::codec::{blob_crc, decode_blob, encode_shard, encode_tail, ShardBlob};
+use crate::codec::{blob_crc, decode_blob, encode_shard, encode_tail};
 use crate::error::{Result, StoreError};
 use bytes::Bytes;
 use loom_graph::io::crc32;
-use loom_graph::{Label, LabelledGraph, VertexId};
+use loom_graph::LabelledGraph;
 use loom_partition::partition::{PartitionId, Partitioning};
-use loom_serve::shard::ShardedStore;
+use loom_serve::shard::{ArenaLoader, ShardedStore, UncheckedArena};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Directory (under the durability root) that holds checkpoint epochs.
 pub const CHECKPOINT_DIR: &str = "checkpoints";
@@ -27,6 +52,8 @@ pub const CHECKPOINT_DIR: &str = "checkpoints";
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// First line of every manifest.
 const MANIFEST_HEADER: &str = "LOOM-CHECKPOINT v1";
+/// File name of the unassigned-tail blob (shards are `shard_<id>.blob`).
+const TAIL_BLOB: &str = "tail.blob";
 
 /// One blob recorded in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,13 +92,29 @@ pub struct CheckpointMeta {
 pub struct LoadedCheckpoint {
     /// The manifest the load was validated against.
     pub meta: CheckpointMeta,
-    /// The rebuilt data graph, adjacency order identical to pre-crash.
-    pub graph: LabelledGraph,
-    /// The rebuilt vertex→partition assignment.
-    pub partitioning: Partitioning,
     /// The rebuilt store, stamped with the checkpoint's `epoch_seq` — byte-
     /// for-byte re-encodable to the same blobs (verified during load).
     pub store: ShardedStore,
+    /// The graph and assignment `store` holds, derived on first use.
+    parts: OnceLock<(LabelledGraph, Partitioning)>,
+}
+
+impl LoadedCheckpoint {
+    /// The checkpointed data graph, adjacency order identical to pre-crash.
+    /// Derived from the verified store on first use.
+    pub fn graph(&self) -> &LabelledGraph {
+        &self.parts().0
+    }
+
+    /// The checkpointed vertex→partition assignment. Derived from the
+    /// verified store on first use.
+    pub fn partitioning(&self) -> &Partitioning {
+        &self.parts().1
+    }
+
+    fn parts(&self) -> &(LabelledGraph, Partitioning) {
+        self.parts.get_or_init(|| self.store.to_parts())
+    }
 }
 
 fn sync_dir(path: &Path) -> Result<()> {
@@ -133,7 +176,7 @@ pub fn write_checkpoint(
         let bytes = encode_shard(store, p).expect("shard index in range");
         blobs.push(write_blob(&dir, &format!("shard_{:04}.blob", p.0), &bytes)?);
     }
-    blobs.push(write_blob(&dir, "tail.blob", &encode_tail(store))?);
+    blobs.push(write_blob(&dir, TAIL_BLOB, &encode_tail(store))?);
 
     let meta = CheckpointMeta {
         epoch_seq,
@@ -268,16 +311,56 @@ pub fn latest_checkpoint(root: &Path) -> Result<Option<(PathBuf, CheckpointMeta,
     Ok(None)
 }
 
-/// Load and fully validate the checkpoint in `dir`: every blob is size- and
-/// CRC-checked against the manifest, the graph and partitioning are rebuilt
-/// with adjacency order preserved, and the resulting store is re-encoded and
-/// compared checksum-for-checksum against the manifest — recovery either
-/// reproduces the pre-crash store bit-for-bit or fails loudly.
-pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {
+/// Which slot of the arena a manifest entry fills, from its file name:
+/// `shard_<id>.blob` → `Some(id)`, `tail.blob` → `None`.
+fn blob_slot(name: &str, dir: &Path) -> Result<Option<u32>> {
+    if name == TAIL_BLOB {
+        return Ok(None);
+    }
+    name.strip_prefix("shard_")
+        .and_then(|s| s.strip_suffix(".blob"))
+        .and_then(|s| s.parse::<u32>().ok())
+        .map(Some)
+        .ok_or_else(|| StoreError::corrupt(dir, format!("unrecognised blob name {name}")))
+}
+
+/// A checkpoint read and laid into the arena but not yet proven: steps 1
+/// and 2 of the module docs are done, and they are the ones that allocate.
+/// [`UnverifiedCheckpoint::verify`] — arena invariants, totals, the
+/// re-encode proof — allocates next to nothing, so recovery runs it on a
+/// thread of its own without growing a second heap.
+#[derive(Debug)]
+pub struct UnverifiedCheckpoint {
+    dir: PathBuf,
+    meta: CheckpointMeta,
+    arena: UncheckedArena,
+}
+
+/// Read the checkpoint in `dir` into the arena: the manifest is parsed and
+/// checksummed, then every blob — shard blobs in id order, then the tail,
+/// which is the arena's own order — is read, size- and CRC-checked against
+/// the manifest, checked to be the shard its file name says, and decoded
+/// straight into an [`ArenaLoader`] with adjacency order preserved.
+pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     let meta = read_manifest(dir)?;
-    let mut shard_blobs: Vec<ShardBlob> = Vec::with_capacity(meta.blobs.len());
-    let mut tail: Option<ShardBlob> = None;
+    // Each of the `shards + 1` slots of the arena must be named once.
+    let mut entries = Vec::with_capacity(meta.blobs.len());
     for entry in &meta.blobs {
+        entries.push((blob_slot(&entry.name, dir)?, entry));
+    }
+    entries.sort_by_key(|(id, _)| id.map_or(u64::MAX, u64::from));
+    let expected = (0..meta.shards).map(Some).chain([None]);
+    if !entries.iter().map(|(id, _)| *id).eq(expected) {
+        return Err(StoreError::corrupt(
+            dir,
+            format!(
+                "manifest does not list each of {} shards and the tail once",
+                meta.shards
+            ),
+        ));
+    }
+    let mut arena = ArenaLoader::new(meta.shards);
+    for (id, entry) in entries {
         let path = dir.join(&entry.name);
         let raw = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
         if raw.len() as u64 != entry.size {
@@ -289,86 +372,76 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {
         if crc32(&raw) != entry.crc {
             return Err(StoreError::corrupt(&path, "blob checksum mismatch"));
         }
-        let blob = decode_blob(Bytes::from(raw), &path)?;
-        match blob.id {
-            Some(_) => shard_blobs.push(blob),
-            None if tail.is_none() => tail = Some(blob),
-            None => {
-                return Err(StoreError::corrupt(
-                    &path,
-                    "two tail blobs in one checkpoint",
-                ))
-            }
-        }
-    }
-    let tail = tail.ok_or_else(|| StoreError::corrupt(dir, "checkpoint has no tail blob"))?;
-    shard_blobs.sort_by_key(|b| b.id);
-
-    // Rebuild the graph with adjacency lists verbatim: shard blobs in id
-    // order, then the unassigned tail — the exact arena order the store was
-    // serialized in, which is what makes the rebuild bit-identical.
-    let mut lists: Vec<(VertexId, Label, Vec<VertexId>)> = Vec::new();
-    let mut assignments: Vec<(VertexId, PartitionId)> = Vec::new();
-    for blob in &shard_blobs {
-        let p = PartitionId::new(blob.id.expect("shard blobs carry ids"));
-        for (v, label, neighbours) in &blob.vertices {
-            lists.push((*v, *label, neighbours.clone()));
-            assignments.push((*v, p));
-        }
-    }
-    for (v, label, neighbours) in &tail.vertices {
-        lists.push((*v, *label, neighbours.clone()));
-    }
-    let graph = LabelledGraph::from_adjacency_lists(lists)?;
-    if graph.vertex_count() as u64 != meta.vertices || graph.edge_count() as u64 != meta.edges {
-        return Err(StoreError::corrupt(
-            dir,
-            format!(
-                "rebuilt graph has {}v/{}e, manifest says {}v/{}e",
-                graph.vertex_count(),
-                graph.edge_count(),
-                meta.vertices,
-                meta.edges
-            ),
-        ));
-    }
-    let mut partitioning = Partitioning::new(meta.shards, graph.vertex_count().max(1))?;
-    for (v, p) in assignments {
-        partitioning.assign(v, p)?;
-    }
-    let store = ShardedStore::from_parts(&graph, &partitioning).with_epoch(meta.epoch_seq);
-
-    // Bit-identity proof: re-encoding the rebuilt store must reproduce every
-    // blob checksum the manifest recorded.
-    for entry in &meta.blobs {
-        let bytes = if entry.name == "tail.blob" {
-            encode_tail(&store)
-        } else {
-            let id = entry
-                .name
-                .strip_prefix("shard_")
-                .and_then(|s| s.strip_suffix(".blob"))
-                .and_then(|s| s.parse::<u32>().ok())
-                .ok_or_else(|| {
-                    StoreError::corrupt(dir, format!("unrecognised blob name {}", entry.name))
-                })?;
-            encode_shard(&store, PartitionId::new(id)).ok_or_else(|| {
-                StoreError::corrupt(dir, format!("blob {} out of range", entry.name))
-            })?
-        };
-        if blob_crc(&bytes) != entry.crc {
+        let claimed = decode_blob(&raw, &path, &mut arena)?;
+        if claimed != id {
             return Err(StoreError::corrupt(
-                dir,
-                format!("rebuilt store does not round-trip blob {}", entry.name),
+                &path,
+                format!("blob says it holds {claimed:?}, its file name says {id:?}"),
             ));
         }
     }
-    Ok(LoadedCheckpoint {
+    let arena = arena
+        .finish()
+        .map_err(|detail| StoreError::corrupt(dir, detail))?;
+    Ok(UnverifiedCheckpoint {
+        dir: dir.to_path_buf(),
         meta,
-        graph,
-        partitioning,
-        store,
+        arena,
     })
+}
+
+impl UnverifiedCheckpoint {
+    /// Prove what was read: the arena must pass
+    /// [`ShardedStore::check_arena`], hold the manifest's vertex and edge
+    /// totals, and re-encode to every blob checksum the manifest recorded.
+    pub fn verify(self) -> Result<LoadedCheckpoint> {
+        let Self { dir, meta, arena } = self;
+        let store = arena
+            .check()
+            .map_err(|detail| StoreError::corrupt(&dir, detail))?
+            .with_epoch(meta.epoch_seq);
+        if store.vertex_count() as u64 != meta.vertices || store.edge_count() as u64 != meta.edges {
+            return Err(StoreError::corrupt(
+                &dir,
+                format!(
+                    "loaded store has {}v/{}e, manifest says {}v/{}e",
+                    store.vertex_count(),
+                    store.edge_count(),
+                    meta.vertices,
+                    meta.edges
+                ),
+            ));
+        }
+        // Bit-identity proof: re-encoding the loaded store must reproduce
+        // every blob checksum the manifest recorded.
+        for entry in &meta.blobs {
+            let bytes = match blob_slot(&entry.name, &dir)? {
+                None => encode_tail(&store),
+                Some(id) => encode_shard(&store, PartitionId::new(id)).ok_or_else(|| {
+                    StoreError::corrupt(&dir, format!("blob {} out of range", entry.name))
+                })?,
+            };
+            if blob_crc(&bytes) != entry.crc {
+                return Err(StoreError::corrupt(
+                    &dir,
+                    format!("loaded store does not round-trip blob {}", entry.name),
+                ));
+            }
+        }
+        Ok(LoadedCheckpoint {
+            meta,
+            store,
+            parts: OnceLock::new(),
+        })
+    }
+}
+
+/// Load and fully validate the checkpoint in `dir`: [`read_checkpoint`],
+/// then [`UnverifiedCheckpoint::verify`] — recovery either reproduces the
+/// pre-crash store bit-for-bit or fails loudly (see the module docs for
+/// what is checked where).
+pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {
+    read_checkpoint(dir)?.verify()
 }
 
 #[cfg(test)]
@@ -410,8 +483,8 @@ mod tests {
         assert_eq!(skipped, 0);
         let loaded = load_checkpoint(&dir).unwrap();
         assert_eq!(loaded.store.epoch(), 3);
-        assert_eq!(loaded.graph.vertex_count(), g.vertex_count());
-        assert_eq!(loaded.graph.edge_count(), g.edge_count());
+        assert_eq!(loaded.graph().vertex_count(), g.vertex_count());
+        assert_eq!(loaded.graph().edge_count(), g.edge_count());
         // Blob-level bit identity, end to end: re-checkpointing the loaded
         // store produces byte-identical files.
         let root2 = tmproot("roundtrip2");
@@ -483,5 +556,156 @@ mod tests {
         let root = tmproot("empty");
         assert!(latest_checkpoint(&root).unwrap().is_none());
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Files written before the word-at-a-time checksum still verify: these
+    /// are the blob CRCs of `fixture(7)` as the bytewise kernel computed
+    /// them (recorded at the commit before the kernel changed).
+    #[test]
+    fn blob_checksums_match_the_values_recorded_under_the_bytewise_kernel() {
+        let (g, part) = fixture(7);
+        let store = ShardedStore::from_parts(&g, &part).with_epoch(3);
+        let mut crcs: Vec<u32> = (0..store.shard_count())
+            .map(|p| blob_crc(&encode_shard(&store, PartitionId::new(p)).unwrap()))
+            .collect();
+        crcs.push(blob_crc(&encode_tail(&store)));
+        assert_eq!(
+            crcs,
+            [
+                0x1e5d_80b6,
+                0x85ad_7a58,
+                0x981a_6a1e,
+                0xd751_b09f,
+                0x2b75_3e9b
+            ]
+        );
+    }
+
+    /// One vertex record of a blob: id, label, neighbour ids.
+    type Record = (u64, u32, Vec<u64>);
+
+    /// Rewrite blob `name` of the checkpoint in `dir` through `edit`, which
+    /// sees the shard id the blob claims and its vertex records, then reseal
+    /// everything a checksum covers — the blob's size and CRC in the
+    /// manifest, the manifest's own trailer — so only a structural check can
+    /// object. The derived indexes behind the records are kept verbatim.
+    fn tamper(dir: &Path, name: &str, edit: impl FnOnce(&mut u32, &mut Vec<Record>)) {
+        let path = dir.join(name);
+        let raw = std::fs::read(&path).unwrap();
+        let u32_at = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
+        let mut id = u32_at(12);
+        let mut records = Vec::new();
+        let mut at = 24;
+        for _ in 0..u64_at(16) {
+            let degree = u32_at(at + 12) as usize;
+            let neighbours = (0..degree).map(|i| u64_at(at + 16 + 8 * i)).collect();
+            records.push((u64_at(at), u32_at(at + 8), neighbours));
+            at += 16 + 8 * degree;
+        }
+        edit(&mut id, &mut records);
+        let mut out = raw[..12].to_vec();
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for (v, label, neighbours) in &records {
+            out.extend_from_slice(&v.to_le_bytes());
+            out.extend_from_slice(&label.to_le_bytes());
+            out.extend_from_slice(&(neighbours.len() as u32).to_le_bytes());
+            for n in neighbours {
+                out.extend_from_slice(&n.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&raw[at..]);
+        std::fs::write(&path, &out).unwrap();
+        let mut meta = read_manifest(dir).unwrap();
+        let entry = meta.blobs.iter_mut().find(|b| b.name == name).unwrap();
+        (entry.size, entry.crc) = (out.len() as u64, crc32(&out));
+        let body = manifest_body(&meta);
+        let trailed = format!("{body}crc {}\n", crc32(body.as_bytes()));
+        std::fs::write(dir.join(MANIFEST_FILE), trailed).unwrap();
+    }
+
+    /// Checkpoint `fixture(17)`, tamper one blob, and return what the loader
+    /// said — which must be `Corrupt`, never a panic.
+    fn load_tampered(
+        case: &str,
+        name: &str,
+        edit: impl FnOnce(&mut u32, &mut Vec<Record>),
+    ) -> String {
+        let root = tmproot(&format!("teeth-{case}"));
+        let (g, part) = fixture(17);
+        let store = ShardedStore::from_parts(&g, &part).with_epoch(1);
+        write_checkpoint(&root, &store, 0, "loom").unwrap();
+        let (dir, _, _) = latest_checkpoint(&root).unwrap().unwrap();
+        load_checkpoint(&dir).expect("untampered checkpoint loads");
+        tamper(&dir, name, edit);
+        let detail = match load_checkpoint(&dir) {
+            Err(StoreError::Corrupt { detail, .. }) => detail,
+            other => panic!("{case}: expected Corrupt, got {other:?}"),
+        };
+        std::fs::remove_dir_all(&root).unwrap();
+        detail
+    }
+
+    /// Index of the first record with at least two neighbours.
+    fn busy(records: &[Record]) -> usize {
+        records.iter().position(|r| r.2.len() >= 2).unwrap()
+    }
+
+    #[test]
+    fn structurally_broken_blobs_are_corrupt_even_with_valid_checksums() {
+        let shard0 = "shard_0000.blob";
+        let detail = load_tampered("self-loop", shard0, |_, records| {
+            let i = busy(records);
+            let v = records[i].0;
+            records[i].2.push(v);
+        });
+        assert!(detail.contains("not a live neighbour"), "{detail}");
+
+        let detail = load_tampered("unknown", shard0, |_, records| {
+            let i = busy(records);
+            records[i].2.push(9_999_999);
+        });
+        assert!(detail.contains("listed nowhere"), "{detail}");
+
+        let detail = load_tampered("repeated", shard0, |_, records| {
+            let i = busy(records);
+            let again = records[i].2[0];
+            records[i].2.push(again);
+        });
+        assert!(detail.contains("strictly increasing"), "{detail}");
+
+        // Redirect one arc to a vertex that does not name this one back: the
+        // arc count is unchanged, only symmetry is broken.
+        let detail = load_tampered("one-sided", shard0, |_, records| {
+            let i = busy(records);
+            let (v, listed) = (records[i].0, records[i].2.clone());
+            let stranger = records
+                .iter()
+                .map(|r| r.0)
+                .find(|u| *u != v && !listed.contains(u))
+                .unwrap();
+            records[i].2[0] = stranger;
+        });
+        assert!(detail.contains("no reverse arc"), "{detail}");
+
+        // The fixture's lowest vertex lives in shard 0; list it in shard 1 too.
+        let (g, _) = fixture(17);
+        let first = g.vertices_sorted()[0];
+        let copy: Record = (
+            first.raw(),
+            g.label(first).unwrap().raw(),
+            g.neighbors(first).iter().map(|n| n.raw()).collect(),
+        );
+        let detail = load_tampered("twice", "shard_0001.blob", |_, records| {
+            records.insert(0, copy);
+        });
+        assert!(detail.contains("listed twice"), "{detail}");
+
+        let detail = load_tampered("misnamed", "shard_0001.blob", |id, _| *id = 2);
+        assert!(detail.contains("file name"), "{detail}");
+
+        let detail = load_tampered("unsorted", shard0, |_, records| records.swap(0, 1));
+        assert!(detail.contains("precedes"), "{detail}");
     }
 }

@@ -8,11 +8,11 @@
 //! what lets recovery prove bit-identity by re-encoding and comparing CRCs.
 
 use crate::error::{Result, StoreError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use loom_graph::io::crc32;
 use loom_graph::{Label, StreamElement, VertexId};
 use loom_partition::partition::PartitionId;
-use loom_serve::shard::{ArenaSlice, ShardedStore};
+use loom_serve::shard::{ArenaLoader, ArenaSlice, ShardedStore};
 use std::path::Path;
 
 /// Magic prefix of a shard blob ("LSHD").
@@ -34,25 +34,6 @@ const EL_REMOVE_VERTEX: u8 = 2;
 const EL_REMOVE_EDGE: u8 = 3;
 /// WAL element tag: `StreamElement::Relabel`.
 const EL_RELABEL: u8 = 4;
-
-/// A decoded checkpoint blob: one shard's contiguous view of the CSR arena
-/// (home vertices with labels and adjacency in arena order), plus the
-/// shard's derived indexes for diffability — or the unassigned tail
-/// (`id == None`, empty indexes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardBlob {
-    /// The partition this blob serializes; `None` for the unassigned tail.
-    pub id: Option<u32>,
-    /// Home vertices in arena order: id, label, adjacency in the data
-    /// graph's stable iteration order.
-    pub vertices: Vec<(VertexId, Label, Vec<VertexId>)>,
-    /// Home vertices with at least one remote neighbour, sorted by id.
-    pub boundary: Vec<VertexId>,
-    /// Remote vertices adjacent to the shard (the replicated halo).
-    pub halo: Vec<VertexId>,
-    /// Label → home vertices, sorted by label for determinism.
-    pub label_index: Vec<(Label, Vec<VertexId>)>,
-}
 
 fn put_ids(buf: &mut BytesMut, ids: &[VertexId]) {
     buf.put_u64_le(ids.len() as u64);
@@ -114,45 +95,46 @@ pub fn encode_tail(store: &ShardedStore) -> Bytes {
     buf.freeze()
 }
 
-/// Checked little-endian reader over a [`Bytes`] buffer: every accessor
-/// verifies the remaining length first (the vendored `bytes` panics on
-/// underflow, and a decoder must return `Err` on torn input, never panic).
+/// Checked little-endian reader over a byte slice: every accessor verifies
+/// the remaining length first (a decoder must return `Err` on torn input,
+/// never panic), and nothing is copied out of the input.
 struct Reader<'a> {
-    bytes: Bytes,
+    bytes: &'a [u8],
     path: &'a Path,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: Bytes, path: &'a Path) -> Self {
+    fn new(bytes: &'a [u8], path: &'a Path) -> Self {
         Self { bytes, path }
     }
 
-    fn need(&self, want: usize, what: &str) -> Result<()> {
-        if self.bytes.remaining() < want {
+    fn take(&mut self, want: usize, what: &str) -> Result<&'a [u8]> {
+        if self.bytes.len() < want {
             return Err(StoreError::corrupt(
                 self.path,
                 format!(
                     "truncated while reading {what}: need {want} bytes, {} remain",
-                    self.bytes.remaining()
+                    self.bytes.len()
                 ),
             ));
         }
-        Ok(())
+        let (head, rest) = self.bytes.split_at(want);
+        self.bytes = rest;
+        Ok(head)
     }
 
     fn u8(&mut self, what: &str) -> Result<u8> {
-        self.need(1, what)?;
-        Ok(self.bytes.get_u8())
+        Ok(self.take(1, what)?[0])
     }
 
     fn u32(&mut self, what: &str) -> Result<u32> {
-        self.need(4, what)?;
-        Ok(self.bytes.get_u32_le())
+        let raw = self.take(4, what)?;
+        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64> {
-        self.need(8, what)?;
-        Ok(self.bytes.get_u64_le())
+        let raw = self.take(8, what)?;
+        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
     /// A count that precedes `stride`-byte records: bounded by the bytes
@@ -160,10 +142,9 @@ impl<'a> Reader<'a> {
     /// allocation.
     fn count(&mut self, stride: usize, what: &str) -> Result<usize> {
         let raw = self.u64(what)?;
-        let bound = usize::try_from(raw).ok().filter(|n| {
-            n.checked_mul(stride)
-                .is_some_and(|b| b <= self.bytes.remaining())
-        });
+        let bound = usize::try_from(raw)
+            .ok()
+            .filter(|n| n.checked_mul(stride).is_some_and(|b| b <= self.bytes.len()));
         bound.ok_or_else(|| {
             StoreError::corrupt(
                 self.path,
@@ -172,29 +153,41 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn ids(&mut self, what: &str) -> Result<Vec<VertexId>> {
+    /// `count` vertex ids, borrowed as they lie in the input.
+    fn ids(&mut self, count: usize, what: &str) -> Result<impl Iterator<Item = VertexId> + 'a> {
+        let raw = self.take(count.saturating_mul(8), what)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|id| VertexId::new(u64::from_le_bytes(id.try_into().expect("8 bytes")))))
+    }
+
+    /// Step over a counted id list (the derived indexes a blob carries).
+    fn skip_ids(&mut self, what: &str) -> Result<()> {
         let count = self.count(8, what)?;
-        let mut ids = Vec::with_capacity(count);
-        for _ in 0..count {
-            ids.push(VertexId::new(self.u64(what)?));
-        }
-        Ok(ids)
+        self.take(count * 8, what).map(|_| ())
     }
 
     fn finish(self, what: &str) -> Result<()> {
-        if self.bytes.remaining() != 0 {
+        if !self.bytes.is_empty() {
             return Err(StoreError::corrupt(
                 self.path,
-                format!("{} trailing bytes after {what}", self.bytes.remaining()),
+                format!("{} trailing bytes after {what}", self.bytes.len()),
             ));
         }
         Ok(())
     }
 }
 
-/// Decode a checkpoint blob produced by [`encode_shard`] or [`encode_tail`].
-/// `path` is used only for error reporting.
-pub fn decode_blob(bytes: Bytes, path: &Path) -> Result<ShardBlob> {
+/// Decode a checkpoint blob produced by [`encode_shard`] or [`encode_tail`]
+/// straight into `arena`: the blob's vertices are appended in the order they
+/// were serialized, homed at the shard the blob names (or nowhere, for the
+/// tail). Returns that shard id, `None` for the tail. The derived indexes
+/// behind the slice (boundary, halo, label index) are walked for structure
+/// only — the loader re-derives them from the arena and proves them equal by
+/// re-encoding. `path` is used only for error reporting.
+///
+/// On `Err`, `arena` may hold part of the blob and must be discarded.
+pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result<Option<u32>> {
     let mut r = Reader::new(bytes, path);
     let magic = r.u32("blob magic")?;
     if magic != BLOB_MAGIC {
@@ -222,42 +215,28 @@ pub fn decode_blob(bytes: Bytes, path: &Path) -> Result<ShardBlob> {
             ));
         }
     };
+    let home = id.map(PartitionId::new);
     // Minimum 16 bytes per vertex record (id + label + degree).
     let vertex_count = r.count(16, "vertex count")?;
-    let mut vertices = Vec::with_capacity(vertex_count);
     for _ in 0..vertex_count {
         let v = VertexId::new(r.u64("vertex id")?);
         let label = Label::new(r.u32("vertex label")?);
         let degree = r.u32("vertex degree")? as usize;
-        r.need(degree.saturating_mul(8), "adjacency")?;
-        let mut neighbours = Vec::with_capacity(degree);
-        for _ in 0..degree {
-            neighbours.push(VertexId::new(r.u64("neighbour id")?));
-        }
-        vertices.push((v, label, neighbours));
+        arena.push_vertex(home, v, label, r.ids(degree, "adjacency")?);
     }
-    let boundary = r.ids("boundary")?;
-    let halo = r.ids("halo")?;
-    let entries = r.u32("label index size")? as usize;
-    let mut label_index = Vec::with_capacity(entries.min(1024));
-    for _ in 0..entries {
-        let label = Label::new(r.u32("index label")?);
-        let members = r.ids("index members")?;
-        label_index.push((label, members));
+    r.skip_ids("boundary")?;
+    r.skip_ids("halo")?;
+    for _ in 0..r.u32("label index size")? {
+        r.u32("index label")?;
+        r.skip_ids("index members")?;
     }
     r.finish("blob")?;
-    Ok(ShardBlob {
-        id,
-        vertices,
-        boundary,
-        halo,
-        label_index,
-    })
+    Ok(id)
 }
 
-/// Encode a batch of stream elements as one WAL record payload.
-pub fn encode_elements(batch: &[StreamElement]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + batch.len() * 17);
+/// Append a batch of stream elements to `buf` as one WAL record payload.
+pub fn encode_elements(batch: &[StreamElement], buf: &mut Vec<u8>) {
+    buf.reserve(4 + batch.len() * 17);
     buf.put_u32_le(batch.len() as u32);
     for element in batch {
         match *element {
@@ -287,15 +266,14 @@ pub fn encode_elements(batch: &[StreamElement]) -> Bytes {
             }
         }
     }
-    buf.freeze()
 }
 
 /// Decode one WAL record payload back into its element batch.
-pub fn decode_elements(bytes: Bytes, path: &Path) -> Result<Vec<StreamElement>> {
+pub fn decode_elements(bytes: &[u8], path: &Path) -> Result<Vec<StreamElement>> {
     let mut r = Reader::new(bytes, path);
     let count = r.u32("element count")? as usize;
     // Smallest element is 9 bytes (RemoveVertex: tag + u64 id).
-    if count.saturating_mul(9) > r.bytes.remaining() + 9 {
+    if count.saturating_mul(9) > r.bytes.len() + 9 {
         return Err(StoreError::corrupt(
             path,
             format!("implausible element count {count}"),
@@ -348,6 +326,12 @@ mod tests {
     use loom_graph::LabelledGraph;
     use loom_partition::partition::Partitioning;
 
+    fn encoded(batch: &[StreamElement]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_elements(batch, &mut buf);
+        buf
+    }
+
     fn fixture() -> ShardedStore {
         let g = path_graph(10, &[Label::new(0), Label::new(1), Label::new(2)]);
         let mut part = Partitioning::new(3, 10).unwrap();
@@ -363,22 +347,35 @@ mod tests {
     fn shard_blobs_roundtrip() {
         let store = fixture();
         let path = Path::new("test.blob");
+        let mut arena = ArenaLoader::new(store.shard_count());
+        let mut blobs = Vec::new();
         for p in 0..store.shard_count() {
             let p = PartitionId::new(p);
             let bytes = encode_shard(&store, p).unwrap();
-            let blob = decode_blob(bytes.clone(), path).unwrap();
-            assert_eq!(blob.id, Some(p.0));
-            assert_eq!(blob.vertices.len(), store.home_vertices(p).len());
-            let shard = store.shard(p).unwrap();
-            assert_eq!(blob.boundary, shard.boundary());
-            assert_eq!(blob.halo, shard.halo());
+            let before = arena.vertex_count();
+            let id = decode_blob(bytes.as_slice(), path, &mut arena).unwrap();
+            assert_eq!(id, Some(p.0));
+            assert_eq!(arena.vertex_count() - before, store.home_vertices(p).len());
             // Determinism: encoding twice yields identical bytes.
             assert_eq!(encode_shard(&store, p).unwrap(), bytes);
+            blobs.push(bytes);
         }
-        let tail = decode_blob(encode_tail(&store), path).unwrap();
-        assert_eq!(tail.id, None);
-        assert_eq!(tail.vertices.len(), 1);
+        let before = arena.vertex_count();
+        let tail = decode_blob(encode_tail(&store).as_slice(), path, &mut arena).unwrap();
+        assert_eq!(tail, None);
+        assert_eq!(arena.vertex_count() - before, 1);
         assert!(encode_shard(&store, PartitionId::new(99)).is_none());
+        // What the decoder laid into the arena is the store that was
+        // serialized: same derived indexes, same bytes when re-encoded.
+        let loaded = arena.finish().unwrap().check().unwrap();
+        for (p, bytes) in blobs.iter().enumerate() {
+            let p = PartitionId::new(p as u32);
+            let (a, b) = (loaded.shard(p).unwrap(), store.shard(p).unwrap());
+            assert_eq!(a.boundary(), b.boundary());
+            assert_eq!(a.halo(), b.halo());
+            assert_eq!(&encode_shard(&loaded, p).unwrap(), bytes);
+        }
+        assert_eq!(encode_tail(&loaded), encode_tail(&store));
     }
 
     #[test]
@@ -387,17 +384,15 @@ mod tests {
         let path = Path::new("test.blob");
         let bytes = encode_shard(&store, PartitionId::new(0)).unwrap();
         let full = bytes.as_slice().to_vec();
+        let decode = |bytes: &[u8]| decode_blob(bytes, path, &mut ArenaLoader::new(3));
         for cut in 0..full.len() {
-            assert!(
-                decode_blob(Bytes::from(full[..cut].to_vec()), path).is_err(),
-                "prefix {cut} decoded"
-            );
+            assert!(decode(&full[..cut]).is_err(), "prefix {cut} decoded");
         }
         for byte in 0..full.len().min(24) {
             // Flips in the header/counts region must never panic or OOM.
             let mut flipped = full.clone();
             flipped[byte] ^= 0x80;
-            let _ = decode_blob(Bytes::from(flipped), path);
+            let _ = decode(&flipped);
         }
     }
 
@@ -407,11 +402,10 @@ mod tests {
         let stream =
             loom_graph::GraphStream::from_graph(&g, &loom_graph::prelude::StreamOrder::Bfs);
         let path = Path::new("wal.log");
-        let bytes = encode_elements(stream.elements());
-        let decoded = decode_elements(bytes, path).unwrap();
+        let decoded = decode_elements(&encoded(stream.elements()), path).unwrap();
         assert_eq!(decoded, stream.elements());
         assert_eq!(
-            decode_elements(encode_elements(&[]), path).unwrap(),
+            decode_elements(&encoded(&[]), path).unwrap(),
             Vec::<StreamElement>::new()
         );
         // Rebuilding from the decoded elements reproduces the graph.
@@ -448,7 +442,7 @@ mod tests {
                 id: VertexId::new(1),
             },
         ];
-        let decoded = decode_elements(encode_elements(&batch), path).unwrap();
+        let decoded = decode_elements(&encoded(&batch), path).unwrap();
         assert_eq!(decoded, batch);
         // Replaying the decoded batch applies the mutations: only vertex 2
         // survives, relabelled, with no edges.
@@ -461,16 +455,16 @@ mod tests {
     #[test]
     fn element_decode_rejects_garbage() {
         let path = Path::new("wal.log");
-        assert!(decode_elements(Bytes::from(vec![0xFF; 3]), path).is_err());
-        let mut buf = BytesMut::new();
+        assert!(decode_elements(&[0xFF; 3], path).is_err());
+        let mut buf = Vec::new();
         buf.put_u32_le(1_000_000); // count with no payload behind it
-        assert!(decode_elements(buf.freeze(), path).is_err());
-        let mut buf = BytesMut::new();
+        assert!(decode_elements(&buf, path).is_err());
+        let mut buf = Vec::new();
         buf.put_u32_le(1);
         buf.put_u8(7); // unknown tag
         buf.put_u64_le(0);
         buf.put_u64_le(0);
-        assert!(decode_elements(buf.freeze(), path).is_err());
+        assert!(decode_elements(&buf, path).is_err());
     }
 
     #[test]
@@ -478,7 +472,9 @@ mod tests {
         let g = LabelledGraph::new();
         let part = Partitioning::new(2, 1).unwrap();
         let store = ShardedStore::from_parts(&g, &part);
-        let tail = decode_blob(encode_tail(&store), Path::new("t")).unwrap();
-        assert!(tail.vertices.is_empty());
+        let mut arena = ArenaLoader::new(2);
+        let tail = decode_blob(encode_tail(&store).as_slice(), Path::new("t"), &mut arena);
+        assert_eq!(tail.unwrap(), None);
+        assert_eq!(arena.vertex_count(), 0);
     }
 }

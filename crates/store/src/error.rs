@@ -1,7 +1,5 @@
 //! Error type for the durability layer.
 
-use loom_graph::GraphError;
-use loom_partition::PartitionError;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -16,17 +14,14 @@ pub enum StoreError {
         source: String,
     },
     /// On-disk state failed validation: bad magic, checksum mismatch, a
-    /// manifest that does not parse, or a blob that does not round-trip.
+    /// manifest that does not parse, blobs that are not a sound arena or do
+    /// not round-trip, or a log shorter than its checkpoint.
     Corrupt {
         /// The file or directory that failed validation.
         path: PathBuf,
         /// What exactly was wrong.
         detail: String,
     },
-    /// Rebuilding the graph from checkpoint blobs failed.
-    Graph(GraphError),
-    /// Rebuilding the partitioning from checkpoint blobs failed.
-    Partition(PartitionError),
 }
 
 impl StoreError {
@@ -54,35 +49,11 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { path, detail } => {
                 write!(f, "corrupt durable state at {}: {detail}", path.display())
             }
-            StoreError::Graph(e) => write!(f, "checkpoint graph rebuild failed: {e}"),
-            StoreError::Partition(e) => {
-                write!(f, "checkpoint partitioning rebuild failed: {e}")
-            }
         }
     }
 }
 
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Graph(e) => Some(e),
-            StoreError::Partition(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<GraphError> for StoreError {
-    fn from(e: GraphError) -> Self {
-        StoreError::Graph(e)
-    }
-}
-
-impl From<PartitionError> for StoreError {
-    fn from(e: PartitionError) -> Self {
-        StoreError::Partition(e)
-    }
-}
+impl std::error::Error for StoreError {}
 
 /// Result alias for the durability layer.
 pub type Result<T> = std::result::Result<T, StoreError>;

@@ -17,11 +17,17 @@
 //! * **Background checkpointing** ([`sink`]) — a [`CheckpointSink`]
 //!   subscribes to the epoch store's publish broadcast and checkpoints each
 //!   new epoch off the ingest path, coalescing under pressure.
-//! * **Recovery** ([`recovery`]) — [`recover`] loads the newest valid
-//!   checkpoint (bit-verified against its manifest), truncates the WAL's
-//!   torn tail, and returns the acknowledged batch history; replaying it
-//!   through a fresh deterministic partitioner reproduces exact pre-crash
-//!   state, and serving resumes pinned at the original `epoch_seq`.
+//! * **Recovery** ([`recovery`]) — [`recover_with`] reads the newest valid
+//!   checkpoint's blobs straight into the serving layer's CSR arena
+//!   (size, CRC and structure checked on the way), then proves it on a
+//!   scoped thread — arena invariants, manifest totals, re-encode bit
+//!   identity — while the calling thread decodes the WAL and hands the
+//!   acknowledged batch history to the caller, who replays it through a
+//!   fresh deterministic partitioner to reproduce exact pre-crash state. The
+//!   log must cover the checkpoint; its torn tail is truncated last, so a
+//!   failed recovery writes nothing. Serving resumes pinned at the original
+//!   `epoch_seq`; the checkpoint's graph and partitioning are derived from
+//!   the verified arena only if asked for.
 //!
 //! The on-disk layout of a durability root:
 //!
@@ -52,11 +58,10 @@ pub mod sink;
 pub mod wal;
 
 pub use checkpoint::{
-    latest_checkpoint, load_checkpoint, write_checkpoint, BlobEntry, CheckpointMeta,
-    LoadedCheckpoint,
+    latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint, BlobEntry,
+    CheckpointMeta, LoadedCheckpoint, UnverifiedCheckpoint,
 };
-pub use codec::ShardBlob;
 pub use error::{Result, StoreError};
-pub use recovery::{recover, RecoveredState, RecoveryReport};
+pub use recovery::{recover, recover_with, RecoverSpans, RecoveredState, RecoveryReport};
 pub use sink::CheckpointSink;
 pub use wal::{Wal, WalReplay, WAL_FILE};

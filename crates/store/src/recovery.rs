@@ -1,18 +1,42 @@
 //! Restart-and-serve recovery.
 //!
-//! [`recover`] is the single entry point a restarting process calls on its
-//! durability root. It finds the newest checkpoint with a valid manifest
-//! (skipping torn ones), loads and bit-verifies it, then resumes the WAL —
-//! truncating any torn tail — and hands back everything the caller needs to
-//! rebuild exact pre-crash state: the checkpointed store (pinned at its
-//! original `epoch_seq`), the full acknowledged batch history for replaying
-//! through a fresh partitioner, and the reopened append-ready log.
+//! [`recover_with`] is the single entry point a restarting process calls on
+//! its durability root ([`recover`] is the same call with nothing to replay
+//! into). It works in this order:
+//!
+//! 1. the newest checkpoint with a valid manifest is found (torn ones are
+//!    skipped) and **read** — blobs CRC-checked and decoded straight into
+//!    the CSR arena ([`read_checkpoint`]);
+//! 2. two branches then run side by side, because neither needs anything
+//!    the other produces. **A scoped thread verifies** what was read: the
+//!    arena's invariants, the manifest's totals, the re-encode bit-identity
+//!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling thread** reads
+//!    and decodes the WAL ([`Wal::replay`]) and hands the acknowledged batch
+//!    history to the caller's `replay` closure — the session replays it
+//!    through a fresh partitioner and into its graph mirror there, the only
+//!    step that needs the full history. The split follows the allocator:
+//!    everything that builds a long-lived structure stays on the calling
+//!    thread, the scoped one only reads, so the process does not grow a
+//!    second heap for the length of the recovered session;
+//! 3. only when both have succeeded is the root touched: the log must hold
+//!    at least the records its checkpoint folded in, and then
+//!    [`Wal::resume_from`] truncates the torn tail — recovery's only write —
+//!    and opens the log for append.
+//!
+//! A recovery that fails leaves the root byte-for-byte as found. Errors keep
+//! their order: the checkpoint's, then the log's, then the closure's.
+//!
+//! The caller gets back the checkpointed store (pinned at its original
+//! `epoch_seq`), the batch history, the reopened append-ready log, and
+//! whatever its closure built.
 
-use crate::checkpoint::{latest_checkpoint, load_checkpoint, LoadedCheckpoint};
-use crate::error::Result;
+use crate::checkpoint::{latest_checkpoint, read_checkpoint, CheckpointMeta, LoadedCheckpoint};
+use crate::error::{Result, StoreError};
 use crate::wal::{Wal, WAL_FILE};
 use loom_graph::StreamElement;
+use loom_obs::{stage, Histogram, SpanTimer, Telemetry};
 use std::path::Path;
+use std::sync::Arc;
 
 /// What [`recover`] found on disk, summarized for logs and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,33 +71,115 @@ pub struct RecoveredState {
     pub report: RecoveryReport,
 }
 
-/// Recover a durability root: locate and load the newest valid checkpoint,
-/// resume the WAL (truncating a torn tail), and report what happened. A
-/// fresh or empty root recovers to an empty state with a newly created log.
+/// The stage histograms an observed recovery charges, one sample each:
+/// `recover.checkpoint_load` from the first blob read on the calling thread
+/// to the end of the proof on the verifying one, `recover.wal_decode` and
+/// `recover.replay` back to back on the calling thread beside that proof —
+/// so `max(load, decode + replay)` bounds the recovery's wall clock from
+/// below. The default charges nothing and reads no clock.
+#[derive(Debug, Default)]
+pub struct RecoverSpans {
+    checkpoint_load: Option<Arc<Histogram>>,
+    wal_decode: Option<Arc<Histogram>>,
+    replay: Option<Arc<Histogram>>,
+}
+
+impl RecoverSpans {
+    /// Resolve the three `recover.*` stage histograms of `telemetry`.
+    pub fn resolve(telemetry: &Telemetry) -> Self {
+        Self {
+            checkpoint_load: Some(telemetry.stage_histogram(stage::RECOVER_CHECKPOINT_LOAD)),
+            wal_decode: Some(telemetry.stage_histogram(stage::RECOVER_WAL_DECODE)),
+            replay: Some(telemetry.stage_histogram(stage::RECOVER_REPLAY)),
+        }
+    }
+}
+
+/// Recover a durability root with nothing to replay into: [`recover_with`]
+/// unobserved, under a closure that does nothing.
 pub fn recover(root: &Path) -> Result<RecoveredState> {
-    let checkpoint = match latest_checkpoint(root)? {
-        Some((dir, _meta, skipped)) => Some((load_checkpoint(&dir)?, skipped)),
+    recover_with(root, &RecoverSpans::default(), |_, _| {
+        Ok::<_, StoreError>(())
+    })
+    .map(|(state, ())| state)
+}
+
+/// Recover a durability root: read the newest valid checkpoint, then verify
+/// it on a scoped thread while the calling thread decodes the WAL and runs
+/// `replay` over the newest valid manifest (if any) and the acknowledged
+/// batch history; then check the log covers its checkpoint, truncate its
+/// torn tail and reopen it. A fresh or empty root recovers to an empty state
+/// with a newly created log. See the module docs for what is verified where.
+///
+/// # Errors
+///
+/// The checkpoint's error if it fails to load, else the log's, else
+/// `replay`'s; then [`StoreError::Corrupt`] if the log holds fewer records
+/// than the checkpoint folded in. The root is not written to before all of
+/// these have passed.
+pub fn recover_with<T, E: From<StoreError>>(
+    root: &Path,
+    spans: &RecoverSpans,
+    replay: impl FnOnce(Option<&CheckpointMeta>, &[Vec<StreamElement>]) -> std::result::Result<T, E>,
+) -> std::result::Result<(RecoveredState, T), E> {
+    let found = latest_checkpoint(root)?;
+    let wal_path = root.join(WAL_FILE);
+    let pending = match &found {
+        Some((dir, _, _)) => {
+            let span = SpanTimer::start(spans.checkpoint_load.as_deref());
+            Some((read_checkpoint(dir)?, span))
+        }
         None => None,
     };
-    let (wal, replay) = Wal::resume(&root.join(WAL_FILE))?;
-    let (checkpoint, skipped) = match checkpoint {
-        Some((loaded, skipped)) => (Some(loaded), skipped),
-        None => (None, 0),
-    };
+    let (loaded, replayed) = std::thread::scope(|scope| {
+        let verifier = pending.map(|(pending, span)| {
+            scope.spawn(move || {
+                let _span = span;
+                pending.verify()
+            })
+        });
+        let decode = SpanTimer::start(spans.wal_decode.as_deref());
+        let log = Wal::replay(&wal_path);
+        drop(decode);
+        let replayed = log.map(|log| {
+            let _span = SpanTimer::start(spans.replay.as_deref());
+            let built = replay(found.as_ref().map(|(_, meta, _)| meta), &log.batches);
+            (log, built)
+        });
+        let loaded = verifier.map(|v| v.join().expect("checkpoint verifier panicked"));
+        (loaded, replayed)
+    });
+    let checkpoint = loaded.transpose()?;
+    let (log, built) = replayed?;
+    let built = built?;
+    if let Some(ckpt) = &checkpoint {
+        if log.records < ckpt.meta.wal_records {
+            return Err(StoreError::corrupt(
+                &wal_path,
+                format!(
+                    "log holds {} records, but checkpoint {} folded in {}",
+                    log.records, ckpt.meta.epoch_seq, ckpt.meta.wal_records
+                ),
+            )
+            .into());
+        }
+    }
+    let wal = Wal::resume_from(&wal_path, &log)?;
     let report = RecoveryReport {
         epoch_seq: checkpoint.as_ref().map_or(0, |c| c.meta.epoch_seq),
         checkpoint_found: checkpoint.is_some(),
-        invalid_checkpoints_skipped: skipped,
-        wal_records: replay.records,
+        invalid_checkpoints_skipped: found.map_or(0, |(_, _, skipped)| skipped),
+        wal_records: log.records,
         wal_records_in_checkpoint: checkpoint.as_ref().map_or(0, |c| c.meta.wal_records),
-        wal_truncated_bytes: replay.truncated_bytes,
+        wal_truncated_bytes: log.truncated_bytes,
     };
-    Ok(RecoveredState {
+    let state = RecoveredState {
         checkpoint,
-        batches: replay.batches,
+        batches: log.batches,
         wal,
         report,
-    })
+    };
+    Ok((state, built))
 }
 
 #[cfg(test)]

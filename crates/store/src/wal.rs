@@ -1,21 +1,22 @@
 //! Append-only write-ahead log for ingested stream batches.
 //!
 //! The log is a magic header followed by CRC-framed records — one record per
-//! ingested batch, framed with `loom_graph::io::put_frame` (`[len][crc32]
+//! ingested batch, in the `loom_graph::io` frame format (`[len][crc32]
 //! [payload]`). Appends are `fsync`ed before the batch reaches the
 //! partitioner, so every acknowledged batch survives a crash. A crash *mid*
-//! append leaves a torn tail whose frame fails its length or CRC check;
-//! [`Wal::resume`] truncates the file back to the last good frame, which is
-//! exactly the prefix of batches that were acknowledged.
+//! append leaves a torn tail whose frame fails its length or CRC check.
+//! Reading and reopening are two steps so recovery can keep its only write
+//! for last: [`Wal::replay`] reads and reports, [`Wal::resume_from`] truncates
+//! the file back to the last good frame — exactly the prefix of batches that
+//! were acknowledged — and opens it for append ([`Wal::resume`] does both).
 
 use crate::codec::{decode_elements, encode_elements};
 use crate::error::{Result, StoreError};
-use bytes::{Bytes, BytesMut};
-use loom_graph::io::{put_frame, take_frame};
+use loom_graph::io::{seal_frame, take_frame, FRAME_HEADER};
 use loom_graph::StreamElement;
 use loom_obs::{Histogram, SpanTimer};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -36,6 +37,9 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     records: u64,
+    /// The frame being appended — header reserved, payload encoded straight
+    /// behind it — kept so steady-state appends allocate nothing.
+    frame: Vec<u8>,
     /// `store.fsync` histogram each append's write+sync wall clock is charged
     /// into; `None` (telemetry off) skips even the clock read.
     fsync_hist: Option<Arc<Histogram>>,
@@ -72,6 +76,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             records: 0,
+            frame: Vec::new(),
             fsync_hist: None,
         })
     }
@@ -88,44 +93,29 @@ impl Wal {
     /// anything that is not a LOOM WAL is a hard error — this function never
     /// silently discards a foreign file.
     pub fn replay(path: &Path) -> Result<WalReplay> {
-        let mut raw = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut raw)
-                    .map_err(|e| StoreError::io(path, e))?;
-            }
+        let raw = match std::fs::read(path) {
+            Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(WalReplay::default());
             }
             Err(e) => return Err(StoreError::io(path, e)),
-        }
-        let file_len = raw.len() as u64;
-        if raw.len() < WAL_MAGIC.len() || &raw[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(StoreError::corrupt(path, "missing LOOMWAL1 magic header"));
-        }
-        let mut replay = WalReplay {
-            valid_len: WAL_MAGIC.len() as u64,
-            ..WalReplay::default()
         };
-        let mut bytes = Bytes::from(raw[WAL_MAGIC.len()..].to_vec());
-        loop {
-            match take_frame(&mut bytes, MAX_RECORD) {
-                Ok(None) => break,
-                Ok(Some(payload)) => {
-                    let frame_len = 8 + payload.len() as u64;
-                    // A CRC-valid frame whose payload fails to decode is not
-                    // a torn write (torn writes fail the CRC): it is real
-                    // corruption or a format break, and must be a hard error
-                    // rather than a silent truncation of acknowledged data.
-                    let batch = decode_elements(payload, path)?;
-                    replay.batches.push(batch);
-                    replay.records += 1;
-                    replay.valid_len += frame_len;
-                }
-                Err(_) => break, // torn tail: truncate here
-            }
+        let Some(mut bytes) = raw.strip_prefix(WAL_MAGIC) else {
+            return Err(StoreError::corrupt(path, "missing LOOMWAL1 magic header"));
+        };
+        let mut replay = WalReplay::default();
+        // A frame that fails its length or CRC check is the torn tail: the
+        // valid prefix ends there.
+        while let Ok(Some(payload)) = take_frame(&mut bytes, MAX_RECORD) {
+            // A CRC-valid frame whose payload fails to decode is not a torn
+            // write (torn writes fail the CRC): it is real corruption or a
+            // format break, and must be a hard error rather than a silent
+            // truncation of acknowledged data.
+            replay.batches.push(decode_elements(payload, path)?);
+            replay.records += 1;
         }
-        replay.truncated_bytes = file_len.saturating_sub(replay.valid_len);
+        replay.truncated_bytes = bytes.len() as u64;
+        replay.valid_len = (raw.len() - bytes.len()) as u64;
         Ok(replay)
     }
 
@@ -133,11 +123,20 @@ impl Wal {
     /// there. A torn tail is truncated off the file (and synced) so the next
     /// append starts at a clean frame boundary. A missing file is created.
     pub fn resume(path: &Path) -> Result<(Self, WalReplay)> {
-        if !path.exists() {
-            return Ok((Self::create(path)?, WalReplay::default()));
-        }
         let replay = Self::replay(path)?;
-        let file = OpenOptions::new()
+        Ok((Self::resume_from(path, &replay)?, replay))
+    }
+
+    /// Open the log at `path` for appending after `replay` — what
+    /// [`Wal::replay`] reported of this very file — truncating the torn tail
+    /// it found (and syncing) so the next append starts at a clean frame
+    /// boundary. A missing file is created. This is the only step of
+    /// resuming a log that writes.
+    pub fn resume_from(path: &Path, replay: &WalReplay) -> Result<Self> {
+        if !path.exists() {
+            return Self::create(path);
+        }
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
@@ -147,29 +146,28 @@ impl Wal {
                 .and_then(|()| file.sync_data())
                 .map_err(|e| StoreError::io(path, e))?;
         }
-        let mut wal = Self {
+        file.seek(SeekFrom::End(0))
+            .map_err(|e| StoreError::io(path, e))?;
+        Ok(Self {
             file,
             path: path.to_path_buf(),
             records: replay.records,
+            frame: Vec::new(),
             fsync_hist: None,
-        };
-        wal.file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| StoreError::io(&wal.path, e))?;
-        Ok((wal, replay))
+        })
     }
 
     /// Append one batch as a single CRC-framed record and `fsync` it. On
     /// `Ok`, the batch is durable.
     pub fn append(&mut self, batch: &[StreamElement]) -> Result<()> {
-        let payload = encode_elements(batch);
-        let mut framed = BytesMut::with_capacity(8 + payload.len());
-        put_frame(&mut framed, payload.as_slice());
-        let framed = framed.freeze();
+        self.frame.clear();
+        self.frame.resize(FRAME_HEADER, 0);
+        encode_elements(batch, &mut self.frame);
+        seal_frame(&mut self.frame);
         let span = SpanTimer::start(self.fsync_hist.as_deref());
         let synced = self
             .file
-            .write_all(framed.as_slice())
+            .write_all(&self.frame)
             .and_then(|()| self.file.sync_data());
         drop(span);
         synced.map_err(|e| StoreError::io(&self.path, e))?;

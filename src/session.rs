@@ -60,8 +60,8 @@ use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse}
 use loom_sim::executor::{ExecutionMetrics, LatencyModel, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
-use loom_store::recovery::RecoveryReport;
-use loom_store::{CheckpointSink, StoreError, Wal, WAL_FILE};
+use loom_store::recovery::{RecoverSpans, RecoveryReport};
+use loom_store::{CheckpointMeta, CheckpointSink, StoreError, Wal, WAL_FILE};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -691,21 +691,24 @@ impl Session {
         self.serve(graph)?.sharded(workers).capacity(config)
     }
 
-    /// Bring a crashed (or cleanly stopped) durable session back: load the
-    /// newest valid checkpoint under the builder's durability root —
-    /// bit-verified against its manifest — truncate the WAL's torn tail,
-    /// and replay the **full** acknowledged batch history through a fresh
-    /// partitioner built from the same configuration. Partitioners are
-    /// deterministic, so the replay reproduces the exact pre-crash state,
-    /// streaming window included; serving resumes pinned at the
-    /// checkpoint's original `epoch_seq`.
+    /// Bring a crashed (or cleanly stopped) durable session back. The newest
+    /// valid checkpoint under the builder's durability root is read straight
+    /// into the store's arena and then proven on a thread of its own — arena
+    /// invariants, manifest totals, bit identity — while this thread decodes
+    /// the WAL and replays the **full** acknowledged batch history through a
+    /// fresh partitioner built from the same configuration, and into the
+    /// durable graph mirror. Partitioners are deterministic, so the replay
+    /// reproduces the exact pre-crash state, streaming window included;
+    /// serving resumes pinned at the checkpoint's original `epoch_seq`. The
+    /// WAL's torn tail is truncated only once everything above has
+    /// succeeded: a recovery that fails leaves the root as found.
     ///
     /// # Errors
     ///
     /// Fails when the builder has no durability root, when on-disk state is
-    /// corrupt beyond the WAL's torn tail, when the checkpoint was written
-    /// by a different partitioner spec, or when replay hits an assignment
-    /// error.
+    /// corrupt beyond the WAL's torn tail, when the WAL holds fewer records
+    /// than the checkpoint folded in, when the checkpoint was written by a
+    /// different partitioner spec, or when replay hits an assignment error.
     pub fn recover(builder: SessionBuilder) -> SessionResult<Recovered> {
         let root = builder.durability.clone().ok_or_else(|| {
             SessionError::Durability(
@@ -713,7 +716,49 @@ impl Session {
             )
         })?;
         create_root(&root)?;
-        let state = loom_store::recover(&root)?;
+        let spans = builder
+            .telemetry
+            .as_deref()
+            .map(RecoverSpans::resolve)
+            .unwrap_or_default();
+
+        // Replay the full history: the WAL covers every acknowledged batch
+        // since the root was created, and batched ingestion is deterministic,
+        // so the fresh partitioner lands in the exact pre-crash state.
+        let replay = |meta: Option<&CheckpointMeta>, batches: &[Vec<StreamElement>]| {
+            let mut partitioner = builder.make_partitioner()?;
+            if let Some(meta) = meta {
+                if meta.spec != partitioner.name() {
+                    return Err(SessionError::Durability(format!(
+                        "checkpoint at {} was written by partitioner `{}`, but this session \
+                         is configured for `{}`",
+                        root.display(),
+                        meta.spec,
+                        partitioner.name()
+                    )));
+                }
+                if meta.shards != builder.spec.k() {
+                    return Err(SessionError::Durability(format!(
+                        "checkpoint at {} has {} shards, but this session is configured \
+                         for k = {}",
+                        root.display(),
+                        meta.shards,
+                        builder.spec.k()
+                    )));
+                }
+            }
+            for batch in batches {
+                partitioner.ingest_batch(batch)?;
+            }
+            // The mirror, in a pass of its own: the partitioner's working
+            // set and the graph's do not evict each other batch by batch.
+            let mut graph = LabelledGraph::new();
+            for element in batches.iter().flatten() {
+                graph.apply(element);
+            }
+            Ok((partitioner, graph))
+        };
+        let (state, (partitioner, graph)) = loom_store::recover_with(&root, &spans, replay)?;
         if let Some(t) = &builder.telemetry {
             if state.report.wal_truncated_bytes > 0 {
                 t.flight().record(FlightKind::WalTruncated {
@@ -721,53 +766,17 @@ impl Session {
                 });
             }
         }
-        let mut partitioner = builder.make_partitioner()?;
-        if let Some(checkpoint) = &state.checkpoint {
-            if checkpoint.meta.spec != partitioner.name() {
-                return Err(SessionError::Durability(format!(
-                    "checkpoint at {} was written by partitioner `{}`, but this session \
-                     is configured for `{}`",
-                    root.display(),
-                    checkpoint.meta.spec,
-                    partitioner.name()
-                )));
-            }
-            if checkpoint.meta.shards != builder.spec.k() {
-                return Err(SessionError::Durability(format!(
-                    "checkpoint at {} has {} shards, but this session is configured \
-                     for k = {}",
-                    root.display(),
-                    checkpoint.meta.shards,
-                    builder.spec.k()
-                )));
-            }
-        }
 
-        // Replay the full history: the WAL covers every acknowledged batch
-        // since the root was created, and batched ingestion is deterministic,
-        // so the fresh partitioner lands in the exact pre-crash state.
-        let mut graph = LabelledGraph::new();
-        for batch in &state.batches {
-            partitioner.ingest_batch(batch)?;
-            for element in batch {
-                graph.apply(element);
-            }
-        }
-
-        let report = state.report.clone();
-        let (pinned_graph, pinned_partitioning, pinned_store) = match state.checkpoint {
-            Some(checkpoint) => (checkpoint.graph, checkpoint.partitioning, checkpoint.store),
-            None => {
-                let partitioning = partitioner.snapshot();
-                let store = ShardedStore::from_parts(&graph, &partitioning);
-                (graph.clone(), partitioning, store)
-            }
+        let report = state.report;
+        let pinned = match state.checkpoint {
+            Some(checkpoint) => checkpoint.store,
+            None => ShardedStore::from_parts(&graph, &partitioner.snapshot()),
         };
         let durable = DurableState::attach(
             &root,
             state.wal,
             graph,
-            pinned_store,
+            pinned,
             report.epoch_seq,
             partitioner.name(),
             builder.telemetry.as_ref(),
@@ -775,10 +784,9 @@ impl Session {
         let store = durable.epochs.load();
         Ok(Recovered {
             session: builder.into_session(partitioner, Some(durable)),
-            graph: pinned_graph,
-            partitioning: pinned_partitioning,
             store,
             report,
+            parts: OnceLock::new(),
             plans: OnceLock::new(),
         })
     }
@@ -819,10 +827,12 @@ fn serve_config(executor: &QueryExecutor, workers: usize) -> ServeConfig {
 #[derive(Debug)]
 pub struct Recovered {
     session: Session,
-    graph: LabelledGraph,
-    partitioning: Partitioning,
     store: Arc<ShardedStore>,
     report: RecoveryReport,
+    /// The graph and assignment `store` holds, derived from it on first use
+    /// — never from the WAL replay, so this handle stays consistent with
+    /// the checkpoint's blobs whatever the builder's configuration says.
+    parts: OnceLock<(LabelledGraph, Partitioning)>,
     /// Plans over the recovered graph, compiled on first use and shared by
     /// every engine this handle stands up (the compile-once contract).
     plans: OnceLock<Option<Arc<PlanCache>>>,
@@ -845,14 +855,20 @@ impl Recovered {
         &self.store
     }
 
-    /// The checkpointed graph (the WAL prefix the checkpoint had folded in).
+    /// The checkpointed graph (the WAL prefix the checkpoint had folded
+    /// in), derived from the recovered store on first use.
     pub fn graph(&self) -> &LabelledGraph {
-        &self.graph
+        &self.parts().0
     }
 
-    /// The checkpointed vertex→partition assignment.
+    /// The checkpointed vertex→partition assignment, derived from the
+    /// recovered store on first use.
     pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        &self.parts().1
+    }
+
+    fn parts(&self) -> &(LabelledGraph, Partitioning) {
+        self.parts.get_or_init(|| self.store.to_parts())
     }
 
     /// The live session: keep ingesting (WAL-backed), checkpoint again, or
@@ -873,8 +889,8 @@ impl Recovered {
     /// shared with [`Recovered::sharded`]).
     pub fn serving(&self) -> Serving {
         self.session.serving_over(
-            self.graph.clone(),
-            self.partitioning.clone(),
+            self.graph().clone(),
+            self.partitioning().clone(),
             self.plans().cloned(),
         )
     }
@@ -897,7 +913,7 @@ impl Recovered {
 
     fn plans(&self) -> Option<&Arc<PlanCache>> {
         self.plans
-            .get_or_init(|| self.session.compile_plans(&self.graph))
+            .get_or_init(|| self.session.compile_plans(self.graph()))
             .as_ref()
     }
 }

@@ -15,12 +15,18 @@
 //! * **mutation durability** — kill mid-churn (deletes and relabels in
 //!   flight): the recovered state is bit-identical to an uncrashed run,
 //!   deletes included, and a compacted store's checkpoint round-trips with
-//!   every tombstone physically removed.
+//!   every tombstone physically removed;
+//! * **load parity** — a loaded checkpoint is bit-identical to the store
+//!   that was written, and the graph and partitioning derived from it on
+//!   first use equal the originals down to every adjacency list's order;
+//! * **log behind its checkpoint** — a WAL holding fewer records than the
+//!   checkpoint folded in is refused, and the root is left untouched.
 
 use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE,
 };
 use loom::loom_store::codec::{encode_shard, encode_tail};
+use loom::loom_store::StoreError;
 use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_partition::partition::PartitionId;
@@ -88,6 +94,37 @@ fn assert_bit_identical(a: &ShardedStore, b: &ShardedStore) {
         );
     }
     assert_eq!(encode_tail(a), encode_tail(b), "tail blob differs");
+}
+
+/// `graph`/`partitioning` (derived from a loaded store) equal the originals
+/// in everything a traversal can observe: the edge set, every label, every
+/// adjacency list *in order*, and every vertex's partition.
+fn assert_same_parts(
+    graph: &LabelledGraph,
+    partitioning: &Partitioning,
+    original_graph: &LabelledGraph,
+    original_partitioning: &Partitioning,
+) {
+    assert_eq!(graph.vertices_sorted(), original_graph.vertices_sorted());
+    assert_eq!(graph.edges_sorted(), original_graph.edges_sorted());
+    assert_eq!(partitioning.k(), original_partitioning.k());
+    for v in original_graph.vertices_sorted() {
+        assert_eq!(graph.label(v), original_graph.label(v), "label of {v}");
+        assert_eq!(
+            graph.neighbors(v),
+            original_graph.neighbors(v),
+            "adjacency order of {v}"
+        );
+        assert_eq!(
+            partitioning.partition_of(v),
+            original_partitioning.partition_of(v),
+            "partition of {v}"
+        );
+    }
+    assert_eq!(
+        partitioning.assigned_count(),
+        original_partitioning.assigned_count()
+    );
 }
 
 #[test]
@@ -182,6 +219,22 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     assert_eq!(recovered_report.aggregate, control_report.aggregate);
     assert!(recovered_report.aggregate.matches_found > 0);
     assert_eq!(recovered_report.queries, samples);
+    // Sequential serving over the graph and assignment derived from the
+    // recovered store answers exactly as the sharded engine over the store
+    // itself, and what was derived is what the uninterrupted session held.
+    let request = QueryRequest::workload(samples).with_seed(7);
+    let sequential = recovered.serving().run(request).metrics;
+    assert_eq!(sequential, recovered_sharded.run(request).metrics);
+    assert_eq!(
+        sequential.matches_found,
+        control_report.aggregate.matches_found
+    );
+    assert_same_parts(
+        recovered.graph(),
+        recovered.partitioning(),
+        &control_graph,
+        &control_snapshot,
+    );
     for shard in recovered_report
         .shards
         .iter()
@@ -306,6 +359,17 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
         .0;
     assert_eq!(recovered_report.aggregate, control_report.aggregate);
     assert!(recovered_report.aggregate.matches_found > 0);
+    let request = QueryRequest::workload(samples).with_seed(7);
+    assert_eq!(
+        recovered.serving().run(request).metrics,
+        recovered.sharded(2).run(request).metrics
+    );
+    assert_same_parts(
+        recovered.graph(),
+        recovered.partitioning(),
+        &mid_graph,
+        &control.snapshot(),
+    );
 
     // Recovery replayed the *entire* acknowledged history — including the
     // post-checkpoint dissolve batch — so the next checkpoint equals an
@@ -361,12 +425,146 @@ fn compacted_store_checkpoints_with_tombstones_physically_removed() {
     let dir = root.join(CHECKPOINT_DIR).join(format!("{:010}", 5));
     let loaded = load_checkpoint(&dir).unwrap();
     assert_bit_identical(&loaded.store, &compacted);
-    assert_eq!(loaded.graph.vertex_count(), run.final_graph.vertex_count());
-    assert_eq!(loaded.graph.edges_sorted(), run.final_graph.edges_sorted());
+    assert_eq!(
+        loaded.graph().vertex_count(),
+        run.final_graph.vertex_count()
+    );
+    assert_eq!(
+        loaded.graph().edges_sorted(),
+        run.final_graph.edges_sorted()
+    );
     // Relabels survive the round trip too.
     for v in run.final_graph.vertices_sorted() {
-        assert_eq!(loaded.graph.label(v), run.final_graph.label(v));
+        assert_eq!(loaded.graph().label(v), run.final_graph.label(v));
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Write `store` as a checkpoint, load it back, and hold the loaded store
+/// and everything derived from it against what went in.
+fn assert_checkpoint_load_parity(
+    name: &str,
+    graph: &LabelledGraph,
+    partitioning: &Partitioning,
+    epoch: u64,
+) {
+    let root = tmproot(name);
+    std::fs::create_dir_all(&root).unwrap();
+    let store = ShardedStore::from_parts(graph, partitioning).with_epoch(epoch);
+    write_checkpoint(&root, &store, 0, "test-spec").unwrap();
+    let dir = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
+    let loaded = load_checkpoint(&dir).unwrap();
+    assert_eq!(loaded.store.epoch(), epoch);
+    assert_eq!(loaded.store.check_arena(), Ok(()));
+    assert_bit_identical(&loaded.store, &store);
+    assert_same_parts(loaded.graph(), loaded.partitioning(), graph, partitioning);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn loaded_checkpoint_equals_what_was_written() {
+    // Sixteen seeded graphs, every seventh vertex left unassigned (the tail
+    // blob), one shard sometimes empty.
+    for seed in 0..16u64 {
+        let graph = social_graph(60 + 7 * seed as usize, seed);
+        let k = 2 + (seed % 3) as u32;
+        let mut partitioning = Partitioning::new(k + 1, graph.vertex_count()).unwrap();
+        for (i, v) in graph.vertices_sorted().into_iter().enumerate() {
+            if i % 7 != 6 {
+                partitioning
+                    .assign(v, PartitionId::new(i as u32 % k))
+                    .unwrap();
+            }
+        }
+        assert_checkpoint_load_parity(&format!("parity-{seed}"), &graph, &partitioning, seed + 1);
+    }
+    // A graph that deletes and relabels shaped: adjacency lists whose order
+    // no generator would produce, vertex ids with holes.
+    let run = DeletionChurnScenario::small(5).build().unwrap();
+    let mut elements = run.build_stream.elements().to_vec();
+    elements.extend(run.dissolve.iter().cloned());
+    let stream = GraphStream::from_elements(elements);
+    let graph = stream.materialise();
+    let mut ldg = LdgPartitioner::new(LdgConfig::new(3, run.graph.vertex_count())).unwrap();
+    ldg.ingest_batch(stream.elements()).unwrap();
+    assert_checkpoint_load_parity("parity-churn", &graph, &ldg.snapshot(), 9);
+}
+
+/// Every file under `root` with its bytes, sorted by path.
+fn root_image(root: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                files.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn wal_behind_its_checkpoint_is_refused() {
+    let root = tmproot("wal-behind");
+    let graph = social_graph(150, 13);
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    session.ingest_stream(&stream).unwrap();
+    session.checkpoint().unwrap();
+    session.sync_durability(Duration::from_secs(30)).unwrap();
+    let records = session.wal_records().unwrap();
+    assert!(records > 2);
+    drop(session);
+    let wal_path = root.join("wal.log");
+    let intact = std::fs::read(&wal_path).unwrap();
+
+    let refused = |held: u64| {
+        let before = root_image(&root);
+        let err = loom_builder(&graph)
+            .with_durability(&root)
+            .recover()
+            .expect_err("a log behind its checkpoint must not recover");
+        assert!(
+            matches!(err, SessionError::Store(StoreError::Corrupt { .. })),
+            "{err}"
+        );
+        let text = err.to_string();
+        assert!(
+            text.contains(&format!("holds {held} records"))
+                && text.contains(&format!("folded in {records}")),
+            "{text}"
+        );
+        // Refusing is read-only: nothing created, truncated or rewritten.
+        assert_eq!(root_image(&root), before);
+    };
+
+    // The log is gone: recovery must not quietly start a new one under a
+    // store that already holds `records` batches.
+    std::fs::remove_file(&wal_path).unwrap();
+    refused(0);
+    assert!(!wal_path.exists());
+
+    // The log is cut back to its first record (and a torn tail after it).
+    let first_len = 8 + u32::from_le_bytes(intact[8..12].try_into().unwrap()) as usize;
+    let mut cut = intact[..8 + first_len].to_vec();
+    cut.extend_from_slice(&[0xBE, 0xEF]);
+    std::fs::write(&wal_path, &cut).unwrap();
+    refused(1);
+
+    // With the log restored the same root recovers.
+    std::fs::write(&wal_path, &intact).unwrap();
+    let recovered = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    assert_eq!(recovered.report().wal_records, records);
+    assert_eq!(recovered.report().wal_records_in_checkpoint, records);
+    drop(recovered);
     std::fs::remove_dir_all(&root).unwrap();
 }
 

@@ -178,6 +178,57 @@ fn durable_observed_pipeline_records_store_stages_and_checkpoint_seals() {
 }
 
 #[test]
+fn observed_recovery_charges_its_three_stages_once_and_they_overlap() {
+    let (graph, workload) = fixture();
+    let root = std::env::temp_dir().join(format!("loom-obs-recover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut durable = session(&graph, &workload)
+        .with_durability(&root)
+        .build()
+        .unwrap();
+    durable
+        .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
+        .unwrap();
+    durable.checkpoint().unwrap();
+    durable.sync_durability(Duration::from_secs(30)).unwrap();
+    drop(durable);
+
+    // One observed recovery charges each of its stages exactly once.
+    let telemetry = Telemetry::new();
+    let started = Instant::now();
+    let recovered = session(&graph, &workload)
+        .telemetry(Arc::clone(&telemetry))
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    let wall_us = started.elapsed().as_micros() as u64;
+    assert!(recovered.report().checkpoint_found);
+    let snap = telemetry.snapshot();
+    let stage_sum = |name: &str| {
+        let series: Vec<_> = snap
+            .registry
+            .histograms
+            .iter()
+            .filter(|(k, _)| k.name == name)
+            .collect();
+        assert_eq!(series.len(), 1, "{name} is one unlabelled series");
+        assert_eq!(series[0].1.count, 1, "{name} charged once");
+        series[0].1.sum
+    };
+    let load = stage_sum(stage::RECOVER_CHECKPOINT_LOAD);
+    let decode = stage_sum(stage::RECOVER_WAL_DECODE);
+    let replay = stage_sum(stage::RECOVER_REPLAY);
+    // The overlap as a checkable fact: the load runs beside decode + replay,
+    // so the longer branch — not their sum — bounds the wall clock below.
+    assert!(
+        load.max(decode + replay) <= wall_us,
+        "load {load} us, decode {decode} + replay {replay} us, wall {wall_us} us"
+    );
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn mutating_batches_charge_apply_delete_and_compaction_observes() {
     let (graph, workload) = fixture();
 
