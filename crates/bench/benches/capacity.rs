@@ -1,14 +1,12 @@
 //! Open-loop capacity: RPS ramps to the saturation knee, per
 //! (partitioner × shards × plan strategy) cell.
 //!
-//! Where `serving_throughput` records *modelled* QPS (latency-model cost of
-//! the executed work), this bench measures what the serving stack sustains
-//! in **wall-clock** time: a pre-computed arrival schedule is paced
-//! open-loop through `loom-load` — injection never blocks on backpressure,
-//! late arrivals are shed, rejected ones count against the error budget —
-//! and the offered rate ramps until goodput flattens below the offered
-//! rate. The knee (the last offered rate each cell kept up with) is the
-//! capacity number.
+//! This bench measures what the serving stack sustains in **wall-clock**
+//! time: a pre-computed arrival schedule is paced open-loop through
+//! `loom-load` — injection never blocks on backpressure, late arrivals are
+//! shed, rejected ones count against the error budget — and the offered
+//! rate ramps until goodput flattens below the offered rate. The knee (the
+//! last offered rate each cell kept up with) is the capacity number.
 //!
 //! The committed artifact uses **constant-interval** arrivals: the offered
 //! count of every step is then exact (`rate × duration`), so the knee is a
@@ -35,7 +33,6 @@
 //! second step is far past every cell's knee, so the smoke asserts the knee
 //! machinery end to end, and writes to `target/bench-fast/` instead.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loom_bench::{fast_mode, scenarios};
 use loom_core::workload_registry;
 use loom_graph::ordering::StreamOrder;
@@ -55,7 +52,6 @@ use loom_serve::shard::ShardedStore;
 use loom_sim::context::RequestContext;
 use loom_sim::executor::QueryMode;
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
-use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -305,7 +301,7 @@ fn persist(report: &CapacityReport) {
     println!("{}", report.text_report());
 }
 
-fn bench_capacity(c: &mut Criterion) {
+fn main() {
     let BenchSetup {
         workload,
         plans,
@@ -315,23 +311,4 @@ fn bench_capacity(c: &mut Criterion) {
     let report = sweep(&workload, &plans, &stores, hold_scale);
     assert_sweep(&report);
     persist(&report);
-
-    // The Criterion group times the schedule generator (the only piece whose
-    // cost repeats per run without re-driving multi-second ramps).
-    let mut group = c.benchmark_group("capacity");
-    group.sample_size(10);
-    for process in [ArrivalProcess::Poisson, ArrivalProcess::Constant] {
-        let config = LoadConfig::new(ramp())
-            .with_process(process)
-            .with_seed(SEED);
-        group.bench_with_input(
-            BenchmarkId::new("schedule", process.name()),
-            &config,
-            |b, config| b.iter(|| black_box(config.planned_offsets_us())),
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_capacity);
-criterion_main!(benches);

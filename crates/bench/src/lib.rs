@@ -1,12 +1,15 @@
 //! # loom-bench
 //!
-//! Experiment definitions and benchmark harness for the LOOM reproduction.
+//! Experiment definitions for the LOOM reproduction.
 //!
 //! The paper (a work-in-progress workshop paper) contains no result tables;
 //! DESIGN.md §6 defines the experiment suite this crate regenerates — one
 //! function per experiment, each returning renderable [`Table`]s. The
-//! `experiments` binary is a thin CLI over [`experiments`]; the Criterion
-//! benches in `benches/` time the hot paths the experiments rely on.
+//! `experiments` binary is a thin CLI over [`experiments`]. Speed is measured
+//! by `loom-benchmark` (`benchmark/`, declared in `BENCHMARK.json`), not
+//! here; the two benches left in `benches/` — `capacity` and `adapt_drift`,
+//! plain `fn main()` programs — write `BENCH_capacity.json` and
+//! `BENCH_adapt.json` until those become benchmark workloads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,7 +1,7 @@
 //! Shared graph / workload scenarios used by the experiments and benches.
 //!
 //! Keeping the scenario constructors in one place guarantees that the
-//! Criterion benches and the `experiments` binary measure exactly the same
+//! `capacity` bench and the `experiments` binary measure exactly the same
 //! inputs.
 
 use loom_graph::generators::motif_planted::MotifPlantConfig;

@@ -7,8 +7,7 @@
 //! graphs:
 //!
 //! * compact identifiers and an interner for vertex labels ([`ids`], [`labels`]),
-//! * a mutable adjacency-list [`LabelledGraph`] plus an immutable CSR snapshot
-//!   ([`csr::CsrGraph`]) for analytics,
+//! * a mutable adjacency-list [`LabelledGraph`],
 //! * induced sub-graph extraction and traversal helpers ([`subgraph`],
 //!   [`traversal`]),
 //! * deterministic random graph generators covering the families used in the
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod csr;
 pub mod error;
 pub mod fxhash;
 pub mod generators;
@@ -61,7 +59,6 @@ pub use stream::{GraphStream, StreamElement};
 
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::csr::CsrGraph;
     pub use crate::error::GraphError;
     pub use crate::fxhash::{FxHashMap, FxHashSet};
     pub use crate::generators::{

@@ -60,8 +60,6 @@ pub use ldg::LdgPartitioner;
 pub use migrate::{MigrationConfig, MigrationPlan, MigrationPlanner, VertexMove};
 pub use partition::{PartitionId, Partitioning};
 pub use spec::{build_baseline, LoomConfig, PartitionerRegistry, PartitionerSpec};
-#[allow(deprecated)]
-pub use traits::StreamingPartitioner;
 pub use traits::{partition_stream, partition_stream_batched, Partitioner, PartitionerStats};
 
 /// Convenient re-exports for downstream crates and examples.

@@ -129,23 +129,6 @@ pub trait Partitioner: Send {
     }
 }
 
-/// Deprecated name of the [`Partitioner`] contract.
-///
-/// The trait was renamed when it grew batched ingestion, snapshots and the
-/// unified stats report; a blanket impl keeps `P: StreamingPartitioner`
-/// bounds compiling. Note the behavioural change: `finish` now *moves* the
-/// final partitioning out instead of cloning it — use
-/// [`Partitioner::snapshot`] where the old non-destructive `finish` was
-/// relied upon.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to `Partitioner`; `finish` now moves the result out — use `snapshot` for non-destructive checkpoints"
-)]
-pub trait StreamingPartitioner: Partitioner {}
-
-#[allow(deprecated)]
-impl<P: Partitioner + ?Sized> StreamingPartitioner for P {}
-
 /// Drive a full stream through a partitioner and return the resulting
 /// partitioning.
 ///
@@ -296,15 +279,5 @@ mod tests {
         assert_eq!(stats.edges_ingested, 1);
         assert_eq!(stats.assigned, 5);
         assert!(stats.to_string().contains("vertices=5"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_names_every_partitioner() {
-        fn takes_old_name<P: StreamingPartitioner>(p: &P) -> &'static str {
-            p.name()
-        }
-        let partitioner = Trivial::new();
-        assert_eq!(takes_old_name(&partitioner), "trivial");
     }
 }

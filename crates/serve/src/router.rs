@@ -14,7 +14,6 @@
 //! round-robin across shards instead of piling onto a single one.
 
 use crate::shard::ShardedStore;
-use loom_motif::query::PatternQuery;
 use loom_partition::partition::PartitionId;
 use loom_sim::executor::QueryMode;
 use loom_sim::matcher::plan_roots;
@@ -36,25 +35,6 @@ impl QueryRouter {
     /// The execution mode the router resolves roots under.
     pub fn mode(&self) -> QueryMode {
         self.mode
-    }
-
-    /// The home shard for one `(query, root_seed)` execution — legacy entry
-    /// point for callers without a compiled plan: compiles a
-    /// [`QueryPlan::legacy`] on the spot and delegates to
-    /// [`QueryRouter::home_shard_planned`]. The serving engine resolves each
-    /// workload query's plan once per run and calls the planned variant
-    /// directly.
-    pub fn home_shard(
-        &self,
-        store: &ShardedStore,
-        query: &PatternQuery,
-        root_seed: u64,
-    ) -> PartitionId {
-        if query.graph().is_empty() {
-            let k = store.shard_count().max(1);
-            return PartitionId::new((root_seed % u64::from(k)) as u32);
-        }
-        self.home_shard_planned(store, &QueryPlan::legacy(query), root_seed)
     }
 
     /// The home shard for one `(plan, root_seed)` execution: the shard
@@ -106,7 +86,7 @@ mod tests {
     use super::*;
     use loom_graph::generators::regular::path_graph;
     use loom_graph::Label;
-    use loom_motif::query::QueryId;
+    use loom_motif::query::{PatternQuery, QueryId};
     use loom_partition::partition::Partitioning;
 
     fn l(x: u32) -> Label {
@@ -131,39 +111,27 @@ mod tests {
         // Root label a lives at vertices 0 (shard 0) and 2 (shard 1): a tie,
         // broken deterministically by the root seed.
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
-        let router = QueryRouter::new(QueryMode::FullEnumeration);
-        assert_eq!(router.home_shard(&store, &query, 0), PartitionId::new(0));
-        assert_eq!(router.home_shard(&store, &query, 1), PartitionId::new(1));
-    }
-
-    #[test]
-    fn planned_and_legacy_routing_agree_on_the_same_plan() {
-        let store = store();
-        let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
         let plan = QueryPlan::legacy(&query);
-        for mode in [
-            QueryMode::FullEnumeration,
-            QueryMode::Rooted { seed_count: 2 },
-        ] {
-            let router = QueryRouter::new(mode);
-            for seed in 0..20 {
-                assert_eq!(
-                    router.home_shard(&store, &query, seed),
-                    router.home_shard_planned(&store, &plan, seed),
-                    "mode {mode:?} seed {seed}"
-                );
-            }
-        }
+        let router = QueryRouter::new(QueryMode::FullEnumeration);
+        assert_eq!(
+            router.home_shard_planned(&store, &plan, 0),
+            PartitionId::new(0)
+        );
+        assert_eq!(
+            router.home_shard_planned(&store, &plan, 1),
+            PartitionId::new(1)
+        );
     }
 
     #[test]
     fn rooted_routing_is_deterministic_per_seed() {
         let store = store();
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
+        let plan = QueryPlan::legacy(&query);
         let router = QueryRouter::new(QueryMode::Rooted { seed_count: 1 });
         for seed in 0..20 {
-            let a = router.home_shard(&store, &query, seed);
-            let b = router.home_shard(&store, &query, seed);
+            let a = router.home_shard_planned(&store, &plan, seed);
+            let b = router.home_shard_planned(&store, &plan, seed);
             assert_eq!(a, b);
         }
     }
@@ -174,6 +142,7 @@ mod tests {
         // near shard 0 — they spread by `root_seed % shards`.
         let store = store();
         let query = PatternQuery::path(QueryId::new(0), &[l(9), l(1)]).unwrap();
+        let plan = QueryPlan::legacy(&query);
         for mode in [
             QueryMode::FullEnumeration,
             QueryMode::Rooted { seed_count: 2 },
@@ -182,7 +151,7 @@ mod tests {
             let mut hits = [0usize; 2];
             // Consecutive root seeds, exactly as the engine assigns them.
             for seed in 1..=40u64 {
-                hits[router.home_shard(&store, &query, seed).index()] += 1;
+                hits[router.home_shard_planned(&store, &plan, seed).index()] += 1;
             }
             assert_eq!(hits, [20, 20], "mode {mode:?} hotspots zero-vote load");
         }

@@ -17,19 +17,18 @@
 //! adjacency offset, live degree). The store implements [`PatternStore`]
 //! with `Handle = u32`, so a query resolves `VertexId → position` once per
 //! root and never touches a hash table again; it presents exactly the same
-//! graph, label index and remoteness semantics as the sequential
-//! [`loom_sim::store::PartitionedStore`] — the serving engine's parity tests
-//! rely on the two producing identical metrics for identical queries.
+//! graph, label index and remoteness semantics as the sequential hash-map
+//! store in [`loom_sim::store`] — the serving engine's parity tests rely on
+//! the two producing identical metrics for identical queries.
 
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, LabelledGraph, VertexId};
 use loom_partition::partition::{PartitionId, Partitioning};
 use loom_sim::matcher::PatternStore;
-use loom_sim::store::PartitionedStore;
 use std::ops::Range;
 
 /// [`Slot::home`] of a vertex without an assignment (it counts as remote to
-/// everyone, mirroring `PartitionedStore`).
+/// everyone, as in the sequential store).
 const UNASSIGNED: u32 = u32::MAX;
 /// [`Slot::home`] of a tombstoned vertex. Which shard's range the position
 /// lies in still says where it physically lives.
@@ -338,11 +337,6 @@ impl ShardedStore {
             edge_count,
             epoch: 0,
         }
-    }
-
-    /// Build a sharded store from a sequential [`PartitionedStore`].
-    pub fn from_store(store: &PartitionedStore) -> Self {
-        Self::from_parts(store.graph(), store.partitioning())
     }
 
     /// The inverse of [`ShardedStore::from_parts`]: the live graph — every
@@ -1319,6 +1313,7 @@ impl PatternStore for ShardedStore {
 mod tests {
     use super::*;
     use loom_graph::generators::regular::path_graph;
+    use loom_sim::store::PartitionedStore;
 
     fn fixture() -> (LabelledGraph, Partitioning) {
         // 0 - 1 - 2 - 3 with partitions {0,1} {2}; 3 unassigned.

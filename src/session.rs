@@ -584,16 +584,16 @@ impl Session {
     /// # Errors
     ///
     /// Fails on non-durable sessions; propagates flush errors.
-    pub fn serve_ingested(self) -> SessionResult<Serving> {
-        let graph =
-            match self.durable.as_ref() {
-                Some(durable) => durable.graph.clone(),
-                None => return Err(SessionError::Durability(
-                    "serve_ingested() needs a durable session: configure with_durability(root) \
-                     or pass the graph to serve()"
-                        .into(),
-                )),
-            };
+    pub fn serve_ingested(mut self) -> SessionResult<Serving> {
+        let Some(durable) = self.durable.as_mut() else {
+            return Err(SessionError::Durability(
+                "serve_ingested() needs a durable session: configure with_durability(root) \
+                 or pass the graph to serve()"
+                    .into(),
+            ));
+        };
+        // The session is spent here: move the mirror out, do not copy it.
+        let graph = std::mem::take(&mut durable.graph);
         self.serve(graph)
     }
 
@@ -979,7 +979,10 @@ impl Serving {
     /// same request.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
         ShardedServing {
-            store: Arc::new(ShardedStore::from_store(&self.store)),
+            store: Arc::new(ShardedStore::from_parts(
+                self.store.graph(),
+                self.store.partitioning(),
+            )),
             engine: serve_engine(
                 serve_config(&self.executor, workers),
                 self.executor.plan_cache(),

@@ -250,15 +250,37 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     // The recovered session keeps going: the next checkpoint continues the
     // epoch sequence instead of restarting it.
     let mut session = recovered.into_session();
-    session
-        .ingest(&StreamElement::AddVertex {
-            id: VertexId::new(1_000_000),
-            label: l(0),
-        })
-        .unwrap();
+    let extra = StreamElement::AddVertex {
+        id: VertexId::new(1_000_000),
+        label: l(0),
+    };
+    session.ingest(&extra).unwrap();
     assert_eq!(session.checkpoint().unwrap(), 2);
     assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 2);
-    drop(session);
+
+    // `serve_ingested` serves the mirror the durable layer kept: the same
+    // answers as `serve(graph)` over the same stream, and a typed error on
+    // a session that kept no mirror.
+    control.ingest_batch(&elements[cut..]).unwrap();
+    control.ingest(&extra).unwrap();
+    let mut history = elements.to_vec();
+    history.push(extra);
+    let served_graph = GraphStream::from_elements(history).materialise();
+    let control_serving = control.serve(served_graph).unwrap();
+    let ingested_serving = session.serve_ingested().unwrap();
+    assert_same_parts(
+        ingested_serving.store().graph(),
+        ingested_serving.partitioning(),
+        control_serving.store().graph(),
+        control_serving.partitioning(),
+    );
+    let ingested_metrics = ingested_serving.run(request).metrics;
+    assert_eq!(ingested_metrics, control_serving.run(request).metrics);
+    assert!(ingested_metrics.matches_found > 0);
+    assert!(matches!(
+        loom_builder(&graph).build().unwrap().serve_ingested(),
+        Err(SessionError::Durability(_))
+    ));
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -451,9 +473,10 @@ fn assert_checkpoint_load_parity(
     let root = tmproot(name);
     std::fs::create_dir_all(&root).unwrap();
     let store = ShardedStore::from_parts(graph, partitioning).with_epoch(epoch);
-    write_checkpoint(&root, &store, 0, "test-spec").unwrap();
+    let meta = write_checkpoint(&root, &store, 0, "test-spec").unwrap();
     let dir = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
     let loaded = load_checkpoint(&dir).unwrap();
+    assert_eq!(loaded.meta, meta);
     assert_eq!(loaded.store.epoch(), epoch);
     assert_eq!(loaded.store.check_arena(), Ok(()));
     assert_bit_identical(&loaded.store, &store);

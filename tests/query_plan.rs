@@ -274,7 +274,10 @@ fn cursors_are_identical_across_engines() {
         workload.clone(),
         QueryExecutor::default().with_plan_cache(Arc::clone(&cache)),
     );
-    let sharded_store = Arc::new(ShardedStore::from_store(&store));
+    let sharded_store = Arc::new(ShardedStore::from_parts(
+        store.graph(),
+        store.partitioning(),
+    ));
     let engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::FullEnumeration))
         .with_plan_cache(Arc::clone(&cache));
 
