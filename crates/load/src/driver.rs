@@ -40,9 +40,8 @@ pub struct LoadConfig {
     /// Admitted requests that sit queued past it are cut short by the
     /// worker's pre-flight deadline check and counted `deadline_expired`.
     pub request_timeout: Option<Duration>,
-    /// Per-query traversal budget forwarded to the engine's request.
-    /// Modelled latency is proportional to traversals, so under
-    /// service-time emulation this caps the held service-time tail —
+    /// Per-query traversal budget forwarded to the engine's request. Work
+    /// is proportional to traversals, so this caps the service-time tail —
     /// without it, a single hub query can occupy a shard for entire ramp
     /// steps.
     pub traversal_budget: Option<usize>,
@@ -55,11 +54,6 @@ pub struct LoadConfig {
     /// Keep the planned per-step arrival offsets on the run (the open-loop
     /// proof: planned offsets are reproducible from the seed alone).
     pub record_arrivals: bool,
-    /// Service-time emulation scale for the engine
-    /// ([`loom_serve::ServeConfig::service_hold`]) — applied by the session
-    /// façade when it builds the engine; `run_capacity` itself uses the
-    /// engine as-given.
-    pub service_hold: Option<f64>,
 }
 
 impl LoadConfig {
@@ -77,7 +71,6 @@ impl LoadConfig {
             shed_after: Duration::from_millis(50),
             drain_grace: Duration::from_secs(1),
             record_arrivals: false,
-            service_hold: None,
         }
     }
 
@@ -121,14 +114,6 @@ impl LoadConfig {
     #[must_use]
     pub fn with_recorded_arrivals(mut self, record: bool) -> Self {
         self.record_arrivals = record;
-        self
-    }
-
-    /// Builder-style service-time emulation scale (see
-    /// [`LoadConfig::service_hold`]).
-    #[must_use]
-    pub fn with_service_hold(mut self, scale: f64) -> Self {
-        self.service_hold = Some(scale.max(0.0));
         self
     }
 
@@ -305,10 +290,13 @@ pub fn run_capacity(
 mod tests {
     use super::*;
     use loom_graph::generators::regular::path_graph;
+    use loom_graph::generators::{barabasi_albert, GeneratorConfig};
     use loom_graph::Label;
     use loom_motif::query::{PatternQuery, QueryId};
     use loom_partition::partition::{PartitionId, Partitioning};
     use loom_serve::ServeConfig;
+    use loom_sim::context::RequestContext;
+    use loom_sim::executor::QueryMode;
 
     fn fixture() -> (Arc<ShardedStore>, Workload) {
         let g = path_graph(12, &[Label::new(0), Label::new(1), Label::new(2)]);
@@ -354,16 +342,44 @@ mod tests {
 
     #[test]
     fn saturated_run_rejects_and_finds_a_knee() {
-        let (store, workload) = fixture();
-        // One worker held ~12ms per query behind a 2-deep queue: capacity is
-        // well under the first step's 200 rps, so the ramp saturates at
-        // step 0.
-        let engine = ServeEngine::new(
-            ServeConfig::new(1)
-                .with_queue_capacity(2)
-                .with_service_hold(500.0),
+        // Queries that cost real time — every a-b-a path of a
+        // Barabási–Albert graph, enumerated in full — on one worker behind
+        // a 2-deep queue. Overload is offered as a multiple of what one
+        // worker sustains closed-loop here and now, so the ramp saturates at
+        // step 0 on any host and in any build profile.
+        let graph = barabasi_albert(
+            GeneratorConfig {
+                vertices: 600,
+                label_count: 2,
+                seed: 11,
+            },
+            3,
+        )
+        .unwrap();
+        let mut part = Partitioning::new(4, graph.vertex_count()).unwrap();
+        for (i, v) in graph.vertices_sorted().into_iter().enumerate() {
+            part.assign(v, PartitionId::new((i % 4) as u32)).unwrap();
+        }
+        let store = Arc::new(ShardedStore::from_parts(&graph, &part));
+        let aba = [Label::new(0), Label::new(1), Label::new(0)];
+        let workload =
+            Workload::uniform(vec![PatternQuery::path(QueryId::new(0), &aba).unwrap()]).unwrap();
+        let one_worker = ServeConfig::new(1).with_mode(QueryMode::FullEnumeration);
+        let (probe, _) = ServeEngine::new(one_worker).run(
+            &store,
+            &workload,
+            QueryRequest::workload(40).with_seed(9),
+            &RequestContext::unbounded(),
         );
-        let config = LoadConfig::new(tiny_ramp()).with_seed(9);
+        let sustained = probe.wall_clock_qps();
+        let engine = ServeEngine::new(one_worker.with_queue_capacity(2));
+        let ramp = RampSchedule::new(
+            4.0 * sustained,
+            4.0 * sustained,
+            Duration::from_millis(60),
+            8.0 * sustained,
+        );
+        let config = LoadConfig::new(ramp).with_seed(9);
         let run = run_capacity(&engine, &store, &workload, &config);
         assert!(run.knee.found(), "overload must saturate: {:?}", run.knee);
         assert!(run.report.error_budget.dropped() > 0);

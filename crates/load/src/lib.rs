@@ -1,8 +1,8 @@
 //! # loom-load
 //!
 //! The open-loop capacity harness: measures what the serving stack can
-//! actually sustain, in real wall-clock time, instead of what the latency
-//! model predicts.
+//! actually sustain, in real wall-clock time, against the work its queries
+//! really do.
 //!
 //! A **closed-loop** driver (issue, wait, issue again) self-throttles at
 //! saturation: when the engine slows down, so does the load, so queues never
@@ -26,8 +26,8 @@
 //!   `loom-obs` interval diffs), rejects, sheds, and in-flight depth;
 //! * [`knee`] — [`SaturationDetector`]: finds the knee (first step where
 //!   goodput flattens below offered, or p99 crosses an SLO);
-//! * [`report`] — [`CapacityReport`]: the per-(partitioner × shards × plan
-//!   strategy) sweep table behind `BENCH_capacity.json` and the text report.
+//! * [`report`] — [`StepMetrics`], one row per ramp step, and
+//!   [`CapacityRun::text_report`], the table a run prints.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,7 +42,7 @@ pub use arrival::{step_seed, ArrivalProcess};
 pub use driver::{run_capacity, CapacityRun, LoadConfig};
 pub use knee::{Knee, KneeReason, SaturationDetector};
 pub use ramp::{RampSchedule, StepSpec};
-pub use report::{CapacityCell, CapacityReport, CellSpec, StepMetrics};
+pub use report::StepMetrics;
 
 /// Convenient re-exports for examples, tests and the umbrella crate.
 pub mod prelude {
@@ -50,5 +50,5 @@ pub mod prelude {
     pub use crate::driver::{run_capacity, CapacityRun, LoadConfig};
     pub use crate::knee::{Knee, KneeReason, SaturationDetector};
     pub use crate::ramp::RampSchedule;
-    pub use crate::report::{CapacityCell, CapacityReport, CellSpec, StepMetrics};
+    pub use crate::report::StepMetrics;
 }

@@ -1,9 +1,7 @@
-//! Capacity-report types and emitters: per-step tables, per-cell knees,
-//! `BENCH_capacity.json`, and the human-readable text report.
+//! Capacity-report types: the per-step measurements of one ramp and the
+//! human-readable text report over them.
 
 use crate::driver::CapacityRun;
-use crate::knee::Knee;
-use crate::ramp::RampSchedule;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -55,209 +53,52 @@ impl StepMetrics {
     }
 }
 
-/// One swept configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CellSpec {
-    /// Partitioner name (`hash`, `loom`, …).
-    pub partitioner: String,
-    /// Worker shard count.
-    pub shards: usize,
-    /// Plan strategy name (`legacy`, `cost_ranked`).
-    pub plan_strategy: String,
-}
-
-impl CellSpec {
-    /// A cell spec from its three coordinates.
-    pub fn new(partitioner: &str, shards: usize, plan_strategy: &str) -> Self {
-        Self {
-            partitioner: partitioner.to_string(),
-            shards,
-            plan_strategy: plan_strategy.to_string(),
-        }
-    }
-
-    /// `partitioner/shards/strategy`, the cell's display id.
-    pub fn id(&self) -> String {
-        format!(
-            "{}/{}x/{}",
-            self.partitioner, self.shards, self.plan_strategy
-        )
-    }
-}
-
-/// One cell's measured ramp.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CapacityCell {
-    /// Which configuration was driven.
-    pub spec: CellSpec,
-    /// The measured ramp.
-    pub run: CapacityRun,
-}
-
-/// A full capacity sweep: every (partitioner × shards × plan strategy) cell
-/// driven with the same ramp, arrival process, and seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CapacityReport {
-    /// Arrival process name.
-    pub process: String,
-    /// Base arrival seed.
-    pub seed: u64,
-    /// The ramp every cell was driven with.
-    pub ramp: RampSchedule,
-    /// Whether this was a reduced fast-mode run.
-    pub fast: bool,
-    /// Per-configuration results.
-    pub cells: Vec<CapacityCell>,
-}
-
-impl CapacityReport {
-    /// The knee of one cell, if that cell was swept.
-    pub fn knee(&self, partitioner: &str, shards: usize, plan_strategy: &str) -> Option<&Knee> {
-        self.cells
-            .iter()
-            .find(|c| {
-                c.spec.partitioner == partitioner
-                    && c.spec.shards == shards
-                    && c.spec.plan_strategy == plan_strategy
-            })
-            .map(|c| &c.run.knee)
-    }
-
-    /// The report as `BENCH_capacity.json`: one object per cell with its
-    /// knee and the full per-step offered/achieved/latency table.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"bench\": \"capacity\",");
-        let _ = writeln!(out, "  \"fast\": {},", self.fast);
-        let _ = writeln!(out, "  \"process\": \"{}\",", self.process);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            out,
-            "  \"ramp\": {{\"initial_rps\": {:.1}, \"increment_rps\": {:.1}, \"step_ms\": {}, \"max_rps\": {:.1}}},",
-            self.ramp.initial_rps,
-            self.ramp.increment_rps,
-            self.ramp.step.as_millis(),
-            self.ramp.max_rps
-        );
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            let run = &cell.run;
-            out.push_str("    {\n");
-            let _ = writeln!(
-                out,
-                "      \"partitioner\": \"{}\", \"shards\": {}, \"plan_strategy\": \"{}\",",
-                cell.spec.partitioner, cell.spec.shards, cell.spec.plan_strategy
-            );
-            let _ = writeln!(
-                out,
-                "      \"knee_rps\": {:.1}, \"knee_reason\": \"{}\", \"saturated_step\": {},",
-                run.knee.knee_rps,
-                run.knee.reason.name(),
-                run.knee
-                    .saturated_step
-                    .map_or("null".to_string(), |s| s.to_string())
-            );
-            let budget = &run.report.error_budget;
-            let _ = writeln!(
-                out,
-                "      \"error_budget\": {{\"requests\": {}, \"rejected\": {}, \"deadline_expired\": {}}},",
-                budget.requests, budget.rejected, budget.deadline_expired
-            );
-            out.push_str("      \"steps\": [\n");
-            for (j, s) in run.steps.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \"offered\": {}, \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \"deadline_expired\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"queue_wait_p99_us\": {}, \"inflight_end\": {}}}",
-                    s.offered_rps,
-                    s.achieved_rps,
-                    s.offered,
-                    s.admitted,
-                    s.rejected,
-                    s.shed,
-                    s.deadline_expired,
-                    s.p50_us,
-                    s.p99_us,
-                    s.p999_us,
-                    s.queue_wait_p99_us,
-                    s.inflight_end
-                );
-                out.push_str(if j + 1 < run.steps.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("      ]\n");
-            out.push_str(if i + 1 < self.cells.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// A human-readable report: one table per cell, knees summarised last.
+impl CapacityRun {
+    /// A human-readable report: the per-step table, then the knee.
     pub fn text_report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "capacity sweep · {} arrivals · seed {} · ramp {:.0}→{:.0} by {:.0} rps, {} ms steps",
-            self.process,
-            self.seed,
-            self.ramp.initial_rps,
-            self.ramp.max_rps,
-            self.ramp.increment_rps,
-            self.ramp.step.as_millis()
+            "capacity ramp · {} arrivals · seed {}",
+            self.process.name(),
+            self.seed
         );
-        for cell in &self.cells {
-            let _ = writeln!(out, "\n[{}]", cell.spec.id());
+        let _ = writeln!(
+            out,
+            "  {:>10} {:>10} {:>7} {:>6} {:>5} {:>9} {:>9} {:>9} {:>10} {:>8}",
+            "offered",
+            "achieved",
+            "admit",
+            "rej",
+            "shed",
+            "p50_us",
+            "p99_us",
+            "p999_us",
+            "qwait99_us",
+            "inflight"
+        );
+        for s in &self.steps {
             let _ = writeln!(
                 out,
-                "  {:>10} {:>10} {:>7} {:>6} {:>5} {:>9} {:>9} {:>9} {:>10} {:>8}",
-                "offered",
-                "achieved",
-                "admit",
-                "rej",
-                "shed",
-                "p50_us",
-                "p99_us",
-                "p999_us",
-                "qwait99_us",
-                "inflight"
-            );
-            for s in &cell.run.steps {
-                let _ = writeln!(
-                    out,
-                    "  {:>10.1} {:>10.1} {:>7} {:>6} {:>5} {:>9} {:>9} {:>9} {:>10} {:>8}",
-                    s.offered_rps,
-                    s.achieved_rps,
-                    s.admitted,
-                    s.rejected,
-                    s.shed,
-                    s.p50_us,
-                    s.p99_us,
-                    s.p999_us,
-                    s.queue_wait_p99_us,
-                    s.inflight_end
-                );
-            }
-            let knee = &cell.run.knee;
-            let _ = writeln!(
-                out,
-                "  knee: {:.1} rps ({})",
-                knee.knee_rps,
-                knee.reason.name()
+                "  {:>10.1} {:>10.1} {:>7} {:>6} {:>5} {:>9} {:>9} {:>9} {:>10} {:>8}",
+                s.offered_rps,
+                s.achieved_rps,
+                s.admitted,
+                s.rejected,
+                s.shed,
+                s.p50_us,
+                s.p99_us,
+                s.p999_us,
+                s.queue_wait_p99_us,
+                s.inflight_end
             );
         }
-        out.push_str("\nknees:\n");
-        for cell in &self.cells {
-            let _ = writeln!(
-                out,
-                "  {:<28} {:>8.1} rps  {}",
-                cell.spec.id(),
-                cell.run.knee.knee_rps,
-                cell.run.knee.reason.name()
-            );
-        }
+        let _ = writeln!(
+            out,
+            "  knee: {:.1} rps ({})",
+            self.knee.knee_rps,
+            self.knee.reason.name()
+        );
         out
     }
 }
@@ -267,9 +108,8 @@ mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
     use crate::knee::SaturationDetector;
-    use std::time::Duration;
 
-    fn sample_report() -> CapacityReport {
+    fn sample_run() -> CapacityRun {
         let steps = vec![
             StepMetrics {
                 index: 0,
@@ -298,7 +138,7 @@ mod tests {
             },
         ];
         let knee = SaturationDetector::default().detect(&steps);
-        let run = CapacityRun {
+        CapacityRun {
             process: ArrivalProcess::Constant,
             seed: 7,
             steps,
@@ -306,60 +146,18 @@ mod tests {
             drained: 0,
             report: loom_serve::ServeReport::default(),
             planned_offsets_us: None,
-        };
-        CapacityReport {
-            process: "constant".to_string(),
-            seed: 7,
-            ramp: RampSchedule::new(100.0, 100.0, Duration::from_millis(250), 200.0),
-            fast: true,
-            cells: vec![CapacityCell {
-                spec: CellSpec::new("hash", 2, "cost_ranked"),
-                run,
-            }],
         }
-    }
-
-    #[test]
-    fn json_contains_every_cell_and_step_field() {
-        let json = sample_report().to_json();
-        for needle in [
-            "\"bench\": \"capacity\"",
-            "\"partitioner\": \"hash\"",
-            "\"plan_strategy\": \"cost_ranked\"",
-            "\"knee_rps\": 100.0",
-            "\"knee_reason\": \"achieved_flattened\"",
-            "\"offered_rps\": 200.0",
-            "\"achieved_rps\": 120.0",
-            "\"p999_us\": 11000",
-            "\"queue_wait_p99_us\": 0",
-            "\"error_budget\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        // Balanced braces/brackets — the cheap structural validity check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
     fn text_report_tabulates_steps_and_knees() {
-        let text = sample_report().text_report();
-        assert!(text.contains("[hash/2x/cost_ranked]"));
+        let text = sample_run().text_report();
+        assert!(text.contains("constant arrivals · seed 7"));
         assert!(text.contains("knee: 100.0 rps (achieved_flattened)"));
         assert!(text.contains("offered"));
         assert!(text.contains("qwait99_us"));
-    }
-
-    #[test]
-    fn knee_lookup_finds_cells_by_coordinates() {
-        let report = sample_report();
-        assert!(report.knee("hash", 2, "cost_ranked").is_some());
-        assert!(report.knee("loom", 2, "cost_ranked").is_none());
-        assert!(report.knee("hash", 4, "cost_ranked").is_none());
+        // Title, header, one row per step, knee.
+        assert_eq!(text.lines().count(), 5);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! histogram handle, it records the elapsed microseconds on drop. When the
 //! handle is `None` — a session built **without** observability — starting
 //! the span does not even read the clock, so the uninstrumented path pays a
-//! single branch: the bit-identical parity tests and the modelled-QPS
-//! numbers are untouched.
+//! single branch and the bit-identical parity tests are untouched.
 //!
 //! The [`stage`] module is the stack's span catalogue: every instrumented
 //! stage charges into a histogram named by one of these constants, so

@@ -38,11 +38,12 @@
 //! * the coordinator owns **only transport endpoints**: results, per-shard
 //!   reports, epoch notices and halo sub-query handoffs all arrive as
 //!   messages on its inbox, never through shared memory;
-//! * per-query modelled latencies feed the [`ServeReport`] (per-shard QPS,
-//!   p50/p99, remote-hop fraction, queue depth, queue-wait p99, rejects).
+//! * the coordinator folds each `Done` into the [`ServeReport`]: per-shard
+//!   execution metrics and remote-hop fraction, queue depth, queue-wait p99,
+//!   rejects, and the run's wall clock.
 
 use crate::epoch::EpochStore;
-use crate::metrics::{sort_samples, sorted_quantile, ErrorBudget, ServeReport, ShardServeMetrics};
+use crate::metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
 use crate::router::QueryRouter;
 use crate::shard::ShardedStore;
 use crate::transport::{
@@ -51,7 +52,7 @@ use crate::transport::{
 };
 use crate::worker::{worker_loop, WorkerSetup};
 use loom_motif::workload::Workload;
-use loom_obs::{stage, Counter, FlightKind, Histogram, Telemetry};
+use loom_obs::{stage, Counter, FlightKind, Telemetry};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::engine::{request_schedule, resolve_schedule_plans, QueryRequest, QueryResponse};
 use loom_sim::executor::{ExecutionMetrics, LatencyModel, QueryMode};
@@ -98,14 +99,6 @@ pub struct ServeConfig {
     /// run, so per-query metrics under tight match limits can differ from
     /// the single-execution path.
     pub halo_handoff: bool,
-    /// Service-time emulation for capacity runs: when set, each worker
-    /// sleeps `estimated_latency_us × scale` wall-clock microseconds after
-    /// executing a query, converting the modelled latency into real shard
-    /// occupancy so an open-loop driver measures a genuine saturation knee.
-    /// Sleeping (not spinning) lets shards overlap even on a single core.
-    /// `None` (the default) leaves the serving path bit-identical to an
-    /// engine without the knob.
-    pub service_hold: Option<f64>,
 }
 
 impl ServeConfig {
@@ -119,7 +112,6 @@ impl ServeConfig {
             match_limit: 10_000,
             latency: LatencyModel::default(),
             halo_handoff: false,
-            service_hold: None,
         }
     }
 
@@ -158,14 +150,6 @@ impl ServeConfig {
         self.halo_handoff = enabled;
         self
     }
-
-    /// Builder-style service-time emulation (see
-    /// [`ServeConfig::service_hold`]); negative scales clamp to zero.
-    #[must_use]
-    pub fn with_service_hold(mut self, scale: f64) -> Self {
-        self.service_hold = Some(scale.max(0.0));
-        self
-    }
 }
 
 impl Default for ServeConfig {
@@ -183,7 +167,6 @@ pub(crate) struct RunOptions {
     pub(crate) traversal_budget: Option<usize>,
     pub(crate) latency: LatencyModel,
     pub(crate) collect: bool,
-    pub(crate) hold_scale: Option<f64>,
 }
 
 /// What a run serves from — and where its workers pin their snapshots.
@@ -227,17 +210,11 @@ impl Source<'_> {
 struct CoordLog {
     queries: usize,
     execution: ExecutionMetrics,
-    latencies: Vec<f64>,
     epochs: Vec<u64>,
     rejected: usize,
     /// Completed executions flagged `deadline_exceeded` (disjoint from
     /// `rejected`, which never reach a worker).
     deadline_expired: usize,
-    /// Run-local latency histogram, present only when the run is observed:
-    /// the report's quantiles read from it, and it merges into the
-    /// registry's cumulative `serve.latency{shard}` series at assembly — so
-    /// live telemetry and the `ServeReport` literally share data.
-    hist: Option<Histogram>,
 }
 
 impl CoordLog {
@@ -245,10 +222,6 @@ impl CoordLog {
         self.queries += 1;
         if metrics.deadline_exceeded {
             self.deadline_expired += 1;
-        }
-        self.latencies.push(metrics.estimated_latency_us);
-        if let Some(hist) = &self.hist {
-            hist.record_f64(metrics.estimated_latency_us);
         }
         self.execution.merge(&metrics);
         if self.epochs.last() != Some(&epoch) {
@@ -366,12 +339,7 @@ impl<'a> Coordinator<'a> {
             telemetry,
             admitted_ctr,
             rejected_ctr,
-            logs: (0..workers)
-                .map(|_| CoordLog {
-                    hist: telemetry.map(|_| Histogram::new()),
-                    ..CoordLog::default()
-                })
-                .collect(),
+            logs: (0..workers).map(|_| CoordLog::default()).collect(),
             embeddings: Vec::new(),
             pending: HashMap::new(),
             meta: HashMap::new(),
@@ -878,12 +846,11 @@ impl ServeEngine {
 
     /// Builder-style telemetry: runs charge stage histograms
     /// (`serve.execute`, `serve.queue_wait`, `serve.halo_handoff`), keep
-    /// per-shard admitted/rejected counters and queue-depth gauges, report
-    /// latency quantiles from shared histograms, and flight-record the
-    /// admission/rejection/deadline/epoch timeline — with an automatic
-    /// [`loom_obs::FlightDump`] latched on deadline-exceeded or admission
-    /// rejection. Without this, runs stay bit-identical to an
-    /// uninstrumented engine.
+    /// per-shard admitted/rejected counters and queue-depth gauges, and
+    /// flight-record the admission/rejection/deadline/epoch timeline — with
+    /// an automatic [`loom_obs::FlightDump`] latched on deadline-exceeded or
+    /// admission rejection. The [`ServeReport`] itself is assembled the same
+    /// way observed or not, so it differs only in this process's timings.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -977,7 +944,6 @@ impl ServeEngine {
             traversal_budget: request.traversal_budget,
             latency: self.config.latency,
             collect: request.collect_matches,
-            hold_scale: self.config.service_hold,
         }
     }
 
@@ -1133,49 +1099,15 @@ impl ServeEngine {
             ..
         } = run;
         let mut aggregate = ExecutionMetrics::default();
-        let mut all_latencies: Vec<f64> = Vec::with_capacity(samples);
         let mut epochs_observed: Vec<u64> = Vec::new();
         let mut shards = Vec::with_capacity(logs.len());
-        let mut makespan_us = 0.0f64;
-        // Observed runs read every latency quantile from histograms: the
-        // per-shard run-local ones below, and this run-aggregate merge of
-        // them. Unobserved runs keep the exact sort-once path, bit-identical
-        // to pre-telemetry output.
-        let run_hist = self.telemetry.as_ref().map(|_| Histogram::new());
-        for (w, mut log) in logs.into_iter().enumerate() {
+        for (w, log) in logs.into_iter().enumerate() {
             aggregate.merge(&log.execution);
-            all_latencies.extend_from_slice(&log.latencies);
             epochs_observed.extend_from_slice(&log.epochs);
-            let busy_us = log.execution.estimated_latency_us;
-            makespan_us = makespan_us.max(busy_us);
-            let (p50_latency_us, p99_latency_us) = match &log.hist {
-                Some(hist) => {
-                    run_hist.as_ref().expect("observed run").merge(hist);
-                    // Fold the run's samples into the cumulative
-                    // `serve.latency{shard}` series the exporters scrape.
-                    self.telemetry
-                        .as_ref()
-                        .expect("observed run")
-                        .registry()
-                        .histogram("serve.latency", &[("shard", w.to_string())])
-                        .merge(hist);
-                    (hist.quantile(0.50) as f64, hist.quantile(0.99) as f64)
-                }
-                None => {
-                    sort_samples(&mut log.latencies);
-                    (
-                        sorted_quantile(&log.latencies, 0.50),
-                        sorted_quantile(&log.latencies, 0.99),
-                    )
-                }
-            };
             shards.push(ShardServeMetrics {
                 shard: w as u32,
                 queries: log.queries,
-                p50_latency_us,
-                p99_latency_us,
                 execution: log.execution,
-                busy_us,
                 max_queue_depth: depths.get(w).copied().unwrap_or(0),
                 queue_wait_p99_us: reports
                     .get(w)
@@ -1200,16 +1132,6 @@ impl ServeEngine {
         // handoff partials racing each other) — identical to a sequential
         // run.
         embeddings.sort_by_key(|&(seq, key, _)| (seq, key));
-        let (p50, p99) = match &run_hist {
-            Some(hist) => (hist.quantile(0.50) as f64, hist.quantile(0.99) as f64),
-            None => {
-                sort_samples(&mut all_latencies);
-                (
-                    sorted_quantile(&all_latencies, 0.50),
-                    sorted_quantile(&all_latencies, 0.99),
-                )
-            }
-        };
         let error_budget = ErrorBudget {
             requests: samples,
             rejected: shards.iter().map(|s| s.rejected).sum(),
@@ -1220,10 +1142,7 @@ impl ServeEngine {
             shards,
             aggregate,
             queries: samples,
-            makespan_us,
             wall_clock_us,
-            p50_latency_us: p50,
-            p99_latency_us: p99,
             epochs_observed,
             query_counts,
             error_budget,
@@ -1241,6 +1160,7 @@ impl ServeEngine {
 mod tests {
     use super::*;
     use loom_graph::generators::regular::path_graph;
+    use loom_graph::generators::{barabasi_albert, GeneratorConfig};
     use loom_graph::Label;
     use loom_motif::query::{PatternQuery, QueryId};
     use loom_partition::partition::{PartitionId, Partitioning};
@@ -1318,35 +1238,12 @@ mod tests {
         );
         // The aggregate execution metrics do not depend on the worker count.
         assert_eq!(one.aggregate, four.aggregate);
-        // But the work is spread: the busiest shard shrinks.
-        assert!(four.makespan_us <= one.makespan_us);
-    }
-
-    #[test]
-    fn more_workers_raise_modelled_throughput() {
-        let (store, workload) = fixture();
-        let one = serve(
-            &ServeEngine::new(ServeConfig::new(1)),
-            &store,
-            &workload,
-            200,
-            5,
-        );
-        let four = serve(
-            &ServeEngine::new(ServeConfig::new(4)),
-            &store,
-            &workload,
-            200,
-            5,
-        );
-        assert!(four.aggregate_qps() > one.aggregate_qps());
     }
 
     #[test]
     fn idle_shards_report_zero_metrics_and_do_not_skew_the_makespan() {
         // 2 partitions served by 4 workers: workers 2 and 3 never receive a
-        // query. Their metrics must be all-zero (the empty-sample quantile
-        // guard) and the makespan must come from the busy shards only.
+        // query. Their metrics must be all-zero and pinned to no epoch.
         let g = path_graph(8, &[l(0), l(1), l(2)]);
         let mut part = Partitioning::new(2, 8).unwrap();
         for (i, v) in g.vertices_sorted().into_iter().enumerate() {
@@ -1367,18 +1264,11 @@ mod tests {
             11,
         );
         assert_eq!(report.queries, 60);
-        let busy_max = report
-            .shards
-            .iter()
-            .fold(0.0f64, |acc, s| acc.max(s.busy_us));
-        assert_eq!(report.makespan_us, busy_max);
         let idle: Vec<_> = report.shards.iter().filter(|s| s.queries == 0).collect();
         assert!(!idle.is_empty(), "expected idle workers beyond shard count");
         for shard in idle {
-            assert_eq!(shard.qps(), 0.0);
-            assert_eq!(shard.busy_us, 0.0);
-            assert_eq!(shard.p50_latency_us, 0.0);
-            assert_eq!(shard.p99_latency_us, 0.0);
+            assert_eq!(shard.execution, ExecutionMetrics::default());
+            assert_eq!(shard.epoch_seq, None);
         }
     }
 
@@ -1403,8 +1293,8 @@ mod tests {
         let (store, workload) = fixture();
         let report = serve(&ServeEngine::default(), &store, &workload, 0, 1);
         assert_eq!(report.queries, 0);
-        assert_eq!(report.aggregate_qps(), 0.0);
-        assert_eq!(report.p99_latency_us, 0.0);
+        assert_eq!(report.aggregate, ExecutionMetrics::default());
+        assert_eq!(report.wall_clock_qps(), 0.0);
     }
 
     #[test]
@@ -1537,9 +1427,17 @@ mod tests {
         let plain = ServeEngine::new(ServeConfig::new(2));
         let a = serve(&observed, &store, &workload, 40, 3);
         let b = serve(&plain, &store, &workload, 40, 3);
-        // Instrumentation must not perturb the modelled execution.
-        assert_eq!(a.aggregate, b.aggregate);
-        assert_eq!(a.queries, b.queries);
+        // Instrumentation changes nothing but this process's timings.
+        let untimed = |report: &ServeReport| {
+            let mut r = report.clone();
+            r.wall_clock_us = 0.0;
+            for shard in &mut r.shards {
+                shard.queue_wait_p99_us = 0.0;
+                shard.max_queue_depth = 0;
+            }
+            r
+        };
+        assert_eq!(untimed(&a), untimed(&b));
         let snap = telemetry.snapshot();
         let hist_count = |name: &str| {
             snap.registry
@@ -1550,7 +1448,6 @@ mod tests {
                 .sum::<u64>()
         };
         assert_eq!(hist_count(stage::SERVE_EXECUTE), 40);
-        assert_eq!(hist_count("serve.latency"), 40);
         assert!(hist_count(stage::SERVE_QUEUE_WAIT) > 0);
         let admitted: u64 = snap
             .registry
@@ -1560,23 +1457,40 @@ mod tests {
             .map(|(_, v)| *v)
             .sum();
         assert_eq!(admitted, 40);
-        // Report quantiles come from the shared histograms: conservative
-        // (bucket upper bound ≥ the exact sorted answer) within 1/32.
-        assert!(a.p99_latency_us >= b.p99_latency_us);
-        assert!(a.p99_latency_us <= b.p99_latency_us.mul_add(1.0 + 1.0 / 32.0, 1.0));
         // No trigger fired: nothing latched.
         assert!(telemetry.flight().last_dump().is_none());
     }
 
     #[test]
     fn open_loop_never_blocks_and_accounts_rejections() {
-        let (store, workload) = fixture();
-        // One worker held ~1ms per query behind a 2-deep queue: a burst of 30
-        // back-to-back injections must reject most arrivals immediately
-        // instead of blocking the driver.
+        // Queries that cost real time: every a-b-a path of a Barabási–Albert
+        // graph, enumerated in full. One execution outlasts the whole burst
+        // of 30 back-to-back injections, so one worker behind a 2-deep queue
+        // must reject most arrivals immediately instead of blocking the
+        // driver.
+        let graph = barabasi_albert(
+            GeneratorConfig {
+                vertices: 600,
+                label_count: 2,
+                seed: 11,
+            },
+            3,
+        )
+        .unwrap();
+        let mut part = Partitioning::new(4, graph.vertex_count()).unwrap();
+        for (i, v) in graph.vertices_sorted().into_iter().enumerate() {
+            part.assign(v, PartitionId::new((i % 4) as u32)).unwrap();
+        }
+        let store = Arc::new(ShardedStore::from_parts(&graph, &part));
+        let workload = Workload::uniform(vec![PatternQuery::path(
+            QueryId::new(0),
+            &[l(0), l(1), l(0)],
+        )
+        .unwrap()])
+        .unwrap();
         let config = ServeConfig::new(1)
             .with_queue_capacity(2)
-            .with_service_hold(50.0);
+            .with_mode(QueryMode::FullEnumeration);
         let engine = ServeEngine::new(config);
         let request = QueryRequest::workload(30).with_seed(5);
         let (report, admitted) = engine.open_loop(&store, &workload, request, |inj| {
@@ -1599,6 +1513,10 @@ mod tests {
             report.error_budget.rejected > 0,
             "a 2-deep queue must reject under a 30-request burst"
         );
+        // Throughput is goodput: the rejected arrivals were issued, not
+        // served.
+        let issued_qps = report.queries as f64 / (report.wall_clock_us / 1e6);
+        assert!(report.wall_clock_qps() < issued_qps);
     }
 
     #[test]
@@ -1693,30 +1611,6 @@ mod tests {
             |r: &ServeReport| -> Vec<usize> { r.shards.iter().map(|s| s.queries).collect() };
         assert_eq!(per_shard(&second), per_shard(&pinned));
         assert_ne!(first.aggregate, second.aggregate);
-    }
-
-    #[test]
-    fn service_hold_changes_wall_clock_only() {
-        let (store, workload) = fixture();
-        let plain = serve(
-            &ServeEngine::new(ServeConfig::new(2)),
-            &store,
-            &workload,
-            40,
-            3,
-        );
-        let held = serve(
-            &ServeEngine::new(ServeConfig::new(2).with_service_hold(5.0)),
-            &store,
-            &workload,
-            40,
-            3,
-        );
-        // The hold occupies the shard in wall-clock time but must not perturb
-        // the modelled execution or its accounting.
-        assert_eq!(plain.aggregate, held.aggregate);
-        assert_eq!(plain.queries, held.queries);
-        assert_eq!(plain.error_budget, held.error_budget);
     }
 
     #[test]

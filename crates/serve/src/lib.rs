@@ -37,10 +37,9 @@
 //!   Publications are broadcast to registered [`epoch::EpochSink`]s; the
 //!   serving coordinator relays them to workers as messages.
 //!
-//! [`metrics::ServeReport`] summarises a run: per-shard QPS, p50/p99 modelled
-//! latency (from the `loom-sim` [`LatencyModel`](loom_sim::executor::LatencyModel)),
-//! remote-hop fraction, peak queue depth, queue-wait p99 and admission
-//! rejects.
+//! [`metrics::ServeReport`] summarises a run: per-shard execution metrics
+//! and remote-hop fraction, peak queue depth, queue-wait p99, admission
+//! rejects, and the run's wall-clock goodput.
 //!
 //! ```
 //! use loom_serve::prelude::*;

@@ -1,13 +1,14 @@
 //! Serving metrics: per-shard and aggregate reports.
 //!
-//! Latency figures come from the [`LatencyModel`](loom_sim::executor::LatencyModel)
-//! the matcher already charges per traversal — the same cost model the rest
-//! of `loom-sim` uses — so they are deterministic and include the simulated
-//! network cost of remote hops. Throughput is reported both ways: the
-//! **modelled** aggregate QPS (queries ÷ the makespan of the busiest shard
-//! under the latency model — the simulated cluster's throughput, which is
-//! what the paper's partitioning quality argument is about) and the raw
-//! wall-clock QPS of this process for reference.
+//! A report carries two kinds of number and keeps them apart. The
+//! *counts* — [`ExecutionMetrics`] per shard and merged, the query mix, the
+//! epochs touched, the [`ErrorBudget`] — are deterministic and equal a
+//! sequential run's; they include
+//! [`estimated_latency_us`](ExecutionMetrics::estimated_latency_us), the
+//! simulator's quality estimate of what the traversals would cost on a
+//! network, which is never presented as a speed. The *timings* —
+//! `wall_clock_us`, queue waits, queue depth — are this process's clock, and
+//! [`ServeReport::wall_clock_qps`] is the only throughput a report has.
 
 use loom_sim::executor::ExecutionMetrics;
 use serde::{Deserialize, Serialize};
@@ -21,12 +22,6 @@ pub struct ShardServeMetrics {
     pub queries: usize,
     /// Merged execution metrics over those queries.
     pub execution: ExecutionMetrics,
-    /// Modelled busy time: the sum of per-query estimated latencies, µs.
-    pub busy_us: f64,
-    /// Median per-query modelled latency, µs.
-    pub p50_latency_us: f64,
-    /// 99th-percentile per-query modelled latency, µs.
-    pub p99_latency_us: f64,
     /// Deepest the shard's work queue got (bounded by the configured
     /// capacity; hitting the bound means backpressure engaged).
     pub max_queue_depth: usize,
@@ -57,15 +52,6 @@ pub struct ShardServeMetrics {
 }
 
 impl ShardServeMetrics {
-    /// Modelled per-shard throughput: queries ÷ busy seconds (0 when idle).
-    pub fn qps(&self) -> f64 {
-        if self.busy_us <= 0.0 {
-            0.0
-        } else {
-            self.queries as f64 / (self.busy_us / 1e6)
-        }
-    }
-
     /// Fraction of this shard's traversals that crossed partitions.
     pub fn remote_hop_fraction(&self) -> f64 {
         self.execution.inter_partition_probability()
@@ -118,15 +104,8 @@ pub struct ServeReport {
     pub aggregate: ExecutionMetrics,
     /// Total queries served.
     pub queries: usize,
-    /// Modelled makespan: the busiest shard's busy time, µs. Shards run
-    /// concurrently, so this is the simulated cluster's completion time.
-    pub makespan_us: f64,
     /// Wall-clock duration of the run in this process, µs.
     pub wall_clock_us: f64,
-    /// Median per-query modelled latency across all shards, µs.
-    pub p50_latency_us: f64,
-    /// 99th-percentile per-query modelled latency across all shards, µs.
-    pub p99_latency_us: f64,
     /// Distinct epochs the run's queries were pinned to (a single-element
     /// list unless ingestion published new snapshots mid-run).
     pub epochs_observed: Vec<u64>,
@@ -141,23 +120,19 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Modelled aggregate throughput: queries ÷ makespan seconds. This is the
-    /// number the shard-count sweep is about — more shards divide the same
-    /// total work into a shorter makespan.
-    pub fn aggregate_qps(&self) -> f64 {
-        if self.makespan_us <= 0.0 {
-            0.0
-        } else {
-            self.queries as f64 / (self.makespan_us / 1e6)
-        }
-    }
-
-    /// Wall-clock throughput of this process (subject to host parallelism).
+    /// Wall-clock goodput of this process (subject to host parallelism):
+    /// requests that completed a full execution in time ÷ the run's wall
+    /// clock. Rejected, shed and deadline-expired requests are issued but
+    /// not served, so an overloaded run reads lower, not higher.
     pub fn wall_clock_qps(&self) -> f64 {
         if self.wall_clock_us <= 0.0 {
             0.0
         } else {
-            self.queries as f64 / (self.wall_clock_us / 1e6)
+            let served = self
+                .error_budget
+                .requests
+                .saturating_sub(self.error_budget.dropped());
+            served as f64 / (self.wall_clock_us / 1e6)
         }
     }
 
@@ -167,59 +142,9 @@ impl ServeReport {
     }
 }
 
-/// Sort a latency sample in place, once, so any number of
-/// [`sorted_quantile`] reads follow for free. Callers that want p50 *and*
-/// p99 from one buffer pay one sort instead of one per quantile.
-pub fn sort_samples(samples: &mut [f64]) {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-}
-
-/// The `q`-th quantile (0.0 ≤ q ≤ 1.0) of an **already sorted** sample, by
-/// the nearest-rank method. Returns 0.0 for an empty sample — the guard
-/// matters because idle shards (a worker that served zero queries)
-/// legitimately hand this function an empty latency vector; without it the
-/// computed rank would index `samples[0]` and panic.
-pub fn sorted_quantile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * samples.len() as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(samples.len() - 1);
-    samples[rank]
-}
-
-/// One-shot convenience: [`sort_samples`] then [`sorted_quantile`]. For a
-/// single quantile this is fine; for several from the same buffer, sort once
-/// and use [`sorted_quantile`] directly.
-pub fn quantile(samples: &mut [f64], q: f64) -> f64 {
-    sort_samples(samples);
-    sorted_quantile(samples, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantiles_by_nearest_rank() {
-        let mut s = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile(&mut s, 0.5), 3.0);
-        assert_eq!(quantile(&mut s, 0.99), 5.0);
-        assert_eq!(quantile(&mut s, 0.0), 1.0);
-        assert_eq!(quantile(&mut [], 0.5), 0.0);
-    }
-
-    #[test]
-    fn sort_once_answers_every_quantile() {
-        let mut s = vec![5.0, 1.0, 3.0, 2.0, 4.0];
-        sort_samples(&mut s);
-        assert_eq!(s, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(sorted_quantile(&s, 0.5), 3.0);
-        assert_eq!(sorted_quantile(&s, 0.99), 5.0);
-        assert_eq!(sorted_quantile(&s, 0.0), 1.0);
-        assert_eq!(sorted_quantile(&[], 0.99), 0.0);
-    }
 
     #[test]
     fn shard_qps_and_remote_fraction() {
@@ -232,52 +157,39 @@ mod tests {
                 remote_traversals: 4,
                 ..ExecutionMetrics::default()
             },
-            busy_us: 2_000_000.0,
             ..ShardServeMetrics::default()
         };
-        assert!((m.qps() - 50.0).abs() < 1e-9);
         assert!((m.remote_hop_fraction() - 0.4).abs() < 1e-12);
-        assert_eq!(ShardServeMetrics::default().qps(), 0.0);
-    }
-
-    #[test]
-    fn empty_samples_never_index_out_of_bounds() {
-        // Regression: every quantile of an empty sample is 0.0, including the
-        // extremes whose nearest rank would otherwise read samples[0].
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(quantile(&mut [], q), 0.0);
-        }
-        // A single sample answers every quantile with itself.
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(quantile(&mut [7.5], q), 7.5);
-        }
     }
 
     #[test]
     fn zero_query_shard_reports_zeros() {
-        // A shard that served nothing: no latency samples, no busy time.
+        // A shard that served nothing: no traversals to take a fraction of.
         let idle = ShardServeMetrics {
             shard: 3,
             ..ShardServeMetrics::default()
         };
         assert_eq!(idle.queries, 0);
-        assert_eq!(idle.qps(), 0.0);
-        assert_eq!(idle.p50_latency_us, 0.0);
-        assert_eq!(idle.p99_latency_us, 0.0);
         assert_eq!(idle.remote_hop_fraction(), 0.0);
     }
 
     #[test]
     fn report_throughputs() {
-        let report = ServeReport {
+        let mut report = ServeReport {
             queries: 300,
-            makespan_us: 1_500_000.0,
             wall_clock_us: 3_000_000.0,
+            error_budget: ErrorBudget {
+                requests: 300,
+                ..ErrorBudget::default()
+            },
             ..ServeReport::default()
         };
-        assert!((report.aggregate_qps() - 200.0).abs() < 1e-9);
         assert!((report.wall_clock_qps() - 100.0).abs() < 1e-9);
-        assert_eq!(ServeReport::default().aggregate_qps(), 0.0);
+        // Goodput: issued-but-dropped requests are not throughput.
+        report.error_budget.rejected = 45;
+        report.error_budget.deadline_expired = 15;
+        assert!((report.wall_clock_qps() - 80.0).abs() < 1e-9);
+        assert_eq!(ServeReport::default().wall_clock_qps(), 0.0);
     }
 
     #[test]

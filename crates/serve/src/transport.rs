@@ -325,14 +325,18 @@ impl ShardTransport for InProcEndpoint {
 
     fn stats(&self) -> TransportStats {
         let mut waits = self.waits_us.lock().clone();
-        // One sort answers both quantiles.
-        crate::metrics::sort_samples(&mut waits);
+        waits.sort_by(f64::total_cmp);
+        // Nearest rank; an endpoint that received nothing reports 0.
+        let nearest_rank = |q: f64| {
+            let rank = (q * waits.len() as f64).ceil() as usize;
+            waits.get(rank.saturating_sub(1)).copied().unwrap_or(0.0)
+        };
         TransportStats {
             sent: self.sent.load(Ordering::Relaxed),
             received: self.received.load(Ordering::Relaxed),
             max_recv_depth: self.rx.max_depth(),
-            queue_wait_p50_us: crate::metrics::sorted_quantile(&waits, 0.50),
-            queue_wait_p99_us: crate::metrics::sorted_quantile(&waits, 0.99),
+            queue_wait_p50_us: nearest_rank(0.50),
+            queue_wait_p99_us: nearest_rank(0.99),
         }
     }
 }

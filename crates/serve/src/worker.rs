@@ -99,17 +99,6 @@ pub(crate) fn worker_loop(
                 let span = SpanTimer::start(setup.exec_hist.as_deref());
                 let done = execute_query(transport, &snapshot, &setup, &task);
                 drop(span);
-                // Service-time emulation for capacity runs: hold the shard
-                // for the query's modelled latency (scaled) before reporting
-                // completion, so occupancy — and therefore the measured
-                // saturation knee — tracks the latency model. Sleeping keeps
-                // shards overlappable on any core count.
-                if let Some(scale) = setup.options.hold_scale {
-                    let hold_us = done.metrics.estimated_latency_us * scale;
-                    if hold_us >= 1.0 {
-                        std::thread::sleep(Duration::from_micros(hold_us.min(5e6) as u64));
-                    }
-                }
                 let _ = transport.send(ShardMsg::Done(done), None);
             }
             ShardMsg::SubQuery(sub) => {

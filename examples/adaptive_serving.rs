@@ -47,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for seed in 0..2u64 {
         let (report, outcome) = adaptive.serve(&phase_a, 300, seed)?;
         println!(
-            "batch {seed}: remote hops {:.1}%, p99 {:.0} µs, drift {:.3}, epoch {} {}",
+            "batch {seed}: remote hops {:.1}%, {:.0} qps wall-clock, drift {:.3}, epoch {} {}",
             report.remote_hop_fraction() * 100.0,
-            report.p99_latency_us,
+            report.wall_clock_qps(),
             adaptive.tracker().drift(),
             adaptive.current_epoch(),
             if outcome.is_some() { "(adapted)" } else { "" },
@@ -67,9 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             None => String::new(),
         };
         println!(
-            "batch {seed}: remote hops {:.1}%, p99 {:.0} µs, epoch {} {note}",
+            "batch {seed}: remote hops {:.1}%, {:.0} qps wall-clock, epoch {} {note}",
             report.remote_hop_fraction() * 100.0,
-            report.p99_latency_us,
+            report.wall_clock_qps(),
             adaptive.current_epoch(),
         );
     }

@@ -9,14 +9,14 @@
 //!
 //! The walk-through:
 //!
-//! 1. **calibrate** — probe the mean *modelled* query latency and pick a
-//!    service-hold scale, so each worker occupies its shard for the
-//!    latency model's opinion of the query (scaled to a capacity small
-//!    enough to saturate in under a second);
-//! 2. **ramp** — seeded Poisson arrivals sweep `initial_rps →
-//!    increment_rps → max_rps` through [`Session::capacity`], measuring
-//!    per-step offered vs achieved RPS, wall-clock sojourn quantiles,
-//!    queue-wait p99, rejects, and in-flight depth;
+//! 1. **probe** — serve a closed-loop batch and read its wall-clock
+//!    goodput: the rate this engine sustains on this host when the load
+//!    waits for it. Queries enumerate every match, so a request costs real
+//!    time and the engine, not the driver, is what saturates;
+//! 2. **ramp** — seeded Poisson arrivals sweep from half that rate to three
+//!    times it through [`ShardedServing::capacity`], measuring per-step
+//!    offered vs achieved RPS, wall-clock sojourn quantiles, queue-wait
+//!    p99, rejects, and in-flight depth;
 //! 3. **knee** — [`SaturationDetector`] flags the first step whose goodput
 //!    flattens below the offered rate; the knee is the previous step's
 //!    rate.
@@ -37,7 +37,7 @@ fn l(x: u32) -> Label {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = loom_graph::generators::barabasi_albert(
         loom_graph::generators::GeneratorConfig {
-            vertices: 500,
+            vertices: 2_000,
             label_count: 4,
             seed: 7,
         },
@@ -52,56 +52,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])?;
 
     let spec = PartitionerSpec::Loom(LoomConfig::new(4, graph.vertex_count()).with_window_size(64));
-    // The match cap bounds the service-time tail (hub queries otherwise
-    // dwarf the median), and the telemetry bundle feeds the per-step
-    // queue-wait column.
+    // The telemetry bundle feeds the per-step queue-wait column.
     let mut session = Session::builder(spec)
         .workload(workload)
-        .query_mode(QueryMode::Rooted { seed_count: 3 })
-        .match_limit(64)
+        .query_mode(QueryMode::FullEnumeration)
         .telemetry(Telemetry::new())
         .build()?;
     session.ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))?;
     let serving = session.serve(graph)?;
-
-    // ── 1. Calibrate the service hold ───────────────────────────────────
-    // Real service time on a 500-vertex graph is microseconds, which would
-    // put the knee in channel-overhead territory. Emulate service time
-    // instead: hold each worker for the query's modelled latency × a scale
-    // chosen so two workers saturate near 300 rps.
     let sharded = serving.sharded(2);
-    let probe_request = QueryRequest::workload(50)
-        .with_seed(42)
-        .with_traversal_budget(512);
-    let (probe, _) = sharded.serve_request(probe_request);
-    let mean_us = probe.aggregate.estimated_latency_us / 50.0;
-    let hold_scale = 1e6 / (150.0 * mean_us);
-    println!("calibration: {mean_us:.0} us/query modelled -> hold scale {hold_scale:.2}");
 
-    // ── 2. Ramp the offered rate open-loop ──────────────────────────────
-    let ramp = RampSchedule::new(100.0, 300.0, Duration::from_millis(150), 1_000.0);
+    // ── 1. Probe the closed-loop rate ───────────────────────────────────
+    let (probe, _) = sharded.serve_request(QueryRequest::workload(400).with_seed(42));
+    let sustained = probe.wall_clock_qps();
+    println!("closed-loop probe: {sustained:.0} qps on 2 shards");
+
+    // ── 2. Ramp the offered rate open-loop, from below it to above it ───
+    let ramp = RampSchedule::new(
+        0.5 * sustained,
+        0.5 * sustained,
+        Duration::from_millis(150),
+        3.0 * sustained,
+    );
     let config = LoadConfig::new(ramp)
         .with_process(ArrivalProcess::Poisson)
         .with_seed(42)
-        .with_request_timeout(Duration::from_millis(80))
-        .with_traversal_budget(512)
-        .with_service_hold(hold_scale);
+        .with_request_timeout(Duration::from_millis(80));
     let run = sharded.capacity(&config)?;
 
     // ── 3. Read the knee off the step table ─────────────────────────────
-    let report = CapacityReport {
-        process: config.process.name().to_string(),
-        seed: config.seed,
-        ramp,
-        fast: false,
-        cells: vec![CapacityCell {
-            spec: CellSpec::new("loom", 2, "cost_ranked"),
-            run,
-        }],
-    };
-    print!("{}", report.text_report());
+    print!("{}", run.text_report());
 
-    let run = &report.cells[0].run;
     let budget = run.report.error_budget;
     println!(
         "\nerror budget: {} offered, {} rejected, {} deadline-expired ({:.1}% dropped)",

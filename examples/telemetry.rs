@@ -68,10 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (report, _) = sharded.serve_request(QueryRequest::workload(400).with_seed(42));
     let delta = telemetry.snapshot().since(&before);
     println!(
-        "serve burst: {} queries, {:.0} modelled qps, p99 {:.0} µs",
+        "serve burst: {} queries, {:.0} qps wall-clock, remote hops {:.1}%",
         report.aggregate.queries_executed,
-        report.aggregate_qps(),
-        report.p99_latency_us,
+        report.wall_clock_qps(),
+        report.remote_hop_fraction() * 100.0,
     );
     println!("\ninterval diff (scrape-to-scrape shape):\n{delta}");
 
@@ -113,11 +113,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let preview: String = prometheus
         .lines()
-        .filter(|l| l.contains("serve_latency"))
+        .filter(|l| l.contains("loom_serve_execute"))
         .take(5)
         .collect::<Vec<_>>()
         .join("\n");
-    println!("\nserve.latency summary as scraped:\n{preview}");
+    println!("\nserve.execute summary as scraped:\n{preview}");
     println!(
         "\njson-lines export: {} series objects",
         snapshot.json_lines().lines().count()

@@ -1111,16 +1111,9 @@ impl ShardedServing {
     }
 
     /// Drive this serving stack **open-loop** through `loom-load`: pace the
-    /// config's seeded arrival schedule against a fresh engine cloned from
-    /// this one (same worker count, mode, latency model, match limit, plan
-    /// cache and telemetry), never blocking on backpressure, and return the
-    /// per-step capacity table with its detected saturation knee.
-    ///
-    /// When the config carries a [`LoadConfig::service_hold`] scale, the
-    /// measurement engine emulates service time by holding each worker for
-    /// the query's modelled latency × scale — the closed-loop engine behind
-    /// [`ShardedServing::serve_request`] is left untouched, so its
-    /// sequential-parity guarantees are unaffected.
+    /// config's seeded arrival schedule against this handle's engine and the
+    /// work its queries really do, never blocking on backpressure, and
+    /// return the per-step capacity table with its detected saturation knee.
     ///
     /// # Errors
     ///
@@ -1130,12 +1123,7 @@ impl ShardedServing {
         let Some(workload) = &self.workload else {
             return Err(SessionError::MissingWorkload("capacity measurement"));
         };
-        let mut serve = *self.engine.config();
-        if let Some(scale) = config.service_hold {
-            serve = serve.with_service_hold(scale);
-        }
-        let engine = serve_engine(serve, self.engine.plan_cache(), self.engine.telemetry());
-        Ok(run_capacity(&engine, &self.store, workload, config))
+        Ok(run_capacity(&self.engine, &self.store, workload, config))
     }
 }
 

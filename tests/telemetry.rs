@@ -5,7 +5,8 @@
 //!
 //! * **parity** — telemetry is strictly additive: a session built without
 //!   it produces bit-identical `ServeReport`s run after run, and an
-//!   observed session's modelled aggregates equal the unobserved ones;
+//!   observed session's report equals the unobserved one on every field
+//!   that is not this process's wall clock;
 //! * **coverage** — one observed pipeline (ingest → checkpoint → serve →
 //!   adapt) populates the stage histograms, shard counters and flight
 //!   events each layer is responsible for, and the Prometheus export of
@@ -57,8 +58,8 @@ fn serve_through(builder: SessionBuilder, graph: &LabelledGraph) -> Serving {
 /// Zero the report fields that measure *this process's* wall clock
 /// (`wall_clock_us`, queue waits, queue high-water) — those are
 /// scheduler-dependent with or without telemetry. Everything left is
-/// modelled and must reproduce exactly.
-fn modelled(report: &ServeReport) -> ServeReport {
+/// counted and must reproduce exactly.
+fn untimed(report: &ServeReport) -> ServeReport {
     let mut r = report.clone();
     r.wall_clock_us = 0.0;
     for shard in &mut r.shards {
@@ -78,10 +79,10 @@ fn unobserved_sessions_stay_bit_identical() {
     let (report_b, response_b) = serve_through(session(&graph, &workload), &graph)
         .sharded(2)
         .serve_request(request);
-    // The whole modelled report — per-shard metrics, quantiles, epochs —
-    // not just the aggregate: the no-telemetry path must stay exactly
-    // reproducible run after run.
-    assert_eq!(modelled(&report_a), modelled(&report_b));
+    // The whole report — per-shard metrics, query mix, epochs — not just
+    // the aggregate: the no-telemetry path must stay exactly reproducible
+    // run after run.
+    assert_eq!(untimed(&report_a), untimed(&report_b));
     assert_eq!(response_a.metrics, response_b.metrics);
     assert!(report_a.shards.iter().any(|s| s.epoch_seq.is_some()));
 }
@@ -101,20 +102,8 @@ fn observed_sessions_match_unobserved_aggregates() {
     );
     let (observed, _) = observed_serving.sharded(2).serve_request(request);
 
-    // The modelled execution is untouched by instrumentation.
-    assert_eq!(observed.aggregate, plain.aggregate);
-    assert_eq!(observed.queries, plain.queries);
-    assert_eq!(observed.epochs_observed, plain.epochs_observed);
-    for (o, p) in observed.shards.iter().zip(&plain.shards) {
-        assert_eq!(o.queries, p.queries);
-        assert_eq!(o.execution, p.execution);
-        assert_eq!(o.rejected, p.rejected);
-        assert_eq!(o.epoch_seq, p.epoch_seq);
-    }
-    // Report quantiles are rebuilt from the shared histograms: conservative
-    // (a bucket upper bound) within the layout's 1/32 relative error.
-    assert!(observed.p99_latency_us >= plain.p99_latency_us);
-    assert!(observed.p99_latency_us <= plain.p99_latency_us.mul_add(1.0 + 1.0 / 32.0, 1.0));
+    // Instrumentation changes nothing but this process's timings.
+    assert_eq!(untimed(&observed), untimed(&plain));
 
     // Both the ingest spans and the serve histograms were populated.
     let snap = telemetry.snapshot();
@@ -128,7 +117,6 @@ fn observed_sessions_match_unobserved_aggregates() {
     };
     assert!(count(stage::INGEST_PARTITION) > 0, "ingest spans recorded");
     assert_eq!(count(stage::SERVE_EXECUTE), 60);
-    assert_eq!(count("serve.latency"), 60);
     // The export is valid Prometheus text exposition.
     let series = loom_obs::validate_prometheus(&snap.prometheus()).expect("export parses");
     assert!(series.iter().any(|s| s.starts_with("loom_serve_execute")));
