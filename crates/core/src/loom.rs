@@ -20,7 +20,7 @@ use crate::index::FrequentMotifIndex;
 use crate::matcher::StreamMotifMatcher;
 use crate::stats::LoomStats;
 use loom_graph::fxhash::FxHashSet;
-use loom_graph::{StreamElement, VertexId};
+use loom_graph::{Label, StreamElement, VertexId};
 use loom_motif::tpstry::Tpstry;
 use loom_partition::error::Result;
 use loom_partition::ldg::LdgPartitioner;
@@ -188,19 +188,15 @@ impl LoomPartitioner {
     fn assign_cluster(&mut self, cluster: &FxHashSet<VertexId>) -> Result<()> {
         // External (already assigned) neighbours of the cluster determine the
         // LDG affinity; neighbours inside the cluster are irrelevant because
-        // they will land in the same partition by construction.
+        // they will land in the same partition by construction, and window
+        // neighbours outside it are not assigned yet and carry no signal.
         let mut external: Vec<VertexId> = Vec::new();
         for &v in cluster {
-            for &n in self.window.external_neighbours(v) {
-                if self.partitioning.is_assigned(n) {
-                    external.push(n);
-                }
-            }
-            // Window neighbours outside the cluster are not assigned yet and
-            // therefore carry no signal.
+            external.extend_from_slice(self.window.external_neighbours(v));
         }
 
-        let target = self.choose_partition_for(&external, cluster.len());
+        let target =
+            Self::choose_partition_for(&self.config, &self.partitioning, &external, cluster.len());
 
         // Deterministic assignment order.
         let mut members: Vec<VertexId> = cluster.iter().copied().collect();
@@ -211,7 +207,7 @@ impl LoomPartitioner {
             self.window.remove(v);
             self.partitioning.assign(v, target)?;
         }
-        self.matcher.remove_vertices(cluster);
+        self.matcher.remove_vertices(&members);
 
         self.stats.clusters_assigned += 1;
         self.stats.cluster_vertices_assigned += members.len();
@@ -224,26 +220,31 @@ impl LoomPartitioner {
         let Some(evicted) = self.window.remove(vertex) else {
             return Ok(());
         };
-        let assigned_neighbours: Vec<VertexId> = evicted
-            .external_neighbours
-            .iter()
-            .copied()
-            .filter(|n| self.partitioning.is_assigned(*n))
-            .collect();
-        let target = self.choose_partition_for(&assigned_neighbours, 1);
+        // The lent list goes to the scorer as it is: neighbours that are not
+        // (or no longer) assigned count towards no partition.
+        let target = Self::choose_partition_for(
+            &self.config,
+            &self.partitioning,
+            evicted.external_neighbours,
+            1,
+        );
         self.partitioning.assign(vertex, target)?;
-        let removed: FxHashSet<VertexId> = [vertex].into_iter().collect();
-        self.matcher.remove_vertices(&removed);
+        self.matcher.remove_vertices(&[vertex]);
         self.stats.single_vertices_assigned += 1;
         Ok(())
     }
 
-    /// LDG partition choice for a set of assigned neighbours, placing
-    /// `incoming` new vertices at once. Honour the capacity-penalty ablation
-    /// switch and prefer partitions that still have room for the whole group.
-    fn choose_partition_for(&self, neighbours: &[VertexId], incoming: usize) -> PartitionId {
-        let partitioning = &self.partitioning;
-        if self.config.capacity_penalty {
+    /// LDG partition choice for a list of neighbours (only the assigned ones
+    /// count), placing `incoming` new vertices at once. Honour the
+    /// capacity-penalty ablation switch and prefer partitions that still have
+    /// room for the whole group.
+    fn choose_partition_for(
+        config: &LoomConfig,
+        partitioning: &Partitioning,
+        neighbours: &[VertexId],
+        incoming: usize,
+    ) -> PartitionId {
+        if config.capacity_penalty {
             // Prefer a partition with room for the whole group; if none has
             // room, fall back to the plain LDG choice.
             partitioning
@@ -268,10 +269,18 @@ impl LoomPartitioner {
         match *element {
             StreamElement::AddVertex { id, label } => {
                 self.stats.vertices_ingested += 1;
-                while self.window.is_full() {
-                    self.evict_and_assign()?;
+                match self.window.label_of(id) {
+                    // Re-announcing a buffered vertex is a label update, as
+                    // in `LabelledGraph::apply`: nothing is evicted for it.
+                    Some(held) if held == label => {}
+                    Some(_) => self.relabel(id, label),
+                    None => {
+                        while self.window.is_full() {
+                            self.evict_and_assign()?;
+                        }
+                        self.window.push_vertex(id, label);
+                    }
                 }
-                self.window.push_vertex(id, label);
             }
             StreamElement::AddEdge { source, target } => {
                 self.stats.edges_ingested += 1;
@@ -292,8 +301,7 @@ impl LoomPartitioner {
                 // counting edges into a dead vertex.
                 self.window.delete(id);
                 if buffered {
-                    let removed: FxHashSet<VertexId> = [id].into_iter().collect();
-                    self.matcher.remove_vertices(&removed);
+                    self.matcher.remove_vertices(&[id]);
                 } else {
                     self.partitioning.unassign(id);
                 }
@@ -303,15 +311,17 @@ impl LoomPartitioner {
                 // Matches built over the edge no longer exist in the graph.
                 self.matcher.remove_edge(source, target);
             }
-            StreamElement::Relabel { id, label } => {
-                if self.window.relabel(id, label) {
-                    // Window matches containing the vertex carry signatures
-                    // computed from the old label.
-                    self.matcher.relabel(id);
-                }
-            }
+            StreamElement::Relabel { id, label } => self.relabel(id, label),
         }
         Ok(())
+    }
+
+    fn relabel(&mut self, id: VertexId, label: Label) {
+        if self.window.relabel(id, label) {
+            // Window matches containing the vertex carry signatures computed
+            // from the old label.
+            self.matcher.relabel(id);
+        }
     }
 }
 
@@ -367,7 +377,6 @@ mod tests {
     use loom_graph::generators::regular::path_graph;
     use loom_graph::generators::{motif_planted_graph, MotifPlantConfig};
     use loom_graph::ordering::StreamOrder;
-    use loom_graph::prelude::Label;
     use loom_graph::GraphStream;
     use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
     use loom_motif::mining::MotifMiner;
@@ -735,6 +744,39 @@ mod tests {
         assert_eq!(part.assigned_count(), 2);
         assert!(part.partition_of(VertexId::new(1)).is_none());
         assert!(part.partition_of(VertexId::new(3)).is_none());
+    }
+
+    #[test]
+    fn reannouncing_a_buffered_vertex_is_a_label_update() {
+        let add = |id: u64, label: u32| StreamElement::AddVertex {
+            id: VertexId::new(id),
+            label: l(label),
+        };
+        let edge = |a: u64, b: u64| StreamElement::AddEdge {
+            source: VertexId::new(a),
+            target: VertexId::new(b),
+        };
+        let config = LoomConfig::new(2, 16).with_window_size(2);
+        let mut loom = LoomPartitioner::new(config, &abc_tpstry()).unwrap();
+        loom.ingest_batch(&[add(1, 0), add(2, 1), edge(1, 2)])
+            .unwrap();
+        assert_eq!(loom.matcher.match_count(), 1);
+
+        // The window is full. The same label again changes nothing: no
+        // eviction (least of all of vertex 1 itself), the ab match stays.
+        loom.ingest(&add(1, 0)).unwrap();
+        assert_eq!(loom.buffered(), 2);
+        assert_eq!(loom.partitioning().assigned_count(), 0);
+        assert_eq!(loom.matcher.match_count(), 1);
+
+        // A new label is a relabel: still no eviction, and the match whose
+        // signature was computed from the old label is dropped.
+        loom.ingest(&add(1, 3)).unwrap();
+        assert_eq!(loom.buffered(), 2);
+        assert_eq!(loom.partitioning().assigned_count(), 0);
+        assert_eq!(loom.window.label_of(VertexId::new(1)), Some(l(3)));
+        assert_eq!(loom.matcher.match_count(), 0);
+        assert_eq!(loom.finish().unwrap().assigned_count(), 2);
     }
 
     #[test]

@@ -245,9 +245,9 @@ impl StreamMotifMatcher {
 
     /// Drop every match that involves any of the given vertices (they have
     /// been assigned and left the window).
-    pub fn remove_vertices(&mut self, vertices: &FxHashSet<VertexId>) {
+    pub fn remove_vertices(&mut self, vertices: &[VertexId]) {
         self.matches
-            .retain(|m| !m.vertices.iter().any(|v| vertices.contains(v)));
+            .retain(|m| !vertices.iter().any(|&v| m.contains(v)));
     }
 
     /// Drop every match whose matched sub-graph uses the edge `(a, b)` — the
@@ -277,16 +277,17 @@ impl StreamMotifMatcher {
     /// `v` belongs to no match.
     pub fn cluster_for(&self, v: VertexId, merge_overlapping: bool) -> FxHashSet<VertexId> {
         let mut cluster: FxHashSet<VertexId> = FxHashSet::default();
-        let mut in_cluster = vec![false; self.matches.len()];
-        let mut frontier: Vec<usize> = Vec::new();
-        for (i, m) in self.matches.iter().enumerate() {
-            if m.contains(v) {
-                in_cluster[i] = true;
-                frontier.push(i);
-            }
-        }
+        let mut frontier: Vec<usize> = (0..self.matches.len())
+            .filter(|&i| self.matches[i].contains(v))
+            .collect();
+        // Most evicted vertices belong to no match; nothing has been
+        // allocated for them at this point.
         if frontier.is_empty() {
             return cluster;
+        }
+        let mut in_cluster = vec![false; self.matches.len()];
+        for &i in &frontier {
+            in_cluster[i] = true;
         }
         while let Some(i) = frontier.pop() {
             for &vertex in &self.matches[i].vertices {
@@ -536,8 +537,7 @@ mod tests {
         matcher.on_window_edge(&window, v(1), v(2));
         matcher.on_window_edge(&window, v(2), v(3));
         assert!(matcher.match_count() > 0);
-        let removed: FxHashSet<VertexId> = [v(2)].into_iter().collect();
-        matcher.remove_vertices(&removed);
+        matcher.remove_vertices(&[v(2)]);
         assert_eq!(matcher.match_count(), 0);
         assert!(matcher.cluster_for(v(1), true).is_empty());
     }

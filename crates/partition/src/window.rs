@@ -10,11 +10,43 @@
 //!   the LDG score at assignment time).
 //!
 //! Eviction is oldest-first by default; the motif-aware assigner can also
-//! remove an arbitrary set of vertices at once when a whole motif match is
-//! assigned together.
+//! remove an arbitrary vertex when a whole motif match is assigned together.
+//!
+//! # Layout
+//!
+//! The window is a slab. A buffered vertex occupies one *slot* — its label
+//! and two adjacency lists (window / external) — found through one
+//! `id → slot` map that holds exactly the buffered vertices. Every adjacency
+//! list, including the lists of the re-entry index (outside vertex → members
+//! holding an external edge to it), is a block of **one shared arena** of
+//! vertex ids. Blocks come in power-of-two sizes; a list that outgrows its
+//! block moves to one of twice the size and the old block goes on the free
+//! list of its size.
+//!
+//! What is recycled: slots (a free list of indices) and blocks (a free list
+//! per size, shared by all slots and the re-entry index, so a hub's block is
+//! reused by the next hub wherever it lands). Once the arena, the free lists
+//! and the two maps have reached the stream's high-water mark, no operation
+//! allocates.
+//!
+//! Lists keep push order; eviction removes the leaver from a neighbour's
+//! window list with an order-preserving `retain`, edge removal and re-entry
+//! `swap_remove` the first occurrence. LDG's tie-breaks downstream see that
+//! order, so it is part of the contract.
+//!
+//! # Cost per operation
+//!
+//! | operation | map probes | list work |
+//! |---|---|---|
+//! | `push_vertex` | 1 slot map + 1 re-entry index | on re-entry, O(members) |
+//! | `push_edge` | 2 slot map (+ 1 re-entry index when one endpoint is outside) | 1–2 pushes |
+//! | `remove` | 1 slot map + 1 per neighbour | a `retain` per window neighbour; O(1) on the arrival ring for the oldest, O(len) otherwise |
+//! | `delete` | as `remove` | nothing is handed to the neighbours |
+//! | `remove_edge` | 2 slot map (+ 1 re-entry index) | 1–2 scans |
 
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, VertexId};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Where the endpoints of an incoming edge currently live, from the window's
@@ -35,36 +67,145 @@ pub enum EdgePlacement {
 }
 
 /// A vertex leaving the window, together with everything the assigner needs.
-#[derive(Debug, Clone)]
-pub struct EvictedVertex {
+/// The lists are lent from the window's arena: they are readable until the
+/// window is next mutated.
+#[derive(Debug, Clone, Copy)]
+pub struct EvictedVertex<'a> {
     /// The vertex id.
     pub id: VertexId,
     /// Its label.
     pub label: Label,
     /// Neighbours that are still inside the window.
-    pub window_neighbours: Vec<VertexId>,
+    pub window_neighbours: &'a [VertexId],
     /// Neighbours that already left the window (and are therefore assigned,
     /// or at least known to the partitioner).
-    pub external_neighbours: Vec<VertexId>,
+    pub external_neighbours: &'a [VertexId],
+}
+
+/// A list of vertex ids in a [`ListPool`] block. The empty list owns no
+/// block.
+#[derive(Debug, Clone, Copy, Default)]
+struct List {
+    start: usize,
+    len: usize,
+    cap: usize,
+}
+
+impl List {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
+/// The arena behind every adjacency list, with a free list of blocks per
+/// power-of-two size.
+#[derive(Debug, Clone, Default)]
+struct ListPool {
+    arena: Vec<VertexId>,
+    /// `free[c]` holds the starts of the unused blocks of `MIN_BLOCK << c`
+    /// ids.
+    free: Vec<Vec<usize>>,
+}
+
+impl ListPool {
+    /// Smallest block handed out, in vertex ids.
+    const MIN_BLOCK: usize = 4;
+
+    fn size_class(cap: usize) -> usize {
+        (cap / Self::MIN_BLOCK).trailing_zeros() as usize
+    }
+
+    fn get(&self, list: List) -> &[VertexId] {
+        &self.arena[list.range()]
+    }
+
+    fn push(&mut self, list: &mut List, v: VertexId) {
+        if list.len == list.cap {
+            let cap = (list.cap * 2).max(Self::MIN_BLOCK);
+            let start = self.take_block(cap);
+            self.arena.copy_within(list.range(), start);
+            self.release(*list);
+            list.start = start;
+            list.cap = cap;
+        }
+        self.arena[list.start + list.len] = v;
+        list.len += 1;
+    }
+
+    fn take_block(&mut self, cap: usize) -> usize {
+        let recycled = self.free.get_mut(Self::size_class(cap)).and_then(Vec::pop);
+        recycled.unwrap_or_else(|| {
+            let start = self.arena.len();
+            self.arena.resize(start + cap, VertexId::new(0));
+            start
+        })
+    }
+
+    /// Put the list's block on its free list. A block keeps its contents
+    /// until it is handed out again, which is what lets `remove` lend them.
+    fn release(&mut self, list: List) {
+        if list.cap == 0 {
+            return;
+        }
+        let class = Self::size_class(list.cap);
+        if self.free.len() <= class {
+            self.free.resize_with(class + 1, Vec::new);
+        }
+        self.free[class].push(list.start);
+    }
+
+    /// `swap_remove` the first occurrence of `v`.
+    fn swap_remove_first(&mut self, list: &mut List, v: VertexId) -> bool {
+        let items = &mut self.arena[list.range()];
+        let Some(pos) = items.iter().position(|&u| u == v) else {
+            return false;
+        };
+        items.swap(pos, items.len() - 1);
+        list.len -= 1;
+        true
+    }
+
+    /// Drop every occurrence of `v`, keeping the order of the rest.
+    fn retain_ne(&mut self, list: &mut List, v: VertexId) {
+        let items = &mut self.arena[list.range()];
+        let mut kept = 0;
+        for i in 0..items.len() {
+            if items[i] != v {
+                items[kept] = items[i];
+                kept += 1;
+            }
+        }
+        list.len = kept;
+    }
+}
+
+/// One buffered vertex.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    label: Label,
+    /// Adjacency restricted to window members.
+    window: List,
+    /// Adjacency to vertices outside the window.
+    external: List,
 }
 
 /// The sliding window buffer.
 #[derive(Debug, Clone)]
 pub struct StreamWindow {
     capacity: usize,
+    /// Buffered ids, oldest first.
     order: VecDeque<VertexId>,
-    labels: FxHashMap<VertexId, Label>,
-    /// Adjacency restricted to window members.
-    window_adj: FxHashMap<VertexId, Vec<VertexId>>,
-    /// Adjacency from window members to evicted vertices.
-    external_adj: FxHashMap<VertexId, Vec<VertexId>>,
-    /// Reverse of `external_adj`: for each *outside* vertex, the window
-    /// members listing it as an external neighbour (one entry per edge
+    slot_of: FxHashMap<VertexId, usize>,
+    slots: Vec<Slot>,
+    free_slots: Vec<usize>,
+    /// Reverse of the slots' external lists: for each *outside* vertex, the
+    /// window members listing it as an external neighbour (one entry per edge
     /// occurrence). Kept so a vertex re-entering the window after eviction
     /// can reclaim its edges as window edges in O(degree) instead of leaving
     /// stale external entries behind — those would double-count the edge in
     /// the LDG score once the re-entered vertex is evicted again.
-    external_rev: FxHashMap<VertexId, Vec<VertexId>>,
+    external_rev: FxHashMap<VertexId, List>,
+    lists: ListPool,
 }
 
 impl StreamWindow {
@@ -74,10 +215,11 @@ impl StreamWindow {
         Self {
             capacity: capacity.max(1),
             order: VecDeque::new(),
-            labels: FxHashMap::default(),
-            window_adj: FxHashMap::default(),
-            external_adj: FxHashMap::default(),
+            slot_of: FxHashMap::default(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             external_rev: FxHashMap::default(),
+            lists: ListPool::default(),
         }
     }
 
@@ -102,14 +244,18 @@ impl StreamWindow {
         self.order.len() >= self.capacity
     }
 
+    fn slot(&self, v: VertexId) -> Option<&Slot> {
+        self.slot_of.get(&v).map(|&s| &self.slots[s])
+    }
+
     /// Whether a vertex is currently buffered.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.labels.contains_key(&v)
+        self.slot_of.contains_key(&v)
     }
 
     /// The label of a buffered vertex.
     pub fn label_of(&self, v: VertexId) -> Option<Label> {
-        self.labels.get(&v).copied()
+        self.slot(v).map(|slot| slot.label)
     }
 
     /// The oldest buffered vertex (next eviction candidate).
@@ -124,16 +270,18 @@ impl StreamWindow {
 
     /// Neighbours of `v` inside the window.
     pub fn window_neighbours(&self, v: VertexId) -> &[VertexId] {
-        self.window_adj.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.slot(v).map_or(&[], |slot| self.lists.get(slot.window))
     }
 
     /// Neighbours of `v` that already left the window.
     pub fn external_neighbours(&self, v: VertexId) -> &[VertexId] {
-        self.external_adj.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.slot(v)
+            .map_or(&[], |slot| self.lists.get(slot.external))
     }
 
     /// Buffer a new vertex. The caller is responsible for evicting first if
-    /// the window [`is_full`](StreamWindow::is_full).
+    /// the window [`is_full`](StreamWindow::is_full). Pushing a vertex that
+    /// is already buffered only overwrites its label.
     ///
     /// A vertex that re-enters the window after a previous eviction reclaims
     /// the edges it left behind: every remaining member that recorded it as an
@@ -141,56 +289,68 @@ impl StreamWindow {
     /// is never counted twice (once as external, once as window) by a later
     /// eviction's LDG score.
     pub fn push_vertex(&mut self, id: VertexId, label: Label) {
-        if self.labels.insert(id, label).is_none() {
-            self.order.push_back(id);
-            self.window_adj.entry(id).or_default();
-            self.external_adj.entry(id).or_default();
-            if let Some(members) = self.external_rev.remove(&id) {
-                for n in members {
-                    if let Some(ext) = self.external_adj.get_mut(&n) {
-                        if let Some(pos) = ext.iter().position(|&u| u == id) {
-                            ext.swap_remove(pos);
-                        }
-                    }
-                    self.window_adj.entry(n).or_default().push(id);
-                    self.window_adj.entry(id).or_default().push(n);
-                }
+        let mut slot = Slot {
+            label,
+            window: List::default(),
+            external: List::default(),
+        };
+        let s = match self.slot_of.entry(id) {
+            Entry::Occupied(held) => {
+                self.slots[*held.get()].label = label;
+                return;
             }
+            Entry::Vacant(vacant) => {
+                let s = self.free_slots.pop().unwrap_or_else(|| {
+                    self.slots.push(slot);
+                    self.slots.len() - 1
+                });
+                *vacant.insert(s)
+            }
+        };
+        self.order.push_back(id);
+        if let Some(members) = self.external_rev.remove(&id) {
+            for i in members.range() {
+                let n = self.lists.arena[i];
+                let member = &mut self.slots[self.slot_of[&n]];
+                self.lists.swap_remove_first(&mut member.external, id);
+                self.lists.push(&mut member.window, id);
+                self.lists.push(&mut slot.window, n);
+            }
+            self.lists.release(members);
         }
+        self.slots[s] = slot;
     }
 
     /// Record an incoming edge and report where its endpoints live.
     pub fn push_edge(&mut self, a: VertexId, b: VertexId) -> EdgePlacement {
-        let a_in = self.contains(a);
-        let b_in = self.contains(b);
-        match (a_in, b_in) {
-            (true, true) => {
-                self.window_adj.entry(a).or_default().push(b);
-                self.window_adj.entry(b).or_default().push(a);
+        let slot_a = self.slot_of.get(&a).copied();
+        let slot_b = self.slot_of.get(&b).copied();
+        match (slot_a, slot_b) {
+            (Some(sa), Some(sb)) => {
+                self.lists.push(&mut self.slots[sa].window, b);
+                self.lists.push(&mut self.slots[sb].window, a);
                 EdgePlacement::BothInWindow
             }
-            (true, false) => {
-                self.external_adj.entry(a).or_default().push(b);
-                self.external_rev.entry(b).or_default().push(a);
-                EdgePlacement::OneInWindow {
-                    inside: a,
-                    outside: b,
-                }
-            }
-            (false, true) => {
-                self.external_adj.entry(b).or_default().push(a);
-                self.external_rev.entry(a).or_default().push(b);
-                EdgePlacement::OneInWindow {
-                    inside: b,
-                    outside: a,
-                }
-            }
-            (false, false) => EdgePlacement::NeitherInWindow,
+            (Some(inside), None) => self.push_external_edge(inside, a, b),
+            (None, Some(inside)) => self.push_external_edge(inside, b, a),
+            (None, None) => EdgePlacement::NeitherInWindow,
         }
     }
 
+    fn push_external_edge(
+        &mut self,
+        slot: usize,
+        inside: VertexId,
+        outside: VertexId,
+    ) -> EdgePlacement {
+        self.lists.push(&mut self.slots[slot].external, outside);
+        let rev = self.external_rev.entry(outside).or_default();
+        self.lists.push(rev, inside);
+        EdgePlacement::OneInWindow { inside, outside }
+    }
+
     /// Evict the oldest vertex (if any).
-    pub fn evict_oldest(&mut self) -> Option<EvictedVertex> {
+    pub fn evict_oldest(&mut self) -> Option<EvictedVertex<'_>> {
         let id = self.order.front().copied()?;
         self.remove(id)
     }
@@ -198,37 +358,65 @@ impl StreamWindow {
     /// Remove an arbitrary buffered vertex, fixing up the adjacency of the
     /// remaining window members (its window edges become their external
     /// edges).
-    pub fn remove(&mut self, id: VertexId) -> Option<EvictedVertex> {
-        let label = self.labels.remove(&id)?;
-        self.order.retain(|&v| v != id);
-        let window_neighbours = self.window_adj.remove(&id).unwrap_or_default();
-        let external_neighbours = self.external_adj.remove(&id).unwrap_or_default();
-        // The removed vertex's external edges leave the window's bookkeeping
-        // entirely: drop the matching reverse entries so the index stays
-        // bounded by the window's current external edges.
-        for &u in &external_neighbours {
-            if let Some(rev) = self.external_rev.get_mut(&u) {
-                if let Some(pos) = rev.iter().position(|&m| m == id) {
-                    rev.swap_remove(pos);
-                }
-                if rev.is_empty() {
-                    self.external_rev.remove(&u);
-                }
+    pub fn remove(&mut self, id: VertexId) -> Option<EvictedVertex<'_>> {
+        let slot = self.vacate(id)?;
+        let mut rev = List::default();
+        for i in slot.window.range() {
+            let n = self.lists.arena[i];
+            if n == id {
+                continue; // a self-loop leaves with its vertex
             }
+            let member = &mut self.slots[self.slot_of[&n]];
+            self.lists.retain_ne(&mut member.window, id);
+            self.lists.push(&mut member.external, id);
+            self.lists.push(&mut rev, n);
         }
-        for &n in &window_neighbours {
-            if let Some(adj) = self.window_adj.get_mut(&n) {
-                adj.retain(|&u| u != id);
-            }
-            self.external_adj.entry(n).or_default().push(id);
-            self.external_rev.entry(id).or_default().push(n);
+        if rev.len > 0 {
+            self.external_rev.insert(id, rev);
         }
+        self.release_lists(slot);
         Some(EvictedVertex {
             id,
-            label,
-            window_neighbours,
-            external_neighbours,
+            label: slot.label,
+            window_neighbours: self.lists.get(slot.window),
+            external_neighbours: self.lists.get(slot.external),
         })
+    }
+
+    /// Take `id` out of the slot map and the arrival ring, free its slot and
+    /// drop the reverse entries of its external edges (they leave the
+    /// window's bookkeeping entirely, which keeps the index bounded by the
+    /// window's current external edges). The caller still owns the returned
+    /// slot's lists and ends with [`release_lists`](Self::release_lists).
+    fn vacate(&mut self, id: VertexId) -> Option<Slot> {
+        let s = self.slot_of.remove(&id)?;
+        if self.order.front() == Some(&id) {
+            self.order.pop_front();
+        } else {
+            self.order.retain(|&v| v != id);
+        }
+        self.free_slots.push(s);
+        let slot = self.slots[s];
+        for i in slot.external.range() {
+            let outside = self.lists.arena[i];
+            self.forget_reverse(outside, id);
+        }
+        Some(slot)
+    }
+
+    fn release_lists(&mut self, slot: Slot) {
+        self.lists.release(slot.window);
+        self.lists.release(slot.external);
+    }
+
+    /// Drop one `outside → member` entry of the re-entry index.
+    fn forget_reverse(&mut self, outside: VertexId, member: VertexId) {
+        if let Entry::Occupied(mut rev) = self.external_rev.entry(outside) {
+            self.lists.swap_remove_first(rev.get_mut(), member);
+            if rev.get().len == 0 {
+                self.lists.release(rev.remove());
+            }
+        }
     }
 
     /// **Delete** a vertex from the stream — as opposed to
@@ -240,38 +428,26 @@ impl StreamWindow {
     /// already-evicted ones that window members still hold external edges to.
     /// Returns `true` if anything was dropped.
     pub fn delete(&mut self, id: VertexId) -> bool {
-        if self.labels.remove(&id).is_some() {
+        if let Some(slot) = self.vacate(id) {
             // Buffered: drop the vertex, its window edges and its external
             // edges without handing anything to the remaining members.
-            self.order.retain(|&v| v != id);
-            let window_neighbours = self.window_adj.remove(&id).unwrap_or_default();
-            let external_neighbours = self.external_adj.remove(&id).unwrap_or_default();
-            for &u in &external_neighbours {
-                if let Some(rev) = self.external_rev.get_mut(&u) {
-                    if let Some(pos) = rev.iter().position(|&m| m == id) {
-                        rev.swap_remove(pos);
-                    }
-                    if rev.is_empty() {
-                        self.external_rev.remove(&u);
-                    }
+            for i in slot.window.range() {
+                let n = self.lists.arena[i];
+                if n != id {
+                    let member = &mut self.slots[self.slot_of[&n]];
+                    self.lists.retain_ne(&mut member.window, id);
                 }
             }
-            for &n in &window_neighbours {
-                if let Some(adj) = self.window_adj.get_mut(&n) {
-                    adj.retain(|&u| u != id);
-                }
-            }
+            self.release_lists(slot);
             true
         } else if let Some(members) = self.external_rev.remove(&id) {
             // Already evicted: the members' external edges to it vanish, so
             // later LDG scores stop counting edges into a dead vertex.
-            for n in members {
-                if let Some(ext) = self.external_adj.get_mut(&n) {
-                    if let Some(pos) = ext.iter().position(|&u| u == id) {
-                        ext.swap_remove(pos);
-                    }
-                }
+            for i in members.range() {
+                let member = &mut self.slots[self.slot_of[&self.lists.arena[i]]];
+                self.lists.swap_remove_first(&mut member.external, id);
             }
+            self.lists.release(members);
             true
         } else {
             false
@@ -282,66 +458,40 @@ impl StreamWindow {
     /// window-to-external, or absent). Returns `true` if an edge occurrence
     /// was dropped.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        match (self.contains(a), self.contains(b)) {
-            (true, true) => {
-                let mut removed = false;
-                if let Some(adj) = self.window_adj.get_mut(&a) {
-                    if let Some(pos) = adj.iter().position(|&u| u == b) {
-                        adj.swap_remove(pos);
-                        removed = true;
-                    }
-                }
-                if let Some(adj) = self.window_adj.get_mut(&b) {
-                    if let Some(pos) = adj.iter().position(|&u| u == a) {
-                        adj.swap_remove(pos);
-                    }
-                }
+        let slot_a = self.slot_of.get(&a).copied();
+        let slot_b = self.slot_of.get(&b).copied();
+        match (slot_a, slot_b) {
+            (Some(sa), Some(sb)) => {
+                let removed = self.lists.swap_remove_first(&mut self.slots[sa].window, b);
+                self.lists.swap_remove_first(&mut self.slots[sb].window, a);
                 removed
             }
-            (true, false) => self.remove_external_edge(a, b),
-            (false, true) => self.remove_external_edge(b, a),
-            (false, false) => false,
+            (Some(inside), None) => self.remove_external_edge(inside, a, b),
+            (None, Some(inside)) => self.remove_external_edge(inside, b, a),
+            (None, None) => false,
         }
     }
 
-    fn remove_external_edge(&mut self, inside: VertexId, outside: VertexId) -> bool {
-        let Some(ext) = self.external_adj.get_mut(&inside) else {
-            return false;
-        };
-        let Some(pos) = ext.iter().position(|&u| u == outside) else {
-            return false;
-        };
-        ext.swap_remove(pos);
-        if let Some(rev) = self.external_rev.get_mut(&outside) {
-            if let Some(p) = rev.iter().position(|&m| m == inside) {
-                rev.swap_remove(p);
-            }
-            if rev.is_empty() {
-                self.external_rev.remove(&outside);
-            }
+    fn remove_external_edge(&mut self, slot: usize, inside: VertexId, outside: VertexId) -> bool {
+        let removed = self
+            .lists
+            .swap_remove_first(&mut self.slots[slot].external, outside);
+        if removed {
+            self.forget_reverse(outside, inside);
         }
-        true
+        removed
     }
 
     /// Change a buffered vertex's label in place. Returns `true` if the
     /// vertex was buffered.
     pub fn relabel(&mut self, id: VertexId, label: Label) -> bool {
-        match self.labels.get_mut(&id) {
-            Some(slot) => {
-                *slot = label;
+        match self.slot_of.get(&id) {
+            Some(&s) => {
+                self.slots[s].label = label;
                 true
             }
             None => false,
         }
-    }
-
-    /// Drain the whole window in arrival order (used at end of stream).
-    pub fn drain(&mut self) -> Vec<EvictedVertex> {
-        let mut evicted = Vec::with_capacity(self.order.len());
-        while let Some(e) = self.evict_oldest() {
-            evicted.push(e);
-        }
-        evicted
     }
 }
 
@@ -429,9 +579,11 @@ mod tests {
         assert_eq!(w.external_neighbours(v(1)), &[v(3)]);
         assert!(w.remove(v(3)).is_none());
 
-        let drained = w.drain();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].id, v(1));
+        let mut drained = Vec::new();
+        while let Some(evicted) = w.evict_oldest() {
+            drained.push(evicted.id);
+        }
+        assert_eq!(drained, vec![v(1), v(2), v(4)]);
         assert!(w.is_empty());
     }
 
@@ -485,11 +637,10 @@ mod tests {
         reclaimed.sort_unstable();
         assert_eq!(reclaimed, vec![v(2), v(3), v(4)]);
         // Total degree over the window is still one per edge.
-        let drained = w.drain();
-        let degree_sum: usize = drained
-            .iter()
-            .map(|e| e.window_neighbours.len() + e.external_neighbours.len())
-            .sum();
+        let mut degree_sum = 0;
+        while let Some(e) = w.evict_oldest() {
+            degree_sum += e.window_neighbours.len() + e.external_neighbours.len();
+        }
         assert_eq!(degree_sum, 2 * 3, "each edge counted once per side");
     }
 

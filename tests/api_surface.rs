@@ -222,6 +222,51 @@ fn every_spec_reproduces_its_golden_placement() -> Result<(), Box<dyn std::error
         actual, GOLDEN,
         "placements moved; actual digests: {actual:#x?}"
     );
+
+    // The digests pin *where* every vertex went; this pins *how* — as part of
+    // a motif cluster or alone — and what the matcher did on the way, for the
+    // `loom` row on the insert-only k = 8 input and on the churn input. The
+    // counts were recorded at the commit before the window moved onto a slab.
+    let loom_stats = |k: u32, announced: usize, stream: &GraphStream| {
+        let config = LoomConfig::new(k, announced).with_window_size(64);
+        let mut loom = LoomPartitioner::new(config, &tpstry)?;
+        partition_stream_batched(&mut loom, stream, 256)?;
+        Ok::<_, Box<dyn std::error::Error>>(loom.loom_stats())
+    };
+    assert_eq!(
+        loom_stats(8, n, &ba_stream)?,
+        LoomStats {
+            vertices_ingested: 2000,
+            edges_ingested: 5994,
+            window_edges: 411,
+            signatures_computed: 1282,
+            motif_matches_found: 91,
+            clusters_assigned: 58,
+            cluster_vertices_assigned: 157,
+            largest_cluster: 28,
+            clusters_split_for_balance: 0,
+            single_vertices_assigned: 1843,
+            verifications: 0,
+            false_positive_matches: 0,
+        }
+    );
+    assert_eq!(
+        loom_stats(4, churn.graph.vertex_count(), &churn_stream)?,
+        LoomStats {
+            vertices_ingested: 780,
+            edges_ingested: 1680,
+            window_edges: 391,
+            signatures_computed: 121,
+            motif_matches_found: 55,
+            clusters_assigned: 37,
+            cluster_vertices_assigned: 83,
+            largest_cluster: 4,
+            clusters_split_for_balance: 0,
+            single_vertices_assigned: 665,
+            verifications: 0,
+            false_positive_matches: 0,
+        }
+    );
     Ok(())
 }
 

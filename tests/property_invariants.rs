@@ -5,6 +5,7 @@
 //! signature algebra, canonical-code stability, stream faithfulness,
 //! partitioner completeness and balance, and TPSTry++ support monotonicity.
 
+use loom::loom_partition::window::{EdgePlacement, StreamWindow};
 use loom::prelude::*;
 use loom_graph::VertexId;
 use loom_motif::canonical::canonical_code;
@@ -495,5 +496,215 @@ proptest! {
             prop_assert_eq!(rebuilt.edges_sorted(), final_graph.edges_sorted());
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+type AdjacencyMap = std::collections::HashMap<VertexId, Vec<VertexId>>;
+
+/// The hash-map window `StreamWindow` was before it moved onto a slab, kept
+/// here as the reference for [`window_matches_reference_model`]: one map per
+/// concern, a fresh `Vec` per list, nothing recycled. What the assigner and
+/// the matcher read from the window is defined by this model, list order
+/// included.
+#[derive(Default)]
+struct ModelWindow {
+    order: Vec<VertexId>,
+    labels: std::collections::HashMap<VertexId, Label>,
+    window_adj: AdjacencyMap,
+    external_adj: AdjacencyMap,
+    /// outside vertex → members listing it, one entry per edge occurrence.
+    external_rev: AdjacencyMap,
+}
+
+/// `(id, label, window_neighbours, external_neighbours)` of a leaving vertex.
+type EvictedView = (VertexId, Label, Vec<VertexId>, Vec<VertexId>);
+
+fn swap_remove_first(list: &mut Vec<VertexId>, v: VertexId) -> bool {
+    let found = list.iter().position(|&u| u == v);
+    if let Some(pos) = found {
+        list.swap_remove(pos);
+    }
+    found.is_some()
+}
+
+impl ModelWindow {
+    fn neighbours(map: &AdjacencyMap, v: VertexId) -> &[VertexId] {
+        map.get(&v).map_or(&[], Vec::as_slice)
+    }
+
+    fn push_vertex(&mut self, id: VertexId, label: Label) {
+        if self.labels.insert(id, label).is_some() {
+            return;
+        }
+        self.order.push(id);
+        for n in self.external_rev.remove(&id).unwrap_or_default() {
+            swap_remove_first(self.external_adj.entry(n).or_default(), id);
+            self.window_adj.entry(n).or_default().push(id);
+            self.window_adj.entry(id).or_default().push(n);
+        }
+    }
+
+    fn push_edge(&mut self, a: VertexId, b: VertexId) -> EdgePlacement {
+        let (inside, outside) = match (self.labels.contains_key(&a), self.labels.contains_key(&b)) {
+            (true, true) => {
+                self.window_adj.entry(a).or_default().push(b);
+                self.window_adj.entry(b).or_default().push(a);
+                return EdgePlacement::BothInWindow;
+            }
+            (true, false) => (a, b),
+            (false, true) => (b, a),
+            (false, false) => return EdgePlacement::NeitherInWindow,
+        };
+        self.external_adj.entry(inside).or_default().push(outside);
+        self.external_rev.entry(outside).or_default().push(inside);
+        EdgePlacement::OneInWindow { inside, outside }
+    }
+
+    fn forget_reverse(&mut self, outside: VertexId, member: VertexId) {
+        if let Some(rev) = self.external_rev.get_mut(&outside) {
+            swap_remove_first(rev, member);
+            if rev.is_empty() {
+                self.external_rev.remove(&outside);
+            }
+        }
+    }
+
+    /// Eviction when `hand_over`, deletion of a buffered vertex otherwise.
+    fn take(&mut self, id: VertexId, hand_over: bool) -> Option<EvictedView> {
+        let label = self.labels.remove(&id)?;
+        self.order.retain(|&v| v != id);
+        let window = self.window_adj.remove(&id).unwrap_or_default();
+        let external = self.external_adj.remove(&id).unwrap_or_default();
+        for &u in &external {
+            self.forget_reverse(u, id);
+        }
+        for &n in &window {
+            self.window_adj.entry(n).or_default().retain(|&u| u != id);
+            if hand_over {
+                self.external_adj.entry(n).or_default().push(id);
+                self.external_rev.entry(id).or_default().push(n);
+            }
+        }
+        Some((id, label, window, external))
+    }
+
+    fn delete(&mut self, id: VertexId) -> bool {
+        if self.take(id, false).is_some() {
+            return true;
+        }
+        let Some(members) = self.external_rev.remove(&id) else {
+            return false;
+        };
+        for n in members {
+            swap_remove_first(self.external_adj.entry(n).or_default(), id);
+        }
+        true
+    }
+
+    fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
+        let (inside, outside) = match (self.labels.contains_key(&a), self.labels.contains_key(&b)) {
+            (true, true) => {
+                let removed = swap_remove_first(self.window_adj.entry(a).or_default(), b);
+                swap_remove_first(self.window_adj.entry(b).or_default(), a);
+                return removed;
+            }
+            (true, false) => (a, b),
+            (false, true) => (b, a),
+            (false, false) => return false,
+        };
+        let removed = swap_remove_first(self.external_adj.entry(inside).or_default(), outside);
+        if removed {
+            self.forget_reverse(outside, inside);
+        }
+        removed
+    }
+}
+
+/// Seeded random interleavings of every `StreamWindow` operation — pushes
+/// (fresh ids, buffered ids, ids re-entering after eviction), edges with
+/// both, one or no endpoint buffered (repeats included, self-loops not: the
+/// graph rejects them), oldest-first and arbitrary removal, deletion of
+/// buffered, evicted and unknown ids, edge removal, relabels — at capacities
+/// 1..=8, against [`ModelWindow`]. After every step the two agree on the
+/// arrival order, on each label, on each vertex's window and external lists
+/// *as ordered lists*, and on every evicted view.
+#[test]
+fn window_matches_reference_model() {
+    use rand::Rng;
+
+    const IDS: u64 = 14;
+    for capacity in 1..=8usize {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed * 8 + capacity as u64);
+            let mut window = StreamWindow::new(capacity);
+            let mut model = ModelWindow::default();
+            let id = |rng: &mut StdRng| VertexId::new(rng.random_range(0..IDS));
+            let evict = |window: &mut StreamWindow, model: &mut ModelWindow, v: VertexId| {
+                let view = window.remove(v).map(|e| {
+                    let lists = (e.window_neighbours.to_vec(), e.external_neighbours.to_vec());
+                    (e.id, e.label, lists.0, lists.1)
+                });
+                assert_eq!(view, model.take(v, true), "evicted view of {v}");
+            };
+            for step in 0..600 {
+                let at = format!("capacity {capacity} seed {seed} step {step}");
+                match rng.random_range(0..12u32) {
+                    0..=2 => {
+                        // Mostly the caller's protocol (evict while full),
+                        // sometimes a push past the capacity.
+                        while window.is_full() && rng.random_bool(0.9) {
+                            let oldest = window.oldest().expect("a full window has an oldest");
+                            evict(&mut window, &mut model, oldest);
+                        }
+                        let (v, label) = (id(&mut rng), Label::new(rng.random_range(0..4u32)));
+                        window.push_vertex(v, label);
+                        model.push_vertex(v, label);
+                    }
+                    3..=6 => {
+                        let (a, b) = (id(&mut rng), id(&mut rng));
+                        if a != b {
+                            assert_eq!(window.push_edge(a, b), model.push_edge(a, b), "{at}");
+                        }
+                    }
+                    7 => evict(&mut window, &mut model, id(&mut rng)),
+                    8 => {
+                        let v = id(&mut rng);
+                        assert_eq!(window.delete(v), model.delete(v), "{at}");
+                    }
+                    9 | 10 => {
+                        let (a, b) = (id(&mut rng), id(&mut rng));
+                        if a != b {
+                            assert_eq!(window.remove_edge(a, b), model.remove_edge(a, b), "{at}");
+                        }
+                    }
+                    _ => {
+                        let (v, label) = (id(&mut rng), Label::new(rng.random_range(0..4u32)));
+                        let buffered = model.labels.contains_key(&v);
+                        assert_eq!(window.relabel(v, label), buffered, "{at}");
+                        if buffered {
+                            model.labels.insert(v, label);
+                        }
+                    }
+                }
+                assert_eq!(window.vertices().collect::<Vec<_>>(), model.order, "{at}");
+                assert_eq!(window.len(), model.order.len(), "{at}");
+                assert_eq!(window.oldest(), model.order.first().copied(), "{at}");
+                assert_eq!(window.is_full(), model.order.len() >= capacity, "{at}");
+                for v in (0..IDS).map(VertexId::new) {
+                    assert_eq!(window.label_of(v), model.labels.get(&v).copied(), "{at}");
+                    assert_eq!(window.contains(v), model.labels.contains_key(&v), "{at}");
+                    assert_eq!(
+                        window.window_neighbours(v),
+                        ModelWindow::neighbours(&model.window_adj, v),
+                        "window list of {v}, {at}"
+                    );
+                    assert_eq!(
+                        window.external_neighbours(v),
+                        ModelWindow::neighbours(&model.external_adj, v),
+                        "external list of {v}, {at}"
+                    );
+                }
+            }
+        }
     }
 }
