@@ -6,12 +6,61 @@
 //! structure optimised for the operations the streaming partitioner and the
 //! motif matcher need: add vertex/edge, neighbourhood iteration, degree and
 //! label lookups, and induced sub-graph extraction.
+//!
+//! # Layout
+//!
+//! The graph is a slab. A vertex occupies one *slot* — its id, its label and
+//! its adjacency list — found through one `id → slot` map. Every adjacency
+//! list is a block of **one shared arena** of vertex ids (a
+//! [`ListPool`], the same pool type the partitioner's sliding window keeps
+//! its lists in). There is no edge set: the edge count is a counter, and
+//! whether an edge exists is read off the shorter of its endpoints' lists.
+//!
+//! What is recycled: slots (a free list of indices) and list blocks (a free
+//! list per power-of-two size, shared by all vertices, so a removed hub's
+//! block serves the next hub wherever it lands). Once the map, the slot
+//! vector, the arena and the free lists have reached a stream's high-water
+//! mark, no operation allocates.
+//!
+//! Adjacency lists keep push order and removals preserve the order of what
+//! stays: downstream CSR snapshots inherit [`LabelledGraph::neighbors`]
+//! order and match enumeration follows it, so it is part of the contract.
+//! [`LabelledGraph::vertices`], [`LabelledGraph::edges`] and
+//! [`LabelledGraph::labelled_vertices`] walk the slots, an order that
+//! depends on the history of insertions and removals; callers that need a
+//! fixed order use the `*_sorted` accessors.
+//!
+//! # Cost per operation
+//!
+//! | operation | map probes | list work |
+//! |---|---|---|
+//! | `insert_vertex`, `set_label`, `label`, `neighbors`, `degree` | 1 | — |
+//! | `add_edge` | 2 | a scan of the shorter endpoint list, 2 pushes |
+//! | `contains_edge` | 2 | a scan of the shorter endpoint list: O(min degree) |
+//! | `remove_edge` | 2 | an order-preserving removal from each endpoint's list |
+//! | `remove_vertex` | 1 + 1 per neighbour | an order-preserving removal from each neighbour's list |
+//! | `vertices`, `labelled_vertices`, `adjacency_sorted` | 0 | a slot walk (plus one sort by id for `adjacency_sorted`) |
+//! | `edges` | 0 | O(arcs): every list is walked, each edge yielded from its lower endpoint |
+//! | `edge_count`, `vertex_count` | 0 | a counter read |
 
 use crate::error::{GraphError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{EdgeKey, Label, VertexId};
+use crate::pool::{List, ListPool};
 use crate::stream::StreamElement;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
+
+/// One vertex of the slab, or a vacancy on the free list.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Slot {
+    id: VertexId,
+    label: Label,
+    adjacency: List,
+    /// Cleared when the vertex is removed; the slot walks skip it until
+    /// [`LabelledGraph::insert_vertex`] hands the slot out again.
+    live: bool,
+}
 
 /// An undirected, vertex-labelled graph.
 ///
@@ -20,9 +69,12 @@ use serde::{Deserialize, Serialize};
 /// cut, so neither contributes anything to the problem.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LabelledGraph {
-    labels: FxHashMap<VertexId, Label>,
-    adjacency: FxHashMap<VertexId, Vec<VertexId>>,
-    edges: FxHashSet<EdgeKey>,
+    /// Exactly the live vertices.
+    slot_of: FxHashMap<VertexId, usize>,
+    slots: Vec<Slot>,
+    free_slots: Vec<usize>,
+    lists: ListPool,
+    edge_count: usize,
     next_id: u64,
 }
 
@@ -36,10 +88,10 @@ impl LabelledGraph {
     /// `vertices` vertices and `edges` edges.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         Self {
-            labels: FxHashMap::with_capacity_and_hasher(vertices, Default::default()),
-            adjacency: FxHashMap::with_capacity_and_hasher(vertices, Default::default()),
-            edges: FxHashSet::with_capacity_and_hasher(edges, Default::default()),
-            next_id: 0,
+            slot_of: FxHashMap::with_capacity_and_hasher(vertices, Default::default()),
+            slots: Vec::with_capacity(vertices),
+            lists: ListPool::with_capacity(2 * edges),
+            ..Self::default()
         }
     }
 
@@ -67,15 +119,20 @@ impl LabelledGraph {
         let mut graph = Self::with_capacity(lists.size_hint().0, 0);
         for (v, label, neighbours) in lists {
             graph.insert_vertex(v, label);
-            // Installed verbatim — order preserved.
-            graph.adjacency.insert(v, neighbours);
+            // Installed verbatim — order preserved. An id given twice keeps
+            // its last list.
+            let slot = &mut graph.slots[graph.slot_of[&v]];
+            graph.lists.release(slot.adjacency);
+            slot.adjacency = graph.lists.list_from(&neighbours);
         }
-        // Each undirected edge must be named once by each endpoint. The
-        // lower endpoint's mention claims the edge's key …
-        let arcs: usize = graph.adjacency.values().map(Vec::len).sum();
-        graph.edges.reserve(arcs / 2);
+        // Each undirected edge must be named once by each endpoint: the
+        // mentions from the lower endpoint and the mentions from the higher
+        // one, both written `(lo, hi)`, must be the same set. No list
+        // repeats a neighbour, so neither side holds a key twice.
+        let mut upward: Vec<EdgeKey> = Vec::new();
+        let mut downward: Vec<EdgeKey> = Vec::new();
         let mut sorted: Vec<VertexId> = Vec::new();
-        for (&v, neighbours) in &graph.adjacency {
+        for (v, _, neighbours) in graph.adjacency() {
             sorted.clear();
             sorted.extend_from_slice(neighbours);
             sorted.sort_unstable();
@@ -86,41 +143,34 @@ impl LabelledGraph {
                 if u == v {
                     return Err(GraphError::SelfLoop(v));
                 }
-                if !graph.labels.contains_key(&u) {
+                if !graph.contains_vertex(u) {
                     return Err(GraphError::MissingVertex(u));
                 }
-                if v < u {
-                    graph.edges.insert(EdgeKey::new(v, u));
-                }
+                let mentions = if v < u { &mut upward } else { &mut downward };
+                mentions.push(EdgeKey::new(v, u));
             }
         }
-        // … and the higher endpoint's mention must find it claimed. No list
-        // repeats a neighbour, so mentions map to keys one to one: when each
-        // downward mention finds its key and there are as many of them as
-        // keys, every edge is named exactly twice.
-        let asymmetric = |lo: VertexId, hi: VertexId| GraphError::Parse {
-            line: 0,
-            message: format!(
-                "asymmetric adjacency: edge ({lo}, {hi}) is missing from one endpoint's list"
-            ),
-        };
-        let mut downward = 0usize;
-        for (&v, neighbours) in &graph.adjacency {
-            for &u in neighbours.iter().filter(|&&u| u < v) {
-                if !graph.edges.contains(&EdgeKey::new(u, v)) {
-                    return Err(asymmetric(u, v));
-                }
-                downward += 1;
-            }
+        upward.sort_unstable();
+        downward.sort_unstable();
+        // The first key the two sides disagree on is named by one endpoint
+        // only, and so is the first key past the end of the shorter side.
+        let one_sided = upward
+            .iter()
+            .zip(&downward)
+            .find(|(up, down)| up != down)
+            .map(|(up, down)| up.min(down))
+            .or_else(|| upward.get(downward.len()))
+            .or_else(|| downward.get(upward.len()));
+        if let Some(key) = one_sided {
+            return Err(GraphError::Parse {
+                line: 0,
+                message: format!(
+                    "asymmetric adjacency: edge ({}, {}) is missing from one endpoint's list",
+                    key.lo, key.hi
+                ),
+            });
         }
-        if downward != graph.edges.len() {
-            let unanswered = graph
-                .edges
-                .iter()
-                .find(|key| !graph.adjacency[&key.hi].contains(&key.lo));
-            let key = unanswered.expect("fewer answers than claims leaves one unanswered");
-            return Err(asymmetric(key.lo, key.hi));
-        }
+        graph.edge_count = upward.len();
         Ok(graph)
     }
 
@@ -128,9 +178,7 @@ impl LabelledGraph {
     /// id (ids allocated this way are dense and increasing).
     pub fn add_vertex(&mut self, label: Label) -> VertexId {
         let id = VertexId::new(self.next_id);
-        self.next_id += 1;
-        self.labels.insert(id, label);
-        self.adjacency.entry(id).or_default();
+        self.insert_vertex(id, label);
         id
     }
 
@@ -138,9 +186,52 @@ impl LabelledGraph {
     /// loading a file). Returns `true` if the vertex was new, `false` if the
     /// vertex already existed (in which case its label is updated).
     pub fn insert_vertex(&mut self, id: VertexId, label: Label) -> bool {
-        self.next_id = self.next_id.max(id.raw() + 1);
-        self.adjacency.entry(id).or_default();
-        self.labels.insert(id, label).is_none()
+        // Ids arrive from files and logs: `u64::MAX` must not overflow.
+        self.next_id = self.next_id.max(id.raw().saturating_add(1));
+        let slot = Slot {
+            id,
+            label,
+            adjacency: List::default(),
+            live: true,
+        };
+        match self.slot_of.entry(id) {
+            Entry::Occupied(held) => {
+                self.slots[*held.get()].label = label;
+                false
+            }
+            Entry::Vacant(vacant) => {
+                match self.free_slots.pop() {
+                    Some(s) => {
+                        self.slots[s] = slot;
+                        vacant.insert(s);
+                    }
+                    None => {
+                        vacant.insert(self.slots.len());
+                        self.slots.push(slot);
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// The slot of a vertex that must exist to be an edge's endpoint.
+    fn endpoint(&self, v: VertexId) -> Result<usize> {
+        self.slot_of
+            .get(&v)
+            .copied()
+            .ok_or(GraphError::MissingVertex(v))
+    }
+
+    /// Whether the vertices in slots `sa` and `sb` are adjacent: a scan of
+    /// the shorter of the two lists.
+    fn slots_adjacent(&self, sa: usize, sb: usize) -> bool {
+        let (a, b) = (&self.slots[sa], &self.slots[sb]);
+        if a.adjacency.len() <= b.adjacency.len() {
+            self.lists.get(a.adjacency).contains(&b.id)
+        } else {
+            self.lists.get(b.adjacency).contains(&a.id)
+        }
     }
 
     /// Add an undirected edge between two existing vertices.
@@ -154,19 +245,15 @@ impl LabelledGraph {
         if a == b {
             return Err(GraphError::SelfLoop(a));
         }
-        if !self.labels.contains_key(&a) {
-            return Err(GraphError::MissingVertex(a));
-        }
-        if !self.labels.contains_key(&b) {
-            return Err(GraphError::MissingVertex(b));
-        }
-        let key = EdgeKey::new(a, b);
-        if !self.edges.insert(key) {
+        let sa = self.endpoint(a)?;
+        let sb = self.endpoint(b)?;
+        if self.slots_adjacent(sa, sb) {
             return Err(GraphError::DuplicateEdge(a, b));
         }
-        self.adjacency.entry(a).or_default().push(b);
-        self.adjacency.entry(b).or_default().push(a);
-        Ok(key)
+        self.lists.push(&mut self.slots[sa].adjacency, b);
+        self.lists.push(&mut self.slots[sb].adjacency, a);
+        self.edge_count += 1;
+        Ok(EdgeKey::new(a, b))
     }
 
     /// Add an edge if it is not already present, ignoring duplicates.
@@ -185,57 +272,67 @@ impl LabelledGraph {
 
     /// Remove an edge. Returns `true` if it was present.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        let key = EdgeKey::new(a, b);
-        if !self.edges.remove(&key) {
+        let (Some(&sa), Some(&sb)) = (self.slot_of.get(&a), self.slot_of.get(&b)) else {
+            return false;
+        };
+        let before = self.slots[sa].adjacency.len();
+        self.lists.retain_ne(&mut self.slots[sa].adjacency, b);
+        if self.slots[sa].adjacency.len() == before {
             return false;
         }
-        if let Some(list) = self.adjacency.get_mut(&a) {
-            list.retain(|&v| v != b);
-        }
-        if let Some(list) = self.adjacency.get_mut(&b) {
-            list.retain(|&v| v != a);
-        }
+        self.lists.retain_ne(&mut self.slots[sb].adjacency, a);
+        self.edge_count -= 1;
         true
     }
 
     /// Remove a vertex and all of its incident edges.
     /// Returns `true` if the vertex was present.
     pub fn remove_vertex(&mut self, v: VertexId) -> bool {
-        if self.labels.remove(&v).is_none() {
+        let Some(s) = self.slot_of.remove(&v) else {
             return false;
+        };
+        let adjacency = self.slots[s].adjacency;
+        for i in 0..adjacency.len() {
+            let n = self.lists.item(adjacency, i);
+            let neighbour = &mut self.slots[self.slot_of[&n]];
+            self.lists.retain_ne(&mut neighbour.adjacency, v);
         }
-        let neighbours = self.adjacency.remove(&v).unwrap_or_default();
-        for n in neighbours {
-            self.edges.remove(&EdgeKey::new(v, n));
-            if let Some(list) = self.adjacency.get_mut(&n) {
-                list.retain(|&u| u != v);
-            }
-        }
+        self.edge_count -= adjacency.len();
+        self.lists.release(adjacency);
+        self.slots[s].live = false;
+        self.free_slots.push(s);
         true
+    }
+
+    fn slot(&self, v: VertexId) -> Option<&Slot> {
+        self.slot_of.get(&v).map(|&s| &self.slots[s])
     }
 
     /// Whether the vertex exists.
     #[inline]
     pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.labels.contains_key(&v)
+        self.slot_of.contains_key(&v)
     }
 
     /// Whether the undirected edge exists.
     #[inline]
     pub fn contains_edge(&self, a: VertexId, b: VertexId) -> bool {
-        self.edges.contains(&EdgeKey::new(a, b))
+        match (self.slot_of.get(&a), self.slot_of.get(&b)) {
+            (Some(&sa), Some(&sb)) => self.slots_adjacent(sa, sb),
+            _ => false,
+        }
     }
 
     /// The label of a vertex.
     #[inline]
     pub fn label(&self, v: VertexId) -> Option<Label> {
-        self.labels.get(&v).copied()
+        self.slot(v).map(|slot| slot.label)
     }
 
     /// Change the label of an existing vertex. Returns the previous label.
     pub fn set_label(&mut self, v: VertexId, label: Label) -> Result<Label> {
-        match self.labels.get_mut(&v) {
-            Some(slot) => Ok(std::mem::replace(slot, label)),
+        match self.slot_of.get(&v) {
+            Some(&s) => Ok(std::mem::replace(&mut self.slots[s].label, label)),
             None => Err(GraphError::MissingVertex(v)),
         }
     }
@@ -271,80 +368,105 @@ impl LabelledGraph {
     /// The neighbours of a vertex (empty slice if the vertex is absent).
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.adjacency.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.slot(v)
+            .map_or(&[], |slot| self.lists.get(slot.adjacency))
     }
 
     /// The degree of a vertex (0 if absent).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency.get(&v).map(Vec::len).unwrap_or(0)
+        self.slot(v).map_or(0, |slot| slot.adjacency.len())
     }
 
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.labels.len()
+        self.slot_of.len()
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// Whether the graph has no vertices.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.slot_of.is_empty()
+    }
+
+    /// The live slots, in slot order.
+    fn adjacency(&self) -> impl Iterator<Item = (VertexId, Label, &[VertexId])> + '_ {
+        self.slots
+            .iter()
+            .filter(|slot| slot.live)
+            .map(|slot| (slot.id, slot.label, self.lists.get(slot.adjacency)))
+    }
+
+    /// Every vertex with its label and its neighbours (in
+    /// [`LabelledGraph::neighbors`] order), sorted by vertex id — one walk of
+    /// the slots and one sort, no map probe: what a snapshot builder reads
+    /// the whole graph through.
+    pub fn adjacency_sorted(&self) -> Vec<(VertexId, Label, &[VertexId])> {
+        let mut rows: Vec<_> = self.adjacency().collect();
+        rows.sort_unstable_by_key(|&(v, _, _)| v);
+        rows
     }
 
     /// Iterate over all vertex ids (arbitrary order).
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.labels.keys().copied()
+        self.adjacency().map(|(v, _, _)| v)
     }
 
     /// All vertex ids, sorted ascending. Useful for deterministic iteration.
     pub fn vertices_sorted(&self) -> Vec<VertexId> {
-        let mut ids: Vec<_> = self.labels.keys().copied().collect();
+        let mut ids: Vec<_> = self.vertices().collect();
         ids.sort_unstable();
         ids
     }
 
     /// Iterate over all undirected edges (arbitrary order).
     pub fn edges(&self) -> impl Iterator<Item = EdgeKey> + '_ {
-        self.edges.iter().copied()
+        self.adjacency().flat_map(|(v, _, neighbours)| {
+            let above = neighbours.iter().filter(move |&&u| v < u);
+            above.map(move |&u| EdgeKey::new(v, u))
+        })
     }
 
     /// All edges, sorted lexicographically. Useful for deterministic iteration.
     pub fn edges_sorted(&self) -> Vec<EdgeKey> {
-        let mut edges: Vec<_> = self.edges.iter().copied().collect();
+        let mut edges: Vec<_> = self.edges().collect();
         edges.sort_unstable();
         edges
     }
 
     /// Iterate over `(VertexId, Label)` pairs (arbitrary order).
     pub fn labelled_vertices(&self) -> impl Iterator<Item = (VertexId, Label)> + '_ {
-        self.labels.iter().map(|(&v, &l)| (v, l))
+        self.adjacency().map(|(v, label, _)| (v, label))
     }
 
     /// The maximum degree over all vertices (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
-        self.adjacency.values().map(Vec::len).max().unwrap_or(0)
+        self.adjacency()
+            .map(|(_, _, neighbours)| neighbours.len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The average degree `2|E| / |V|` (0.0 for an empty graph).
     pub fn average_degree(&self) -> f64 {
-        if self.labels.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            2.0 * self.edges.len() as f64 / self.labels.len() as f64
+            2.0 * self.edge_count as f64 / self.vertex_count() as f64
         }
     }
 
     /// Histogram of labels → number of vertices carrying that label.
     pub fn label_histogram(&self) -> FxHashMap<Label, usize> {
         let mut hist = FxHashMap::default();
-        for &label in self.labels.values() {
+        for (_, label) in self.labelled_vertices() {
             *hist.entry(label).or_insert(0) += 1;
         }
         hist
@@ -352,13 +474,7 @@ impl LabelledGraph {
 
     /// The set of distinct labels present in the graph.
     pub fn distinct_labels(&self) -> Vec<Label> {
-        let mut labels: Vec<Label> = self
-            .labels
-            .values()
-            .copied()
-            .collect::<FxHashSet<_>>()
-            .into_iter()
-            .collect();
+        let mut labels: Vec<Label> = self.label_histogram().into_keys().collect();
         labels.sort_unstable();
         labels
     }
@@ -720,5 +836,54 @@ mod tests {
         // A second pass over the same script lands in the same state.
         script.iter().for_each(|e| g.apply(e));
         assert_eq!(state(&g), once);
+    }
+
+    #[test]
+    fn the_largest_id_applies_without_overflow() {
+        let top = VertexId::new(u64::MAX);
+        let mut g = LabelledGraph::new();
+        g.apply(&StreamElement::AddVertex {
+            id: top,
+            label: Label::new(3),
+        });
+        assert_eq!(g.label(top), Some(Label::new(3)));
+        assert_eq!(g.vertices_sorted(), vec![top]);
+        g.insert_vertex(VertexId::new(7), Label::new(0));
+        g.add_edge(top, VertexId::new(7)).unwrap();
+        assert_eq!(g.neighbors(top), &[VertexId::new(7)]);
+    }
+
+    #[test]
+    fn slots_and_blocks_are_recycled_and_walks_skip_vacancies() {
+        let v = VertexId::new;
+        let mut g = LabelledGraph::new();
+        for i in 0..6 {
+            g.insert_vertex(v(i), Label::new(i as u32));
+        }
+        for i in 1..5 {
+            g.add_edge(v(0), v(i)).unwrap();
+        }
+        g.add_edge(v(4), v(2)).unwrap();
+        let (slots, arena) = (g.slots.len(), g.lists.arena_len());
+        assert!(g.remove_vertex(v(0)));
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.vertices().count(), 5);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            vec![EdgeKey::new(v(2), v(4))]
+        );
+        assert_eq!(g.neighbors(v(4)), &[v(2)]);
+        // A new hub takes the vacated slot and the vacated block.
+        g.insert_vertex(v(9), Label::new(9));
+        for i in 1..5 {
+            g.add_edge(v(9), v(i)).unwrap();
+        }
+        assert_eq!(g.slots.len(), slots);
+        assert_eq!(g.lists.arena_len(), arena);
+        let rows = g.adjacency_sorted();
+        assert_eq!(rows.len(), 6);
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(rows[5], (v(9), Label::new(9), g.neighbors(v(9))));
+        assert_eq!(g.neighbors(v(9)), &[v(1), v(2), v(3), v(4)]);
     }
 }

@@ -7,7 +7,8 @@
 //! graphs:
 //!
 //! * compact identifiers and an interner for vertex labels ([`ids`], [`labels`]),
-//! * a mutable adjacency-list [`LabelledGraph`],
+//! * a mutable adjacency-list [`LabelledGraph`] on a slab, and the list arena
+//!   it shares with the partitioner's window ([`pool`]),
 //! * induced sub-graph extraction and traversal helpers ([`subgraph`],
 //!   [`traversal`]),
 //! * deterministic random graph generators covering the families used in the
@@ -46,6 +47,7 @@ pub mod ids;
 pub mod io;
 pub mod labels;
 pub mod ordering;
+pub mod pool;
 pub mod stats;
 pub mod stream;
 pub mod subgraph;

@@ -45,6 +45,7 @@
 //! | `remove_edge` | 2 slot map (+ 1 re-entry index) | 1–2 scans |
 
 use loom_graph::fxhash::FxHashMap;
+use loom_graph::pool::{List, ListPool};
 use loom_graph::{Label, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -80,103 +81,6 @@ pub struct EvictedVertex<'a> {
     /// Neighbours that already left the window (and are therefore assigned,
     /// or at least known to the partitioner).
     pub external_neighbours: &'a [VertexId],
-}
-
-/// A list of vertex ids in a [`ListPool`] block. The empty list owns no
-/// block.
-#[derive(Debug, Clone, Copy, Default)]
-struct List {
-    start: usize,
-    len: usize,
-    cap: usize,
-}
-
-impl List {
-    fn range(self) -> std::ops::Range<usize> {
-        self.start..self.start + self.len
-    }
-}
-
-/// The arena behind every adjacency list, with a free list of blocks per
-/// power-of-two size.
-#[derive(Debug, Clone, Default)]
-struct ListPool {
-    arena: Vec<VertexId>,
-    /// `free[c]` holds the starts of the unused blocks of `MIN_BLOCK << c`
-    /// ids.
-    free: Vec<Vec<usize>>,
-}
-
-impl ListPool {
-    /// Smallest block handed out, in vertex ids.
-    const MIN_BLOCK: usize = 4;
-
-    fn size_class(cap: usize) -> usize {
-        (cap / Self::MIN_BLOCK).trailing_zeros() as usize
-    }
-
-    fn get(&self, list: List) -> &[VertexId] {
-        &self.arena[list.range()]
-    }
-
-    fn push(&mut self, list: &mut List, v: VertexId) {
-        if list.len == list.cap {
-            let cap = (list.cap * 2).max(Self::MIN_BLOCK);
-            let start = self.take_block(cap);
-            self.arena.copy_within(list.range(), start);
-            self.release(*list);
-            list.start = start;
-            list.cap = cap;
-        }
-        self.arena[list.start + list.len] = v;
-        list.len += 1;
-    }
-
-    fn take_block(&mut self, cap: usize) -> usize {
-        let recycled = self.free.get_mut(Self::size_class(cap)).and_then(Vec::pop);
-        recycled.unwrap_or_else(|| {
-            let start = self.arena.len();
-            self.arena.resize(start + cap, VertexId::new(0));
-            start
-        })
-    }
-
-    /// Put the list's block on its free list. A block keeps its contents
-    /// until it is handed out again, which is what lets `remove` lend them.
-    fn release(&mut self, list: List) {
-        if list.cap == 0 {
-            return;
-        }
-        let class = Self::size_class(list.cap);
-        if self.free.len() <= class {
-            self.free.resize_with(class + 1, Vec::new);
-        }
-        self.free[class].push(list.start);
-    }
-
-    /// `swap_remove` the first occurrence of `v`.
-    fn swap_remove_first(&mut self, list: &mut List, v: VertexId) -> bool {
-        let items = &mut self.arena[list.range()];
-        let Some(pos) = items.iter().position(|&u| u == v) else {
-            return false;
-        };
-        items.swap(pos, items.len() - 1);
-        list.len -= 1;
-        true
-    }
-
-    /// Drop every occurrence of `v`, keeping the order of the rest.
-    fn retain_ne(&mut self, list: &mut List, v: VertexId) {
-        let items = &mut self.arena[list.range()];
-        let mut kept = 0;
-        for i in 0..items.len() {
-            if items[i] != v {
-                items[kept] = items[i];
-                kept += 1;
-            }
-        }
-        list.len = kept;
-    }
 }
 
 /// One buffered vertex.
@@ -309,8 +213,8 @@ impl StreamWindow {
         };
         self.order.push_back(id);
         if let Some(members) = self.external_rev.remove(&id) {
-            for i in members.range() {
-                let n = self.lists.arena[i];
+            for i in 0..members.len() {
+                let n = self.lists.item(members, i);
                 let member = &mut self.slots[self.slot_of[&n]];
                 self.lists.swap_remove_first(&mut member.external, id);
                 self.lists.push(&mut member.window, id);
@@ -361,8 +265,8 @@ impl StreamWindow {
     pub fn remove(&mut self, id: VertexId) -> Option<EvictedVertex<'_>> {
         let slot = self.vacate(id)?;
         let mut rev = List::default();
-        for i in slot.window.range() {
-            let n = self.lists.arena[i];
+        for i in 0..slot.window.len() {
+            let n = self.lists.item(slot.window, i);
             if n == id {
                 continue; // a self-loop leaves with its vertex
             }
@@ -371,7 +275,7 @@ impl StreamWindow {
             self.lists.push(&mut member.external, id);
             self.lists.push(&mut rev, n);
         }
-        if rev.len > 0 {
+        if !rev.is_empty() {
             self.external_rev.insert(id, rev);
         }
         self.release_lists(slot);
@@ -397,8 +301,8 @@ impl StreamWindow {
         }
         self.free_slots.push(s);
         let slot = self.slots[s];
-        for i in slot.external.range() {
-            let outside = self.lists.arena[i];
+        for i in 0..slot.external.len() {
+            let outside = self.lists.item(slot.external, i);
             self.forget_reverse(outside, id);
         }
         Some(slot)
@@ -413,7 +317,7 @@ impl StreamWindow {
     fn forget_reverse(&mut self, outside: VertexId, member: VertexId) {
         if let Entry::Occupied(mut rev) = self.external_rev.entry(outside) {
             self.lists.swap_remove_first(rev.get_mut(), member);
-            if rev.get().len == 0 {
+            if rev.get().is_empty() {
                 self.lists.release(rev.remove());
             }
         }
@@ -431,8 +335,8 @@ impl StreamWindow {
         if let Some(slot) = self.vacate(id) {
             // Buffered: drop the vertex, its window edges and its external
             // edges without handing anything to the remaining members.
-            for i in slot.window.range() {
-                let n = self.lists.arena[i];
+            for i in 0..slot.window.len() {
+                let n = self.lists.item(slot.window, i);
                 if n != id {
                     let member = &mut self.slots[self.slot_of[&n]];
                     self.lists.retain_ne(&mut member.window, id);
@@ -443,8 +347,8 @@ impl StreamWindow {
         } else if let Some(members) = self.external_rev.remove(&id) {
             // Already evicted: the members' external edges to it vanish, so
             // later LDG scores stop counting edges into a dead vertex.
-            for i in members.range() {
-                let member = &mut self.slots[self.slot_of[&self.lists.arena[i]]];
+            for i in 0..members.len() {
+                let member = &mut self.slots[self.slot_of[&self.lists.item(members, i)]];
                 self.lists.swap_remove_first(&mut member.external, id);
             }
             self.lists.release(members);

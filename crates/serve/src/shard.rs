@@ -235,25 +235,26 @@ impl ShardedStore {
     /// remote to everyone.
     pub fn from_parts(graph: &LabelledGraph, partitioning: &Partitioning) -> Self {
         let k = partitioning.k() as usize;
-        let ids = graph.vertices_sorted();
-        let n = ids.len();
+        // The whole graph by one slot walk, sorted by id once: no label or
+        // neighbour probe per vertex below.
+        let rows = graph.adjacency_sorted();
+        let n = rows.len();
 
-        // One partition probe and one label probe per vertex, in id order:
-        // the label lists come out id-sorted, and a stable bucket pass
-        // (bucket `k` = unassigned) turns id order into the partition-major
-        // (partition, id) order without a comparison sort.
-        let mut keyed: Vec<(u32, Label)> = Vec::with_capacity(n);
+        // One partition probe per vertex, in id order: the label lists come
+        // out id-sorted, and a stable bucket pass (bucket `k` = unassigned)
+        // turns id order into the partition-major (partition, id) order
+        // without a comparison sort.
+        let mut homes: Vec<u32> = Vec::with_capacity(n);
         let mut starts = vec![0usize; k + 2];
         let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
-        for &v in &ids {
+        for &(v, label, _) in &rows {
             let home = partitioning
                 .partition_of(v)
                 .map(|p| p.0)
                 .unwrap_or(UNASSIGNED);
-            let label = graph.label(v).expect("vertex present in snapshot");
             by_label.entry(label).or_default().push(v);
             starts[(home as usize).min(k) + 1] += 1;
-            keyed.push((home, label));
+            homes.push(home);
         }
         for bucket in 0..=k {
             starts[bucket + 1] += starts[bucket];
@@ -261,7 +262,8 @@ impl ShardedStore {
         let mut cursor = starts.clone();
         let mut order = vec![VertexId::new(0); n];
         let mut slots = vec![end_slot(0); n + 1];
-        for (&v, &(home, label)) in ids.iter().zip(&keyed) {
+        let mut lists: Vec<&[VertexId]> = vec![&[]; n];
+        for (&(v, label, neighbors), &home) in rows.iter().zip(&homes) {
             let pos = &mut cursor[(home as usize).min(k)];
             order[*pos] = v;
             slots[*pos] = Slot {
@@ -270,6 +272,7 @@ impl ShardedStore {
                 offset: 0,
                 live: 0,
             };
+            lists[*pos] = neighbors;
             *pos += 1;
         }
         let position_of: FxHashMap<VertexId, u32> = order
@@ -281,8 +284,7 @@ impl ShardedStore {
         // The adjacency arena, renamed to positions as it is laid down: the
         // one `position_of` probe per directed edge the whole freeze pays.
         let mut targets: Vec<u32> = Vec::with_capacity(2 * graph.edge_count());
-        for (pos, &v) in order.iter().enumerate() {
-            let neighbors = graph.neighbors(v);
+        for (pos, neighbors) in lists.into_iter().enumerate() {
             slots[pos].offset = targets.len() as u32;
             slots[pos].live = neighbors.len() as u32;
             targets.extend(neighbors.iter().map(|u| position_of[u]));

@@ -490,7 +490,10 @@ impl Session {
 
     /// Feed a contiguous chunk of stream elements at once. On a durable
     /// session the batch is WAL-appended (and fsynced) **before** it reaches
-    /// the partitioner — on `Ok`, the batch survives a crash.
+    /// the partitioner — on `Ok`, the batch survives a crash. Once the
+    /// partitioner has it, the batch is applied to the session's
+    /// [`LabelledGraph`] mirror on this thread, so the mirror is never behind
+    /// what was acknowledged and nothing has to be drained later.
     ///
     /// # Errors
     ///
@@ -537,6 +540,8 @@ impl Session {
 
     /// Publish the current partitioning as a new serving epoch and hand it
     /// to the background checkpoint sink; returns the epoch sequence. The
+    /// store is frozen on this thread from the graph mirror
+    /// [`Session::ingest_batch`] keeps current, by one walk of its slots. The
     /// write happens off this thread — [`Session::sync_durability`] blocks
     /// until it is on disk.
     ///
@@ -696,8 +701,9 @@ impl Session {
     /// into the store's arena and then proven on a thread of its own — arena
     /// invariants, manifest totals, bit identity — while this thread decodes
     /// the WAL and replays the **full** acknowledged batch history through a
-    /// fresh partitioner built from the same configuration, and into the
-    /// durable graph mirror. Partitioners are deterministic, so the replay
+    /// fresh partitioner built from the same configuration, and then — a
+    /// second pass over the same batches, on this thread — into the durable
+    /// graph mirror. Partitioners are deterministic, so the replay
     /// reproduces the exact pre-crash state, streaming window included;
     /// serving resumes pinned at the checkpoint's original `epoch_seq`. The
     /// WAL's torn tail is truncated only once everything above has

@@ -20,7 +20,10 @@
 //!   that was written, and the graph and partitioning derived from it on
 //!   first use equal the originals down to every adjacency list's order;
 //! * **log behind its checkpoint** — a WAL holding fewer records than the
-//!   checkpoint folded in is refused, and the root is left untouched.
+//!   checkpoint folded in is refused, and the root is left untouched;
+//! * **mirror never behind a reader** — every checkpoint, `serve_ingested`
+//!   and recovery sees every acknowledged batch in the graph mirror,
+//!   whatever the batch sizes.
 
 use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE,
@@ -459,6 +462,123 @@ fn compacted_store_checkpoints_with_tombstones_physically_removed() {
     for v in run.final_graph.vertices_sorted() {
         assert_eq!(loaded.graph().label(v), run.final_graph.label(v));
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The churn scenario's whole stream, cut into batches of 1, 1 024, 1, 1 and
+/// 97 elements over and over: single elements follow a long batch into the
+/// mirror, and the deletes land in batches of every size.
+fn churn_batches(run: &ChurnRun) -> Vec<Vec<StreamElement>> {
+    let mut elements = run.build_stream.elements().to_vec();
+    elements.extend(run.dissolve.iter().cloned());
+    let mut rest = elements.as_slice();
+    let mut batches = Vec::new();
+    for size in [1usize, 1024, 1, 1, 97].into_iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (batch, tail) = rest.split_at(size.min(rest.len()));
+        batches.push(batch.to_vec());
+        rest = tail;
+    }
+    batches
+}
+
+#[test]
+fn checkpoint_folds_in_every_acknowledged_batch() {
+    let run = DeletionChurnScenario::small(23).build().unwrap();
+    let batches = churn_batches(&run);
+    assert!(batches.len() >= 10 && batches.iter().any(|b| b.len() == 1024));
+    let whole = GraphStream::from_elements(batches.concat()).materialise();
+    assert_eq!(whole.vertices_sorted(), run.final_graph.vertices_sorted());
+
+    // A checkpoint straight after every batch: the published epoch holds
+    // exactly the prefix acknowledged so far, never one batch less.
+    let root = tmproot("mirror-steps");
+    let mut session = churn_builder(&run.graph)
+        .with_durability(&root)
+        .build()
+        .unwrap();
+    let mut prefix = Vec::new();
+    for (step, batch) in batches.iter().enumerate() {
+        session.ingest_batch(batch).unwrap();
+        prefix.extend(batch.iter().cloned());
+        let epoch = session.checkpoint().unwrap();
+        assert_eq!(epoch, step as u64 + 1);
+        assert_eq!(
+            session.sync_durability(Duration::from_secs(30)).unwrap(),
+            epoch
+        );
+        let dir = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
+        let published = load_checkpoint(&dir).unwrap().store;
+        let graph = GraphStream::from_elements(prefix.clone()).materialise();
+        let expected = ShardedStore::from_parts(&graph, &session.snapshot());
+        assert_eq!(
+            published.vertex_count(),
+            graph.vertex_count(),
+            "step {step}"
+        );
+        assert_eq!(published.edge_count(), graph.edge_count(), "step {step}");
+        assert_eq!(published.check_arena(), Ok(()), "step {step}");
+        assert_bit_identical(&published, &expected);
+    }
+    drop(session);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // No checkpoint at all: `serve_ingested` straight after the last batch
+    // still serves the whole stream, adjacency order included.
+    let root = tmproot("mirror-serve");
+    let mut session = churn_builder(&run.graph)
+        .with_durability(&root)
+        .build()
+        .unwrap();
+    for batch in &batches {
+        session.ingest_batch(batch).unwrap();
+    }
+    let serving = session.serve_ingested().unwrap();
+    let served = serving.store().graph();
+    assert_eq!(served.vertices_sorted(), whole.vertices_sorted());
+    assert_eq!(served.edges_sorted(), whole.edges_sorted());
+    for v in whole.vertices_sorted() {
+        assert_eq!(served.label(v), whole.label(v), "label of {v}");
+        assert_eq!(served.neighbors(v), whole.neighbors(v), "list of {v}");
+    }
+    drop(serving);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // Dropped straight after a run of single-element batches, no checkpoint
+    // taken: the drop returns, and the root recovers to the full history.
+    let root = tmproot("mirror-drop");
+    let mut session = churn_builder(&run.graph)
+        .with_durability(&root)
+        .build()
+        .unwrap();
+    let mut control = churn_builder(&run.graph).build().unwrap();
+    for element in batches.iter().flatten() {
+        session.ingest(element).unwrap();
+        control.ingest(element).unwrap();
+    }
+    let acknowledged = session.wal_records().unwrap();
+    drop(session);
+    let recovered = churn_builder(&run.graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    assert_eq!(recovered.report().wal_records, acknowledged);
+    assert!(!recovered.report().checkpoint_found);
+    // Without a checkpoint the pinned store is frozen from the replayed
+    // mirror: it must already hold everything.
+    let expected = ShardedStore::from_parts(&whole, &control.snapshot());
+    assert_bit_identical(recovered.store(), &expected);
+    let mut session = recovered.into_session();
+    assert_eq!(session.checkpoint().unwrap(), 1);
+    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
+    drop(session);
+    let healed = churn_builder(&run.graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    assert_bit_identical(healed.store(), &expected);
     std::fs::remove_dir_all(&root).unwrap();
 }
 

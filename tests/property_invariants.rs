@@ -708,3 +708,150 @@ fn window_matches_reference_model() {
         }
     }
 }
+
+/// The three-map graph `LabelledGraph` was before it moved onto a slab, kept
+/// here as the reference for [`labelled_graph_matches_reference_model`]: a
+/// label map, a heap `Vec` of neighbours per vertex, a set of edge keys,
+/// nothing recycled. What `apply` does to a graph — and the order
+/// `neighbors` reads back in — is defined by this model.
+#[derive(Default)]
+struct ModelGraph {
+    labels: std::collections::HashMap<VertexId, Label>,
+    adjacency: AdjacencyMap,
+    edges: std::collections::BTreeSet<(VertexId, VertexId)>,
+}
+
+impl ModelGraph {
+    fn key(a: VertexId, b: VertexId) -> (VertexId, VertexId) {
+        (a.min(b), a.max(b))
+    }
+
+    fn unlist(&mut self, of: VertexId, gone: VertexId) {
+        if let Some(list) = self.adjacency.get_mut(&of) {
+            list.retain(|&u| u != gone);
+        }
+    }
+
+    fn apply(&mut self, element: &StreamElement) {
+        match *element {
+            StreamElement::AddVertex { id, label } => {
+                self.adjacency.entry(id).or_default();
+                self.labels.insert(id, label);
+            }
+            StreamElement::AddEdge { source, target } => {
+                let known = |v| self.labels.contains_key(v);
+                if source == target || !known(&source) || !known(&target) {
+                    return;
+                }
+                if self.edges.insert(Self::key(source, target)) {
+                    self.adjacency.entry(source).or_default().push(target);
+                    self.adjacency.entry(target).or_default().push(source);
+                }
+            }
+            StreamElement::RemoveVertex { id } => {
+                if self.labels.remove(&id).is_none() {
+                    return;
+                }
+                for n in self.adjacency.remove(&id).unwrap_or_default() {
+                    self.edges.remove(&Self::key(id, n));
+                    self.unlist(n, id);
+                }
+            }
+            StreamElement::RemoveEdge { source, target } => {
+                if self.edges.remove(&Self::key(source, target)) {
+                    self.unlist(source, target);
+                    self.unlist(target, source);
+                }
+            }
+            StreamElement::Relabel { id, label } => {
+                if let Some(held) = self.labels.get_mut(&id) {
+                    *held = label;
+                }
+            }
+        }
+    }
+}
+
+/// Seeded random interleavings of all five `StreamElement` arms through
+/// `LabelledGraph::apply` — vertices re-added under a new label, duplicate
+/// edges, self-loops, edges to missing endpoints, removals and relabels of
+/// absent things, and re-inserts after `RemoveVertex`, so slots and list
+/// blocks are handed out again — against [`ModelGraph`]. One of the ids is
+/// `u64::MAX`. After every step the two agree on the counts, the sorted
+/// vertex and edge lists, every label and degree, `contains_edge` both ways
+/// for every pair, each vertex's neighbours *as an ordered list*, and the
+/// snapshot builder's `adjacency_sorted` view.
+#[test]
+fn labelled_graph_matches_reference_model() {
+    use rand::Rng;
+
+    let ids: Vec<VertexId> = (0..11).chain([u64::MAX]).map(VertexId::new).collect();
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut graph = LabelledGraph::new();
+        let mut model = ModelGraph::default();
+        // Later seeds remove more, so the graph keeps emptying and refilling.
+        let removals = 1 + (seed % 3) as u32;
+        for step in 0..700 {
+            let at = format!("seed {seed} step {step}");
+            let id = |rng: &mut StdRng| ids[rng.random_range(0..ids.len())];
+            let label = |rng: &mut StdRng| Label::new(rng.random_range(0..4u32));
+            let element = match rng.random_range(0..10 + removals) {
+                0..=2 => StreamElement::AddVertex {
+                    id: id(&mut rng),
+                    label: label(&mut rng),
+                },
+                3..=6 => StreamElement::AddEdge {
+                    source: id(&mut rng),
+                    target: id(&mut rng),
+                },
+                7 | 8 => StreamElement::RemoveEdge {
+                    source: id(&mut rng),
+                    target: id(&mut rng),
+                },
+                9 => StreamElement::Relabel {
+                    id: id(&mut rng),
+                    label: label(&mut rng),
+                },
+                _ => StreamElement::RemoveVertex { id: id(&mut rng) },
+            };
+            graph.apply(&element);
+            model.apply(&element);
+
+            let mut vertices: Vec<VertexId> = model.labels.keys().copied().collect();
+            vertices.sort_unstable();
+            assert_eq!(graph.vertex_count(), vertices.len(), "{at}");
+            assert_eq!(graph.vertices_sorted(), vertices, "{at}");
+            assert_eq!(graph.edge_count(), model.edges.len(), "{at}");
+            let edges: Vec<_> = graph.edges_sorted().iter().map(|e| (e.lo, e.hi)).collect();
+            assert_eq!(
+                edges,
+                model.edges.iter().copied().collect::<Vec<_>>(),
+                "{at}"
+            );
+            for &v in &ids {
+                let neighbours = ModelWindow::neighbours(&model.adjacency, v);
+                assert_eq!(graph.label(v), model.labels.get(&v).copied(), "{at}");
+                assert_eq!(
+                    graph.contains_vertex(v),
+                    model.labels.contains_key(&v),
+                    "{at}"
+                );
+                assert_eq!(graph.degree(v), neighbours.len(), "degree of {v}, {at}");
+                assert_eq!(graph.neighbors(v), neighbours, "list of {v}, {at}");
+                for &u in &ids {
+                    let linked = model.edges.contains(&ModelGraph::key(v, u));
+                    assert_eq!(graph.contains_edge(v, u), linked, "({v}, {u}), {at}");
+                    assert_eq!(graph.contains_edge(u, v), linked, "({u}, {v}), {at}");
+                }
+            }
+            let rows = graph.adjacency_sorted();
+            assert_eq!(rows.len(), vertices.len(), "{at}");
+            for (&(v, label, neighbours), &expected) in rows.iter().zip(&vertices) {
+                assert_eq!(v, expected, "{at}");
+                assert_eq!(Some(label), graph.label(v), "{at}");
+                assert_eq!(neighbours, graph.neighbors(v), "{at}");
+            }
+        }
+    }
+}
