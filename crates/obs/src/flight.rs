@@ -222,7 +222,6 @@ pub struct FlightRecorder {
     ring: parking_lot::Mutex<Ring>,
     last_dump: parking_lot::Mutex<Option<FlightDump>>,
     dumps: AtomicU64,
-    recorded: AtomicU64,
 }
 
 impl Default for FlightRecorder {
@@ -240,22 +239,38 @@ impl FlightRecorder {
             ring: parking_lot::Mutex::new(Ring::default()),
             last_dump: parking_lot::Mutex::new(None),
             dumps: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
         }
     }
 
     /// Record one event, evicting the oldest when the ring is full.
     pub fn record(&self, kind: FlightKind) {
-        let at_us = self.started.elapsed().as_micros() as u64;
+        self.record_at(Instant::now(), kind);
+    }
+
+    /// [`FlightRecorder::record`] for a caller that has just read the clock
+    /// for a purpose of its own: the event is stamped `at`.
+    pub fn record_at(&self, at: Instant, kind: FlightKind) {
+        self.push(at, [kind]);
+    }
+
+    /// Record a batch of events that became known together — one clock
+    /// read, one lock acquisition; they share a timestamp and keep their
+    /// order.
+    pub fn record_all(&self, kinds: impl IntoIterator<Item = FlightKind>) {
+        self.push(Instant::now(), kinds);
+    }
+
+    fn push(&self, at: Instant, kinds: impl IntoIterator<Item = FlightKind>) {
+        let at_us = at.saturating_duration_since(self.started).as_micros() as u64;
         let mut ring = self.ring.lock();
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
+        for kind in kinds {
+            let seq = ring.next_seq;
+            ring.next_seq += 1;
+            if ring.events.len() == self.capacity {
+                ring.events.pop_front();
+            }
+            ring.events.push_back(FlightEvent { seq, at_us, kind });
         }
-        ring.events.push_back(FlightEvent { seq, at_us, kind });
-        drop(ring);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copy the current ring out as a dump without latching it.
@@ -287,9 +302,10 @@ impl FlightRecorder {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// Total events recorded (including evicted ones).
+    /// Total events recorded (including evicted ones): the next sequence
+    /// number.
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.lock().next_seq
     }
 }
 

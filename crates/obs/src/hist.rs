@@ -109,8 +109,16 @@ impl Histogram {
         self.counts[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // A new extreme is rare and `fetch_min` / `fetch_max` are
+        // compare-exchange loops that write even when they change nothing:
+        // look first. (They only ever move one way, so a stale look can
+        // only cause a harmless extra attempt, never skip a needed one.)
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Record a (possibly fractional) number of microseconds, rounding to

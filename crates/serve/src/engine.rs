@@ -10,8 +10,8 @@
 //!   (`engine.run(&store, ..)`, an `&Arc<ShardedStore>`) or an
 //!   [`EpochStore`] (`engine.run(&epochs, ..)`), in which case workers re-pin
 //!   on epoch publication notices so ingestion can keep publishing new
-//!   snapshots mid-run. Admission blocks on a full worker inbox
-//!   (backpressure) until the request's deadline.
+//!   snapshots mid-run. Admission waits out a full worker inbox
+//!   (backpressure) until the request's deadline — see *Admission* below.
 //! * [`ServeEngine::open_loop`] — the caller's driver decides *when* each
 //!   pre-scheduled arrival is issued through an [`OpenLoopInjector`];
 //!   admission never blocks.
@@ -26,9 +26,9 @@
 //!   ([`QueryRouter::home_shard_planned`]) against the snapshot current at
 //!   admission and **sends it as a message** over that worker's
 //!   [`ShardTransport`] endpoint — closed-loop admission applies
-//!   deadline-aware backpressure: a full worker inbox blocks the send until
-//!   the request's deadline and then rejects it (counted per shard) instead
-//!   of wedging forever;
+//!   deadline-aware backpressure: a full worker inbox holds the request back
+//!   until the request's deadline and then rejects it (counted per shard)
+//!   instead of wedging forever;
 //! * one worker per shard (a `std::thread::scope` thread running the
 //!   private worker event loop) pins its snapshot at spawn, executes each
 //!   routed query with the shared instrumented matcher under the request's
@@ -41,9 +41,44 @@
 //! * the coordinator folds each `Done` into the [`ServeReport`]: per-shard
 //!   execution metrics and remote-hop fraction, queue depth, queue-wait p99,
 //!   rejects, and the run's wall clock.
+//!
+//! # Admission: the completion is the credit
+//!
+//! The coordinator waits in one place. It *offers* a routed query to the
+//! home worker's inbox without blocking; when the inbox is full it checks
+//! the request's deadline and then receives on its **own** inbox until
+//! `min(deadline, now + ADMIT_SLICE)`, handles what arrives (and whatever
+//! else is already there), and offers the query again. A worker that takes a
+//! query off its inbox says so by completing it, so the message the
+//! coordinator wakes on is the one that tells it a slot is free — and while
+//! it waits it is consuming results, which is what keeps the protocol
+//! deadlock-free: workers never stay blocked on a full coordinator inbox.
+//! It is also the only thing a coordinator whose links are sockets could
+//! wait on. `ADMIT_SLICE` is just the retry bound: a slot that came free
+//! *without* a completion (the full inbox held an epoch or cancel notice;
+//! or, at `queue_capacity` 1, the worker sent its completion before taking
+//! the next query, so that slot frees a moment after the retry it caused)
+//! is noticed at the next completion or when the slice ends, whichever is
+//! first. An admission's whole slice that ends with nothing received is
+//! counted per shard ([`ShardServeMetrics::admit_stalls`],
+//! `serve.admit_stalls{shard}` on observed runs; a slice the deadline cut
+//! short is not): the coordinator used to block in the *worker's* queue,
+//! where no completion could reach it, and a run spent one such millisecond
+//! per `workers × (queue_capacity + 2)` completions — 66 or 132 at the
+//! defaults, which capped two workers near 100 k queries/s whatever a query
+//! cost. `Finish` is sent the same way (its waits are not admissions and
+//! are not counted).
+//!
+//! Nothing on this path allocates or grows per counted request: the router
+//! and each worker's matcher work in buffers kept for the run, a refused
+//! offer hands the task back by value, the coordinator's inbox backlog
+//! moves by trading buffers with the queue, and queue waits go into
+//! fixed-size histograms
+//! (`tests/serve_allocs.rs` holds the line).
 
 use crate::epoch::EpochStore;
 use crate::metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
+use crate::queue::PushError;
 use crate::router::QueryRouter;
 use crate::shard::ShardedStore;
 use crate::transport::{
@@ -62,9 +97,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long one blocked admission push waits before the coordinator drains
-/// its inbox and retries (keeps result consumption going while a worker's
-/// queue is full, which is what makes the protocol deadlock-free).
+/// The retry bound of a refused admission: how long the coordinator waits on
+/// its own inbox for a completion before it offers the task again anyway.
+/// A completion normally arrives long before; the bound only matters when a
+/// slot came free without one (the full inbox held a notice, not a query).
 const ADMIT_SLICE: Duration = Duration::from_millis(1);
 
 /// Receive slice while awaiting completions (bounds the latency of relay
@@ -82,9 +118,9 @@ pub struct ServeConfig {
     /// count from 1 to the partition count makes sense (more workers than
     /// partitions leaves the excess idle).
     pub workers: usize,
-    /// Bound on each worker's transport inbox; a full inbox blocks admission
-    /// (backpressure) until the request's deadline instead of growing an
-    /// unbounded backlog.
+    /// Bound on each worker's transport inbox; a full inbox holds admission
+    /// back (backpressure) until the request's deadline instead of growing
+    /// an unbounded backlog.
     pub queue_capacity: usize,
     /// Query execution mode (rooted is the online mode the paper targets).
     pub mode: QueryMode,
@@ -215,6 +251,9 @@ struct CoordLog {
     /// Completed executions flagged `deadline_exceeded` (disjoint from
     /// `rejected`, which never reach a worker).
     deadline_expired: usize,
+    /// Admission waits for this worker's inbox that ran a whole
+    /// `ADMIT_SLICE` without anything arriving on the coordinator's inbox.
+    admit_stalls: usize,
 }
 
 impl CoordLog {
@@ -292,6 +331,13 @@ struct Coordinator<'a> {
     /// Pre-resolved `serve.rejected{shard}` counters (empty when
     /// unobserved).
     rejected_ctr: Vec<Counter>,
+    /// Pre-resolved `serve.admit_stalls{shard}` counters (empty when
+    /// unobserved).
+    stall_ctr: Vec<Counter>,
+    /// Completions that came back `deadline_exceeded` since the last
+    /// [`Coordinator::drain`], awaiting one flight-recorder write and one
+    /// latched dump for the batch (observed runs only).
+    deadline_events: Vec<FlightKind>,
     logs: Vec<CoordLog>,
     embeddings: Vec<(u64, u64, Embedding)>,
     pending: HashMap<u64, PendingQuery>,
@@ -317,19 +363,12 @@ impl<'a> Coordinator<'a> {
         telemetry: Option<&'a Telemetry>,
     ) -> Self {
         let workers = links.len();
-        let counter = |name: &'static str, w: usize| {
-            telemetry
-                .expect("resolved only on observed runs")
-                .registry()
-                .counter(name, &[("shard", w.to_string())])
-        };
-        let (admitted_ctr, rejected_ctr) = if telemetry.is_some() {
-            (
-                (0..workers).map(|w| counter("serve.admitted", w)).collect(),
-                (0..workers).map(|w| counter("serve.rejected", w)).collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
+        let per_shard = |name: &'static str| -> Vec<Counter> {
+            telemetry.map_or_else(Vec::new, |t| {
+                (0..workers)
+                    .map(|w| t.registry().counter(name, &[("shard", w.to_string())]))
+                    .collect()
+            })
         };
         Self {
             links,
@@ -337,8 +376,10 @@ impl<'a> Coordinator<'a> {
             cancel,
             handoff,
             telemetry,
-            admitted_ctr,
-            rejected_ctr,
+            admitted_ctr: per_shard("serve.admitted"),
+            rejected_ctr: per_shard("serve.rejected"),
+            stall_ctr: per_shard("serve.admit_stalls"),
+            deadline_events: Vec::new(),
             logs: (0..workers).map(|_| CoordLog::default()).collect(),
             embeddings: Vec::new(),
             pending: HashMap::new(),
@@ -368,76 +409,109 @@ impl<'a> Coordinator<'a> {
                 epoch,
             });
         }
-        match self.links[worker].try_send(ShardMsg::Query(task)) {
+        match self.links[worker].try_send_query(task) {
             Ok(()) => {
-                self.outstanding += 1;
-                if let Some(ctr) = self.admitted_ctr.get(worker) {
-                    ctr.inc();
-                }
+                self.admitted(worker);
                 true
             }
-            Err(err) => {
-                if let ShardMsg::Query(task) = err.into_msg() {
-                    self.reject_admission(worker, &task, epoch);
-                }
+            Err(refused) => {
+                self.reject_admission(worker, &refused.into_inner(), epoch);
                 false
             }
         }
     }
 
-    /// Send one routed query to its home worker, draining the inbox between
-    /// backpressure slices. With a deadline, a push that stays blocked past
-    /// it rejects the request (recorded as `deadline_exceeded` with zero
-    /// traversals, and counted in the shard's `rejected`).
+    fn admitted(&mut self, worker: usize) {
+        self.outstanding += 1;
+        if let Some(ctr) = self.admitted_ctr.get(worker) {
+            ctr.inc();
+        }
+    }
+
+    /// Send one routed query to its home worker, with backpressure. The task
+    /// is offered without blocking; a full home inbox is waited out on the
+    /// coordinator's **own** inbox ([`Coordinator::await_credit`]) and the
+    /// task offered again. With a deadline, an offer refused past it rejects
+    /// the request (recorded as `deadline_exceeded` with zero traversals,
+    /// and counted in the shard's `rejected`).
     fn admit(&mut self, worker: usize, task: QueryTaskMsg, deadline: Option<Instant>, epoch: u64) {
         if self.handoff {
             self.meta.insert(task.seq, (worker, task.query as usize));
         }
         // On observed runs, flight-record the admission and remember when it
-        // started so a rejection can say how long the push stayed blocked.
-        // Unobserved runs skip even this clock read.
+        // started (one clock read for both) so a rejection can say how long
+        // the task stayed refused. Unobserved runs skip even this read.
         let admit_started = self.telemetry.map(|t| {
-            t.flight().record(FlightKind::Admitted {
-                request: task.seq,
-                shard: worker as u32,
-                epoch,
-            });
-            Instant::now()
+            let now = Instant::now();
+            t.flight().record_at(
+                now,
+                FlightKind::Admitted {
+                    request: task.seq,
+                    shard: worker as u32,
+                    epoch,
+                },
+            );
+            now
         });
-        let mut msg = ShardMsg::Query(task);
+        let mut task = task;
         loop {
             self.poll_cancel();
-            let slice = Instant::now() + ADMIT_SLICE;
-            let attempt = Some(deadline.map_or(slice, |d| d.min(slice)));
-            match self.links[worker].send(msg, attempt) {
-                Ok(()) => {
-                    self.outstanding += 1;
-                    if let Some(ctr) = self.admitted_ctr.get(worker) {
-                        ctr.inc();
-                    }
-                    return;
-                }
-                Err(TransportError::Timeout(back)) => {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        if let ShardMsg::Query(task) = *back {
-                            if let (Some(t), Some(started)) = (self.telemetry, admit_started) {
-                                t.flight().record(FlightKind::QueueWait {
-                                    request: task.seq,
-                                    shard: worker as u32,
-                                    waited_us: started.elapsed().as_micros() as u64,
-                                });
-                            }
-                            self.reject_admission(worker, &task, epoch);
-                        }
-                        return;
-                    }
-                    msg = *back;
-                    self.drain();
-                }
+            task = match self.links[worker].try_send_query(task) {
+                Ok(()) => return self.admitted(worker),
+                Err(PushError::Timeout(refused)) => refused,
                 // The transport only closes during teardown, after admission.
-                Err(TransportError::Closed(_)) => return,
+                Err(PushError::Closed(_)) => return,
+            };
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                if let (Some(t), Some(started)) = (self.telemetry, admit_started) {
+                    t.flight().record_at(
+                        now,
+                        FlightKind::QueueWait {
+                            request: task.seq,
+                            shard: worker as u32,
+                            waited_us: now.duration_since(started).as_micros() as u64,
+                        },
+                    );
+                }
+                self.reject_admission(worker, &task, epoch);
+                return;
+            }
+            // A wait the deadline cuts short is not a stall: only a whole
+            // slice with nothing received is.
+            let slice = now + ADMIT_SLICE;
+            let until = deadline.map_or(slice, |d| d.min(slice));
+            if !self.await_credit(until, (until == slice).then_some(worker)) {
+                return;
             }
         }
+    }
+
+    /// The one place the coordinator waits for room in a worker's inbox: on
+    /// its own inbox, until `until`. A worker announces a slot it freed by
+    /// what it does with the query it took — the completion is the credit —
+    /// so whatever arrives is handled, the rest of the inbox with it, and
+    /// the caller offers its message again. (It is also the only thing a
+    /// coordinator with sockets for links could wait on.) A wait that runs
+    /// out with nothing received is counted as a stall against `stalled`,
+    /// the worker an admission waited a whole slice for (`None`: the wait
+    /// was shorter, or not an admission's). Returns `false` if the
+    /// coordinator's inbox is gone.
+    fn await_credit(&mut self, until: Instant, stalled: Option<usize>) -> bool {
+        match self.links[0].recv(Some(until)) {
+            Ok(msg) => self.handle(msg),
+            Err(RecvError::Timeout) => {
+                if let Some(worker) = stalled {
+                    self.logs[worker].admit_stalls += 1;
+                    if let Some(ctr) = self.stall_ctr.get(worker) {
+                        ctr.inc();
+                    }
+                }
+            }
+            Err(RecvError::Disconnected) => return false,
+        }
+        self.drain();
+        true
     }
 
     /// An admission push was refused: account it, flight-record it, and latch
@@ -492,12 +566,25 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Consume everything currently in the inbox, then flush queued relays.
+    /// Consume everything currently in the inbox, then write out what the
+    /// batch owes the flight recorder and flush queued relays. Every
+    /// [`Coordinator::handle`] is followed by a drain.
     fn drain(&mut self) {
-        while let Ok(msg) = self.links[0].recv(Some(Instant::now())) {
+        while let Ok(msg) = self.links[0].try_recv() {
             self.handle(msg);
         }
+        self.flush_deadline_events();
         self.flush_relays();
+    }
+
+    /// Flight-record the batch's blown deadlines under one lock and latch
+    /// one dump for them — the other automatic trigger besides admission
+    /// rejection.
+    fn flush_deadline_events(&mut self) {
+        if let (Some(t), false) = (self.telemetry, self.deadline_events.is_empty()) {
+            t.flight().record_all(self.deadline_events.drain(..));
+            t.flight().latch("deadline exceeded");
+        }
     }
 
     /// Forward queued sub-query handoffs to their target workers without
@@ -576,17 +663,16 @@ impl<'a> Coordinator<'a> {
     }
 
     /// One admitted query is complete — directly, or once every handoff
-    /// piece arrived: flight-record a blown deadline (and latch a dump — the
-    /// other automatic trigger besides admission rejection), timestamp the
-    /// completion for an open-loop driver, and charge the home shard.
+    /// piece arrived: note a blown deadline for the flight recorder (written
+    /// at the end of the drain), timestamp the completion for an open-loop
+    /// driver, and charge the home shard.
     fn complete(&mut self, worker: usize, seq: u64, epoch: u64, metrics: ExecutionMetrics) {
-        if let (Some(t), true) = (self.telemetry, metrics.deadline_exceeded) {
-            t.flight().record(FlightKind::DeadlineExceeded {
+        if self.telemetry.is_some() && metrics.deadline_exceeded {
+            self.deadline_events.push(FlightKind::DeadlineExceeded {
                 request: seq,
                 shard: worker as u32,
                 epoch,
             });
-            t.flight().latch("deadline exceeded");
         }
         if let Some(sink) = self.completions.as_mut() {
             sink.push(Completion {
@@ -631,6 +717,7 @@ impl<'a> Coordinator<'a> {
                 Ok(msg) => {
                     last_progress = Instant::now();
                     self.handle(msg);
+                    self.drain();
                 }
                 Err(RecvError::Timeout) => {
                     if last_progress.elapsed() > STALL_LIMIT {
@@ -643,15 +730,19 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Tell every worker the run is over and collect their shard reports.
+    /// `Finish` is offered and a full inbox waited out exactly as in
+    /// [`Coordinator::admit`].
     fn finish(&mut self) {
         for worker in 0..self.links.len() {
             let mut msg = ShardMsg::Finish;
             loop {
-                match self.links[worker].send(msg, Some(Instant::now() + ADMIT_SLICE)) {
+                match self.links[worker].try_send(msg) {
                     Ok(()) => break,
-                    Err(TransportError::Timeout(back)) => {
-                        msg = *back;
-                        self.drain();
+                    Err(TransportError::Timeout(refused)) => {
+                        msg = *refused;
+                        if !self.await_credit(Instant::now() + ADMIT_SLICE, None) {
+                            break;
+                        }
                     }
                     Err(TransportError::Closed(_)) => break,
                 }
@@ -663,6 +754,7 @@ impl<'a> Coordinator<'a> {
                 Ok(msg) => {
                     last_progress = Instant::now();
                     self.handle(msg);
+                    self.drain();
                 }
                 Err(RecvError::Timeout) => {
                     if last_progress.elapsed() > STALL_LIMIT {
@@ -687,7 +779,7 @@ impl<'a> Coordinator<'a> {
 /// request appears in the final [`ServeReport`].
 pub struct OpenLoopInjector<'a> {
     coordinator: Coordinator<'a>,
-    router: &'a QueryRouter,
+    router: QueryRouter,
     source: Source<'a>,
     /// The routing snapshot: fixed for a pinned source, re-pinned for an
     /// epoch source whenever a newer epoch is current at admission.
@@ -804,7 +896,10 @@ impl OpenLoopInjector<'_> {
             self.coordinator.poll_cancel();
             self.coordinator.flush_relays();
             match self.coordinator.links[0].recv(Some(deadline)) {
-                Ok(msg) => self.coordinator.handle(msg),
+                Ok(msg) => {
+                    self.coordinator.handle(msg);
+                    self.coordinator.drain();
+                }
                 Err(RecvError::Timeout) | Err(RecvError::Disconnected) => return,
             }
         }
@@ -961,7 +1056,6 @@ impl ServeEngine {
         let started = Instant::now();
         let options = self.options_for(&request);
         let workers = self.config.workers.max(1);
-        let router = QueryRouter::new(options.mode);
         let effective = ctx.tightened_by(request.deadline);
         // Handoff is gated to pinned snapshots: it requires the router and
         // every worker to agree on root ownership, which an epoch swap
@@ -1044,7 +1138,7 @@ impl ServeEngine {
                     handoff,
                     self.telemetry.as_deref(),
                 ),
-                router: &router,
+                router: QueryRouter::new(options.mode),
                 source,
                 snapshot: source.pin(),
                 tasks: &tasks,
@@ -1113,6 +1207,7 @@ impl ServeEngine {
                     .get(w)
                     .and_then(Option::as_ref)
                     .map_or(0.0, |r| r.queue_wait_p99_us),
+                admit_stalls: log.admit_stalls,
                 rejected: log.rejected,
                 deadline_expired: log.deadline_expired,
                 epoch_seq: log.epochs.iter().copied().max(),
@@ -1433,6 +1528,7 @@ mod tests {
             r.wall_clock_us = 0.0;
             for shard in &mut r.shards {
                 shard.queue_wait_p99_us = 0.0;
+                shard.admit_stalls = 0;
                 shard.max_queue_depth = 0;
             }
             r

@@ -28,8 +28,10 @@
 //!   shared instrumented matcher from `loom-sim` under each request's
 //!   [`RequestContext`](loom_sim::context::RequestContext) — deadlines and
 //!   cancellation unwind searches cooperatively mid-backtrack. Admission
-//!   applies deadline-aware backpressure: a full worker inbox rejects the
-//!   request at its deadline instead of wedging;
+//!   applies deadline-aware backpressure: a full worker inbox is waited out
+//!   on the coordinator's own inbox (a completion is the credit for the
+//!   slot it frees) and rejects the request at its deadline instead of
+//!   wedging;
 //! * [`epoch`] — [`epoch::EpochStore`]: ingest-while-serve via epoch-swapped
 //!   snapshots — the streaming partitioner keeps ingesting and periodically
 //!   publishes a new immutable shard set through an `arc-swap`-style pointer,

@@ -29,6 +29,14 @@ pub struct ShardServeMetrics {
     /// enqueue and dequeue, µs — the queueing delay backpressure added on
     /// top of execution time.
     pub queue_wait_p99_us: f64,
+    /// How often an admission, refused by this shard's full inbox, waited a
+    /// whole retry slice on the coordinator's own inbox without one message
+    /// arriving — a millisecond each in which nothing was admitted (a wait
+    /// the request's deadline cut short is not counted). A healthy run
+    /// reads zero or close to it: a completion arrives, and is the signal
+    /// to offer the task again, long before the slice ends. Depends on
+    /// scheduling, like the two timings above.
+    pub admit_stalls: usize,
     /// Requests routed to this shard but rejected at admission because the
     /// queue stayed full past the request deadline. Rejected requests still
     /// count in the aggregate (flagged `deadline_exceeded`, zero

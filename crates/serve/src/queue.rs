@@ -6,18 +6,32 @@
 //! Workers block on pop until a task arrives or the queue is closed and
 //! drained. The queue also records the maximum depth it reached, which the
 //! serving report surfaces per shard.
+//!
+//! There is one push and one pop. Every public entry point names how long
+//! that push or pop may park and how much a pop takes, so the waiter
+//! accounting below exists once per direction.
+//!
+//! **A wake-up is only sent to a sleeper.** `Condvar::notify_one` is a
+//! `futex_wake` system call whether or not anybody waits, and a serving run
+//! pushes and pops millions of times with nobody parked. A thread about to
+//! park counts itself in the queue state under the lock; a push or pop reads
+//! the opposite count under the same lock and notifies — after unlocking, so
+//! the woken thread does not run straight into the mutex — only when it is
+//! non-zero. A waiter raises its count before `Condvar::wait` releases the
+//! lock, so whoever changes the queue afterwards sees it: no wake-up is
+//! lost. [`ShardQueue::close`] notifies everybody unconditionally.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Why a deadline-aware push was refused. The rejected item is handed back
-/// in both cases, so callers can re-route or account for it.
+/// Why a push was refused. The rejected item is handed back in both cases,
+/// so callers can re-route or account for it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue stayed full past the deadline (backpressure held the whole
-    /// time) — the admission-control signal a stuck worker produces instead
-    /// of wedging the router forever.
+    /// The queue stayed full for as long as the push was allowed to wait
+    /// (backpressure held the whole time) — the admission-control signal a
+    /// stuck worker produces instead of wedging the router forever.
     Timeout(T),
     /// The queue has been closed.
     Closed(T),
@@ -30,6 +44,14 @@ impl<T> PushError<T> {
             PushError::Timeout(item) | PushError::Closed(item) => item,
         }
     }
+
+    /// The same refusal about a converted item.
+    pub fn map<U>(self, convert: impl FnOnce(T) -> U) -> PushError<U> {
+        match self {
+            PushError::Timeout(item) => PushError::Timeout(convert(item)),
+            PushError::Closed(item) => PushError::Closed(convert(item)),
+        }
+    }
 }
 
 /// Why a deadline-aware pop returned empty-handed.
@@ -39,6 +61,21 @@ pub enum PopError {
     Timeout,
     /// The queue is closed *and* drained — no item will ever arrive.
     Closed,
+}
+
+/// How long a push or pop may park when the queue cannot serve it.
+#[derive(Debug, Clone, Copy)]
+enum Park {
+    /// Not at all (and without reading the clock to find that out).
+    Never,
+    Until(Instant),
+    Forever,
+}
+
+impl From<Option<Instant>> for Park {
+    fn from(deadline: Option<Instant>) -> Self {
+        deadline.map_or(Park::Forever, Park::Until)
+    }
 }
 
 /// A bounded multi-producer / multi-consumer FIFO queue.
@@ -60,6 +97,43 @@ struct State<T> {
     items: VecDeque<T>,
     closed: bool,
     max_depth: usize,
+    /// Threads parked on `not_empty` right now.
+    parked_consumers: usize,
+    /// Threads parked on `not_full` right now.
+    parked_producers: usize,
+}
+
+/// Park on `condvar` as one of the waiters `parked` counts, until notified
+/// or out of time. `None` means the wait was refused or ran out: the guard
+/// is gone and the caller gives up. A `Some` guard promises nothing about
+/// the queue — callers re-check their condition.
+fn park<'a, T>(
+    condvar: &Condvar,
+    mut state: MutexGuard<'a, State<T>>,
+    parked: fn(&mut State<T>) -> &mut usize,
+    how_long: Park,
+) -> Option<MutexGuard<'a, State<T>>> {
+    let timeout = match how_long {
+        Park::Never => return None,
+        Park::Forever => None,
+        Park::Until(deadline) => Some(
+            deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())?,
+        ),
+    };
+    *parked(&mut state) += 1;
+    let mut state = match timeout {
+        None => condvar.wait(state).unwrap_or_else(PoisonError::into_inner),
+        Some(left) => {
+            condvar
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        }
+    };
+    *parked(&mut state) -= 1;
+    Some(state)
 }
 
 impl<T> ShardQueue<T> {
@@ -70,6 +144,8 @@ impl<T> ShardQueue<T> {
                 items: VecDeque::new(),
                 closed: false,
                 max_depth: 0,
+                parked_consumers: 0,
+                parked_producers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -86,33 +162,69 @@ impl<T> ShardQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Push an item, blocking while the queue is full (backpressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back if the queue has been closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    /// The one push: wait for room as long as `how_long` allows, enqueue,
+    /// wake a parked consumer if there is one.
+    fn push_parking(&self, item: T, how_long: Park) -> Result<(), PushError<T>> {
         let mut state = self.lock();
         while state.items.len() >= self.capacity && !state.closed {
-            state = self
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            match park(&self.not_full, state, |s| &mut s.parked_producers, how_long) {
+                Some(guard) => state = guard,
+                None => return Err(PushError::Timeout(item)),
+            }
         }
         if state.closed {
-            return Err(item);
+            return Err(PushError::Closed(item));
         }
         state.items.push_back(item);
         state.max_depth = state.max_depth.max(state.items.len());
-        self.not_empty.notify_one();
+        let wake = state.parked_consumers > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
-    /// Push an item, blocking while the queue is full but only until
-    /// `deadline` (`None` blocks indefinitely, like [`ShardQueue::push`]).
+    /// The one pop: wait for an item as long as `how_long` allows, let
+    /// `take` remove what it wants from the non-empty queue, wake as many
+    /// parked producers as slots came free.
+    fn pop_parking<R>(
+        &self,
+        how_long: Park,
+        take: impl FnOnce(&mut VecDeque<T>) -> R,
+    ) -> Result<R, PopError> {
+        let mut state = self.lock();
+        loop {
+            if !state.items.is_empty() {
+                let before = state.items.len();
+                let taken = take(&mut state.items);
+                let wake = state.parked_producers.min(before - state.items.len());
+                drop(state);
+                match wake {
+                    0 => {}
+                    1 => self.not_full.notify_one(),
+                    _ => self.not_full.notify_all(),
+                }
+                return Ok(taken);
+            }
+            if state.closed {
+                return Err(PopError::Closed);
+            }
+            state = park(
+                &self.not_empty,
+                state,
+                |s| &mut s.parked_consumers,
+                how_long,
+            )
+            .ok_or(PopError::Timeout)?;
+        }
+    }
+
+    /// Push an item, blocking while the queue is full (backpressure) but
+    /// only until `deadline` (`None` blocks indefinitely).
     ///
     /// This is the backpressure fix for admission control: a stuck or slow
-    /// consumer used to wedge a blocking `push` forever; a deadline-aware
+    /// consumer used to wedge a blocking push forever; a deadline-aware
     /// producer gets the item back as [`PushError::Timeout`] and can reject
     /// the request instead.
     ///
@@ -122,93 +234,55 @@ impl<T> ShardQueue<T> {
     /// [`PushError::Closed`] when the queue has been closed; both return the
     /// item.
     pub fn push_deadline(&self, item: T, deadline: Option<Instant>) -> Result<(), PushError<T>> {
-        let mut state = self.lock();
-        while state.items.len() >= self.capacity && !state.closed {
-            match deadline {
-                None => {
-                    state = self
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(PushError::Timeout(item));
-                    }
-                    state = self
-                        .not_full
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-        }
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        state.items.push_back(item);
-        state.max_depth = state.max_depth.max(state.items.len());
-        self.not_empty.notify_one();
-        Ok(())
+        self.push_parking(item, deadline.into())
+    }
+
+    /// Push an item only if there is room right now: never parks and never
+    /// reads the clock.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Timeout`] when the queue is full, [`PushError::Closed`]
+    /// when it has been closed; both return the item.
+    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+        self.push_parking(item, Park::Never)
     }
 
     /// Pop the next item, blocking while the queue is empty but only until
-    /// `deadline` (`None` blocks indefinitely, like [`ShardQueue::pop`]).
+    /// `deadline` (`None` blocks indefinitely).
     ///
     /// # Errors
     ///
     /// [`PopError::Timeout`] when nothing arrived by the deadline,
     /// [`PopError::Closed`] once the queue is closed and drained.
     pub fn pop_deadline(&self, deadline: Option<Instant>) -> Result<T, PopError> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Ok(item);
-            }
-            if state.closed {
-                return Err(PopError::Closed);
-            }
-            match deadline {
-                None => {
-                    state = self
-                        .not_empty
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(PopError::Timeout);
-                    }
-                    state = self
-                        .not_empty
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-        }
+        self.pop_parking(deadline.into(), |items| {
+            items
+                .pop_front()
+                .expect("pop_parking takes from a non-empty queue")
+        })
     }
 
-    /// Pop the next item, blocking while the queue is empty. Returns `None`
-    /// once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    /// Pop the next item only if one is queued right now: never parks and
+    /// never reads the clock (`None` on an empty queue, closed or not).
+    pub fn try_pop(&self) -> Option<T> {
+        self.pop_parking(Park::Never, VecDeque::pop_front)
+            .ok()
+            .flatten()
+    }
+
+    /// Take the whole backlog under one lock acquisition, without waiting or
+    /// reading the clock: whether anything was queued (an empty queue leaves
+    /// `into` empty, closed or not). `into` must be empty: it trades places
+    /// with the queue's buffer, so a caller that keeps handing the same
+    /// `into` back moves items without allocating.
+    pub fn try_pop_all(&self, into: &mut VecDeque<T>) -> bool {
+        assert!(
+            into.is_empty(),
+            "try_pop_all trades buffers with an empty one"
+        );
+        self.pop_parking(Park::Never, |items| std::mem::swap(items, into))
+            .is_ok()
     }
 
     /// Close the queue: pending items remain poppable, further pushes fail,
@@ -234,27 +308,36 @@ impl<T> ShardQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    fn push<T>(q: &ShardQueue<T>, item: T) -> Result<(), PushError<T>> {
+        q.push_deadline(item, None)
+    }
+
+    fn pop<T>(q: &ShardQueue<T>) -> Option<T> {
+        q.pop_deadline(None).ok()
+    }
 
     #[test]
     fn fifo_push_pop() {
         let q = ShardQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(2));
         assert_eq!(q.max_depth(), 2);
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = ShardQueue::new(4);
-        q.push("a").unwrap();
+        push(&q, "a").unwrap();
         q.close();
-        assert_eq!(q.push("b"), Err("b"));
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), None);
+        assert_eq!(push(&q, "b"), Err(PushError::Closed("b")));
+        assert_eq!(pop(&q), Some("a"));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
@@ -264,13 +347,13 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..100 {
-                    q.push(i).unwrap();
+                    push(&q, i).unwrap();
                     produced.fetch_add(1, Ordering::SeqCst);
                 }
                 q.close();
             });
             let mut got = Vec::new();
-            while let Some(item) = q.pop() {
+            while let Some(item) = pop(&q) {
                 got.push(item);
             }
             assert_eq!(got, (0..100).collect::<Vec<_>>());
@@ -282,9 +365,8 @@ mod tests {
 
     #[test]
     fn timed_push_rejects_when_backpressure_holds_past_the_deadline() {
-        use std::time::Duration;
         let q = ShardQueue::new(1);
-        q.push(1).unwrap();
+        push(&q, 1).unwrap();
         // Full queue + already-expired deadline: immediate rejection, item
         // handed back.
         let expired = Instant::now() - Duration::from_millis(1);
@@ -292,31 +374,35 @@ mod tests {
             Err(PushError::Timeout(item)) => assert_eq!(item, 2),
             other => panic!("expected timeout, got {other:?}"),
         }
+        // So does a push that may not wait at all.
+        assert_eq!(q.try_push(2), Err(PushError::Timeout(2)));
         // A short future deadline also times out while nobody consumes.
         let soon = Instant::now() + Duration::from_millis(5);
         assert_eq!(q.push_deadline(3, Some(soon)), Err(PushError::Timeout(3)));
         // Space frees up: the timed push succeeds within its deadline.
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop(&q), Some(1));
         let ample = Instant::now() + Duration::from_secs(5);
         assert_eq!(q.push_deadline(4, Some(ample)), Ok(()));
-        assert_eq!(q.pop(), Some(4));
+        assert_eq!(pop(&q), Some(4));
+        assert_eq!(q.try_push(6), Ok(()));
+        assert_eq!(pop(&q), Some(6));
         // Closed queues report Closed, not Timeout.
         q.close();
         assert_eq!(q.push_deadline(5, Some(ample)), Err(PushError::Closed(5)));
+        assert_eq!(q.try_push(5), Err(PushError::Closed(5)));
         assert_eq!(PushError::Closed(5).into_inner(), 5);
     }
 
     #[test]
     fn timed_pop_distinguishes_timeout_from_closed() {
-        use std::time::Duration;
         let q: ShardQueue<u32> = ShardQueue::new(2);
         let soon = Instant::now() + Duration::from_millis(5);
         assert_eq!(q.pop_deadline(Some(soon)), Err(PopError::Timeout));
-        q.push(9).unwrap();
+        push(&q, 9).unwrap();
         assert_eq!(q.pop_deadline(Some(soon)), Ok(9));
         q.close();
         assert_eq!(q.pop_deadline(Some(soon)), Err(PopError::Closed));
-        // `None` deadline behaves like the blocking pop on a closed queue.
+        // `None` deadline behaves the same on a closed queue.
         assert_eq!(q.pop_deadline(None), Err(PopError::Closed));
     }
 
@@ -324,7 +410,87 @@ mod tests {
     fn zero_capacity_is_clamped() {
         let q: ShardQueue<u32> = ShardQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        q.push(7).unwrap();
-        assert_eq!(q.pop(), Some(7));
+        push(&q, 7).unwrap();
+        assert_eq!(pop(&q), Some(7));
+    }
+
+    #[test]
+    fn try_pops_take_one_or_the_backlog_in_order_and_trade_buffers() {
+        let q = ShardQueue::new(4);
+        let mut buffer = VecDeque::new();
+        assert!(!q.try_pop_all(&mut buffer));
+        assert_eq!(q.try_pop(), None);
+        for i in 0..4 {
+            push(&q, i).unwrap();
+        }
+        assert_eq!(q.try_push(4), Err(PushError::Timeout(4)));
+        assert_eq!(q.try_pop(), Some(0));
+        assert!(q.try_pop_all(&mut buffer));
+        assert_eq!(buffer.drain(..).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(q.depth(), 0);
+        // The emptied buffer goes back in; the queue hands out the one it
+        // was given last time.
+        push(&q, 9).unwrap();
+        assert!(q.try_pop_all(&mut buffer));
+        assert_eq!(buffer.pop_front(), Some(9));
+        q.close();
+        assert!(!q.try_pop_all(&mut buffer));
+        assert_eq!(q.try_pop(), None);
+    }
+
+    /// Wake-ups go only to counted sleepers, so a miscounted sleeper would
+    /// park forever: at capacity 1 every push and every pop of this run has
+    /// a peer to wake. The test ends only if none is missed.
+    #[test]
+    fn no_wake_up_is_lost_at_capacity_one() {
+        const PRODUCERS: usize = 4;
+        const CONSUMERS: usize = 4;
+        const ITEMS: usize = 50_000;
+        let q: ShardQueue<usize> = ShardQueue::new(1);
+        let seen: Vec<AtomicU8> = (0..PRODUCERS * ITEMS).map(|_| AtomicU8::new(0)).collect();
+        std::thread::scope(|consumers| {
+            for _ in 0..CONSUMERS {
+                consumers.spawn(|| {
+                    while let Some(item) = pop(&q) {
+                        seen[item].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            std::thread::scope(|producers| {
+                for p in 0..PRODUCERS {
+                    let q = &q;
+                    producers.spawn(move || {
+                        for i in 0..ITEMS {
+                            push(q, p * ITEMS + i).unwrap();
+                        }
+                    });
+                }
+            });
+            q.close();
+        });
+        assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        assert_eq!(q.max_depth(), 1);
+    }
+
+    #[test]
+    fn close_wakes_a_parked_push_and_a_parked_pop() {
+        let full = ShardQueue::new(1);
+        push(&full, 1).unwrap();
+        let empty: ShardQueue<u32> = ShardQueue::new(1);
+        std::thread::scope(|s| {
+            let pusher = s.spawn(|| push(&full, 2));
+            let popper = s.spawn(|| empty.pop_deadline(None));
+            // Close only once both are counted as parked: the counts are the
+            // same ones a push or pop would consult before waking them.
+            while full.lock().parked_producers == 0 || empty.lock().parked_consumers == 0 {
+                std::thread::yield_now();
+            }
+            full.close();
+            empty.close();
+            assert_eq!(pusher.join().unwrap(), Err(PushError::Closed(2)));
+            assert_eq!(popper.join().unwrap(), Err(PopError::Closed));
+        });
+        assert_eq!(full.lock().parked_producers, 0);
+        assert_eq!(empty.lock().parked_consumers, 0);
     }
 }

@@ -12,24 +12,37 @@
 //! so no shard is systematically favoured). Queries with no assigned roots
 //! at all are spread by `root_seed % shards`, so unmatched queries
 //! round-robin across shards instead of piling onto a single one.
+//!
+//! A router is made for one run and routes every arrival of it, so it keeps
+//! the vote and root buffers arrivals share: routing allocates nothing per
+//! query.
 
 use crate::shard::ShardedStore;
+use loom_graph::VertexId;
 use loom_partition::partition::PartitionId;
 use loom_sim::executor::QueryMode;
 use loom_sim::matcher::plan_roots;
 use loom_sim::plan::QueryPlan;
 
 /// Routes queries to home shards ahead of execution.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct QueryRouter {
     mode: QueryMode,
+    /// Per-shard votes of the arrival being routed.
+    votes: Vec<usize>,
+    /// Rooted mode: the roots of the arrival being routed.
+    roots: Vec<VertexId>,
 }
 
 impl QueryRouter {
     /// Create a router for queries executed under `mode` (the mode determines
     /// which roots the matcher will anchor on, and therefore the home shard).
     pub fn new(mode: QueryMode) -> Self {
-        Self { mode }
+        Self {
+            mode,
+            votes: Vec::new(),
+            roots: Vec::new(),
+        }
     }
 
     /// The execution mode the router resolves roots under.
@@ -48,24 +61,26 @@ impl QueryRouter {
     /// consecutive, so unmatched queries round-robin across shards instead
     /// of hotspotting near shard 0.
     pub fn home_shard_planned(
-        &self,
+        &mut self,
         store: &ShardedStore,
         plan: &QueryPlan,
         root_seed: u64,
     ) -> PartitionId {
-        let k = store.shard_count().max(1);
-        let mut votes = vec![0usize; k as usize];
+        let shards = store.shard_count().max(1) as usize;
+        let votes = &mut self.votes;
+        votes.clear();
+        votes.resize(shards, 0);
         match self.mode {
             QueryMode::FullEnumeration => {
                 // Every root-label vertex anchors the scan, so each shard's
                 // vote is just a count in its label index — no per-vertex
                 // home lookups.
-                for (i, shard) in store.shards().iter().enumerate() {
-                    votes[i] = shard.vertices_with_label(plan.root_label()).len();
+                for (vote, shard) in votes.iter_mut().zip(store.shards()) {
+                    *vote = shard.vertices_with_label(plan.root_label()).len();
                 }
             }
             QueryMode::Rooted { .. } => {
-                for root in plan_roots(store, plan, self.mode, root_seed) {
+                for &root in plan_roots(store, plan, self.mode, root_seed, &mut self.roots) {
                     if let Some(p) = store.home_shard(root) {
                         votes[p.index()] += 1;
                     }
@@ -74,10 +89,18 @@ impl QueryRouter {
         }
         let best = votes.iter().copied().max().expect("at least one shard");
         if best == 0 {
-            return PartitionId::new((root_seed % u64::from(k)) as u32);
+            return PartitionId::new((root_seed % shards as u64) as u32);
         }
-        let tied: Vec<usize> = (0..votes.len()).filter(|&i| votes[i] == best).collect();
-        PartitionId::new(tied[root_seed as usize % tied.len()] as u32)
+        // The seed picks among the tied shards by position, counted rather
+        // than listed.
+        let tied = votes.iter().filter(|&&v| v == best).count();
+        let pick = votes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v == best)
+            .nth(root_seed as usize % tied)
+            .expect("fewer than `tied` shards skipped");
+        PartitionId::new(pick.0 as u32)
     }
 }
 
@@ -112,7 +135,7 @@ mod tests {
         // broken deterministically by the root seed.
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
         let plan = QueryPlan::legacy(&query);
-        let router = QueryRouter::new(QueryMode::FullEnumeration);
+        let mut router = QueryRouter::new(QueryMode::FullEnumeration);
         assert_eq!(
             router.home_shard_planned(&store, &plan, 0),
             PartitionId::new(0)
@@ -128,7 +151,7 @@ mod tests {
         let store = store();
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
         let plan = QueryPlan::legacy(&query);
-        let router = QueryRouter::new(QueryMode::Rooted { seed_count: 1 });
+        let mut router = QueryRouter::new(QueryMode::Rooted { seed_count: 1 });
         for seed in 0..20 {
             let a = router.home_shard_planned(&store, &plan, seed);
             let b = router.home_shard_planned(&store, &plan, seed);
@@ -147,7 +170,7 @@ mod tests {
             QueryMode::FullEnumeration,
             QueryMode::Rooted { seed_count: 2 },
         ] {
-            let router = QueryRouter::new(mode);
+            let mut router = QueryRouter::new(mode);
             let mut hits = [0usize; 2];
             // Consecutive root seeds, exactly as the engine assigns them.
             for seed in 1..=40u64 {

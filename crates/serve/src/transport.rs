@@ -18,9 +18,24 @@
 //! The in-process implementation is a hub: one bounded [`ShardQueue`] per
 //! worker (coordinator → worker) plus one shared inbox every worker sends
 //! into (worker → coordinator). Sends are deadline-aware — backpressure can
-//! reject instead of wedging admission — and the receive side measures the
-//! wall-clock time each message sat queued, which is where the per-shard
-//! `queue_wait_p99` figure comes from.
+//! reject instead of wedging admission. Nothing on the per-message path
+//! allocates or grows. A worker's end takes one message per receive, so its
+//! inbox — the queue `queue_capacity` bounds and `max_queue_depth` reports —
+//! holds every admitted query that has not started, and it measures the
+//! wall-clock time each message waited there into a fixed-size histogram,
+//! which is where the per-shard `queue_wait_p99` figure comes from. The
+//! coordinator's end, which consumes in bursts (everything that is there,
+//! each time admission is refused), takes its inbox's whole backlog under
+//! one lock acquisition and hands it out message by message; nobody reads
+//! its waits, so it measures nothing and its messages are not even
+//! time-stamped.
+//!
+//! Closed-loop admission goes through the concrete [`InProcEndpoint`], not
+//! the trait: [`InProcEndpoint::try_send_query`] (a refusal returns the task
+//! by value) and [`InProcEndpoint::try_recv`] (no clock read) are what make
+//! a refused offer and a drained completion free of allocation and system
+//! calls. A socket transport would provide its own pair; everything else the
+//! engine and the workers do goes through [`ShardTransport`].
 
 use crate::epoch::EpochSink;
 use crate::queue::{PopError, PushError, ShardQueue};
@@ -29,6 +44,7 @@ use loom_obs::{stage, Histogram, Telemetry};
 use loom_sim::executor::ExecutionMetrics;
 use loom_sim::matcher::Embedding;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -237,13 +253,34 @@ pub trait ShardTransport: Send + Sync {
     }
 }
 
-/// A queued message plus its enqueue instant (for queue-wait accounting).
-/// The envelope is in-process plumbing, not part of the wire shape — a
-/// socket implementation would timestamp on receipt instead.
+/// A queued message plus, when the receiving end measures queue wait, its
+/// enqueue instant. The envelope is in-process plumbing, not part of the
+/// wire shape — a socket implementation would timestamp on receipt instead.
 #[derive(Debug)]
 struct Envelope {
     msg: ShardMsg,
-    enqueued: Instant,
+    enqueued: Option<Instant>,
+}
+
+/// The receive side's wait accounting, present on the ends whose waits are
+/// reported (worker ends, and both ends of a [`InProcTransport::pair`]).
+#[derive(Debug)]
+struct WaitStats {
+    /// This run's waits in nanoseconds: fixed size, nothing kept per sample.
+    run: Histogram,
+    /// Live telemetry: each wait also lands, in µs, in the shared
+    /// `serve.queue_wait{shard}` histogram, so the series is scrapable
+    /// mid-run instead of only in the end-of-run report.
+    live: Option<Arc<Histogram>>,
+}
+
+impl WaitStats {
+    fn new(live: Option<Arc<Histogram>>) -> Self {
+        Self {
+            run: Histogram::new(),
+            live,
+        }
+    }
 }
 
 /// One end of an in-process shard link: a pair of bounded [`ShardQueue`]s
@@ -252,30 +289,35 @@ struct Envelope {
 pub struct InProcEndpoint {
     tx: Arc<ShardQueue<Envelope>>,
     rx: Arc<ShardQueue<Envelope>>,
+    /// On an end that receives in batches (the coordinator's): messages
+    /// already off `rx` — a whole backlog per lock acquisition, the buffer
+    /// trading places with the queue's — and not yet handed out. Never held
+    /// across a wait. `None` on an end that takes one message per receive.
+    backlog: Option<parking_lot::Mutex<VecDeque<Envelope>>>,
     sent: AtomicUsize,
     received: AtomicUsize,
-    waits_us: parking_lot::Mutex<Vec<f64>>,
-    /// Live telemetry: each receive's queue wait also lands in this shared
-    /// `serve.queue_wait{shard}` histogram, so the series is scrapable
-    /// mid-run instead of only in the end-of-run report.
-    wait_hist: Option<Arc<Histogram>>,
+    /// Whether the peer measures queue wait, i.e. whether sends are stamped.
+    stamp_sends: bool,
+    waits: Option<WaitStats>,
 }
 
 impl InProcEndpoint {
-    fn new(tx: Arc<ShardQueue<Envelope>>, rx: Arc<ShardQueue<Envelope>>) -> Self {
+    fn new(
+        tx: Arc<ShardQueue<Envelope>>,
+        rx: Arc<ShardQueue<Envelope>>,
+        stamp_sends: bool,
+        waits: Option<WaitStats>,
+        batch_receives: bool,
+    ) -> Self {
         Self {
             tx,
             rx,
+            backlog: batch_receives.then(Default::default),
             sent: AtomicUsize::new(0),
             received: AtomicUsize::new(0),
-            waits_us: parking_lot::Mutex::new(Vec::new()),
-            wait_hist: None,
+            stamp_sends,
+            waits,
         }
-    }
-
-    fn observed(mut self, wait_hist: Option<Arc<Histogram>>) -> Self {
-        self.wait_hist = wait_hist;
-        self
     }
 
     /// Deepest the *send-side* queue (the peer's inbox) got — the
@@ -283,15 +325,79 @@ impl InProcEndpoint {
     pub fn peer_inbox_depth(&self) -> usize {
         self.tx.max_depth()
     }
+
+    fn envelope(&self, msg: ShardMsg) -> Envelope {
+        Envelope {
+            msg,
+            enqueued: self.stamp_sends.then(Instant::now),
+        }
+    }
+
+    /// Offer one routed query to the peer without blocking — the admission
+    /// primitive. Unlike [`ShardTransport::try_send`] a refusal hands the
+    /// task back unboxed: closed-loop admission is refused about once per
+    /// request whenever the workers are the bottleneck, and must not pay an
+    /// allocation for it.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Timeout`] when the peer's inbox is full,
+    /// [`PushError::Closed`] when the link is down; both return the task.
+    pub fn try_send_query(&self, task: QueryTaskMsg) -> Result<(), PushError<QueryTaskMsg>> {
+        self.tx
+            .try_push(self.envelope(ShardMsg::Query(task)))
+            .map(|()| {
+                self.sent.fetch_add(1, Ordering::Relaxed);
+            })
+            .map_err(|refused| {
+                refused.map(|envelope| match envelope.msg {
+                    ShardMsg::Query(task) => task,
+                    _ => unreachable!("the queue hands back the envelope it was offered"),
+                })
+            })
+    }
+
+    /// Receive the next message if one is already here: never blocks and
+    /// never reads the clock to find out.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Timeout`] when nothing is waiting (a closed link
+    /// reports the same; the blocking [`ShardTransport::recv`] tells them
+    /// apart).
+    pub fn try_recv(&self) -> Result<ShardMsg, RecvError> {
+        let ready = match &self.backlog {
+            None => self.rx.try_pop(),
+            Some(backlog) => {
+                let mut backlog = backlog.lock();
+                if backlog.is_empty() {
+                    self.rx.try_pop_all(&mut backlog);
+                }
+                backlog.pop_front()
+            }
+        };
+        ready
+            .map(|envelope| self.deliver(envelope))
+            .ok_or(RecvError::Timeout)
+    }
+
+    /// Count a received message and charge its wait where waits are kept.
+    fn deliver(&self, envelope: Envelope) -> ShardMsg {
+        self.received.fetch_add(1, Ordering::Relaxed);
+        if let (Some(waits), Some(enqueued)) = (&self.waits, envelope.enqueued) {
+            let waited = enqueued.elapsed();
+            waits.run.record(waited.as_nanos() as u64);
+            if let Some(live) = &waits.live {
+                live.record_f64(waited.as_secs_f64() * 1e6);
+            }
+        }
+        envelope.msg
+    }
 }
 
 impl ShardTransport for InProcEndpoint {
     fn send(&self, msg: ShardMsg, deadline: Option<Instant>) -> Result<(), TransportError> {
-        let envelope = Envelope {
-            msg,
-            enqueued: Instant::now(),
-        };
-        match self.tx.push_deadline(envelope, deadline) {
+        match self.tx.push_deadline(self.envelope(msg), deadline) {
             Ok(()) => {
                 self.sent.fetch_add(1, Ordering::Relaxed);
                 Ok(())
@@ -304,19 +410,17 @@ impl ShardTransport for InProcEndpoint {
     }
 
     fn recv(&self, deadline: Option<Instant>) -> Result<ShardMsg, RecvError> {
-        match self.rx.pop_deadline(deadline) {
-            Ok(envelope) => {
-                self.received.fetch_add(1, Ordering::Relaxed);
-                let wait_us = envelope.enqueued.elapsed().as_secs_f64() * 1e6;
-                self.waits_us.lock().push(wait_us);
-                if let Some(hist) = &self.wait_hist {
-                    hist.record_f64(wait_us);
-                }
-                Ok(envelope.msg)
-            }
-            Err(PopError::Timeout) => Err(RecvError::Timeout),
-            Err(PopError::Closed) => Err(RecvError::Disconnected),
-        }
+        // What is already here first (a batching end's backlog is older
+        // than anything still queued), then one message off the queue.
+        self.try_recv().or_else(|_| {
+            self.rx
+                .pop_deadline(deadline)
+                .map(|envelope| self.deliver(envelope))
+                .map_err(|err| match err {
+                    PopError::Timeout => RecvError::Timeout,
+                    PopError::Closed => RecvError::Disconnected,
+                })
+        })
     }
 
     fn shutdown(&self) {
@@ -324,19 +428,16 @@ impl ShardTransport for InProcEndpoint {
     }
 
     fn stats(&self) -> TransportStats {
-        let mut waits = self.waits_us.lock().clone();
-        waits.sort_by(f64::total_cmp);
-        // Nearest rank; an endpoint that received nothing reports 0.
-        let nearest_rank = |q: f64| {
-            let rank = (q * waits.len() as f64).ceil() as usize;
-            waits.get(rank.saturating_sub(1)).copied().unwrap_or(0.0)
-        };
+        // Nearest rank to the histogram's 1/32; an endpoint that received
+        // (or measured) nothing reports 0.
+        let waits = self.waits.as_ref().map(|w| w.run.snapshot());
+        let quantile_us = |q: f64| waits.as_ref().map_or(0.0, |w| w.quantile(q) as f64 / 1e3);
         TransportStats {
             sent: self.sent.load(Ordering::Relaxed),
             received: self.received.load(Ordering::Relaxed),
             max_recv_depth: self.rx.max_depth(),
-            queue_wait_p50_us: nearest_rank(0.50),
-            queue_wait_p99_us: nearest_rank(0.99),
+            queue_wait_p50_us: quantile_us(0.50),
+            queue_wait_p99_us: quantile_us(0.99),
         }
     }
 }
@@ -352,11 +453,11 @@ pub struct InboxNoticeSink {
 
 impl EpochSink for InboxNoticeSink {
     fn notify(&self, epoch: u64) {
-        let envelope = Envelope {
+        // The coordinator's end measures no waits: no stamp, no clock.
+        let _ = self.inbox.try_push(Envelope {
             msg: ShardMsg::EpochPublished { epoch },
-            enqueued: Instant::now(),
-        };
-        let _ = self.inbox.push_deadline(envelope, Some(Instant::now()));
+            enqueued: None,
+        });
     }
 }
 
@@ -369,6 +470,9 @@ impl EpochSink for InboxNoticeSink {
 pub struct InProcHub {
     /// Coordinator-side endpoints, indexed by worker: endpoint `i` sends to
     /// worker `i`'s inbox and receives from the shared coordinator inbox.
+    /// Receive on **one** of them (the engine uses endpoint 0): a
+    /// non-blocking receive takes the inbox's whole backlog into that
+    /// endpoint.
     pub coordinator: Vec<InProcEndpoint>,
     /// Worker-side endpoints, indexed by worker: endpoint `i` receives from
     /// its own inbox and sends to the shared coordinator inbox.
@@ -393,8 +497,8 @@ pub struct InProcTransport;
 impl InProcTransport {
     /// Build a coordinator↔workers hub: `workers` bounded per-worker inboxes
     /// of `capacity` entries each, plus a shared coordinator inbox sized so
-    /// workers returning results do not deadlock against a coordinator that
-    /// is momentarily busy routing.
+    /// workers returning results rarely wait for a coordinator that is
+    /// momentarily busy routing.
     pub fn hub(workers: usize, capacity: usize) -> InProcHub {
         Self::hub_observed(workers, capacity, None)
     }
@@ -410,10 +514,12 @@ impl InProcTransport {
     ) -> InProcHub {
         let workers = workers.max(1);
         let capacity = capacity.max(1);
-        // Every worker can have its whole inbox's worth of results plus a
-        // report in flight; the coordinator drains aggressively, but sizing
-        // the inbox for the worst case keeps the protocol deadlock-free by
-        // construction rather than by timing.
+        // Room for every worker's whole inbox's worth of results plus a
+        // report, so workers run ahead of a coordinator that is busy
+        // routing. Liveness does not rest on the size: a worker blocked on
+        // a full coordinator inbox stops taking queries, its own inbox
+        // fills, and a coordinator refused there waits on — and so empties
+        // — this one.
         let inbox = Arc::new(ShardQueue::new(workers * (capacity + 2)));
         let mut coordinator = Vec::with_capacity(workers);
         let mut worker_ends = Vec::with_capacity(workers);
@@ -422,10 +528,18 @@ impl InProcTransport {
             coordinator.push(InProcEndpoint::new(
                 Arc::clone(&worker_inbox),
                 Arc::clone(&inbox),
+                true,
+                None,
+                true,
             ));
-            let wait_hist = telemetry.map(|t| t.shard_histogram(stage::SERVE_QUEUE_WAIT, w as u32));
-            worker_ends
-                .push(InProcEndpoint::new(Arc::clone(&inbox), worker_inbox).observed(wait_hist));
+            let live = telemetry.map(|t| t.shard_histogram(stage::SERVE_QUEUE_WAIT, w as u32));
+            worker_ends.push(InProcEndpoint::new(
+                Arc::clone(&inbox),
+                worker_inbox,
+                false,
+                Some(WaitStats::new(live)),
+                false,
+            ));
         }
         InProcHub {
             coordinator,
@@ -438,9 +552,10 @@ impl InProcTransport {
     pub fn pair(capacity: usize) -> (InProcEndpoint, InProcEndpoint) {
         let ab = Arc::new(ShardQueue::new(capacity.max(1)));
         let ba = Arc::new(ShardQueue::new(capacity.max(1)));
+        let waits = || Some(WaitStats::new(None));
         (
-            InProcEndpoint::new(Arc::clone(&ab), Arc::clone(&ba)),
-            InProcEndpoint::new(ba, ab),
+            InProcEndpoint::new(Arc::clone(&ab), Arc::clone(&ba), true, waits(), false),
+            InProcEndpoint::new(ba, ab, true, waits(), false),
         )
     }
 }
@@ -549,6 +664,59 @@ mod tests {
             Err(RecvError::Timeout)
         );
         assert!(hub.coordinator[1].peer_inbox_depth() >= 1);
+    }
+
+    #[test]
+    fn refused_queries_come_back_unboxed_and_try_recv_never_waits() {
+        let hub = InProcTransport::hub(1, 1);
+        let task = |seq: u64| QueryTaskMsg {
+            seq,
+            query: 0,
+            root_seed: seq,
+            deadline_us: None,
+        };
+        let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
+        assert_eq!(coordinator.try_send_query(task(1)), Ok(()));
+        assert_eq!(
+            coordinator.try_send_query(task(2)),
+            Err(PushError::Timeout(task(2)))
+        );
+        assert_eq!(coordinator.try_recv(), Err(RecvError::Timeout));
+        assert_eq!(worker.try_recv(), Ok(ShardMsg::Query(task(1))));
+        assert_eq!(worker.try_recv(), Err(RecvError::Timeout));
+        worker.send(ShardMsg::Finish, None).unwrap();
+        assert_eq!(coordinator.try_recv(), Ok(ShardMsg::Finish));
+        // Only the worker's end keeps waits, so only its messages carried a
+        // stamp.
+        assert!(worker.waits.as_ref().is_some_and(|w| w.run.count() == 1));
+        assert!(coordinator.waits.is_none());
+        assert_eq!(coordinator.stats().queue_wait_p99_us, 0.0);
+        worker.shutdown();
+        assert_eq!(
+            coordinator.try_send_query(task(3)),
+            Err(PushError::Closed(task(3)))
+        );
+    }
+
+    /// `queue_capacity` bounds every admitted query that has not started: a
+    /// worker's end takes one message per receive and holds none back.
+    #[test]
+    fn a_worker_end_frees_one_slot_per_receive() {
+        let hub = InProcTransport::hub(1, 2);
+        let task = |seq: u64| QueryTaskMsg {
+            seq,
+            query: 0,
+            root_seed: seq,
+            deadline_us: None,
+        };
+        let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
+        assert_eq!(coordinator.try_send_query(task(1)), Ok(()));
+        assert_eq!(coordinator.try_send_query(task(2)), Ok(()));
+        assert!(coordinator.try_send_query(task(3)).is_err());
+        assert_eq!(worker.recv(None), Ok(ShardMsg::Query(task(1))));
+        assert_eq!(coordinator.try_send_query(task(3)), Ok(()));
+        assert!(coordinator.try_send_query(task(4)).is_err());
+        assert_eq!(coordinator.peer_inbox_depth(), 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use loom_obs::{Histogram, SpanTimer};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::executor::ExecutionMetrics;
 use loom_sim::matcher::{
-    execute_plan_ctx, execute_plan_with_roots, plan_roots, Embedding, ExecOptions,
+    execute_plan_ctx, execute_plan_with_roots, plan_roots, Embedding, ExecOptions, MatchScratch,
 };
 use loom_sim::plan::QueryPlan;
 use std::collections::BTreeMap;
@@ -58,11 +58,9 @@ pub(crate) struct WorkerSetup<'a> {
 }
 
 impl WorkerSetup<'_> {
-    /// Reconstruct the absolute request context for a run-relative deadline.
-    fn context_for(&self, deadline_us: Option<u64>) -> RequestContext {
-        let mut ctx = RequestContext::unbounded().with_cancel(self.cancel.clone());
-        ctx.deadline = deadline_us.map(|us| self.run_start + Duration::from_micros(us));
-        ctx
+    /// The absolute deadline a run-relative one stands for.
+    fn deadline(&self, deadline_us: Option<u64>) -> Option<Instant> {
+        deadline_us.map(|us| self.run_start + Duration::from_micros(us))
     }
 
     fn exec_options(&self, root_seed: u64) -> ExecOptions {
@@ -87,6 +85,11 @@ pub(crate) fn worker_loop(
     // something newer exists. Queries never peek at shared state.
     let mut snapshot = source.pin();
     let mut executed = 0usize;
+    // What every execution of the run shares: one request context — the
+    // run's cancel token, each query's deadline written in — and one
+    // matcher scratch.
+    let mut ctx = RequestContext::unbounded().with_cancel(setup.cancel.clone());
+    let mut scratch = MatchScratch::default();
     loop {
         let msg = match transport.recv(None) {
             Ok(msg) => msg,
@@ -97,13 +100,15 @@ pub(crate) fn worker_loop(
             ShardMsg::Query(task) => {
                 executed += 1;
                 let span = SpanTimer::start(setup.exec_hist.as_deref());
-                let done = execute_query(transport, &snapshot, &setup, &task);
+                ctx.deadline = setup.deadline(task.deadline_us);
+                let done = execute_query(transport, &snapshot, &setup, &task, &ctx, &mut scratch);
                 drop(span);
                 let _ = transport.send(ShardMsg::Done(done), None);
             }
             ShardMsg::SubQuery(sub) => {
                 let span = SpanTimer::start(setup.halo_hist.as_deref());
-                let done = execute_subquery(&snapshot, &setup, &sub);
+                ctx.deadline = setup.deadline(sub.deadline_us);
+                let done = execute_subquery(&snapshot, &setup, &sub, &ctx);
                 drop(span);
                 let _ = transport.send(ShardMsg::Done(done), None);
             }
@@ -139,16 +144,24 @@ fn execute_query(
     snapshot: &Arc<ShardedStore>,
     setup: &WorkerSetup<'_>,
     task: &QueryTaskMsg,
+    ctx: &RequestContext,
+    scratch: &mut MatchScratch<u32>,
 ) -> QueryDoneMsg {
-    let ctx = setup.context_for(task.deadline_us);
     let plan = setup.plans[task.query as usize]
         .as_ref()
         .expect("scheduled plan");
     let opts = setup.exec_options(task.root_seed);
 
     if setup.handoff {
-        let roots = plan_roots(snapshot.as_ref(), plan, opts.mode, opts.root_seed);
-        let (local, remote) = split_roots(snapshot, &roots, setup.workers, setup.worker);
+        let mut drawn = Vec::new();
+        let roots = plan_roots(
+            snapshot.as_ref(),
+            plan,
+            opts.mode,
+            opts.root_seed,
+            &mut drawn,
+        );
+        let (local, remote) = split_roots(snapshot, roots, setup.workers, setup.worker);
         if !remote.is_empty() {
             // Ship the roots other workers own before doing local work, so
             // the borrowed executions overlap with ours. Blocking send is
@@ -167,7 +180,7 @@ fn execute_query(
                     None,
                 );
             }
-            let (metrics, embeddings) = execute_ranked(snapshot, plan, &opts, &ctx, &local);
+            let (metrics, embeddings) = execute_ranked(snapshot, plan, &opts, ctx, &local);
             return QueryDoneMsg {
                 worker: setup.worker,
                 seq: task.seq,
@@ -182,7 +195,7 @@ fn execute_query(
         // path, which is bit-identical to handoff-disabled serving.
     }
 
-    let exec = execute_plan_ctx(snapshot.as_ref(), plan, &opts, &ctx);
+    let exec = execute_plan_ctx(snapshot.as_ref(), plan, &opts, ctx, scratch);
     QueryDoneMsg {
         worker: setup.worker,
         seq: task.seq,
@@ -204,13 +217,13 @@ fn execute_subquery(
     snapshot: &Arc<ShardedStore>,
     setup: &WorkerSetup<'_>,
     sub: &SubQueryMsg,
+    ctx: &RequestContext,
 ) -> QueryDoneMsg {
-    let ctx = setup.context_for(sub.deadline_us);
     let plan = setup.plans[sub.query as usize]
         .as_ref()
         .expect("scheduled plan");
     let opts = setup.exec_options(0);
-    let (metrics, embeddings) = execute_ranked(snapshot, plan, &opts, &ctx, &sub.roots);
+    let (metrics, embeddings) = execute_ranked(snapshot, plan, &opts, ctx, &sub.roots);
     QueryDoneMsg {
         worker: setup.worker,
         seq: sub.seq,

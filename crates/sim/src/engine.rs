@@ -17,7 +17,7 @@
 
 use crate::context::RequestContext;
 use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
-use crate::matcher::{execute_plan_ctx, Embedding, ExecOptions};
+use crate::matcher::{execute_plan_ctx, Embedding, ExecOptions, MatchScratch};
 use crate::plan::{resolve_plan, PlanCache, QueryPlan};
 use crate::store::PartitionedStore;
 use loom_motif::query::QueryId;
@@ -369,6 +369,9 @@ pub fn run_sequential(
     let plans = resolve_schedule_plans(executor.plan_cache(), workload, &schedule);
     let mut metrics = ExecutionMetrics::default();
     let mut embeddings = Vec::new();
+    // One scratch for the request: its executions share a root list and a
+    // mapping instead of allocating a pair each.
+    let mut scratch = MatchScratch::default();
     for (index, root_seed) in schedule {
         let plan = plans[index].as_ref().expect("scheduled plan resolved");
         let opts = ExecOptions {
@@ -379,7 +382,7 @@ pub fn run_sequential(
             root_seed,
             collect: request.collect_matches,
         };
-        let run = execute_plan_ctx(store, plan, &opts, &ctx);
+        let run = execute_plan_ctx(store, plan, &opts, &ctx, &mut scratch);
         metrics.merge(&run.metrics);
         embeddings.extend(run.embeddings);
     }

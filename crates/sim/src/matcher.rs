@@ -121,27 +121,32 @@ pub fn matching_order(pattern: &loom_graph::LabelledGraph) -> Vec<VertexId> {
 /// deterministically from `root_seed` (sorted, de-duplicated) — the seeds an
 /// index lookup would hand a graph database. The serving-engine router uses
 /// the same function to decide a query's home shard.
-pub fn plan_roots<S: PatternStore + ?Sized>(
-    store: &S,
+///
+/// The function keeps no list of its own: a full enumeration's roots are the
+/// store's label index itself, a rooted execution's are drawn into `buffer`,
+/// which a caller routing or executing query after query hands back each
+/// time.
+pub fn plan_roots<'a, S: PatternStore + ?Sized>(
+    store: &'a S,
     plan: &QueryPlan,
     mode: QueryMode,
     root_seed: u64,
-) -> Vec<VertexId> {
+    buffer: &'a mut Vec<VertexId>,
+) -> &'a [VertexId] {
     let candidates = store.vertices_with_label(plan.root_label());
     match mode {
-        QueryMode::FullEnumeration => candidates.to_vec(),
+        QueryMode::FullEnumeration => candidates,
         QueryMode::Rooted { seed_count } => {
-            if candidates.is_empty() {
-                return Vec::new();
+            buffer.clear();
+            if !candidates.is_empty() {
+                let mut rng = StdRng::seed_from_u64(root_seed);
+                for _ in 0..seed_count.max(1) {
+                    buffer.push(candidates[rng.random_range(0..candidates.len())]);
+                }
+                buffer.sort_unstable();
+                buffer.dedup();
             }
-            let mut rng = StdRng::seed_from_u64(root_seed);
-            let mut chosen = Vec::with_capacity(seed_count.max(1));
-            for _ in 0..seed_count.max(1) {
-                chosen.push(candidates[rng.random_range(0..candidates.len())]);
-            }
-            chosen.sort_unstable();
-            chosen.dedup();
-            chosen
+            buffer
         }
     }
 }
@@ -227,6 +232,26 @@ pub struct PlanExecution {
     pub embeddings: Vec<Embedding>,
 }
 
+/// The buffers a plan execution works in — the resolved roots and the
+/// partial mapping — kept by a caller that executes query after query
+/// (`H` is its store's [`PatternStore::Handle`]). Once they have grown to
+/// the largest root set and plan seen, an execution whose matches are
+/// counted, not collected, allocates nothing.
+#[derive(Debug)]
+pub struct MatchScratch<H> {
+    roots: Vec<VertexId>,
+    mapping: Vec<H>,
+}
+
+impl<H> Default for MatchScratch<H> {
+    fn default() -> Self {
+        Self {
+            roots: Vec::new(),
+            mapping: Vec::new(),
+        }
+    }
+}
+
 /// Execute a pre-compiled plan against a store.
 ///
 /// This is the single code path behind the sequential executor, the
@@ -241,7 +266,7 @@ pub fn execute_plan<S: PatternStore + ?Sized>(
     plan: &QueryPlan,
     opts: &ExecOptions,
 ) -> PlanExecution {
-    run_plan(store, plan, opts, None, None)
+    run_plan(store, plan, opts, None, None, &mut MatchScratch::default())
 }
 
 /// Execute a pre-compiled plan under a [`RequestContext`]: identical to
@@ -249,14 +274,17 @@ pub fn execute_plan<S: PatternStore + ?Sized>(
 /// fired cancellation token cooperatively unwinds the backtracking search at
 /// its next traversal check and flags the partial metrics
 /// (`deadline_exceeded` / `cancelled`). A context that is already expired or
-/// cancelled on entry performs **zero** traversals.
+/// cancelled on entry performs **zero** traversals. The search works in the
+/// caller's [`MatchScratch`], which the engines keep across the executions
+/// of a request or a run.
 pub fn execute_plan_ctx<S: PatternStore + ?Sized>(
     store: &S,
     plan: &QueryPlan,
     opts: &ExecOptions,
     ctx: &RequestContext,
+    scratch: &mut MatchScratch<S::Handle>,
 ) -> PlanExecution {
-    run_plan(store, plan, opts, Some(ctx), None)
+    run_plan(store, plan, opts, Some(ctx), None, scratch)
 }
 
 /// Execute a pre-compiled plan anchored at an explicit root set instead of
@@ -274,7 +302,14 @@ pub fn execute_plan_with_roots<S: PatternStore + ?Sized>(
     ctx: &RequestContext,
     roots: &[VertexId],
 ) -> PlanExecution {
-    run_plan(store, plan, opts, Some(ctx), Some(roots))
+    run_plan(
+        store,
+        plan,
+        opts,
+        Some(ctx),
+        Some(roots),
+        &mut MatchScratch::default(),
+    )
 }
 
 fn run_plan<S: PatternStore + ?Sized>(
@@ -283,6 +318,7 @@ fn run_plan<S: PatternStore + ?Sized>(
     opts: &ExecOptions,
     ctx: Option<&RequestContext>,
     roots: Option<&[VertexId]>,
+    scratch: &mut MatchScratch<S::Handle>,
 ) -> PlanExecution {
     let mut metrics = ExecutionMetrics {
         queries_executed: 1,
@@ -313,18 +349,18 @@ fn run_plan<S: PatternStore + ?Sized>(
     }
 
     if !(metrics.cancelled || metrics.deadline_exceeded) {
-        let resolved;
+        let MatchScratch {
+            roots: root_buffer,
+            mapping,
+        } = scratch;
         let candidates: &[VertexId] = match roots {
             Some(explicit) => explicit,
-            None => {
-                resolved = plan_roots(store, plan, opts.mode, opts.root_seed);
-                &resolved
-            }
+            None => plan_roots(store, plan, opts.mode, opts.root_seed, root_buffer),
         };
         let mut search = PlanSearch {
             store,
             plan,
-            mapping: Vec::with_capacity(plan.len()),
+            mapping,
             metrics: &mut metrics,
             match_limit,
             traversal_budget,
@@ -376,7 +412,7 @@ struct PlanSearch<'a, S: PatternStore + ?Sized> {
     /// Data vertex bound at each order position, as a store handle;
     /// positions `< depth` are valid and double as the "already used" set
     /// (patterns are a handful of vertices, so a scan beats any hash set).
-    mapping: Vec<S::Handle>,
+    mapping: &'a mut Vec<S::Handle>,
     metrics: &'a mut ExecutionMetrics,
     match_limit: usize,
     traversal_budget: usize,
@@ -535,7 +571,14 @@ mod tests {
         mode: QueryMode,
         seed: u64,
     ) -> Vec<VertexId> {
-        plan_roots(store, &QueryPlan::legacy(query), mode, seed)
+        plan_roots(
+            store,
+            &QueryPlan::legacy(query),
+            mode,
+            seed,
+            &mut Vec::new(),
+        )
+        .to_vec()
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn serve_through(builder: SessionBuilder, graph: &LabelledGraph) -> Serving {
 }
 
 /// Zero the report fields that measure *this process's* wall clock
-/// (`wall_clock_us`, queue waits, queue high-water) — those are
+/// (`wall_clock_us`, queue waits, admission stalls, queue high-water) — those are
 /// scheduler-dependent with or without telemetry. Everything left is
 /// counted and must reproduce exactly.
 fn untimed(report: &ServeReport) -> ServeReport {
@@ -64,6 +64,7 @@ fn untimed(report: &ServeReport) -> ServeReport {
     r.wall_clock_us = 0.0;
     for shard in &mut r.shards {
         shard.queue_wait_p99_us = 0.0;
+        shard.admit_stalls = 0;
         shard.max_queue_depth = 0;
     }
     r

@@ -20,7 +20,7 @@ use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_partition::hash::HashConfig;
 use loom_partition::spec::LoomConfig;
-use loom_sim::matcher::{execute_plan_ctx, ExecOptions};
+use loom_sim::matcher::{execute_plan_ctx, ExecOptions, MatchScratch};
 use loom_sim::plan::GraphStatistics;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -364,6 +364,59 @@ fn shard_reports_carry_queue_wait_instrumentation() {
     }
 }
 
+/// Backpressure waits where the credit arrives. Behind a 2-deep queue the
+/// coordinator is refused on almost every admission; it waits on its own
+/// inbox, and the completion that frees the slot is what wakes it. A wait
+/// that runs its whole slice with nothing arriving is a stall, a millisecond
+/// in which nothing is admitted — when the coordinator waited on the
+/// *worker's* inbox instead, every fourth admission of this run ended that
+/// way (its own inbox, 4 slots here, had filled with completions nobody was
+/// reading: ≈ 500 stalls). Counted, not timed: a scheduler hiccup may add a
+/// stall or two, a protocol that stalls adds hundreds.
+#[test]
+fn a_full_inbox_is_waited_out_on_completions_not_on_the_clock() {
+    const REQUESTS: usize = 2_000;
+    let graph = social_graph(500, 11);
+    let workload = motif_workload();
+    let partitioning = partitioned(
+        &graph,
+        PartitionerSpec::Loom(LoomConfig::new(8, graph.vertex_count()).with_window_size(64)),
+        &workload,
+    );
+    let mode = QueryMode::Rooted { seed_count: 3 };
+    let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
+    let expected = QueryExecutor::default().with_mode(mode).execute_workload(
+        &sequential_store,
+        &workload,
+        REQUESTS,
+        42,
+    );
+
+    let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
+    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode).with_queue_capacity(2));
+    let (report, response) = engine.run(
+        &sharded,
+        &workload,
+        QueryRequest::workload(REQUESTS).with_seed(42),
+        &RequestContext::unbounded(),
+    );
+    assert_eq!(report.aggregate, expected);
+    assert_eq!(response.metrics, expected);
+    assert_eq!(report.error_budget.dropped(), 0);
+    let shard = &report.shards[0];
+    assert_eq!(shard.queries, REQUESTS);
+    assert!(
+        shard.max_queue_depth <= 2,
+        "depth {}",
+        shard.max_queue_depth
+    );
+    assert!(
+        shard.admit_stalls * 100 <= REQUESTS,
+        "{} admission stalls over {REQUESTS} requests",
+        shard.admit_stalls
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -384,6 +437,7 @@ proptest! {
         let fired = CancelToken::new();
         fired.cancel();
         let cancelled_ctx = RequestContext::unbounded().with_cancel(fired);
+        let mut scratch = MatchScratch::default();
         for (i, query) in workload.queries().iter().take(samples).enumerate() {
             let plan = planner.plan(query, &stats);
             let opts = ExecOptions {
@@ -391,8 +445,14 @@ proptest! {
                 root_seed: seed.wrapping_add(i as u64),
                 ..ExecOptions::default()
             };
-            let free = execute_plan_ctx(&store, &plan, &opts, &RequestContext::unbounded());
-            let cut = execute_plan_ctx(&store, &plan, &opts, &cancelled_ctx);
+            let free = execute_plan_ctx(
+                &store,
+                &plan,
+                &opts,
+                &RequestContext::unbounded(),
+                &mut scratch,
+            );
+            let cut = execute_plan_ctx(&store, &plan, &opts, &cancelled_ctx, &mut scratch);
             prop_assert!(cut.metrics.matches_found <= free.metrics.matches_found);
             prop_assert!(cut.metrics.total_traversals <= free.metrics.total_traversals);
             prop_assert!(cut.metrics.cancelled);
