@@ -5,20 +5,20 @@
 //! executing worker will run, fetched once per query set from the shared
 //! [`PlanCache`](loom_sim::plan::PlanCache) — so routing performs no
 //! matching-order derivation at all (the double derivation the plan
-//! redesign removed). It resolves the roots the matcher will anchor on via
-//! the plan-driven [`loom_sim::matcher::plan_roots`] lookup, maps each root
-//! to the shard hosting it, and dispatches the query to the shard hosting
-//! the **most** roots (vote ties broken deterministically by the root seed,
-//! so no shard is systematically favoured). Queries with no assigned roots
-//! at all are spread by `root_seed % shards`, so unmatched queries
-//! round-robin across shards instead of piling onto a single one.
+//! redesign removed). It takes the roots the matcher will anchor on from
+//! the plan-driven [`loom_sim::matcher::plan_roots`] lookup — arena
+//! positions, so each root's home shard is a slot read — and dispatches the
+//! query to the shard hosting the **most** roots (vote ties broken
+//! deterministically by the root seed, so no shard is systematically
+//! favoured). Queries with no assigned roots at all are spread by
+//! `root_seed % shards`, so unmatched queries round-robin across shards
+//! instead of piling onto a single one.
 //!
 //! A router is made for one run and routes every arrival of it, so it keeps
 //! the vote and root buffers arrivals share: routing allocates nothing per
 //! query.
 
 use crate::shard::ShardedStore;
-use loom_graph::VertexId;
 use loom_partition::partition::PartitionId;
 use loom_sim::executor::QueryMode;
 use loom_sim::matcher::plan_roots;
@@ -30,8 +30,8 @@ pub struct QueryRouter {
     mode: QueryMode,
     /// Per-shard votes of the arrival being routed.
     votes: Vec<usize>,
-    /// Rooted mode: the roots of the arrival being routed.
-    roots: Vec<VertexId>,
+    /// Rooted mode: the roots of the arrival being routed, as positions.
+    roots: Vec<u32>,
 }
 
 impl QueryRouter {
@@ -81,7 +81,7 @@ impl QueryRouter {
             }
             QueryMode::Rooted { .. } => {
                 for &root in plan_roots(store, plan, self.mode, root_seed, &mut self.roots) {
-                    if let Some(p) = store.home_shard(root) {
+                    if let Some(p) = store.home_of(root) {
                         votes[p.index()] += 1;
                     }
                 }

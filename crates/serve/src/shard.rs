@@ -15,16 +15,33 @@
 //! positions, and one packed 16-byte record per position carries everything
 //! the matcher asks about a candidate (label, home partition or tombstone,
 //! adjacency offset, live degree). The store implements [`PatternStore`]
-//! with `Handle = u32`, so a query resolves `VertexId → position` once per
-//! root and never touches a hash table again; it presents exactly the same
-//! graph, label index and remoteness semantics as the sequential hash-map
-//! store in [`loom_sim::store`] — the serving engine's parity tests rely on
-//! the two producing identical metrics for identical queries.
+//! with `Handle = u32` and its label index holds positions, so a query's
+//! roots are handles from the start and the search never touches a hash
+//! table.
+//!
+//! **The arc answers for its target.** Most neighbours a search meters are
+//! never candidates — they carry the wrong label — and reading each one's
+//! record only to count it and drop it is a cache miss per neighbour. So
+//! beside every adjacency entry rides one byte: the low seven bits of the
+//! target's label, a *filter* that may pass a wrong label and never refuses
+//! the right one, and the **remote bit**, exactly whether the two endpoints
+//! have different homes as of the last freeze or mutation. The matcher
+//! meters every neighbour from that sequential stream and reads the record
+//! of an on-label one only. The tags are derived at freeze, travel with
+//! their slices through a migration or a compaction (a vertex that changes
+//! home has the remote bit of its arcs rewritten, both directions) and are
+//! edited in place by the tombstoning mutators; no checkpoint blob carries
+//! them.
+//!
+//! The store presents exactly the same graph, label index and remoteness
+//! semantics as the sequential hash-map store in [`loom_sim::store`] — the
+//! serving engine's parity tests rely on the two producing identical metrics
+//! for identical queries.
 
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, LabelledGraph, VertexId};
 use loom_partition::partition::{PartitionId, Partitioning};
-use loom_sim::matcher::PatternStore;
+use loom_sim::matcher::{PatternStore, TaggedArc};
 use std::ops::Range;
 
 /// [`Slot::home`] of a vertex without an assignment (it counts as remote to
@@ -39,7 +56,9 @@ const DEAD: u32 = u32::MAX - 1;
 const VACANT: u32 = u32::MAX;
 
 /// Everything the matcher asks about one arena position, packed into 16
-/// bytes so a candidate costs one cache line.
+/// bytes so an on-label candidate costs one cache line. What the matcher
+/// asks about a neighbour it only *meters* — is the hop remote, can the
+/// label match — the arc's tag answers without coming here.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     label: Label,
@@ -58,6 +77,41 @@ impl Slot {
         let start = self.offset as usize;
         start..start + self.live as usize
     }
+}
+
+/// Whether following an arc between two slots crosses a partition boundary.
+/// Equal homes are local unless the shared "home" is a sentinel: unassigned
+/// and tombstoned vertices are remote to everyone.
+fn crosses(from: Slot, to: Slot) -> bool {
+    from.home != to.home || from.home >= DEAD
+}
+
+/// The byte an arc carries about its target: the low seven bits of the
+/// target's label above the remote bit.
+fn arc_tag(label: Label, remote: bool) -> u8 {
+    ((label.raw() & 0x7f) as u8) << 1 | u8::from(remote)
+}
+
+/// The tag of every live arc, derived from the slots (a tombstoned tail's
+/// bytes are padding, like its targets). One random slot read per arc: what
+/// a freeze pays so that a query does not.
+fn arc_tags(slots: &[Slot], targets: &[u32]) -> Vec<u8> {
+    let mut tags = vec![0; targets.len()];
+    for &from in &slots[..slots.len() - 1] {
+        let live = from.live_range();
+        for (tag, &to) in tags[live.clone()].iter_mut().zip(&targets[live]) {
+            let to = slots[to as usize];
+            *tag = arc_tag(to.label, crosses(from, to));
+        }
+    }
+    tags
+}
+
+/// Index in `targets` of the live arc `from → to`, if the edge is live.
+fn arc_at(slots: &[Slot], targets: &[u32], from: usize, to: u32) -> Option<usize> {
+    let live = slots[from].live_range();
+    let occ = targets[live.clone()].iter().position(|&q| q == to)?;
+    Some(live.start + occ)
 }
 
 /// The closing sentinel of a slot array: it only carries the arena length,
@@ -188,8 +242,8 @@ pub struct ShardedStore {
     /// Position → original vertex id, partition-major (shard 0's home
     /// vertices first, then shard 1's, …, unassigned vertices last).
     order: Vec<VertexId>,
-    /// Original id → position. Consulted once per query root and by the
-    /// mutators; never inside the search.
+    /// Original id → position. Consulted for the explicit roots of a
+    /// handed-off sub-query and by the mutators; never inside the search.
     position_of: FxHashMap<VertexId, u32>,
     /// One packed record per position plus a closing sentinel (see
     /// [`end_slot`]), so `slots.len() == order.len() + 1`.
@@ -198,11 +252,17 @@ pub struct ShardedStore {
     /// (keeps traversal order — and therefore match-limited metrics —
     /// identical to the sequential store).
     targets: Vec<u32>,
+    /// One [`arc_tag`] per entry of `targets`, index for index: what the
+    /// expansion loop streams instead of reading each target's slot.
+    tags: Vec<u8>,
     /// The same adjacency with each live prefix sorted by position, for
-    /// O(log d) edge-membership checks.
+    /// O(log d) edge-membership checks (untagged: a membership check has
+    /// already chosen its candidate).
     targets_sorted: Vec<u32>,
-    /// Global label index: label → *live* vertices, sorted by id.
-    by_label: FxHashMap<Label, Vec<VertexId>>,
+    /// The label index, in handle space: label → positions of the *live*
+    /// vertices carrying it, ordered by vertex id (enumeration order), not
+    /// by position.
+    by_label: FxHashMap<Label, Vec<u32>>,
     /// Tombstoned home vertices per shard.
     dead_vertices: Vec<usize>,
     /// Tombstoned adjacency slots per shard.
@@ -240,19 +300,16 @@ impl ShardedStore {
         let rows = graph.adjacency_sorted();
         let n = rows.len();
 
-        // One partition probe per vertex, in id order: the label lists come
-        // out id-sorted, and a stable bucket pass (bucket `k` = unassigned)
-        // turns id order into the partition-major (partition, id) order
-        // without a comparison sort.
+        // One partition probe per vertex, in id order: a stable bucket pass
+        // (bucket `k` = unassigned) turns id order into the partition-major
+        // (partition, id) order without a comparison sort.
         let mut homes: Vec<u32> = Vec::with_capacity(n);
         let mut starts = vec![0usize; k + 2];
-        let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
-        for &(v, label, _) in &rows {
+        for &(v, _, _) in &rows {
             let home = partitioning
                 .partition_of(v)
                 .map(|p| p.0)
                 .unwrap_or(UNASSIGNED);
-            by_label.entry(label).or_default().push(v);
             starts[(home as usize).min(k) + 1] += 1;
             homes.push(home);
         }
@@ -263,8 +320,11 @@ impl ShardedStore {
         let mut order = vec![VertexId::new(0); n];
         let mut slots = vec![end_slot(0); n + 1];
         let mut lists: Vec<&[VertexId]> = vec![&[]; n];
+        // Rows come in id order, so the label lists come out id-ordered.
+        let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
         for (&(v, label, neighbors), &home) in rows.iter().zip(&homes) {
             let pos = &mut cursor[(home as usize).min(k)];
+            by_label.entry(label).or_default().push(*pos as u32);
             order[*pos] = v;
             slots[*pos] = Slot {
                 label,
@@ -304,21 +364,23 @@ impl ShardedStore {
 
     /// The tail every from-scratch build shares ([`ShardedStore::from_parts`]
     /// and the checkpoint loader's [`ArenaLoader::finish`]): close the slot
-    /// array, derive the sorted arena, and build each shard's label index,
-    /// boundary and halo from its slice. `slots[..n]` carry label, home,
-    /// offset and live degree; `starts` holds the `k + 1` shard boundaries.
+    /// array, derive the arc tags and the sorted arena, and build each
+    /// shard's label index, boundary and halo from its slice. `slots[..n]`
+    /// carry label, home, offset and live degree; `starts` holds the `k + 1`
+    /// shard boundaries.
     fn assemble(
         order: Vec<VertexId>,
         position_of: FxHashMap<VertexId, u32>,
         mut slots: Vec<Slot>,
         targets: Vec<u32>,
         starts: &[usize],
-        by_label: FxHashMap<Label, Vec<VertexId>>,
+        by_label: FxHashMap<Label, Vec<u32>>,
         edge_count: usize,
     ) -> Self {
         let n = order.len();
         let k = starts.len() - 1;
         slots[n] = end_slot(targets.len());
+        let tags = arc_tags(&slots, &targets);
         let mut targets_sorted = targets.clone();
         for slot in &slots[..n] {
             targets_sorted[slot.live_range()].sort_unstable();
@@ -331,6 +393,7 @@ impl ShardedStore {
             position_of,
             slots,
             targets,
+            tags,
             targets_sorted,
             by_label,
             dead_vertices: vec![0; k],
@@ -460,8 +523,11 @@ impl ShardedStore {
     /// `p`'s at `ranges[p]`, the unassigned tail after the last range. The
     /// positional arrays are copied straight from the old slices and renamed
     /// through an old → new position array (no graph lookups, one
-    /// `position_of` insert per vertex); `touched` shards get their indexes
-    /// re-derived, the rest are rebased with their indexes reused. With
+    /// `position_of` insert per vertex), the label index is renamed the same
+    /// way, and the arc tags travel with their slices — only the remote bit
+    /// of the arcs at a vertex that changed home is rewritten, in both
+    /// directions; `touched` shards get their indexes re-derived, the rest
+    /// are rebased with their indexes reused. With
     /// `trim`, touched shards and the unassigned tail keep only their live
     /// adjacency prefix; everything else keeps its physical extent,
     /// tombstoned tail included.
@@ -481,6 +547,9 @@ impl ShardedStore {
         let mut slots: Vec<Slot> = Vec::with_capacity(from.len() + 1);
         let mut targets: Vec<u32> = Vec::with_capacity(self.targets.len());
         let mut targets_sorted: Vec<u32> = Vec::with_capacity(self.targets.len());
+        let mut tags: Vec<u8> = Vec::with_capacity(self.targets.len());
+        // New positions of the live vertices whose home changes.
+        let mut moved: Vec<usize> = Vec::new();
         // Append the vertex at old position `old`, homed at `home`
         // (tombstones stay tombstones). With `keep_tail` its tombstoned
         // adjacency slots survive as padding.
@@ -489,6 +558,7 @@ impl ShardedStore {
             let start = targets.len();
             let rename = |&q: &u32| renamed[q as usize];
             targets.extend(self.targets[slot.live_range()].iter().map(rename));
+            tags.extend_from_slice(&self.tags[slot.live_range()]);
             targets_sorted.extend(self.targets_sorted[slot.live_range()].iter().map(rename));
             // Renaming keeps the relative order of everything but migrated
             // vertices, so this is a linear pass over an all-but-sorted slice.
@@ -497,9 +567,14 @@ impl ShardedStore {
                 let physical = (self.slots[old as usize + 1].offset - slot.offset) as usize;
                 targets.resize(start + physical, VACANT);
                 targets_sorted.resize(start + physical, VACANT);
+                tags.resize(start + physical, 0);
+            }
+            let home = if slot.home == DEAD { DEAD } else { home };
+            if home != slot.home {
+                moved.push(slots.len());
             }
             slots.push(Slot {
-                home: if slot.home == DEAD { DEAD } else { home },
+                home,
                 offset: start as u32,
                 ..slot
             });
@@ -513,6 +588,26 @@ impl ShardedStore {
             push(old, UNASSIGNED, !trim);
         }
         slots.push(end_slot(targets.len()));
+        // Whoever changed home changed sides for each of its neighbours.
+        for &pos in &moved {
+            for arc in slots[pos].live_range() {
+                let to = targets[arc] as usize;
+                let back = arc_at(&slots, &targets, to, pos as u32)
+                    .expect("undirected edges are stored twice");
+                let remote = u8::from(crosses(slots[pos], slots[to]));
+                for at in [arc, back] {
+                    tags[at] = tags[at] & !1 | remote;
+                }
+            }
+        }
+        // Ids do not move, so each renamed list keeps its id order.
+        let rename_all =
+            |members: &Vec<u32>| members.iter().map(|&q| renamed[q as usize]).collect();
+        let by_label = self
+            .by_label
+            .iter()
+            .map(|(&label, members)| (label, rename_all(members)))
+            .collect();
         let order: Vec<VertexId> = from.iter().map(|&q| self.order[q as usize]).collect();
         let position_of: FxHashMap<VertexId, u32> = order
             .iter()
@@ -541,8 +636,9 @@ impl ShardedStore {
             position_of,
             slots,
             targets,
+            tags,
             targets_sorted,
-            by_label: self.by_label.clone(),
+            by_label,
             dead_vertices,
             dead_slots,
             shards,
@@ -565,17 +661,18 @@ impl ShardedStore {
     }
 
     /// Tombstone the directed occurrence of position `to` in `from`'s
-    /// adjacency: shift it out of the live prefix of both the
-    /// traversal-ordered and the sorted arena (preserving the relative order
-    /// of the survivors, which is what keeps match-limited metrics identical
-    /// to a from-scratch build of the mutated graph) and grow the owning
-    /// shard's dead-slot count.
+    /// adjacency: shift it out of the live prefix of the traversal-ordered
+    /// arena, of its tags and of the sorted arena (preserving the relative
+    /// order of the survivors, which is what keeps match-limited metrics
+    /// identical to a from-scratch build of the mutated graph) and grow the
+    /// owning shard's dead-slot count.
     fn tombstone_arc(&mut self, from: usize, to: u32) -> bool {
         let live = self.live_range(from);
-        let Some(occ) = self.targets[live.clone()].iter().position(|&q| q == to) else {
+        let Some(arc) = arc_at(&self.slots, &self.targets, from, to) else {
             return false;
         };
-        self.targets[live.start + occ..live.end].rotate_left(1);
+        self.targets[arc..live.end].rotate_left(1);
+        self.tags[arc..live.end].rotate_left(1);
         if let Ok(sorted_occ) = self.targets_sorted[live.clone()].binary_search(&to) {
             self.targets_sorted[live.start + sorted_occ..live.end].rotate_left(1);
         }
@@ -594,15 +691,25 @@ impl ShardedStore {
         }
     }
 
-    /// Drop `v` from the global and home-shard label indexes under `label`.
-    fn unindex_label(&mut self, v: VertexId, label: Label, shard: u32) {
-        if let Some(members) = self.by_label.get_mut(&label) {
-            Self::remove_sorted(members, v);
+    /// Where the vertex at `pos` is, or would go, in the label index's list
+    /// for `label` (lists are ordered by vertex id).
+    fn label_list_slot(&self, label: Label, pos: usize) -> Result<usize, usize> {
+        let members = self.by_label.get(&label).map_or(&[][..], Vec::as_slice);
+        members.binary_search_by_key(&self.order[pos], |&q| self.order[q as usize])
+    }
+
+    /// Drop the vertex at `pos` from the label index and from its home
+    /// shard's, under `label`.
+    fn unindex_label(&mut self, pos: usize, label: Label, shard: u32) {
+        if let Ok(at) = self.label_list_slot(label, pos) {
+            let members = self.by_label.get_mut(&label).expect("the list it is in");
+            members.remove(at);
             if members.is_empty() {
                 self.by_label.remove(&label);
             }
         }
         if shard < DEAD {
+            let v = self.order[pos];
             if let Some(members) = self.shards[shard as usize].label_index.get_mut(&label) {
                 Self::remove_sorted(members, v);
                 if members.is_empty() {
@@ -637,7 +744,7 @@ impl ShardedStore {
         }
         self.slots[pos].live = 0;
         self.slots[pos].home = DEAD;
-        self.unindex_label(v, label, home);
+        self.unindex_label(pos, label, home);
         true
     }
 
@@ -654,7 +761,9 @@ impl ShardedStore {
         true
     }
 
-    /// Re-label a live vertex in place, keeping both label indexes sorted.
+    /// Re-label a live vertex in place, keeping both label indexes sorted
+    /// and rewriting the label bits of the one tag each neighbour holds for
+    /// it (remote bits stand: nobody moved).
     fn relabel_in_place(&mut self, v: VertexId, label: Label) -> bool {
         let Some(pos) = self.live_position(v) else {
             return false;
@@ -665,11 +774,11 @@ impl ShardedStore {
         if old == label {
             return true;
         }
-        self.unindex_label(v, old, home);
+        self.unindex_label(pos, old, home);
         self.slots[pos].label = label;
-        let members = self.by_label.entry(label).or_default();
-        if let Err(at) = members.binary_search(&v) {
-            members.insert(at, v);
+        if let Err(at) = self.label_list_slot(label, pos) {
+            let members = self.by_label.entry(label).or_default();
+            members.insert(at, pos as u32);
         }
         if home < DEAD {
             let members = self.shards[home as usize]
@@ -679,6 +788,12 @@ impl ShardedStore {
             if let Err(at) = members.binary_search(&v) {
                 members.insert(at, v);
             }
+        }
+        for arc in self.live_range(pos) {
+            let to = self.targets[arc] as usize;
+            let back = arc_at(&self.slots, &self.targets, to, pos as u32)
+                .expect("undirected edges are stored twice");
+            self.tags[back] = arc_tag(label, self.tags[back] & 1 != 0);
         }
         true
     }
@@ -862,7 +977,13 @@ impl ShardedStore {
 
     /// The shard hosting a vertex, if the vertex is assigned and live.
     pub fn home_shard(&self, v: VertexId) -> Option<PartitionId> {
-        match self.slots[*self.position_of.get(&v)? as usize].home {
+        self.home_of(*self.position_of.get(&v)?)
+    }
+
+    /// The shard hosting the vertex a [`PatternStore`] handle names, if it is
+    /// assigned and live: a slot read, no probe.
+    pub fn home_of(&self, h: u32) -> Option<PartitionId> {
+        match self.slots[h as usize].home {
             UNASSIGNED | DEAD => None,
             p => Some(PartitionId::new(p)),
         }
@@ -913,6 +1034,10 @@ impl ShardedStore {
     ///   twice, and tombstoned twice);
     /// * each live prefix of the sorted arena is strictly increasing and
     ///   holds exactly the positions of the traversal-ordered prefix;
+    /// * every live arc's tag holds the low seven bits of its target's label
+    ///   and whether its endpoints have different homes;
+    /// * every label list holds live positions carrying that label, in
+    ///   strictly ascending id order, and every live vertex is in one;
     /// * a slot's home is its shard's index (or a tombstone) inside a shard
     ///   range and never a partition outside one, each shard's slice and the
     ///   unassigned tail are in strictly ascending id order, and the
@@ -928,8 +1053,9 @@ impl ShardedStore {
         }
         if self.slots[n].offset as usize != self.targets.len()
             || self.targets.len() != self.targets_sorted.len()
+            || self.targets.len() != self.tags.len()
         {
-            return Err("closing slot does not bound both arenas".into());
+            return Err("closing slot does not bound the arenas and the tags".into());
         }
         let mut arcs = 0usize;
         for pos in 0..n {
@@ -949,9 +1075,16 @@ impl ShardedStore {
             if !sorted.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("sorted prefix of {pos} is not strictly increasing"));
             }
-            for &q in live {
+            for (&q, &tag) in live.iter().zip(&self.tags[slot.live_range()]) {
                 if q as usize >= n || q as usize == pos || self.slots[q as usize].home == DEAD {
                     return Err(format!("{pos} names {q}, which is not a live neighbour"));
+                }
+                let to = self.slots[q as usize];
+                if tag >> 1 != arc_tag(to.label, false) >> 1 {
+                    return Err(format!("label tag of arc {pos} → {q} is stale"));
+                }
+                if (tag & 1 != 0) != crosses(slot, to) {
+                    return Err(format!("remote bit of arc {pos} → {q} is wrong"));
                 }
                 if sorted.binary_search(&q).is_err() {
                     return Err(format!("sorted prefix of {pos} misses {q}"));
@@ -964,6 +1097,30 @@ impl ShardedStore {
         }
         if arcs != 2 * self.edge_count {
             return Err(format!("{arcs} live arcs for {} edges", self.edge_count));
+        }
+        // A member carries its list's label and no list repeats one, so equal
+        // counts put every live vertex in exactly one list.
+        let mut indexed = 0;
+        for (label, members) in &self.by_label {
+            let carries = |&q: &u32| {
+                self.slots[..n]
+                    .get(q as usize)
+                    .is_some_and(|slot| slot.home != DEAD && slot.label == *label)
+            };
+            if let Some(q) = members.iter().find(|q| !carries(q)) {
+                return Err(format!("label list {label:?} holds {q}, not live under it"));
+            }
+            let id = |q: u32| self.order[q as usize];
+            if members.is_empty() || !members.windows(2).all(|w| id(w[0]) < id(w[1])) {
+                return Err(format!("label list {label:?} is empty or out of id order"));
+            }
+            indexed += members.len();
+        }
+        let live_vertices = self.slots[..n].iter().filter(|s| s.home != DEAD).count();
+        if indexed != live_vertices {
+            return Err(format!(
+                "{live_vertices} live vertices but the label lists hold {indexed}"
+            ));
         }
         let ranges: Vec<Range<usize>> = self.shards.iter().map(|s| s.range.clone()).collect();
         let mut cursor = 0;
@@ -1099,16 +1256,16 @@ impl ArenaLoader {
         }
         let mut position_of: FxHashMap<VertexId, u32> = FxHashMap::default();
         position_of.reserve(n);
-        let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
+        let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
         for (pos, (&v, slot)) in order.iter().zip(&slots).enumerate() {
             if position_of.insert(v, pos as u32).is_some() {
                 return Err(format!("{v} is listed twice"));
             }
-            by_label.entry(slot.label).or_default().push(v);
+            by_label.entry(slot.label).or_default().push(pos as u32);
         }
-        // Arena order is (partition, id); the global index is by id alone.
+        // Arena order is (partition, id); the label index is by id alone.
         for members in by_label.values_mut() {
-            members.sort_unstable();
+            members.sort_unstable_by_key(|&q| order[q as usize]);
         }
         let mut targets: Vec<u32> = Vec::with_capacity(neighbours.len());
         for (slot, &v) in slots.iter().zip(&order) {
@@ -1267,6 +1424,7 @@ impl PatternStore for ShardedStore {
     /// A vertex's position in the partition-major arena.
     type Handle = u32;
 
+    /// One hash probe: only explicit roots, which arrive as ids, pay it.
     fn resolve(&self, v: VertexId) -> Option<u32> {
         self.live_position(v).map(|pos| pos as u32)
     }
@@ -1281,9 +1439,20 @@ impl PatternStore for ShardedStore {
         self.slots[h as usize].label
     }
 
+    /// The adjacency and its tags, streamed side by side: no slot but the
+    /// anchor's is read.
     #[inline]
-    fn neighbors_of(&self, h: u32) -> &[u32] {
-        &self.targets[self.slots[h as usize].live_range()]
+    fn arcs_of(&self, from: u32, label: Label) -> impl Iterator<Item = TaggedArc<u32>> {
+        let live = self.slots[from as usize].live_range();
+        let wanted = arc_tag(label, false);
+        self.targets[live.clone()]
+            .iter()
+            .zip(&self.tags[live])
+            .map(move |(&to, &tag)| TaggedArc {
+                to,
+                remote: tag & 1 != 0,
+                may_match: tag & !1 == wanted,
+            })
     }
 
     #[inline]
@@ -1298,15 +1467,7 @@ impl PatternStore for ShardedStore {
             .is_ok()
     }
 
-    #[inline]
-    fn crosses(&self, from: u32, to: u32) -> bool {
-        let (a, b) = (self.slots[from as usize].home, self.slots[to as usize].home);
-        // Equal homes are local unless the shared "home" is a sentinel:
-        // unassigned and tombstoned vertices are remote to everyone.
-        a != b || a >= DEAD
-    }
-
-    fn vertices_with_label(&self, label: Label) -> &[VertexId] {
+    fn handles_with_label(&self, label: Label) -> &[u32] {
         self.by_label.get(&label).map(Vec::as_slice).unwrap_or(&[])
     }
 }
@@ -1361,9 +1522,20 @@ mod tests {
     /// Assert two stores give the matcher the same answers — compared
     /// through the handle interface, with handles turned back into ids.
     fn assert_same_answers<A: PatternStore, B: PatternStore>(a: &A, b: &B, vs: &[VertexId]) {
-        fn ids<S: PatternStore>(store: &S, hs: &[S::Handle]) -> Vec<VertexId> {
-            hs.iter().map(|&h| store.vertex_of(h)).collect()
+        /// A vertex's arcs as `(neighbour id, remote)`, and which of them may
+        /// carry `label`.
+        fn arcs<S: PatternStore>(
+            store: &S,
+            h: S::Handle,
+            label: Label,
+        ) -> (Vec<(VertexId, bool)>, Vec<VertexId>) {
+            let arcs: Vec<_> = store.arcs_of(h, label).collect();
+            let id = |arc: &TaggedArc<S::Handle>| store.vertex_of(arc.to);
+            let metered = arcs.iter().map(|arc| (id(arc), arc.remote)).collect();
+            let passed = arcs.iter().filter(|arc| arc.may_match).map(id).collect();
+            (metered, passed)
         }
+        let labels = [0, 1, 2, 9].map(Label::new);
         for &v in vs {
             let (Some(ha), Some(hb)) = (a.resolve(v), b.resolve(v)) else {
                 assert_eq!(
@@ -1375,26 +1547,31 @@ mod tests {
             };
             assert_eq!((a.vertex_of(ha), b.vertex_of(hb)), (v, v));
             assert_eq!(a.label_of(ha), b.label_of(hb), "label_of({v})");
-            assert_eq!(
-                ids(a, a.neighbors_of(ha)),
-                ids(b, b.neighbors_of(hb)),
-                "neighbors_of({v})"
-            );
-            assert_eq!(a.degree_of(ha), a.neighbors_of(ha).len());
+            // No two of these labels share their low seven bits, so the
+            // filter must agree with the hash-map store's exact answer.
+            for l in labels {
+                assert_eq!(arcs(a, ha, l), arcs(b, hb, l), "arcs_of({v}, {l:?})");
+            }
+            assert_eq!(a.degree_of(ha), a.arcs_of(ha, labels[0]).count());
             assert_eq!(a.degree_of(ha), b.degree_of(hb), "degree_of({v})");
             for &u in vs {
                 let (Some(ua), Some(ub)) = (a.resolve(u), b.resolve(u)) else {
                     continue;
                 };
                 assert_eq!(a.adjacent(ha, ua), b.adjacent(hb, ub), "adjacent({v},{u})");
-                assert_eq!(a.crosses(ha, ua), b.crosses(hb, ub), "crosses({v},{u})");
             }
         }
-        for l in [0, 1, 2, 9].map(Label::new) {
+        let ids = |hs: &[A::Handle]| hs.iter().map(|&h| a.vertex_of(h)).collect::<Vec<_>>();
+        for l in labels {
+            let listed: Vec<_> = b
+                .handles_with_label(l)
+                .iter()
+                .map(|&h| b.vertex_of(h))
+                .collect();
             assert_eq!(
-                a.vertices_with_label(l),
-                b.vertices_with_label(l),
-                "vertices_with_label({l:?})"
+                ids(a.handles_with_label(l)),
+                listed,
+                "handles_with_label({l:?})"
             );
         }
     }
@@ -1408,11 +1585,9 @@ mod tests {
         let sequential = PartitionedStore::new(g.clone(), part.clone());
         assert_same_answers(&sharded, &sequential, &vs);
         // The unassigned vertex is remote to everyone, itself included.
-        let (h2, h3) = (
-            sharded.resolve(vs[2]).unwrap(),
-            sharded.resolve(vs[3]).unwrap(),
-        );
-        assert!(sharded.crosses(h2, h3) && sharded.crosses(h3, h3));
+        let (s2, s3) = (sharded.position_of[&vs[2]], sharded.position_of[&vs[3]]);
+        let (s2, s3) = (sharded.slots[s2 as usize], sharded.slots[s3 as usize]);
+        assert!(crosses(s2, s3) && crosses(s3, s2) && crosses(s3, s3));
         assert_eq!(sharded.resolve(VertexId::new(10_000)), None);
         assert_eq!(sequential.resolve(VertexId::new(10_000)), None);
     }
@@ -1698,11 +1873,30 @@ mod tests {
         // The sorted arena out of step with the traversal-ordered one.
         let mut unsorted = store.clone();
         let live = unsorted.live_range(p4 as usize);
-        unsorted.targets_sorted[live].reverse();
+        unsorted.targets_sorted[live.clone()].reverse();
         assert!(unsorted
             .check_arena()
             .unwrap_err()
             .contains("strictly increasing"));
+
+        // A hop that changed sides without anybody moving.
+        let mut flipped = store.clone();
+        flipped.tags[live.start] ^= 1;
+        assert!(flipped.check_arena().unwrap_err().contains("remote bit"));
+
+        // A slot edited by hand: its neighbours' tags still show the old label.
+        let mut stale = store.clone();
+        stale.slots[p4 as usize].label = Label::new(77);
+        assert!(stale.check_arena().unwrap_err().contains("label tag"));
+
+        // A label list that does not enumerate its roots by ascending id.
+        let mut disordered = store.clone();
+        disordered
+            .by_label
+            .get_mut(&Label::new(0))
+            .unwrap()
+            .swap(0, 1);
+        assert!(disordered.check_arena().unwrap_err().contains("id order"));
 
         // A tombstone the per-shard counters never heard of.
         let mut uncounted = store.apply_mutations(&[]).store;
@@ -1745,7 +1939,7 @@ mod tests {
                 UNASSIGNED => None,
                 p => Some(PartitionId::new(p)),
             };
-            let neighbours = store.neighbors_of(pos as u32).iter();
+            let neighbours = store.targets[store.live_range(pos)].iter();
             loader.push_vertex(
                 edit(pos, home),
                 store.order[pos],

@@ -22,6 +22,7 @@ use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::executor::ExecutionMetrics;
 use loom_sim::matcher::{
     execute_plan_ctx, execute_plan_with_roots, plan_roots, Embedding, ExecOptions, MatchScratch,
+    PatternStore,
 };
 use loom_sim::plan::QueryPlan;
 use std::collections::BTreeMap;
@@ -238,12 +239,13 @@ fn execute_subquery(
 /// Anchor roots tagged with their enumeration rank.
 type RankedRoots = Vec<(u32, VertexId)>;
 
-/// Partition a query's anchor roots by owning worker: `(rank, root)` pairs
-/// this worker keeps, and per-target groups to hand off. Roots with no home
-/// shard (halo-only or unassigned) stay local.
+/// Partition a query's anchor roots (arena positions) by owning worker:
+/// `(rank, root id)` pairs this worker keeps, and per-target groups to hand
+/// off — ids, because they cross the transport. Roots with no home shard
+/// (halo-only or unassigned) stay local.
 fn split_roots(
     snapshot: &ShardedStore,
-    roots: &[VertexId],
+    roots: &[u32],
     workers: u32,
     me: u32,
 ) -> (RankedRoots, BTreeMap<u32, RankedRoots>) {
@@ -251,9 +253,10 @@ fn split_roots(
     let mut remote: BTreeMap<u32, RankedRoots> = BTreeMap::new();
     for (rank, &root) in roots.iter().enumerate() {
         let target = snapshot
-            .home_shard(root)
+            .home_of(root)
             .map(|p| (p.index() as u32) % workers.max(1))
             .unwrap_or(me);
+        let root = snapshot.vertex_of(root);
         if target == me {
             local.push((rank as u32, root));
         } else {

@@ -21,10 +21,11 @@
 //!   driven by compiled plans ([`matcher::execute_plan`]) and written
 //!   against the handle-keyed [`matcher::PatternStore`] interface: a store
 //!   names vertices by its own `Handle` (the [`store::PartitionedStore`]
-//!   by `VertexId`, `loom-serve`'s CSR store by `u32` arena position), a
-//!   root is resolved to a handle once and the whole search then runs in
-//!   handle space — the same kernel, monomorphised per store, behind the
-//!   sequential executor and every concurrent worker;
+//!   by `VertexId`, `loom-serve`'s CSR store by `u32` arena position),
+//!   roots come out of the label index as handles, every neighbour is
+//!   metered from its arc ([`matcher::TaggedArc`]) and the whole search
+//!   runs in handle space — the same kernel, monomorphised per store, behind
+//!   the sequential executor and every concurrent worker;
 //! * [`executor`] — the sequential executor driving the matcher against a
 //!   [`store::PartitionedStore`], counting every traversal it performs and
 //!   whether the traversal stayed on the local partition or had to hop to a

@@ -11,10 +11,21 @@
 //! [`VertexId`] itself, the CSR `loom_serve::ShardedStore` uses the vertex's
 //! `u32` arena position — and every question the inner loop asks (label,
 //! live degree, adjacency, edge membership, partition crossing) is keyed by
-//! handle. A [`VertexId`] is resolved to a handle **once per root**; from
-//! there neighbours arrive as handles, the partial mapping holds handles,
-//! and ids reappear only when an [`Embedding`] is collected. On a position
-//! store a candidate therefore costs array reads and no hash probe.
+//! handle. Roots come out of the store's label index **as handles**
+//! ([`PatternStore::handles_with_label`]); only the explicit roots of
+//! [`execute_plan_with_roots`], which cross a transport as ids, are
+//! resolved. From there neighbours arrive as handles, the partial mapping
+//! holds handles, and ids reappear only when an [`Embedding`] is collected.
+//!
+//! **The arc answers for its target.** Every neighbour of an anchor is one
+//! metered traversal, but only the few carrying the wanted label become
+//! candidates. The expansion loop therefore reads a vertex's adjacency as
+//! [`TaggedArc`]s ([`PatternStore::arcs_of`]): each arc says whether
+//! following it is remote and whether its target *may* carry the label the
+//! plan wants at this depth. A store that keeps those two facts beside its
+//! adjacency (the arena keeps one byte per arc) lets the loop meter an
+//! off-label neighbour without touching the neighbour's own record; only a
+//! neighbour whose arc passes the filter is looked at.
 //!
 //! The search is **plan-driven**: [`execute_plan`] consumes a pre-compiled
 //! [`QueryPlan`] — matching order, root label, per-position labels/degrees
@@ -50,20 +61,21 @@ const DEADLINE_CHECK_STRIDE: u32 = 64;
 /// vertex [`Handle`](PatternStore::Handle).
 ///
 /// A handle names one **live** vertex of the store. Handles come from
-/// [`resolve`](PatternStore::resolve) or from
-/// [`neighbors_of`](PatternStore::neighbors_of) and are only meaningful for
-/// the store (snapshot) that issued them.
+/// [`resolve`](PatternStore::resolve),
+/// [`handles_with_label`](PatternStore::handles_with_label) or
+/// [`arcs_of`](PatternStore::arcs_of) and are only meaningful for the store
+/// (snapshot) that issued them.
 ///
-/// Implementations must agree on semantics: `neighbors_of` returns the live
+/// Implementations must agree on semantics: `arcs_of` walks the live
 /// adjacency in the data graph's stable iteration order and is symmetric
-/// (`b ∈ neighbors_of(a)` exactly when `adjacent(a, b)` and `adjacent(b, a)`
+/// (`a` has an arc to `b` exactly when `adjacent(a, b)` and `adjacent(b, a)`
 /// — edges are undirected, and the search relies on it to skip re-checking
-/// the edge it arrived by), `vertices_with_label` returns the live label
-/// index sorted by vertex id, and `crosses` treats vertices without a
-/// partition assignment as remote to everyone. Two stores presenting the
-/// same graph and partitioning produce **identical** [`ExecutionMetrics`]
-/// for the same `(plan, mode, seed)` — the property the serving-engine
-/// parity tests assert.
+/// the edge it arrived by), `handles_with_label` returns the live label
+/// index ordered by vertex id, and an arc to or from a vertex without a
+/// partition assignment is remote. Two stores presenting the same graph and
+/// partitioning produce **identical** [`ExecutionMetrics`] for the same
+/// `(plan, mode, seed)` — the property the serving-engine parity tests
+/// assert.
 pub trait PatternStore {
     /// The store's name for a vertex inside the search.
     type Handle: Copy + Eq;
@@ -78,20 +90,39 @@ pub trait PatternStore {
     /// The label of a vertex.
     fn label_of(&self, h: Self::Handle) -> Label;
 
-    /// Live adjacency of a vertex, in the store's stable iteration order.
-    fn neighbors_of(&self, h: Self::Handle) -> &[Self::Handle];
+    /// The live arcs out of `from`, in the store's stable iteration order,
+    /// each answering for its target against `label` (see [`TaggedArc`]).
+    fn arcs_of(
+        &self,
+        from: Self::Handle,
+        label: Label,
+    ) -> impl Iterator<Item = TaggedArc<Self::Handle>>;
 
-    /// Live degree: `neighbors_of(h).len()`.
+    /// Live degree: the number of arcs `arcs_of(h, _)` walks.
     fn degree_of(&self, h: Self::Handle) -> usize;
 
     /// Whether the undirected edge `a – b` exists.
     fn adjacent(&self, a: Self::Handle, b: Self::Handle) -> bool;
 
-    /// Whether following `from → to` crosses a partition boundary.
-    fn crosses(&self, from: Self::Handle, to: Self::Handle) -> bool;
+    /// All live vertices carrying `label`, ordered by vertex id.
+    fn handles_with_label(&self, label: Label) -> &[Self::Handle];
+}
 
-    /// All live vertices carrying `label`, sorted by id.
-    fn vertices_with_label(&self, label: Label) -> &[VertexId];
+/// One live arc out of an anchor, as [`PatternStore::arcs_of`] reports it
+/// for the label the search wants next: what the expansion loop needs to
+/// meter the neighbour, and to decide whether to look at it at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaggedArc<H> {
+    /// The neighbour the arc leads to.
+    pub to: H,
+    /// Whether following the arc crosses a partition boundary. **Exact**: it
+    /// is what the paper's metric counts.
+    pub remote: bool,
+    /// A filter on the target's label. `false` only when the target
+    /// certainly does not carry the asked label — **never a false negative**;
+    /// `true` promises nothing (a store may compare a few bits of the
+    /// label), and the search checks [`PatternStore::label_of`] itself.
+    pub may_match: bool,
 }
 
 /// Order pattern vertices so each one (after the first) touches an earlier
@@ -113,14 +144,15 @@ pub fn matching_order(pattern: &loom_graph::LabelledGraph) -> Vec<VertexId> {
     crate::plan::greedy_order_from(pattern, start)
 }
 
-/// The root vertices an execution of `plan` is anchored on, resolved from
-/// the plan's pre-compiled root label — no ordering derivation.
+/// The root vertices an execution of `plan` is anchored on, as store
+/// handles, taken from the label index under the plan's pre-compiled root
+/// label — no ordering derivation, no id → handle resolution.
 ///
 /// In [`QueryMode::FullEnumeration`] this is every vertex carrying the root
 /// label; in [`QueryMode::Rooted`] it is `seed_count` vertices drawn
-/// deterministically from `root_seed` (sorted, de-duplicated) — the seeds an
-/// index lookup would hand a graph database. The serving-engine router uses
-/// the same function to decide a query's home shard.
+/// deterministically from `root_seed` (in vertex-id order, de-duplicated) —
+/// the seeds an index lookup would hand a graph database. The serving-engine
+/// router uses the same function to decide a query's home shard.
 ///
 /// The function keeps no list of its own: a full enumeration's roots are the
 /// store's label index itself, a rooted execution's are drawn into `buffer`,
@@ -131,9 +163,9 @@ pub fn plan_roots<'a, S: PatternStore + ?Sized>(
     plan: &QueryPlan,
     mode: QueryMode,
     root_seed: u64,
-    buffer: &'a mut Vec<VertexId>,
-) -> &'a [VertexId] {
-    let candidates = store.vertices_with_label(plan.root_label());
+    buffer: &'a mut Vec<S::Handle>,
+) -> &'a [S::Handle] {
+    let candidates = store.handles_with_label(plan.root_label());
     match mode {
         QueryMode::FullEnumeration => candidates,
         QueryMode::Rooted { seed_count } => {
@@ -143,7 +175,9 @@ pub fn plan_roots<'a, S: PatternStore + ?Sized>(
                 for _ in 0..seed_count.max(1) {
                     buffer.push(candidates[rng.random_range(0..candidates.len())]);
                 }
-                buffer.sort_unstable();
+                // Enumeration order is vertex-id order, whatever order the
+                // store's handles have among themselves.
+                buffer.sort_unstable_by_key(|&h| store.vertex_of(h));
                 buffer.dedup();
             }
             buffer
@@ -232,14 +266,14 @@ pub struct PlanExecution {
     pub embeddings: Vec<Embedding>,
 }
 
-/// The buffers a plan execution works in — the resolved roots and the
+/// The buffers a plan execution works in — the drawn roots and the
 /// partial mapping — kept by a caller that executes query after query
 /// (`H` is its store's [`PatternStore::Handle`]). Once they have grown to
 /// the largest root set and plan seen, an execution whose matches are
 /// counted, not collected, allocates nothing.
 #[derive(Debug)]
 pub struct MatchScratch<H> {
-    roots: Vec<VertexId>,
+    roots: Vec<H>,
     mapping: Vec<H>,
 }
 
@@ -353,10 +387,6 @@ fn run_plan<S: PatternStore + ?Sized>(
             roots: root_buffer,
             mapping,
         } = scratch;
-        let candidates: &[VertexId] = match roots {
-            Some(explicit) => explicit,
-            None => plan_roots(store, plan, opts.mode, opts.root_seed, root_buffer),
-        };
         let mut search = PlanSearch {
             store,
             plan,
@@ -373,20 +403,14 @@ fn run_plan<S: PatternStore + ?Sized>(
                 None
             },
         };
-        for &root in candidates {
-            // The one id → handle resolution of this root's whole search. A
-            // root the store does not hold live (unknown id, tombstone)
-            // anchors nothing.
-            let Some(root) = store.resolve(root) else {
-                continue;
-            };
-            // Routing the query to the partition hosting the seed vertex is
-            // free; expansion from there is what costs traversals.
-            search.mapping.clear();
-            search.mapping.resize(plan.len(), root);
-            search.extend(1);
-            if search.exhausted() {
-                break;
+        match roots {
+            // Explicit roots crossed a transport as ids: the one place an id
+            // is resolved. A root the store does not hold live (unknown id,
+            // tombstone) anchors nothing.
+            Some(explicit) => search.run(explicit.iter().filter_map(|&v| store.resolve(v))),
+            None => {
+                let roots = plan_roots(store, plan, opts.mode, opts.root_seed, root_buffer);
+                search.run(roots.iter().copied());
             }
         }
     }
@@ -419,7 +443,8 @@ struct PlanSearch<'a, S: PatternStore + ?Sized> {
     /// Wall-clock cut-off, polled every [`DEADLINE_CHECK_STRIDE`] traversals.
     deadline: Option<Instant>,
     /// Cooperative cancellation token, polled on every traversal (one
-    /// relaxed atomic load). `None` when executing without a context.
+    /// relaxed atomic load). `None` when executing without a context — and
+    /// then there is no deadline either, so nothing is polled at all.
     cancel: Option<&'a CancelToken>,
     deadline_ticks: u32,
     out: Option<&'a mut Vec<Embedding>>,
@@ -433,17 +458,15 @@ impl<S: PatternStore + ?Sized> PlanSearch<'_, S> {
             || self.metrics.cancelled
     }
 
-    /// Poll the request context. Rides the same early-exit machinery as the
-    /// traversal budget: setting a flag makes [`Self::exhausted`] true and
-    /// the search unwinds at the next expansion, keeping whatever partial
-    /// metrics it accumulated so far.
+    /// Poll the request context; `true` when it has fired. Rides the same
+    /// early-exit machinery as the traversal budget: a set flag makes
+    /// [`Self::exhausted`] true and the search unwinds, keeping whatever
+    /// partial metrics it accumulated so far.
     #[inline]
-    fn observe_context(&mut self) {
-        if let Some(cancel) = self.cancel {
-            if cancel.is_cancelled() {
-                self.metrics.cancelled = true;
-                return;
-            }
+    fn context_fired(&mut self, cancel: &CancelToken) -> bool {
+        if cancel.is_cancelled() {
+            self.metrics.cancelled = true;
+            return true;
         }
         if let Some(deadline) = self.deadline {
             self.deadline_ticks += 1;
@@ -451,7 +474,23 @@ impl<S: PatternStore + ?Sized> PlanSearch<'_, S> {
                 self.deadline_ticks = 0;
                 if Instant::now() >= deadline {
                     self.metrics.deadline_exceeded = true;
+                    return true;
                 }
+            }
+        }
+        false
+    }
+
+    /// Anchor the search on each root in turn until it is exhausted.
+    fn run(&mut self, roots: impl Iterator<Item = S::Handle>) {
+        for root in roots {
+            // Routing the query to the partition hosting the seed vertex is
+            // free; expansion from there is what costs traversals.
+            self.mapping.clear();
+            self.mapping.resize(self.plan.len(), root);
+            self.extend(1);
+            if self.exhausted() {
+                break;
             }
         }
     }
@@ -476,48 +515,51 @@ impl<S: PatternStore + ?Sized> PlanSearch<'_, S> {
             }
             return;
         }
+        let label = self.plan.label_at(depth);
         // Expansion anchor: the first already-matched pattern neighbour. The
         // distributed engine fetches the anchor's adjacency list and follows
         // each candidate edge — that is the traversal we meter.
         let Some(&anchor_position) = self.plan.bindings(depth).first() else {
             // Disconnected pattern component: re-seed from the label index
             // (costless routing, like the root seed).
-            for &tv in store.vertices_with_label(self.plan.label_at(depth)) {
-                if let Some(tv) = store.resolve(tv) {
-                    self.try_candidate(depth, tv, None);
-                }
+            for &tv in store.handles_with_label(label) {
+                self.try_candidate(depth, tv);
                 if self.exhausted() {
                     return;
                 }
             }
             return;
         };
-        let anchor = self.mapping[anchor_position];
-        for &tv in store.neighbors_of(anchor) {
-            self.try_candidate(depth, tv, Some(anchor));
-            if self.exhausted() {
+        for arc in store.arcs_of(self.mapping[anchor_position], label) {
+            // Following the edge anchor → neighbour is one traversal, local
+            // or remote depending on where the two vertices live — metered
+            // from the arc, whatever label the neighbour carries.
+            self.metrics.total_traversals += 1;
+            self.metrics.remote_traversals += usize::from(arc.remote);
+            if let Some(cancel) = self.cancel {
+                if self.context_fired(cancel) {
+                    return;
+                }
+            }
+            if arc.may_match {
+                self.try_candidate(depth, arc.to);
+                if self.exhausted() {
+                    return;
+                }
+            } else if self.metrics.total_traversals >= self.traversal_budget {
+                // An off-label neighbour moved nothing but the traversal
+                // count (and the context flags, checked above).
                 return;
             }
         }
     }
 
     #[inline]
-    fn try_candidate(&mut self, depth: usize, tv: S::Handle, anchor: Option<S::Handle>) {
-        // Following the edge anchor → candidate is one traversal, local or
-        // remote depending on where the two vertices live.
-        if let Some(anchor) = anchor {
-            self.metrics.total_traversals += 1;
-            if self.store.crosses(anchor, tv) {
-                self.metrics.remote_traversals += 1;
-            }
-            self.observe_context();
-            if self.metrics.cancelled || self.metrics.deadline_exceeded {
-                return;
-            }
-        }
+    fn try_candidate(&mut self, depth: usize, tv: S::Handle) {
         if self.mapping[..depth].contains(&tv) {
             return;
         }
+        // Exact, whatever the arc's filter let through.
         if self.store.label_of(tv) != self.plan.label_at(depth) {
             return;
         }

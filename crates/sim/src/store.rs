@@ -11,7 +11,7 @@
 //! both sit on the query router's hot path (every rooted query starts with a
 //! label-index lookup).
 
-use crate::matcher::PatternStore;
+use crate::matcher::{PatternStore, TaggedArc};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, LabelledGraph, VertexId};
 use loom_partition::partition::{PartitionId, Partitioning};
@@ -133,8 +133,16 @@ impl PatternStore for PartitionedStore {
             .expect("handles name vertices the graph holds")
     }
 
-    fn neighbors_of(&self, h: VertexId) -> &[VertexId] {
-        self.graph.neighbors(h)
+    /// Answered from the graph and the partitioning per neighbour — the
+    /// probes the search would make anyway; the label filter is exact.
+    fn arcs_of(&self, from: VertexId, label: Label) -> impl Iterator<Item = TaggedArc<VertexId>> {
+        let home = self.partition_of(from);
+        self.graph.neighbors(from).iter().map(move |&to| TaggedArc {
+            to,
+            // As `is_remote_traversal`: an unassigned endpoint is remote.
+            remote: home.is_none() || self.partition_of(to) != home,
+            may_match: self.graph.label(to) == Some(label),
+        })
     }
 
     fn degree_of(&self, h: VertexId) -> usize {
@@ -145,12 +153,8 @@ impl PatternStore for PartitionedStore {
         self.graph.contains_edge(a, b)
     }
 
-    fn crosses(&self, from: VertexId, to: VertexId) -> bool {
-        self.is_remote_traversal(from, to)
-    }
-
-    fn vertices_with_label(&self, label: Label) -> &[VertexId] {
-        PartitionedStore::vertices_with_label(self, label)
+    fn handles_with_label(&self, label: Label) -> &[VertexId] {
+        self.vertices_with_label(label)
     }
 }
 

@@ -13,9 +13,16 @@
 //!   (tombstones, not a rebuild) against the oracle on the mutated graph,
 //!   and once more after compaction.
 //!
-//! The second half pins what an explicit root the store cannot resolve
+//! The second part pins what an explicit root the store cannot resolve
 //! does: an unknown id or a tombstoned vertex anchors nothing — zero
 //! traversals, identical metrics from both stores.
+//!
+//! The third is the proof-by-test that metering a neighbour from its arc's
+//! tag moved no count: over an alphabet whose labels collide in the tag's
+//! seven bits, with a tombstoned and two relabelled vertices among the
+//! roots, every `ExecutionMetrics` field of the tagged arena equals the
+//! hash-map store's under match limits and under **every** traversal
+//! budget, so each adjacency slice is cut once at each of its neighbours.
 
 use loom::prelude::*;
 use loom_graph::{StreamElement, VertexId};
@@ -24,18 +31,19 @@ use loom_sim::matcher::{execute_plan, execute_plan_with_roots, ExecOptions, Patt
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const LABELS: u32 = 3;
+/// The labels the first two parts draw graphs and patterns from.
+const LABELS: [u32; 3] = [0, 1, 2];
 
 fn l(x: u32) -> Label {
     Label::new(x)
 }
 
-/// A seeded random labelled graph: `n` vertices over [`LABELS`] labels,
+/// A seeded random labelled graph: `n` vertices labelled from `alphabet`,
 /// each unordered pair an edge with probability `density`.
-fn random_graph(rng: &mut StdRng, n: usize, density: f64) -> LabelledGraph {
+fn random_graph(rng: &mut StdRng, n: usize, density: f64, alphabet: &[u32]) -> LabelledGraph {
     let mut g = LabelledGraph::new();
     let vs: Vec<VertexId> = (0..n)
-        .map(|_| g.add_vertex(l(rng.random_range(0..LABELS))))
+        .map(|_| g.add_vertex(l(alphabet[rng.random_range(0..alphabet.len())])))
         .collect();
     for i in 0..n {
         for j in i + 1..n {
@@ -61,27 +69,33 @@ fn random_partitioning(rng: &mut StdRng, graph: &LabelledGraph, k: u32) -> Parti
 }
 
 /// Paths of 2–4 vertices, cycles of 3–4, stars with 2–3 leaves, over every
-/// label the graphs use.
-fn patterns() -> Vec<PatternQuery> {
+/// one of three labels.
+fn patterns_over(labels: [u32; 3]) -> Vec<PatternQuery> {
     let mut shapes: Vec<PatternQuery> = Vec::new();
     let mut id = 0u32;
     let mut next = || {
         id += 1;
         QueryId::new(id)
     };
-    for a in 0..LABELS {
-        for b in 0..LABELS {
-            shapes.push(PatternQuery::path(next(), &[l(a), l(b)]).unwrap());
-            shapes.push(PatternQuery::path(next(), &[l(a), l(b), l(a)]).unwrap());
-            shapes.push(PatternQuery::cycle(next(), &[l(a), l(b), l((a + 1) % LABELS)]).unwrap());
-            shapes.push(PatternQuery::branch(next(), l(a), &[l(b), l(b)]).unwrap());
+    let [x, y, z] = labels.map(l);
+    for (i, &a) in labels.iter().enumerate() {
+        let (a, after_a) = (l(a), l(labels[(i + 1) % 3]));
+        for b in labels.map(l) {
+            shapes.push(PatternQuery::path(next(), &[a, b]).unwrap());
+            shapes.push(PatternQuery::path(next(), &[a, b, a]).unwrap());
+            shapes.push(PatternQuery::cycle(next(), &[a, b, after_a]).unwrap());
+            shapes.push(PatternQuery::branch(next(), a, &[b, b]).unwrap());
         }
     }
-    shapes.push(PatternQuery::path(next(), &[l(0), l(1), l(2), l(0)]).unwrap());
-    shapes.push(PatternQuery::cycle(next(), &[l(0), l(1), l(0), l(1)]).unwrap());
-    shapes.push(PatternQuery::cycle(next(), &[l(0), l(1), l(2), l(1)]).unwrap());
-    shapes.push(PatternQuery::branch(next(), l(1), &[l(0), l(1), l(2)]).unwrap());
+    shapes.push(PatternQuery::path(next(), &[x, y, z, x]).unwrap());
+    shapes.push(PatternQuery::cycle(next(), &[x, y, x, y]).unwrap());
+    shapes.push(PatternQuery::cycle(next(), &[x, y, z, y]).unwrap());
+    shapes.push(PatternQuery::branch(next(), y, &[x, y, z]).unwrap());
     shapes
+}
+
+fn patterns() -> Vec<PatternQuery> {
+    patterns_over(LABELS)
 }
 
 fn unlimited() -> ExecOptions {
@@ -129,7 +143,7 @@ fn mutate(rng: &mut StdRng, graph: &mut LabelledGraph) -> Vec<StreamElement> {
             },
             _ => StreamElement::Relabel {
                 id: a,
-                label: l(rng.random_range(0..LABELS)),
+                label: l(LABELS[rng.random_range(0..LABELS.len())]),
             },
         };
         // Elements naming already-removed vertices stay in the batch: both
@@ -158,7 +172,7 @@ fn match_counts_agree_with_the_isomorphism_oracle() {
         let mut rng = StdRng::seed_from_u64(0x0A11_CE00 + seed);
         let n = rng.random_range(4..13usize);
         let density = [0.2, 0.35, 0.6][seed as usize % 3];
-        let mut graph = random_graph(&mut rng, n, density);
+        let mut graph = random_graph(&mut rng, n, density, &LABELS);
         let part = random_partitioning(&mut rng, &graph, 3);
 
         let sequential = PartitionedStore::new(graph.clone(), part.clone());
@@ -232,4 +246,103 @@ fn unresolvable_roots_cost_nothing_on_either_store() {
         let b = execute_plan_with_roots(&sharded, &plan, &unlimited(), &ctx, &live);
         assert_eq!(a.metrics, b.metrics, "query {} mixed roots", query.id());
     }
+}
+
+#[test]
+fn tagged_metering_moves_no_count_under_limits_budgets_and_colliding_labels() {
+    // 3, 131 and 259 share their low seven bits, and so do 1 and 129: an
+    // arc's tag cannot tell them apart, the exact label check must.
+    const ALPHABET: [u32; 5] = [3, 131, 259, 1, 129];
+    let shapes = patterns_over([3, 131, 1]);
+    let ranked = QueryPlanner::new(PlanStrategy::CostRanked);
+    let (mut swept, mut mutated) = (0usize, 0usize);
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(0x7A66_ED00 + seed);
+        let n = rng.random_range(8..16usize);
+        let density = [0.3, 0.45, 0.6][seed as usize % 3];
+        let mut graph = random_graph(&mut rng, n, density, &ALPHABET);
+        let mut part = random_partitioning(&mut rng, &graph, 3);
+        let frozen = ShardedStore::from_parts(&graph, &part);
+
+        // One root leaves the index of label 3 and two join it: a 131 whose
+        // tag bits stay as they are, and a 1 whose tag bits change.
+        let first = |graph: &LabelledGraph, label: u32| {
+            let mut vs = graph.vertices_sorted().into_iter();
+            vs.find(|&v| graph.label(v) == Some(l(label)))
+        };
+        let mut batch = Vec::new();
+        if let Some(id) = first(&graph, 3) {
+            batch.push(StreamElement::RemoveVertex { id });
+            graph.remove_vertex(id);
+            part.unassign(id);
+        }
+        for from in [131, 1] {
+            if let Some(id) = first(&graph, from) {
+                batch.push(StreamElement::Relabel { id, label: l(3) });
+                graph.set_label(id, l(3)).unwrap();
+            }
+        }
+        mutated += batch.len();
+        let sharded = frozen.apply_mutations(&batch).store;
+        sharded.check_arena().unwrap();
+        // The tags also survive being carried: through a migration that
+        // sends every other survivor somewhere, and through compaction.
+        let survivors = graph.vertices_sorted().into_iter().step_by(2);
+        let moves: Vec<_> = survivors
+            .map(|v| (v, PartitionId::new(rng.random_range(0..3))))
+            .collect();
+        sharded.apply_migration(&moves).store.check_arena().unwrap();
+        sharded.compact(0.0).store.check_arena().unwrap();
+        let sequential = PartitionedStore::new(graph.clone(), part);
+        let stats = GraphStatistics::from_graph(&graph);
+
+        for query in &shapes {
+            let expected = count_matches(query.graph(), &graph);
+            for plan in [QueryPlan::legacy(query), ranked.plan(query, &stats)] {
+                for mode in [
+                    QueryMode::FullEnumeration,
+                    QueryMode::Rooted { seed_count: 2 },
+                ] {
+                    let both = |match_limit: usize, traversal_budget: Option<usize>| {
+                        let opts = ExecOptions {
+                            mode,
+                            match_limit,
+                            traversal_budget,
+                            root_seed: seed,
+                            ..ExecOptions::default()
+                        };
+                        let arena = execute_plan(&sharded, &plan, &opts).metrics;
+                        let hashed = execute_plan(&sequential, &plan, &opts).metrics;
+                        assert_eq!(
+                            arena,
+                            hashed,
+                            "seed {seed} query {} {mode:?} limit {match_limit} budget {traversal_budget:?}",
+                            query.id()
+                        );
+                        arena
+                    };
+                    let full = both(usize::MAX, None);
+                    assert!(!full.matches_limited);
+                    if mode == QueryMode::FullEnumeration {
+                        assert_eq!(full.matches_found, expected, "the oracle disagrees");
+                    }
+                    for limit in [1, 2, 7] {
+                        let cut = both(limit, None);
+                        assert_eq!(cut.matches_found, limit.min(full.matches_found));
+                    }
+                    for budget in 0..=full.total_traversals {
+                        // The search stops on the very neighbour that spends
+                        // the budget, on-label or not.
+                        assert_eq!(both(usize::MAX, Some(budget)).total_traversals, budget);
+                    }
+                    swept += full.total_traversals;
+                }
+            }
+        }
+    }
+    assert!(
+        mutated >= 24,
+        "only {mutated} roots were removed or relabelled"
+    );
+    assert!(swept > 20_000, "only {swept} budgets swept");
 }

@@ -10,6 +10,7 @@ use loom::prelude::*;
 use loom_graph::VertexId;
 use loom_motif::canonical::canonical_code;
 use loom_motif::isomorphism::are_isomorphic;
+use loom_sim::matcher::PatternStore;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -346,6 +347,36 @@ fn parity_workload() -> Workload {
     .expect("valid parity workload")
 }
 
+/// A store's derived state as the matcher sees it, in id space: every live
+/// vertex's arcs as `(neighbour, remote, may match)` under each of the 128
+/// values a tag's label bits can take, and each label's roots in order.
+type DerivedState = (Vec<Vec<(VertexId, bool, bool)>>, Vec<Vec<VertexId>>);
+
+/// The derived state of a store next to that of a from-scratch build of its
+/// own live parts.
+fn derived_state_against_a_rebuild(store: &ShardedStore) -> [DerivedState; 2] {
+    let (graph, partitioning) = store.to_parts();
+    let rebuilt = ShardedStore::from_parts(&graph, &partitioning);
+    [store, &rebuilt].map(|store| {
+        let id = |h| store.vertex_of(h);
+        let mut arcs = Vec::new();
+        for v in graph.vertices_sorted() {
+            let h = store.resolve(v).expect("a live vertex resolves");
+            for bits in 0..128 {
+                let tagged = store.arcs_of(h, Label::new(bits));
+                arcs.push(
+                    tagged
+                        .map(|arc| (id(arc.to), arc.remote, arc.may_match))
+                        .collect(),
+                );
+            }
+        }
+        let roots = |label| store.handles_with_label(Label::new(label));
+        let lists = (0..4).map(|label| roots(label).iter().map(|&h| id(h)).collect());
+        (arcs, lists.collect())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -357,7 +388,9 @@ proptest! {
     /// (3) served from a pre-dissolve store that reached the final state
     /// through tombstoning (and from its compaction), or (4) rebuilt from a
     /// WAL round-trip of the full mutation history. Every sharded store on
-    /// the way passes `check_arena`.
+    /// the way passes `check_arena`, and after the tombstones, after a
+    /// migration and after compaction its arc tags and label lists are
+    /// those of a from-scratch build of its own parts.
     #[test]
     fn mutation_interleavings_preserve_match_parity(
         build_ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..4), 6..40),
@@ -461,6 +494,16 @@ proptest! {
             let compacted = tombstoned.compact(0.0).store;
             prop_assert_eq!(compacted.check_arena(), Ok(()));
             prop_assert_eq!(compacted.tombstoned_vertices(), 0);
+            // Every survivor of shard 0 moves to shard 1, tombstones in tow.
+            let movers = tombstoned.shard_slice(PartitionId::new(0)).expect("two shards");
+            let moves: Vec<_> =
+                movers.vertices().iter().map(|&v| (v, PartitionId::new(1))).collect();
+            let migrated = tombstoned.apply_migration(&moves).store;
+            prop_assert_eq!(migrated.check_arena(), Ok(()));
+            for store in [&tombstoned, &migrated, &compacted] {
+                let [kept, rebuilt] = derived_state_against_a_rebuild(store);
+                prop_assert_eq!(kept, rebuilt);
+            }
             for store in [tombstoned, compacted] {
                 let served = engine
                     .run(&std::sync::Arc::new(store), &workload, request, &ctx)
