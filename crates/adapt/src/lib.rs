@@ -20,8 +20,8 @@
 //!   rather than a full repartition;
 //! * [`adaptive::AdaptiveServing`] — the driver: applies the plan through
 //!   [`ShardedStore::apply_migration`](loom_serve::shard::ShardedStore::apply_migration)
-//!   (rebuilding only the affected shards' CSR slices, label indexes and
-//!   halos) and publishes the result as a new epoch through the existing
+//!   (rebuilding only the affected shards' CSR slices and label counts)
+//!   and publishes the result as a new epoch through the existing
 //!   [`EpochStore`](loom_serve::epoch::EpochStore) — queries in flight keep
 //!   their pinned snapshot.
 //!

@@ -45,9 +45,14 @@ pub mod stage {
     pub const RECOVER_CHECKPOINT_LOAD: &str = "recover.checkpoint_load";
     /// Reading, CRC-checking and decoding the whole WAL during recovery.
     pub const RECOVER_WAL_DECODE: &str = "recover.wal_decode";
-    /// Replaying the decoded history through a fresh partitioner and into
-    /// the durable graph mirror during recovery.
+    /// Replaying the decoded history through a fresh partitioner during
+    /// recovery.
     pub const RECOVER_REPLAY: &str = "recover.replay";
+    /// Building the durable graph mirror during recovery: the proven
+    /// checkpoint's arena, then the log's batches past it. Follows the three
+    /// stages above on the calling thread, so `max(load, decode + replay +
+    /// mirror)` still bounds a recovery's wall clock from below.
+    pub const RECOVER_MIRROR: &str = "recover.mirror";
 
     /// Every stage above, for exporters and smoke tests that assert the
     /// catalogue is live.
@@ -66,6 +71,7 @@ pub mod stage {
         RECOVER_CHECKPOINT_LOAD,
         RECOVER_WAL_DECODE,
         RECOVER_REPLAY,
+        RECOVER_MIRROR,
     ];
 }
 
@@ -155,6 +161,6 @@ mod tests {
             assert!(name.contains('.'), "{name} is not stage-scoped");
             assert!(seen.insert(name), "{name} appears twice");
         }
-        assert_eq!(seen.len(), 14);
+        assert_eq!(seen.len(), 15);
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * [`shard`] — [`shard::ShardedStore`]: an immutable partition-major CSR
 //!   snapshot where each partition's home vertices form a contiguous slice
-//!   (its [`shard::Shard`]), with per-shard label indexes and a replicated
-//!   boundary-vertex halo;
+//!   (its [`shard::Shard`], which keeps a per-label count of its vertices
+//!   for the router; a shard's boundary and halo are read off its slice
+//!   when asked for, never stored);
 //! * [`router`] — [`router::QueryRouter`]: anchors each rooted pattern query
 //!   on its home shard via the label/partition indexes;
 //! * [`transport`] — [`transport::ShardTransport`]: the object-safe,
@@ -99,7 +100,7 @@ pub use epoch::{EpochSink, EpochStore, SubscriptionId};
 pub use metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
 pub use queue::ShardQueue;
 pub use router::QueryRouter;
-pub use shard::{MigratedStore, Shard, ShardedStore};
+pub use shard::{MigratedStore, Shard, ShardBorder, ShardedStore};
 pub use transport::{
     InProcEndpoint, InProcHub, InProcTransport, QueryDoneMsg, QueryTaskMsg, RecvError, ShardMsg,
     ShardReportMsg, ShardTransport, SubQueryMsg, TransportError, TransportStats,
@@ -114,6 +115,6 @@ pub mod prelude {
     pub use crate::metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
     pub use crate::queue::ShardQueue;
     pub use crate::router::QueryRouter;
-    pub use crate::shard::{MigratedStore, Shard, ShardedStore};
+    pub use crate::shard::{MigratedStore, Shard, ShardBorder, ShardedStore};
     pub use crate::transport::{InProcTransport, ShardMsg, ShardTransport};
 }

@@ -73,10 +73,10 @@ impl QueryRouter {
         match self.mode {
             QueryMode::FullEnumeration => {
                 // Every root-label vertex anchors the scan, so each shard's
-                // vote is just a count in its label index — no per-vertex
+                // vote is the count it keeps for that label — no per-vertex
                 // home lookups.
                 for (vote, shard) in votes.iter_mut().zip(store.shards()) {
-                    *vote = shard.vertices_with_label(plan.root_label()).len();
+                    *vote = shard.label_count(plan.root_label());
                 }
             }
             QueryMode::Rooted { .. } => {

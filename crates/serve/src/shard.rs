@@ -1,14 +1,18 @@
-//! The sharded store: per-partition CSR slices with a boundary halo.
+//! The sharded store: per-partition CSR slices of one arena.
 //!
 //! [`ShardedStore`] freezes a partitioned graph into the layout a concurrent
 //! serving engine wants: vertices are laid out **partition-major** in one CSR
-//! arena, so each partition's home vertices form a contiguous slice (its
-//! [`Shard`]), and every shard additionally carries a per-label home-vertex
-//! index (the router's shard-local label index), its *boundary* (home
-//! vertices with at least one remote neighbour) and its *halo* (the remote
-//! vertices adjacent to the shard — the replicas a physical deployment would
-//! ship to the shard so one-hop expansions resolve locally; here they feed
-//! the replication and locality accounting).
+//! arena, so each partition's home vertices form a contiguous slice — its
+//! [`Shard`], which carries what the router reads and nothing else: the
+//! slice's range and, per label, how many live home vertices carry it.
+//! Everything else about a shard is a function of its slice and is computed
+//! when somebody asks, by one scan ([`ShardedStore::border`]): its
+//! *boundary* (home vertices with at least one remote neighbour) and its
+//! *halo* (the remote vertices adjacent to the shard — the replicas a
+//! physical deployment would ship to it so one-hop expansions resolve
+//! locally; here they feed the replication accounting). Nothing derived is
+//! stored, so nothing derived can go stale under a tombstone, and no freeze,
+//! migration or checkpoint pays for a list nobody reads.
 //!
 //! The arena lives entirely in **position space**: a vertex is named by its
 //! `u32` position in the partition-major order, adjacency is stored as
@@ -125,70 +129,16 @@ fn end_slot(arena_len: usize) -> Slot {
     }
 }
 
-/// Build one shard's label index, boundary and halo by scanning its slice of
-/// the partition-major arena. Shared by the full build
-/// ([`ShardedStore::from_parts`]), the incremental migration rebuild
-/// ([`ShardedStore::apply_migration`]) and the epoch-compaction rebuild
-/// ([`ShardedStore::compact`]), which invoke it only for shards actually
-/// touched. Tombstoned vertices are skipped entirely and only the live
-/// prefix of each adjacency slice is scanned; a neighbour's home is a slot
-/// read, not a lookup.
-fn build_shard(
-    p: u32,
-    range: Range<usize>,
-    order: &[VertexId],
-    slots: &[Slot],
-    targets: &[u32],
-) -> Shard {
-    let mut label_index: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
-    let mut boundary = Vec::new();
-    let mut halo = Vec::new();
-    for pos in range.clone() {
-        let slot = slots[pos];
-        if slot.home == DEAD {
-            continue;
-        }
-        let v = order[pos];
-        label_index.entry(slot.label).or_default().push(v);
-        let mut is_boundary = false;
-        for &q in &targets[slot.live_range()] {
-            if slots[q as usize].home != p {
-                is_boundary = true;
-                halo.push(order[q as usize]);
-            }
-        }
-        if is_boundary {
-            boundary.push(v);
-        }
-    }
-    halo.sort_unstable();
-    halo.dedup();
-    // Home vertices are visited in (partition, id) order, so the per-label
-    // lists and the boundary are already sorted by id.
-    Shard {
-        id: PartitionId::new(p),
-        range,
-        label_index,
-        boundary,
-        halo,
-    }
-}
-
-/// One partition's view of the sharded store.
+/// One partition's view of the sharded store: where its slice lies and what
+/// the router's vote reads from it.
 #[derive(Debug, Clone)]
 pub struct Shard {
     id: PartitionId,
     /// Position range of the shard's home vertices in the partition-major
     /// arena — the shard's CSR slice.
     range: Range<usize>,
-    /// Label → home vertices carrying it, sorted by id. The router's
-    /// per-shard label index.
-    label_index: FxHashMap<Label, Vec<VertexId>>,
-    /// Home vertices with at least one remote neighbour, sorted by id.
-    boundary: Vec<VertexId>,
-    /// Remote vertices adjacent to this shard (the replicated halo), sorted
-    /// by id.
-    halo: Vec<VertexId>,
+    /// Label → how many live home vertices carry it; no entry holds zero.
+    label_counts: FxHashMap<Label, usize>,
 }
 
 impl Shard {
@@ -207,32 +157,34 @@ impl Shard {
         self.range.is_empty()
     }
 
-    /// Home vertices carrying `label`, sorted by id.
-    pub fn vertices_with_label(&self, label: Label) -> &[VertexId] {
-        self.label_index
-            .get(&label)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// How many live home vertices carry `label`: the shard's vote for a
+    /// full enumeration rooted at that label.
+    pub fn label_count(&self, label: Label) -> usize {
+        self.label_counts.get(&label).copied().unwrap_or(0)
     }
 
-    /// Iterate over the shard's label index: `(label, home vertices sorted
-    /// by id)` in arbitrary label order. Checkpoint encoders sort by label
-    /// for a deterministic blob; query paths use
-    /// [`Shard::vertices_with_label`] instead.
-    pub fn label_index(&self) -> impl Iterator<Item = (Label, &[VertexId])> {
-        self.label_index.iter().map(|(&l, vs)| (l, vs.as_slice()))
+    /// Shard `p` over `range`, its label counts taken from the slice.
+    fn counted(p: usize, range: Range<usize>, slots: &[Slot]) -> Self {
+        let mut label_counts = FxHashMap::default();
+        for slot in slots[range.clone()].iter().filter(|s| s.home != DEAD) {
+            *label_counts.entry(slot.label).or_insert(0) += 1;
+        }
+        Self {
+            id: PartitionId::new(p as u32),
+            range,
+            label_counts,
+        }
     }
+}
 
+/// What [`ShardedStore::border`] reads off a shard's slice.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardBorder {
     /// Home vertices with at least one remote neighbour, sorted by id.
-    pub fn boundary(&self) -> &[VertexId] {
-        &self.boundary
-    }
-
-    /// Remote vertices adjacent to the shard (the replicated halo), sorted by
-    /// id.
-    pub fn halo(&self) -> &[VertexId] {
-        &self.halo
-    }
+    pub boundary: Vec<VertexId>,
+    /// Remote vertices adjacent to the shard (the replicated halo), sorted
+    /// by id.
+    pub halo: Vec<VertexId>,
 }
 
 /// An immutable partition-major CSR snapshot of a partitioned graph, sliced
@@ -364,10 +316,9 @@ impl ShardedStore {
 
     /// The tail every from-scratch build shares ([`ShardedStore::from_parts`]
     /// and the checkpoint loader's [`ArenaLoader::finish`]): close the slot
-    /// array, derive the arc tags and the sorted arena, and build each
-    /// shard's label index, boundary and halo from its slice. `slots[..n]`
-    /// carry label, home, offset and live degree; `starts` holds the `k + 1`
-    /// shard boundaries.
+    /// array, derive the arc tags and the sorted arena, and count each
+    /// shard's labels. `slots[..n]` carry label, home, offset and live
+    /// degree; `starts` holds the `k + 1` shard boundaries.
     fn assemble(
         order: Vec<VertexId>,
         position_of: FxHashMap<VertexId, u32>,
@@ -386,7 +337,7 @@ impl ShardedStore {
             targets_sorted[slot.live_range()].sort_unstable();
         }
         let shards = (0..k)
-            .map(|p| build_shard(p as u32, starts[p]..starts[p + 1], &order, &slots, &targets))
+            .map(|p| Shard::counted(p, starts[p]..starts[p + 1], &slots))
             .collect();
         Self {
             order,
@@ -404,21 +355,26 @@ impl ShardedStore {
         }
     }
 
-    /// The inverse of [`ShardedStore::from_parts`]: the live graph — every
-    /// adjacency list in arena order, so a store rebuilt from it traverses
-    /// identically — and the vertex→partition assignment the shard ranges
-    /// encode. Tombstoned vertices and edges are left out.
+    /// The live graph the arena holds — every adjacency list in arena order,
+    /// so a store rebuilt from it traverses identically; tombstoned vertices
+    /// and edges are left out. Built by the trusting bulk constructor: an
+    /// arena is a simple undirected graph by [`ShardedStore::check_arena`],
+    /// which every way into a `ShardedStore` has run or is held to.
+    pub fn to_graph(&self) -> LabelledGraph {
+        let whole = ArenaSlice {
+            store: self,
+            range: 0..self.order.len(),
+        };
+        LabelledGraph::from_proven_lists(self.live_vertex_count(), self.edge_count, whole.rows())
+    }
+
+    /// The inverse of [`ShardedStore::from_parts`]: [`ShardedStore::to_graph`]
+    /// and the vertex→partition assignment the shard ranges encode.
     pub fn to_parts(&self) -> (LabelledGraph, Partitioning) {
-        let live = |pos: &usize| self.slots[*pos].home != DEAD;
-        let lists = (0..self.order.len()).filter(live).map(|pos| {
-            let neighbours = &self.targets[self.live_range(pos)];
-            let ids = neighbours.iter().map(|&q| self.order[q as usize]);
-            (self.order[pos], self.slots[pos].label, ids.collect())
-        });
-        let graph = LabelledGraph::from_adjacency_lists(lists)
-            .expect("a sound arena is a simple undirected graph");
+        let graph = self.to_graph();
         let mut partitioning = Partitioning::new(self.shard_count(), graph.vertex_count().max(1))
             .expect("a store has at least one shard");
+        let live = |pos: &usize| self.slots[*pos].home != DEAD;
         for shard in &self.shards {
             for pos in shard.range.clone().filter(live) {
                 partitioning
@@ -433,11 +389,9 @@ impl ShardedStore {
     /// arenas are copied slice-by-slice in the new partition-major order and
     /// renamed through an old → new position array (no graph lookups, no
     /// hash probes), and only the shards a move actually touched — the
-    /// sources and targets — get their label index, boundary and halo
-    /// rebuilt. Every other shard's indexes are reused verbatim: a vertex
-    /// moving between partitions `a` and `b` cannot change the boundary or
-    /// halo membership of any third shard (it was remote to it before and
-    /// remains remote after).
+    /// sources and targets — get their label counts retaken. Every other
+    /// shard's counts are reused verbatim: its slice holds the vertices it
+    /// held.
     ///
     /// Moves referencing unknown or unassigned vertices, out-of-range
     /// partitions, or a vertex's current partition are ignored; when several
@@ -526,11 +480,10 @@ impl ShardedStore {
     /// `position_of` insert per vertex), the label index is renamed the same
     /// way, and the arc tags travel with their slices — only the remote bit
     /// of the arcs at a vertex that changed home is rewritten, in both
-    /// directions; `touched` shards get their indexes re-derived, the rest
-    /// are rebased with their indexes reused. With
-    /// `trim`, touched shards and the unassigned tail keep only their live
-    /// adjacency prefix; everything else keeps its physical extent,
-    /// tombstoned tail included.
+    /// directions; `touched` shards get their label counts retaken, the rest
+    /// are rebased with their counts reused. With `trim`, touched shards and
+    /// the unassigned tail keep only their live adjacency prefix; everything
+    /// else keeps its physical extent, tombstoned tail included.
     fn relaid(
         &self,
         from: &[u32],
@@ -620,7 +573,7 @@ impl ShardedStore {
             .enumerate()
             .map(|(p, range)| {
                 if touched[p] {
-                    build_shard(p as u32, range, &order, &slots, &targets)
+                    Shard::counted(p, range, &slots)
                 } else {
                     let old = &self.shards[p];
                     debug_assert_eq!(range.len(), old.range.len());
@@ -684,13 +637,6 @@ impl ShardedStore {
         true
     }
 
-    /// Remove `v` from a sorted id list, if present.
-    fn remove_sorted(list: &mut Vec<VertexId>, v: VertexId) {
-        if let Ok(pos) = list.binary_search(&v) {
-            list.remove(pos);
-        }
-    }
-
     /// Where the vertex at `pos` is, or would go, in the label index's list
     /// for `label` (lists are ordered by vertex id).
     fn label_list_slot(&self, label: Label, pos: usize) -> Result<usize, usize> {
@@ -699,7 +645,7 @@ impl ShardedStore {
     }
 
     /// Drop the vertex at `pos` from the label index and from its home
-    /// shard's, under `label`.
+    /// shard's count, under `label`.
     fn unindex_label(&mut self, pos: usize, label: Label, shard: u32) {
         if let Ok(at) = self.label_list_slot(label, pos) {
             let members = self.by_label.get_mut(&label).expect("the list it is in");
@@ -709,12 +655,13 @@ impl ShardedStore {
             }
         }
         if shard < DEAD {
-            let v = self.order[pos];
-            if let Some(members) = self.shards[shard as usize].label_index.get_mut(&label) {
-                Self::remove_sorted(members, v);
-                if members.is_empty() {
-                    self.shards[shard as usize].label_index.remove(&label);
-                }
+            let counts = &mut self.shards[shard as usize].label_counts;
+            let count = counts
+                .get_mut(&label)
+                .expect("a live home vertex is counted");
+            *count -= 1;
+            if *count == 0 {
+                counts.remove(&label);
             }
         }
     }
@@ -726,8 +673,9 @@ impl ShardedStore {
     }
 
     /// Tombstone a vertex: drop all incident live edges, mark the vertex
-    /// dead and remove it from every label index. Queries skip it without a
-    /// rebuild; [`ShardedStore::compact`] removes it physically.
+    /// dead and take it out of the label index and its shard's count.
+    /// Queries skip it without a rebuild; [`ShardedStore::compact`] removes
+    /// it physically.
     fn tombstone_vertex(&mut self, v: VertexId) -> bool {
         let Some(pos) = self.live_position(v) else {
             return false;
@@ -761,9 +709,10 @@ impl ShardedStore {
         true
     }
 
-    /// Re-label a live vertex in place, keeping both label indexes sorted
-    /// and rewriting the label bits of the one tag each neighbour holds for
-    /// it (remote bits stand: nobody moved).
+    /// Re-label a live vertex in place, keeping the label index sorted,
+    /// moving one of its home shard's counts and rewriting the label bits of
+    /// the one tag each neighbour holds for it (remote bits stand: nobody
+    /// moved).
     fn relabel_in_place(&mut self, v: VertexId, label: Label) -> bool {
         let Some(pos) = self.live_position(v) else {
             return false;
@@ -781,13 +730,8 @@ impl ShardedStore {
             members.insert(at, pos as u32);
         }
         if home < DEAD {
-            let members = self.shards[home as usize]
-                .label_index
-                .entry(label)
-                .or_default();
-            if let Err(at) = members.binary_search(&v) {
-                members.insert(at, v);
-            }
+            let counts = &mut self.shards[home as usize].label_counts;
+            *counts.entry(label).or_insert(0) += 1;
         }
         for arc in self.live_range(pos) {
             let to = self.targets[arc] as usize;
@@ -858,6 +802,12 @@ impl ShardedStore {
     /// Total tombstoned vertices across the snapshot.
     pub fn tombstoned_vertices(&self) -> usize {
         self.slots.iter().filter(|s| s.home == DEAD).count()
+    }
+
+    /// Vertices a query can still see: [`ShardedStore::vertex_count`] less
+    /// the tombstoned ones. What a checkpoint of this snapshot holds.
+    pub fn live_vertex_count(&self) -> usize {
+        self.order.len() - self.tombstoned_vertices()
     }
 
     /// Epoch compaction: physically rewrite every shard whose
@@ -989,17 +939,70 @@ impl ShardedStore {
         }
     }
 
-    /// Mean copies of each vertex across shards (home + halo replicas); 1.0
-    /// means no replication at all.
+    /// Shard `p`'s border, read off its slice: one pass over the live arcs
+    /// of its live home vertices, streaming each arc's remote bit — which
+    /// says exactly "the target's home is not `p`" — so no neighbour's slot
+    /// is read. Empty for an out-of-range partition. This is the only place
+    /// a boundary or a halo is ever made; nothing stores one.
+    pub fn border(&self, p: PartitionId) -> ShardBorder {
+        let mut border = ShardBorder::default();
+        let Some(shard) = self.shards.get(p.index()) else {
+            return border;
+        };
+        for pos in shard.range.clone() {
+            let live = self.slots[pos].live_range();
+            let before = border.halo.len();
+            for (&q, &tag) in self.targets[live.clone()].iter().zip(&self.tags[live]) {
+                if tag & 1 != 0 {
+                    border.halo.push(self.order[q as usize]);
+                }
+            }
+            if border.halo.len() > before {
+                border.boundary.push(self.order[pos]);
+            }
+        }
+        border.halo.sort_unstable();
+        border.halo.dedup();
+        border
+    }
+
+    /// Shard `p`'s home vertices with at least one remote neighbour, sorted
+    /// by id ([`ShardedStore::border`]).
+    pub fn boundary(&self, p: PartitionId) -> Vec<VertexId> {
+        self.border(p).boundary
+    }
+
+    /// The remote vertices adjacent to shard `p` — its replicated halo —
+    /// sorted by id ([`ShardedStore::border`]).
+    pub fn halo(&self, p: PartitionId) -> Vec<VertexId> {
+        self.border(p).halo
+    }
+
+    /// Shard `p`'s live home vertices carrying `label`, sorted by id: a
+    /// filter over its slice. [`Shard::label_count`] is its length, kept.
+    pub fn vertices_with_label(&self, p: PartitionId, label: Label) -> Vec<VertexId> {
+        let range = self.shards.get(p.index()).map_or(0..0, |s| s.range.clone());
+        let carries = |pos: &usize| {
+            let slot = self.slots[*pos];
+            slot.home != DEAD && slot.label == label
+        };
+        range.filter(carries).map(|pos| self.order[pos]).collect()
+    }
+
+    /// Mean copies of each live vertex across shards (home + halo replicas);
+    /// 1.0 means no replication at all.
     pub fn replication_factor(&self) -> f64 {
-        if self.order.is_empty() {
+        let live = self.live_vertex_count();
+        if live == 0 {
             return 1.0;
         }
-        let stored: usize = self.shards.iter().map(|s| s.len() + s.halo.len()).sum();
-        // Unassigned vertices are stored nowhere; count them once so the
-        // factor stays an "average copies per vertex" over all vertices.
-        let unassigned = self.order.len() - self.assigned_end();
-        (stored + unassigned) as f64 / self.order.len() as f64
+        // Every live vertex is held once — at home, or nowhere but counted
+        // once if unassigned, so the factor stays an average over all of
+        // them — and once more by each shard whose halo it is in.
+        let replicas: usize = (0..self.shard_count())
+            .map(|p| self.border(PartitionId::new(p)).halo.len())
+            .sum();
+        (live + replicas) as f64 / live as f64
     }
 
     /// Borrowed view of shard `p`'s contiguous slice of the CSR arena
@@ -1041,7 +1044,7 @@ impl ShardedStore {
     /// * a slot's home is its shard's index (or a tombstone) inside a shard
     ///   range and never a partition outside one, each shard's slice and the
     ///   unassigned tail are in strictly ascending id order, and the
-    ///   per-shard tombstone counters equal a recount.
+    ///   per-shard tombstone counters and label counts equal a recount.
     pub fn check_arena(&self) -> Result<(), String> {
         let n = self.order.len();
         if self.slots.len() != n + 1 || self.position_of.len() != n {
@@ -1132,6 +1135,10 @@ impl ShardedStore {
             let strays = |&pos: &usize| ![p as u32, DEAD].contains(&self.slots[pos].home);
             if let Some(pos) = range.clone().find(strays) {
                 return Err(format!("position {pos} in shard {p} is homed elsewhere"));
+            }
+            let recount = Shard::counted(p, range.clone(), &self.slots).label_counts;
+            if self.shards[p].label_counts != recount {
+                return Err(format!("label counts of shard {p} drifted from a recount"));
             }
         }
         if let Some(pos) = (cursor..n).find(|&pos| self.slots[pos].home < DEAD) {
@@ -1322,45 +1329,53 @@ pub struct ArenaSlice<'a> {
 }
 
 impl<'a> ArenaSlice<'a> {
-    /// Number of vertices in the slice.
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether the slice holds no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-
-    /// The slice's vertex ids, in arena order (ascending id within a shard).
-    pub fn vertices(&self) -> &'a [VertexId] {
-        &self.store.order[self.range.clone()]
-    }
-
-    /// Label of the `i`-th vertex of the slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn label(&self, i: usize) -> Label {
-        assert!(i < self.range.len(), "slice index out of range");
-        self.store.slots[self.range.start + i].label
-    }
-
-    /// Live adjacency of the `i`-th vertex of the slice, in the data graph's
-    /// stable iteration order (the order the arena stores and traversals
-    /// follow), turned back from positions into vertex ids. Tombstoned slots
-    /// are excluded, so checkpoint blobs never carry dead edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn neighbors(&self, i: usize) -> impl ExactSizeIterator<Item = VertexId> + 'a {
-        assert!(i < self.range.len(), "slice index out of range");
+    /// The slice's live positions, in arena order. Tombstoned vertices are
+    /// skipped: a blob cut from a tombstoned epoch is the blob its
+    /// compaction would cut.
+    fn positions(&self) -> impl Iterator<Item = usize> + 'a {
         let store = self.store;
-        store.targets[store.live_range(self.range.start + i)]
-            .iter()
-            .map(move |&q| store.order[q as usize])
+        self.range
+            .clone()
+            .filter(move |&pos| store.slots[pos].home != DEAD)
+    }
+
+    /// Number of live vertices in the slice.
+    pub fn len(&self) -> usize {
+        self.positions().count()
+    }
+
+    /// Whether the slice holds no live vertex.
+    pub fn is_empty(&self) -> bool {
+        self.positions().next().is_none()
+    }
+
+    /// The slice's live vertex ids, in arena order (ascending id within a
+    /// shard).
+    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + 'a {
+        let store = self.store;
+        self.positions().map(move |pos| store.order[pos])
+    }
+
+    /// Every live vertex of the slice with its label and its live adjacency
+    /// — in the data graph's stable iteration order (the order the arena
+    /// stores and traversals follow), turned back from positions into vertex
+    /// ids. Tombstoned slots are excluded, so checkpoint blobs never carry
+    /// dead edges.
+    pub fn rows(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            VertexId,
+            Label,
+            impl ExactSizeIterator<Item = VertexId> + 'a,
+        ),
+    > + 'a {
+        let store = self.store;
+        self.positions().map(move |pos| {
+            let neighbours = store.targets[store.live_range(pos)].iter();
+            let ids = neighbours.map(move |&q| store.order[q as usize]);
+            (store.order[pos], store.slots[pos].label, ids)
+        })
     }
 }
 
@@ -1370,8 +1385,9 @@ impl<'a> ArenaSlice<'a> {
 pub struct MigratedStore {
     /// The rebuilt snapshot (epoch 0 — stamped on publication).
     pub store: ShardedStore,
-    /// Shards whose indexes had to be rebuilt: the sources and targets of
-    /// the applied moves, in id order. Every other shard was reused.
+    /// Shards whose slices changed membership: the sources and targets of
+    /// the applied moves, in id order. Every other shard's counts were
+    /// reused.
     pub affected_shards: Vec<PartitionId>,
     /// Vertices whose home shard actually changed.
     pub moved: usize,
@@ -1508,15 +1524,25 @@ mod tests {
         let (g, part) = fixture();
         let vs = g.vertices_sorted();
         let store = ShardedStore::from_parts(&g, &part);
-        let s0 = store.shard(PartitionId::new(0)).unwrap();
+        let (p0, p1) = (PartitionId::new(0), PartitionId::new(1));
         // Vertex 1 borders partition 1's vertex 2.
-        assert_eq!(s0.boundary(), &[vs[1]]);
-        assert_eq!(s0.halo(), &[vs[2]]);
-        let s1 = store.shard(PartitionId::new(1)).unwrap();
+        assert_eq!(store.boundary(p0), &[vs[1]]);
+        assert_eq!(store.halo(p0), &[vs[2]]);
         // Vertex 2 borders both vertex 1 (shard 0) and unassigned vertex 3.
-        assert_eq!(s1.boundary(), &[vs[2]]);
-        assert_eq!(s1.halo(), &[vs[1], vs[3]]);
-        assert!(store.replication_factor() > 1.0);
+        assert_eq!(store.boundary(p1), &[vs[2]]);
+        assert_eq!(store.halo(p1), &[vs[1], vs[3]]);
+        assert_eq!(store.border(PartitionId::new(9)), ShardBorder::default());
+        // Four vertices, three halo replicas.
+        assert_eq!(store.replication_factor(), 7.0 / 4.0);
+
+        // Computed from the slice, so a tombstone cannot leave it stale:
+        // without vertex 2 nothing borders anything but unassigned vertex 3.
+        let tombstoned = store
+            .apply_mutations(&[loom_graph::StreamElement::RemoveVertex { id: vs[2] }])
+            .store;
+        assert_eq!(tombstoned.border(p0), ShardBorder::default());
+        assert_eq!(tombstoned.border(p1), ShardBorder::default());
+        assert_eq!(tombstoned.replication_factor(), 1.0);
     }
 
     /// Assert two stores give the matcher the same answers — compared
@@ -1597,10 +1623,14 @@ mod tests {
         let (g, part) = fixture();
         let vs = g.vertices_sorted();
         let store = ShardedStore::from_parts(&g, &part);
-        let s0 = store.shard(PartitionId::new(0)).unwrap();
-        assert_eq!(s0.vertices_with_label(Label::new(0)), &[vs[0]]);
-        assert_eq!(s0.vertices_with_label(Label::new(1)), &[vs[1]]);
-        assert!(s0.vertices_with_label(Label::new(9)).is_empty());
+        let p0 = PartitionId::new(0);
+        let s0 = store.shard(p0).unwrap();
+        assert_eq!(store.vertices_with_label(p0, Label::new(0)), &[vs[0]]);
+        assert_eq!(store.vertices_with_label(p0, Label::new(1)), &[vs[1]]);
+        assert!(store.vertices_with_label(p0, Label::new(9)).is_empty());
+        // What the router reads is the length of each, kept.
+        let counts = [0, 1, 9].map(|l| s0.label_count(Label::new(l)));
+        assert_eq!(counts, [1, 1, 0]);
         assert_eq!(s0.len(), 2);
         assert!(!s0.is_empty());
         assert_eq!(s0.id(), PartitionId::new(0));
@@ -1624,7 +1654,8 @@ mod tests {
     }
 
     /// Assert two stores are semantically identical: same layout, same
-    /// shard indexes, sound arenas, same `PatternStore` answers.
+    /// shard borders and label counts, sound arenas, same `PatternStore`
+    /// answers.
     fn assert_stores_equal(a: &ShardedStore, b: &ShardedStore, vs: &[VertexId]) {
         assert_eq!(a.vertex_count(), b.vertex_count());
         assert_eq!(a.edge_count(), b.edge_count());
@@ -1632,14 +1663,14 @@ mod tests {
         for p in 0..a.shard_count() {
             let p = PartitionId::new(p);
             assert_eq!(a.home_vertices(p), b.home_vertices(p), "{p} homes");
+            assert_eq!(a.border(p), b.border(p), "{p} border");
             let (sa, sb) = (a.shard(p).unwrap(), b.shard(p).unwrap());
-            assert_eq!(sa.boundary(), sb.boundary(), "{p} boundary");
-            assert_eq!(sa.halo(), sb.halo(), "{p} halo");
+            assert_eq!(sa.label_counts, sb.label_counts, "{p} label counts");
             for l in [Label::new(0), Label::new(1), Label::new(2)] {
                 assert_eq!(
-                    sa.vertices_with_label(l),
-                    sb.vertices_with_label(l),
-                    "{p} label index"
+                    a.vertices_with_label(p, l),
+                    b.vertices_with_label(p, l),
+                    "{p} label {l:?}"
                 );
             }
         }
@@ -1686,12 +1717,14 @@ mod tests {
             migrated.affected_shards,
             vec![PartitionId::new(0), PartitionId::new(1)]
         );
+        // What there is to reuse is shard 2's count table, over a range that
+        // did not move either.
         let (old, new) = (
             store.shard(PartitionId::new(2)).unwrap(),
             migrated.store.shard(PartitionId::new(2)).unwrap(),
         );
-        assert_eq!(old.boundary(), new.boundary());
-        assert_eq!(old.halo(), new.halo());
+        assert_eq!(old.label_counts, new.label_counts);
+        assert_eq!(old.range, new.range);
         // And the reused shard is still *correct* against a full rebuild.
         let mut moved = part.clone();
         moved.move_vertex(vs[3], PartitionId::new(0)).unwrap();
@@ -1902,6 +1935,17 @@ mod tests {
         let mut uncounted = store.apply_mutations(&[]).store;
         uncounted.dead_slots[0] += 1;
         assert!(uncounted.check_arena().unwrap_err().contains("recount"));
+
+        // A label count one off the slice it is kept for.
+        let mut miscounted = store.clone();
+        *miscounted.shards[1]
+            .label_counts
+            .get_mut(&Label::new(0))
+            .unwrap() += 1;
+        assert!(miscounted
+            .check_arena()
+            .unwrap_err()
+            .contains("label counts of shard 1"));
     }
 
     #[test]

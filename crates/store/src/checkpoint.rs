@@ -10,6 +10,13 @@
 //! simply skips in favour of the previous epoch. Nothing in a checkpoint is
 //! ever trusted without its checksum.
 //!
+//! Once a checkpoint is sealed the root is **pruned**: the new checkpoint
+//! and the newest valid one before it (the fallback, should the new
+//! directory be lost) stay; every older checkpoint goes, and so does every
+//! manifest-less directory older than the new one. A crash before the prune
+//! leaves more directories than needed, never fewer; the next checkpoint
+//! prunes them.
+//!
 //! Loading ([`load_checkpoint`]) goes from the blobs straight to the arena
 //! they were cut from, in two halves:
 //!
@@ -19,22 +26,24 @@
 //!   [`ArenaLoader`], with every count bounded by the bytes behind it and
 //!   the shard id a blob claims checked against its file name.
 //!   (2) [`ArenaLoader::finish`] renames adjacency to positions and derives
-//!   the sorted arena and each shard's label index, boundary and halo; a
-//!   vertex listed twice or a neighbour no blob lists fails here.
+//!   the arc tags, the sorted arena and each shard's label counts; a vertex
+//!   listed twice or a neighbour no blob lists fails here.
 //! * [`UnverifiedCheckpoint::verify`] — the half that only reads.
 //!   (3) [`ShardedStore::check_arena`] over the whole arena: a self-loop, a
 //!   repeated neighbour, an edge only one endpoint lists, a slice out of id
 //!   order all fail here. (4) The vertex and edge totals must equal the
 //!   manifest's. (5) Every shard and the tail are re-encoded from the loaded
-//!   store and must reproduce the manifest's checksums — the bit-identity
-//!   proof.
+//!   store, each **in the format version its blob was read in** — a v1
+//!   blob's boundary, halo and label lists are derived from the arena for
+//!   the purpose — and must reproduce the manifest's checksums: the
+//!   bit-identity proof, the same for old roots and new.
 //!
 //! Every failure is a [`StoreError::Corrupt`]. No `LabelledGraph` or
 //! `Partitioning` is built on the way: a caller that wants them
 //! ([`LoadedCheckpoint::graph`], [`LoadedCheckpoint::partitioning`]) gets
 //! them derived from the verified arena, once, on first use.
 
-use crate::codec::{blob_crc, decode_blob, encode_shard, encode_tail};
+use crate::codec::{blob_crc, decode_blob, encode_blob, encode_shard, encode_tail};
 use crate::error::{Result, StoreError};
 use bytes::Bytes;
 use loom_graph::io::crc32;
@@ -71,15 +80,16 @@ pub struct BlobEntry {
 pub struct CheckpointMeta {
     /// Epoch sequence the checkpointed store was published at.
     pub epoch_seq: u64,
-    /// WAL records already folded into this checkpoint — replay resumes
-    /// *conceptually* here (the recovery path replays the full log through a
-    /// fresh partitioner for exact state, and uses this for reporting).
+    /// WAL records already folded into this checkpoint. Recovery's graph
+    /// mirror starts from the checkpoint's arena and applies the log from
+    /// this record on; the partitioner, whose state no checkpoint holds, is
+    /// still replayed from the log's first record.
     pub wal_records: u64,
     /// Name of the partitioner spec that produced the store.
     pub spec: String,
     /// Number of shard blobs (excluding the tail).
     pub shards: u32,
-    /// Total vertices across all blobs.
+    /// Total live vertices across all blobs.
     pub vertices: u64,
     /// Total edges in the checkpointed store.
     pub edges: u64,
@@ -153,9 +163,36 @@ fn manifest_body(meta: &CheckpointMeta) -> String {
 }
 
 /// Serialize `store` as checkpoint `root/checkpoints/<epoch_seq>/`,
-/// replacing any half-written directory of the same epoch. The directory
-/// becomes visible to recovery only once its manifest is fully on disk.
+/// replacing any half-written directory of the same epoch, then prune the
+/// checkpoints it supersedes (see the module docs). The directory becomes
+/// visible to recovery only once its manifest is fully on disk. A
+/// directory the prune could not remove does not fail the checkpoint that
+/// is already durable: it is left for the next one, and a
+/// [`CheckpointSink`](crate::CheckpointSink) reports it.
 pub fn write_checkpoint(
+    root: &Path,
+    store: &ShardedStore,
+    wal_records: u64,
+    spec: &str,
+) -> Result<CheckpointMeta> {
+    write_and_prune(root, store, wal_records, spec).map(|(meta, _left_behind)| meta)
+}
+
+/// [`write_checkpoint`], handing back beside the manifest what the prune
+/// could not remove.
+pub(crate) fn write_and_prune(
+    root: &Path,
+    store: &ShardedStore,
+    wal_records: u64,
+    spec: &str,
+) -> Result<(CheckpointMeta, Result<()>)> {
+    let meta = seal_checkpoint(root, store, wal_records, spec)?;
+    let pruned = prune_checkpoints(root, meta.epoch_seq);
+    Ok((meta, pruned))
+}
+
+/// Write the blobs, then the manifest, then fsync both directory levels.
+fn seal_checkpoint(
     root: &Path,
     store: &ShardedStore,
     wal_records: u64,
@@ -183,7 +220,8 @@ pub fn write_checkpoint(
         wal_records,
         spec: spec.to_string(),
         shards: store.shard_count(),
-        vertices: store.vertex_count() as u64,
+        // A tombstoned vertex is in no blob.
+        vertices: store.live_vertex_count() as u64,
         edges: store.edge_count() as u64,
         blobs,
     };
@@ -204,6 +242,46 @@ pub fn write_checkpoint(
     sync_dir(&dir)?;
     sync_dir(&parent)?;
     Ok(meta)
+}
+
+/// Every `checkpoints/<seq>/` under `root`, ascending, with whether its
+/// manifest validates (and names that sequence).
+fn checkpoint_dirs(root: &Path) -> Result<Vec<(u64, PathBuf, Option<CheckpointMeta>)>> {
+    let parent = root.join(CHECKPOINT_DIR);
+    let entries = match fs::read_dir(&parent) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(StoreError::io(&parent, e)),
+    };
+    let mut dirs = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(|e| StoreError::io(&parent, e))?;
+        let name = entry.file_name();
+        if let Some(seq) = name.to_str().and_then(|n| n.parse::<u64>().ok()) {
+            let meta = read_manifest(&entry.path()).ok();
+            dirs.push((seq, entry.path(), meta.filter(|m| m.epoch_seq == seq)));
+        }
+    }
+    dirs.sort_by_key(|entry| entry.0);
+    Ok(dirs)
+}
+
+/// Remove what checkpoint `newest`, now sealed, supersedes: every valid
+/// checkpoint older than the newest valid one before it, and every directory
+/// older than `newest` that has no valid manifest. Tries every candidate and
+/// returns the first failure.
+fn prune_checkpoints(root: &Path, newest: u64) -> Result<()> {
+    let mut older = checkpoint_dirs(root)?;
+    older.retain(|(seq, _, _)| *seq < newest);
+    let fallback = older.iter().rposition(|(_, _, meta)| meta.is_some());
+    let mut outcome = Ok(());
+    for (i, (_, dir, _)) in older.iter().enumerate() {
+        if Some(i) != fallback {
+            let removed = fs::remove_dir_all(dir).map_err(|e| StoreError::io(dir, e));
+            outcome = outcome.and(removed);
+        }
+    }
+    outcome
 }
 
 fn parse_field<'a>(line: &'a str, key: &str, path: &Path) -> Result<&'a str> {
@@ -286,26 +364,10 @@ pub fn read_manifest(dir: &Path) -> Result<CheckpointMeta> {
 /// the directory, its metadata, and how many newer-but-invalid checkpoint
 /// directories were skipped (torn checkpoints from a crash mid-write).
 pub fn latest_checkpoint(root: &Path) -> Result<Option<(PathBuf, CheckpointMeta, usize)>> {
-    let parent = root.join(CHECKPOINT_DIR);
-    let entries = match fs::read_dir(&parent) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(StoreError::io(&parent, e)),
-    };
-    let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| StoreError::io(&parent, e))?;
-        let name = entry.file_name();
-        if let Some(seq) = name.to_str().and_then(|n| n.parse::<u64>().ok()) {
-            seqs.push((seq, entry.path()));
-        }
-    }
-    seqs.sort_by_key(|entry| std::cmp::Reverse(entry.0));
-    let mut skipped = 0;
-    for (seq, dir) in seqs {
-        match read_manifest(&dir) {
-            Ok(meta) if meta.epoch_seq == seq => return Ok(Some((dir, meta, skipped))),
-            _ => skipped += 1,
+    let newest_first = checkpoint_dirs(root)?.into_iter().rev();
+    for (skipped, (_, dir, meta)) in newest_first.enumerate() {
+        if let Some(meta) = meta {
+            return Ok(Some((dir, meta, skipped)));
         }
     }
     Ok(None)
@@ -333,6 +395,8 @@ fn blob_slot(name: &str, dir: &Path) -> Result<Option<u32>> {
 pub struct UnverifiedCheckpoint {
     dir: PathBuf,
     meta: CheckpointMeta,
+    /// The format version each blob was read in, in manifest order.
+    versions: Vec<u32>,
     arena: UncheckedArena,
 }
 
@@ -345,12 +409,12 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     let meta = read_manifest(dir)?;
     // Each of the `shards + 1` slots of the arena must be named once.
     let mut entries = Vec::with_capacity(meta.blobs.len());
-    for entry in &meta.blobs {
-        entries.push((blob_slot(&entry.name, dir)?, entry));
+    for (listed, entry) in meta.blobs.iter().enumerate() {
+        entries.push((blob_slot(&entry.name, dir)?, listed, entry));
     }
-    entries.sort_by_key(|(id, _)| id.map_or(u64::MAX, u64::from));
+    entries.sort_by_key(|(id, _, _)| id.map_or(u64::MAX, u64::from));
     let expected = (0..meta.shards).map(Some).chain([None]);
-    if !entries.iter().map(|(id, _)| *id).eq(expected) {
+    if !entries.iter().map(|(id, _, _)| *id).eq(expected) {
         return Err(StoreError::corrupt(
             dir,
             format!(
@@ -360,7 +424,8 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
         ));
     }
     let mut arena = ArenaLoader::new(meta.shards);
-    for (id, entry) in entries {
+    let mut versions = vec![0; meta.blobs.len()];
+    for (id, listed, entry) in entries {
         let path = dir.join(&entry.name);
         let raw = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
         if raw.len() as u64 != entry.size {
@@ -372,13 +437,17 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
         if crc32(&raw) != entry.crc {
             return Err(StoreError::corrupt(&path, "blob checksum mismatch"));
         }
-        let claimed = decode_blob(&raw, &path, &mut arena)?;
-        if claimed != id {
+        let header = decode_blob(&raw, &path, &mut arena)?;
+        if header.shard != id {
             return Err(StoreError::corrupt(
                 &path,
-                format!("blob says it holds {claimed:?}, its file name says {id:?}"),
+                format!(
+                    "blob says it holds {:?}, its file name says {id:?}",
+                    header.shard
+                ),
             ));
         }
+        versions[listed] = header.version;
     }
     let arena = arena
         .finish()
@@ -386,6 +455,7 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     Ok(UnverifiedCheckpoint {
         dir: dir.to_path_buf(),
         meta,
+        versions,
         arena,
     })
 }
@@ -393,9 +463,15 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
 impl UnverifiedCheckpoint {
     /// Prove what was read: the arena must pass
     /// [`ShardedStore::check_arena`], hold the manifest's vertex and edge
-    /// totals, and re-encode to every blob checksum the manifest recorded.
+    /// totals, and re-encode — each blob in the version it was read in — to
+    /// every blob checksum the manifest recorded.
     pub fn verify(self) -> Result<LoadedCheckpoint> {
-        let Self { dir, meta, arena } = self;
+        let Self {
+            dir,
+            meta,
+            versions,
+            arena,
+        } = self;
         let store = arena
             .check()
             .map_err(|detail| StoreError::corrupt(&dir, detail))?
@@ -414,13 +490,11 @@ impl UnverifiedCheckpoint {
         }
         // Bit-identity proof: re-encoding the loaded store must reproduce
         // every blob checksum the manifest recorded.
-        for entry in &meta.blobs {
-            let bytes = match blob_slot(&entry.name, &dir)? {
-                None => encode_tail(&store),
-                Some(id) => encode_shard(&store, PartitionId::new(id)).ok_or_else(|| {
-                    StoreError::corrupt(&dir, format!("blob {} out of range", entry.name))
-                })?,
-            };
+        for (entry, &version) in meta.blobs.iter().zip(&versions) {
+            let slot = blob_slot(&entry.name, &dir)?.map(PartitionId::new);
+            let bytes = encode_blob(&store, slot, version).ok_or_else(|| {
+                StoreError::corrupt(&dir, format!("blob {} out of range", entry.name))
+            })?;
             if blob_crc(&bytes) != entry.crc {
                 return Err(StoreError::corrupt(
                     &dir,
@@ -560,15 +634,18 @@ mod tests {
 
     /// Files written before the word-at-a-time checksum still verify: these
     /// are the blob CRCs of `fixture(7)` as the bytewise kernel computed
-    /// them (recorded at the commit before the kernel changed).
+    /// them (recorded at the commit before the kernel changed) — of format
+    /// v1 blobs, which is what was written then and what the proof of such a
+    /// root re-encodes today.
     #[test]
     fn blob_checksums_match_the_values_recorded_under_the_bytewise_kernel() {
         let (g, part) = fixture(7);
         let store = ShardedStore::from_parts(&g, &part).with_epoch(3);
-        let mut crcs: Vec<u32> = (0..store.shard_count())
-            .map(|p| blob_crc(&encode_shard(&store, PartitionId::new(p)).unwrap()))
+        let slots = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
+        let crcs: Vec<u32> = slots
+            .chain([None])
+            .map(|slot| blob_crc(&encode_blob(&store, slot, crate::codec::BLOB_V1).unwrap()))
             .collect();
-        crcs.push(blob_crc(&encode_tail(&store)));
         assert_eq!(
             crcs,
             [
@@ -584,14 +661,26 @@ mod tests {
     /// One vertex record of a blob: id, label, neighbour ids.
     type Record = (u64, u32, Vec<u64>);
 
-    /// Rewrite blob `name` of the checkpoint in `dir` through `edit`, which
-    /// sees the shard id the blob claims and its vertex records, then reseal
+    /// Replace blob `name` of the checkpoint in `dir` by `bytes` and reseal
     /// everything a checksum covers — the blob's size and CRC in the
     /// manifest, the manifest's own trailer — so only a structural check can
-    /// object. The derived indexes behind the records are kept verbatim.
+    /// object.
+    fn replace_blob(dir: &Path, name: &str, bytes: &[u8]) {
+        std::fs::write(dir.join(name), bytes).unwrap();
+        let mut meta = read_manifest(dir).unwrap();
+        let entry = meta.blobs.iter_mut().find(|b| b.name == name).unwrap();
+        (entry.size, entry.crc) = (bytes.len() as u64, crc32(bytes));
+        let body = manifest_body(&meta);
+        let trailed = format!("{body}crc {}\n", crc32(body.as_bytes()));
+        std::fs::write(dir.join(MANIFEST_FILE), trailed).unwrap();
+    }
+
+    /// Rewrite blob `name` of the checkpoint in `dir` through `edit`, which
+    /// sees the shard id the blob claims and its vertex records, and reseal
+    /// it ([`replace_blob`]). Whatever follows the records (the derived
+    /// sections of a v1 blob) is kept verbatim.
     fn tamper(dir: &Path, name: &str, edit: impl FnOnce(&mut u32, &mut Vec<Record>)) {
-        let path = dir.join(name);
-        let raw = std::fs::read(&path).unwrap();
+        let raw = std::fs::read(dir.join(name)).unwrap();
         let u32_at = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
         let u64_at = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
         let mut id = u32_at(12);
@@ -616,13 +705,96 @@ mod tests {
             }
         }
         out.extend_from_slice(&raw[at..]);
-        std::fs::write(&path, &out).unwrap();
-        let mut meta = read_manifest(dir).unwrap();
-        let entry = meta.blobs.iter_mut().find(|b| b.name == name).unwrap();
-        (entry.size, entry.crc) = (out.len() as u64, crc32(&out));
-        let body = manifest_body(&meta);
-        let trailed = format!("{body}crc {}\n", crc32(body.as_bytes()));
-        std::fs::write(dir.join(MANIFEST_FILE), trailed).unwrap();
+        replace_blob(dir, name, &out);
+    }
+
+    /// A root whose blobs are format v1, as every root written before v2 is:
+    /// `store` checkpointed, then each blob replaced by its v1 encoding.
+    fn v1_root(case: &str, store: &ShardedStore) -> (PathBuf, PathBuf) {
+        let root = tmproot(case);
+        let meta = write_checkpoint(&root, store, 0, "loom").unwrap();
+        let (dir, _, _) = latest_checkpoint(&root).unwrap().unwrap();
+        for entry in &meta.blobs {
+            let slot = blob_slot(&entry.name, &dir).unwrap().map(PartitionId::new);
+            let v1 = encode_blob(store, slot, crate::codec::BLOB_V1).unwrap();
+            assert!(v1.len() as u64 > entry.size, "v1 carries more than v2");
+            replace_blob(&dir, &entry.name, v1.as_slice());
+        }
+        (root, dir)
+    }
+
+    #[test]
+    fn a_v1_root_loads_and_its_proof_keeps_its_teeth() {
+        let (g, part) = fixture(19);
+        let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
+        let (root, dir) = v1_root("v1-root", &store);
+        let loaded = load_checkpoint(&dir).unwrap();
+        assert_eq!(loaded.store.epoch(), 4);
+        for p in (0..store.shard_count()).map(PartitionId::new) {
+            assert_eq!(encode_shard(&loaded.store, p), encode_shard(&store, p));
+        }
+        assert_eq!(encode_tail(&loaded.store), encode_tail(&store));
+        // The sections behind a v1 slice are still proven, not skipped: the
+        // last id of shard 0's last label list, off by one, under checksums
+        // that all hold.
+        let blob = dir.join("shard_0000.blob");
+        let mut raw = std::fs::read(&blob).unwrap();
+        let last_id = raw.len() - 8;
+        raw[last_id] ^= 0x01;
+        replace_blob(&dir, "shard_0000.blob", &raw);
+        match load_checkpoint(&dir) {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("does not round-trip blob shard_0000.blob"));
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The checkpoint directories under `root`, by sequence number.
+    fn sequences(root: &Path) -> Vec<u64> {
+        let dirs = checkpoint_dirs(root).unwrap();
+        dirs.into_iter().map(|(seq, _, _)| seq).collect()
+    }
+
+    #[test]
+    fn checkpoints_are_pruned_down_to_the_newest_and_its_fallback() {
+        let root = tmproot("prune");
+        let (g, part) = fixture(23);
+        let store = ShardedStore::from_parts(&g, &part);
+        for epoch in 1..=3 {
+            write_checkpoint(&root, &store.clone().with_epoch(epoch), epoch, "loom").unwrap();
+        }
+        assert_eq!(sequences(&root), [2, 3]);
+
+        // Killed between manifest and prune: every directory is still there,
+        // and recovery reads the newest.
+        for epoch in 4..=5 {
+            seal_checkpoint(&root, &store.clone().with_epoch(epoch), epoch, "loom").unwrap();
+        }
+        assert_eq!(sequences(&root), [2, 3, 4, 5]);
+        let (_, meta, skipped) = latest_checkpoint(&root).unwrap().unwrap();
+        assert_eq!((meta.epoch_seq, skipped), (5, 0));
+
+        // A torn directory older than the new checkpoint goes; the fallback
+        // is the newest *valid* one before it, so losing 6 still leaves 5.
+        let torn = root.join(CHECKPOINT_DIR).join(format!("{:010}", 1));
+        std::fs::create_dir_all(&torn).unwrap();
+        std::fs::write(torn.join("shard_0000.blob"), b"partial").unwrap();
+        std::fs::remove_file(
+            root.join(CHECKPOINT_DIR)
+                .join("0000000004")
+                .join(MANIFEST_FILE),
+        )
+        .unwrap();
+        let (_, pruned) = write_and_prune(&root, &store.clone().with_epoch(6), 6, "loom").unwrap();
+        pruned.unwrap();
+        assert_eq!(sequences(&root), [5, 6]);
+        // A directory from the future is none of this checkpoint's business.
+        std::fs::create_dir_all(root.join(CHECKPOINT_DIR).join("0000000009")).unwrap();
+        write_checkpoint(&root, &store.clone().with_epoch(7), 7, "loom").unwrap();
+        assert_eq!(sequences(&root), [6, 7, 9]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Checkpoint `fixture(17)`, tamper one blob, and return what the loader

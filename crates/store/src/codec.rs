@@ -6,19 +6,43 @@
 //! bounded by the payload size" discipline. Encoders are **deterministic**:
 //! the same [`ShardedStore`] always serializes to the same bytes, which is
 //! what lets recovery prove bit-identity by re-encoding and comparing CRCs.
+//!
+//! # Blob formats
+//!
+//! A blob is one slice of the arena — a shard's, or the unassigned tail.
+//!
+//! | section | v1 (read) | v2 (read and written) |
+//! |---|---|---|
+//! | header: magic `LSHD`, version, kind (shard / tail), shard id — 4 × `u32` | ✓ | ✓ |
+//! | slice: `u64` vertex count, then per live vertex `u64` id, `u32` label, `u32` degree, degree × `u64` neighbour id in traversal order | ✓ | ✓ |
+//! | boundary: `u64` count + ids | ✓ | — |
+//! | halo: `u64` count + ids | ✓ | — |
+//! | per-shard label lists: `u32` count, then per label (ascending) `u32` label, `u64` count + ids | ✓ | — |
+//!
+//! Everything v1 carries behind the slice is a function of the arena, so v2
+//! stops where the slice does and trailing bytes are refused. A v1 blob still
+//! loads: its trailing sections are walked for structure, and its proof
+//! re-encodes them from the loaded arena (the re-encoder takes the version
+//! [`decode_blob`] handed back), so an old root is held to exactly what it
+//! was held to when it was written. Only v2 is ever written. A reader from
+//! before v2 refuses a v2 blob by name: `unsupported blob version 2`.
 
 use crate::error::{Result, StoreError};
 use bytes::{BufMut, Bytes, BytesMut};
 use loom_graph::io::crc32;
 use loom_graph::{Label, StreamElement, VertexId};
 use loom_partition::partition::PartitionId;
-use loom_serve::shard::{ArenaLoader, ArenaSlice, ShardedStore};
+use loom_serve::shard::{ArenaLoader, ShardBorder, ShardedStore};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Magic prefix of a shard blob ("LSHD").
 const BLOB_MAGIC: u32 = 0x4C53_4844;
-/// Shard blob format version.
-const BLOB_VERSION: u32 = 1;
+/// The blob format version written: header + slice.
+const BLOB_VERSION: u32 = 2;
+/// The version that carried derived lists behind the slice; read, never
+/// written.
+pub(crate) const BLOB_V1: u32 = 1;
 /// Blob kind tag: a partition's home slice.
 const KIND_SHARD: u32 = 0;
 /// Blob kind tag: the unassigned arena tail.
@@ -42,57 +66,83 @@ fn put_ids(buf: &mut BytesMut, ids: &[VertexId]) {
     }
 }
 
-fn encode_slice(buf: &mut BytesMut, slice: &ArenaSlice<'_>) {
-    buf.put_u64_le(slice.len() as u64);
-    for (i, v) in slice.vertices().iter().enumerate() {
+/// What a v1 blob carried behind its slice, derived from the arena the way
+/// its writer derived it: the shard's boundary, its halo, and its home
+/// vertices (`homes`, in arena order) listed per label in ascending label
+/// order.
+fn put_v1_sections(
+    buf: &mut BytesMut,
+    border: &ShardBorder,
+    homes: impl Iterator<Item = (VertexId, Label)>,
+) {
+    let mut lists: BTreeMap<Label, Vec<VertexId>> = BTreeMap::new();
+    for (v, label) in homes {
+        lists.entry(label).or_default().push(v);
+    }
+    put_ids(buf, &border.boundary);
+    put_ids(buf, &border.halo);
+    buf.put_u32_le(lists.len() as u32);
+    for (label, members) in lists {
+        buf.put_u32_le(label.raw());
+        put_ids(buf, &members);
+    }
+}
+
+/// The one blob encoder: header, then the slice `slot` names (`None` is the
+/// unassigned tail), then — in version 1 only — the derived sections.
+/// `None` when the shard is out of range. [`encode_shard`] and
+/// [`encode_tail`] write [`BLOB_VERSION`]; the bit-identity proof asks for
+/// the version [`decode_blob`] handed back, and compares with what was read.
+pub(crate) fn encode_blob(
+    store: &ShardedStore,
+    slot: Option<PartitionId>,
+    version: u32,
+) -> Option<Bytes> {
+    let slice = match slot {
+        Some(p) => store.shard_slice(p)?,
+        None => store.unassigned_slice(),
+    };
+    let vertices = slice.len();
+    let mut buf = BytesMut::with_capacity(64 + vertices * 24);
+    buf.put_u32_le(BLOB_MAGIC);
+    buf.put_u32_le(version);
+    buf.put_u32_le(if slot.is_some() {
+        KIND_SHARD
+    } else {
+        KIND_TAIL
+    });
+    buf.put_u32_le(slot.map_or(0, |p| p.0));
+    buf.put_u64_le(vertices as u64);
+    for (v, label, neighbours) in slice.rows() {
         buf.put_u64_le(v.raw());
-        buf.put_u32_le(slice.label(i).raw());
-        let neighbours = slice.neighbors(i);
+        buf.put_u32_le(label.raw());
         buf.put_u32_le(neighbours.len() as u32);
         for n in neighbours {
             buf.put_u64_le(n.raw());
         }
     }
+    if version == BLOB_V1 {
+        let homes = slice.rows().map(|(v, label, _)| (v, label));
+        match slot {
+            Some(p) => put_v1_sections(&mut buf, &store.border(p), homes),
+            // The tail borders nothing and indexed nothing.
+            None => put_v1_sections(&mut buf, &ShardBorder::default(), std::iter::empty()),
+        }
+    }
+    Some(buf.freeze())
 }
 
 /// Serialize shard `p` of `store` as one contiguous blob. `None` when `p`
 /// is out of range.
 pub fn encode_shard(store: &ShardedStore, p: PartitionId) -> Option<Bytes> {
-    let slice = store.shard_slice(p)?;
-    let shard = store.shard(p)?;
-    let mut buf = BytesMut::with_capacity(64 + slice.len() * 24);
-    buf.put_u32_le(BLOB_MAGIC);
-    buf.put_u32_le(BLOB_VERSION);
-    buf.put_u32_le(KIND_SHARD);
-    buf.put_u32_le(p.0);
-    encode_slice(&mut buf, &slice);
-    put_ids(&mut buf, shard.boundary());
-    put_ids(&mut buf, shard.halo());
-    let mut index: Vec<(Label, &[VertexId])> = shard.label_index().collect();
-    index.sort_by_key(|(l, _)| *l);
-    buf.put_u32_le(index.len() as u32);
-    for (label, members) in index {
-        buf.put_u32_le(label.raw());
-        put_ids(&mut buf, members);
-    }
-    Some(buf.freeze())
+    encode_blob(store, Some(p), BLOB_VERSION)
 }
 
 /// Serialize the unassigned tail of `store`'s arena (vertices the
 /// partitioner had not placed at snapshot time). Always produced, even when
 /// empty, so a checkpoint's blob set has a fixed shape.
 pub fn encode_tail(store: &ShardedStore) -> Bytes {
-    let slice = store.unassigned_slice();
-    let mut buf = BytesMut::with_capacity(64 + slice.len() * 24);
-    buf.put_u32_le(BLOB_MAGIC);
-    buf.put_u32_le(BLOB_VERSION);
-    buf.put_u32_le(KIND_TAIL);
-    buf.put_u32_le(0);
-    encode_slice(&mut buf, &slice);
-    put_ids(&mut buf, &[]);
-    put_ids(&mut buf, &[]);
-    buf.put_u32_le(0);
-    buf.freeze()
+    encode_blob(store, None, BLOB_VERSION).expect("every store has a tail slice")
 }
 
 /// Checked little-endian reader over a byte slice: every accessor verifies
@@ -161,7 +211,7 @@ impl<'a> Reader<'a> {
             .map(|id| VertexId::new(u64::from_le_bytes(id.try_into().expect("8 bytes")))))
     }
 
-    /// Step over a counted id list (the derived indexes a blob carries).
+    /// Step over a counted id list (the derived sections of a v1 blob).
     fn skip_ids(&mut self, what: &str) -> Result<()> {
         let count = self.count(8, what)?;
         self.take(count * 8, what).map(|_| ())
@@ -178,16 +228,28 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode a checkpoint blob produced by [`encode_shard`] or [`encode_tail`]
-/// straight into `arena`: the blob's vertices are appended in the order they
-/// were serialized, homed at the shard the blob names (or nowhere, for the
-/// tail). Returns that shard id, `None` for the tail. The derived indexes
-/// behind the slice (boundary, halo, label index) are walked for structure
-/// only — the loader re-derives them from the arena and proves them equal by
-/// re-encoding. `path` is used only for error reporting.
+/// What a blob's header says it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlobHeader {
+    /// The shard whose slice the blob holds; `None` for the unassigned tail.
+    pub shard: Option<u32>,
+    /// The format version it was written in: what [`UnverifiedCheckpoint`]'s
+    /// proof re-encodes it in.
+    ///
+    /// [`UnverifiedCheckpoint`]: crate::UnverifiedCheckpoint
+    pub version: u32,
+}
+
+/// Decode a checkpoint blob of either format version straight into `arena`:
+/// the blob's vertices are appended in the order they were serialized, homed
+/// at the shard the blob names (or nowhere, for the tail). Returns what the
+/// header said. The derived sections behind a v1 slice are walked for
+/// structure only — the proof re-derives them from the arena and compares
+/// bytes; behind a v2 slice there is nothing, and anything there is refused.
+/// `path` is used only for error reporting.
 ///
 /// On `Err`, `arena` may hold part of the blob and must be discarded.
-pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result<Option<u32>> {
+pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result<BlobHeader> {
     let mut r = Reader::new(bytes, path);
     let magic = r.u32("blob magic")?;
     if magic != BLOB_MAGIC {
@@ -197,7 +259,7 @@ pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result
         ));
     }
     let version = r.u32("blob version")?;
-    if version != BLOB_VERSION {
+    if ![BLOB_V1, BLOB_VERSION].contains(&version) {
         return Err(StoreError::corrupt(
             path,
             format!("unsupported blob version {version}"),
@@ -205,7 +267,7 @@ pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result
     }
     let kind = r.u32("blob kind")?;
     let raw_id = r.u32("shard id")?;
-    let id = match kind {
+    let shard = match kind {
         KIND_SHARD => Some(raw_id),
         KIND_TAIL => None,
         other => {
@@ -215,7 +277,7 @@ pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result
             ));
         }
     };
-    let home = id.map(PartitionId::new);
+    let home = shard.map(PartitionId::new);
     // Minimum 16 bytes per vertex record (id + label + degree).
     let vertex_count = r.count(16, "vertex count")?;
     for _ in 0..vertex_count {
@@ -224,14 +286,16 @@ pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result
         let degree = r.u32("vertex degree")? as usize;
         arena.push_vertex(home, v, label, r.ids(degree, "adjacency")?);
     }
-    r.skip_ids("boundary")?;
-    r.skip_ids("halo")?;
-    for _ in 0..r.u32("label index size")? {
-        r.u32("index label")?;
-        r.skip_ids("index members")?;
+    if version == BLOB_V1 {
+        r.skip_ids("boundary")?;
+        r.skip_ids("halo")?;
+        for _ in 0..r.u32("label index size")? {
+            r.u32("index label")?;
+            r.skip_ids("index members")?;
+        }
     }
     r.finish("blob")?;
-    Ok(id)
+    Ok(BlobHeader { shard, version })
 }
 
 /// Append a batch of stream elements to `buf` as one WAL record payload.
@@ -343,6 +407,24 @@ mod tests {
         ShardedStore::from_parts(&g, &part)
     }
 
+    /// Every blob of `store` in `version`, shards in id order, then the tail.
+    fn blobs(store: &ShardedStore, version: u32) -> Vec<Bytes> {
+        let shards = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
+        shards
+            .chain([None])
+            .map(|slot| encode_blob(store, slot, version).unwrap())
+            .collect()
+    }
+
+    /// Decode `blobs` (arena order) into one arena and prove it sound.
+    fn load(blobs: &[Bytes], shards: u32) -> ShardedStore {
+        let mut arena = ArenaLoader::new(shards);
+        for bytes in blobs {
+            decode_blob(bytes.as_slice(), Path::new("test.blob"), &mut arena).unwrap();
+        }
+        arena.finish().unwrap().check().unwrap()
+    }
+
     #[test]
     fn shard_blobs_roundtrip() {
         let store = fixture();
@@ -353,8 +435,8 @@ mod tests {
             let p = PartitionId::new(p);
             let bytes = encode_shard(&store, p).unwrap();
             let before = arena.vertex_count();
-            let id = decode_blob(bytes.as_slice(), path, &mut arena).unwrap();
-            assert_eq!(id, Some(p.0));
+            let header = decode_blob(bytes.as_slice(), path, &mut arena).unwrap();
+            assert_eq!((header.shard, header.version), (Some(p.0), 2));
             assert_eq!(arena.vertex_count() - before, store.home_vertices(p).len());
             // Determinism: encoding twice yields identical bytes.
             assert_eq!(encode_shard(&store, p).unwrap(), bytes);
@@ -362,37 +444,117 @@ mod tests {
         }
         let before = arena.vertex_count();
         let tail = decode_blob(encode_tail(&store).as_slice(), path, &mut arena).unwrap();
-        assert_eq!(tail, None);
+        assert_eq!((tail.shard, tail.version), (None, 2));
         assert_eq!(arena.vertex_count() - before, 1);
         assert!(encode_shard(&store, PartitionId::new(99)).is_none());
+        // Header + slice, nothing derived: 16 bytes, a count, and a 16-byte
+        // record plus 8 per neighbour for each of shard 0's three vertices
+        // (five arcs between them).
+        assert_eq!(blobs[0].len(), 16 + 8 + 3 * 16 + 5 * 8);
         // What the decoder laid into the arena is the store that was
-        // serialized: same derived indexes, same bytes when re-encoded.
+        // serialized: same borders, same bytes when re-encoded.
         let loaded = arena.finish().unwrap().check().unwrap();
         for (p, bytes) in blobs.iter().enumerate() {
             let p = PartitionId::new(p as u32);
-            let (a, b) = (loaded.shard(p).unwrap(), store.shard(p).unwrap());
-            assert_eq!(a.boundary(), b.boundary());
-            assert_eq!(a.halo(), b.halo());
+            assert_eq!(loaded.border(p), store.border(p));
             assert_eq!(&encode_shard(&loaded, p).unwrap(), bytes);
         }
         assert_eq!(encode_tail(&loaded), encode_tail(&store));
+    }
+
+    /// Shard 0 and the tail of `fixture()` as the last v1 writer (the commit
+    /// before format v2) serialized them, printed from that commit's own
+    /// `encode_shard` / `encode_tail`.
+    const GOLDEN_V1_SHARD_0: [u8; 232] = [
+        68, 72, 83, 76, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0,
+        0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0,
+        0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    const GOLDEN_V1_TAIL: [u8; 68] = [
+        68, 72, 83, 76, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
+    #[test]
+    fn golden_v1_blobs_decode_prove_and_equal_the_v2_round_trip() {
+        let store = fixture();
+        // The v1 encoder kept for the proof writes what the v1 writer wrote.
+        let v1 = blobs(&store, BLOB_V1);
+        assert_eq!(v1[0].as_slice(), GOLDEN_V1_SHARD_0);
+        assert_eq!(v1[3].as_slice(), GOLDEN_V1_TAIL);
+        // The golden bytes decode as version 1 …
+        let mut scratch = ArenaLoader::new(3);
+        let header = decode_blob(&GOLDEN_V1_SHARD_0, Path::new("v1.blob"), &mut scratch).unwrap();
+        assert_eq!((header.shard, header.version), (Some(0), BLOB_V1));
+        assert_eq!(scratch.vertex_count(), 3);
+        // … the arena a v1 root loads into is the arena a v2 root loads into
+        // (versions may even mix within one root) …
+        let v2 = blobs(&store, BLOB_VERSION);
+        let mixed = [v1[0].clone(), v2[1].clone(), v2[2].clone(), v1[3].clone()];
+        let (from_v1, from_v2, from_mixed) = (load(&v1, 3), load(&v2, 3), load(&mixed, 3));
+        for loaded in [&from_v1, &from_mixed] {
+            assert_eq!(blobs(loaded, BLOB_VERSION), blobs(&from_v2, BLOB_VERSION));
+            assert_eq!(blobs(loaded, BLOB_VERSION), v2);
+        }
+        // … and the proof of a v1 blob passes: re-encoded in the version it
+        // was read in, the loaded arena reproduces the golden bytes.
+        let proof = encode_blob(&from_v1, Some(PartitionId::new(0)), header.version).unwrap();
+        assert_eq!(proof.as_slice(), GOLDEN_V1_SHARD_0);
+        assert_eq!(
+            encode_blob(&from_v1, None, BLOB_V1).unwrap().as_slice(),
+            GOLDEN_V1_TAIL
+        );
+    }
+
+    #[test]
+    fn unknown_versions_and_trailing_bytes_are_refused_by_name() {
+        let store = fixture();
+        let detail = |bytes: &[u8]| match decode_blob(
+            bytes,
+            Path::new("test.blob"),
+            &mut ArenaLoader::new(3),
+        ) {
+            Err(StoreError::Corrupt { detail, .. }) => detail,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        let v2 = encode_shard(&store, PartitionId::new(0)).unwrap();
+        let mut v3 = v2.as_slice().to_vec();
+        v3[4] = 3;
+        assert_eq!(detail(&v3), "unsupported blob version 3");
+        // A v2 blob ends with its slice: the sections v1 kept there are not
+        // skipped, they are refused.
+        let mut trailing = v2.as_slice().to_vec();
+        trailing.extend_from_slice(&[0; 8]);
+        assert_eq!(detail(&trailing), "8 trailing bytes after blob");
+        let mut relabelled = GOLDEN_V1_SHARD_0.to_vec();
+        relabelled[4] = 2;
+        assert!(detail(&relabelled).contains("trailing bytes after blob"));
     }
 
     #[test]
     fn blob_decode_rejects_corruption_cleanly() {
         let store = fixture();
         let path = Path::new("test.blob");
-        let bytes = encode_shard(&store, PartitionId::new(0)).unwrap();
-        let full = bytes.as_slice().to_vec();
-        let decode = |bytes: &[u8]| decode_blob(bytes, path, &mut ArenaLoader::new(3));
-        for cut in 0..full.len() {
-            assert!(decode(&full[..cut]).is_err(), "prefix {cut} decoded");
-        }
-        for byte in 0..full.len().min(24) {
-            // Flips in the header/counts region must never panic or OOM.
-            let mut flipped = full.clone();
-            flipped[byte] ^= 0x80;
-            let _ = decode(&flipped);
+        for version in [BLOB_V1, BLOB_VERSION] {
+            let bytes = encode_blob(&store, Some(PartitionId::new(0)), version).unwrap();
+            let full = bytes.as_slice().to_vec();
+            let decode = |bytes: &[u8]| decode_blob(bytes, path, &mut ArenaLoader::new(3));
+            assert!(decode(&full).is_ok());
+            for cut in 0..full.len() {
+                assert!(decode(&full[..cut]).is_err(), "v{version} prefix {cut}");
+            }
+            for byte in 0..full.len().min(24) {
+                // Flips in the header/counts region must never panic or OOM.
+                let mut flipped = full.clone();
+                flipped[byte] ^= 0x80;
+                let _ = decode(&flipped);
+            }
         }
     }
 
@@ -474,7 +636,7 @@ mod tests {
         let store = ShardedStore::from_parts(&g, &part);
         let mut arena = ArenaLoader::new(2);
         let tail = decode_blob(encode_tail(&store).as_slice(), Path::new("t"), &mut arena);
-        assert_eq!(tail.unwrap(), None);
+        assert_eq!(tail.unwrap().shard, None);
         assert_eq!(arena.vertex_count(), 0);
     }
 }

@@ -13,11 +13,15 @@
 //!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling thread** reads
 //!    and decodes the WAL ([`Wal::replay`]) and hands the acknowledged batch
 //!    history to the caller's `replay` closure — the session replays it
-//!    through a fresh partitioner and into its graph mirror there, the only
-//!    step that needs the full history. The split follows the allocator:
-//!    everything that builds a long-lived structure stays on the calling
-//!    thread, the scoped one only reads, so the process does not grow a
-//!    second heap for the length of the recovered session;
+//!    through a fresh partitioner there, the only state no checkpoint holds
+//!    and so the only step that needs the full history. (The session's graph
+//!    mirror does not: it is built once recovery has returned, from the
+//!    arena proven here plus the batches past
+//!    [`RecoveryReport::wal_records_in_checkpoint`] — one replay of the
+//!    history, not two.) The split follows the allocator: everything that
+//!    builds a long-lived structure stays on the calling thread, the scoped
+//!    one only reads, so the process does not grow a second heap for the
+//!    length of the recovered session;
 //! 3. only when both have succeeded is the root touched: the log must hold
 //!    at least the records its checkpoint folded in, and then
 //!    [`Wal::resume_from`] truncates the torn tail — recovery's only write —
@@ -74,24 +78,35 @@ pub struct RecoveredState {
 /// The stage histograms an observed recovery charges, one sample each:
 /// `recover.checkpoint_load` from the first blob read on the calling thread
 /// to the end of the proof on the verifying one, `recover.wal_decode` and
-/// `recover.replay` back to back on the calling thread beside that proof —
-/// so `max(load, decode + replay)` bounds the recovery's wall clock from
-/// below. The default charges nothing and reads no clock.
+/// `recover.replay` back to back on the calling thread beside that proof,
+/// and `recover.mirror` ([`RecoverSpans::mirror`]) on the calling thread
+/// once [`recover_with`] has returned — so `max(load, decode + replay) +
+/// mirror`, and with it `max(load, decode + replay + mirror)`, bounds the
+/// recovery's wall clock from below. The default charges nothing and reads
+/// no clock.
 #[derive(Debug, Default)]
 pub struct RecoverSpans {
     checkpoint_load: Option<Arc<Histogram>>,
     wal_decode: Option<Arc<Histogram>>,
     replay: Option<Arc<Histogram>>,
+    mirror: Option<Arc<Histogram>>,
 }
 
 impl RecoverSpans {
-    /// Resolve the three `recover.*` stage histograms of `telemetry`.
+    /// Resolve the four `recover.*` stage histograms of `telemetry`.
     pub fn resolve(telemetry: &Telemetry) -> Self {
         Self {
             checkpoint_load: Some(telemetry.stage_histogram(stage::RECOVER_CHECKPOINT_LOAD)),
             wal_decode: Some(telemetry.stage_histogram(stage::RECOVER_WAL_DECODE)),
             replay: Some(telemetry.stage_histogram(stage::RECOVER_REPLAY)),
+            mirror: Some(telemetry.stage_histogram(stage::RECOVER_MIRROR)),
         }
+    }
+
+    /// The `recover.mirror` span, for the caller that builds a graph mirror
+    /// out of what [`recover_with`] handed back.
+    pub fn mirror(&self) -> SpanTimer<'_> {
+        SpanTimer::start(self.mirror.as_deref())
     }
 }
 

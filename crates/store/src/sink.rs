@@ -8,7 +8,7 @@
 //! skipped — only the newest epoch is worth a checkpoint, and recovery
 //! replays the WAL regardless.
 
-use crate::checkpoint::{write_checkpoint, CheckpointMeta};
+use crate::checkpoint::{write_and_prune, CheckpointMeta};
 use crate::error::{Result, StoreError};
 use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
 use loom_serve::epoch::{EpochSink, EpochStore, SubscriptionId};
@@ -30,7 +30,9 @@ struct SinkState {
     last_written: u64,
     /// Checkpoints written over the sink's lifetime.
     written: u64,
-    /// The last write failure, if any (surfaced by [`CheckpointSink::wait_idle`]).
+    /// The last failure, if any — a write that did not happen, or a
+    /// superseded checkpoint directory a written one could not prune
+    /// (surfaced by [`CheckpointSink::wait_idle`]).
     last_error: Option<String>,
 }
 
@@ -172,9 +174,14 @@ impl CheckpointSink {
             let mut state = self.state.lock().expect("sink state");
             state.writing = false;
             match result {
-                Ok(Some(meta)) => {
+                Ok(Some((meta, pruned))) => {
                     state.last_written = meta.epoch_seq;
                     state.written += 1;
+                    // The checkpoint stands; what it could not prune is
+                    // reported, and tried again by the next one.
+                    if let Err(e) = pruned {
+                        state.last_error = Some(e.to_string());
+                    }
                 }
                 Ok(None) => {} // stale or already-covered epoch: skipped
                 Err(e) => state.last_error = Some(e.to_string()),
@@ -183,7 +190,9 @@ impl CheckpointSink {
         }
     }
 
-    fn write_current(&self, wal_records: u64) -> Result<Option<CheckpointMeta>> {
+    /// Checkpoint the current epoch unless it is already covered: the
+    /// manifest written, and whether the prune behind it went through.
+    fn write_current(&self, wal_records: u64) -> Result<Option<(CheckpointMeta, Result<()>)>> {
         let Some(epochs) = self.epochs.upgrade() else {
             return Ok(None); // store dropped mid-flight; nothing to snapshot
         };
@@ -197,16 +206,16 @@ impl CheckpointSink {
             .as_ref()
             .map(|t| t.stage_histogram(stage::STORE_CHECKPOINT_WRITE));
         let span = SpanTimer::start(hist.as_deref());
-        let written = write_checkpoint(&self.root, &snapshot, wal_records, &self.spec);
+        let written = write_and_prune(&self.root, &snapshot, wal_records, &self.spec);
         drop(span);
-        let meta = written?;
+        let (meta, pruned) = written?;
         if let Some(t) = &telemetry {
             t.flight().record(FlightKind::CheckpointSealed {
                 epoch: meta.epoch_seq,
                 wal_records: meta.wal_records,
             });
         }
-        Ok(Some(meta))
+        Ok(Some((meta, pruned)))
     }
 }
 

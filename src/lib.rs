@@ -17,8 +17,8 @@
 //! * [`loom_sim`] — the distributed query-execution simulator, the shared
 //!   instrumented pattern matcher and the experiment runner;
 //! * [`loom_serve`] — the concurrent sharded serving engine: partition-major
-//!   CSR shards with boundary halos, a home-shard query router, message-passing
-//!   shard workers behind the wire-shaped
+//!   CSR shards, a home-shard query router, message-passing shard workers
+//!   behind the wire-shaped
 //!   [`ShardTransport`](loom_serve::transport::ShardTransport) channel, and
 //!   ingest-while-serve epoch snapshots;
 //! * [`loom_adapt`] — the adaptation loop: drift detection over the observed

@@ -493,7 +493,10 @@ impl Session {
     /// the partitioner — on `Ok`, the batch survives a crash. Once the
     /// partitioner has it, the batch is applied to the session's
     /// [`LabelledGraph`] mirror on this thread, so the mirror is never behind
-    /// what was acknowledged and nothing has to be drained later.
+    /// what was acknowledged and nothing has to be drained later. The mirror
+    /// is the only copy of the adjacency an ingesting session keeps: every
+    /// checkpoint is frozen from it, and a recovery rebuilds it from the
+    /// newest checkpoint plus the log behind that.
     ///
     /// # Errors
     ///
@@ -701,13 +704,16 @@ impl Session {
     /// into the store's arena and then proven on a thread of its own — arena
     /// invariants, manifest totals, bit identity — while this thread decodes
     /// the WAL and replays the **full** acknowledged batch history through a
-    /// fresh partitioner built from the same configuration, and then — a
-    /// second pass over the same batches, on this thread — into the durable
-    /// graph mirror. Partitioners are deterministic, so the replay
-    /// reproduces the exact pre-crash state, streaming window included;
-    /// serving resumes pinned at the checkpoint's original `epoch_seq`. The
-    /// WAL's torn tail is truncated only once everything above has
-    /// succeeded: a recovery that fails leaves the root as found.
+    /// fresh partitioner built from the same configuration (partitioners are
+    /// deterministic and no checkpoint holds their state, so the replay
+    /// reproduces the exact pre-crash state, streaming window included).
+    /// The durable graph mirror is not replayed from the start: it is the
+    /// graph the proven arena holds, plus the batches the log holds past the
+    /// checkpoint — with no checkpoint, the empty graph plus the whole log;
+    /// one construction either way. Serving resumes pinned at the
+    /// checkpoint's original `epoch_seq`. The WAL's torn tail is truncated
+    /// only once everything that can fail has succeeded: a recovery that
+    /// fails leaves the root as found.
     ///
     /// # Errors
     ///
@@ -728,9 +734,10 @@ impl Session {
             .map(RecoverSpans::resolve)
             .unwrap_or_default();
 
-        // Replay the full history: the WAL covers every acknowledged batch
-        // since the root was created, and batched ingestion is deterministic,
-        // so the fresh partitioner lands in the exact pre-crash state.
+        // Replay the full history through the partitioner: the WAL covers
+        // every acknowledged batch since the root was created, and batched
+        // ingestion is deterministic, so the fresh partitioner lands in the
+        // exact pre-crash state.
         let replay = |meta: Option<&CheckpointMeta>, batches: &[Vec<StreamElement>]| {
             let mut partitioner = builder.make_partitioner()?;
             if let Some(meta) = meta {
@@ -756,15 +763,9 @@ impl Session {
             for batch in batches {
                 partitioner.ingest_batch(batch)?;
             }
-            // The mirror, in a pass of its own: the partitioner's working
-            // set and the graph's do not evict each other batch by batch.
-            let mut graph = LabelledGraph::new();
-            for element in batches.iter().flatten() {
-                graph.apply(element);
-            }
-            Ok((partitioner, graph))
+            Ok(partitioner)
         };
-        let (state, (partitioner, graph)) = loom_store::recover_with(&root, &spans, replay)?;
+        let (state, partitioner) = loom_store::recover_with(&root, &spans, replay)?;
         if let Some(t) = &builder.telemetry {
             if state.report.wal_truncated_bytes > 0 {
                 t.flight().record(FlightKind::WalTruncated {
@@ -774,6 +775,18 @@ impl Session {
         }
 
         let report = state.report;
+        // The mirror: what the checkpoint holds — proven, and shown to be a
+        // prefix of this log — then the batches behind it.
+        let span = spans.mirror();
+        let mut graph = match &state.checkpoint {
+            Some(checkpoint) => checkpoint.store.to_graph(),
+            None => LabelledGraph::new(),
+        };
+        let tail = &state.batches[report.wal_records_in_checkpoint as usize..];
+        for element in tail.iter().flatten() {
+            graph.apply(element);
+        }
+        drop(span);
         let pinned = match state.checkpoint {
             Some(checkpoint) => checkpoint.store,
             None => ShardedStore::from_parts(&graph, &partitioner.snapshot()),

@@ -14,8 +14,9 @@
 //!   pre-crash `epoch_seq` flowing into the serve report;
 //! * **mutation durability** — kill mid-churn (deletes and relabels in
 //!   flight): the recovered state is bit-identical to an uncrashed run,
-//!   deletes included, and a compacted store's checkpoint round-trips with
-//!   every tombstone physically removed;
+//!   deletes included, a compacted store's checkpoint round-trips with
+//!   every tombstone physically removed, and a tombstoned, uncompacted
+//!   epoch checkpoints to exactly what its compaction would;
 //! * **load parity** — a loaded checkpoint is bit-identical to the store
 //!   that was written, and the graph and partitioning derived from it on
 //!   first use equal the originals down to every adjacency list's order;
@@ -23,7 +24,12 @@
 //!   checkpoint folded in is refused, and the root is left untouched;
 //! * **mirror never behind a reader** — every checkpoint, `serve_ingested`
 //!   and recovery sees every acknowledged batch in the graph mirror,
-//!   whatever the batch sizes.
+//!   whatever the batch sizes;
+//! * **recovered mirror ≡ replayed mirror** — a session recovered from
+//!   checkpoint + log tail (or from the log alone), fed the rest of the
+//!   stream and checkpointed, leaves a root byte-identical to one that never
+//!   crashed;
+//! * **pruning** — a root holds its newest checkpoint and one fallback.
 
 use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE,
@@ -465,6 +471,56 @@ fn compacted_store_checkpoints_with_tombstones_physically_removed() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+#[test]
+fn tombstoned_epoch_checkpoints_to_its_compaction() {
+    let root = tmproot("tombstoned-ckpt");
+    std::fs::create_dir_all(&root).unwrap();
+    let run = DeletionChurnScenario {
+        background_vertices: 150,
+        instances: 12,
+        dissolve_fraction: 0.5,
+        relabel_fraction: 0.2,
+        seed: 29,
+    }
+    .build()
+    .unwrap();
+    let mut ldg = LdgPartitioner::new(LdgConfig::new(3, run.graph.vertex_count())).unwrap();
+    let partitioning = partition_stream(&mut ldg, &run.build_stream).unwrap();
+    let store = ShardedStore::from_parts(&run.graph, &partitioning);
+    let tombstoned = store.apply_mutations(&run.dissolve).store.with_epoch(6);
+    assert!(tombstoned.tombstoned_vertices() > 0);
+
+    // The epoch is checkpointed as it stands, tombstones and all: the blobs
+    // carry the live slice only, so what loads is what a compaction leaves.
+    let meta = write_checkpoint(&root, &tombstoned, 3, "test-spec").unwrap();
+    assert_eq!(meta.vertices, run.final_graph.vertex_count() as u64);
+    assert_eq!(meta.edges, run.final_graph.edge_count() as u64);
+    let dir = root.join(CHECKPOINT_DIR).join(format!("{:010}", 6));
+    let loaded = load_checkpoint(&dir).unwrap();
+    assert_bit_identical(&loaded.store, &tombstoned.compact(0.0).store);
+    assert_eq!(loaded.store.tombstoned_vertices(), 0);
+    assert_eq!(loaded.store.check_arena(), Ok(()));
+    let removed = run.dissolve.iter().filter_map(|element| match element {
+        StreamElement::RemoveVertex { id } => Some(*id),
+        _ => None,
+    });
+    for id in removed {
+        assert!(!loaded.graph().contains_vertex(id), "{id} came back");
+    }
+    assert_eq!(
+        loaded.graph().vertices_sorted(),
+        run.final_graph.vertices_sorted()
+    );
+    assert_eq!(
+        loaded.graph().edges_sorted(),
+        run.final_graph.edges_sorted()
+    );
+    for v in run.final_graph.vertices_sorted() {
+        assert_eq!(loaded.graph().label(v), run.final_graph.label(v));
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// The churn scenario's whole stream, cut into batches of 1, 1 024, 1, 1 and
 /// 97 elements over and over: single elements follow a long batch into the
 /// mirror, and the deletes land in batches of every size.
@@ -510,6 +566,12 @@ fn checkpoint_folds_in_every_acknowledged_batch() {
             epoch
         );
         let dir = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
+        // However many epochs are sealed, the root keeps this one and the
+        // one before it.
+        let kept = std::fs::read_dir(root.join(CHECKPOINT_DIR))
+            .unwrap()
+            .count();
+        assert_eq!(kept, 2.min(step + 1), "step {step}");
         let published = load_checkpoint(&dir).unwrap().store;
         let graph = GraphStream::from_elements(prefix.clone()).materialise();
         let expected = ShardedStore::from_parts(&graph, &session.snapshot());
@@ -649,6 +711,155 @@ fn root_image(root: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
     }
     files.sort();
     files
+}
+
+/// [`root_image`] with every path relative to `root`.
+fn relative_image(root: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let relative =
+        |(path, bytes): (PathBuf, Vec<u8>)| (path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+    root_image(root).into_iter().map(relative).collect()
+}
+
+/// Feed `batches` to a durable session that checkpoints after
+/// `checkpoint_after` of them (if at all) and is killed — torn WAL tail and
+/// all — after `crash_after`; recover it, feed it the rest, checkpoint. The
+/// root must come out byte for byte — log, blobs, manifests — as that of a
+/// session that took the same checkpoints and never crashed: whatever the
+/// recovered mirror was built from (the checkpoint's arena plus the log's
+/// tail, or the log alone), and however its slots and blocks came to be laid
+/// out, nothing that is ever written can tell.
+fn assert_recovery_is_unobservable(
+    name: &str,
+    builder: &dyn Fn() -> SessionBuilder,
+    batches: &[Vec<StreamElement>],
+    checkpoint_after: Option<usize>,
+    crash_after: usize,
+) {
+    let wait = Duration::from_secs(30);
+    let seal = |session: &mut Session| {
+        let epoch = session.checkpoint().unwrap();
+        assert_eq!(session.sync_durability(wait).unwrap(), epoch);
+    };
+    let feed = |session: &mut Session, range: std::ops::Range<usize>| {
+        for (at, batch) in batches[range.clone()].iter().enumerate() {
+            session.ingest_batch(batch).unwrap();
+            if checkpoint_after == Some(range.start + at + 1) {
+                seal(session);
+            }
+        }
+    };
+
+    let crashed = tmproot(&format!("{name}-crashed"));
+    let mut session = builder().with_durability(&crashed).build().unwrap();
+    feed(&mut session, 0..crash_after);
+    drop(session);
+    let wal_path = crashed.join("wal.log");
+    let mut raw = std::fs::read(&wal_path).unwrap();
+    raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
+    std::fs::write(&wal_path, &raw).unwrap();
+    let recovered = builder().with_durability(&crashed).recover().unwrap();
+    assert_eq!(recovered.report().wal_records, crash_after as u64);
+    assert_eq!(
+        recovered.report().wal_records_in_checkpoint,
+        checkpoint_after.map_or(0, |c| c as u64)
+    );
+    let mut session = recovered.into_session();
+    feed(&mut session, crash_after..batches.len());
+    seal(&mut session);
+    drop(session);
+
+    let uncrashed = tmproot(&format!("{name}-uncrashed"));
+    let mut session = builder().with_durability(&uncrashed).build().unwrap();
+    feed(&mut session, 0..batches.len());
+    seal(&mut session);
+    drop(session);
+
+    let (a, b) = (relative_image(&crashed), relative_image(&uncrashed));
+    let paths = |image: &[(PathBuf, Vec<u8>)]| -> Vec<PathBuf> {
+        image.iter().map(|(path, _)| path.clone()).collect()
+    };
+    assert_eq!(
+        paths(&a),
+        paths(&b),
+        "{name}: the roots hold different files"
+    );
+    for ((path, crashed), (_, uncrashed)) in a.iter().zip(&b) {
+        assert!(crashed == uncrashed, "{name}: {} differs", path.display());
+    }
+    std::fs::remove_dir_all(&crashed).unwrap();
+    std::fs::remove_dir_all(&uncrashed).unwrap();
+}
+
+#[test]
+fn recovered_mirror_equals_the_replayed_one() {
+    // Insert-only.
+    let graph = social_graph(200, 21);
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+    let inserts: Vec<Vec<StreamElement>> =
+        stream.elements().chunks(37).map(<[_]>::to_vec).collect();
+    let n = inserts.len();
+    assert!(n > 8);
+    let builder = || loom_builder(&graph);
+    assert_recovery_is_unobservable("ins-none", &builder, &inserts, None, n / 2);
+    assert_recovery_is_unobservable("ins-whole", &builder, &inserts, Some(n / 2), n / 2);
+    assert_recovery_is_unobservable("ins-tail", &builder, &inserts, Some(n / 3), n - 2);
+
+    // Churn: the dissolve — RemoveEdge, RemoveVertex, Relabel — and a removed
+    // vertex coming back, all behind the checkpoint, in the log's tail.
+    let run = DeletionChurnScenario::small(31).build().unwrap();
+    let mut churn = churn_batches(&run);
+    let back = run
+        .dissolve
+        .iter()
+        .find_map(|element| match element {
+            StreamElement::RemoveVertex { id } => Some(*id),
+            _ => None,
+        })
+        .expect("the dissolve removes a vertex");
+    let survivor = run.final_graph.vertices_sorted()[0];
+    churn.push(vec![
+        StreamElement::AddVertex {
+            id: back,
+            label: l(1),
+        },
+        StreamElement::AddEdge {
+            source: back,
+            target: survivor,
+        },
+    ]);
+    churn.push(vec![StreamElement::Relabel {
+        id: back,
+        label: l(2),
+    }]);
+    let n = churn.len();
+    let builds = run.build_stream.elements().len();
+    let checkpoint_after = churn
+        .iter()
+        .scan(0, |fed, batch| {
+            *fed += batch.len();
+            Some(*fed)
+        })
+        .position(|fed| fed > builds / 2)
+        .unwrap()
+        + 1;
+    let tail: Vec<&StreamElement> = churn[checkpoint_after..n - 1].iter().flatten().collect();
+    let has = |kind: &dyn Fn(&StreamElement) -> bool| tail.iter().any(|e| kind(e));
+    assert!(has(&|e| matches!(e, StreamElement::RemoveVertex { .. })));
+    assert!(has(&|e| matches!(e, StreamElement::RemoveEdge { .. })));
+    assert!(has(&|e| matches!(e, StreamElement::Relabel { .. })));
+    assert!(has(
+        &|e| matches!(e, StreamElement::AddVertex { id, .. } if *id == back)
+    ));
+    let builder = || churn_builder(&run.graph);
+    assert_recovery_is_unobservable("churn-none", &builder, &churn, None, n - 1);
+    assert_recovery_is_unobservable("churn-whole", &builder, &churn, Some(n - 1), n - 1);
+    assert_recovery_is_unobservable(
+        "churn-tail",
+        &builder,
+        &churn,
+        Some(checkpoint_after),
+        n - 1,
+    );
 }
 
 #[test]

@@ -349,8 +349,15 @@ fn parity_workload() -> Workload {
 
 /// A store's derived state as the matcher sees it, in id space: every live
 /// vertex's arcs as `(neighbour, remote, may match)` under each of the 128
-/// values a tag's label bits can take, and each label's roots in order.
-type DerivedState = (Vec<Vec<(VertexId, bool, bool)>>, Vec<Vec<VertexId>>);
+/// values a tag's label bits can take, each label's roots in order, and —
+/// computed from the slices when asked, never stored — every shard's border
+/// and the replication factor.
+type DerivedState = (
+    Vec<Vec<(VertexId, bool, bool)>>,
+    Vec<Vec<VertexId>>,
+    Vec<ShardBorder>,
+    f64,
+);
 
 /// The derived state of a store next to that of a from-scratch build of its
 /// own live parts.
@@ -373,7 +380,13 @@ fn derived_state_against_a_rebuild(store: &ShardedStore) -> [DerivedState; 2] {
         }
         let roots = |label| store.handles_with_label(Label::new(label));
         let lists = (0..4).map(|label| roots(label).iter().map(|&h| id(h)).collect());
-        (arcs, lists.collect())
+        let borders = (0..store.shard_count()).map(|p| store.border(PartitionId::new(p)));
+        (
+            arcs,
+            lists.collect(),
+            borders.collect(),
+            store.replication_factor(),
+        )
     })
 }
 
@@ -389,8 +402,9 @@ proptest! {
     /// through tombstoning (and from its compaction), or (4) rebuilt from a
     /// WAL round-trip of the full mutation history. Every sharded store on
     /// the way passes `check_arena`, and after the tombstones, after a
-    /// migration and after compaction its arc tags and label lists are
-    /// those of a from-scratch build of its own parts.
+    /// migration and after compaction its arc tags, label lists, shard
+    /// borders and replication factor are those of a from-scratch build of
+    /// its own parts.
     #[test]
     fn mutation_interleavings_preserve_match_parity(
         build_ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..4), 6..40),
@@ -497,7 +511,7 @@ proptest! {
             // Every survivor of shard 0 moves to shard 1, tombstones in tow.
             let movers = tombstoned.shard_slice(PartitionId::new(0)).expect("two shards");
             let moves: Vec<_> =
-                movers.vertices().iter().map(|&v| (v, PartitionId::new(1))).collect();
+                movers.vertices().map(|v| (v, PartitionId::new(1))).collect();
             let migrated = tombstoned.apply_migration(&moves).store;
             prop_assert_eq!(migrated.check_arena(), Ok(()));
             for store in [&tombstoned, &migrated, &compacted] {
