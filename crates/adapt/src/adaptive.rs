@@ -30,11 +30,10 @@ use loom_serve::shard::{record_tombstone_gauges, ShardedStore};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::engine::{QueryEngine, QueryRequest, QueryResponse};
 use loom_sim::plan::PlanCache;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration for [`AdaptiveServing`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
     /// Drift detection parameters.
     pub drift: DriftConfig,
@@ -57,7 +56,7 @@ impl Default for AdaptConfig {
 }
 
 /// What one adaptation pass did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptOutcome {
     /// Total-variation drift that triggered the pass.
     pub drift_before: f64,
@@ -76,7 +75,7 @@ pub struct AdaptOutcome {
 
 /// What one mutation batch ([`AdaptiveServing::apply_mutations`]) did to the
 /// serving state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MutationOutcome {
     /// Vertices tombstoned in the published snapshot.
     pub removed_vertices: usize,
@@ -90,7 +89,7 @@ pub struct MutationOutcome {
 }
 
 /// What one epoch-compaction pass ([`AdaptiveServing::compact_now`]) did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactOutcome {
     /// Shards physically rewritten by the pass.
     pub compacted_shards: usize,

@@ -14,10 +14,9 @@ use loom_graph::fxhash::FxHashMap;
 use loom_graph::Label;
 use loom_motif::workload::Workload;
 use loom_serve::metrics::ServeReport;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`WorkloadTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Multiplicative decay applied to the accumulated histogram before each
     /// new observation batch is folded in (0 = only the latest batch counts,

@@ -5,7 +5,7 @@
 //! the test suite run the same code paths at a fraction of the full size.
 
 use crate::scenarios;
-use loom_core::{workload_registry, FrequentMotifIndex, LoomBuilder};
+use loom_core::{workload_registry, FrequentMotifIndex, LoomConfig, LoomPartitioner};
 use loom_graph::ordering::StreamOrder;
 use loom_graph::{GraphStream, LabelledGraph};
 use loom_motif::fixtures::{fig3_stream_graph, paper_example_workload};
@@ -423,11 +423,13 @@ fn f1(scale: Scale) -> Vec<Table> {
         ],
     );
     for window in [16usize, 64, 256, 1024] {
-        let mut loom = LoomBuilder::new(8, graph.vertex_count())
-            .window_size(window)
-            .motif_threshold(0.3)
-            .build(&tpstry)
-            .expect("valid config");
+        let mut loom = LoomPartitioner::new(
+            LoomConfig::new(8, graph.vertex_count())
+                .with_window_size(window)
+                .with_motif_threshold(0.3),
+            &tpstry,
+        )
+        .expect("valid config");
         let start = Instant::now();
         let partitioning = partition_stream(&mut loom, &stream).expect("stream consumed");
         let elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;
@@ -480,12 +482,13 @@ fn f2(scale: Scale) -> Vec<Table> {
     for threshold in [0.1, 0.3, 0.5, 0.7, 0.9] {
         let index = FrequentMotifIndex::new(&tpstry, threshold);
         let motif_count = index.motif_count();
-        let mut loom = LoomBuilder::new(8, graph.vertex_count())
-            .window_size(256)
-            .motif_threshold(threshold)
-            .share_index(index)
-            .build_with_shared_index()
-            .expect("valid config");
+        let mut loom = LoomPartitioner::with_index(
+            LoomConfig::new(8, graph.vertex_count())
+                .with_window_size(256)
+                .with_motif_threshold(threshold),
+            index,
+        )
+        .expect("valid config");
         let start = Instant::now();
         let partitioning = partition_stream(&mut loom, &stream).expect("stream consumed");
         let elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;
@@ -672,11 +675,13 @@ fn f7(scale: Scale) -> Vec<Table> {
         rows.extend(scenario.run_streaming(&mut ldg, &stream).expect("runs"));
     }
     {
-        let mut loom = LoomBuilder::new(8, graph.vertex_count())
-            .window_size(256)
-            .motif_threshold(0.3)
-            .build(&tpstry)
-            .expect("valid config");
+        let mut loom = LoomPartitioner::new(
+            LoomConfig::new(8, graph.vertex_count())
+                .with_window_size(256)
+                .with_motif_threshold(0.3),
+            &tpstry,
+        )
+        .expect("valid config");
         rows.extend(scenario.run_streaming(&mut loom, &stream).expect("runs"));
     }
     rows.extend(scenario.run_offline_periodic(&stream).expect("runs"));
@@ -724,21 +729,25 @@ fn f8(scale: Scale) -> Vec<Table> {
         let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 9 });
 
         let unverified_matches = {
-            let mut loom = LoomBuilder::new(8, graph.vertex_count())
-                .window_size(256)
-                .motif_threshold(0.3)
-                .build(&tpstry)
-                .expect("valid config");
+            let mut loom = LoomPartitioner::new(
+                LoomConfig::new(8, graph.vertex_count())
+                    .with_window_size(256)
+                    .with_motif_threshold(0.3),
+                &tpstry,
+            )
+            .expect("valid config");
             let _ = partition_stream(&mut loom, &stream).expect("stream consumed");
             loom.loom_stats().motif_matches_found
         };
 
-        let mut loom = LoomBuilder::new(8, graph.vertex_count())
-            .window_size(256)
-            .motif_threshold(0.3)
-            .verify_matches()
-            .build(&tpstry)
-            .expect("valid config");
+        let mut loom = LoomPartitioner::new(
+            LoomConfig::new(8, graph.vertex_count())
+                .with_window_size(256)
+                .with_motif_threshold(0.3)
+                .with_verification(),
+            &tpstry,
+        )
+        .expect("valid config");
         let start = Instant::now();
         let _ = partition_stream(&mut loom, &stream).expect("stream consumed");
         let elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;

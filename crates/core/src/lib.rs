@@ -41,14 +41,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod builder;
 pub mod index;
 pub mod loom;
 pub mod matcher;
 pub mod registry;
 pub mod stats;
 
-pub use builder::LoomBuilder;
 pub use index::FrequentMotifIndex;
 pub use loom::LoomPartitioner;
 pub use loom_partition::spec::LoomConfig;
@@ -57,7 +55,6 @@ pub use stats::LoomStats;
 
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::builder::LoomBuilder;
     pub use crate::index::FrequentMotifIndex;
     pub use crate::loom::LoomPartitioner;
     pub use crate::matcher::{MotifMatch, StreamMotifMatcher};

@@ -72,12 +72,6 @@ impl LoomPartitioner {
         })
     }
 
-    /// Start a fluent [`crate::LoomBuilder`] for `k` partitions over a stream
-    /// of about `expected_vertices` vertices.
-    pub fn builder(k: u32, expected_vertices: usize) -> crate::builder::LoomBuilder {
-        crate::builder::LoomBuilder::new(k, expected_vertices)
-    }
-
     /// The configuration.
     pub fn config(&self) -> &LoomConfig {
         &self.config
@@ -195,8 +189,7 @@ impl LoomPartitioner {
             external.extend_from_slice(self.window.external_neighbours(v));
         }
 
-        let target =
-            Self::choose_partition_for(&self.config, &self.partitioning, &external, cluster.len());
+        let target = Self::choose_partition_for(&self.partitioning, &external, cluster.len());
 
         // Deterministic assignment order.
         let mut members: Vec<VertexId> = cluster.iter().copied().collect();
@@ -222,12 +215,7 @@ impl LoomPartitioner {
         };
         // The lent list goes to the scorer as it is: neighbours that are not
         // (or no longer) assigned count towards no partition.
-        let target = Self::choose_partition_for(
-            &self.config,
-            &self.partitioning,
-            evicted.external_neighbours,
-            1,
-        );
+        let target = Self::choose_partition_for(&self.partitioning, evicted.external_neighbours, 1);
         self.partitioning.assign(vertex, target)?;
         self.matcher.remove_vertices(&[vertex]);
         self.stats.single_vertices_assigned += 1;
@@ -235,33 +223,21 @@ impl LoomPartitioner {
     }
 
     /// LDG partition choice for a list of neighbours (only the assigned ones
-    /// count), placing `incoming` new vertices at once. Honour the
-    /// capacity-penalty ablation switch and prefer partitions that still have
-    /// room for the whole group.
+    /// count), placing `incoming` new vertices at once: prefer a partition
+    /// with room for the whole group; if none has room, fall back to the
+    /// plain LDG choice.
     fn choose_partition_for(
-        config: &LoomConfig,
         partitioning: &Partitioning,
         neighbours: &[VertexId],
         incoming: usize,
     ) -> PartitionId {
-        if config.capacity_penalty {
-            // Prefer a partition with room for the whole group; if none has
-            // room, fall back to the plain LDG choice.
-            partitioning
-                .best_partition(neighbours, None, |p, in_p| {
-                    partitioning
-                        .has_room_for(p, incoming)
-                        .then(|| in_p as f64 * partitioning.capacity_penalty(p))
-                })
-                .unwrap_or_else(|| LdgPartitioner::choose_partition(partitioning, neighbours))
-        } else {
-            // Ablation: pure neighbour-majority greedy, ties to the emptier
-            // partition.
-            let seed = (partitioning.least_loaded(), 0.0);
-            partitioning
-                .best_partition(neighbours, Some(seed), |_, in_p| Some(in_p as f64))
-                .expect("a seeded choice always holds a partition")
-        }
+        partitioning
+            .best_partition(neighbours, None, |p, in_p| {
+                partitioning
+                    .has_room_for(p, incoming)
+                    .then(|| in_p as f64 * partitioning.capacity_penalty(p))
+            })
+            .unwrap_or_else(|| LdgPartitioner::choose_partition(partitioning, neighbours))
     }
 
     /// The shared per-element transition, used by both ingestion paths.

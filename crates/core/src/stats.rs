@@ -1,12 +1,10 @@
 //! Runtime counters for the LOOM partitioner.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing what LOOM did while consuming a stream. Useful both
 /// for the experiment reports and for sanity-checking that the workload-aware
 /// machinery actually engaged (e.g. `motif_matches_found == 0` means the
 /// partitioner degenerated to windowed LDG).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoomStats {
     /// Stream vertices ingested.
     pub vertices_ingested: usize,

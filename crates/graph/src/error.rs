@@ -16,9 +16,11 @@ pub enum GraphError {
     /// A generator was asked for an impossible configuration
     /// (e.g. more edges than a simple graph can hold).
     InvalidGeneratorConfig(String),
-    /// A parse error while reading an edge-list file.
+    /// Malformed input: a torn or corrupt frame, or adjacency lists that do
+    /// not describe one graph.
     Parse {
-        /// 1-based line number of the offending input line.
+        /// 1-based line number of the offending input line; 0 where the
+        /// input has no lines (frames, adjacency lists).
         line: usize,
         /// Description of what went wrong.
         message: String,

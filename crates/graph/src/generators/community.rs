@@ -11,10 +11,9 @@ use crate::error::{GraphError, Result};
 use crate::graph::LabelledGraph;
 use crate::ids::{Label, VertexId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`community_graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommunityConfig {
     /// Total number of vertices (distributed as evenly as possible).
     pub vertices: usize,

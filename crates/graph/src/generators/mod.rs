@@ -32,10 +32,9 @@ use crate::graph::LabelledGraph;
 use crate::ids::Label;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Common knobs shared by the random generators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of vertices to generate.
     pub vertices: usize,

@@ -13,10 +13,9 @@ use crate::error::{GraphError, Result};
 use crate::graph::LabelledGraph;
 use crate::ids::{Label, VertexId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for [`motif_planted_graph`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MotifPlantConfig {
     /// Number of background vertices (labelled uniformly at random).
     pub background_vertices: usize,
@@ -47,7 +46,7 @@ impl Default for MotifPlantConfig {
 }
 
 /// Record of one planted motif instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlantedInstance {
     /// Index of the motif in the `motifs` slice passed to the generator.
     pub motif_index: usize,

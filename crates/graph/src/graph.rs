@@ -50,11 +50,10 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{EdgeKey, Label, VertexId};
 use crate::pool::{List, ListPool};
 use crate::stream::StreamElement;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
 /// One vertex of the slab, or a vacancy on the free list.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     id: VertexId,
     label: Label,
@@ -69,7 +68,7 @@ struct Slot {
 /// Self-loops and parallel edges are rejected: the partitioning model in the
 /// paper treats edges as unordered vertex pairs and a self-loop can never be
 /// cut, so neither contributes anything to the problem.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelledGraph {
     /// Exactly the live vertices.
     slot_of: FxHashMap<VertexId, usize>,
@@ -544,7 +543,7 @@ impl LabelledGraph {
 }
 
 /// A compact statistical summary of a graph, used in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphSummary {
     /// Number of vertices.
     pub vertices: usize,

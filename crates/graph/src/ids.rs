@@ -5,7 +5,6 @@
 //! prevents the classic "which integer is this" bug class while costing
 //! nothing at runtime.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a vertex in a [`crate::LabelledGraph`] or a graph stream.
@@ -13,7 +12,7 @@ use std::fmt;
 /// Ids are dense when produced by [`crate::LabelledGraph::add_vertex`] but the
 /// data structures never rely on density, so externally supplied ids (e.g. from
 /// an edge-list file) work too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct VertexId(pub u64);
 
@@ -62,7 +61,7 @@ impl From<usize> for VertexId {
 /// Labels are small interned integers; the mapping to human-readable names is
 /// kept in a [`crate::LabelInterner`]. The paper's example labels `a`, `b`,
 /// `c`, `d` map to labels `0..4`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct Label(pub u32);
 
@@ -106,7 +105,7 @@ impl From<u32> for Label {
 
 /// An undirected edge between two vertices, stored in normalised (min, max)
 /// order so that `(u, v)` and `(v, u)` compare equal and hash identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeKey {
     /// The smaller endpoint.
     pub lo: VertexId,

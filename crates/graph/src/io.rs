@@ -1,112 +1,12 @@
-//! Edge-list IO and the binary codec substrate.
-//!
-//! Two graph formats are supported:
-//!
-//! * a human-readable text format (`V <id> <label-name>` and `E <id> <id>`
-//!   lines, `#` comments), convenient for fixtures and examples;
-//! * a compact little-endian binary format built on [`bytes`], convenient for
-//!   shipping generated graphs between benchmark runs.
-//!
-//! The module additionally provides the checksummed-frame primitives the
-//! durability layer (`loom-store`) builds its write-ahead log and checkpoint
-//! blobs on: [`crc32`] (CRC-32/ISO-HDLC) and the
-//! [`seal_frame`]/[`take_frame`] length-prefixed frame codec. A frame is
+//! The checksummed-frame primitives the durability layer (`loom-store`)
+//! builds its write-ahead log and checkpoint blobs on: [`crc32`]
+//! (CRC-32/ISO-HDLC) and the [`seal_frame`]/[`take_frame`] length-prefixed
+//! frame codec. A frame is
 //! `[len: u32 le][crc32(payload): u32 le][payload]`; a reader that hits a
 //! torn or bit-flipped frame gets a clean `Err` with nothing consumed, so a
 //! torn log tail can be truncated at the last good frame boundary.
 
 use crate::error::{GraphError, Result};
-use crate::graph::LabelledGraph;
-use crate::ids::{Label, VertexId};
-use crate::labels::LabelInterner;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{BufRead, Write};
-
-/// Write a graph as text. Vertices first (in sorted id order), then edges.
-pub fn write_text<W: Write>(
-    graph: &LabelledGraph,
-    interner: &LabelInterner,
-    writer: &mut W,
-) -> Result<()> {
-    writeln!(writer, "# loom graph: {} ", graph.summary())?;
-    for v in graph.vertices_sorted() {
-        let label = graph.label(v).expect("sorted vertex exists");
-        let name = interner
-            .name(label)
-            .map(str::to_owned)
-            .unwrap_or_else(|| label.raw().to_string());
-        writeln!(writer, "V {} {}", v.raw(), name)?;
-    }
-    for e in graph.edges_sorted() {
-        writeln!(writer, "E {} {}", e.lo.raw(), e.hi.raw())?;
-    }
-    Ok(())
-}
-
-/// Read a graph from the text format produced by [`write_text`].
-///
-/// Unknown label names are interned on the fly.
-pub fn read_text<R: BufRead>(reader: R, interner: &mut LabelInterner) -> Result<LabelledGraph> {
-    let mut graph = LabelledGraph::new();
-    for (line_no, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        let lineno = line_no + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let kind = parts.next().unwrap_or_default();
-        match kind {
-            "V" | "v" => {
-                let id = parse_u64(parts.next(), lineno, "vertex id")?;
-                let name = parts.next().ok_or_else(|| GraphError::Parse {
-                    line: lineno,
-                    message: "missing vertex label".into(),
-                })?;
-                let label = interner.intern(name);
-                graph.insert_vertex(VertexId::new(id), label);
-            }
-            "E" | "e" => {
-                let a = parse_u64(parts.next(), lineno, "edge source")?;
-                let b = parse_u64(parts.next(), lineno, "edge target")?;
-                graph
-                    .add_edge_idempotent(VertexId::new(a), VertexId::new(b))
-                    .map_err(|e| GraphError::Parse {
-                        line: lineno,
-                        message: e.to_string(),
-                    })?;
-            }
-            other => {
-                return Err(GraphError::Parse {
-                    line: lineno,
-                    message: format!("unknown record type {other:?}"),
-                });
-            }
-        }
-    }
-    Ok(graph)
-}
-
-fn parse_u64(token: Option<&str>, line: usize, what: &str) -> Result<u64> {
-    let token = token.ok_or_else(|| GraphError::Parse {
-        line,
-        message: format!("missing {what}"),
-    })?;
-    token.parse::<u64>().map_err(|_| GraphError::Parse {
-        line,
-        message: format!("invalid {what}: {token:?}"),
-    })
-}
-
-const BINARY_MAGIC: u32 = 0x4C4F_4F4D; // "LOOM"
-const BINARY_VERSION: u32 = 1;
-
-/// Bytes per serialized vertex record (`u64` id + `u32` label).
-const VERTEX_RECORD_BYTES: u64 = 12;
-/// Bytes per serialized edge record (two `u64` endpoints).
-const EDGE_RECORD_BYTES: u64 = 16;
-
 /// Lookup tables for the reflected CRC-32 polynomial `0xEDB88320`
 /// (CRC-32/ISO-HDLC, the zlib/Ethernet checksum), built at compile time.
 /// `CRC32_TABLES[0]` is the classic byte-at-a-time table; `CRC32_TABLES[k]`
@@ -244,218 +144,9 @@ pub fn take_frame<'a>(bytes: &mut &'a [u8], max_len: usize) -> Result<Option<&'a
     Ok(Some(payload))
 }
 
-/// Serialise a graph into the compact binary format.
-pub fn to_binary(graph: &LabelledGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + graph.vertex_count() * 12 + graph.edge_count() * 16);
-    buf.put_u32_le(BINARY_MAGIC);
-    buf.put_u32_le(BINARY_VERSION);
-    buf.put_u64_le(graph.vertex_count() as u64);
-    buf.put_u64_le(graph.edge_count() as u64);
-    for v in graph.vertices_sorted() {
-        buf.put_u64_le(v.raw());
-        buf.put_u32_le(graph.label(v).expect("vertex exists").raw());
-    }
-    for e in graph.edges_sorted() {
-        buf.put_u64_le(e.lo.raw());
-        buf.put_u64_le(e.hi.raw());
-    }
-    buf.freeze()
-}
-
-/// Deserialise a graph from the binary format produced by [`to_binary`].
-pub fn from_binary(mut bytes: Bytes) -> Result<LabelledGraph> {
-    let need = |remaining: usize, want: usize| -> Result<()> {
-        if remaining < want {
-            Err(GraphError::Parse {
-                line: 0,
-                message: "binary graph truncated".into(),
-            })
-        } else {
-            Ok(())
-        }
-    };
-    need(bytes.remaining(), 24)?;
-    let magic = bytes.get_u32_le();
-    let version = bytes.get_u32_le();
-    if magic != BINARY_MAGIC {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!("bad magic 0x{magic:08x}"),
-        });
-    }
-    if version != BINARY_VERSION {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!("unsupported binary version {version}"),
-        });
-    }
-    let vertex_count = bytes.get_u64_le();
-    let edge_count = bytes.get_u64_le();
-    // Checked arithmetic throughout: a bit-flipped count must produce a clean
-    // parse error, never a wrapped length check (which would let the record
-    // loop underflow the buffer) or an attempt to reserve petabytes.
-    let body = vertex_count
-        .checked_mul(VERTEX_RECORD_BYTES)
-        .and_then(|v| edge_count.checked_mul(EDGE_RECORD_BYTES).map(|e| (v, e)))
-        .and_then(|(v, e)| v.checked_add(e))
-        .and_then(|total| usize::try_from(total).ok())
-        .ok_or_else(|| GraphError::Parse {
-            line: 0,
-            message: format!(
-                "implausible binary graph header: {vertex_count} vertices, {edge_count} edges"
-            ),
-        })?;
-    need(bytes.remaining(), body)?;
-    // The length check above bounds both counts by the actual payload size,
-    // so these casts cannot truncate and the reservations cannot exceed it.
-    let (vertex_count, edge_count) = (vertex_count as usize, edge_count as usize);
-    let mut graph = LabelledGraph::with_capacity(vertex_count, edge_count);
-    for _ in 0..vertex_count {
-        let id = bytes.get_u64_le();
-        let label = bytes.get_u32_le();
-        graph.insert_vertex(VertexId::new(id), Label::new(label));
-    }
-    for _ in 0..edge_count {
-        let a = bytes.get_u64_le();
-        let b = bytes.get_u64_le();
-        graph
-            .add_edge_idempotent(VertexId::new(a), VertexId::new(b))
-            .map_err(|e| GraphError::Parse {
-                line: 0,
-                message: e.to_string(),
-            })?;
-    }
-    Ok(graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{barabasi_albert, GeneratorConfig};
-
-    fn sample() -> (LabelledGraph, LabelInterner) {
-        let g = barabasi_albert(GeneratorConfig::new(60, 4, 5), 2).unwrap();
-        (g, LabelInterner::with_alphabet(4))
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let (g, interner) = sample();
-        let mut buffer = Vec::new();
-        write_text(&g, &interner, &mut buffer).unwrap();
-        let mut interner2 = LabelInterner::new();
-        let parsed = read_text(std::io::Cursor::new(buffer), &mut interner2).unwrap();
-        assert_eq!(parsed.vertex_count(), g.vertex_count());
-        assert_eq!(parsed.edges_sorted(), g.edges_sorted());
-        for v in g.vertices_sorted() {
-            let original = interner.name(g.label(v).unwrap()).unwrap();
-            let roundtrip = interner2.name(parsed.label(v).unwrap()).unwrap();
-            assert_eq!(original, roundtrip);
-        }
-    }
-
-    #[test]
-    fn text_parse_errors_carry_line_numbers() {
-        let mut interner = LabelInterner::new();
-        let bad = "V 0 a\nX nonsense\n";
-        let err = read_text(std::io::Cursor::new(bad.as_bytes()), &mut interner).unwrap_err();
-        match err {
-            GraphError::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
-        }
-        let missing = "V 0\n";
-        assert!(read_text(std::io::Cursor::new(missing.as_bytes()), &mut interner).is_err());
-        let bad_id = "V zero a\n";
-        assert!(read_text(std::io::Cursor::new(bad_id.as_bytes()), &mut interner).is_err());
-    }
-
-    #[test]
-    fn comments_and_blank_lines_are_ignored() {
-        let mut interner = LabelInterner::new();
-        let text = "# header\n\nV 0 a\nV 1 b\nE 0 1\n";
-        let g = read_text(std::io::Cursor::new(text.as_bytes()), &mut interner).unwrap();
-        assert_eq!(g.vertex_count(), 2);
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let (g, _) = sample();
-        let bytes = to_binary(&g);
-        let parsed = from_binary(bytes).unwrap();
-        assert_eq!(parsed.vertex_count(), g.vertex_count());
-        assert_eq!(parsed.edges_sorted(), g.edges_sorted());
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(from_binary(Bytes::from_static(b"nope")).is_err());
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0xDEADBEEF);
-        buf.put_u32_le(1);
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        assert!(from_binary(buf.freeze()).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_every_truncation_cleanly() {
-        let (g, _) = sample();
-        let full = to_binary(&g).as_slice().to_vec();
-        // Every strict prefix must parse to Err — never panic, never Ok.
-        for cut in 0..full.len() {
-            let truncated = Bytes::from(full[..cut].to_vec());
-            assert!(
-                from_binary(truncated).is_err(),
-                "prefix of {cut}/{} bytes parsed",
-                full.len()
-            );
-        }
-    }
-
-    #[test]
-    fn binary_survives_single_bit_flips() {
-        // Deterministic fuzz: flip one bit at a time across the whole blob.
-        // Any outcome is acceptable except a panic or an inconsistent graph;
-        // flips inside the counts/ids frequently *must* error, which the
-        // truncation maths has to survive without overflow.
-        let (g, _) = sample();
-        let full = to_binary(&g).as_slice().to_vec();
-        let mut parsed_ok = 0usize;
-        for byte in 0..full.len() {
-            for bit in 0..8 {
-                let mut flipped = full.clone();
-                flipped[byte] ^= 1 << bit;
-                if let Ok(parsed) = from_binary(Bytes::from(flipped)) {
-                    // Internally consistent even when the flip was benign
-                    // enough to parse (e.g. inside a label value).
-                    assert!(parsed.vertex_count() >= 1);
-                    parsed_ok += 1;
-                }
-            }
-        }
-        // Most flips corrupt structure; a handful only perturb payloads.
-        assert!(parsed_ok < full.len() * 8);
-    }
-
-    #[test]
-    fn binary_rejects_huge_counts_without_allocating() {
-        // A header promising u64::MAX vertices used to overflow the length
-        // check (wrapping to a small number) and then OOM in with_capacity.
-        for (v, e) in [
-            (u64::MAX, 0),
-            (0, u64::MAX),
-            (u64::MAX / 8, u64::MAX / 8),
-            (1 << 60, 1),
-        ] {
-            let mut buf = BytesMut::new();
-            buf.put_u32_le(super::BINARY_MAGIC);
-            buf.put_u32_le(super::BINARY_VERSION);
-            buf.put_u64_le(v);
-            buf.put_u64_le(e);
-            assert!(from_binary(buf.freeze()).is_err(), "({v}, {e}) accepted");
-        }
-    }
 
     #[test]
     fn crc32_matches_the_reference_vector() {

@@ -7,17 +7,15 @@
 
 use crate::fxhash::FxHashMap;
 use crate::ids::Label;
-use serde::{Deserialize, Serialize};
 
 /// A bidirectional map between label names and compact [`Label`] ids.
 ///
 /// Interning is append-only: a name, once interned, keeps its id for the
 /// lifetime of the interner, which keeps ids stable across the whole
 /// experiment pipeline.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelInterner {
     names: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<String, Label>,
 }
 
@@ -80,17 +78,6 @@ impl LabelInterner {
             .enumerate()
             .map(|(i, name)| (Label::new(i as u32), name.as_str()))
     }
-
-    /// Rebuild the name → id index (needed after deserialisation, where the
-    /// reverse index is skipped).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), Label::new(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -134,15 +121,6 @@ mod tests {
                 (2, "c".to_owned())
             ]
         );
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut interner = LabelInterner::with_alphabet(3);
-        interner.index.clear();
-        assert_eq!(interner.get("a"), None);
-        interner.rebuild_index();
-        assert_eq!(interner.get("a"), Some(Label::new(0)));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * the graph *stream* abstraction and the stream orderings the paper
 //!   discusses (random, BFS, DFS, adversarial, stochastic) ([`stream`],
 //!   [`ordering`]),
-//! * simple text / binary edge-list IO ([`io`]).
+//! * the checksummed-frame primitives the durability layer builds on ([`io`]).
 //!
 //! Everything is deterministic given an explicit seed; nothing in this crate
 //! performs global introspection that would not be available to a streaming

@@ -13,10 +13,9 @@ use crate::traversal::{bfs_order, dfs_order};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the vertices of a graph are ordered into a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamOrder {
     /// Uniform random permutation of the vertices.
     Random {

@@ -17,11 +17,10 @@
 //! 2³² ids (32 GiB); growing past that is a panic, never a wrapped offset.
 
 use crate::ids::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// A list of vertex ids in a [`ListPool`] block. The empty list owns no
 /// block.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct List {
     start: u32,
     len: u32,
@@ -48,7 +47,7 @@ impl List {
 
 /// The arena behind every list, with a free list of blocks per power-of-two
 /// size.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ListPool {
     arena: Vec<VertexId>,
     /// `free[c]` holds the starts of the unused blocks of `MIN_BLOCK << c`

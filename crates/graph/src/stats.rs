@@ -7,10 +7,9 @@
 
 use crate::fxhash::FxHashSet;
 use crate::graph::LabelledGraph;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a graph's degree distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Minimum degree.
     pub min: usize,

@@ -14,10 +14,9 @@ use crate::fxhash::FxHashSet;
 use crate::graph::LabelledGraph;
 use crate::ids::{EdgeKey, Label, VertexId};
 use crate::ordering::StreamOrder;
-use serde::{Deserialize, Serialize};
 
 /// One element of a graph stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamElement {
     /// A new vertex arriving with its label.
     AddVertex {
@@ -95,7 +94,7 @@ impl StreamElement {
 /// added: a remove followed by a re-add of the same id counts once, and
 /// removals/relabels never inflate them — they are capacity hints for
 /// materialisation, not a live size (replay the stream for that).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GraphStream {
     elements: Vec<StreamElement>,
     seen_vertices: FxHashSet<VertexId>,

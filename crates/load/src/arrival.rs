@@ -9,11 +9,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// How inter-arrival gaps are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Exponential inter-arrival gaps (a Poisson process): the memoryless
     /// arrivals of independent users, with bursts — the realistic choice.

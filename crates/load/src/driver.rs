@@ -20,12 +20,11 @@ use loom_motif::workload::Workload;
 use loom_obs::{stage, Histogram};
 use loom_serve::{Admission, Completion, ServeEngine, ServeReport, ShardedStore};
 use loom_sim::engine::QueryRequest;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything one capacity run needs beyond the engine and workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadConfig {
     /// The offered-RPS ramp.
     pub ramp: RampSchedule,
@@ -133,7 +132,7 @@ impl LoadConfig {
 }
 
 /// One measured ramp against one engine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityRun {
     /// The arrival process driven.
     pub process: ArrivalProcess,

@@ -8,10 +8,9 @@
 //! detector checks both.
 
 use crate::report::StepMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Knee-detection thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaturationDetector {
     /// A step is saturated when `achieved < min_achieved_ratio × offered`.
     pub min_achieved_ratio: f64,
@@ -78,7 +77,7 @@ impl SaturationDetector {
 }
 
 /// What tripped saturation at the knee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KneeReason {
     /// Achieved RPS fell below the configured fraction of offered.
     AchievedFlattened,
@@ -100,7 +99,7 @@ impl KneeReason {
 }
 
 /// A detected saturation knee.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knee {
     /// The last offered rate the system kept up with (a lower bound when
     /// the ramp never saturated).

@@ -6,11 +6,10 @@
 //! offered rate by a fixed increment, stop at the ceiling, and measure each
 //! step long enough for queues to reach their step-local behaviour.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One ramp: an arithmetic sequence of offered-RPS steps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampSchedule {
     /// Offered RPS of the first step.
     pub initial_rps: f64,
@@ -65,7 +64,7 @@ impl RampSchedule {
 }
 
 /// One step of a ramp: offer `offered_rps` for `duration`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepSpec {
     /// Position in the ramp, from 0.
     pub index: usize,

@@ -2,11 +2,10 @@
 //! human-readable text report over them.
 
 use crate::driver::CapacityRun;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Everything measured over one ramp step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepMetrics {
     /// Position in the ramp, from 0.
     pub index: usize,

@@ -20,10 +20,9 @@ use crate::workload::Workload;
 use loom_graph::fxhash::FxHashSet;
 use loom_graph::ids::EdgeKey;
 use loom_graph::{LabelledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the motif miner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotifMiner {
     /// Largest motif (in vertices) that will be inserted into the trie.
     pub max_motif_vertices: usize,

@@ -5,8 +5,6 @@
 //! deterministic sieve and the mapping from vertex labels and (unordered)
 //! label pairs to distinct primes.
 
-use serde::{Deserialize, Serialize};
-
 /// Generate the first `count` prime numbers with a simple growing sieve.
 pub fn first_primes(count: usize) -> Vec<u64> {
     if count == 0 {
@@ -40,7 +38,7 @@ pub fn first_primes(count: usize) -> Vec<u64> {
 
 /// Deterministic assignment of primes to vertex labels and unordered label
 /// pairs, for a fixed label alphabet size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabelPrimes {
     label_count: u32,
     vertex_primes: Vec<u64>,

@@ -8,12 +8,9 @@
 
 use crate::error::{MotifError, Result};
 use loom_graph::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a query within a workload.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct QueryId(pub u32);
 
@@ -36,7 +33,7 @@ impl std::fmt::Display for QueryId {
 }
 
 /// A sub-graph pattern matching query: a connected labelled graph plus an id.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PatternQuery {
     id: QueryId,
     graph: LabelledGraph,

@@ -22,11 +22,10 @@
 use crate::error::{MotifError, Result};
 use crate::primes::LabelPrimes;
 use loom_graph::{Label, LabelledGraph};
-use serde::{Deserialize, Serialize};
 
 /// Mapping from labels / label pairs to prime factors, shared by every
 /// signature in a pipeline. Wraps [`LabelPrimes`] with error reporting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrimeTable {
     primes: LabelPrimes,
 }
@@ -81,7 +80,7 @@ impl PrimeTable {
 
 /// A multiplicative graph signature: a sorted multiset of prime factors plus
 /// a 128-bit wrapping product used for fast equality short-circuiting.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Signature {
     /// Sorted prime factors with multiplicity.
     factors: Vec<u64>,

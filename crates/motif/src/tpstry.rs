@@ -25,10 +25,9 @@ use crate::query::QueryId;
 use crate::signature::{PrimeTable, Signature};
 use loom_graph::fxhash::{FxHashMap, FxHashSet};
 use loom_graph::{Label, LabelledGraph};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a motif node within a [`Tpstry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct MotifId(pub u32);
 

@@ -11,7 +11,6 @@ use crate::query::{PatternQuery, QueryId};
 use loom_graph::Label;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A workload `Q`: pattern queries plus normalised relative frequencies.
 #[derive(Debug, Clone)]
@@ -136,7 +135,7 @@ impl Workload {
 }
 
 /// The shape of a generated query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryShape {
     /// A label path.
     Path,
@@ -148,7 +147,7 @@ pub enum QueryShape {
 
 /// Generator for synthetic workloads with shared motifs and skewed
 /// frequencies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
     /// Number of queries to generate.
     pub query_count: usize,

@@ -10,7 +10,6 @@
 
 use crate::hist::HistogramSnapshot;
 use crate::registry::{RegistrySnapshot, SeriesKey};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -18,7 +17,7 @@ use std::fmt::Write as _;
 const QUANTILES: &[(f64, &str)] = &[(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")];
 
 /// A point-in-time copy of every series in a telemetry registry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Microseconds since the owning [`Telemetry`](crate::Telemetry) was
     /// created.
@@ -185,7 +184,7 @@ impl TelemetrySnapshot {
 }
 
 /// What changed between two snapshots of one registry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryDelta {
     /// Interval length in microseconds.
     pub interval_us: u64,

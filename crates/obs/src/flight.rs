@@ -9,7 +9,6 @@
 //! ring at that instant, tagged with the trigger, turning an opaque
 //! `rejected: usize` counter into a diagnosable timeline.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +19,7 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
 /// What happened. Every variant is compact plain data — recording never
 /// allocates beyond the ring slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A routed request entered admission for a shard's queue.
     Admitted {
@@ -148,7 +147,7 @@ impl fmt::Display for FlightKind {
 
 /// One recorded event: a monotone sequence number, a recorder-relative
 /// timestamp, and the structured payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Monotone event sequence (survives ring eviction, so gaps in a dump
     /// reveal how much history was evicted).
@@ -166,7 +165,7 @@ impl fmt::Display for FlightEvent {
 }
 
 /// A latched copy of the ring: the timeline leading up to a trigger.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightDump {
     /// Why the dump was latched (static trigger description).
     pub reason: &'static str,

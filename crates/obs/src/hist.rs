@@ -21,7 +21,6 @@
 //! no locks, no allocation — so the hot serving path can afford one per
 //! query.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-buckets per octave (`2^SUB_BITS`).
@@ -196,7 +195,7 @@ impl Histogram {
 /// the shared layout merge and subtract bucket-wise, which is how interval
 /// (scrape-to-scrape) quantiles are produced without resetting the live
 /// series.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Sparse `(bucket index, count)` pairs, ascending by index.
     pub buckets: Vec<(u32, u64)>,

@@ -11,7 +11,6 @@
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 pub type Label = (&'static str, String);
 
 /// A series address: static metric id plus ordered label set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeriesKey {
     /// The metric id (dotted stage-style name, e.g. `serve.execute`).
     pub name: &'static str,
@@ -193,7 +192,7 @@ impl MetricRegistry {
 }
 
 /// A detached copy of every series in a [`MetricRegistry`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// Counter series, sorted by key.
     pub counters: Vec<(SeriesKey, u64)>,

@@ -18,10 +18,9 @@ use crate::error::{PartitionError, Result};
 use crate::partition::{PartitionId, Partitioning};
 use crate::pending::{PendingVertexPartitioner, PlacementRule};
 use loom_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`FennelPartitioner`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FennelConfig {
     /// Number of partitions.
     pub k: u32,

@@ -10,10 +10,9 @@ use crate::error::Result;
 use crate::partition::{PartitionId, Partitioning};
 use crate::traits::{Partitioner, PartitionerStats};
 use loom_graph::StreamElement;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`HashPartitioner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashConfig {
     /// Number of partitions.
     pub k: u32,

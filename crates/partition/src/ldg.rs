@@ -20,10 +20,9 @@ use crate::partition::{PartitionId, Partitioning};
 use crate::pending::{PendingVertexPartitioner, PlacementRule};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`LdgPartitioner`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LdgConfig {
     /// Number of partitions.
     pub k: u32,

@@ -23,7 +23,7 @@
 //!   implementation, per element or in chunks;
 //! * [`spec`] — the declarative [`PartitionerSpec`] / [`PartitionerRegistry`]
 //!   layer that builds any partitioner as a `Box<dyn Partitioner>` from plain
-//!   serde data;
+//!   data;
 //! * [`hash`] — hash partitioning (the default placement strategy of
 //!   distributed graph stores, the paper's strawman);
 //! * [`pending`] — the one-pending-vertex stream driver (buffer a vertex,

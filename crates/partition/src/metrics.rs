@@ -10,10 +10,9 @@
 use crate::partition::{PartitionId, Partitioning};
 use loom_graph::fxhash::FxHashSet;
 use loom_graph::{LabelledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated quality figures for a partitioning of a specific graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Number of vertices assigned.
     pub assigned_vertices: usize,

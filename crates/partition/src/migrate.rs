@@ -22,10 +22,9 @@ use crate::error::Result;
 use crate::partition::{PartitionId, Partitioning};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, LabelledGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`MigrationPlanner`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationConfig {
     /// Maximum vertex moves per planning round (the migration budget).
     pub max_moves: usize,
@@ -83,7 +82,7 @@ impl Default for MigrationConfig {
 }
 
 /// One planned vertex move.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VertexMove {
     /// The vertex to move.
     pub vertex: VertexId,
@@ -97,7 +96,7 @@ pub struct VertexMove {
 }
 
 /// A bounded batch of vertex moves, ordered best-gain first.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationPlan {
     /// The planned moves, sorted by descending gain.
     pub moves: Vec<VertexMove>,

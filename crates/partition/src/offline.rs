@@ -25,10 +25,9 @@ use loom_graph::{LabelledGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the multilevel partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultilevelConfig {
     /// Number of partitions.
     pub k: u32,

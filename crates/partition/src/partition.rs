@@ -9,12 +9,9 @@
 use crate::error::{PartitionError, Result};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a partition (`0..k`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct PartitionId(pub u32);
 
@@ -38,7 +35,7 @@ impl std::fmt::Display for PartitionId {
 
 /// A (possibly partial) assignment of vertices to `k` partitions with a
 /// per-partition capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partitioning {
     k: u32,
     capacity: usize,

@@ -1,6 +1,6 @@
 //! Declarative partitioner specifications and the builder registry.
 //!
-//! A [`PartitionerSpec`] is plain serde-compatible data describing *which*
+//! A [`PartitionerSpec`] is plain `Copy` data describing *which*
 //! partitioner to run with *which* parameters — the FDB-style declarative
 //! layer over the fixed engines. Benches, the experiment runner and the
 //! top-level `loom::Session` façade construct partitioners from specs via a
@@ -19,12 +19,11 @@ use crate::fennel::{FennelConfig, FennelPartitioner};
 use crate::hash::{HashConfig, HashPartitioner};
 use crate::ldg::{LdgConfig, LdgPartitioner};
 use crate::traits::Partitioner;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the workload-aware LOOM partitioner (built by
 /// `loom-core`'s `LoomPartitioner`; the config lives here so the declarative
 /// [`PartitionerSpec`] layer can describe every partitioner in one enum).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoomConfig {
     /// Number of partitions `k`.
     pub k: u32,
@@ -45,9 +44,6 @@ pub struct LoomConfig {
     /// Ablation switch: when `false` LOOM ignores motifs entirely and behaves
     /// as windowed LDG.
     pub motif_clustering: bool,
-    /// Ablation switch: when `false` the LDG capacity penalty is dropped from
-    /// the cluster placement score (pure neighbour-count greedy).
-    pub capacity_penalty: bool,
     /// Ablation switch: when `false` only the match containing the evicted
     /// vertex is co-assigned, instead of the transitive union of overlapping
     /// matches.
@@ -77,7 +73,6 @@ impl LoomConfig {
             motif_threshold: 0.4,
             max_cluster_size: 32,
             motif_clustering: true,
-            capacity_penalty: true,
             merge_overlapping: true,
             split_oversized_clusters: true,
             verify_matches: false,
@@ -116,13 +111,6 @@ impl LoomConfig {
     #[must_use]
     pub fn without_motif_clustering(mut self) -> Self {
         self.motif_clustering = false;
-        self
-    }
-
-    /// Disable the capacity penalty in cluster scoring (ablation).
-    #[must_use]
-    pub fn without_capacity_penalty(mut self) -> Self {
-        self.capacity_penalty = false;
         self
     }
 
@@ -183,9 +171,9 @@ impl LoomConfig {
     }
 }
 
-/// Which partitioner to run, with its full configuration — serde-compatible
-/// plain data, so experiment configs can carry it declaratively.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Which partitioner to run, with its full configuration — plain data, so
+/// experiment configs can carry it declaratively.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PartitionerSpec {
     /// Hash placement (the distributed-store default strawman).
     Hash(HashConfig),
@@ -422,7 +410,6 @@ mod tests {
             .with_slack(1.5)
             .with_max_cluster_size(10)
             .without_motif_clustering()
-            .without_capacity_penalty()
             .without_overlap_merging()
             .without_cluster_splitting()
             .with_verification();
@@ -431,7 +418,6 @@ mod tests {
         assert!((config.slack - 1.5).abs() < 1e-12);
         assert_eq!(config.max_cluster_size, 10);
         assert!(!config.motif_clustering);
-        assert!(!config.capacity_penalty);
         assert!(!config.merge_overlapping);
         assert!(!config.split_oversized_clusters);
         assert!(config.verify_matches);

@@ -24,7 +24,6 @@
 use crate::error::Result;
 use crate::partition::Partitioning;
 use loom_graph::{GraphStream, StreamElement};
-use serde::{Deserialize, Serialize};
 
 /// Default chunk size used by [`partition_stream`] when driving a stream
 /// through a partitioner batch-wise.
@@ -35,7 +34,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 256;
 /// Implementations with richer internals (LOOM) expose their detailed
 /// counters through inherent methods; this report is the common denominator
 /// the experiment harness can rely on for any `Box<dyn Partitioner>`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionerStats {
     /// Stream vertices ingested so far.
     pub vertices_ingested: usize,

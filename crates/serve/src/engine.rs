@@ -90,7 +90,7 @@ use loom_motif::workload::Workload;
 use loom_obs::{stage, Counter, FlightKind, Telemetry};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::engine::{request_schedule, resolve_schedule_plans, QueryRequest, QueryResponse};
-use loom_sim::executor::{ExecutionMetrics, LatencyModel, QueryMode};
+use loom_sim::executor::{ExecutionMetrics, QueryMode};
 use loom_sim::matcher::Embedding;
 use loom_sim::plan::{PlanCache, QueryPlan};
 use std::collections::{HashMap, VecDeque};
@@ -126,8 +126,6 @@ pub struct ServeConfig {
     pub mode: QueryMode,
     /// Cap on embeddings enumerated per query execution.
     pub match_limit: usize,
-    /// Latency cost model charged per traversal.
-    pub latency: LatencyModel,
     /// When true (and serving a pinned snapshot), workers hand halo-crossing
     /// anchor roots off to the worker owning them as sub-query messages
     /// instead of traversing replicated halo state themselves. Off by
@@ -146,7 +144,6 @@ impl ServeConfig {
             queue_capacity: 64,
             mode: QueryMode::Rooted { seed_count: 4 },
             match_limit: 10_000,
-            latency: LatencyModel::default(),
             halo_handoff: false,
         }
     }
@@ -162,13 +159,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_match_limit(mut self, limit: usize) -> Self {
         self.match_limit = limit.max(1);
-        self
-    }
-
-    /// Builder-style latency model.
-    #[must_use]
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -201,7 +191,6 @@ pub(crate) struct RunOptions {
     pub(crate) mode: QueryMode,
     pub(crate) match_limit: usize,
     pub(crate) traversal_budget: Option<usize>,
-    pub(crate) latency: LatencyModel,
     pub(crate) collect: bool,
 }
 
@@ -698,7 +687,6 @@ impl<'a> Coordinator<'a> {
             total_traversals: acc.total_traversals,
             remote_traversals: acc.remote_traversals,
             local_only_queries: usize::from(acc.remote_traversals == 0),
-            estimated_latency_us: acc.estimated_latency_us,
             matches_limited: acc.matches_limited,
             deadline_exceeded: acc.deadline_exceeded,
             cancelled: acc.cancelled,
@@ -1037,7 +1025,6 @@ impl ServeEngine {
             mode: request.mode.unwrap_or(self.config.mode),
             match_limit: request.match_limit.unwrap_or(self.config.match_limit),
             traversal_budget: request.traversal_budget,
-            latency: self.config.latency,
             collect: request.collect_matches,
         }
     }

@@ -15,10 +15,10 @@
 //!   on its home shard via the label/partition indexes;
 //! * [`transport`] — [`transport::ShardTransport`]: the object-safe,
 //!   wire-shaped message channel between the coordinator and each worker.
-//!   Everything that crosses it is a serde-serializable
-//!   [`transport::ShardMsg`] (routed queries, halo sub-query handoffs,
-//!   results, shard reports, epoch notices) — no shared-memory handle ever
-//!   does. [`transport::InProcTransport`] is the bounded-channel in-process
+//!   Everything that crosses it is a [`transport::ShardMsg`] of plain owned
+//!   data (routed queries, halo sub-query handoffs, results, shard reports,
+//!   epoch notices) — no shared-memory handle ever does.
+//!   [`transport::InProcTransport`] is the bounded-channel in-process
 //!   implementation;
 //! * [`engine`] — [`engine::ServeEngine`]: the run coordinator, with one
 //!   closed-loop door — `run(source, workload, request, ctx)`, where the

@@ -3,18 +3,17 @@
 //! A report carries two kinds of number and keeps them apart. The
 //! *counts* — [`ExecutionMetrics`] per shard and merged, the query mix, the
 //! epochs touched, the [`ErrorBudget`] — are deterministic and equal a
-//! sequential run's; they include
-//! [`estimated_latency_us`](ExecutionMetrics::estimated_latency_us), the
-//! simulator's quality estimate of what the traversals would cost on a
-//! network, which is never presented as a speed. The *timings* —
+//! sequential run's;
+//! [`estimated_latency_us`](ExecutionMetrics::estimated_latency_us) reads two
+//! of them as the simulator's quality estimate of what the traversals would
+//! cost on a network, which is never presented as a speed. The *timings* —
 //! `wall_clock_us`, queue waits, queue depth — are this process's clock, and
 //! [`ServeReport::wall_clock_qps`] is the only throughput a report has.
 
 use loom_sim::executor::ExecutionMetrics;
-use serde::{Deserialize, Serialize};
 
 /// Per-shard serving metrics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardServeMetrics {
     /// Shard (worker) index.
     pub shard: u32,
@@ -55,7 +54,6 @@ pub struct ShardServeMetrics {
     /// are monotonic across restarts — a recovered store resumes at its
     /// checkpointed `epoch_seq` — so recovered-vs-live runs are diffable by
     /// this number.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub epoch_seq: Option<u64>,
 }
 
@@ -70,7 +68,7 @@ impl ShardServeMetrics {
 /// rejected at admission or completed past their deadline. Open-loop
 /// capacity steps assert against this ("≤ X% dropped") instead of scraping
 /// per-shard counters or telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ErrorBudget {
     /// Requests the run issued (admitted + rejected + shed).
     pub requests: usize,
@@ -104,7 +102,7 @@ impl ErrorBudget {
 }
 
 /// The aggregate report one serving run produces.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Per-shard breakdown, indexed by worker shard.
     pub shards: Vec<ShardServeMetrics>,

@@ -7,9 +7,10 @@
 //! boundary in between. Everything that crosses it is a [`ShardMsg`] — a
 //! routed query request, a halo-crossing sub-query handoff, a per-shard
 //! metric report, an epoch-publication notice — and every payload is plain
-//! serde-serializable data: vertex ids, seeds, metric structs, relative
-//! deadlines in microseconds. **No `Arc<ShardedStore>` or any other
-//! shared-memory handle crosses the trait**; a worker's snapshot is handed
+//! owned data (serialising it is the socket transport's job when it
+//! lands): vertex ids, seeds, metric structs, relative deadlines in
+//! microseconds. **No `Arc<ShardedStore>` or any other shared-memory
+//! handle crosses the trait**; a worker's snapshot is handed
 //! to it at spawn and refreshed when an [`ShardMsg::EpochPublished`] notice
 //! arrives, never by dereferencing shared state mid-run. Swapping the
 //! in-process implementation ([`InProcTransport`]) for a socket is a
@@ -43,14 +44,13 @@ use loom_graph::VertexId;
 use loom_obs::{stage, Histogram, Telemetry};
 use loom_sim::executor::ExecutionMetrics;
 use loom_sim::matcher::Embedding;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One routed query execution: coordinator → home worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryTaskMsg {
     /// Position in the run's admission order; results are re-assembled (and
     /// the match cursor ordered) by this sequence number.
@@ -71,7 +71,7 @@ pub struct QueryTaskMsg {
 /// A halo-crossing sub-query handoff: the home worker ships the roots it
 /// does **not** own to the worker that owns them (relayed through the
 /// coordinator), instead of traversing into replicated halo state itself.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubQueryMsg {
     /// Admission sequence of the parent query.
     pub seq: u64,
@@ -90,7 +90,7 @@ pub struct SubQueryMsg {
 }
 
 /// One finished (or partial) execution: worker → coordinator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryDoneMsg {
     /// Worker that executed this piece.
     pub worker: u32,
@@ -115,7 +115,7 @@ pub struct QueryDoneMsg {
 
 /// End-of-run shard summary: worker → coordinator, in reply to
 /// [`ShardMsg::Finish`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardReportMsg {
     /// Reporting worker.
     pub worker: u32,
@@ -132,7 +132,7 @@ pub struct ShardReportMsg {
 
 /// Everything that crosses a [`ShardTransport`]: plain serialisable data,
 /// never a shared-memory handle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ShardMsg {
     /// Coordinator → worker: execute one routed query.
     Query(QueryTaskMsg),
@@ -187,7 +187,7 @@ pub enum RecvError {
 }
 
 /// Counters and queue-wait quantiles one endpoint observed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransportStats {
     /// Messages sent through this endpoint.
     pub sent: usize,
@@ -205,9 +205,10 @@ pub struct TransportStats {
 /// and one shard worker.
 ///
 /// The contract is deliberately wire-shaped: every [`ShardMsg`] payload is
-/// serde-serializable plain data, deadlines are explicit per call, and the
-/// only shared state between the two ends of a conversation is whatever the
-/// implementation carries *inside* itself. An implementation backed by a
+/// plain owned data (serialising it is the socket transport's job when it
+/// lands), deadlines are explicit per call, and the only shared state
+/// between the two ends of a conversation is whatever the implementation
+/// carries *inside* itself. An implementation backed by a
 /// socket pair satisfies the same trait; the in-process one is
 /// [`InProcTransport`].
 pub trait ShardTransport: Send + Sync {

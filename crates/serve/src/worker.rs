@@ -69,7 +69,6 @@ impl WorkerSetup<'_> {
             mode: self.options.mode,
             match_limit: self.options.match_limit,
             traversal_budget: self.options.traversal_budget,
-            latency: self.options.latency,
             root_seed,
             collect: self.options.collect,
         }

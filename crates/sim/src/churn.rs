@@ -21,10 +21,9 @@ use loom_graph::ordering::StreamOrder;
 use loom_graph::{GraphStream, Label, LabelledGraph, StreamElement};
 use loom_motif::query::{PatternQuery, QueryId};
 use loom_motif::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the deletion-churn scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeletionChurnScenario {
     /// Background vertices around the planted motif instances.
     pub background_vertices: usize,
@@ -168,15 +167,14 @@ pub struct ChurnRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{LatencyModel, QueryExecutor};
+    use crate::executor::QueryExecutor;
     use crate::store::PartitionedStore;
     use loom_partition::partition::Partitioning;
 
     fn count_matches(graph: &LabelledGraph, workload: &Workload) -> usize {
         let part = Partitioning::new(1, graph.vertex_count().max(1)).unwrap();
         let store = PartitionedStore::new(graph.clone(), part);
-        let executor = QueryExecutor::new(LatencyModel::default());
-        executor
+        QueryExecutor::default()
             .execute_workload(&store, workload, 1, 0)
             .matches_found
     }

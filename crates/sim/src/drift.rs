@@ -21,10 +21,9 @@ use loom_graph::generators::regular::path_graph;
 use loom_graph::{Label, LabelledGraph};
 use loom_motif::query::{PatternQuery, QueryId};
 use loom_motif::workload::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the two-phase drift scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftScenario {
     /// Background vertices around the planted motif instances.
     pub background_vertices: usize,

@@ -378,7 +378,6 @@ pub fn run_sequential(
             mode,
             match_limit,
             traversal_budget: request.traversal_budget,
-            latency: executor.latency_model(),
             root_seed,
             collect: request.collect_matches,
         };

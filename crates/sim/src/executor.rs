@@ -6,19 +6,19 @@
 //! shards execute): every expansion from a matched vertex to a candidate
 //! neighbour either stays on the local partition or requires a hop to a
 //! remote partition. The remote fraction is exactly the "probability of
-//! inter-partition traversals" the paper optimises; a simple latency model
-//! converts hop counts into an estimated query latency.
+//! inter-partition traversals" the paper optimises; two fixed hop prices
+//! ([`LOCAL_HOP_US`], [`REMOTE_HOP_US`]) convert hop counts into an estimated
+//! query latency.
 
 use crate::matcher::{self, ExecOptions};
 use crate::plan::{PlanCache, PlanId, QueryPlan};
 use crate::store::PartitionedStore;
 use loom_motif::query::PatternQuery;
 use loom_motif::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How query executions are seeded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryMode {
     /// Enumerate every embedding in the whole graph (an analytical scan).
     /// Almost any partitioning incurs remote traversals in this mode; the
@@ -35,27 +35,15 @@ pub enum QueryMode {
     },
 }
 
-/// Latency cost model for traversals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencyModel {
-    /// Cost of a traversal that stays on the local partition, in microseconds.
-    pub local_hop_us: f64,
-    /// Cost of a traversal that crosses to another partition, in
-    /// microseconds (network round-trip dominated).
-    pub remote_hop_us: f64,
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self {
-            local_hop_us: 1.0,
-            remote_hop_us: 300.0,
-        }
-    }
-}
+/// Price of a traversal that stays on the local partition, in microseconds.
+pub const LOCAL_HOP_US: f64 = 1.0;
+/// Price of a traversal that crosses to another partition, in microseconds
+/// (network round-trip dominated). Chosen, not measured: ROADMAP item 3 is
+/// to replace it with the cost of a loopback message.
+pub const REMOTE_HOP_US: f64 = 300.0;
 
 /// Aggregated execution metrics over one or more query executions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutionMetrics {
     /// Number of query executions aggregated.
     pub queries_executed: usize,
@@ -67,8 +55,6 @@ pub struct ExecutionMetrics {
     pub remote_traversals: usize,
     /// Executions that completed without a single remote traversal.
     pub local_only_queries: usize,
-    /// Estimated total latency under the latency model, in microseconds.
-    pub estimated_latency_us: f64,
     /// Whether any aggregated execution stopped early — at its match limit,
     /// its traversal budget, a deadline or a cancellation — so the
     /// enumeration may be incomplete. Reports must never silently compare a
@@ -117,12 +103,21 @@ impl ExecutionMetrics {
         }
     }
 
+    /// Estimated total latency in microseconds: every remote traversal at
+    /// [`REMOTE_HOP_US`], every other one at [`LOCAL_HOP_US`]. Both counts
+    /// are integers far below 2^53, so the estimate of a merge is exactly the
+    /// sum of the estimates merged.
+    pub fn estimated_latency_us(&self) -> f64 {
+        self.remote_traversals as f64 * REMOTE_HOP_US
+            + (self.total_traversals - self.remote_traversals) as f64 * LOCAL_HOP_US
+    }
+
     /// Mean estimated latency per query, in microseconds.
     pub fn mean_latency_us(&self) -> f64 {
         if self.queries_executed == 0 {
             0.0
         } else {
-            self.estimated_latency_us / self.queries_executed as f64
+            self.estimated_latency_us() / self.queries_executed as f64
         }
     }
 
@@ -143,14 +138,12 @@ impl ExecutionMetrics {
         self.total_traversals += other.total_traversals;
         self.remote_traversals += other.remote_traversals;
         self.local_only_queries += other.local_only_queries;
-        self.estimated_latency_us += other.estimated_latency_us;
     }
 }
 
 /// The instrumented query executor.
 #[derive(Debug, Clone)]
 pub struct QueryExecutor {
-    latency: LatencyModel,
     /// Cap on embeddings enumerated per execution; keeps dense pathological
     /// cases from dominating run time without changing the traversal ratio
     /// materially.
@@ -166,7 +159,6 @@ pub struct QueryExecutor {
 impl Default for QueryExecutor {
     fn default() -> Self {
         Self {
-            latency: LatencyModel::default(),
             max_matches_per_query: 10_000,
             mode: QueryMode::FullEnumeration,
             plans: None,
@@ -175,14 +167,6 @@ impl Default for QueryExecutor {
 }
 
 impl QueryExecutor {
-    /// Create an executor with a custom latency model.
-    pub fn new(latency: LatencyModel) -> Self {
-        Self {
-            latency,
-            ..Self::default()
-        }
-    }
-
     /// Builder-style cap on enumerated embeddings per execution.
     #[must_use]
     pub fn with_match_limit(mut self, limit: usize) -> Self {
@@ -204,11 +188,6 @@ impl QueryExecutor {
     pub fn with_plan_cache(mut self, plans: Arc<PlanCache>) -> Self {
         self.plans = Some(plans);
         self
-    }
-
-    /// The latency model in use.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
     }
 
     /// The execution mode in use.
@@ -238,7 +217,6 @@ impl QueryExecutor {
         ExecOptions {
             mode: self.mode,
             match_limit: self.max_matches_per_query,
-            latency: self.latency,
             root_seed,
             ..ExecOptions::default()
         }
@@ -348,7 +326,7 @@ mod tests {
         assert!(metrics.remote_traversals > 0);
         assert!(metrics.inter_partition_probability() > 0.0);
         assert_eq!(metrics.local_only_queries, 0);
-        assert!(metrics.estimated_latency_us > 0.0);
+        assert!(metrics.estimated_latency_us() > 0.0);
     }
 
     #[test]
@@ -470,7 +448,6 @@ mod tests {
             total_traversals: 10,
             remote_traversals: 5,
             local_only_queries: 1,
-            estimated_latency_us: 100.0,
             ..ExecutionMetrics::default()
         };
         let b = ExecutionMetrics {
@@ -479,15 +456,19 @@ mod tests {
             total_traversals: 10,
             remote_traversals: 0,
             local_only_queries: 2,
-            estimated_latency_us: 20.0,
             ..ExecutionMetrics::default()
         };
+        // Five remote hops at 300 µs and five local at 1 µs; ten local.
+        assert_eq!(a.estimated_latency_us(), 1505.0);
+        assert_eq!(b.estimated_latency_us(), 10.0);
+        let sum_of_estimates = a.estimated_latency_us() + b.estimated_latency_us();
         a.merge(&b);
+        assert_eq!(a.estimated_latency_us(), sum_of_estimates);
         assert_eq!(a.queries_executed, 4);
         assert!((a.inter_partition_probability() - 0.25).abs() < 1e-12);
         assert!((a.remote_traversals_per_query() - 1.25).abs() < 1e-12);
         assert!((a.local_only_fraction() - 0.75).abs() < 1e-12);
-        assert!((a.mean_latency_us() - 30.0).abs() < 1e-12);
+        assert!((a.mean_latency_us() - 1515.0 / 4.0).abs() < 1e-12);
         assert_eq!(
             ExecutionMetrics::default().inter_partition_probability(),
             0.0

@@ -27,11 +27,10 @@ use loom_partition::metrics::evaluate;
 use loom_partition::offline::{MultilevelConfig, MultilevelPartitioner};
 use loom_partition::partition::{PartitionId, Partitioning};
 use loom_partition::traits::Partitioner;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Measurements at one growth checkpoint for one strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GrowthCheckpoint {
     /// Strategy name (`"streaming:<partitioner>"` or `"offline"`).
     pub strategy: String,

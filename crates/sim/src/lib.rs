@@ -69,7 +69,7 @@ pub use churn::{ChurnRun, DeletionChurnScenario};
 pub use context::{CancelToken, RequestContext};
 pub use drift::DriftScenario;
 pub use engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget};
-pub use executor::{ExecutionMetrics, LatencyModel, QueryExecutor, QueryMode};
+pub use executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 pub use growth::{GrowthCheckpoint, GrowthScenario};
 pub use matcher::{Embedding, PatternStore};
 pub use plan::{GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner};
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::engine::{
         MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget, SequentialEngine,
     };
-    pub use crate::executor::{ExecutionMetrics, LatencyModel, QueryExecutor, QueryMode};
+    pub use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
     pub use crate::growth::{GrowthCheckpoint, GrowthScenario};
     pub use crate::matcher::{Embedding, PatternStore};
     pub use crate::plan::{

@@ -38,16 +38,15 @@
 //! *traversal* it performs: each expansion from a matched vertex to a
 //! candidate neighbour either stays on the local partition or hops to a
 //! remote one. The remote fraction is exactly the "probability of
-//! inter-partition traversals" the paper optimises; the [`LatencyModel`]
-//! converts hop counts into an estimated query latency.
+//! inter-partition traversals" the paper optimises;
+//! [`ExecutionMetrics::estimated_latency_us`] prices the two counts.
 
 use crate::context::{CancelToken, RequestContext};
-use crate::executor::{ExecutionMetrics, LatencyModel, QueryMode};
+use crate::executor::{ExecutionMetrics, QueryMode};
 use crate::plan::QueryPlan;
 use loom_graph::{Label, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// How many traversals the search performs between wall-clock deadline
@@ -188,7 +187,7 @@ pub fn plan_roots<'a, S: PatternStore + ?Sized>(
 /// One concrete match: the assignment of pattern vertices to data vertices,
 /// sorted by pattern vertex id. Serde-serializable so a match can cross a
 /// shard-transport boundary inside a result message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Embedding {
     pairs: Vec<(VertexId, VertexId)>,
 }
@@ -234,8 +233,6 @@ pub struct ExecOptions {
     /// Optional cap on total traversals; the search stops expanding once it
     /// is reached (and the metrics flag the run as limited).
     pub traversal_budget: Option<usize>,
-    /// Latency cost model charged per traversal.
-    pub latency: LatencyModel,
     /// Deterministic seed for rooted-mode root selection.
     pub root_seed: u64,
     /// Whether to materialise the concrete embeddings (bounded by
@@ -249,7 +246,6 @@ impl Default for ExecOptions {
             mode: QueryMode::FullEnumeration,
             match_limit: 10_000,
             traversal_budget: None,
-            latency: LatencyModel::default(),
             root_seed: 0,
             collect: false,
         }
@@ -422,8 +418,6 @@ fn run_plan<S: PatternStore + ?Sized>(
         || metrics.total_traversals >= traversal_budget
         || metrics.deadline_exceeded
         || metrics.cancelled;
-    metrics.estimated_latency_us = metrics.remote_traversals as f64 * opts.latency.remote_hop_us
-        + (metrics.total_traversals - metrics.remote_traversals) as f64 * opts.latency.local_hop_us;
     PlanExecution {
         metrics,
         embeddings,

@@ -29,7 +29,6 @@ use loom_graph::stats::{degree_stats, DegreeStats};
 use loom_graph::{Label, LabelledGraph, VertexId};
 use loom_motif::query::{PatternQuery, QueryId};
 use loom_motif::workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,7 +80,7 @@ impl GraphStatistics {
 }
 
 /// How the planner picks the matching order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanStrategy {
     /// The historical single heuristic: greedy
     /// (connectivity, degree, lowest-id) order anchored at the
@@ -103,7 +102,7 @@ pub enum PlanStrategy {
 /// metrics row can always be traced back to the exact plan that produced it
 /// (and rows produced under different plans refuse to blend into a
 /// single-plan identity when merged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(transparent)]
 pub struct PlanId(pub u64);
 

@@ -9,7 +9,7 @@
 //! Partitioner runs are independent, so [`ExperimentRunner::run_many`] fans
 //! them out across scoped threads.
 
-use crate::executor::{ExecutionMetrics, LatencyModel, QueryExecutor, QueryMode};
+use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 use crate::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use crate::store::PartitionedStore;
 use loom_core::{workload_registry, LoomConfig};
@@ -27,7 +27,6 @@ use loom_partition::partition::Partitioning;
 use loom_partition::spec::{PartitionerRegistry, PartitionerSpec};
 use loom_partition::traits::partition_stream_batched;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,7 +67,7 @@ impl From<loom_motif::MotifError> for SimError {
 pub type SimResult<T> = std::result::Result<T, SimError>;
 
 /// The partitioners the experiments compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionerKind {
     /// Hash placement (the distributed-store default).
     Hash,
@@ -80,8 +79,6 @@ pub enum PartitionerKind {
     Loom,
     /// Ablation: LOOM without motif clustering (≈ windowed LDG).
     LoomNoMotifs,
-    /// Ablation: LOOM without the LDG capacity penalty in cluster placement.
-    LoomNoCapacityPenalty,
     /// Ablation: LOOM without merging of overlapping matches.
     LoomNoOverlapMerge,
     /// The offline multilevel (METIS-like) reference partitioner.
@@ -97,7 +94,6 @@ impl PartitionerKind {
             PartitionerKind::Fennel => "fennel",
             PartitionerKind::Loom => "loom",
             PartitionerKind::LoomNoMotifs => "loom-no-motifs",
-            PartitionerKind::LoomNoCapacityPenalty => "loom-no-penalty",
             PartitionerKind::LoomNoOverlapMerge => "loom-no-merge",
             PartitionerKind::Offline => "offline",
         }
@@ -114,19 +110,19 @@ impl PartitionerKind {
         ]
     }
 
-    /// The LOOM ablation set.
+    /// The LOOM ablation set: the full pipeline, then the two switches that
+    /// move a number (motif clustering off, overlap merging off).
     pub fn ablation_set() -> Vec<PartitionerKind> {
         vec![
             PartitionerKind::Loom,
             PartitionerKind::LoomNoMotifs,
-            PartitionerKind::LoomNoCapacityPenalty,
             PartitionerKind::LoomNoOverlapMerge,
         ]
     }
 }
 
 /// Shared experiment parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of partitions.
     pub k: u32,
@@ -140,8 +136,6 @@ pub struct ExperimentConfig {
     pub query_samples: usize,
     /// RNG seed for the query sampling.
     pub seed: u64,
-    /// Latency model for the executor.
-    pub latency: LatencyModel,
     /// Query execution mode (rooted, by default, to model the online
     /// transactional queries the paper targets).
     pub query_mode: QueryMode,
@@ -165,7 +159,6 @@ impl ExperimentConfig {
             motif_threshold: 0.4,
             query_samples: 200,
             seed: 42,
-            latency: LatencyModel::default(),
             query_mode: QueryMode::Rooted { seed_count: 4 },
             chunk_size: loom_partition::traits::DEFAULT_BATCH_SIZE,
             plan_strategy: PlanStrategy::default(),
@@ -175,7 +168,7 @@ impl ExperimentConfig {
 
 /// One row of an experiment: a partitioner's quality and execution figures on
 /// one (graph, ordering, workload) combination.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Partitioner name.
     pub partitioner: String,
@@ -310,7 +303,7 @@ impl ExperimentRunner {
         let partition_time_ms = start.elapsed().as_secs_f64() * 1_000.0;
 
         let store = PartitionedStore::new(graph.clone(), partitioning.clone());
-        let executor = QueryExecutor::new(self.config.latency)
+        let executor = QueryExecutor::default()
             .with_mode(self.config.query_mode)
             .with_plan_cache(Arc::clone(plans));
         let execution = executor.execute_workload(
@@ -407,9 +400,6 @@ impl ExperimentRunner {
             PartitionerKind::Loom => PartitionerSpec::Loom(self.loom_config(graph)),
             PartitionerKind::LoomNoMotifs => {
                 PartitionerSpec::Loom(self.loom_config(graph).without_motif_clustering())
-            }
-            PartitionerKind::LoomNoCapacityPenalty => {
-                PartitionerSpec::Loom(self.loom_config(graph).without_capacity_penalty())
             }
             PartitionerKind::LoomNoOverlapMerge => {
                 PartitionerSpec::Loom(self.loom_config(graph).without_overlap_merging())
@@ -565,7 +555,7 @@ mod tests {
                 &workload,
             )
             .unwrap();
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.len(), 3);
         assert!(results.iter().any(|r| r.partitioner == "loom-no-motifs"));
     }
 

@@ -45,7 +45,6 @@
 
 use crate::codec::{blob_crc, decode_blob, encode_blob, encode_shard, encode_tail};
 use crate::error::{Result, StoreError};
-use bytes::Bytes;
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
 use loom_partition::partition::{PartitionId, Partitioning};
@@ -133,10 +132,10 @@ fn sync_dir(path: &Path) -> Result<()> {
         .map_err(|e| StoreError::io(path, e))
 }
 
-fn write_blob(dir: &Path, name: &str, bytes: &Bytes) -> Result<BlobEntry> {
+fn write_blob(dir: &Path, name: &str, bytes: &[u8]) -> Result<BlobEntry> {
     let path = dir.join(name);
     let mut file = File::create(&path).map_err(|e| StoreError::io(&path, e))?;
-    file.write_all(bytes.as_slice())
+    file.write_all(bytes)
         .and_then(|()| file.sync_all())
         .map_err(|e| StoreError::io(&path, e))?;
     Ok(BlobEntry {

@@ -1,11 +1,11 @@
 //! Binary codecs for checkpoint blobs and WAL record payloads.
 //!
-//! Everything here extends the `loom_graph::io` binary substrate: the same
-//! little-endian [`bytes`] primitives, the same [`crc32`] checksum, the same
-//! "bounds-check every length prefix, never trust a count you have not
-//! bounded by the payload size" discipline. Encoders are **deterministic**:
-//! the same [`ShardedStore`] always serializes to the same bytes, which is
-//! what lets recovery prove bit-identity by re-encoding and comparing CRCs.
+//! Everything here is little-endian and sits on the `loom_graph::io` frame
+//! substrate: the same [`crc32`] checksum, the same "bounds-check every
+//! length prefix, never trust a count you have not bounded by the payload
+//! size" discipline. Encoders are **deterministic**: the same
+//! [`ShardedStore`] always serializes to the same bytes, which is what lets
+//! recovery prove bit-identity by re-encoding and comparing CRCs.
 //!
 //! # Blob formats
 //!
@@ -28,7 +28,6 @@
 //! before v2 refuses a v2 blob by name: `unsupported blob version 2`.
 
 use crate::error::{Result, StoreError};
-use bytes::{BufMut, Bytes, BytesMut};
 use loom_graph::io::crc32;
 use loom_graph::{Label, StreamElement, VertexId};
 use loom_partition::partition::PartitionId;
@@ -59,10 +58,15 @@ const EL_REMOVE_EDGE: u8 = 3;
 /// WAL element tag: `StreamElement::Relabel`.
 const EL_RELABEL: u8 = 4;
 
-fn put_ids(buf: &mut BytesMut, ids: &[VertexId]) {
-    buf.put_u64_le(ids.len() as u64);
+/// Append one integer's little-endian bytes (`put(buf, x.to_le_bytes())`).
+fn put<const N: usize>(buf: &mut Vec<u8>, le: [u8; N]) {
+    buf.extend_from_slice(&le);
+}
+
+fn put_ids(buf: &mut Vec<u8>, ids: &[VertexId]) {
+    put(buf, (ids.len() as u64).to_le_bytes());
     for v in ids {
-        buf.put_u64_le(v.raw());
+        put(buf, v.raw().to_le_bytes());
     }
 }
 
@@ -71,7 +75,7 @@ fn put_ids(buf: &mut BytesMut, ids: &[VertexId]) {
 /// vertices (`homes`, in arena order) listed per label in ascending label
 /// order.
 fn put_v1_sections(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     border: &ShardBorder,
     homes: impl Iterator<Item = (VertexId, Label)>,
 ) {
@@ -81,9 +85,9 @@ fn put_v1_sections(
     }
     put_ids(buf, &border.boundary);
     put_ids(buf, &border.halo);
-    buf.put_u32_le(lists.len() as u32);
+    put(buf, (lists.len() as u32).to_le_bytes());
     for (label, members) in lists {
-        buf.put_u32_le(label.raw());
+        put(buf, label.raw().to_le_bytes());
         put_ids(buf, &members);
     }
 }
@@ -97,28 +101,29 @@ pub(crate) fn encode_blob(
     store: &ShardedStore,
     slot: Option<PartitionId>,
     version: u32,
-) -> Option<Bytes> {
+) -> Option<Vec<u8>> {
     let slice = match slot {
         Some(p) => store.shard_slice(p)?,
         None => store.unassigned_slice(),
     };
     let vertices = slice.len();
-    let mut buf = BytesMut::with_capacity(64 + vertices * 24);
-    buf.put_u32_le(BLOB_MAGIC);
-    buf.put_u32_le(version);
-    buf.put_u32_le(if slot.is_some() {
+    let mut buf = Vec::with_capacity(64 + vertices * 24);
+    put(&mut buf, BLOB_MAGIC.to_le_bytes());
+    put(&mut buf, version.to_le_bytes());
+    let kind = if slot.is_some() {
         KIND_SHARD
     } else {
         KIND_TAIL
-    });
-    buf.put_u32_le(slot.map_or(0, |p| p.0));
-    buf.put_u64_le(vertices as u64);
+    };
+    put(&mut buf, kind.to_le_bytes());
+    put(&mut buf, slot.map_or(0, |p| p.0).to_le_bytes());
+    put(&mut buf, (vertices as u64).to_le_bytes());
     for (v, label, neighbours) in slice.rows() {
-        buf.put_u64_le(v.raw());
-        buf.put_u32_le(label.raw());
-        buf.put_u32_le(neighbours.len() as u32);
+        put(&mut buf, v.raw().to_le_bytes());
+        put(&mut buf, label.raw().to_le_bytes());
+        put(&mut buf, (neighbours.len() as u32).to_le_bytes());
         for n in neighbours {
-            buf.put_u64_le(n.raw());
+            put(&mut buf, n.raw().to_le_bytes());
         }
     }
     if version == BLOB_V1 {
@@ -129,19 +134,19 @@ pub(crate) fn encode_blob(
             None => put_v1_sections(&mut buf, &ShardBorder::default(), std::iter::empty()),
         }
     }
-    Some(buf.freeze())
+    Some(buf)
 }
 
 /// Serialize shard `p` of `store` as one contiguous blob. `None` when `p`
 /// is out of range.
-pub fn encode_shard(store: &ShardedStore, p: PartitionId) -> Option<Bytes> {
+pub fn encode_shard(store: &ShardedStore, p: PartitionId) -> Option<Vec<u8>> {
     encode_blob(store, Some(p), BLOB_VERSION)
 }
 
 /// Serialize the unassigned tail of `store`'s arena (vertices the
 /// partitioner had not placed at snapshot time). Always produced, even when
 /// empty, so a checkpoint's blob set has a fixed shape.
-pub fn encode_tail(store: &ShardedStore) -> Bytes {
+pub fn encode_tail(store: &ShardedStore) -> Vec<u8> {
     encode_blob(store, None, BLOB_VERSION).expect("every store has a tail slice")
 }
 
@@ -301,32 +306,32 @@ pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result
 /// Append a batch of stream elements to `buf` as one WAL record payload.
 pub fn encode_elements(batch: &[StreamElement], buf: &mut Vec<u8>) {
     buf.reserve(4 + batch.len() * 17);
-    buf.put_u32_le(batch.len() as u32);
+    put(buf, (batch.len() as u32).to_le_bytes());
     for element in batch {
         match *element {
             StreamElement::AddVertex { id, label } => {
-                buf.put_u8(EL_VERTEX);
-                buf.put_u64_le(id.raw());
-                buf.put_u32_le(label.raw());
+                buf.push(EL_VERTEX);
+                put(buf, id.raw().to_le_bytes());
+                put(buf, label.raw().to_le_bytes());
             }
             StreamElement::AddEdge { source, target } => {
-                buf.put_u8(EL_EDGE);
-                buf.put_u64_le(source.raw());
-                buf.put_u64_le(target.raw());
+                buf.push(EL_EDGE);
+                put(buf, source.raw().to_le_bytes());
+                put(buf, target.raw().to_le_bytes());
             }
             StreamElement::RemoveVertex { id } => {
-                buf.put_u8(EL_REMOVE_VERTEX);
-                buf.put_u64_le(id.raw());
+                buf.push(EL_REMOVE_VERTEX);
+                put(buf, id.raw().to_le_bytes());
             }
             StreamElement::RemoveEdge { source, target } => {
-                buf.put_u8(EL_REMOVE_EDGE);
-                buf.put_u64_le(source.raw());
-                buf.put_u64_le(target.raw());
+                buf.push(EL_REMOVE_EDGE);
+                put(buf, source.raw().to_le_bytes());
+                put(buf, target.raw().to_le_bytes());
             }
             StreamElement::Relabel { id, label } => {
-                buf.put_u8(EL_RELABEL);
-                buf.put_u64_le(id.raw());
-                buf.put_u32_le(label.raw());
+                buf.push(EL_RELABEL);
+                put(buf, id.raw().to_le_bytes());
+                put(buf, label.raw().to_le_bytes());
             }
         }
     }
@@ -379,8 +384,8 @@ pub fn decode_elements(bytes: &[u8], path: &Path) -> Result<Vec<StreamElement>> 
 
 /// CRC of an encoded blob — the checksum recorded in (and verified against)
 /// the checkpoint manifest.
-pub fn blob_crc(bytes: &Bytes) -> u32 {
-    crc32(bytes.as_slice())
+pub fn blob_crc(bytes: &[u8]) -> u32 {
+    crc32(bytes)
 }
 
 #[cfg(test)]
@@ -408,7 +413,7 @@ mod tests {
     }
 
     /// Every blob of `store` in `version`, shards in id order, then the tail.
-    fn blobs(store: &ShardedStore, version: u32) -> Vec<Bytes> {
+    fn blobs(store: &ShardedStore, version: u32) -> Vec<Vec<u8>> {
         let shards = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
         shards
             .chain([None])
@@ -417,7 +422,7 @@ mod tests {
     }
 
     /// Decode `blobs` (arena order) into one arena and prove it sound.
-    fn load(blobs: &[Bytes], shards: u32) -> ShardedStore {
+    fn load(blobs: &[Vec<u8>], shards: u32) -> ShardedStore {
         let mut arena = ArenaLoader::new(shards);
         for bytes in blobs {
             decode_blob(bytes.as_slice(), Path::new("test.blob"), &mut arena).unwrap();
@@ -619,13 +624,13 @@ mod tests {
         let path = Path::new("wal.log");
         assert!(decode_elements(&[0xFF; 3], path).is_err());
         let mut buf = Vec::new();
-        buf.put_u32_le(1_000_000); // count with no payload behind it
+        put(&mut buf, 1_000_000u32.to_le_bytes()); // count with no payload behind it
         assert!(decode_elements(&buf, path).is_err());
         let mut buf = Vec::new();
-        buf.put_u32_le(1);
-        buf.put_u8(7); // unknown tag
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
+        put(&mut buf, 1u32.to_le_bytes());
+        buf.push(7); // unknown tag
+        put(&mut buf, 0u64.to_le_bytes());
+        put(&mut buf, 0u64.to_le_bytes());
         assert!(decode_elements(&buf, path).is_err());
     }
 

@@ -68,10 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── 3. Partition the stream with LDG and LOOM via Session ────────────
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 5 });
     let k = 8;
-    let latency = LatencyModel {
-        local_hop_us: 1.0,
-        remote_hop_us: 250.0,
-    };
 
     let specs = [
         (
@@ -105,7 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, spec) in specs {
         let mut session = Session::builder(spec)
             .workload(workload.clone())
-            .latency(latency)
             .match_limit(2_000)
             .build()?;
         session.ingest_stream(&stream)?;

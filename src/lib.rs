@@ -11,9 +11,8 @@
 //!   contract, the declarative
 //!   [`PartitionerSpec`](loom_partition::spec::PartitionerSpec) registry and
 //!   quality metrics;
-//! * [`loom_core`] — the LOOM workload-aware streaming partitioner itself,
-//!   with its fluent [`LoomBuilder`](loom_core::LoomBuilder) and the
-//!   workload-aware registry extension;
+//! * [`loom_core`] — the LOOM workload-aware streaming partitioner itself
+//!   and the workload-aware registry extension;
 //! * [`loom_sim`] — the distributed query-execution simulator, the shared
 //!   instrumented pattern matcher and the experiment runner;
 //! * [`loom_serve`] — the concurrent sharded serving engine: partition-major

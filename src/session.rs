@@ -57,7 +57,7 @@ use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
 use loom_sim::context::RequestContext;
 use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse};
-use loom_sim::executor::{ExecutionMetrics, LatencyModel, QueryExecutor, QueryMode};
+use loom_sim::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
 use loom_store::recovery::{RecoverSpans, RecoveryReport};
@@ -139,7 +139,6 @@ pub struct SessionBuilder {
     spec: PartitionerSpec,
     workload: Option<Workload>,
     chunk_size: usize,
-    latency: LatencyModel,
     query_mode: QueryMode,
     match_limit: Option<usize>,
     plan_strategy: PlanStrategy,
@@ -163,13 +162,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Latency model for the serving-side query executor.
-    #[must_use]
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -272,7 +264,6 @@ impl SessionBuilder {
             spec: self.spec,
             workload: self.workload,
             chunk_size: self.chunk_size,
-            latency: self.latency,
             query_mode: self.query_mode,
             match_limit: self.match_limit,
             plan_strategy: self.plan_strategy,
@@ -427,7 +418,6 @@ pub struct Session {
     spec: PartitionerSpec,
     workload: Option<Workload>,
     chunk_size: usize,
-    latency: LatencyModel,
     query_mode: QueryMode,
     match_limit: Option<usize>,
     plan_strategy: PlanStrategy,
@@ -453,7 +443,6 @@ impl Session {
             spec,
             workload: None,
             chunk_size: DEFAULT_BATCH_SIZE,
-            latency: LatencyModel::default(),
             query_mode: QueryMode::default(),
             match_limit: None,
             plan_strategy: PlanStrategy::default(),
@@ -652,11 +641,11 @@ impl Session {
         })
     }
 
-    /// The session's executor settings (latency model, query mode, match
-    /// limit) over `plans` — what every engine the session stands up,
-    /// sequential or sharded, is configured from.
+    /// The session's executor settings (query mode, match limit) over
+    /// `plans` — what every engine the session stands up, sequential or
+    /// sharded, is configured from.
     fn executor(&self, plans: Option<Arc<PlanCache>>) -> QueryExecutor {
-        let mut executor = QueryExecutor::new(self.latency).with_mode(self.query_mode);
+        let mut executor = QueryExecutor::default().with_mode(self.query_mode);
         if let Some(limit) = self.match_limit {
             executor = executor.with_match_limit(limit);
         }
@@ -829,13 +818,12 @@ fn serve_engine(
     engine
 }
 
-/// A `workers`-shard [`ServeConfig`] inheriting `executor`'s query mode,
-/// latency model and match limit, so sharded metrics are directly comparable
-/// to (in fact, identical to) the sequential path's for the same request.
+/// A `workers`-shard [`ServeConfig`] inheriting `executor`'s query mode and
+/// match limit, so sharded metrics are directly comparable to (in fact,
+/// identical to) the sequential path's for the same request.
 fn serve_config(executor: &QueryExecutor, workers: usize) -> ServeConfig {
     ServeConfig::new(workers)
         .with_mode(executor.mode())
-        .with_latency(executor.latency_model())
         .with_match_limit(executor.match_limit())
 }
 
@@ -902,10 +890,10 @@ impl Recovered {
     }
 
     /// Sequential serving over the recovered checkpoint state, configured
-    /// exactly like the original session (same latency model, query mode,
-    /// match limit, plan strategy — plans compiled once from the recovered
-    /// graph's statistics, which recovery restored bit-identically, and
-    /// shared with [`Recovered::sharded`]).
+    /// exactly like the original session (same query mode, match limit,
+    /// plan strategy — plans compiled once from the recovered graph's
+    /// statistics, which recovery restored bit-identically, and shared with
+    /// [`Recovered::sharded`]).
     pub fn serving(&self) -> Serving {
         self.session.serving_over(
             self.graph().clone(),
@@ -992,10 +980,9 @@ impl Serving {
 
     /// Freeze the store into a [`ShardedStore`] and stand up the concurrent
     /// serving engine with `workers` worker shards. The engine inherits the
-    /// session's query mode, latency model, match limit **and compiled plan
-    /// cache**, so its aggregate metrics are directly comparable to (in
-    /// fact, identical to) the sequential [`Serving::run`] path for the
-    /// same request.
+    /// session's query mode, match limit **and compiled plan cache**, so its
+    /// aggregate metrics are directly comparable to (in fact, identical to)
+    /// the sequential [`Serving::run`] path for the same request.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
         ShardedServing {
             store: Arc::new(ShardedStore::from_parts(
@@ -1016,7 +1003,7 @@ impl Serving {
     /// mined workload, and on drift incrementally migrates the placement —
     /// rebuilding only the affected shards and publishing the result as a new
     /// epoch, while in-flight queries keep their pinned snapshot. The engine
-    /// inherits the session's query mode, latency model and match limit like
+    /// inherits the session's query mode and match limit like
     /// [`Serving::sharded`].
     ///
     /// # Errors

@@ -40,9 +40,8 @@ fn readme_usage_snippet_compiles_and_runs() -> Result<(), Box<dyn std::error::Er
 }
 
 /// Every `PartitionerSpec` variant at `k` partitions for a graph of `n`
-/// vertices and `m` edges, plus LOOM's `capacity_penalty = false` ablation
-/// (a fifth placement rule behind the same `Loom` variant).
-fn all_specs(k: u32, n: usize, m: usize, window: usize) -> [(&'static str, PartitionerSpec); 5] {
+/// vertices and `m` edges.
+fn all_specs(k: u32, n: usize, m: usize, window: usize) -> [(&'static str, PartitionerSpec); 4] {
     let loom = LoomConfig::new(k, n).with_window_size(window);
     [
         ("hash", PartitionerSpec::Hash(HashConfig::new(k, n))),
@@ -52,10 +51,6 @@ fn all_specs(k: u32, n: usize, m: usize, window: usize) -> [(&'static str, Parti
             PartitionerSpec::Fennel(FennelConfig::new(k, n, m)),
         ),
         ("loom", PartitionerSpec::Loom(loom)),
-        (
-            "loom-no-penalty",
-            PartitionerSpec::Loom(loom.without_capacity_penalty()),
-        ),
     ]
 }
 
@@ -125,16 +120,14 @@ fn placement_digest(p: &Partitioning) -> u64 {
 /// placement kernel existed), for every spec of [`all_specs`]. The inputs
 /// are an insert-only BFS stream of a Barabási–Albert graph at k = 2 and at
 /// k = 8, the same graph in random order at k = 8 with the stream a quarter
-/// longer than announced (so the no-room / over-cap fallbacks run, and the
-/// neighbour-count ablation does not collapse into one partition as it does
-/// on a connected BFS stream), and the deletion-churn scenario's build
-/// stream followed by its dissolve stream (vertex removals, edge removals,
-/// relabels).
+/// longer than announced (so the no-room / over-cap fallbacks run), and the
+/// deletion-churn scenario's build stream followed by its dissolve stream
+/// (vertex removals, edge removals, relabels).
 #[test]
 fn every_spec_reproduces_its_golden_placement() -> Result<(), Box<dyn std::error::Error>> {
     use loom::loom_sim::churn::DeletionChurnScenario;
 
-    const GOLDEN: [(&str, [u64; 4]); 5] = [
+    const GOLDEN: [(&str, [u64; 4]); 4] = [
         (
             "hash",
             [
@@ -169,15 +162,6 @@ fn every_spec_reproduces_its_golden_placement() -> Result<(), Box<dyn std::error
                 0x3403_9f5d_f172_2fae,
                 0x4bb7_d4a8_3879_5b51,
                 0xa1d9_3842_91b2_a9af,
-            ],
-        ),
-        (
-            "loom-no-penalty",
-            [
-                0x5e6f_6db1_a3d1_1805,
-                0x5e6f_6db1_a3d1_1805,
-                0x4630_c0cc_b783_15ca,
-                0xb1a3_9564_2c6c_4895,
             ],
         ),
     ];
@@ -390,12 +374,13 @@ fn rooted_and_full_query_modes_are_both_available() {
 }
 
 /// The transport layer's wire-shape contract: every message that crosses
-/// `ShardTransport` is a plain serde-serializable value (no shared-memory
-/// handle), and the trait itself is object-safe — the properties that make
-/// the in-process transport socket-ready by construction.
+/// `ShardTransport` is plain owned data — sendable, clonable, comparable and
+/// printable, with no borrowed or shared-memory handle — and the trait
+/// itself is object-safe. Serialising the messages is the socket
+/// transport's job when it lands.
 #[test]
 fn shard_transport_messages_are_wire_shaped_and_object_safe() {
-    fn assert_wire<T: serde::Serialize + for<'de> serde::Deserialize<'de> + Send + 'static>() {}
+    fn assert_wire<T: Send + 'static + Clone + PartialEq + std::fmt::Debug>() {}
     assert_wire::<ShardMsg>();
     assert_wire::<loom_serve::QueryTaskMsg>();
     assert_wire::<loom_serve::SubQueryMsg>();

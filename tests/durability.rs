@@ -209,11 +209,10 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     ));
     // Mirror the engine configuration `Recovered::sharded` derives from the
     // session's (default-configured) executor.
-    let executor = QueryExecutor::new(LatencyModel::default());
+    let executor = QueryExecutor::default();
     let control_engine = ServeEngine::new(
         ServeConfig::new(2)
             .with_mode(executor.mode())
-            .with_latency(executor.latency_model())
             .with_match_limit(executor.match_limit()),
     )
     .with_plan_cache(plans);
@@ -372,11 +371,10 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
         &workload,
         &stats,
     ));
-    let executor = QueryExecutor::new(LatencyModel::default());
+    let executor = QueryExecutor::default();
     let control_engine = ServeEngine::new(
         ServeConfig::new(2)
             .with_mode(executor.mode())
-            .with_latency(executor.latency_model())
             .with_match_limit(executor.match_limit()),
     )
     .with_plan_cache(plans);

@@ -147,36 +147,6 @@ fn workload_agnostic_equivalence_when_no_motif_is_frequent() {
 }
 
 #[test]
-fn simulator_latency_tracks_ipt_probability() {
-    // For the same partitioning, a more expensive remote hop must increase
-    // mean latency but leave the traversal counts untouched.
-    let (graph, workload) = motif_scenario(9);
-    let tpstry = MotifMiner::default().mine(&workload).unwrap();
-    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
-    let mut ldg = LdgPartitioner::new(LdgConfig::new(4, graph.vertex_count())).unwrap();
-    let partitioning = partition_stream(&mut ldg, &stream).unwrap();
-    let store = PartitionedStore::new(graph.clone(), partitioning);
-
-    let cheap = QueryExecutor::new(LatencyModel {
-        local_hop_us: 1.0,
-        remote_hop_us: 10.0,
-    })
-    .execute_workload(&store, &workload, 50, 1);
-    let expensive = QueryExecutor::new(LatencyModel {
-        local_hop_us: 1.0,
-        remote_hop_us: 1_000.0,
-    })
-    .execute_workload(&store, &workload, 50, 1);
-
-    assert_eq!(cheap.total_traversals, expensive.total_traversals);
-    assert_eq!(cheap.remote_traversals, expensive.remote_traversals);
-    if cheap.remote_traversals > 0 {
-        assert!(expensive.mean_latency_us() > cheap.mean_latency_us());
-    }
-    let _ = tpstry;
-}
-
-#[test]
 fn stream_round_trip_preserves_graph_for_all_orderings() {
     let (graph, _) = motif_scenario(11);
     for order in [

@@ -445,7 +445,7 @@ proptest! {
             .max(1);
         let edges = pre_destroy.edge_count().max(1);
         let tpstry = MotifMiner::default().mine(&workload).expect("mines");
-        let executor = QueryExecutor::new(LatencyModel::default());
+        let executor = QueryExecutor::default();
         let engine = ServeEngine::new(ServeConfig::new(2));
         let samples = 8usize;
 

@@ -91,7 +91,6 @@ fn legacy_plans_reproduce_the_pre_redesign_path_exactly() {
                         &matcher::ExecOptions {
                             mode,
                             match_limit: executor.match_limit(),
-                            latency: executor.latency_model(),
                             root_seed: seed,
                             ..Default::default()
                         },

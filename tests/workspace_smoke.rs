@@ -20,14 +20,14 @@ fn prelude_reexports_resolve() {
     let _hash = HashPartitioner::new(2, 8).unwrap();
     let _config: LoomConfig = LoomConfig::new(2, 8);
     // loom_sim
-    let _latency: LatencyModel = LatencyModel::default();
+    let _executor: QueryExecutor = QueryExecutor::default();
 
     // The individual crates are also exposed as modules on the umbrella.
     let _ = loom::loom_graph::Label::new(1);
     let _ = loom::loom_motif::PrimeTable::new(2);
     let _ = loom::loom_partition::PartitionId::new(0);
     let _ = loom::loom_core::LoomConfig::new(2, 8);
-    let _ = loom::loom_sim::LatencyModel::default();
+    let _ = loom::loom_sim::QueryExecutor::default();
 }
 
 /// Generate a small graph, stream it, partition it with LOOM, and check the
