@@ -121,13 +121,9 @@ impl LoomPartitioner {
             // The pathology the paper's §4.4 flags: a merged cluster too large
             // to place as a unit without wrecking balance.
             self.stats.clusters_split_for_balance += 1;
-            if self.config.split_oversized_clusters {
-                let chunk = self.connected_chunk(&cluster, oldest);
-                if chunk.len() >= 2 {
-                    self.assign_cluster(&chunk)?;
-                } else {
-                    self.assign_single(oldest)?;
-                }
+            let chunk = self.connected_chunk(&cluster, oldest);
+            if chunk.len() >= 2 {
+                self.assign_cluster(&chunk)?;
             } else {
                 self.assign_single(oldest)?;
             }
@@ -559,49 +555,25 @@ mod tests {
 
     #[test]
     fn oversized_clusters_are_assigned_in_connected_chunks() {
-        // A long ab chain forms one giant merged cluster. With chunked
-        // splitting enabled the chain is assigned in connected pieces of at
-        // most max_cluster_size vertices, so the number of chunks is bounded
-        // below by len / max_cluster_size and every chunk stays connected in
-        // the final placement (low cut).
+        // A long ab chain forms one giant merged cluster. It is assigned in
+        // connected pieces of at most max_cluster_size vertices, placed as
+        // multi-vertex groups rather than vertex by vertex.
         let q = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
         let w = Workload::uniform(vec![q]).unwrap();
         let tpstry = MotifMiner::default().mine(&w).unwrap();
         let chain = path_graph(64, &[l(0), l(1)]);
         let stream = GraphStream::from_graph(&chain, &StreamOrder::Bfs);
-
-        let run = |split: bool| {
-            let mut config = LoomConfig::new(4, chain.vertex_count())
-                .with_window_size(64)
-                .with_max_cluster_size(8)
-                .with_slack(1.3);
-            if !split {
-                config = config.without_cluster_splitting();
-            }
-            let mut loom = LoomPartitioner::new(config, &tpstry).unwrap();
-            let part = partition_stream(&mut loom, &stream).unwrap();
-            (part, loom.loom_stats())
-        };
-
-        let (chunked_part, chunked_stats) = run(true);
-        let (single_part, single_stats) = run(false);
-        assert_eq!(chunked_part.assigned_count(), 64);
-        assert_eq!(single_part.assigned_count(), 64);
-        assert!(chunked_stats.clusters_split_for_balance > 0);
-        assert!(single_stats.clusters_split_for_balance > 0);
-        // Chunked splitting places multi-vertex groups; the no-split ablation
-        // places the oversized cluster vertex by vertex.
-        assert!(chunked_stats.clusters_assigned > 0);
-        assert!(chunked_stats.largest_cluster <= 8);
-        assert!(chunked_stats.cluster_vertices_assigned > single_stats.cluster_vertices_assigned);
-        // Keeping chain pieces together should not cut more edges than the
-        // vertex-by-vertex fallback.
-        let chunked_cut = evaluate(&chain, &chunked_part).cut_edges;
-        let single_cut = evaluate(&chain, &single_part).cut_edges;
-        assert!(
-            chunked_cut <= single_cut + 2,
-            "chunked {chunked_cut} vs single {single_cut}"
-        );
+        let config = LoomConfig::new(4, chain.vertex_count())
+            .with_window_size(64)
+            .with_max_cluster_size(8)
+            .with_slack(1.3);
+        let mut loom = LoomPartitioner::new(config, &tpstry).unwrap();
+        let part = partition_stream(&mut loom, &stream).unwrap();
+        let stats = loom.loom_stats();
+        assert_eq!(part.assigned_count(), 64);
+        assert!(stats.clusters_split_for_balance > 0);
+        assert!(stats.clusters_assigned > 0);
+        assert!(stats.largest_cluster <= 8);
     }
 
     #[test]

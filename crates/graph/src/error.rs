@@ -3,7 +3,7 @@
 use crate::ids::VertexId;
 use std::fmt;
 
-/// Errors produced by graph construction, IO and generator code.
+/// Errors produced by graph construction, decoding and generator code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// An operation referenced a vertex that is not present in the graph.
@@ -25,8 +25,6 @@ pub enum GraphError {
         /// Description of what went wrong.
         message: String,
     },
-    /// An IO error (wrapped as a string so the error stays `Clone + Eq`).
-    Io(String),
 }
 
 impl fmt::Display for GraphError {
@@ -43,18 +41,11 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
-            GraphError::Io(msg) => write!(f, "io error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for GraphError {}
-
-impl From<std::io::Error> for GraphError {
-    fn from(err: std::io::Error) -> Self {
-        GraphError::Io(err.to_string())
-    }
-}
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;
@@ -77,12 +68,5 @@ mod tests {
         }
         .to_string()
         .contains("line 7"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
-        let err: GraphError = io.into();
-        assert!(matches!(err, GraphError::Io(_)));
     }
 }

@@ -24,8 +24,6 @@ pub mod stage {
     pub const SERVE_QUEUE_WAIT: &str = "serve.queue_wait";
     /// One query execution on a shard worker (matcher run, wall clock).
     pub const SERVE_EXECUTE: &str = "serve.execute";
-    /// One halo sub-query executed on behalf of another worker.
-    pub const SERVE_HALO_HANDOFF: &str = "serve.halo_handoff";
     /// One checkpoint serialisation (blobs + manifest, fsyncs included).
     pub const STORE_CHECKPOINT_WRITE: &str = "store.checkpoint_write";
     /// One fsync on the durability path (WAL append or checkpoint file).
@@ -61,7 +59,6 @@ pub mod stage {
         INGEST_PARTITION,
         SERVE_QUEUE_WAIT,
         SERVE_EXECUTE,
-        SERVE_HALO_HANDOFF,
         STORE_CHECKPOINT_WRITE,
         STORE_FSYNC,
         ADAPT_PLAN,
@@ -161,6 +158,6 @@ mod tests {
             assert!(name.contains('.'), "{name} is not stage-scoped");
             assert!(seen.insert(name), "{name} appears twice");
         }
-        assert_eq!(seen.len(), 15);
+        assert_eq!(seen.len(), 14);
     }
 }

@@ -38,8 +38,10 @@ pub struct LoomConfig {
     /// this are treated as motifs worth keeping intact.
     pub motif_threshold: f64,
     /// Upper bound on the size (vertices) of a motif cluster assigned as a
-    /// unit; larger clusters are split back into single-vertex assignments to
-    /// protect balance (the pathology the paper's §4.4 warns about).
+    /// unit. A larger cluster (the pathology the paper's §4.4 warns about)
+    /// is split into connected chunks of at most this many vertices, and the
+    /// chunk containing the evicted vertex is placed as a unit (the local
+    /// partitioning of large matches the paper lists as future work).
     pub max_cluster_size: usize,
     /// Ablation switch: when `false` LOOM ignores motifs entirely and behaves
     /// as windowed LDG.
@@ -48,12 +50,6 @@ pub struct LoomConfig {
     /// vertex is co-assigned, instead of the transitive union of overlapping
     /// matches.
     pub merge_overlapping: bool,
-    /// When `true`, clusters exceeding `max_cluster_size` are split into
-    /// connected chunks of at most `max_cluster_size` vertices and the chunk
-    /// containing the evicted vertex is still assigned as a unit (the local
-    /// partitioning of large matches the paper lists as future work). When
-    /// `false`, oversized clusters fall back to single-vertex LDG.
-    pub split_oversized_clusters: bool,
     /// When `true`, every signature match is verified with exact labelled
     /// isomorphism before being used (Song et al.'s secondary check). The
     /// paper skips verification; enabling it lets experiments measure the
@@ -74,7 +70,6 @@ impl LoomConfig {
             max_cluster_size: 32,
             motif_clustering: true,
             merge_overlapping: true,
-            split_oversized_clusters: true,
             verify_matches: false,
         }
     }
@@ -118,14 +113,6 @@ impl LoomConfig {
     #[must_use]
     pub fn without_overlap_merging(mut self) -> Self {
         self.merge_overlapping = false;
-        self
-    }
-
-    /// Disable chunked assignment of oversized clusters (ablation: oversized
-    /// clusters fall back to single-vertex LDG).
-    #[must_use]
-    pub fn without_cluster_splitting(mut self) -> Self {
-        self.split_oversized_clusters = false;
         self
     }
 
@@ -411,7 +398,6 @@ mod tests {
             .with_max_cluster_size(10)
             .without_motif_clustering()
             .without_overlap_merging()
-            .without_cluster_splitting()
             .with_verification();
         assert_eq!(config.window_size, 64);
         assert!((config.motif_threshold - 0.25).abs() < 1e-12);
@@ -419,7 +405,6 @@ mod tests {
         assert_eq!(config.max_cluster_size, 10);
         assert!(!config.motif_clustering);
         assert!(!config.merge_overlapping);
-        assert!(!config.split_oversized_clusters);
         assert!(config.verify_matches);
         assert!(config.validate().is_ok());
     }

@@ -32,12 +32,13 @@
 //! * one worker per shard (a `std::thread::scope` thread running the
 //!   private worker event loop) pins its snapshot at spawn, executes each
 //!   routed query with the shared instrumented matcher under the request's
-//!   [`RequestContext`] — the exact code path of the sequential executor, so
-//!   aggregate metrics stay bit-identical to a sequential run for unbounded
-//!   requests — and streams `Done` results back;
+//!   [`RequestContext`] as one matcher run — the exact code path of the
+//!   sequential executor, so aggregate metrics and the match cursor are
+//!   bit-identical to a sequential run for every request without a deadline
+//!   or cancellation — and streams one `Done` result back per query;
 //! * the coordinator owns **only transport endpoints**: results, per-shard
-//!   reports, epoch notices and halo sub-query handoffs all arrive as
-//!   messages on its inbox, never through shared memory;
+//!   reports and epoch notices all arrive as messages on its inbox, never
+//!   through shared memory;
 //! * the coordinator folds each `Done` into the [`ServeReport`]: per-shard
 //!   execution metrics and remote-hop fraction, queue depth, queue-wait p99,
 //!   rejects, and the run's wall clock.
@@ -83,7 +84,7 @@ use crate::router::QueryRouter;
 use crate::shard::ShardedStore;
 use crate::transport::{
     InProcEndpoint, InProcTransport, QueryDoneMsg, QueryTaskMsg, RecvError, ShardMsg,
-    ShardReportMsg, ShardTransport, SubQueryMsg, TransportError,
+    ShardReportMsg, ShardTransport, TransportError,
 };
 use crate::worker::{worker_loop, WorkerSetup};
 use loom_motif::workload::Workload;
@@ -93,7 +94,6 @@ use loom_sim::engine::{request_schedule, resolve_schedule_plans, QueryRequest, Q
 use loom_sim::executor::{ExecutionMetrics, QueryMode};
 use loom_sim::matcher::Embedding;
 use loom_sim::plan::{PlanCache, QueryPlan};
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,8 +103,8 @@ use std::time::{Duration, Instant};
 /// slot came free without one (the full inbox held a notice, not a query).
 const ADMIT_SLICE: Duration = Duration::from_millis(1);
 
-/// Receive slice while awaiting completions (bounds the latency of relay
-/// flushes and cancellation broadcasts).
+/// Receive slice while awaiting completions (bounds the latency of
+/// cancellation broadcasts).
 const PUMP_SLICE: Duration = Duration::from_millis(10);
 
 /// Give up waiting for worker progress after this long with no message —
@@ -126,13 +126,6 @@ pub struct ServeConfig {
     pub mode: QueryMode,
     /// Cap on embeddings enumerated per query execution.
     pub match_limit: usize,
-    /// When true (and serving a pinned snapshot), workers hand halo-crossing
-    /// anchor roots off to the worker owning them as sub-query messages
-    /// instead of traversing replicated halo state themselves. Off by
-    /// default: the handoff executes each borrowed root as its own matcher
-    /// run, so per-query metrics under tight match limits can differ from
-    /// the single-execution path.
-    pub halo_handoff: bool,
 }
 
 impl ServeConfig {
@@ -144,7 +137,6 @@ impl ServeConfig {
             queue_capacity: 64,
             mode: QueryMode::Rooted { seed_count: 4 },
             match_limit: 10_000,
-            halo_handoff: false,
         }
     }
 
@@ -166,14 +158,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Builder-style halo sub-query handoff (see
-    /// [`ServeConfig::halo_handoff`]).
-    #[must_use]
-    pub fn with_halo_handoff(mut self, enabled: bool) -> Self {
-        self.halo_handoff = enabled;
         self
     }
 }
@@ -258,17 +242,6 @@ impl CoordLog {
     }
 }
 
-/// A handoff query awaiting its pieces: the home execution plus one partial
-/// per sub-query the home worker issued, arriving in any order.
-#[derive(Debug, Default)]
-struct PendingQuery {
-    home_done: bool,
-    expected: u32,
-    received: u32,
-    epoch: u64,
-    acc: ExecutionMetrics,
-}
-
 /// Outcome of one open-loop injection attempt (see
 /// [`OpenLoopInjector::inject_next`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,7 +283,6 @@ struct Coordinator<'a> {
     links: &'a [InProcEndpoint],
     plans: &'a [Option<Arc<QueryPlan>>],
     cancel: &'a CancelToken,
-    handoff: bool,
     /// Observability for the run, `None` on unobserved runs (whose code
     /// path — including clock reads — is then identical to pre-telemetry).
     telemetry: Option<&'a Telemetry>,
@@ -328,11 +300,8 @@ struct Coordinator<'a> {
     /// latched dump for the batch (observed runs only).
     deadline_events: Vec<FlightKind>,
     logs: Vec<CoordLog>,
-    embeddings: Vec<(u64, u64, Embedding)>,
-    pending: HashMap<u64, PendingQuery>,
-    /// seq → (home worker, workload query); populated only on handoff runs.
-    meta: HashMap<u64, (usize, usize)>,
-    relays: VecDeque<SubQueryMsg>,
+    /// Collected embeddings tagged with their query's admission `seq`.
+    embeddings: Vec<(u64, Embedding)>,
     reports: Vec<Option<ShardReportMsg>>,
     outstanding: usize,
     forwarded_epoch: u64,
@@ -348,7 +317,6 @@ impl<'a> Coordinator<'a> {
         links: &'a [InProcEndpoint],
         plans: &'a [Option<Arc<QueryPlan>>],
         cancel: &'a CancelToken,
-        handoff: bool,
         telemetry: Option<&'a Telemetry>,
     ) -> Self {
         let workers = links.len();
@@ -363,7 +331,6 @@ impl<'a> Coordinator<'a> {
             links,
             plans,
             cancel,
-            handoff,
             telemetry,
             admitted_ctr: per_shard("serve.admitted"),
             rejected_ctr: per_shard("serve.rejected"),
@@ -371,9 +338,6 @@ impl<'a> Coordinator<'a> {
             deadline_events: Vec::new(),
             logs: (0..workers).map(|_| CoordLog::default()).collect(),
             embeddings: Vec::new(),
-            pending: HashMap::new(),
-            meta: HashMap::new(),
-            relays: VecDeque::new(),
             reports: vec![None; workers],
             outstanding: 0,
             forwarded_epoch: 0,
@@ -388,9 +352,6 @@ impl<'a> Coordinator<'a> {
     /// the open-loop admission primitive — injection timing never depends on
     /// the engine keeping up. Returns whether the request was enqueued.
     fn admit_open(&mut self, worker: usize, task: QueryTaskMsg, epoch: u64) -> bool {
-        if self.handoff {
-            self.meta.insert(task.seq, (worker, task.query as usize));
-        }
         if let Some(t) = self.telemetry {
             t.flight().record(FlightKind::Admitted {
                 request: task.seq,
@@ -424,9 +385,6 @@ impl<'a> Coordinator<'a> {
     /// the request (recorded as `deadline_exceeded` with zero traversals,
     /// and counted in the shard's `rejected`).
     fn admit(&mut self, worker: usize, task: QueryTaskMsg, deadline: Option<Instant>, epoch: u64) {
-        if self.handoff {
-            self.meta.insert(task.seq, (worker, task.query as usize));
-        }
         // On observed runs, flight-record the admission and remember when it
         // started (one clock read for both) so a rejection can say how long
         // the task stayed refused. Unobserved runs skip even this read.
@@ -523,7 +481,6 @@ impl<'a> Coordinator<'a> {
     /// shard's `rejected` counter says the queue, not the matcher, spent
     /// the budget.
     fn reject(&mut self, worker: usize, task: &QueryTaskMsg, epoch: u64) {
-        self.meta.remove(&task.seq);
         let metrics = ExecutionMetrics {
             queries_executed: 1,
             local_only_queries: 1,
@@ -556,14 +513,13 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Consume everything currently in the inbox, then write out what the
-    /// batch owes the flight recorder and flush queued relays. Every
-    /// [`Coordinator::handle`] is followed by a drain.
+    /// batch owes the flight recorder. Every [`Coordinator::handle`] is
+    /// followed by a drain.
     fn drain(&mut self) {
         while let Ok(msg) = self.links[0].try_recv() {
             self.handle(msg);
         }
         self.flush_deadline_events();
-        self.flush_relays();
     }
 
     /// Flight-record the batch's blown deadlines under one lock and latch
@@ -576,27 +532,9 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Forward queued sub-query handoffs to their target workers without
-    /// blocking (a full target retries on the next drain).
-    fn flush_relays(&mut self) {
-        while let Some(sub) = self.relays.pop_front() {
-            let target = (sub.target_worker as usize) % self.links.len();
-            match self.links[target].try_send(ShardMsg::SubQuery(sub)) {
-                Ok(()) => {}
-                Err(err) => {
-                    if let ShardMsg::SubQuery(sub) = err.into_msg() {
-                        self.relays.push_front(sub);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-
     fn handle(&mut self, msg: ShardMsg) {
         match msg {
-            ShardMsg::Done(done) => self.handle_done(done),
-            ShardMsg::SubQuery(sub) => self.relays.push_back(sub),
+            ShardMsg::Done(done) => self.complete(done),
             ShardMsg::EpochPublished { epoch } => {
                 if epoch > self.forwarded_epoch {
                     self.forwarded_epoch = epoch;
@@ -621,45 +559,24 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    fn handle_done(&mut self, done: QueryDoneMsg) {
+    /// One admitted query is complete: keep its embeddings, note a blown
+    /// deadline for the flight recorder (written at the end of the drain),
+    /// timestamp the completion for an open-loop driver, and charge the
+    /// shard that ran it.
+    fn complete(&mut self, done: QueryDoneMsg) {
         let QueryDoneMsg {
             worker,
             seq,
             epoch,
-            partial,
-            handoffs,
             metrics,
             embeddings,
         } = done;
         self.embeddings
-            .extend(embeddings.into_iter().map(|(key, e)| (seq, key, e)));
-        if partial || handoffs > 0 {
-            let entry = self.pending.entry(seq).or_default();
-            entry.acc.merge(&metrics);
-            if partial {
-                entry.received += 1;
-            } else {
-                entry.home_done = true;
-                entry.expected = handoffs;
-                entry.epoch = epoch;
-            }
-            if entry.home_done && entry.received >= entry.expected {
-                self.complete_pending(seq);
-            }
-        } else {
-            self.complete(worker as usize, seq, epoch, metrics);
-        }
-    }
-
-    /// One admitted query is complete — directly, or once every handoff
-    /// piece arrived: note a blown deadline for the flight recorder (written
-    /// at the end of the drain), timestamp the completion for an open-loop
-    /// driver, and charge the home shard.
-    fn complete(&mut self, worker: usize, seq: u64, epoch: u64, metrics: ExecutionMetrics) {
+            .extend(embeddings.into_iter().map(|e| (seq, e)));
         if self.telemetry.is_some() && metrics.deadline_exceeded {
             self.deadline_events.push(FlightKind::DeadlineExceeded {
                 request: seq,
-                shard: worker as u32,
+                shard: worker,
                 epoch,
             });
         }
@@ -670,29 +587,8 @@ impl<'a> Coordinator<'a> {
                 deadline_exceeded: metrics.deadline_exceeded,
             });
         }
-        self.logs[worker].record(metrics, epoch);
+        self.logs[worker as usize].record(metrics, epoch);
         self.outstanding -= 1;
-    }
-
-    /// All pieces of a handoff query arrived: normalise the merged raw
-    /// metrics back into one per-query record (the per-root executions each
-    /// counted themselves as a query) and charge it to the home shard.
-    fn complete_pending(&mut self, seq: u64) {
-        let pending = self.pending.remove(&seq).expect("pending handoff query");
-        let (worker, query) = self.meta.remove(&seq).expect("admitted handoff query");
-        let acc = pending.acc;
-        let metrics = ExecutionMetrics {
-            queries_executed: 1,
-            matches_found: acc.matches_found,
-            total_traversals: acc.total_traversals,
-            remote_traversals: acc.remote_traversals,
-            local_only_queries: usize::from(acc.remote_traversals == 0),
-            matches_limited: acc.matches_limited,
-            deadline_exceeded: acc.deadline_exceeded,
-            cancelled: acc.cancelled,
-            plan: self.plans[query].as_ref().map(|p| p.id()),
-        };
-        self.complete(worker, seq, pending.epoch, metrics);
     }
 
     /// Pump the inbox until every admitted query has completed.
@@ -700,7 +596,6 @@ impl<'a> Coordinator<'a> {
         let mut last_progress = Instant::now();
         while self.outstanding > 0 {
             self.poll_cancel();
-            self.flush_relays();
             match self.links[0].recv(Some(Instant::now() + PUMP_SLICE)) {
                 Ok(msg) => {
                     last_progress = Instant::now();
@@ -871,18 +766,12 @@ impl OpenLoopInjector<'_> {
         Some(task.seq)
     }
 
-    /// Consume everything currently on the inbox without blocking.
-    pub fn pump(&mut self) {
-        self.coordinator.drain();
-    }
-
     /// Consume inbox messages until `deadline` — this is how the driver
     /// paces arrivals: sleep-with-work until the next scheduled injection
     /// instant, timestamping completions as they land.
     pub fn pump_until(&mut self, deadline: Instant) {
         loop {
             self.coordinator.poll_cancel();
-            self.coordinator.flush_relays();
             match self.coordinator.links[0].recv(Some(deadline)) {
                 Ok(msg) => {
                     self.coordinator.handle(msg);
@@ -928,7 +817,7 @@ impl ServeEngine {
     }
 
     /// Builder-style telemetry: runs charge stage histograms
-    /// (`serve.execute`, `serve.queue_wait`, `serve.halo_handoff`), keep
+    /// (`serve.execute`, `serve.queue_wait`), keep
     /// per-shard admitted/rejected counters and queue-depth gauges, and
     /// flight-record the admission/rejection/deadline/epoch timeline — with
     /// an automatic [`loom_obs::FlightDump`] latched on deadline-exceeded or
@@ -1044,10 +933,6 @@ impl ServeEngine {
         let options = self.options_for(&request);
         let workers = self.config.workers.max(1);
         let effective = ctx.tightened_by(request.deadline);
-        // Handoff is gated to pinned snapshots: it requires the router and
-        // every worker to agree on root ownership, which an epoch swap
-        // between admission and execution would break.
-        let handoff = self.config.halo_handoff && matches!(source, Source::Pinned(_));
         // `Instant`s do not cross the transport; per-task deadlines ride as
         // microseconds relative to the run start both sides hold.
         let deadline_us = effective
@@ -1094,24 +979,17 @@ impl ServeEngine {
                     .telemetry
                     .as_ref()
                     .map(|t| t.shard_histogram(stage::SERVE_EXECUTE, w as u32));
-                let halo_hist = self
-                    .telemetry
-                    .as_ref()
-                    .map(|t| t.shard_histogram(stage::SERVE_HALO_HANDOFF, w as u32));
                 scope.spawn(move || {
                     worker_loop(
                         endpoint,
                         source,
                         WorkerSetup {
                             worker: w as u32,
-                            workers: workers as u32,
                             options,
-                            handoff,
                             plans,
                             run_start: started,
                             cancel,
                             exec_hist,
-                            halo_hist,
                         },
                     );
                 });
@@ -1122,7 +1000,6 @@ impl ServeEngine {
                     &hub.coordinator,
                     &plans,
                     &effective.cancel,
-                    handoff,
                     self.telemetry.as_deref(),
                 ),
                 router: QueryRouter::new(options.mode),
@@ -1210,10 +1087,9 @@ impl ServeEngine {
         epochs_observed.sort_unstable();
         epochs_observed.dedup();
         // Deterministic cursor order: admission order, then enumeration
-        // order within one execution (the per-embedding order key covers
-        // handoff partials racing each other) — identical to a sequential
-        // run.
-        embeddings.sort_by_key(|&(seq, key, _)| (seq, key));
+        // order within one execution (the sort is stable and each query's
+        // embeddings arrive in one message) — identical to a sequential run.
+        embeddings.sort_by_key(|&(seq, _)| seq);
         let error_budget = ErrorBudget {
             requests: samples,
             rejected: shards.iter().map(|s| s.rejected).sum(),
@@ -1231,7 +1107,7 @@ impl ServeEngine {
         };
         let response = QueryResponse::from_engine(
             aggregate,
-            embeddings.into_iter().map(|(_, _, e)| e).collect(),
+            embeddings.into_iter().map(|(_, e)| e).collect(),
             request.collect_matches,
         );
         (report, response)
@@ -1709,26 +1585,5 @@ mod tests {
         assert!(report.wall_clock_qps() > 0.0);
         let derived = report.queries as f64 / (report.wall_clock_us / 1e6);
         assert!((report.wall_clock_qps() - derived).abs() < 1e-9);
-    }
-
-    #[test]
-    fn halo_handoff_matches_direct_execution_on_unbounded_runs() {
-        let (store, workload) = fixture();
-        let direct = ServeEngine::new(ServeConfig::new(4));
-        let handoff = ServeEngine::new(ServeConfig::new(4).with_halo_handoff(true));
-        let request = QueryRequest::workload(40)
-            .with_seed(8)
-            .collect_matches(true);
-        let (dr, dresp) = direct.run(&store, &workload, request, &RequestContext::unbounded());
-        let (hr, hresp) = handoff.run(&store, &workload, request, &RequestContext::unbounded());
-        assert_eq!(dr.queries, hr.queries);
-        assert_eq!(
-            dr.aggregate.matches_found, hr.aggregate.matches_found,
-            "handoff must find the same matches"
-        );
-        assert_eq!(dr.aggregate.queries_executed, hr.aggregate.queries_executed);
-        let a: Vec<_> = dresp.into_cursor().collect();
-        let b: Vec<_> = hresp.into_cursor().collect();
-        assert_eq!(a, b, "handoff must preserve the cursor order");
     }
 }

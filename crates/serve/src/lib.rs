@@ -16,8 +16,8 @@
 //! * [`transport`] — [`transport::ShardTransport`]: the object-safe,
 //!   wire-shaped message channel between the coordinator and each worker.
 //!   Everything that crosses it is a [`transport::ShardMsg`] of plain owned
-//!   data (routed queries, halo sub-query handoffs, results, shard reports,
-//!   epoch notices) — no shared-memory handle ever does.
+//!   data (routed queries, results, shard reports, epoch notices) — no
+//!   shared-memory handle ever does.
 //!   [`transport::InProcTransport`] is the bounded-channel in-process
 //!   implementation;
 //! * [`engine`] — [`engine::ServeEngine`]: the run coordinator, with one
@@ -25,8 +25,9 @@
 //!   [`engine::Source`] is a pinned `&Arc<ShardedStore>` or an
 //!   `&EpochStore` — beside `open_loop` for driver-paced load. It routes
 //!   queries and owns only transport endpoints; one independent worker event
-//!   loop per shard (a `std::thread::scope` thread) executes them with the
-//!   shared instrumented matcher from `loom-sim` under each request's
+//!   loop per shard (a `std::thread::scope` thread) executes each one as a
+//!   single run of the shared instrumented matcher from `loom-sim` under
+//!   each request's
 //!   [`RequestContext`](loom_sim::context::RequestContext) — deadlines and
 //!   cancellation unwind searches cooperatively mid-backtrack. Admission
 //!   applies deadline-aware backpressure: a full worker inbox is waited out
@@ -103,7 +104,7 @@ pub use router::QueryRouter;
 pub use shard::{MigratedStore, Shard, ShardBorder, ShardedStore};
 pub use transport::{
     InProcEndpoint, InProcHub, InProcTransport, QueryDoneMsg, QueryTaskMsg, RecvError, ShardMsg,
-    ShardReportMsg, ShardTransport, SubQueryMsg, TransportError, TransportStats,
+    ShardReportMsg, ShardTransport, TransportError, TransportStats,
 };
 
 /// Convenient re-exports for examples, tests and the umbrella crate.

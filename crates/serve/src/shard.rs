@@ -194,8 +194,8 @@ pub struct ShardedStore {
     /// Position → original vertex id, partition-major (shard 0's home
     /// vertices first, then shard 1's, …, unassigned vertices last).
     order: Vec<VertexId>,
-    /// Original id → position. Consulted for the explicit roots of a
-    /// handed-off sub-query and by the mutators; never inside the search.
+    /// Original id → position. Consulted for explicit roots (which arrive
+    /// as ids) and by the mutators; never inside the search.
     position_of: FxHashMap<VertexId, u32>,
     /// One packed record per position plus a closing sentinel (see
     /// [`end_slot`]), so `slots.len() == order.len() + 1`.

@@ -5,12 +5,12 @@
 //! shared one address space, reached into shared queues and peeked at a
 //! shared `RwLock` for epoch swaps. [`ShardTransport`] puts a wire-shaped
 //! boundary in between. Everything that crosses it is a [`ShardMsg`] — a
-//! routed query request, a halo-crossing sub-query handoff, a per-shard
-//! metric report, an epoch-publication notice — and every payload is plain
-//! owned data (serialising it is the socket transport's job when it
-//! lands): vertex ids, seeds, metric structs, relative deadlines in
-//! microseconds. **No `Arc<ShardedStore>` or any other shared-memory
-//! handle crosses the trait**; a worker's snapshot is handed
+//! routed query request, its result, a per-shard metric report, an
+//! epoch-publication notice — and every payload is plain owned data
+//! (serialising it is the socket transport's job when it lands): seeds,
+//! metric structs, embeddings, relative deadlines in microseconds. **No
+//! `Arc<ShardedStore>` or any other shared-memory handle crosses the
+//! trait**; a worker's snapshot is handed
 //! to it at spawn and refreshed when an [`ShardMsg::EpochPublished`] notice
 //! arrives, never by dereferencing shared state mid-run. Swapping the
 //! in-process implementation ([`InProcTransport`]) for a socket is a
@@ -40,7 +40,6 @@
 
 use crate::epoch::EpochSink;
 use crate::queue::{PopError, PushError, ShardQueue};
-use loom_graph::VertexId;
 use loom_obs::{stage, Histogram, Telemetry};
 use loom_sim::executor::ExecutionMetrics;
 use loom_sim::matcher::Embedding;
@@ -68,49 +67,20 @@ pub struct QueryTaskMsg {
     pub deadline_us: Option<u64>,
 }
 
-/// A halo-crossing sub-query handoff: the home worker ships the roots it
-/// does **not** own to the worker that owns them (relayed through the
-/// coordinator), instead of traversing into replicated halo state itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubQueryMsg {
-    /// Admission sequence of the parent query.
-    pub seq: u64,
-    /// Index into the workload's query list.
-    pub query: u32,
-    /// Worker that should execute these roots.
-    pub target_worker: u32,
-    /// Worker that issued the handoff (the query's home).
-    pub origin_worker: u32,
-    /// `(rank, root)` pairs: `rank` is the root's position in the parent
-    /// execution's full candidate list, so merged embeddings keep the exact
-    /// enumeration order a single-worker execution would produce.
-    pub roots: Vec<(u32, VertexId)>,
-    /// Parent request deadline, microseconds since run start.
-    pub deadline_us: Option<u64>,
-}
-
-/// One finished (or partial) execution: worker → coordinator.
+/// One finished execution: worker → coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryDoneMsg {
-    /// Worker that executed this piece.
+    /// Worker that executed the query.
     pub worker: u32,
     /// Admission sequence of the query.
     pub seq: u64,
-    /// Epoch of the snapshot the piece executed against.
+    /// Epoch of the snapshot the query executed against.
     pub epoch: u64,
-    /// `true` for a sub-query partial; `false` for the home execution.
-    pub partial: bool,
-    /// Number of sub-query handoffs the home execution issued (home results
-    /// only); the coordinator completes the query once it holds the home
-    /// result plus this many partials.
-    pub handoffs: u32,
-    /// Metrics of this piece (raw; the coordinator normalises per-query
-    /// counts when merging handoff partials).
+    /// Metrics of the execution.
     pub metrics: ExecutionMetrics,
-    /// Collected embeddings tagged with an order key (root rank and
-    /// discovery index), so the merged cursor is deterministic however the
-    /// pieces raced.
-    pub embeddings: Vec<(u64, Embedding)>,
+    /// Collected embeddings in enumeration order (empty unless the request
+    /// collects); the coordinator orders the cursor by `seq`.
+    pub embeddings: Vec<Embedding>,
 }
 
 /// End-of-run shard summary: worker → coordinator, in reply to
@@ -119,8 +89,7 @@ pub struct QueryDoneMsg {
 pub struct ShardReportMsg {
     /// Reporting worker.
     pub worker: u32,
-    /// Queries the worker executed (home executions; sub-query partials are
-    /// accounted to their home query).
+    /// Queries the worker executed.
     pub queries: usize,
     /// Median wall-clock time messages sat in this worker's inbox, µs.
     pub queue_wait_p50_us: f64,
@@ -136,11 +105,7 @@ pub struct ShardReportMsg {
 pub enum ShardMsg {
     /// Coordinator → worker: execute one routed query.
     Query(QueryTaskMsg),
-    /// Worker → coordinator → worker: halo-crossing sub-query handoff. A
-    /// worker addresses the message; the coordinator relays it to
-    /// `target_worker` (workers hold no direct links to each other).
-    SubQuery(SubQueryMsg),
-    /// Worker → coordinator: a query (or sub-query partial) finished.
+    /// Worker → coordinator: a query finished.
     Done(QueryDoneMsg),
     /// Worker → coordinator: final shard summary, in reply to `Finish`.
     Report(ShardReportMsg),

@@ -9,11 +9,11 @@
 //! pull-based iterator over the concrete match embeddings, populated when
 //! the request asked for them.
 //!
-//! [`QueryEngine`] is the trait tying the layers together; the sequential
-//! [`SequentialEngine`] here, the sharded `loom-serve` engine and adaptive
-//! `loom-adapt` serving all implement it over the *same* compiled
-//! [`PlanCache`], which is what makes their answers
-//! comparable.
+//! [`QueryEngine`] is the trait tying the layers together; the `loom`
+//! façade's sequential `Serving` handle (over [`run_sequential`] here), the
+//! sharded `loom-serve` engine and adaptive `loom-adapt` serving all
+//! implement it over the *same* compiled [`PlanCache`], which is what makes
+//! their answers comparable.
 
 use crate::context::RequestContext;
 use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
@@ -345,13 +345,13 @@ pub fn resolve_schedule_plans(
     plans
 }
 
-/// Run a request through the sequential executor under `ctx` — the shared
-/// implementation behind [`SequentialEngine`], the `loom` façade's
-/// sequential serving handle and `QueryExecutor::execute_workload`. Every
-/// scheduled execution observes the context's deadline (tightened by the
-/// request's own) and cancellation token; executions scheduled after the
-/// cut are pre-flighted away at zero traversal cost, so they still count in
-/// `queries_executed` but do no work.
+/// Run a request through the sequential executor under `ctx` — the one
+/// sequential path: the `loom` façade's `Serving` handle and
+/// `QueryExecutor::execute_workload` both run it, and the concurrent engines
+/// are parity-tested against it. Every scheduled execution observes the
+/// context's deadline (tightened by the request's own) and cancellation
+/// token; executions scheduled after the cut are pre-flighted away at zero
+/// traversal cost, so they still count in `queries_executed` but do no work.
 pub fn run_sequential(
     executor: &QueryExecutor,
     store: &PartitionedStore,
@@ -388,53 +388,6 @@ pub fn run_sequential(
     QueryResponse::new(metrics, embeddings, request.collect_matches)
 }
 
-/// The sequential [`QueryEngine`]: a [`QueryExecutor`] bound to its store
-/// and workload, executing requests one after another on the calling
-/// thread. The reference implementation the concurrent engines are
-/// parity-tested against.
-#[derive(Debug, Clone)]
-pub struct SequentialEngine {
-    store: PartitionedStore,
-    workload: Workload,
-    executor: QueryExecutor,
-}
-
-impl SequentialEngine {
-    /// Bind an executor to a store and workload.
-    pub fn new(store: PartitionedStore, workload: Workload, executor: QueryExecutor) -> Self {
-        Self {
-            store,
-            workload,
-            executor,
-        }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &PartitionedStore {
-        &self.store
-    }
-
-    /// The workload requests sample from.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The configured executor.
-    pub fn executor(&self) -> &QueryExecutor {
-        &self.executor
-    }
-}
-
-impl QueryEngine for SequentialEngine {
-    fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
-        run_sequential(&self.executor, &self.store, &self.workload, request, ctx)
-    }
-
-    fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.executor.plan_cache()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,7 +396,9 @@ mod tests {
     use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
     use loom_partition::partition::{PartitionId, Partitioning};
 
-    fn engine(cache: bool) -> SequentialEngine {
+    /// The paper example on a 2-partition split, with or without a plan
+    /// cache.
+    fn fixture(cache: bool) -> (QueryExecutor, PartitionedStore, Workload) {
         let graph = paper_example_graph();
         let workload = paper_example_workload();
         let mut part = Partitioning::new(2, 8).unwrap();
@@ -460,25 +415,37 @@ mod tests {
                 &stats,
             )));
         }
-        SequentialEngine::new(PartitionedStore::new(graph, part), workload, executor)
+        (executor, PartitionedStore::new(graph, part), workload)
+    }
+
+    fn run(
+        (executor, store, workload): &(QueryExecutor, PartitionedStore, Workload),
+        request: QueryRequest,
+    ) -> QueryResponse {
+        run_sequential(
+            executor,
+            store,
+            workload,
+            request,
+            &RequestContext::unbounded(),
+        )
     }
 
     #[test]
     fn workload_requests_match_the_legacy_executor_exactly() {
-        let engine = engine(false);
-        let response = engine.run(QueryRequest::workload(40).with_seed(3));
-        let legacy = engine
-            .executor()
-            .execute_workload(engine.store(), engine.workload(), 40, 3);
+        let engine = fixture(false);
+        let response = run(&engine, QueryRequest::workload(40).with_seed(3));
+        let (executor, store, workload) = &engine;
+        let legacy = executor.execute_workload(store, workload, 40, 3);
         assert_eq!(response.metrics, legacy);
         assert!(!response.into_cursor().is_collected());
     }
 
     #[test]
     fn single_query_requests_collect_embeddings() {
-        let engine = engine(true);
-        let id = engine.workload().queries()[0].id();
-        let response = engine.run(QueryRequest::query(id).collect_matches(true));
+        let engine = fixture(true);
+        let id = engine.2.queries()[0].id();
+        let response = run(&engine, QueryRequest::query(id).collect_matches(true));
         assert_eq!(response.metrics.queries_executed, 1);
         let found = response.metrics.matches_found;
         assert!(found > 0);
@@ -491,8 +458,11 @@ mod tests {
 
     #[test]
     fn unknown_query_ids_execute_nothing() {
-        let engine = engine(true);
-        let response = engine.run(QueryRequest::query(QueryId::new(404)).collect_matches(true));
+        let engine = fixture(true);
+        let response = run(
+            &engine,
+            QueryRequest::query(QueryId::new(404)).collect_matches(true),
+        );
         assert_eq!(response.metrics, ExecutionMetrics::default());
         let cursor = response.into_cursor();
         assert!(cursor.is_collected());
@@ -501,36 +471,36 @@ mod tests {
 
     #[test]
     fn request_overrides_mode_and_limit() {
-        let engine = engine(true);
-        let id = engine.workload().queries()[0].id();
-        let full = engine.run(QueryRequest::query(id));
-        let limited = engine.run(QueryRequest::query(id).with_match_limit(1));
+        let engine = fixture(true);
+        let id = engine.2.queries()[0].id();
+        let full = run(&engine, QueryRequest::query(id));
+        let limited = run(&engine, QueryRequest::query(id).with_match_limit(1));
         assert_eq!(limited.metrics.matches_found, 1);
         assert!(limited.matches_limited());
         assert!(limited.metrics.total_traversals < full.metrics.total_traversals);
-        let rooted = engine.run(
+        let rooted = run(
+            &engine,
             QueryRequest::query(id)
                 .with_mode(QueryMode::Rooted { seed_count: 1 })
                 .with_seed(5),
         );
         assert!(rooted.metrics.total_traversals <= full.metrics.total_traversals);
         // Budgets flag the run.
-        let budgeted = engine.run(QueryRequest::query(id).with_traversal_budget(1));
+        let budgeted = run(&engine, QueryRequest::query(id).with_traversal_budget(1));
         assert!(budgeted.matches_limited());
     }
 
     #[test]
     fn plan_cache_is_exposed_and_reused() {
-        let engine = engine(true);
-        let cache = engine.plan_cache().expect("cache wired in").clone();
+        let engine = fixture(true);
+        let cache = engine.0.plan_cache().expect("cache wired in").clone();
         let hits_before = cache.hits();
-        engine.run(QueryRequest::workload(10).with_seed(1));
+        run(&engine, QueryRequest::workload(10).with_seed(1));
         // One resolution per *distinct* sampled query per run, not per
         // sample — the amortized contract every engine shares.
         let first_run = cache.hits() - hits_before;
-        assert!(first_run >= 1 && first_run <= engine.workload().len());
-        engine.run(QueryRequest::workload(10).with_seed(1));
+        assert!(first_run >= 1 && first_run <= engine.2.len());
+        run(&engine, QueryRequest::workload(10).with_seed(1));
         assert_eq!(cache.hits(), hits_before + 2 * first_run, "deterministic");
-        assert!(engine.executor().plan_cache().is_some());
     }
 }

@@ -32,8 +32,9 @@
 //!   remote one (with a configurable latency model);
 //! * [`engine`] — the unified [`engine::QueryEngine`] API:
 //!   [`engine::QueryRequest`] / [`engine::QueryResponse`] with a pull-based
-//!   [`engine::MatchCursor`] over concrete embeddings, implemented by the
-//!   sequential engine here and by the `loom-serve` / `loom-adapt` layers;
+//!   [`engine::MatchCursor`] over concrete embeddings, with the one
+//!   sequential path ([`engine::run_sequential`]) here and the concurrent
+//!   engines in the `loom-serve` / `loom-adapt` layers;
 //! * [`context`] — per-request deadlines and cooperative cancellation
 //!   ([`context::RequestContext`] / [`context::CancelToken`]), threaded from
 //!   every engine into the matcher's traversal-budget check so an expired
@@ -81,9 +82,7 @@ pub mod prelude {
     pub use crate::churn::{ChurnRun, DeletionChurnScenario};
     pub use crate::context::{CancelToken, RequestContext};
     pub use crate::drift::DriftScenario;
-    pub use crate::engine::{
-        MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget, SequentialEngine,
-    };
+    pub use crate::engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget};
     pub use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
     pub use crate::growth::{GrowthCheckpoint, GrowthScenario};
     pub use crate::matcher::{Embedding, PatternStore};

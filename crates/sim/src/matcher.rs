@@ -13,9 +13,9 @@
 //! live degree, adjacency, edge membership, partition crossing) is keyed by
 //! handle. Roots come out of the store's label index **as handles**
 //! ([`PatternStore::handles_with_label`]); only the explicit roots of
-//! [`execute_plan_with_roots`], which cross a transport as ids, are
-//! resolved. From there neighbours arrive as handles, the partial mapping
-//! holds handles, and ids reappear only when an [`Embedding`] is collected.
+//! [`execute_plan_with_roots`], which arrive as ids, are resolved. From
+//! there neighbours arrive as handles, the partial mapping holds handles,
+//! and ids reappear only when an [`Embedding`] is collected.
 //!
 //! **The arc answers for its target.** Every neighbour of an anchor is one
 //! metered traversal, but only the few carrying the wanted label become
@@ -318,9 +318,10 @@ pub fn execute_plan_ctx<S: PatternStore + ?Sized>(
 }
 
 /// Execute a pre-compiled plan anchored at an explicit root set instead of
-/// resolving [`plan_roots`] — the building block for halo-crossing sub-query
-/// handoff, where a home shard executes only the roots it owns and ships the
-/// rest to their owning shards. Roots are executed in slice order; callers
+/// resolving [`plan_roots`]: roots named by id, as they would arrive from
+/// another process. The oracle suite anchors searches this way, and a
+/// continuation that ships a bound prefix to the shard owning its next
+/// vertex would enter here too. Roots are executed in slice order; callers
 /// wanting parity with [`execute_plan_ctx`] pass a sorted, de-duplicated
 /// subset of that execution's root candidates. A root the store cannot
 /// [`resolve`](PatternStore::resolve) — an unknown id, a tombstone — anchors
@@ -400,8 +401,8 @@ fn run_plan<S: PatternStore + ?Sized>(
             },
         };
         match roots {
-            // Explicit roots crossed a transport as ids: the one place an id
-            // is resolved. A root the store does not hold live (unknown id,
+            // Explicit roots arrive as ids: the one place an id is
+            // resolved. A root the store does not hold live (unknown id,
             // tombstone) anchors nothing.
             Some(explicit) => search.run(explicit.iter().filter_map(|&v| store.resolve(v))),
             None => {

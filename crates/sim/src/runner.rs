@@ -143,10 +143,6 @@ pub struct ExperimentConfig {
     /// (batched and per-element ingestion are contractually identical; this
     /// only affects throughput).
     pub chunk_size: usize,
-    /// How workload queries are compiled into plans. The plans are compiled
-    /// once per `(graph, workload)` pair and shared across every
-    /// partitioner's execution run.
-    pub plan_strategy: PlanStrategy,
 }
 
 impl ExperimentConfig {
@@ -161,7 +157,6 @@ impl ExperimentConfig {
             seed: 42,
             query_mode: QueryMode::Rooted { seed_count: 4 },
             chunk_size: loom_partition::traits::DEFAULT_BATCH_SIZE,
-            plan_strategy: PlanStrategy::default(),
         }
     }
 }
@@ -273,7 +268,7 @@ impl ExperimentRunner {
     /// amortised from per-execution to per-workload.
     pub fn plan_cache(&self, graph: &LabelledGraph, workload: &Workload) -> Arc<PlanCache> {
         let stats = GraphStatistics::from_graph(graph);
-        let planner = QueryPlanner::new(self.config.plan_strategy);
+        let planner = QueryPlanner::new(PlanStrategy::default());
         Arc::new(PlanCache::compile(&planner, workload, &stats))
     }
 

@@ -33,8 +33,7 @@
 //!   `initial_rps → increment_rps → max_rps` ramp sweeps over the serving
 //!   engine, per-step offered-vs-achieved tables with wall-clock sojourn
 //!   quantiles, and saturation-knee detection
-//!   ([`Session::capacity`](session::Session::capacity) /
-//!   [`ShardedServing::capacity`](session::ShardedServing::capacity));
+//!   ([`ShardedServing::capacity`](session::ShardedServing::capacity));
 //! * [`loom_obs`] — the telemetry subsystem: a lock-free metric registry
 //!   (counters, gauges, mergeable log-linear histograms with re-sort-free
 //!   quantiles), zero-alloc scoped spans charging stage wall-clock, a

@@ -11,12 +11,14 @@
 //!    ([`Session::ingest_stream`] chunks a whole [`GraphStream`]);
 //! 4. **plan** — [`Session::serve`] compiles every workload query **once**
 //!    into a [`QueryPlan`](loom_sim::plan::QueryPlan) against the graph's
-//!    statistics, shared through an `Arc<PlanCache>` by every layer below;
+//!    statistics (with the default cost-ranked [`PlanStrategy`]), shared
+//!    through an `Arc<PlanCache>` by every layer below;
 //! 5. **serve** — the partitioned graph goes into a [`PartitionedStore`] +
-//!    [`QueryExecutor`] pair behind the unified [`QueryEngine`] API;
-//!    [`Serving::sharded`] additionally freezes the store into a
+//!    [`QueryExecutor`] pair: the returned [`Serving`] is the sequential
+//!    [`QueryEngine`]. [`Serving::sharded`] freezes the store into a
 //!    `loom-serve` [`ShardedStore`] and stands up the concurrent
-//!    worker-shard engine — same plans, same metrics.
+//!    worker-shard engine, and [`ShardedServing::capacity`] drives it
+//!    open-loop — same plans, same metrics.
 //!
 //! ```
 //! use loom::session::Session;
@@ -141,7 +143,6 @@ pub struct SessionBuilder {
     chunk_size: usize,
     query_mode: QueryMode,
     match_limit: Option<usize>,
-    plan_strategy: PlanStrategy,
     durability: Option<PathBuf>,
     telemetry: Option<Arc<Telemetry>>,
 }
@@ -177,15 +178,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn match_limit(mut self, limit: usize) -> Self {
         self.match_limit = Some(limit);
-        self
-    }
-
-    /// How workload queries are compiled into plans at [`Session::serve`]
-    /// (default [`PlanStrategy::CostRanked`]; [`PlanStrategy::Legacy`]
-    /// reproduces the pre-planner matching order bit-for-bit).
-    #[must_use]
-    pub fn plan_strategy(mut self, strategy: PlanStrategy) -> Self {
-        self.plan_strategy = strategy;
         self
     }
 
@@ -266,7 +258,6 @@ impl SessionBuilder {
             chunk_size: self.chunk_size,
             query_mode: self.query_mode,
             match_limit: self.match_limit,
-            plan_strategy: self.plan_strategy,
         }
     }
 
@@ -420,7 +411,6 @@ pub struct Session {
     chunk_size: usize,
     query_mode: QueryMode,
     match_limit: Option<usize>,
-    plan_strategy: PlanStrategy,
 }
 
 impl fmt::Debug for Session {
@@ -445,7 +435,6 @@ impl Session {
             chunk_size: DEFAULT_BATCH_SIZE,
             query_mode: QueryMode::default(),
             match_limit: None,
-            plan_strategy: PlanStrategy::default(),
             durability: None,
             telemetry: None,
         }
@@ -636,7 +625,7 @@ impl Session {
     fn compile_plans(&self, graph: &LabelledGraph) -> Option<Arc<PlanCache>> {
         self.workload.as_ref().map(|workload| {
             let stats = GraphStatistics::from_graph(graph);
-            let planner = QueryPlanner::new(self.plan_strategy);
+            let planner = QueryPlanner::new(PlanStrategy::default());
             Arc::new(PlanCache::compile(&planner, workload, &stats))
         })
     }
@@ -668,24 +657,6 @@ impl Session {
             workload: self.workload.clone(),
             telemetry: self.telemetry.clone(),
         }
-    }
-
-    /// Finish partitioning and run an open-loop capacity measurement in one
-    /// call: `serve(graph)` → [`Serving::sharded`]`(workers)` →
-    /// [`ShardedServing::capacity`]. The returned [`CapacityRun`] carries the
-    /// per-step offered/achieved table and the detected saturation knee.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partitioner assignment errors from the final flush, and
-    /// fails when the session has no workload (there is nothing to offer).
-    pub fn capacity(
-        self,
-        graph: LabelledGraph,
-        workers: usize,
-        config: &LoadConfig,
-    ) -> SessionResult<CapacityRun> {
-        self.serve(graph)?.sharded(workers).capacity(config)
     }
 
     /// Bring a crashed (or cleanly stopped) durable session back. The newest
@@ -890,9 +861,9 @@ impl Recovered {
     }
 
     /// Sequential serving over the recovered checkpoint state, configured
-    /// exactly like the original session (same query mode, match limit,
-    /// plan strategy — plans compiled once from the recovered graph's
-    /// statistics, which recovery restored bit-identically, and shared with
+    /// exactly like the original session (same query mode and match limit;
+    /// plans compiled once from the recovered graph's statistics, which
+    /// recovery restored bit-identically, and shared with
     /// [`Recovered::sharded`]).
     pub fn serving(&self) -> Serving {
         self.session.serving_over(
@@ -1091,28 +1062,12 @@ impl ShardedServing {
     /// [`ServeReport`] and the request's [`QueryResponse`]. Sessions without
     /// a workload serve an empty report.
     pub fn serve_request(&self, request: QueryRequest) -> (ServeReport, QueryResponse) {
-        self.serve_request_ctx(request, &RequestContext::unbounded())
-    }
-
-    /// Like [`ShardedServing::serve_request`], under an explicit
-    /// [`RequestContext`]: the context's deadline (tightened by the
-    /// request's own) bounds admission and execution, and firing its cancel
-    /// token cooperatively unwinds every in-flight worker.
-    pub fn serve_request_ctx(
-        &self,
-        request: QueryRequest,
-        ctx: &RequestContext,
-    ) -> (ServeReport, QueryResponse) {
         match &self.workload {
-            Some(workload) => self.engine.run(&self.store, workload, request, ctx),
-            None => (
-                ServeReport::default(),
-                QueryResponse::from_engine(
-                    ExecutionMetrics::default(),
-                    Vec::new(),
-                    request.collect_matches,
-                ),
-            ),
+            Some(workload) => {
+                self.engine
+                    .run(&self.store, workload, request, &RequestContext::unbounded())
+            }
+            None => (ServeReport::default(), self.run(request)),
         }
     }
 
@@ -1135,11 +1090,22 @@ impl ShardedServing {
 
 /// The concurrent face of the unified engine API: requests are routed and
 /// executed across the worker shards from the same compiled plans as the
-/// sequential path, so for any request `run` returns **identical** metrics
-/// (and cursor contents) to [`Serving::run`] over the same session.
+/// sequential path, so for any request without a deadline or cancellation
+/// `run` returns **identical** metrics (and cursor contents) to
+/// [`Serving::run`] over the same session. The context's deadline
+/// (tightened by the request's own) bounds admission and execution, and
+/// firing its cancel token cooperatively unwinds every in-flight worker.
+/// Sessions without a workload return an empty response.
 impl QueryEngine for ShardedServing {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
-        self.serve_request_ctx(request, ctx).1
+        match &self.workload {
+            Some(workload) => self.engine.run(&self.store, workload, request, ctx).1,
+            None => QueryResponse::from_engine(
+                ExecutionMetrics::default(),
+                Vec::new(),
+                request.collect_matches,
+            ),
+        }
     }
 
     fn plan_cache(&self) -> Option<&Arc<PlanCache>> {

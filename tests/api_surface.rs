@@ -383,7 +383,6 @@ fn shard_transport_messages_are_wire_shaped_and_object_safe() {
     fn assert_wire<T: Send + 'static + Clone + PartialEq + std::fmt::Debug>() {}
     assert_wire::<ShardMsg>();
     assert_wire::<loom_serve::QueryTaskMsg>();
-    assert_wire::<loom_serve::SubQueryMsg>();
     assert_wire::<loom_serve::QueryDoneMsg>();
     assert_wire::<loom_serve::ShardReportMsg>();
 

@@ -235,7 +235,12 @@ fn session_capacity_facade_measures_and_requires_a_workload() {
     let mut session = Session::builder(spec).workload(workload).build().unwrap();
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
     session.ingest_stream(&stream).unwrap();
-    let run = session.capacity(graph.clone(), 2, &config).unwrap();
+    let run = session
+        .serve(graph.clone())
+        .unwrap()
+        .sharded(2)
+        .capacity(&config)
+        .unwrap();
     assert_eq!(run.steps.len(), 1);
     assert_eq!(run.report.error_budget.requests, run.offered_total());
     assert!(run.offered_total() > 0);

@@ -21,6 +21,7 @@
 
 use loom::prelude::*;
 use loom_graph::VertexId;
+use loom_sim::engine::run_sequential;
 use loom_sim::matcher;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -268,11 +269,7 @@ fn cursors_are_identical_across_engines() {
         &workload,
         &GraphStatistics::from_graph(store.graph()),
     ));
-    let sequential = SequentialEngine::new(
-        store.clone(),
-        workload.clone(),
-        QueryExecutor::default().with_plan_cache(Arc::clone(&cache)),
-    );
+    let executor = QueryExecutor::default().with_plan_cache(Arc::clone(&cache));
     let sharded_store = Arc::new(ShardedStore::from_parts(
         store.graph(),
         store.partitioning(),
@@ -283,7 +280,10 @@ fn cursors_are_identical_across_engines() {
     let request = QueryRequest::workload(40)
         .with_seed(2)
         .collect_matches(true);
-    let a: Vec<Embedding> = sequential.run(request).into_cursor().collect();
+    let unbounded = RequestContext::unbounded();
+    let a: Vec<Embedding> = run_sequential(&executor, &store, &workload, request, &unbounded)
+        .into_cursor()
+        .collect();
     let (_, response) = engine.run(
         &sharded_store,
         &workload,
@@ -315,18 +315,16 @@ fn match_limits_cut_traversals_and_bound_the_cursor() {
         PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap()
     ])
     .unwrap();
-    let engine = SequentialEngine::new(
-        PartitionedStore::new(graph, part),
-        workload,
-        QueryExecutor::default(),
-    );
+    let store = PartitionedStore::new(graph, part);
+    let run = |request| {
+        let ctx = RequestContext::unbounded();
+        run_sequential(&QueryExecutor::default(), &store, &workload, request, &ctx)
+    };
 
-    let unlimited = engine.run(QueryRequest::query(QueryId::new(0)).collect_matches(true));
-    let limited = engine.run(
-        QueryRequest::query(QueryId::new(0))
-            .with_match_limit(5)
-            .collect_matches(true),
-    );
+    let unlimited = run(QueryRequest::query(QueryId::new(0)).collect_matches(true));
+    let limited = run(QueryRequest::query(QueryId::new(0))
+        .with_match_limit(5)
+        .collect_matches(true));
     assert_eq!(unlimited.metrics.matches_found, 60);
     assert!(!unlimited.metrics.matches_limited);
     assert_eq!(limited.metrics.matches_found, 5);
@@ -382,15 +380,14 @@ proptest! {
             part.assign(v, PartitionId::new(i as u32 % split)).unwrap();
         }
         let workload = Workload::uniform(vec![query]).unwrap();
-        let engine = SequentialEngine::new(
-            PartitionedStore::new(graph, part),
-            workload,
-            QueryExecutor::default(),
-        );
-        let response = engine.run(
+        let response = run_sequential(
+            &QueryExecutor::default(),
+            &PartitionedStore::new(graph, part),
+            &workload,
             QueryRequest::query(QueryId::new(0))
                 .with_match_limit(usize::MAX)
                 .collect_matches(true),
+            &RequestContext::unbounded(),
         );
         let found = response.metrics.matches_found;
         prop_assert!(!response.metrics.matches_limited);

@@ -4,9 +4,10 @@
 //! Four properties matter:
 //!
 //! * **parity** — the coordinator/worker message protocol is an
-//!   implementation detail: for unbounded requests the transport-backed
-//!   engine returns metrics (and match cursors) identical to the sequential
-//!   executor at every worker count;
+//!   implementation detail: for every request without a deadline or
+//!   cancellation — match-limited and traversal-budgeted ones included — the
+//!   transport-backed engine returns metrics (and match cursors) identical to
+//!   the sequential executor at every worker count;
 //! * **deadlines** — an already-expired deadline short-circuits every
 //!   execution at zero traversal cost, and a mid-run deadline measurably
 //!   cuts traversals while flagging the partial result;
@@ -20,6 +21,7 @@ use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_partition::hash::HashConfig;
 use loom_partition::spec::LoomConfig;
+use loom_sim::engine::run_sequential;
 use loom_sim::matcher::{execute_plan_ctx, ExecOptions, MatchScratch};
 use loom_sim::plan::GraphStatistics;
 use proptest::prelude::*;
@@ -61,9 +63,11 @@ fn partitioned(graph: &LabelledGraph, spec: PartitionerSpec, workload: &Workload
 }
 
 /// (a) Message-passing execution is metric- and cursor-identical to the
-/// sequential executor for unbounded requests, at every worker count.
+/// sequential executor for every request without a deadline or cancellation
+/// — unbounded, match-limited (1 and 2) and traversal-budgeted — at every
+/// worker count.
 #[test]
-fn transport_engine_matches_sequential_for_unbounded_requests() {
+fn transport_engine_matches_sequential_for_every_request_without_a_deadline() {
     let graph = social_graph(500, 11);
     let workload = motif_workload();
     let partitioning = partitioned(
@@ -76,25 +80,47 @@ fn transport_engine_matches_sequential_for_unbounded_requests() {
     let executor = QueryExecutor::default().with_mode(mode);
     let expected = executor.execute_workload(&sequential_store, &workload, 150, 42);
 
+    let unbounded = QueryRequest::workload(150).with_seed(42);
+    let requests = [
+        unbounded,
+        unbounded.with_match_limit(1),
+        unbounded.with_match_limit(2),
+        unbounded.with_traversal_budget(8),
+    ];
+    let sequential = requests.map(|request| {
+        let response = run_sequential(
+            &executor,
+            &sequential_store,
+            &workload,
+            request,
+            &RequestContext::unbounded(),
+        );
+        response.metrics
+    });
+    assert_eq!(sequential[0], expected);
+    assert!(sequential[1..].iter().all(|m| m.matches_limited));
+
     let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
     for workers in [1usize, 2, 3, 4, 8] {
         let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
-        let request = QueryRequest::workload(150).with_seed(42);
-        let (report, response) =
-            engine.run(&sharded, &workload, request, &RequestContext::unbounded());
-        assert_eq!(
-            report.aggregate, expected,
-            "workers={workers}: transport aggregate diverged from sequential"
-        );
-        assert_eq!(response.metrics, expected);
-        assert!(!response.metrics.deadline_exceeded);
-        assert!(!response.metrics.cancelled);
-        assert_eq!(report.shards.iter().map(|s| s.rejected).sum::<usize>(), 0);
+        for (request, expected) in requests.iter().zip(&sequential) {
+            let (report, response) =
+                engine.run(&sharded, &workload, *request, &RequestContext::unbounded());
+            assert_eq!(
+                report.aggregate, *expected,
+                "workers={workers}: transport aggregate diverged from sequential on {request:?}"
+            );
+            assert_eq!(response.metrics, *expected);
+            assert!(!response.metrics.deadline_exceeded);
+            assert!(!response.metrics.cancelled);
+            assert_eq!(report.shards.iter().map(|s| s.rejected).sum::<usize>(), 0);
+        }
     }
 }
 
 /// The match cursor is worker-count invariant too: collected embeddings come
-/// back in the same global order regardless of how shards interleave.
+/// back in the same global order regardless of how shards interleave — a
+/// match-limited request's first embeddings as much as an unbounded one's.
 #[test]
 fn collected_matches_are_worker_count_invariant() {
     let graph = social_graph(300, 7);
@@ -108,7 +134,7 @@ fn collected_matches_are_worker_count_invariant() {
     let request = QueryRequest::workload(40)
         .with_seed(5)
         .collect_matches(true);
-    let collect = |workers: usize| {
+    let collect = |request: QueryRequest, workers: usize| {
         ServeEngine::new(ServeConfig::new(workers).with_mode(QueryMode::Rooted { seed_count: 2 }))
             .run(&sharded, &workload, request, &RequestContext::unbounded())
             .1
@@ -116,10 +142,12 @@ fn collected_matches_are_worker_count_invariant() {
             .map(|e| e.iter().collect::<Vec<_>>())
             .collect::<Vec<_>>()
     };
-    let one = collect(1);
-    assert!(!one.is_empty());
-    assert_eq!(one, collect(3));
-    assert_eq!(one, collect(8));
+    for request in [request, request.with_match_limit(1)] {
+        let one = collect(request, 1);
+        assert!(!one.is_empty());
+        assert_eq!(one, collect(request, 3));
+        assert_eq!(one, collect(request, 8));
+    }
 }
 
 /// (b) An already-expired deadline returns zero traversals on every query,
@@ -289,45 +317,6 @@ fn cancelling_mid_run_never_tears_an_epoch_pin() {
         .0;
     assert_eq!(after.aggregate.queries_executed, 50);
     assert!(!after.aggregate.cancelled);
-}
-
-/// Halo sub-query handoff is answer-preserving: the same matches and query
-/// count as direct per-shard execution, with the cursor bit-identical.
-#[test]
-fn halo_handoff_preserves_answers() {
-    let graph = social_graph(400, 31);
-    let workload = motif_workload();
-    let partitioning = partitioned(
-        &graph,
-        PartitionerSpec::Loom(LoomConfig::new(4, graph.vertex_count()).with_window_size(64)),
-        &workload,
-    );
-    let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
-    let mode = QueryMode::Rooted { seed_count: 3 };
-    let request = QueryRequest::workload(60)
-        .with_seed(9)
-        .collect_matches(true);
-
-    let direct = ServeEngine::new(ServeConfig::new(4).with_mode(mode))
-        .run(&sharded, &workload, request, &RequestContext::unbounded())
-        .1;
-    let handoff = ServeEngine::new(ServeConfig::new(4).with_mode(mode).with_halo_handoff(true))
-        .run(&sharded, &workload, request, &RequestContext::unbounded())
-        .1;
-    assert_eq!(
-        handoff.metrics.queries_executed,
-        direct.metrics.queries_executed
-    );
-    assert_eq!(handoff.metrics.matches_found, direct.metrics.matches_found);
-    let direct_matches: Vec<_> = direct
-        .into_cursor()
-        .map(|e| e.iter().collect::<Vec<_>>())
-        .collect();
-    let handoff_matches: Vec<_> = handoff
-        .into_cursor()
-        .map(|e| e.iter().collect::<Vec<_>>())
-        .collect();
-    assert_eq!(direct_matches, handoff_matches);
 }
 
 /// The per-shard report carries the transport's queue instrumentation:
