@@ -10,9 +10,10 @@
 //! partitioner is constructed, so the streaming hot path never touches the
 //! full TPSTry++ again.
 
-use loom_graph::fxhash::FxHashMap;
+use loom_graph::fxhash::{FxHashMap, FxHasher};
 use loom_motif::signature::{PrimeTable, Signature};
 use loom_motif::tpstry::{MotifId, Tpstry};
+use std::hash::Hasher;
 
 /// Read-only index over the frequent motifs of a workload summary.
 #[derive(Debug, Clone)]
@@ -119,6 +120,30 @@ impl FrequentMotifIndex {
     /// signature. Used to stop growing candidate sub-graphs early.
     pub fn could_grow_into_motif(&self, signature: &Signature) -> bool {
         self.signatures.iter().any(|s| signature.divides(s))
+    }
+
+    /// A fingerprint of what the index answers — the threshold, the label
+    /// alphabet and every indexed motif with its signature — stable across
+    /// processes, so a checkpointed LOOM state is only restored under the
+    /// workload it was written for.
+    pub fn fingerprint(&self) -> u64 {
+        let mut motifs: Vec<(&[u64], MotifId)> = self
+            .by_signature
+            .iter()
+            .map(|(signature, &id)| (signature.factors(), id))
+            .collect();
+        motifs.sort_unstable();
+        let mut hasher = FxHasher::default();
+        hasher.write_u64(self.threshold.to_bits());
+        hasher.write_u32(self.prime_table.label_count());
+        for (factors, id) in motifs {
+            hasher.write_u32(id.0);
+            hasher.write_u64(factors.len() as u64);
+            for &factor in factors {
+                hasher.write_u64(factor);
+            }
+        }
+        hasher.finish()
     }
 }
 

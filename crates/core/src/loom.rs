@@ -17,7 +17,7 @@
 //! an open problem).
 
 use crate::index::FrequentMotifIndex;
-use crate::matcher::StreamMotifMatcher;
+use crate::matcher::{MatcherCounters, StreamMotifMatcher};
 use crate::stats::LoomStats;
 use loom_graph::fxhash::FxHashSet;
 use loom_graph::{Label, StreamElement, VertexId};
@@ -26,6 +26,7 @@ use loom_partition::error::Result;
 use loom_partition::ldg::LdgPartitioner;
 use loom_partition::partition::{PartitionId, Partitioning};
 use loom_partition::spec::LoomConfig;
+use loom_partition::state::{ArenaHomes, Setting, StateReader, StateWriter};
 use loom_partition::traits::{Partitioner, PartitionerStats};
 use loom_partition::window::{EdgePlacement, StreamWindow};
 
@@ -267,16 +268,16 @@ impl LoomPartitioner {
                 }
             }
             StreamElement::RemoveVertex { id } => {
-                let buffered = self.window.contains(id);
+                if self.window.contains(id) {
+                    self.matcher.remove_vertices(&[id]);
+                }
                 // `delete` also purges external-edge bookkeeping pointing at
                 // an already-evicted vertex, so later LDG scores stop
                 // counting edges into a dead vertex.
                 self.window.delete(id);
-                if buffered {
-                    self.matcher.remove_vertices(&[id]);
-                } else {
-                    self.partitioning.unassign(id);
-                }
+                // A placed vertex announced again is buffered and placed at
+                // once: the slot is reclaimed either way.
+                self.partitioning.unassign(id);
             }
             StreamElement::RemoveEdge { source, target } => {
                 self.window.remove_edge(source, target);
@@ -295,6 +296,43 @@ impl LoomPartitioner {
             self.matcher.relabel(id);
         }
     }
+
+    /// Every field of the configuration, and the workload as the frequent
+    /// motif index's fingerprint: what a state blob is stamped with.
+    fn settings(&self) -> [(&'static str, Setting); 10] {
+        let c = &self.config;
+        let int = |x: usize| Setting::Int(x as u64);
+        [
+            ("k", Setting::Int(u64::from(c.k))),
+            ("expected_vertices", int(c.expected_vertices)),
+            ("slack", Setting::Float(c.slack)),
+            ("window_size", int(c.window_size)),
+            ("motif_threshold", Setting::Float(c.motif_threshold)),
+            ("max_cluster_size", int(c.max_cluster_size)),
+            ("motif_clustering", int(usize::from(c.motif_clustering))),
+            ("merge_overlapping", int(usize::from(c.merge_overlapping))),
+            ("verify_matches", int(usize::from(c.verify_matches))),
+            ("workload", Setting::Int(self.matcher.index().fingerprint())),
+        ]
+    }
+}
+
+/// The [`LoomStats`] counters, in the order a state blob holds them.
+fn stat_fields(s: &mut LoomStats) -> [&mut usize; 12] {
+    [
+        &mut s.vertices_ingested,
+        &mut s.edges_ingested,
+        &mut s.window_edges,
+        &mut s.signatures_computed,
+        &mut s.motif_matches_found,
+        &mut s.clusters_assigned,
+        &mut s.cluster_vertices_assigned,
+        &mut s.largest_cluster,
+        &mut s.clusters_split_for_balance,
+        &mut s.single_vertices_assigned,
+        &mut s.verifications,
+        &mut s.false_positive_matches,
+    ]
 }
 
 impl Partitioner for LoomPartitioner {
@@ -340,6 +378,52 @@ impl Partitioner for LoomPartitioner {
             assigned: self.partitioning.assigned_count(),
             buffered: self.window.len(),
         }
+    }
+
+    /// The [`LoomStats`] counters and the batch count, then the window
+    /// ([`StreamWindow::encode`]) and the motif matches over it
+    /// ([`StreamMotifMatcher::encode`]).
+    fn encode_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new(self.name(), &self.settings(), &self.partitioning);
+        let mut stats = self.loom_stats();
+        for counter in stat_fields(&mut stats) {
+            w.u64(*counter as u64);
+        }
+        w.u64(self.batches_ingested as u64);
+        self.window.encode(&mut w);
+        self.matcher.encode(&mut w);
+        w.finish()
+    }
+
+    fn restore_state(&mut self, state: &[u8], arena: &mut ArenaHomes<'_>) -> Result<()> {
+        let settings = self.settings();
+        let mut r =
+            StateReader::open(state, self.name(), &settings, &mut self.partitioning, arena)?;
+        let mut stats = LoomStats::default();
+        for counter in stat_fields(&mut stats) {
+            *counter = r.counter("LOOM counter")?;
+        }
+        self.batches_ingested = r.counter("batches ingested")?;
+        self.window = StreamWindow::decode(self.config.window_size, &mut r)?;
+        for v in self.window.vertices() {
+            r.check_buffered(v, &self.partitioning)?;
+        }
+        let counters = MatcherCounters {
+            signatures_computed: stats.signatures_computed,
+            matches_found: stats.motif_matches_found,
+            verifications: stats.verifications,
+            false_positives: stats.false_positive_matches,
+        };
+        self.matcher.decode(&self.window, counters, &mut r)?;
+        // The matcher keeps its own counters; `loom_stats` merges them in.
+        self.stats = LoomStats {
+            signatures_computed: 0,
+            motif_matches_found: 0,
+            verifications: 0,
+            false_positive_matches: 0,
+            ..stats
+        };
+        r.finish()
     }
 }
 

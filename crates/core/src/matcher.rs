@@ -25,6 +25,8 @@ use loom_graph::ids::EdgeKey;
 use loom_graph::VertexId;
 use loom_motif::signature::Signature;
 use loom_motif::tpstry::MotifId;
+use loom_partition::error::{PartitionError, Result};
+use loom_partition::state::{StateReader, StateWriter};
 use loom_partition::window::StreamWindow;
 
 /// A sub-graph of the stream window that matches a frequent motif.
@@ -166,6 +168,91 @@ impl StreamMotifMatcher {
     /// Counters accumulated so far.
     pub fn counters(&self) -> MatcherCounters {
         self.counters
+    }
+
+    /// Write the tracked matches into a state blob, in order: each one's
+    /// vertices and edges. Its signature and motif are not written — both
+    /// follow from the labels of its vertices — and neither are the
+    /// counters, which LOOM writes with its own.
+    pub fn encode(&self, w: &mut StateWriter) {
+        w.u64(self.matches.len() as u64);
+        for m in &self.matches {
+            w.ids(&m.vertices);
+            w.u32(m.edges.len() as u32);
+            for e in &m.edges {
+                w.id(e.lo);
+                w.id(e.hi);
+            }
+        }
+    }
+
+    /// Replace the tracked matches and the counters by what
+    /// [`StreamMotifMatcher::encode`] wrote over `window`. Each match's
+    /// signature is recomputed from the labels of its vertices — one vertex
+    /// factor each, one edge factor per edge, as it was grown — and must be
+    /// the signature of an indexed motif.
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::CorruptState`] for a torn list, a match whose
+    /// vertices are not sorted and buffered, an edge outside its match, or
+    /// a match of no indexed motif.
+    pub fn decode(
+        &mut self,
+        window: &StreamWindow,
+        counters: MatcherCounters,
+        r: &mut StateReader<'_>,
+    ) -> Result<()> {
+        let corrupt = |detail: String| PartitionError::CorruptState(detail);
+        self.counters = counters;
+        self.matches.clear();
+        // A vertex list length and an edge count: 8 bytes at least per match.
+        for i in 0..r.count(8, "motif matches")? {
+            let vertices = r.ids("match vertices")?;
+            let mut edges = Vec::new();
+            for _ in 0..r.u32("match edge count")? {
+                let (lo, hi) = (r.id("match edge")?, r.id("match edge")?);
+                edges.push(EdgeKey { lo, hi });
+            }
+            let sorted = vertices.windows(2).all(|pair| pair[0] <= pair[1]);
+            let inside = |v: &VertexId| vertices.binary_search(v).is_ok();
+            if edges.is_empty()
+                || !sorted
+                || edges
+                    .iter()
+                    .any(|e| e.lo > e.hi || !inside(&e.lo) || !inside(&e.hi))
+            {
+                return Err(corrupt(format!(
+                    "match {i} is not a sorted, edged sub-graph"
+                )));
+            }
+            let table = self.index.prime_table();
+            let label = |v: VertexId| {
+                window
+                    .label_of(v)
+                    .ok_or_else(|| corrupt(format!("match {i} holds unbuffered vertex {v}")))
+            };
+            let mut signature = Signature::empty();
+            for &v in &vertices {
+                let factor = table.vertex_factor(label(v)?);
+                signature.multiply(factor.map_err(|e| corrupt(format!("match {i}: {e}")))?);
+            }
+            for e in &edges {
+                let factor = table.edge_factor(label(e.lo)?, label(e.hi)?);
+                signature.multiply(factor.map_err(|e| corrupt(format!("match {i}: {e}")))?);
+            }
+            let motif = self
+                .index
+                .motif_for(&signature)
+                .ok_or_else(|| corrupt(format!("match {i} is no indexed motif")))?;
+            self.matches.push(MotifMatch {
+                motif,
+                vertices,
+                edges,
+                signature,
+            });
+        }
+        Ok(())
     }
 
     /// Handle an edge whose endpoints are both inside the window.

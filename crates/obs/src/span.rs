@@ -39,17 +39,18 @@ pub mod stage {
     /// publishing the compacted store.
     pub const SERVE_COMPACTION: &str = "serve.compaction";
     /// Loading and bit-verifying the newest checkpoint during recovery (runs
-    /// beside the two stages below, on a thread of its own).
+    /// beside the WAL decode, the verification on a thread of its own).
     pub const RECOVER_CHECKPOINT_LOAD: &str = "recover.checkpoint_load";
     /// Reading, CRC-checking and decoding the whole WAL during recovery.
     pub const RECOVER_WAL_DECODE: &str = "recover.wal_decode";
-    /// Replaying the decoded history through a fresh partitioner during
-    /// recovery.
+    /// Restoring the partitioner from the proven checkpoint's state and
+    /// replaying the log past it — the whole log when the checkpoint carries
+    /// no state. Starts once the two stages above have joined.
     pub const RECOVER_REPLAY: &str = "recover.replay";
     /// Building the durable graph mirror during recovery: the proven
-    /// checkpoint's arena, then the log's batches past it. Follows the three
-    /// stages above on the calling thread, so `max(load, decode + replay +
-    /// mirror)` still bounds a recovery's wall clock from below.
+    /// checkpoint's arena, then the log's batches past it. Follows the
+    /// replay on the calling thread, so `max(load, decode) + replay +
+    /// mirror` bounds a recovery's wall clock from below.
     pub const RECOVER_MIRROR: &str = "recover.mirror";
 
     /// Every stage above, for exporters and smoke tests that assert the

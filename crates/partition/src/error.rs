@@ -22,6 +22,13 @@ pub enum PartitionError {
     NotAssigned(VertexId),
     /// An underlying graph operation failed.
     Graph(loom_graph::GraphError),
+    /// A checkpointed partitioner state was written by a partitioner of
+    /// another kind, configuration or workload than the one restoring it;
+    /// the message names what differs.
+    StateMismatch(String),
+    /// A checkpointed partitioner state does not decode, or disagrees with
+    /// the arena it was checkpointed beside.
+    CorruptState(String),
 }
 
 impl fmt::Display for PartitionError {
@@ -34,6 +41,8 @@ impl fmt::Display for PartitionError {
             PartitionError::AlreadyAssigned(v) => write!(f, "vertex {v} is already assigned"),
             PartitionError::NotAssigned(v) => write!(f, "vertex {v} has not been assigned"),
             PartitionError::Graph(err) => write!(f, "graph error: {err}"),
+            PartitionError::StateMismatch(msg) => write!(f, "partitioner state mismatch: {msg}"),
+            PartitionError::CorruptState(msg) => write!(f, "corrupt partitioner state: {msg}"),
         }
     }
 }

@@ -17,6 +17,7 @@
 use crate::error::{PartitionError, Result};
 use crate::partition::{PartitionId, Partitioning};
 use crate::pending::{PendingVertexPartitioner, PlacementRule};
+use crate::state::Setting;
 use loom_graph::VertexId;
 
 /// Configuration for [`FennelPartitioner`].
@@ -84,6 +85,14 @@ impl PlacementRule for FennelRule {
             // Every partition hit the hard cap (only possible when the stream
             // exceeds the expected size): fall back to the least loaded one.
             .unwrap_or_else(|| partitioning.least_loaded())
+    }
+
+    /// α and γ; the hard cap is the partitioning's capacity.
+    fn settings(&self) -> Vec<(&'static str, Setting)> {
+        vec![
+            ("alpha", Setting::Float(self.alpha)),
+            ("gamma", Setting::Float(self.gamma)),
+        ]
     }
 }
 

@@ -8,6 +8,7 @@
 
 use crate::error::Result;
 use crate::partition::{PartitionId, Partitioning};
+use crate::state::{ArenaHomes, Setting, StateReader, StateWriter};
 use crate::traits::{Partitioner, PartitionerStats};
 use loom_graph::StreamElement;
 
@@ -92,6 +93,18 @@ impl HashPartitioner {
         x ^= x >> 31;
         PartitionId::new((x % u64::from(self.partitioning.k())) as u32)
     }
+
+    /// What a state blob is stamped with: everything placement depends on.
+    fn settings(&self) -> [(&'static str, Setting); 3] {
+        [
+            ("k", Setting::Int(u64::from(self.partitioning.k()))),
+            (
+                "capacity",
+                Setting::Int(self.partitioning.capacity() as u64),
+            ),
+            ("seed", Setting::Int(self.seed)),
+        ]
+    }
 }
 
 impl Partitioner for HashPartitioner {
@@ -146,6 +159,21 @@ impl Partitioner for HashPartitioner {
             buffered: 0,
             ..self.stats
         }
+    }
+
+    /// Hash placement buffers nothing: the state is its counters.
+    fn encode_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new(self.name(), &self.settings(), &self.partitioning);
+        w.counters(&self.stats);
+        w.finish()
+    }
+
+    fn restore_state(&mut self, state: &[u8], arena: &mut ArenaHomes<'_>) -> Result<()> {
+        let settings = self.settings();
+        let mut r =
+            StateReader::open(state, self.name(), &settings, &mut self.partitioning, arena)?;
+        self.stats = r.counters()?;
+        r.finish()
     }
 }
 

@@ -24,6 +24,8 @@
 //! * [`spec`] — the declarative [`PartitionerSpec`] / [`PartitionerRegistry`]
 //!   layer that builds any partitioner as a `Box<dyn Partitioner>` from plain
 //!   data;
+//! * [`state`] — a partitioner's state as the bytes a checkpoint carries
+//!   beside its arena, and the checked reader that restores it;
 //! * [`hash`] — hash partitioning (the default placement strategy of
 //!   distributed graph stores, the paper's strawman);
 //! * [`pending`] — the one-pending-vertex stream driver (buffer a vertex,
@@ -50,6 +52,7 @@ pub mod offline;
 pub mod partition;
 pub mod pending;
 pub mod spec;
+pub mod state;
 pub mod traits;
 pub mod window;
 

@@ -9,6 +9,7 @@
 use crate::error::{PartitionError, Result};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::VertexId;
+use std::collections::hash_map::Entry;
 
 /// Identifier of a partition (`0..k`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -172,12 +173,14 @@ impl Partitioning {
                 k: self.k,
             });
         }
-        if self.assignment.contains_key(&v) {
-            return Err(PartitionError::AlreadyAssigned(v));
+        match self.assignment.entry(v) {
+            Entry::Occupied(_) => Err(PartitionError::AlreadyAssigned(v)),
+            Entry::Vacant(slot) => {
+                slot.insert(p);
+                self.sizes[p.index()] += 1;
+                Ok(())
+            }
         }
-        self.assignment.insert(v, p);
-        self.sizes[p.index()] += 1;
-        Ok(())
     }
 
     /// Move an already assigned vertex to a different partition (used by the

@@ -14,8 +14,9 @@
 //! [`PlacementRule`] that picks the partition: [`crate::ldg::LdgPartitioner`]
 //! and [`crate::fennel::FennelPartitioner`] are its two instantiations.
 
-use crate::error::Result;
+use crate::error::{PartitionError, Result};
 use crate::partition::{PartitionId, Partitioning};
+use crate::state::{ArenaHomes, Setting, StateReader, StateWriter};
 use crate::traits::{Partitioner, PartitionerStats};
 use loom_graph::{StreamElement, VertexId};
 
@@ -27,6 +28,12 @@ pub trait PlacementRule: Send {
 
     /// Pick the partition for a vertex with the given placed neighbours.
     fn place(&self, partitioning: &Partitioning, neighbours: &[VertexId]) -> PartitionId;
+
+    /// The rule's own parameters, beyond `k` and the capacity, for the
+    /// header of a state blob.
+    fn settings(&self) -> Vec<(&'static str, Setting)> {
+        Vec::new()
+    }
 }
 
 /// A streaming partitioner that buffers one pending vertex and places it
@@ -108,6 +115,20 @@ impl<R: PlacementRule> PendingVertexPartitioner<R> {
         pending.assigned_neighbours.clear();
         self.spare_neighbours = pending.assigned_neighbours;
     }
+
+    /// `k`, the capacity and the rule's parameters: what a state blob is
+    /// stamped with.
+    fn settings(&self) -> Vec<(&'static str, Setting)> {
+        let mut settings = vec![
+            ("k", Setting::Int(u64::from(self.partitioning.k()))),
+            (
+                "capacity",
+                Setting::Int(self.partitioning.capacity() as u64),
+            ),
+        ];
+        settings.extend(self.rule.settings());
+        settings
+    }
 }
 
 impl<R: PlacementRule> Partitioner for PendingVertexPartitioner<R> {
@@ -140,16 +161,16 @@ impl<R: PlacementRule> Partitioner for PendingVertexPartitioner<R> {
                 }
             }
             StreamElement::RemoveVertex { id } => {
+                // A placed vertex announced again is pending and placed at
+                // once: the slot is reclaimed either way.
+                self.partitioning.unassign(id);
                 if let Some(pending) = self.pending.take_if(|p| p.id == id) {
-                    // The vertex never got placed: drop the buffered decision.
+                    // Drop the buffered decision.
                     self.recycle(pending);
-                } else {
-                    self.partitioning.unassign(id);
-                    if let Some(pending) = self.pending.as_mut() {
-                        // The dead vertex must no longer pull the pending
-                        // vertex towards its old partition.
-                        pending.assigned_neighbours.retain(|&n| n != id);
-                    }
+                } else if let Some(pending) = self.pending.as_mut() {
+                    // The dead vertex must no longer pull the pending vertex
+                    // towards its old partition.
+                    pending.assigned_neighbours.retain(|&n| n != id);
                 }
             }
             StreamElement::RemoveEdge { source, target } => {
@@ -197,5 +218,43 @@ impl<R: PlacementRule> Partitioner for PendingVertexPartitioner<R> {
             buffered: usize::from(self.pending.is_some()),
             ..self.stats
         }
+    }
+
+    /// The counters, then the pending vertex (a `u8` flag, its id and its
+    /// placed neighbours in list order).
+    fn encode_state(&self) -> Vec<u8> {
+        let mut w = StateWriter::new(self.name(), &self.settings(), &self.partitioning);
+        w.counters(&self.stats);
+        w.u8(u8::from(self.pending.is_some()));
+        if let Some(pending) = &self.pending {
+            w.id(pending.id);
+            w.ids(&pending.assigned_neighbours);
+        }
+        w.finish()
+    }
+
+    fn restore_state(&mut self, state: &[u8], arena: &mut ArenaHomes<'_>) -> Result<()> {
+        let settings = self.settings();
+        let mut r =
+            StateReader::open(state, self.name(), &settings, &mut self.partitioning, arena)?;
+        self.stats = r.counters()?;
+        self.pending = match r.u8("pending flag")? {
+            0 => None,
+            1 => {
+                let id = r.id("pending vertex")?;
+                r.check_buffered(id, &self.partitioning)?;
+                let assigned_neighbours = r.ids("pending neighbours")?;
+                Some(PendingVertex {
+                    id,
+                    assigned_neighbours,
+                })
+            }
+            flag => {
+                return Err(PartitionError::CorruptState(format!(
+                    "pending flag {flag} is neither 0 nor 1"
+                )))
+            }
+        };
+        r.finish()
     }
 }

@@ -343,6 +343,16 @@ mod tests {
             fn finish(&mut self) -> Result<Partitioning> {
                 Partitioning::new(1, 1)
             }
+            fn encode_state(&self) -> Vec<u8> {
+                Vec::new()
+            }
+            fn restore_state(
+                &mut self,
+                _: &[u8],
+                _: &mut crate::state::ArenaHomes<'_>,
+            ) -> Result<()> {
+                Ok(())
+            }
         }
         let mut registry = PartitionerRegistry::baselines();
         registry.register(|spec| {

@@ -19,10 +19,16 @@
 //!   and [`Partitioner::stats`] reports unified ingestion counters;
 //! * **completion** — [`Partitioner::finish`] flushes buffered elements and
 //!   *moves* the final partitioning out. No clone is paid; the partitioner is
-//!   spent afterwards.
+//!   spent afterwards;
+//! * **checkpointing** — [`Partitioner::encode_state`] writes everything but
+//!   the placed assignment, and [`Partitioner::restore_state`] turns a fresh
+//!   partitioner back into the one that wrote it, the assignment taken from
+//!   the checkpoint's arena ([`crate::state`]). Both are required: no
+//!   partitioner can only be rebuilt by replaying its whole history.
 
 use crate::error::Result;
 use crate::partition::Partitioning;
+use crate::state::ArenaHomes;
 use loom_graph::{GraphStream, StreamElement};
 
 /// Default chunk size used by [`partition_stream`] when driving a stream
@@ -126,6 +132,28 @@ pub trait Partitioner: Send {
     fn stats(&self) -> PartitionerStats {
         PartitionerStats::default()
     }
+
+    /// Everything this partitioner holds **except the placed assignment** —
+    /// which a checkpoint's arena already encodes as shard membership — as
+    /// one [`crate::state`] blob: its name, settings and partition loads,
+    /// then whatever it buffers and counts. The same state always encodes to
+    /// the same bytes.
+    fn encode_state(&self) -> Vec<u8>;
+
+    /// Become the partitioner that wrote `state` with
+    /// [`Partitioner::encode_state`], the placed assignment taken from
+    /// `arena`: every live vertex of the checkpoint's arena with its home
+    /// shard, `None` for the unassigned tail. Called on a freshly built
+    /// partitioner. Fed the rest of the stream, the restored partitioner
+    /// places, counts and encodes exactly as the writer would have.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::PartitionError::StateMismatch`] when `state` was written by
+    /// another partitioner, under other settings or for another workload;
+    /// [`crate::PartitionError::CorruptState`] when it does not decode or
+    /// disagrees with `arena`. On `Err` the partitioner must be dropped.
+    fn restore_state(&mut self, state: &[u8], arena: &mut ArenaHomes<'_>) -> Result<()>;
 }
 
 /// Drive a full stream through a partitioner and return the resulting
@@ -171,6 +199,7 @@ pub fn partition_stream_batched<P: Partitioner + ?Sized>(
 mod tests {
     use super::*;
     use crate::partition::PartitionId;
+    use crate::state::{StateReader, StateWriter};
     use loom_graph::{Label, VertexId};
 
     /// A trivial partitioner that sends everything to partition 0; used to
@@ -217,6 +246,18 @@ mod tests {
                 assigned: self.partitioning.assigned_count(),
                 ..self.stats
             }
+        }
+
+        fn encode_state(&self) -> Vec<u8> {
+            let mut w = StateWriter::new(self.name(), &[], &self.partitioning);
+            w.counters(&self.stats);
+            w.finish()
+        }
+
+        fn restore_state(&mut self, state: &[u8], arena: &mut ArenaHomes<'_>) -> Result<()> {
+            let mut r = StateReader::open(state, self.name(), &[], &mut self.partitioning, arena)?;
+            self.stats = r.counters()?;
+            r.finish()
         }
     }
 

@@ -32,7 +32,8 @@
 //! Lists keep push order; eviction removes the leaver from a neighbour's
 //! window list with an order-preserving `retain`, edge removal and re-entry
 //! `swap_remove` the first occurrence. LDG's tie-breaks downstream see that
-//! order, so it is part of the contract.
+//! order, so it is part of the contract — and of the state a checkpoint
+//! carries ([`StreamWindow::encode`] / [`StreamWindow::decode`]).
 //!
 //! # Cost per operation
 //!
@@ -44,6 +45,8 @@
 //! | `delete` | as `remove` | nothing is handed to the neighbours |
 //! | `remove_edge` | 2 slot map (+ 1 re-entry index) | 1–2 scans |
 
+use crate::error::{PartitionError, Result};
+use crate::state::{StateReader, StateWriter};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::pool::{List, ListPool};
 use loom_graph::{Label, VertexId};
@@ -397,6 +400,146 @@ impl StreamWindow {
             None => false,
         }
     }
+
+    /// Write what the window holds into a state blob: the buffered vertices
+    /// in arrival order, each with its label, window list and external list
+    /// in list order, then the re-entry index as far as the external lists
+    /// do not already say it. The index is those lists reversed, so only its
+    /// order is state: written are the entries, by outside vertex, whose
+    /// members stand in another order than the lists give read in arrival
+    /// order. Slot numbers and block layout are not state: they never reach
+    /// a reader of the window.
+    pub fn encode(&self, w: &mut StateWriter) {
+        w.u64(self.order.len() as u64);
+        for &v in &self.order {
+            let slot = &self.slots[self.slot_of[&v]];
+            w.id(v);
+            w.u32(slot.label.raw());
+            w.ids(self.lists.get(slot.window));
+            w.ids(self.lists.get(slot.external));
+        }
+        let reversed = self.reversed_externals();
+        let mut reordered: Vec<(VertexId, &[VertexId])> = self
+            .external_rev
+            .iter()
+            .map(|(&o, &members)| (o, self.lists.get(members)))
+            .filter(|&(o, members)| reversed.get(&o).map(Vec::as_slice) != Some(members))
+            .collect();
+        reordered.sort_unstable_by_key(|&(o, _)| o);
+        w.u64(reordered.len() as u64);
+        for (o, members) in reordered {
+            w.id(o);
+            w.ids(members);
+        }
+    }
+
+    /// The external lists reversed: each outside vertex with the members
+    /// listing it, one entry per occurrence, in arrival order.
+    fn reversed_externals(&self) -> FxHashMap<VertexId, Vec<VertexId>> {
+        let mut reversed: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
+        for &v in &self.order {
+            let slot = &self.slots[self.slot_of[&v]];
+            for &o in self.lists.get(slot.external) {
+                reversed.entry(o).or_default().push(v);
+            }
+        }
+        reversed
+    }
+
+    /// The window [`StreamWindow::encode`] wrote, holding at most `capacity`
+    /// vertices. Every operation after it finds what it relies on: a window
+    /// list names only buffered vertices and each edge from both ends, an
+    /// external list names only vertices outside, and the re-entry index is
+    /// exactly the external lists reversed.
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::CorruptState`] for a torn list or any of the above
+    /// broken.
+    pub fn decode(capacity: usize, r: &mut StateReader<'_>) -> Result<Self> {
+        let mut window = Self::new(capacity);
+        // Id, label and two list lengths: 20 bytes at least per vertex.
+        let buffered = r.count(20, "window vertices")?;
+        if buffered > window.capacity {
+            return Err(corrupt(format!(
+                "{buffered} vertices buffered in a window of {}",
+                window.capacity
+            )));
+        }
+        for _ in 0..buffered {
+            let id = r.id("window vertex")?;
+            let label = Label::new(r.u32("window label")?);
+            let slot = Slot {
+                label,
+                window: window.lists.list_from(&r.ids("window list")?),
+                external: window.lists.list_from(&r.ids("external list")?),
+            };
+            if window.slot_of.insert(id, window.slots.len()).is_some() {
+                return Err(corrupt(format!("vertex {id} buffered twice")));
+            }
+            window.slots.push(slot);
+            window.order.push_back(id);
+        }
+        window.check_lists()?;
+        let mut reversed = window.reversed_externals();
+        // Id and a list length: 12 bytes at least per entry.
+        for _ in 0..r.count(12, "re-entry index")? {
+            let outside = r.id("re-entry vertex")?;
+            let mut members = r.ids("re-entry members")?;
+            let Some(derived) = reversed.get_mut(&outside) else {
+                return Err(corrupt(format!("no external edge leads to {outside}")));
+            };
+            std::mem::swap(derived, &mut members);
+            let mut sorted = [derived.clone(), members];
+            for list in &mut sorted {
+                list.sort_unstable();
+            }
+            if sorted[0] != sorted[1] {
+                return Err(corrupt(format!(
+                    "the re-entry index of {outside} is not its external edges"
+                )));
+            }
+        }
+        for (outside, members) in reversed {
+            let list = window.lists.list_from(&members);
+            window.external_rev.insert(outside, list);
+        }
+        Ok(window)
+    }
+
+    /// The invariants of the decoded lists: every window-list entry is
+    /// buffered and lists the vertex back, no external-list entry is.
+    fn check_lists(&self) -> Result<()> {
+        let mut arcs = Vec::new();
+        for &v in &self.order {
+            let slot = &self.slots[self.slot_of[&v]];
+            for &n in self.lists.get(slot.window) {
+                if !self.contains(n) {
+                    return Err(corrupt(format!("{v} lists {n} as a window neighbour")));
+                }
+                arcs.push((v, n));
+            }
+            if let Some(&o) = self
+                .lists
+                .get(slot.external)
+                .iter()
+                .find(|&&o| self.contains(o))
+            {
+                return Err(corrupt(format!("{v} lists buffered {o} as external")));
+            }
+        }
+        let mut reversed: Vec<_> = arcs.iter().map(|&(a, b)| (b, a)).collect();
+        arcs.sort_unstable();
+        reversed.sort_unstable();
+        if arcs != reversed {
+            return Err(corrupt("a window edge is listed at one end only"));
+        }
+        Ok(())
+    }
+}
+
+fn corrupt(detail: impl Into<String>) -> PartitionError {
+    PartitionError::CorruptState(detail.into())
 }
 
 #[cfg(test)]
@@ -622,5 +765,50 @@ mod tests {
         }
         let order: Vec<_> = w.vertices().collect();
         assert_eq!(order, vec![v(5), v(3), v(9)]);
+    }
+
+    /// `window` through a state blob and back.
+    fn round_trip(window: &StreamWindow) -> (Vec<u8>, Result<StreamWindow>) {
+        let mut part = crate::partition::Partitioning::new(1, 1).unwrap();
+        let mut writer = StateWriter::new("window", &[], &part);
+        window.encode(&mut writer);
+        let bytes = writer.finish();
+        let mut r =
+            StateReader::open(&bytes, "window", &[], &mut part, &mut std::iter::empty()).unwrap();
+        let decoded = StreamWindow::decode(window.capacity(), &mut r);
+        (bytes, decoded)
+    }
+
+    #[test]
+    fn a_decoded_window_keeps_every_list_order_and_reenters_alike() {
+        let mut w = StreamWindow::new(4);
+        for i in 1..=3 {
+            w.push_vertex(v(i), l(0));
+        }
+        w.push_edge(v(1), v(2));
+        // Vertex 9 is outside: listed by 3, then by 1 — not arrival order,
+        // so the blob spells that entry of the re-entry index out.
+        w.push_edge(v(3), v(9));
+        w.push_edge(v(1), v(9));
+        w.push_edge(v(2), v(8));
+        let (bytes, decoded) = round_trip(&w);
+        let mut back = decoded.unwrap();
+        assert_eq!(round_trip(&back).0, bytes);
+        for u in [&mut w, &mut back] {
+            u.push_vertex(v(9), l(1));
+        }
+        assert_eq!(back.window_neighbours(v(9)), &[v(3), v(1)]);
+        assert_eq!(back.window_neighbours(v(9)), w.window_neighbours(v(9)));
+        assert_eq!(round_trip(&back).0, round_trip(&w).0);
+
+        // A window list naming a vertex outside the window is refused.
+        let mut broken = StreamWindow::new(4);
+        broken.push_vertex(v(1), l(0));
+        let s = broken.slot_of[&v(1)];
+        broken.lists.push(&mut broken.slots[s].window, v(7));
+        assert!(matches!(
+            round_trip(&broken).1,
+            Err(PartitionError::CorruptState(_))
+        ));
     }
 }

@@ -374,15 +374,30 @@ impl ShardedStore {
         let graph = self.to_graph();
         let mut partitioning = Partitioning::new(self.shard_count(), graph.vertex_count().max(1))
             .expect("a store has at least one shard");
-        let live = |pos: &usize| self.slots[*pos].home != DEAD;
-        for shard in &self.shards {
-            for pos in shard.range.clone().filter(live) {
+        for (v, home) in self.homes() {
+            if let Some(p) = home {
                 partitioning
-                    .assign(self.order[pos], shard.id)
+                    .assign(v, p)
                     .expect("an arena holds each vertex once, in its home shard's range");
             }
         }
         (graph, partitioning)
+    }
+
+    /// Every live vertex with its home shard — `None` for the unassigned
+    /// tail — in arena order: the assignment the shard ranges encode, as a
+    /// restoring partitioner takes it.
+    pub fn homes(&self) -> impl Iterator<Item = (VertexId, Option<PartitionId>)> + '_ {
+        self.order
+            .iter()
+            .zip(&self.slots)
+            .filter(|(_, slot)| slot.home != DEAD)
+            .map(|(&v, slot)| {
+                (
+                    v,
+                    (slot.home != UNASSIGNED).then(|| PartitionId::new(slot.home)),
+                )
+            })
     }
 
     /// Apply a bounded batch of vertex moves *incrementally*: the adjacency

@@ -2,7 +2,11 @@
 //!
 //! A checkpoint is a directory `checkpoints/<epoch_seq>/` holding one blob
 //! per shard (`shard_0000.blob`, …), one for the unassigned arena tail
-//! (`tail.blob`), and a `MANIFEST` written **last**: the manifest names
+//! (`tail.blob`), one for the state of the partitioner that placed them
+//! (`partitioner.blob`, see `loom_partition::state`; a checkpoint written
+//! without one, as [`write_checkpoint`] writes and every root from before
+//! the blob existed holds, is recovered by replaying the whole log), and a
+//! `MANIFEST` written **last**: the manifest names
 //! every blob with its size and CRC, and is itself CRC-trailed and moved
 //! into place with `tmp → fsync → rename → fsync(dir)`. A crash at any
 //! point mid-checkpoint therefore leaves either a complete, self-validating
@@ -41,7 +45,11 @@
 //! Every failure is a [`StoreError::Corrupt`]. No `LabelledGraph` or
 //! `Partitioning` is built on the way: a caller that wants them
 //! ([`LoadedCheckpoint::graph`], [`LoadedCheckpoint::partitioning`]) gets
-//! them derived from the verified arena, once, on first use.
+//! them derived from the verified arena, once, on first use. The
+//! partitioner blob is read and checked against its size and CRC in step
+//! (1) and handed over as bytes ([`LoadedCheckpoint::partitioner`]): only
+//! the partitioner can decode it, and its proof — the restored partitioner
+//! must re-encode to the same bytes — is the restorer's to run.
 
 use crate::codec::{blob_crc, decode_blob, encode_blob, encode_shard, encode_tail};
 use crate::error::{Result, StoreError};
@@ -62,6 +70,8 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "LOOM-CHECKPOINT v1";
 /// File name of the unassigned-tail blob (shards are `shard_<id>.blob`).
 const TAIL_BLOB: &str = "tail.blob";
+/// File name of the partitioner-state blob.
+pub const PARTITIONER_BLOB: &str = "partitioner.blob";
 
 /// One blob recorded in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +91,9 @@ pub struct CheckpointMeta {
     pub epoch_seq: u64,
     /// WAL records already folded into this checkpoint. Recovery's graph
     /// mirror starts from the checkpoint's arena and applies the log from
-    /// this record on; the partitioner, whose state no checkpoint holds, is
-    /// still replayed from the log's first record.
+    /// this record on, and so does the partitioner when the checkpoint
+    /// carries its state; without a partitioner blob it is replayed from
+    /// the log's first record.
     pub wal_records: u64,
     /// Name of the partitioner spec that produced the store.
     pub spec: String,
@@ -96,6 +107,16 @@ pub struct CheckpointMeta {
     pub blobs: Vec<BlobEntry>,
 }
 
+/// A checkpoint's partitioner blob, size- and CRC-checked against the
+/// manifest, not decoded.
+#[derive(Debug, Clone)]
+pub struct PartitionerBlob {
+    /// Where it was read from, for error reports.
+    pub path: PathBuf,
+    /// Its bytes, as the partitioner encoded them.
+    pub bytes: Vec<u8>,
+}
+
 /// A checkpoint loaded back into memory.
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
@@ -104,6 +125,9 @@ pub struct LoadedCheckpoint {
     /// The rebuilt store, stamped with the checkpoint's `epoch_seq` — byte-
     /// for-byte re-encodable to the same blobs (verified during load).
     pub store: ShardedStore,
+    /// The state of the partitioner that placed `store`, when the
+    /// checkpoint carries one.
+    pub partitioner: Option<PartitionerBlob>,
     /// The graph and assignment `store` holds, derived on first use.
     parts: OnceLock<(LabelledGraph, Partitioning)>,
 }
@@ -167,25 +191,28 @@ fn manifest_body(meta: &CheckpointMeta) -> String {
 /// visible to recovery only once its manifest is fully on disk. A
 /// directory the prune could not remove does not fail the checkpoint that
 /// is already durable: it is left for the next one, and a
-/// [`CheckpointSink`](crate::CheckpointSink) reports it.
+/// [`CheckpointSink`](crate::CheckpointSink) reports it. No partitioner
+/// state is written: a session recovering this checkpoint replays its
+/// partitioner from the log's first record.
 pub fn write_checkpoint(
     root: &Path,
     store: &ShardedStore,
     wal_records: u64,
     spec: &str,
 ) -> Result<CheckpointMeta> {
-    write_and_prune(root, store, wal_records, spec).map(|(meta, _left_behind)| meta)
+    write_and_prune(root, store, wal_records, spec, None).map(|(meta, _left_behind)| meta)
 }
 
-/// [`write_checkpoint`], handing back beside the manifest what the prune
-/// could not remove.
+/// [`write_checkpoint`] with the partitioner's `state`, if any, handing
+/// back beside the manifest what the prune could not remove.
 pub(crate) fn write_and_prune(
     root: &Path,
     store: &ShardedStore,
     wal_records: u64,
     spec: &str,
+    state: Option<&[u8]>,
 ) -> Result<(CheckpointMeta, Result<()>)> {
-    let meta = seal_checkpoint(root, store, wal_records, spec)?;
+    let meta = seal_checkpoint(root, store, wal_records, spec, state)?;
     let pruned = prune_checkpoints(root, meta.epoch_seq);
     Ok((meta, pruned))
 }
@@ -196,6 +223,7 @@ fn seal_checkpoint(
     store: &ShardedStore,
     wal_records: u64,
     spec: &str,
+    state: Option<&[u8]>,
 ) -> Result<CheckpointMeta> {
     let epoch_seq = store.epoch();
     let parent = root.join(CHECKPOINT_DIR);
@@ -206,13 +234,16 @@ fn seal_checkpoint(
     }
     fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
 
-    let mut blobs = Vec::with_capacity(store.shard_count() as usize + 1);
+    let mut blobs = Vec::with_capacity(store.shard_count() as usize + 2);
     for p in 0..store.shard_count() {
         let p = PartitionId::new(p);
         let bytes = encode_shard(store, p).expect("shard index in range");
         blobs.push(write_blob(&dir, &format!("shard_{:04}.blob", p.0), &bytes)?);
     }
     blobs.push(write_blob(&dir, TAIL_BLOB, &encode_tail(store))?);
+    if let Some(state) = state {
+        blobs.push(write_blob(&dir, PARTITIONER_BLOB, state)?);
+    }
 
     let meta = CheckpointMeta {
         epoch_seq,
@@ -342,10 +373,14 @@ pub fn read_manifest(dir: &Path) -> Result<CheckpointMeta> {
             crc: parse_u64(crc, "blob crc", &path)? as u32,
         });
     }
-    if blobs.len() != shards as usize + 1 {
+    let states = blobs.iter().filter(|b| b.name == PARTITIONER_BLOB).count();
+    if blobs.len() - states != shards as usize + 1 || states > 1 {
         return Err(StoreError::corrupt(
             &path,
-            format!("{} blobs listed for {shards} shards + tail", blobs.len()),
+            format!(
+                "{} blobs listed for {shards} shards + tail (+ partitioner)",
+                blobs.len()
+            ),
         ));
     }
     Ok(CheckpointMeta {
@@ -394,9 +429,10 @@ fn blob_slot(name: &str, dir: &Path) -> Result<Option<u32>> {
 pub struct UnverifiedCheckpoint {
     dir: PathBuf,
     meta: CheckpointMeta,
-    /// The format version each blob was read in, in manifest order.
+    /// The format version each arena blob was read in, in manifest order.
     versions: Vec<u32>,
     arena: UncheckedArena,
+    partitioner: Option<PartitionerBlob>,
 }
 
 /// Read the checkpoint in `dir` into the arena: the manifest is parsed and
@@ -408,8 +444,13 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     let meta = read_manifest(dir)?;
     // Each of the `shards + 1` slots of the arena must be named once.
     let mut entries = Vec::with_capacity(meta.blobs.len());
+    let mut state = None;
     for (listed, entry) in meta.blobs.iter().enumerate() {
-        entries.push((blob_slot(&entry.name, dir)?, listed, entry));
+        if entry.name == PARTITIONER_BLOB {
+            state = Some(entry);
+        } else {
+            entries.push((blob_slot(&entry.name, dir)?, listed, entry));
+        }
     }
     entries.sort_by_key(|(id, _, _)| id.map_or(u64::MAX, u64::from));
     let expected = (0..meta.shards).map(Some).chain([None]);
@@ -426,16 +467,7 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     let mut versions = vec![0; meta.blobs.len()];
     for (id, listed, entry) in entries {
         let path = dir.join(&entry.name);
-        let raw = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-        if raw.len() as u64 != entry.size {
-            return Err(StoreError::corrupt(
-                &path,
-                format!("size {} != manifest {}", raw.len(), entry.size),
-            ));
-        }
-        if crc32(&raw) != entry.crc {
-            return Err(StoreError::corrupt(&path, "blob checksum mismatch"));
-        }
+        let raw = read_blob(&path, entry)?;
         let header = decode_blob(&raw, &path, &mut arena)?;
         if header.shard != id {
             return Err(StoreError::corrupt(
@@ -448,6 +480,14 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
         }
         versions[listed] = header.version;
     }
+    let partitioner = match state {
+        Some(entry) => {
+            let path = dir.join(&entry.name);
+            let bytes = read_blob(&path, entry)?;
+            Some(PartitionerBlob { path, bytes })
+        }
+        None => None,
+    };
     let arena = arena
         .finish()
         .map_err(|detail| StoreError::corrupt(dir, detail))?;
@@ -456,7 +496,23 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
         meta,
         versions,
         arena,
+        partitioner,
     })
+}
+
+/// Read the blob the manifest entry names, checked against its size and CRC.
+fn read_blob(path: &Path, entry: &BlobEntry) -> Result<Vec<u8>> {
+    let raw = fs::read(path).map_err(|e| StoreError::io(path, e))?;
+    if raw.len() as u64 != entry.size {
+        return Err(StoreError::corrupt(
+            path,
+            format!("size {} != manifest {}", raw.len(), entry.size),
+        ));
+    }
+    if crc32(&raw) != entry.crc {
+        return Err(StoreError::corrupt(path, "blob checksum mismatch"));
+    }
+    Ok(raw)
 }
 
 impl UnverifiedCheckpoint {
@@ -470,6 +526,7 @@ impl UnverifiedCheckpoint {
             meta,
             versions,
             arena,
+            partitioner,
         } = self;
         let store = arena
             .check()
@@ -489,7 +546,8 @@ impl UnverifiedCheckpoint {
         }
         // Bit-identity proof: re-encoding the loaded store must reproduce
         // every blob checksum the manifest recorded.
-        for (entry, &version) in meta.blobs.iter().zip(&versions) {
+        let arena_blobs = meta.blobs.iter().zip(&versions);
+        for (entry, &version) in arena_blobs.filter(|(entry, _)| entry.name != PARTITIONER_BLOB) {
             let slot = blob_slot(&entry.name, &dir)?.map(PartitionId::new);
             let bytes = encode_blob(&store, slot, version).ok_or_else(|| {
                 StoreError::corrupt(&dir, format!("blob {} out of range", entry.name))
@@ -504,6 +562,7 @@ impl UnverifiedCheckpoint {
         Ok(LoadedCheckpoint {
             meta,
             store,
+            partitioner,
             parts: OnceLock::new(),
         })
     }
@@ -769,7 +828,7 @@ mod tests {
         // Killed between manifest and prune: every directory is still there,
         // and recovery reads the newest.
         for epoch in 4..=5 {
-            seal_checkpoint(&root, &store.clone().with_epoch(epoch), epoch, "loom").unwrap();
+            seal_checkpoint(&root, &store.clone().with_epoch(epoch), epoch, "loom", None).unwrap();
         }
         assert_eq!(sequences(&root), [2, 3, 4, 5]);
         let (_, meta, skipped) = latest_checkpoint(&root).unwrap().unwrap();
@@ -786,7 +845,8 @@ mod tests {
                 .join(MANIFEST_FILE),
         )
         .unwrap();
-        let (_, pruned) = write_and_prune(&root, &store.clone().with_epoch(6), 6, "loom").unwrap();
+        let (_, pruned) =
+            write_and_prune(&root, &store.clone().with_epoch(6), 6, "loom", None).unwrap();
         pruned.unwrap();
         assert_eq!(sequences(&root), [5, 6]);
         // A directory from the future is none of this checkpoint's business.

@@ -7,27 +7,30 @@
 //!
 //! * **Checkpoints** ([`checkpoint`]) — each published epoch can be
 //!   serialized as one CRC-checksummed blob per shard (the contiguous CSR
-//!   arena slice plus the shard's label index, boundary, and halo) under
-//!   `checkpoints/<epoch_seq>/`, with a `MANIFEST` written last and fsynced
-//!   so a torn checkpoint is simply invisible.
+//!   arena slice), one for the unassigned tail and one for the state of the
+//!   partitioner that placed them, under `checkpoints/<epoch_seq>/`, with a
+//!   `MANIFEST` written last and fsynced so a torn checkpoint is simply
+//!   invisible.
 //! * **Write-ahead log** ([`wal`]) — every ingested batch is appended as a
 //!   CRC-framed record and fsynced *before* it reaches the partitioner; a
 //!   crash mid-append leaves a torn tail that truncates cleanly back to the
 //!   last acknowledged batch.
-//! * **Background checkpointing** ([`sink`]) — a [`CheckpointSink`]
-//!   subscribes to the epoch store's publish broadcast and checkpoints each
-//!   new epoch off the ingest path, coalescing under pressure.
-//! * **Recovery** ([`recovery`]) — [`recover_with`] reads the newest valid
+//! * **Background checkpointing** ([`sink`]) — a [`CheckpointSink`] is
+//!   handed each published epoch together with the WAL position and the
+//!   partitioner state of that epoch, and writes the checkpoint off the
+//!   ingest path, coalescing under pressure.
+//! * **Recovery** ([`recovery`]) — [`recover`] reads the newest valid
 //!   checkpoint's blobs straight into the serving layer's CSR arena
 //!   (size, CRC and structure checked on the way), then proves it on a
 //!   scoped thread — arena invariants, manifest totals, re-encode bit
-//!   identity — while the calling thread decodes the WAL and hands the
-//!   acknowledged batch history to the caller, who replays it through a
-//!   fresh deterministic partitioner to reproduce exact pre-crash state. The
-//!   log must cover the checkpoint; its torn tail is truncated last, so a
-//!   failed recovery writes nothing. Serving resumes pinned at the original
-//!   `epoch_seq`; the checkpoint's graph and partitioning are derived from
-//!   the verified arena only if asked for.
+//!   identity — while the calling thread decodes the WAL. The caller then
+//!   restores its partitioner from the checkpoint's state and the proven
+//!   arena, and replays only the log past the checkpoint (the whole log
+//!   when the checkpoint carries no state) to reproduce exact pre-crash
+//!   state. The log must cover the checkpoint; its torn tail is truncated
+//!   last, so a failed recovery writes nothing. Serving resumes pinned at
+//!   the original `epoch_seq`; the checkpoint's graph and partitioning are
+//!   derived from the verified arena only if asked for.
 //!
 //! The on-disk layout of a durability root:
 //!
@@ -36,9 +39,10 @@
 //! ├── wal.log                       append-only, CRC-framed batches
 //! └── checkpoints/
 //!     ├── 0000000003/
-//!     │   ├── shard_0000.blob       CSR slice + label index + halo
+//!     │   ├── shard_0000.blob       CSR slice: ids, labels, adjacency
 //!     │   ├── shard_0001.blob
 //!     │   ├── tail.blob             unassigned arena tail
+//!     │   ├── partitioner.blob      the partitioner's window, counters, …
 //!     │   └── MANIFEST              written last; names every blob + CRC
 //!     └── 0000000005/…
 //! ```
@@ -59,9 +63,9 @@ pub mod wal;
 
 pub use checkpoint::{
     latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint, BlobEntry,
-    CheckpointMeta, LoadedCheckpoint, UnverifiedCheckpoint,
+    CheckpointMeta, LoadedCheckpoint, PartitionerBlob, UnverifiedCheckpoint,
 };
 pub use error::{Result, StoreError};
-pub use recovery::{recover, recover_with, RecoverSpans, RecoveredState, RecoveryReport};
+pub use recovery::{recover, RecoverSpans, RecoveredState, RecoveryReport};
 pub use sink::CheckpointSink;
 pub use wal::{Wal, WalReplay, WAL_FILE};

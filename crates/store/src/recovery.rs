@@ -1,45 +1,40 @@
 //! Restart-and-serve recovery.
 //!
-//! [`recover_with`] is the single entry point a restarting process calls on
-//! its durability root ([`recover`] is the same call with nothing to replay
-//! into). It works in this order:
+//! [`recover`] is the single entry point a restarting process calls on its
+//! durability root. It works in this order:
 //!
 //! 1. the newest checkpoint with a valid manifest is found (torn ones are
 //!    skipped) and **read** — blobs CRC-checked and decoded straight into
-//!    the CSR arena ([`read_checkpoint`]);
+//!    the CSR arena, the partitioner blob read as bytes
+//!    ([`read_checkpoint`]);
 //! 2. two branches then run side by side, because neither needs anything
 //!    the other produces. **A scoped thread verifies** what was read: the
 //!    arena's invariants, the manifest's totals, the re-encode bit-identity
-//!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling thread** reads
-//!    and decodes the WAL ([`Wal::replay`]) and hands the acknowledged batch
-//!    history to the caller's `replay` closure — the session replays it
-//!    through a fresh partitioner there, the only state no checkpoint holds
-//!    and so the only step that needs the full history. (The session's graph
-//!    mirror does not: it is built once recovery has returned, from the
-//!    arena proven here plus the batches past
-//!    [`RecoveryReport::wal_records_in_checkpoint`] — one replay of the
-//!    history, not two.) The split follows the allocator: everything that
-//!    builds a long-lived structure stays on the calling thread, the scoped
-//!    one only reads, so the process does not grow a second heap for the
-//!    length of the recovered session;
-//! 3. only when both have succeeded is the root touched: the log must hold
-//!    at least the records its checkpoint folded in, and then
-//!    [`Wal::resume_from`] truncates the torn tail — recovery's only write —
-//!    and opens the log for append.
+//!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling thread**
+//!    reads and decodes the WAL ([`Wal::replay`]). Both then join. The split
+//!    follows the allocator: the scoped thread only reads, so the process
+//!    does not grow a second heap for the length of the recovered session;
+//! 3. the log must hold at least the records its checkpoint folded in.
 //!
-//! A recovery that fails leaves the root byte-for-byte as found. Errors keep
-//! their order: the checkpoint's, then the log's, then the closure's.
-//!
-//! The caller gets back the checkpointed store (pinned at its original
-//! `epoch_seq`), the batch history, the reopened append-ready log, and
-//! whatever its closure built.
+//! Nothing is built from the arena before it is proven, and nothing is
+//! written: the caller gets back the proven checkpoint (pinned at its
+//! original `epoch_seq`, with the partitioner's state when it carries one),
+//! the batch history and a report — [`RecoveryReport::replayed_from`] says
+//! where the partitioner's replay starts — and restores its partitioner,
+//! replays the log from there and builds its graph mirror from the arena
+//! plus the batches past [`RecoveryReport::wal_records_in_checkpoint`].
+//! Only once all of that has succeeded does it call
+//! [`RecoveredState::resume_wal`], which truncates the log's torn tail —
+//! recovery's only write — and opens it for append. A recovery that fails
+//! leaves the root byte-for-byte as found. Errors keep their order: the
+//! checkpoint's, then the log's.
 
-use crate::checkpoint::{latest_checkpoint, read_checkpoint, CheckpointMeta, LoadedCheckpoint};
+use crate::checkpoint::{latest_checkpoint, read_checkpoint, LoadedCheckpoint};
 use crate::error::{Result, StoreError};
-use crate::wal::{Wal, WAL_FILE};
+use crate::wal::{Wal, WalReplay, WAL_FILE};
 use loom_graph::StreamElement;
 use loom_obs::{stage, Histogram, SpanTimer, Telemetry};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// What [`recover`] found on disk, summarized for logs and tests.
@@ -55,7 +50,11 @@ pub struct RecoveryReport {
     pub wal_records: u64,
     /// Of those, how many the checkpoint had already folded in.
     pub wal_records_in_checkpoint: u64,
-    /// Bytes of torn WAL tail truncated during resume.
+    /// The record the partitioner's replay starts at: the checkpoint's
+    /// `wal_records` when it carries the partitioner's state, else 0.
+    pub replayed_from: u64,
+    /// Bytes of torn WAL tail found past the last good record, truncated by
+    /// [`RecoveredState::resume_wal`].
     pub wal_truncated_bytes: u64,
 }
 
@@ -65,25 +64,35 @@ pub struct RecoveredState {
     /// The newest valid checkpoint, fully loaded and bit-verified; `None`
     /// when the root has never been checkpointed.
     pub checkpoint: Option<LoadedCheckpoint>,
-    /// Every acknowledged batch, in ingest order. Replaying *all* of them
-    /// through a fresh (deterministic) partitioner reproduces the exact
-    /// pre-crash partitioner state — including its streaming window.
+    /// Every acknowledged batch, in ingest order. A partitioner restored
+    /// from the checkpoint's state and fed the batches from
+    /// [`RecoveryReport::replayed_from`] on — or a fresh one fed all of
+    /// them — is in the exact pre-crash state, streaming window included.
     pub batches: Vec<Vec<StreamElement>>,
-    /// The reopened log, torn tail truncated, positioned for append.
-    pub wal: Wal,
     /// Summary of what was found.
     pub report: RecoveryReport,
+    /// The log as read (its batches moved to `batches`), for the resume.
+    log: WalReplay,
+    wal_path: PathBuf,
+}
+
+impl RecoveredState {
+    /// Truncate the log's torn tail and open it for append — recovery's only
+    /// write, so the caller makes it last, once nothing else can fail.
+    pub fn resume_wal(&self) -> Result<Wal> {
+        Wal::resume_from(&self.wal_path, &self.log)
+    }
 }
 
 /// The stage histograms an observed recovery charges, one sample each:
 /// `recover.checkpoint_load` from the first blob read on the calling thread
-/// to the end of the proof on the verifying one, `recover.wal_decode` and
-/// `recover.replay` back to back on the calling thread beside that proof,
-/// and `recover.mirror` ([`RecoverSpans::mirror`]) on the calling thread
-/// once [`recover_with`] has returned — so `max(load, decode + replay) +
-/// mirror`, and with it `max(load, decode + replay + mirror)`, bounds the
-/// recovery's wall clock from below. The default charges nothing and reads
-/// no clock.
+/// to the end of the proof on the verifying one, `recover.wal_decode` on the
+/// calling thread beside that proof, then — once both have joined — the
+/// caller's `recover.replay` ([`RecoverSpans::replay`]: the partitioner's
+/// restore and the log past it) and `recover.mirror`
+/// ([`RecoverSpans::mirror`]). So `max(load, decode) + replay + mirror`
+/// bounds the recovery's wall clock from below. The default charges nothing
+/// and reads no clock.
 #[derive(Debug, Default)]
 pub struct RecoverSpans {
     checkpoint_load: Option<Arc<Histogram>>,
@@ -103,40 +112,31 @@ impl RecoverSpans {
         }
     }
 
+    /// The `recover.replay` span, for the caller that restores a partitioner
+    /// and replays the log past it out of what [`recover`] handed back.
+    pub fn replay(&self) -> SpanTimer<'_> {
+        SpanTimer::start(self.replay.as_deref())
+    }
+
     /// The `recover.mirror` span, for the caller that builds a graph mirror
-    /// out of what [`recover_with`] handed back.
+    /// out of what [`recover`] handed back.
     pub fn mirror(&self) -> SpanTimer<'_> {
         SpanTimer::start(self.mirror.as_deref())
     }
 }
 
-/// Recover a durability root with nothing to replay into: [`recover_with`]
-/// unobserved, under a closure that does nothing.
-pub fn recover(root: &Path) -> Result<RecoveredState> {
-    recover_with(root, &RecoverSpans::default(), |_, _| {
-        Ok::<_, StoreError>(())
-    })
-    .map(|(state, ())| state)
-}
-
 /// Recover a durability root: read the newest valid checkpoint, then verify
-/// it on a scoped thread while the calling thread decodes the WAL and runs
-/// `replay` over the newest valid manifest (if any) and the acknowledged
-/// batch history; then check the log covers its checkpoint, truncate its
-/// torn tail and reopen it. A fresh or empty root recovers to an empty state
-/// with a newly created log. See the module docs for what is verified where.
+/// it on a scoped thread while the calling thread decodes the WAL; then
+/// check the log covers its checkpoint. A fresh or empty root recovers to
+/// an empty state. Writes nothing: see [`RecoveredState::resume_wal`], and
+/// the module docs for what is verified where.
 ///
 /// # Errors
 ///
-/// The checkpoint's error if it fails to load, else the log's, else
-/// `replay`'s; then [`StoreError::Corrupt`] if the log holds fewer records
-/// than the checkpoint folded in. The root is not written to before all of
-/// these have passed.
-pub fn recover_with<T, E: From<StoreError>>(
-    root: &Path,
-    spans: &RecoverSpans,
-    replay: impl FnOnce(Option<&CheckpointMeta>, &[Vec<StreamElement>]) -> std::result::Result<T, E>,
-) -> std::result::Result<(RecoveredState, T), E> {
+/// The checkpoint's error if it fails to load, else the log's; then
+/// [`StoreError::Corrupt`] if the log holds fewer records than the
+/// checkpoint folded in.
+pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
     let found = latest_checkpoint(root)?;
     let wal_path = root.join(WAL_FILE);
     let pending = match &found {
@@ -146,7 +146,7 @@ pub fn recover_with<T, E: From<StoreError>>(
         }
         None => None,
     };
-    let (loaded, replayed) = std::thread::scope(|scope| {
+    let (loaded, log) = std::thread::scope(|scope| {
         let verifier = pending.map(|(pending, span)| {
             scope.spawn(move || {
                 let _span = span;
@@ -156,17 +156,11 @@ pub fn recover_with<T, E: From<StoreError>>(
         let decode = SpanTimer::start(spans.wal_decode.as_deref());
         let log = Wal::replay(&wal_path);
         drop(decode);
-        let replayed = log.map(|log| {
-            let _span = SpanTimer::start(spans.replay.as_deref());
-            let built = replay(found.as_ref().map(|(_, meta, _)| meta), &log.batches);
-            (log, built)
-        });
         let loaded = verifier.map(|v| v.join().expect("checkpoint verifier panicked"));
-        (loaded, replayed)
+        (loaded, log)
     });
     let checkpoint = loaded.transpose()?;
-    let (log, built) = replayed?;
-    let built = built?;
+    let mut log = log?;
     if let Some(ckpt) = &checkpoint {
         if log.records < ckpt.meta.wal_records {
             return Err(StoreError::corrupt(
@@ -175,26 +169,29 @@ pub fn recover_with<T, E: From<StoreError>>(
                     "log holds {} records, but checkpoint {} folded in {}",
                     log.records, ckpt.meta.epoch_seq, ckpt.meta.wal_records
                 ),
-            )
-            .into());
+            ));
         }
     }
-    let wal = Wal::resume_from(&wal_path, &log)?;
+    let wal_records_in_checkpoint = checkpoint.as_ref().map_or(0, |c| c.meta.wal_records);
     let report = RecoveryReport {
         epoch_seq: checkpoint.as_ref().map_or(0, |c| c.meta.epoch_seq),
         checkpoint_found: checkpoint.is_some(),
         invalid_checkpoints_skipped: found.map_or(0, |(_, _, skipped)| skipped),
         wal_records: log.records,
-        wal_records_in_checkpoint: checkpoint.as_ref().map_or(0, |c| c.meta.wal_records),
+        wal_records_in_checkpoint,
+        replayed_from: match &checkpoint {
+            Some(c) if c.partitioner.is_some() => wal_records_in_checkpoint,
+            _ => 0,
+        },
         wal_truncated_bytes: log.truncated_bytes,
     };
-    let state = RecoveredState {
+    Ok(RecoveredState {
         checkpoint,
-        batches: log.batches,
-        wal,
+        batches: std::mem::take(&mut log.batches),
         report,
-    };
-    Ok((state, built))
+        log,
+        wal_path,
+    })
 }
 
 #[cfg(test)]
@@ -207,7 +204,6 @@ mod tests {
     use loom_graph::GraphStream;
     use loom_partition::partition::{PartitionId, Partitioning};
     use loom_serve::shard::ShardedStore;
-    use std::path::PathBuf;
 
     fn tmproot(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("loom-rec-{name}-{}", std::process::id()));
@@ -219,7 +215,7 @@ mod tests {
     #[test]
     fn fresh_root_recovers_empty() {
         let root = tmproot("fresh");
-        let state = recover(&root).unwrap();
+        let state = recover(&root, &RecoverSpans::default()).unwrap();
         assert!(state.checkpoint.is_none());
         assert!(state.batches.is_empty());
         assert_eq!(
@@ -230,9 +226,14 @@ mod tests {
                 invalid_checkpoints_skipped: 0,
                 wal_records: 0,
                 wal_records_in_checkpoint: 0,
+                replayed_from: 0,
                 wal_truncated_bytes: 0,
             }
         );
+        // Recovery itself wrote nothing; resuming creates the log.
+        assert!(!root.join(WAL_FILE).exists());
+        assert_eq!(state.resume_wal().unwrap().records(), 0);
+        assert!(root.join(WAL_FILE).exists());
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -262,18 +263,26 @@ mod tests {
         raw.extend_from_slice(&[9, 9, 9]);
         std::fs::write(&wal_path, &raw).unwrap();
 
-        let state = recover(&root).unwrap();
+        let state = recover(&root, &RecoverSpans::default()).unwrap();
         let ckpt = state.checkpoint.as_ref().unwrap();
         assert_eq!(ckpt.meta.epoch_seq, 1);
         assert_eq!(ckpt.store.epoch(), 1);
+        assert!(ckpt.partitioner.is_none());
         assert_eq!(state.report.wal_records, 2);
         assert_eq!(state.report.wal_records_in_checkpoint, 1);
+        // No partitioner state: its replay starts at the log's first record.
+        assert_eq!(state.report.replayed_from, 0);
         assert_eq!(state.report.wal_truncated_bytes, 3);
         // The batches replay to the full pre-crash graph.
         let all: Vec<_> = state.batches.concat();
         let replayed = GraphStream::from_elements(all).materialise();
         assert_eq!(replayed.vertex_count(), g.vertex_count());
         assert_eq!(replayed.edge_count(), g.edge_count());
+        // The torn tail is still on disk until the log is resumed.
+        assert_eq!(std::fs::read(&wal_path).unwrap(), raw);
+        let wal = state.resume_wal().unwrap();
+        assert_eq!(wal.records(), 2);
+        assert_eq!(std::fs::read(&wal_path).unwrap().len(), raw.len() - 3);
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

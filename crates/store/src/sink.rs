@@ -1,27 +1,36 @@
-//! Background checkpointing, driven by epoch publishes.
+//! Background checkpointing of published epochs.
 //!
-//! [`CheckpointSink`] subscribes to an [`EpochStore`]'s publish broadcast.
-//! `notify` runs on the publisher thread and must never block, so it only
-//! stamps a latest-wins job slot and wakes a dedicated worker thread; the
-//! worker loads the current epoch snapshot and writes the checkpoint while
-//! ingestion keeps running. Under pressure, superseded publishes are simply
-//! skipped — only the newest epoch is worth a checkpoint, and recovery
-//! replays the WAL regardless.
+//! The publisher hands a [`CheckpointSink`] each epoch it publishes with
+//! [`CheckpointSink::submit`]: the pinned store, the WAL records folded into
+//! it and the partitioner's state, captured together on the publisher's
+//! thread, so a checkpoint is always sealed with its own epoch's log
+//! position and state. `submit` never blocks and does no IO: it stamps a
+//! latest-wins job slot and wakes a dedicated worker thread, which writes
+//! the checkpoint while ingestion keeps running. Under pressure superseded
+//! jobs are skipped — only the newest epoch is worth a checkpoint, and the
+//! log still holds every batch behind it.
 
 use crate::checkpoint::{write_and_prune, CheckpointMeta};
 use crate::error::{Result, StoreError};
 use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
-use loom_serve::epoch::{EpochSink, EpochStore, SubscriptionId};
+use loom_serve::shard::ShardedStore;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// One epoch to checkpoint, as its publisher captured it.
+#[derive(Debug)]
+struct Job {
+    store: Arc<ShardedStore>,
+    wal_records: u64,
+    state: Vec<u8>,
+}
+
 #[derive(Debug, Default)]
 struct SinkState {
-    /// WAL record count captured at the latest un-checkpointed publish.
-    pending: Option<u64>,
+    /// The latest submitted epoch not yet taken by the worker.
+    pending: Option<Job>,
     /// A checkpoint write is in flight.
     writing: bool,
     /// The sink is shutting down; the worker exits at the next wakeup.
@@ -36,15 +45,13 @@ struct SinkState {
     last_error: Option<String>,
 }
 
-/// An [`EpochSink`] that checkpoints every published epoch in the background.
+/// Checkpoints every submitted epoch in the background.
 pub struct CheckpointSink {
     state: Mutex<SinkState>,
     work: Condvar,
     done: Condvar,
-    epochs: Weak<EpochStore>,
     root: PathBuf,
     spec: String,
-    wal_records: AtomicU64,
     worker: Mutex<Option<JoinHandle<()>>>,
     /// Optional telemetry: checkpoint writes charge `store.checkpoint_write`
     /// and every sealed checkpoint leaves a flight-recorder event.
@@ -61,22 +68,15 @@ impl std::fmt::Debug for CheckpointSink {
 }
 
 impl CheckpointSink {
-    /// Create a sink checkpointing into `root`, subscribe it to `epochs`,
-    /// and start its worker thread. The sink holds the store only weakly, so
-    /// dropping the `EpochStore` never deadlocks on the subscription cycle.
-    pub fn attach(
-        epochs: &Arc<EpochStore>,
-        root: &Path,
-        spec: &str,
-    ) -> (Arc<Self>, SubscriptionId) {
+    /// Create a sink checkpointing into `root` the epochs of a store built
+    /// by partitioner `spec`, and start its worker thread.
+    pub fn start(root: &Path, spec: &str) -> Arc<Self> {
         let sink = Arc::new(Self {
             state: Mutex::new(SinkState::default()),
             work: Condvar::new(),
             done: Condvar::new(),
-            epochs: Arc::downgrade(epochs),
             root: root.to_path_buf(),
             spec: spec.to_string(),
-            wal_records: AtomicU64::new(0),
             worker: Mutex::new(None),
             telemetry: Mutex::new(None),
         });
@@ -88,8 +88,7 @@ impl CheckpointSink {
                 .expect("spawn checkpoint worker")
         };
         *sink.worker.lock().expect("worker slot") = Some(handle);
-        let id = epochs.subscribe(Arc::clone(&sink) as Arc<dyn EpochSink>);
-        (sink, id)
+        sink
     }
 
     /// Observe this sink: subsequent checkpoint writes charge their wall
@@ -99,11 +98,22 @@ impl CheckpointSink {
         *self.telemetry.lock().expect("telemetry slot") = Some(telemetry);
     }
 
-    /// Record the WAL position the *next* publish corresponds to. Call this
-    /// before `EpochStore::publish`; `notify` runs inline on the publisher
-    /// thread, so the value it reads here is exact, not racy.
-    pub fn set_wal_records(&self, records: u64) {
-        self.wal_records.store(records, Ordering::Release);
+    /// Checkpoint `store` — a published epoch — with the `wal_records` it
+    /// folds in and the partitioner `state` it was frozen beside. Replaces
+    /// any submitted epoch the worker has not yet taken, wakes the worker,
+    /// and returns without IO. After [`CheckpointSink::shutdown`] it does
+    /// nothing.
+    pub fn submit(&self, store: Arc<ShardedStore>, wal_records: u64, state: Vec<u8>) {
+        let mut slot = self.state.lock().expect("sink state");
+        if slot.shutdown {
+            return;
+        }
+        slot.pending = Some(Job {
+            store,
+            wal_records,
+            state,
+        });
+        self.work.notify_one();
     }
 
     /// Highest epoch successfully checkpointed so far.
@@ -141,8 +151,8 @@ impl CheckpointSink {
         }
     }
 
-    /// Stop the worker thread and detach. Idempotent; pending work that has
-    /// not started yet is dropped (the WAL still covers it).
+    /// Stop the worker thread. Idempotent; a submitted epoch that has not
+    /// started yet is dropped (the WAL still covers it).
     pub fn shutdown(&self) {
         {
             let mut state = self.state.lock().expect("sink state");
@@ -163,14 +173,14 @@ impl CheckpointSink {
                     if state.shutdown {
                         return;
                     }
-                    if let Some(wal) = state.pending.take() {
+                    if let Some(job) = state.pending.take() {
                         state.writing = true;
-                        break wal;
+                        break job;
                     }
                     state = self.work.wait(state).expect("sink state poisoned");
                 }
             };
-            let result = self.write_current(job);
+            let result = self.write(&job);
             let mut state = self.state.lock().expect("sink state");
             state.writing = false;
             match result {
@@ -190,15 +200,11 @@ impl CheckpointSink {
         }
     }
 
-    /// Checkpoint the current epoch unless it is already covered: the
+    /// Checkpoint the job's epoch unless it is already covered: the
     /// manifest written, and whether the prune behind it went through.
-    fn write_current(&self, wal_records: u64) -> Result<Option<(CheckpointMeta, Result<()>)>> {
-        let Some(epochs) = self.epochs.upgrade() else {
-            return Ok(None); // store dropped mid-flight; nothing to snapshot
-        };
-        let snapshot = epochs.load();
+    fn write(&self, job: &Job) -> Result<Option<(CheckpointMeta, Result<()>)>> {
         let last_written = self.state.lock().expect("sink state").last_written;
-        if snapshot.epoch() <= last_written {
+        if job.store.epoch() <= last_written {
             return Ok(None);
         }
         let telemetry = self.telemetry.lock().expect("telemetry slot").clone();
@@ -206,7 +212,13 @@ impl CheckpointSink {
             .as_ref()
             .map(|t| t.stage_histogram(stage::STORE_CHECKPOINT_WRITE));
         let span = SpanTimer::start(hist.as_deref());
-        let written = write_and_prune(&self.root, &snapshot, wal_records, &self.spec);
+        let written = write_and_prune(
+            &self.root,
+            &job.store,
+            job.wal_records,
+            &self.spec,
+            Some(&job.state),
+        );
         drop(span);
         let (meta, pruned) = written?;
         if let Some(t) = &telemetry {
@@ -219,24 +231,13 @@ impl CheckpointSink {
     }
 }
 
-impl EpochSink for CheckpointSink {
-    fn notify(&self, _epoch: u64) {
-        // Publisher thread: stamp the job slot (latest wins) and wake the
-        // worker. Never blocks, never does IO.
-        let mut state = self.state.lock().expect("sink state");
-        state.pending = Some(self.wal_records.load(Ordering::Acquire));
-        self.work.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::latest_checkpoint;
+    use crate::checkpoint::{latest_checkpoint, load_checkpoint, read_manifest, CHECKPOINT_DIR};
     use loom_graph::generators::erdos_renyi::erdos_renyi;
     use loom_graph::generators::GeneratorConfig;
     use loom_partition::partition::{PartitionId, Partitioning};
-    use loom_serve::shard::ShardedStore;
 
     fn store(seed: u64) -> ShardedStore {
         let g = erdos_renyi(GeneratorConfig::new(30, 3, seed), 80).unwrap();
@@ -254,24 +255,59 @@ mod tests {
         dir
     }
 
+    /// The WAL count and state a test submits with `epoch`: distinct for
+    /// every epoch, so a checkpoint sealed with another epoch's shows.
+    fn stamp(epoch: u64) -> (u64, Vec<u8>) {
+        (1_000 + 7 * epoch, epoch.to_le_bytes().to_vec())
+    }
+
+    fn submit(sink: &CheckpointSink, store: &ShardedStore, epoch: u64) {
+        let (wal_records, state) = stamp(epoch);
+        sink.submit(
+            Arc::new(store.clone().with_epoch(epoch)),
+            wal_records,
+            state,
+        );
+    }
+
+    /// Every checkpoint with a valid manifest under `root` carries the WAL
+    /// count and the state submitted with its own epoch. Returns how many
+    /// there were.
+    fn assert_each_sealed_with_its_own_epoch(root: &Path) -> usize {
+        let Ok(dirs) = std::fs::read_dir(root.join(CHECKPOINT_DIR)) else {
+            return 0;
+        };
+        let mut sealed = 0;
+        for dir in dirs.flatten() {
+            // A directory mid-write or mid-prune has no valid manifest.
+            let Ok(meta) = read_manifest(&dir.path()) else {
+                continue;
+            };
+            let (wal_records, state) = stamp(meta.epoch_seq);
+            assert_eq!(meta.wal_records, wal_records, "epoch {}", meta.epoch_seq);
+            if let Ok(loaded) = load_checkpoint(&dir.path()) {
+                assert_eq!(loaded.partitioner.unwrap().bytes, state);
+            }
+            sealed += 1;
+        }
+        sealed
+    }
+
     #[test]
     fn publishes_are_checkpointed_in_the_background() {
         let root = tmproot("bg");
-        let epochs = Arc::new(EpochStore::new(store(1)));
-        let (sink, sub) = CheckpointSink::attach(&epochs, &root, "loom");
-        sink.set_wal_records(4);
-        let seq = epochs.publish(store(2));
+        let sink = CheckpointSink::start(&root, "loom");
+        submit(&sink, &store(2), 1);
         let written = sink.wait_idle(Duration::from_secs(30)).unwrap();
-        assert_eq!(written, seq);
+        assert_eq!(written, 1);
         let (_, meta, _) = latest_checkpoint(&root).unwrap().unwrap();
-        assert_eq!(meta.epoch_seq, seq);
-        assert_eq!(meta.wal_records, 4);
+        assert_eq!(meta.epoch_seq, 1);
+        assert_eq!(meta.wal_records, stamp(1).0);
         // A second publish advances the checkpoint.
-        sink.set_wal_records(9);
-        let seq2 = epochs.publish(store(3));
-        assert_eq!(sink.wait_idle(Duration::from_secs(30)).unwrap(), seq2);
+        submit(&sink, &store(3), 2);
+        assert_eq!(sink.wait_idle(Duration::from_secs(30)).unwrap(), 2);
         assert_eq!(sink.written(), 2);
-        epochs.unsubscribe(sub);
+        assert_eq!(assert_each_sealed_with_its_own_epoch(&root), 2);
         sink.shutdown();
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -279,19 +315,37 @@ mod tests {
     #[test]
     fn rapid_publishes_coalesce_to_the_newest_epoch() {
         let root = tmproot("coalesce");
-        let epochs = Arc::new(EpochStore::new(store(1)));
-        let (sink, sub) = CheckpointSink::attach(&epochs, &root, "loom");
-        let mut last = 0;
-        for i in 0..8 {
-            sink.set_wal_records(i);
-            last = epochs.publish(store(10 + i));
+        let sink = CheckpointSink::start(&root, "loom");
+        for epoch in 1..=8 {
+            submit(&sink, &store(10 + epoch), epoch);
         }
-        assert_eq!(sink.wait_idle(Duration::from_secs(30)).unwrap(), last);
-        // Possibly fewer checkpoints than publishes, but the newest is on disk.
+        assert_eq!(sink.wait_idle(Duration::from_secs(30)).unwrap(), 8);
+        // Possibly fewer checkpoints than publishes, but the newest is on
+        // disk, sealed with its own WAL count and state.
         assert!(sink.written() <= 8);
-        let (_, meta, _) = latest_checkpoint(&root).unwrap().unwrap();
-        assert_eq!(meta.epoch_seq, last);
-        epochs.unsubscribe(sub);
+        let (dir, meta, _) = latest_checkpoint(&root).unwrap().unwrap();
+        assert_eq!(meta.epoch_seq, 8);
+        assert_eq!(meta.wal_records, stamp(8).0);
+        let loaded = load_checkpoint(&dir).unwrap();
+        assert_eq!(loaded.partitioner.unwrap().bytes, stamp(8).1);
+        assert!(assert_each_sealed_with_its_own_epoch(&root) >= 1);
+        sink.shutdown();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn back_to_back_checkpoints_are_each_sealed_with_their_own_epoch() {
+        let root = tmproot("stamps");
+        let sink = CheckpointSink::start(&root, "loom");
+        let base = store(4);
+        for epoch in 1..=500 {
+            submit(&sink, &base, epoch);
+            if epoch % 25 == 0 {
+                assert_each_sealed_with_its_own_epoch(&root);
+            }
+        }
+        assert_eq!(sink.wait_idle(Duration::from_secs(60)).unwrap(), 500);
+        assert!(assert_each_sealed_with_its_own_epoch(&root) >= 1);
         sink.shutdown();
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -299,15 +353,15 @@ mod tests {
     #[test]
     fn shutdown_is_idempotent_and_drops_the_subscription_cleanly() {
         let root = tmproot("shutdown");
-        let epochs = Arc::new(EpochStore::new(store(1)));
-        let (sink, sub) = CheckpointSink::attach(&epochs, &root, "loom");
-        epochs.unsubscribe(sub);
+        let sink = CheckpointSink::start(&root, "loom");
         sink.shutdown();
         sink.shutdown();
-        // After shutdown, the weak upgrade path still behaves: dropping the
-        // store and notifying directly must not panic.
-        drop(epochs);
-        sink.notify(99);
+        // After shutdown a submission is dropped, never written, and
+        // waiting on it does not hang.
+        submit(&sink, &store(1), 99);
+        assert_eq!(sink.wait_idle(Duration::from_secs(30)).unwrap(), 0);
+        assert_eq!(sink.written(), 0);
+        assert!(latest_checkpoint(&root).unwrap().is_none());
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -54,7 +54,7 @@ use loom_partition::spec::{PartitionerRegistry, PartitionerSpec};
 use loom_partition::traits::{Partitioner, PartitionerStats, DEFAULT_BATCH_SIZE};
 use loom_partition::PartitionError;
 use loom_serve::engine::{ServeConfig, ServeEngine};
-use loom_serve::epoch::{EpochStore, SubscriptionId};
+use loom_serve::epoch::EpochStore;
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
 use loom_sim::context::RequestContext;
@@ -63,7 +63,7 @@ use loom_sim::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
 use loom_store::recovery::{RecoverSpans, RecoveryReport};
-use loom_store::{CheckpointMeta, CheckpointSink, StoreError, Wal, WAL_FILE};
+use loom_store::{CheckpointSink, PartitionerBlob, StoreError, Wal, WAL_FILE};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -206,8 +206,8 @@ impl SessionBuilder {
     }
 
     /// Build the partitioner this configuration describes (used by both
-    /// `build` and the recovery path, which replays the WAL through a fresh
-    /// instance).
+    /// `build` and the recovery path, which restores a fresh instance from
+    /// the checkpoint and replays the WAL past it).
     fn make_partitioner(&self) -> SessionResult<Box<dyn Partitioner>> {
         let registry = match &self.workload {
             Some(workload) => {
@@ -273,15 +273,14 @@ impl SessionBuilder {
 }
 
 /// The durable half of a session: the write-ahead log, the incrementally
-/// materialised graph, and the background checkpoint sink subscribed to the
-/// epoch store.
+/// materialised graph, the epoch store and the background checkpoint sink
+/// every published epoch is handed to.
 struct DurableState {
     root: PathBuf,
     wal: Wal,
     graph: LabelledGraph,
-    epochs: Arc<EpochStore>,
+    epochs: EpochStore,
     sink: Arc<CheckpointSink>,
-    sub: Option<SubscriptionId>,
 }
 
 impl fmt::Debug for DurableState {
@@ -332,7 +331,7 @@ impl DurableState {
     }
 
     /// Wrap recovered (or fresh) state: resume the epoch counter at
-    /// `epoch_seq`, subscribe the background checkpoint sink, and — when the
+    /// `epoch_seq`, start the background checkpoint sink, and — when the
     /// session is observed — point the WAL and the sink at the telemetry
     /// bundle's `store.*` histograms.
     fn attach(
@@ -347,19 +346,17 @@ impl DurableState {
         if let Some(t) = telemetry {
             wal.set_fsync_histogram(t.stage_histogram(stage::STORE_FSYNC));
         }
-        let epochs = Arc::new(EpochStore::resume(pinned, epoch_seq));
-        let (sink, sub) = CheckpointSink::attach(&epochs, root, spec_name);
+        let epochs = EpochStore::resume(pinned, epoch_seq);
+        let sink = CheckpointSink::start(root, spec_name);
         if let Some(t) = telemetry {
             sink.set_telemetry(Arc::clone(t));
         }
-        sink.set_wal_records(wal.records());
         Ok(Self {
             root: root.to_path_buf(),
             wal,
             graph,
             epochs,
             sink,
-            sub: Some(sub),
         })
     }
 
@@ -374,9 +371,6 @@ impl DurableState {
 
 impl Drop for DurableState {
     fn drop(&mut self) {
-        if let Some(sub) = self.sub.take() {
-            self.epochs.unsubscribe(sub);
-        }
         self.sink.shutdown();
     }
 }
@@ -520,26 +514,33 @@ impl Session {
     }
 
     /// Publish the current partitioning as a new serving epoch and hand it
-    /// to the background checkpoint sink; returns the epoch sequence. The
-    /// store is frozen on this thread from the graph mirror
-    /// [`Session::ingest_batch`] keeps current, by one walk of its slots. The
-    /// write happens off this thread — [`Session::sync_durability`] blocks
-    /// until it is on disk.
+    /// to the background checkpoint sink, with the WAL records it folds in
+    /// and the partitioner's state ([`Partitioner::encode_state`]); returns
+    /// the epoch sequence. The store is frozen on this thread from the graph
+    /// mirror [`Session::ingest_batch`] keeps current, by one walk of its
+    /// slots. The write happens off this thread —
+    /// [`Session::sync_durability`] blocks until it is on disk.
     ///
     /// # Errors
     ///
     /// Fails on sessions built without [`SessionBuilder::with_durability`].
     pub fn checkpoint(&mut self) -> SessionResult<u64> {
-        if self.durable.is_none() {
+        let Some(durable) = self.durable.as_mut() else {
             return Err(SessionError::Durability(
                 "checkpoint() needs a durable session: configure with_durability(root)".into(),
             ));
-        }
+        };
         let snapshot = self.partitioner.snapshot();
-        let durable = self.durable.as_mut().expect("checked above");
-        let store = ShardedStore::from_parts(&durable.graph, &snapshot);
-        durable.sink.set_wal_records(durable.wal.records());
-        Ok(durable.epochs.publish(store))
+        let state = self.partitioner.encode_state();
+        let epoch = durable
+            .epochs
+            .publish(ShardedStore::from_parts(&durable.graph, &snapshot));
+        // The session is the store's only publisher: this is the epoch just
+        // published, captured on this thread with its log position and state.
+        durable
+            .sink
+            .submit(durable.epochs.load(), durable.wal.records(), state);
+        Ok(epoch)
     }
 
     /// Block until every published epoch has been checkpointed to disk, and
@@ -661,16 +662,20 @@ impl Session {
 
     /// Bring a crashed (or cleanly stopped) durable session back. The newest
     /// valid checkpoint under the builder's durability root is read straight
-    /// into the store's arena and then proven on a thread of its own — arena
+    /// into the store's arena and proven on a thread of its own — arena
     /// invariants, manifest totals, bit identity — while this thread decodes
-    /// the WAL and replays the **full** acknowledged batch history through a
-    /// fresh partitioner built from the same configuration (partitioners are
-    /// deterministic and no checkpoint holds their state, so the replay
-    /// reproduces the exact pre-crash state, streaming window included).
-    /// The durable graph mirror is not replayed from the start: it is the
-    /// graph the proven arena holds, plus the batches the log holds past the
-    /// checkpoint — with no checkpoint, the empty graph plus the whole log;
-    /// one construction either way. Serving resumes pinned at the
+    /// the WAL ([`loom_store::recover`]). Then, from the proven checkpoint
+    /// only, a fresh partitioner built from the same configuration is
+    /// **restored** ([`Partitioner::restore_state`]: the checkpoint's
+    /// partitioner blob, the assignment read off the arena) and the restore
+    /// proven — re-encoded, it must give back the blob's bytes. It is fed
+    /// the log past the checkpoint, and lands in the exact pre-crash state,
+    /// streaming window included. A checkpoint without a partitioner blob
+    /// (written by [`loom_store::write_checkpoint`], or before the blob
+    /// existed) restores nothing, and the whole log is replayed instead.
+    /// The durable graph mirror is the graph the proven arena holds, plus
+    /// the batches the log holds past the checkpoint — with no checkpoint,
+    /// the empty graph plus the whole log. Serving resumes pinned at the
     /// checkpoint's original `epoch_seq`. The WAL's torn tail is truncated
     /// only once everything that can fail has succeeded: a recovery that
     /// fails leaves the root as found.
@@ -678,9 +683,12 @@ impl Session {
     /// # Errors
     ///
     /// Fails when the builder has no durability root, when on-disk state is
-    /// corrupt beyond the WAL's torn tail, when the WAL holds fewer records
-    /// than the checkpoint folded in, when the checkpoint was written by a
-    /// different partitioner spec, or when replay hits an assignment error.
+    /// corrupt beyond the WAL's torn tail (a partitioner blob that does not
+    /// decode, disagrees with the arena or does not re-encode to itself
+    /// included), when the WAL holds fewer records than the checkpoint
+    /// folded in, when the checkpoint was written by a different
+    /// partitioner, configuration or workload, or when replay hits an
+    /// assignment error.
     pub fn recover(builder: SessionBuilder) -> SessionResult<Recovered> {
         let root = builder.durability.clone().ok_or_else(|| {
             SessionError::Durability(
@@ -693,48 +701,43 @@ impl Session {
             .as_deref()
             .map(RecoverSpans::resolve)
             .unwrap_or_default();
-
-        // Replay the full history through the partitioner: the WAL covers
-        // every acknowledged batch since the root was created, and batched
-        // ingestion is deterministic, so the fresh partitioner lands in the
-        // exact pre-crash state.
-        let replay = |meta: Option<&CheckpointMeta>, batches: &[Vec<StreamElement>]| {
-            let mut partitioner = builder.make_partitioner()?;
-            if let Some(meta) = meta {
-                if meta.spec != partitioner.name() {
-                    return Err(SessionError::Durability(format!(
-                        "checkpoint at {} was written by partitioner `{}`, but this session \
-                         is configured for `{}`",
-                        root.display(),
-                        meta.spec,
-                        partitioner.name()
-                    )));
-                }
-                if meta.shards != builder.spec.k() {
-                    return Err(SessionError::Durability(format!(
-                        "checkpoint at {} has {} shards, but this session is configured \
-                         for k = {}",
-                        root.display(),
-                        meta.shards,
-                        builder.spec.k()
-                    )));
-                }
+        let state = loom_store::recover(&root, &spans)?;
+        let report = state.report.clone();
+        if let Some(meta) = state.checkpoint.as_ref().map(|c| &c.meta) {
+            if meta.spec != builder.spec.name() {
+                return Err(SessionError::Durability(format!(
+                    "checkpoint at {} was written by partitioner `{}`, but this session \
+                     is configured for `{}`",
+                    root.display(),
+                    meta.spec,
+                    builder.spec.name()
+                )));
             }
-            for batch in batches {
-                partitioner.ingest_batch(batch)?;
-            }
-            Ok(partitioner)
-        };
-        let (state, partitioner) = loom_store::recover_with(&root, &spans, replay)?;
-        if let Some(t) = &builder.telemetry {
-            if state.report.wal_truncated_bytes > 0 {
-                t.flight().record(FlightKind::WalTruncated {
-                    bytes: state.report.wal_truncated_bytes,
-                });
+            if meta.shards != builder.spec.k() {
+                return Err(SessionError::Durability(format!(
+                    "checkpoint at {} has {} shards, but this session is configured \
+                     for k = {}",
+                    root.display(),
+                    meta.shards,
+                    builder.spec.k()
+                )));
             }
         }
 
-        let report = state.report;
+        // The partitioner: restored from the proven checkpoint when it
+        // carries the state, then fed the log from where that state ends.
+        let mut partitioner = builder.make_partitioner()?;
+        let span = spans.replay();
+        if let Some(checkpoint) = &state.checkpoint {
+            if let Some(blob) = &checkpoint.partitioner {
+                restore_partitioner(&mut *partitioner, blob, &checkpoint.store)?;
+            }
+        }
+        for batch in &state.batches[report.replayed_from as usize..] {
+            partitioner.ingest_batch(batch)?;
+        }
+        drop(span);
+
         // The mirror: what the checkpoint holds — proven, and shown to be a
         // prefix of this log — then the batches behind it.
         let span = spans.mirror();
@@ -747,13 +750,23 @@ impl Session {
             graph.apply(element);
         }
         drop(span);
+
+        // Everything that can fail has succeeded: now the only write.
+        let wal = state.resume_wal()?;
+        if let Some(t) = &builder.telemetry {
+            if report.wal_truncated_bytes > 0 {
+                t.flight().record(FlightKind::WalTruncated {
+                    bytes: report.wal_truncated_bytes,
+                });
+            }
+        }
         let pinned = match state.checkpoint {
             Some(checkpoint) => checkpoint.store,
             None => ShardedStore::from_parts(&graph, &partitioner.snapshot()),
         };
         let durable = DurableState::attach(
             &root,
-            state.wal,
+            wal,
             graph,
             pinned,
             report.epoch_seq,
@@ -769,6 +782,39 @@ impl Session {
             plans: OnceLock::new(),
         })
     }
+}
+
+/// Restore a freshly built `partitioner` from a checkpoint's partitioner
+/// `blob` and its proven `arena`, then prove the restore: re-encoded, the
+/// partitioner must give back the blob's bytes exactly.
+fn restore_partitioner(
+    partitioner: &mut dyn Partitioner,
+    blob: &PartitionerBlob,
+    arena: &ShardedStore,
+) -> SessionResult<()> {
+    let corrupt = |detail: String| {
+        SessionError::Store(StoreError::Corrupt {
+            path: blob.path.clone(),
+            detail,
+        })
+    };
+    match partitioner.restore_state(&blob.bytes, &mut arena.homes()) {
+        Ok(()) => {}
+        Err(PartitionError::StateMismatch(detail)) => {
+            return Err(SessionError::Durability(format!(
+                "{}: {detail}",
+                blob.path.display()
+            )))
+        }
+        Err(PartitionError::CorruptState(detail)) => return Err(corrupt(detail)),
+        Err(other) => return Err(other.into()),
+    }
+    if partitioner.encode_state() != blob.bytes {
+        return Err(corrupt(
+            "the restored partitioner does not re-encode to its blob".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// The one place a session-side [`ServeEngine`] is wired: `config` from

@@ -32,18 +32,19 @@
 //! * **pruning** — a root holds its newest checkpoint and one fallback.
 
 use loom::loom_store::checkpoint::{
-    load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE,
+    load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE, PARTITIONER_BLOB,
 };
 use loom::loom_store::codec::{encode_shard, encode_tail};
 use loom::loom_store::StoreError;
 use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
+use loom_graph::io::crc32;
 use loom_partition::partition::PartitionId;
 use loom_partition::spec::LoomConfig;
 use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1059,6 +1060,330 @@ fn fresh_root_recovers_to_an_empty_session() {
         .unwrap();
     assert_eq!(session.checkpoint().unwrap(), 1);
     assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Rewrite the `MANIFEST` in `dir` through `edit` (its lines, trailer
+/// dropped) and re-CRC it, so only what the manifest says can object.
+fn reseal_manifest(dir: &Path, edit: impl FnOnce(Vec<String>) -> Vec<String>) {
+    let path = dir.join(MANIFEST_FILE);
+    let raw = std::fs::read_to_string(&path).unwrap();
+    let (body, _) = raw.rsplit_once("crc ").unwrap();
+    let lines = edit(body.lines().map(str::to_string).collect());
+    let body: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::write(&path, format!("{body}crc {}\n", crc32(body.as_bytes()))).unwrap();
+}
+
+/// Replace blob `name` of the checkpoint in `dir` by `bytes`, manifest
+/// resealed.
+fn replace_blob(dir: &Path, name: &str, bytes: &[u8]) {
+    std::fs::write(dir.join(name), bytes).unwrap();
+    let listed = format!("blob {name} {} {}", bytes.len(), crc32(bytes));
+    reseal_manifest(dir, |lines| {
+        let prefix = format!("blob {name} ");
+        let swap = |line: String| match line.starts_with(&prefix) {
+            true => listed.clone(),
+            false => line,
+        };
+        lines.into_iter().map(swap).collect()
+    });
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Where things lie in a LOOM state blob (`loom_partition::state`).
+struct LoomStateLayout {
+    /// The first byte of every header field, by name, and whether it is a
+    /// setting's value.
+    header: Vec<(String, usize, bool)>,
+    /// The window's vertex count.
+    window_count: usize,
+    /// The first window vertex's window-list length.
+    first_list: usize,
+    /// The re-entry index's entry count, and where its entries end.
+    reentries: (usize, usize),
+    /// An outside vertex that one window vertex lists once and no other
+    /// lists, with that window vertex.
+    listed_once: Option<(u64, u64)>,
+}
+
+fn loom_state_layout(bytes: &[u8]) -> LoomStateLayout {
+    let mut header = vec![
+        ("magic".to_string(), 0, false),
+        ("version".to_string(), 4, false),
+        ("name".to_string(), 8, false),
+    ];
+    let mut at = 12 + u32_at(bytes, 8);
+    header.push(("setting count".into(), at, false));
+    let settings = u32_at(bytes, at);
+    at += 4;
+    for _ in 0..settings {
+        let len = u32_at(bytes, at);
+        let name = String::from_utf8(bytes[at + 4..at + 4 + len].to_vec()).unwrap();
+        header.push((format!("{name} name"), at, false));
+        header.push((format!("{name} kind"), at + 4 + len, false));
+        header.push((name, at + 5 + len, true));
+        at += 4 + len + 1 + 8;
+    }
+    header.push(("load count".into(), at, false));
+    let k = u32_at(bytes, at);
+    at += 4;
+    for p in 0..k {
+        header.push((format!("load {p}"), at, false));
+        at += 8;
+    }
+    // Twelve LOOM counters and the batch count.
+    let window_count = at + 13 * 8;
+    at = window_count + 8;
+    let first_list = at + 12;
+    let mut listings: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+    for _ in 0..u64_at(bytes, window_count) {
+        let v = u64_at(bytes, at) as u64;
+        at += 12;
+        at += 4 + 8 * u32_at(bytes, at);
+        let externals = u32_at(bytes, at);
+        for i in 0..externals {
+            let o = u64_at(bytes, at + 4 + 8 * i) as u64;
+            listings.entry(o).or_default().push(v);
+        }
+        at += 4 + 8 * externals;
+    }
+    let count = at;
+    at += 8;
+    for _ in 0..u64_at(bytes, count) {
+        at += 12 + 8 * u32_at(bytes, at + 8);
+    }
+    let listed_once = listings
+        .into_iter()
+        .find(|(_, members)| members.len() == 1)
+        .map(|(o, members)| (o, members[0]));
+    LoomStateLayout {
+        header,
+        window_count,
+        first_list,
+        reentries: (count, at),
+        listed_once,
+    }
+}
+
+/// A root checkpointed by a LOOM session two thirds of the way through
+/// `graph`'s stream — with an isolated vertex buffered last — then fed the
+/// rest and killed with a torn log tail. Returns the checkpoint's directory.
+fn crashed_loom_root(root: &Path, graph: &LabelledGraph, isolated: VertexId) -> PathBuf {
+    let stream = GraphStream::from_graph(graph, &StreamOrder::Bfs);
+    let elements = stream.elements();
+    let cut = elements.len() * 2 / 3;
+    let mut session = loom_builder(graph).with_durability(root).build().unwrap();
+    session.ingest_batch(&elements[..cut]).unwrap();
+    session
+        .ingest(&StreamElement::AddVertex {
+            id: isolated,
+            label: l(3),
+        })
+        .unwrap();
+    let epoch = session.checkpoint().unwrap();
+    session.sync_durability(Duration::from_secs(30)).unwrap();
+    session.ingest_batch(&elements[cut..]).unwrap();
+    drop(session);
+    let wal_path = root.join("wal.log");
+    let mut raw = std::fs::read(&wal_path).unwrap();
+    raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
+    std::fs::write(&wal_path, &raw).unwrap();
+    root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"))
+}
+
+#[test]
+fn a_bad_partitioner_blob_is_a_typed_error_and_the_root_is_untouched() {
+    let root = tmproot("bad-state");
+    let graph = social_graph(60, 41);
+    let isolated = VertexId::new(1_000_000);
+    let dir = crashed_loom_root(&root, &graph, isolated);
+    let intact = std::fs::read(dir.join(PARTITIONER_BLOB)).unwrap();
+    let layout = loom_state_layout(&intact);
+
+    // Recover with `state` as the partitioner blob, with the builder
+    // `builder` makes, and hand back the error: recovery must refuse, and
+    // must leave the root exactly as it found it.
+    let refuse = |state: &[u8], builder: &dyn Fn() -> SessionBuilder| -> SessionError {
+        replace_blob(&dir, PARTITIONER_BLOB, state);
+        let before = root_image(&root);
+        let err = builder()
+            .with_durability(&root)
+            .recover()
+            .expect_err("a bad partitioner blob must not recover");
+        assert_eq!(root_image(&root), before, "a refused recovery wrote: {err}");
+        err
+    };
+    let ours = || loom_builder(&graph);
+    let corrupt = |state: &[u8]| match refuse(state, &ours) {
+        SessionError::Store(StoreError::Corrupt { detail, .. }) => detail,
+        other => panic!("expected Corrupt, got {other}"),
+    };
+
+    for cut in 0..intact.len() {
+        corrupt(&intact[..cut]);
+    }
+    // One flip in each header field: a mismatch (a setting's value is
+    // refused by its name) or corruption, whichever the field makes it.
+    for (field, at, value) in &layout.header {
+        let mut flipped = intact.clone();
+        flipped[*at] ^= 0x01;
+        match refuse(&flipped, &ours) {
+            SessionError::Store(StoreError::Corrupt { .. }) if !value => {}
+            SessionError::Durability(detail)
+                if !value || detail.contains(&format!("{field} = ")) => {}
+            other => panic!("{field}: got {other}"),
+        }
+    }
+    let with = |at: usize, raw: &[u8]| {
+        let mut bytes = intact.clone();
+        bytes[at..at + raw.len()].copy_from_slice(raw);
+        bytes
+    };
+    let detail = corrupt(&with(layout.window_count, &(1u64 << 40).to_le_bytes()));
+    assert!(detail.contains("implausible window vertices"), "{detail}");
+    let detail = corrupt(&with(layout.first_list, &u32::MAX.to_le_bytes()));
+    assert!(
+        detail.contains("truncated while reading window list"),
+        "{detail}"
+    );
+    let (load, at, _) = layout
+        .header
+        .iter()
+        .find(|(f, _, _)| f == "load 0")
+        .unwrap();
+    let held = u64_at(&intact, *at) as u64;
+    let detail = corrupt(&with(*at, &(held + 1).to_le_bytes()));
+    assert!(detail.contains("the state says"), "{load}: {detail}");
+    // Decodes, but is not what its own partitioner writes: a re-entry
+    // entry spelled out although the external lists already give it.
+    let (count, end) = layout.reentries;
+    let (outside, member) = layout
+        .listed_once
+        .expect("the window holds an external edge");
+    let mut spelled_out = with(count, &(u64_at(&intact, count) as u64 + 1).to_le_bytes());
+    let entry = [
+        &outside.to_le_bytes()[..],
+        &1u32.to_le_bytes(),
+        &member.to_le_bytes(),
+    ];
+    spelled_out.splice(end..end, entry.concat());
+    let detail = corrupt(&spelled_out);
+    assert!(detail.contains("does not re-encode"), "{detail}");
+
+    // Another configuration or workload is refused by the setting's name.
+    let window_16 = || {
+        Session::builder(PartitionerSpec::Loom(
+            LoomConfig::new(3, graph.vertex_count()).with_window_size(16),
+        ))
+        .workload(motif_workload())
+        .chunk_size(40)
+    };
+    let other_workload = || {
+        let edge_only = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
+        loom_builder(&graph).workload(Workload::uniform(vec![edge_only]).unwrap())
+    };
+    for (builder, field) in [
+        (&window_16 as &dyn Fn() -> SessionBuilder, "window_size = 8"),
+        (&other_workload, "workload"),
+    ] {
+        match refuse(&intact, builder) {
+            SessionError::Durability(detail) => assert!(detail.contains(field), "{detail}"),
+            other => panic!("expected Durability, got {other}"),
+        }
+    }
+
+    // A buffered vertex the arena does not hold: the isolated vertex taken
+    // out of the tail blob (its record, its count and the manifest's total),
+    // which leaves a sound arena behind.
+    replace_blob(&dir, PARTITIONER_BLOB, &intact);
+    let tail = std::fs::read(dir.join("tail.blob")).unwrap();
+    let (mut at, count) = (24, u64_at(&tail, 16));
+    let mut kept = tail[..24].to_vec();
+    for _ in 0..count {
+        let len = 16 + 8 * u32_at(&tail, at + 12);
+        if u64_at(&tail, at) != isolated.raw() as usize {
+            kept.extend_from_slice(&tail[at..at + len]);
+        }
+        at += len;
+    }
+    kept[16..24].copy_from_slice(&(count as u64 - 1).to_le_bytes());
+    replace_blob(&dir, "tail.blob", &kept);
+    reseal_manifest(&dir, |lines| {
+        let fewer = |line: String| match line.strip_prefix("vertices ") {
+            Some(n) => format!("vertices {}", n.parse::<u64>().unwrap() - 1),
+            None => line,
+        };
+        lines.into_iter().map(fewer).collect()
+    });
+    let detail = corrupt(&intact);
+    assert!(
+        detail.contains(&format!(
+            "buffered vertex {isolated} is neither placed nor in the tail"
+        )),
+        "{detail}"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_root_without_a_partitioner_blob_recovers_by_replaying_the_whole_log() {
+    let root = tmproot("old-root");
+    let graph = social_graph(80, 43);
+    let dir = crashed_loom_root(&root, &graph, VertexId::new(1_000_000));
+    // The format before the blob: no `partitioner.blob` line, no file.
+    std::fs::remove_file(dir.join(PARTITIONER_BLOB)).unwrap();
+    reseal_manifest(&dir, |lines| {
+        let listed = |line: &String| !line.starts_with(&format!("blob {PARTITIONER_BLOB} "));
+        lines.into_iter().filter(listed).collect()
+    });
+
+    let recovered = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    let report = recovered.report().clone();
+    assert!(report.checkpoint_found);
+    assert!(report.wal_records_in_checkpoint > 0);
+    assert_eq!(
+        report.replayed_from, 0,
+        "no state: the whole log is replayed"
+    );
+    // What the whole log replayed through a fresh partitioner holds.
+    let mut control = loom_builder(&graph).build().unwrap();
+    let log = loom::loom_store::Wal::replay(&root.join("wal.log")).unwrap();
+    for batch in &log.batches {
+        control.ingest_batch(batch).unwrap();
+    }
+    let mut session = recovered.into_session();
+    assert_eq!(
+        assignment_vec(&session.snapshot()),
+        assignment_vec(&control.snapshot())
+    );
+    assert_eq!(session.stats(), control.stats());
+    // The next checkpoint carries the blob, and the one after restores it.
+    let epoch = session.checkpoint().unwrap();
+    session.sync_durability(Duration::from_secs(30)).unwrap();
+    drop(session);
+    let next = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
+    assert!(next.join(PARTITIONER_BLOB).exists());
+    let healed = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    assert_eq!(healed.report().replayed_from, log.records);
+    let session = healed.into_session();
+    assert_eq!(
+        assignment_vec(&session.snapshot()),
+        assignment_vec(&control.snapshot())
+    );
+    assert_eq!(session.stats(), control.stats());
     std::fs::remove_dir_all(&root).unwrap();
 }
 

@@ -545,7 +545,8 @@ proptest! {
                     expected.push(batch.clone());
                 }
             }
-            let recovered = loom::loom_store::recover(&root).expect("recovers");
+            let recovered =
+                loom::loom_store::recover(&root, &Default::default()).expect("recovers");
             prop_assert_eq!(&recovered.batches, &expected);
             let rebuilt =
                 GraphStream::from_elements(recovered.batches.concat()).materialise();
@@ -553,6 +554,143 @@ proptest! {
             prop_assert_eq!(rebuilt.edges_sorted(), final_graph.edges_sorted());
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// A stream for [`restored_partitioners_continue_exactly_as_replayed_ones`]:
+/// a grown graph (insert-only, or the churn scenario's build and dissolve)
+/// with what the partitioners treat specially spliced into the middle of
+/// the build: an edge to a vertex not yet announced, then that vertex (it
+/// enters LOOM's window through the re-entry index); the stream's first
+/// vertex — placed long before — announced again (unless `reannounce` is
+/// off: hash placement refuses that) and given an edge, then deleted, and
+/// added back with the edge.
+fn restore_stream(seed: u64, churn: bool, reannounce: bool) -> Vec<StreamElement> {
+    let (mut elements, dissolve) = if churn {
+        let run = DeletionChurnScenario {
+            background_vertices: 150,
+            instances: 12,
+            dissolve_fraction: 0.5,
+            relabel_fraction: 0.2,
+            seed,
+        }
+        .build()
+        .expect("valid scenario");
+        (run.build_stream.elements().to_vec(), run.dissolve)
+    } else {
+        let graph = loom_graph::generators::barabasi_albert(
+            loom_graph::generators::GeneratorConfig::new(150, 4, seed),
+            3,
+        )
+        .expect("valid BA parameters");
+        let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+        (stream.elements().to_vec(), Vec::new())
+    };
+    let mid = elements.len() / 2;
+    let vertex = |element: &StreamElement| match *element {
+        StreamElement::AddVertex { id, label } => Some((id, label)),
+        _ => None,
+    };
+    let (first, first_label) = elements.iter().find_map(vertex).expect("a vertex");
+    let (recent, _) = elements[..mid]
+        .iter()
+        .rev()
+        .find_map(vertex)
+        .expect("a vertex");
+    let late = VertexId::new(1_000_000);
+    let announce = StreamElement::AddVertex {
+        id: first,
+        label: first_label,
+    };
+    let edge = StreamElement::AddEdge {
+        source: first,
+        target: recent,
+    };
+    let mut spliced = vec![
+        StreamElement::AddEdge {
+            source: recent,
+            target: late,
+        },
+        StreamElement::AddVertex {
+            id: late,
+            label: Label::new(1),
+        },
+    ];
+    if reannounce {
+        spliced.push(announce);
+    }
+    spliced.extend([
+        edge,
+        StreamElement::RemoveVertex { id: first },
+        announce,
+        edge,
+    ]);
+    elements.splice(mid..mid, spliced);
+    elements.extend(dissolve);
+    elements
+}
+
+/// Everything a partitioner shows of itself: its assignment, its counters
+/// and its state.
+fn observed(
+    partitioner: &dyn Partitioner,
+) -> (Vec<(VertexId, PartitionId)>, PartitionerStats, Vec<u8>) {
+    let mut assignment: Vec<_> = partitioner.snapshot().assignments().collect();
+    assignment.sort_unstable();
+    (assignment, partitioner.stats(), partitioner.encode_state())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Restore ≡ replay, for every partitioner. Cut a stream at a batch
+    /// boundary, encode the partitioner's state there, freeze the arena a
+    /// checkpoint would hold (the graph so far under the partitioner's
+    /// snapshot) and restore a fresh partitioner from the two: it re-encodes
+    /// to the same bytes, and fed the rest of the stream in the same batches
+    /// it agrees with the partitioner that never stopped — every batch's
+    /// result, and the assignment, counters and state at every boundary.
+    #[test]
+    fn restored_partitioners_continue_exactly_as_replayed_ones(
+        seed in 0u64..1000,
+        churn in 0u8..2,
+        batch in 5usize..48,
+        cut_permille in 0usize..1000,
+    ) {
+        let n = restore_stream(seed, churn == 1, true).iter().filter(|e| e.is_vertex()).count();
+        let tpstry = MotifMiner::default()
+            .mine(&DeletionChurnScenario::workload())
+            .expect("mines");
+        let registry = loom_core::workload_registry(&tpstry);
+        let specs = [
+            PartitionerSpec::Hash(HashConfig::new(3, n)),
+            PartitionerSpec::Ldg(LdgConfig::new(3, n)),
+            PartitionerSpec::Fennel(FennelConfig::new(3, n, 3 * n)),
+            PartitionerSpec::Loom(LoomConfig::new(3, n).with_window_size(8)),
+        ];
+        for spec in &specs {
+            let elements = restore_stream(seed, churn == 1, spec.name() != "hash");
+            let batches: Vec<&[StreamElement]> = elements.chunks(batch).collect();
+            let cut = batches.len() * cut_permille / 1000;
+            let prefix = GraphStream::from_elements(batches[..cut].concat()).materialise();
+            let mut original = registry.build(spec).expect("builds");
+            for &b in &batches[..cut] {
+                prop_assert_eq!(original.ingest_batch(b), Ok(()), "{}", spec.name());
+            }
+            let state = original.encode_state();
+            let arena = ShardedStore::from_parts(&prefix, &original.snapshot());
+            let mut restored = registry.build(spec).expect("builds");
+            restored
+                .restore_state(&state, &mut arena.homes())
+                .expect("a state restores over its own arena");
+            prop_assert_eq!(restored.encode_state(), state);
+            prop_assert_eq!(observed(&*restored), observed(&*original));
+            for &b in &batches[cut..] {
+                prop_assert_eq!(original.ingest_batch(b), Ok(()), "{}", spec.name());
+                prop_assert_eq!(restored.ingest_batch(b), Ok(()), "{}", spec.name());
+                prop_assert_eq!(observed(&*restored), observed(&*original), "{}", spec.name());
+            }
+        }
     }
 }
 
