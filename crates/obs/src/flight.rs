@@ -76,6 +76,15 @@ pub enum FlightKind {
         /// Bytes discarded past the last good frame.
         bytes: u64,
     },
+    /// WAL segments every kept checkpoint had folded in were deleted.
+    WalRetired {
+        /// The first record the log still holds: every one below it is gone.
+        below: u64,
+        /// Segments deleted.
+        segments: u64,
+        /// Bytes those segments held.
+        bytes: u64,
+    },
     /// A migration pass moved vertices and rebuilt shards.
     Migrated {
         /// Vertices whose home shard changed.
@@ -131,6 +140,14 @@ impl fmt::Display for FlightKind {
                 )
             }
             FlightKind::WalTruncated { bytes } => write!(f, "wal-truncated bytes={bytes}"),
+            FlightKind::WalRetired {
+                below,
+                segments,
+                bytes,
+            } => write!(
+                f,
+                "wal-retired below={below} segments={segments} bytes={bytes}"
+            ),
             FlightKind::Migrated { moved, epoch } => {
                 write!(f, "migrated moved={moved} epoch={epoch}")
             }
@@ -359,9 +376,15 @@ mod tests {
             wal_records: 10,
         });
         rec.record(FlightKind::WalTruncated { bytes: 3 });
+        rec.record(FlightKind::WalRetired {
+            below: 10,
+            segments: 1,
+            bytes: 96,
+        });
         let text = rec.dump("render").to_string();
         assert!(text.contains("checkpoint-sealed epoch=2 wal_records=10"));
         assert!(text.contains("wal-truncated bytes=3"));
+        assert!(text.contains("wal-retired below=10 segments=1 bytes=96"));
     }
 
     #[test]

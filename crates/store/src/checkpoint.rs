@@ -19,7 +19,12 @@
 //! directory be lost) stay; every older checkpoint goes, and so does every
 //! manifest-less directory older than the new one. A crash before the prune
 //! leaves more directories than needed, never fewer; the next checkpoint
-//! prunes them.
+//! prunes them. The prune's listing also gives the log's **floor**, the
+//! lowest record any checkpoint left replays the log from — its
+//! `wal_records` when it carries the partitioner's state, 0 when it does
+//! not. The checkpoint sink then retires every WAL segment wholly below it
+//! ([`crate::wal`]); a prune that failed retires nothing, and the next
+//! checkpoint tries both again.
 //!
 //! Loading ([`load_checkpoint`]) goes from the blobs straight to the arena
 //! they were cut from, in two halves:
@@ -105,6 +110,19 @@ pub struct CheckpointMeta {
     pub edges: u64,
     /// Every blob, in manifest order.
     pub blobs: Vec<BlobEntry>,
+}
+
+impl CheckpointMeta {
+    /// The log record a recovery from this checkpoint replays the
+    /// partitioner from: `wal_records` when the checkpoint carries its
+    /// state, 0 when it does not. The log below it is what this checkpoint
+    /// no longer needs.
+    pub(crate) fn replayed_from(&self) -> u64 {
+        match self.blobs.iter().any(|blob| blob.name == PARTITIONER_BLOB) {
+            true => self.wal_records,
+            false => 0,
+        }
+    }
 }
 
 /// A checkpoint's partitioner blob, size- and CRC-checked against the
@@ -204,16 +222,17 @@ pub fn write_checkpoint(
 }
 
 /// [`write_checkpoint`] with the partitioner's `state`, if any, handing
-/// back beside the manifest what the prune could not remove.
+/// back beside the manifest what the prune could not remove, or the log
+/// floor of the checkpoints it left.
 pub(crate) fn write_and_prune(
     root: &Path,
     store: &ShardedStore,
     wal_records: u64,
     spec: &str,
     state: Option<&[u8]>,
-) -> Result<(CheckpointMeta, Result<()>)> {
+) -> Result<(CheckpointMeta, Result<u64>)> {
     let meta = seal_checkpoint(root, store, wal_records, spec, state)?;
-    let pruned = prune_checkpoints(root, meta.epoch_seq);
+    let pruned = prune_checkpoints(root, &meta);
     Ok((meta, pruned))
 }
 
@@ -299,19 +318,25 @@ fn checkpoint_dirs(root: &Path) -> Result<Vec<(u64, PathBuf, Option<CheckpointMe
 /// Remove what checkpoint `newest`, now sealed, supersedes: every valid
 /// checkpoint older than the newest valid one before it, and every directory
 /// older than `newest` that has no valid manifest. Tries every candidate and
-/// returns the first failure.
-fn prune_checkpoints(root: &Path, newest: u64) -> Result<()> {
-    let mut older = checkpoint_dirs(root)?;
-    older.retain(|(seq, _, _)| *seq < newest);
-    let fallback = older.iter().rposition(|(_, _, meta)| meta.is_some());
+/// returns the first failure; else the log floor of the valid checkpoints
+/// left — the lowest `CheckpointMeta::replayed_from` among them.
+fn prune_checkpoints(root: &Path, newest: &CheckpointMeta) -> Result<u64> {
+    let dirs = checkpoint_dirs(root)?;
+    let older = |seq: u64| seq < newest.epoch_seq;
+    let fallback = dirs
+        .iter()
+        .rposition(|(seq, _, meta)| older(*seq) && meta.is_some());
     let mut outcome = Ok(());
-    for (i, (_, dir, _)) in older.iter().enumerate() {
-        if Some(i) != fallback {
+    let mut floor = newest.replayed_from();
+    for (i, (seq, dir, meta)) in dirs.iter().enumerate() {
+        if older(*seq) && Some(i) != fallback {
             let removed = fs::remove_dir_all(dir).map_err(|e| StoreError::io(dir, e));
             outcome = outcome.and(removed);
+        } else if let Some(meta) = meta {
+            floor = floor.min(meta.replayed_from());
         }
     }
-    outcome
+    outcome.map(|()| floor)
 }
 
 fn parse_field<'a>(line: &'a str, key: &str, path: &Path) -> Result<&'a str> {
@@ -853,6 +878,29 @@ mod tests {
         std::fs::create_dir_all(root.join(CHECKPOINT_DIR).join("0000000009")).unwrap();
         write_checkpoint(&root, &store.clone().with_epoch(7), 7, "loom").unwrap();
         assert_eq!(sequences(&root), [6, 7, 9]);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn the_log_floor_is_the_lowest_record_a_kept_checkpoint_replays_from() {
+        let root = tmproot("floor");
+        let (g, part) = fixture(29);
+        let store = ShardedStore::from_parts(&g, &part);
+        let state = Some(&b"state"[..]);
+        let floor = |epoch: u64, state: Option<&[u8]>| {
+            let store = store.clone().with_epoch(epoch);
+            let (_, pruned) = write_and_prune(&root, &store, 10 * epoch, "loom", state).unwrap();
+            pruned.unwrap()
+        };
+        // Alone, a checkpoint with the partitioner's state needs the log from
+        // its own record on; beside its fallback, from the fallback's.
+        assert_eq!(floor(1, state), 10);
+        assert_eq!(floor(2, state), 10);
+        assert_eq!(floor(3, state), 20);
+        // A kept checkpoint without the state needs the whole log.
+        assert_eq!(floor(4, None), 0);
+        assert_eq!(floor(5, state), 0);
+        assert_eq!(floor(6, state), 50);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -15,7 +15,8 @@ pub enum StoreError {
     },
     /// On-disk state failed validation: bad magic, checksum mismatch, a
     /// manifest that does not parse, blobs that are not a sound arena or do
-    /// not round-trip, or a log shorter than its checkpoint.
+    /// not round-trip, a log shorter than its checkpoint or with records
+    /// missing between its segments.
     Corrupt {
         /// The file or directory that failed validation.
         path: PathBuf,

@@ -14,43 +14,54 @@
 //! * **Write-ahead log** ([`wal`]) — every ingested batch is appended as a
 //!   CRC-framed record and fsynced *before* it reaches the partitioner; a
 //!   crash mid-append leaves a torn tail that truncates cleanly back to the
-//!   last acknowledged batch.
+//!   last acknowledged batch. The log is cut into segments at checkpoint
+//!   boundaries, and a segment every kept checkpoint has folded in is
+//!   deleted.
 //! * **Background checkpointing** ([`sink`]) — a [`CheckpointSink`] is
 //!   handed each published epoch together with the WAL position and the
 //!   partitioner state of that epoch, and writes the checkpoint off the
-//!   ingest path, coalescing under pressure.
+//!   ingest path, coalescing under pressure; after each it prunes the
+//!   checkpoints and retires the log segments it supersedes.
 //! * **Recovery** ([`recovery`]) — [`recover`] reads the newest valid
 //!   checkpoint's blobs straight into the serving layer's CSR arena
 //!   (size, CRC and structure checked on the way), then proves it on a
 //!   scoped thread — arena invariants, manifest totals, re-encode bit
-//!   identity — while the calling thread decodes the WAL. The caller then
-//!   restores its partitioner from the checkpoint's state and the proven
-//!   arena, and replays only the log past the checkpoint (the whole log
-//!   when the checkpoint carries no state) to reproduce exact pre-crash
-//!   state. The log must cover the checkpoint; its torn tail is truncated
-//!   last, so a failed recovery writes nothing. Serving resumes pinned at
-//!   the original `epoch_seq`; the checkpoint's graph and partitioning are
-//!   derived from the verified arena only if asked for.
+//!   identity — while the calling thread decodes the WAL from the segment
+//!   the checkpoint's state ends in. The caller then restores its
+//!   partitioner from the checkpoint's state and the proven arena, and
+//!   replays only the log past the checkpoint (the whole log when the
+//!   checkpoint carries no state) to reproduce exact pre-crash state. The
+//!   log must cover the checkpoint; its torn tail is truncated last, so a
+//!   failed recovery writes nothing. Serving resumes pinned at the original
+//!   `epoch_seq`; the checkpoint's graph and partitioning are derived from
+//!   the verified arena only if asked for.
 //!
 //! The on-disk layout of a durability root:
 //!
 //! ```text
 //! <root>/
-//! ├── wal.log                       append-only, CRC-framed batches
+//! ├── wal-00000000000000000147.log  log segment: CRC-framed batches from
+//! │                                 record 147, cut when checkpoint 3 took
+//! │                                 it (the one from record 0 is wal.log,
+//! │                                 retired once no kept checkpoint needs it)
+//! ├── wal-00000000000000000212.log  the newest segment, appended to
 //! └── checkpoints/
-//!     ├── 0000000003/
+//!     ├── 0000000003/               wal_records 147: the fallback
 //!     │   ├── shard_0000.blob       CSR slice: ids, labels, adjacency
 //!     │   ├── shard_0001.blob
 //!     │   ├── tail.blob             unassigned arena tail
 //!     │   ├── partitioner.blob      the partitioner's window, counters, …
 //!     │   └── MANIFEST              written last; names every blob + CRC
-//!     └── 0000000005/…
+//!     └── 0000000005/…              wal_records 212: the newest
 //! ```
 //!
 //! Ordering rules: blobs are fsynced before the manifest; the manifest is
 //! written to a temp file, fsynced, renamed into place, and the directory
 //! fsynced — so `MANIFEST` present ⇒ checkpoint complete. WAL appends are
-//! fsynced before the batch is acknowledged to the partitioner.
+//! fsynced before the batch is acknowledged to the partitioner. A new log
+//! segment is in place (header synced, renamed in, root fsynced) before the
+//! checkpoint it starts behind is handed to the sink, and a segment is
+//! deleted only after the checkpoints that folded it in are sealed.
 
 #![warn(missing_docs)]
 
@@ -68,4 +79,4 @@ pub use checkpoint::{
 pub use error::{Result, StoreError};
 pub use recovery::{recover, RecoverSpans, RecoveredState, RecoveryReport};
 pub use sink::CheckpointSink;
-pub use wal::{Wal, WalReplay, WAL_FILE};
+pub use wal::{segment_path, segments, Segment, Wal, WalReplay, WAL_FILE};

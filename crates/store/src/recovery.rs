@@ -11,27 +11,32 @@
 //!    the other produces. **A scoped thread verifies** what was read: the
 //!    arena's invariants, the manifest's totals, the re-encode bit-identity
 //!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling thread**
-//!    reads and decodes the WAL ([`Wal::replay`]). Both then join. The split
-//!    follows the allocator: the scoped thread only reads, so the process
-//!    does not grow a second heap for the length of the recovered session;
+//!    reads and decodes the WAL from the segment holding the record the
+//!    partitioner's replay starts at — the checkpoint's `wal_records` when
+//!    it carries the partitioner's state, else 0 — so segments the
+//!    checkpoint folded in are neither read nor required. Both then join.
+//!    The split follows the allocator: the scoped thread only reads, so the
+//!    process does not grow a second heap for the length of the recovered
+//!    session;
 //! 3. the log must hold at least the records its checkpoint folded in.
 //!
 //! Nothing is built from the arena before it is proven, and nothing is
 //! written: the caller gets back the proven checkpoint (pinned at its
 //! original `epoch_seq`, with the partitioner's state when it carries one),
-//! the batch history and a report — [`RecoveryReport::replayed_from`] says
-//! where the partitioner's replay starts — and restores its partitioner,
-//! replays the log from there and builds its graph mirror from the arena
-//! plus the batches past [`RecoveryReport::wal_records_in_checkpoint`].
-//! Only once all of that has succeeded does it call
-//! [`RecoveredState::resume_wal`], which truncates the log's torn tail —
-//! recovery's only write — and opens it for append. A recovery that fails
-//! leaves the root byte-for-byte as found. Errors keep their order: the
+//! the batches from [`RecoveryReport::wal_first_record`] on and a report —
+//! [`RecoveryReport::replayed_from`] says where the partitioner's replay
+//! starts — and restores its partitioner, replays the log from there and
+//! builds its graph mirror from the arena plus the batches past
+//! [`RecoveryReport::wal_records_in_checkpoint`]. Only once all of that has
+//! succeeded does it call [`RecoveredState::resume_wal`], which truncates
+//! the newest segment's torn tail — recovery's only write — and opens it for
+//! append. Recovery never retires a segment. A recovery that fails leaves
+//! the root byte-for-byte as found. Errors keep their order: the
 //! checkpoint's, then the log's.
 
 use crate::checkpoint::{latest_checkpoint, read_checkpoint, LoadedCheckpoint};
 use crate::error::{Result, StoreError};
-use crate::wal::{Wal, WalReplay, WAL_FILE};
+use crate::wal::{replay_log, LogReplay, Wal};
 use loom_graph::StreamElement;
 use loom_obs::{stage, Histogram, SpanTimer, Telemetry};
 use std::path::{Path, PathBuf};
@@ -46,10 +51,14 @@ pub struct RecoveryReport {
     pub checkpoint_found: bool,
     /// Newer-but-invalid (torn) checkpoint directories skipped over.
     pub invalid_checkpoints_skipped: usize,
-    /// Acknowledged WAL records recovered (full history since creation).
+    /// Acknowledged WAL records in the log's whole history, retired
+    /// segments' included.
     pub wal_records: u64,
     /// Of those, how many the checkpoint had already folded in.
     pub wal_records_in_checkpoint: u64,
+    /// The first record decoded: the first of the segment holding
+    /// `replayed_from`. Nothing below it was read.
+    pub wal_first_record: u64,
     /// The record the partitioner's replay starts at: the checkpoint's
     /// `wal_records` when it carries the partitioner's state, else 0.
     pub replayed_from: u64,
@@ -64,30 +73,40 @@ pub struct RecoveredState {
     /// The newest valid checkpoint, fully loaded and bit-verified; `None`
     /// when the root has never been checkpointed.
     pub checkpoint: Option<LoadedCheckpoint>,
-    /// Every acknowledged batch, in ingest order. A partitioner restored
-    /// from the checkpoint's state and fed the batches from
-    /// [`RecoveryReport::replayed_from`] on — or a fresh one fed all of
-    /// them — is in the exact pre-crash state, streaming window included.
+    /// Every acknowledged batch from [`RecoveryReport::wal_first_record`]
+    /// on, in ingest order. A partitioner restored from the checkpoint's
+    /// state and fed the batches from [`RecoveryReport::replayed_from`] on
+    /// ([`RecoveredState::batches_from`]) — or a fresh one fed all of them,
+    /// when the checkpoint carries no state and they start at record 0 — is
+    /// in the exact pre-crash state, streaming window included.
     pub batches: Vec<Vec<StreamElement>>,
     /// Summary of what was found.
     pub report: RecoveryReport,
     /// The log as read (its batches moved to `batches`), for the resume.
-    log: WalReplay,
-    wal_path: PathBuf,
+    log: LogReplay,
+    root: PathBuf,
 }
 
 impl RecoveredState {
-    /// Truncate the log's torn tail and open it for append — recovery's only
-    /// write, so the caller makes it last, once nothing else can fail.
+    /// The batches from record `record` on; `record` must not be below
+    /// [`RecoveryReport::wal_first_record`].
+    pub fn batches_from(&self, record: u64) -> &[Vec<StreamElement>] {
+        &self.batches[(record - self.report.wal_first_record) as usize..]
+    }
+
+    /// Truncate the newest segment's torn tail and open it for append —
+    /// recovery's only write, so the caller makes it last, once nothing else
+    /// can fail.
     pub fn resume_wal(&self) -> Result<Wal> {
-        Wal::resume_from(&self.wal_path, &self.log)
+        self.log.resume(&self.root)
     }
 }
 
 /// The stage histograms an observed recovery charges, one sample each:
 /// `recover.checkpoint_load` from the first blob read on the calling thread
 /// to the end of the proof on the verifying one, `recover.wal_decode` on the
-/// calling thread beside that proof, then — once both have joined — the
+/// calling thread beside that proof (the segments from the one holding
+/// [`RecoveryReport::replayed_from`] on), then — once both have joined — the
 /// caller's `recover.replay` ([`RecoverSpans::replay`]: the partitioner's
 /// restore and the log past it) and `recover.mirror`
 /// ([`RecoverSpans::mirror`]). So `max(load, decode) + replay + mirror`
@@ -126,19 +145,23 @@ impl RecoverSpans {
 }
 
 /// Recover a durability root: read the newest valid checkpoint, then verify
-/// it on a scoped thread while the calling thread decodes the WAL; then
-/// check the log covers its checkpoint. A fresh or empty root recovers to
-/// an empty state. Writes nothing: see [`RecoveredState::resume_wal`], and
-/// the module docs for what is verified where.
+/// it on a scoped thread while the calling thread decodes the WAL from the
+/// segment the partitioner's replay needs on; then check the log covers its
+/// checkpoint. A fresh or empty root recovers to an empty state. Writes
+/// nothing: see [`RecoveredState::resume_wal`], and the module docs for what
+/// is verified where.
 ///
 /// # Errors
 ///
-/// The checkpoint's error if it fails to load, else the log's; then
-/// [`StoreError::Corrupt`] if the log holds fewer records than the
-/// checkpoint folded in.
+/// The checkpoint's error if it fails to load, else the log's (records
+/// missing between or before the segments needed, a torn frame in a segment
+/// but the newest); then [`StoreError::Corrupt`] if the log holds fewer
+/// records than the checkpoint folded in.
 pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
     let found = latest_checkpoint(root)?;
-    let wal_path = root.join(WAL_FILE);
+    let from = found
+        .as_ref()
+        .map_or(0, |(_, meta, _)| meta.replayed_from());
     let pending = match &found {
         Some((dir, _, _)) => {
             let span = SpanTimer::start(spans.checkpoint_load.as_deref());
@@ -154,7 +177,7 @@ pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
             })
         });
         let decode = SpanTimer::start(spans.wal_decode.as_deref());
-        let log = Wal::replay(&wal_path);
+        let log = replay_log(root, from);
         drop(decode);
         let loaded = verifier.map(|v| v.join().expect("checkpoint verifier panicked"));
         (loaded, log)
@@ -164,7 +187,7 @@ pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
     if let Some(ckpt) = &checkpoint {
         if log.records < ckpt.meta.wal_records {
             return Err(StoreError::corrupt(
-                &wal_path,
+                root,
                 format!(
                     "log holds {} records, but checkpoint {} folded in {}",
                     log.records, ckpt.meta.epoch_seq, ckpt.meta.wal_records
@@ -172,17 +195,14 @@ pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
             ));
         }
     }
-    let wal_records_in_checkpoint = checkpoint.as_ref().map_or(0, |c| c.meta.wal_records);
     let report = RecoveryReport {
         epoch_seq: checkpoint.as_ref().map_or(0, |c| c.meta.epoch_seq),
         checkpoint_found: checkpoint.is_some(),
         invalid_checkpoints_skipped: found.map_or(0, |(_, _, skipped)| skipped),
         wal_records: log.records,
-        wal_records_in_checkpoint,
-        replayed_from: match &checkpoint {
-            Some(c) if c.partitioner.is_some() => wal_records_in_checkpoint,
-            _ => 0,
-        },
+        wal_records_in_checkpoint: checkpoint.as_ref().map_or(0, |c| c.meta.wal_records),
+        wal_first_record: log.first,
+        replayed_from: from,
         wal_truncated_bytes: log.truncated_bytes,
     };
     Ok(RecoveredState {
@@ -190,7 +210,7 @@ pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
         batches: std::mem::take(&mut log.batches),
         report,
         log,
-        wal_path,
+        root: root.to_path_buf(),
     })
 }
 
@@ -198,6 +218,7 @@ pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
 mod tests {
     use super::*;
     use crate::checkpoint::write_checkpoint;
+    use crate::wal::segment_path;
     use loom_graph::generators::erdos_renyi::erdos_renyi;
     use loom_graph::generators::GeneratorConfig;
     use loom_graph::prelude::StreamOrder;
@@ -226,14 +247,15 @@ mod tests {
                 invalid_checkpoints_skipped: 0,
                 wal_records: 0,
                 wal_records_in_checkpoint: 0,
+                wal_first_record: 0,
                 replayed_from: 0,
                 wal_truncated_bytes: 0,
             }
         );
         // Recovery itself wrote nothing; resuming creates the log.
-        assert!(!root.join(WAL_FILE).exists());
+        assert!(!segment_path(&root, 0).exists());
         assert_eq!(state.resume_wal().unwrap().records(), 0);
-        assert!(root.join(WAL_FILE).exists());
+        assert!(segment_path(&root, 0).exists());
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -246,7 +268,7 @@ mod tests {
 
         // WAL the full history in two batches; checkpoint after the first.
         let half = elements.len() / 2;
-        let mut wal = Wal::create(&root.join(WAL_FILE)).unwrap();
+        let mut wal = Wal::create(&segment_path(&root, 0)).unwrap();
         wal.append(&elements[..half]).unwrap();
         let first = GraphStream::from_elements(elements[..half].to_vec()).materialise();
         let mut part = Partitioning::new(2, first.vertex_count().max(1)).unwrap();
@@ -258,7 +280,7 @@ mod tests {
         wal.append(&elements[half..]).unwrap();
         drop(wal);
         // Torn tail from a crash mid-append.
-        let wal_path = root.join(WAL_FILE);
+        let wal_path = segment_path(&root, 0);
         let mut raw = std::fs::read(&wal_path).unwrap();
         raw.extend_from_slice(&[9, 9, 9]);
         std::fs::write(&wal_path, &raw).unwrap();

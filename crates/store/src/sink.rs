@@ -8,10 +8,13 @@
 //! latest-wins job slot and wakes a dedicated worker thread, which writes
 //! the checkpoint while ingestion keeps running. Under pressure superseded
 //! jobs are skipped — only the newest epoch is worth a checkpoint, and the
-//! log still holds every batch behind it.
+//! log still holds every batch behind the oldest kept checkpoint. After
+//! each seal and prune the worker retires the WAL segments every checkpoint
+//! left has folded in (see [`crate::wal`]).
 
 use crate::checkpoint::{write_and_prune, CheckpointMeta};
 use crate::error::{Result, StoreError};
+use crate::wal::retire_segments;
 use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
 use loom_serve::shard::ShardedStore;
 use std::path::{Path, PathBuf};
@@ -40,8 +43,8 @@ struct SinkState {
     /// Checkpoints written over the sink's lifetime.
     written: u64,
     /// The last failure, if any — a write that did not happen, or a
-    /// superseded checkpoint directory a written one could not prune
-    /// (surfaced by [`CheckpointSink::wait_idle`]).
+    /// superseded checkpoint directory or WAL segment a written one could
+    /// not remove (surfaced by [`CheckpointSink::wait_idle`]).
     last_error: Option<String>,
 }
 
@@ -92,8 +95,9 @@ impl CheckpointSink {
     }
 
     /// Observe this sink: subsequent checkpoint writes charge their wall
-    /// clock into the `store.checkpoint_write` histogram, and every sealed
-    /// checkpoint records a [`FlightKind::CheckpointSealed`] event.
+    /// clock into the `store.checkpoint_write` histogram, every sealed
+    /// checkpoint records a [`FlightKind::CheckpointSealed`] event, and every
+    /// retirement that deleted a WAL segment a [`FlightKind::WalRetired`].
     pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
         *self.telemetry.lock().expect("telemetry slot") = Some(telemetry);
     }
@@ -184,12 +188,12 @@ impl CheckpointSink {
             let mut state = self.state.lock().expect("sink state");
             state.writing = false;
             match result {
-                Ok(Some((meta, pruned))) => {
+                Ok(Some((meta, tidied))) => {
                     state.last_written = meta.epoch_seq;
                     state.written += 1;
-                    // The checkpoint stands; what it could not prune is
-                    // reported, and tried again by the next one.
-                    if let Err(e) = pruned {
+                    // The checkpoint stands; what it could not prune or
+                    // retire is reported, and tried again by the next one.
+                    if let Err(e) = tidied {
                         state.last_error = Some(e.to_string());
                     }
                 }
@@ -201,7 +205,8 @@ impl CheckpointSink {
     }
 
     /// Checkpoint the job's epoch unless it is already covered: the
-    /// manifest written, and whether the prune behind it went through.
+    /// manifest written, and whether the prune and the retirement behind it
+    /// went through.
     fn write(&self, job: &Job) -> Result<Option<(CheckpointMeta, Result<()>)>> {
         let last_written = self.state.lock().expect("sink state").last_written;
         if job.store.epoch() <= last_written {
@@ -221,13 +226,22 @@ impl CheckpointSink {
         );
         drop(span);
         let (meta, pruned) = written?;
+        let retired = pruned.and_then(|floor| retire_segments(&self.root, floor));
         if let Some(t) = &telemetry {
             t.flight().record(FlightKind::CheckpointSealed {
                 epoch: meta.epoch_seq,
                 wal_records: meta.wal_records,
             });
+            match &retired {
+                Ok(retired) if retired.segments > 0 => t.flight().record(FlightKind::WalRetired {
+                    below: retired.below,
+                    segments: retired.segments,
+                    bytes: retired.bytes,
+                }),
+                _ => {}
+            }
         }
-        Ok(Some((meta, pruned)))
+        Ok(Some((meta, retired.map(drop))))
     }
 }
 

@@ -62,8 +62,9 @@ use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse}
 use loom_sim::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
+use loom_store::checkpoint::CHECKPOINT_DIR;
 use loom_store::recovery::{RecoverSpans, RecoveryReport};
-use loom_store::{CheckpointSink, PartitionerBlob, StoreError, Wal, WAL_FILE};
+use loom_store::{segment_path, segments, CheckpointSink, PartitionerBlob, StoreError, Wal};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -304,18 +305,19 @@ fn create_root(root: &Path) -> SessionResult<()> {
 
 impl DurableState {
     /// Stand up a **fresh** durability root: refuses to clobber one that
-    /// already holds a WAL (that state belongs to [`Session::recover`]).
+    /// already holds any log segment or any checkpoint directory (that state
+    /// belongs to [`Session::recover`]).
     fn create(root: &Path, builder: &SessionBuilder, spec_name: &str) -> SessionResult<Self> {
         create_root(root)?;
-        let wal_path = root.join(WAL_FILE);
-        if wal_path.exists() {
+        let checkpoints = std::fs::read_dir(root.join(CHECKPOINT_DIR));
+        if !segments(root)?.is_empty() || checkpoints.is_ok_and(|mut dirs| dirs.next().is_some()) {
             return Err(SessionError::Durability(format!(
                 "{} already holds durable state; use Session::recover to resume it \
                  (or point with_durability at a fresh directory)",
                 root.display()
             )));
         }
-        let wal = Wal::create(&wal_path)?;
+        let wal = Wal::create(&segment_path(root, 0))?;
         let graph = LabelledGraph::new();
         let seed = Partitioning::new(builder.spec.k(), 1)?;
         let initial = ShardedStore::from_parts(&graph, &seed);
@@ -516,20 +518,27 @@ impl Session {
     /// Publish the current partitioning as a new serving epoch and hand it
     /// to the background checkpoint sink, with the WAL records it folds in
     /// and the partitioner's state ([`Partitioner::encode_state`]); returns
-    /// the epoch sequence. The store is frozen on this thread from the graph
-    /// mirror [`Session::ingest_batch`] keeps current, by one walk of its
-    /// slots. The write happens off this thread —
-    /// [`Session::sync_durability`] blocks until it is on disk.
+    /// the epoch sequence. First the log is cut: unless its current segment
+    /// is still empty, the next batch goes to a new segment starting at this
+    /// checkpoint's record ([`Wal::rotate`]), so once the checkpoint and its
+    /// fallback are both past a segment the sink can delete it. The store is
+    /// frozen on this thread from the graph mirror [`Session::ingest_batch`]
+    /// keeps current, by one walk of its slots. The write happens off this
+    /// thread — [`Session::sync_durability`] blocks until it is on disk, the
+    /// segments it retires deleted.
     ///
     /// # Errors
     ///
-    /// Fails on sessions built without [`SessionBuilder::with_durability`].
+    /// Fails on sessions built without [`SessionBuilder::with_durability`],
+    /// and when the new log segment cannot be created — then nothing is
+    /// published.
     pub fn checkpoint(&mut self) -> SessionResult<u64> {
         let Some(durable) = self.durable.as_mut() else {
             return Err(SessionError::Durability(
                 "checkpoint() needs a durable session: configure with_durability(root)".into(),
             ));
         };
+        durable.wal.rotate()?;
         let snapshot = self.partitioner.snapshot();
         let state = self.partitioner.encode_state();
         let epoch = durable
@@ -559,7 +568,8 @@ impl Session {
         Ok(durable.sink.wait_idle(timeout)?)
     }
 
-    /// Number of batches fsynced to the write-ahead log so far.
+    /// Number of batches fsynced to the write-ahead log so far, retired
+    /// segments' included.
     pub fn wal_records(&self) -> Option<u64> {
         self.durable.as_ref().map(|d| d.wal.records())
     }
@@ -664,21 +674,25 @@ impl Session {
     /// valid checkpoint under the builder's durability root is read straight
     /// into the store's arena and proven on a thread of its own — arena
     /// invariants, manifest totals, bit identity — while this thread decodes
-    /// the WAL ([`loom_store::recover`]). Then, from the proven checkpoint
-    /// only, a fresh partitioner built from the same configuration is
-    /// **restored** ([`Partitioner::restore_state`]: the checkpoint's
-    /// partitioner blob, the assignment read off the arena) and the restore
-    /// proven — re-encoded, it must give back the blob's bytes. It is fed
-    /// the log past the checkpoint, and lands in the exact pre-crash state,
-    /// streaming window included. A checkpoint without a partitioner blob
-    /// (written by [`loom_store::write_checkpoint`], or before the blob
-    /// existed) restores nothing, and the whole log is replayed instead.
+    /// the WAL from the segment holding the checkpoint's record on
+    /// ([`loom_store::recover`]; the segments before it, which the
+    /// checkpoint folded in, are neither read nor required). Then, from the
+    /// proven checkpoint only, a fresh partitioner built from the same
+    /// configuration is **restored** ([`Partitioner::restore_state`]: the
+    /// checkpoint's partitioner blob, the assignment read off the arena) and
+    /// the restore proven — re-encoded, it must give back the blob's bytes.
+    /// It is fed the log past the checkpoint, and lands in the exact
+    /// pre-crash state, streaming window included. A checkpoint without a
+    /// partitioner blob (written by [`loom_store::write_checkpoint`], or
+    /// before the blob existed) restores nothing, and the whole log is
+    /// replayed instead.
     /// The durable graph mirror is the graph the proven arena holds, plus
     /// the batches the log holds past the checkpoint — with no checkpoint,
     /// the empty graph plus the whole log. Serving resumes pinned at the
-    /// checkpoint's original `epoch_seq`. The WAL's torn tail is truncated
-    /// only once everything that can fail has succeeded: a recovery that
-    /// fails leaves the root as found.
+    /// checkpoint's original `epoch_seq`. The newest log segment's torn
+    /// tail is truncated only once everything that can fail has succeeded:
+    /// a recovery that fails leaves the root as found. Recovery deletes no
+    /// segment; the next [`Session::checkpoint`] retires what is folded in.
     ///
     /// # Errors
     ///
@@ -686,9 +700,10 @@ impl Session {
     /// corrupt beyond the WAL's torn tail (a partitioner blob that does not
     /// decode, disagrees with the arena or does not re-encode to itself
     /// included), when the WAL holds fewer records than the checkpoint
-    /// folded in, when the checkpoint was written by a different
-    /// partitioner, configuration or workload, or when replay hits an
-    /// assignment error.
+    /// folded in or is missing a segment the recovery needs (a checkpoint
+    /// without a partitioner blob needs them all), when the checkpoint was
+    /// written by a different partitioner, configuration or workload, or when
+    /// replay hits an assignment error.
     pub fn recover(builder: SessionBuilder) -> SessionResult<Recovered> {
         let root = builder.durability.clone().ok_or_else(|| {
             SessionError::Durability(
@@ -733,7 +748,7 @@ impl Session {
                 restore_partitioner(&mut *partitioner, blob, &checkpoint.store)?;
             }
         }
-        for batch in &state.batches[report.replayed_from as usize..] {
+        for batch in state.batches_from(report.replayed_from) {
             partitioner.ingest_batch(batch)?;
         }
         drop(span);
@@ -745,7 +760,7 @@ impl Session {
             Some(checkpoint) => checkpoint.store.to_graph(),
             None => LabelledGraph::new(),
         };
-        let tail = &state.batches[report.wal_records_in_checkpoint as usize..];
+        let tail = state.batches_from(report.wal_records_in_checkpoint);
         for element in tail.iter().flatten() {
             graph.apply(element);
         }

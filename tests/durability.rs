@@ -35,7 +35,7 @@ use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE, PARTITIONER_BLOB,
 };
 use loom::loom_store::codec::{encode_shard, encode_tail};
-use loom::loom_store::StoreError;
+use loom::loom_store::{segments, StoreError, Wal, WAL_FILE};
 use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_graph::io::crc32;
@@ -75,6 +75,12 @@ fn tmproot(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("loom-dur-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The newest segment of `root`'s log: the file a crash mid-append tears.
+fn newest_segment(root: &Path) -> PathBuf {
+    let newest = segments(root).unwrap().pop();
+    newest.expect("the root holds a log segment").path
 }
 
 fn loom_builder(graph: &LabelledGraph) -> SessionBuilder {
@@ -155,7 +161,7 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     session.ingest_batch(&elements[cut..]).unwrap();
     let acknowledged = session.wal_records().unwrap();
     drop(session);
-    let wal_path = root.join("wal.log");
+    let wal_path = newest_segment(&root);
     let mut raw = std::fs::read(&wal_path).unwrap();
     raw.extend_from_slice(&[0xBE, 0xEF, 0x00]); // crash mid-append
     std::fs::write(&wal_path, &raw).unwrap();
@@ -331,7 +337,7 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
     session.ingest_batch(&run.dissolve[mid..]).unwrap();
     let acknowledged = session.wal_records().unwrap();
     drop(session);
-    let wal_path = root.join("wal.log");
+    let wal_path = newest_segment(&root);
     let mut raw = std::fs::read(&wal_path).unwrap();
     raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
     std::fs::write(&wal_path, &raw).unwrap();
@@ -752,7 +758,7 @@ fn assert_recovery_is_unobservable(
     let mut session = builder().with_durability(&crashed).build().unwrap();
     feed(&mut session, 0..crash_after);
     drop(session);
-    let wal_path = crashed.join("wal.log");
+    let wal_path = newest_segment(&crashed);
     let mut raw = std::fs::read(&wal_path).unwrap();
     raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
     std::fs::write(&wal_path, &raw).unwrap();
@@ -868,12 +874,14 @@ fn wal_behind_its_checkpoint_is_refused() {
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
     let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
     session.ingest_stream(&stream).unwrap();
+    // The log's first segment, as it stood before the checkpoint retired it.
+    let history = std::fs::read(newest_segment(&root)).unwrap();
     session.checkpoint().unwrap();
     session.sync_durability(Duration::from_secs(30)).unwrap();
     let records = session.wal_records().unwrap();
     assert!(records > 2);
     drop(session);
-    let wal_path = root.join("wal.log");
+    let wal_path = newest_segment(&root);
     let intact = std::fs::read(&wal_path).unwrap();
 
     let refused = |held: u64| {
@@ -900,16 +908,19 @@ fn wal_behind_its_checkpoint_is_refused() {
     // store that already holds `records` batches.
     std::fs::remove_file(&wal_path).unwrap();
     refused(0);
-    assert!(!wal_path.exists());
+    assert!(segments(&root).unwrap().is_empty());
 
-    // The log is cut back to its first record (and a torn tail after it).
-    let first_len = 8 + u32::from_le_bytes(intact[8..12].try_into().unwrap()) as usize;
-    let mut cut = intact[..8 + first_len].to_vec();
+    // The log ends before the checkpoint: only the first segment survives,
+    // cut back to its first record (and a torn tail after it).
+    let first_len = 8 + u32::from_le_bytes(history[8..12].try_into().unwrap()) as usize;
+    let mut cut = history[..8 + first_len].to_vec();
     cut.extend_from_slice(&[0xBE, 0xEF]);
-    std::fs::write(&wal_path, &cut).unwrap();
+    let first_segment = loom::loom_store::segment_path(&root, 0);
+    std::fs::write(&first_segment, &cut).unwrap();
     refused(1);
 
     // With the log restored the same root recovers.
+    std::fs::remove_file(&first_segment).unwrap();
     std::fs::write(&wal_path, &intact).unwrap();
     let recovered = loom_builder(&graph)
         .with_durability(&root)
@@ -1040,6 +1051,32 @@ fn builder_refuses_to_clobber_existing_durable_state() {
     .with_durability(&root)
     .recover();
     assert!(matches!(mismatched, Err(SessionError::Durability(_))));
+
+    // The checkpoint retired `wal.log`: a healthy root holds a later segment
+    // and its checkpoints. Neither half alone is a fresh root either.
+    assert!(!root.join(WAL_FILE).exists());
+    let refuses = |case: &str| {
+        let before = root_image(&root);
+        let err = loom_builder(&graph)
+            .with_durability(&root)
+            .build()
+            .expect_err(case);
+        assert!(matches!(err, SessionError::Durability(_)), "{case}: {err}");
+        assert!(
+            err.to_string().contains("Session::recover"),
+            "{case}: {err}"
+        );
+        assert_eq!(root_image(&root), before, "{case}");
+    };
+    let segment = newest_segment(&root);
+    let log = std::fs::read(&segment).unwrap();
+    std::fs::remove_file(&segment).unwrap();
+    refuses("checkpoints only");
+    std::fs::write(&segment, &log).unwrap();
+    let aside = tmproot("noclobber-aside");
+    std::fs::rename(root.join(CHECKPOINT_DIR), &aside).unwrap();
+    refuses("only a later segment");
+    std::fs::rename(&aside, root.join(CHECKPOINT_DIR)).unwrap();
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -1191,7 +1228,7 @@ fn crashed_loom_root(root: &Path, graph: &LabelledGraph, isolated: VertexId) -> 
     session.sync_durability(Duration::from_secs(30)).unwrap();
     session.ingest_batch(&elements[cut..]).unwrap();
     drop(session);
-    let wal_path = root.join("wal.log");
+    let wal_path = newest_segment(root);
     let mut raw = std::fs::read(&wal_path).unwrap();
     raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
     std::fs::write(&wal_path, &raw).unwrap();
@@ -1336,13 +1373,62 @@ fn a_bad_partitioner_blob_is_a_typed_error_and_the_root_is_untouched() {
 fn a_root_without_a_partitioner_blob_recovers_by_replaying_the_whole_log() {
     let root = tmproot("old-root");
     let graph = social_graph(80, 43);
-    let dir = crashed_loom_root(&root, &graph, VertexId::new(1_000_000));
-    // The format before the blob: no `partitioner.blob` line, no file.
+    let isolated = VertexId::new(1_000_000);
+
+    // The blob taken out of a checkpoint this binary wrote: the checkpoint
+    // now needs the whole log, but the segments it folded in are retired.
+    // Refused by the records it is missing, the root untouched.
+    let dir = crashed_loom_root(&root, &graph, isolated);
     std::fs::remove_file(dir.join(PARTITIONER_BLOB)).unwrap();
     reseal_manifest(&dir, |lines| {
         let listed = |line: &String| !line.starts_with(&format!("blob {PARTITIONER_BLOB} "));
         lines.into_iter().filter(listed).collect()
     });
+    let before = root_image(&root);
+    let err = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .expect_err("a blob-less checkpoint needs the retired log");
+    match err {
+        SessionError::Store(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("log is missing records 0..2"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    assert_eq!(root_image(&root), before);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // The root a binary from before the blob leaves: the same checkpoint
+    // written without it (`write_checkpoint`) beside one `wal.log` holding
+    // every batch, torn tail and all.
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+    let elements = stream.elements();
+    let cut = elements.len() * 2 / 3;
+    let announce = StreamElement::AddVertex {
+        id: isolated,
+        label: l(3),
+    };
+    let batches = [
+        elements[..cut].to_vec(),
+        vec![announce],
+        elements[cut..].to_vec(),
+    ];
+    std::fs::create_dir_all(&root).unwrap();
+    let mut control = loom_builder(&graph).build().unwrap();
+    let mut wal = Wal::create(&root.join(WAL_FILE)).unwrap();
+    for (at, batch) in batches.iter().enumerate() {
+        if at == 2 {
+            let prefix = GraphStream::from_elements(batches[..2].concat()).materialise();
+            let store = ShardedStore::from_parts(&prefix, &control.snapshot()).with_epoch(1);
+            write_checkpoint(&root, &store, 2, "loom").unwrap();
+        }
+        wal.append(batch).unwrap();
+        control.ingest_batch(batch).unwrap();
+    }
+    drop(wal);
+    let mut raw = std::fs::read(root.join(WAL_FILE)).unwrap();
+    raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
+    std::fs::write(root.join(WAL_FILE), &raw).unwrap();
 
     let recovered = loom_builder(&graph)
         .with_durability(&root)
@@ -1352,32 +1438,31 @@ fn a_root_without_a_partitioner_blob_recovers_by_replaying_the_whole_log() {
     assert!(report.checkpoint_found);
     assert!(report.wal_records_in_checkpoint > 0);
     assert_eq!(
-        report.replayed_from, 0,
-        "no state: the whole log is replayed"
+        (report.replayed_from, report.wal_first_record),
+        (0, 0),
+        "no state: the whole log is read and replayed"
     );
     // What the whole log replayed through a fresh partitioner holds.
-    let mut control = loom_builder(&graph).build().unwrap();
-    let log = loom::loom_store::Wal::replay(&root.join("wal.log")).unwrap();
-    for batch in &log.batches {
-        control.ingest_batch(batch).unwrap();
-    }
     let mut session = recovered.into_session();
     assert_eq!(
         assignment_vec(&session.snapshot()),
         assignment_vec(&control.snapshot())
     );
     assert_eq!(session.stats(), control.stats());
-    // The next checkpoint carries the blob, and the one after restores it.
+    // The next checkpoint carries the blob, and the one after restores it;
+    // the blob-less fallback still needs the whole log, so none is retired.
     let epoch = session.checkpoint().unwrap();
     session.sync_durability(Duration::from_secs(30)).unwrap();
     drop(session);
     let next = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
     assert!(next.join(PARTITIONER_BLOB).exists());
+    assert!(root.join(WAL_FILE).exists());
     let healed = loom_builder(&graph)
         .with_durability(&root)
         .recover()
         .unwrap();
-    assert_eq!(healed.report().replayed_from, log.records);
+    assert_eq!(healed.report().replayed_from, batches.len() as u64);
+    assert_eq!(healed.report().wal_first_record, batches.len() as u64);
     let session = healed.into_session();
     assert_eq!(
         assignment_vec(&session.snapshot()),
@@ -1385,6 +1470,270 @@ fn a_root_without_a_partitioner_blob_recovers_by_replaying_the_whole_log() {
     );
     assert_eq!(session.stats(), control.stats());
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Take a checkpoint and wait until it is on disk, its retirement done.
+fn seal(session: &mut Session) -> u64 {
+    let epoch = session.checkpoint().unwrap();
+    assert_eq!(
+        session.sync_durability(Duration::from_secs(30)).unwrap(),
+        epoch
+    );
+    epoch
+}
+
+fn feed(session: &mut Session, batches: &[Vec<StreamElement>]) {
+    for batch in batches {
+        session.ingest_batch(batch).unwrap();
+    }
+}
+
+/// The first record of every segment of `root`'s log, in order.
+fn segment_starts(root: &Path) -> Vec<u64> {
+    segments(root).unwrap().iter().map(|s| s.first).collect()
+}
+
+fn manifest_of(root: &Path, epoch: u64) -> PathBuf {
+    root.join(CHECKPOINT_DIR)
+        .join(format!("{epoch:010}"))
+        .join(MANIFEST_FILE)
+}
+
+/// `graph`'s stream in batches of `size` elements.
+fn batches_of(graph: &LabelledGraph, size: usize) -> Vec<Vec<StreamElement>> {
+    let stream = GraphStream::from_graph(graph, &StreamOrder::Bfs);
+    stream.elements().chunks(size).map(<[_]>::to_vec).collect()
+}
+
+/// Recover `root` and hold it against a session that never crashed, fed
+/// `batches` and checkpointed after the first `checkpointed` of them: the
+/// pinned store is bit-identical to that checkpoint's, the partitioner has
+/// the same assignment and counters, and the log holds every batch.
+fn assert_recovers_as_uncrashed(
+    root: &Path,
+    graph: &LabelledGraph,
+    batches: &[Vec<StreamElement>],
+    checkpointed: usize,
+) -> Recovered {
+    let mut control = loom_builder(graph).build().unwrap();
+    feed(&mut control, &batches[..checkpointed]);
+    let prefix = GraphStream::from_elements(batches[..checkpointed].concat()).materialise();
+    let store = ShardedStore::from_parts(&prefix, &control.snapshot());
+    feed(&mut control, &batches[checkpointed..]);
+    let mut recovered = loom_builder(graph).with_durability(root).recover().unwrap();
+    let report = recovered.report().clone();
+    assert_eq!(report.wal_records, batches.len() as u64);
+    assert_eq!(report.wal_records_in_checkpoint, checkpointed as u64);
+    assert_bit_identical(recovered.store(), &store);
+    let session = recovered.session_mut();
+    assert_eq!(
+        assignment_vec(&session.snapshot()),
+        assignment_vec(&control.snapshot())
+    );
+    assert_eq!(session.stats(), control.stats());
+    recovered
+}
+
+/// Recover `root`, which must be refused as `Corrupt` with `expected` in
+/// the detail, and leave the root byte for byte as found.
+fn assert_refused(root: &Path, graph: &LabelledGraph, expected: &str) {
+    let before = root_image(root);
+    let err = loom_builder(graph)
+        .with_durability(root)
+        .recover()
+        .expect_err(expected);
+    match err {
+        SessionError::Store(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains(expected), "{detail}");
+        }
+        other => panic!("expected Corrupt ({expected}), got {other}"),
+    }
+    assert_eq!(root_image(root), before, "a refused recovery wrote");
+}
+
+#[test]
+fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
+    let graph = social_graph(150, 61);
+    let batches = batches_of(&graph, 40);
+    assert!(batches.len() >= 9);
+
+    // Killed after `checkpoint()` cut the log but before the sink sealed the
+    // manifest: an empty segment sits behind the old ones, and the previous
+    // checkpoint is the newest.
+    let root = tmproot("seg-rotated");
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..4]);
+    seal(&mut session);
+    feed(&mut session, &batches[4..7]);
+    let torn = seal(&mut session);
+    drop(session);
+    std::fs::remove_file(manifest_of(&root, torn)).unwrap();
+    assert_eq!(segment_starts(&root), [4, 7]);
+    assert_eq!(std::fs::metadata(newest_segment(&root)).unwrap().len(), 8);
+    assert_recovers_as_uncrashed(&root, &graph, &batches[..7], 4);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // Killed after the seal but before the retirement: `wal.log` is still
+    // there. It is not read, and the next checkpoint retires it.
+    let root = tmproot("seg-unretired");
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..4]);
+    let first = std::fs::read(root.join(WAL_FILE)).unwrap();
+    seal(&mut session);
+    feed(&mut session, &batches[4..7]);
+    drop(session);
+    std::fs::write(root.join(WAL_FILE), &first).unwrap();
+    assert_eq!(segment_starts(&root), [0, 4]);
+    let mut recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..7], 4);
+    assert_eq!(recovered.report().wal_first_record, 4);
+    let session = recovered.session_mut();
+    feed(session, &batches[7..9]);
+    seal(session);
+    assert_eq!(segment_starts(&root), [4, 9]);
+    drop(recovered);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // A retirement that persisted out of order: `wal.log` survives the
+    // deleted segment after it, all of it below the checkpoint. Ignored, not
+    // refused, and retired by the next checkpoint.
+    let root = tmproot("seg-out-of-order");
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..2]);
+    let first = std::fs::read(root.join(WAL_FILE)).unwrap();
+    for upto in [4, 6] {
+        seal(&mut session);
+        feed(&mut session, &batches[upto - 2..upto]);
+    }
+    seal(&mut session);
+    feed(&mut session, &batches[6..7]);
+    drop(session);
+    assert_eq!(segment_starts(&root), [4, 6]);
+    std::fs::write(root.join(WAL_FILE), &first).unwrap();
+    let mut recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..7], 6);
+    let session = recovered.session_mut();
+    feed(session, &batches[7..8]);
+    seal(session);
+    assert_eq!(segment_starts(&root), [6, 8]);
+    drop(recovered);
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // Recovering from the fallback (the newest manifest torn) needs every
+    // segment from the fallback's record on: they all survived retirement,
+    // and one taken away, or one with a corrupt frame before the newest, is
+    // refused by name.
+    let root = tmproot("seg-missing");
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..2]);
+    seal(&mut session);
+    feed(&mut session, &batches[2..4]);
+    let lost = seal(&mut session);
+    // Its manifest lost, the next checkpoint prunes it and keeps the first
+    // as the fallback.
+    std::fs::remove_file(manifest_of(&root, lost)).unwrap();
+    feed(&mut session, &batches[4..6]);
+    let newest = seal(&mut session);
+    feed(&mut session, &batches[6..7]);
+    drop(session);
+    std::fs::remove_file(manifest_of(&root, newest)).unwrap();
+    assert_eq!(segment_starts(&root), [2, 4, 6]);
+    let recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..7], 2);
+    assert_eq!(recovered.report().wal_first_record, 2);
+    drop(recovered);
+    for (gone, expected) in [(1, "missing records 4..6"), (0, "missing records 2..4")] {
+        let path = segments(&root).unwrap()[gone].path.clone();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_refused(&root, &graph, expected);
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    let path = segments(&root).unwrap()[0].path.clone();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+    assert_refused(&root, &graph, "not the newest");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn back_to_back_checkpoints_leave_one_segment() {
+    let root = tmproot("seg-back-to-back");
+    let graph = social_graph(100, 63);
+    let batches = batches_of(&graph, 40);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..3]);
+    assert_eq!(seal(&mut session), 1);
+    assert_eq!(seal(&mut session), 2);
+    assert_eq!(segment_starts(&root), [3]);
+    drop(session);
+    assert_recovers_as_uncrashed(&root, &graph, &batches[..3], 3);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn recovery_reads_only_the_log_past_its_checkpoint() {
+    let graph = social_graph(150, 67);
+    let batches = batches_of(&graph, 4);
+    let delta = 3;
+    assert!(batches.len() >= 100 + delta);
+    for k in [1, 10, 100] {
+        let root = tmproot(&format!("delta-{k}"));
+        let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+        feed(&mut session, &batches[..k]);
+        seal(&mut session);
+        feed(&mut session, &batches[k..k + delta]);
+        drop(session);
+        // The root holds the checkpoint and the delta, nothing older.
+        assert_eq!(segment_starts(&root), [k as u64]);
+        let recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..k + delta], k);
+        let report = recovered.report();
+        assert_eq!(report.wal_first_record, k as u64);
+        assert_eq!(report.wal_records - report.wal_first_record, delta as u64);
+        drop(recovered);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+#[test]
+fn a_single_file_root_recovers_and_its_next_checkpoints_retire_wal_log() {
+    let graph = social_graph(150, 71);
+    let batches = batches_of(&graph, 40);
+    let cut = batches.len() - 4;
+    for tail in [0, 2] {
+        let root = tmproot(&format!("single-file-{tail}"));
+        let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+        feed(&mut session, &batches[..cut]);
+        let mut single = std::fs::read(root.join(WAL_FILE)).unwrap();
+        seal(&mut session);
+        feed(&mut session, &batches[cut..cut + tail]);
+        drop(session);
+        // The root a binary from before segments leaves: the same checkpoint
+        // beside one `wal.log` holding every batch. Frames do not know where
+        // they lie, so that log is the segments' frames end to end.
+        let newest = newest_segment(&root);
+        single.extend_from_slice(&std::fs::read(&newest).unwrap()[8..]);
+        std::fs::remove_file(&newest).unwrap();
+        std::fs::write(root.join(WAL_FILE), &single).unwrap();
+        assert_eq!(segment_starts(&root), [0]);
+        let fed = cut + tail;
+        let mut recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..fed], cut);
+        assert_eq!(recovered.report().wal_first_record, 0);
+        let session = recovered.session_mut();
+        seal(session);
+        if tail == 0 {
+            // Both kept checkpoints start at the end of `wal.log`.
+            assert_eq!(segment_starts(&root), [cut as u64]);
+        } else {
+            // The fallback still needs the records past it in `wal.log`:
+            // it goes one checkpoint later.
+            assert_eq!(segment_starts(&root), [0, fed as u64]);
+            feed(session, &batches[fed..fed + 1]);
+            seal(session);
+            assert_eq!(segment_starts(&root), [fed as u64, fed as u64 + 1]);
+        }
+        drop(recovered);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
 
 proptest! {

@@ -162,6 +162,13 @@ fn durable_observed_pipeline_records_store_stages_and_checkpoint_seals() {
         FlightKind::CheckpointSealed { epoch: seq, wal_records: w }
             if seq == epoch && w == wal_records
     )));
+    // The first checkpoint folded in all of `wal.log`: the sink retired it,
+    // and the log now starts at the checkpoint's record.
+    assert!(dump.events.iter().any(|e| matches!(
+        e.kind,
+        FlightKind::WalRetired { below, segments: 1, bytes }
+            if below == wal_records && bytes > 8
+    )));
     drop(session);
     let _ = std::fs::remove_dir_all(&root);
 }
