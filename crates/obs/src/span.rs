@@ -24,7 +24,8 @@ pub mod stage {
     pub const SERVE_QUEUE_WAIT: &str = "serve.queue_wait";
     /// One query execution on a shard worker (matcher run, wall clock).
     pub const SERVE_EXECUTE: &str = "serve.execute";
-    /// One checkpoint serialisation (blobs + manifest, fsyncs included).
+    /// One checkpoint written by the background sink (blobs + manifest,
+    /// fsyncs included; the blobs were encoded before it was handed over).
     pub const STORE_CHECKPOINT_WRITE: &str = "store.checkpoint_write";
     /// One fsync on the durability path (WAL append or checkpoint file).
     pub const STORE_FSYNC: &str = "store.fsync";

@@ -2,7 +2,9 @@
 //!
 //! [`ShardedStore`] freezes a partitioned graph into the layout a concurrent
 //! serving engine wants: vertices are laid out **partition-major** in one CSR
-//! arena, so each partition's home vertices form a contiguous slice — its
+//! arena (by [`PartitionMajor`], the order a checkpoint encoded straight
+//! from the graph shares), so each partition's home vertices form a
+//! contiguous slice — its
 //! [`Shard`], which carries what the router reads and nothing else: the
 //! slice's range and, per label, how many live home vertices carry it.
 //! Everything else about a shard is a function of its slice and is computed
@@ -241,51 +243,125 @@ fn dead_counters(ranges: &[Range<usize>], slots: &[Slot]) -> (Vec<usize>, Vec<us
     (dead_vertices, dead_slots)
 }
 
+/// One vertex as a graph hands it to a snapshot: id, label, and neighbours
+/// in [`LabelledGraph::neighbors`] order.
+pub type GraphRow<'g> = (VertexId, Label, &'g [VertexId]);
+
+/// A graph's vertices in the arena's **partition-major** order — shard 0's
+/// home vertices by id, then shard 1's, …, then the unassigned tail's — by
+/// one walk of the graph's slots sorted by id and one stable bucket pass by
+/// home, with no comparison sort across partitions. This is the one
+/// definition of that order: [`ShardedStore::from_parts`] lays its arena out
+/// by it, and a checkpoint cut straight from a graph writes its blobs by it,
+/// so a freeze and the blobs cannot disagree.
+#[derive(Debug)]
+pub struct PartitionMajor<'g> {
+    /// Every vertex, sorted by id.
+    rows: Vec<GraphRow<'g>>,
+    /// Each row's bucket: its home partition's index, or `k` for the tail.
+    buckets: Vec<u32>,
+    /// `starts[b]..starts[b + 1]` are bucket `b`'s positions in the arena.
+    starts: Vec<usize>,
+}
+
+impl<'g> PartitionMajor<'g> {
+    /// Lay `graph`'s vertices out by their home under `partitioning`; a
+    /// vertex `partitioning` does not assign goes to the tail, and an
+    /// assignment of a vertex `graph` does not hold is ignored.
+    pub fn new(graph: &'g LabelledGraph, partitioning: &Partitioning) -> Self {
+        let k = partitioning.k() as usize;
+        let rows = graph.adjacency_sorted();
+        // One partition probe per vertex, in id order.
+        let mut buckets: Vec<u32> = Vec::with_capacity(rows.len());
+        let mut starts = vec![0usize; k + 2];
+        for &(v, _, _) in &rows {
+            let bucket = partitioning.partition_of(v).map_or(k, |p| p.index());
+            starts[bucket + 1] += 1;
+            buckets.push(bucket as u32);
+        }
+        for bucket in 0..=k {
+            starts[bucket + 1] += starts[bucket];
+        }
+        Self {
+            rows,
+            buckets,
+            starts,
+        }
+    }
+
+    /// Number of shards (partitions) the layout has a slice for.
+    pub fn shard_count(&self) -> u32 {
+        (self.starts.len() - 2) as u32
+    }
+
+    /// Number of vertices laid out.
+    pub fn vertex_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Every vertex, in id order, with its bucket and its arena position:
+    /// the stable bucket pass, which places each vertex behind the ones of
+    /// its bucket with lower ids.
+    fn placed(&self) -> impl Iterator<Item = (GraphRow<'g>, usize, usize)> + '_ {
+        let mut cursor = self.starts.clone();
+        self.rows
+            .iter()
+            .zip(&self.buckets)
+            .map(move |(&row, &bucket)| {
+                let bucket = bucket as usize;
+                cursor[bucket] += 1;
+                (row, bucket, cursor[bucket] - 1)
+            })
+    }
+
+    /// The slice `slot` names — shard `p`'s home vertices for `Some(p)`, the
+    /// unassigned tail for `None` — as its length and its vertices with
+    /// their labels and neighbours, in id order, which is the order the
+    /// arena lays them out in. `None` for an out-of-range partition.
+    pub fn slice(
+        &self,
+        slot: Option<PartitionId>,
+    ) -> Option<(usize, impl Iterator<Item = GraphRow<'g>> + '_)> {
+        let k = self.shard_count() as usize;
+        let bucket = match slot {
+            Some(p) if p.index() < k => p.index(),
+            Some(_) => return None,
+            None => k,
+        };
+        let rows = self.rows.iter().zip(&self.buckets);
+        let members = rows.filter(move |&(_, &b)| b as usize == bucket);
+        let len = self.starts[bucket + 1] - self.starts[bucket];
+        Some((len, members.map(|(&row, _)| row)))
+    }
+}
+
 impl ShardedStore {
     /// Build a sharded store from a graph and a partitioning. Unassigned
     /// vertices are tolerated: they live outside every shard and count as
     /// remote to everyone.
     pub fn from_parts(graph: &LabelledGraph, partitioning: &Partitioning) -> Self {
-        let k = partitioning.k() as usize;
-        // The whole graph by one slot walk, sorted by id once: no label or
-        // neighbour probe per vertex below.
-        let rows = graph.adjacency_sorted();
-        let n = rows.len();
-
-        // One partition probe per vertex, in id order: a stable bucket pass
-        // (bucket `k` = unassigned) turns id order into the partition-major
-        // (partition, id) order without a comparison sort.
-        let mut homes: Vec<u32> = Vec::with_capacity(n);
-        let mut starts = vec![0usize; k + 2];
-        for &(v, _, _) in &rows {
-            let home = partitioning
-                .partition_of(v)
-                .map(|p| p.0)
-                .unwrap_or(UNASSIGNED);
-            starts[(home as usize).min(k) + 1] += 1;
-            homes.push(home);
-        }
-        for bucket in 0..=k {
-            starts[bucket + 1] += starts[bucket];
-        }
-        let mut cursor = starts.clone();
+        let layout = PartitionMajor::new(graph, partitioning);
+        let (n, k) = (layout.vertex_count(), layout.shard_count() as usize);
         let mut order = vec![VertexId::new(0); n];
         let mut slots = vec![end_slot(0); n + 1];
         let mut lists: Vec<&[VertexId]> = vec![&[]; n];
         // Rows come in id order, so the label lists come out id-ordered.
         let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
-        for (&(v, label, neighbors), &home) in rows.iter().zip(&homes) {
-            let pos = &mut cursor[(home as usize).min(k)];
-            by_label.entry(label).or_default().push(*pos as u32);
-            order[*pos] = v;
-            slots[*pos] = Slot {
+        for ((v, label, neighbors), bucket, pos) in layout.placed() {
+            let home = if bucket < k {
+                bucket as u32
+            } else {
+                UNASSIGNED
+            };
+            by_label.entry(label).or_default().push(pos as u32);
+            order[pos] = v;
+            slots[pos] = Slot {
                 label,
                 home,
                 offset: 0,
                 live: 0,
             };
-            lists[*pos] = neighbors;
-            *pos += 1;
+            lists[pos] = neighbors;
         }
         let position_of: FxHashMap<VertexId, u32> = order
             .iter()
@@ -306,7 +382,7 @@ impl ShardedStore {
             position_of,
             slots,
             targets,
-            &starts[..=k],
+            &layout.starts[..=k],
             by_label,
             graph.edge_count(),
         );

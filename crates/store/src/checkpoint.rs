@@ -14,6 +14,13 @@
 //! simply skips in favour of the previous epoch. Nothing in a checkpoint is
 //! ever trusted without its checksum.
 //!
+//! The arena blobs are written from a [`CheckpointImage`], encoded before
+//! any file is touched: from a frozen store ([`write_checkpoint`]), or —
+//! what a durable session does — straight from its graph mirror and the
+//! partitioner's snapshot, with no store frozen. Both lay the rows out by
+//! the same partition-major order and encode them through the same
+//! encoder, so they write the same bytes for the same arena.
+//!
 //! Once a checkpoint is sealed the root is **pruned**: the new checkpoint
 //! and the newest valid one before it (the fallback, should the new
 //! directory be lost) stay; every older checkpoint goes, and so does every
@@ -56,12 +63,12 @@
 //! the partitioner can decode it, and its proof — the restored partitioner
 //! must re-encode to the same bytes — is the restorer's to run.
 
-use crate::codec::{blob_crc, decode_blob, encode_blob, encode_shard, encode_tail};
+use crate::codec::{blob_crc, decode_blob, encode_layout, encode_slice, BLOB_VERSION};
 use crate::error::{Result, StoreError};
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
 use loom_partition::partition::{PartitionId, Partitioning};
-use loom_serve::shard::{ArenaLoader, ShardedStore, UncheckedArena};
+use loom_serve::shard::{ArenaLoader, PartitionMajor, ShardedStore, UncheckedArena};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -203,6 +210,90 @@ fn manifest_body(meta: &CheckpointMeta) -> String {
     body
 }
 
+/// One checkpoint's arena, encoded and not yet written: the epoch it is
+/// sealed under, its vertex and edge totals, and one blob per shard plus the
+/// tail's. An image is cut either from a frozen store
+/// ([`CheckpointImage::from_store`]) or straight from a graph and a
+/// partitioning ([`CheckpointImage::from_graph`]) — the same bytes for the
+/// same arena, both through the one blob encoder.
+#[derive(Debug)]
+pub struct CheckpointImage {
+    epoch_seq: u64,
+    vertices: u64,
+    edges: u64,
+    /// Shard 0's blob, …, shard `k − 1`'s, then the tail's: `k + 1` of them.
+    blobs: Vec<Vec<u8>>,
+}
+
+impl CheckpointImage {
+    /// The blobs of `store`'s arena, sealed under the store's epoch.
+    pub fn from_store(store: &ShardedStore) -> Self {
+        let blobs = arena_slots(store.shard_count())
+            .map(|slot| encode_slice(store, slot, BLOB_VERSION).expect("slot in range"))
+            .collect();
+        Self {
+            epoch_seq: store.epoch(),
+            // A tombstoned vertex is in no blob.
+            vertices: store.live_vertex_count() as u64,
+            edges: store.edge_count() as u64,
+            blobs,
+        }
+    }
+
+    /// The blobs of the arena [`ShardedStore::from_parts`] would freeze from
+    /// `graph` and `partitioning`, sealed under `epoch_seq` — byte for byte,
+    /// without freezing it: the rows are laid out in partition-major order
+    /// ([`PartitionMajor`]) and encoded as they are, ids and all.
+    pub fn from_graph(graph: &LabelledGraph, partitioning: &Partitioning, epoch_seq: u64) -> Self {
+        let layout = PartitionMajor::new(graph, partitioning);
+        let blobs = arena_slots(layout.shard_count())
+            .map(|slot| encode_layout(&layout, slot).expect("slot in range"))
+            .collect();
+        Self {
+            epoch_seq,
+            vertices: layout.vertex_count() as u64,
+            edges: graph.edge_count() as u64,
+            blobs,
+        }
+    }
+
+    /// The epoch the checkpoint is sealed under.
+    pub fn epoch_seq(&self) -> u64 {
+        self.epoch_seq
+    }
+
+    /// Number of shard blobs (the tail excluded).
+    pub fn shard_count(&self) -> u32 {
+        (self.blobs.len() - 1) as u32
+    }
+
+    /// Live vertices across all blobs.
+    pub fn vertices(&self) -> u64 {
+        self.vertices
+    }
+
+    /// Edges in the arena.
+    pub fn edges(&self) -> u64 {
+        self.edges
+    }
+
+    /// Shard `p`'s blob; `None` when `p` is out of range.
+    pub fn shard(&self, p: PartitionId) -> Option<&[u8]> {
+        let blobs = &self.blobs[..self.blobs.len() - 1];
+        blobs.get(p.index()).map(Vec::as_slice)
+    }
+
+    /// The unassigned tail's blob.
+    pub fn tail(&self) -> &[u8] {
+        self.blobs.last().expect("an image holds the tail's blob")
+    }
+}
+
+/// The arena's slots in blob order: each of `shards` shards, then the tail.
+fn arena_slots(shards: u32) -> impl Iterator<Item = Option<PartitionId>> {
+    (0..shards).map(|p| Some(PartitionId::new(p))).chain([None])
+}
+
 /// Serialize `store` as checkpoint `root/checkpoints/<epoch_seq>/`,
 /// replacing any half-written directory of the same epoch, then prune the
 /// checkpoints it supersedes (see the module docs). The directory becomes
@@ -218,20 +309,21 @@ pub fn write_checkpoint(
     wal_records: u64,
     spec: &str,
 ) -> Result<CheckpointMeta> {
-    write_and_prune(root, store, wal_records, spec, None).map(|(meta, _left_behind)| meta)
+    let image = CheckpointImage::from_store(store);
+    write_and_prune(root, &image, wal_records, spec, None).map(|(meta, _left_behind)| meta)
 }
 
-/// [`write_checkpoint`] with the partitioner's `state`, if any, handing
+/// Seal `image` with the partitioner's `state`, if any, and prune, handing
 /// back beside the manifest what the prune could not remove, or the log
 /// floor of the checkpoints it left.
 pub(crate) fn write_and_prune(
     root: &Path,
-    store: &ShardedStore,
+    image: &CheckpointImage,
     wal_records: u64,
     spec: &str,
     state: Option<&[u8]>,
 ) -> Result<(CheckpointMeta, Result<u64>)> {
-    let meta = seal_checkpoint(root, store, wal_records, spec, state)?;
+    let meta = seal_checkpoint(root, image, wal_records, spec, state)?;
     let pruned = prune_checkpoints(root, &meta);
     Ok((meta, pruned))
 }
@@ -239,12 +331,12 @@ pub(crate) fn write_and_prune(
 /// Write the blobs, then the manifest, then fsync both directory levels.
 fn seal_checkpoint(
     root: &Path,
-    store: &ShardedStore,
+    image: &CheckpointImage,
     wal_records: u64,
     spec: &str,
     state: Option<&[u8]>,
 ) -> Result<CheckpointMeta> {
-    let epoch_seq = store.epoch();
+    let epoch_seq = image.epoch_seq;
     let parent = root.join(CHECKPOINT_DIR);
     fs::create_dir_all(&parent).map_err(|e| StoreError::io(&parent, e))?;
     let dir = parent.join(format!("{epoch_seq:010}"));
@@ -253,13 +345,14 @@ fn seal_checkpoint(
     }
     fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
 
-    let mut blobs = Vec::with_capacity(store.shard_count() as usize + 2);
-    for p in 0..store.shard_count() {
-        let p = PartitionId::new(p);
-        let bytes = encode_shard(store, p).expect("shard index in range");
-        blobs.push(write_blob(&dir, &format!("shard_{:04}.blob", p.0), &bytes)?);
+    let mut blobs = Vec::with_capacity(image.blobs.len() + 1);
+    for (slot, bytes) in arena_slots(image.shard_count()).zip(&image.blobs) {
+        let name = match slot {
+            Some(p) => format!("shard_{:04}.blob", p.0),
+            None => TAIL_BLOB.to_string(),
+        };
+        blobs.push(write_blob(&dir, &name, bytes)?);
     }
-    blobs.push(write_blob(&dir, TAIL_BLOB, &encode_tail(store))?);
     if let Some(state) = state {
         blobs.push(write_blob(&dir, PARTITIONER_BLOB, state)?);
     }
@@ -268,10 +361,9 @@ fn seal_checkpoint(
         epoch_seq,
         wal_records,
         spec: spec.to_string(),
-        shards: store.shard_count(),
-        // A tombstoned vertex is in no blob.
-        vertices: store.live_vertex_count() as u64,
-        edges: store.edge_count() as u64,
+        shards: image.shard_count(),
+        vertices: image.vertices,
+        edges: image.edges,
         blobs,
     };
     let body = manifest_body(&meta);
@@ -574,7 +666,7 @@ impl UnverifiedCheckpoint {
         let arena_blobs = meta.blobs.iter().zip(&versions);
         for (entry, &version) in arena_blobs.filter(|(entry, _)| entry.name != PARTITIONER_BLOB) {
             let slot = blob_slot(&entry.name, &dir)?.map(PartitionId::new);
-            let bytes = encode_blob(&store, slot, version).ok_or_else(|| {
+            let bytes = encode_slice(&store, slot, version).ok_or_else(|| {
                 StoreError::corrupt(&dir, format!("blob {} out of range", entry.name))
             })?;
             if blob_crc(&bytes) != entry.crc {
@@ -604,8 +696,14 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode_shard, encode_tail, BLOB_V1};
     use loom_graph::generators::erdos_renyi::erdos_renyi;
     use loom_graph::generators::GeneratorConfig;
+
+    /// `store` stamped with `epoch`, as an image.
+    fn image(store: &ShardedStore, epoch: u64) -> CheckpointImage {
+        CheckpointImage::from_store(&store.clone().with_epoch(epoch))
+    }
 
     fn fixture(seed: u64) -> (LabelledGraph, Partitioning) {
         let g = erdos_renyi(GeneratorConfig::new(40, 4, seed), 120).unwrap();
@@ -727,7 +825,7 @@ mod tests {
         let slots = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
         let crcs: Vec<u32> = slots
             .chain([None])
-            .map(|slot| blob_crc(&encode_blob(&store, slot, crate::codec::BLOB_V1).unwrap()))
+            .map(|slot| blob_crc(&encode_slice(&store, slot, BLOB_V1).unwrap()))
             .collect();
         assert_eq!(
             crcs,
@@ -799,7 +897,7 @@ mod tests {
         let (dir, _, _) = latest_checkpoint(&root).unwrap().unwrap();
         for entry in &meta.blobs {
             let slot = blob_slot(&entry.name, &dir).unwrap().map(PartitionId::new);
-            let v1 = encode_blob(store, slot, crate::codec::BLOB_V1).unwrap();
+            let v1 = encode_slice(store, slot, BLOB_V1).unwrap();
             assert!(v1.len() as u64 > entry.size, "v1 carries more than v2");
             replace_blob(&dir, &entry.name, v1.as_slice());
         }
@@ -853,7 +951,7 @@ mod tests {
         // Killed between manifest and prune: every directory is still there,
         // and recovery reads the newest.
         for epoch in 4..=5 {
-            seal_checkpoint(&root, &store.clone().with_epoch(epoch), epoch, "loom", None).unwrap();
+            seal_checkpoint(&root, &image(&store, epoch), epoch, "loom", None).unwrap();
         }
         assert_eq!(sequences(&root), [2, 3, 4, 5]);
         let (_, meta, skipped) = latest_checkpoint(&root).unwrap().unwrap();
@@ -870,8 +968,7 @@ mod tests {
                 .join(MANIFEST_FILE),
         )
         .unwrap();
-        let (_, pruned) =
-            write_and_prune(&root, &store.clone().with_epoch(6), 6, "loom", None).unwrap();
+        let (_, pruned) = write_and_prune(&root, &image(&store, 6), 6, "loom", None).unwrap();
         pruned.unwrap();
         assert_eq!(sequences(&root), [5, 6]);
         // A directory from the future is none of this checkpoint's business.
@@ -888,8 +985,8 @@ mod tests {
         let store = ShardedStore::from_parts(&g, &part);
         let state = Some(&b"state"[..]);
         let floor = |epoch: u64, state: Option<&[u8]>| {
-            let store = store.clone().with_epoch(epoch);
-            let (_, pruned) = write_and_prune(&root, &store, 10 * epoch, "loom", state).unwrap();
+            let image = image(&store, epoch);
+            let (_, pruned) = write_and_prune(&root, &image, 10 * epoch, "loom", state).unwrap();
             pruned.unwrap()
         };
         // Alone, a checkpoint with the partitioner's state needs the log from

@@ -5,7 +5,10 @@
 //! length prefix, never trust a count you have not bounded by the payload
 //! size" discipline. Encoders are **deterministic**: the same
 //! [`ShardedStore`] always serializes to the same bytes, which is what lets
-//! recovery prove bit-identity by re-encoding and comparing CRCs.
+//! recovery prove bit-identity by re-encoding and comparing CRCs — and a
+//! graph and partitioning encode, row for row, to the bytes of the store
+//! [`ShardedStore::from_parts`] would freeze from them, which is what lets a
+//! session checkpoint its graph mirror without freezing it.
 //!
 //! # Blob formats
 //!
@@ -31,14 +34,14 @@ use crate::error::{Result, StoreError};
 use loom_graph::io::crc32;
 use loom_graph::{Label, StreamElement, VertexId};
 use loom_partition::partition::PartitionId;
-use loom_serve::shard::{ArenaLoader, ShardBorder, ShardedStore};
+use loom_serve::shard::{ArenaLoader, PartitionMajor, ShardBorder, ShardedStore};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Magic prefix of a shard blob ("LSHD").
 const BLOB_MAGIC: u32 = 0x4C53_4844;
 /// The blob format version written: header + slice.
-const BLOB_VERSION: u32 = 2;
+pub(crate) const BLOB_VERSION: u32 = 2;
 /// The version that carried derived lists behind the slice; read, never
 /// written.
 pub(crate) const BLOB_V1: u32 = 1;
@@ -92,21 +95,26 @@ fn put_v1_sections(
     }
 }
 
-/// The one blob encoder: header, then the slice `slot` names (`None` is the
-/// unassigned tail), then — in version 1 only — the derived sections.
-/// `None` when the shard is out of range. [`encode_shard`] and
-/// [`encode_tail`] write [`BLOB_VERSION`]; the bit-identity proof asks for
-/// the version [`decode_blob`] handed back, and compares with what was read.
-pub(crate) fn encode_blob(
-    store: &ShardedStore,
+/// The one blob encoder: header, then `rows` — the `vertices` live rows of
+/// the slice `slot` names (`None` is the unassigned tail), in arena order,
+/// whichever source they are read from: a frozen store's
+/// [`ArenaSlice::rows`](loom_serve::shard::ArenaSlice::rows) or a graph's
+/// [`PartitionMajor`] layout — then, in version 1 only, the derived
+/// sections, with the shard's boundary and halo from `border` (asked for
+/// only then; only the proof of a v1 root writes v1, and it has the store).
+/// The bit-identity proof asks for the version [`decode_blob`] handed back
+/// and compares with what was read; everything else writes
+/// [`BLOB_VERSION`].
+pub(crate) fn encode_blob<N>(
     slot: Option<PartitionId>,
     version: u32,
-) -> Option<Vec<u8>> {
-    let slice = match slot {
-        Some(p) => store.shard_slice(p)?,
-        None => store.unassigned_slice(),
-    };
-    let vertices = slice.len();
+    vertices: usize,
+    rows: impl Iterator<Item = (VertexId, Label, N)>,
+    border: impl FnOnce() -> ShardBorder,
+) -> Vec<u8>
+where
+    N: ExactSizeIterator<Item = VertexId>,
+{
     let mut buf = Vec::with_capacity(64 + vertices * 24);
     put(&mut buf, BLOB_MAGIC.to_le_bytes());
     put(&mut buf, version.to_le_bytes());
@@ -118,36 +126,80 @@ pub(crate) fn encode_blob(
     put(&mut buf, kind.to_le_bytes());
     put(&mut buf, slot.map_or(0, |p| p.0).to_le_bytes());
     put(&mut buf, (vertices as u64).to_le_bytes());
-    for (v, label, neighbours) in slice.rows() {
+    let mut homes = Vec::new();
+    for (v, label, neighbours) in rows {
         put(&mut buf, v.raw().to_le_bytes());
         put(&mut buf, label.raw().to_le_bytes());
         put(&mut buf, (neighbours.len() as u32).to_le_bytes());
         for n in neighbours {
             put(&mut buf, n.raw().to_le_bytes());
         }
+        if version == BLOB_V1 {
+            homes.push((v, label));
+        }
     }
     if version == BLOB_V1 {
-        let homes = slice.rows().map(|(v, label, _)| (v, label));
         match slot {
-            Some(p) => put_v1_sections(&mut buf, &store.border(p), homes),
+            Some(_) => put_v1_sections(&mut buf, &border(), homes.into_iter()),
             // The tail borders nothing and indexed nothing.
             None => put_v1_sections(&mut buf, &ShardBorder::default(), std::iter::empty()),
         }
     }
-    Some(buf)
+    buf
+}
+
+/// The slice `slot` names of `store`'s arena (`None` is the unassigned
+/// tail) as a blob in `version`. `None` when the shard is out of range.
+pub(crate) fn encode_slice(
+    store: &ShardedStore,
+    slot: Option<PartitionId>,
+    version: u32,
+) -> Option<Vec<u8>> {
+    let slice = match slot {
+        Some(p) => store.shard_slice(p)?,
+        None => store.unassigned_slice(),
+    };
+    let border = || slot.map(|p| store.border(p)).unwrap_or_default();
+    Some(encode_blob(
+        slot,
+        version,
+        slice.len(),
+        slice.rows(),
+        border,
+    ))
+}
+
+/// The blob of the slice `slot` names in `layout` (`None` is the unassigned
+/// tail): byte for byte what [`encode_slice`] writes for the same slot of
+/// the store [`ShardedStore::from_parts`] freezes from the same graph and
+/// partitioning, since both lay the rows out by [`PartitionMajor`]. `None`
+/// when the shard is out of range.
+pub(crate) fn encode_layout(
+    layout: &PartitionMajor<'_>,
+    slot: Option<PartitionId>,
+) -> Option<Vec<u8>> {
+    let (vertices, rows) = layout.slice(slot)?;
+    let rows = rows.map(|(v, label, neighbours)| (v, label, neighbours.iter().copied()));
+    Some(encode_blob(
+        slot,
+        BLOB_VERSION,
+        vertices,
+        rows,
+        ShardBorder::default,
+    ))
 }
 
 /// Serialize shard `p` of `store` as one contiguous blob. `None` when `p`
 /// is out of range.
 pub fn encode_shard(store: &ShardedStore, p: PartitionId) -> Option<Vec<u8>> {
-    encode_blob(store, Some(p), BLOB_VERSION)
+    encode_slice(store, Some(p), BLOB_VERSION)
 }
 
 /// Serialize the unassigned tail of `store`'s arena (vertices the
 /// partitioner had not placed at snapshot time). Always produced, even when
 /// empty, so a checkpoint's blob set has a fixed shape.
 pub fn encode_tail(store: &ShardedStore) -> Vec<u8> {
-    encode_blob(store, None, BLOB_VERSION).expect("every store has a tail slice")
+    encode_slice(store, None, BLOB_VERSION).expect("every store has a tail slice")
 }
 
 /// Checked little-endian reader over a byte slice: every accessor verifies
@@ -417,7 +469,7 @@ mod tests {
         let shards = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
         shards
             .chain([None])
-            .map(|slot| encode_blob(store, slot, version).unwrap())
+            .map(|slot| encode_slice(store, slot, version).unwrap())
             .collect()
     }
 
@@ -509,10 +561,10 @@ mod tests {
         }
         // … and the proof of a v1 blob passes: re-encoded in the version it
         // was read in, the loaded arena reproduces the golden bytes.
-        let proof = encode_blob(&from_v1, Some(PartitionId::new(0)), header.version).unwrap();
+        let proof = encode_slice(&from_v1, Some(PartitionId::new(0)), header.version).unwrap();
         assert_eq!(proof.as_slice(), GOLDEN_V1_SHARD_0);
         assert_eq!(
-            encode_blob(&from_v1, None, BLOB_V1).unwrap().as_slice(),
+            encode_slice(&from_v1, None, BLOB_V1).unwrap().as_slice(),
             GOLDEN_V1_TAIL
         );
     }
@@ -547,7 +599,7 @@ mod tests {
         let store = fixture();
         let path = Path::new("test.blob");
         for version in [BLOB_V1, BLOB_VERSION] {
-            let bytes = encode_blob(&store, Some(PartitionId::new(0)), version).unwrap();
+            let bytes = encode_slice(&store, Some(PartitionId::new(0)), version).unwrap();
             let full = bytes.as_slice().to_vec();
             let decode = |bytes: &[u8]| decode_blob(bytes, path, &mut ArenaLoader::new(3));
             assert!(decode(&full).is_ok());

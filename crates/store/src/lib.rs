@@ -5,12 +5,15 @@
 //! state, and the epoch history. This crate adds the durability subsystem
 //! that makes restart-and-serve possible:
 //!
-//! * **Checkpoints** ([`checkpoint`]) — each published epoch can be
-//!   serialized as one CRC-checksummed blob per shard (the contiguous CSR
-//!   arena slice), one for the unassigned tail and one for the state of the
+//! * **Checkpoints** ([`checkpoint`]) — an epoch's arena is serialized as
+//!   one CRC-checksummed blob per shard (its slice of the partition-major
+//!   CSR arena), one for the unassigned tail and one for the state of the
 //!   partitioner that placed them, under `checkpoints/<epoch_seq>/`, with a
 //!   `MANIFEST` written last and fsynced so a torn checkpoint is simply
-//!   invisible.
+//!   invisible. The arena blobs travel as a [`CheckpointImage`], encoded
+//!   from a frozen store or straight from a graph and its partitioning —
+//!   the same bytes either way, so a session checkpoints its graph mirror
+//!   without freezing a store.
 //! * **Write-ahead log** ([`wal`]) — every ingested batch is appended as a
 //!   CRC-framed record and fsynced *before* it reaches the partitioner; a
 //!   crash mid-append leaves a torn tail that truncates cleanly back to the
@@ -18,10 +21,10 @@
 //!   boundaries, and a segment every kept checkpoint has folded in is
 //!   deleted.
 //! * **Background checkpointing** ([`sink`]) — a [`CheckpointSink`] is
-//!   handed each published epoch together with the WAL position and the
-//!   partitioner state of that epoch, and writes the checkpoint off the
-//!   ingest path, coalescing under pressure; after each it prunes the
-//!   checkpoints and retires the log segments it supersedes.
+//!   handed each checkpoint's image together with the WAL position and the
+//!   partitioner state of that epoch, and writes it off the ingest path,
+//!   coalescing under pressure; after each it prunes the checkpoints and
+//!   retires the log segments it supersedes.
 //! * **Recovery** ([`recovery`]) — [`recover`] reads the newest valid
 //!   checkpoint's blobs straight into the serving layer's CSR arena
 //!   (size, CRC and structure checked on the way), then proves it on a
@@ -74,7 +77,7 @@ pub mod wal;
 
 pub use checkpoint::{
     latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint, BlobEntry,
-    CheckpointMeta, LoadedCheckpoint, PartitionerBlob, UnverifiedCheckpoint,
+    CheckpointImage, CheckpointMeta, LoadedCheckpoint, PartitionerBlob, UnverifiedCheckpoint,
 };
 pub use error::{Result, StoreError};
 pub use recovery::{recover, RecoverSpans, RecoveredState, RecoveryReport};

@@ -1,22 +1,22 @@
-//! Background checkpointing of published epochs.
+//! Background writing of checkpoint images.
 //!
-//! The publisher hands a [`CheckpointSink`] each epoch it publishes with
-//! [`CheckpointSink::submit`]: the pinned store, the WAL records folded into
-//! it and the partitioner's state, captured together on the publisher's
-//! thread, so a checkpoint is always sealed with its own epoch's log
-//! position and state. `submit` never blocks and does no IO: it stamps a
-//! latest-wins job slot and wakes a dedicated worker thread, which writes
-//! the checkpoint while ingestion keeps running. Under pressure superseded
-//! jobs are skipped — only the newest epoch is worth a checkpoint, and the
-//! log still holds every batch behind the oldest kept checkpoint. After
-//! each seal and prune the worker retires the WAL segments every checkpoint
-//! left has folded in (see [`crate::wal`]).
+//! The session hands a [`CheckpointSink`] each checkpoint it takes with
+//! [`CheckpointSink::submit`]: the [`CheckpointImage`] — the epoch and the
+//! blobs, encoded from its graph mirror on the session's thread — the WAL
+//! records folded into it and the partitioner's state, captured together,
+//! so a checkpoint is always sealed with its own epoch's log position and
+//! state. `submit` never blocks and does no IO: it stamps a latest-wins job
+//! slot and wakes a dedicated worker thread, which writes and fsyncs the
+//! blobs and the manifest while ingestion keeps running. Under pressure
+//! superseded jobs are skipped — only the newest epoch is worth a
+//! checkpoint, and the log still holds every batch behind the oldest kept
+//! checkpoint. After each seal and prune the worker retires the WAL
+//! segments every checkpoint left has folded in (see [`crate::wal`]).
 
-use crate::checkpoint::{write_and_prune, CheckpointMeta};
+use crate::checkpoint::{write_and_prune, CheckpointImage, CheckpointMeta};
 use crate::error::{Result, StoreError};
 use crate::wal::retire_segments;
 use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
-use loom_serve::shard::ShardedStore;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -25,7 +25,7 @@ use std::time::Duration;
 /// One epoch to checkpoint, as its publisher captured it.
 #[derive(Debug)]
 struct Job {
-    store: Arc<ShardedStore>,
+    image: CheckpointImage,
     wal_records: u64,
     state: Vec<u8>,
 }
@@ -44,8 +44,9 @@ struct SinkState {
     written: u64,
     /// The last failure, if any — a write that did not happen, or a
     /// superseded checkpoint directory or WAL segment a written one could
-    /// not remove (surfaced by [`CheckpointSink::wait_idle`]).
-    last_error: Option<String>,
+    /// not remove (surfaced by [`CheckpointSink::wait_idle`] as it was
+    /// raised).
+    last_error: Option<StoreError>,
 }
 
 /// Checkpoints every submitted epoch in the background.
@@ -71,7 +72,7 @@ impl std::fmt::Debug for CheckpointSink {
 }
 
 impl CheckpointSink {
-    /// Create a sink checkpointing into `root` the epochs of a store built
+    /// Create a sink checkpointing into `root` the images of an arena placed
     /// by partitioner `spec`, and start its worker thread.
     pub fn start(root: &Path, spec: &str) -> Arc<Self> {
         let sink = Arc::new(Self {
@@ -102,18 +103,17 @@ impl CheckpointSink {
         *self.telemetry.lock().expect("telemetry slot") = Some(telemetry);
     }
 
-    /// Checkpoint `store` — a published epoch — with the `wal_records` it
-    /// folds in and the partitioner `state` it was frozen beside. Replaces
-    /// any submitted epoch the worker has not yet taken, wakes the worker,
-    /// and returns without IO. After [`CheckpointSink::shutdown`] it does
-    /// nothing.
-    pub fn submit(&self, store: Arc<ShardedStore>, wal_records: u64, state: Vec<u8>) {
+    /// Checkpoint `image` with the `wal_records` it folds in and the
+    /// partitioner `state` it was encoded beside. Replaces any submitted
+    /// image the worker has not yet taken, wakes the worker, and returns
+    /// without IO. After [`CheckpointSink::shutdown`] it does nothing.
+    pub fn submit(&self, image: CheckpointImage, wal_records: u64, state: Vec<u8>) {
         let mut slot = self.state.lock().expect("sink state");
         if slot.shutdown {
             return;
         }
         slot.pending = Some(Job {
-            store,
+            image,
             wal_records,
             state,
         });
@@ -131,17 +131,20 @@ impl CheckpointSink {
     }
 
     /// Block until no checkpoint work is pending or in flight, then return
-    /// the highest epoch written. Surfaces the last write error, if any.
+    /// the highest epoch written. Surfaces the last write error, if any, as
+    /// it was raised — a failed `create_dir`, write or `fsync` is
+    /// [`StoreError::Io`] — and a wait that runs out as
+    /// [`StoreError::TimedOut`].
     pub fn wait_idle(&self, timeout: Duration) -> Result<u64> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state.lock().expect("sink state");
         while state.pending.is_some() || state.writing {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
-                return Err(StoreError::corrupt(
-                    &self.root,
-                    "timed out waiting for background checkpoint",
-                ));
+                return Err(StoreError::TimedOut {
+                    path: self.root.clone(),
+                    waited: timeout,
+                });
             }
             let (next, _) = self
                 .done
@@ -150,12 +153,12 @@ impl CheckpointSink {
             state = next;
         }
         match state.last_error.take() {
-            Some(detail) => Err(StoreError::corrupt(&self.root, detail)),
+            Some(error) => Err(error),
             None => Ok(state.last_written),
         }
     }
 
-    /// Stop the worker thread. Idempotent; a submitted epoch that has not
+    /// Stop the worker thread. Idempotent; a submitted image that has not
     /// started yet is dropped (the WAL still covers it).
     pub fn shutdown(&self) {
         {
@@ -194,11 +197,11 @@ impl CheckpointSink {
                     // The checkpoint stands; what it could not prune or
                     // retire is reported, and tried again by the next one.
                     if let Err(e) = tidied {
-                        state.last_error = Some(e.to_string());
+                        state.last_error = Some(e);
                     }
                 }
                 Ok(None) => {} // stale or already-covered epoch: skipped
-                Err(e) => state.last_error = Some(e.to_string()),
+                Err(e) => state.last_error = Some(e),
             }
             self.done.notify_all();
         }
@@ -209,7 +212,7 @@ impl CheckpointSink {
     /// went through.
     fn write(&self, job: &Job) -> Result<Option<(CheckpointMeta, Result<()>)>> {
         let last_written = self.state.lock().expect("sink state").last_written;
-        if job.store.epoch() <= last_written {
+        if job.image.epoch_seq() <= last_written {
             return Ok(None);
         }
         let telemetry = self.telemetry.lock().expect("telemetry slot").clone();
@@ -219,7 +222,7 @@ impl CheckpointSink {
         let span = SpanTimer::start(hist.as_deref());
         let written = write_and_prune(
             &self.root,
-            &job.store,
+            &job.image,
             job.wal_records,
             &self.spec,
             Some(&job.state),
@@ -252,6 +255,7 @@ mod tests {
     use loom_graph::generators::erdos_renyi::erdos_renyi;
     use loom_graph::generators::GeneratorConfig;
     use loom_partition::partition::{PartitionId, Partitioning};
+    use loom_serve::shard::ShardedStore;
 
     fn store(seed: u64) -> ShardedStore {
         let g = erdos_renyi(GeneratorConfig::new(30, 3, seed), 80).unwrap();
@@ -277,11 +281,8 @@ mod tests {
 
     fn submit(sink: &CheckpointSink, store: &ShardedStore, epoch: u64) {
         let (wal_records, state) = stamp(epoch);
-        sink.submit(
-            Arc::new(store.clone().with_epoch(epoch)),
-            wal_records,
-            state,
-        );
+        let image = CheckpointImage::from_store(&store.clone().with_epoch(epoch));
+        sink.submit(image, wal_records, state);
     }
 
     /// Every checkpoint with a valid manifest under `root` carries the WAL
@@ -360,6 +361,32 @@ mod tests {
         }
         assert_eq!(sink.wait_idle(Duration::from_secs(60)).unwrap(), 500);
         assert!(assert_each_sealed_with_its_own_epoch(&root) >= 1);
+        sink.shutdown();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_is_an_io_error_and_a_wait_that_runs_out_a_timeout() {
+        let root = tmproot("errors");
+        // A file where the checkpoint directory goes: create_dir fails.
+        std::fs::write(root.join(CHECKPOINT_DIR), b"in the way").unwrap();
+        let sink = CheckpointSink::start(&root, "loom");
+        submit(&sink, &store(5), 1);
+        match sink.wait_idle(Duration::from_secs(30)) {
+            Err(StoreError::Io { path, .. }) => assert_eq!(path, root.join(CHECKPOINT_DIR)),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        // The error was reported once; the sink is idle and wrote nothing.
+        assert_eq!(sink.wait_idle(Duration::from_secs(30)).unwrap(), 0);
+        // A write that is still in flight when the wait runs out.
+        sink.state.lock().unwrap().writing = true;
+        match sink.wait_idle(Duration::from_millis(20)) {
+            Err(StoreError::TimedOut { path, waited }) => {
+                assert_eq!((path, waited), (root.clone(), Duration::from_millis(20)));
+            }
+            other => panic!("expected TimedOut, got {other:?}"),
+        }
+        sink.state.lock().unwrap().writing = false;
         sink.shutdown();
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -290,14 +290,6 @@ impl Wal {
         self.records
     }
 
-    /// Force an `fsync` (appends already sync; this is for belt-and-braces
-    /// call sites like checkpoint boundaries).
-    pub fn sync(&self) -> Result<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| StoreError::io(&self.path, e))
-    }
-
     /// The file this log appends to.
     pub fn path(&self) -> &Path {
         &self.path

@@ -54,7 +54,6 @@ use loom_partition::spec::{PartitionerRegistry, PartitionerSpec};
 use loom_partition::traits::{Partitioner, PartitionerStats, DEFAULT_BATCH_SIZE};
 use loom_partition::PartitionError;
 use loom_serve::engine::{ServeConfig, ServeEngine};
-use loom_serve::epoch::EpochStore;
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::ShardedStore;
 use loom_sim::context::RequestContext;
@@ -64,7 +63,9 @@ use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
 use loom_store::checkpoint::CHECKPOINT_DIR;
 use loom_store::recovery::{RecoverSpans, RecoveryReport};
-use loom_store::{segment_path, segments, CheckpointSink, PartitionerBlob, StoreError, Wal};
+use loom_store::{
+    segment_path, segments, CheckpointImage, CheckpointSink, PartitionerBlob, StoreError, Wal,
+};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -184,7 +185,7 @@ impl SessionBuilder {
 
     /// Persist everything this session ingests under `root`: every batch is
     /// written to a write-ahead log before it reaches the partitioner, and
-    /// every [`Session::checkpoint`] serializes the sharded store in the
+    /// every [`Session::checkpoint`] writes the partitioned graph in the
     /// background. A session built this way can be brought back after a
     /// crash with [`Session::recover`].
     #[must_use]
@@ -274,13 +275,15 @@ impl SessionBuilder {
 }
 
 /// The durable half of a session: the write-ahead log, the incrementally
-/// materialised graph, the epoch store and the background checkpoint sink
-/// every published epoch is handed to.
+/// materialised graph, the epoch of the last checkpoint and the background
+/// checkpoint sink every checkpoint's image is handed to.
 struct DurableState {
     root: PathBuf,
     wal: Wal,
     graph: LabelledGraph,
-    epochs: EpochStore,
+    /// The epoch the last checkpoint was taken at (recovery resumes it);
+    /// the next one is taken at `epoch + 1`.
+    epoch: u64,
     sink: Arc<CheckpointSink>,
 }
 
@@ -318,18 +321,14 @@ impl DurableState {
             )));
         }
         let wal = Wal::create(&segment_path(root, 0))?;
-        let graph = LabelledGraph::new();
-        let seed = Partitioning::new(builder.spec.k(), 1)?;
-        let initial = ShardedStore::from_parts(&graph, &seed);
-        Self::attach(
+        Ok(Self::attach(
             root,
             wal,
-            graph,
-            initial,
+            LabelledGraph::new(),
             0,
             spec_name,
             builder.telemetry.as_ref(),
-        )
+        ))
     }
 
     /// Wrap recovered (or fresh) state: resume the epoch counter at
@@ -340,26 +339,24 @@ impl DurableState {
         root: &Path,
         mut wal: Wal,
         graph: LabelledGraph,
-        pinned: ShardedStore,
         epoch_seq: u64,
         spec_name: &str,
         telemetry: Option<&Arc<Telemetry>>,
-    ) -> SessionResult<Self> {
+    ) -> Self {
         if let Some(t) = telemetry {
             wal.set_fsync_histogram(t.stage_histogram(stage::STORE_FSYNC));
         }
-        let epochs = EpochStore::resume(pinned, epoch_seq);
         let sink = CheckpointSink::start(root, spec_name);
         if let Some(t) = telemetry {
             sink.set_telemetry(Arc::clone(t));
         }
-        Ok(Self {
+        Self {
             root: root.to_path_buf(),
             wal,
             graph,
-            epochs,
+            epoch: epoch_seq,
             sink,
-        })
+        }
     }
 
     /// Mirror an acknowledged batch into the in-memory durable graph
@@ -469,8 +466,8 @@ impl Session {
     /// [`LabelledGraph`] mirror on this thread, so the mirror is never behind
     /// what was acknowledged and nothing has to be drained later. The mirror
     /// is the only copy of the adjacency an ingesting session keeps: every
-    /// checkpoint is frozen from it, and a recovery rebuilds it from the
-    /// newest checkpoint plus the log behind that.
+    /// checkpoint's blobs are encoded from it, and a recovery rebuilds it
+    /// from the newest checkpoint plus the log behind that.
     ///
     /// # Errors
     ///
@@ -515,23 +512,25 @@ impl Session {
         Ok(())
     }
 
-    /// Publish the current partitioning as a new serving epoch and hand it
-    /// to the background checkpoint sink, with the WAL records it folds in
-    /// and the partitioner's state ([`Partitioner::encode_state`]); returns
-    /// the epoch sequence. First the log is cut: unless its current segment
-    /// is still empty, the next batch goes to a new segment starting at this
+    /// Checkpoint the current partitioning under the next epoch sequence,
+    /// and return it. First the log is cut: unless its current segment is
+    /// still empty, the next batch goes to a new segment starting at this
     /// checkpoint's record ([`Wal::rotate`]), so once the checkpoint and its
-    /// fallback are both past a segment the sink can delete it. The store is
-    /// frozen on this thread from the graph mirror [`Session::ingest_batch`]
-    /// keeps current, by one walk of its slots. The write happens off this
-    /// thread — [`Session::sync_durability`] blocks until it is on disk, the
-    /// segments it retires deleted.
+    /// fallback are both past a segment the sink can delete it. Then, on
+    /// this thread, the blobs are encoded straight from the graph mirror
+    /// [`Session::ingest_batch`] keeps current, laid out by the partitioner's
+    /// snapshot ([`CheckpointImage::from_graph`]: one walk of the mirror's
+    /// slots, no store frozen), and handed to the background checkpoint sink
+    /// with the WAL records they fold in and the partitioner's state
+    /// ([`Partitioner::encode_state`]). The write happens off this thread —
+    /// [`Session::sync_durability`] blocks until it is on disk, the segments
+    /// it retires deleted.
     ///
     /// # Errors
     ///
     /// Fails on sessions built without [`SessionBuilder::with_durability`],
     /// and when the new log segment cannot be created — then nothing is
-    /// published.
+    /// handed to the sink and the epoch does not advance.
     pub fn checkpoint(&mut self) -> SessionResult<u64> {
         let Some(durable) = self.durable.as_mut() else {
             return Err(SessionError::Durability(
@@ -541,24 +540,20 @@ impl Session {
         durable.wal.rotate()?;
         let snapshot = self.partitioner.snapshot();
         let state = self.partitioner.encode_state();
-        let epoch = durable
-            .epochs
-            .publish(ShardedStore::from_parts(&durable.graph, &snapshot));
-        // The session is the store's only publisher: this is the epoch just
-        // published, captured on this thread with its log position and state.
-        durable
-            .sink
-            .submit(durable.epochs.load(), durable.wal.records(), state);
-        Ok(epoch)
+        durable.epoch += 1;
+        let image = CheckpointImage::from_graph(&durable.graph, &snapshot, durable.epoch);
+        durable.sink.submit(image, durable.wal.records(), state);
+        Ok(durable.epoch)
     }
 
-    /// Block until every published epoch has been checkpointed to disk, and
+    /// Block until every checkpoint taken has been written to disk, and
     /// return the highest epoch written. Surfaces background write errors.
     ///
     /// # Errors
     ///
-    /// Fails on non-durable sessions, on checkpoint-write failures, and on
-    /// timeout.
+    /// Fails on non-durable sessions, on checkpoint-write failures
+    /// ([`StoreError::Io`] for a failed create, write or `fsync`), and on
+    /// timeout ([`StoreError::TimedOut`]).
     pub fn sync_durability(&self, timeout: Duration) -> SessionResult<u64> {
         let durable = self.durable.as_ref().ok_or_else(|| {
             SessionError::Durability(
@@ -783,15 +778,13 @@ impl Session {
             &root,
             wal,
             graph,
-            pinned,
             report.epoch_seq,
             partitioner.name(),
             builder.telemetry.as_ref(),
-        )?;
-        let store = durable.epochs.load();
+        );
         Ok(Recovered {
             session: builder.into_session(partitioner, Some(durable)),
-            store,
+            store: Arc::new(pinned.with_epoch(report.epoch_seq)),
             report,
             parts: OnceLock::new(),
             plans: OnceLock::new(),

@@ -29,7 +29,9 @@
 //!   checkpoint + log tail (or from the log alone), fed the rest of the
 //!   stream and checkpointed, leaves a root byte-identical to one that never
 //!   crashed;
-//! * **pruning** — a root holds its newest checkpoint and one fallback.
+//! * **pruning** — a root holds its newest checkpoint and one fallback;
+//! * **a write that fails** — is reported by `sync_durability` as the IO
+//!   error it was, not as corruption, and the next checkpoint goes through.
 
 use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE, PARTITIONER_BLOB,
@@ -1097,6 +1099,36 @@ fn fresh_root_recovers_to_an_empty_session() {
         .unwrap();
     assert_eq!(session.checkpoint().unwrap(), 1);
     assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_checkpoint_that_cannot_be_written_is_an_io_error_not_corruption() {
+    let root = tmproot("unwritable");
+    let graph = social_graph(60, 4);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    session
+        .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
+        .unwrap();
+    // A file where the checkpoint directory goes: creating it fails.
+    let checkpoints = root.join(CHECKPOINT_DIR);
+    std::fs::write(&checkpoints, b"in the way").unwrap();
+    assert_eq!(session.checkpoint().unwrap(), 1);
+    match session.sync_durability(Duration::from_secs(30)) {
+        Err(SessionError::Store(StoreError::Io { path, .. })) => assert_eq!(path, checkpoints),
+        other => panic!("expected an Io error, got {other:?}"),
+    }
+    // Once the way is clear the next checkpoint is written, and recovers.
+    std::fs::remove_file(&checkpoints).unwrap();
+    assert_eq!(session.checkpoint().unwrap(), 2);
+    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 2);
+    drop(session);
+    let recovered = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    assert_eq!(recovered.epoch_seq(), 2);
+    assert_eq!(recovered.store().live_vertex_count(), graph.vertex_count());
     std::fs::remove_dir_all(&root).unwrap();
 }
 

@@ -6,6 +6,8 @@
 //! partitioner completeness and balance, and TPSTry++ support monotonicity.
 
 use loom::loom_partition::window::{EdgePlacement, StreamWindow};
+use loom::loom_store::codec::{encode_shard, encode_tail};
+use loom::loom_store::CheckpointImage;
 use loom::prelude::*;
 use loom_graph::VertexId;
 use loom_motif::canonical::canonical_code;
@@ -691,6 +693,64 @@ proptest! {
                 prop_assert_eq!(observed(&*restored), observed(&*original), "{}", spec.name());
             }
         }
+    }
+
+    /// A checkpoint encoded from the graph mirror is the checkpoint of the
+    /// store frozen from it. A LOOM session's mirror (`LabelledGraph::apply`,
+    /// as the durable session applies each batch) and partitioner snapshot
+    /// are taken at every batch boundary of a stream with removals, relabels
+    /// and re-announced vertices — the empty session first, and with the
+    /// window holding vertices, so the tail is not empty — and at each one
+    /// `CheckpointImage::from_graph` must hold, for every shard and the
+    /// tail, exactly the bytes `encode_shard` / `encode_tail` write for
+    /// `ShardedStore::from_parts` of the same two, and the same epoch,
+    /// vertex and edge totals as `CheckpointImage::from_store`.
+    #[test]
+    fn mirror_images_equal_the_blobs_of_the_store_frozen_from_the_mirror(
+        seed in 0u64..1000,
+        churn in 0u8..2,
+        k in 2u32..5,
+        batch in 5usize..48,
+    ) {
+        let elements = restore_stream(seed, churn == 1, true);
+        let n = elements.iter().filter(|e| e.is_vertex()).count();
+        let tpstry = MotifMiner::default()
+            .mine(&DeletionChurnScenario::workload())
+            .expect("mines");
+        let spec = PartitionerSpec::Loom(LoomConfig::new(k, n).with_window_size(8));
+        let mut partitioner = loom_core::workload_registry(&tpstry)
+            .build(&spec)
+            .expect("builds");
+        let mut mirror = LabelledGraph::new();
+        let mut tails = 0;
+        for (epoch, next) in (1..).zip(elements.chunks(batch).map(Some).chain([None])) {
+            let snapshot = partitioner.snapshot();
+            let image = CheckpointImage::from_graph(&mirror, &snapshot, epoch);
+            let store = ShardedStore::from_parts(&mirror, &snapshot).with_epoch(epoch);
+            let frozen = CheckpointImage::from_store(&store);
+            prop_assert_eq!(image.shard_count(), k);
+            prop_assert_eq!(
+                (image.epoch_seq(), image.vertices(), image.edges()),
+                (frozen.epoch_seq(), frozen.vertices(), frozen.edges())
+            );
+            prop_assert_eq!(
+                (image.vertices(), image.edges()),
+                (mirror.vertex_count() as u64, mirror.edge_count() as u64)
+            );
+            for p in (0..k).map(PartitionId::new) {
+                let expected = encode_shard(&store, p).expect("in range");
+                prop_assert_eq!(image.shard(p), Some(expected.as_slice()), "shard {}", p);
+            }
+            prop_assert!(image.shard(PartitionId::new(k)).is_none());
+            prop_assert_eq!(image.tail(), encode_tail(&store).as_slice());
+            tails += usize::from(!store.unassigned_slice().is_empty());
+            let Some(b) = next else { break };
+            prop_assert_eq!(partitioner.ingest_batch(b), Ok(()));
+            for element in b {
+                mirror.apply(element);
+            }
+        }
+        prop_assert!(tails > 0, "the window never left a vertex unplaced");
     }
 }
 
