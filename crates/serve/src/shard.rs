@@ -314,24 +314,28 @@ impl<'g> PartitionMajor<'g> {
             })
     }
 
-    /// The slice `slot` names — shard `p`'s home vertices for `Some(p)`, the
-    /// unassigned tail for `None` — as its length and its vertices with
-    /// their labels and neighbours, in id order, which is the order the
-    /// arena lays them out in. `None` for an out-of-range partition.
-    pub fn slice(
-        &self,
-        slot: Option<PartitionId>,
-    ) -> Option<(usize, impl Iterator<Item = GraphRow<'g>> + '_)> {
+    /// Every vertex with its label and neighbours, in arena order — shard
+    /// 0's slice, …, shard `k − 1`'s, then the tail's, each in id order — by
+    /// one bucket pass; [`PartitionMajor::range`] says where each slice lies.
+    pub fn arena_rows(&self) -> Vec<GraphRow<'g>> {
+        let mut ordered = vec![(VertexId::new(0), Label::new(0), &[][..]); self.rows.len()];
+        for (row, _, pos) in self.placed() {
+            ordered[pos] = row;
+        }
+        ordered
+    }
+
+    /// The positions in [`PartitionMajor::arena_rows`] of the slice `slot`
+    /// names — shard `p`'s home vertices for `Some(p)`, the unassigned tail
+    /// for `None`. `None` for an out-of-range partition.
+    pub fn range(&self, slot: Option<PartitionId>) -> Option<Range<usize>> {
         let k = self.shard_count() as usize;
         let bucket = match slot {
             Some(p) if p.index() < k => p.index(),
             Some(_) => return None,
             None => k,
         };
-        let rows = self.rows.iter().zip(&self.buckets);
-        let members = rows.filter(move |&(_, &b)| b as usize == bucket);
-        let len = self.starts[bucket + 1] - self.starts[bucket];
-        Some((len, members.map(|(&row, _)| row)))
+        Some(self.starts[bucket]..self.starts[bucket + 1])
     }
 }
 

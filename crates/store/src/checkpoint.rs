@@ -51,8 +51,10 @@
 //!   manifest's. (5) Every shard and the tail are re-encoded from the loaded
 //!   store, each **in the format version its blob was read in** — a v1
 //!   blob's boundary, halo and label lists are derived from the arena for
-//!   the purpose — and must reproduce the manifest's checksums: the
-//!   bit-identity proof, the same for old roots and new.
+//!   the purpose — and must equal, byte for byte, the blob step (1) read
+//!   and checked against the manifest: the bit-identity proof, the same for
+//!   old roots and new. Each blob read is kept until its comparison, then
+//!   freed.
 //!
 //! Every failure is a [`StoreError::Corrupt`]. No `LabelledGraph` or
 //! `Partitioning` is built on the way: a caller that wants them
@@ -63,7 +65,7 @@
 //! the partitioner can decode it, and its proof — the restored partitioner
 //! must re-encode to the same bytes — is the restorer's to run.
 
-use crate::codec::{blob_crc, decode_blob, encode_layout, encode_slice, BLOB_VERSION};
+use crate::codec::{blob_crc, decode_blob, encode_rows, encode_slice, BlobHeader, BLOB_VERSION};
 use crate::error::{Result, StoreError};
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
@@ -243,11 +245,20 @@ impl CheckpointImage {
     /// The blobs of the arena [`ShardedStore::from_parts`] would freeze from
     /// `graph` and `partitioning`, sealed under `epoch_seq` — byte for byte,
     /// without freezing it: the rows are laid out in partition-major order
-    /// ([`PartitionMajor`]) and encoded as they are, ids and all.
+    /// ([`PartitionMajor`]) by one pass, and each slot's contiguous range of
+    /// them is encoded as it stands.
     pub fn from_graph(graph: &LabelledGraph, partitioning: &Partitioning, epoch_seq: u64) -> Self {
         let layout = PartitionMajor::new(graph, partitioning);
+        let rows = layout.arena_rows();
         let blobs = arena_slots(layout.shard_count())
-            .map(|slot| encode_layout(&layout, slot).expect("slot in range"))
+            .map(|slot| {
+                let range = layout.range(slot).expect("slot in range");
+                let header = BlobHeader {
+                    shard: slot.map(|p| p.0),
+                    version: BLOB_VERSION,
+                };
+                encode_rows(header, &rows[range])
+            })
             .collect();
         Self {
             epoch_seq,
@@ -546,10 +557,24 @@ fn blob_slot(name: &str, dir: &Path) -> Result<Option<u32>> {
 pub struct UnverifiedCheckpoint {
     dir: PathBuf,
     meta: CheckpointMeta,
-    /// The format version each arena blob was read in, in manifest order.
-    versions: Vec<u32>,
+    /// Every arena blob as read, in arena order: what the proof compares
+    /// the loaded store's re-encoding with.
+    blobs: Vec<ReadBlob>,
     arena: UncheckedArena,
     partitioner: Option<PartitionerBlob>,
+}
+
+/// One arena blob as [`read_checkpoint`] read it: size- and CRC-checked
+/// against the manifest, and decoded.
+#[derive(Debug)]
+struct ReadBlob {
+    /// Its file name, for error reports.
+    name: String,
+    /// The slot it fills: a shard, or the tail (`None`).
+    slot: Option<PartitionId>,
+    /// The format version it was read in — what its proof re-encodes in.
+    version: u32,
+    bytes: Vec<u8>,
 }
 
 /// Read the checkpoint in `dir` into the arena: the manifest is parsed and
@@ -562,16 +587,16 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     // Each of the `shards + 1` slots of the arena must be named once.
     let mut entries = Vec::with_capacity(meta.blobs.len());
     let mut state = None;
-    for (listed, entry) in meta.blobs.iter().enumerate() {
+    for entry in &meta.blobs {
         if entry.name == PARTITIONER_BLOB {
             state = Some(entry);
         } else {
-            entries.push((blob_slot(&entry.name, dir)?, listed, entry));
+            entries.push((blob_slot(&entry.name, dir)?, entry));
         }
     }
-    entries.sort_by_key(|(id, _, _)| id.map_or(u64::MAX, u64::from));
+    entries.sort_by_key(|(id, _)| id.map_or(u64::MAX, u64::from));
     let expected = (0..meta.shards).map(Some).chain([None]);
-    if !entries.iter().map(|(id, _, _)| *id).eq(expected) {
+    if !entries.iter().map(|(id, _)| *id).eq(expected) {
         return Err(StoreError::corrupt(
             dir,
             format!(
@@ -581,11 +606,11 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
         ));
     }
     let mut arena = ArenaLoader::new(meta.shards);
-    let mut versions = vec![0; meta.blobs.len()];
-    for (id, listed, entry) in entries {
+    let mut blobs = Vec::with_capacity(entries.len());
+    for (id, entry) in entries {
         let path = dir.join(&entry.name);
-        let raw = read_blob(&path, entry)?;
-        let header = decode_blob(&raw, &path, &mut arena)?;
+        let bytes = read_blob(&path, entry)?;
+        let header = decode_blob(&bytes, &path, &mut arena)?;
         if header.shard != id {
             return Err(StoreError::corrupt(
                 &path,
@@ -595,7 +620,12 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
                 ),
             ));
         }
-        versions[listed] = header.version;
+        blobs.push(ReadBlob {
+            name: entry.name.clone(),
+            slot: id.map(PartitionId::new),
+            version: header.version,
+            bytes,
+        });
     }
     let partitioner = match state {
         Some(entry) => {
@@ -611,7 +641,7 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     Ok(UnverifiedCheckpoint {
         dir: dir.to_path_buf(),
         meta,
-        versions,
+        blobs,
         arena,
         partitioner,
     })
@@ -636,12 +666,12 @@ impl UnverifiedCheckpoint {
     /// Prove what was read: the arena must pass
     /// [`ShardedStore::check_arena`], hold the manifest's vertex and edge
     /// totals, and re-encode — each blob in the version it was read in — to
-    /// every blob checksum the manifest recorded.
+    /// the bytes of every blob that was read.
     pub fn verify(self) -> Result<LoadedCheckpoint> {
         let Self {
             dir,
             meta,
-            versions,
+            blobs,
             arena,
             partitioner,
         } = self;
@@ -662,17 +692,16 @@ impl UnverifiedCheckpoint {
             ));
         }
         // Bit-identity proof: re-encoding the loaded store must reproduce
-        // every blob checksum the manifest recorded.
-        let arena_blobs = meta.blobs.iter().zip(&versions);
-        for (entry, &version) in arena_blobs.filter(|(entry, _)| entry.name != PARTITIONER_BLOB) {
-            let slot = blob_slot(&entry.name, &dir)?.map(PartitionId::new);
-            let bytes = encode_slice(&store, slot, version).ok_or_else(|| {
-                StoreError::corrupt(&dir, format!("blob {} out of range", entry.name))
+        // every blob that was read, byte for byte — and each read blob is
+        // freed as soon as it is compared.
+        for read in blobs {
+            let bytes = encode_slice(&store, read.slot, read.version).ok_or_else(|| {
+                StoreError::corrupt(&dir, format!("blob {} out of range", read.name))
             })?;
-            if blob_crc(&bytes) != entry.crc {
+            if bytes != read.bytes {
                 return Err(StoreError::corrupt(
                     &dir,
-                    format!("loaded store does not round-trip blob {}", entry.name),
+                    format!("loaded store does not round-trip blob {}", read.name),
                 ));
             }
         }
@@ -696,9 +725,10 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode_shard, encode_tail, BLOB_V1};
+    use crate::codec::{decode_rows, encode_shard, encode_tail, BlobRow, BLOB_V1, BLOB_V2};
     use loom_graph::generators::erdos_renyi::erdos_renyi;
     use loom_graph::generators::GeneratorConfig;
+    use loom_graph::VertexId;
 
     /// `store` stamped with `epoch`, as an image.
     fn image(store: &ShardedStore, epoch: u64) -> CheckpointImage {
@@ -839,9 +869,6 @@ mod tests {
         );
     }
 
-    /// One vertex record of a blob: id, label, neighbour ids.
-    type Record = (u64, u32, Vec<u64>);
-
     /// Replace blob `name` of the checkpoint in `dir` by `bytes` and reseal
     /// everything a checksum covers — the blob's size and CRC in the
     /// manifest, the manifest's own trailer — so only a structural check can
@@ -857,64 +884,64 @@ mod tests {
     }
 
     /// Rewrite blob `name` of the checkpoint in `dir` through `edit`, which
-    /// sees the shard id the blob claims and its vertex records, and reseal
-    /// it ([`replace_blob`]). Whatever follows the records (the derived
-    /// sections of a v1 blob) is kept verbatim.
-    fn tamper(dir: &Path, name: &str, edit: impl FnOnce(&mut u32, &mut Vec<Record>)) {
-        let raw = std::fs::read(dir.join(name)).unwrap();
-        let u32_at = |at: usize| u32::from_le_bytes(raw[at..at + 4].try_into().unwrap());
-        let u64_at = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
-        let mut id = u32_at(12);
-        let mut records = Vec::new();
-        let mut at = 24;
-        for _ in 0..u64_at(16) {
-            let degree = u32_at(at + 12) as usize;
-            let neighbours = (0..degree).map(|i| u64_at(at + 16 + 8 * i)).collect();
-            records.push((u64_at(at), u32_at(at + 8), neighbours));
-            at += 16 + 8 * degree;
-        }
-        edit(&mut id, &mut records);
-        let mut out = raw[..12].to_vec();
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-        for (v, label, neighbours) in &records {
-            out.extend_from_slice(&v.to_le_bytes());
-            out.extend_from_slice(&label.to_le_bytes());
-            out.extend_from_slice(&(neighbours.len() as u32).to_le_bytes());
-            for n in neighbours {
-                out.extend_from_slice(&n.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&raw[at..]);
-        replace_blob(dir, name, &out);
+    /// sees the blob's header and rows as the codec decodes them, re-encode
+    /// them in the version the header names and reseal the blob
+    /// ([`replace_blob`]).
+    fn tamper(dir: &Path, name: &str, edit: impl FnOnce(&mut BlobHeader, &mut Vec<BlobRow>)) {
+        let path = dir.join(name);
+        let raw = std::fs::read(&path).unwrap();
+        let (mut header, mut rows) = decode_rows(&raw, &path).unwrap();
+        edit(&mut header, &mut rows);
+        replace_blob(dir, name, &encode_rows(header, &rows));
     }
 
-    /// A root whose blobs are format v1, as every root written before v2 is:
-    /// `store` checkpointed, then each blob replaced by its v1 encoding.
-    fn v1_root(case: &str, store: &ShardedStore) -> (PathBuf, PathBuf) {
+    /// A checkpoint of `store` whose blobs are all format `version`, as a
+    /// binary that wrote `version` left it: `store` checkpointed, then each
+    /// blob replaced by its encoding in `version`. Returns the root and the
+    /// checkpoint's directory.
+    fn root_in(version: u32, case: &str, store: &ShardedStore) -> (PathBuf, PathBuf) {
         let root = tmproot(case);
         let meta = write_checkpoint(&root, store, 0, "loom").unwrap();
         let (dir, _, _) = latest_checkpoint(&root).unwrap().unwrap();
-        for entry in &meta.blobs {
-            let slot = blob_slot(&entry.name, &dir).unwrap().map(PartitionId::new);
-            let v1 = encode_slice(store, slot, BLOB_V1).unwrap();
-            assert!(v1.len() as u64 > entry.size, "v1 carries more than v2");
-            replace_blob(&dir, &entry.name, v1.as_slice());
+        if version != BLOB_VERSION {
+            for entry in &meta.blobs {
+                let slot = blob_slot(&entry.name, &dir).unwrap().map(PartitionId::new);
+                let old = encode_slice(store, slot, version).unwrap();
+                assert!(
+                    old.len() as u64 > entry.size,
+                    "v{version} carries more than v3"
+                );
+                replace_blob(&dir, &entry.name, old.as_slice());
+            }
         }
         (root, dir)
+    }
+
+    /// `loaded` encodes, shard by shard and then its tail, to the blobs
+    /// `store` encodes to.
+    fn assert_same_blobs(loaded: &ShardedStore, store: &ShardedStore) {
+        for p in (0..store.shard_count()).map(PartitionId::new) {
+            assert_eq!(encode_shard(loaded, p), encode_shard(store, p));
+        }
+        assert_eq!(encode_tail(loaded), encode_tail(store));
+    }
+
+    /// The detail of the `Corrupt` error loading `dir` fails with.
+    fn refusal(dir: &Path) -> String {
+        match load_checkpoint(dir) {
+            Err(StoreError::Corrupt { detail, .. }) => detail,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
     fn a_v1_root_loads_and_its_proof_keeps_its_teeth() {
         let (g, part) = fixture(19);
         let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
-        let (root, dir) = v1_root("v1-root", &store);
+        let (root, dir) = root_in(BLOB_V1, "v1-root", &store);
         let loaded = load_checkpoint(&dir).unwrap();
         assert_eq!(loaded.store.epoch(), 4);
-        for p in (0..store.shard_count()).map(PartitionId::new) {
-            assert_eq!(encode_shard(&loaded.store, p), encode_shard(&store, p));
-        }
-        assert_eq!(encode_tail(&loaded.store), encode_tail(&store));
+        assert_same_blobs(&loaded.store, &store);
         // The sections behind a v1 slice are still proven, not skipped: the
         // last id of shard 0's last label list, off by one, under checksums
         // that all hold.
@@ -923,12 +950,65 @@ mod tests {
         let last_id = raw.len() - 8;
         raw[last_id] ^= 0x01;
         replace_blob(&dir, "shard_0000.blob", &raw);
-        match load_checkpoint(&dir) {
-            Err(StoreError::Corrupt { detail, .. }) => {
-                assert!(detail.contains("does not round-trip blob shard_0000.blob"));
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
+        let detail = refusal(&dir);
+        assert!(detail.contains("does not round-trip blob shard_0000.blob"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_v2_root_loads_and_its_proof_keeps_its_teeth() {
+        let (g, part) = fixture(19);
+        let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
+        let (root, dir) = root_in(BLOB_V2, "v2-root", &store);
+        // It loads — so the proof re-encoded every blob in v2, the version
+        // it was read in: no v3 encoding equals a v2 file.
+        let loaded = load_checkpoint(&dir).unwrap();
+        assert_eq!(loaded.store.epoch(), 4);
+        assert_same_blobs(&loaded.store, &store);
+        // The first checkpoint after it writes v3.
+        write_checkpoint(&root, &loaded.store.clone().with_epoch(5), 0, "loom").unwrap();
+        let (next, meta, _) = latest_checkpoint(&root).unwrap().unwrap();
+        assert_eq!(meta.epoch_seq, 5);
+        for entry in &meta.blobs {
+            let path = next.join(&entry.name);
+            let (header, _) = decode_rows(&std::fs::read(&path).unwrap(), &path).unwrap();
+            assert_eq!(header.version, BLOB_VERSION, "{}", entry.name);
         }
+        assert_same_blobs(&load_checkpoint(&next).unwrap().store, &store);
+        // A flipped byte under checksums that all hold is refused: the high
+        // byte of shard 0's first neighbour id names a vertex no blob lists.
+        let blob = dir.join("shard_0000.blob");
+        let mut raw = std::fs::read(&blob).unwrap();
+        // Header, vertex count, then the first row's id, label and degree.
+        let first_neighbour = 16 + 8 + 16;
+        raw[first_neighbour + 7] ^= 0x80;
+        replace_blob(&dir, "shard_0000.blob", &raw);
+        let detail = refusal(&dir);
+        assert!(detail.contains("listed nowhere"), "{detail}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_v3_blob_that_decodes_but_is_not_what_its_writer_writes_fails_the_proof() {
+        let (g, part) = fixture(19);
+        let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
+        let (root, dir) = root_in(BLOB_VERSION, "v3-canonical", &store);
+        // Shard 0's first label as a two-byte varint: the same number, so the
+        // arena it loads into is sound, but not the bytes the encoder writes.
+        let blob = dir.join("shard_0000.blob");
+        let raw = std::fs::read(&blob).unwrap();
+        // Header, then one-byte varints: the vertex count and the first gap.
+        let label = 16 + 1 + 1;
+        assert!(raw[16..=label].iter().all(|&b| b < 0x80));
+        let mut padded = raw[..label].to_vec();
+        padded.extend_from_slice(&[raw[label] | 0x80, 0x00]);
+        padded.extend_from_slice(&raw[label + 1..]);
+        replace_blob(&dir, "shard_0000.blob", &padded);
+        let detail = refusal(&dir);
+        assert!(
+            detail.contains("does not round-trip blob shard_0000.blob"),
+            "{detail}"
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1001,87 +1081,97 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// Checkpoint `fixture(17)`, tamper one blob, and return what the loader
-    /// said — which must be `Corrupt`, never a panic.
+    /// Checkpoint `fixture(17)` with its blobs in `version`, tamper one
+    /// blob, and return what the loader said — which must be `Corrupt`,
+    /// never a panic.
     fn load_tampered(
+        version: u32,
         case: &str,
         name: &str,
-        edit: impl FnOnce(&mut u32, &mut Vec<Record>),
+        edit: impl FnOnce(&mut BlobHeader, &mut Vec<BlobRow>),
     ) -> String {
-        let root = tmproot(&format!("teeth-{case}"));
         let (g, part) = fixture(17);
         let store = ShardedStore::from_parts(&g, &part).with_epoch(1);
-        write_checkpoint(&root, &store, 0, "loom").unwrap();
-        let (dir, _, _) = latest_checkpoint(&root).unwrap().unwrap();
+        let (root, dir) = root_in(version, &format!("teeth-{case}-v{version}"), &store);
         load_checkpoint(&dir).expect("untampered checkpoint loads");
         tamper(&dir, name, edit);
-        let detail = match load_checkpoint(&dir) {
-            Err(StoreError::Corrupt { detail, .. }) => detail,
-            other => panic!("{case}: expected Corrupt, got {other:?}"),
-        };
+        let detail = refusal(&dir);
         std::fs::remove_dir_all(&root).unwrap();
         detail
     }
 
-    /// Index of the first record with at least two neighbours.
-    fn busy(records: &[Record]) -> usize {
-        records.iter().position(|r| r.2.len() >= 2).unwrap()
+    /// Index of the first row with at least two neighbours.
+    fn busy(rows: &[BlobRow]) -> usize {
+        rows.iter().position(|r| r.2.len() >= 2).unwrap()
     }
 
     #[test]
     fn structurally_broken_blobs_are_corrupt_even_with_valid_checksums() {
         let shard0 = "shard_0000.blob";
-        let detail = load_tampered("self-loop", shard0, |_, records| {
-            let i = busy(records);
-            let v = records[i].0;
-            records[i].2.push(v);
-        });
-        assert!(detail.contains("not a live neighbour"), "{detail}");
+        for version in [BLOB_VERSION, BLOB_V2] {
+            let detail = load_tampered(version, "self-loop", shard0, |_, rows| {
+                let i = busy(rows);
+                let v = rows[i].0;
+                rows[i].2.push(v);
+            });
+            assert!(
+                detail.contains("not a live neighbour"),
+                "v{version}: {detail}"
+            );
 
-        let detail = load_tampered("unknown", shard0, |_, records| {
-            let i = busy(records);
-            records[i].2.push(9_999_999);
-        });
-        assert!(detail.contains("listed nowhere"), "{detail}");
+            let detail = load_tampered(version, "unknown", shard0, |_, rows| {
+                let i = busy(rows);
+                rows[i].2.push(VertexId::new(9_999_999));
+            });
+            assert!(detail.contains("listed nowhere"), "v{version}: {detail}");
 
-        let detail = load_tampered("repeated", shard0, |_, records| {
-            let i = busy(records);
-            let again = records[i].2[0];
-            records[i].2.push(again);
-        });
-        assert!(detail.contains("strictly increasing"), "{detail}");
+            let detail = load_tampered(version, "repeated", shard0, |_, rows| {
+                let i = busy(rows);
+                let again = rows[i].2[0];
+                rows[i].2.push(again);
+            });
+            assert!(
+                detail.contains("strictly increasing"),
+                "v{version}: {detail}"
+            );
 
-        // Redirect one arc to a vertex that does not name this one back: the
-        // arc count is unchanged, only symmetry is broken.
-        let detail = load_tampered("one-sided", shard0, |_, records| {
-            let i = busy(records);
-            let (v, listed) = (records[i].0, records[i].2.clone());
-            let stranger = records
-                .iter()
-                .map(|r| r.0)
-                .find(|u| *u != v && !listed.contains(u))
-                .unwrap();
-            records[i].2[0] = stranger;
-        });
-        assert!(detail.contains("no reverse arc"), "{detail}");
+            // Redirect one arc to a vertex that does not name this one back:
+            // the arc count is unchanged, only symmetry is broken.
+            let detail = load_tampered(version, "one-sided", shard0, |_, rows| {
+                let i = busy(rows);
+                let (v, listed) = (rows[i].0, rows[i].2.clone());
+                let stranger = rows
+                    .iter()
+                    .map(|r| r.0)
+                    .find(|u| *u != v && !listed.contains(u))
+                    .unwrap();
+                rows[i].2[0] = stranger;
+            });
+            assert!(detail.contains("no reverse arc"), "v{version}: {detail}");
 
-        // The fixture's lowest vertex lives in shard 0; list it in shard 1 too.
-        let (g, _) = fixture(17);
-        let first = g.vertices_sorted()[0];
-        let copy: Record = (
-            first.raw(),
-            g.label(first).unwrap().raw(),
-            g.neighbors(first).iter().map(|n| n.raw()).collect(),
-        );
-        let detail = load_tampered("twice", "shard_0001.blob", |_, records| {
-            records.insert(0, copy);
-        });
-        assert!(detail.contains("listed twice"), "{detail}");
+            // The fixture's lowest vertex lives in shard 0; list it in shard 1
+            // too.
+            let (g, _) = fixture(17);
+            let first = g.vertices_sorted()[0];
+            let copy: BlobRow = (first, g.label(first).unwrap(), g.neighbors(first).to_vec());
+            let detail = load_tampered(version, "twice", "shard_0001.blob", |_, rows| {
+                rows.insert(0, copy);
+            });
+            assert!(detail.contains("listed twice"), "v{version}: {detail}");
 
-        let detail = load_tampered("misnamed", "shard_0001.blob", |id, _| *id = 2);
-        assert!(detail.contains("file name"), "{detail}");
+            let detail = load_tampered(version, "misnamed", "shard_0001.blob", |header, _| {
+                header.shard = Some(2);
+            });
+            assert!(detail.contains("file name"), "v{version}: {detail}");
 
-        let detail = load_tampered("unsorted", shard0, |_, records| records.swap(0, 1));
-        assert!(detail.contains("precedes"), "{detail}");
+            // Fixed-width rows out of id order reach the arena check; a v3
+            // slice cannot even spell them — its gaps only ascend.
+            let detail = load_tampered(version, "unsorted", shard0, |_, rows| rows.swap(0, 1));
+            let expected = match version {
+                BLOB_V2 => "precedes",
+                _ => "ids do not ascend",
+            };
+            assert!(detail.contains(expected), "v{version}: {detail}");
+        }
     }
 }

@@ -50,7 +50,8 @@
 //! ├── wal-00000000000000000212.log  the newest segment, appended to
 //! └── checkpoints/
 //!     ├── 0000000003/               wal_records 147: the fallback
-//!     │   ├── shard_0000.blob       CSR slice: ids, labels, adjacency
+//!     │   ├── shard_0000.blob       CSR slice: ids, labels, adjacency,
+//!     │   │                         gap-coded (blob format v3)
 //!     │   ├── shard_0001.blob
 //!     │   ├── tail.blob             unassigned arena tail
 //!     │   ├── partitioner.blob      the partitioner's window, counters, …

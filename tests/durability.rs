@@ -30,13 +30,17 @@
 //!   stream and checkpointed, leaves a root byte-identical to one that never
 //!   crashed;
 //! * **pruning** — a root holds its newest checkpoint and one fallback;
+//! * **an older blob format** — a root whose blobs a v2 writer left recovers
+//!   exactly as its v3 twin does, and its next checkpoint is written in v3;
 //! * **a write that fails** — is reported by `sync_durability` as the IO
 //!   error it was, not as corruption, and the next checkpoint goes through.
 
 use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE, PARTITIONER_BLOB,
 };
-use loom::loom_store::codec::{encode_shard, encode_tail};
+use loom::loom_store::codec::{
+    decode_rows, encode_rows, encode_shard, encode_tail, BlobHeader, BlobRow,
+};
 use loom::loom_store::{segments, StoreError, Wal, WAL_FILE};
 use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
@@ -1158,6 +1162,23 @@ fn replace_blob(dir: &Path, name: &str, bytes: &[u8]) {
     });
 }
 
+/// Rewrite every arena blob of the checkpoint in `dir` through `edit`, which
+/// sees each blob's file name and its header and rows as the codec decodes
+/// them, then re-encode it in the version its header names, manifest
+/// resealed.
+fn rewrite_blobs(dir: &Path, mut edit: impl FnMut(&str, &mut BlobHeader, &mut Vec<BlobRow>)) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        if !name.ends_with(".blob") || name == PARTITIONER_BLOB {
+            continue;
+        }
+        let (mut header, mut rows) = decode_rows(&std::fs::read(&path).unwrap(), &path).unwrap();
+        edit(&name, &mut header, &mut rows);
+        replace_blob(dir, &name, &encode_rows(header, &rows));
+    }
+}
+
 fn u32_at(bytes: &[u8], at: usize) -> usize {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
 }
@@ -1368,37 +1389,85 @@ fn a_bad_partitioner_blob_is_a_typed_error_and_the_root_is_untouched() {
         }
     }
 
-    // A buffered vertex the arena does not hold: the isolated vertex taken
-    // out of the tail blob (its record, its count and the manifest's total),
-    // which leaves a sound arena behind.
+    // A buffered vertex the arena does not hold: the isolated vertex's row
+    // taken out of the tail blob and the manifest's total, which leaves a
+    // sound arena behind — on the root as this binary wrote it (v3), and on
+    // the same root as a v2 writer would have left it.
     replace_blob(&dir, PARTITIONER_BLOB, &intact);
-    let tail = std::fs::read(dir.join("tail.blob")).unwrap();
-    let (mut at, count) = (24, u64_at(&tail, 16));
-    let mut kept = tail[..24].to_vec();
-    for _ in 0..count {
-        let len = 16 + 8 * u32_at(&tail, at + 12);
-        if u64_at(&tail, at) != isolated.raw() as usize {
-            kept.extend_from_slice(&tail[at..at + len]);
+    let written = root_image(&root);
+    for version in [3, 2] {
+        for (path, bytes) in &written {
+            std::fs::write(path, bytes).unwrap();
         }
-        at += len;
+        rewrite_blobs(&dir, |name, header, rows| {
+            header.version = version;
+            if name == "tail.blob" {
+                let before = rows.len();
+                rows.retain(|row| row.0 != isolated);
+                assert_eq!(rows.len(), before - 1, "the tail holds {isolated}");
+            }
+        });
+        reseal_manifest(&dir, |lines| {
+            let fewer = |line: String| match line.strip_prefix("vertices ") {
+                Some(n) => format!("vertices {}", n.parse::<u64>().unwrap() - 1),
+                None => line,
+            };
+            lines.into_iter().map(fewer).collect()
+        });
+        let detail = corrupt(&intact);
+        assert!(
+            detail.contains(&format!(
+                "buffered vertex {isolated} is neither placed nor in the tail"
+            )),
+            "v{version}: {detail}"
+        );
     }
-    kept[16..24].copy_from_slice(&(count as u64 - 1).to_le_bytes());
-    replace_blob(&dir, "tail.blob", &kept);
-    reseal_manifest(&dir, |lines| {
-        let fewer = |line: String| match line.strip_prefix("vertices ") {
-            Some(n) => format!("vertices {}", n.parse::<u64>().unwrap() - 1),
-            None => line,
-        };
-        lines.into_iter().map(fewer).collect()
-    });
-    let detail = corrupt(&intact);
-    assert!(
-        detail.contains(&format!(
-            "buffered vertex {isolated} is neither placed nor in the tail"
-        )),
-        "{detail}"
-    );
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_v2_root_recovers_as_its_v3_twin_and_checkpoints_in_v3() {
+    let graph = social_graph(60, 47);
+    let isolated = VertexId::new(1_000_000);
+    let roots = [tmproot("twin-v3"), tmproot("twin-v2")];
+    let dirs = roots
+        .each_ref()
+        .map(|root| crashed_loom_root(root, &graph, isolated));
+    assert_eq!(relative_image(&roots[0]), relative_image(&roots[1]));
+    // The second root as a binary that wrote blob format v2 left it.
+    rewrite_blobs(&dirs[1], |_, header, _| header.version = 2);
+    assert_ne!(relative_image(&roots[0]), relative_image(&roots[1]));
+
+    let mut recovered = Vec::new();
+    for root in &roots {
+        let mut twin = loom_builder(&graph)
+            .with_durability(root)
+            .recover()
+            .unwrap();
+        let epoch = twin.session_mut().checkpoint().unwrap();
+        twin.session_mut()
+            .sync_durability(Duration::from_secs(30))
+            .unwrap();
+        let newest = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
+        recovered.push((twin, relative_image(&newest)));
+    }
+    let ((v3, v3_next), (v2, v2_next)) = (&recovered[0], &recovered[1]);
+    assert_eq!(v2.report(), v3.report());
+    assert_bit_identical(v2.store(), v3.store());
+    // The checkpoint after the v2 root is the one after its v3 twin, blob
+    // for blob — and v3.
+    assert_eq!(v2_next, v3_next);
+    for (name, bytes) in v2_next {
+        let name = name.to_str().unwrap();
+        if name.ends_with(".blob") && name != PARTITIONER_BLOB {
+            let (header, _) = decode_rows(bytes, Path::new(name)).unwrap();
+            assert_eq!(header.version, 3, "{name}");
+        }
+    }
+    drop(recovered);
+    for root in &roots {
+        std::fs::remove_dir_all(root).unwrap();
+    }
 }
 
 #[test]
