@@ -430,7 +430,7 @@ impl LabelledGraph {
     }
 
     /// The live slots, in slot order.
-    fn adjacency(&self) -> impl Iterator<Item = (VertexId, Label, &[VertexId])> + '_ {
+    pub(crate) fn adjacency(&self) -> impl Iterator<Item = (VertexId, Label, &[VertexId])> + '_ {
         self.slots
             .iter()
             .filter(|slot| slot.live)

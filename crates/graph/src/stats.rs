@@ -26,8 +26,9 @@ pub struct DegreeStats {
 }
 
 /// Compute degree distribution statistics (all zeros for an empty graph).
+/// Each degree is read off the slot walk, not probed for by id.
 pub fn degree_stats(graph: &LabelledGraph) -> DegreeStats {
-    let mut degrees: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
+    let mut degrees: Vec<usize> = graph.adjacency().map(|(_, _, ns)| ns.len()).collect();
     if degrees.is_empty() {
         return DegreeStats {
             min: 0,
@@ -56,8 +57,8 @@ pub fn degree_stats(graph: &LabelledGraph) -> DegreeStats {
 /// Histogram of degrees: `histogram[d]` = number of vertices with degree `d`.
 pub fn degree_histogram(graph: &LabelledGraph) -> Vec<usize> {
     let mut histogram = vec![0usize; graph.max_degree() + 1];
-    for v in graph.vertices() {
-        histogram[graph.degree(v)] += 1;
+    for (_, _, neighbours) in graph.adjacency() {
+        histogram[neighbours.len()] += 1;
     }
     histogram
 }

@@ -17,8 +17,9 @@
 //! migration or checkpoint pays for a list nobody reads.
 //!
 //! The arena lives entirely in **position space**: a vertex is named by its
-//! `u32` position in the partition-major order, adjacency is stored as
-//! positions, and one packed 16-byte record per position carries everything
+//! `u32` position in the partition-major order, adjacency is stored once, as
+//! positions in traversal order (membership scans the shorter of two live
+//! slices), and one packed 16-byte record per position carries everything
 //! the matcher asks about a candidate (label, home partition or tombstone,
 //! adjacency offset, live degree). The store implements [`PatternStore`]
 //! with `Handle = u32` and its label index holds positions, so a query's
@@ -70,8 +71,8 @@ struct Slot {
     label: Label,
     /// Home partition index, [`UNASSIGNED`] or [`DEAD`].
     home: u32,
-    /// Start of the position's adjacency slice in both arenas; the slice
-    /// physically ends where the next slot's begins.
+    /// Start of the position's adjacency slice in the arena and its tags;
+    /// the slice physically ends where the next slot's begins.
     offset: u32,
     /// Live adjacency length: `offset..offset + live` is the live
     /// neighbourhood, the rest of the physical slice is tombstoned tail.
@@ -209,10 +210,6 @@ pub struct ShardedStore {
     /// One [`arc_tag`] per entry of `targets`, index for index: what the
     /// expansion loop streams instead of reading each target's slot.
     tags: Vec<u8>,
-    /// The same adjacency with each live prefix sorted by position, for
-    /// O(log d) edge-membership checks (untagged: a membership check has
-    /// already chosen its candidate).
-    targets_sorted: Vec<u32>,
     /// The label index, in handle space: label → positions of the *live*
     /// vertices carrying it, ordered by vertex id (enumeration order), not
     /// by position.
@@ -396,9 +393,9 @@ impl ShardedStore {
 
     /// The tail every from-scratch build shares ([`ShardedStore::from_parts`]
     /// and the checkpoint loader's [`ArenaLoader::finish`]): close the slot
-    /// array, derive the arc tags and the sorted arena, and count each
-    /// shard's labels. `slots[..n]` carry label, home, offset and live
-    /// degree; `starts` holds the `k + 1` shard boundaries.
+    /// array, derive the arc tags and count each shard's labels.
+    /// `slots[..n]` carry label, home, offset and live degree; `starts`
+    /// holds the `k + 1` shard boundaries.
     fn assemble(
         order: Vec<VertexId>,
         position_of: FxHashMap<VertexId, u32>,
@@ -412,10 +409,6 @@ impl ShardedStore {
         let k = starts.len() - 1;
         slots[n] = end_slot(targets.len());
         let tags = arc_tags(&slots, &targets);
-        let mut targets_sorted = targets.clone();
-        for slot in &slots[..n] {
-            targets_sorted[slot.live_range()].sort_unstable();
-        }
         let shards = (0..k)
             .map(|p| Shard::counted(p, starts[p]..starts[p + 1], &slots))
             .collect();
@@ -425,7 +418,6 @@ impl ShardedStore {
             slots,
             targets,
             tags,
-            targets_sorted,
             by_label,
             dead_vertices: vec![0; k],
             dead_slots: vec![0; k],
@@ -481,7 +473,7 @@ impl ShardedStore {
     }
 
     /// Apply a bounded batch of vertex moves *incrementally*: the adjacency
-    /// arenas are copied slice-by-slice in the new partition-major order and
+    /// arena is copied slice-by-slice in the new partition-major order and
     /// renamed through an old → new position array (no graph lookups, no
     /// hash probes), and only the shards a move actually touched — the
     /// sources and targets — get their label counts retaken. Every other
@@ -594,7 +586,6 @@ impl ShardedStore {
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(from.len() + 1);
         let mut targets: Vec<u32> = Vec::with_capacity(self.targets.len());
-        let mut targets_sorted: Vec<u32> = Vec::with_capacity(self.targets.len());
         let mut tags: Vec<u8> = Vec::with_capacity(self.targets.len());
         // New positions of the live vertices whose home changes.
         let mut moved: Vec<usize> = Vec::new();
@@ -607,14 +598,9 @@ impl ShardedStore {
             let rename = |&q: &u32| renamed[q as usize];
             targets.extend(self.targets[slot.live_range()].iter().map(rename));
             tags.extend_from_slice(&self.tags[slot.live_range()]);
-            targets_sorted.extend(self.targets_sorted[slot.live_range()].iter().map(rename));
-            // Renaming keeps the relative order of everything but migrated
-            // vertices, so this is a linear pass over an all-but-sorted slice.
-            targets_sorted[start..].sort_unstable();
             if keep_tail {
                 let physical = (self.slots[old as usize + 1].offset - slot.offset) as usize;
                 targets.resize(start + physical, VACANT);
-                targets_sorted.resize(start + physical, VACANT);
                 tags.resize(start + physical, 0);
             }
             let home = if slot.home == DEAD { DEAD } else { home };
@@ -685,7 +671,6 @@ impl ShardedStore {
             slots,
             targets,
             tags,
-            targets_sorted,
             by_label,
             dead_vertices,
             dead_slots,
@@ -709,11 +694,10 @@ impl ShardedStore {
     }
 
     /// Tombstone the directed occurrence of position `to` in `from`'s
-    /// adjacency: shift it out of the live prefix of the traversal-ordered
-    /// arena, of its tags and of the sorted arena (preserving the relative
-    /// order of the survivors, which is what keeps match-limited metrics
-    /// identical to a from-scratch build of the mutated graph) and grow the
-    /// owning shard's dead-slot count.
+    /// adjacency: shift it out of the live prefix of the arena and of its
+    /// tags (preserving the relative order of the survivors, which is what
+    /// keeps match-limited metrics identical to a from-scratch build of the
+    /// mutated graph) and grow the owning shard's dead-slot count.
     fn tombstone_arc(&mut self, from: usize, to: u32) -> bool {
         let live = self.live_range(from);
         let Some(arc) = arc_at(&self.slots, &self.targets, from, to) else {
@@ -721,9 +705,6 @@ impl ShardedStore {
         };
         self.targets[arc..live.end].rotate_left(1);
         self.tags[arc..live.end].rotate_left(1);
-        if let Ok(sorted_occ) = self.targets_sorted[live.clone()].binary_search(&to) {
-            self.targets_sorted[live.start + sorted_occ..live.end].rotate_left(1);
-        }
         self.slots[from].live -= 1;
         let p = self.slots[from].home;
         if p < DEAD {
@@ -1125,13 +1106,13 @@ impl ShardedStore {
     /// `debug_assertions`; tests call it after each operation.
     ///
     /// * `order`, `position_of` and `slots` describe the same vertices;
-    /// * slot offsets tile the arenas and every live prefix fits its
-    ///   physical slice;
-    /// * a live adjacency slot names a live position, never its own, and the
-    ///   named vertex names this one back (undirected edges are stored
-    ///   twice, and tombstoned twice);
-    /// * each live prefix of the sorted arena is strictly increasing and
-    ///   holds exactly the positions of the traversal-ordered prefix;
+    /// * slot offsets tile the arena and its tags, and every live prefix
+    ///   fits its physical slice;
+    /// * a live adjacency slot names a live position, never its own;
+    /// * no live prefix names a position twice, and the named vertex names
+    ///   this one back (undirected edges are stored twice, and tombstoned
+    ///   twice): both read off a counting-sort transpose of the live arcs,
+    ///   where each position's sources ascend — O(arcs · log d) in all;
     /// * every live arc's tag holds the low seven bits of its target's label
     ///   and whether its endpoints have different homes;
     /// * every label list holds live positions carrying that label, in
@@ -1141,6 +1122,12 @@ impl ShardedStore {
     ///   unassigned tail are in strictly ascending id order, and the
     ///   per-shard tombstone counters and label counts equal a recount.
     pub fn check_arena(&self) -> Result<(), String> {
+        self.check_arena_in(Vec::new())
+    }
+
+    /// [`ShardedStore::check_arena`] with its transpose laid into `scratch`,
+    /// which [`ArenaLoader::finish`] reserves on the thread that builds.
+    fn check_arena_in(&self, mut scratch: Vec<u32>) -> Result<(), String> {
         let n = self.order.len();
         if self.slots.len() != n + 1 || self.position_of.len() != n {
             return Err(format!(
@@ -1150,12 +1137,16 @@ impl ShardedStore {
             ));
         }
         if self.slots[n].offset as usize != self.targets.len()
-            || self.targets.len() != self.targets_sorted.len()
             || self.targets.len() != self.tags.len()
         {
-            return Err("closing slot does not bound the arenas and the tags".into());
+            return Err("closing slot does not bound the arena and the tags".into());
         }
-        let mut arcs = 0usize;
+        // The transpose of the live arcs (at most the arena): `q`'s sources
+        // will be `sources[heads[q]..heads[q + 1]]`. Counted at `q + 2`, so
+        // that placing uses `heads[q + 1]` as `q`'s cursor.
+        scratch.clear();
+        scratch.resize(n + 2 + self.targets.len(), 0);
+        let (heads, sources) = scratch.split_at_mut(n + 2);
         for pos in 0..n {
             let slot = self.slots[pos];
             if self.position_of.get(&self.order[pos]) != Some(&(pos as u32)) {
@@ -1169,10 +1160,6 @@ impl ShardedStore {
                 return Err(format!("tombstoned {pos} keeps live adjacency"));
             }
             let live = &self.targets[slot.live_range()];
-            let sorted = &self.targets_sorted[slot.live_range()];
-            if !sorted.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("sorted prefix of {pos} is not strictly increasing"));
-            }
             for (&q, &tag) in live.iter().zip(&self.tags[slot.live_range()]) {
                 if q as usize >= n || q as usize == pos || self.slots[q as usize].home == DEAD {
                     return Err(format!("{pos} names {q}, which is not a live neighbour"));
@@ -1184,14 +1171,32 @@ impl ShardedStore {
                 if (tag & 1 != 0) != crosses(slot, to) {
                     return Err(format!("remote bit of arc {pos} → {q} is wrong"));
                 }
-                if sorted.binary_search(&q).is_err() {
-                    return Err(format!("sorted prefix of {pos} misses {q}"));
-                }
-                if !self.adjacent(q, pos as u32) {
+                heads[q as usize + 2] += 1;
+            }
+        }
+        for q in 2..heads.len() {
+            heads[q] += heads[q - 1];
+        }
+        let arcs = heads[n + 1] as usize;
+        // Positions are visited in order, so each one's sources come out
+        // ascending.
+        for pos in 0..n {
+            for &q in &self.targets[self.slots[pos].live_range()] {
+                let cursor = &mut heads[q as usize + 1];
+                sources[*cursor as usize] = pos as u32;
+                *cursor += 1;
+            }
+        }
+        for pos in 0..n {
+            let named_by = &sources[heads[pos] as usize..heads[pos + 1] as usize];
+            if let Some(w) = named_by.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!("{} names {pos} twice: a repeated neighbour", w[0]));
+            }
+            for &q in &self.targets[self.slots[pos].live_range()] {
+                if named_by.binary_search(&q).is_err() {
                     return Err(format!("arc {pos} → {q} has no reverse arc"));
                 }
             }
-            arcs += live.len();
         }
         if arcs != 2 * self.edge_count {
             return Err(format!("{arcs} live arcs for {} edges", self.edge_count));
@@ -1311,9 +1316,9 @@ impl ArenaLoader {
         });
     }
 
-    /// Freeze what was appended (epoch 0). Building allocates and checking
-    /// does not, so the two are separate steps a caller may run on separate
-    /// threads.
+    /// Freeze what was appended (epoch 0). Building allocates — the check's
+    /// scratch included, reserved here — and checking does not, so the two
+    /// are separate steps a caller may run on separate threads.
     ///
     /// # Errors
     ///
@@ -1390,7 +1395,8 @@ impl ArenaLoader {
             by_label,
             edge_count,
         );
-        Ok(UncheckedArena(store))
+        let scratch = Vec::with_capacity(n + 2 + store.targets.len());
+        Ok(UncheckedArena { store, scratch })
     }
 }
 
@@ -1398,7 +1404,11 @@ impl ArenaLoader {
 /// yet shown to be sound. It answers nothing; [`UncheckedArena::check`] is
 /// the only way on.
 #[derive(Debug)]
-pub struct UncheckedArena(ShardedStore);
+pub struct UncheckedArena {
+    store: ShardedStore,
+    /// Room for the check's transpose, reserved by the building thread.
+    scratch: Vec<u32>,
+}
 
 impl UncheckedArena {
     /// Run [`ShardedStore::check_arena`] and release the store if it holds.
@@ -1408,8 +1418,8 @@ impl UncheckedArena {
     /// Names the invariant that fails: a self-loop, a repeated neighbour, an
     /// edge only one endpoint lists, a slice out of id order.
     pub fn check(self) -> Result<ShardedStore, String> {
-        self.0.check_arena()?;
-        Ok(self.0)
+        self.store.check_arena_in(self.scratch)?;
+        Ok(self.store)
     }
 }
 
@@ -1571,11 +1581,15 @@ impl PatternStore for ShardedStore {
         self.slots[h as usize].live as usize
     }
 
+    /// A scan of the shorter live slice: the edge is stored at both ends.
     #[inline]
     fn adjacent(&self, a: u32, b: u32) -> bool {
-        self.targets_sorted[self.slots[a as usize].live_range()]
-            .binary_search(&b)
-            .is_ok()
+        let (sa, sb) = (self.slots[a as usize], self.slots[b as usize]);
+        if sa.live <= sb.live {
+            self.targets[sa.live_range()].contains(&b)
+        } else {
+            self.targets[sb.live_range()].contains(&a)
+        }
     }
 
     fn handles_with_label(&self, label: Label) -> &[u32] {
@@ -1998,18 +2012,24 @@ mod tests {
         assert!(lopsided.tombstone_arc(p3 as usize, p4));
         assert!(lopsided.check_arena().unwrap_err().contains("reverse arc"));
 
-        // The sorted arena out of step with the traversal-ordered one.
-        let mut unsorted = store.clone();
-        let live = unsorted.live_range(p4 as usize);
-        unsorted.targets_sorted[live.clone()].reverse();
-        assert!(unsorted
-            .check_arena()
-            .unwrap_err()
-            .contains("strictly increasing"));
+        // A repeated neighbour: the slot 3's arc to 2 leaves when the edge
+        // goes is revived as a second arc to 4.
+        let (source, target) = (vs[2], vs[3]);
+        let cut = [loom_graph::StreamElement::RemoveEdge { source, target }];
+        let mut repeated = store.apply_mutations(&cut).store;
+        let live = repeated.live_range(p3 as usize);
+        repeated.targets[live.end] = p4;
+        repeated.tags[live.end] = repeated.tags[live.start];
+        repeated.slots[p3 as usize].live += 1;
+        let err = repeated.check_arena().unwrap_err();
+        assert!(
+            err.contains("3 names 4 twice: a repeated neighbour"),
+            "{err}"
+        );
 
         // A hop that changed sides without anybody moving.
         let mut flipped = store.clone();
-        flipped.tags[live.start] ^= 1;
+        flipped.tags[store.live_range(p4 as usize).start] ^= 1;
         assert!(flipped.check_arena().unwrap_err().contains("remote bit"));
 
         // A slot edited by hand: its neighbours' tags still show the old label.

@@ -5,10 +5,9 @@
 //! vertex live, what are its neighbours, and does following a given edge stay
 //! on the same partition or cross to another one?
 //!
-//! The per-partition and per-label vertex indexes are built **once** at
-//! construction — [`PartitionedStore::vertices_in`] and
-//! [`PartitionedStore::vertices_with_label`] return slices into them, because
-//! both sit on the query router's hot path (every rooted query starts with a
+//! The per-label vertex index is built **once** at construction —
+//! [`PartitionedStore::vertices_with_label`] returns slices into it, because
+//! it sits on the query router's hot path (every rooted query starts with a
 //! label-index lookup).
 
 use crate::matcher::{PatternStore, TaggedArc};
@@ -21,8 +20,6 @@ use loom_partition::partition::{PartitionId, Partitioning};
 pub struct PartitionedStore {
     graph: LabelledGraph,
     partitioning: Partitioning,
-    /// Partition index → vertices hosted there, sorted by id.
-    by_partition: Vec<Vec<VertexId>>,
     /// Label → vertices carrying it, sorted by id (the "label index" a graph
     /// database would consult to seed a query).
     by_label: FxHashMap<Label, Vec<VertexId>>,
@@ -33,16 +30,9 @@ impl PartitionedStore {
     /// assignment are tolerated (they count as "remote to everyone"), which
     /// lets callers inspect partial/streaming states too.
     ///
-    /// Construction materialises the per-partition and per-label indexes so
-    /// every later lookup is a slice borrow.
+    /// Construction materialises the per-label index so every later lookup
+    /// is a slice borrow.
     pub fn new(graph: LabelledGraph, partitioning: Partitioning) -> Self {
-        let mut by_partition: Vec<Vec<VertexId>> = vec![Vec::new(); partitioning.k() as usize];
-        for (v, p) in partitioning.assignments() {
-            by_partition[p.index()].push(v);
-        }
-        for members in &mut by_partition {
-            members.sort_unstable();
-        }
         let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
         for (v, l) in graph.labelled_vertices() {
             by_label.entry(l).or_default().push(v);
@@ -53,7 +43,6 @@ impl PartitionedStore {
         Self {
             graph,
             partitioning,
-            by_partition,
             by_label,
         }
     }
@@ -97,15 +86,6 @@ impl PartitionedStore {
         }
     }
 
-    /// Vertices hosted by a partition (sorted by id). A slice into the index
-    /// built at construction — no per-call allocation.
-    pub fn vertices_in(&self, p: PartitionId) -> &[VertexId] {
-        self.by_partition
-            .get(p.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// All vertices carrying a label, sorted by id. A slice into the label
     /// index built at construction — no per-call allocation.
     pub fn vertices_with_label(&self, label: Label) -> &[VertexId] {
@@ -115,7 +95,7 @@ impl PartitionedStore {
 
 /// The hash-map store names vertices by their id: resolving a root is one
 /// presence check and the search then asks the graph directly, so building
-/// the sequential reference path costs nothing beyond the two indexes above.
+/// the sequential reference path costs nothing beyond the label index above.
 impl PatternStore for PartitionedStore {
     type Handle = VertexId;
 
@@ -183,7 +163,6 @@ mod tests {
         assert_eq!(s.partition_of(vs[3]), None);
         assert_eq!(s.label(vs[1]), Some(Label::new(1)));
         assert_eq!(s.neighbors(vs[0]), &[vs[1]]);
-        assert_eq!(s.vertices_in(PartitionId::new(0)), &[vs[0], vs[1]]);
     }
 
     #[test]
@@ -208,11 +187,5 @@ mod tests {
             s.vertices_with_label(Label::new(0)).as_ptr(),
             with_a.as_ptr()
         );
-    }
-
-    #[test]
-    fn out_of_range_partition_lookup_is_empty() {
-        let s = store();
-        assert!(s.vertices_in(PartitionId::new(7)).is_empty());
     }
 }

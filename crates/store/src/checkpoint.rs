@@ -41,13 +41,17 @@
 //!   in id order, then the tail, which is the arena's own order — into an
 //!   [`ArenaLoader`], with every count bounded by the bytes behind it and
 //!   the shard id a blob claims checked against its file name.
-//!   (2) [`ArenaLoader::finish`] renames adjacency to positions and derives
-//!   the arc tags, the sorted arena and each shard's label counts; a vertex
-//!   listed twice or a neighbour no blob lists fails here.
-//! * [`UnverifiedCheckpoint::verify`] — the half that only reads.
-//!   (3) [`ShardedStore::check_arena`] over the whole arena: a self-loop, a
-//!   repeated neighbour, an edge only one endpoint lists, a slice out of id
-//!   order all fail here. (4) The vertex and edge totals must equal the
+//!   (2) [`ArenaLoader::finish`] renames adjacency to positions, derives
+//!   the arc tags and each shard's label counts, and reserves the room step
+//!   (3) sorts into; a vertex listed twice or a neighbour no blob lists
+//!   fails here.
+//! * [`UnverifiedCheckpoint::verify`] — the half that only reads the arena.
+//!   (3) [`ShardedStore::check_arena`] over the whole arena: a self-loop
+//!   fails its pass over the arcs and a slice out of id order its pass over
+//!   the shards; a repeated neighbour (one position among a vertex's
+//!   sources twice) and an edge only one endpoint lists (an arc missing
+//!   from its target's sources) fail its pass over the transpose it
+//!   counting-sorts the live arcs into. (4) The vertex and edge totals must equal the
 //!   manifest's. (5) Every shard and the tail are re-encoded from the loaded
 //!   store, each **in the format version its blob was read in** — a v1
 //!   blob's boundary, halo and label lists are derived from the arena for
@@ -1131,7 +1135,7 @@ mod tests {
                 rows[i].2.push(again);
             });
             assert!(
-                detail.contains("strictly increasing"),
+                detail.contains("a repeated neighbour"),
                 "v{version}: {detail}"
             );
 

@@ -276,7 +276,8 @@ pub type BlobRow = (VertexId, Label, Vec<VertexId>);
 /// The blob `header` describes, holding `rows` in the order given: what
 /// [`decode_rows`] read back, or a graph's rows in
 /// [`PartitionMajor`](loom_serve::shard::PartitionMajor) arena order — byte
-/// for byte what [`encode_slice`] writes for the same slot of the store
+/// for byte what [`encode_shard`] or [`encode_tail`] writes (under a
+/// current-version header) for the same slot of the store
 /// [`ShardedStore::from_parts`] freezes from the same graph and
 /// partitioning.
 ///
