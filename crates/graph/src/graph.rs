@@ -180,9 +180,15 @@ impl LabelledGraph {
     /// edge in both endpoints' lists — what a sound CSR arena holds. Nothing
     /// is checked and nothing is sorted: one map insert and one block copy
     /// per vertex, through one scratch buffer. `vertices` and `edges` size
-    /// the slab up front. Lists that break the promise build a graph that
-    /// breaks its own invariants, so input nobody has proven goes through
-    /// the validating constructor instead.
+    /// the slab up front.
+    ///
+    /// Lists that break the promise — a self-loop, a repeated neighbour, an
+    /// edge one endpoint lists — build a graph that breaks its own
+    /// invariants, but building it, and [`LabelledGraph::apply`] on it,
+    /// never panics. Recovery builds its mirror this way from an arena whose
+    /// proof is still running, and such output is only ever discarded: it
+    /// leaves recovery only beside a proven arena. Input nobody will prove
+    /// goes through the validating constructor instead.
     pub fn from_proven_lists<I, N>(vertices: usize, edges: usize, lists: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, Label, N)>,
@@ -314,7 +320,9 @@ impl LabelledGraph {
             return false;
         }
         self.lists.retain_ne(&mut self.slots[sb].adjacency, a);
-        self.edge_count -= 1;
+        // Saturating, for a graph built from unproven lists (see
+        // `from_proven_lists`), whose count may undercount its arcs.
+        self.edge_count = self.edge_count.saturating_sub(1);
         true
     }
 
@@ -326,11 +334,15 @@ impl LabelledGraph {
         };
         let adjacency = self.slots[s].adjacency;
         for i in 0..adjacency.len() {
+            // A neighbour is always live — except in a graph built from
+            // unproven lists (see `from_proven_lists`), where `v` may name
+            // itself or a vertex removed without naming it back.
             let n = self.lists.item(adjacency, i);
-            let neighbour = &mut self.slots[self.slot_of[&n]];
-            self.lists.retain_ne(&mut neighbour.adjacency, v);
+            if let Some(&sn) = self.slot_of.get(&n) {
+                self.lists.retain_ne(&mut self.slots[sn].adjacency, v);
+            }
         }
-        self.edge_count -= adjacency.len();
+        self.edge_count = self.edge_count.saturating_sub(adjacency.len());
         self.lists.release(adjacency);
         self.slots[s].live = false;
         self.free_slots.push(s);
@@ -785,6 +797,75 @@ mod tests {
                 ]),
                 Err(GraphError::Parse { .. })
             ));
+        }
+    }
+
+    #[test]
+    fn the_trusting_builder_does_not_panic_on_unproven_lists() {
+        let v = |i: u64| VertexId::new(i);
+        let l = Label::new(0);
+        // What the validating door refuses, the trusting one builds — and
+        // the graph it builds takes every kind of element, in either order
+        // of removal, without panicking: it is discarded, never read.
+        let cases = [
+            (
+                "self-loop",
+                vec![(v(0), l, vec![v(0), v(1)]), (v(1), l, vec![v(0)])],
+            ),
+            (
+                "repeated neighbour",
+                vec![(v(0), l, vec![v(1), v(1)]), (v(1), l, vec![v(0)])],
+            ),
+            (
+                "one-sided edge",
+                vec![(v(0), l, vec![v(1)]), (v(1), l, vec![]), (v(2), l, vec![])],
+            ),
+        ];
+        for (case, lists) in cases {
+            assert!(
+                LabelledGraph::from_adjacency_lists(lists.clone()).is_err(),
+                "{case}"
+            );
+            for first in [v(0), v(1)] {
+                let second = VertexId::new(1 - first.raw());
+                let mut g = LabelledGraph::from_proven_lists(3, 1, lists.clone());
+                for element in [
+                    StreamElement::RemoveEdge {
+                        source: second,
+                        target: first,
+                    },
+                    StreamElement::RemoveEdge {
+                        source: first,
+                        target: second,
+                    },
+                    StreamElement::Relabel {
+                        id: first,
+                        label: l,
+                    },
+                    StreamElement::RemoveVertex { id: first },
+                    StreamElement::AddEdge {
+                        source: second,
+                        target: v(2),
+                    },
+                    StreamElement::RemoveVertex { id: second },
+                    StreamElement::AddVertex {
+                        id: first,
+                        label: l,
+                    },
+                    StreamElement::RemoveVertex { id: v(2) },
+                ] {
+                    g.apply(&element);
+                }
+                assert!(g.contains_vertex(first), "{case}");
+            }
+            // A removal straight after the build, with the count untouched.
+            for id in [v(0), v(1)] {
+                let mut g = LabelledGraph::from_proven_lists(3, 1, lists.clone());
+                g.apply(&StreamElement::RemoveVertex { id });
+                g.apply(&StreamElement::RemoveVertex {
+                    id: VertexId::new(1 - id.raw()),
+                });
+            }
         }
     }
 

@@ -427,17 +427,15 @@ impl ShardedStore {
         }
     }
 
-    /// The live graph the arena holds — every adjacency list in arena order,
-    /// so a store rebuilt from it traverses identically; tombstoned vertices
-    /// and edges are left out. Built by the trusting bulk constructor: an
-    /// arena is a simple undirected graph by [`ShardedStore::check_arena`],
-    /// which every way into a `ShardedStore` has run or is held to.
+    /// The live graph the arena holds: [`ArenaView::to_graph`], the one
+    /// mirror builder.
     pub fn to_graph(&self) -> LabelledGraph {
-        let whole = ArenaSlice {
-            store: self,
-            range: 0..self.order.len(),
-        };
-        LabelledGraph::from_proven_lists(self.live_vertex_count(), self.edge_count, whole.rows())
+        self.view().to_graph()
+    }
+
+    /// The store's rows, homes and totals, read-only.
+    fn view(&self) -> ArenaView<'_> {
+        ArenaView { store: self }
     }
 
     /// The inverse of [`ShardedStore::from_parts`]: [`ShardedStore::to_graph`]
@@ -460,16 +458,7 @@ impl ShardedStore {
     /// tail — in arena order: the assignment the shard ranges encode, as a
     /// restoring partitioner takes it.
     pub fn homes(&self) -> impl Iterator<Item = (VertexId, Option<PartitionId>)> + '_ {
-        self.order
-            .iter()
-            .zip(&self.slots)
-            .filter(|(_, slot)| slot.home != DEAD)
-            .map(|(&v, slot)| {
-                (
-                    v,
-                    (slot.home != UNASSIGNED).then(|| PartitionId::new(slot.home)),
-                )
-            })
+        self.view().homes()
     }
 
     /// Apply a bounded batch of vertex moves *incrementally*: the adjacency
@@ -1401,8 +1390,8 @@ impl ArenaLoader {
 }
 
 /// An arena laid out by [`ArenaLoader::finish`] from untrusted input, not
-/// yet shown to be sound. It answers nothing; [`UncheckedArena::check`] is
-/// the only way on.
+/// yet shown to be sound. It answers nothing; [`UncheckedArena::check`] and
+/// [`UncheckedArena::check_beside`] are the only ways on.
 #[derive(Debug)]
 pub struct UncheckedArena {
     store: ShardedStore,
@@ -1420,6 +1409,98 @@ impl UncheckedArena {
     pub fn check(self) -> Result<ShardedStore, String> {
         self.store.check_arena_in(self.scratch)?;
         Ok(self.store)
+    }
+
+    /// Check the arena on a scoped thread — [`ShardedStore::check_arena`],
+    /// then `proof` over the store once that holds (`proof` is handed the
+    /// check's error otherwise) — while `beside` reads the same arena,
+    /// still unproven, on the calling thread through an [`ArenaView`]. The
+    /// store comes back only if the check and `proof` both hold; `beside`'s
+    /// result comes back either way, and is the caller's to drop when the
+    /// store does not. The checking thread lays its transpose into the room
+    /// [`ArenaLoader::finish`] reserved, so what `beside` allocates is the
+    /// calling thread's.
+    pub fn check_beside<E: Send, R>(
+        self,
+        proof: impl FnOnce(Result<&ShardedStore, String>) -> Result<(), E> + Send,
+        beside: impl FnOnce(ArenaView<'_>) -> R,
+    ) -> (Result<ShardedStore, E>, R) {
+        let Self { store, scratch } = self;
+        let (proven, built) = std::thread::scope(|scope| {
+            let store = &store;
+            let checker = scope.spawn(move || proof(store.check_arena_in(scratch).map(|()| store)));
+            let built = beside(store.view());
+            (checker.join().expect("the arena check panicked"), built)
+        });
+        (proven.map(|()| store), built)
+    }
+}
+
+/// An arena's rows, homes and totals, read-only — what a graph mirror and a
+/// restoring partitioner are built from, and nothing that answers a query.
+/// [`UncheckedArena::check_beside`] lends one over an arena nobody has
+/// proven yet, so nothing here assumes the arena is sound: every read stays
+/// in bounds whatever [`ArenaLoader::finish`] let through.
+#[derive(Debug, Clone, Copy)]
+pub struct ArenaView<'a> {
+    store: &'a ShardedStore,
+}
+
+impl<'a> ArenaView<'a> {
+    /// Every live vertex with its label and its live neighbours, in arena
+    /// order, each list in the order the arena stores it.
+    pub fn rows(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            VertexId,
+            Label,
+            impl ExactSizeIterator<Item = VertexId> + 'a,
+        ),
+    > + 'a {
+        let whole = ArenaSlice {
+            store: self.store,
+            range: 0..self.store.order.len(),
+        };
+        whole.rows()
+    }
+
+    /// Every live vertex with its home shard — `None` for the unassigned
+    /// tail — in arena order: the assignment the shard ranges encode, as a
+    /// restoring partitioner takes it.
+    pub fn homes(&self) -> impl Iterator<Item = (VertexId, Option<PartitionId>)> + 'a {
+        let store = self.store;
+        store
+            .order
+            .iter()
+            .zip(&store.slots)
+            .filter(|(_, slot)| slot.home != DEAD)
+            .map(|(&v, slot)| {
+                (
+                    v,
+                    (slot.home != UNASSIGNED).then(|| PartitionId::new(slot.home)),
+                )
+            })
+    }
+
+    /// Live vertices.
+    pub fn vertex_count(&self) -> usize {
+        self.store.live_vertex_count()
+    }
+
+    /// Undirected edges, as the arena counts them.
+    pub fn edge_count(&self) -> usize {
+        self.store.edge_count
+    }
+
+    /// The live graph the arena holds — every adjacency list in arena order,
+    /// so a store rebuilt from it traverses identically; tombstoned vertices
+    /// and edges are left out. Built by the trusting bulk constructor
+    /// ([`LabelledGraph::from_proven_lists`]): a proven arena is a simple
+    /// undirected graph by [`ShardedStore::check_arena`], and a graph built
+    /// from an unproven one is dropped unless its proof holds.
+    pub fn to_graph(&self) -> LabelledGraph {
+        LabelledGraph::from_proven_lists(self.vertex_count(), self.edge_count(), self.rows())
     }
 }
 

@@ -73,8 +73,9 @@ use crate::codec::{blob_crc, decode_blob, encode_rows, encode_slice, BlobHeader,
 use crate::error::{Result, StoreError};
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
+use loom_obs::SpanTimer;
 use loom_partition::partition::{PartitionId, Partitioning};
-use loom_serve::shard::{ArenaLoader, PartitionMajor, ShardedStore, UncheckedArena};
+use loom_serve::shard::{ArenaLoader, ArenaView, PartitionMajor, ShardedStore, UncheckedArena};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -666,12 +667,39 @@ fn read_blob(path: &Path, entry: &BlobEntry) -> Result<Vec<u8>> {
     Ok(raw)
 }
 
+/// A checkpoint read but not yet proven, lent to the calling thread while
+/// its proof runs (`UnverifiedCheckpoint::verify_beside`): the manifest,
+/// the partitioner blob and a read-only view of the arena. Whatever is
+/// built from it is dropped unless the proof holds.
+#[derive(Debug, Clone, Copy)]
+pub struct UnprovenCheckpoint<'a> {
+    /// The manifest, parsed and checksummed.
+    pub meta: &'a CheckpointMeta,
+    /// The partitioner blob, size- and CRC-checked, when the checkpoint
+    /// carries one.
+    pub partitioner: Option<&'a PartitionerBlob>,
+    /// The arena's rows, homes and totals, not yet proven.
+    pub arena: ArenaView<'a>,
+}
+
 impl UnverifiedCheckpoint {
     /// Prove what was read: the arena must pass
     /// [`ShardedStore::check_arena`], hold the manifest's vertex and edge
     /// totals, and re-encode — each blob in the version it was read in — to
     /// the bytes of every blob that was read.
     pub fn verify(self) -> Result<LoadedCheckpoint> {
+        self.verify_beside(SpanTimer::start(None), |_| ()).0
+    }
+
+    /// [`UnverifiedCheckpoint::verify`] on a scoped thread, which ends
+    /// `span` when the proof does, while `beside` reads the checkpoint as
+    /// read — unproven — on the calling thread. `beside`'s result comes back
+    /// either way; the caller hands it on only beside a proven checkpoint.
+    pub(crate) fn verify_beside<R>(
+        self,
+        span: SpanTimer<'_>,
+        beside: impl FnOnce(UnprovenCheckpoint<'_>) -> R,
+    ) -> (Result<LoadedCheckpoint>, R) {
         let Self {
             dir,
             meta,
@@ -679,43 +707,65 @@ impl UnverifiedCheckpoint {
             arena,
             partitioner,
         } = self;
-        let store = arena
-            .check()
-            .map_err(|detail| StoreError::corrupt(&dir, detail))?
-            .with_epoch(meta.epoch_seq);
-        if store.vertex_count() as u64 != meta.vertices || store.edge_count() as u64 != meta.edges {
-            return Err(StoreError::corrupt(
-                &dir,
-                format!(
-                    "loaded store has {}v/{}e, manifest says {}v/{}e",
-                    store.vertex_count(),
-                    store.edge_count(),
-                    meta.vertices,
-                    meta.edges
-                ),
-            ));
-        }
-        // Bit-identity proof: re-encoding the loaded store must reproduce
-        // every blob that was read, byte for byte — and each read blob is
-        // freed as soon as it is compared.
-        for read in blobs {
-            let bytes = encode_slice(&store, read.slot, read.version).ok_or_else(|| {
-                StoreError::corrupt(&dir, format!("blob {} out of range", read.name))
-            })?;
-            if bytes != read.bytes {
-                return Err(StoreError::corrupt(
-                    &dir,
-                    format!("loaded store does not round-trip blob {}", read.name),
-                ));
-            }
-        }
-        Ok(LoadedCheckpoint {
+        let (dir, meta_ref) = (&dir, &meta);
+        let (store, built) = arena.check_beside(
+            move |checked| {
+                let _span = span;
+                let store = checked.map_err(|detail| StoreError::corrupt(dir, detail))?;
+                prove(store, meta_ref, blobs, dir)
+            },
+            |arena| {
+                beside(UnprovenCheckpoint {
+                    meta: meta_ref,
+                    partitioner: partitioner.as_ref(),
+                    arena,
+                })
+            },
+        );
+        let loaded = store.map(|store| LoadedCheckpoint {
+            store: store.with_epoch(meta.epoch_seq),
             meta,
-            store,
             partitioner,
             parts: OnceLock::new(),
-        })
+        });
+        (loaded, built)
     }
+}
+
+/// Steps (4) and (5) of the module docs over an arena that passed
+/// [`ShardedStore::check_arena`]: the manifest's totals, then the
+/// bit-identity proof — re-encoding the store must reproduce every blob that
+/// was read, byte for byte, and each read blob is freed as soon as it is
+/// compared.
+fn prove(
+    store: &ShardedStore,
+    meta: &CheckpointMeta,
+    blobs: Vec<ReadBlob>,
+    dir: &Path,
+) -> Result<()> {
+    if store.vertex_count() as u64 != meta.vertices || store.edge_count() as u64 != meta.edges {
+        return Err(StoreError::corrupt(
+            dir,
+            format!(
+                "loaded store has {}v/{}e, manifest says {}v/{}e",
+                store.vertex_count(),
+                store.edge_count(),
+                meta.vertices,
+                meta.edges
+            ),
+        ));
+    }
+    for read in blobs {
+        let bytes = encode_slice(store, read.slot, read.version)
+            .ok_or_else(|| StoreError::corrupt(dir, format!("blob {} out of range", read.name)))?;
+        if bytes != read.bytes {
+            return Err(StoreError::corrupt(
+                dir,
+                format!("loaded store does not round-trip blob {}", read.name),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Load and fully validate the checkpoint in `dir`: [`read_checkpoint`],

@@ -30,10 +30,13 @@
 //!   (size, CRC and structure checked on the way), then proves it on a
 //!   scoped thread — arena invariants, manifest totals, re-encode bit
 //!   identity — while the calling thread decodes the WAL from the segment
-//!   the checkpoint's state ends in. The caller then restores its
-//!   partitioner from the checkpoint's state and the proven arena, and
-//!   replays only the log past the checkpoint (the whole log when the
-//!   checkpoint carries no state) to reproduce exact pre-crash state. The
+//!   the checkpoint's state ends in and runs the caller's closure over the
+//!   checkpoint as read: that is where a session restores its partitioner
+//!   from the checkpoint's state and the arena's homes, replays only the
+//!   log past the checkpoint (the whole log when the checkpoint carries no
+//!   state) to reproduce exact pre-crash state, and builds its graph mirror
+//!   from the arena's rows and the log's tail. What the closure built is
+//!   handed back only beside a proven checkpoint, and dropped otherwise. The
 //!   log must cover the checkpoint; its torn tail is truncated last, so a
 //!   failed recovery writes nothing. Serving resumes pinned at the original
 //!   `epoch_seq`; the checkpoint's graph and partitioning are derived from
@@ -78,9 +81,10 @@ pub mod wal;
 
 pub use checkpoint::{
     latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint, BlobEntry,
-    CheckpointImage, CheckpointMeta, LoadedCheckpoint, PartitionerBlob, UnverifiedCheckpoint,
+    CheckpointImage, CheckpointMeta, LoadedCheckpoint, PartitionerBlob, UnprovenCheckpoint,
+    UnverifiedCheckpoint,
 };
 pub use error::{Result, StoreError};
-pub use recovery::{recover, RecoverSpans, RecoveredState, RecoveryReport};
+pub use recovery::{recover, Beside, RecoverSpans, RecoveredState, RecoveryReport};
 pub use sink::CheckpointSink;
 pub use wal::{segment_path, segments, Segment, Wal, WalReplay, WAL_FILE};

@@ -8,33 +8,41 @@
 //!    the CSR arena, the partitioner blob read as bytes
 //!    ([`read_checkpoint`]);
 //! 2. two branches then run side by side, because neither needs anything
-//!    the other produces. **A scoped thread verifies** what was read: the
+//!    the other produces. **A scoped thread proves** what was read: the
 //!    arena's invariants, the manifest's totals, the re-encode bit-identity
-//!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling thread**
-//!    reads and decodes the WAL from the segment holding the record the
-//!    partitioner's replay starts at — the checkpoint's `wal_records` when
-//!    it carries the partitioner's state, else 0 — so segments the
-//!    checkpoint folded in are neither read nor required. Both then join.
-//!    The split follows the allocator: the scoped thread only reads, so the
-//!    process does not grow a second heap for the length of the recovered
-//!    session;
-//! 3. the log must hold at least the records its checkpoint folded in.
+//!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling
+//!    thread** reads and decodes the WAL from the segment holding the
+//!    record the partitioner's replay starts at — the checkpoint's
+//!    `wal_records` when it carries the partitioner's state, else 0 — so
+//!    segments the checkpoint folded in are neither read nor required; then,
+//!    if the log covers the checkpoint, it runs the caller's closure over
+//!    the batches and the checkpoint as read ([`Beside`]): the manifest, the
+//!    partitioner blob and a read-only view of the arena — all of it still
+//!    unproven. That is where a session restores its partitioner, replays
+//!    the log past it and builds its graph mirror from the arena's rows and
+//!    the log's tail. Both then join. The split follows the allocator: the
+//!    scoped thread only reads, so everything recovery builds is on the
+//!    calling thread's heap and the process does not grow a second one for
+//!    the length of the recovered session;
+//! 3. the log must hold at least the records its checkpoint folded in:
+//!    checked on the calling thread once the log is decoded, before the
+//!    closure that slices the batches past them runs.
 //!
-//! Nothing is built from the arena before it is proven, and nothing is
-//! written: the caller gets back the proven checkpoint (pinned at its
-//! original `epoch_seq`, with the partitioner's state when it carries one),
-//! the batches from [`RecoveryReport::wal_first_record`] on and a report —
-//! [`RecoveryReport::replayed_from`] says where the partitioner's replay
-//! starts — and restores its partitioner, replays the log from there and
-//! builds its graph mirror from the arena plus the batches past
-//! [`RecoveryReport::wal_records_in_checkpoint`]. Only once all of that has
-//! succeeded does it call [`RecoveredState::resume_wal`], which truncates
-//! the newest segment's torn tail — recovery's only write — and opens it for
+//! Nothing built before the proof leaves [`recover`] unless the proof
+//! holds: the closure's result is handed back only beside a proven
+//! checkpoint (or none) and a decoded log that covers it, and is dropped
+//! otherwise. Nothing is written: the caller gets back the proven checkpoint
+//! (pinned at its original `epoch_seq`, with the partitioner's state when it
+//! carries one), the batches from [`RecoveryReport::wal_first_record`] on, a
+//! report — [`RecoveryReport::replayed_from`] says where the partitioner's
+//! replay starts — and what its closure built. Only once nothing else can
+//! fail does it call [`RecoveredState::resume_wal`], which truncates the
+//! newest segment's torn tail — recovery's only write — and opens it for
 //! append. Recovery never retires a segment. A recovery that fails leaves
 //! the root byte-for-byte as found. Errors keep their order: the
-//! checkpoint's, then the log's.
+//! checkpoint's, then the log's, then the caller's.
 
-use crate::checkpoint::{latest_checkpoint, read_checkpoint, LoadedCheckpoint};
+use crate::checkpoint::{latest_checkpoint, read_checkpoint, LoadedCheckpoint, UnprovenCheckpoint};
 use crate::error::{Result, StoreError};
 use crate::wal::{replay_log, LogReplay, Wal};
 use loom_graph::StreamElement;
@@ -76,9 +84,9 @@ pub struct RecoveredState {
     /// Every acknowledged batch from [`RecoveryReport::wal_first_record`]
     /// on, in ingest order. A partitioner restored from the checkpoint's
     /// state and fed the batches from [`RecoveryReport::replayed_from`] on
-    /// ([`RecoveredState::batches_from`]) — or a fresh one fed all of them,
-    /// when the checkpoint carries no state and they start at record 0 — is
-    /// in the exact pre-crash state, streaming window included.
+    /// ([`Beside::replay`]) — or a fresh one fed all of them, when the
+    /// checkpoint carries no state and they start at record 0 — is in the
+    /// exact pre-crash state, streaming window included.
     pub batches: Vec<Vec<StreamElement>>,
     /// Summary of what was found.
     pub report: RecoveryReport,
@@ -88,12 +96,6 @@ pub struct RecoveredState {
 }
 
 impl RecoveredState {
-    /// The batches from record `record` on; `record` must not be below
-    /// [`RecoveryReport::wal_first_record`].
-    pub fn batches_from(&self, record: u64) -> &[Vec<StreamElement>] {
-        &self.batches[(record - self.report.wal_first_record) as usize..]
-    }
-
     /// Truncate the newest segment's torn tail and open it for append —
     /// recovery's only write, so the caller makes it last, once nothing else
     /// can fail.
@@ -104,14 +106,13 @@ impl RecoveredState {
 
 /// The stage histograms an observed recovery charges, one sample each:
 /// `recover.checkpoint_load` from the first blob read on the calling thread
-/// to the end of the proof on the verifying one, `recover.wal_decode` on the
-/// calling thread beside that proof (the segments from the one holding
-/// [`RecoveryReport::replayed_from`] on), then — once both have joined — the
-/// caller's `recover.replay` ([`RecoverSpans::replay`]: the partitioner's
-/// restore and the log past it) and `recover.mirror`
-/// ([`RecoverSpans::mirror`]). So `max(load, decode) + replay + mirror`
-/// bounds the recovery's wall clock from below. The default charges nothing
-/// and reads no clock.
+/// to the end of the proof on the verifying one; beside that proof, on the
+/// calling thread, `recover.wal_decode` (the segments from the one holding
+/// [`RecoveryReport::replayed_from`] on), then the closure's
+/// `recover.replay` ([`RecoverSpans::replay`]: the partitioner's restore and
+/// the log past it) and `recover.mirror` ([`RecoverSpans::mirror`]). So
+/// `max(load, decode + replay + mirror)` bounds the recovery's wall clock
+/// from below. The default charges nothing and reads no clock.
 #[derive(Debug, Default)]
 pub struct RecoverSpans {
     checkpoint_load: Option<Arc<Histogram>>,
@@ -131,70 +132,111 @@ impl RecoverSpans {
         }
     }
 
-    /// The `recover.replay` span, for the caller that restores a partitioner
-    /// and replays the log past it out of what [`recover`] handed back.
+    /// The `recover.replay` span, for the closure that restores a
+    /// partitioner and replays the log past it beside the proof.
     pub fn replay(&self) -> SpanTimer<'_> {
         SpanTimer::start(self.replay.as_deref())
     }
 
-    /// The `recover.mirror` span, for the caller that builds a graph mirror
-    /// out of what [`recover`] handed back.
+    /// The `recover.mirror` span, for the closure that builds a graph mirror
+    /// beside the proof.
     pub fn mirror(&self) -> SpanTimer<'_> {
         SpanTimer::start(self.mirror.as_deref())
     }
 }
 
-/// Recover a durability root: read the newest valid checkpoint, then verify
+/// What [`recover`]'s closure builds from, on the calling thread while the
+/// checkpoint's proof runs: the decoded log and the checkpoint as read.
+/// Nothing here is proven yet, and what the closure returns leaves
+/// [`recover`] only once it is.
+#[derive(Debug, Clone, Copy)]
+pub struct Beside<'a> {
+    /// The checkpoint being proven; `None` when the root has none.
+    pub checkpoint: Option<UnprovenCheckpoint<'a>>,
+    /// The log's batches from record `first` on.
+    batches: &'a [Vec<StreamElement>],
+    first: u64,
+    /// [`RecoveryReport::replayed_from`].
+    replayed_from: u64,
+}
+
+impl<'a> Beside<'a> {
+    /// The batches a partitioner restored from the checkpoint's state is fed
+    /// — or a fresh one, when the checkpoint carries none and this is the
+    /// whole log: those from [`RecoveryReport::replayed_from`] on.
+    pub fn replay(&self) -> &'a [Vec<StreamElement>] {
+        self.batches_from(self.replayed_from)
+    }
+
+    /// The batches the checkpoint did not fold in — what a graph mirror
+    /// built from its arena applies; the whole log without a checkpoint.
+    pub fn tail(&self) -> &'a [Vec<StreamElement>] {
+        self.batches_from(self.checkpoint.map_or(0, |c| c.meta.wal_records))
+    }
+
+    fn batches_from(&self, record: u64) -> &'a [Vec<StreamElement>] {
+        &self.batches[(record - self.first) as usize..]
+    }
+}
+
+/// Recover a durability root: read the newest valid checkpoint, then prove
 /// it on a scoped thread while the calling thread decodes the WAL from the
-/// segment the partitioner's replay needs on; then check the log covers its
-/// checkpoint. A fresh or empty root recovers to an empty state. Writes
-/// nothing: see [`RecoveredState::resume_wal`], and the module docs for what
-/// is verified where.
+/// segment the partitioner's replay needs on, checks the log covers the
+/// checkpoint and runs `build` over both, unproven ([`Beside`]). A fresh or
+/// empty root recovers to an empty state. Writes nothing: see
+/// [`RecoveredState::resume_wal`], and the module docs for what is verified
+/// where.
 ///
 /// # Errors
 ///
 /// The checkpoint's error if it fails to load, else the log's (records
 /// missing between or before the segments needed, a torn frame in a segment
 /// but the newest); then [`StoreError::Corrupt`] if the log holds fewer
-/// records than the checkpoint folded in.
-pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
+/// records than the checkpoint folded in. `build` runs only when the log
+/// decodes and covers the checkpoint, and what it returns is dropped with
+/// any error.
+pub fn recover<R>(
+    root: &Path,
+    spans: &RecoverSpans,
+    build: impl FnOnce(Beside<'_>) -> R,
+) -> Result<(RecoveredState, R)> {
     let found = latest_checkpoint(root)?;
-    let from = found
+    let replayed_from = found
         .as_ref()
         .map_or(0, |(_, meta, _)| meta.replayed_from());
-    let pending = match &found {
+    let decode_then_build = |checkpoint: Option<UnprovenCheckpoint<'_>>| {
+        let decode = SpanTimer::start(spans.wal_decode.as_deref());
+        let log = replay_log(root, replayed_from)?;
+        drop(decode);
+        if let Some(meta) = checkpoint.map(|c| c.meta) {
+            if log.records < meta.wal_records {
+                return Err(StoreError::corrupt(
+                    root,
+                    format!(
+                        "log holds {} records, but checkpoint {} folded in {}",
+                        log.records, meta.epoch_seq, meta.wal_records
+                    ),
+                ));
+            }
+        }
+        let built = build(Beside {
+            checkpoint,
+            batches: &log.batches,
+            first: log.first,
+            replayed_from,
+        });
+        Ok((log, built))
+    };
+    let (checkpoint, decoded) = match &found {
         Some((dir, _, _)) => {
             let span = SpanTimer::start(spans.checkpoint_load.as_deref());
-            Some((read_checkpoint(dir)?, span))
+            let (loaded, decoded) = read_checkpoint(dir)?
+                .verify_beside(span, |checkpoint| decode_then_build(Some(checkpoint)));
+            (Some(loaded?), decoded)
         }
-        None => None,
+        None => (None, decode_then_build(None)),
     };
-    let (loaded, log) = std::thread::scope(|scope| {
-        let verifier = pending.map(|(pending, span)| {
-            scope.spawn(move || {
-                let _span = span;
-                pending.verify()
-            })
-        });
-        let decode = SpanTimer::start(spans.wal_decode.as_deref());
-        let log = replay_log(root, from);
-        drop(decode);
-        let loaded = verifier.map(|v| v.join().expect("checkpoint verifier panicked"));
-        (loaded, log)
-    });
-    let checkpoint = loaded.transpose()?;
-    let mut log = log?;
-    if let Some(ckpt) = &checkpoint {
-        if log.records < ckpt.meta.wal_records {
-            return Err(StoreError::corrupt(
-                root,
-                format!(
-                    "log holds {} records, but checkpoint {} folded in {}",
-                    log.records, ckpt.meta.epoch_seq, ckpt.meta.wal_records
-                ),
-            ));
-        }
-    }
+    let (mut log, built) = decoded?;
     let report = RecoveryReport {
         epoch_seq: checkpoint.as_ref().map_or(0, |c| c.meta.epoch_seq),
         checkpoint_found: checkpoint.is_some(),
@@ -202,16 +244,17 @@ pub fn recover(root: &Path, spans: &RecoverSpans) -> Result<RecoveredState> {
         wal_records: log.records,
         wal_records_in_checkpoint: checkpoint.as_ref().map_or(0, |c| c.meta.wal_records),
         wal_first_record: log.first,
-        replayed_from: from,
+        replayed_from,
         wal_truncated_bytes: log.truncated_bytes,
     };
-    Ok(RecoveredState {
+    let state = RecoveredState {
         checkpoint,
         batches: std::mem::take(&mut log.batches),
         report,
         log,
         root: root.to_path_buf(),
-    })
+    };
+    Ok((state, built))
 }
 
 #[cfg(test)]
@@ -236,7 +279,7 @@ mod tests {
     #[test]
     fn fresh_root_recovers_empty() {
         let root = tmproot("fresh");
-        let state = recover(&root, &RecoverSpans::default()).unwrap();
+        let (state, ()) = recover(&root, &RecoverSpans::default(), |_| ()).unwrap();
         assert!(state.checkpoint.is_none());
         assert!(state.batches.is_empty());
         assert_eq!(
@@ -285,7 +328,17 @@ mod tests {
         raw.extend_from_slice(&[9, 9, 9]);
         std::fs::write(&wal_path, &raw).unwrap();
 
-        let state = recover(&root, &RecoverSpans::default()).unwrap();
+        // Beside the proof, the closure sees the unproven checkpoint and
+        // the log cut where a partitioner and a mirror start from it.
+        let (state, (replay, tail, arena)) = recover(&root, &RecoverSpans::default(), |beside| {
+            let checkpoint = beside.checkpoint.expect("the checkpoint was found");
+            assert!(checkpoint.partitioner.is_none());
+            let arena = checkpoint.arena;
+            (beside.replay().len(), beside.tail().len(), arena.to_graph())
+        })
+        .unwrap();
+        assert_eq!((replay, tail), (2, 1));
+        assert_eq!(arena.edges_sorted(), first.edges_sorted());
         let ckpt = state.checkpoint.as_ref().unwrap();
         assert_eq!(ckpt.meta.epoch_seq, 1);
         assert_eq!(ckpt.store.epoch(), 1);

@@ -55,14 +55,14 @@ use loom_partition::traits::{Partitioner, PartitionerStats, DEFAULT_BATCH_SIZE};
 use loom_partition::PartitionError;
 use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::metrics::ServeReport;
-use loom_serve::shard::ShardedStore;
+use loom_serve::shard::{ArenaView, ShardedStore};
 use loom_sim::context::RequestContext;
 use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse};
 use loom_sim::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_sim::store::PartitionedStore;
 use loom_store::checkpoint::CHECKPOINT_DIR;
-use loom_store::recovery::{RecoverSpans, RecoveryReport};
+use loom_store::recovery::{Beside, RecoverSpans, RecoveryReport};
 use loom_store::{
     segment_path, segments, CheckpointImage, CheckpointSink, PartitionerBlob, StoreError, Wal,
 };
@@ -668,22 +668,23 @@ impl Session {
     /// Bring a crashed (or cleanly stopped) durable session back. The newest
     /// valid checkpoint under the builder's durability root is read straight
     /// into the store's arena and proven on a thread of its own — arena
-    /// invariants, manifest totals, bit identity — while this thread decodes
-    /// the WAL from the segment holding the checkpoint's record on
+    /// invariants, manifest totals, bit identity. Meanwhile this thread
+    /// decodes the WAL from the segment holding the checkpoint's record on
     /// ([`loom_store::recover`]; the segments before it, which the
-    /// checkpoint folded in, are neither read nor required). Then, from the
-    /// proven checkpoint only, a fresh partitioner built from the same
-    /// configuration is **restored** ([`Partitioner::restore_state`]: the
-    /// checkpoint's partitioner blob, the assignment read off the arena) and
-    /// the restore proven — re-encoded, it must give back the blob's bytes.
-    /// It is fed the log past the checkpoint, and lands in the exact
+    /// checkpoint folded in, are neither read nor required) and, if the
+    /// checkpoint's partitioner and `k` are this builder's, rebuilds the
+    /// session out of the checkpoint as read. A fresh partitioner built from
+    /// the same configuration is **restored** ([`Partitioner::restore_state`]:
+    /// the checkpoint's partitioner blob, the assignment read off the arena)
+    /// and the restore proven — re-encoded, it must give back the blob's
+    /// bytes. It is fed the log past the checkpoint, and lands in the exact
     /// pre-crash state, streaming window included. A checkpoint without a
     /// partitioner blob (written by [`loom_store::write_checkpoint`], or
     /// before the blob existed) restores nothing, and the whole log is
-    /// replayed instead.
-    /// The durable graph mirror is the graph the proven arena holds, plus
-    /// the batches the log holds past the checkpoint — with no checkpoint,
-    /// the empty graph plus the whole log. Serving resumes pinned at the
+    /// replayed instead. The durable graph mirror is the graph the arena
+    /// holds, plus the batches the log holds past the checkpoint — with no
+    /// checkpoint, the empty graph plus the whole log. None of it is kept
+    /// unless the checkpoint's proof holds. Serving resumes pinned at the
     /// checkpoint's original `epoch_seq`. The newest log segment's torn
     /// tail is truncated only once everything that can fail has succeeded:
     /// a recovery that fails leaves the root as found. Recovery deletes no
@@ -711,55 +712,11 @@ impl Session {
             .as_deref()
             .map(RecoverSpans::resolve)
             .unwrap_or_default();
-        let state = loom_store::recover(&root, &spans)?;
+        let (state, rebuilt) = loom_store::recover(&root, &spans, |beside| {
+            rebuild(&builder, &root, &spans, beside)
+        })?;
+        let (partitioner, graph) = rebuilt?;
         let report = state.report.clone();
-        if let Some(meta) = state.checkpoint.as_ref().map(|c| &c.meta) {
-            if meta.spec != builder.spec.name() {
-                return Err(SessionError::Durability(format!(
-                    "checkpoint at {} was written by partitioner `{}`, but this session \
-                     is configured for `{}`",
-                    root.display(),
-                    meta.spec,
-                    builder.spec.name()
-                )));
-            }
-            if meta.shards != builder.spec.k() {
-                return Err(SessionError::Durability(format!(
-                    "checkpoint at {} has {} shards, but this session is configured \
-                     for k = {}",
-                    root.display(),
-                    meta.shards,
-                    builder.spec.k()
-                )));
-            }
-        }
-
-        // The partitioner: restored from the proven checkpoint when it
-        // carries the state, then fed the log from where that state ends.
-        let mut partitioner = builder.make_partitioner()?;
-        let span = spans.replay();
-        if let Some(checkpoint) = &state.checkpoint {
-            if let Some(blob) = &checkpoint.partitioner {
-                restore_partitioner(&mut *partitioner, blob, &checkpoint.store)?;
-            }
-        }
-        for batch in state.batches_from(report.replayed_from) {
-            partitioner.ingest_batch(batch)?;
-        }
-        drop(span);
-
-        // The mirror: what the checkpoint holds — proven, and shown to be a
-        // prefix of this log — then the batches behind it.
-        let span = spans.mirror();
-        let mut graph = match &state.checkpoint {
-            Some(checkpoint) => checkpoint.store.to_graph(),
-            None => LabelledGraph::new(),
-        };
-        let tail = state.batches_from(report.wal_records_in_checkpoint);
-        for element in tail.iter().flatten() {
-            graph.apply(element);
-        }
-        drop(span);
 
         // Everything that can fail has succeeded: now the only write.
         let wal = state.resume_wal()?;
@@ -792,13 +749,72 @@ impl Session {
     }
 }
 
+/// What [`Session::recover`] builds beside the checkpoint's proof, out of
+/// the checkpoint as read and the decoded log: the partitioner — restored
+/// from the checkpoint's state when it carries one, then fed the log from
+/// where that state ends — and the durable graph mirror — the arena's rows,
+/// then the batches the checkpoint did not fold in. A checkpoint another
+/// partitioner or another `k` wrote is refused before anything is built.
+/// [`loom_store::recover`] hands the result on only once the checkpoint is
+/// proven, and drops it otherwise.
+fn rebuild(
+    builder: &SessionBuilder,
+    root: &Path,
+    spans: &RecoverSpans,
+    beside: Beside<'_>,
+) -> SessionResult<(Box<dyn Partitioner>, LabelledGraph)> {
+    if let Some(meta) = beside.checkpoint.map(|c| c.meta) {
+        if meta.spec != builder.spec.name() {
+            return Err(SessionError::Durability(format!(
+                "checkpoint at {} was written by partitioner `{}`, but this session \
+                 is configured for `{}`",
+                root.display(),
+                meta.spec,
+                builder.spec.name()
+            )));
+        }
+        if meta.shards != builder.spec.k() {
+            return Err(SessionError::Durability(format!(
+                "checkpoint at {} has {} shards, but this session is configured \
+                 for k = {}",
+                root.display(),
+                meta.shards,
+                builder.spec.k()
+            )));
+        }
+    }
+
+    let mut partitioner = builder.make_partitioner()?;
+    let span = spans.replay();
+    if let Some(checkpoint) = beside.checkpoint {
+        if let Some(blob) = checkpoint.partitioner {
+            restore_partitioner(&mut *partitioner, blob, checkpoint.arena)?;
+        }
+    }
+    for batch in beside.replay() {
+        partitioner.ingest_batch(batch)?;
+    }
+    drop(span);
+
+    let span = spans.mirror();
+    let mut graph = match beside.checkpoint {
+        Some(checkpoint) => checkpoint.arena.to_graph(),
+        None => LabelledGraph::new(),
+    };
+    for element in beside.tail().iter().flatten() {
+        graph.apply(element);
+    }
+    drop(span);
+    Ok((partitioner, graph))
+}
+
 /// Restore a freshly built `partitioner` from a checkpoint's partitioner
-/// `blob` and its proven `arena`, then prove the restore: re-encoded, the
-/// partitioner must give back the blob's bytes exactly.
+/// `blob` and the homes its `arena` holds, then prove the restore:
+/// re-encoded, the partitioner must give back the blob's bytes exactly.
 fn restore_partitioner(
     partitioner: &mut dyn Partitioner,
     blob: &PartitionerBlob,
-    arena: &ShardedStore,
+    arena: ArenaView<'_>,
 ) -> SessionResult<()> {
     let corrupt = |detail: String| {
         SessionError::Store(StoreError::Corrupt {

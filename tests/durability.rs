@@ -33,7 +33,12 @@
 //! * **an older blob format** — a root whose blobs a v2 writer left recovers
 //!   exactly as its v3 twin does, and its next checkpoint is written in v3;
 //! * **a write that fails** — is reported by `sync_durability` as the IO
-//!   error it was, not as corruption, and the next checkpoint goes through.
+//!   error it was, not as corruption, and the next checkpoint goes through;
+//! * **a failed proof leaks nothing** — a broken arena that gets past the
+//!   loader is refused with exactly `load_checkpoint`'s error, whatever was
+//!   restored, replayed and mirrored beside its proof, and wins over a log
+//!   torn in a middle segment; a root of another `k` is refused by both
+//!   counts, untouched.
 
 use loom::loom_store::checkpoint::{
     load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE, PARTITIONER_BLOB,
@@ -1053,12 +1058,21 @@ fn builder_refuses_to_clobber_existing_durable_state() {
     session.checkpoint().unwrap();
     session.sync_durability(Duration::from_secs(30)).unwrap();
     drop(session);
+    let before = root_image(&root);
     let mismatched = Session::builder(PartitionerSpec::Hash(
         loom_partition::hash::HashConfig::new(3, graph.vertex_count()),
     ))
     .with_durability(&root)
     .recover();
-    assert!(matches!(mismatched, Err(SessionError::Durability(_))));
+    match mismatched {
+        Err(SessionError::Durability(detail)) => assert!(
+            detail.contains("written by partitioner `loom`")
+                && detail.contains("configured for `hash`"),
+            "{detail}"
+        ),
+        other => panic!("expected a spec mismatch, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(root_image(&root), before);
 
     // The checkpoint retired `wal.log`: a healthy root holds a later segment
     // and its checkpoints. Neither half alone is a fresh root either.
@@ -1085,6 +1099,43 @@ fn builder_refuses_to_clobber_existing_durable_state() {
     std::fs::rename(root.join(CHECKPOINT_DIR), &aside).unwrap();
     refuses("only a later segment");
     std::fs::rename(&aside, root.join(CHECKPOINT_DIR)).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_root_of_another_k_is_refused_by_both_counts_and_left_untouched() {
+    let root = tmproot("k-mismatch");
+    let graph = social_graph(60, 5);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    session
+        .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
+        .unwrap();
+    seal(&mut session);
+    drop(session);
+    // The same partitioner, configuration and workload, one more shard.
+    let four = || {
+        Session::builder(PartitionerSpec::Loom(
+            LoomConfig::new(4, graph.vertex_count()).with_window_size(8),
+        ))
+        .workload(motif_workload())
+        .chunk_size(40)
+    };
+    let before = root_image(&root);
+    match four().with_durability(&root).recover() {
+        Err(SessionError::Durability(detail)) => assert!(
+            detail.contains("has 3 shards") && detail.contains("k = 4"),
+            "{detail}"
+        ),
+        other => panic!("expected a k mismatch, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(root_image(&root), before);
+    // Refusing changed nothing: the builder it was written with recovers.
+    let recovered = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    assert_eq!(recovered.store().shard_count(), 3);
+    drop(recovered);
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -1424,6 +1475,161 @@ fn a_bad_partitioner_blob_is_a_typed_error_and_the_root_is_untouched() {
             "v{version}: {detail}"
         );
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The error `load_checkpoint` gives for `dir`, which must be `Corrupt`.
+fn load_refusal(dir: &Path) -> (PathBuf, String) {
+    match load_checkpoint(dir) {
+        Err(StoreError::Corrupt { path, detail }) => (path, detail),
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// Recover `root`, which must be refused with exactly `expected` — the
+/// `Corrupt` error `load_checkpoint` gives — and leave it byte for byte as
+/// found.
+fn assert_refused_as(root: &Path, graph: &LabelledGraph, expected: &(PathBuf, String)) {
+    let before = root_image(root);
+    match loom_builder(graph).with_durability(root).recover() {
+        Err(SessionError::Store(StoreError::Corrupt { path, detail })) => {
+            assert_eq!((&path, &detail), (&expected.0, &expected.1));
+        }
+        other => panic!("expected {expected:?}, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(root_image(root), before, "a refused recovery wrote");
+}
+
+/// One break per way a shard blob can get through the loader and fail the
+/// proof: rewritten through the codec's rows, re-encoded in the version the
+/// header then names.
+type Break = fn(&mut BlobHeader, &mut [BlobRow]);
+
+/// Index of the first row with at least two neighbours.
+fn busy(rows: &[BlobRow]) -> usize {
+    rows.iter().position(|r| r.2.len() >= 2).unwrap()
+}
+
+fn self_loop(_: &mut BlobHeader, rows: &mut [BlobRow]) {
+    let i = busy(rows);
+    let v = rows[i].0;
+    rows[i].2.push(v);
+}
+
+fn repeated_neighbour(_: &mut BlobHeader, rows: &mut [BlobRow]) {
+    let i = busy(rows);
+    let again = rows[i].2[0];
+    rows[i].2.push(again);
+}
+
+/// One arc redirected to a vertex that does not name this one back.
+fn one_sided_edge(_: &mut BlobHeader, rows: &mut [BlobRow]) {
+    let i = busy(rows);
+    let (v, listed) = (rows[i].0, rows[i].2.clone());
+    let stranger = rows
+        .iter()
+        .map(|r| r.0)
+        .find(|u| *u != v && !listed.contains(u))
+        .unwrap();
+    rows[i].2[0] = stranger;
+}
+
+/// Fixed-width rows can spell a slice out of id order; v3 gaps cannot.
+fn out_of_id_order(header: &mut BlobHeader, rows: &mut [BlobRow]) {
+    header.version = 2;
+    rows.swap(0, 1);
+}
+
+fn tamper_shard0(dir: &Path, edit: Break) {
+    let name = "shard_0000.blob";
+    let path = dir.join(name);
+    let (mut header, mut rows) = decode_rows(&std::fs::read(&path).unwrap(), &path).unwrap();
+    edit(&mut header, &mut rows);
+    replace_blob(dir, name, &encode_rows(header, &rows));
+}
+
+/// Shard 0's first label spelled as a two-byte varint: the same arena, but
+/// not the bytes the encoder writes.
+fn pad_first_label(dir: &Path) {
+    let name = "shard_0000.blob";
+    let raw = std::fs::read(dir.join(name)).unwrap();
+    // Header, then one-byte varints: the vertex count and the first gap.
+    let label = 16 + 1 + 1;
+    assert!(raw[16..=label].iter().all(|&b| b < 0x80));
+    let mut padded = raw[..label].to_vec();
+    padded.extend_from_slice(&[raw[label] | 0x80, 0x00]);
+    padded.extend_from_slice(&raw[label + 1..]);
+    replace_blob(dir, name, &padded);
+}
+
+#[test]
+fn a_failed_proof_hands_back_nothing_built_beside_it() {
+    // A LOOM root whose checkpoint carries the partitioner's state, with a
+    // log tail past it: recovery restores, replays and builds the mirror
+    // from each broken arena beside the proof that refuses it.
+    let root = tmproot("leak");
+    let graph = social_graph(60, 53);
+    let dir = crashed_loom_root(&root, &graph, VertexId::new(1_000_000));
+    assert!(dir.join(PARTITIONER_BLOB).exists());
+    let written = root_image(&root);
+    let restore = || {
+        for (path, bytes) in &written {
+            std::fs::write(path, bytes).unwrap();
+        }
+    };
+    let breaks: [(&str, Break); 4] = [
+        ("not a live neighbour", self_loop),
+        ("a repeated neighbour", repeated_neighbour),
+        ("no reverse arc", one_sided_edge),
+        ("precedes", out_of_id_order),
+    ];
+    for (expected, edit) in breaks {
+        restore();
+        tamper_shard0(&dir, edit);
+        let refusal = load_refusal(&dir);
+        assert!(refusal.1.contains(expected), "{}", refusal.1);
+        assert_refused_as(&root, &graph, &refusal);
+    }
+    restore();
+    pad_first_label(&dir);
+    let refusal = load_refusal(&dir);
+    assert!(refusal.1.contains("does not round-trip"), "{}", refusal.1);
+    assert_refused_as(&root, &graph, &refusal);
+    restore();
+    loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .expect("the untampered root recovers");
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // A broken checkpoint over a log torn in a middle segment: the
+    // checkpoint's error wins, as it would without the closure.
+    let root = tmproot("leak-torn");
+    let graph = social_graph(150, 61);
+    let batches = batches_of(&graph, 40);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..2]);
+    let fallback = seal(&mut session);
+    feed(&mut session, &batches[2..4]);
+    let lost = seal(&mut session);
+    std::fs::remove_file(manifest_of(&root, lost)).unwrap();
+    feed(&mut session, &batches[4..6]);
+    let newest = seal(&mut session);
+    feed(&mut session, &batches[6..7]);
+    drop(session);
+    std::fs::remove_file(manifest_of(&root, newest)).unwrap();
+    assert_eq!(segment_starts(&root), [2, 4, 6]);
+    let middle = segments(&root).unwrap()[1].path.clone();
+    let mut bytes = std::fs::read(&middle).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&middle, &bytes).unwrap();
+    assert_refused(&root, &graph, "not the newest");
+    let dir = root.join(CHECKPOINT_DIR).join(format!("{fallback:010}"));
+    tamper_shard0(&dir, self_loop);
+    let refusal = load_refusal(&dir);
+    assert!(refusal.1.contains("not a live neighbour"), "{}", refusal.1);
+    assert_refused_as(&root, &graph, &refusal);
     std::fs::remove_dir_all(&root).unwrap();
 }
 

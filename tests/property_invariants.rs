@@ -547,8 +547,8 @@ proptest! {
                     expected.push(batch.clone());
                 }
             }
-            let recovered =
-                loom::loom_store::recover(&root, &Default::default()).expect("recovers");
+            let (recovered, ()) =
+                loom::loom_store::recover(&root, &Default::default(), |_| ()).expect("recovers");
             prop_assert_eq!(&recovered.batches, &expected);
             let rebuilt =
                 GraphStream::from_elements(recovered.batches.concat()).materialise();
