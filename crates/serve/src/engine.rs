@@ -25,17 +25,18 @@
 //! * the coordinator (this thread) routes each query to its home shard
 //!   ([`QueryRouter::home_shard_planned`]) against the snapshot current at
 //!   admission and **sends it as a message** over that worker's
-//!   [`ShardTransport`] endpoint — closed-loop admission applies
-//!   deadline-aware backpressure: a full worker inbox holds the request back
-//!   until the request's deadline and then rejects it (counted per shard)
-//!   instead of wedging forever;
+//!   [`ShardTransport`] endpoint — closed-loop admission stages a worker's
+//!   queries and sends them in runs, with deadline-aware backpressure: a
+//!   full worker inbox holds the request back until the request's deadline
+//!   and then rejects it (counted per shard) instead of wedging forever;
 //! * one worker per shard (a `std::thread::scope` thread running the
-//!   private worker event loop) pins its snapshot at spawn, executes each
-//!   routed query with the shared instrumented matcher under the request's
-//!   [`RequestContext`] as one matcher run — the exact code path of the
-//!   sequential executor, so aggregate metrics and the match cursor are
-//!   bit-identical to a sequential run for every request without a deadline
-//!   or cancellation — and streams one `Done` result back per query;
+//!   private worker event loop) pins its snapshot at spawn, takes its whole
+//!   inbox in one receive, executes each routed query with the shared
+//!   instrumented matcher under the request's [`RequestContext`] as one
+//!   matcher run — the exact code path of the sequential executor, so
+//!   aggregate metrics and the match cursor are bit-identical to a
+//!   sequential run for every request without a deadline or cancellation —
+//!   and sends the run's `Done` results back as one group;
 //! * the coordinator owns **only transport endpoints**: results, per-shard
 //!   reports and epoch notices all arrive as messages on its inbox, never
 //!   through shared memory;
@@ -43,24 +44,34 @@
 //!   execution metrics and remote-hop fraction, queue depth, queue-wait p99,
 //!   rejects, and the run's wall clock.
 //!
-//! # Admission: the completion is the credit
+//! # Admission: runs in, groups back, and the completion is the credit
 //!
-//! The coordinator waits in one place. It *offers* a routed query to the
-//! home worker's inbox without blocking; when the inbox is full it checks
-//! the request's deadline and then receives on its **own** inbox until
-//! `min(deadline, now + ADMIT_SLICE)`, handles what arrives (and whatever
-//! else is already there), and offers the query again. A worker that takes a
-//! query off its inbox says so by completing it, so the message the
-//! coordinator wakes on is the one that tells it a slot is free — and while
-//! it waits it is consuming results, which is what keeps the protocol
-//! deadlock-free: workers never stay blocked on a full coordinator inbox.
-//! It is also the only thing a coordinator whose links are sockets could
-//! wait on. `ADMIT_SLICE` is just the retry bound: a slot that came free
-//! *without* a completion (the full inbox held an epoch or cancel notice;
-//! or, at `queue_capacity` 1, the worker sent its completion before taking
-//! the next query, so that slot frees a moment after the retry it caused)
-//! is noticed at the next completion or when the slice ends, whichever is
-//! first. An admission's whole slice that ends with nothing received is
+//! Hand-offs move in runs, because every push or pop is a lock the other
+//! thread also takes and every push to a parked peer is a wake-up. A
+//! closed-loop query routed to a worker joins that worker's *staged run*,
+//! which the coordinator holds. Once a run is an inbox's worth long
+//! (`queue_capacity`), the coordinator offers every staged run, each as one
+//! push of as much as its inbox has room for. A worker takes its whole inbox
+//! in one receive and only then sends back the completions of the run it
+//! finished, as one group. So the group the coordinator receives is the
+//! credit for the room the take made, and that room exists before the
+//! credit arrives. Open-loop arrivals are paced by their driver and go in
+//! one push each.
+//!
+//! The coordinator waits in one place. When a worker's staged run is still
+//! an inbox's worth long after the offer, it checks the request's deadline
+//! and then receives on its **own** inbox until `min(deadline, now +
+//! ADMIT_SLICE)`, handles what arrives (and whatever else is already there),
+//! and offers again. Every staged run is offered before each wait, so no
+//! worker idles behind the one being waited for, and the end of the schedule
+//! admits what is still staged the same way. While it waits it is consuming
+//! results, which is what keeps the protocol deadlock-free: workers never
+//! stay blocked on a full coordinator inbox. It is also the only thing a
+//! coordinator whose links are sockets could wait on. `ADMIT_SLICE` is just
+//! the retry bound: a slot that came free *without* a completion (the full
+//! inbox held an epoch or cancel notice) is noticed at the next group or
+//! when the slice ends, whichever is first. An admission's whole slice that
+//! ends with nothing received is
 //! counted per shard ([`ShardServeMetrics::admit_stalls`],
 //! `serve.admit_stalls{shard}` on observed runs; a slice the deadline cut
 //! short is not): the coordinator used to block in the *worker's* queue,
@@ -71,11 +82,14 @@
 //! are not counted).
 //!
 //! Nothing on this path allocates or grows per counted request: the router
-//! and each worker's matcher work in buffers kept for the run, a refused
-//! offer hands the task back by value, the coordinator's inbox backlog
-//! moves by trading buffers with the queue, and queue waits go into
-//! fixed-size histograms
-//! (`tests/serve_allocs.rs` holds the line).
+//! and each worker's matcher work in buffers kept for the run, as do the
+//! staged runs and the groups of completions, a refused offer leaves its
+//! run where it was, both ends take an inbox by trading buffers with the
+//! queue, and queue waits go into fixed-size histograms
+//! (`tests/serve_allocs.rs` holds the line). Each shard's report says how
+//! the hand-offs went: the runs its worker took
+//! ([`ShardServeMetrics::runs`]) and the wake-ups its pushes cost
+//! ([`ShardServeMetrics::wake_ups`]).
 
 use crate::epoch::EpochStore;
 use crate::metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
@@ -94,6 +108,7 @@ use loom_sim::engine::{request_schedule, resolve_schedule_plans, QueryRequest, Q
 use loom_sim::executor::{ExecutionMetrics, QueryMode};
 use loom_sim::matcher::Embedding;
 use loom_sim::plan::{PlanCache, QueryPlan};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -277,10 +292,29 @@ pub struct Completion {
     pub deadline_exceeded: bool,
 }
 
+/// A routed query the coordinator holds until its home worker's inbox has
+/// room for it.
+struct Staged {
+    task: QueryTaskMsg,
+    /// The epoch it was routed against.
+    epoch: u64,
+    /// When it was routed, on observed runs: a rejection reports how long
+    /// it stayed refused.
+    at: Option<Instant>,
+}
+
 /// The run coordinator: owns the coordinator-side transport endpoints and
 /// every piece of run state; all worker interaction is messages.
 struct Coordinator<'a> {
     links: &'a [InProcEndpoint],
+    /// Per worker, the closed-loop queries routed to it and not yet in its
+    /// inbox, in admission order. At most `run_len` stay staged.
+    staged: Vec<VecDeque<Staged>>,
+    /// The longest staged run: one inbox's worth (`queue_capacity`).
+    run_len: usize,
+    /// Messages taken off the coordinator's inbox as one run and not yet
+    /// handled.
+    inbox: VecDeque<ShardMsg>,
     plans: &'a [Option<Arc<QueryPlan>>],
     cancel: &'a CancelToken,
     /// Observability for the run, `None` on unobserved runs (whose code
@@ -315,6 +349,7 @@ struct Coordinator<'a> {
 impl<'a> Coordinator<'a> {
     fn new(
         links: &'a [InProcEndpoint],
+        run_len: usize,
         plans: &'a [Option<Arc<QueryPlan>>],
         cancel: &'a CancelToken,
         telemetry: Option<&'a Telemetry>,
@@ -329,6 +364,9 @@ impl<'a> Coordinator<'a> {
         };
         Self {
             links,
+            staged: (0..workers).map(|_| VecDeque::new()).collect(),
+            run_len: run_len.max(1),
+            inbox: VecDeque::new(),
             plans,
             cancel,
             telemetry,
@@ -361,7 +399,7 @@ impl<'a> Coordinator<'a> {
         }
         match self.links[worker].try_send_query(task) {
             Ok(()) => {
-                self.admitted(worker);
+                self.admitted(worker, 1);
                 true
             }
             Err(refused) => {
@@ -371,24 +409,23 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    fn admitted(&mut self, worker: usize) {
-        self.outstanding += 1;
+    fn admitted(&mut self, worker: usize, count: usize) {
+        self.outstanding += count;
         if let Some(ctr) = self.admitted_ctr.get(worker) {
-            ctr.inc();
+            ctr.add(count as u64);
         }
     }
 
-    /// Send one routed query to its home worker, with backpressure. The task
-    /// is offered without blocking; a full home inbox is waited out on the
-    /// coordinator's **own** inbox ([`Coordinator::await_credit`]) and the
-    /// task offered again. With a deadline, an offer refused past it rejects
-    /// the request (recorded as `deadline_exceeded` with zero traversals,
-    /// and counted in the shard's `rejected`).
+    /// Closed-loop admission of one routed query, with backpressure. The
+    /// task joins its home worker's staged run; a run that has grown to an
+    /// inbox's worth is admitted ([`Coordinator::admit_staged`]) down to
+    /// less than that, so the coordinator waits only when a worker is a
+    /// whole run behind.
     fn admit(&mut self, worker: usize, task: QueryTaskMsg, deadline: Option<Instant>, epoch: u64) {
         // On observed runs, flight-record the admission and remember when it
         // started (one clock read for both) so a rejection can say how long
         // the task stayed refused. Unobserved runs skip even this read.
-        let admit_started = self.telemetry.map(|t| {
+        let at = self.telemetry.map(|t| {
             let now = Instant::now();
             t.flight().record_at(
                 now,
@@ -400,28 +437,49 @@ impl<'a> Coordinator<'a> {
             );
             now
         });
-        let mut task = task;
+        self.staged[worker].push_back(Staged { task, epoch, at });
+        if self.staged[worker].len() >= self.run_len {
+            self.admit_staged(worker, self.run_len - 1, deadline);
+        }
+    }
+
+    /// Offer every worker's staged run to its inbox, one push each, as far
+    /// as the inbox has room: a worker's credit is admitted in one push.
+    fn offer_staged(&mut self) {
+        for worker in 0..self.links.len() {
+            if self.staged[worker].is_empty() {
+                continue;
+            }
+            match self.links[worker].try_send_run(&mut self.staged[worker], |staged| {
+                ShardMsg::Query(staged.task)
+            }) {
+                Ok(sent) => self.admitted(worker, sent),
+                Err(PushError::Timeout(())) => {}
+                // The transport only closes during teardown, after admission.
+                Err(PushError::Closed(())) => self.staged[worker].clear(),
+            }
+        }
+    }
+
+    /// Admit `worker`'s staged run until at most `keep` queries of it are
+    /// left staged. Every staged run is offered; while `worker`'s is still
+    /// longer than `keep`, the coordinator waits out its full inbox on its
+    /// **own** inbox ([`Coordinator::await_credit`]) and offers again. Every
+    /// other worker's run was offered before the wait, so none idles behind
+    /// the one being waited for. With a deadline, a wait that would start
+    /// past it rejects what is still staged for `worker` (each recorded as
+    /// `deadline_exceeded` with zero traversals, and counted in the shard's
+    /// `rejected`).
+    fn admit_staged(&mut self, worker: usize, keep: usize, deadline: Option<Instant>) {
         loop {
             self.poll_cancel();
-            task = match self.links[worker].try_send_query(task) {
-                Ok(()) => return self.admitted(worker),
-                Err(PushError::Timeout(refused)) => refused,
-                // The transport only closes during teardown, after admission.
-                Err(PushError::Closed(_)) => return,
-            };
+            self.offer_staged();
+            if self.staged[worker].len() <= keep {
+                return;
+            }
             let now = Instant::now();
             if deadline.is_some_and(|d| now >= d) {
-                if let (Some(t), Some(started)) = (self.telemetry, admit_started) {
-                    t.flight().record_at(
-                        now,
-                        FlightKind::QueueWait {
-                            request: task.seq,
-                            shard: worker as u32,
-                            waited_us: now.duration_since(started).as_micros() as u64,
-                        },
-                    );
-                }
-                self.reject_admission(worker, &task, epoch);
+                self.reject_staged(worker, now);
                 return;
             }
             // A wait the deadline cuts short is not a stall: only a whole
@@ -434,19 +492,26 @@ impl<'a> Coordinator<'a> {
         }
     }
 
+    /// The end of a closed-loop schedule: admit every staged query.
+    fn admit_all_staged(&mut self, deadline: Option<Instant>) {
+        for worker in 0..self.links.len() {
+            self.admit_staged(worker, 0, deadline);
+        }
+    }
+
     /// The one place the coordinator waits for room in a worker's inbox: on
-    /// its own inbox, until `until`. A worker announces a slot it freed by
-    /// what it does with the query it took — the completion is the credit —
-    /// so whatever arrives is handled, the rest of the inbox with it, and
-    /// the caller offers its message again. (It is also the only thing a
+    /// its own inbox, until `until`. A worker takes its whole inbox before
+    /// it reports the run it finished — the completions are the credit — so
+    /// whatever arrives is handled, the rest of the inbox with it, and the
+    /// caller offers its staged runs again. (It is also the only thing a
     /// coordinator with sockets for links could wait on.) A wait that runs
     /// out with nothing received is counted as a stall against `stalled`,
     /// the worker an admission waited a whole slice for (`None`: the wait
     /// was shorter, or not an admission's). Returns `false` if the
     /// coordinator's inbox is gone.
     fn await_credit(&mut self, until: Instant, stalled: Option<usize>) -> bool {
-        match self.links[0].recv(Some(until)) {
-            Ok(msg) => self.handle(msg),
+        match self.links[0].recv_all(&mut self.inbox, Some(until)) {
+            Ok(()) => {}
             Err(RecvError::Timeout) => {
                 if let Some(worker) = stalled {
                     self.logs[worker].admit_stalls += 1;
@@ -459,6 +524,24 @@ impl<'a> Coordinator<'a> {
         }
         self.drain();
         true
+    }
+
+    /// `worker`'s staged queries stayed refused past the deadline: flight
+    /// record how long each waited, then reject it.
+    fn reject_staged(&mut self, worker: usize, now: Instant) {
+        while let Some(Staged { task, epoch, at }) = self.staged[worker].pop_front() {
+            if let (Some(t), Some(started)) = (self.telemetry, at) {
+                t.flight().record_at(
+                    now,
+                    FlightKind::QueueWait {
+                        request: task.seq,
+                        shard: worker as u32,
+                        waited_us: now.duration_since(started).as_micros() as u64,
+                    },
+                );
+            }
+            self.reject_admission(worker, &task, epoch);
+        }
     }
 
     /// An admission push was refused: account it, flight-record it, and latch
@@ -512,12 +595,17 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Consume everything currently in the inbox, then write out what the
-    /// batch owes the flight recorder. Every [`Coordinator::handle`] is
-    /// followed by a drain.
+    /// Handle the run taken off the inbox and every run still arriving,
+    /// then write out what the batch owes the flight recorder. Every receive
+    /// is followed by a drain.
     fn drain(&mut self) {
-        while let Ok(msg) = self.links[0].try_recv() {
-            self.handle(msg);
+        loop {
+            while let Some(msg) = self.inbox.pop_front() {
+                self.handle(msg);
+            }
+            if !self.links[0].try_recv_all(&mut self.inbox) {
+                break;
+            }
         }
         self.flush_deadline_events();
     }
@@ -596,10 +684,9 @@ impl<'a> Coordinator<'a> {
         let mut last_progress = Instant::now();
         while self.outstanding > 0 {
             self.poll_cancel();
-            match self.links[0].recv(Some(Instant::now() + PUMP_SLICE)) {
-                Ok(msg) => {
+            match self.links[0].recv_all(&mut self.inbox, Some(Instant::now() + PUMP_SLICE)) {
+                Ok(()) => {
                     last_progress = Instant::now();
-                    self.handle(msg);
                     self.drain();
                 }
                 Err(RecvError::Timeout) => {
@@ -614,7 +701,7 @@ impl<'a> Coordinator<'a> {
 
     /// Tell every worker the run is over and collect their shard reports.
     /// `Finish` is offered and a full inbox waited out exactly as in
-    /// [`Coordinator::admit`].
+    /// [`Coordinator::admit_staged`].
     fn finish(&mut self) {
         for worker in 0..self.links.len() {
             let mut msg = ShardMsg::Finish;
@@ -633,10 +720,9 @@ impl<'a> Coordinator<'a> {
         }
         let mut last_progress = Instant::now();
         while self.reports.iter().any(Option::is_none) {
-            match self.links[0].recv(Some(Instant::now() + PUMP_SLICE)) {
-                Ok(msg) => {
+            match self.links[0].recv_all(&mut self.inbox, Some(Instant::now() + PUMP_SLICE)) {
+                Ok(()) => {
                     last_progress = Instant::now();
-                    self.handle(msg);
                     self.drain();
                 }
                 Err(RecvError::Timeout) => {
@@ -772,11 +858,9 @@ impl OpenLoopInjector<'_> {
     pub fn pump_until(&mut self, deadline: Instant) {
         loop {
             self.coordinator.poll_cancel();
-            match self.coordinator.links[0].recv(Some(deadline)) {
-                Ok(msg) => {
-                    self.coordinator.handle(msg);
-                    self.coordinator.drain();
-                }
+            let coordinator = &mut self.coordinator;
+            match coordinator.links[0].recv_all(&mut coordinator.inbox, Some(deadline)) {
+                Ok(()) => coordinator.drain(),
                 Err(RecvError::Timeout) | Err(RecvError::Disconnected) => return,
             }
         }
@@ -998,6 +1082,7 @@ impl ServeEngine {
             let mut injector = OpenLoopInjector {
                 coordinator: Coordinator::new(
                     &hub.coordinator,
+                    self.config.queue_capacity,
                     &plans,
                     &effective.cancel,
                     self.telemetry.as_deref(),
@@ -1017,8 +1102,10 @@ impl ServeEngine {
                 mut coordinator,
                 next: issued,
                 query_counts,
+                deadline,
                 ..
             } = injector;
+            coordinator.admit_all_staged(deadline);
             coordinator.await_completion();
             coordinator.finish();
             // Tear the run down: closing the shared inbox ends the epoch
@@ -1062,16 +1149,16 @@ impl ServeEngine {
         for (w, log) in logs.into_iter().enumerate() {
             aggregate.merge(&log.execution);
             epochs_observed.extend_from_slice(&log.epochs);
+            let report = reports.get(w).and_then(Option::as_ref);
             shards.push(ShardServeMetrics {
                 shard: w as u32,
                 queries: log.queries,
                 execution: log.execution,
                 max_queue_depth: depths.get(w).copied().unwrap_or(0),
-                queue_wait_p99_us: reports
-                    .get(w)
-                    .and_then(Option::as_ref)
-                    .map_or(0.0, |r| r.queue_wait_p99_us),
+                queue_wait_p99_us: report.map_or(0.0, |r| r.queue_wait_p99_us),
                 admit_stalls: log.admit_stalls,
+                runs: report.map_or(0, |r| r.runs),
+                wake_ups: report.map_or(0, |r| r.wake_ups),
                 rejected: log.rejected,
                 deadline_expired: log.deadline_expired,
                 epoch_seq: log.epochs.iter().copied().max(),
@@ -1266,6 +1353,38 @@ mod tests {
         assert_eq!(report.aggregate.queries_executed, 100);
     }
 
+    /// Closed-loop admission stages each worker's queries and admits them
+    /// in runs of up to an inbox's worth: at every capacity, down to one,
+    /// every query is admitted once, no inbox outgrows its bound, and the
+    /// metrics and the cursor are those of one worker behind a deep queue.
+    #[test]
+    fn staged_runs_admit_every_query_once_at_every_capacity() {
+        let (store, workload) = fixture();
+        let request = QueryRequest::workload(90)
+            .with_seed(6)
+            .collect_matches(true);
+        let ctx = RequestContext::unbounded();
+        let (reference, cursor) =
+            ServeEngine::new(ServeConfig::new(1)).run(&store, &workload, request, &ctx);
+        let cursor: Vec<_> = cursor.into_cursor().collect();
+        assert!(!cursor.is_empty());
+        for capacity in [1, 2, 3, 64] {
+            for workers in [1, 3] {
+                let config = ServeConfig::new(workers).with_queue_capacity(capacity);
+                let (report, response) =
+                    ServeEngine::new(config).run(&store, &workload, request, &ctx);
+                assert_eq!(report.aggregate, reference.aggregate);
+                assert_eq!(report.error_budget.dropped(), 0);
+                assert_eq!(report.shards.iter().map(|s| s.queries).sum::<usize>(), 90);
+                for shard in &report.shards {
+                    assert!(shard.max_queue_depth <= capacity, "{shard:?}");
+                }
+                let got: Vec<_> = response.into_cursor().collect();
+                assert_eq!(got, cursor, "capacity {capacity} x {workers} workers");
+            }
+        }
+    }
+
     #[test]
     fn plan_cache_is_shared_by_router_and_workers() {
         let (store, workload) = fixture();
@@ -1393,6 +1512,8 @@ mod tests {
                 shard.queue_wait_p99_us = 0.0;
                 shard.admit_stalls = 0;
                 shard.max_queue_depth = 0;
+                shard.runs = 0;
+                shard.wake_ups = 0;
             }
             r
         };

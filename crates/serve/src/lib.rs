@@ -31,9 +31,11 @@
 //!   [`RequestContext`](loom_sim::context::RequestContext) — deadlines and
 //!   cancellation unwind searches cooperatively mid-backtrack. Admission
 //!   applies deadline-aware backpressure: a full worker inbox is waited out
-//!   on the coordinator's own inbox (a completion is the credit for the
-//!   slot it frees) and rejects the request at its deadline instead of
-//!   wedging;
+//!   on the coordinator's own inbox (a worker's group of completions is the
+//!   credit for the inbox it took) and rejects the request at its deadline
+//!   instead of wedging. Hand-offs move in runs: the coordinator admits a
+//!   worker's staged queries in one push, a worker takes its whole inbox,
+//!   and completions come back in groups;
 //! * [`epoch`] — [`epoch::EpochStore`]: ingest-while-serve via epoch-swapped
 //!   snapshots — the streaming partitioner keeps ingesting and periodically
 //!   publishes a new immutable shard set through an `arc-swap`-style pointer,

@@ -7,7 +7,8 @@
 //! [`estimated_latency_us`](ExecutionMetrics::estimated_latency_us) reads two
 //! of them as the simulator's quality estimate of what the traversals would
 //! cost on a network, which is never presented as a speed. The *timings* —
-//! `wall_clock_us`, queue waits, queue depth — are this process's clock, and
+//! `wall_clock_us`, queue waits, queue depth, and the hand-off counts that
+//! depend on scheduling (stalls, runs, wake-ups) — are this process's, and
 //! [`ServeReport::wall_clock_qps`] is the only throughput a report has.
 
 use loom_sim::executor::ExecutionMetrics;
@@ -25,8 +26,9 @@ pub struct ShardServeMetrics {
     /// capacity; hitting the bound means backpressure engaged).
     pub max_queue_depth: usize,
     /// 99th-percentile wall-clock wait of this shard's messages between
-    /// enqueue and dequeue, µs — the queueing delay backpressure added on
-    /// top of execution time.
+    /// enqueue and the worker's take of the run holding them, µs — the
+    /// queueing delay backpressure added on top of execution time (the wait
+    /// behind a message's run-mates, once taken, is not in it).
     pub queue_wait_p99_us: f64,
     /// How often an admission, refused by this shard's full inbox, waited a
     /// whole retry slice on the coordinator's own inbox without one message
@@ -36,6 +38,13 @@ pub struct ShardServeMetrics {
     /// to offer the task again, long before the slice ends. Depends on
     /// scheduling, like the two timings above.
     pub admit_stalls: usize,
+    /// Runs this shard's worker took off its inbox: receives that found at
+    /// least one message. `queries / runs` is the mean run; one would mean
+    /// every query was a hand-off of its own. Depends on scheduling.
+    pub runs: usize,
+    /// Pushes into this shard's inbox that woke its parked worker, a futex
+    /// wake-up each. Depends on scheduling.
+    pub wake_ups: usize,
     /// Requests routed to this shard but rejected at admission because the
     /// queue stayed full past the request deadline. Rejected requests still
     /// count in the aggregate (flagged `deadline_exceeded`, zero

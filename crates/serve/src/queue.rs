@@ -8,8 +8,11 @@
 //! serving report surfaces per shard.
 //!
 //! There is one push and one pop. Every public entry point names how long
-//! that push or pop may park and how much a pop takes, so the waiter
-//! accounting below exists once per direction.
+//! that push or pop may park and how much it moves — one item, or a run:
+//! [`ShardQueue::push_run`] appends as much of a caller's run as there is
+//! room for, [`ShardQueue::pop_all_deadline`] takes the whole backlog — so
+//! the waiter accounting below exists once per direction, and a run costs
+//! one lock acquisition and at most one wake-up however long it is.
 //!
 //! **A wake-up is only sent to a sleeper.** `Condvar::notify_one` is a
 //! `futex_wake` system call whether or not anybody waits, and a serving run
@@ -101,6 +104,8 @@ struct State<T> {
     parked_consumers: usize,
     /// Threads parked on `not_full` right now.
     parked_producers: usize,
+    /// Parked consumers the pushes so far have woken.
+    consumer_wake_ups: usize,
 }
 
 /// Park on `condvar` as one of the waiters `parked` counts, until notified
@@ -136,6 +141,16 @@ fn park<'a, T>(
     Some(state)
 }
 
+/// Wake `count` of the threads parked on `condvar`: nobody, one, or all of
+/// them (a waiter that finds nothing for it re-checks and parks again).
+fn wake_up(condvar: &Condvar, count: usize) {
+    match count {
+        0 => {}
+        1 => condvar.notify_one(),
+        _ => condvar.notify_all(),
+    }
+}
+
 impl<T> ShardQueue<T> {
     /// Create a queue admitting at most `capacity` queued items (minimum 1).
     pub fn new(capacity: usize) -> Self {
@@ -146,6 +161,7 @@ impl<T> ShardQueue<T> {
                 max_depth: 0,
                 parked_consumers: 0,
                 parked_producers: 0,
+                consumer_wake_ups: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -162,27 +178,60 @@ impl<T> ShardQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The one push: wait for room as long as `how_long` allows, enqueue,
-    /// wake a parked consumer if there is one.
-    fn push_parking(&self, item: T, how_long: Park) -> Result<(), PushError<T>> {
+    /// The one push: wait for room as long as `how_long` allows, let `put`
+    /// append at most `room` items, wake as many parked consumers as items
+    /// arrived. A refusal says why nothing was put (`put` is not called).
+    fn push_parking(
+        &self,
+        how_long: Park,
+        put: impl FnOnce(&mut VecDeque<T>, usize),
+    ) -> Result<(), PushError<()>> {
         let mut state = self.lock();
         while state.items.len() >= self.capacity && !state.closed {
             match park(&self.not_full, state, |s| &mut s.parked_producers, how_long) {
                 Some(guard) => state = guard,
-                None => return Err(PushError::Timeout(item)),
+                None => return Err(PushError::Timeout(())),
             }
         }
         if state.closed {
-            return Err(PushError::Closed(item));
+            return Err(PushError::Closed(()));
         }
-        state.items.push_back(item);
+        let before = state.items.len();
+        put(&mut state.items, self.capacity - before);
         state.max_depth = state.max_depth.max(state.items.len());
-        let wake = state.parked_consumers > 0;
+        let wake = state.parked_consumers.min(state.items.len() - before);
+        state.consumer_wake_ups += wake;
         drop(state);
-        if wake {
-            self.not_empty.notify_one();
-        }
+        wake_up(&self.not_empty, wake);
         Ok(())
+    }
+
+    /// One item through the one push; a refusal hands it back.
+    fn push_one(&self, item: T, how_long: Park) -> Result<(), PushError<T>> {
+        let mut item = Some(item);
+        self.push_parking(how_long, |items, _| items.extend(item.take()))
+            .map_err(|refused| {
+                refused.map(|()| item.take().expect("a refused push keeps its item"))
+            })
+    }
+
+    /// The front of `run`, converted, through the one push: as much as
+    /// there is room for. How many items moved.
+    fn push_run_parking<S>(
+        &self,
+        run: &mut VecDeque<S>,
+        convert: impl FnMut(S) -> T,
+        how_long: Park,
+    ) -> Result<usize, PushError<()>> {
+        if run.is_empty() {
+            return Ok(0);
+        }
+        let mut moved = 0;
+        self.push_parking(how_long, |items, room| {
+            moved = room.min(run.len());
+            items.extend(run.drain(..moved).map(convert));
+        })
+        .map(|()| moved)
     }
 
     /// The one pop: wait for an item as long as `how_long` allows, let
@@ -200,11 +249,7 @@ impl<T> ShardQueue<T> {
                 let taken = take(&mut state.items);
                 let wake = state.parked_producers.min(before - state.items.len());
                 drop(state);
-                match wake {
-                    0 => {}
-                    1 => self.not_full.notify_one(),
-                    _ => self.not_full.notify_all(),
-                }
+                wake_up(&self.not_full, wake);
                 return Ok(taken);
             }
             if state.closed {
@@ -234,7 +279,7 @@ impl<T> ShardQueue<T> {
     /// [`PushError::Closed`] when the queue has been closed; both return the
     /// item.
     pub fn push_deadline(&self, item: T, deadline: Option<Instant>) -> Result<(), PushError<T>> {
-        self.push_parking(item, deadline.into())
+        self.push_one(item, deadline.into())
     }
 
     /// Push an item only if there is room right now: never parks and never
@@ -245,7 +290,42 @@ impl<T> ShardQueue<T> {
     /// [`PushError::Timeout`] when the queue is full, [`PushError::Closed`]
     /// when it has been closed; both return the item.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        self.push_parking(item, Park::Never)
+        self.push_one(item, Park::Never)
+    }
+
+    /// Move items off the front of `run` onto the queue, each converted by
+    /// `convert`, as many as there is room for, under one lock acquisition
+    /// and with at most one wake-up: how many moved. Waits only while the
+    /// queue has no room at all, and only until `deadline` (`None` blocks
+    /// indefinitely); what did not fit stays at the front of `run`, in
+    /// order, for the caller to offer again.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Timeout`] when the queue stayed full until the deadline,
+    /// [`PushError::Closed`] when it has been closed; `run` is untouched.
+    pub fn push_run<S>(
+        &self,
+        run: &mut VecDeque<S>,
+        convert: impl FnMut(S) -> T,
+        deadline: Option<Instant>,
+    ) -> Result<usize, PushError<()>> {
+        self.push_run_parking(run, convert, deadline.into())
+    }
+
+    /// [`ShardQueue::push_run`] without waiting: moves what fits right now,
+    /// never parks and never reads the clock.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::Timeout`] when the queue is full, [`PushError::Closed`]
+    /// when it has been closed; `run` is untouched.
+    pub fn try_push_run<S>(
+        &self,
+        run: &mut VecDeque<S>,
+        convert: impl FnMut(S) -> T,
+    ) -> Result<usize, PushError<()>> {
+        self.push_run_parking(run, convert, Park::Never)
     }
 
     /// Pop the next item, blocking while the queue is empty but only until
@@ -263,26 +343,38 @@ impl<T> ShardQueue<T> {
         })
     }
 
-    /// Pop the next item only if one is queued right now: never parks and
-    /// never reads the clock (`None` on an empty queue, closed or not).
-    pub fn try_pop(&self) -> Option<T> {
-        self.pop_parking(Park::Never, VecDeque::pop_front)
-            .ok()
-            .flatten()
-    }
-
     /// Take the whole backlog under one lock acquisition, without waiting or
     /// reading the clock: whether anything was queued (an empty queue leaves
     /// `into` empty, closed or not). `into` must be empty: it trades places
     /// with the queue's buffer, so a caller that keeps handing the same
     /// `into` back moves items without allocating.
     pub fn try_pop_all(&self, into: &mut VecDeque<T>) -> bool {
+        self.pop_all_parking(into, Park::Never).is_ok()
+    }
+
+    /// Take the whole backlog under one lock acquisition, waiting while the
+    /// queue is empty but only until `deadline` (`None` blocks
+    /// indefinitely). `into` must be empty and trades places with the
+    /// queue's buffer, as in [`ShardQueue::try_pop_all`].
+    ///
+    /// # Errors
+    ///
+    /// [`PopError::Timeout`] when nothing arrived by the deadline,
+    /// [`PopError::Closed`] once the queue is closed and drained.
+    pub fn pop_all_deadline(
+        &self,
+        into: &mut VecDeque<T>,
+        deadline: Option<Instant>,
+    ) -> Result<(), PopError> {
+        self.pop_all_parking(into, deadline.into())
+    }
+
+    fn pop_all_parking(&self, into: &mut VecDeque<T>, how_long: Park) -> Result<(), PopError> {
         assert!(
             into.is_empty(),
-            "try_pop_all trades buffers with an empty one"
+            "a whole-backlog pop trades buffers with an empty one"
         );
-        self.pop_parking(Park::Never, |items| std::mem::swap(items, into))
-            .is_ok()
+        self.pop_parking(how_long, |items| std::mem::swap(items, into))
     }
 
     /// Close the queue: pending items remain poppable, further pushes fail,
@@ -302,6 +394,12 @@ impl<T> ShardQueue<T> {
     /// The maximum depth the queue reached so far.
     pub fn max_depth(&self) -> usize {
         self.lock().max_depth
+    }
+
+    /// How many parked consumers pushes have woken so far: the system calls
+    /// a consumer that keeps up with its producers costs them.
+    pub fn consumer_wake_ups(&self) -> usize {
+        self.lock().consumer_wake_ups
     }
 }
 
@@ -417,14 +515,15 @@ mod tests {
     #[test]
     fn try_pops_take_one_or_the_backlog_in_order_and_trade_buffers() {
         let q = ShardQueue::new(4);
+        let now = || Some(Instant::now());
         let mut buffer = VecDeque::new();
         assert!(!q.try_pop_all(&mut buffer));
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop_deadline(now()), Err(PopError::Timeout));
         for i in 0..4 {
             push(&q, i).unwrap();
         }
         assert_eq!(q.try_push(4), Err(PushError::Timeout(4)));
-        assert_eq!(q.try_pop(), Some(0));
+        assert_eq!(q.pop_deadline(now()), Ok(0));
         assert!(q.try_pop_all(&mut buffer));
         assert_eq!(buffer.drain(..).collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(q.depth(), 0);
@@ -435,7 +534,7 @@ mod tests {
         assert_eq!(buffer.pop_front(), Some(9));
         q.close();
         assert!(!q.try_pop_all(&mut buffer));
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop_deadline(now()), Err(PopError::Closed));
     }
 
     /// Wake-ups go only to counted sleepers, so a miscounted sleeper would
@@ -470,6 +569,113 @@ mod tests {
         });
         assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
         assert_eq!(q.max_depth(), 1);
+    }
+
+    #[test]
+    fn a_run_goes_in_as_far_as_it_fits_and_the_rest_keeps_its_order() {
+        let q = ShardQueue::new(3);
+        let mut run: VecDeque<u32> = (1..=5).collect();
+        assert_eq!(q.try_push_run(&mut run, |x| x * 10), Ok(3));
+        assert_eq!(run, [4, 5]);
+        assert_eq!(
+            q.try_push_run(&mut run, |x| x * 10),
+            Err(PushError::Timeout(()))
+        );
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert_eq!(
+            q.push_run(&mut run, |x| x * 10, Some(soon)),
+            Err(PushError::Timeout(()))
+        );
+        assert_eq!(run, [4, 5], "a refused run is left untouched");
+        assert_eq!(pop(&q), Some(10));
+        // Room for one: one moves, the other waits its turn.
+        assert_eq!(q.push_run(&mut run, |x| x * 10, None), Ok(1));
+        assert_eq!(run, [5]);
+        let mut all = VecDeque::new();
+        assert_eq!(q.pop_all_deadline(&mut all, None), Ok(()));
+        assert_eq!(all.drain(..).collect::<Vec<_>>(), [20, 30, 40]);
+        assert_eq!(q.try_push_run(&mut VecDeque::new(), |x: u32| x), Ok(0));
+        assert_eq!(q.max_depth(), 3);
+        q.close();
+        assert_eq!(q.try_push_run(&mut run, |x| x), Err(PushError::Closed(())));
+        assert_eq!(
+            q.push_run(&mut run, |x| x, None),
+            Err(PushError::Closed(()))
+        );
+        assert_eq!(run, [5]);
+    }
+
+    #[test]
+    fn a_whole_backlog_pop_waits_for_the_first_item_only() {
+        let q: ShardQueue<u32> = ShardQueue::new(4);
+        let mut into = VecDeque::new();
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert_eq!(
+            q.pop_all_deadline(&mut into, Some(soon)),
+            Err(PopError::Timeout)
+        );
+        std::thread::scope(|s| {
+            let taker = s.spawn(|| {
+                let mut into = VecDeque::new();
+                q.pop_all_deadline(&mut into, None).map(|()| into)
+            });
+            while q.lock().parked_consumers == 0 {
+                std::thread::yield_now();
+            }
+            let mut run: VecDeque<u32> = VecDeque::from([7, 8]);
+            assert_eq!(q.push_run(&mut run, |x| x, None), Ok(2));
+            // Both went in under one lock, so the woken taker finds both.
+            assert_eq!(taker.join().unwrap(), Ok(VecDeque::from([7, 8])));
+        });
+        q.close();
+        assert_eq!(q.pop_all_deadline(&mut into, None), Err(PopError::Closed));
+    }
+
+    /// The same count with runs both ways: producers push runs into a
+    /// 3-slot queue, consumers take the whole backlog. A push of several
+    /// items wakes as many parked consumers, a pop that frees several slots
+    /// as many parked producers; the test ends only if none is missed, and
+    /// every item arrives once, each producer's in order.
+    #[test]
+    fn no_wake_up_is_lost_when_runs_move_both_ways() {
+        const PRODUCERS: usize = 3;
+        const CONSUMERS: usize = 3;
+        const ITEMS: usize = 30_000;
+        let q: ShardQueue<usize> = ShardQueue::new(3);
+        let seen: Vec<AtomicU8> = (0..PRODUCERS * ITEMS).map(|_| AtomicU8::new(0)).collect();
+        std::thread::scope(|consumers| {
+            for _ in 0..CONSUMERS {
+                consumers.spawn(|| {
+                    let mut run = VecDeque::new();
+                    let mut last = [None; PRODUCERS];
+                    while q.pop_all_deadline(&mut run, None).is_ok() {
+                        for item in run.drain(..) {
+                            seen[item].fetch_add(1, Ordering::Relaxed);
+                            let (p, i) = (item / ITEMS, item % ITEMS);
+                            assert!(last[p].is_none_or(|l| l < i), "producer {p} reordered");
+                            last[p] = Some(i);
+                        }
+                    }
+                });
+            }
+            std::thread::scope(|producers| {
+                for p in 0..PRODUCERS {
+                    let q = &q;
+                    producers.spawn(move || {
+                        let mut run = VecDeque::new();
+                        for chunk in (0..ITEMS).collect::<Vec<_>>().chunks(5) {
+                            run.extend(chunk.iter().map(|i| p * ITEMS + i));
+                            while !run.is_empty() {
+                                q.push_run(&mut run, |x| x, None).unwrap();
+                            }
+                        }
+                    });
+                }
+            });
+            q.close();
+        });
+        assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        assert!(q.max_depth() <= 3);
     }
 
     #[test]

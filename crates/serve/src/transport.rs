@@ -20,22 +20,30 @@
 //! worker (coordinator → worker) plus one shared inbox every worker sends
 //! into (worker → coordinator). Sends are deadline-aware — backpressure can
 //! reject instead of wedging admission. Nothing on the per-message path
-//! allocates or grows. A worker's end takes one message per receive, so its
-//! inbox — the queue `queue_capacity` bounds and `max_queue_depth` reports —
-//! holds every admitted query that has not started, and it measures the
-//! wall-clock time each message waited there into a fixed-size histogram,
-//! which is where the per-shard `queue_wait_p99` figure comes from. The
-//! coordinator's end, which consumes in bursts (everything that is there,
-//! each time admission is refused), takes its inbox's whole backlog under
-//! one lock acquisition and hands it out message by message; nobody reads
-//! its waits, so it measures nothing and its messages are not even
-//! time-stamped.
+//! allocates or grows.
 //!
-//! Closed-loop admission goes through the concrete [`InProcEndpoint`], not
-//! the trait: [`InProcEndpoint::try_send_query`] (a refusal returns the task
-//! by value) and [`InProcEndpoint::try_recv`] (no clock read) are what make
-//! a refused offer and a drained completion free of allocation and system
-//! calls. A socket transport would provide its own pair; everything else the
+//! **Hand-offs move in runs.** Every lock acquisition on a queue, and every
+//! wake-up of a parked peer, is paid per hand-off, not per message, so the
+//! trait moves runs: [`ShardTransport::send_all`] appends as much of a run
+//! as the peer's inbox has room for in one push, and
+//! [`ShardTransport::recv_all`] takes a whole inbox in one pop, trading
+//! buffers with the queue. A worker takes its whole inbox, runs it, and
+//! sends its completions back as one group; the coordinator admits a
+//! worker's staged queries as one run and takes its inbox whole. Wait
+//! accounting follows the run: a message's queue wait ends when its
+//! endpoint hands it to the receiver — for a run, at the one clock read
+//! that hands over the whole run — and the per-shard `queue_wait_p99`
+//! figure is those waits, in a fixed-size histogram, on the worker ends.
+//! The coordinator's end measures nothing, so its messages are not even
+//! time-stamped. `queue_capacity` bounds each worker's inbox; a worker
+//! holds at most one inbox more, the run it took.
+//!
+//! Admission goes through the concrete [`InProcEndpoint`], not the trait:
+//! [`InProcEndpoint::try_send_run`] (closed loop, a staged run) and
+//! [`InProcEndpoint::try_send_query`] (open loop, one arrival) never wait,
+//! and a refusal leaves the run where it was or hands the task back by
+//! value, so a refused offer costs neither an allocation nor a system call.
+//! A socket transport would provide its own pair; everything else the
 //! engine and the workers do goes through [`ShardTransport`].
 
 use crate::epoch::EpochSink;
@@ -97,6 +105,10 @@ pub struct ShardReportMsg {
     pub queue_wait_p99_us: f64,
     /// Deepest the worker's inbox got.
     pub max_inbox_depth: usize,
+    /// Receives that took at least one message off the worker's inbox.
+    pub runs: usize,
+    /// Sends into the worker's inbox that woke it from a park.
+    pub wake_ups: usize,
 }
 
 /// Everything that crosses a [`ShardTransport`]: plain serialisable data,
@@ -158,6 +170,11 @@ pub struct TransportStats {
     pub sent: usize,
     /// Messages received by this endpoint.
     pub received: usize,
+    /// Receives that took at least one message: `received / recv_runs` is
+    /// the mean run.
+    pub recv_runs: usize,
+    /// Sends into this endpoint's receive queue that woke a parked receiver.
+    pub recv_wake_ups: usize,
     /// Deepest this endpoint's receive queue got.
     pub max_recv_depth: usize,
     /// Median wall-clock time received messages spent queued, µs.
@@ -195,6 +212,48 @@ pub trait ShardTransport: Send + Sync {
     /// [`RecvError::Timeout`] if nothing arrived in time,
     /// [`RecvError::Disconnected`] once the link is down and drained.
     fn recv(&self, deadline: Option<Instant>) -> Result<ShardMsg, RecvError>;
+
+    /// Receive every message that is waiting, as one run appended to `into`
+    /// in arrival order, blocking until at least one arrives or `deadline`
+    /// passes (`None` blocks indefinitely). The default takes one message;
+    /// an implementation that can hand a whole inbox over at once should.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardTransport::recv`]; `into` is unchanged then.
+    fn recv_all(
+        &self,
+        into: &mut VecDeque<ShardMsg>,
+        deadline: Option<Instant>,
+    ) -> Result<(), RecvError> {
+        into.push_back(self.recv(deadline)?);
+        Ok(())
+    }
+
+    /// [`ShardTransport::recv_all`] without waiting: whether anything was
+    /// there to append.
+    fn try_recv_all(&self, into: &mut VecDeque<ShardMsg>) -> bool {
+        self.recv_all(into, Some(Instant::now())).is_ok()
+    }
+
+    /// Send `run`, in order, in as few hand-offs as the peer's inbox allows,
+    /// blocking under backpressure until `deadline` (`None` blocks
+    /// indefinitely). `run` is left empty.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardTransport::send`], at the first message refused: that one
+    /// is handed back in the error and the rest stay in `run`, in order.
+    fn send_all(
+        &self,
+        run: &mut VecDeque<ShardMsg>,
+        deadline: Option<Instant>,
+    ) -> Result<(), TransportError> {
+        while let Some(msg) = run.pop_front() {
+            self.send(msg, deadline)?;
+        }
+        Ok(())
+    }
 
     /// Non-blocking send: deliver only if the peer's inbox has room right
     /// now. Used for notices that are safe to drop (epoch publications,
@@ -255,13 +314,13 @@ impl WaitStats {
 pub struct InProcEndpoint {
     tx: Arc<ShardQueue<Envelope>>,
     rx: Arc<ShardQueue<Envelope>>,
-    /// On an end that receives in batches (the coordinator's): messages
-    /// already off `rx` — a whole backlog per lock acquisition, the buffer
-    /// trading places with the queue's — and not yet handed out. Never held
-    /// across a wait. `None` on an end that takes one message per receive.
-    backlog: Option<parking_lot::Mutex<VecDeque<Envelope>>>,
+    /// The buffer a whole-inbox receive trades with `rx`'s. Empty between
+    /// receives, and taken out of its mutex for a wait, so the lock is never
+    /// held across one.
+    spare: parking_lot::Mutex<VecDeque<Envelope>>,
     sent: AtomicUsize,
     received: AtomicUsize,
+    recv_runs: AtomicUsize,
     /// Whether the peer measures queue wait, i.e. whether sends are stamped.
     stamp_sends: bool,
     waits: Option<WaitStats>,
@@ -273,14 +332,14 @@ impl InProcEndpoint {
         rx: Arc<ShardQueue<Envelope>>,
         stamp_sends: bool,
         waits: Option<WaitStats>,
-        batch_receives: bool,
     ) -> Self {
         Self {
             tx,
             rx,
-            backlog: batch_receives.then(Default::default),
+            spare: Default::default(),
             sent: AtomicUsize::new(0),
             received: AtomicUsize::new(0),
+            recv_runs: AtomicUsize::new(0),
             stamp_sends,
             waits,
         }
@@ -292,18 +351,23 @@ impl InProcEndpoint {
         self.tx.max_depth()
     }
 
+    /// The enqueue stamp of a send made now: one clock read, and only when
+    /// the peer measures waits.
+    fn stamp(&self) -> Option<Instant> {
+        self.stamp_sends.then(Instant::now)
+    }
+
     fn envelope(&self, msg: ShardMsg) -> Envelope {
         Envelope {
             msg,
-            enqueued: self.stamp_sends.then(Instant::now),
+            enqueued: self.stamp(),
         }
     }
 
-    /// Offer one routed query to the peer without blocking — the admission
-    /// primitive. Unlike [`ShardTransport::try_send`] a refusal hands the
-    /// task back unboxed: closed-loop admission is refused about once per
-    /// request whenever the workers are the bottleneck, and must not pay an
-    /// allocation for it.
+    /// Offer one routed query to the peer without blocking — open-loop
+    /// admission's primitive. Unlike [`ShardTransport::try_send`] a refusal
+    /// hands the task back unboxed: an open-loop driver past the knee is
+    /// refused about once per arrival and must not pay an allocation for it.
     ///
     /// # Errors
     ///
@@ -323,35 +387,70 @@ impl InProcEndpoint {
             })
     }
 
-    /// Receive the next message if one is already here: never blocks and
-    /// never reads the clock to find out.
+    /// Offer the front of `run` to the peer without blocking — closed-loop
+    /// admission's primitive: as many items as the peer's inbox has room
+    /// for, each made a message by `msg`, in one push stamped by one clock
+    /// read. How many went; what did not fit stays at the front of `run`.
     ///
     /// # Errors
     ///
-    /// [`RecvError::Timeout`] when nothing is waiting (a closed link
-    /// reports the same; the blocking [`ShardTransport::recv`] tells them
-    /// apart).
-    pub fn try_recv(&self) -> Result<ShardMsg, RecvError> {
-        let ready = match &self.backlog {
-            None => self.rx.try_pop(),
-            Some(backlog) => {
-                let mut backlog = backlog.lock();
-                if backlog.is_empty() {
-                    self.rx.try_pop_all(&mut backlog);
-                }
-                backlog.pop_front()
-            }
-        };
-        ready
-            .map(|envelope| self.deliver(envelope))
-            .ok_or(RecvError::Timeout)
+    /// [`PushError::Timeout`] when the peer's inbox is full,
+    /// [`PushError::Closed`] when the link is down; `run` is untouched.
+    pub fn try_send_run<S>(
+        &self,
+        run: &mut VecDeque<S>,
+        mut msg: impl FnMut(S) -> ShardMsg,
+    ) -> Result<usize, PushError<()>> {
+        let enqueued = self.stamp();
+        let sent = self.tx.try_push_run(run, |item| Envelope {
+            msg: msg(item),
+            enqueued,
+        })?;
+        self.sent.fetch_add(sent, Ordering::Relaxed);
+        Ok(sent)
     }
 
-    /// Count a received message and charge its wait where waits are kept.
-    fn deliver(&self, envelope: Envelope) -> ShardMsg {
-        self.received.fetch_add(1, Ordering::Relaxed);
-        if let (Some(waits), Some(enqueued)) = (&self.waits, envelope.enqueued) {
-            let waited = enqueued.elapsed();
+    /// Take the receive queue's whole backlog — waiting for it until
+    /// `deadline` when `wait` is set — and hand it to `into` as one run.
+    fn take_all(
+        &self,
+        into: &mut VecDeque<ShardMsg>,
+        wait: Option<Option<Instant>>,
+    ) -> Result<(), RecvError> {
+        let mut run = std::mem::take(&mut *self.spare.lock());
+        let taken = match wait {
+            None => {
+                if self.rx.try_pop_all(&mut run) {
+                    Ok(())
+                } else {
+                    Err(RecvError::Timeout)
+                }
+            }
+            Some(deadline) => {
+                self.rx
+                    .pop_all_deadline(&mut run, deadline)
+                    .map_err(|err| match err {
+                        PopError::Timeout => RecvError::Timeout,
+                        PopError::Closed => RecvError::Disconnected,
+                    })
+            }
+        };
+        if taken.is_ok() {
+            self.received.fetch_add(run.len(), Ordering::Relaxed);
+            self.recv_runs.fetch_add(1, Ordering::Relaxed);
+            // One clock read hands the whole run over.
+            let now = self.waits.as_ref().map(|_| Instant::now());
+            into.extend(run.drain(..).map(|envelope| self.deliver(envelope, now)));
+        }
+        *self.spare.lock() = run;
+        taken
+    }
+
+    /// Unwrap a received message, charging its wait as of `now` where waits
+    /// are kept.
+    fn deliver(&self, envelope: Envelope, now: Option<Instant>) -> ShardMsg {
+        if let (Some(waits), Some(now), Some(enqueued)) = (&self.waits, now, envelope.enqueued) {
+            let waited = now.saturating_duration_since(enqueued);
             waits.run.record(waited.as_nanos() as u64);
             if let Some(live) = &waits.live {
                 live.record_f64(waited.as_secs_f64() * 1e6);
@@ -375,18 +474,53 @@ impl ShardTransport for InProcEndpoint {
         }
     }
 
+    fn send_all(
+        &self,
+        run: &mut VecDeque<ShardMsg>,
+        deadline: Option<Instant>,
+    ) -> Result<(), TransportError> {
+        while !run.is_empty() {
+            let enqueued = self.stamp();
+            match self
+                .tx
+                .push_run(run, |msg| Envelope { msg, enqueued }, deadline)
+            {
+                Ok(sent) => {
+                    self.sent.fetch_add(sent, Ordering::Relaxed);
+                }
+                Err(refused) => {
+                    let msg = Box::new(run.pop_front().expect("a refused run is left untouched"));
+                    return Err(match refused {
+                        PushError::Timeout(()) => TransportError::Timeout(msg),
+                        PushError::Closed(()) => TransportError::Closed(msg),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn recv(&self, deadline: Option<Instant>) -> Result<ShardMsg, RecvError> {
-        // What is already here first (a batching end's backlog is older
-        // than anything still queued), then one message off the queue.
-        self.try_recv().or_else(|_| {
-            self.rx
-                .pop_deadline(deadline)
-                .map(|envelope| self.deliver(envelope))
-                .map_err(|err| match err {
-                    PopError::Timeout => RecvError::Timeout,
-                    PopError::Closed => RecvError::Disconnected,
-                })
-        })
+        let envelope = self.rx.pop_deadline(deadline).map_err(|err| match err {
+            PopError::Timeout => RecvError::Timeout,
+            PopError::Closed => RecvError::Disconnected,
+        })?;
+        self.received.fetch_add(1, Ordering::Relaxed);
+        self.recv_runs.fetch_add(1, Ordering::Relaxed);
+        let now = self.waits.as_ref().map(|_| Instant::now());
+        Ok(self.deliver(envelope, now))
+    }
+
+    fn recv_all(
+        &self,
+        into: &mut VecDeque<ShardMsg>,
+        deadline: Option<Instant>,
+    ) -> Result<(), RecvError> {
+        self.take_all(into, Some(deadline))
+    }
+
+    fn try_recv_all(&self, into: &mut VecDeque<ShardMsg>) -> bool {
+        self.take_all(into, None).is_ok()
     }
 
     fn shutdown(&self) {
@@ -401,6 +535,8 @@ impl ShardTransport for InProcEndpoint {
         TransportStats {
             sent: self.sent.load(Ordering::Relaxed),
             received: self.received.load(Ordering::Relaxed),
+            recv_runs: self.recv_runs.load(Ordering::Relaxed),
+            recv_wake_ups: self.rx.consumer_wake_ups(),
             max_recv_depth: self.rx.max_depth(),
             queue_wait_p50_us: quantile_us(0.50),
             queue_wait_p99_us: quantile_us(0.99),
@@ -435,10 +571,8 @@ impl EpochSink for InboxNoticeSink {
 #[derive(Debug)]
 pub struct InProcHub {
     /// Coordinator-side endpoints, indexed by worker: endpoint `i` sends to
-    /// worker `i`'s inbox and receives from the shared coordinator inbox.
-    /// Receive on **one** of them (the engine uses endpoint 0): a
-    /// non-blocking receive takes the inbox's whole backlog into that
-    /// endpoint.
+    /// worker `i`'s inbox and receives from the shared coordinator inbox
+    /// (the engine receives on endpoint 0; any of them would do).
     pub coordinator: Vec<InProcEndpoint>,
     /// Worker-side endpoints, indexed by worker: endpoint `i` receives from
     /// its own inbox and sends to the shared coordinator inbox.
@@ -481,8 +615,8 @@ impl InProcTransport {
         let workers = workers.max(1);
         let capacity = capacity.max(1);
         // Room for every worker's whole inbox's worth of results plus a
-        // report, so workers run ahead of a coordinator that is busy
-        // routing. Liveness does not rest on the size: a worker blocked on
+        // report, so a worker's group of completions (at most the inbox it
+        // took) goes in one push past a coordinator that is busy routing. Liveness does not rest on the size: a worker blocked on
         // a full coordinator inbox stops taking queries, its own inbox
         // fills, and a coordinator refused there waits on — and so empties
         // — this one.
@@ -496,7 +630,6 @@ impl InProcTransport {
                 Arc::clone(&inbox),
                 true,
                 None,
-                true,
             ));
             let live = telemetry.map(|t| t.shard_histogram(stage::SERVE_QUEUE_WAIT, w as u32));
             worker_ends.push(InProcEndpoint::new(
@@ -504,7 +637,6 @@ impl InProcTransport {
                 worker_inbox,
                 false,
                 Some(WaitStats::new(live)),
-                false,
             ));
         }
         InProcHub {
@@ -520,8 +652,8 @@ impl InProcTransport {
         let ba = Arc::new(ShardQueue::new(capacity.max(1)));
         let waits = || Some(WaitStats::new(None));
         (
-            InProcEndpoint::new(Arc::clone(&ab), Arc::clone(&ba), true, waits(), false),
-            InProcEndpoint::new(ba, ab, true, waits(), false),
+            InProcEndpoint::new(Arc::clone(&ab), Arc::clone(&ba), true, waits()),
+            InProcEndpoint::new(ba, ab, true, waits()),
         )
     }
 }
@@ -607,6 +739,8 @@ mod tests {
                         queue_wait_p50_us: 0.0,
                         queue_wait_p99_us: 0.0,
                         max_inbox_depth: 0,
+                        runs: 0,
+                        wake_ups: 0,
                     }),
                     None,
                 )
@@ -632,26 +766,35 @@ mod tests {
         assert!(hub.coordinator[1].peer_inbox_depth() >= 1);
     }
 
-    #[test]
-    fn refused_queries_come_back_unboxed_and_try_recv_never_waits() {
-        let hub = InProcTransport::hub(1, 1);
-        let task = |seq: u64| QueryTaskMsg {
+    fn task(seq: u64) -> QueryTaskMsg {
+        QueryTaskMsg {
             seq,
             query: 0,
             root_seed: seq,
             deadline_us: None,
-        };
+        }
+    }
+
+    #[test]
+    fn refused_queries_come_back_unboxed_and_try_recv_never_waits() {
+        let hub = InProcTransport::hub(1, 1);
         let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
+        let mut got = VecDeque::new();
         assert_eq!(coordinator.try_send_query(task(1)), Ok(()));
         assert_eq!(
             coordinator.try_send_query(task(2)),
             Err(PushError::Timeout(task(2)))
         );
-        assert_eq!(coordinator.try_recv(), Err(RecvError::Timeout));
-        assert_eq!(worker.try_recv(), Ok(ShardMsg::Query(task(1))));
-        assert_eq!(worker.try_recv(), Err(RecvError::Timeout));
+        assert!(!coordinator.try_recv_all(&mut got));
+        assert!(worker.try_recv_all(&mut got));
+        assert_eq!(
+            got.drain(..).collect::<Vec<_>>(),
+            [ShardMsg::Query(task(1))]
+        );
+        assert!(!worker.try_recv_all(&mut got));
         worker.send(ShardMsg::Finish, None).unwrap();
-        assert_eq!(coordinator.try_recv(), Ok(ShardMsg::Finish));
+        assert!(coordinator.try_recv_all(&mut got));
+        assert_eq!(got.drain(..).collect::<Vec<_>>(), [ShardMsg::Finish]);
         // Only the worker's end keeps waits, so only its messages carried a
         // stamp.
         assert!(worker.waits.as_ref().is_some_and(|w| w.run.count() == 1));
@@ -664,25 +807,92 @@ mod tests {
         );
     }
 
-    /// `queue_capacity` bounds every admitted query that has not started: a
-    /// worker's end takes one message per receive and holds none back.
+    /// `queue_capacity` bounds a worker's inbox, and a worker's end takes
+    /// the whole inbox in one receive: the room comes back all at once, and
+    /// a staged run goes in as far as it fits, in order, the rest kept.
     #[test]
-    fn a_worker_end_frees_one_slot_per_receive() {
-        let hub = InProcTransport::hub(1, 2);
-        let task = |seq: u64| QueryTaskMsg {
-            seq,
-            query: 0,
-            root_seed: seq,
-            deadline_us: None,
-        };
+    fn a_worker_end_takes_its_whole_inbox_in_one_receive() {
+        let hub = InProcTransport::hub(1, 3);
         let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
-        assert_eq!(coordinator.try_send_query(task(1)), Ok(()));
-        assert_eq!(coordinator.try_send_query(task(2)), Ok(()));
-        assert!(coordinator.try_send_query(task(3)).is_err());
-        assert_eq!(worker.recv(None), Ok(ShardMsg::Query(task(1))));
-        assert_eq!(coordinator.try_send_query(task(3)), Ok(()));
-        assert!(coordinator.try_send_query(task(4)).is_err());
-        assert_eq!(coordinator.peer_inbox_depth(), 2);
+        let mut staged: VecDeque<QueryTaskMsg> = (1..=5).map(task).collect();
+        assert_eq!(
+            coordinator.try_send_run(&mut staged, ShardMsg::Query),
+            Ok(3)
+        );
+        assert_eq!(staged.iter().map(|t| t.seq).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(
+            coordinator.try_send_run(&mut staged, ShardMsg::Query),
+            Err(PushError::Timeout(()))
+        );
+        assert_eq!(staged.len(), 2, "a refused run is left where it was");
+        let mut run = VecDeque::new();
+        worker.recv_all(&mut run, None).unwrap();
+        assert_eq!(
+            run.drain(..).collect::<Vec<_>>(),
+            (1..=3)
+                .map(|seq| ShardMsg::Query(task(seq)))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            coordinator.try_send_run(&mut staged, ShardMsg::Query),
+            Ok(2)
+        );
+        assert!(staged.is_empty());
+        assert_eq!(
+            coordinator.try_send_run(&mut staged, ShardMsg::Query),
+            Ok(0)
+        );
+        worker.recv_all(&mut run, None).unwrap();
+        assert_eq!(run.len(), 2);
+        assert_eq!(coordinator.peer_inbox_depth(), 3);
+        // Every message taken had its wait charged, one clock read a run.
+        let stats = worker.stats();
+        assert_eq!(stats.received, 5);
+        assert_eq!(coordinator.stats().sent, 5);
+        assert!(worker.waits.as_ref().is_some_and(|w| w.run.count() == 5));
+    }
+
+    /// A group of completions goes back in as few pushes as the shared inbox
+    /// allows, in order; a full inbox past the deadline hands back the first
+    /// message it refused and keeps the rest.
+    #[test]
+    fn completions_go_back_as_one_group() {
+        let (a, b) = InProcTransport::pair(2);
+        let mut group: VecDeque<ShardMsg> = (0..3)
+            .map(|epoch| ShardMsg::EpochPublished { epoch })
+            .collect();
+        match a.send_all(&mut group, Some(Instant::now())) {
+            Err(TransportError::Timeout(msg)) => {
+                assert_eq!(*msg, ShardMsg::EpochPublished { epoch: 2 })
+            }
+            other => panic!("expected a timeout on the third message, got {other:?}"),
+        }
+        assert!(group.is_empty());
+        let mut got = VecDeque::new();
+        b.recv_all(&mut got, None).unwrap();
+        assert_eq!(got.len(), 2);
+        let mut group: VecDeque<ShardMsg> = (3..5)
+            .map(|epoch| ShardMsg::EpochPublished { epoch })
+            .collect();
+        a.send_all(&mut group, None).unwrap();
+        b.recv_all(&mut got, None).unwrap();
+        let epochs: Vec<u64> = got
+            .iter()
+            .map(|m| match m {
+                ShardMsg::EpochPublished { epoch } => *epoch,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(epochs, [0, 1, 3, 4]);
+        b.shutdown();
+        assert_eq!(
+            b.recv_all(&mut got, Some(Instant::now())),
+            Err(RecvError::Disconnected)
+        );
+        assert!(matches!(
+            a.send_all(&mut VecDeque::from([ShardMsg::Cancel]), None),
+            Err(TransportError::Closed(_))
+        ));
     }
 
     #[test]

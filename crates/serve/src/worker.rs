@@ -5,11 +5,22 @@
 //! endpoint: routed queries execute against the pinned snapshot under the
 //! request's [`RequestContext`] (deadline + cancellation threaded down into
 //! the matcher's traversal checks), each as one matcher run whose result
-//! goes back as one `Done`; epoch-publication notices trigger a re-pin, and
-//! `Finish` flushes a final shard report before the loop exits. The loop
-//! takes `&dyn ShardTransport` — it compiles against the trait object, which
-//! is the object-safety proof that a socket-backed transport drops in
-//! without touching this file.
+//! is one `Done`; epoch-publication notices trigger a re-pin, and `Finish`
+//! flushes a final shard report before the loop exits. The loop takes
+//! `&dyn ShardTransport` — it compiles against the trait object, which is
+//! the object-safety proof that a socket-backed transport drops in without
+//! touching this file.
+//!
+//! Messages move in runs. The worker takes its whole inbox in one receive
+//! and handles it in order; the `Done`s of a run go back as one group, sent
+//! right after the worker has taken its next run. That order is the
+//! protocol's credit: the coordinator reads a group of completions as room
+//! in this worker's inbox, and the take that made the room comes first. A
+//! worker that finds its inbox empty sends its group before it parks, so a
+//! completion never waits on the next query, and a group that has grown to
+//! `GROUP_TRAVERSALS` of work goes back at once, so a run of long queries
+//! is heard from long before the coordinator would take it for a dead
+//! worker.
 
 use crate::engine::{RunOptions, Source};
 use crate::transport::{QueryDoneMsg, RecvError, ShardMsg, ShardReportMsg, ShardTransport};
@@ -17,8 +28,17 @@ use loom_obs::{Histogram, SpanTimer};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::matcher::{execute_plan_ctx, ExecOptions, MatchScratch};
 use loom_sim::plan::QueryPlan;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Matching work, in traversals, after which a worker sends the completions
+/// it holds without waiting for the end of its run: a few hundred
+/// milliseconds at this matcher's 150–250 ns a traversal. A run of long
+/// queries thereby reports progress far inside the coordinator's 30 s stall
+/// limit, while a run of short ones (tens of traversals each) still goes
+/// back as one group.
+const GROUP_TRAVERSALS: usize = 1 << 20;
 
 /// Everything a worker is handed at spawn. Deliberately snapshot-free
 /// beyond the `Source` it pins from: queries, deadlines and epoch changes
@@ -56,11 +76,30 @@ pub(crate) fn worker_loop(
     // matcher scratch.
     let mut ctx = RequestContext::unbounded().with_cancel(setup.cancel.clone());
     let mut scratch = MatchScratch::default();
+    // The run taken off the inbox and not yet handled, and the completions
+    // not yet sent back: kept for the whole run, so a hand-off allocates
+    // nothing once they have grown to an inbox's worth.
+    let mut run = VecDeque::new();
+    let mut done = VecDeque::new();
+    // Traversals behind the completions in `done`.
+    let mut held = 0usize;
     loop {
-        let msg = match transport.recv(None) {
-            Ok(msg) => msg,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Disconnected) => break,
+        let Some(msg) = run.pop_front() else {
+            // Take the next run before reporting the last one, then park
+            // only with nothing left to report.
+            let took = transport.try_recv_all(&mut run);
+            if !done.is_empty() {
+                let _ = transport.send_all(&mut done, None);
+                done.clear();
+                held = 0;
+            }
+            if !took {
+                match transport.recv_all(&mut run, None) {
+                    Ok(()) | Err(RecvError::Timeout) => {}
+                    Err(RecvError::Disconnected) => break,
+                }
+            }
+            continue;
         };
         match msg {
             ShardMsg::Query(task) => {
@@ -81,20 +120,27 @@ pub(crate) fn worker_loop(
                 };
                 let exec = execute_plan_ctx(snapshot.as_ref(), plan, &opts, &ctx, &mut scratch);
                 drop(span);
-                let done = QueryDoneMsg {
+                held += exec.metrics.total_traversals;
+                let result = QueryDoneMsg {
                     worker: setup.worker,
                     seq: task.seq,
                     epoch: snapshot.epoch(),
                     metrics: exec.metrics,
                     embeddings: exec.embeddings,
                 };
-                let _ = transport.send(ShardMsg::Done(done), None);
+                done.push_back(ShardMsg::Done(result));
+                if held >= GROUP_TRAVERSALS {
+                    let _ = transport.send_all(&mut done, None);
+                    done.clear();
+                    held = 0;
+                }
             }
             ShardMsg::EpochPublished { .. } => {
                 snapshot = source.pin();
             }
             ShardMsg::Cancel => setup.cancel.cancel(),
             ShardMsg::Finish => {
+                let _ = transport.send_all(&mut done, None);
                 let stats = transport.stats();
                 let _ = transport.send(
                     ShardMsg::Report(ShardReportMsg {
@@ -103,6 +149,8 @@ pub(crate) fn worker_loop(
                         queue_wait_p50_us: stats.queue_wait_p50_us,
                         queue_wait_p99_us: stats.queue_wait_p99_us,
                         max_inbox_depth: stats.max_recv_depth,
+                        runs: stats.recv_runs,
+                        wake_ups: stats.recv_wake_ups,
                     }),
                     None,
                 );
@@ -112,5 +160,140 @@ pub(crate) fn worker_loop(
             // receives one ignores it rather than wedging the loop.
             ShardMsg::Done(_) | ShardMsg::Report(_) => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::ShardedStore;
+    use crate::transport::{QueryTaskMsg, TransportError};
+    use loom_graph::generators::regular::path_graph;
+    use loom_graph::Label;
+    use loom_motif::query::{PatternQuery, QueryId};
+    use loom_motif::workload::Workload;
+    use loom_partition::partition::{PartitionId, Partitioning};
+    use loom_sim::engine::resolve_schedule_plans;
+    use loom_sim::executor::QueryMode;
+    use std::sync::Mutex;
+
+    /// A transport that hands the worker one scripted run per take and logs
+    /// every hand-off, in order.
+    struct Scripted {
+        runs: Mutex<VecDeque<Vec<ShardMsg>>>,
+        log: Mutex<Vec<String>>,
+    }
+
+    impl Scripted {
+        fn take(&self, into: &mut VecDeque<ShardMsg>) -> bool {
+            let run = self.runs.lock().unwrap().pop_front().unwrap_or_default();
+            self.log.lock().unwrap().push(format!("take {}", run.len()));
+            into.extend(run);
+            !into.is_empty()
+        }
+    }
+
+    impl ShardTransport for Scripted {
+        fn send(&self, msg: ShardMsg, _: Option<Instant>) -> Result<(), TransportError> {
+            let what = match msg {
+                ShardMsg::Report(report) => format!("report {}", report.queries),
+                other => format!("send {other:?}"),
+            };
+            self.log.lock().unwrap().push(what);
+            Ok(())
+        }
+
+        fn recv(&self, _: Option<Instant>) -> Result<ShardMsg, RecvError> {
+            unreachable!("the worker takes whole runs")
+        }
+
+        fn recv_all(
+            &self,
+            into: &mut VecDeque<ShardMsg>,
+            _: Option<Instant>,
+        ) -> Result<(), RecvError> {
+            if self.take(into) {
+                Ok(())
+            } else {
+                Err(RecvError::Disconnected)
+            }
+        }
+
+        fn try_recv_all(&self, into: &mut VecDeque<ShardMsg>) -> bool {
+            self.take(into)
+        }
+
+        fn send_all(
+            &self,
+            run: &mut VecDeque<ShardMsg>,
+            _: Option<Instant>,
+        ) -> Result<(), TransportError> {
+            if !run.is_empty() {
+                self.log
+                    .lock()
+                    .unwrap()
+                    .push(format!("group {}", run.len()));
+                run.clear();
+            }
+            Ok(())
+        }
+
+        fn shutdown(&self) {}
+    }
+
+    /// The protocol's credit: a worker takes its next run *before* it sends
+    /// back the completions of the last one, so the coordinator that reads
+    /// the group as room in the inbox finds the room already made.
+    #[test]
+    fn a_worker_takes_its_next_run_before_it_reports_the_last() {
+        let l = Label::new;
+        let graph = path_graph(6, &[l(0), l(1)]);
+        let mut partitioning = Partitioning::new(1, 6).unwrap();
+        for v in graph.vertices_sorted() {
+            partitioning.assign(v, PartitionId::new(0)).unwrap();
+        }
+        let store = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
+        let workload = Workload::uniform(vec![
+            PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap()
+        ])
+        .unwrap();
+        let plans = resolve_schedule_plans(None, &workload, &[(0, 1)]);
+        let query = |seq: u64| {
+            ShardMsg::Query(QueryTaskMsg {
+                seq,
+                query: 0,
+                root_seed: seq,
+                deadline_us: None,
+            })
+        };
+        let transport = Scripted {
+            runs: Mutex::new(VecDeque::from([
+                vec![query(0), query(1)],
+                vec![query(2)],
+                vec![ShardMsg::Finish],
+            ])),
+            log: Mutex::default(),
+        };
+        worker_loop(
+            &transport,
+            &Source::Pinned(&store),
+            WorkerSetup {
+                worker: 0,
+                options: RunOptions {
+                    mode: QueryMode::FullEnumeration,
+                    match_limit: 100,
+                    traversal_budget: None,
+                    collect: false,
+                },
+                plans: &plans,
+                run_start: Instant::now(),
+                cancel: CancelToken::new(),
+                exec_hist: None,
+            },
+        );
+        assert_eq!(
+            transport.log.into_inner().unwrap(),
+            ["take 2", "take 1", "group 2", "take 1", "group 1", "report 3"]
+        );
     }
 }

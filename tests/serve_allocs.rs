@@ -4,9 +4,10 @@
 //! A request whose matches are counted, not collected, is routed, queued,
 //! executed, reported and merged out of buffers its run already holds: the
 //! router and the matcher keep their vote, root and mapping buffers between
-//! queries, a refused admission hands its task back unboxed, a worker's
-//! queue waits go into a fixed-size histogram, and the coordinator takes its
-//! inbox's backlog by trading buffers with the queue. This test counts heap
+//! queries, a refused admission leaves its staged run where it was, a
+//! worker's queue waits go into a fixed-size histogram, both ends take an
+//! inbox whole by trading buffers with the queue, and the staged runs and
+//! the groups of completions live in buffers kept for the run. This test counts heap
 //! allocations **on every thread** (shard workers allocate too) to keep it
 //! that way: a `Vec` per routed query or a `Box` per refused send shows up
 //! here as allocations per request long before it shows up in a benchmark.
@@ -20,7 +21,10 @@
 //! **2.00** through the sequential `Serving::run` (the matcher's two). At
 //! the commit that added it they read 0.010 and 0.003: what is left is per
 //! run, not per request — the schedule, the transport hub and its two
-//! threads, the report — 96 and 33 allocations under 10 000 requests.
+//! threads, the report — 96 and 33 allocations under 10 000 requests. Since
+//! hand-offs move in runs the sharded side reads 109: the staged runs, each
+//! worker's run and group of completions, and the coordinator's inbox each
+//! grow to an inbox's worth once per run.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, so a second test
 //! running beside this one (or the harness reporting on it) would be

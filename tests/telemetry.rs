@@ -56,8 +56,8 @@ fn serve_through(builder: SessionBuilder, graph: &LabelledGraph) -> Serving {
 }
 
 /// Zero the report fields that measure *this process's* wall clock
-/// (`wall_clock_us`, queue waits, admission stalls, queue high-water) — those are
-/// scheduler-dependent with or without telemetry. Everything left is
+/// (`wall_clock_us`, queue waits, admission stalls, queue high-water, runs and
+/// wake-ups) — those are scheduler-dependent with or without telemetry. Everything left is
 /// counted and must reproduce exactly.
 fn untimed(report: &ServeReport) -> ServeReport {
     let mut r = report.clone();
@@ -66,6 +66,8 @@ fn untimed(report: &ServeReport) -> ServeReport {
         shard.queue_wait_p99_us = 0.0;
         shard.admit_stalls = 0;
         shard.max_queue_depth = 0;
+        shard.runs = 0;
+        shard.wake_ups = 0;
     }
     r
 }

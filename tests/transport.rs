@@ -406,6 +406,58 @@ fn a_full_inbox_is_waited_out_on_completions_not_on_the_clock() {
     );
 }
 
+/// Hand-offs move in runs. The coordinator stages each worker's queries and
+/// admits them an inbox's worth at a time, a worker takes its whole inbox in
+/// one receive, and its completions go back as one group. So over 2 000
+/// cheap queries the mean run is many queries long and a worker is woken
+/// from a park far less than once a query. When every message was a
+/// hand-off of its own, a worker's receives equalled its queries (plus its
+/// `Finish`).
+#[test]
+fn hand_offs_move_in_runs() {
+    const REQUESTS: usize = 2_000;
+    let graph = social_graph(500, 11);
+    let workload = motif_workload();
+    let partitioning = partitioned(
+        &graph,
+        PartitionerSpec::Loom(LoomConfig::new(8, graph.vertex_count()).with_window_size(64)),
+        &workload,
+    );
+    let mode = QueryMode::Rooted { seed_count: 3 };
+    let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
+    let expected = QueryExecutor::default().with_mode(mode).execute_workload(
+        &sequential_store,
+        &workload,
+        REQUESTS,
+        42,
+    );
+    let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
+    for workers in [1usize, 2] {
+        let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
+        let (report, _) = engine.run(
+            &sharded,
+            &workload,
+            QueryRequest::workload(REQUESTS).with_seed(42),
+            &RequestContext::unbounded(),
+        );
+        assert_eq!(report.aggregate, expected, "{workers} workers");
+        let sum = |field: fn(&ShardServeMetrics) -> usize| -> usize {
+            report.shards.iter().map(field).sum()
+        };
+        let (queries, runs, wake_ups) = (sum(|s| s.queries), sum(|s| s.runs), sum(|s| s.wake_ups));
+        assert_eq!(queries, REQUESTS);
+        println!("{workers} workers: {queries} queries in {runs} runs, {wake_ups} wake-ups");
+        assert!(
+            runs * 4 <= queries,
+            "{workers} workers: {queries} queries took {runs} receives"
+        );
+        assert!(
+            wake_ups * 4 <= queries,
+            "{workers} workers: {queries} queries cost {wake_ups} wake-ups"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
