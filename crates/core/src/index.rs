@@ -143,7 +143,7 @@ impl FrequentMotifIndex {
                 hasher.write_u64(factor);
             }
         }
-        hasher.finish()
+        hasher.digest()
     }
 }
 
@@ -183,6 +183,14 @@ mod tests {
         let single =
             loom_motif::signature::Signature::single_vertex(index.prime_table(), l(0)).unwrap();
         assert!(!index.is_motif_signature(&single));
+    }
+
+    #[test]
+    fn fingerprints_are_what_earlier_state_blobs_were_stamped_with() {
+        // Written into every LOOM state blob: a change here makes every
+        // existing root's partitioner state refuse to restore.
+        assert_eq!(paper_index(0.2).fingerprint(), 0xa59b_54ab_d449_d1ce);
+        assert_eq!(paper_index(0.5).fingerprint(), 0xc672_cae6_3e43_25b6);
     }
 
     #[test]

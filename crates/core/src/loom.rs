@@ -345,14 +345,7 @@ impl Partitioner for LoomPartitioner {
     }
 
     fn ingest_batch(&mut self, batch: &[StreamElement]) -> Result<()> {
-        // Amortised fast path: every vertex the chunk carries will either be
-        // buffered or trigger exactly one eviction-assignment, so one
-        // reservation covers the chunk's worth of assignment-table growth;
-        // window inserts and signature updates then run in a dispatch-free
-        // loop.
         self.batches_ingested += 1;
-        let vertices = batch.iter().filter(|e| e.is_vertex()).count();
-        self.partitioning.reserve(vertices);
         for element in batch {
             self.ingest_element(element)?;
         }

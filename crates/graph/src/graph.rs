@@ -10,7 +10,9 @@
 //! # Layout
 //!
 //! The graph is a slab. A vertex occupies one *slot* — its id, its label and
-//! its adjacency list — found through one `id → slot` map. Every adjacency
+//! its adjacency list — found through one `id → slot` [`VertexIndex`]: an
+//! array cell for the dense ids a stream usually carries, a hash probe for
+//! the rest. Every adjacency
 //! list is a block of **one shared arena** of vertex ids (a
 //! [`ListPool`], the same pool type the partitioner's sliding window keeps
 //! its lists in). There is no edge set: the edge count is a counter, and
@@ -18,9 +20,10 @@
 //!
 //! What is recycled: slots (a free list of indices) and list blocks (a free
 //! list per power-of-two size, shared by all vertices, so a removed hub's
-//! block serves the next hub wherever it lands). Once the map, the slot
+//! block serves the next hub wherever it lands). Once the index, the slot
 //! vector, the arena and the free lists have reached a stream's high-water
-//! mark, no operation allocates.
+//! mark, no operation allocates. Slots are numbered in `u32`: a graph holds
+//! fewer than `u32::MAX` of them, and asking for more is a panic.
 //!
 //! Adjacency lists keep push order and removals preserve the order of what
 //! stays: downstream CSR snapshots inherit [`LabelledGraph::neighbors`]
@@ -32,7 +35,10 @@
 //!
 //! # Cost per operation
 //!
-//! | operation | map probes | list work |
+//! An *index lookup* is one array load for an id below the index's direct
+//! bound and one hash probe above it (see [`VertexIndex`]).
+//!
+//! | operation | index lookups | list work |
 //! |---|---|---|
 //! | `insert_vertex`, `set_label`, `label`, `neighbors`, `degree` | 1 | — |
 //! | `add_edge` | 2 | a scan of the shorter endpoint list, 2 pushes |
@@ -50,7 +56,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{EdgeKey, Label, VertexId};
 use crate::pool::{List, ListPool};
 use crate::stream::StreamElement;
-use std::collections::hash_map::Entry;
+use crate::vertex_index::VertexIndex;
 
 /// One vertex of the slab, or a vacancy on the free list.
 #[derive(Debug, Clone, Copy)]
@@ -70,10 +76,10 @@ struct Slot {
 /// cut, so neither contributes anything to the problem.
 #[derive(Debug, Clone, Default)]
 pub struct LabelledGraph {
-    /// Exactly the live vertices.
-    slot_of: FxHashMap<VertexId, usize>,
+    /// Exactly the live vertices, each to its slot.
+    slot_of: VertexIndex,
     slots: Vec<Slot>,
-    free_slots: Vec<usize>,
+    free_slots: Vec<u32>,
     lists: ListPool,
     edge_count: usize,
     next_id: u64,
@@ -89,7 +95,6 @@ impl LabelledGraph {
     /// `vertices` vertices and `edges` edges.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         Self {
-            slot_of: FxHashMap::with_capacity_and_hasher(vertices, Default::default()),
             slots: Vec::with_capacity(vertices),
             lists: ListPool::with_capacity(2 * edges),
             ..Self::default()
@@ -122,7 +127,8 @@ impl LabelledGraph {
             graph.insert_vertex(v, label);
             // Installed verbatim — order preserved. An id given twice keeps
             // its last list.
-            let slot = &mut graph.slots[graph.slot_of[&v]];
+            let s = graph.slot_index(v).expect("just inserted");
+            let slot = &mut graph.slots[s];
             graph.lists.release(slot.adjacency);
             slot.adjacency = graph.lists.list_from(&neighbours);
         }
@@ -233,33 +239,35 @@ impl LabelledGraph {
             adjacency: List::default(),
             live: true,
         };
-        match self.slot_of.entry(id) {
-            Entry::Occupied(held) => {
-                self.slots[*held.get()].label = label;
-                false
-            }
-            Entry::Vacant(vacant) => {
-                match self.free_slots.pop() {
-                    Some(s) => {
-                        self.slots[s] = slot;
-                        vacant.insert(s);
-                    }
-                    None => {
-                        vacant.insert(self.slots.len());
-                        self.slots.push(slot);
-                    }
-                }
-                true
-            }
+        // The slot a new vertex takes: the last vacancy, or a fresh one.
+        let s = match self.free_slots.last() {
+            Some(&s) => s,
+            None => u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s != u32::MAX)
+                .expect("a graph holds fewer than u32::MAX vertex slots"),
+        };
+        if let Err(held) = self.slot_of.try_insert(id, s) {
+            self.slots[held as usize].label = label;
+            return false;
         }
+        if self.free_slots.pop().is_some() {
+            self.slots[s as usize] = slot;
+        } else {
+            self.slots.push(slot);
+        }
+        true
+    }
+
+    /// The slot of `v`, if it is live.
+    #[inline]
+    fn slot_index(&self, v: VertexId) -> Option<usize> {
+        self.slot_of.get(v).map(|s| s as usize)
     }
 
     /// The slot of a vertex that must exist to be an edge's endpoint.
     fn endpoint(&self, v: VertexId) -> Result<usize> {
-        self.slot_of
-            .get(&v)
-            .copied()
-            .ok_or(GraphError::MissingVertex(v))
+        self.slot_index(v).ok_or(GraphError::MissingVertex(v))
     }
 
     /// Whether the vertices in slots `sa` and `sb` are adjacent: a scan of
@@ -311,7 +319,7 @@ impl LabelledGraph {
 
     /// Remove an edge. Returns `true` if it was present.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        let (Some(&sa), Some(&sb)) = (self.slot_of.get(&a), self.slot_of.get(&b)) else {
+        let (Some(sa), Some(sb)) = (self.slot_index(a), self.slot_index(b)) else {
             return false;
         };
         let before = self.slots[sa].adjacency.len();
@@ -329,7 +337,7 @@ impl LabelledGraph {
     /// Remove a vertex and all of its incident edges.
     /// Returns `true` if the vertex was present.
     pub fn remove_vertex(&mut self, v: VertexId) -> bool {
-        let Some(s) = self.slot_of.remove(&v) else {
+        let Some(s) = self.slot_of.remove(v).map(|s| s as usize) else {
             return false;
         };
         let adjacency = self.slots[s].adjacency;
@@ -338,32 +346,32 @@ impl LabelledGraph {
             // unproven lists (see `from_proven_lists`), where `v` may name
             // itself or a vertex removed without naming it back.
             let n = self.lists.item(adjacency, i);
-            if let Some(&sn) = self.slot_of.get(&n) {
+            if let Some(sn) = self.slot_index(n) {
                 self.lists.retain_ne(&mut self.slots[sn].adjacency, v);
             }
         }
         self.edge_count = self.edge_count.saturating_sub(adjacency.len());
         self.lists.release(adjacency);
         self.slots[s].live = false;
-        self.free_slots.push(s);
+        self.free_slots.push(s as u32);
         true
     }
 
     fn slot(&self, v: VertexId) -> Option<&Slot> {
-        self.slot_of.get(&v).map(|&s| &self.slots[s])
+        self.slot_index(v).map(|s| &self.slots[s])
     }
 
     /// Whether the vertex exists.
     #[inline]
     pub fn contains_vertex(&self, v: VertexId) -> bool {
-        self.slot_of.contains_key(&v)
+        self.slot_of.contains(v)
     }
 
     /// Whether the undirected edge exists.
     #[inline]
     pub fn contains_edge(&self, a: VertexId, b: VertexId) -> bool {
-        match (self.slot_of.get(&a), self.slot_of.get(&b)) {
-            (Some(&sa), Some(&sb)) => self.slots_adjacent(sa, sb),
+        match (self.slot_index(a), self.slot_index(b)) {
+            (Some(sa), Some(sb)) => self.slots_adjacent(sa, sb),
             _ => false,
         }
     }
@@ -376,8 +384,8 @@ impl LabelledGraph {
 
     /// Change the label of an existing vertex. Returns the previous label.
     pub fn set_label(&mut self, v: VertexId, label: Label) -> Result<Label> {
-        match self.slot_of.get(&v) {
-            Some(&s) => Ok(std::mem::replace(&mut self.slots[s].label, label)),
+        match self.slot_index(v) {
+            Some(s) => Ok(std::mem::replace(&mut self.slots[s].label, label)),
             None => Err(GraphError::MissingVertex(v)),
         }
     }

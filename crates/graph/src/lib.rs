@@ -7,6 +7,7 @@
 //! graphs:
 //!
 //! * compact identifiers and an interner for vertex labels ([`ids`], [`labels`]),
+//!   and the id-keyed table under every graph-sized map ([`vertex_index`]),
 //! * a mutable adjacency-list [`LabelledGraph`] on a slab, and the list arena
 //!   it shares with the partitioner's window ([`pool`]),
 //! * induced sub-graph extraction and traversal helpers ([`subgraph`],
@@ -52,12 +53,14 @@ pub mod stats;
 pub mod stream;
 pub mod subgraph;
 pub mod traversal;
+pub mod vertex_index;
 
 pub use error::GraphError;
 pub use graph::LabelledGraph;
 pub use ids::{Label, VertexId};
 pub use labels::LabelInterner;
 pub use stream::{GraphStream, StreamElement};
+pub use vertex_index::VertexIndex;
 
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {

@@ -135,10 +135,7 @@ impl Partitioner for HashPartitioner {
     }
 
     fn ingest_batch(&mut self, batch: &[StreamElement]) -> Result<()> {
-        // Grow the assignment table once for the whole chunk.
         self.stats.batches_ingested += 1;
-        let vertices = batch.iter().filter(|e| e.is_vertex()).count();
-        self.partitioning.reserve(vertices);
         for element in batch {
             self.ingest(element)?;
         }

@@ -18,7 +18,6 @@
 use crate::error::Result;
 use crate::partition::{PartitionId, Partitioning};
 use crate::pending::{PendingVertexPartitioner, PlacementRule};
-use loom_graph::fxhash::FxHashMap;
 use loom_graph::VertexId;
 
 /// Configuration for [`LdgPartitioner`].
@@ -84,9 +83,6 @@ impl LdgPartitioner {
             .expect("a seeded choice always holds a partition")
     }
 }
-
-/// Convenience map type for tests that need to inspect assignments.
-pub type AssignmentMap = FxHashMap<VertexId, PartitionId>;
 
 #[cfg(test)]
 mod tests {

@@ -5,11 +5,13 @@
 //! in this workspace produces: it tracks which partition each vertex lives
 //! in, per-partition sizes, and the capacity constraint `C` that the LDG
 //! penalty term is computed against.
+//!
+//! The table is a [`VertexIndex`]: every placement asks it for each
+//! assigned neighbour's partition, and for the dense ids a stream carries
+//! each answer is one array load.
 
 use crate::error::{PartitionError, Result};
-use loom_graph::fxhash::FxHashMap;
-use loom_graph::VertexId;
-use std::collections::hash_map::Entry;
+use loom_graph::{VertexId, VertexIndex};
 
 /// Identifier of a partition (`0..k`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -40,7 +42,8 @@ impl std::fmt::Display for PartitionId {
 pub struct Partitioning {
     k: u32,
     capacity: usize,
-    assignment: FxHashMap<VertexId, PartitionId>,
+    /// Vertex → raw partition id.
+    assignment: VertexIndex,
     sizes: Vec<usize>,
 }
 
@@ -66,7 +69,7 @@ impl Partitioning {
         Ok(Self {
             k,
             capacity,
-            assignment: FxHashMap::default(),
+            assignment: VertexIndex::new(),
             sizes: vec![0; k as usize],
         })
     }
@@ -113,13 +116,13 @@ impl Partitioning {
     /// The partition a vertex was assigned to, if any.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> Option<PartitionId> {
-        self.assignment.get(&v).copied()
+        self.assignment.get(v).map(PartitionId::new)
     }
 
     /// Whether the vertex has been assigned.
     #[inline]
     pub fn is_assigned(&self, v: VertexId) -> bool {
-        self.assignment.contains_key(&v)
+        self.assignment.contains(v)
     }
 
     /// Current size (vertex count) of a partition.
@@ -173,14 +176,12 @@ impl Partitioning {
                 k: self.k,
             });
         }
-        match self.assignment.entry(v) {
-            Entry::Occupied(_) => Err(PartitionError::AlreadyAssigned(v)),
-            Entry::Vacant(slot) => {
-                slot.insert(p);
-                self.sizes[p.index()] += 1;
-                Ok(())
-            }
-        }
+        // `p.0 < k ≤ u32::MAX`: never the index's absent mark.
+        self.assignment
+            .try_insert(v, p.0)
+            .map_err(|_| PartitionError::AlreadyAssigned(v))?;
+        self.sizes[p.index()] += 1;
+        Ok(())
     }
 
     /// Move an already assigned vertex to a different partition (used by the
@@ -198,14 +199,13 @@ impl Partitioning {
                 k: self.k,
             });
         }
-        let Some(current) = self.assignment.get_mut(&v) else {
+        let Some(from) = self.partition_of(v) else {
             return Err(PartitionError::NotAssigned(v));
         };
-        let from = *current;
         if from == to {
             return Ok(());
         }
-        *current = to;
+        self.assignment.insert(v, to.0);
         self.sizes[from.index()] -= 1;
         self.sizes[to.index()] += 1;
         Ok(())
@@ -216,15 +216,9 @@ impl Partitioning {
     /// stream deletes a vertex: the slot is reclaimed, so the id may later be
     /// re-assigned (re-add after delete). Unassigned vertices are a no-op.
     pub fn unassign(&mut self, v: VertexId) -> Option<PartitionId> {
-        let p = self.assignment.remove(&v)?;
+        let p = PartitionId::new(self.assignment.remove(v)?);
         self.sizes[p.index()] -= 1;
         Some(p)
-    }
-
-    /// Pre-reserve space for at least `additional` more assignments. Batched
-    /// ingestion uses this to amortise hash-table growth across a chunk.
-    pub fn reserve(&mut self, additional: usize) {
-        self.assignment.reserve(additional);
     }
 
     /// Move the assignment table out, leaving this partitioning empty but
@@ -242,18 +236,21 @@ impl Partitioning {
         }
     }
 
-    /// Iterate over all `(vertex, partition)` assignments (arbitrary order).
+    /// Iterate over all `(vertex, partition)` assignments: the ids below
+    /// the table's direct bound ascending, then the others in hash order
+    /// (see [`VertexIndex`]). Callers that need a fixed order sort.
     pub fn assignments(&self) -> impl Iterator<Item = (VertexId, PartitionId)> + '_ {
-        self.assignment.iter().map(|(&v, &p)| (v, p))
+        self.assignment
+            .iter()
+            .map(|(v, p)| (v, PartitionId::new(p)))
     }
 
     /// The vertices assigned to partition `p`, sorted by id.
     pub fn members(&self, p: PartitionId) -> Vec<VertexId> {
         let mut members: Vec<VertexId> = self
-            .assignment
-            .iter()
-            .filter(|(_, &q)| q == p)
-            .map(|(&v, _)| v)
+            .assignments()
+            .filter(|&(_, q)| q == p)
+            .map(|(v, _)| v)
             .collect();
         members.sort_unstable();
         members
@@ -301,8 +298,8 @@ impl Partitioning {
             &mut spilled
         };
         for n in neighbours {
-            if let Some(p) = self.assignment.get(n) {
-                in_p[p.index()] += 1;
+            if let Some(p) = self.assignment.get(*n) {
+                in_p[p as usize] += 1;
             }
         }
         let mut best = seed;

@@ -192,11 +192,7 @@ impl<R: PlacementRule> Partitioner for PendingVertexPartitioner<R> {
     }
 
     fn ingest_batch(&mut self, batch: &[StreamElement]) -> Result<()> {
-        // One assignment-table reservation covers every placement the chunk
-        // will trigger (each AddVertex flushes at most one pending decision).
         self.stats.batches_ingested += 1;
-        let vertices = batch.iter().filter(|e| e.is_vertex()).count();
-        self.partitioning.reserve(vertices);
         for element in batch {
             self.ingest(element)?;
         }

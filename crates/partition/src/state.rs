@@ -257,7 +257,6 @@ impl<'a> StateReader<'a> {
         }
 
         partitioning.take();
-        partitioning.reserve(arena.size_hint().1.unwrap_or(0));
         for (v, home) in arena {
             match home {
                 Some(p) => partitioning.assign(v, p)?,

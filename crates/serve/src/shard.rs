@@ -46,7 +46,7 @@
 //! for identical queries.
 
 use loom_graph::fxhash::FxHashMap;
-use loom_graph::{Label, LabelledGraph, VertexId};
+use loom_graph::{Label, LabelledGraph, VertexId, VertexIndex};
 use loom_partition::partition::{PartitionId, Partitioning};
 use loom_sim::matcher::{PatternStore, TaggedArc};
 use std::ops::Range;
@@ -197,9 +197,13 @@ pub struct ShardedStore {
     /// Position → original vertex id, partition-major (shard 0's home
     /// vertices first, then shard 1's, …, unassigned vertices last).
     order: Vec<VertexId>,
-    /// Original id → position. Consulted for explicit roots (which arrive
-    /// as ids) and by the mutators; never inside the search.
-    position_of: FxHashMap<VertexId, u32>,
+    /// Original id → position: an array cell per dense id, a hash probe
+    /// for the rest (see [`VertexIndex`]). Positions are `u32` below
+    /// [`VACANT`], so a store holds fewer than `u32::MAX` vertices (the
+    /// loader refuses more). Consulted for explicit roots (which arrive as
+    /// ids), by freeze, the loader, migration and the mutators; never inside
+    /// the search.
+    position_of: VertexIndex,
     /// One packed record per position plus a closing sentinel (see
     /// [`end_slot`]), so `slots.len() == order.len() + 1`.
     slots: Vec<Slot>,
@@ -346,8 +350,10 @@ impl ShardedStore {
         let mut order = vec![VertexId::new(0); n];
         let mut slots = vec![end_slot(0); n + 1];
         let mut lists: Vec<&[VertexId]> = vec![&[]; n];
-        // Rows come in id order, so the label lists come out id-ordered.
+        // Rows come in id order, so the label lists come out id-ordered and
+        // dense ids reach `position_of` below its direct bound.
         let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
+        let mut position_of = VertexIndex::new();
         for ((v, label, neighbors), bucket, pos) in layout.placed() {
             let home = if bucket < k {
                 bucket as u32
@@ -355,6 +361,7 @@ impl ShardedStore {
                 UNASSIGNED
             };
             by_label.entry(label).or_default().push(pos as u32);
+            position_of.insert(v, pos as u32);
             order[pos] = v;
             slots[pos] = Slot {
                 label,
@@ -364,19 +371,18 @@ impl ShardedStore {
             };
             lists[pos] = neighbors;
         }
-        let position_of: FxHashMap<VertexId, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
 
         // The adjacency arena, renamed to positions as it is laid down: the
-        // one `position_of` probe per directed edge the whole freeze pays.
+        // one `position_of` lookup per directed edge the whole freeze pays.
         let mut targets: Vec<u32> = Vec::with_capacity(2 * graph.edge_count());
         for (pos, neighbors) in lists.into_iter().enumerate() {
             slots[pos].offset = targets.len() as u32;
             slots[pos].live = neighbors.len() as u32;
-            targets.extend(neighbors.iter().map(|u| position_of[u]));
+            targets.extend(neighbors.iter().map(|&u| {
+                position_of
+                    .get(u)
+                    .expect("a graph's neighbours are its vertices")
+            }));
         }
         let store = Self::assemble(
             order,
@@ -398,7 +404,7 @@ impl ShardedStore {
     /// holds the `k + 1` shard boundaries.
     fn assemble(
         order: Vec<VertexId>,
-        position_of: FxHashMap<VertexId, u32>,
+        position_of: VertexIndex,
         mut slots: Vec<Slot>,
         targets: Vec<u32>,
         starts: &[usize],
@@ -484,7 +490,7 @@ impl ShardedStore {
             if to.index() >= k {
                 continue;
             }
-            let Some(&pos) = self.position_of.get(&v) else {
+            let Some(pos) = self.position_of.get(v) else {
                 continue;
             };
             // Tombstoned vertices cannot be moved: the planner must not plan
@@ -632,11 +638,14 @@ impl ShardedStore {
             .map(|(&label, members)| (label, rename_all(members)))
             .collect();
         let order: Vec<VertexId> = from.iter().map(|&q| self.order[q as usize]).collect();
-        let position_of: FxHashMap<VertexId, u32> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
-            .collect();
+        // Renamed in the old index's order (direct ids ascending first), so
+        // dense ids reach the new one below its direct bound.
+        let mut position_of = VertexIndex::new();
+        for (v, old) in self.position_of.iter() {
+            if renamed[old as usize] != VACANT {
+                position_of.insert(v, renamed[old as usize]);
+            }
+        }
         let (dead_vertices, dead_slots) = dead_counters(&ranges, &slots);
         let shards = ranges
             .into_iter()
@@ -733,7 +742,7 @@ impl ShardedStore {
 
     /// The position of a live vertex.
     fn live_position(&self, v: VertexId) -> Option<usize> {
-        let pos = *self.position_of.get(&v)? as usize;
+        let pos = self.position_of.get(v)? as usize;
         (self.slots[pos].home != DEAD).then_some(pos)
     }
 
@@ -992,7 +1001,7 @@ impl ShardedStore {
 
     /// The shard hosting a vertex, if the vertex is assigned and live.
     pub fn home_shard(&self, v: VertexId) -> Option<PartitionId> {
-        self.home_of(*self.position_of.get(&v)?)
+        self.home_of(self.position_of.get(v)?)
     }
 
     /// The shard hosting the vertex a [`PatternStore`] handle names, if it is
@@ -1138,7 +1147,7 @@ impl ShardedStore {
         let (heads, sources) = scratch.split_at_mut(n + 2);
         for pos in 0..n {
             let slot = self.slots[pos];
-            if self.position_of.get(&self.order[pos]) != Some(&(pos as u32)) {
+            if self.position_of.get(self.order[pos]) != Some(pos as u32) {
                 return Err(format!("position_of disagrees with order at {pos}"));
             }
             let physical = self.slots[pos + 1].offset.checked_sub(slot.offset);
@@ -1253,7 +1262,7 @@ impl ShardedStore {
 /// the partition-major order the blobs were serialized in — shard 0's slice,
 /// shard 1's, …, then the unassigned tail — with adjacency as the ids the
 /// blobs carry. [`ArenaLoader::finish`] renames the adjacency to positions
-/// (the one `position_of` probe per directed edge a freeze pays) and shares
+/// (the one `position_of` lookup per directed edge a freeze pays) and shares
 /// [`ShardedStore::from_parts`]' tail; what it returns becomes a
 /// [`ShardedStore`] only through [`UncheckedArena::check`]. Nothing appended
 /// is trusted: every way the input can fail to be a sound arena is an `Err`
@@ -1350,11 +1359,10 @@ impl ArenaLoader {
         for bucket in 0..=k {
             starts[bucket + 1] += starts[bucket];
         }
-        let mut position_of: FxHashMap<VertexId, u32> = FxHashMap::default();
-        position_of.reserve(n);
+        let mut position_of = VertexIndex::new();
         let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
         for (pos, (&v, slot)) in order.iter().zip(&slots).enumerate() {
-            if position_of.insert(v, pos as u32).is_some() {
+            if position_of.try_insert(v, pos as u32).is_err() {
                 return Err(format!("{v} is listed twice"));
             }
             by_label.entry(slot.label).or_default().push(pos as u32);
@@ -1366,7 +1374,7 @@ impl ArenaLoader {
         let mut targets: Vec<u32> = Vec::with_capacity(neighbours.len());
         for (slot, &v) in slots.iter().zip(&order) {
             for u in &neighbours[slot.live_range()] {
-                let Some(&q) = position_of.get(u) else {
+                let Some(q) = position_of.get(*u) else {
                     return Err(format!("{v} names {u}, which is listed nowhere"));
                 };
                 targets.push(q);
@@ -1801,7 +1809,10 @@ mod tests {
         let sequential = PartitionedStore::new(g.clone(), part.clone());
         assert_same_answers(&sharded, &sequential, &vs);
         // The unassigned vertex is remote to everyone, itself included.
-        let (s2, s3) = (sharded.position_of[&vs[2]], sharded.position_of[&vs[3]]);
+        let (s2, s3) = (
+            sharded.position_of.get(vs[2]).unwrap(),
+            sharded.position_of.get(vs[3]).unwrap(),
+        );
         let (s2, s3) = (sharded.slots[s2 as usize], sharded.slots[s3 as usize]);
         assert!(crosses(s2, s3) && crosses(s3, s2) && crosses(s3, s3));
         assert_eq!(sharded.resolve(VertexId::new(10_000)), None);
@@ -2089,7 +2100,10 @@ mod tests {
 
         // A one-sided tombstone: the arc 3 → 4 goes, 4 → 3 stays.
         let mut lopsided = store.clone();
-        let (p3, p4) = (lopsided.position_of[&vs[3]], lopsided.position_of[&vs[4]]);
+        let (p3, p4) = (
+            lopsided.position_of.get(vs[3]).unwrap(),
+            lopsided.position_of.get(vs[4]).unwrap(),
+        );
         assert!(lopsided.tombstone_arc(p3 as usize, p4));
         assert!(lopsided.check_arena().unwrap_err().contains("reverse arc"));
 

@@ -17,7 +17,7 @@
 //! pool (`loom_graph::pool`). With three hash maps and a heap `Vec` per
 //! vertex (the commit before) applying the 31 600-element stream to a fresh
 //! graph read **14 966 allocations, 0.47 per element**; on the slab it reads
-//! 48 (0.0015 per element), and 0 when an emptied graph takes the stream
+//! 51 (0.0016 per element), and 0 when an emptied graph takes the stream
 //! again.
 
 use loom::loom_graph::generators::MotifPlantConfig;
@@ -177,11 +177,11 @@ fn window_alone_allocates_nothing_in_steady_state() {
 
 /// The graph's own claim, the one the durable mirror lives on:
 /// applying a stream to a fresh `LabelledGraph` allocates only to grow its
-/// one map, its slot vector, its arena and the arena's free lists (48
-/// amortised growths here; 14 966 allocations with a `Vec` per vertex and
-/// three growing tables), and a graph that has been emptied takes the same
-/// stream again out of what it already holds — at most the id map, left
-/// full of tombstones by the removals, may rehash (it does not here: 0).
+/// one id index, its slot vector, its arena and the arena's free lists (51
+/// amortised growths here, 48 with a hash map for the id index; 14 966
+/// allocations with a `Vec` per vertex and three growing tables), and a
+/// graph that has been emptied takes the same stream again out of what it
+/// already holds (0 here).
 #[test]
 fn graph_apply_allocates_only_to_grow_and_recycles_after_removal() {
     let (stream, vertices, _) = stream_and_warm_up();

@@ -9,7 +9,7 @@ use loom::loom_partition::window::{EdgePlacement, StreamWindow};
 use loom::loom_store::codec::{encode_shard, encode_tail};
 use loom::loom_store::CheckpointImage;
 use loom::prelude::*;
-use loom_graph::VertexId;
+use loom_graph::{VertexId, VertexIndex};
 use loom_motif::canonical::canonical_code;
 use loom_motif::isomorphism::are_isomorphic;
 use loom_sim::matcher::PatternStore;
@@ -1108,5 +1108,68 @@ fn labelled_graph_matches_reference_model() {
                 assert_eq!(neighbours, graph.neighbors(v), "{at}");
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `VertexIndex` against a `BTreeMap`: random interleavings of
+    /// `insert`, `try_insert` and `remove` over three id families — dense
+    /// ids below 8192 (enough live ones to grow the direct bound past 4096
+    /// and pull hashed ids in), ids shifted left by 24 and ids just below
+    /// `u64::MAX`. After every step the two agree on what the step returned,
+    /// on `len` and on the id's value, and the array never holds more than
+    /// `max(4096, 2 × (high-water entries + 1))` cells, a power of two; every
+    /// 256 steps and at the end they agree on the whole entry set.
+    #[test]
+    fn vertex_index_matches_reference_model(
+        ops in proptest::collection::vec((0u8..8, 0u8..8, 0u64..8192, 0u32..1000), 2_000..12_000),
+    ) {
+        let mut index = VertexIndex::new();
+        let mut model: std::collections::BTreeMap<VertexId, u32> = Default::default();
+        let mut high_water = 0;
+        let entries = |index: &VertexIndex| {
+            let mut entries: Vec<(VertexId, u32)> = index.iter().collect();
+            entries.sort_unstable();
+            entries
+        };
+        for (step, &(op, family, raw, value)) in ops.iter().enumerate() {
+            let v = VertexId::new(match family {
+                0..=5 => raw,
+                6 => raw << 24,
+                _ => u64::MAX - raw % 64,
+            });
+            match op {
+                0..=4 => prop_assert_eq!(index.insert(v, value), model.insert(v, value)),
+                5 => {
+                    let expected = match model.get(&v) {
+                        Some(&held) => Err(held),
+                        None => {
+                            model.insert(v, value);
+                            Ok(())
+                        }
+                    };
+                    prop_assert_eq!(index.try_insert(v, value), expected);
+                }
+                _ => prop_assert_eq!(index.remove(v), model.remove(&v)),
+            }
+            high_water = high_water.max(model.len());
+            prop_assert_eq!(index.len(), model.len(), "step {}", step);
+            prop_assert_eq!(index.get(v), model.get(&v).copied(), "step {}", step);
+            prop_assert_eq!(index.contains(v), model.contains_key(&v));
+            let cells = index.direct_cells();
+            prop_assert!(cells == 0 || cells.is_power_of_two(), "{} cells", cells);
+            prop_assert!(
+                cells <= 4096.max(2 * (high_water + 1)),
+                "{} cells at a high water of {}", cells, high_water
+            );
+            if step % 256 == 255 {
+                let expected: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
+                prop_assert_eq!(entries(&index), expected, "step {}", step);
+            }
+        }
+        let expected: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
+        prop_assert_eq!(entries(&index), expected);
     }
 }
