@@ -34,6 +34,7 @@ use crate::error::{PartitionError, Result};
 use crate::partition::{PartitionId, Partitioning};
 use crate::traits::PartitionerStats;
 use loom_graph::fxhash::FxHashSet;
+use loom_graph::io::Reader;
 use loom_graph::VertexId;
 
 /// Magic prefix of a partitioner state blob ("LPST").
@@ -170,7 +171,7 @@ fn mismatch(detail: impl Into<String>) -> PartitionError {
 /// then the body is read in the order it was written.
 #[derive(Debug)]
 pub struct StateReader<'a> {
-    bytes: &'a [u8],
+    bytes: Reader<'a>,
     /// The arena's unassigned tail: where every buffered vertex that is not
     /// placed must be.
     unplaced: FxHashSet<VertexId>,
@@ -195,7 +196,7 @@ impl<'a> StateReader<'a> {
         arena: &mut ArenaHomes<'_>,
     ) -> Result<Self> {
         let mut r = Self {
-            bytes: state,
+            bytes: Reader::new(state),
             unplaced: FxHashSet::default(),
         };
         let magic = r.u32("state magic")?;
@@ -275,38 +276,24 @@ impl<'a> StateReader<'a> {
         Ok(r)
     }
 
-    fn take(&mut self, want: usize, what: &str) -> Result<&'a [u8]> {
-        if self.bytes.len() < want {
-            return Err(corrupt(format!(
-                "truncated while reading {what}: need {want} bytes, {} remain",
-                self.bytes.len()
-            )));
-        }
-        let (head, rest) = self.bytes.split_at(want);
-        self.bytes = rest;
-        Ok(head)
-    }
-
     fn text(&mut self, what: &str) -> Result<&'a [u8]> {
         let len = self.u32(what)? as usize;
-        self.take(len, what)
+        self.bytes.take(len, what).map_err(corrupt)
     }
 
     /// Read one `u8`.
     pub fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
+        self.bytes.u8(what).map_err(corrupt)
     }
 
     /// Read one `u32`.
     pub fn u32(&mut self, what: &str) -> Result<u32> {
-        let raw = self.take(4, what)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
+        self.bytes.u32(what).map_err(corrupt)
     }
 
     /// Read one `u64`.
     pub fn u64(&mut self, what: &str) -> Result<u64> {
-        let raw = self.take(8, what)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+        self.bytes.u64(what).map_err(corrupt)
     }
 
     /// Read a counter written with [`StateWriter::u64`].
@@ -318,15 +305,7 @@ impl<'a> StateReader<'a> {
     /// Read a `u64` count of records at least `stride` bytes long each,
     /// bounded by the bytes actually remaining.
     pub fn count(&mut self, stride: usize, what: &str) -> Result<usize> {
-        let raw = self.u64(what)?;
-        usize::try_from(raw)
-            .ok()
-            .filter(|n| n.checked_mul(stride).is_some_and(|b| b <= self.bytes.len()))
-            .ok_or_else(|| {
-                corrupt(format!(
-                    "implausible {what}: {raw} records of {stride}+ bytes"
-                ))
-            })
+        self.bytes.count(stride, what).map_err(corrupt)
     }
 
     /// Read one vertex id.
@@ -337,7 +316,10 @@ impl<'a> StateReader<'a> {
     /// Read a list written with [`StateWriter::ids`].
     pub fn ids(&mut self, what: &str) -> Result<Vec<VertexId>> {
         let len = self.u32(what)? as usize;
-        let raw = self.take(len.saturating_mul(8), what)?;
+        let raw = self
+            .bytes
+            .take(len.saturating_mul(8), what)
+            .map_err(corrupt)?;
         Ok(raw
             .chunks_exact(8)
             .map(|id| VertexId::new(u64::from_le_bytes(id.try_into().expect("8 bytes"))))
@@ -368,14 +350,7 @@ impl<'a> StateReader<'a> {
 
     /// End of the blob: nothing may follow the body.
     pub fn finish(self) -> Result<()> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(corrupt(format!(
-                "{} trailing bytes after the partitioner state",
-                self.bytes.len()
-            )))
-        }
+        self.bytes.finish("the partitioner state").map_err(corrupt)
     }
 }
 

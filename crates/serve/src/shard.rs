@@ -2231,4 +2231,17 @@ mod tests {
         let homeless_first = |pos, home| if pos == 0 { None } else { home };
         assert!(err(2, &homeless_first).contains("partition-major"));
     }
+
+    /// A checkpoint blob cannot spell a slice out of id order, but the check
+    /// that refuses one also guards every freeze and relayout.
+    #[test]
+    fn arena_loader_refuses_a_slice_out_of_id_order() {
+        let (five, three) = (VertexId::new(5), VertexId::new(3));
+        let mut loader = ArenaLoader::new(1);
+        for (v, u) in [(five, three), (three, five)] {
+            loader.push_vertex(Some(PartitionId::new(0)), v, Label::new(0), [u]);
+        }
+        let err = loader.finish().unwrap().check().unwrap_err();
+        assert_eq!(err, "v5 precedes v3 within one slice");
+    }
 }

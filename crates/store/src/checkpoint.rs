@@ -53,12 +53,10 @@
 //!   from its target's sources) fail its pass over the transpose it
 //!   counting-sorts the live arcs into. (4) The vertex and edge totals must equal the
 //!   manifest's. (5) Every shard and the tail are re-encoded from the loaded
-//!   store, each **in the format version its blob was read in** — a v1
-//!   blob's boundary, halo and label lists are derived from the arena for
-//!   the purpose — and must equal, byte for byte, the blob step (1) read
-//!   and checked against the manifest: the bit-identity proof, the same for
-//!   old roots and new. Each blob read is kept until its comparison, then
-//!   freed.
+//!   store in blob format v3, the only one [`decode_blob`] reads, and must
+//!   equal, byte for byte, the blob step (1) read and checked against the
+//!   manifest: the bit-identity proof. Each blob read is kept until its
+//!   comparison, then freed.
 //!
 //! Every failure is a [`StoreError::Corrupt`]. No `LabelledGraph` or
 //! `Partitioning` is built on the way: a caller that wants them
@@ -69,7 +67,7 @@
 //! the partitioner can decode it, and its proof — the restored partitioner
 //! must re-encode to the same bytes — is the restorer's to run.
 
-use crate::codec::{blob_crc, decode_blob, encode_rows, encode_slice, BlobHeader, BLOB_VERSION};
+use crate::codec::{blob_crc, decode_blob, encode_rows, encode_slice, BlobHeader};
 use crate::error::{Result, StoreError};
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
@@ -236,7 +234,7 @@ impl CheckpointImage {
     /// The blobs of `store`'s arena, sealed under the store's epoch.
     pub fn from_store(store: &ShardedStore) -> Self {
         let blobs = arena_slots(store.shard_count())
-            .map(|slot| encode_slice(store, slot, BLOB_VERSION).expect("slot in range"))
+            .map(|slot| encode_slice(store, slot).expect("slot in range"))
             .collect();
         Self {
             epoch_seq: store.epoch(),
@@ -260,7 +258,6 @@ impl CheckpointImage {
                 let range = layout.range(slot).expect("slot in range");
                 let header = BlobHeader {
                     shard: slot.map(|p| p.0),
-                    version: BLOB_VERSION,
                 };
                 encode_rows(header, &rows[range])
             })
@@ -577,8 +574,6 @@ struct ReadBlob {
     name: String,
     /// The slot it fills: a shard, or the tail (`None`).
     slot: Option<PartitionId>,
-    /// The format version it was read in — what its proof re-encodes in.
-    version: u32,
     bytes: Vec<u8>,
 }
 
@@ -628,7 +623,6 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
         blobs.push(ReadBlob {
             name: entry.name.clone(),
             slot: id.map(PartitionId::new),
-            version: header.version,
             bytes,
         });
     }
@@ -685,8 +679,7 @@ pub struct UnprovenCheckpoint<'a> {
 impl UnverifiedCheckpoint {
     /// Prove what was read: the arena must pass
     /// [`ShardedStore::check_arena`], hold the manifest's vertex and edge
-    /// totals, and re-encode — each blob in the version it was read in — to
-    /// the bytes of every blob that was read.
+    /// totals, and re-encode to the bytes of every blob that was read.
     pub fn verify(self) -> Result<LoadedCheckpoint> {
         self.verify_beside(SpanTimer::start(None), |_| ()).0
     }
@@ -756,7 +749,7 @@ fn prove(
         ));
     }
     for read in blobs {
-        let bytes = encode_slice(store, read.slot, read.version)
+        let bytes = encode_slice(store, read.slot)
             .ok_or_else(|| StoreError::corrupt(dir, format!("blob {} out of range", read.name)))?;
         if bytes != read.bytes {
             return Err(StoreError::corrupt(
@@ -779,7 +772,7 @@ pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_rows, encode_shard, encode_tail, BlobRow, BLOB_V1, BLOB_V2};
+    use crate::codec::{decode_rows, BlobRow};
     use loom_graph::generators::erdos_renyi::erdos_renyi;
     use loom_graph::generators::GeneratorConfig;
     use loom_graph::VertexId;
@@ -897,28 +890,24 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// Files written before the word-at-a-time checksum still verify: these
-    /// are the blob CRCs of `fixture(7)` as the bytewise kernel computed
-    /// them (recorded at the commit before the kernel changed) — of format
-    /// v1 blobs, which is what was written then and what the proof of such a
-    /// root re-encodes today.
+    /// The checksum a manifest records for a blob does not move: these are
+    /// the blob CRCs of `fixture(7)` in format v3, recorded at the commit
+    /// before the formats older than v3 were retired, where `io::tests`
+    /// already held the slice-by-8 kernel equal to the bytewise one.
     #[test]
     fn blob_checksums_match_the_values_recorded_under_the_bytewise_kernel() {
         let (g, part) = fixture(7);
         let store = ShardedStore::from_parts(&g, &part).with_epoch(3);
-        let slots = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
-        let crcs: Vec<u32> = slots
-            .chain([None])
-            .map(|slot| blob_crc(&encode_slice(&store, slot, BLOB_V1).unwrap()))
-            .collect();
+        let image = CheckpointImage::from_store(&store);
+        let crcs: Vec<u32> = image.blobs.iter().map(|blob| blob_crc(blob)).collect();
         assert_eq!(
             crcs,
             [
-                0x1e5d_80b6,
-                0x85ad_7a58,
-                0x981a_6a1e,
-                0xd751_b09f,
-                0x2b75_3e9b
+                0xa7c1_9663,
+                0xb570_a1f6,
+                0xd1da_6d08,
+                0x662e_1eaf,
+                0xe38a_53b7
             ]
         );
     }
@@ -939,8 +928,7 @@ mod tests {
 
     /// Rewrite blob `name` of the checkpoint in `dir` through `edit`, which
     /// sees the blob's header and rows as the codec decodes them, re-encode
-    /// them in the version the header names and reseal the blob
-    /// ([`replace_blob`]).
+    /// them and reseal the blob ([`replace_blob`]).
     fn tamper(dir: &Path, name: &str, edit: impl FnOnce(&mut BlobHeader, &mut Vec<BlobRow>)) {
         let path = dir.join(name);
         let raw = std::fs::read(&path).unwrap();
@@ -949,35 +937,13 @@ mod tests {
         replace_blob(dir, name, &encode_rows(header, &rows));
     }
 
-    /// A checkpoint of `store` whose blobs are all format `version`, as a
-    /// binary that wrote `version` left it: `store` checkpointed, then each
-    /// blob replaced by its encoding in `version`. Returns the root and the
-    /// checkpoint's directory.
-    fn root_in(version: u32, case: &str, store: &ShardedStore) -> (PathBuf, PathBuf) {
+    /// A checkpoint of `store`. Returns the root and the checkpoint's
+    /// directory.
+    fn root_of(case: &str, store: &ShardedStore) -> (PathBuf, PathBuf) {
         let root = tmproot(case);
-        let meta = write_checkpoint(&root, store, 0, "loom").unwrap();
+        write_checkpoint(&root, store, 0, "loom").unwrap();
         let (dir, _, _) = latest_checkpoint(&root).unwrap().unwrap();
-        if version != BLOB_VERSION {
-            for entry in &meta.blobs {
-                let slot = blob_slot(&entry.name, &dir).unwrap().map(PartitionId::new);
-                let old = encode_slice(store, slot, version).unwrap();
-                assert!(
-                    old.len() as u64 > entry.size,
-                    "v{version} carries more than v3"
-                );
-                replace_blob(&dir, &entry.name, old.as_slice());
-            }
-        }
         (root, dir)
-    }
-
-    /// `loaded` encodes, shard by shard and then its tail, to the blobs
-    /// `store` encodes to.
-    fn assert_same_blobs(loaded: &ShardedStore, store: &ShardedStore) {
-        for p in (0..store.shard_count()).map(PartitionId::new) {
-            assert_eq!(encode_shard(loaded, p), encode_shard(store, p));
-        }
-        assert_eq!(encode_tail(loaded), encode_tail(store));
     }
 
     /// The detail of the `Corrupt` error loading `dir` fails with.
@@ -989,64 +955,10 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_root_loads_and_its_proof_keeps_its_teeth() {
-        let (g, part) = fixture(19);
-        let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
-        let (root, dir) = root_in(BLOB_V1, "v1-root", &store);
-        let loaded = load_checkpoint(&dir).unwrap();
-        assert_eq!(loaded.store.epoch(), 4);
-        assert_same_blobs(&loaded.store, &store);
-        // The sections behind a v1 slice are still proven, not skipped: the
-        // last id of shard 0's last label list, off by one, under checksums
-        // that all hold.
-        let blob = dir.join("shard_0000.blob");
-        let mut raw = std::fs::read(&blob).unwrap();
-        let last_id = raw.len() - 8;
-        raw[last_id] ^= 0x01;
-        replace_blob(&dir, "shard_0000.blob", &raw);
-        let detail = refusal(&dir);
-        assert!(detail.contains("does not round-trip blob shard_0000.blob"));
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn a_v2_root_loads_and_its_proof_keeps_its_teeth() {
-        let (g, part) = fixture(19);
-        let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
-        let (root, dir) = root_in(BLOB_V2, "v2-root", &store);
-        // It loads — so the proof re-encoded every blob in v2, the version
-        // it was read in: no v3 encoding equals a v2 file.
-        let loaded = load_checkpoint(&dir).unwrap();
-        assert_eq!(loaded.store.epoch(), 4);
-        assert_same_blobs(&loaded.store, &store);
-        // The first checkpoint after it writes v3.
-        write_checkpoint(&root, &loaded.store.clone().with_epoch(5), 0, "loom").unwrap();
-        let (next, meta, _) = latest_checkpoint(&root).unwrap().unwrap();
-        assert_eq!(meta.epoch_seq, 5);
-        for entry in &meta.blobs {
-            let path = next.join(&entry.name);
-            let (header, _) = decode_rows(&std::fs::read(&path).unwrap(), &path).unwrap();
-            assert_eq!(header.version, BLOB_VERSION, "{}", entry.name);
-        }
-        assert_same_blobs(&load_checkpoint(&next).unwrap().store, &store);
-        // A flipped byte under checksums that all hold is refused: the high
-        // byte of shard 0's first neighbour id names a vertex no blob lists.
-        let blob = dir.join("shard_0000.blob");
-        let mut raw = std::fs::read(&blob).unwrap();
-        // Header, vertex count, then the first row's id, label and degree.
-        let first_neighbour = 16 + 8 + 16;
-        raw[first_neighbour + 7] ^= 0x80;
-        replace_blob(&dir, "shard_0000.blob", &raw);
-        let detail = refusal(&dir);
-        assert!(detail.contains("listed nowhere"), "{detail}");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn a_v3_blob_that_decodes_but_is_not_what_its_writer_writes_fails_the_proof() {
         let (g, part) = fixture(19);
         let store = ShardedStore::from_parts(&g, &part).with_epoch(4);
-        let (root, dir) = root_in(BLOB_VERSION, "v3-canonical", &store);
+        let (root, dir) = root_of("v3-canonical", &store);
         // Shard 0's first label as a two-byte varint: the same number, so the
         // arena it loads into is sound, but not the bytes the encoder writes.
         let blob = dir.join("shard_0000.blob");
@@ -1135,18 +1047,16 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// Checkpoint `fixture(17)` with its blobs in `version`, tamper one
-    /// blob, and return what the loader said — which must be `Corrupt`,
-    /// never a panic.
+    /// Checkpoint `fixture(17)`, tamper one blob, and return what the loader
+    /// said — which must be `Corrupt`, never a panic.
     fn load_tampered(
-        version: u32,
         case: &str,
         name: &str,
         edit: impl FnOnce(&mut BlobHeader, &mut Vec<BlobRow>),
     ) -> String {
         let (g, part) = fixture(17);
         let store = ShardedStore::from_parts(&g, &part).with_epoch(1);
-        let (root, dir) = root_in(version, &format!("teeth-{case}-v{version}"), &store);
+        let (root, dir) = root_of(&format!("teeth-{case}"), &store);
         load_checkpoint(&dir).expect("untampered checkpoint loads");
         tamper(&dir, name, edit);
         let detail = refusal(&dir);
@@ -1162,70 +1072,58 @@ mod tests {
     #[test]
     fn structurally_broken_blobs_are_corrupt_even_with_valid_checksums() {
         let shard0 = "shard_0000.blob";
-        for version in [BLOB_VERSION, BLOB_V2] {
-            let detail = load_tampered(version, "self-loop", shard0, |_, rows| {
-                let i = busy(rows);
-                let v = rows[i].0;
-                rows[i].2.push(v);
-            });
-            assert!(
-                detail.contains("not a live neighbour"),
-                "v{version}: {detail}"
-            );
+        let detail = load_tampered("self-loop", shard0, |_, rows| {
+            let i = busy(rows);
+            let v = rows[i].0;
+            rows[i].2.push(v);
+        });
+        assert!(detail.contains("not a live neighbour"), "{detail}");
 
-            let detail = load_tampered(version, "unknown", shard0, |_, rows| {
-                let i = busy(rows);
-                rows[i].2.push(VertexId::new(9_999_999));
-            });
-            assert!(detail.contains("listed nowhere"), "v{version}: {detail}");
+        let detail = load_tampered("unknown", shard0, |_, rows| {
+            let i = busy(rows);
+            rows[i].2.push(VertexId::new(9_999_999));
+        });
+        assert!(detail.contains("listed nowhere"), "{detail}");
 
-            let detail = load_tampered(version, "repeated", shard0, |_, rows| {
-                let i = busy(rows);
-                let again = rows[i].2[0];
-                rows[i].2.push(again);
-            });
-            assert!(
-                detail.contains("a repeated neighbour"),
-                "v{version}: {detail}"
-            );
+        let detail = load_tampered("repeated", shard0, |_, rows| {
+            let i = busy(rows);
+            let again = rows[i].2[0];
+            rows[i].2.push(again);
+        });
+        assert!(detail.contains("a repeated neighbour"), "{detail}");
 
-            // Redirect one arc to a vertex that does not name this one back:
-            // the arc count is unchanged, only symmetry is broken.
-            let detail = load_tampered(version, "one-sided", shard0, |_, rows| {
-                let i = busy(rows);
-                let (v, listed) = (rows[i].0, rows[i].2.clone());
-                let stranger = rows
-                    .iter()
-                    .map(|r| r.0)
-                    .find(|u| *u != v && !listed.contains(u))
-                    .unwrap();
-                rows[i].2[0] = stranger;
-            });
-            assert!(detail.contains("no reverse arc"), "v{version}: {detail}");
+        // Redirect one arc to a vertex that does not name this one back: the
+        // arc count is unchanged, only symmetry is broken.
+        let detail = load_tampered("one-sided", shard0, |_, rows| {
+            let i = busy(rows);
+            let (v, listed) = (rows[i].0, rows[i].2.clone());
+            let stranger = rows
+                .iter()
+                .map(|r| r.0)
+                .find(|u| *u != v && !listed.contains(u))
+                .unwrap();
+            rows[i].2[0] = stranger;
+        });
+        assert!(detail.contains("no reverse arc"), "{detail}");
 
-            // The fixture's lowest vertex lives in shard 0; list it in shard 1
-            // too.
-            let (g, _) = fixture(17);
-            let first = g.vertices_sorted()[0];
-            let copy: BlobRow = (first, g.label(first).unwrap(), g.neighbors(first).to_vec());
-            let detail = load_tampered(version, "twice", "shard_0001.blob", |_, rows| {
-                rows.insert(0, copy);
-            });
-            assert!(detail.contains("listed twice"), "v{version}: {detail}");
+        // The fixture's lowest vertex lives in shard 0; list it in shard 1
+        // too.
+        let (g, _) = fixture(17);
+        let first = g.vertices_sorted()[0];
+        let copy: BlobRow = (first, g.label(first).unwrap(), g.neighbors(first).to_vec());
+        let detail = load_tampered("twice", "shard_0001.blob", |_, rows| {
+            rows.insert(0, copy);
+        });
+        assert!(detail.contains("listed twice"), "{detail}");
 
-            let detail = load_tampered(version, "misnamed", "shard_0001.blob", |header, _| {
-                header.shard = Some(2);
-            });
-            assert!(detail.contains("file name"), "v{version}: {detail}");
+        let detail = load_tampered("misnamed", "shard_0001.blob", |header, _| {
+            header.shard = Some(2);
+        });
+        assert!(detail.contains("file name"), "{detail}");
 
-            // Fixed-width rows out of id order reach the arena check; a v3
-            // slice cannot even spell them — its gaps only ascend.
-            let detail = load_tampered(version, "unsorted", shard0, |_, rows| rows.swap(0, 1));
-            let expected = match version {
-                BLOB_V2 => "precedes",
-                _ => "ids do not ascend",
-            };
-            assert!(detail.contains(expected), "v{version}: {detail}");
-        }
+        // Rows out of id order: the gaps only ascend, so the decoder refuses
+        // them before the arena check could.
+        let detail = load_tampered("unsorted", shard0, |_, rows| rows.swap(0, 1));
+        assert!(detail.contains("ids do not ascend"), "{detail}");
     }
 }

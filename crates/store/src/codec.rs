@@ -1,62 +1,51 @@
 //! Binary codecs for checkpoint blobs and WAL record payloads.
 //!
-//! Everything here is little-endian and sits on the `loom_graph::io` frame
-//! substrate: the same [`crc32`] checksum, the same "bounds-check every
-//! length prefix, never trust a count you have not bounded by the payload
-//! size" discipline. Encoders are **deterministic**: the same
+//! Everything here is little-endian and sits on the `loom_graph::io`
+//! substrate: the same [`crc32`] checksum, the same bounded [`Reader`] — it
+//! bounds every length prefix by the payload size, never trusting a count it
+//! has not checked. Encoders are **deterministic**: the same
 //! [`ShardedStore`] always serializes to the same bytes, which is what lets
 //! recovery prove bit-identity by re-encoding and comparing bytes — and a
 //! graph and partitioning encode, row for row, to the bytes of the store
 //! [`ShardedStore::from_parts`] would freeze from them, which is what lets a
 //! session checkpoint its graph mirror without freezing it.
 //!
-//! # Blob formats
+//! # Blob format
 //!
 //! A blob is one slice of the arena — a shard's, or the unassigned tail.
 //! "Varint" is unsigned LEB128, at most 10 bytes.
 //!
-//! | section | v1 (read) | v2 (read) | v3 (read and written) |
-//! |---|---|---|---|
-//! | header: magic `LSHD`, version, kind (shard / tail), shard id — 4 × `u32` | ✓ | ✓ | ✓ |
-//! | slice: `u64` vertex count, then per live vertex `u64` id, `u32` label, `u32` degree, degree × `u64` neighbour id in traversal order | ✓ | ✓ | — |
-//! | slice: varint vertex count, then per live vertex the varint gap from the previous row's id (from 0 for the first; ids strictly ascend), varint label, varint degree, degree × the zigzag varint of `neighbour − vertex` (wrapping) in traversal order | — | — | ✓ |
-//! | boundary: `u64` count + ids | ✓ | — | — |
-//! | halo: `u64` count + ids | ✓ | — | — |
-//! | per-shard label lists: `u32` count, then per label (ascending) `u32` label, `u64` count + ids | ✓ | — | — |
+//! | section | encoding |
+//! |---|---|
+//! | header | magic `LSHD`, version 3, kind (shard / tail), shard id — 4 × `u32` |
+//! | slice | varint vertex count, then per live vertex the varint gap from the previous row's id (from 0 for the first; ids strictly ascend), varint label, varint degree, degree × the zigzag varint of `neighbour − vertex` (wrapping) in traversal order |
 //!
-//! Everything v1 carries behind the slice is a function of the arena, so v2
-//! stops where the slice does and trailing bytes are refused. v3 holds the
-//! same rows as v2, gap-coded: a row's id as its distance from the row before
-//! it, each neighbour as its signed distance from the row's own id — on the
-//! benchmark's `ingest` checkpoint a quarter of v2's bytes. Nothing is
-//! reordered, so a v3 root loads into the arena a v2 root of the same store
-//! loads into. Older blobs still load: a v1 blob's trailing sections are
-//! walked for structure, and the proof re-encodes every blob in the version
-//! [`decode_blob`] handed back — a v1 blob's sections derived from the loaded
-//! arena for the purpose — so an old root is held to exactly what it was
-//! held to when it was written. Only v3 is ever written. A reader from before
-//! v3 refuses a v3 blob by name: `unsupported blob version 3`.
+//! Nothing behind the slice: everything a shard's boundary, halo or label
+//! lists would say is a function of the arena, and trailing bytes are
+//! refused. A row's id is stored as its distance from the row before it, each
+//! neighbour as its signed distance from the row's own id — on the
+//! benchmark's `ingest` checkpoint a quarter of the fixed-width rows' bytes.
+//! Version 3 is the only one read and written: a blob of any other version is
+//! refused by name (`unsupported blob version N`), never misread. (Roots
+//! written before v3, with v1 or v2 blobs, are upgraded by the binaries that
+//! still read them; see the README.)
 
 use crate::error::{Result, StoreError};
-use loom_graph::io::crc32;
+use loom_graph::io::{crc32, next_varint, Reader, MAX_VARINT};
 use loom_graph::{Label, StreamElement, VertexId};
 use loom_partition::partition::PartitionId;
-use loom_serve::shard::{ArenaLoader, ShardBorder, ShardedStore};
-use std::collections::BTreeMap;
+use loom_serve::shard::{ArenaLoader, ShardedStore};
 use std::path::Path;
+
+/// What a decoder refuses, before the file it read is named.
+type Decoded<T> = std::result::Result<T, String>;
 
 /// Magic prefix of a shard blob ("LSHD").
 const BLOB_MAGIC: u32 = 0x4C53_4844;
-/// The blob format version written: header + gap-coded slice.
-pub(crate) const BLOB_VERSION: u32 = 3;
-/// The version with fixed-width rows and nothing behind the slice; read,
-/// never written.
-pub(crate) const BLOB_V2: u32 = 2;
-/// The version that carried derived lists behind the slice; read, never
-/// written.
-pub(crate) const BLOB_V1: u32 = 1;
-/// Fewest bytes a v3 row takes: a one-byte gap, label and degree.
-const V3_MIN_ROW: usize = 3;
+/// The blob format version, written and read: header + gap-coded slice.
+const BLOB_VERSION: u32 = 3;
+/// Fewest bytes a row takes: a one-byte gap, label and degree.
+const MIN_ROW: usize = 3;
 /// Blob kind tag: a partition's home slice.
 const KIND_SHARD: u32 = 0;
 /// Blob kind tag: the unassigned arena tail.
@@ -72,14 +61,13 @@ const EL_REMOVE_VERTEX: u8 = 2;
 const EL_REMOVE_EDGE: u8 = 3;
 /// WAL element tag: `StreamElement::Relabel`.
 const EL_RELABEL: u8 = 4;
+/// Fewest bytes a WAL element takes (`RemoveVertex`: tag + `u64` id).
+const MIN_ELEMENT: usize = 9;
 
 /// Append one integer's little-endian bytes (`put(buf, x.to_le_bytes())`).
 fn put<const N: usize>(buf: &mut Vec<u8>, le: [u8; N]) {
     buf.extend_from_slice(&le);
 }
-
-/// The longest varint: ten bytes of seven bits hold a `u64`.
-const MAX_VARINT: usize = 10;
 
 /// Write `x` as an unsigned LEB128 varint at `out[at..]` — seven bits a
 /// byte, low bits first, the high bit set on every byte but the last — and
@@ -94,36 +82,6 @@ fn write_varint(out: &mut [u8], mut at: usize, mut x: u64) -> usize {
     at + 1
 }
 
-/// Why a varint could not be read.
-#[derive(Debug)]
-enum VarintFault {
-    /// The input ends inside it.
-    Truncated,
-    /// It runs past [`MAX_VARINT`] bytes, or its tenth carries more than bit
-    /// 63.
-    Overlong,
-}
-
-/// Decode the unsigned LEB128 varint at the front of `bytes` and step past
-/// it: at most [`MAX_VARINT`] bytes, the tenth carrying only bit 63.
-fn next_varint(bytes: &mut &[u8]) -> std::result::Result<u64, VarintFault> {
-    let mut value = 0;
-    for (i, &byte) in bytes.iter().enumerate().take(MAX_VARINT) {
-        value |= u64::from(byte & 0x7F) << (7 * i);
-        if byte < 0x80 {
-            if i == MAX_VARINT - 1 && byte > 1 {
-                break;
-            }
-            *bytes = &bytes[i + 1..];
-            return Ok(value);
-        }
-    }
-    match bytes.len() < MAX_VARINT {
-        true => Err(VarintFault::Truncated),
-        false => Err(VarintFault::Overlong),
-    }
-}
-
 /// A wrapping difference as a zigzag code: small distances either way
 /// become small numbers (0, −1, 1, −2, … → 0, 1, 2, 3, …).
 fn zigzag(delta: u64) -> u64 {
@@ -135,61 +93,22 @@ fn unzigzag(code: u64) -> u64 {
     (code >> 1) ^ (code & 1).wrapping_neg()
 }
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[VertexId]) {
-    put(buf, (ids.len() as u64).to_le_bytes());
-    for v in ids {
-        put(buf, v.raw().to_le_bytes());
-    }
-}
-
-/// What a v1 blob carried behind its slice, derived from the arena the way
-/// its writer derived it: the shard's boundary, its halo, and its home
-/// vertices (`homes`, in arena order) listed per label in ascending label
-/// order.
-fn put_v1_sections(
-    buf: &mut Vec<u8>,
-    border: &ShardBorder,
-    homes: impl Iterator<Item = (VertexId, Label)>,
-) {
-    let mut lists: BTreeMap<Label, Vec<VertexId>> = BTreeMap::new();
-    for (v, label) in homes {
-        lists.entry(label).or_default().push(v);
-    }
-    put_ids(buf, &border.boundary);
-    put_ids(buf, &border.halo);
-    put(buf, (lists.len() as u32).to_le_bytes());
-    for (label, members) in lists {
-        put(buf, label.raw().to_le_bytes());
-        put_ids(buf, &members);
-    }
-}
-
 /// The one blob encoder: header, then `rows` — the `vertices` live rows of
 /// the slice `slot` names (`None` is the unassigned tail), in arena order,
 /// whichever source they are read from: a frozen store's
 /// [`ArenaSlice::rows`](loom_serve::shard::ArenaSlice::rows) or a graph's
-/// [`PartitionMajor`](loom_serve::shard::PartitionMajor) layout — gap-coded
-/// in version 3, fixed-width before it; then, in version 1 only, the derived
-/// sections, with the shard's boundary and halo from `border` (asked for
-/// only then; only the proof of a v1 root writes v1, and it has the store).
-/// The bit-identity proof asks for the version [`decode_blob`] handed back
-/// and compares with what was read; everything else writes
-/// [`BLOB_VERSION`].
+/// [`PartitionMajor`](loom_serve::shard::PartitionMajor) layout — gap-coded.
 pub(crate) fn encode_blob<N>(
     slot: Option<PartitionId>,
-    version: u32,
     vertices: usize,
     rows: impl Iterator<Item = (VertexId, Label, N)>,
-    border: impl FnOnce() -> ShardBorder,
 ) -> Vec<u8>
 where
     N: ExactSizeIterator<Item = VertexId>,
 {
-    let gap_coded = version == BLOB_VERSION;
-    let row_bytes = if gap_coded { 16 } else { 24 };
-    let mut buf = Vec::with_capacity(16 + MAX_VARINT + vertices * row_bytes);
+    let mut buf = Vec::with_capacity(16 + MAX_VARINT + vertices * 16);
     put(&mut buf, BLOB_MAGIC.to_le_bytes());
-    put(&mut buf, version.to_le_bytes());
+    put(&mut buf, BLOB_VERSION.to_le_bytes());
     let kind = if slot.is_some() {
         KIND_SHARD
     } else {
@@ -197,76 +116,42 @@ where
     };
     put(&mut buf, kind.to_le_bytes());
     put(&mut buf, slot.map_or(0, |p| p.0).to_le_bytes());
-    if gap_coded {
-        // Varints go through a cursor into zeroed room, grown ahead of each
-        // row to its longest spelling: a store into a slice per byte, where
-        // a `Vec::push` per byte runs at half the speed.
-        let mut at = buf.len();
-        buf.resize(buf.capacity(), 0);
-        at = write_varint(&mut buf, at, vertices as u64);
-        let mut previous = 0;
-        for (v, label, neighbours) in rows {
-            let longest = (3 + neighbours.len()) * MAX_VARINT;
-            if buf.len() < at + longest {
-                buf.resize((2 * buf.len()).max(at + longest), 0);
-            }
-            let out = buf.as_mut_slice();
-            // Ids ascend within a slice; a row that does not wraps to a gap
-            // the decoder refuses.
-            let v = v.raw();
-            at = write_varint(out, at, v.wrapping_sub(previous));
-            at = write_varint(out, at, u64::from(label.raw()));
-            at = write_varint(out, at, neighbours.len() as u64);
-            for n in neighbours {
-                at = write_varint(out, at, zigzag(n.raw().wrapping_sub(v)));
-            }
-            previous = v;
-        }
-        buf.truncate(at);
-        return buf;
-    }
-    put(&mut buf, (vertices as u64).to_le_bytes());
-    let mut homes = Vec::new();
+    // Varints go through a cursor into zeroed room, grown ahead of each row
+    // to its longest spelling: a store into a slice per byte, where a
+    // `Vec::push` per byte runs at half the speed.
+    let mut at = buf.len();
+    buf.resize(buf.capacity(), 0);
+    at = write_varint(&mut buf, at, vertices as u64);
+    let mut previous = 0;
     for (v, label, neighbours) in rows {
-        put(&mut buf, v.raw().to_le_bytes());
-        put(&mut buf, label.raw().to_le_bytes());
-        put(&mut buf, (neighbours.len() as u32).to_le_bytes());
+        let longest = (3 + neighbours.len()) * MAX_VARINT;
+        if buf.len() < at + longest {
+            buf.resize((2 * buf.len()).max(at + longest), 0);
+        }
+        let out = buf.as_mut_slice();
+        // Ids ascend within a slice; a row that does not wraps to a gap the
+        // decoder refuses.
+        let v = v.raw();
+        at = write_varint(out, at, v.wrapping_sub(previous));
+        at = write_varint(out, at, u64::from(label.raw()));
+        at = write_varint(out, at, neighbours.len() as u64);
         for n in neighbours {
-            put(&mut buf, n.raw().to_le_bytes());
+            at = write_varint(out, at, zigzag(n.raw().wrapping_sub(v)));
         }
-        if version == BLOB_V1 {
-            homes.push((v, label));
-        }
+        previous = v;
     }
-    if version == BLOB_V1 {
-        match slot {
-            Some(_) => put_v1_sections(&mut buf, &border(), homes.into_iter()),
-            // The tail borders nothing and indexed nothing.
-            None => put_v1_sections(&mut buf, &ShardBorder::default(), std::iter::empty()),
-        }
-    }
+    buf.truncate(at);
     buf
 }
 
 /// The slice `slot` names of `store`'s arena (`None` is the unassigned
-/// tail) as a blob in `version`. `None` when the shard is out of range.
-pub(crate) fn encode_slice(
-    store: &ShardedStore,
-    slot: Option<PartitionId>,
-    version: u32,
-) -> Option<Vec<u8>> {
+/// tail) as a blob. `None` when the shard is out of range.
+pub(crate) fn encode_slice(store: &ShardedStore, slot: Option<PartitionId>) -> Option<Vec<u8>> {
     let slice = match slot {
         Some(p) => store.shard_slice(p)?,
         None => store.unassigned_slice(),
     };
-    let border = || slot.map(|p| store.border(p)).unwrap_or_default();
-    Some(encode_blob(
-        slot,
-        version,
-        slice.len(),
-        slice.rows(),
-        border,
-    ))
+    Some(encode_blob(slot, slice.len(), slice.rows()))
 }
 
 /// One row of a blob: a vertex, its label, and its neighbours in traversal
@@ -276,160 +161,30 @@ pub type BlobRow = (VertexId, Label, Vec<VertexId>);
 /// The blob `header` describes, holding `rows` in the order given: what
 /// [`decode_rows`] read back, or a graph's rows in
 /// [`PartitionMajor`](loom_serve::shard::PartitionMajor) arena order — byte
-/// for byte what [`encode_shard`] or [`encode_tail`] writes (under a
-/// current-version header) for the same slot of the store
-/// [`ShardedStore::from_parts`] freezes from the same graph and
-/// partitioning.
-///
-/// # Panics
-///
-/// If `header.version` is neither 2 nor 3: a version-1 blob carries sections
-/// derived from a whole store, which rows alone cannot give.
+/// for byte what [`encode_shard`] or [`encode_tail`] writes for the same
+/// slot of the store [`ShardedStore::from_parts`] freezes from the same
+/// graph and partitioning.
 pub fn encode_rows<A: AsRef<[VertexId]>>(
     header: BlobHeader,
     rows: &[(VertexId, Label, A)],
 ) -> Vec<u8> {
-    assert!(
-        [BLOB_V2, BLOB_VERSION].contains(&header.version),
-        "rows alone encode blob versions 2 and 3, not {}",
-        header.version
-    );
     let rows = rows
         .iter()
         .map(|(v, label, neighbours)| (*v, *label, neighbours.as_ref().iter().copied()));
-    encode_blob(
-        header.shard.map(PartitionId::new),
-        header.version,
-        rows.len(),
-        rows,
-        ShardBorder::default,
-    )
+    encode_blob(header.shard.map(PartitionId::new), rows.len(), rows)
 }
 
 /// Serialize shard `p` of `store` as one contiguous blob. `None` when `p`
 /// is out of range.
 pub fn encode_shard(store: &ShardedStore, p: PartitionId) -> Option<Vec<u8>> {
-    encode_slice(store, Some(p), BLOB_VERSION)
+    encode_slice(store, Some(p))
 }
 
 /// Serialize the unassigned tail of `store`'s arena (vertices the
 /// partitioner had not placed at snapshot time). Always produced, even when
 /// empty, so a checkpoint's blob set has a fixed shape.
 pub fn encode_tail(store: &ShardedStore) -> Vec<u8> {
-    encode_slice(store, None, BLOB_VERSION).expect("every store has a tail slice")
-}
-
-/// Checked reader of little-endian integers and varints over a byte slice:
-/// every accessor verifies the remaining length first (a decoder must return
-/// `Err` on torn input, never panic), and nothing is copied out of the input.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    path: &'a Path,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], path: &'a Path) -> Self {
-        Self { bytes, path }
-    }
-
-    fn take(&mut self, want: usize, what: &str) -> Result<&'a [u8]> {
-        if self.bytes.len() < want {
-            return Err(StoreError::corrupt(
-                self.path,
-                format!(
-                    "truncated while reading {what}: need {want} bytes, {} remain",
-                    self.bytes.len()
-                ),
-            ));
-        }
-        let (head, rest) = self.bytes.split_at(want);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let raw = self.take(4, what)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let raw = self.take(8, what)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-    }
-
-    /// An unsigned LEB128 varint (see [`next_varint`]).
-    fn varint(&mut self, what: &str) -> Result<u64> {
-        next_varint(&mut self.bytes).map_err(|fault| self.varint_fault(fault, what))
-    }
-
-    #[cold]
-    fn varint_fault(&self, fault: VarintFault, what: &str) -> StoreError {
-        let detail = match fault {
-            VarintFault::Truncated => format!(
-                "truncated inside a varint while reading {what}: {} bytes remain",
-                self.bytes.len()
-            ),
-            VarintFault::Overlong => format!("overlong varint while reading {what}"),
-        };
-        StoreError::corrupt(self.path, detail)
-    }
-
-    /// A `u64` count that precedes `stride`-byte records (see
-    /// [`Reader::bounded`]).
-    fn count(&mut self, stride: usize, what: &str) -> Result<usize> {
-        let raw = self.u64(what)?;
-        self.bounded(raw, stride, what)
-    }
-
-    /// A varint count that precedes records of at least `stride` bytes (see
-    /// [`Reader::bounded`]).
-    fn varint_count(&mut self, stride: usize, what: &str) -> Result<usize> {
-        let raw = self.varint(what)?;
-        self.bounded(raw, stride, what)
-    }
-
-    /// `raw`, a count of records of at least `stride` bytes, bounded by the
-    /// bytes actually remaining, so a flipped count can never drive a huge
-    /// allocation.
-    fn bounded(&self, raw: u64, stride: usize, what: &str) -> Result<usize> {
-        let bound = usize::try_from(raw)
-            .ok()
-            .filter(|n| n.checked_mul(stride).is_some_and(|b| b <= self.bytes.len()));
-        bound.ok_or_else(|| {
-            StoreError::corrupt(
-                self.path,
-                format!("implausible {what}: {raw} records of {stride}+ bytes"),
-            )
-        })
-    }
-
-    /// `count` vertex ids, borrowed as they lie in the input.
-    fn ids(&mut self, count: usize, what: &str) -> Result<impl Iterator<Item = VertexId> + 'a> {
-        let raw = self.take(count.saturating_mul(8), what)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|id| VertexId::new(u64::from_le_bytes(id.try_into().expect("8 bytes")))))
-    }
-
-    /// Step over a counted id list (the derived sections of a v1 blob).
-    fn skip_ids(&mut self, what: &str) -> Result<()> {
-        let count = self.count(8, what)?;
-        self.take(count * 8, what).map(|_| ())
-    }
-
-    fn finish(self, what: &str) -> Result<()> {
-        if !self.bytes.is_empty() {
-            return Err(StoreError::corrupt(
-                self.path,
-                format!("{} trailing bytes after {what}", self.bytes.len()),
-            ));
-        }
-        Ok(())
-    }
+    encode_slice(store, None).expect("every store has a tail slice")
 }
 
 /// What a blob's header says it is.
@@ -437,11 +192,6 @@ impl<'a> Reader<'a> {
 pub struct BlobHeader {
     /// The shard whose slice the blob holds; `None` for the unassigned tail.
     pub shard: Option<u32>,
-    /// The format version it was written in: what [`UnverifiedCheckpoint`]'s
-    /// proof re-encodes it in.
-    ///
-    /// [`UnverifiedCheckpoint`]: crate::UnverifiedCheckpoint
-    pub version: u32,
 }
 
 /// Where a decoded blob's rows go: the arena a checkpoint loads into, or a
@@ -480,113 +230,74 @@ impl RowSink for Vec<BlobRow> {
     }
 }
 
-/// Decode a checkpoint blob of any format version straight into `arena`:
-/// the blob's vertices are appended in the order they were serialized, homed
-/// at the shard the blob names (or nowhere, for the tail). Returns what the
-/// header said. The derived sections behind a v1 slice are walked for
-/// structure only — the proof re-derives them from the arena and compares
-/// bytes; behind a v2 or v3 slice there is nothing, and anything there is
-/// refused. `path` is used only for error reporting.
+/// Decode a checkpoint blob straight into `arena`: the blob's vertices are
+/// appended in the order they were serialized, homed at the shard the blob
+/// names (or nowhere, for the tail). Returns what the header said. Anything
+/// behind the slice is refused. `path` is used only for error reporting.
 ///
 /// On `Err`, `arena` may hold part of the blob and must be discarded.
 pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result<BlobHeader> {
-    decode_into(bytes, path, arena)
+    decode_into(bytes, arena).map_err(|detail| StoreError::corrupt(path, detail))
 }
 
-/// Decode a checkpoint blob of any format version into its header and its
-/// rows, in the order they were serialized — what [`encode_rows`] writes
-/// back. A v1 blob's derived sections are walked and dropped.
+/// Decode a checkpoint blob into its header and its rows, in the order they
+/// were serialized — what [`encode_rows`] writes back.
 pub fn decode_rows(bytes: &[u8], path: &Path) -> Result<(BlobHeader, Vec<BlobRow>)> {
     let mut rows = Vec::new();
-    let header = decode_into(bytes, path, &mut rows)?;
+    let header =
+        decode_into(bytes, &mut rows).map_err(|detail| StoreError::corrupt(path, detail))?;
     Ok((header, rows))
 }
 
-fn decode_into(bytes: &[u8], path: &Path, sink: &mut impl RowSink) -> Result<BlobHeader> {
-    let mut r = Reader::new(bytes, path);
+/// The blob in `bytes`, into `sink`; `Err` is what is wrong with it.
+fn decode_into(bytes: &[u8], sink: &mut impl RowSink) -> Decoded<BlobHeader> {
+    let mut r = Reader::new(bytes);
     let magic = r.u32("blob magic")?;
     if magic != BLOB_MAGIC {
-        return Err(StoreError::corrupt(
-            path,
-            format!("bad blob magic 0x{magic:08x}"),
-        ));
+        return Err(format!("bad blob magic 0x{magic:08x}"));
     }
     let version = r.u32("blob version")?;
-    if ![BLOB_V1, BLOB_V2, BLOB_VERSION].contains(&version) {
-        return Err(StoreError::corrupt(
-            path,
-            format!("unsupported blob version {version}"),
-        ));
+    if version != BLOB_VERSION {
+        return Err(format!("unsupported blob version {version}"));
     }
     let kind = r.u32("blob kind")?;
     let raw_id = r.u32("shard id")?;
     let shard = match kind {
         KIND_SHARD => Some(raw_id),
         KIND_TAIL => None,
-        other => {
-            return Err(StoreError::corrupt(
-                path,
-                format!("unknown blob kind {other}"),
-            ));
-        }
+        other => return Err(format!("unknown blob kind {other}")),
     };
-    let home = shard.map(PartitionId::new);
-    if version == BLOB_VERSION {
-        gap_coded_rows(&mut r, home, sink)?;
-        r.finish("blob")?;
-        return Ok(BlobHeader { shard, version });
-    }
-    // Minimum 16 bytes per vertex record (id + label + degree).
-    let vertex_count = r.count(16, "vertex count")?;
-    for _ in 0..vertex_count {
-        let v = VertexId::new(r.u64("vertex id")?);
-        let label = Label::new(r.u32("vertex label")?);
-        let degree = r.u32("vertex degree")? as usize;
-        sink.row(home, v, label, r.ids(degree, "adjacency")?);
-    }
-    if version == BLOB_V1 {
-        r.skip_ids("boundary")?;
-        r.skip_ids("halo")?;
-        for _ in 0..r.u32("label index size")? {
-            r.u32("index label")?;
-            r.skip_ids("index members")?;
-        }
-    }
+    gap_coded_rows(&mut r, shard.map(PartitionId::new), sink)?;
     r.finish("blob")?;
-    Ok(BlobHeader { shard, version })
+    Ok(BlobHeader { shard })
 }
 
-/// The rows of a v3 slice, into `sink`: every count bounded by the bytes
+/// The rows of a slice, into `sink`: every count bounded by the bytes
 /// behind it, every id gap checked.
 fn gap_coded_rows(
     r: &mut Reader<'_>,
     home: Option<PartitionId>,
     sink: &mut impl RowSink,
-) -> Result<()> {
-    let vertex_count = r.varint_count(V3_MIN_ROW, "vertex count")?;
+) -> Decoded<()> {
+    let raw = r.varint("vertex count")?;
+    let vertex_count = r.bounded(raw, MIN_ROW, "vertex count")?;
     let mut previous = 0u64;
     for row in 0..vertex_count {
         let gap = r.varint("vertex id gap")?;
         if row > 0 && gap == 0 {
-            return Err(StoreError::corrupt(
-                r.path,
-                format!("vertex id {previous} is listed twice in a row"),
-            ));
+            return Err(format!("vertex id {previous} is listed twice in a row"));
         }
         let v = previous.checked_add(gap).ok_or_else(|| {
-            StoreError::corrupt(
-                r.path,
-                format!("vertex id gap {gap} after {previous} overflows u64: ids do not ascend"),
-            )
+            format!("vertex id gap {gap} after {previous} overflows u64: ids do not ascend")
         })?;
         let raw_label = r.varint("vertex label")?;
-        let label = u32::try_from(raw_label).map_err(|_| {
-            StoreError::corrupt(r.path, format!("vertex label {raw_label} overflows u32"))
-        })?;
+        let label = u32::try_from(raw_label)
+            .map_err(|_| format!("vertex label {raw_label} overflows u32"))?;
         // At least one byte per neighbour.
-        let degree = r.varint_count(1, "vertex degree")?;
+        let raw = r.varint("vertex degree")?;
+        let degree = r.bounded(raw, 1, "vertex degree")?;
         // Read through a local cursor, which the sink's stores cannot alias.
-        let (mut cursor, mut fault) = (r.bytes, None);
+        let (mut cursor, mut fault) = (r.rest(), None);
         let neighbours = (0..degree).map_while(|_| match next_varint(&mut cursor) {
             Ok(code) => Some(VertexId::new(v.wrapping_add(unzigzag(code)))),
             Err(e) => {
@@ -595,9 +306,9 @@ fn gap_coded_rows(
             }
         });
         sink.row(home, VertexId::new(v), Label::new(label), neighbours);
-        r.bytes = cursor;
+        r.resume(cursor);
         if let Some(fault) = fault {
-            return Err(r.varint_fault(fault, "neighbour"));
+            return Err(r.varint_fault(fault, "neighbour").into());
         }
         previous = v;
     }
@@ -640,15 +351,13 @@ pub fn encode_elements(batch: &[StreamElement], buf: &mut Vec<u8>) {
 
 /// Decode one WAL record payload back into its element batch.
 pub fn decode_elements(bytes: &[u8], path: &Path) -> Result<Vec<StreamElement>> {
-    let mut r = Reader::new(bytes, path);
-    let count = r.u32("element count")? as usize;
-    // Smallest element is 9 bytes (RemoveVertex: tag + u64 id).
-    if count.saturating_mul(9) > r.bytes.len() + 9 {
-        return Err(StoreError::corrupt(
-            path,
-            format!("implausible element count {count}"),
-        ));
-    }
+    read_elements(bytes).map_err(|detail| StoreError::corrupt(path, detail))
+}
+
+fn read_elements(bytes: &[u8]) -> Decoded<Vec<StreamElement>> {
+    let mut r = Reader::new(bytes);
+    let raw = r.u32("element count")?;
+    let count = r.bounded(raw.into(), MIN_ELEMENT, "element count")?;
     let mut batch = Vec::with_capacity(count);
     for _ in 0..count {
         match r.u8("element tag")? {
@@ -671,12 +380,7 @@ pub fn decode_elements(bytes: &[u8], path: &Path) -> Result<Vec<StreamElement>> 
                 id: VertexId::new(r.u64("relabelled vertex id")?),
                 label: Label::new(r.u32("new label")?),
             }),
-            other => {
-                return Err(StoreError::corrupt(
-                    path,
-                    format!("unknown element tag {other}"),
-                ));
-            }
+            other => return Err(format!("unknown element tag {other}")),
         }
     }
     r.finish("element batch")?;
@@ -715,24 +419,6 @@ mod tests {
         ShardedStore::from_parts(&g, &part)
     }
 
-    /// Every blob of `store` in `version`, shards in id order, then the tail.
-    fn blobs(store: &ShardedStore, version: u32) -> Vec<Vec<u8>> {
-        let shards = (0..store.shard_count()).map(|p| Some(PartitionId::new(p)));
-        shards
-            .chain([None])
-            .map(|slot| encode_slice(store, slot, version).unwrap())
-            .collect()
-    }
-
-    /// Decode `blobs` (arena order) into one arena and prove it sound.
-    fn load(blobs: &[Vec<u8>], shards: u32) -> ShardedStore {
-        let mut arena = ArenaLoader::new(shards);
-        for bytes in blobs {
-            decode_blob(bytes.as_slice(), Path::new("test.blob"), &mut arena).unwrap();
-        }
-        arena.finish().unwrap().check().unwrap()
-    }
-
     #[test]
     fn shard_blobs_roundtrip() {
         let store = fixture();
@@ -744,7 +430,7 @@ mod tests {
             let bytes = encode_shard(&store, p).unwrap();
             let before = arena.vertex_count();
             let header = decode_blob(bytes.as_slice(), path, &mut arena).unwrap();
-            assert_eq!((header.shard, header.version), (Some(p.0), BLOB_VERSION));
+            assert_eq!(header.shard, Some(p.0));
             assert_eq!(arena.vertex_count() - before, store.home_vertices(p).len());
             // Determinism: encoding twice yields identical bytes.
             assert_eq!(encode_shard(&store, p).unwrap(), bytes);
@@ -752,7 +438,7 @@ mod tests {
         }
         let before = arena.vertex_count();
         let tail = decode_blob(encode_tail(&store).as_slice(), path, &mut arena).unwrap();
-        assert_eq!((tail.shard, tail.version), (None, BLOB_VERSION));
+        assert_eq!(tail.shard, None);
         assert_eq!(arena.vertex_count() - before, 1);
         assert!(encode_shard(&store, PartitionId::new(99)).is_none());
         // Header + gap-coded slice, nothing derived: 16 bytes, a one-byte
@@ -771,40 +457,7 @@ mod tests {
         assert_eq!(encode_tail(&loaded), encode_tail(&store));
     }
 
-    /// Shard 0 and the tail of `fixture()` as the last v1 writer (the commit
-    /// before format v2) serialized them, printed from that commit's own
-    /// `encode_shard` / `encode_tail`.
-    const GOLDEN_V1_SHARD_0: [u8; 232] = [
-        68, 72, 83, 76, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0,
-        0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0,
-        0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0,
-    ];
-    const GOLDEN_V1_TAIL: [u8; 68] = [
-        68, 72, 83, 76, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 0, 0,
-    ];
-
-    /// The same two slices as the last v2 writer (the commit before format
-    /// v3) serialized them, printed from that commit's own `encode_shard` /
-    /// `encode_tail`.
-    const GOLDEN_V2_SHARD_0: [u8; 112] = [
-        68, 72, 83, 76, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0,
-    ];
-    const GOLDEN_V2_TAIL: [u8; 48] = [
-        68, 72, 83, 76, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
-    ];
-
-    /// The same two slices in format v3: a one-byte count, then per row
+    /// Shard 0 and the tail of `fixture()`: a one-byte count, then per row
     /// gap, label, degree and each neighbour's zigzag distance (−1 → 1,
     /// +1 → 2).
     const GOLDEN_V3_SHARD_0: [u8; 31] = [
@@ -814,57 +467,6 @@ mod tests {
     const GOLDEN_V3_TAIL: [u8; 21] = [
         68, 72, 83, 76, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 9, 0, 1, 1,
     ];
-
-    #[test]
-    fn golden_v1_blobs_decode_prove_and_equal_the_v2_round_trip() {
-        let store = fixture();
-        // The v1 encoder kept for the proof writes what the v1 writer wrote.
-        let v1 = blobs(&store, BLOB_V1);
-        assert_eq!(v1[0].as_slice(), GOLDEN_V1_SHARD_0);
-        assert_eq!(v1[3].as_slice(), GOLDEN_V1_TAIL);
-        // The golden bytes decode as version 1 …
-        let mut scratch = ArenaLoader::new(3);
-        let header = decode_blob(&GOLDEN_V1_SHARD_0, Path::new("v1.blob"), &mut scratch).unwrap();
-        assert_eq!((header.shard, header.version), (Some(0), BLOB_V1));
-        assert_eq!(scratch.vertex_count(), 3);
-        // … the arena a v1 root loads into is the arena a v2 or a v3 root
-        // loads into (versions may even mix within one root) …
-        let (v2, v3) = (blobs(&store, BLOB_V2), blobs(&store, BLOB_VERSION));
-        let mixed = [v1[0].clone(), v2[1].clone(), v3[2].clone(), v1[3].clone()];
-        let from_v3 = load(&v3, 3);
-        for loaded in [load(&v1, 3), load(&v2, 3), load(&mixed, 3)] {
-            assert_eq!(blobs(&loaded, BLOB_VERSION), blobs(&from_v3, BLOB_VERSION));
-            assert_eq!(blobs(&loaded, BLOB_VERSION), v3);
-        }
-        // … and the proof of a v1 blob passes: re-encoded in the version it
-        // was read in, the loaded arena reproduces the golden bytes.
-        let from_v1 = load(&v1, 3);
-        let proof = encode_slice(&from_v1, Some(PartitionId::new(0)), header.version).unwrap();
-        assert_eq!(proof.as_slice(), GOLDEN_V1_SHARD_0);
-        assert_eq!(
-            encode_slice(&from_v1, None, BLOB_V1).unwrap().as_slice(),
-            GOLDEN_V1_TAIL
-        );
-    }
-
-    #[test]
-    fn golden_v2_blobs_decode_and_prove_in_v2() {
-        let store = fixture();
-        // The v2 encoder kept for the proof writes what the v2 writer wrote …
-        let v2 = blobs(&store, BLOB_V2);
-        assert_eq!(v2[0].as_slice(), GOLDEN_V2_SHARD_0);
-        assert_eq!(v2[3].as_slice(), GOLDEN_V2_TAIL);
-        // … the golden bytes decode as version 2, into the rows v3 holds …
-        let path = Path::new("v2.blob");
-        let (header, rows) = decode_rows(&GOLDEN_V2_SHARD_0, path).unwrap();
-        assert_eq!((header.shard, header.version), (Some(0), BLOB_V2));
-        assert_eq!(decode_rows(&GOLDEN_V3_SHARD_0, path).unwrap().1, rows);
-        // … and re-encoded in v2 from the arena they load into, they are
-        // reproduced byte for byte.
-        let loaded = load(&v2, 3);
-        assert_eq!(blobs(&loaded, BLOB_V2), v2);
-        assert_eq!(encode_rows(header, &rows).as_slice(), GOLDEN_V2_SHARD_0);
-    }
 
     #[test]
     fn unknown_versions_and_trailing_bytes_are_refused_by_name() {
@@ -878,40 +480,39 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         };
         let v3 = encode_shard(&store, PartitionId::new(0)).unwrap();
-        let mut v4 = v3.as_slice().to_vec();
-        v4[4] = 4;
-        assert_eq!(detail(&v4), "unsupported blob version 4");
-        // A v2 or v3 blob ends with its slice: the sections v1 kept there
-        // are not skipped, they are refused.
-        for version in [BLOB_V2, BLOB_VERSION] {
-            let mut trailing = encode_slice(&store, Some(PartitionId::new(0)), version).unwrap();
-            trailing.extend_from_slice(&[0; 8]);
-            assert_eq!(detail(&trailing), "8 trailing bytes after blob");
+        // The versions before v3 are refused as plainly as one after it.
+        for version in [0, 1, 2, 4] {
+            let mut other = v3.clone();
+            other[4] = version;
+            assert_eq!(
+                detail(&other),
+                format!("unsupported blob version {version}")
+            );
         }
-        let mut relabelled = GOLDEN_V1_SHARD_0.to_vec();
-        relabelled[4] = 2;
-        assert!(detail(&relabelled).contains("trailing bytes after blob"));
+        // A blob ends with its slice: the sections v1 kept there are not
+        // skipped, they are refused.
+        let mut trailing = v3;
+        trailing.extend_from_slice(&[0; 8]);
+        assert_eq!(detail(&trailing), "8 trailing bytes after blob");
     }
 
     #[test]
     fn blob_decode_rejects_corruption_cleanly() {
         let store = fixture();
         let path = Path::new("test.blob");
-        for version in [BLOB_V1, BLOB_V2, BLOB_VERSION] {
-            let full = encode_slice(&store, Some(PartitionId::new(0)), version).unwrap();
-            let decode = |bytes: &[u8]| decode_blob(bytes, path, &mut ArenaLoader::new(3));
-            assert!(decode(&full).is_ok());
-            for cut in 0..full.len() {
-                assert!(decode(&full[..cut]).is_err(), "v{version} prefix {cut}");
-            }
-            for byte in 0..full.len() {
-                // A flip anywhere — a count, a varint's continuation bit —
-                // must never panic or OOM.
-                for bit in [0x01, 0x80] {
-                    let mut flipped = full.clone();
-                    flipped[byte] ^= bit;
-                    let _ = decode(&flipped);
-                }
+        let full = encode_shard(&store, PartitionId::new(0)).unwrap();
+        let decode = |bytes: &[u8]| decode_blob(bytes, path, &mut ArenaLoader::new(3));
+        assert!(decode(&full).is_ok());
+        for cut in 0..full.len() {
+            assert!(decode(&full[..cut]).is_err(), "prefix {cut}");
+        }
+        for byte in 0..full.len() {
+            // A flip anywhere — a count, a varint's continuation bit — must
+            // never panic or OOM.
+            for bit in [0x01, 0x80] {
+                let mut flipped = full.clone();
+                flipped[byte] ^= bit;
+                let _ = decode(&flipped);
             }
         }
     }
@@ -986,10 +587,7 @@ mod tests {
         );
         // A descending id, as the encoder spells one: its gap wraps past
         // `u64::MAX`.
-        let header = BlobHeader {
-            shard: Some(0),
-            version: BLOB_VERSION,
-        };
+        let header = BlobHeader { shard: Some(0) };
         let descending: Vec<BlobRow> = [7, 5]
             .map(|v| (VertexId::new(v), Label::new(0), vec![]))
             .into();
@@ -1010,20 +608,18 @@ mod tests {
         assert_eq!(detail(&trailing), "1 trailing bytes after blob");
     }
 
-    /// `rows` in `shard`'s blob (`None`: the tail), in v2 and in v3: each
-    /// decodes to the same header and rows, and re-encodes to the same bytes.
+    /// `rows` in `shard`'s blob (`None`: the tail): it decodes to the same
+    /// header and rows, and re-encodes to the same bytes.
     fn assert_round_trip(shard: Option<u32>, rows: &[BlobRow]) {
         let path = Path::new("rows.blob");
-        for version in [BLOB_V2, BLOB_VERSION] {
-            let header = BlobHeader { shard, version };
-            let bytes = encode_rows(header, rows);
-            let (read, back) = decode_rows(&bytes, path).unwrap();
-            assert_eq!((read, back.as_slice()), (header, rows), "v{version}");
-            assert_eq!(encode_rows(read, &back), bytes, "v{version}");
-            let mut arena = ArenaLoader::new(4);
-            decode_blob(&bytes, path, &mut arena).unwrap();
-            assert_eq!(arena.vertex_count(), rows.len());
-        }
+        let header = BlobHeader { shard };
+        let bytes = encode_rows(header, rows);
+        let (read, back) = decode_rows(&bytes, path).unwrap();
+        assert_eq!((read, back.as_slice()), (header, rows));
+        assert_eq!(encode_rows(read, &back), bytes);
+        let mut arena = ArenaLoader::new(4);
+        decode_blob(&bytes, path, &mut arena).unwrap();
+        assert_eq!(arena.vertex_count(), rows.len());
     }
 
     #[test]
@@ -1157,6 +753,26 @@ mod tests {
         put(&mut buf, 0u64.to_le_bytes());
         put(&mut buf, 0u64.to_le_bytes());
         assert!(decode_elements(&buf, path).is_err());
+    }
+
+    #[test]
+    fn an_element_count_past_what_the_payload_holds_is_implausible() {
+        let path = Path::new("wal.log");
+        let removals: Vec<StreamElement> = (0..4)
+            .map(|v| StreamElement::RemoveVertex {
+                id: VertexId::new(v),
+            })
+            .collect();
+        let mut buf = encoded(&removals);
+        assert_eq!(decode_elements(&buf, path).unwrap(), removals);
+        // Four 9-byte records behind a count of five: one more than fits.
+        buf[..4].copy_from_slice(&5u32.to_le_bytes());
+        match decode_elements(&buf, path) {
+            Err(StoreError::Corrupt { detail, .. }) => {
+                assert_eq!(detail, "implausible element count: 5 records of 9+ bytes")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

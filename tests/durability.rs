@@ -30,8 +30,9 @@
 //!   stream and checkpointed, leaves a root byte-identical to one that never
 //!   crashed;
 //! * **pruning** — a root holds its newest checkpoint and one fallback;
-//! * **an older blob format** — a root whose blobs a v2 writer left recovers
-//!   exactly as its v3 twin does, and its next checkpoint is written in v3;
+//! * **an older blob format** — a root holding a v1 or v2 blob is refused by
+//!   name (`unsupported blob version N`), by the loader and by recovery
+//!   alike, and left untouched;
 //! * **a write that fails** — is reported by `sync_durability` as the IO
 //!   error it was, not as corruption, and the next checkpoint goes through;
 //! * **a failed proof leaks nothing** — a broken arena that gets past the
@@ -1217,8 +1218,7 @@ fn replace_blob(dir: &Path, name: &str, bytes: &[u8]) {
 
 /// Rewrite every arena blob of the checkpoint in `dir` through `edit`, which
 /// sees each blob's file name and its header and rows as the codec decodes
-/// them, then re-encode it in the version its header names, manifest
-/// resealed.
+/// them, then re-encode it, manifest resealed.
 fn rewrite_blobs(dir: &Path, mut edit: impl FnMut(&str, &mut BlobHeader, &mut Vec<BlobRow>)) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
@@ -1444,37 +1444,29 @@ fn a_bad_partitioner_blob_is_a_typed_error_and_the_root_is_untouched() {
 
     // A buffered vertex the arena does not hold: the isolated vertex's row
     // taken out of the tail blob and the manifest's total, which leaves a
-    // sound arena behind — on the root as this binary wrote it (v3), and on
-    // the same root as a v2 writer would have left it.
+    // sound arena behind.
     replace_blob(&dir, PARTITIONER_BLOB, &intact);
-    let written = root_image(&root);
-    for version in [3, 2] {
-        for (path, bytes) in &written {
-            std::fs::write(path, bytes).unwrap();
+    rewrite_blobs(&dir, |name, _, rows| {
+        if name == "tail.blob" {
+            let before = rows.len();
+            rows.retain(|row| row.0 != isolated);
+            assert_eq!(rows.len(), before - 1, "the tail holds {isolated}");
         }
-        rewrite_blobs(&dir, |name, header, rows| {
-            header.version = version;
-            if name == "tail.blob" {
-                let before = rows.len();
-                rows.retain(|row| row.0 != isolated);
-                assert_eq!(rows.len(), before - 1, "the tail holds {isolated}");
-            }
-        });
-        reseal_manifest(&dir, |lines| {
-            let fewer = |line: String| match line.strip_prefix("vertices ") {
-                Some(n) => format!("vertices {}", n.parse::<u64>().unwrap() - 1),
-                None => line,
-            };
-            lines.into_iter().map(fewer).collect()
-        });
-        let detail = corrupt(&intact);
-        assert!(
-            detail.contains(&format!(
-                "buffered vertex {isolated} is neither placed nor in the tail"
-            )),
-            "v{version}: {detail}"
-        );
-    }
+    });
+    reseal_manifest(&dir, |lines| {
+        let fewer = |line: String| match line.strip_prefix("vertices ") {
+            Some(n) => format!("vertices {}", n.parse::<u64>().unwrap() - 1),
+            None => line,
+        };
+        lines.into_iter().map(fewer).collect()
+    });
+    let detail = corrupt(&intact);
+    assert!(
+        detail.contains(&format!(
+            "buffered vertex {isolated} is neither placed nor in the tail"
+        )),
+        "{detail}"
+    );
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -1500,9 +1492,8 @@ fn assert_refused_as(root: &Path, graph: &LabelledGraph, expected: &(PathBuf, St
     assert_eq!(root_image(root), before, "a refused recovery wrote");
 }
 
-/// One break per way a shard blob can get through the loader and fail the
-/// proof: rewritten through the codec's rows, re-encoded in the version the
-/// header then names.
+/// One break per way a shard blob can be refused under checksums that all
+/// hold: rewritten through the codec's rows and re-encoded.
 type Break = fn(&mut BlobHeader, &mut [BlobRow]);
 
 /// Index of the first row with at least two neighbours.
@@ -1534,9 +1525,9 @@ fn one_sided_edge(_: &mut BlobHeader, rows: &mut [BlobRow]) {
     rows[i].2[0] = stranger;
 }
 
-/// Fixed-width rows can spell a slice out of id order; v3 gaps cannot.
-fn out_of_id_order(header: &mut BlobHeader, rows: &mut [BlobRow]) {
-    header.version = 2;
+/// A slice out of id order: its gaps cannot spell it, so the decoder
+/// refuses it before the arena is laid out.
+fn out_of_id_order(_: &mut BlobHeader, rows: &mut [BlobRow]) {
     rows.swap(0, 1);
 }
 
@@ -1581,7 +1572,7 @@ fn a_failed_proof_hands_back_nothing_built_beside_it() {
         ("not a live neighbour", self_loop),
         ("a repeated neighbour", repeated_neighbour),
         ("no reverse arc", one_sided_edge),
-        ("precedes", out_of_id_order),
+        ("ids do not ascend", out_of_id_order),
     ];
     for (expected, edit) in breaks {
         restore();
@@ -1634,48 +1625,26 @@ fn a_failed_proof_hands_back_nothing_built_beside_it() {
 }
 
 #[test]
-fn a_v2_root_recovers_as_its_v3_twin_and_checkpoints_in_v3() {
+fn a_root_with_a_v1_or_v2_blob_is_refused_by_name_and_left_untouched() {
+    let root = tmproot("old-blob");
     let graph = social_graph(60, 47);
-    let isolated = VertexId::new(1_000_000);
-    let roots = [tmproot("twin-v3"), tmproot("twin-v2")];
-    let dirs = roots
-        .each_ref()
-        .map(|root| crashed_loom_root(root, &graph, isolated));
-    assert_eq!(relative_image(&roots[0]), relative_image(&roots[1]));
-    // The second root as a binary that wrote blob format v2 left it.
-    rewrite_blobs(&dirs[1], |_, header, _| header.version = 2);
-    assert_ne!(relative_image(&roots[0]), relative_image(&roots[1]));
-
-    let mut recovered = Vec::new();
-    for root in &roots {
-        let mut twin = loom_builder(&graph)
-            .with_durability(root)
-            .recover()
-            .unwrap();
-        let epoch = twin.session_mut().checkpoint().unwrap();
-        twin.session_mut()
-            .sync_durability(Duration::from_secs(30))
-            .unwrap();
-        let newest = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
-        recovered.push((twin, relative_image(&newest)));
-    }
-    let ((v3, v3_next), (v2, v2_next)) = (&recovered[0], &recovered[1]);
-    assert_eq!(v2.report(), v3.report());
-    assert_bit_identical(v2.store(), v3.store());
-    // The checkpoint after the v2 root is the one after its v3 twin, blob
-    // for blob — and v3.
-    assert_eq!(v2_next, v3_next);
-    for (name, bytes) in v2_next {
-        let name = name.to_str().unwrap();
-        if name.ends_with(".blob") && name != PARTITIONER_BLOB {
-            let (header, _) = decode_rows(bytes, Path::new(name)).unwrap();
-            assert_eq!(header.version, 3, "{name}");
+    let dir = crashed_loom_root(&root, &graph, VertexId::new(1_000_000));
+    let written = root_image(&root);
+    let name = "shard_0000.blob";
+    for version in [1u8, 2] {
+        for (path, bytes) in &written {
+            std::fs::write(path, bytes).unwrap();
         }
+        // The header's version word, as a writer of that version stamped it.
+        let mut blob = std::fs::read(dir.join(name)).unwrap();
+        blob[4] = version;
+        replace_blob(&dir, name, &blob);
+        let refusal = load_refusal(&dir);
+        let expected = format!("unsupported blob version {version}");
+        assert_eq!(refusal, (dir.join(name), expected));
+        assert_refused_as(&root, &graph, &refusal);
     }
-    drop(recovered);
-    for root in &roots {
-        std::fs::remove_dir_all(root).unwrap();
-    }
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
