@@ -24,8 +24,9 @@ pub mod stage {
     pub const SERVE_QUEUE_WAIT: &str = "serve.queue_wait";
     /// One query execution on a shard worker (matcher run, wall clock).
     pub const SERVE_EXECUTE: &str = "serve.execute";
-    /// One checkpoint written by the background sink (blobs + manifest,
-    /// fsyncs included; the blobs were encoded before it was handed over).
+    /// One checkpoint written by `Session::checkpoint`, on its thread: the
+    /// blobs and the manifest, fsyncs included. The encode before it and the
+    /// prune and log retirement after it are not charged.
     pub const STORE_CHECKPOINT_WRITE: &str = "store.checkpoint_write";
     /// One fsync on the durability path (WAL append or checkpoint file).
     pub const STORE_FSYNC: &str = "store.fsync";

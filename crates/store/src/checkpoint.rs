@@ -29,9 +29,9 @@
 //! prunes them. The prune's listing also gives the log's **floor**, the
 //! lowest record any checkpoint left replays the log from — its
 //! `wal_records` when it carries the partitioner's state, 0 when it does
-//! not. The checkpoint sink then retires every WAL segment wholly below it
-//! ([`crate::wal`]); a prune that failed retires nothing, and the next
-//! checkpoint tries both again.
+//! not. [`commit_checkpoint`] then retires every WAL segment wholly below it
+//! ([`crate::wal`]), on the same thread; a prune that failed retires
+//! nothing, and the next checkpoint tries both again.
 //!
 //! Loading ([`load_checkpoint`]) goes from the blobs straight to the arena
 //! they were cut from, in two halves:
@@ -69,9 +69,10 @@
 
 use crate::codec::{blob_crc, decode_blob, encode_rows, encode_slice, BlobHeader};
 use crate::error::{Result, StoreError};
+use crate::wal::retire_segments;
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
-use loom_obs::SpanTimer;
+use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
 use loom_partition::partition::{PartitionId, Partitioning};
 use loom_serve::shard::{ArenaLoader, ArenaView, PartitionMajor, ShardedStore, UncheckedArena};
 use std::fs::{self, File};
@@ -312,10 +313,9 @@ fn arena_slots(shards: u32) -> impl Iterator<Item = Option<PartitionId>> {
 /// checkpoints it supersedes (see the module docs). The directory becomes
 /// visible to recovery only once its manifest is fully on disk. A
 /// directory the prune could not remove does not fail the checkpoint that
-/// is already durable: it is left for the next one, and a
-/// [`CheckpointSink`](crate::CheckpointSink) reports it. No partitioner
-/// state is written: a session recovering this checkpoint replays its
-/// partitioner from the log's first record.
+/// is already durable: it is left for the next one, which tries again. No
+/// partitioner state is written: a session recovering this checkpoint
+/// replays its partitioner from the log's first record.
 pub fn write_checkpoint(
     root: &Path,
     store: &ShardedStore,
@@ -339,6 +339,55 @@ pub(crate) fn write_and_prune(
     let meta = seal_checkpoint(root, image, wal_records, spec, state)?;
     let pruned = prune_checkpoints(root, &meta);
     Ok((meta, pruned))
+}
+
+/// Write `image` as checkpoint `root/checkpoints/<epoch_seq>/`, sealed
+/// with the `wal_records` it folds in and the partitioner `state` it was
+/// encoded beside, on the calling thread; then prune the checkpoints it
+/// supersedes and retire the log segments every checkpoint left has folded
+/// in ([`crate::wal`]). This is what a durable session's checkpoint does
+/// once it has cut the log and encoded the image.
+///
+/// When observed, the write (blobs, manifest, fsyncs; not the prune)
+/// charges `store.checkpoint_write`, a sealed checkpoint records a
+/// [`FlightKind::CheckpointSealed`] event, and a retirement that deleted a
+/// segment a [`FlightKind::WalRetired`].
+///
+/// # Errors
+///
+/// [`StoreError::Io`] for a failed create, write, fsync or rename — then
+/// no manifest names the epoch. A checkpoint that is sealed but could not
+/// prune or retire what it supersedes returns that failure too: it stands,
+/// and the next checkpoint tries the prune and the retirement again.
+pub fn commit_checkpoint(
+    root: &Path,
+    image: &CheckpointImage,
+    wal_records: u64,
+    spec: &str,
+    state: &[u8],
+    telemetry: Option<&Telemetry>,
+) -> Result<CheckpointMeta> {
+    let hist = telemetry.map(|t| t.stage_histogram(stage::STORE_CHECKPOINT_WRITE));
+    let span = SpanTimer::start(hist.as_deref());
+    let written = write_and_prune(root, image, wal_records, spec, Some(state));
+    drop(span);
+    let (meta, pruned) = written?;
+    let retired = pruned.and_then(|floor| retire_segments(root, floor));
+    if let Some(t) = telemetry {
+        t.flight().record(FlightKind::CheckpointSealed {
+            epoch: meta.epoch_seq,
+            wal_records: meta.wal_records,
+        });
+        match &retired {
+            Ok(retired) if retired.segments > 0 => t.flight().record(FlightKind::WalRetired {
+                below: retired.below,
+                segments: retired.segments,
+                bytes: retired.bytes,
+            }),
+            _ => {}
+        }
+    }
+    retired.map(|_| meta)
 }
 
 /// Write the blobs, then the manifest, then fsync both directory levels.
@@ -1044,6 +1093,57 @@ mod tests {
         assert_eq!(floor(4, None), 0);
         assert_eq!(floor(5, state), 0);
         assert_eq!(floor(6, state), 50);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The WAL count and state a test commits with `epoch`: distinct for
+    /// every epoch, so a checkpoint sealed with another epoch's shows.
+    fn stamp(epoch: u64) -> (u64, Vec<u8>) {
+        (1_000 + 7 * epoch, epoch.to_le_bytes().to_vec())
+    }
+
+    #[test]
+    fn back_to_back_checkpoints_are_each_sealed_with_their_own_epoch() {
+        let root = tmproot("stamps");
+        let (g, part) = fixture(4);
+        let store = ShardedStore::from_parts(&g, &part);
+        for epoch in 1..=500u64 {
+            let (wal_records, state) = stamp(epoch);
+            let image = image(&store, epoch);
+            let meta = commit_checkpoint(&root, &image, wal_records, "loom", &state, None).unwrap();
+            assert_eq!((meta.epoch_seq, meta.wal_records), (epoch, wal_records));
+            // On disk when the call returns: the newest checkpoint, kept
+            // beside its fallback only, each sealed with its own stamp.
+            assert_eq!(latest_checkpoint(&root).unwrap().unwrap().1, meta);
+            let dirs = checkpoint_dirs(&root).unwrap();
+            assert_eq!(dirs.len(), epoch.min(2) as usize);
+            for (seq, dir, meta) in dirs {
+                let (wal_records, state) = stamp(seq);
+                assert_eq!(meta.unwrap().wal_records, wal_records, "epoch {seq}");
+                let loaded = load_checkpoint(&dir).unwrap();
+                assert_eq!(loaded.partitioner.unwrap().bytes, state, "epoch {seq}");
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_is_an_io_error() {
+        let root = tmproot("errors");
+        let (g, part) = fixture(5);
+        let store = ShardedStore::from_parts(&g, &part);
+        // A file where the checkpoint directory goes: create_dir fails.
+        let blocked = root.join(CHECKPOINT_DIR);
+        std::fs::write(&blocked, b"in the way").unwrap();
+        match commit_checkpoint(&root, &image(&store, 1), 10, "loom", b"state", None) {
+            Err(StoreError::Io { path, .. }) => assert_eq!(path, blocked),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        // Nothing was sealed; once the way is clear the next epoch is.
+        std::fs::remove_file(&blocked).unwrap();
+        assert!(latest_checkpoint(&root).unwrap().is_none());
+        let meta = commit_checkpoint(&root, &image(&store, 2), 20, "loom", b"state", None).unwrap();
+        assert_eq!(latest_checkpoint(&root).unwrap().unwrap().1, meta);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

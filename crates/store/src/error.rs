@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Errors produced while writing or recovering durable state.
 #[derive(Debug)]
@@ -23,15 +22,6 @@ pub enum StoreError {
         path: PathBuf,
         /// What exactly was wrong.
         detail: String,
-    },
-    /// A wait for background checkpoint work ran out before the work was
-    /// done. Nothing failed: the work goes on, and a later wait may see it
-    /// finish.
-    TimedOut {
-        /// The durability root the work writes under.
-        path: PathBuf,
-        /// How long the caller waited.
-        waited: Duration,
     },
 }
 
@@ -60,11 +50,6 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { path, detail } => {
                 write!(f, "corrupt durable state at {}: {detail}", path.display())
             }
-            StoreError::TimedOut { path, waited } => write!(
-                f,
-                "timed out after {waited:?} waiting for the background checkpoint of {}",
-                path.display()
-            ),
         }
     }
 }

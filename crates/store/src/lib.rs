@@ -20,11 +20,12 @@
 //!   last acknowledged batch. The log is cut into segments at checkpoint
 //!   boundaries, and a segment every kept checkpoint has folded in is
 //!   deleted.
-//! * **Background checkpointing** ([`sink`]) — a [`CheckpointSink`] is
-//!   handed each checkpoint's image together with the WAL position and the
-//!   partitioner state of that epoch, and writes it off the ingest path,
-//!   coalescing under pressure; after each it prunes the checkpoints and
-//!   retires the log segments it supersedes.
+//! * **Committing a checkpoint** ([`commit_checkpoint`]) — a session's
+//!   checkpoint is written on the thread that takes it: the image, sealed
+//!   with the WAL position and the partitioner state of its epoch, then the
+//!   prune of the checkpoints it supersedes and the retirement of the log
+//!   segments behind them. When it returns `Ok`, all of that is on disk;
+//!   otherwise it returns the error the write raised.
 //! * **Recovery** ([`recovery`]) — [`recover`] reads the newest valid
 //!   checkpoint's blobs straight into the serving layer's CSR arena
 //!   (size, CRC and structure checked on the way), then proves it on a
@@ -67,8 +68,8 @@
 //! fsynced — so `MANIFEST` present ⇒ checkpoint complete. WAL appends are
 //! fsynced before the batch is acknowledged to the partitioner. A new log
 //! segment is in place (header synced, renamed in, root fsynced) before the
-//! checkpoint it starts behind is handed to the sink, and a segment is
-//! deleted only after the checkpoints that folded it in are sealed.
+//! checkpoint it starts behind is written, and a segment is deleted only
+//! after the checkpoints that folded it in are sealed.
 
 #![warn(missing_docs)]
 
@@ -76,15 +77,13 @@ pub mod checkpoint;
 pub mod codec;
 pub mod error;
 pub mod recovery;
-pub mod sink;
 pub mod wal;
 
 pub use checkpoint::{
-    latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint, BlobEntry,
-    CheckpointImage, CheckpointMeta, LoadedCheckpoint, PartitionerBlob, UnprovenCheckpoint,
-    UnverifiedCheckpoint,
+    commit_checkpoint, latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint,
+    BlobEntry, CheckpointImage, CheckpointMeta, LoadedCheckpoint, PartitionerBlob,
+    UnprovenCheckpoint, UnverifiedCheckpoint,
 };
 pub use error::{Result, StoreError};
 pub use recovery::{recover, Beside, RecoverSpans, RecoveredState, RecoveryReport};
-pub use sink::CheckpointSink;
 pub use wal::{segment_path, segments, Segment, Wal, WalReplay, WAL_FILE};

@@ -12,7 +12,7 @@
 //! its first record number lives in its name the way a checkpoint's epoch
 //! lives in its directory's. Record numbers run on across segments. Once
 //! every checkpoint still on disk has folded in all of a segment's records,
-//! the checkpoint sink deletes it, right after the prune in
+//! the checkpoint that made it so deletes it, right after the prune in
 //! [`crate::checkpoint`] and from the same directory listing: a root holds
 //! its checkpoints plus the log behind the oldest of them, not the stream's
 //! whole history. A root that never checkpointed holds [`WAL_FILE`] alone,

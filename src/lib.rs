@@ -24,10 +24,11 @@
 //!   query mix, bounded incremental migration planning, and epoch-published
 //!   shard rebuilds that never block reads;
 //! * [`loom_store`] — the durability subsystem: CRC-framed write-ahead
-//!   logging of every ingested batch, background per-shard checkpoints that
-//!   carry the partitioner's state, with a manifest-written-last atomicity
-//!   rule, and restart-and-serve recovery that restores the partitioner and
-//!   replays only the log past the checkpoint
+//!   logging of every ingested batch, per-shard checkpoints that carry the
+//!   partitioner's state and are on disk when `checkpoint()` returns, with a
+//!   manifest-written-last atomicity rule, and restart-and-serve recovery
+//!   that restores the partitioner and replays only the log past the
+//!   checkpoint
 //!   ([`SessionBuilder::with_durability`](session::SessionBuilder::with_durability)
 //!   / [`Session::recover`](session::Session::recover));
 //! * [`loom_load`] — the open-loop capacity harness: seeded Poisson /

@@ -64,7 +64,7 @@ use loom_sim::store::PartitionedStore;
 use loom_store::checkpoint::CHECKPOINT_DIR;
 use loom_store::recovery::{Beside, RecoverSpans, RecoveryReport};
 use loom_store::{
-    segment_path, segments, CheckpointImage, CheckpointSink, PartitionerBlob, StoreError, Wal,
+    commit_checkpoint, segment_path, segments, CheckpointImage, PartitionerBlob, StoreError, Wal,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -185,9 +185,9 @@ impl SessionBuilder {
 
     /// Persist everything this session ingests under `root`: every batch is
     /// written to a write-ahead log before it reaches the partitioner, and
-    /// every [`Session::checkpoint`] writes the partitioned graph in the
-    /// background. A session built this way can be brought back after a
-    /// crash with [`Session::recover`].
+    /// every [`Session::checkpoint`] writes the partitioned graph to disk
+    /// before it returns. A session built this way can be brought back after
+    /// a crash with [`Session::recover`].
     #[must_use]
     pub fn with_durability(mut self, root: impl Into<PathBuf>) -> Self {
         self.durability = Some(root.into());
@@ -237,7 +237,7 @@ impl SessionBuilder {
     pub fn build(self) -> SessionResult<Session> {
         let partitioner = self.make_partitioner()?;
         let durable = match &self.durability {
-            Some(root) => Some(DurableState::create(root, &self, partitioner.name())?),
+            Some(root) => Some(DurableState::create(root, &self)?),
             None => None,
         };
         Ok(self.into_session(partitioner, durable))
@@ -275,8 +275,7 @@ impl SessionBuilder {
 }
 
 /// The durable half of a session: the write-ahead log, the incrementally
-/// materialised graph, the epoch of the last checkpoint and the background
-/// checkpoint sink every checkpoint's image is handed to.
+/// materialised graph and the epochs of its checkpoints.
 struct DurableState {
     root: PathBuf,
     wal: Wal,
@@ -284,7 +283,8 @@ struct DurableState {
     /// The epoch the last checkpoint was taken at (recovery resumes it);
     /// the next one is taken at `epoch + 1`.
     epoch: u64,
-    sink: Arc<CheckpointSink>,
+    /// The newest epoch a checkpoint of this session wrote (0 before one).
+    written: u64,
 }
 
 impl fmt::Debug for DurableState {
@@ -310,7 +310,7 @@ impl DurableState {
     /// Stand up a **fresh** durability root: refuses to clobber one that
     /// already holds any log segment or any checkpoint directory (that state
     /// belongs to [`Session::recover`]).
-    fn create(root: &Path, builder: &SessionBuilder, spec_name: &str) -> SessionResult<Self> {
+    fn create(root: &Path, builder: &SessionBuilder) -> SessionResult<Self> {
         create_root(root)?;
         let checkpoints = std::fs::read_dir(root.join(CHECKPOINT_DIR));
         if !segments(root)?.is_empty() || checkpoints.is_ok_and(|mut dirs| dirs.next().is_some()) {
@@ -326,36 +326,29 @@ impl DurableState {
             wal,
             LabelledGraph::new(),
             0,
-            spec_name,
             builder.telemetry.as_ref(),
         ))
     }
 
     /// Wrap recovered (or fresh) state: resume the epoch counter at
-    /// `epoch_seq`, start the background checkpoint sink, and — when the
-    /// session is observed — point the WAL and the sink at the telemetry
-    /// bundle's `store.*` histograms.
+    /// `epoch_seq`, and — when the session is observed — point the WAL at
+    /// the telemetry bundle's `store.fsync` histogram.
     fn attach(
         root: &Path,
         mut wal: Wal,
         graph: LabelledGraph,
         epoch_seq: u64,
-        spec_name: &str,
         telemetry: Option<&Arc<Telemetry>>,
     ) -> Self {
         if let Some(t) = telemetry {
             wal.set_fsync_histogram(t.stage_histogram(stage::STORE_FSYNC));
-        }
-        let sink = CheckpointSink::start(root, spec_name);
-        if let Some(t) = telemetry {
-            sink.set_telemetry(Arc::clone(t));
         }
         Self {
             root: root.to_path_buf(),
             wal,
             graph,
             epoch: epoch_seq,
-            sink,
+            written: 0,
         }
     }
 
@@ -365,12 +358,6 @@ impl DurableState {
         for element in batch {
             self.graph.apply(element);
         }
-    }
-}
-
-impl Drop for DurableState {
-    fn drop(&mut self) {
-        self.sink.shutdown();
     }
 }
 
@@ -513,24 +500,29 @@ impl Session {
     }
 
     /// Checkpoint the current partitioning under the next epoch sequence,
-    /// and return it. First the log is cut: unless its current segment is
-    /// still empty, the next batch goes to a new segment starting at this
-    /// checkpoint's record ([`Wal::rotate`]), so once the checkpoint and its
-    /// fallback are both past a segment the sink can delete it. Then, on
-    /// this thread, the blobs are encoded straight from the graph mirror
-    /// [`Session::ingest_batch`] keeps current, laid out by the partitioner's
-    /// snapshot ([`CheckpointImage::from_graph`]: one walk of the mirror's
-    /// slots, no store frozen), and handed to the background checkpoint sink
-    /// with the WAL records they fold in and the partitioner's state
-    /// ([`Partitioner::encode_state`]). The write happens off this thread —
-    /// [`Session::sync_durability`] blocks until it is on disk, the segments
-    /// it retires deleted.
+    /// write it to disk on this thread, and return the epoch. First the log
+    /// is cut: unless its current segment is still empty, the next batch
+    /// goes to a new segment starting at this checkpoint's record
+    /// ([`Wal::rotate`]), so once the checkpoint and its fallback are both
+    /// past a segment it can be deleted. Then the blobs are encoded straight
+    /// from the graph mirror [`Session::ingest_batch`] keeps current, laid
+    /// out by the partitioner's snapshot ([`CheckpointImage::from_graph`]:
+    /// one walk of the mirror's slots, no store frozen), and written with
+    /// the WAL records they fold in and the partitioner's state
+    /// ([`Partitioner::encode_state`]) by [`commit_checkpoint`]. On `Ok(n)`
+    /// checkpoint `n` is sealed — its `MANIFEST` on disk — the checkpoints
+    /// it supersedes are pruned and the log segments behind them deleted.
     ///
     /// # Errors
     ///
-    /// Fails on sessions built without [`SessionBuilder::with_durability`],
-    /// and when the new log segment cannot be created — then nothing is
-    /// handed to the sink and the epoch does not advance.
+    /// Fails on sessions built without [`SessionBuilder::with_durability`];
+    /// when the new log segment cannot be created — then nothing is written
+    /// and the epoch does not advance; and with the [`StoreError`] the write
+    /// raised ([`StoreError::Io`] for a failed create, write or `fsync`).
+    /// A failed write still uses up its epoch, because the log was already
+    /// cut there: the next checkpoint takes the one after it. A checkpoint
+    /// that is sealed but could not prune or retire what it supersedes
+    /// returns that failure too; the next checkpoint tries again.
     pub fn checkpoint(&mut self) -> SessionResult<u64> {
         let Some(durable) = self.durable.as_mut() else {
             return Err(SessionError::Durability(
@@ -542,25 +534,32 @@ impl Session {
         let state = self.partitioner.encode_state();
         durable.epoch += 1;
         let image = CheckpointImage::from_graph(&durable.graph, &snapshot, durable.epoch);
-        durable.sink.submit(image, durable.wal.records(), state);
+        commit_checkpoint(
+            &durable.root,
+            &image,
+            durable.wal.records(),
+            self.partitioner.name(),
+            &state,
+            self.telemetry.as_deref(),
+        )?;
+        durable.written = durable.epoch;
         Ok(durable.epoch)
     }
 
-    /// Block until every checkpoint taken has been written to disk, and
-    /// return the highest epoch written. Surfaces background write errors.
+    /// The newest epoch a [`Session::checkpoint`] of this session wrote, 0
+    /// before one did. Every checkpoint is on disk when `checkpoint`
+    /// returns, so there is nothing to wait for: `_timeout` is ignored.
     ///
     /// # Errors
     ///
-    /// Fails on non-durable sessions, on checkpoint-write failures
-    /// ([`StoreError::Io`] for a failed create, write or `fsync`), and on
-    /// timeout ([`StoreError::TimedOut`]).
-    pub fn sync_durability(&self, timeout: Duration) -> SessionResult<u64> {
+    /// Fails on non-durable sessions.
+    pub fn sync_durability(&self, _timeout: Duration) -> SessionResult<u64> {
         let durable = self.durable.as_ref().ok_or_else(|| {
             SessionError::Durability(
                 "sync_durability() needs a durable session: configure with_durability(root)".into(),
             )
         })?;
-        Ok(durable.sink.wait_idle(timeout)?)
+        Ok(durable.written)
     }
 
     /// Number of batches fsynced to the write-ahead log so far, retired
@@ -736,7 +735,6 @@ impl Session {
             wal,
             graph,
             report.epoch_seq,
-            partitioner.name(),
             builder.telemetry.as_ref(),
         );
         Ok(Recovered {

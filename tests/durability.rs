@@ -33,8 +33,12 @@
 //! * **an older blob format** — a root holding a v1 or v2 blob is refused by
 //!   name (`unsupported blob version N`), by the loader and by recovery
 //!   alike, and left untouched;
-//! * **a write that fails** — is reported by `sync_durability` as the IO
-//!   error it was, not as corruption, and the next checkpoint goes through;
+//! * **on disk when it returns** — `checkpoint()` writes on the calling
+//!   thread: when it returns an epoch, that checkpoint is sealed and proven
+//!   loadable, with no wait behind it;
+//! * **a write that fails** — is returned by the `checkpoint()` that failed
+//!   as the IO error it was, not as corruption, and the next checkpoint goes
+//!   through;
 //! * **a failed proof leaks nothing** — a broken arena that gets past the
 //!   loader is refused with exactly `load_checkpoint`'s error, whatever was
 //!   restored, replayed and mirrored beside its proof, and wins over a log
@@ -42,7 +46,8 @@
 //!   counts, untouched.
 
 use loom::loom_store::checkpoint::{
-    load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE, PARTITIONER_BLOB,
+    latest_checkpoint, load_checkpoint, write_checkpoint, CHECKPOINT_DIR, MANIFEST_FILE,
+    PARTITIONER_BLOB,
 };
 use loom::loom_store::codec::{
     decode_rows, encode_rows, encode_shard, encode_tail, BlobHeader, BlobRow,
@@ -171,7 +176,6 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     session.ingest_batch(&elements[..cut]).unwrap();
     let seq = session.checkpoint().unwrap();
     assert_eq!(seq, 1);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
     session.ingest_batch(&elements[cut..]).unwrap();
     let acknowledged = session.wal_records().unwrap();
     drop(session);
@@ -285,7 +289,6 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     };
     session.ingest(&extra).unwrap();
     assert_eq!(session.checkpoint().unwrap(), 2);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 2);
 
     // `serve_ingested` serves the mirror the durable layer kept: the same
     // answers as `serve(graph)` over the same stream, and a typed error on
@@ -347,7 +350,6 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
     session.ingest_batch(build).unwrap();
     session.ingest_batch(&run.dissolve[..mid]).unwrap();
     assert_eq!(session.checkpoint().unwrap(), 1);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
     session.ingest_batch(&run.dissolve[mid..]).unwrap();
     let acknowledged = session.wal_records().unwrap();
     drop(session);
@@ -426,7 +428,6 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
     // uncrashed session's view of the fully dissolved graph.
     let mut session = recovered.into_session();
     assert_eq!(session.checkpoint().unwrap(), 2);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 2);
     drop(session);
     control.ingest_batch(&run.dissolve[mid..]).unwrap();
     // Materialise the control graph from the stream itself so its adjacency
@@ -580,10 +581,6 @@ fn checkpoint_folds_in_every_acknowledged_batch() {
         prefix.extend(batch.iter().cloned());
         let epoch = session.checkpoint().unwrap();
         assert_eq!(epoch, step as u64 + 1);
-        assert_eq!(
-            session.sync_durability(Duration::from_secs(30)).unwrap(),
-            epoch
-        );
         let dir = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
         // However many epochs are sealed, the root keeps this one and the
         // one before it.
@@ -653,7 +650,6 @@ fn checkpoint_folds_in_every_acknowledged_batch() {
     assert_bit_identical(recovered.store(), &expected);
     let mut session = recovered.into_session();
     assert_eq!(session.checkpoint().unwrap(), 1);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
     drop(session);
     let healed = churn_builder(&run.graph)
         .with_durability(&root)
@@ -754,16 +750,11 @@ fn assert_recovery_is_unobservable(
     checkpoint_after: Option<usize>,
     crash_after: usize,
 ) {
-    let wait = Duration::from_secs(30);
-    let seal = |session: &mut Session| {
-        let epoch = session.checkpoint().unwrap();
-        assert_eq!(session.sync_durability(wait).unwrap(), epoch);
-    };
     let feed = |session: &mut Session, range: std::ops::Range<usize>| {
         for (at, batch) in batches[range.clone()].iter().enumerate() {
             session.ingest_batch(batch).unwrap();
             if checkpoint_after == Some(range.start + at + 1) {
-                seal(session);
+                session.checkpoint().unwrap();
             }
         }
     };
@@ -784,13 +775,13 @@ fn assert_recovery_is_unobservable(
     );
     let mut session = recovered.into_session();
     feed(&mut session, crash_after..batches.len());
-    seal(&mut session);
+    session.checkpoint().unwrap();
     drop(session);
 
     let uncrashed = tmproot(&format!("{name}-uncrashed"));
     let mut session = builder().with_durability(&uncrashed).build().unwrap();
     feed(&mut session, 0..batches.len());
-    seal(&mut session);
+    session.checkpoint().unwrap();
     drop(session);
 
     let (a, b) = (relative_image(&crashed), relative_image(&uncrashed));
@@ -891,7 +882,6 @@ fn wal_behind_its_checkpoint_is_refused() {
     // The log's first segment, as it stood before the checkpoint retired it.
     let history = std::fs::read(newest_segment(&root)).unwrap();
     session.checkpoint().unwrap();
-    session.sync_durability(Duration::from_secs(30)).unwrap();
     let records = session.wal_records().unwrap();
     assert!(records > 2);
     drop(session);
@@ -1003,7 +993,6 @@ fn missing_manifest_falls_back_to_the_previous_checkpoint() {
         .unwrap();
     let seq = session.checkpoint().unwrap();
     assert_eq!(seq, 2);
-    session.sync_durability(Duration::from_secs(30)).unwrap();
     drop(session);
 
     // Crash mid-checkpoint of epoch 2: its manifest never hit the disk.
@@ -1024,7 +1013,6 @@ fn missing_manifest_falls_back_to_the_previous_checkpoint() {
     assert_eq!(session.stats().vertices_ingested, graph.vertex_count());
     // And the next checkpoint seals a fresh epoch *after* the torn one.
     assert_eq!(session.checkpoint().unwrap(), 2);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 2);
     drop(session);
     let healed = loom_builder(&graph)
         .with_durability(&root)
@@ -1057,7 +1045,6 @@ fn builder_refuses_to_clobber_existing_durable_state() {
         .unwrap()
         .into_session();
     session.checkpoint().unwrap();
-    session.sync_durability(Duration::from_secs(30)).unwrap();
     drop(session);
     let before = root_image(&root);
     let mismatched = Session::builder(PartitionerSpec::Hash(
@@ -1111,7 +1098,7 @@ fn a_root_of_another_k_is_refused_by_both_counts_and_left_untouched() {
     session
         .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
         .unwrap();
-    seal(&mut session);
+    session.checkpoint().unwrap();
     drop(session);
     // The same partitioner, configuration and workload, one more shard.
     let four = || {
@@ -1156,7 +1143,38 @@ fn fresh_root_recovers_to_an_empty_session() {
         .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
         .unwrap();
     assert_eq!(session.checkpoint().unwrap(), 1);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 1);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn a_checkpoint_is_on_disk_when_checkpoint_returns() {
+    let root = tmproot("on-disk");
+    let graph = social_graph(200, 6);
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+    let (first, rest) = stream.elements().split_at(stream.elements().len() / 2);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    for (half, expected) in [(first, 1), (rest, 2)] {
+        session.ingest_batch(half).unwrap();
+        let epoch = session.checkpoint().unwrap();
+        assert_eq!(epoch, expected);
+        // No wait: the manifest names this epoch and the log position it
+        // folds in, and the checkpoint proves.
+        let (dir, meta, skipped) = latest_checkpoint(&root).unwrap().unwrap();
+        assert_eq!((meta.epoch_seq, skipped), (epoch, 0));
+        assert_eq!(meta.wal_records, session.wal_records().unwrap());
+        let loaded = load_checkpoint(&dir).unwrap();
+        assert_eq!(loaded.store.epoch(), epoch);
+        let ingested = session.stats().vertices_ingested;
+        assert_eq!(loaded.store.live_vertex_count(), ingested);
+        assert!(loaded.partitioner.is_some());
+    }
+    assert_eq!(session.stats().vertices_ingested, graph.vertex_count());
+    // Each epoch was written, none coalesced into the next.
+    for epoch in [1, 2] {
+        let dir = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
+        assert!(dir.join(MANIFEST_FILE).is_file(), "epoch {epoch}");
+    }
+    drop(session);
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -1171,15 +1189,17 @@ fn a_checkpoint_that_cannot_be_written_is_an_io_error_not_corruption() {
     // A file where the checkpoint directory goes: creating it fails.
     let checkpoints = root.join(CHECKPOINT_DIR);
     std::fs::write(&checkpoints, b"in the way").unwrap();
-    assert_eq!(session.checkpoint().unwrap(), 1);
-    match session.sync_durability(Duration::from_secs(30)) {
+    match session.checkpoint() {
         Err(SessionError::Store(StoreError::Io { path, .. })) => assert_eq!(path, checkpoints),
         other => panic!("expected an Io error, got {other:?}"),
     }
+    // The failed write used up epoch 1 (the log was already cut there) and
+    // wrote nothing.
+    assert_eq!(session.sync_durability(Duration::ZERO).unwrap(), 0);
     // Once the way is clear the next checkpoint is written, and recovers.
     std::fs::remove_file(&checkpoints).unwrap();
     assert_eq!(session.checkpoint().unwrap(), 2);
-    assert_eq!(session.sync_durability(Duration::from_secs(30)).unwrap(), 2);
+    assert_eq!(session.sync_durability(Duration::ZERO).unwrap(), 2);
     drop(session);
     let recovered = loom_builder(&graph)
         .with_durability(&root)
@@ -1331,7 +1351,6 @@ fn crashed_loom_root(root: &Path, graph: &LabelledGraph, isolated: VertexId) -> 
         })
         .unwrap();
     let epoch = session.checkpoint().unwrap();
-    session.sync_durability(Duration::from_secs(30)).unwrap();
     session.ingest_batch(&elements[cut..]).unwrap();
     drop(session);
     let wal_path = newest_segment(root);
@@ -1600,12 +1619,12 @@ fn a_failed_proof_hands_back_nothing_built_beside_it() {
     let batches = batches_of(&graph, 40);
     let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
     feed(&mut session, &batches[..2]);
-    let fallback = seal(&mut session);
+    let fallback = session.checkpoint().unwrap();
     feed(&mut session, &batches[2..4]);
-    let lost = seal(&mut session);
+    let lost = session.checkpoint().unwrap();
     std::fs::remove_file(manifest_of(&root, lost)).unwrap();
     feed(&mut session, &batches[4..6]);
-    let newest = seal(&mut session);
+    let newest = session.checkpoint().unwrap();
     feed(&mut session, &batches[6..7]);
     drop(session);
     std::fs::remove_file(manifest_of(&root, newest)).unwrap();
@@ -1730,7 +1749,6 @@ fn a_root_without_a_partitioner_blob_recovers_by_replaying_the_whole_log() {
     // The next checkpoint carries the blob, and the one after restores it;
     // the blob-less fallback still needs the whole log, so none is retired.
     let epoch = session.checkpoint().unwrap();
-    session.sync_durability(Duration::from_secs(30)).unwrap();
     drop(session);
     let next = root.join(CHECKPOINT_DIR).join(format!("{epoch:010}"));
     assert!(next.join(PARTITIONER_BLOB).exists());
@@ -1748,16 +1766,6 @@ fn a_root_without_a_partitioner_blob_recovers_by_replaying_the_whole_log() {
     );
     assert_eq!(session.stats(), control.stats());
     std::fs::remove_dir_all(&root).unwrap();
-}
-
-/// Take a checkpoint and wait until it is on disk, its retirement done.
-fn seal(session: &mut Session) -> u64 {
-    let epoch = session.checkpoint().unwrap();
-    assert_eq!(
-        session.sync_durability(Duration::from_secs(30)).unwrap(),
-        epoch
-    );
-    epoch
 }
 
 fn feed(session: &mut Session, batches: &[Vec<StreamElement>]) {
@@ -1835,15 +1843,15 @@ fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
     let batches = batches_of(&graph, 40);
     assert!(batches.len() >= 9);
 
-    // Killed after `checkpoint()` cut the log but before the sink sealed the
+    // Killed after `checkpoint()` cut the log but before it sealed the
     // manifest: an empty segment sits behind the old ones, and the previous
     // checkpoint is the newest.
     let root = tmproot("seg-rotated");
     let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
     feed(&mut session, &batches[..4]);
-    seal(&mut session);
+    session.checkpoint().unwrap();
     feed(&mut session, &batches[4..7]);
-    let torn = seal(&mut session);
+    let torn = session.checkpoint().unwrap();
     drop(session);
     std::fs::remove_file(manifest_of(&root, torn)).unwrap();
     assert_eq!(segment_starts(&root), [4, 7]);
@@ -1857,7 +1865,7 @@ fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
     let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
     feed(&mut session, &batches[..4]);
     let first = std::fs::read(root.join(WAL_FILE)).unwrap();
-    seal(&mut session);
+    session.checkpoint().unwrap();
     feed(&mut session, &batches[4..7]);
     drop(session);
     std::fs::write(root.join(WAL_FILE), &first).unwrap();
@@ -1866,7 +1874,7 @@ fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
     assert_eq!(recovered.report().wal_first_record, 4);
     let session = recovered.session_mut();
     feed(session, &batches[7..9]);
-    seal(session);
+    session.checkpoint().unwrap();
     assert_eq!(segment_starts(&root), [4, 9]);
     drop(recovered);
     std::fs::remove_dir_all(&root).unwrap();
@@ -1879,10 +1887,10 @@ fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
     feed(&mut session, &batches[..2]);
     let first = std::fs::read(root.join(WAL_FILE)).unwrap();
     for upto in [4, 6] {
-        seal(&mut session);
+        session.checkpoint().unwrap();
         feed(&mut session, &batches[upto - 2..upto]);
     }
-    seal(&mut session);
+    session.checkpoint().unwrap();
     feed(&mut session, &batches[6..7]);
     drop(session);
     assert_eq!(segment_starts(&root), [4, 6]);
@@ -1890,7 +1898,7 @@ fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
     let mut recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..7], 6);
     let session = recovered.session_mut();
     feed(session, &batches[7..8]);
-    seal(session);
+    session.checkpoint().unwrap();
     assert_eq!(segment_starts(&root), [6, 8]);
     drop(recovered);
     std::fs::remove_dir_all(&root).unwrap();
@@ -1902,14 +1910,14 @@ fn the_segment_crash_matrix_recovers_or_refuses_by_name() {
     let root = tmproot("seg-missing");
     let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
     feed(&mut session, &batches[..2]);
-    seal(&mut session);
+    session.checkpoint().unwrap();
     feed(&mut session, &batches[2..4]);
-    let lost = seal(&mut session);
+    let lost = session.checkpoint().unwrap();
     // Its manifest lost, the next checkpoint prunes it and keeps the first
     // as the fallback.
     std::fs::remove_file(manifest_of(&root, lost)).unwrap();
     feed(&mut session, &batches[4..6]);
-    let newest = seal(&mut session);
+    let newest = session.checkpoint().unwrap();
     feed(&mut session, &batches[6..7]);
     drop(session);
     std::fs::remove_file(manifest_of(&root, newest)).unwrap();
@@ -1940,8 +1948,8 @@ fn back_to_back_checkpoints_leave_one_segment() {
     let batches = batches_of(&graph, 40);
     let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
     feed(&mut session, &batches[..3]);
-    assert_eq!(seal(&mut session), 1);
-    assert_eq!(seal(&mut session), 2);
+    assert_eq!(session.checkpoint().unwrap(), 1);
+    assert_eq!(session.checkpoint().unwrap(), 2);
     assert_eq!(segment_starts(&root), [3]);
     drop(session);
     assert_recovers_as_uncrashed(&root, &graph, &batches[..3], 3);
@@ -1958,7 +1966,7 @@ fn recovery_reads_only_the_log_past_its_checkpoint() {
         let root = tmproot(&format!("delta-{k}"));
         let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
         feed(&mut session, &batches[..k]);
-        seal(&mut session);
+        session.checkpoint().unwrap();
         feed(&mut session, &batches[k..k + delta]);
         drop(session);
         // The root holds the checkpoint and the delta, nothing older.
@@ -1982,7 +1990,7 @@ fn a_single_file_root_recovers_and_its_next_checkpoints_retire_wal_log() {
         let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
         feed(&mut session, &batches[..cut]);
         let mut single = std::fs::read(root.join(WAL_FILE)).unwrap();
-        seal(&mut session);
+        session.checkpoint().unwrap();
         feed(&mut session, &batches[cut..cut + tail]);
         drop(session);
         // The root a binary from before segments leaves: the same checkpoint
@@ -1997,7 +2005,7 @@ fn a_single_file_root_recovers_and_its_next_checkpoints_retire_wal_log() {
         let mut recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..fed], cut);
         assert_eq!(recovered.report().wal_first_record, 0);
         let session = recovered.session_mut();
-        seal(session);
+        session.checkpoint().unwrap();
         if tail == 0 {
             // Both kept checkpoints start at the end of `wal.log`.
             assert_eq!(segment_starts(&root), [cut as u64]);
@@ -2006,7 +2014,7 @@ fn a_single_file_root_recovers_and_its_next_checkpoints_retire_wal_log() {
             // it goes one checkpoint later.
             assert_eq!(segment_starts(&root), [0, fed as u64]);
             feed(session, &batches[fed..fed + 1]);
-            seal(session);
+            session.checkpoint().unwrap();
             assert_eq!(segment_starts(&root), [fed as u64, fed as u64 + 1]);
         }
         drop(recovered);
@@ -2133,7 +2141,6 @@ proptest! {
             .unwrap();
         session.ingest_batch(&elements[..cut]).unwrap();
         session.checkpoint().unwrap();
-        session.sync_durability(Duration::from_secs(30)).unwrap();
         session.ingest_batch(&elements[cut..]).unwrap();
 
         let mut control = loom_builder(&graph).build().unwrap();

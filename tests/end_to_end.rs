@@ -234,9 +234,6 @@ fn durable_twin(
         session.ingest_batch(elements).expect("ingests");
         fastest = fastest.min(started.elapsed());
         session.checkpoint().expect("checkpoints");
-        session
-            .sync_durability(std::time::Duration::from_secs(30))
-            .expect("the checkpoint lands");
         let sizes = session.snapshot().sizes().to_vec();
         drop(session);
         if let Some(old) = last.replace((root, sizes)) {

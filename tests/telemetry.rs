@@ -140,7 +140,6 @@ fn durable_observed_pipeline_records_store_stages_and_checkpoint_seals() {
         .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
         .unwrap();
     let epoch = session.checkpoint().unwrap();
-    session.sync_durability(Duration::from_secs(30)).unwrap();
 
     let snap = telemetry.snapshot();
     let count = |name: &str| {
@@ -164,7 +163,7 @@ fn durable_observed_pipeline_records_store_stages_and_checkpoint_seals() {
         FlightKind::CheckpointSealed { epoch: seq, wal_records: w }
             if seq == epoch && w == wal_records
     )));
-    // The first checkpoint folded in all of `wal.log`: the sink retired it,
+    // The first checkpoint folded in all of `wal.log`: it was retired,
     // and the log now starts at the checkpoint's record.
     assert!(dump.events.iter().any(|e| matches!(
         e.kind,
@@ -188,7 +187,6 @@ fn observed_recovery_charges_each_stage_once_and_they_overlap() {
         .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
         .unwrap();
     durable.checkpoint().unwrap();
-    durable.sync_durability(Duration::from_secs(30)).unwrap();
     drop(durable);
 
     // One observed recovery charges each of its stages exactly once.
