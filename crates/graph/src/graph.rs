@@ -45,7 +45,8 @@
 //! | `contains_edge` | 2 | a scan of the shorter endpoint list: O(min degree) |
 //! | `remove_edge` | 2 | an order-preserving removal from each endpoint's list |
 //! | `remove_vertex` | 1 + 1 per neighbour | an order-preserving removal from each neighbour's list |
-//! | `vertices`, `labelled_vertices`, `adjacency_sorted` | 0 | a slot walk (plus one sort by id for `adjacency_sorted`) |
+//! | `vertices`, `labelled_vertices` | 0 | a slot walk |
+//! | `adjacency_sorted`, `vertices_sorted` | 0 | the index walked in id order, one slot read per vertex; only ids above the direct bound are sorted |
 //! | `edges` | 0 | O(arcs): every list is walked, each edge yielded from its lower endpoint |
 //! | `edge_count`, `vertex_count` | 0 | a counter read |
 //! | `from_proven_lists` | 1 per vertex | one block copy per vertex; nothing checked, nothing sorted |
@@ -458,12 +459,16 @@ impl LabelledGraph {
     }
 
     /// Every vertex with its label and its neighbours (in
-    /// [`LabelledGraph::neighbors`] order), sorted by vertex id — one walk of
-    /// the slots and one sort, no map probe: what a snapshot builder reads
-    /// the whole graph through.
+    /// [`LabelledGraph::neighbors`] order), by ascending vertex id — the
+    /// `id → slot` index walked in order ([`VertexIndex::ordered`]), one
+    /// slot read per vertex and no sort but the index's hashed ids: what a
+    /// snapshot builder reads the whole graph through.
     pub fn adjacency_sorted(&self) -> Vec<(VertexId, Label, &[VertexId])> {
-        let mut rows: Vec<_> = self.adjacency().collect();
-        rows.sort_unstable_by_key(|&(v, _, _)| v);
+        let mut rows = Vec::with_capacity(self.vertex_count());
+        rows.extend(self.slot_of.ordered().map(|(v, s)| {
+            let slot = &self.slots[s as usize];
+            (v, slot.label, self.lists.get(slot.adjacency))
+        }));
         rows
     }
 
@@ -472,10 +477,11 @@ impl LabelledGraph {
         self.adjacency().map(|(v, _, _)| v)
     }
 
-    /// All vertex ids, sorted ascending. Useful for deterministic iteration.
+    /// All vertex ids, ascending: the `id → slot` index walked in order.
+    /// Useful for deterministic iteration.
     pub fn vertices_sorted(&self) -> Vec<VertexId> {
-        let mut ids: Vec<_> = self.vertices().collect();
-        ids.sort_unstable();
+        let mut ids = Vec::with_capacity(self.vertex_count());
+        ids.extend(self.slot_of.ordered().map(|(v, _)| v));
         ids
     }
 

@@ -20,8 +20,16 @@
 //! stream of ids spread over the whole `u64` range lives in the hash map
 //! beside an array of at most 4096 cells.
 //!
-//! Entries are visited direct ids ascending, then the hashed ones in the
-//! map's order.
+//! # Order
+//!
+//! [`VertexIndex::iter`] visits direct ids ascending, then the hashed ones
+//! in the map's order. [`VertexIndex::ordered`] visits every entry by
+//! ascending id, and that is a contract: every hashed id is at or above the
+//! direct bound, so the array's cells in order followed by the hashed ids
+//! sorted are all the ids sorted. Only the hashed ids are sorted — none, for
+//! the dense ids a stream carries — and that is the one sort by id the
+//! freeze, checkpoint and recovery paths pay: they walk an index in order
+//! instead of sorting what they collected.
 
 use crate::fxhash::FxHashMap;
 use crate::ids::VertexId;
@@ -149,11 +157,24 @@ impl VertexIndex {
 
     /// Every entry: direct ids ascending, then the hashed ones.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+        self.direct_entries()
+            .chain(self.hashed.iter().map(|(&v, &value)| (v, value)))
+    }
+
+    /// Every entry by ascending id: the direct ids as the array holds them,
+    /// then the hashed ids, sorted (see the module docs).
+    pub fn ordered(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+        let mut hashed: Vec<(VertexId, u32)> = self.hashed.iter().map(|(&v, &x)| (v, x)).collect();
+        hashed.sort_unstable_by_key(|&(v, _)| v);
+        self.direct_entries().chain(hashed)
+    }
+
+    /// The entries below the direct bound, ascending.
+    fn direct_entries(&self) -> impl Iterator<Item = (VertexId, u32)> + '_ {
         let direct = self.direct.iter().enumerate();
         direct
             .filter(|&(_, &cell)| cell != ABSENT)
             .map(|(i, &cell)| (VertexId::new(i as u64), cell))
-            .chain(self.hashed.iter().map(|(&v, &value)| (v, value)))
     }
 
     /// The array cell for `v`, growing the direct bound to reach it if the
@@ -243,5 +264,10 @@ mod tests {
         assert_eq!(index.get(v(u64::MAX)), Some(0));
         assert_eq!(index.remove(v(1 << 40)), Some(1));
         assert_eq!(index.len(), 4_193);
+        let ordered: Vec<u64> = index.ordered().map(|(v, _)| v.raw()).collect();
+        let mut sorted: Vec<u64> = index.iter().map(|(v, _)| v.raw()).collect();
+        sorted.sort_unstable();
+        assert_eq!(ordered, sorted);
+        assert_eq!(ordered.last(), Some(&u64::MAX));
     }
 }

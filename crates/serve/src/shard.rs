@@ -250,14 +250,15 @@ pub type GraphRow<'g> = (VertexId, Label, &'g [VertexId]);
 
 /// A graph's vertices in the arena's **partition-major** order — shard 0's
 /// home vertices by id, then shard 1's, …, then the unassigned tail's — by
-/// one walk of the graph's slots sorted by id and one stable bucket pass by
-/// home, with no comparison sort across partitions. This is the one
+/// one walk of the graph's `id → slot` index in id order
+/// ([`LabelledGraph::adjacency_sorted`]) and one stable bucket pass by home,
+/// with no comparison sort of the vertices. This is the one
 /// definition of that order: [`ShardedStore::from_parts`] lays its arena out
 /// by it, and a checkpoint cut straight from a graph writes its blobs by it,
 /// so a freeze and the blobs cannot disagree.
 #[derive(Debug)]
 pub struct PartitionMajor<'g> {
-    /// Every vertex, sorted by id.
+    /// Every vertex, by ascending id.
     rows: Vec<GraphRow<'g>>,
     /// Each row's bucket: its home partition's index, or `k` for the tail.
     buckets: Vec<u32>,
@@ -1360,16 +1361,19 @@ impl ArenaLoader {
             starts[bucket + 1] += starts[bucket];
         }
         let mut position_of = VertexIndex::new();
-        let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
-        for (pos, (&v, slot)) in order.iter().zip(&slots).enumerate() {
+        for (pos, &v) in order.iter().enumerate() {
             if position_of.try_insert(v, pos as u32).is_err() {
                 return Err(format!("{v} is listed twice"));
             }
-            by_label.entry(slot.label).or_default().push(pos as u32);
         }
-        // Arena order is (partition, id); the label index is by id alone.
-        for members in by_label.values_mut() {
-            members.sort_unstable_by_key(|&q| order[q as usize]);
+        // Arena order is (partition, id); the label index is by id alone,
+        // the order `position_of` walks in.
+        let mut by_label: FxHashMap<Label, Vec<u32>> = FxHashMap::default();
+        for (_, pos) in position_of.ordered() {
+            by_label
+                .entry(slots[pos as usize].label)
+                .or_default()
+                .push(pos);
         }
         let mut targets: Vec<u32> = Vec::with_capacity(neighbours.len());
         for (slot, &v) in slots.iter().zip(&order) {
@@ -2243,5 +2247,59 @@ mod tests {
         }
         let err = loader.finish().unwrap().check().unwrap_err();
         assert_eq!(err, "v5 precedes v3 within one slice");
+    }
+
+    /// The loader's label index is built by walking `position_of` in id
+    /// order, not by sorting: fed three slices (two shards and the tail)
+    /// whose ids straddle the direct bound — dense ids past 4096, which the
+    /// index hashes until its bound grows, and `v << 24` ids, which it
+    /// always hashes — every label list still ascends by id, and equals
+    /// the one a freeze of the same graph builds.
+    #[test]
+    fn arena_loader_lists_labels_by_id_across_the_direct_bound() {
+        let ids: Vec<VertexId> = (0..6_000u64)
+            .map(|v| VertexId::new(if v % 5 == 4 { v << 24 } else { v }))
+            .collect();
+        let mut g = LabelledGraph::new();
+        for &v in &ids {
+            g.insert_vertex(v, Label::new((v.raw() % 3) as u32));
+        }
+        for (i, &v) in ids.iter().enumerate() {
+            for step in [1, 7, 600] {
+                g.add_edge(v, ids[(i + step) % ids.len()]).unwrap();
+            }
+        }
+        // Every third vertex to shard 0, 1 or the tail, by position in `ids`.
+        let mut part = Partitioning::new(2, ids.len()).unwrap();
+        let mut slices = vec![Vec::new(); 3];
+        for (i, &v) in ids.iter().enumerate() {
+            if i % 3 < 2 {
+                part.assign(v, PartitionId::new((i % 3) as u32)).unwrap();
+            }
+            slices[i % 3].push(v);
+        }
+        let mut loader = ArenaLoader::new(2);
+        for (slice, home) in slices.iter_mut().zip([Some(0), Some(1), None]) {
+            slice.sort_unstable();
+            for &v in slice.iter() {
+                let label = g.label(v).unwrap();
+                let home = home.map(PartitionId::new);
+                loader.push_vertex(home, v, label, g.neighbors(v).iter().copied());
+            }
+        }
+        let store = loader.finish().unwrap().check().unwrap();
+        let mut listed = 0;
+        for label in (0..3).map(Label::new) {
+            let members = store.handles_with_label(label);
+            let by_id: Vec<VertexId> = members.iter().map(|&q| store.vertex_of(q)).collect();
+            assert!(by_id.windows(2).all(|w| w[0] < w[1]), "{label:?}");
+            listed += members.len();
+            for p in (0..2).map(PartitionId::new) {
+                let homed = store.vertices_with_label(p, label);
+                assert!(homed.windows(2).all(|w| w[0] < w[1]), "{label:?} in {p:?}");
+            }
+        }
+        assert_eq!(listed, ids.len());
+        assert_eq!(store.by_label, ShardedStore::from_parts(&g, &part).by_label);
     }
 }

@@ -41,10 +41,12 @@
 //!   in id order, then the tail, which is the arena's own order — into an
 //!   [`ArenaLoader`], with every count bounded by the bytes behind it and
 //!   the shard id a blob claims checked against its file name.
-//!   (2) [`ArenaLoader::finish`] renames adjacency to positions, derives
-//!   the arc tags and each shard's label counts, and reserves the room step
-//!   (3) sorts into; a vertex listed twice or a neighbour no blob lists
-//!   fails here.
+//!   (2) [`ArenaLoader::finish`] renames adjacency to positions, builds the
+//!   label index — each label's positions by ascending id, read off one
+//!   walk of the `id → position` index in id order, no sort but of the ids
+//!   it hashes — derives the arc tags and each shard's label counts, and
+//!   reserves the room step (3) sorts into; a vertex listed twice or a
+//!   neighbour no blob lists fails here.
 //! * [`UnverifiedCheckpoint::verify`] — the half that only reads the arena.
 //!   (3) [`ShardedStore::check_arena`] over the whole arena: a self-loop
 //!   fails its pass over the arcs and a slice out of id order its pass over
@@ -883,6 +885,45 @@ mod tests {
         }
         std::fs::remove_dir_all(&root).unwrap();
         std::fs::remove_dir_all(&root2).unwrap();
+    }
+
+    /// A store whose ids straddle the arena index's direct bound — dense
+    /// ids past 4096 and `v << 24` ids, the ones the loader's label index
+    /// walks out of the index's hashed side — comes back from its blobs
+    /// proven (label lists in id order included) and writes the same bytes
+    /// again.
+    #[test]
+    fn ids_across_the_direct_bound_load_and_rewrite_bit_identical() {
+        let ids: Vec<VertexId> = (0..6_000u64)
+            .map(|v| VertexId::new(if v % 5 == 4 { v << 24 } else { v }))
+            .collect();
+        let mut g = LabelledGraph::new();
+        for &v in &ids {
+            g.insert_vertex(v, loom_graph::Label::new((v.raw() % 3) as u32));
+        }
+        for (i, &v) in ids.iter().enumerate() {
+            for step in [1, 7, 600] {
+                g.add_edge(v, ids[(i + step) % ids.len()]).unwrap();
+            }
+        }
+        let mut part = Partitioning::new(2, ids.len()).unwrap();
+        for (i, &v) in ids.iter().enumerate().filter(|(i, _)| i % 3 < 2) {
+            part.assign(v, PartitionId::new((i % 3) as u32)).unwrap();
+        }
+        let store = ShardedStore::from_parts(&g, &part).with_epoch(1);
+        let (root, again) = (tmproot("straddle"), tmproot("straddle2"));
+        let meta = write_checkpoint(&root, &store, 0, "loom").unwrap();
+        let dir = root.join(CHECKPOINT_DIR).join(format!("{:010}", 1));
+        let loaded = load_checkpoint(&dir).unwrap();
+        assert_eq!(loaded.graph().edges_sorted(), g.edges_sorted());
+        write_checkpoint(&again, &loaded.store, 0, "loom").unwrap();
+        let dir2 = again.join(CHECKPOINT_DIR).join(format!("{:010}", 1));
+        for entry in &meta.blobs {
+            let (a, b) = (dir.join(&entry.name), dir2.join(&entry.name));
+            assert_eq!(fs::read(a).unwrap(), fs::read(b).unwrap(), "{}", entry.name);
+        }
+        fs::remove_dir_all(&root).unwrap();
+        fs::remove_dir_all(&again).unwrap();
     }
 
     #[test]

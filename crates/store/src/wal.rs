@@ -77,23 +77,33 @@ fn segment_first(name: &str) -> Option<u64> {
 /// Every log segment under `root`, in record order; none for a root that
 /// does not exist.
 pub fn segments(root: &Path) -> Result<Vec<Segment>> {
+    Ok(listing(root)?.0)
+}
+
+/// [`segments`], and the temporary files of rotations that never reached
+/// their rename (`wal-<R>.log.tmp`, see [`Wal::rotate`]).
+fn listing(root: &Path) -> Result<(Vec<Segment>, Vec<PathBuf>)> {
     let entries = match fs::read_dir(root) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Default::default()),
         Err(e) => return Err(StoreError::io(root, e)),
     };
-    let mut found = Vec::new();
+    let (mut found, mut stale) = (Vec::new(), Vec::new());
     for entry in entries {
         let entry = entry.map_err(|e| StoreError::io(root, e))?;
-        if let Some(first) = entry.file_name().to_str().and_then(segment_first) {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(first) = segment_first(name) {
             found.push(Segment {
                 first,
                 path: entry.path(),
             });
+        } else if name.strip_suffix(".tmp").and_then(segment_first).is_some() {
+            stale.push(entry.path());
         }
     }
     found.sort_by_key(|segment| segment.first);
-    Ok(found)
+    Ok((found, stale))
 }
 
 /// Create the file at `path` as an empty log — the magic header, synced —
@@ -244,7 +254,9 @@ impl Wal {
     /// whether it did. A segment that holds no record yet is kept as the
     /// current one. The new segment's header is written under a temporary
     /// name, synced and renamed into place, and the directory synced, so a
-    /// crash leaves either no new segment or an empty, well-formed one. Once
+    /// crash leaves either no new segment or an empty, well-formed one; a
+    /// temporary file it leaves is no segment, and the next checkpoint's
+    /// `retire_segments` deletes it. Once
     /// the rename has happened the log appends to the new segment, even if
     /// the directory sync then fails.
     pub fn rotate(&mut self) -> Result<bool> {
@@ -403,10 +415,12 @@ pub(crate) struct Retired {
 /// Delete, oldest first, every segment of `root`'s log whose successor
 /// starts at or below `floor` — the lowest record any checkpoint on disk
 /// replays the log from — so the log keeps the segment holding `floor` and
-/// everything after it. The newest segment is never deleted. Stops at the
-/// first failure; what is left is retired by a later call.
+/// everything after it. The newest segment is never deleted. Then delete
+/// the temporary file of every rotation a crash cut short: nothing rotates
+/// while a checkpoint retires, so each one is stale. Stops at the first
+/// failure; what is left is retired by a later call.
 pub(crate) fn retire_segments(root: &Path, floor: u64) -> Result<Retired> {
-    let all = segments(root)?;
+    let (all, stale) = listing(root)?;
     let mut retired = Retired {
         below: all.first().map_or(0, |segment| segment.first),
         segments: 0,
@@ -424,6 +438,9 @@ pub(crate) fn retire_segments(root: &Path, floor: u64) -> Result<Retired> {
         retired.below = next.first;
         retired.segments += 1;
         retired.bytes += bytes;
+    }
+    for tmp in stale {
+        fs::remove_file(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
     }
     Ok(retired)
 }

@@ -52,7 +52,7 @@ use loom::loom_store::checkpoint::{
 use loom::loom_store::codec::{
     decode_rows, encode_rows, encode_shard, encode_tail, BlobHeader, BlobRow,
 };
-use loom::loom_store::{segments, StoreError, Wal, WAL_FILE};
+use loom::loom_store::{segment_path, segments, StoreError, Wal, WAL_FILE};
 use loom::prelude::*;
 use loom_graph::generators::regular::path_graph;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
@@ -1953,6 +1953,42 @@ fn back_to_back_checkpoints_leave_one_segment() {
     assert_eq!(segment_starts(&root), [3]);
     drop(session);
     assert_recovers_as_uncrashed(&root, &graph, &batches[..3], 3);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A kill between a rotation's `create_log` and its rename leaves
+/// `wal-<R>.log.tmp` behind. It is no segment: recovery reports and
+/// answers as it did without it, and leaves it where it is (recovery writes
+/// nothing but a torn tail's truncation). The session ingests on, so its
+/// next rotation is at another record and never reuses the name; that
+/// checkpoint's retirement deletes the file.
+#[test]
+fn a_stale_rotation_temp_is_deleted_by_the_next_checkpoint() {
+    let root = tmproot("stale-rotation-temp");
+    let graph = social_graph(150, 73);
+    let batches = batches_of(&graph, 40);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    feed(&mut session, &batches[..3]);
+    session.checkpoint().unwrap();
+    feed(&mut session, &batches[3..5]);
+    drop(session);
+    let clean = assert_recovers_as_uncrashed(&root, &graph, &batches[..5], 3);
+    let report = clean.report().clone();
+    drop(clean);
+    // What a checkpoint's rotation at record 5 would have renamed into place.
+    let stale = segment_path(&root, 5).with_extension("log.tmp");
+    std::fs::write(&stale, b"LOOMWAL1").unwrap();
+    let before = root_image(&root);
+    let mut recovered = assert_recovers_as_uncrashed(&root, &graph, &batches[..5], 3);
+    assert_eq!(recovered.report(), &report);
+    assert_eq!(root_image(&root), before, "recovery wrote");
+    let session = recovered.session_mut();
+    feed(session, &batches[5..7]);
+    assert_eq!(session.checkpoint().unwrap(), 2);
+    assert!(!stale.exists(), "the checkpoint left {}", stale.display());
+    assert_eq!(segment_starts(&root), [3, 7]);
+    drop(recovered);
+    assert_recovers_as_uncrashed(&root, &graph, &batches[..7], 7);
     std::fs::remove_dir_all(&root).unwrap();
 }
 

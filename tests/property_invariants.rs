@@ -1121,7 +1121,8 @@ proptest! {
     /// `u64::MAX`. After every step the two agree on what the step returned,
     /// on `len` and on the id's value, and the array never holds more than
     /// `max(4096, 2 × (high-water entries + 1))` cells, a power of two; every
-    /// 256 steps and at the end they agree on the whole entry set.
+    /// 256 steps and at the end they agree on the whole entry set, and
+    /// `VertexIndex::ordered` walks it in the `BTreeMap`'s order.
     #[test]
     fn vertex_index_matches_reference_model(
         ops in proptest::collection::vec((0u8..8, 0u8..8, 0u64..8192, 0u32..1000), 2_000..12_000),
@@ -1166,10 +1167,58 @@ proptest! {
             );
             if step % 256 == 255 {
                 let expected: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
-                prop_assert_eq!(entries(&index), expected, "step {}", step);
+                prop_assert_eq!(entries(&index), expected.clone(), "step {}", step);
+                prop_assert_eq!(index.ordered().collect::<Vec<_>>(), expected, "step {}", step);
             }
         }
         let expected: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
-        prop_assert_eq!(entries(&index), expected);
+        prop_assert_eq!(entries(&index), expected.clone());
+        prop_assert_eq!(index.ordered().collect::<Vec<_>>(), expected);
+    }
+
+    /// `LabelledGraph::adjacency_sorted` and `vertices_sorted` walk the
+    /// graph's `id → slot` index in order instead of sorting: under a random
+    /// stream of vertex inserts, edge inserts, edge removals and vertex
+    /// removals over dense ids below 6000 (past the 4096 cells the index may
+    /// always have, so some are hashed until its bound grows) mixed with
+    /// `v << 24 | 0x5a5` ids (hashed for good), both equal a
+    /// collect-then-sort of the slot walk every 512 steps and at the end.
+    #[test]
+    fn sorted_graph_accessors_equal_a_collect_then_sort(
+        ops in proptest::collection::vec((0u8..10, 0u8..4, 0u64..6000, 0u64..6000), 2_000..10_000),
+    ) {
+        let id = |family: u8, raw: u64| {
+            VertexId::new(match family {
+                0..=2 => raw,
+                _ => raw << 24 | 0x5a5,
+            })
+        };
+        let check = |graph: &LabelledGraph, step: usize| {
+            let mut expected: Vec<(VertexId, Label, &[VertexId])> = graph
+                .labelled_vertices()
+                .map(|(v, label)| (v, label, graph.neighbors(v)))
+                .collect();
+            expected.sort_unstable_by_key(|&(v, _, _)| v);
+            let ids: Vec<VertexId> = expected.iter().map(|&(v, _, _)| v).collect();
+            prop_assert_eq!(graph.adjacency_sorted(), expected, "step {}", step);
+            prop_assert_eq!(graph.vertices_sorted(), ids, "step {}", step);
+        };
+        let mut graph = LabelledGraph::new();
+        for (step, &(op, family, a, b)) in ops.iter().enumerate() {
+            // Odd ops take `u` from the mirrored family: family 0 pairs with
+            // the sparse ids, so some edges join a dense id to a sparse one.
+            let (v, u) = (id(family, a), id(if op % 2 == 0 { family } else { 3 - family }, b));
+            let element = match op {
+                0..=3 => StreamElement::AddVertex { id: v, label: Label::new((b % 4) as u32) },
+                4..=6 => StreamElement::AddEdge { source: v, target: u },
+                7 => StreamElement::RemoveEdge { source: v, target: u },
+                _ => StreamElement::RemoveVertex { id: v },
+            };
+            graph.apply(&element);
+            if step % 512 == 511 {
+                check(&graph, step);
+            }
+        }
+        check(&graph, ops.len());
     }
 }
