@@ -161,34 +161,8 @@ pub enum VarintFault {
 
 /// Decode the unsigned LEB128 varint at the front of `bytes` and step past
 /// it: at most [`MAX_VARINT`] bytes, the tenth carrying only bit 63.
-///
-/// Whenever ten bytes remain the varint is read from a fixed ten-byte
-/// window, a loop of known length with no bound to test per byte; only the
-/// last few varints of an input take the byte loop. Both give the same
-/// value, remainder and fault.
 #[inline]
 pub fn next_varint(bytes: &mut &[u8]) -> std::result::Result<u64, VarintFault> {
-    let Some(window) = bytes.first_chunk::<MAX_VARINT>() else {
-        return varint_byte_loop(bytes);
-    };
-    let mut value = 0;
-    for (i, &byte) in window.iter().enumerate() {
-        value |= u64::from(byte & 0x7F) << (7 * i);
-        if byte < 0x80 {
-            if i == MAX_VARINT - 1 && byte > 1 {
-                break;
-            }
-            *bytes = &bytes[i + 1..];
-            return Ok(value);
-        }
-    }
-    Err(VarintFault::Overlong)
-}
-
-/// [`next_varint`] one byte at a time, for an input shorter than the
-/// window.
-#[inline]
-fn varint_byte_loop(bytes: &mut &[u8]) -> std::result::Result<u64, VarintFault> {
     let mut value = 0;
     for (i, &byte) in bytes.iter().enumerate().take(MAX_VARINT) {
         value |= u64::from(byte & 0x7F) << (7 * i);
@@ -393,83 +367,6 @@ mod tests {
                 proptest::prop_assert_eq!(crc32(&short[start..]), crc32_bytewise(&short[start..]));
                 proptest::prop_assert_eq!(crc32(&long[start..]), crc32_bytewise(&long[start..]));
             }
-        }
-    }
-
-    /// What a varint decoder made of `input`: the value or the fault, and
-    /// the bytes it left.
-    fn varint_outcome(
-        decode: fn(&mut &[u8]) -> std::result::Result<u64, VarintFault>,
-        input: &[u8],
-    ) -> (std::result::Result<u64, String>, usize) {
-        let mut rest = input;
-        let value = decode(&mut rest).map_err(|fault| format!("{fault:?}"));
-        (value, rest.len())
-    }
-
-    /// The unsigned LEB128 encoding of `value`.
-    fn leb128(mut value: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        while value >= 0x80 {
-            out.push(value as u8 | 0x80);
-            value >>= 7;
-        }
-        out.push(value as u8);
-        out
-    }
-
-    /// The ten-byte window and the byte loop agree — value, remainder and
-    /// fault — on the smallest and largest value of every length from 1 to
-    /// 10 bytes (`u64::MAX` the largest of ten), a padded zero, a tenth byte
-    /// of 2, eleven continuation bytes and every truncation of each: with
-    /// nothing behind the varint (the byte loop alone below ten bytes) and
-    /// with ten bytes of slack (the window).
-    #[test]
-    fn the_varint_window_equals_the_byte_loop() {
-        let mut valued: Vec<(u64, Vec<u8>)> = Vec::new();
-        for len in 1..=10u32 {
-            let low = 1u64 << (7 * (len - 1));
-            let high = 1u64
-                .checked_shl(7 * len)
-                .map_or(u64::MAX, |bound| bound - 1);
-            for value in [low, high] {
-                assert_eq!(leb128(value).len(), len as usize);
-                valued.push((value, leb128(value)));
-            }
-        }
-        valued.push((0, vec![0x80, 0x00]));
-        let overlong = [vec![0xFF; 9], vec![0x02]].concat();
-        let mut whole: Vec<Vec<u8>> = valued.iter().map(|(_, bytes)| bytes.clone()).collect();
-        whole.extend([overlong.clone(), vec![0x80; 11]]);
-        let torn: Vec<Vec<u8>> = whole
-            .iter()
-            .flat_map(|bytes| (0..bytes.len()).map(|cut| bytes[..cut].to_vec()))
-            .collect();
-        for slack in [&[][..], &[0x00; MAX_VARINT], &[0x80; MAX_VARINT]] {
-            for case in whole.iter().chain(&torn) {
-                let input = [case.as_slice(), slack].concat();
-                assert_eq!(
-                    varint_outcome(next_varint, &input),
-                    varint_outcome(varint_byte_loop, &input),
-                    "{input:02x?}"
-                );
-            }
-        }
-        // What they agree on, with nothing behind the varint.
-        for (value, bytes) in &valued {
-            assert_eq!(varint_outcome(next_varint, bytes), (Ok(*value), 0));
-        }
-        for bytes in [&overlong, &vec![0x80; 11]] {
-            let outcome = varint_outcome(next_varint, bytes);
-            assert_eq!(outcome, (Err("Overlong".into()), bytes.len()));
-        }
-        for bytes in &torn {
-            let fault = match bytes.len() {
-                MAX_VARINT => "Overlong",
-                _ => "Truncated",
-            };
-            let outcome = varint_outcome(next_varint, bytes);
-            assert_eq!(outcome, (Err(fault.into()), bytes.len()), "{bytes:02x?}");
         }
     }
 

@@ -33,13 +33,12 @@ impl PartitionedStore {
     /// Construction materialises the per-label index so every later lookup
     /// is a slice borrow.
     pub fn new(graph: LabelledGraph, partitioning: Partitioning) -> Self {
-        // The ids come ascending, so every list does too. A temporary of
-        // ids, not of whole rows (`adjacency_sorted`, four times the bytes):
-        // the store is built where a process's memory peaks.
         let mut by_label: FxHashMap<Label, Vec<VertexId>> = FxHashMap::default();
-        for v in graph.vertices_sorted() {
-            let l = graph.label(v).expect("a listed vertex has a label");
+        for (v, l) in graph.labelled_vertices() {
             by_label.entry(l).or_default().push(v);
+        }
+        for members in by_label.values_mut() {
+            members.sort_unstable();
         }
         Self {
             graph,
