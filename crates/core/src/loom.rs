@@ -39,6 +39,10 @@ pub struct LoomPartitioner {
     matcher: StreamMotifMatcher,
     stats: LoomStats,
     batches_ingested: usize,
+    /// The cluster of the vertex being evicted, sorted by id, and its
+    /// members' external neighbours: buffers kept across evictions.
+    cluster: Vec<VertexId>,
+    external: Vec<VertexId>,
 }
 
 impl LoomPartitioner {
@@ -69,6 +73,8 @@ impl LoomPartitioner {
             matcher: StreamMotifMatcher::new(index).with_verification(config.verify_matches),
             stats: LoomStats::default(),
             batches_ingested: 0,
+            cluster: Vec::new(),
+            external: Vec::new(),
             config,
         })
     }
@@ -109,44 +115,43 @@ impl LoomPartitioner {
         };
 
         // Work out the motif cluster anchored at the evicted vertex.
-        let cluster: FxHashSet<VertexId> = if self.config.motif_clustering {
-            self.matcher
-                .cluster_for(oldest, self.config.merge_overlapping)
-        } else {
-            FxHashSet::default()
-        };
+        let mut cluster = std::mem::take(&mut self.cluster);
+        cluster.clear();
+        if self.config.motif_clustering {
+            let merge = self.config.merge_overlapping;
+            cluster.extend_from_slice(self.matcher.cluster_for(oldest, merge));
+        }
 
-        if cluster.len() >= 2 && cluster.len() <= self.config.max_cluster_size {
-            self.assign_cluster(&cluster)?;
+        let placed = if cluster.len() >= 2 && cluster.len() <= self.config.max_cluster_size {
+            self.assign_cluster(&cluster)
         } else if cluster.len() > self.config.max_cluster_size {
             // The pathology the paper's §4.4 flags: a merged cluster too large
             // to place as a unit without wrecking balance.
             self.stats.clusters_split_for_balance += 1;
             let chunk = self.connected_chunk(&cluster, oldest);
             if chunk.len() >= 2 {
-                self.assign_cluster(&chunk)?;
+                self.assign_cluster(&chunk)
             } else {
-                self.assign_single(oldest)?;
+                self.assign_single(oldest)
             }
         } else {
-            self.assign_single(oldest)?;
-        }
-        Ok(())
+            self.assign_single(oldest)
+        };
+        self.cluster = cluster;
+        placed
     }
 
     /// A connected chunk of `cluster` containing `anchor`, grown breadth-first
     /// along window edges and capped at `max_cluster_size` vertices. This is
     /// the simple local partitioning of oversized matches the paper leaves as
     /// future work: the chunk is still placed as a unit, the remainder of the
-    /// cluster stays buffered and is assigned later.
-    fn connected_chunk(
-        &self,
-        cluster: &FxHashSet<VertexId>,
-        anchor: VertexId,
-    ) -> FxHashSet<VertexId> {
+    /// cluster stays buffered and is assigned later. `cluster` and the chunk
+    /// are sorted by id.
+    fn connected_chunk(&self, cluster: &[VertexId], anchor: VertexId) -> Vec<VertexId> {
         let mut chunk: FxHashSet<VertexId> = FxHashSet::default();
-        if !cluster.contains(&anchor) {
-            return chunk;
+        let in_cluster = |v: &VertexId| cluster.binary_search(v).is_ok();
+        if !in_cluster(&anchor) {
+            return Vec::new();
         }
         let mut queue = std::collections::VecDeque::new();
         chunk.insert(anchor);
@@ -160,7 +165,7 @@ impl LoomPartitioner {
                 .window_neighbours(v)
                 .iter()
                 .copied()
-                .filter(|n| cluster.contains(n) && !chunk.contains(n))
+                .filter(|n| in_cluster(n) && !chunk.contains(n))
                 .collect();
             neighbours.sort_unstable();
             for n in neighbours {
@@ -171,33 +176,35 @@ impl LoomPartitioner {
                 queue.push_back(n);
             }
         }
+        let mut chunk: Vec<VertexId> = chunk.into_iter().collect();
+        chunk.sort_unstable();
         chunk
     }
 
-    /// Assign a whole motif cluster to the partition maximising the summed
-    /// LDG score, then remove its vertices from the window and matcher.
-    fn assign_cluster(&mut self, cluster: &FxHashSet<VertexId>) -> Result<()> {
+    /// Assign a whole motif cluster, sorted by id, to the partition
+    /// maximising the summed LDG score, then remove its vertices from the
+    /// window and matcher.
+    fn assign_cluster(&mut self, members: &[VertexId]) -> Result<()> {
         // External (already assigned) neighbours of the cluster determine the
         // LDG affinity; neighbours inside the cluster are irrelevant because
         // they will land in the same partition by construction, and window
         // neighbours outside it are not assigned yet and carry no signal.
-        let mut external: Vec<VertexId> = Vec::new();
-        for &v in cluster {
-            external.extend_from_slice(self.window.external_neighbours(v));
+        self.external.clear();
+        for &v in members {
+            self.external
+                .extend_from_slice(self.window.external_neighbours(v));
         }
 
-        let target = Self::choose_partition_for(&self.partitioning, &external, cluster.len());
+        let target = Self::choose_partition_for(&self.partitioning, &self.external, members.len());
 
-        // Deterministic assignment order.
-        let mut members: Vec<VertexId> = cluster.iter().copied().collect();
-        members.sort_unstable();
-        for &v in &members {
+        // Deterministic assignment order: by id.
+        for &v in members {
             // Remove from the window first so adjacency bookkeeping stays
             // consistent for the remaining buffered vertices.
             self.window.remove(v);
             self.partitioning.assign(v, target)?;
         }
-        self.matcher.remove_vertices(&members);
+        self.matcher.remove_vertices(members);
 
         self.stats.clusters_assigned += 1;
         self.stats.cluster_vertices_assigned += members.len();
@@ -736,7 +743,6 @@ mod tests {
         assert!(loom
             .matcher
             .matches()
-            .iter()
             .all(|m| !m.vertices.contains(&VertexId::new(3))));
         loom.ingest(&StreamElement::RemoveVertex {
             id: VertexId::new(1),
@@ -761,7 +767,6 @@ mod tests {
         assert!(loom
             .matcher
             .matches()
-            .iter()
             .all(|m| !m.vertices.contains(&VertexId::new(2))));
         let part = loom.finish().unwrap();
         // Vertices 2 and 4 remain buffered and get assigned at finish; 1 and

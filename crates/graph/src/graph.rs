@@ -93,9 +93,11 @@ impl LabelledGraph {
     }
 
     /// Create an empty graph with capacity reserved for roughly
-    /// `vertices` vertices and `edges` edges.
+    /// `vertices` vertices and `edges` edges; its id index expects
+    /// `vertices` ids (see [`VertexIndex::with_expected`]).
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         Self {
+            slot_of: VertexIndex::with_expected(vertices),
             slots: Vec::with_capacity(vertices),
             lists: ListPool::with_capacity(2 * edges),
             ..Self::default()

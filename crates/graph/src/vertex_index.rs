@@ -13,12 +13,21 @@
 //! an absent id; ids at or above it are hashed. The bound is zero or a power
 //! of two. An insert at or above it grows it to the smallest power of two
 //! past the id — but only while the new bound stays within
-//! `max(4096, 2 × (live entries + 1))` — and the hashed entries below the
-//! new bound move into the array. The bound never shrinks. So the array
-//! holds at most `max(4096, 2 × (high-water entries + 1))` cells whatever
+//! `max(4096, 2 × (max(expected, live entries) + 1))` — and the hashed
+//! entries below the new bound move into the array. The bound never
+//! shrinks. So the array holds at most
+//! `max(4096, 2 × (max(expected, high-water entries) + 1))` cells whatever
 //! the ids are: a stream of dense ids lives entirely in the array, and a
 //! stream of ids spread over the whole `u64` range lives in the hash map
-//! beside an array of at most 4096 cells.
+//! beside an array of at most that many cells.
+//!
+//! `expected` is what the owner declares with
+//! [`VertexIndex::with_expected`] (zero for [`VertexIndex::new`]). Without
+//! it, dense ids arriving in random order outrun the live count: an id near
+//! the top of the range arrives while few entries are live, so it is hashed
+//! and moved in later, and until about half the ids are in most inserts
+//! take that detour. An index told how many entries to expect takes them
+//! into the array as they come.
 //!
 //! # Order
 //!
@@ -56,12 +65,24 @@ pub struct VertexIndex {
     /// The entries whose ids are at or above the direct bound.
     hashed: FxHashMap<VertexId, u32>,
     len: usize,
+    /// The entries the owner expects; the direct bound may grow as if this
+    /// many were live.
+    expected: usize,
 }
 
 impl VertexIndex {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty index whose direct bound may grow as if `expected` entries
+    /// were live (see the module docs). Nothing is allocated up front.
+    pub fn with_expected(expected: usize) -> Self {
+        Self {
+            expected,
+            ..Self::default()
+        }
     }
 
     /// Number of entries.
@@ -184,7 +205,12 @@ impl VertexIndex {
         let i = index_of(v)?;
         if i >= self.direct.len() {
             let bound = i.checked_add(1)?.checked_next_power_of_two()?;
-            if bound > MIN_ALLOWANCE.max(2 * (self.len + 1)) {
+            let allowed = self
+                .len
+                .max(self.expected)
+                .saturating_add(1)
+                .saturating_mul(2);
+            if bound > MIN_ALLOWANCE.max(allowed) {
                 return None;
             }
             self.grow(bound);
@@ -269,5 +295,61 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(ordered, sorted);
         assert_eq!(ordered.last(), Some(&u64::MAX));
+    }
+
+    /// A fixed shuffle of `0..n`: multiplication by an odd constant is a
+    /// bijection modulo a power of two, and ids past `n` are skipped.
+    fn shuffled(n: u64) -> Vec<u64> {
+        let span = n.next_power_of_two();
+        (0..span)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & (span - 1))
+            .filter(|&id| id < n)
+            .collect()
+    }
+
+    #[test]
+    fn shuffled_dense_ids_an_index_expects_never_touch_the_hash_map() {
+        let ids = shuffled(50_000);
+        assert_eq!(ids.len(), 50_000);
+        let mut expecting = VertexIndex::with_expected(50_000);
+        let mut unaware = VertexIndex::new();
+        let mut hashed_at_some_point = false;
+        for (i, &raw) in ids.iter().enumerate() {
+            assert_eq!(expecting.insert(v(raw), i as u32), None);
+            assert!(expecting.hashed.is_empty(), "{raw} was hashed");
+            unaware.insert(v(raw), i as u32);
+            hashed_at_some_point |= !unaware.hashed.is_empty();
+        }
+        // Without the expectation the same order takes the detour.
+        assert!(hashed_at_some_point);
+        assert_eq!(expecting.direct_cells(), 65_536);
+        for (i, &raw) in ids.iter().enumerate() {
+            assert_eq!(expecting.get(v(raw)), Some(i as u32));
+        }
+        let ordered: Vec<u64> = expecting.ordered().map(|(v, _)| v.raw()).collect();
+        assert_eq!(ordered, (0..50_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sparse_ids_an_index_expects_are_still_hashed_within_the_bound() {
+        const EXPECTED: usize = 20_000;
+        let bound = MIN_ALLOWANCE.max(2 * (EXPECTED + 1));
+        let mut index = VertexIndex::with_expected(EXPECTED);
+        for (i, raw) in shuffled(EXPECTED as u64).into_iter().enumerate() {
+            let id = raw << 24 | 0x5a5;
+            index.insert(v(id), i as u32);
+            assert!(
+                index.direct_cells() <= bound,
+                "{} cells",
+                index.direct_cells()
+            );
+        }
+        // Only 0x5a5 itself is below any bound the allowance permits.
+        assert_eq!(index.hashed.len(), EXPECTED - 1);
+        assert_eq!(index.direct_cells(), 2_048);
+        assert_eq!(index.len(), EXPECTED);
+        let ordered: Vec<u64> = index.ordered().map(|(v, _)| v.raw()).collect();
+        let expect: Vec<u64> = (0..EXPECTED as u64).map(|i| i << 24 | 0x5a5).collect();
+        assert_eq!(ordered, expect);
     }
 }

@@ -18,6 +18,14 @@
 //! stores the **sorted multiset of prime factors** plus a 128-bit wrapping
 //! product used as a cheap hash. Divisibility is multiset inclusion, which is
 //! exact with respect to the factor model and never overflows.
+//!
+//! The factors are held inline, up to [`INLINE_FACTORS`] of them, so
+//! copying and growing a signature allocates nothing. That bound covers
+//! every signature a stream matcher builds under the default miner caps:
+//! a motif has at most 6 vertices and 8 edges (14 factors), and a tried
+//! extension adds one vertex and one edge to a match. A larger signature — a
+//! whole graph's, or a motif mined under raised caps — moves its factors to
+//! the heap once and behaves the same.
 
 use crate::error::{MotifError, Result};
 use crate::primes::LabelPrimes;
@@ -78,21 +86,96 @@ impl PrimeTable {
     }
 }
 
+/// Factors a [`Signature`] holds without a heap allocation.
+pub const INLINE_FACTORS: usize = 16;
+
+/// A signature's sorted factors: inline up to [`INLINE_FACTORS`], on the
+/// heap past that.
+#[derive(Debug, Clone)]
+enum Factors {
+    Inline {
+        len: u8,
+        items: [u64; INLINE_FACTORS],
+    },
+    Spilled(Vec<u64>),
+}
+
+impl Default for Factors {
+    fn default() -> Self {
+        Factors::Inline {
+            len: 0,
+            items: [0; INLINE_FACTORS],
+        }
+    }
+}
+
+impl Factors {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Factors::Inline { len, items } => &items[..usize::from(*len)],
+            Factors::Spilled(items) => items,
+        }
+    }
+
+    fn insert(&mut self, position: usize, factor: u64) {
+        match self {
+            Factors::Inline { len, items } if usize::from(*len) < INLINE_FACTORS => {
+                let end = usize::from(*len);
+                items.copy_within(position..end, position + 1);
+                items[position] = factor;
+                *len += 1;
+            }
+            Factors::Inline { items, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_FACTORS);
+                spilled.extend_from_slice(items);
+                spilled.insert(position, factor);
+                *self = Factors::Spilled(spilled);
+            }
+            Factors::Spilled(items) => items.insert(position, factor),
+        }
+    }
+}
+
 /// A multiplicative graph signature: a sorted multiset of prime factors plus
-/// a 128-bit wrapping product used for fast equality short-circuiting.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+/// a 128-bit wrapping product used for fast equality short-circuiting. The
+/// factors are held inline up to [`INLINE_FACTORS`] (see the module docs).
+#[derive(Clone, Default)]
 pub struct Signature {
     /// Sorted prime factors with multiplicity.
-    factors: Vec<u64>,
+    factors: Factors,
     /// Wrapping product of the factors (hash only — not unique).
     product: u128,
+}
+
+impl PartialEq for Signature {
+    fn eq(&self, other: &Self) -> bool {
+        self.product == other.product && self.factors() == other.factors()
+    }
+}
+
+impl Eq for Signature {}
+
+impl std::hash::Hash for Signature {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.factors().hash(state);
+        self.product.hash(state);
+    }
+}
+
+impl std::fmt::Debug for Signature {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Signature")
+            .field("factors", &self.factors())
+            .field("product", &self.product)
+            .finish()
+    }
 }
 
 impl Signature {
     /// The signature of the empty graph (multiplicative identity).
     pub fn empty() -> Self {
         Self {
-            factors: Vec::new(),
+            factors: Factors::default(),
             product: 1,
         }
     }
@@ -106,7 +189,7 @@ impl Signature {
 
     /// Multiply a raw factor into the signature (keeps factors sorted).
     pub fn multiply(&mut self, factor: u64) {
-        let position = self.factors.partition_point(|&f| f < factor);
+        let position = self.factors().partition_point(|&f| f < factor);
         self.factors.insert(position, factor);
         self.product = self.product.wrapping_mul(u128::from(factor));
     }
@@ -127,12 +210,12 @@ impl Signature {
 
     /// Number of prime factors (vertices + edges encoded).
     pub fn factor_count(&self) -> usize {
-        self.factors.len()
+        self.factors().len()
     }
 
     /// Whether this is the empty (identity) signature.
     pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
+        self.factors().is_empty()
     }
 
     /// The wrapping 128-bit product (a cheap hash, not unique).
@@ -142,24 +225,25 @@ impl Signature {
 
     /// The sorted factor multiset.
     pub fn factors(&self) -> &[u64] {
-        &self.factors
+        self.factors.as_slice()
     }
 
     /// Whether `self` divides `other`, i.e. every factor of `self` appears in
     /// `other` with at least the same multiplicity. A sub-graph's signature
     /// always divides its super-graph's signature.
     pub fn divides(&self, other: &Signature) -> bool {
-        if self.factors.len() > other.factors.len() {
+        let (mine, theirs) = (self.factors(), other.factors());
+        if mine.len() > theirs.len() {
             return false;
         }
         // Both factor lists are sorted: a single merge pass suffices.
         let mut oi = 0usize;
-        for &f in &self.factors {
+        for &f in mine {
             loop {
-                if oi >= other.factors.len() {
+                if oi >= theirs.len() {
                     return false;
                 }
-                match other.factors[oi].cmp(&f) {
+                match theirs[oi].cmp(&f) {
                     std::cmp::Ordering::Less => oi += 1,
                     std::cmp::Ordering::Equal => {
                         oi += 1;
@@ -183,7 +267,7 @@ impl std::fmt::Display for Signature {
         write!(
             f,
             "sig[{} factors, hash={:x}]",
-            self.factors.len(),
+            self.factor_count(),
             self.product
         )
     }
@@ -315,5 +399,50 @@ mod tests {
         one_edge.multiply(table.edge_factor(l(0), l(0)).unwrap());
         assert!(one_edge.divides(&two_edges));
         assert!(!two_edges.divides(&one_edge));
+    }
+
+    #[test]
+    fn factors_past_the_inline_bound_move_to_the_heap_and_behave_alike() {
+        let table = PrimeTable::new(4);
+        let labels: Vec<Label> = (0..12).map(|i| l(i % 4)).collect();
+        let path = path_graph(12, &labels);
+        let batch = table.signature_of(&path).unwrap();
+        assert_eq!(batch.factor_count(), 23);
+        assert!(matches!(batch.factors, Factors::Spilled(_)));
+        // Factors multiplied in reverse: inline up to the bound, then moved.
+        let mut factors = batch.factors().to_vec();
+        factors.reverse();
+        let mut incremental = Signature::empty();
+        for (i, &f) in factors.iter().enumerate() {
+            incremental.multiply(f);
+            let inline = matches!(incremental.factors, Factors::Inline { .. });
+            assert_eq!(inline, i < INLINE_FACTORS, "factor {i}");
+            assert!(incremental.factors().windows(2).all(|w| w[0] <= w[1]));
+        }
+        assert_eq!(incremental, batch);
+        let prefix = table.signature_of(&path_graph(8, &labels[..8])).unwrap();
+        assert!(matches!(prefix.factors, Factors::Inline { len: 15, .. }));
+        assert!(prefix.divides(&batch));
+        assert!(!batch.divides(&prefix));
+    }
+
+    #[test]
+    fn a_signature_hashes_as_its_factor_slice_and_product() {
+        use std::hash::{Hash, Hasher};
+        // Maps keyed by signatures iterate in hash order, so the hash is
+        // what the factors held in a `Vec` hashed to.
+        let table = PrimeTable::new(4);
+        for n in [1, 3, 8, 12] {
+            let labels: Vec<Label> = (0..n).map(|i| l(i % 4)).collect();
+            let s = table
+                .signature_of(&path_graph(n as usize, &labels))
+                .unwrap();
+            let mut hashed = loom_graph::fxhash::FxHasher::default();
+            s.hash(&mut hashed);
+            let mut expected = loom_graph::fxhash::FxHasher::default();
+            s.factors().to_vec().hash(&mut expected);
+            s.product_hash().hash(&mut expected);
+            assert_eq!(hashed.finish(), expected.finish(), "{n} vertices");
+        }
     }
 }

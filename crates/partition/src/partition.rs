@@ -76,7 +76,8 @@ impl Partitioning {
 
     /// Create a partitioning sized for a graph of `expected_vertices`
     /// vertices with a multiplicative balance `slack` (e.g. `1.1` allows each
-    /// partition to exceed the ideal size `n / k` by 10%).
+    /// partition to exceed the ideal size `n / k` by 10%). The assignment
+    /// table expects that many vertices (see [`VertexIndex::with_expected`]).
     ///
     /// # Errors
     ///
@@ -90,7 +91,9 @@ impl Partitioning {
         }
         let ideal = (expected_vertices as f64 / k.max(1) as f64).ceil();
         let capacity = ((ideal * slack).ceil() as usize).max(1);
-        Self::new(k, capacity)
+        let mut partitioning = Self::new(k, capacity)?;
+        partitioning.assignment = VertexIndex::with_expected(expected_vertices);
+        Ok(partitioning)
     }
 
     /// Number of partitions.

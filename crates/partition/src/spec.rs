@@ -194,6 +194,17 @@ impl PartitionerSpec {
             PartitionerSpec::Loom(c) => c.k,
         }
     }
+
+    /// The vertex count the spec sizes its partitioner for (zero for hash
+    /// placement, which sizes nothing by it).
+    pub fn expected_vertices(&self) -> usize {
+        match self {
+            PartitionerSpec::Hash(_) => 0,
+            PartitionerSpec::Ldg(c) => c.expected_vertices,
+            PartitionerSpec::Fennel(c) => c.expected_vertices,
+            PartitionerSpec::Loom(c) => c.expected_vertices,
+        }
+    }
 }
 
 /// A builder registered with a [`PartitionerRegistry`].

@@ -16,12 +16,18 @@
 //!
 //! The window is a slab. A buffered vertex occupies one *slot* — its label
 //! and two adjacency lists (window / external) — found through one
-//! `id → slot` map that holds exactly the buffered vertices. Every adjacency
-//! list, including the lists of the re-entry index (outside vertex → members
-//! holding an external edge to it), is a block of **one shared arena** of
-//! vertex ids. Blocks come in power-of-two sizes; a list that outgrows its
-//! block moves to one of twice the size and the old block goes on the free
-//! list of its size.
+//! `id → slot` map that holds exactly the buffered vertices. The slots are
+//! linked oldest first, so a vertex leaves the arrival order in O(1) from
+//! anywhere in it, as a motif cluster's members do. Every adjacency
+//! list is a block of **one shared arena** of vertex ids. Blocks come in
+//! power-of-two sizes; a list that outgrows its block moves to one of twice
+//! the size and the old block goes on the free list of its size.
+//!
+//! The re-entry index (outside vertex → the members holding an external
+//! edge to it) holds a lone member inline in the map entry, and only the
+//! second member promotes the entry to an arena list. Most outside vertices
+//! are listed by one member, so most external edges touch no block; an
+//! entry that is a list stays one until it empties.
 //!
 //! What is recycled: slots (a free list of indices) and blocks (a free list
 //! per size, shared by all slots and the re-entry index, so a hub's block is
@@ -40,8 +46,8 @@
 //! | operation | map probes | list work |
 //! |---|---|---|
 //! | `push_vertex` | 1 slot map + 1 re-entry index | on re-entry, O(members) |
-//! | `push_edge` | 2 slot map (+ 1 re-entry index when one endpoint is outside) | 1–2 pushes |
-//! | `remove` | 1 slot map + 1 per neighbour | a `retain` per window neighbour; O(1) on the arrival ring for the oldest, O(len) otherwise |
+//! | `push_edge` | 2 slot map (+ 1 re-entry index when one endpoint is outside) | 1–2 pushes; none in the re-entry index for an outside vertex's first member |
+//! | `remove` | 1 slot map + 1 per neighbour (+ 1 re-entry index per external edge) | a `retain` per window neighbour; O(1) on the arrival list, for any vertex; a re-entry entry of one member is dropped without a scan |
 //! | `delete` | as `remove` | nothing is handed to the neighbours |
 //! | `remove_edge` | 2 slot map (+ 1 re-entry index) | 1–2 scans |
 
@@ -51,7 +57,6 @@ use loom_graph::fxhash::FxHashMap;
 use loom_graph::pool::{List, ListPool};
 use loom_graph::{Label, VertexId};
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
 
 /// Where the endpoints of an incoming edge currently live, from the window's
 /// point of view.
@@ -86,9 +91,46 @@ pub struct EvictedVertex<'a> {
     pub external_neighbours: &'a [VertexId],
 }
 
+/// The members listing one outside vertex as an external neighbour, in list
+/// order: one member inline, more in an arena list.
+#[derive(Debug, Clone, Copy)]
+enum Members {
+    One(VertexId),
+    Many(List),
+}
+
+impl Members {
+    fn len(self) -> usize {
+        match self {
+            Members::One(_) => 1,
+            Members::Many(list) => list.len(),
+        }
+    }
+
+    /// Append `v`; the second member moves the first into a list.
+    fn push(&mut self, lists: &mut ListPool, v: VertexId) {
+        match self {
+            Members::One(first) => {
+                let mut list = List::default();
+                lists.push(&mut list, *first);
+                lists.push(&mut list, v);
+                *self = Members::Many(list);
+            }
+            Members::Many(list) => lists.push(list, v),
+        }
+    }
+}
+
+/// The end of the arrival list.
+const NIL: u32 = u32::MAX;
+
 /// One buffered vertex.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
+    id: VertexId,
+    /// The slots buffered just before and after it (`NIL` at either end).
+    prev: u32,
+    next: u32,
     label: Label,
     /// Adjacency restricted to window members.
     window: List,
@@ -100,8 +142,10 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct StreamWindow {
     capacity: usize,
-    /// Buffered ids, oldest first.
-    order: VecDeque<VertexId>,
+    /// The oldest and the newest slot of the arrival list, which links the
+    /// buffered vertices oldest first.
+    first: u32,
+    last: u32,
     slot_of: FxHashMap<VertexId, usize>,
     slots: Vec<Slot>,
     free_slots: Vec<usize>,
@@ -111,7 +155,7 @@ pub struct StreamWindow {
     /// can reclaim its edges as window edges in O(degree) instead of leaving
     /// stale external entries behind — those would double-count the edge in
     /// the LDG score once the re-entered vertex is evicted again.
-    external_rev: FxHashMap<VertexId, List>,
+    external_rev: FxHashMap<VertexId, Members>,
     lists: ListPool,
 }
 
@@ -129,7 +173,8 @@ impl StreamWindow {
         let reserved = capacity.clamp(1, RESERVED_UP_TO);
         Self {
             capacity: capacity.max(1),
-            order: VecDeque::new(),
+            first: NIL,
+            last: NIL,
             slot_of: FxHashMap::with_capacity_and_hasher(4 * reserved, Default::default()),
             slots: Vec::new(),
             free_slots: Vec::new(),
@@ -145,18 +190,18 @@ impl StreamWindow {
 
     /// Number of vertices currently buffered.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.slot_of.len()
     }
 
     /// Whether the window holds no vertices.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.slot_of.is_empty()
     }
 
     /// Whether the window is at (or beyond) capacity, i.e. the next vertex
     /// push should be preceded by an eviction.
     pub fn is_full(&self) -> bool {
-        self.order.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     fn slot(&self, v: VertexId) -> Option<&Slot> {
@@ -175,12 +220,46 @@ impl StreamWindow {
 
     /// The oldest buffered vertex (next eviction candidate).
     pub fn oldest(&self) -> Option<VertexId> {
-        self.order.front().copied()
+        self.slots.get(self.first as usize).map(|slot| slot.id)
     }
 
     /// Buffered vertices in arrival order.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.order.iter().copied()
+        self.arrivals().map(|slot| slot.id)
+    }
+
+    /// Buffered slots in arrival order.
+    fn arrivals(&self) -> impl Iterator<Item = &Slot> + '_ {
+        let mut at = self.first;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(at as usize)?;
+            at = slot.next;
+            Some(slot)
+        })
+    }
+
+    /// Put slot `s` last in the arrival list.
+    fn link_last(&mut self, s: usize) {
+        let at = u32::try_from(s).expect("a window holds fewer than u32::MAX slots");
+        (self.slots[s].prev, self.slots[s].next) = (self.last, NIL);
+        match self.last {
+            NIL => self.first = at,
+            last => self.slots[last as usize].next = at,
+        }
+        self.last = at;
+    }
+
+    /// Take slot `s` out of the arrival list.
+    fn unlink(&mut self, s: usize) {
+        let Slot { prev, next, .. } = self.slots[s];
+        match prev {
+            NIL => self.first = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.last = prev,
+            next => self.slots[next as usize].prev = prev,
+        }
     }
 
     /// Neighbours of `v` inside the window.
@@ -205,6 +284,9 @@ impl StreamWindow {
     /// eviction's LDG score.
     pub fn push_vertex(&mut self, id: VertexId, label: Label) {
         let mut slot = Slot {
+            id,
+            prev: NIL,
+            next: NIL,
             label,
             window: List::default(),
             external: List::default(),
@@ -222,18 +304,18 @@ impl StreamWindow {
                 *vacant.insert(s)
             }
         };
-        self.order.push_back(id);
         if let Some(members) = self.external_rev.remove(&id) {
             for i in 0..members.len() {
-                let n = self.lists.item(members, i);
+                let n = self.member(members, i);
                 let member = &mut self.slots[self.slot_of[&n]];
                 self.lists.swap_remove_first(&mut member.external, id);
                 self.lists.push(&mut member.window, id);
                 self.lists.push(&mut slot.window, n);
             }
-            self.lists.release(members);
+            self.release_members(members);
         }
         self.slots[s] = slot;
+        self.link_last(s);
     }
 
     /// Record an incoming edge and report where its endpoints live.
@@ -259,14 +341,18 @@ impl StreamWindow {
         outside: VertexId,
     ) -> EdgePlacement {
         self.lists.push(&mut self.slots[slot].external, outside);
-        let rev = self.external_rev.entry(outside).or_default();
-        self.lists.push(rev, inside);
+        match self.external_rev.entry(outside) {
+            Entry::Occupied(mut rev) => rev.get_mut().push(&mut self.lists, inside),
+            Entry::Vacant(rev) => {
+                rev.insert(Members::One(inside));
+            }
+        }
         EdgePlacement::OneInWindow { inside, outside }
     }
 
     /// Evict the oldest vertex (if any).
     pub fn evict_oldest(&mut self) -> Option<EvictedVertex<'_>> {
-        let id = self.order.front().copied()?;
+        let id = self.oldest()?;
         self.remove(id)
     }
 
@@ -275,7 +361,7 @@ impl StreamWindow {
     /// edges).
     pub fn remove(&mut self, id: VertexId) -> Option<EvictedVertex<'_>> {
         let slot = self.vacate(id)?;
-        let mut rev = List::default();
+        let mut rev: Option<Members> = None;
         for i in 0..slot.window.len() {
             let n = self.lists.item(slot.window, i);
             if n == id {
@@ -284,9 +370,12 @@ impl StreamWindow {
             let member = &mut self.slots[self.slot_of[&n]];
             self.lists.retain_ne(&mut member.window, id);
             self.lists.push(&mut member.external, id);
-            self.lists.push(&mut rev, n);
+            match &mut rev {
+                Some(members) => members.push(&mut self.lists, n),
+                None => rev = Some(Members::One(n)),
+            }
         }
-        if !rev.is_empty() {
+        if let Some(rev) = rev {
             self.external_rev.insert(id, rev);
         }
         self.release_lists(slot);
@@ -305,11 +394,7 @@ impl StreamWindow {
     /// slot's lists and ends with [`release_lists`](Self::release_lists).
     fn vacate(&mut self, id: VertexId) -> Option<Slot> {
         let s = self.slot_of.remove(&id)?;
-        if self.order.front() == Some(&id) {
-            self.order.pop_front();
-        } else {
-            self.order.retain(|&v| v != id);
-        }
+        self.unlink(s);
         self.free_slots.push(s);
         let slot = self.slots[s];
         for i in 0..slot.external.len() {
@@ -324,12 +409,41 @@ impl StreamWindow {
         self.lists.release(slot.external);
     }
 
+    /// The `i`-th member of a re-entry entry.
+    fn member(&self, members: Members, i: usize) -> VertexId {
+        match members {
+            Members::One(v) => v,
+            Members::Many(list) => self.lists.item(list, i),
+        }
+    }
+
+    /// A re-entry entry's members as a slice.
+    fn members<'a>(&'a self, members: &'a Members) -> &'a [VertexId] {
+        match members {
+            Members::One(v) => std::slice::from_ref(v),
+            Members::Many(list) => self.lists.get(*list),
+        }
+    }
+
+    fn release_members(&mut self, members: Members) {
+        if let Members::Many(list) = members {
+            self.lists.release(list);
+        }
+    }
+
     /// Drop one `outside → member` entry of the re-entry index.
     fn forget_reverse(&mut self, outside: VertexId, member: VertexId) {
         if let Entry::Occupied(mut rev) = self.external_rev.entry(outside) {
-            self.lists.swap_remove_first(rev.get_mut(), member);
-            if rev.get().is_empty() {
-                self.lists.release(rev.remove());
+            let emptied = match rev.get_mut() {
+                Members::One(v) => *v == member,
+                Members::Many(list) => {
+                    self.lists.swap_remove_first(list, member);
+                    list.is_empty()
+                }
+            };
+            if emptied {
+                let members = rev.remove();
+                self.release_members(members);
             }
         }
     }
@@ -359,10 +473,11 @@ impl StreamWindow {
             // Already evicted: the members' external edges to it vanish, so
             // later LDG scores stop counting edges into a dead vertex.
             for i in 0..members.len() {
-                let member = &mut self.slots[self.slot_of[&self.lists.item(members, i)]];
+                let n = self.member(members, i);
+                let member = &mut self.slots[self.slot_of[&n]];
                 self.lists.swap_remove_first(&mut member.external, id);
             }
-            self.lists.release(members);
+            self.release_members(members);
             true
         } else {
             false
@@ -418,10 +533,9 @@ impl StreamWindow {
     /// order. Slot numbers and block layout are not state: they never reach
     /// a reader of the window.
     pub fn encode(&self, w: &mut StateWriter) {
-        w.u64(self.order.len() as u64);
-        for &v in &self.order {
-            let slot = &self.slots[self.slot_of[&v]];
-            w.id(v);
+        w.u64(self.len() as u64);
+        for slot in self.arrivals() {
+            w.id(slot.id);
             w.u32(slot.label.raw());
             w.ids(self.lists.get(slot.window));
             w.ids(self.lists.get(slot.external));
@@ -430,7 +544,7 @@ impl StreamWindow {
         let mut reordered: Vec<(VertexId, &[VertexId])> = self
             .external_rev
             .iter()
-            .map(|(&o, &members)| (o, self.lists.get(members)))
+            .map(|(&o, members)| (o, self.members(members)))
             .filter(|&(o, members)| reversed.get(&o).map(Vec::as_slice) != Some(members))
             .collect();
         reordered.sort_unstable_by_key(|&(o, _)| o);
@@ -445,10 +559,9 @@ impl StreamWindow {
     /// listing it, one entry per occurrence, in arrival order.
     fn reversed_externals(&self) -> FxHashMap<VertexId, Vec<VertexId>> {
         let mut reversed: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
-        for &v in &self.order {
-            let slot = &self.slots[self.slot_of[&v]];
+        for slot in self.arrivals() {
             for &o in self.lists.get(slot.external) {
-                reversed.entry(o).or_default().push(v);
+                reversed.entry(o).or_default().push(slot.id);
             }
         }
         reversed
@@ -478,15 +591,19 @@ impl StreamWindow {
             let id = r.id("window vertex")?;
             let label = Label::new(r.u32("window label")?);
             let slot = Slot {
+                id,
+                prev: NIL,
+                next: NIL,
                 label,
                 window: window.lists.list_from(&r.ids("window list")?),
                 external: window.lists.list_from(&r.ids("external list")?),
             };
-            if window.slot_of.insert(id, window.slots.len()).is_some() {
+            let s = window.slots.len();
+            if window.slot_of.insert(id, s).is_some() {
                 return Err(corrupt(format!("vertex {id} buffered twice")));
             }
             window.slots.push(slot);
-            window.order.push_back(id);
+            window.link_last(s);
         }
         window.check_lists()?;
         let mut reversed = window.reversed_externals();
@@ -509,8 +626,11 @@ impl StreamWindow {
             }
         }
         for (outside, members) in reversed {
-            let list = window.lists.list_from(&members);
-            window.external_rev.insert(outside, list);
+            let members = match members[..] {
+                [v] => Members::One(v),
+                _ => Members::Many(window.lists.list_from(&members)),
+            };
+            window.external_rev.insert(outside, members);
         }
         Ok(window)
     }
@@ -519,8 +639,8 @@ impl StreamWindow {
     /// buffered and lists the vertex back, no external-list entry is.
     fn check_lists(&self) -> Result<()> {
         let mut arcs = Vec::new();
-        for &v in &self.order {
-            let slot = &self.slots[self.slot_of[&v]];
+        for slot in self.arrivals() {
+            let v = slot.id;
             for &n in self.lists.get(slot.window) {
                 if !self.contains(n) {
                     return Err(corrupt(format!("{v} lists {n} as a window neighbour")));
@@ -787,6 +907,13 @@ mod tests {
         (bytes, decoded)
     }
 
+    /// The re-entry entry of `outside` as `(is a list, members)`.
+    fn entry(w: &StreamWindow, outside: u64) -> Option<(bool, Vec<VertexId>)> {
+        let members = w.external_rev.get(&v(outside))?;
+        let is_list = matches!(members, Members::Many(_));
+        Some((is_list, w.members(members).to_vec()))
+    }
+
     #[test]
     fn a_decoded_window_keeps_every_list_order_and_reenters_alike() {
         let mut w = StreamWindow::new(4);
@@ -798,15 +925,44 @@ mod tests {
         // so the blob spells that entry of the re-entry index out.
         w.push_edge(v(3), v(9));
         w.push_edge(v(1), v(9));
+        // Vertex 8 is listed by one member, held inline.
         w.push_edge(v(2), v(8));
+        // Vertex 7 was listed by two and is down to one, still a list.
+        w.push_edge(v(1), v(7));
+        w.push_edge(v(3), v(7));
+        w.remove_edge(v(1), v(7));
+        assert_eq!(entry(&w, 9), Some((true, vec![v(3), v(1)])));
+        assert_eq!(entry(&w, 8), Some((false, vec![v(2)])));
+        assert_eq!(entry(&w, 7), Some((true, vec![v(3)])));
         let (bytes, decoded) = round_trip(&w);
         let mut back = decoded.unwrap();
         assert_eq!(round_trip(&back).0, bytes);
+        // The shape of an entry is not state: a list of one comes back
+        // inline, with the same member.
+        assert_eq!(entry(&back, 9), Some((true, vec![v(3), v(1)])));
+        assert_eq!(entry(&back, 8), Some((false, vec![v(2)])));
+        assert_eq!(entry(&back, 7), Some((false, vec![v(3)])));
         for u in [&mut w, &mut back] {
-            u.push_vertex(v(9), l(1));
+            u.push_edge(v(2), v(7));
+            u.push_edge(v(1), v(8));
         }
-        assert_eq!(back.window_neighbours(v(9)), &[v(3), v(1)]);
-        assert_eq!(back.window_neighbours(v(9)), w.window_neighbours(v(9)));
+        assert_eq!(entry(&back, 7), entry(&w, 7));
+        assert_eq!(entry(&back, 8), Some((true, vec![v(2), v(1)])));
+        assert_eq!(round_trip(&back).0, round_trip(&w).0);
+        for u in [&mut w, &mut back] {
+            u.remove(v(1));
+            for outside in [9, 8, 7] {
+                u.push_vertex(v(outside), l(1));
+            }
+        }
+        assert_eq!(back.window_neighbours(v(9)), &[v(3)]);
+        assert_eq!(back.window_neighbours(v(7)), &[v(3), v(2)]);
+        for outside in [9, 8, 7] {
+            assert_eq!(
+                back.window_neighbours(v(outside)),
+                w.window_neighbours(v(outside))
+            );
+        }
         assert_eq!(round_trip(&back).0, round_trip(&w).0);
 
         // A window list naming a vertex outside the window is refused.

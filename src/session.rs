@@ -324,7 +324,7 @@ impl DurableState {
         Ok(Self::attach(
             root,
             wal,
-            LabelledGraph::new(),
+            LabelledGraph::with_capacity(builder.spec.expected_vertices(), 0),
             0,
             builder.telemetry.as_ref(),
         ))
@@ -797,7 +797,7 @@ fn rebuild(
     let span = spans.mirror();
     let mut graph = match beside.checkpoint {
         Some(checkpoint) => checkpoint.arena.to_graph(),
-        None => LabelledGraph::new(),
+        None => LabelledGraph::with_capacity(builder.spec.expected_vertices(), 0),
     };
     for element in beside.tail().iter().flatten() {
         graph.apply(element);

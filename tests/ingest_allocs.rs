@@ -13,6 +13,16 @@
 //! driven alone; at the commit that added this file they read 0.014 per
 //! element (428) and 0.
 //!
+//! The random order barely wakes LOOM's matcher (35 motif matches in the
+//! whole stream), so the LOOM test runs on a `Stochastic` order too, where
+//! about a quarter of the vertices are placed as motif clusters. With a
+//! heap factor list per signature, a `Vec` of matches scanned in full and a
+//! clone of a match per tried extension (the commit before the match slab)
+//! that order read **0.746 allocations per element** (22 805 over 30 576;
+//! 963 matches in the stream) and the random one 0.0139 (426); with the
+//! slab, inline factors and the re-entry index's inline lone member they
+//! read 0.0025 (75) and 0.0006 (19).
+//!
 //! `LabelledGraph` — the durable mirror — is on the same slab and the same
 //! pool (`loom_graph::pool`). With three hash maps and a heap `Vec` per
 //! vertex (the commit before) applying the 31 600-element stream to a fresh
@@ -73,6 +83,11 @@ fn l(x: u32) -> Label {
 /// number of leading elements that carry the first `4 * WINDOW` vertices,
 /// rounded up to whole batches: the warm-up.
 fn stream_and_warm_up() -> (GraphStream, usize, usize) {
+    stream_and_warm_up_in(&StreamOrder::Random { seed: 17 })
+}
+
+/// [`stream_and_warm_up`] in `order`.
+fn stream_and_warm_up_in(order: &StreamOrder) -> (GraphStream, usize, usize) {
     let abc = path_graph(3, &[l(0), l(1), l(2)]);
     let (graph, _) = motif_planted_graph(
         &MotifPlantConfig {
@@ -86,7 +101,7 @@ fn stream_and_warm_up() -> (GraphStream, usize, usize) {
         &[abc],
     )
     .expect("valid plant parameters");
-    let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 17 });
+    let stream = GraphStream::from_graph(&graph, order);
     let mut vertices = 0;
     let warm = stream
         .elements()
@@ -105,14 +120,33 @@ fn stream_and_warm_up() -> (GraphStream, usize, usize) {
 
 #[test]
 fn loom_ingest_allocates_almost_nothing_per_element() {
-    let (stream, vertices, warm) = stream_and_warm_up();
+    loom_ingest_allocations_per_element(&StreamOrder::Random { seed: 17 });
+}
+
+/// The same on an organic-growth order, where the matcher works: about a
+/// quarter of the vertices are placed as motif clusters.
+#[test]
+fn loom_ingest_allocates_almost_nothing_per_element_where_the_matcher_works() {
+    let (stats, vertices) = loom_ingest_allocations_per_element(&StreamOrder::Stochastic {
+        seed: 17,
+        jump_probability: 0.05,
+    });
+    assert!(
+        stats.cluster_vertices_assigned * 5 > vertices,
+        "{} of {vertices} vertices placed in motif clusters",
+        stats.cluster_vertices_assigned
+    );
+}
+
+/// Drive `order`'s stream through LOOM and assert it allocates under 0.05
+/// times per element past the warm-up; the counters and the vertex count.
+fn loom_ingest_allocations_per_element(order: &StreamOrder) -> (LoomStats, usize) {
+    let (stream, vertices, warm) = stream_and_warm_up_in(order);
     let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).expect("valid abc");
     let workload = Workload::uniform(vec![query]).expect("valid workload");
     let tpstry = MotifMiner::default().mine(&workload).expect("mines");
     let config = LoomConfig::new(8, vertices).with_window_size(WINDOW);
-    let mut loom = workload_registry(&tpstry)
-        .build(&PartitionerSpec::Loom(config))
-        .expect("builds");
+    let mut loom = LoomPartitioner::new(config, &tpstry).expect("builds");
 
     let (warm_up, measured) = stream.elements().split_at(warm);
     for batch in warm_up.chunks(BATCH) {
@@ -124,15 +158,20 @@ fn loom_ingest_allocates_almost_nothing_per_element() {
         }
     });
     let per_element = allocations as f64 / measured.len() as f64;
+    let stats = loom.loom_stats();
     println!(
-        "loom: {allocations} allocations over {} elements = {per_element:.4} per element",
-        measured.len()
+        "loom, {}: {allocations} allocations over {} elements = {per_element:.4} per element \
+         ({} motif matches found)",
+        order.name(),
+        measured.len(),
+        stats.motif_matches_found,
     );
     assert!(
         per_element < 0.05,
         "{per_element:.4} allocations per element"
     );
     assert_eq!(loom.finish().expect("finishes").assigned_count(), vertices);
+    (stats, vertices)
 }
 
 /// The window's own claim: once its arena, free lists and maps have reached

@@ -117,7 +117,6 @@ fn fig3_stream_matching() {
     // together, avoiding the inter-partition edge Figure 3 warns about.
     let three_vertex_matches: Vec<Vec<VertexId>> = matcher
         .matches()
-        .iter()
         .filter(|m| m.len() == 3)
         .map(|m| m.vertices.clone())
         .collect();

@@ -941,27 +941,106 @@ fn window_matches_reference_model() {
                         }
                     }
                 }
-                assert_eq!(window.vertices().collect::<Vec<_>>(), model.order, "{at}");
-                assert_eq!(window.len(), model.order.len(), "{at}");
-                assert_eq!(window.oldest(), model.order.first().copied(), "{at}");
-                assert_eq!(window.is_full(), model.order.len() >= capacity, "{at}");
-                for v in (0..IDS).map(VertexId::new) {
-                    assert_eq!(window.label_of(v), model.labels.get(&v).copied(), "{at}");
-                    assert_eq!(window.contains(v), model.labels.contains_key(&v), "{at}");
-                    assert_eq!(
-                        window.window_neighbours(v),
-                        ModelWindow::neighbours(&model.window_adj, v),
-                        "window list of {v}, {at}"
-                    );
-                    assert_eq!(
-                        window.external_neighbours(v),
-                        ModelWindow::neighbours(&model.external_adj, v),
-                        "external list of {v}, {at}"
-                    );
-                }
+                assert_window_is_model(&window, &model, IDS, &at);
             }
         }
     }
+}
+
+/// `window` and `model` agree on the arrival order, on each of the ids
+/// `0..ids`' label, and on its window and external lists as ordered lists.
+fn assert_window_is_model(window: &StreamWindow, model: &ModelWindow, ids: u64, at: &str) {
+    assert_eq!(window.vertices().collect::<Vec<_>>(), model.order, "{at}");
+    assert_eq!(window.len(), model.order.len(), "{at}");
+    assert_eq!(window.oldest(), model.order.first().copied(), "{at}");
+    assert_eq!(
+        window.is_full(),
+        model.order.len() >= window.capacity(),
+        "{at}"
+    );
+    for v in (0..ids).map(VertexId::new) {
+        assert_eq!(window.label_of(v), model.labels.get(&v).copied(), "{at}");
+        assert_eq!(window.contains(v), model.labels.contains_key(&v), "{at}");
+        assert_eq!(
+            window.window_neighbours(v),
+            ModelWindow::neighbours(&model.window_adj, v),
+            "window list of {v}, {at}"
+        );
+        assert_eq!(
+            window.external_neighbours(v),
+            ModelWindow::neighbours(&model.external_adj, v),
+            "external list of {v}, {at}"
+        );
+    }
+}
+
+/// One outside vertex's re-entry entry through every shape it takes: one
+/// member (held inline), several (a list), back to one by edge removal and
+/// by a member's eviction, re-entry, a second eviction, and deletion. After
+/// each step the window equals [`ModelWindow`], lists compared in order.
+#[test]
+fn a_reentry_entry_grows_shrinks_reenters_and_is_deleted_as_the_model_does() {
+    #[derive(Clone, Copy)]
+    enum Step {
+        Push(u64),
+        Edge(u64, u64),
+        Unedge(u64, u64),
+        Evict(u64),
+        Delete(u64),
+    }
+    use Step::*;
+    let script = [
+        Push(1),
+        Push(2),
+        Push(3),
+        Push(4),
+        Edge(1, 9), // one member
+        Edge(2, 9), // promoted to a list
+        Edge(3, 9),
+        Edge(3, 9), // a repeated edge: one entry per occurrence
+        Unedge(1, 9),
+        Unedge(3, 9),
+        Unedge(3, 9), // back to one member, 2
+        Edge(4, 9),
+        Evict(2), // 2's eviction forgets it: one member again, 4
+        Push(9),  // re-entry reclaims 4's edge
+        Edge(9, 1),
+        Evict(9), // 9 leaves again, listed by 4 and 1
+        Edge(3, 9),
+        Unedge(4, 9),
+        Delete(9),
+        Push(9), // deleted: nothing to reclaim
+        Edge(9, 3),
+    ];
+    let mut window = StreamWindow::new(8);
+    let mut model = ModelWindow::default();
+    for (i, &step) in script.iter().enumerate() {
+        let v = VertexId::new;
+        match step {
+            Push(x) => {
+                window.push_vertex(v(x), Label::new(x as u32 % 3));
+                model.push_vertex(v(x), Label::new(x as u32 % 3));
+            }
+            Edge(a, b) => assert_eq!(window.push_edge(v(a), v(b)), model.push_edge(v(a), v(b))),
+            Unedge(a, b) => assert_eq!(
+                window.remove_edge(v(a), v(b)),
+                model.remove_edge(v(a), v(b))
+            ),
+            Evict(x) => {
+                let view = window.remove(v(x)).map(|e| {
+                    let lists = (e.window_neighbours.to_vec(), e.external_neighbours.to_vec());
+                    (e.id, e.label, lists.0, lists.1)
+                });
+                assert_eq!(view, model.take(v(x), true), "step {i}");
+            }
+            Delete(x) => assert_eq!(window.delete(v(x)), model.delete(v(x)), "step {i}"),
+        }
+        assert_window_is_model(&window, &model, 10, &format!("step {i}"));
+    }
+    assert_eq!(
+        window.window_neighbours(VertexId::new(9)),
+        &[VertexId::new(3)]
+    );
 }
 
 /// The three-map graph `LabelledGraph` was before it moved onto a slab, kept
@@ -1122,12 +1201,16 @@ proptest! {
     /// on `len` and on the id's value, and the array never holds more than
     /// `max(4096, 2 × (high-water entries + 1))` cells, a power of two; every
     /// 256 steps and at the end they agree on the whole entry set, and
-    /// `VertexIndex::ordered` walks it in the `BTreeMap`'s order.
+    /// `VertexIndex::ordered` walks it in the `BTreeMap`'s order. A second
+    /// index, told to expect `expected` entries, takes the same steps and
+    /// agrees alike, its array within `max(4096, 2 × (max(expected,
+    /// high-water) + 1))` cells.
     #[test]
     fn vertex_index_matches_reference_model(
         ops in proptest::collection::vec((0u8..8, 0u8..8, 0u64..8192, 0u32..1000), 2_000..12_000),
+        expected in 0usize..12_000,
     ) {
-        let mut index = VertexIndex::new();
+        let mut indexes = [VertexIndex::new(), VertexIndex::with_expected(expected)];
         let mut model: std::collections::BTreeMap<VertexId, u32> = Default::default();
         let mut high_water = 0;
         let entries = |index: &VertexIndex| {
@@ -1141,39 +1224,48 @@ proptest! {
                 6 => raw << 24,
                 _ => u64::MAX - raw % 64,
             });
+            let held = model.get(&v).copied();
             match op {
-                0..=4 => prop_assert_eq!(index.insert(v, value), model.insert(v, value)),
-                5 => {
-                    let expected = match model.get(&v) {
-                        Some(&held) => Err(held),
-                        None => {
-                            model.insert(v, value);
-                            Ok(())
-                        }
-                    };
-                    prop_assert_eq!(index.try_insert(v, value), expected);
+                0..=4 => {
+                    model.insert(v, value);
+                    for index in &mut indexes {
+                        prop_assert_eq!(index.insert(v, value), held);
+                    }
                 }
-                _ => prop_assert_eq!(index.remove(v), model.remove(&v)),
+                5 => {
+                    if held.is_none() {
+                        model.insert(v, value);
+                    }
+                    for index in &mut indexes {
+                        prop_assert_eq!(index.try_insert(v, value), held.map_or(Ok(()), Err));
+                    }
+                }
+                _ => {
+                    model.remove(&v);
+                    for index in &mut indexes {
+                        prop_assert_eq!(index.remove(v), held);
+                    }
+                }
             }
             high_water = high_water.max(model.len());
-            prop_assert_eq!(index.len(), model.len(), "step {}", step);
-            prop_assert_eq!(index.get(v), model.get(&v).copied(), "step {}", step);
-            prop_assert_eq!(index.contains(v), model.contains_key(&v));
-            let cells = index.direct_cells();
-            prop_assert!(cells == 0 || cells.is_power_of_two(), "{} cells", cells);
-            prop_assert!(
-                cells <= 4096.max(2 * (high_water + 1)),
-                "{} cells at a high water of {}", cells, high_water
-            );
-            if step % 256 == 255 {
-                let expected: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
-                prop_assert_eq!(entries(&index), expected.clone(), "step {}", step);
-                prop_assert_eq!(index.ordered().collect::<Vec<_>>(), expected, "step {}", step);
+            let everything: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
+            for (index, expecting) in indexes.iter().zip([0, expected]) {
+                prop_assert_eq!(index.len(), model.len(), "step {}", step);
+                prop_assert_eq!(index.get(v), model.get(&v).copied(), "step {}", step);
+                prop_assert_eq!(index.contains(v), model.contains_key(&v));
+                let cells = index.direct_cells();
+                prop_assert!(cells == 0 || cells.is_power_of_two(), "{} cells", cells);
+                prop_assert!(
+                    cells <= 4096.max(2 * (high_water.max(expecting) + 1)),
+                    "{} cells at a high water of {} expecting {}", cells, high_water, expecting
+                );
+                if step % 256 == 255 || step + 1 == ops.len() {
+                    prop_assert_eq!(entries(index), everything.clone(), "step {}", step);
+                    let ordered: Vec<_> = index.ordered().collect();
+                    prop_assert_eq!(ordered, everything.clone(), "step {}", step);
+                }
             }
         }
-        let expected: Vec<(VertexId, u32)> = model.iter().map(|(&v, &x)| (v, x)).collect();
-        prop_assert_eq!(entries(&index), expected.clone());
-        prop_assert_eq!(index.ordered().collect::<Vec<_>>(), expected);
     }
 
     /// `LabelledGraph::adjacency_sorted` and `vertices_sorted` walk the
