@@ -4,9 +4,9 @@
 //! workload-agnostic partitioners (Hash, LDG, Fennel) from declarative specs;
 //! this module extends that registry with a builder for
 //! [`PartitionerSpec::Loom`], which additionally needs the mined workload
-//! summary. The experiment runner, benches and the top-level `loom::Session`
-//! façade all construct partitioners through one of these registries rather
-//! than hand-wired `match` arms.
+//! summary. The top-level `loom::Session` façade and the benchmark construct
+//! partitioners through one of these registries rather than hand-wired
+//! `match` arms.
 
 use crate::index::FrequentMotifIndex;
 use crate::loom::LoomPartitioner;

@@ -2,8 +2,8 @@
 //!
 //! A [`PartitionerSpec`] is plain `Copy` data describing *which*
 //! partitioner to run with *which* parameters — the FDB-style declarative
-//! layer over the fixed engines. Benches, the experiment runner and the
-//! top-level `loom::Session` façade construct partitioners from specs via a
+//! layer over the fixed engines. The top-level `loom::Session` façade and
+//! the benchmark construct partitioners from specs via a
 //! [`PartitionerRegistry`] instead of hand-wired `match` arms, so a new
 //! partitioner (or an extension crate's partitioner) plugs into every harness
 //! at once.

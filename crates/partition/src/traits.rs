@@ -3,9 +3,9 @@
 //! A streaming partitioner consumes the elements of a [`GraphStream`] exactly
 //! once, in order, and decides vertex placement "on the fly" with bounded
 //! memory (paper §3.1). Every partitioner in this workspace — Hash, LDG,
-//! Fennel and LOOM itself — implements [`Partitioner`], so the experiment
-//! harness, benches and the top-level `loom::Session` façade can treat them
-//! uniformly as `Box<dyn Partitioner>` trait objects built from a declarative
+//! Fennel and LOOM itself — implements [`Partitioner`], so the top-level
+//! `loom::Session` façade and the benchmark can treat them uniformly as
+//! `Box<dyn Partitioner>` trait objects built from a declarative
 //! [`crate::spec::PartitionerSpec`].
 //!
 //! The contract separates three concerns that the original two-method trait
@@ -71,8 +71,8 @@ impl std::fmt::Display for PartitionerStats {
 
 /// A partitioner that consumes a graph stream and produces a [`Partitioning`].
 ///
-/// The trait is object safe: the experiment runner, benches and the
-/// `loom::Session` façade drive partitioners through `Box<dyn Partitioner>`
+/// The trait is object safe: the `loom::Session` façade and the benchmark
+/// drive partitioners through `Box<dyn Partitioner>`
 /// built by a [`crate::spec::PartitionerRegistry`]. `Send` is a supertrait so
 /// a boxed partitioner can ingest on a background thread while the serving
 /// engine keeps answering queries (the `loom-serve` ingest-while-serve

@@ -38,7 +38,7 @@ pub enum QueryMode {
 /// Price of a traversal that stays on the local partition, in microseconds.
 pub const LOCAL_HOP_US: f64 = 1.0;
 /// Price of a traversal that crosses to another partition, in microseconds
-/// (network round-trip dominated). Chosen, not measured: ROADMAP item 3 is
+/// (network round-trip dominated). Chosen, not measured: ROADMAP item 13(c) is
 /// to replace it with the cost of a loopback message.
 pub const REMOTE_HOP_US: f64 = 300.0;
 
@@ -82,15 +82,6 @@ impl ExecutionMetrics {
             0.0
         } else {
             self.remote_traversals as f64 / self.total_traversals as f64
-        }
-    }
-
-    /// Mean remote traversals per query (0.0 when no queries ran).
-    pub fn remote_traversals_per_query(&self) -> f64 {
-        if self.queries_executed == 0 {
-            0.0
-        } else {
-            self.remote_traversals as f64 / self.queries_executed as f64
         }
     }
 
@@ -466,7 +457,6 @@ mod tests {
         assert_eq!(a.estimated_latency_us(), sum_of_estimates);
         assert_eq!(a.queries_executed, 4);
         assert!((a.inter_partition_probability() - 0.25).abs() < 1e-12);
-        assert!((a.remote_traversals_per_query() - 1.25).abs() < 1e-12);
         assert!((a.local_only_fraction() - 0.75).abs() < 1e-12);
         assert!((a.mean_latency_us() - 1515.0 / 4.0).abs() < 1e-12);
         assert_eq!(

@@ -20,9 +20,9 @@
 //! pays a full repartition — and potentially large migrations — at every
 //! checkpoint.
 
-use crate::runner::{SimError, SimResult};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{GraphStream, LabelledGraph, VertexId};
+use loom_partition::error::Result;
 use loom_partition::metrics::evaluate;
 use loom_partition::offline::{MultilevelConfig, MultilevelPartitioner};
 use loom_partition::partition::{PartitionId, Partitioning};
@@ -90,7 +90,7 @@ impl GrowthScenario {
         &self,
         partitioner: &mut P,
         stream: &GraphStream,
-    ) -> SimResult<Vec<GrowthCheckpoint>> {
+    ) -> Result<Vec<GrowthCheckpoint>> {
         let name = format!("streaming:{}", partitioner.name());
         let segments = segment_bounds(stream.len(), self.checkpoints);
         let mut checkpoints = Vec::with_capacity(self.checkpoints);
@@ -101,14 +101,12 @@ impl GrowthScenario {
         let last_segment = segments.len().saturating_sub(1);
         for (index, end) in segments.iter().enumerate() {
             let start = Instant::now();
-            partitioner
-                .ingest_batch(&stream.elements()[consumed..*end])
-                .map_err(SimError::from)?;
+            partitioner.ingest_batch(&stream.elements()[consumed..*end])?;
             for element in &stream.elements()[consumed..*end] {
                 graph_so_far.apply(element);
             }
             let partitioning = if index == last_segment {
-                partitioner.finish().map_err(SimError::from)?
+                partitioner.finish()?
             } else {
                 partitioner.snapshot()
             };
@@ -132,7 +130,7 @@ impl GrowthScenario {
     /// # Errors
     ///
     /// Propagates partitioner failures.
-    pub fn run_offline_periodic(&self, stream: &GraphStream) -> SimResult<Vec<GrowthCheckpoint>> {
+    pub fn run_offline_periodic(&self, stream: &GraphStream) -> Result<Vec<GrowthCheckpoint>> {
         let segments = segment_bounds(stream.len(), self.checkpoints);
         let mut checkpoints = Vec::with_capacity(self.checkpoints);
         let mut graph_so_far = LabelledGraph::new();
@@ -148,12 +146,9 @@ impl GrowthScenario {
                 k: self.k,
                 slack: self.slack.max(1.05),
                 ..MultilevelConfig::new(self.k)
-            })
-            .map_err(SimError::from)?;
+            })?;
             let start = Instant::now();
-            let partitioning = partitioner
-                .partition(&graph_so_far)
-                .map_err(SimError::from)?;
+            let partitioning = partitioner.partition(&graph_so_far)?;
             cumulative_ms += start.elapsed().as_secs_f64() * 1_000.0;
             checkpoints.push(self.checkpoint(
                 "offline",

@@ -44,12 +44,8 @@
 //! * [`churn`] — the deletion-churn scenario (grow, then dissolve planted
 //!   instances through removals and relabels) driving the tombstone and
 //!   epoch-compaction story;
-//! * [`runner`] — the experiment driver: generate graph + workload, stream
-//!   the graph through each partitioner under test, execute a sampled query
-//!   mix against each resulting partitioning, and collect quality +
-//!   execution metrics;
-//! * [`report`] — plain-text and CSV table rendering for the experiment
-//!   binary and EXPERIMENTS.md.
+//! * [`growth`] — streaming placement against periodic offline
+//!   repartitioning on a growing graph (cumulative time, cut, churn).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -62,8 +58,6 @@ pub mod executor;
 pub mod growth;
 pub mod matcher;
 pub mod plan;
-pub mod report;
-pub mod runner;
 pub mod store;
 
 pub use churn::{ChurnRun, DeletionChurnScenario};
@@ -74,10 +68,9 @@ pub use executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 pub use growth::{GrowthCheckpoint, GrowthScenario};
 pub use matcher::{Embedding, PatternStore};
 pub use plan::{GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner};
-pub use runner::{ExperimentResult, ExperimentRunner, PartitionerKind};
 pub use store::PartitionedStore;
 
-/// Convenient re-exports for the experiment binary and examples.
+/// Convenient re-exports for examples and tests.
 pub mod prelude {
     pub use crate::churn::{ChurnRun, DeletionChurnScenario};
     pub use crate::context::{CancelToken, RequestContext};
@@ -88,10 +81,6 @@ pub mod prelude {
     pub use crate::matcher::{Embedding, PatternStore};
     pub use crate::plan::{
         GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner,
-    };
-    pub use crate::report::{Table, TableRow};
-    pub use crate::runner::{
-        ExperimentConfig, ExperimentResult, ExperimentRunner, PartitionerKind,
     };
     pub use crate::store::PartitionedStore;
 }

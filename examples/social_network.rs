@@ -14,7 +14,7 @@
 //! cargo run --release --example social_network
 //! ```
 
-use loom::loom_sim::report::comparison_table;
+use loom::loom_partition::metrics::evaluate;
 use loom::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,42 +48,73 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── 3. Run every partitioner over the same stochastic stream ────────
     //
-    // Each streaming partitioner is built from its declarative spec through
-    // the workload registry and driven batch-wise as a `Box<dyn Partitioner>`
-    // (chunk_size elements at a time).
-    let runner = ExperimentRunner::new(ExperimentConfig {
-        k: 8,
-        window_size: 256,
-        motif_threshold: 0.3,
-        query_samples: 150,
-        chunk_size: 1024,
-        ..ExperimentConfig::new(8)
-    });
+    // Each streaming partitioner goes through a `Session`: built from its
+    // declarative spec, fed the stream 1 024 elements at a time, then
+    // served, with 150 rooted queries sampled from the workload.
+    let (k, n) = (8, graph.vertex_count());
     let order = StreamOrder::Stochastic {
         seed: 99,
         jump_probability: 0.05,
     };
-    let results = runner.run_many(&PartitionerKind::standard_set(), &graph, &order, &workload)?;
-
-    let table = comparison_table("Social network, k = 8, stochastic stream", &results);
-    println!("\n{}", table.render());
+    let stream = GraphStream::from_graph(&graph, &order);
+    let specs = [
+        PartitionerSpec::Hash(HashConfig::new(
+            k,
+            (n as f64 / f64::from(k) * 1.1).ceil() as usize,
+        )),
+        PartitionerSpec::Ldg(LdgConfig::new(k, n)),
+        PartitionerSpec::Fennel(FennelConfig::new(k, n, graph.edge_count())),
+        PartitionerSpec::Loom(
+            LoomConfig::new(k, n)
+                .with_window_size(256)
+                .with_motif_threshold(0.3),
+        ),
+    ];
+    println!("\nSocial network, k = 8, stochastic stream");
+    println!("partitioner  cut_ratio  imbalance  ipt_prob  local_only  latency_us");
+    let mut rows = Vec::new();
+    for spec in specs {
+        let mut session = Session::builder(spec)
+            .workload(workload.clone())
+            .query_mode(QueryMode::Rooted { seed_count: 4 })
+            .chunk_size(1_024)
+            .build()?;
+        session.ingest_stream(&stream)?;
+        let serving = session.serve(graph.clone())?;
+        let quality = evaluate(serving.store().graph(), serving.partitioning());
+        let metrics = serving.execute(&workload, 150, 42);
+        println!(
+            "{:<11}  {:<9.4}  {:<9.3}  {:<8.4}  {:<10.3}  {:.1}",
+            spec.name(),
+            quality.cut_ratio,
+            quality.imbalance,
+            metrics.inter_partition_probability(),
+            metrics.local_only_fraction(),
+            metrics.mean_latency_us(),
+        );
+        rows.push(metrics);
+    }
+    // The offline multilevel reference sees the whole graph at once.
+    let offline = MultilevelPartitioner::new(MultilevelConfig {
+        slack: 1.1,
+        ..MultilevelConfig::new(k)
+    })?
+    .partition(&graph)?;
+    let quality = evaluate(&graph, &offline);
+    println!(
+        "{:<11}  {:<9.4}  {:.3}",
+        "offline", quality.cut_ratio, quality.imbalance
+    );
 
     // ── 4. Highlight the workload-aware result ───────────────────────────
-    let by_name = |name: &str| {
-        results
-            .iter()
-            .find(|r| r.partitioner == name)
-            .ok_or_else(|| format!("missing result row for {name}"))
-    };
-    let ldg = by_name("ldg")?;
-    let loom = by_name("loom")?;
+    let (ldg, loom) = (&rows[1], &rows[3]);
     println!(
-        "LOOM answers {:.1}% of queries without leaving a partition (LDG: {:.1}%), \
+        "\nLOOM answers {:.1}% of queries without leaving a partition (LDG: {:.1}%), \
          with a mean latency of {:.0} µs vs {:.0} µs.",
-        loom.local_only_fraction * 100.0,
-        ldg.local_only_fraction * 100.0,
-        loom.mean_latency_us,
-        ldg.mean_latency_us,
+        loom.local_only_fraction() * 100.0,
+        ldg.local_only_fraction() * 100.0,
+        loom.mean_latency_us(),
+        ldg.mean_latency_us(),
     );
     Ok(())
 }

@@ -13,8 +13,8 @@
 //!   quality metrics;
 //! * [`loom_core`] — the LOOM workload-aware streaming partitioner itself
 //!   and the workload-aware registry extension;
-//! * [`loom_sim`] — the distributed query-execution simulator, the shared
-//!   instrumented pattern matcher and the experiment runner;
+//! * [`loom_sim`] — the distributed query-execution simulator and the shared
+//!   instrumented pattern matcher;
 //! * [`loom_serve`] — the concurrent sharded serving engine: partition-major
 //!   CSR shards, a home-shard query router, message-passing shard workers
 //!   behind the wire-shaped

@@ -1,10 +1,9 @@
 //! Tests exercising the documented public API surface end to end:
 //! the README usage snippet, the `Session` façade, the declarative
 //! spec/registry layer (trait-object round-trips, batched vs per-element
-//! parity), graph statistics, the growth scenario and the report rendering —
-//! everything a downstream user would touch first.
+//! parity), graph statistics and the growth scenario — everything a
+//! downstream user would touch first.
 
-use loom::loom_sim::report::comparison_table;
 use loom::prelude::*;
 use loom_graph::stats::{clustering_coefficient, degree_histogram, degree_stats};
 use loom_graph::VertexId;
@@ -318,40 +317,6 @@ fn growth_scenario_contrasts_streaming_and_offline() {
     // Both saw the whole graph by the end.
     assert_eq!(streaming.last().unwrap().vertices, graph.vertex_count());
     assert_eq!(offline.last().unwrap().vertices, graph.vertex_count());
-}
-
-#[test]
-fn experiment_runner_rows_render_into_tables_and_csv() {
-    let graph = barabasi_albert(GeneratorConfig::new(800, 4, 9), 2).unwrap();
-    let workload = WorkloadGenerator {
-        query_count: 8,
-        label_count: 4,
-        core_count: 2,
-        core_length: 3,
-        max_extension: 1,
-        zipf_exponent: 1.0,
-        seed: 2,
-    }
-    .generate()
-    .unwrap();
-    let runner = ExperimentRunner::new(ExperimentConfig {
-        query_samples: 20,
-        window_size: 64,
-        ..ExperimentConfig::new(4)
-    });
-    let results = runner
-        .run_many(
-            &[PartitionerKind::Ldg, PartitionerKind::Loom],
-            &graph,
-            &StreamOrder::Bfs,
-            &workload,
-        )
-        .unwrap();
-    let table = comparison_table("api surface check", &results);
-    let rendered = table.render();
-    assert!(rendered.contains("ldg") && rendered.contains("loom"));
-    let csv = table.to_csv();
-    assert_eq!(csv.trim().lines().count(), 3); // header + two rows
 }
 
 #[test]

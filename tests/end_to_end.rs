@@ -1,13 +1,12 @@
 //! End-to-end integration tests across the whole LOOM stack: generate a
-//! graph and a workload, mine the workload, partition the stream with every
-//! partitioner, execute the workload in the simulator, and check that the
-//! headline claims of the paper hold in direction — and that ids spread over
-//! the `u64` range take the same durable path at the same order of cost as
-//! dense ones.
+//! graph and a workload, partition the stream with every partitioner through
+//! the `Session` façade, execute the workload on what it serves, and check
+//! that the headline claims of the paper hold in direction — and that ids
+//! spread over the `u64` range take the same durable path at the same order
+//! of cost as dense ones.
 
-use loom::loom_core::workload_registry;
+use loom::loom_partition::metrics::{evaluate, QualityReport};
 use loom::loom_partition::spec::LoomConfig;
-use loom::loom_sim::runner::{ExperimentConfig, ExperimentRunner, PartitionerKind};
 use loom::prelude::*;
 use loom_graph::generators::motif_planted::MotifPlantConfig;
 
@@ -44,35 +43,99 @@ fn motif_scenario_scaled(seed: u64, scale: usize) -> (LabelledGraph, Workload) {
     (graph, workload)
 }
 
+/// 300 background vertices plus 40 planted `abc` paths, and the `abc` / `ab`
+/// workload that reads them.
+fn abc_scenario(seed: u64) -> (LabelledGraph, Workload) {
+    let (graph, _) = motif_planted_graph(
+        &MotifPlantConfig {
+            background_vertices: 300,
+            background_edges: 600,
+            instances_per_motif: 40,
+            attachment_edges: 1,
+            label_count: 4,
+            seed,
+        },
+        &[path_graph(3, &[l(0), l(1), l(2)])],
+    )
+    .expect("valid plant config");
+    let abc = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap();
+    let ab = PatternQuery::path(QueryId::new(1), &[l(0), l(1)]).unwrap();
+    (graph, Workload::new(vec![(abc, 3.0), (ab, 1.0)]).unwrap())
+}
+
+/// Hash, LDG, Fennel and LOOM at `k` partitions and slack 1.1, LOOM with
+/// `window` and motif threshold `threshold`.
+fn streaming_specs(
+    k: u32,
+    graph: &LabelledGraph,
+    window: usize,
+    threshold: f64,
+) -> [PartitionerSpec; 4] {
+    let n = graph.vertex_count();
+    let capacity = (n as f64 / f64::from(k) * 1.1).ceil() as usize;
+    [
+        PartitionerSpec::Hash(HashConfig::new(k, capacity)),
+        PartitionerSpec::Ldg(LdgConfig::new(k, n)),
+        PartitionerSpec::Fennel(FennelConfig::new(k, n, graph.edge_count())),
+        PartitionerSpec::Loom(
+            LoomConfig::new(k, n)
+                .with_window_size(window)
+                .with_motif_threshold(threshold),
+        ),
+    ]
+}
+
+/// Stream `graph` in `order` through a session on `spec`, serve it, and
+/// execute `samples` rooted queries of `workload` at seed 42: what the
+/// workload pays, and the partitioning's cut and balance.
+fn served(
+    spec: PartitionerSpec,
+    graph: &LabelledGraph,
+    order: &StreamOrder,
+    workload: &Workload,
+    samples: usize,
+) -> (ExecutionMetrics, QualityReport) {
+    let mut session = Session::builder(spec)
+        .workload(workload.clone())
+        .query_mode(QueryMode::Rooted { seed_count: 4 })
+        .build()
+        .expect("a session");
+    session
+        .ingest_stream(&GraphStream::from_graph(graph, order))
+        .expect("ingests");
+    let serving = session.serve(graph.clone()).expect("serves");
+    let quality = evaluate(serving.store().graph(), serving.partitioning());
+    (serving.execute(workload, samples, 42), quality)
+}
+
 #[test]
 fn every_partitioner_assigns_every_vertex() {
     let (graph, workload) = motif_scenario(1);
-    let runner = ExperimentRunner::new(ExperimentConfig {
-        query_samples: 20,
-        window_size: 128,
-        ..ExperimentConfig::new(4)
-    });
-    let registry = workload_registry(&runner.mine_workload(&workload).unwrap());
     let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 2 });
-    for kind in [
-        PartitionerKind::Hash,
-        PartitionerKind::Ldg,
-        PartitionerKind::Fennel,
-        PartitionerKind::Loom,
-        PartitionerKind::Offline,
-    ] {
-        let partitioning = runner
-            .partition(kind, &graph, &stream, &registry)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", kind.name()));
+    let mut partitionings = Vec::new();
+    for spec in streaming_specs(4, &graph, 128, 0.4) {
+        let mut session = Session::builder(spec)
+            .workload(workload.clone())
+            .build()
+            .expect("a session");
+        session.ingest_stream(&stream).expect("ingests");
+        partitionings.push((spec.name(), session.into_partitioning().unwrap()));
+    }
+    let offline = MultilevelPartitioner::new(MultilevelConfig {
+        slack: 1.1,
+        ..MultilevelConfig::new(4)
+    })
+    .unwrap();
+    partitionings.push(("offline", offline.partition(&graph).unwrap()));
+    for (name, partitioning) in partitionings {
         assert_eq!(
             partitioning.assigned_count(),
             graph.vertex_count(),
-            "{} left vertices unassigned",
-            kind.name()
+            "{name} left vertices unassigned"
         );
         for v in graph.vertices_sorted() {
             let p = partitioning.partition_of(v).expect("assigned");
-            assert!(p.0 < 4, "partition id out of range for {}", kind.name());
+            assert!(p.0 < 4, "partition id out of range for {name}");
         }
     }
 }
@@ -80,60 +143,89 @@ fn every_partitioner_assigns_every_vertex() {
 #[test]
 fn loom_improves_workload_locality_over_workload_agnostic_baselines() {
     let (graph, workload) = motif_scenario(7);
+    let [hash, ldg, _, loom] = streaming_specs(8, &graph, 128, 0.3);
     // 400 sampled queries: at 80 the local-only fraction is dominated by
     // sampling noise (a single lucky query flips the comparison).
-    let runner = ExperimentRunner::new(ExperimentConfig {
-        query_samples: 400,
-        window_size: 128,
-        motif_threshold: 0.3,
-        ..ExperimentConfig::new(8)
-    });
-    let results = runner
-        .run_many(
-            &[
-                PartitionerKind::Hash,
-                PartitionerKind::Ldg,
-                PartitionerKind::Loom,
-            ],
-            &graph,
-            &StreamOrder::Random { seed: 5 },
-            &workload,
-        )
-        .unwrap();
-    let by_name = |name: &str| results.iter().find(|r| r.partitioner == name).unwrap();
-    let hash = by_name("hash");
-    let ldg = by_name("ldg");
-    let loom = by_name("loom");
+    let order = StreamOrder::Random { seed: 5 };
+    let run = |spec| served(spec, &graph, &order, &workload, 400);
+    let (hash, hash_quality) = run(hash);
+    let (ldg, ldg_quality) = run(ldg);
+    let (loom, loom_quality) = run(loom);
 
     // Headline direction: the workload-aware partitioner answers more of the
     // workload locally than the agnostic streaming baseline, and hash is the
     // worst of the three.
     assert!(
-        loom.local_only_fraction >= ldg.local_only_fraction,
+        loom.local_only_fraction() >= ldg.local_only_fraction(),
         "LOOM local-only {:.3} < LDG {:.3}",
-        loom.local_only_fraction,
-        ldg.local_only_fraction
+        loom.local_only_fraction(),
+        ldg.local_only_fraction()
     );
     assert!(
-        loom.ipt_probability <= hash.ipt_probability,
+        loom.inter_partition_probability() <= hash.inter_partition_probability(),
         "LOOM ipt {:.3} should not exceed hash {:.3}",
-        loom.ipt_probability,
-        hash.ipt_probability
+        loom.inter_partition_probability(),
+        hash.inter_partition_probability()
     );
     assert!(
-        ldg.cut_ratio < hash.cut_ratio,
+        ldg_quality.cut_ratio < hash_quality.cut_ratio,
         "LDG should cut fewer edges than hash"
     );
     // Balance must stay within the configured slack for the streaming
     // partitioners.
-    for r in [ldg, loom] {
+    for (name, quality) in [("ldg", ldg_quality), ("loom", loom_quality)] {
         assert!(
-            r.imbalance <= 1.35,
-            "{} imbalance {}",
-            r.partitioner,
-            r.imbalance
+            quality.imbalance <= 1.35,
+            "{name} imbalance {}",
+            quality.imbalance
         );
     }
+}
+
+/// Hash placement, blind to both the graph and the workload, crosses
+/// partitions on more of the workload's traversals than any other
+/// streaming partitioner.
+#[test]
+fn hash_is_the_worst_streaming_partitioner_on_ipt() {
+    let (graph, workload) = abc_scenario(1);
+    let ipt = |spec: PartitionerSpec| {
+        let (metrics, quality) = served(spec, &graph, &StreamOrder::Bfs, &workload, 30);
+        assert!((0.0..=1.0).contains(&quality.cut_ratio), "{}", spec.name());
+        assert!(quality.imbalance >= 1.0, "{}", spec.name());
+        metrics.inter_partition_probability()
+    };
+    let [hash, others @ ..] = streaming_specs(4, &graph, 64, 0.4);
+    let hash = ipt(hash);
+    for spec in others {
+        let other = ipt(spec);
+        assert!(
+            other <= hash,
+            "{} ipt {other:.3} should not exceed hash {hash:.3}",
+            spec.name()
+        );
+    }
+}
+
+#[test]
+fn loom_beats_ldg_on_workload_locality_for_motif_heavy_graphs() {
+    let (graph, workload) = abc_scenario(9);
+    let [_, ldg, _, loom] = streaming_specs(8, &graph, 128, 0.4);
+    let order = StreamOrder::Random { seed: 3 };
+    let (ldg, _) = served(ldg, &graph, &order, &workload, 60);
+    let (loom, _) = served(loom, &graph, &order, &workload, 60);
+    assert!(
+        loom.local_only_fraction() >= ldg.local_only_fraction(),
+        "LOOM local-only fraction {:.3} should be at least LDG's {:.3}",
+        loom.local_only_fraction(),
+        ldg.local_only_fraction()
+    );
+    // Both answer no query wholly locally here, so the traversals decide.
+    assert!(
+        loom.inter_partition_probability() < ldg.inter_partition_probability(),
+        "LOOM ipt {:.3} should be under LDG's {:.3}",
+        loom.inter_partition_probability(),
+        ldg.inter_partition_probability()
+    );
 }
 
 #[test]

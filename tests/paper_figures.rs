@@ -9,10 +9,15 @@
 //!   contains the motifs the figure shows, with the expected p-values;
 //! * `fig3_stream_matching` — two `abc` motif instances sharing an `a-b` edge
 //!   are both detected by the stream matcher and assigned to one partition.
+//!
+//! `loom_lowers_ipt_on_the_order_it_is_made_for` then asserts the paper's
+//! claim itself, through the `Session` façade, on the stream order where
+//! LOOM's windowed matcher has motifs to find.
 
 use loom::prelude::*;
 use loom_core::matcher::StreamMotifMatcher;
 use loom_core::FrequentMotifIndex;
+use loom_graph::generators::motif_planted::MotifPlantConfig;
 use loom_graph::VertexId;
 use loom_motif::fixtures::fig3_stream_graph;
 
@@ -144,4 +149,108 @@ fn single_vertex(label: Label) -> LabelledGraph {
     let mut g = LabelledGraph::new();
     g.add_vertex(label);
     g
+}
+
+/// The workload's inter-partition traversal probability once `graph`,
+/// streamed in `order`, is partitioned and served by a session on `spec`:
+/// 2 000 queries rooted at 4 vertices each, sampled at seed 42.
+fn served_ipt(
+    spec: PartitionerSpec,
+    graph: &LabelledGraph,
+    order: &StreamOrder,
+    workload: &Workload,
+) -> f64 {
+    let mut session = Session::builder(spec)
+        .workload(workload.clone())
+        .query_mode(QueryMode::Rooted { seed_count: 4 })
+        .build()
+        .expect("a session");
+    session
+        .ingest_stream(&GraphStream::from_graph(graph, order))
+        .expect("ingests");
+    let serving = session.serve(graph.clone()).expect("serves");
+    serving
+        .execute(workload, 2_000, 42)
+        .inter_partition_probability()
+}
+
+/// LOOM places the motif matches it finds inside its window together, so its
+/// advantage depends on how close together a motif's vertices arrive. On the
+/// benchmark's generator (`abc` paths and `abab` squares planted in a random
+/// background, label_count 8) at 8 000 background vertices, 20 000 background
+/// edges and 600 instances per motif — 12 200 vertices — with k = 8, window
+/// 128, T = 0.3 and slack 1.1, graph and stream seed 1:
+///
+/// * on an organic-growth order (`Stochastic`, jump probability 0.05) LOOM's
+///   `ipt` is 0.3095 against LDG 0.3458 and Fennel 0.3467: a ratio of 0.895
+///   to the better baseline, under the 0.93 bound by 0.035;
+/// * LOOM places 39.4 % of the vertices as motif clusters (bound 30 %);
+/// * on a random order, where the window holds 1 % of the graph, LOOM reads
+///   0.4333 against LDG's 0.4365: a 0.7 % gap, inside the 2.5 % bound, so no
+///   document may claim more there.
+///
+/// Over graph and stream seeds 1–6 the ratio read 0.849–0.895, the cluster
+/// fraction 0.386–0.394 and the random-order gap 0.1–2.6 %. With motif
+/// clustering switched off, LOOM is windowed LDG and the first bound fails.
+#[test]
+fn loom_lowers_ipt_on_the_order_it_is_made_for() {
+    let seed = 1;
+    let (graph, _) = motif_planted_graph(
+        &MotifPlantConfig {
+            background_vertices: 8_000,
+            background_edges: 20_000,
+            instances_per_motif: 600,
+            attachment_edges: 1,
+            label_count: 8,
+            seed,
+        },
+        &[
+            path_graph(3, &[l(0), l(1), l(2)]),
+            cycle_graph(4, &[l(0), l(1), l(0), l(1)]),
+        ],
+    )
+    .expect("valid plant config");
+    let abc = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).expect("valid query");
+    let abab = PatternQuery::cycle(QueryId::new(1), &[l(0), l(1), l(0), l(1)]).expect("valid");
+    let ab = PatternQuery::path(QueryId::new(2), &[l(0), l(1)]).expect("valid query");
+    let workload = Workload::new(vec![(abc, 4.0), (abab, 2.0), (ab, 1.0)]).expect("valid");
+
+    let n = graph.vertex_count();
+    let config = LoomConfig::new(8, n)
+        .with_window_size(128)
+        .with_motif_threshold(0.3);
+    let loom = PartitionerSpec::Loom(config);
+    let ldg = PartitionerSpec::Ldg(LdgConfig::new(8, n));
+    let fennel = PartitionerSpec::Fennel(FennelConfig::new(8, n, graph.edge_count()));
+
+    let organic = StreamOrder::Stochastic {
+        seed,
+        jump_probability: 0.05,
+    };
+    let loom_ipt = served_ipt(loom, &graph, &organic, &workload);
+    let baseline = served_ipt(ldg, &graph, &organic, &workload)
+        .min(served_ipt(fennel, &graph, &organic, &workload));
+    assert!(
+        loom_ipt <= 0.93 * baseline,
+        "on a Stochastic order LOOM's ipt {loom_ipt:.4} should be ≤ 0.93 × {baseline:.4}"
+    );
+
+    let tpstry = MotifMiner::default().mine(&workload).expect("mines");
+    let mut bare = LoomPartitioner::new(config, &tpstry).expect("valid config");
+    partition_stream(&mut bare, &GraphStream::from_graph(&graph, &organic)).expect("partitions");
+    let clustered = bare.loom_stats().cluster_fraction();
+    assert!(
+        clustered >= 0.3,
+        "LOOM placed only {clustered:.3} of the vertices as motif clusters"
+    );
+
+    let random = StreamOrder::Random { seed };
+    let loom_ipt = served_ipt(loom, &graph, &random, &workload);
+    let ldg_ipt = served_ipt(ldg, &graph, &random, &workload);
+    let gap = (loom_ipt - ldg_ipt).abs() / ldg_ipt;
+    assert!(
+        gap <= 0.025,
+        "on a Random order LOOM ({loom_ipt:.4}) and LDG ({ldg_ipt:.4}) differ by {:.1} %",
+        gap * 100.0
+    );
 }
