@@ -16,7 +16,7 @@
 //! side* ([`ShardedStore::apply_migration`] rebuilds only the shards the
 //! moves touched) and is published atomically through the epoch store.
 
-use crate::tracker::{DriftConfig, WorkloadTracker};
+use crate::tracker::WorkloadTracker;
 use loom_graph::{LabelledGraph, StreamElement, VertexId};
 use loom_motif::workload::Workload;
 use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
@@ -35,9 +35,7 @@ use std::sync::Arc;
 /// Configuration for [`AdaptiveServing`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
-    /// Drift detection parameters.
-    pub drift: DriftConfig,
-    /// Per-round migration budget and scoring parameters.
+    /// Per-round migration budget.
     pub migration: MigrationConfig,
     /// Maximum planning rounds per adaptation (each round re-plans against
     /// the placement the previous round produced, so bounded batches can
@@ -48,7 +46,6 @@ pub struct AdaptConfig {
 impl Default for AdaptConfig {
     fn default() -> Self {
         Self {
-            drift: DriftConfig::default(),
             migration: MigrationConfig::default(),
             max_rounds: 4,
         }
@@ -141,7 +138,7 @@ impl AdaptiveServing {
         Self {
             epochs: EpochStore::new(store),
             engine: ServeEngine::new(serve),
-            tracker: WorkloadTracker::new(mined_workload, config.drift),
+            tracker: WorkloadTracker::new(mined_workload),
             planner: MigrationPlanner::new(config.migration),
             graph,
             partitioning,
@@ -585,7 +582,6 @@ mod tests {
         let config = AdaptConfig {
             migration: MigrationConfig::new(1),
             max_rounds: 1,
-            ..AdaptConfig::default()
         };
         let mut adaptive = AdaptiveServing::new(g, part, mined, ServeConfig::new(2), config);
         adaptive.tracker.observe_counts(&[0, 200]);

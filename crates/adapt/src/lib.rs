@@ -71,10 +71,10 @@ pub mod adaptive;
 pub mod tracker;
 
 pub use adaptive::{AdaptConfig, AdaptOutcome, AdaptiveServing};
-pub use tracker::{DriftConfig, WorkloadTracker};
+pub use tracker::WorkloadTracker;
 
 /// Convenient re-exports for examples, tests and the umbrella crate.
 pub mod prelude {
     pub use crate::adaptive::{AdaptConfig, AdaptOutcome, AdaptiveServing};
-    pub use crate::tracker::{DriftConfig, WorkloadTracker};
+    pub use crate::tracker::WorkloadTracker;
 }

@@ -6,7 +6,7 @@
 //! [`ServeReport::query_counts`](loom_serve::metrics::ServeReport) each
 //! serving batch produces), folds it into an exponentially-decayed sliding
 //! histogram, and reports the **total-variation distance** between the two
-//! distributions. Crossing a configured threshold flags *drift*: the traffic
+//! distributions. Crossing a fixed threshold flags *drift*: the traffic
 //! no longer looks like what the placement was optimised for, and the
 //! adaptation loop should re-plan.
 
@@ -15,30 +15,16 @@ use loom_graph::Label;
 use loom_motif::workload::Workload;
 use loom_serve::metrics::ServeReport;
 
-/// Configuration for a [`WorkloadTracker`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Multiplicative decay applied to the accumulated histogram before each
-    /// new observation batch is folded in (0 = only the latest batch counts,
-    /// 1 = never forget). 0.5 halves the weight of history per batch.
-    pub decay: f64,
-    /// Total-variation distance (in `[0, 1]`) between the observed and the
-    /// baseline distribution above which drift is flagged.
-    pub threshold: f64,
-    /// Minimum decayed sample mass before drift can be flagged at all —
-    /// guards against reacting to a handful of queries.
-    pub min_samples: f64,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
-            decay: 0.5,
-            threshold: 0.15,
-            min_samples: 32.0,
-        }
-    }
-}
+/// Multiplicative decay applied to the accumulated histogram before each
+/// new observation batch is folded in: it halves the weight of history per
+/// batch.
+const DECAY: f64 = 0.5;
+/// Total-variation distance (in `[0, 1]`) between the observed and the
+/// baseline distribution above which drift is flagged.
+const THRESHOLD: f64 = 0.15;
+/// Minimum decayed sample mass before drift can be flagged at all — guards
+/// against reacting to a handful of queries.
+const MIN_SAMPLES: f64 = 32.0;
 
 /// Tracks the observed query mix against the mix a partitioning was mined
 /// for, and flags drift.
@@ -49,7 +35,6 @@ pub struct WorkloadTracker {
     baseline: Vec<f64>,
     /// Decayed observation counts per query index.
     observed: Vec<f64>,
-    config: DriftConfig,
     batches: usize,
 }
 
@@ -58,21 +43,15 @@ impl WorkloadTracker {
     /// *query set and order* must match the workloads later served (only the
     /// frequencies may differ between phases) so that
     /// [`ServeReport::query_counts`] indexes line up.
-    pub fn new(workload: Workload, config: DriftConfig) -> Self {
+    pub fn new(workload: Workload) -> Self {
         let baseline = (0..workload.len()).map(|i| workload.frequency(i)).collect();
         let observed = vec![0.0; workload.len()];
         Self {
             workload,
             baseline,
             observed,
-            config,
             batches: 0,
         }
-    }
-
-    /// The tracker's configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// The query set the tracker indexes against.
@@ -98,7 +77,7 @@ impl WorkloadTracker {
             return;
         }
         for o in &mut self.observed {
-            *o *= self.config.decay;
+            *o *= DECAY;
         }
         for (o, &c) in self.observed.iter_mut().zip(counts) {
             *o += c as f64;
@@ -128,9 +107,9 @@ impl WorkloadTracker {
 
     /// Total-variation distance between the observed mix and the baseline:
     /// `0.5 · Σ |observed_i − baseline_i|`, in `[0, 1]`. Reports 0 until the
-    /// decayed sample mass reaches `min_samples`.
+    /// decayed sample mass reaches 32 queries.
     pub fn drift(&self) -> f64 {
-        if self.sample_mass() < self.config.min_samples {
+        if self.sample_mass() < MIN_SAMPLES {
             return 0.0;
         }
         let observed = self.observed_distribution();
@@ -141,9 +120,9 @@ impl WorkloadTracker {
             .sum::<f64>()
     }
 
-    /// Whether the tracked mix has drifted past the configured threshold.
+    /// Whether the tracked mix has drifted past a total-variation distance of 0.15.
     pub fn is_drifted(&self) -> bool {
-        self.drift() > self.config.threshold
+        self.drift() > THRESHOLD
     }
 
     /// Per-label heat under the observed mix, normalised so the hottest label
@@ -207,7 +186,7 @@ mod tests {
 
     #[test]
     fn idle_tracker_reports_no_drift() {
-        let tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0), DriftConfig::default());
+        let tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0));
         assert_eq!(tracker.drift(), 0.0);
         assert!(!tracker.is_drifted());
         assert_eq!(tracker.observed_distribution(), vec![0.9, 0.1]);
@@ -215,8 +194,7 @@ mod tests {
 
     #[test]
     fn matching_traffic_stays_under_threshold() {
-        let mut tracker =
-            WorkloadTracker::new(two_query_workload(9.0, 1.0), DriftConfig::default());
+        let mut tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0));
         tracker.observe_counts(&[90, 10]);
         tracker.observe_counts(&[89, 11]);
         assert!(tracker.drift() < 0.02);
@@ -225,8 +203,7 @@ mod tests {
 
     #[test]
     fn flipped_traffic_is_flagged_as_drift() {
-        let mut tracker =
-            WorkloadTracker::new(two_query_workload(9.0, 1.0), DriftConfig::default());
+        let mut tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0));
         tracker.observe_counts(&[10, 90]);
         // TV distance between (0.9, 0.1) and (0.1, 0.9) is 0.8.
         assert!((tracker.drift() - 0.8).abs() < 1e-9);
@@ -235,8 +212,7 @@ mod tests {
 
     #[test]
     fn small_samples_are_ignored() {
-        let mut tracker =
-            WorkloadTracker::new(two_query_workload(9.0, 1.0), DriftConfig::default());
+        let mut tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0));
         tracker.observe_counts(&[0, 5]);
         assert_eq!(tracker.drift(), 0.0, "below min_samples");
         tracker.observe_counts(&[0, 60]);
@@ -245,11 +221,7 @@ mod tests {
 
     #[test]
     fn decay_forgets_old_phases() {
-        let config = DriftConfig {
-            decay: 0.25,
-            ..DriftConfig::default()
-        };
-        let mut tracker = WorkloadTracker::new(two_query_workload(1.0, 1.0), config);
+        let mut tracker = WorkloadTracker::new(two_query_workload(1.0, 1.0));
         tracker.observe_counts(&[100, 0]);
         for _ in 0..4 {
             tracker.observe_counts(&[0, 100]);
@@ -260,8 +232,7 @@ mod tests {
 
     #[test]
     fn mismatched_report_lengths_are_ignored() {
-        let mut tracker =
-            WorkloadTracker::new(two_query_workload(1.0, 1.0), DriftConfig::default());
+        let mut tracker = WorkloadTracker::new(two_query_workload(1.0, 1.0));
         tracker.observe_counts(&[1, 2, 3]);
         assert_eq!(tracker.batches(), 0);
         assert_eq!(tracker.sample_mass(), 0.0);
@@ -269,8 +240,7 @@ mod tests {
 
     #[test]
     fn hot_label_weights_follow_the_observed_mix() {
-        let mut tracker =
-            WorkloadTracker::new(two_query_workload(9.0, 1.0), DriftConfig::default());
+        let mut tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0));
         tracker.observe_counts(&[10, 90]);
         let heat = tracker.hot_label_weights();
         // Query 1's labels (2, 3) are hot; query 0's (0, 1) are not.
@@ -281,8 +251,7 @@ mod tests {
 
     #[test]
     fn rebase_resets_the_drift_reference() {
-        let mut tracker =
-            WorkloadTracker::new(two_query_workload(9.0, 1.0), DriftConfig::default());
+        let mut tracker = WorkloadTracker::new(two_query_workload(9.0, 1.0));
         tracker.observe_counts(&[10, 90]);
         assert!(tracker.is_drifted());
         tracker.rebase();

@@ -12,9 +12,8 @@
 //!   score summed over the cluster; otherwise the vertex is assigned alone
 //!   with plain LDG.
 //!
-//! Clusters larger than `max_cluster_size` are split back into single-vertex
-//! assignments to protect balance (the failure mode the paper's §4.4 flags as
-//! an open problem).
+//! A cluster larger than 32 vertices is placed in connected chunks to protect
+//! balance (the failure mode the paper's §4.4 flags as an open problem).
 
 use crate::index::FrequentMotifIndex;
 use crate::matcher::{MatcherCounters, StreamMotifMatcher};
@@ -29,6 +28,13 @@ use loom_partition::spec::LoomConfig;
 use loom_partition::state::{ArenaHomes, Setting, StateReader, StateWriter};
 use loom_partition::traits::{Partitioner, PartitionerStats};
 use loom_partition::window::{EdgePlacement, StreamWindow};
+
+/// Upper bound on the size (vertices) of a motif cluster assigned as a unit.
+/// A larger cluster (the pathology the paper's §4.4 warns about) is split
+/// into connected chunks of at most this many vertices, and the chunk
+/// containing the evicted vertex is placed as a unit (the local partitioning
+/// of large matches the paper lists as future work).
+const MAX_CLUSTER_SIZE: usize = 32;
 
 /// The LOOM partitioner.
 #[derive(Debug, Clone)]
@@ -117,14 +123,11 @@ impl LoomPartitioner {
         // Work out the motif cluster anchored at the evicted vertex.
         let mut cluster = std::mem::take(&mut self.cluster);
         cluster.clear();
-        if self.config.motif_clustering {
-            let merge = self.config.merge_overlapping;
-            cluster.extend_from_slice(self.matcher.cluster_for(oldest, merge));
-        }
+        cluster.extend_from_slice(self.matcher.cluster_for(oldest));
 
-        let placed = if cluster.len() >= 2 && cluster.len() <= self.config.max_cluster_size {
+        let placed = if cluster.len() >= 2 && cluster.len() <= MAX_CLUSTER_SIZE {
             self.assign_cluster(&cluster)
-        } else if cluster.len() > self.config.max_cluster_size {
+        } else if cluster.len() > MAX_CLUSTER_SIZE {
             // The pathology the paper's §4.4 flags: a merged cluster too large
             // to place as a unit without wrecking balance.
             self.stats.clusters_split_for_balance += 1;
@@ -142,7 +145,7 @@ impl LoomPartitioner {
     }
 
     /// A connected chunk of `cluster` containing `anchor`, grown breadth-first
-    /// along window edges and capped at `max_cluster_size` vertices. This is
+    /// along window edges and capped at [`MAX_CLUSTER_SIZE`] vertices. This is
     /// the simple local partitioning of oversized matches the paper leaves as
     /// future work: the chunk is still placed as a unit, the remainder of the
     /// cluster stays buffered and is assigned later. `cluster` and the chunk
@@ -157,7 +160,7 @@ impl LoomPartitioner {
         chunk.insert(anchor);
         queue.push_back(anchor);
         while let Some(v) = queue.pop_front() {
-            if chunk.len() >= self.config.max_cluster_size {
+            if chunk.len() >= MAX_CLUSTER_SIZE {
                 break;
             }
             let mut neighbours: Vec<VertexId> = self
@@ -169,7 +172,7 @@ impl LoomPartitioner {
                 .collect();
             neighbours.sort_unstable();
             for n in neighbours {
-                if chunk.len() >= self.config.max_cluster_size {
+                if chunk.len() >= MAX_CLUSTER_SIZE {
                     break;
                 }
                 chunk.insert(n);
@@ -267,9 +270,7 @@ impl LoomPartitioner {
                 match self.window.push_edge(source, target) {
                     EdgePlacement::BothInWindow => {
                         self.stats.window_edges += 1;
-                        if self.config.motif_clustering {
-                            self.matcher.on_window_edge(&self.window, source, target);
-                        }
+                        self.matcher.on_window_edge(&self.window, source, target);
                     }
                     EdgePlacement::OneInWindow { .. } | EdgePlacement::NeitherInWindow => {}
                 }
@@ -304,8 +305,11 @@ impl LoomPartitioner {
         }
     }
 
-    /// Every field of the configuration, and the workload as the frequent
-    /// motif index's fingerprint: what a state blob is stamped with.
+    /// Every field of the configuration, the three fixed settings (motif
+    /// clustering and overlap merging on, the cluster cap — a blob stamped
+    /// with another value of one is refused by the setting's name), and the
+    /// workload as the frequent motif index's fingerprint: what a state blob
+    /// is stamped with.
     fn settings(&self) -> [(&'static str, Setting); 10] {
         let c = &self.config;
         let int = |x: usize| Setting::Int(x as u64);
@@ -315,9 +319,9 @@ impl LoomPartitioner {
             ("slack", Setting::Float(c.slack)),
             ("window_size", int(c.window_size)),
             ("motif_threshold", Setting::Float(c.motif_threshold)),
-            ("max_cluster_size", int(c.max_cluster_size)),
-            ("motif_clustering", int(usize::from(c.motif_clustering))),
-            ("merge_overlapping", int(usize::from(c.merge_overlapping))),
+            ("max_cluster_size", int(MAX_CLUSTER_SIZE)),
+            ("motif_clustering", Setting::Int(1)),
+            ("merge_overlapping", Setting::Int(1)),
             ("verify_matches", int(usize::from(c.verify_matches))),
             ("workload", Setting::Int(self.matcher.index().fingerprint())),
         ]
@@ -595,69 +599,83 @@ mod tests {
         4
     }
 
-    #[test]
-    fn without_motif_clustering_behaves_like_windowed_ldg() {
-        let graph = paper_example_graph();
-        let tpstry = MotifMiner::default()
-            .mine(&paper_example_workload())
-            .unwrap();
-        let config = LoomConfig::new(2, graph.vertex_count())
-            .with_window_size(4)
-            .without_motif_clustering();
-        let mut loom = LoomPartitioner::new(config, &tpstry).unwrap();
-        let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
-        let part = partition_stream(&mut loom, &stream).unwrap();
-        assert_eq!(part.assigned_count(), graph.vertex_count());
-        let stats = loom.loom_stats();
-        assert_eq!(stats.clusters_assigned, 0);
-        assert_eq!(stats.cluster_vertices_assigned, 0);
-        assert_eq!(stats.single_vertices_assigned, graph.vertex_count());
+    /// An `ab` chain of `n` vertices under the `ab` workload: every edge is a
+    /// match and they all overlap, so the chain is one merged cluster.
+    fn ab_chain(n: usize) -> (loom_graph::LabelledGraph, Tpstry) {
+        let q = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
+        let w = Workload::uniform(vec![q]).unwrap();
+        (
+            path_graph(n, &[l(0), l(1)]),
+            MotifMiner::default().mine(&w).unwrap(),
+        )
     }
 
     #[test]
     fn oversized_clusters_are_split_for_balance() {
-        // A long chain of overlapping ab edges forms one giant cluster; with
-        // a tiny max_cluster_size it must be split, and everything must still
-        // be assigned.
-        let q = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
-        let w = Workload::uniform(vec![q]).unwrap();
-        let tpstry = MotifMiner::default().mine(&w).unwrap();
-        let chain = path_graph(40, &[l(0), l(1)]);
-        let config = LoomConfig::new(2, chain.vertex_count())
-            .with_window_size(40)
-            .with_max_cluster_size(4);
+        // The whole chain is buffered at once, so the first eviction finds a
+        // merged cluster of 128 vertices: four times the cap. It must be
+        // split, and everything must still be assigned.
+        let (chain, tpstry) = ab_chain(128);
+        let config = LoomConfig::new(2, chain.vertex_count()).with_window_size(128);
         let mut loom = LoomPartitioner::new(config, &tpstry).unwrap();
         let stream = GraphStream::from_graph(&chain, &StreamOrder::Bfs);
         let part = partition_stream(&mut loom, &stream).unwrap();
-        assert_eq!(part.assigned_count(), 40);
-        // The giant merged cluster exceeds max_cluster_size, so splits happen.
-        assert!(
-            loom.loom_stats().clusters_split_for_balance > 0
-                || loom.loom_stats().largest_cluster <= 4
-        );
+        assert_eq!(part.assigned_count(), 128);
+        let stats = loom.loom_stats();
+        assert!(stats.clusters_split_for_balance > 0);
+        assert!(stats.largest_cluster <= MAX_CLUSTER_SIZE);
     }
 
     #[test]
     fn oversized_clusters_are_assigned_in_connected_chunks() {
         // A long ab chain forms one giant merged cluster. It is assigned in
-        // connected pieces of at most max_cluster_size vertices, placed as
+        // connected pieces of at most MAX_CLUSTER_SIZE vertices, placed as
         // multi-vertex groups rather than vertex by vertex.
-        let q = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
-        let w = Workload::uniform(vec![q]).unwrap();
-        let tpstry = MotifMiner::default().mine(&w).unwrap();
-        let chain = path_graph(64, &[l(0), l(1)]);
+        let (chain, tpstry) = ab_chain(160);
         let stream = GraphStream::from_graph(&chain, &StreamOrder::Bfs);
         let config = LoomConfig::new(4, chain.vertex_count())
-            .with_window_size(64)
-            .with_max_cluster_size(8)
+            .with_window_size(128)
             .with_slack(1.3);
         let mut loom = LoomPartitioner::new(config, &tpstry).unwrap();
         let part = partition_stream(&mut loom, &stream).unwrap();
         let stats = loom.loom_stats();
-        assert_eq!(part.assigned_count(), 64);
+        assert_eq!(part.assigned_count(), 160);
         assert!(stats.clusters_split_for_balance > 0);
         assert!(stats.clusters_assigned > 0);
-        assert!(stats.largest_cluster <= 8);
+        assert!(stats.largest_cluster <= MAX_CLUSTER_SIZE);
+        assert!(stats.largest_cluster >= 2);
+    }
+
+    #[test]
+    fn a_loom_blob_stamped_with_a_retired_setting_is_refused_by_name() {
+        // The fixed settings stamp every blob: one written with another
+        // value is refused by the setting's name.
+        let loom = LoomPartitioner::new(LoomConfig::new(2, 16), &abc_tpstry()).unwrap();
+        for (name, value, expected) in [
+            (
+                "motif_clustering",
+                0,
+                "written with motif_clustering = 0, this partitioner has motif_clustering = 1",
+            ),
+            (
+                "max_cluster_size",
+                4,
+                "written with max_cluster_size = 4, this partitioner has max_cluster_size = 32",
+            ),
+        ] {
+            let mut settings = loom.settings();
+            let slot = settings.iter_mut().find(|(n, _)| *n == name).unwrap();
+            slot.1 = Setting::Int(value);
+            // The header is refused before any of the body is read.
+            let blob = StateWriter::new("loom", &settings, &loom.partitioning).finish();
+            let mut restored = loom.clone();
+            match restored.restore_state(&blob, &mut std::iter::empty()) {
+                Err(loom_partition::PartitionError::StateMismatch(detail)) => {
+                    assert_eq!(detail, expected);
+                }
+                other => panic!("expected StateMismatch for {name}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -531,10 +531,9 @@ impl StreamMotifMatcher {
 
     /// The motif cluster anchored at `v`: the union of the vertex sets of all
     /// matches containing `v`, transitively closed over overlapping matches
-    /// when `merge_overlapping` is true (paper §4.4), sorted by id. Empty if
-    /// `v` belongs to no match. The slice is the matcher's own buffer,
-    /// overwritten by the next call.
-    pub fn cluster_for(&mut self, v: VertexId, merge_overlapping: bool) -> &[VertexId] {
+    /// (paper §4.4), sorted by id. Empty if `v` belongs to no match. The
+    /// slice is the matcher's own buffer, overwritten by the next call.
+    pub fn cluster_for(&mut self, v: VertexId) -> &[VertexId] {
         let s = &mut self.scratch;
         s.cluster.clear();
         // Most evicted vertices belong to no match.
@@ -551,9 +550,6 @@ impl StreamMotifMatcher {
             for i in 0..self.cells[c as usize].m.vertices.len() {
                 let u = self.cells[c as usize].m.vertices[i];
                 s.cluster.push(u);
-                if !merge_overlapping {
-                    continue;
-                }
                 for &d in self.by_vertex.get(&u).into_iter().flatten() {
                     let cell = &mut self.cells[d as usize];
                     if cell.walk != s.walk {
@@ -813,12 +809,8 @@ mod tests {
             "missing {{a, b, c2}}: {sets:?}"
         );
         // The cluster anchored at `a` merges both matches.
-        let cluster = matcher.cluster_for(a, true);
+        let cluster = matcher.cluster_for(a);
         assert_eq!(cluster.len(), 4);
-        // Without overlap merging, the cluster still contains every match
-        // that includes `a` itself (both abc instances include a).
-        let unmerged = matcher.cluster_for(c1, false);
-        assert!(unmerged.contains(&a) && unmerged.contains(&b) && unmerged.contains(&c1));
     }
 
     #[test]
@@ -830,7 +822,7 @@ mod tests {
         assert!(matcher.match_count() > 0);
         matcher.remove_vertices(&[v(2)]);
         assert_eq!(matcher.match_count(), 0);
-        assert!(matcher.cluster_for(v(1), true).is_empty());
+        assert!(matcher.cluster_for(v(1)).is_empty());
     }
 
     #[test]
@@ -1125,16 +1117,13 @@ mod tests {
             self.matches.retain(|m| !m.edges.contains(&edge));
         }
 
-        fn cluster_for(&self, v: VertexId, merge_overlapping: bool) -> Vec<VertexId> {
+        fn cluster_for(&self, v: VertexId) -> Vec<VertexId> {
             let mut in_cluster: Vec<bool> = self.matches.iter().map(|m| m.contains(v)).collect();
             let mut frontier: Vec<usize> =
                 (0..self.matches.len()).filter(|&i| in_cluster[i]).collect();
             let mut cluster = FxHashSet::default();
             while let Some(i) = frontier.pop() {
                 cluster.extend(self.matches[i].vertices.iter().copied());
-                if !merge_overlapping {
-                    continue;
-                }
                 for (j, m) in self.matches.iter().enumerate() {
                     if !in_cluster[j] && m.vertices.iter().any(|u| cluster.contains(u)) {
                         in_cluster[j] = true;
@@ -1185,8 +1174,7 @@ mod tests {
     /// `abc` index and the paper workload's, with verification off and on.
     /// After every event the slab matcher equals [`LinearMatcher`]: the same
     /// matches in the same order, the same counters, the same `encode`
-    /// bytes, and the same `cluster_for` set for every buffered vertex with
-    /// and without overlap merging.
+    /// bytes, and the same `cluster_for` set for every buffered vertex.
     #[test]
     fn the_slab_matcher_equals_a_linear_scan_in_matches_order_and_clusters() {
         let paper = {
@@ -1289,11 +1277,18 @@ mod tests {
                         );
                         assert_eq!(encoded(&slab), linear.encode(), "{at}");
                         for u in window.vertices().collect::<Vec<_>>() {
-                            let alone = linear.cluster_for(u, false);
-                            let merged = linear.cluster_for(u, true);
+                            // The matches holding `u` itself, before merging.
+                            let mut alone: Vec<VertexId> = linear
+                                .matches
+                                .iter()
+                                .filter(|m| m.contains(u))
+                                .flat_map(|m| m.vertices.iter().copied())
+                                .collect();
+                            alone.sort_unstable();
+                            alone.dedup();
+                            let merged = linear.cluster_for(u);
                             merged_beyond += usize::from(merged.len() > alone.len());
-                            assert_eq!(slab.cluster_for(u, false), alone, "{u}, {at}");
-                            assert_eq!(slab.cluster_for(u, true), merged, "{u}, {at}");
+                            assert_eq!(slab.cluster_for(u), merged, "{u}, {at}");
                         }
                     }
                     found += slab.counters().matches_found;

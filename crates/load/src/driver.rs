@@ -5,15 +5,14 @@
 //! The driver never waits for the engine: each arrival is issued at its
 //! pre-computed instant via
 //! [`OpenLoopInjector::inject_next`](loom_serve::OpenLoopInjector::inject_next)
-//! (which rejects
-//! instead of blocking when the home shard's queue is full), and arrivals
-//! the driver itself could not issue on time — it fell behind by more than
-//! [`LoadConfig::shed_after`] — are shed, not retried. Both count against
-//! the step's error budget. Between arrivals the driver pumps completions,
-//! timestamping each to build the per-step wall-clock sojourn histogram.
+//! (which rejects instead of blocking when the home shard's queue is full),
+//! and arrivals the driver itself could not issue on time — it fell behind
+//! by more than 50 ms — are shed, not retried. Both count against the step's
+//! error budget. Between arrivals the driver pumps completions, timestamping
+//! each to build the per-step wall-clock sojourn histogram.
 
 use crate::arrival::{step_seed, ArrivalProcess};
-use crate::knee::{Knee, SaturationDetector};
+use crate::knee::{detect_knee, Knee};
 use crate::ramp::RampSchedule;
 use crate::report::StepMetrics;
 use loom_motif::workload::Workload;
@@ -22,6 +21,13 @@ use loom_serve::{Admission, Completion, ServeEngine, ServeReport, ShardedStore};
 use loom_sim::engine::QueryRequest;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Shed (drop without offering) any arrival the driver is running this late
+/// on — open-loop drivers shed, they never inject stale load.
+const SHED_AFTER: Duration = Duration::from_millis(50);
+/// After the last step, wait at most this long for in-flight stragglers
+/// before handing the run back to the engine's teardown.
+const DRAIN_GRACE: Duration = Duration::from_secs(1);
 
 /// Everything one capacity run needs beyond the engine and workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,43 +39,21 @@ pub struct LoadConfig {
     /// Base seed: drives both the workload sampling and (per step, via
     /// [`step_seed`]) the arrival gaps.
     pub seed: u64,
-    /// Knee-detection thresholds.
-    pub detector: SaturationDetector,
     /// Per-request deadline, measured from the request's *arrival* instant.
     /// Admitted requests that sit queued past it are cut short by the
     /// worker's pre-flight deadline check and counted `deadline_expired`.
     pub request_timeout: Option<Duration>,
-    /// Per-query traversal budget forwarded to the engine's request. Work
-    /// is proportional to traversals, so this caps the service-time tail —
-    /// without it, a single hub query can occupy a shard for entire ramp
-    /// steps.
-    pub traversal_budget: Option<usize>,
-    /// Shed (drop without offering) any arrival the driver is running this
-    /// late on — open-loop drivers shed, they never inject stale load.
-    pub shed_after: Duration,
-    /// After the last step, wait at most this long for in-flight stragglers
-    /// before handing the run back to the engine's teardown.
-    pub drain_grace: Duration,
-    /// Keep the planned per-step arrival offsets on the run (the open-loop
-    /// proof: planned offsets are reproducible from the seed alone).
-    pub record_arrivals: bool,
 }
 
 impl LoadConfig {
-    /// A config with the given ramp and capacity-oriented defaults: Poisson
-    /// arrivals, seed 42, default knee thresholds, 50 ms shed budget, 1 s
-    /// drain grace, no per-request deadline.
+    /// A config with the given ramp, Poisson arrivals, seed 42 and no
+    /// per-request deadline.
     pub fn new(ramp: RampSchedule) -> Self {
         Self {
             ramp,
             process: ArrivalProcess::Poisson,
             seed: 42,
-            detector: SaturationDetector::default(),
             request_timeout: None,
-            traversal_budget: None,
-            shed_after: Duration::from_millis(50),
-            drain_grace: Duration::from_secs(1),
-            record_arrivals: false,
         }
     }
 
@@ -87,32 +71,10 @@ impl LoadConfig {
         self
     }
 
-    /// Builder-style knee detector.
-    #[must_use]
-    pub fn with_detector(mut self, detector: SaturationDetector) -> Self {
-        self.detector = detector;
-        self
-    }
-
     /// Builder-style per-request deadline (from arrival).
     #[must_use]
     pub fn with_request_timeout(mut self, timeout: Duration) -> Self {
         self.request_timeout = Some(timeout);
-        self
-    }
-
-    /// Builder-style per-query traversal budget (see
-    /// [`LoadConfig::traversal_budget`]).
-    #[must_use]
-    pub fn with_traversal_budget(mut self, budget: usize) -> Self {
-        self.traversal_budget = Some(budget);
-        self
-    }
-
-    /// Builder-style planned-arrival recording.
-    #[must_use]
-    pub fn with_recorded_arrivals(mut self, record: bool) -> Self {
-        self.record_arrivals = record;
         self
     }
 
@@ -148,9 +110,6 @@ pub struct CapacityRun {
     /// The engine's own report for the whole run — its
     /// [`loom_serve::ErrorBudget`] covers every issued request.
     pub report: ServeReport,
-    /// The planned per-step arrival offsets, when
-    /// [`LoadConfig::record_arrivals`] was set.
-    pub planned_offsets_us: Option<Vec<Vec<u64>>>,
 }
 
 impl CapacityRun {
@@ -185,7 +144,7 @@ fn absorb(
 /// inside the step's wall-clock window feed its goodput and sojourn
 /// quantiles; and, when the engine is observed, the step's queue-wait p99
 /// comes from a telemetry interval diff. The knee is detected over the
-/// finished step table with the config's [`SaturationDetector`].
+/// finished step table by [`detect_knee`].
 pub fn run_capacity(
     engine: &ServeEngine,
     store: &Arc<ShardedStore>,
@@ -195,10 +154,7 @@ pub fn run_capacity(
     let specs = config.ramp.steps();
     let offsets = config.planned_offsets_us();
     let total: usize = offsets.iter().map(Vec::len).sum();
-    let mut request = QueryRequest::workload(total).with_seed(config.seed);
-    if let Some(budget) = config.traversal_budget {
-        request = request.with_traversal_budget(budget);
-    }
+    let request = QueryRequest::workload(total).with_seed(config.seed);
     let telemetry = engine.telemetry().cloned();
 
     let (report, (steps, drained)) = engine.open_loop(store, workload, request, |inj| {
@@ -223,7 +179,7 @@ pub fn run_capacity(
                 absorb(inj.drain_completions(), &arrivals, &mut metrics, &hist);
                 // The arrival's timestamp is its *scheduled* instant: the
                 // schedule, not the engine, owns time in an open-loop run.
-                if Instant::now().saturating_duration_since(due) > config.shed_after {
+                if Instant::now().saturating_duration_since(due) > SHED_AFTER {
                     if inj.shed_next().is_some() {
                         metrics.shed += 1;
                         arrivals.push(due);
@@ -263,7 +219,7 @@ pub fn run_capacity(
         }
         // Drain stragglers within the grace window so teardown is quick and
         // their count is visible (their latencies belong to no step).
-        let drain_deadline = Instant::now() + config.drain_grace;
+        let drain_deadline = Instant::now() + DRAIN_GRACE;
         let mut drained = 0usize;
         while inj.outstanding() > 0 && Instant::now() < drain_deadline {
             inj.pump_until((Instant::now() + Duration::from_millis(5)).min(drain_deadline));
@@ -273,7 +229,7 @@ pub fn run_capacity(
         (steps, drained)
     });
 
-    let knee = config.detector.detect(&steps);
+    let knee = detect_knee(&steps);
     CapacityRun {
         process: config.process,
         seed: config.seed,
@@ -281,7 +237,6 @@ pub fn run_capacity(
         knee,
         drained,
         report,
-        planned_offsets_us: config.record_arrivals.then_some(offsets),
     }
 }
 
@@ -324,7 +279,7 @@ mod tests {
     fn unsaturated_run_completes_everything_it_offers() {
         let (store, workload) = fixture();
         let engine = ServeEngine::new(ServeConfig::new(2));
-        let config = LoadConfig::new(tiny_ramp()).with_recorded_arrivals(true);
+        let config = LoadConfig::new(tiny_ramp());
         let run = run_capacity(&engine, &store, &workload, &config);
         assert_eq!(run.steps.len(), 2);
         assert_eq!(run.report.queries, run.offered_total());
@@ -334,9 +289,11 @@ mod tests {
         assert!(!run.knee.found());
         let completed: usize = run.steps.iter().map(|s| s.completed).sum();
         assert_eq!(completed + run.drained, run.offered_total());
-        let planned = run.planned_offsets_us.as_ref().expect("recorded");
+        let planned = config.planned_offsets_us();
         assert_eq!(planned.len(), 2);
-        assert_eq!(planned, &config.planned_offsets_us());
+        for (step, offsets) in run.steps.iter().zip(&planned) {
+            assert_eq!(step.offered, offsets.len());
+        }
     }
 
     #[test]
@@ -392,14 +349,11 @@ mod tests {
     fn capacity_runs_are_reproducible_from_the_seed() {
         let (store, workload) = fixture();
         let engine = ServeEngine::new(ServeConfig::new(2));
-        let config = LoadConfig::new(tiny_ramp())
-            .with_seed(31)
-            .with_recorded_arrivals(true);
+        let config = LoadConfig::new(tiny_ramp()).with_seed(31);
         let a = run_capacity(&engine, &store, &workload, &config);
         let b = run_capacity(&engine, &store, &workload, &config);
-        // Offered counts and planned arrivals are schedule-determined;
-        // wall-clock measurements may differ run to run.
-        assert_eq!(a.planned_offsets_us, b.planned_offsets_us);
+        // Offered counts are schedule-determined; wall-clock measurements
+        // may differ run to run.
         let offered_a: Vec<usize> = a.steps.iter().map(|s| s.offered).collect();
         let offered_b: Vec<usize> = b.steps.iter().map(|s| s.offered).collect();
         assert_eq!(offered_a, offered_b);

@@ -24,8 +24,8 @@
 //!   through [`loom_serve::OpenLoopInjector`], measuring per-step offered vs
 //!   achieved RPS, wall-clock p50/p99/p999 sojourn, queue-wait p99 (from
 //!   `loom-obs` interval diffs), rejects, sheds, and in-flight depth;
-//! * [`knee`] — [`SaturationDetector`]: finds the knee (first step where
-//!   goodput flattens below offered, or p99 crosses an SLO);
+//! * [`knee`] — [`detect_knee`]: finds the knee (the first step whose
+//!   goodput flattens below 90 % of offered);
 //! * [`report`] — [`StepMetrics`], one row per ramp step, and
 //!   [`CapacityRun::text_report`], the table a run prints.
 
@@ -40,7 +40,7 @@ pub mod report;
 
 pub use arrival::{step_seed, ArrivalProcess};
 pub use driver::{run_capacity, CapacityRun, LoadConfig};
-pub use knee::{Knee, KneeReason, SaturationDetector};
+pub use knee::{detect_knee, Knee, KneeReason};
 pub use ramp::{RampSchedule, StepSpec};
 pub use report::StepMetrics;
 
@@ -48,7 +48,7 @@ pub use report::StepMetrics;
 pub mod prelude {
     pub use crate::arrival::ArrivalProcess;
     pub use crate::driver::{run_capacity, CapacityRun, LoadConfig};
-    pub use crate::knee::{Knee, KneeReason, SaturationDetector};
+    pub use crate::knee::{detect_knee, Knee, KneeReason};
     pub use crate::ramp::RampSchedule;
     pub use crate::report::StepMetrics;
 }

@@ -106,7 +106,7 @@ impl CapacityRun {
 mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
-    use crate::knee::SaturationDetector;
+    use crate::knee::detect_knee;
 
     fn sample_run() -> CapacityRun {
         let steps = vec![
@@ -136,7 +136,7 @@ mod tests {
                 ..StepMetrics::default()
             },
         ];
-        let knee = SaturationDetector::default().detect(&steps);
+        let knee = detect_knee(&steps);
         CapacityRun {
             process: ArrivalProcess::Constant,
             seed: 7,
@@ -144,7 +144,6 @@ mod tests {
             knee,
             drained: 0,
             report: loom_serve::ServeReport::default(),
-            planned_offsets_us: None,
         }
     }
 

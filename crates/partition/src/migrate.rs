@@ -23,55 +23,31 @@ use crate::partition::{PartitionId, Partitioning};
 use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, LabelledGraph, VertexId};
 
+/// Minimum net gain (weighted locality gain minus balance penalty) a move
+/// must clear to be planned; filters churn that buys nothing.
+const MIN_GAIN: f64 = 1e-9;
+/// Scale of the Fennel-style balance penalty (1.0 = the Fennel α derived
+/// from the weighted edge mass; larger values defend balance harder).
+const BALANCE_PENALTY: f64 = 0.25;
+/// The γ exponent of the balance cost (Fennel recommends 1.5).
+const GAMMA: f64 = 1.5;
+/// Base weight every edge carries regardless of label heat, so migration
+/// still repairs plain locality when the hot-label signal is sparse.
+const BASE_EDGE_WEIGHT: f64 = 0.05;
+
 /// Configuration for a [`MigrationPlanner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationConfig {
     /// Maximum vertex moves per planning round (the migration budget).
     pub max_moves: usize,
-    /// Minimum net gain (weighted locality gain minus balance penalty) a move
-    /// must clear to be planned; filters churn that buys nothing.
-    pub min_gain: f64,
-    /// Scale of the Fennel-style balance penalty (1.0 = the Fennel α derived
-    /// from the weighted edge mass; larger values defend balance harder).
-    pub balance_penalty: f64,
-    /// The γ exponent of the balance cost (Fennel recommends 1.5).
-    pub gamma: f64,
-    /// Base weight every edge carries regardless of label heat, so migration
-    /// still repairs plain locality when the hot-label signal is sparse.
-    pub base_edge_weight: f64,
 }
 
 impl MigrationConfig {
-    /// A config with the given per-round move budget and planner defaults.
+    /// A config with the given per-round move budget.
     pub fn new(max_moves: usize) -> Self {
         Self {
             max_moves: max_moves.max(1),
-            min_gain: 1e-9,
-            balance_penalty: 0.25,
-            gamma: 1.5,
-            base_edge_weight: 0.05,
         }
-    }
-
-    /// Builder-style minimum net gain.
-    #[must_use]
-    pub fn with_min_gain(mut self, min_gain: f64) -> Self {
-        self.min_gain = min_gain;
-        self
-    }
-
-    /// Builder-style balance-penalty scale.
-    #[must_use]
-    pub fn with_balance_penalty(mut self, scale: f64) -> Self {
-        self.balance_penalty = scale.max(0.0);
-        self
-    }
-
-    /// Builder-style base edge weight.
-    #[must_use]
-    pub fn with_base_edge_weight(mut self, base: f64) -> Self {
-        self.base_edge_weight = base.max(0.0);
-        self
     }
 }
 
@@ -154,7 +130,6 @@ impl MigrationPlanner {
     /// Weight of the undirected edge `u – v` under the hot-label weights:
     /// the base weight plus the heat of both endpoint labels.
     fn edge_weight(
-        &self,
         graph: &LabelledGraph,
         hot: &FxHashMap<Label, f64>,
         u: VertexId,
@@ -166,7 +141,7 @@ impl MigrationPlanner {
                 .and_then(|l| hot.get(&l).copied())
                 .unwrap_or(0.0)
         };
-        self.config.base_edge_weight + heat(u) + heat(v)
+        BASE_EDGE_WEIGHT + heat(u) + heat(v)
     }
 
     /// Produce one bounded batch of moves for `partitioning` given the
@@ -192,14 +167,12 @@ impl MigrationPlanner {
         // penalty lives in the same units as the locality gain.
         let weighted_mass: f64 = graph
             .edges()
-            .map(|e| self.edge_weight(graph, hot, e.lo, e.hi))
+            .map(|e| Self::edge_weight(graph, hot, e.lo, e.hi))
             .sum();
-        let alpha = self.config.balance_penalty
-            * weighted_mass.max(f64::MIN_POSITIVE)
-            * (k as f64).powf(self.config.gamma - 1.0)
-            / (n as f64).powf(self.config.gamma);
-        let marginal =
-            |size: usize| alpha * self.config.gamma * (size as f64).powf(self.config.gamma - 1.0);
+        let alpha =
+            BALANCE_PENALTY * weighted_mass.max(f64::MIN_POSITIVE) * (k as f64).powf(GAMMA - 1.0)
+                / (n as f64).powf(GAMMA);
+        let marginal = |size: usize| alpha * GAMMA * (size as f64).powf(GAMMA - 1.0);
 
         // Score every assigned vertex's best alternative partition.
         let mut candidates: Vec<VertexMove> = Vec::new();
@@ -213,7 +186,7 @@ impl MigrationPlanner {
             for &u in graph.neighbors(v) {
                 if let Some(p) = partitioning.partition_of(u) {
                     has_assigned_neighbour = true;
-                    affinity[p.index()] += self.edge_weight(graph, hot, v, u);
+                    affinity[p.index()] += Self::edge_weight(graph, hot, v, u);
                 }
             }
             if !has_assigned_neighbour {
@@ -239,7 +212,7 @@ impl MigrationPlanner {
                 }
             }
             if let Some((p, gain)) = best {
-                if gain > self.config.min_gain {
+                if gain > MIN_GAIN {
                     candidates.push(VertexMove {
                         vertex: v,
                         from,
@@ -281,7 +254,7 @@ impl MigrationPlanner {
                     .copied()
                     .or_else(|| partitioning.partition_of(u).map(|p| p.0));
                 let Some(p) = p else { continue };
-                let w = self.edge_weight(graph, hot, m.vertex, u);
+                let w = Self::edge_weight(graph, hot, m.vertex, u);
                 if p == m.to.0 {
                     aff_to += w;
                 } else if p == m.from.0 {
@@ -292,7 +265,7 @@ impl MigrationPlanner {
                 - marginal(sizes[m.from.index()].saturating_sub(1)))
             .max(0.0);
             let gain = aff_to - aff_from - penalty;
-            if gain <= self.config.min_gain {
+            if gain <= MIN_GAIN {
                 continue;
             }
             tentative.insert(m.vertex, m.to.0);
@@ -380,39 +353,61 @@ mod tests {
 
     #[test]
     fn min_gain_filters_churn() {
-        let (g, part) = split_path();
-        let planner = MigrationPlanner::new(MigrationConfig::new(4).with_min_gain(1e6));
-        assert!(planner
-            .plan(&g, &part, &hot(&[(0, 1.0), (1, 1.0), (2, 1.0)]))
-            .is_empty());
+        // A placement with no positive-gain move plans nothing. Path a–b–c–d
+        // cut between b and c, with an isolated vertex making p0 the heavier
+        // side: moving b (or c) across buys no locality. b's move onto the
+        // lighter p1 pays no balance penalty either, so its net gain is
+        // exactly zero — churn the planner must not plan.
+        let g = path_graph(4, &[l(0)]);
+        let mut part = Partitioning::new(2, 8).unwrap();
+        for (v, p) in g.vertices_sorted().into_iter().zip([0, 0, 1, 1]) {
+            part.assign(v, PartitionId::new(p)).unwrap();
+        }
+        part.assign(VertexId::new(99), PartitionId::new(0)).unwrap();
+        let planner = MigrationPlanner::new(MigrationConfig::new(4));
+        assert!(planner.plan(&g, &part, &hot(&[(0, 1.0)])).is_empty());
     }
 
     #[test]
     fn balance_penalty_discourages_piling_onto_a_loaded_partition() {
-        // A hub anchored to an already-heavy partition by ballast edges, with
+        // A hub anchored to an already-heavy partition by ballast, with
         // leaves on the light one. The only locality-positive moves stack the
-        // leaves onto the heavy partition: a mild balance penalty allows
-        // that repair, a harsh one refuses it.
-        let mut g = LabelledGraph::new();
-        let mut part = Partitioning::new(2, 100).unwrap();
-        let hub = g.add_vertex(l(0));
-        part.assign(hub, PartitionId::new(1)).unwrap();
-        for _ in 0..8 {
-            let ballast = g.add_vertex(l(2));
-            g.add_edge(hub, ballast).unwrap();
-            part.assign(ballast, PartitionId::new(1)).unwrap();
-        }
-        for _ in 0..4 {
-            let leaf = g.add_vertex(l(1));
-            g.add_edge(hub, leaf).unwrap();
-            part.assign(leaf, PartitionId::new(0)).unwrap();
-        }
-        let eager = MigrationPlanner::new(MigrationConfig::new(16));
-        let timid = MigrationPlanner::new(MigrationConfig::new(16).with_balance_penalty(500.0));
-        let weights = hot(&[(0, 1.0), (1, 1.0)]);
-        let eager_plan = eager.plan(&g, &part, &weights);
-        assert!(eager_plan.moves.iter().any(|m| m.to == PartitionId::new(1)));
-        assert!(timid.plan(&g, &part, &weights).is_empty());
+        // leaves onto the heavy partition: the balance penalty allows that
+        // repair over twelve ballast vertices, and refuses it once the same
+        // twelve form a clique and carry most of the weighted edge mass.
+        let leaves_moved = |ballast_clique: bool| {
+            let mut g = LabelledGraph::new();
+            let mut part = Partitioning::new(2, 100).unwrap();
+            let hub = g.add_vertex(l(0));
+            part.assign(hub, PartitionId::new(1)).unwrap();
+            let mut ballast = Vec::new();
+            for _ in 0..12 {
+                let b = g.add_vertex(l(2));
+                g.add_edge(hub, b).unwrap();
+                part.assign(b, PartitionId::new(1)).unwrap();
+                ballast.push(b);
+            }
+            if ballast_clique {
+                for (i, &x) in ballast.iter().enumerate() {
+                    for &y in &ballast[i + 1..] {
+                        g.add_edge(x, y).unwrap();
+                    }
+                }
+            }
+            for _ in 0..4 {
+                let leaf = g.add_vertex(l(1));
+                g.add_edge(hub, leaf).unwrap();
+                part.assign(leaf, PartitionId::new(0)).unwrap();
+            }
+            let planner = MigrationPlanner::new(MigrationConfig::new(16));
+            let plan = planner.plan(&g, &part, &hot(&[(0, 1.0), (1, 1.0), (2, 1.0)]));
+            plan.moves
+                .iter()
+                .filter(|m| m.to == PartitionId::new(1))
+                .count()
+        };
+        assert!(leaves_moved(false) > 0);
+        assert_eq!(leaves_moved(true), 0);
     }
 
     #[test]

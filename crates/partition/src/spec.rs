@@ -37,23 +37,13 @@ pub struct LoomConfig {
     /// The frequency threshold `T`: TPSTry++ nodes with a p-value at or above
     /// this are treated as motifs worth keeping intact.
     pub motif_threshold: f64,
-    /// Upper bound on the size (vertices) of a motif cluster assigned as a
-    /// unit. A larger cluster (the pathology the paper's §4.4 warns about)
-    /// is split into connected chunks of at most this many vertices, and the
-    /// chunk containing the evicted vertex is placed as a unit (the local
-    /// partitioning of large matches the paper lists as future work).
-    pub max_cluster_size: usize,
-    /// Ablation switch: when `false` LOOM ignores motifs entirely and behaves
-    /// as windowed LDG.
-    pub motif_clustering: bool,
-    /// Ablation switch: when `false` only the match containing the evicted
-    /// vertex is co-assigned, instead of the transitive union of overlapping
-    /// matches.
-    pub merge_overlapping: bool,
     /// When `true`, every signature match is verified with exact labelled
     /// isomorphism before being used (Song et al.'s secondary check). The
-    /// paper skips verification; enabling it lets experiments measure the
-    /// signature false-positive rate.
+    /// paper skips verification; enabling it is what makes the
+    /// `verifications` and `false_positive_matches` counters of LOOM's stats
+    /// (the benchmark's `core.verifications` and
+    /// `core.false_positive_matches`) count the signature false-positive
+    /// rate.
     pub verify_matches: bool,
 }
 
@@ -67,9 +57,6 @@ impl LoomConfig {
             slack: 1.1,
             window_size: 256,
             motif_threshold: 0.4,
-            max_cluster_size: 32,
-            motif_clustering: true,
-            merge_overlapping: true,
             verify_matches: false,
         }
     }
@@ -92,27 +79,6 @@ impl LoomConfig {
     #[must_use]
     pub fn with_slack(mut self, slack: f64) -> Self {
         self.slack = slack;
-        self
-    }
-
-    /// Builder-style setter for the maximum motif-cluster size.
-    #[must_use]
-    pub fn with_max_cluster_size(mut self, size: usize) -> Self {
-        self.max_cluster_size = size;
-        self
-    }
-
-    /// Disable motif clustering (ablation: pure windowed LDG).
-    #[must_use]
-    pub fn without_motif_clustering(mut self) -> Self {
-        self.motif_clustering = false;
-        self
-    }
-
-    /// Disable merging of overlapping matches at assignment time (ablation).
-    #[must_use]
-    pub fn without_overlap_merging(mut self) -> Self {
-        self.merge_overlapping = false;
         self
     }
 
@@ -148,11 +114,6 @@ impl LoomConfig {
                 "motif_threshold must be in [0, 1], got {}",
                 self.motif_threshold
             )));
-        }
-        if self.max_cluster_size == 0 {
-            return Err(PartitionError::InvalidConfig(
-                "max_cluster_size must be positive".into(),
-            ));
         }
         Ok(())
     }
@@ -416,16 +377,10 @@ mod tests {
             .with_window_size(64)
             .with_motif_threshold(0.25)
             .with_slack(1.5)
-            .with_max_cluster_size(10)
-            .without_motif_clustering()
-            .without_overlap_merging()
             .with_verification();
         assert_eq!(config.window_size, 64);
         assert!((config.motif_threshold - 0.25).abs() < 1e-12);
         assert!((config.slack - 1.5).abs() < 1e-12);
-        assert_eq!(config.max_cluster_size, 10);
-        assert!(!config.motif_clustering);
-        assert!(!config.merge_overlapping);
         assert!(config.verify_matches);
         assert!(config.validate().is_ok());
     }
@@ -445,10 +400,6 @@ mod tests {
         assert!(LoomConfig::new(4, 100).with_slack(0.9).validate().is_err());
         assert!(LoomConfig::new(4, 100)
             .with_motif_threshold(1.5)
-            .validate()
-            .is_err());
-        assert!(LoomConfig::new(4, 100)
-            .with_max_cluster_size(0)
             .validate()
             .is_err());
     }

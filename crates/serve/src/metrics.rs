@@ -3,13 +3,10 @@
 //! A report carries two kinds of number and keeps them apart. The
 //! *counts* — [`ExecutionMetrics`] per shard and merged, the query mix, the
 //! epochs touched, the [`ErrorBudget`] — are deterministic and equal a
-//! sequential run's;
-//! [`estimated_latency_us`](ExecutionMetrics::estimated_latency_us) reads two
-//! of them as the simulator's quality estimate of what the traversals would
-//! cost on a network, which is never presented as a speed. The *timings* —
-//! `wall_clock_us`, queue waits, queue depth, and the hand-off counts that
-//! depend on scheduling (stalls, runs, wake-ups) — are this process's, and
-//! [`ServeReport::wall_clock_qps`] is the only throughput a report has.
+//! sequential run's. The *timings* — `wall_clock_us`, queue waits, queue
+//! depth, and the hand-off counts that depend on scheduling (stalls, runs,
+//! wake-ups) — are this process's, and [`ServeReport::wall_clock_qps`] is the
+//! only throughput a report has.
 
 use loom_sim::executor::ExecutionMetrics;
 

@@ -6,9 +6,7 @@
 //! shards execute): every expansion from a matched vertex to a candidate
 //! neighbour either stays on the local partition or requires a hop to a
 //! remote partition. The remote fraction is exactly the "probability of
-//! inter-partition traversals" the paper optimises; two fixed hop prices
-//! ([`LOCAL_HOP_US`], [`REMOTE_HOP_US`]) convert hop counts into an estimated
-//! query latency.
+//! inter-partition traversals" the paper optimises.
 
 use crate::matcher::{self, ExecOptions};
 use crate::plan::{PlanCache, PlanId, QueryPlan};
@@ -34,13 +32,6 @@ pub enum QueryMode {
         seed_count: usize,
     },
 }
-
-/// Price of a traversal that stays on the local partition, in microseconds.
-pub const LOCAL_HOP_US: f64 = 1.0;
-/// Price of a traversal that crosses to another partition, in microseconds
-/// (network round-trip dominated). Chosen, not measured: ROADMAP item 13(c) is
-/// to replace it with the cost of a loopback message.
-pub const REMOTE_HOP_US: f64 = 300.0;
 
 /// Aggregated execution metrics over one or more query executions.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -91,24 +82,6 @@ impl ExecutionMetrics {
             0.0
         } else {
             self.local_only_queries as f64 / self.queries_executed as f64
-        }
-    }
-
-    /// Estimated total latency in microseconds: every remote traversal at
-    /// [`REMOTE_HOP_US`], every other one at [`LOCAL_HOP_US`]. Both counts
-    /// are integers far below 2^53, so the estimate of a merge is exactly the
-    /// sum of the estimates merged.
-    pub fn estimated_latency_us(&self) -> f64 {
-        self.remote_traversals as f64 * REMOTE_HOP_US
-            + (self.total_traversals - self.remote_traversals) as f64 * LOCAL_HOP_US
-    }
-
-    /// Mean estimated latency per query, in microseconds.
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.queries_executed == 0 {
-            0.0
-        } else {
-            self.estimated_latency_us() / self.queries_executed as f64
         }
     }
 
@@ -317,7 +290,6 @@ mod tests {
         assert!(metrics.remote_traversals > 0);
         assert!(metrics.inter_partition_probability() > 0.0);
         assert_eq!(metrics.local_only_queries, 0);
-        assert!(metrics.estimated_latency_us() > 0.0);
     }
 
     #[test]
@@ -341,7 +313,10 @@ mod tests {
             aligned_metrics.inter_partition_probability()
                 < scattered_metrics.inter_partition_probability()
         );
-        assert!(aligned_metrics.mean_latency_us() < scattered_metrics.mean_latency_us());
+        // The same claim per query: fewer remote traversals for each one.
+        let remote_per_query =
+            |m: &ExecutionMetrics| m.remote_traversals as f64 / m.queries_executed as f64;
+        assert!(remote_per_query(&aligned_metrics) < remote_per_query(&scattered_metrics));
     }
 
     #[test]
@@ -449,21 +424,14 @@ mod tests {
             local_only_queries: 2,
             ..ExecutionMetrics::default()
         };
-        // Five remote hops at 300 µs and five local at 1 µs; ten local.
-        assert_eq!(a.estimated_latency_us(), 1505.0);
-        assert_eq!(b.estimated_latency_us(), 10.0);
-        let sum_of_estimates = a.estimated_latency_us() + b.estimated_latency_us();
         a.merge(&b);
-        assert_eq!(a.estimated_latency_us(), sum_of_estimates);
         assert_eq!(a.queries_executed, 4);
         assert!((a.inter_partition_probability() - 0.25).abs() < 1e-12);
         assert!((a.local_only_fraction() - 0.75).abs() < 1e-12);
-        assert!((a.mean_latency_us() - 1515.0 / 4.0).abs() < 1e-12);
         assert_eq!(
             ExecutionMetrics::default().inter_partition_probability(),
             0.0
         );
-        assert_eq!(ExecutionMetrics::default().mean_latency_us(), 0.0);
     }
 
     #[test]

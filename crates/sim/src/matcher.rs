@@ -38,8 +38,7 @@
 //! *traversal* it performs: each expansion from a matched vertex to a
 //! candidate neighbour either stays on the local partition or hops to a
 //! remote one. The remote fraction is exactly the "probability of
-//! inter-partition traversals" the paper optimises;
-//! [`ExecutionMetrics::estimated_latency_us`] prices the two counts.
+//! inter-partition traversals" the paper optimises.
 
 use crate::context::{CancelToken, RequestContext};
 use crate::executor::{ExecutionMetrics, QueryMode};

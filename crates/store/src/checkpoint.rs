@@ -71,7 +71,7 @@
 
 use crate::codec::{blob_crc, decode_blob, encode_rows, encode_slice, BlobHeader};
 use crate::error::{Result, StoreError};
-use crate::wal::retire_segments;
+use crate::wal::{retire_segments, sync_dir};
 use loom_graph::io::crc32;
 use loom_graph::LabelledGraph;
 use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
@@ -181,12 +181,6 @@ impl LoadedCheckpoint {
     fn parts(&self) -> &(LabelledGraph, Partitioning) {
         self.parts.get_or_init(|| self.store.to_parts())
     }
-}
-
-fn sync_dir(path: &Path) -> Result<()> {
-    File::open(path)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| StoreError::io(path, e))
 }
 
 fn write_blob(dir: &Path, name: &str, bytes: &[u8]) -> Result<BlobEntry> {

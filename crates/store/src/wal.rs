@@ -122,7 +122,8 @@ fn create_log(path: &Path) -> Result<File> {
     Ok(file)
 }
 
-fn sync_dir(path: &Path) -> Result<()> {
+/// Make a directory's entries (a created, renamed or deleted file) durable.
+pub(crate) fn sync_dir(path: &Path) -> Result<()> {
     File::open(path)
         .and_then(|d| d.sync_all())
         .map_err(|e| StoreError::io(path, e))

@@ -17,9 +17,9 @@
 //!    times it through [`ShardedServing::capacity`], measuring per-step
 //!    offered vs achieved RPS, wall-clock sojourn quantiles, queue-wait
 //!    p99, rejects, and in-flight depth;
-//! 3. **knee** — [`SaturationDetector`] flags the first step whose goodput
-//!    flattens below the offered rate; the knee is the previous step's
-//!    rate.
+//! 3. **knee** — [`detect_knee`] flags the first step whose goodput
+//!    flattens below 90 % of the offered rate; the knee is the previous
+//!    step's rate.
 //!
 //! Run with:
 //!

@@ -117,13 +117,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .metrics;
         println!(
             "  {name:5} fraud structures intact: {kept}/{} | cut={:.3} imbalance={:.3} | \
-             ipt probability={:.3} local-only={:.1}% mean latency={:.0} µs",
+             ipt probability={:.3} local-only={:.1}% remote/query={:.1}",
             planted.len(),
             quality.cut_ratio,
             quality.imbalance,
             metrics.inter_partition_probability(),
             metrics.local_only_fraction() * 100.0,
-            metrics.mean_latency_us(),
+            metrics.remote_traversals as f64 / metrics.queries_executed.max(1) as f64,
         );
     }
     Ok(())

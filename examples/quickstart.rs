@@ -97,10 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .metrics;
         println!(
             "  {name:5} inter-partition traversal probability = {:.3}, \
-             local-only queries = {:.1}%, mean latency = {:.1} µs",
+             local-only queries = {:.1}%, remote traversals per query = {:.1}",
             metrics.inter_partition_probability(),
             metrics.local_only_fraction() * 100.0,
-            metrics.mean_latency_us(),
+            metrics.remote_traversals as f64 / metrics.queries_executed.max(1) as f64,
         );
     }
     Ok(())

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
     println!("\nSocial network, k = 8, stochastic stream");
-    println!("partitioner  cut_ratio  imbalance  ipt_prob  local_only  latency_us");
+    println!("partitioner  cut_ratio  imbalance  ipt_prob  local_only  remote/query");
     let mut rows = Vec::new();
     for spec in specs {
         let mut session = Session::builder(spec)
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             quality.imbalance,
             metrics.inter_partition_probability(),
             metrics.local_only_fraction(),
-            metrics.mean_latency_us(),
+            remote_per_query(&metrics),
         );
         rows.push(metrics);
     }
@@ -110,11 +110,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (ldg, loom) = (&rows[1], &rows[3]);
     println!(
         "\nLOOM answers {:.1}% of queries without leaving a partition (LDG: {:.1}%), \
-         with a mean latency of {:.0} µs vs {:.0} µs.",
+         with {:.1} remote traversals per query vs {:.1}.",
         loom.local_only_fraction() * 100.0,
         ldg.local_only_fraction() * 100.0,
-        loom.mean_latency_us(),
-        ldg.mean_latency_us(),
+        remote_per_query(loom),
+        remote_per_query(ldg),
     );
     Ok(())
+}
+
+fn remote_per_query(metrics: &ExecutionMetrics) -> f64 {
+    metrics.remote_traversals as f64 / metrics.queries_executed.max(1) as f64
 }

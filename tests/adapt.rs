@@ -30,7 +30,6 @@ fn adapt_config(vertices: usize) -> AdaptConfig {
     AdaptConfig {
         migration: MigrationConfig::new(vertices / 8),
         max_rounds: 6,
-        ..AdaptConfig::default()
     }
 }
 

@@ -127,7 +127,7 @@ fn fig3_stream_matching() {
         .collect();
     assert!(three_vertex_matches.contains(&vec![a, b, c1]));
     assert!(three_vertex_matches.contains(&vec![a, b, c2]));
-    let cluster = matcher.cluster_for(a, true);
+    let cluster = matcher.cluster_for(a);
     assert_eq!(cluster.len(), 4);
 
     // End-to-end: partitioning the Figure 3 graph with LOOM puts all four
