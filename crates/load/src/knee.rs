@@ -14,8 +14,8 @@ const MIN_ACHIEVED_RATIO: f64 = 0.9;
 /// Find the knee: the first saturated step marks it, and the knee RPS is the
 /// previous step's offered rate (0 when the very first step is already
 /// saturated). A ramp that never saturates reports its last offered rate
-/// with [`KneeReason::NotSaturated`] — the system's capacity is at least
-/// that, but the ramp did not find its edge.
+/// and no saturated step ([`Knee::found`] is `false`) — the system's
+/// capacity is at least that, but the ramp did not find its edge.
 pub fn detect_knee(steps: &[StepMetrics]) -> Knee {
     for (i, step) in steps.iter().enumerate() {
         if step.achieved_rps < MIN_ACHIEVED_RATIO * step.offered_rps {
@@ -26,33 +26,12 @@ pub fn detect_knee(steps: &[StepMetrics]) -> Knee {
                     steps[i - 1].offered_rps
                 },
                 saturated_step: Some(i),
-                reason: KneeReason::AchievedFlattened,
             };
         }
     }
     Knee {
         knee_rps: steps.last().map_or(0.0, |s| s.offered_rps),
         saturated_step: None,
-        reason: KneeReason::NotSaturated,
-    }
-}
-
-/// What tripped saturation at the knee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KneeReason {
-    /// Achieved RPS fell below 90 % of offered.
-    AchievedFlattened,
-    /// The ramp ended without saturating (knee is a lower bound).
-    NotSaturated,
-}
-
-impl KneeReason {
-    /// The reason's name as it appears in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KneeReason::AchievedFlattened => "achieved_flattened",
-            KneeReason::NotSaturated => "not_saturated",
-        }
     }
 }
 
@@ -62,10 +41,9 @@ pub struct Knee {
     /// The last offered rate the system kept up with (a lower bound when
     /// the ramp never saturated).
     pub knee_rps: f64,
-    /// Index of the first saturated step, if the ramp found one.
+    /// Index of the first saturated step (its goodput fell below 90 % of
+    /// its offered rate), if the ramp found one.
     pub saturated_step: Option<usize>,
-    /// Which signal tripped.
-    pub reason: KneeReason,
 }
 
 impl Knee {
@@ -101,12 +79,11 @@ mod tests {
         assert!(knee.found());
         assert_eq!(knee.saturated_step, Some(3));
         assert_eq!(knee.knee_rps, 300.0);
-        assert_eq!(knee.reason, KneeReason::AchievedFlattened);
         // The steps that kept up never saturate: their last offered rate is
         // a lower bound on the knee.
         let kept_up = detect_knee(&steps[..3]);
         assert!(!kept_up.found());
-        assert_eq!(kept_up.reason, KneeReason::NotSaturated);
+        assert_eq!(kept_up.saturated_step, None);
         assert_eq!(kept_up.knee_rps, 300.0);
     }
 

@@ -40,7 +40,7 @@ pub mod report;
 
 pub use arrival::{step_seed, ArrivalProcess};
 pub use driver::{run_capacity, CapacityRun, LoadConfig};
-pub use knee::{detect_knee, Knee, KneeReason};
+pub use knee::{detect_knee, Knee};
 pub use ramp::{RampSchedule, StepSpec};
 pub use report::StepMetrics;
 
@@ -48,7 +48,7 @@ pub use report::StepMetrics;
 pub mod prelude {
     pub use crate::arrival::ArrivalProcess;
     pub use crate::driver::{run_capacity, CapacityRun, LoadConfig};
-    pub use crate::knee::{detect_knee, Knee, KneeReason};
+    pub use crate::knee::{detect_knee, Knee};
     pub use crate::ramp::RampSchedule;
     pub use crate::report::StepMetrics;
 }

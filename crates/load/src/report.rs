@@ -92,12 +92,11 @@ impl CapacityRun {
                 s.inflight_end
             );
         }
-        let _ = writeln!(
-            out,
-            "  knee: {:.1} rps ({})",
-            self.knee.knee_rps,
-            self.knee.reason.name()
-        );
+        let _ = write!(out, "  knee: {:.1} rps, ", self.knee.knee_rps);
+        let _ = match self.knee.saturated_step {
+            Some(step) => writeln!(out, "saturated at step {step}"),
+            None => writeln!(out, "not saturated (lower bound)"),
+        };
         out
     }
 }
@@ -151,7 +150,7 @@ mod tests {
     fn text_report_tabulates_steps_and_knees() {
         let text = sample_run().text_report();
         assert!(text.contains("constant arrivals · seed 7"));
-        assert!(text.contains("knee: 100.0 rps (achieved_flattened)"));
+        assert!(text.contains("knee: 100.0 rps, saturated at step 1"));
         assert!(text.contains("offered"));
         assert!(text.contains("qwait99_us"));
         // Title, header, one row per step, knee.

@@ -36,42 +36,50 @@
 //!   matcher run — the exact code path of the sequential executor, so
 //!   aggregate metrics and the match cursor are bit-identical to a
 //!   sequential run for every request without a deadline or cancellation —
-//!   and sends the run's `Done` results back as one group;
+//!   and sends the run's completions back as one group, in which one `Done`
+//!   covers a stretch of executions (a new one starts at each execution that
+//!   collected embeddings, was flagged `deadline_exceeded` or `cancelled`,
+//!   or ran on another epoch, and at every execution of an open-loop run);
 //! * the coordinator owns **only transport endpoints**: results, per-shard
 //!   reports and epoch notices all arrive as messages on its inbox, never
 //!   through shared memory;
-//! * the coordinator folds each `Done` into the [`ServeReport`]: per-shard
-//!   execution metrics and remote-hop fraction, queue depth, queue-wait p99,
-//!   rejects, and the run's wall clock.
+//! * the coordinator folds each `Done` into the [`ServeReport`], charging
+//!   it the `queries_executed` its metrics say: per-shard execution metrics
+//!   and remote-hop fraction, queue depth, queue-wait p99, rejects, and the
+//!   run's wall clock.
 //!
 //! # Admission: runs in, groups back, and the completion is the credit
 //!
 //! Hand-offs move in runs, because every push or pop is a lock the other
 //! thread also takes and every push to a parked peer is a wake-up. A
-//! closed-loop query routed to a worker joins that worker's *staged run*,
-//! which the coordinator holds. Once a run is an inbox's worth long
-//! (`queue_capacity`), the coordinator offers every staged run, each as one
-//! push of as much as its inbox has room for. A worker takes its whole inbox
-//! in one receive and only then sends back the completions of the run it
-//! finished, as one group. So the group the coordinator receives is the
-//! credit for the room the take made, and that room exists before the
-//! credit arrives. Open-loop arrivals are paced by their driver and go in
-//! one push each.
+//! closed-loop query routed to a worker joins that worker's *staged*
+//! queries, which the coordinator holds. Each time they fill another run
+//! (an inbox's worth, `queue_capacity`), the coordinator offers every
+//! worker's staged queries, each as one push of as much as its inbox has
+//! room for, and goes on routing whether or not they went in. A worker takes
+//! its whole inbox in one receive and only then sends back the completions
+//! of the run it finished, as one group. So the group the coordinator
+//! receives is the credit for the room the take made, and that room exists
+//! before the credit arrives. Open-loop arrivals are paced by their driver
+//! and go in one push each.
 //!
-//! The coordinator waits in one place. When a worker's staged run is still
-//! an inbox's worth long after the offer, it checks the request's deadline
-//! and then receives on its **own** inbox until `min(deadline, now +
-//! ADMIT_SLICE)`, handles what arrives (and whatever else is already there),
-//! and offers again. Every staged run is offered before each wait, so no
-//! worker idles behind the one being waited for, and the end of the schedule
-//! admits what is still staged the same way. While it waits it is consuming
-//! results, which is what keeps the protocol deadlock-free: workers never
-//! stay blocked on a full coordinator inbox. It is also the only thing a
-//! coordinator whose links are sockets could wait on. `ADMIT_SLICE` is just
-//! the retry bound: a slot that came free *without* a completion (the full
-//! inbox held an epoch or cancel notice) is noticed at the next group or
-//! when the slice ends, whichever is first. An admission's whole slice that
-//! ends with nothing received is
+//! The coordinator waits in one place. When `STAGED_RUNS` (4) runs are
+//! staged for one worker, it offers them, and while that many are still
+//! staged it checks the request's deadline and then receives on its **own**
+//! inbox until `min(deadline, now + ADMIT_SLICE)`, handles what arrives (and
+//! whatever else is already there), and offers again. Every staged run is
+//! offered before each wait, so no worker idles behind the one being waited
+//! for, and a worker a run or two behind holds up no routing: when the
+//! coordinator waited as soon as one run was staged, each worker's wait for
+//! credit stopped the routing of every other's queries. The end of the
+//! schedule admits what is still staged the same way. While it waits it is
+//! consuming results, which is what keeps the protocol deadlock-free:
+//! workers never stay blocked on a full coordinator inbox. It is also the
+//! only thing a coordinator whose links are sockets could wait on.
+//! `ADMIT_SLICE` is just the retry bound: a slot that came free *without* a
+//! completion (the full inbox held an epoch or cancel notice) is noticed at
+//! the next group or when the slice ends, whichever is first. An admission's
+//! whole slice that ends with nothing received is
 //! counted per shard ([`ShardServeMetrics::admit_stalls`],
 //! `serve.admit_stalls{shard}` on observed runs; a slice the deadline cut
 //! short is not): the coordinator used to block in the *worker's* queue,
@@ -117,6 +125,12 @@ use std::time::{Duration, Instant};
 /// A completion normally arrives long before; the bound only matters when a
 /// slot came free without one (the full inbox held a notice, not a query).
 const ADMIT_SLICE: Duration = Duration::from_millis(1);
+
+/// Runs of queries the coordinator holds staged for one worker before it
+/// waits for that worker's credit. Below it, a run that fills is offered and
+/// routing goes on whether or not it went in, so one busy worker does not
+/// hold back the queries routed to the others.
+const STAGED_RUNS: usize = 4;
 
 /// Receive slice while awaiting completions (bounds the latency of
 /// cancellation broadcasts).
@@ -191,6 +205,9 @@ pub(crate) struct RunOptions {
     pub(crate) match_limit: usize,
     pub(crate) traversal_budget: Option<usize>,
     pub(crate) collect: bool,
+    /// Whether the coordinator timestamps each completion (open-loop runs):
+    /// then every execution goes back as a `Done` of its own.
+    pub(crate) time_completions: bool,
 }
 
 /// What a run serves from — and where its workers pin their snapshots.
@@ -245,8 +262,10 @@ struct CoordLog {
 }
 
 impl CoordLog {
+    /// Charge one `Done`: `metrics.queries_executed` executions on `epoch`.
+    /// A flagged `Done` holds one execution, so it is one expiry.
     fn record(&mut self, metrics: ExecutionMetrics, epoch: u64) {
-        self.queries += 1;
+        self.queries += metrics.queries_executed;
         if metrics.deadline_exceeded {
             self.deadline_expired += 1;
         }
@@ -308,7 +327,8 @@ struct Staged {
 struct Coordinator<'a> {
     links: &'a [InProcEndpoint],
     /// Per worker, the closed-loop queries routed to it and not yet in its
-    /// inbox, in admission order. At most `run_len` stay staged.
+    /// inbox, in admission order. Fewer than `STAGED_RUNS × run_len` stay
+    /// staged once an admission returns.
     staged: Vec<VecDeque<Staged>>,
     /// The longest staged run: one inbox's worth (`queue_capacity`).
     run_len: usize,
@@ -417,10 +437,11 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Closed-loop admission of one routed query, with backpressure. The
-    /// task joins its home worker's staged run; a run that has grown to an
-    /// inbox's worth is admitted ([`Coordinator::admit_staged`]) down to
-    /// less than that, so the coordinator waits only when a worker is a
-    /// whole run behind.
+    /// task joins its home worker's staged queries. Each time they fill
+    /// another run (an inbox's worth), every staged run is offered without
+    /// waiting; once `STAGED_RUNS` runs are staged for the worker, they are
+    /// admitted ([`Coordinator::admit_staged`]) down to less than that, so
+    /// the coordinator waits only when a worker is that many runs behind.
     fn admit(&mut self, worker: usize, task: QueryTaskMsg, deadline: Option<Instant>, epoch: u64) {
         // On observed runs, flight-record the admission and remember when it
         // started (one clock read for both) so a rejection can say how long
@@ -438,8 +459,13 @@ impl<'a> Coordinator<'a> {
             now
         });
         self.staged[worker].push_back(Staged { task, epoch, at });
-        if self.staged[worker].len() >= self.run_len {
-            self.admit_staged(worker, self.run_len - 1, deadline);
+        let staged = self.staged[worker].len();
+        let limit = STAGED_RUNS * self.run_len;
+        if staged >= limit {
+            self.admit_staged(worker, limit - 1, deadline);
+        } else if staged.is_multiple_of(self.run_len) {
+            self.poll_cancel();
+            self.offer_staged();
         }
     }
 
@@ -647,10 +673,11 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// One admitted query is complete: keep its embeddings, note a blown
-    /// deadline for the flight recorder (written at the end of the drain),
-    /// timestamp the completion for an open-loop driver, and charge the
-    /// shard that ran it.
+    /// A `Done` came back: `metrics.queries_executed` admitted queries are
+    /// complete. Keep its embeddings, note a blown deadline for the flight
+    /// recorder (written at the end of the drain), timestamp the completion
+    /// for an open-loop driver, and charge the shard that ran them. Every
+    /// per-query fact arrives in a `Done` of its own, so `seq` names it.
     fn complete(&mut self, done: QueryDoneMsg) {
         let QueryDoneMsg {
             worker,
@@ -675,8 +702,8 @@ impl<'a> Coordinator<'a> {
                 deadline_exceeded: metrics.deadline_exceeded,
             });
         }
+        self.outstanding -= metrics.queries_executed;
         self.logs[worker as usize].record(metrics, epoch);
-        self.outstanding -= 1;
     }
 
     /// Pump the inbox until every admitted query has completed.
@@ -952,7 +979,7 @@ impl ServeEngine {
         ctx: &RequestContext,
     ) -> (ServeReport, QueryResponse) {
         let (report, response, ()) =
-            self.drive(source.into(), workload, request, ctx, |injector| {
+            self.drive(source.into(), workload, request, ctx, false, |injector| {
                 while injector.admit_next() {}
             });
         (report, response)
@@ -982,39 +1009,39 @@ impl ServeEngine {
     ) -> (ServeReport, R) {
         let ctx = RequestContext::unbounded();
         let (report, _, value) =
-            self.drive(Source::Pinned(store), workload, request, &ctx, |injector| {
-                // Only open-loop runs timestamp completions; closed-loop
-                // runs keep the sink off and read no per-completion clock.
-                injector.coordinator.completions = Some(Vec::new());
-                driver(injector)
-            });
+            self.drive(Source::Pinned(store), workload, request, &ctx, true, driver);
         (report, value)
     }
 
     /// The effective run options for one request (engine config plus
     /// overrides).
-    fn options_for(&self, request: &QueryRequest) -> RunOptions {
+    fn options_for(&self, request: &QueryRequest, time_completions: bool) -> RunOptions {
         RunOptions {
             mode: request.mode.unwrap_or(self.config.mode),
             match_limit: request.match_limit.unwrap_or(self.config.match_limit),
             traversal_budget: request.traversal_budget,
             collect: request.collect_matches,
+            time_completions,
         }
     }
 
     /// The one run scaffold: expand the schedule, resolve plans, stand up
     /// the transport hub and one worker per shard, hand the injector to
     /// `driver`, then await completions, tear down and assemble the report.
+    /// Only open-loop runs `time_completions`; closed-loop runs keep the
+    /// sink off, read no per-completion clock, and get their completions
+    /// back in groups.
     fn drive<R>(
         &self,
         source: Source<'_>,
         workload: &Workload,
         request: QueryRequest,
         ctx: &RequestContext,
+        time_completions: bool,
         driver: impl FnOnce(&mut OpenLoopInjector<'_>) -> R,
     ) -> (ServeReport, QueryResponse, R) {
         let started = Instant::now();
-        let options = self.options_for(&request);
+        let options = self.options_for(&request, time_completions);
         let workers = self.config.workers.max(1);
         let effective = ctx.tightened_by(request.deadline);
         // `Instant`s do not cross the transport; per-task deadlines ride as
@@ -1097,6 +1124,7 @@ impl ServeEngine {
                 query_counts: vec![0usize; workload.len()],
                 run_start: started,
             };
+            injector.coordinator.completions = time_completions.then(Vec::new);
             let value = driver(&mut injector);
             let OpenLoopInjector {
                 mut coordinator,
@@ -1209,7 +1237,10 @@ mod tests {
     use loom_graph::Label;
     use loom_motif::query::{PatternQuery, QueryId};
     use loom_partition::partition::{PartitionId, Partitioning};
+    use loom_sim::engine::run_sequential;
+    use loom_sim::executor::QueryExecutor;
     use loom_sim::plan::{GraphStatistics, QueryPlanner};
+    use loom_sim::store::PartitionedStore;
 
     fn l(x: u32) -> Label {
         Label::new(x)
@@ -1381,6 +1412,85 @@ mod tests {
                 }
                 let got: Vec<_> = response.into_cursor().collect();
                 assert_eq!(got, cursor, "capacity {capacity} x {workers} workers");
+            }
+        }
+    }
+
+    /// Completions come back in groups, and nothing the report counts moves.
+    /// Over a seeded mix — counted, collecting, past its deadline, cancelled
+    /// — on one to three workers behind inboxes one and 64 deep, each request
+    /// reads the sequential engine's aggregate and cursor, every shard
+    /// accounts once for each query routed to it (executed or rejected),
+    /// every expired execution is one `deadline_expired` or one `rejected`,
+    /// and every shard that ran a query observed the one epoch.
+    #[test]
+    fn grouped_completions_keep_every_count_of_a_request_mix() {
+        let graph = path_graph(12, &[l(0), l(1), l(2)]);
+        let mut part = Partitioning::new(4, 12).unwrap();
+        for (i, v) in graph.vertices_sorted().into_iter().enumerate() {
+            part.assign(v, PartitionId::new((i % 4) as u32)).unwrap();
+        }
+        let store = Arc::new(ShardedStore::from_parts(&graph, &part));
+        let sequential_store = PartitionedStore::new(graph, part);
+        let (_, workload) = fixture();
+        let mode = QueryMode::Rooted { seed_count: 2 };
+        let counted = QueryRequest::workload(150).with_seed(12).with_mode(mode);
+        let expired = Instant::now() - Duration::from_secs(1);
+        let cancelled = RequestContext::unbounded();
+        cancelled.cancel.cancel();
+        let unbounded = RequestContext::unbounded();
+        let mix = [
+            (counted, &unbounded),
+            (counted.collect_matches(true), &unbounded),
+            (counted.with_deadline(expired), &unbounded),
+            (counted.with_seed(13), &cancelled),
+        ];
+        for (request, ctx) in mix {
+            let reference = run_sequential(
+                &QueryExecutor::default(),
+                &sequential_store,
+                &workload,
+                request,
+                ctx,
+            );
+            let schedule = request_schedule(&workload, &request);
+            let plans = resolve_schedule_plans(None, &workload, &schedule);
+            let mut router = QueryRouter::new(mode);
+            let homes: Vec<usize> = schedule
+                .iter()
+                .map(|&(query, seed)| {
+                    let plan = plans[query].as_ref().unwrap();
+                    router.home_shard_planned(&store, plan, seed).index()
+                })
+                .collect();
+            let expired = request.deadline.is_some();
+            let (metrics, cursor) = reference.into_parts();
+            let cursor: Vec<_> = cursor.collect();
+            assert_eq!(cursor.is_empty(), !request.collect_matches);
+            for workers in [1, 2, 3] {
+                for capacity in [1, 64] {
+                    let config = ServeConfig::new(workers).with_queue_capacity(capacity);
+                    let (report, response) =
+                        ServeEngine::new(config).run(&store, &workload, request, ctx);
+                    let case = format!("{request:?} on {workers} x {capacity}");
+                    assert_eq!(report.aggregate, metrics, "{case}");
+                    assert_eq!(response.metrics, metrics, "{case}");
+                    assert_eq!(report.epochs_observed, [0], "{case}");
+                    for shard in &report.shards {
+                        let w = shard.shard as usize;
+                        let routed = homes.iter().filter(|&&h| h % workers == w).count();
+                        assert_eq!(shard.queries + shard.rejected, routed, "{case}");
+                        assert_eq!(shard.execution.queries_executed, routed, "{case}");
+                        let dropped = if expired { routed } else { 0 };
+                        assert_eq!(shard.deadline_expired + shard.rejected, dropped, "{case}");
+                        assert_eq!(shard.epoch_seq, (routed > 0).then_some(0), "{case}");
+                    }
+                    if !expired {
+                        assert_eq!(report.error_budget.rejected, 0, "{case}");
+                    }
+                    let got: Vec<_> = response.into_cursor().collect();
+                    assert_eq!(got, cursor, "{case}");
+                }
             }
         }
     }
@@ -1616,10 +1726,14 @@ mod tests {
             while inj.outstanding() > 0 {
                 inj.pump_until(Instant::now() + Duration::from_millis(5));
             }
-            (inj.drain_completions().len(), shed)
+            let mut completed: Vec<u64> = inj.drain_completions().iter().map(|c| c.seq).collect();
+            completed.sort_unstable();
+            (completed, shed)
         });
         assert_eq!(shed, 10);
-        assert_eq!(completed, 10);
+        // One `Completion` per admitted `seq`: an open-loop run's
+        // completions are never grouped.
+        assert_eq!(completed, (0..10).collect::<Vec<u64>>());
         assert_eq!(report.queries, 20);
         assert_eq!(report.error_budget.requests, 20);
         assert_eq!(report.error_budget.rejected, 10);
@@ -1651,8 +1765,14 @@ mod tests {
                 };
                 let (closed, response) = engine.run(&store, &workload, request, &ctx);
                 let (open, ()) = engine.open_loop(&store, &workload, request, inject_all);
-                let (_, open_response, ()) =
-                    engine.drive(Source::Pinned(&store), &workload, request, &ctx, inject_all);
+                let (_, open_response, ()) = engine.drive(
+                    Source::Pinned(&store),
+                    &workload,
+                    request,
+                    &ctx,
+                    false,
+                    inject_all,
+                );
                 assert_eq!(closed.aggregate, open.aggregate);
                 assert_eq!(closed.query_counts, open.query_counts);
                 assert_eq!(closed.error_budget, open.error_budget);

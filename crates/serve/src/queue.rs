@@ -153,10 +153,13 @@ fn wake_up(condvar: &Condvar, count: usize) {
 
 impl<T> ShardQueue<T> {
     /// Create a queue admitting at most `capacity` queued items (minimum 1).
+    /// Its buffer is allocated whole here, on the creating thread, so no
+    /// push grows it on the pushing thread.
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Self {
             state: Mutex::new(State {
-                items: VecDeque::new(),
+                items: VecDeque::with_capacity(capacity),
                 closed: false,
                 max_depth: 0,
                 parked_consumers: 0,
@@ -165,7 +168,7 @@ impl<T> ShardQueue<T> {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 

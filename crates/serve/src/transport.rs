@@ -20,7 +20,9 @@
 //! worker (coordinator → worker) plus one shared inbox every worker sends
 //! into (worker → coordinator). Sends are deadline-aware — backpressure can
 //! reject instead of wedging admission. Nothing on the per-message path
-//! allocates or grows.
+//! allocates or grows: every queue buffer, and the buffer each end trades
+//! with it, is allocated whole when the hub is built, on the thread that
+//! builds it.
 //!
 //! **Hand-offs move in runs.** Every lock acquisition on a queue, and every
 //! wake-up of a parked peer, is paid per hand-off, not per message, so the
@@ -29,14 +31,25 @@
 //! [`ShardTransport::recv_all`] takes a whole inbox in one pop, trading
 //! buffers with the queue. A worker takes its whole inbox, runs it, and
 //! sends its completions back as one group; the coordinator admits a
-//! worker's staged queries as one run and takes its inbox whole. Wait
-//! accounting follows the run: a message's queue wait ends when its
+//! worker's staged queries as one run and takes its inbox whole. A group's
+//! [`ShardMsg::Done`]s are fewer than its queries: one [`QueryDoneMsg`]
+//! covers a stretch of executions (its `metrics.queries_executed` says how
+//! many), and a new one starts only at an execution the coordinator must
+//! hear of by `seq` — one that collected embeddings or came back
+//! `deadline_exceeded` or `cancelled`, one on another epoch, or any
+//! execution of an open-loop run, whose completions are timed one by one.
+//!
+//! Wait accounting follows the run: a message's queue wait ends when its
 //! endpoint hands it to the receiver — for a run, at the one clock read
 //! that hands over the whole run — and the per-shard `queue_wait_p99`
 //! figure is those waits, in a fixed-size histogram, on the worker ends.
-//! The coordinator's end measures nothing, so its messages are not even
-//! time-stamped. `queue_capacity` bounds each worker's inbox; a worker
-//! holds at most one inbox more, the run it took.
+//! Every message of one push carries that push's one stamp, so they all
+//! waited alike: a take charges each push once, with
+//! [`Histogram::record_n`] and the number of messages it carried, which
+//! reads exactly as one record per message. The coordinator's end measures
+//! nothing, so its messages are not even time-stamped. `queue_capacity`
+//! bounds each worker's inbox; a worker holds at most one inbox more, the
+//! run it took.
 //!
 //! Admission goes through the concrete [`InProcEndpoint`], not the trait:
 //! [`InProcEndpoint::try_send_run`] (closed loop, a staged run) and
@@ -75,16 +88,20 @@ pub struct QueryTaskMsg {
     pub deadline_us: Option<u64>,
 }
 
-/// One finished execution: worker → coordinator.
+/// Finished executions: worker → coordinator. One message covers
+/// `metrics.queries_executed` executions of one worker's run, on one epoch;
+/// an execution with embeddings or a deadline or cancellation flag is one
+/// message of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryDoneMsg {
-    /// Worker that executed the query.
+    /// Worker that executed the queries.
     pub worker: u32,
-    /// Admission sequence of the query.
+    /// Admission sequence of the first query covered (the only one, when
+    /// the message carries embeddings or a flag).
     pub seq: u64,
-    /// Epoch of the snapshot the query executed against.
+    /// Epoch of the snapshot the queries executed against.
     pub epoch: u64,
-    /// Metrics of the execution.
+    /// Metrics of the executions, merged.
     pub metrics: ExecutionMetrics,
     /// Collected embeddings in enumeration order (empty unless the request
     /// collects); the coordinator orders the cursor by `seq`.
@@ -117,7 +134,7 @@ pub struct ShardReportMsg {
 pub enum ShardMsg {
     /// Coordinator → worker: execute one routed query.
     Query(QueryTaskMsg),
-    /// Worker → coordinator: a query finished.
+    /// Worker → coordinator: queries finished.
     Done(QueryDoneMsg),
     /// Worker → coordinator: final shard summary, in reply to `Finish`.
     Report(ShardReportMsg),
@@ -306,6 +323,38 @@ impl WaitStats {
             live,
         }
     }
+
+    /// Charge `n` messages stamped `enqueued` and handed over at `now`: one
+    /// wait, recorded once with its count.
+    fn charge(&self, now: Instant, enqueued: Instant, n: u64) {
+        let waited = now.saturating_duration_since(enqueued);
+        self.run.record_n(waited.as_nanos() as u64, n);
+        if let Some(live) = &self.live {
+            // Whole microseconds, rounded to the nearest.
+            let us = (waited.as_secs_f64() * 1e6).round() as u64;
+            live.record_n(us, n);
+        }
+    }
+
+    /// Charge a run handed over at `now`. The envelopes of one push carry
+    /// one stamp and lie side by side in the queue, so each push's wait is
+    /// recorded once, with the number of messages it carried.
+    fn charge_run<'e>(&self, now: Instant, run: impl IntoIterator<Item = &'e Envelope>) {
+        let mut stamps = run.into_iter().filter_map(|envelope| envelope.enqueued);
+        let Some(mut stamp) = stamps.next() else {
+            return;
+        };
+        let mut n = 1;
+        for next in stamps {
+            if next == stamp {
+                n += 1;
+            } else {
+                self.charge(now, stamp, n);
+                (stamp, n) = (next, 1);
+            }
+        }
+        self.charge(now, stamp, n);
+    }
 }
 
 /// One end of an in-process shard link: a pair of bounded [`ShardQueue`]s
@@ -316,7 +365,11 @@ pub struct InProcEndpoint {
     rx: Arc<ShardQueue<Envelope>>,
     /// The buffer a whole-inbox receive trades with `rx`'s. Empty between
     /// receives, and taken out of its mutex for a wait, so the lock is never
-    /// held across one.
+    /// held across one. Allocated whole with the endpoint, as `rx`'s own
+    /// buffer is with the queue: the two trade places for the whole run, so
+    /// neither is grown by the thread that happens to push into it (a buffer
+    /// a worker grows lives in that worker's malloc arena and is freed by
+    /// the coordinator).
     spare: parking_lot::Mutex<VecDeque<Envelope>>,
     sent: AtomicUsize,
     received: AtomicUsize,
@@ -333,10 +386,11 @@ impl InProcEndpoint {
         stamp_sends: bool,
         waits: Option<WaitStats>,
     ) -> Self {
+        let spare = parking_lot::Mutex::new(VecDeque::with_capacity(rx.capacity()));
         Self {
             tx,
             rx,
-            spare: Default::default(),
+            spare,
             sent: AtomicUsize::new(0),
             received: AtomicUsize::new(0),
             recv_runs: AtomicUsize::new(0),
@@ -439,24 +493,13 @@ impl InProcEndpoint {
             self.received.fetch_add(run.len(), Ordering::Relaxed);
             self.recv_runs.fetch_add(1, Ordering::Relaxed);
             // One clock read hands the whole run over.
-            let now = self.waits.as_ref().map(|_| Instant::now());
-            into.extend(run.drain(..).map(|envelope| self.deliver(envelope, now)));
+            if let Some(waits) = &self.waits {
+                waits.charge_run(Instant::now(), &run);
+            }
+            into.extend(run.drain(..).map(|envelope| envelope.msg));
         }
         *self.spare.lock() = run;
         taken
-    }
-
-    /// Unwrap a received message, charging its wait as of `now` where waits
-    /// are kept.
-    fn deliver(&self, envelope: Envelope, now: Option<Instant>) -> ShardMsg {
-        if let (Some(waits), Some(now), Some(enqueued)) = (&self.waits, now, envelope.enqueued) {
-            let waited = now.saturating_duration_since(enqueued);
-            waits.run.record(waited.as_nanos() as u64);
-            if let Some(live) = &waits.live {
-                live.record_f64(waited.as_secs_f64() * 1e6);
-            }
-        }
-        envelope.msg
     }
 }
 
@@ -507,8 +550,10 @@ impl ShardTransport for InProcEndpoint {
         })?;
         self.received.fetch_add(1, Ordering::Relaxed);
         self.recv_runs.fetch_add(1, Ordering::Relaxed);
-        let now = self.waits.as_ref().map(|_| Instant::now());
-        Ok(self.deliver(envelope, now))
+        if let Some(waits) = &self.waits {
+            waits.charge_run(Instant::now(), [&envelope]);
+        }
+        Ok(envelope.msg)
     }
 
     fn recv_all(
@@ -906,6 +951,51 @@ mod tests {
         // The other shard received nothing; its series stays empty.
         let idle = telemetry.shard_histogram(stage::SERVE_QUEUE_WAIT, 0);
         assert_eq!(idle.count(), 0);
+    }
+
+    /// A push's messages share a stamp and a take hands them over at one
+    /// clock read, so each push is charged once, with its count. On a run
+    /// of fixed stamps the run histogram and the live one read exactly what
+    /// one record per message made: the same buckets, so the same p50 / p99.
+    #[test]
+    fn a_push_is_charged_once_with_its_count() {
+        let start = Instant::now();
+        let at = |us: u64| start + Duration::from_micros(us);
+        let now = at(5_000);
+        // Three pushes of 4, 1 and 3 messages, and an unstamped notice.
+        let run: Vec<Envelope> = [0, 0, 0, 0, 1_234, 4_000, 4_000, 4_000]
+            .into_iter()
+            .map(|us| Envelope {
+                msg: ShardMsg::Cancel,
+                enqueued: Some(at(us)),
+            })
+            .chain([Envelope {
+                msg: ShardMsg::Finish,
+                enqueued: None,
+            }])
+            .collect();
+        let (batched, single) = (
+            WaitStats::new(Some(Arc::new(Histogram::new()))),
+            WaitStats::new(Some(Arc::new(Histogram::new()))),
+        );
+        batched.charge_run(now, &run);
+        for enqueued in run.iter().filter_map(|e| e.enqueued) {
+            let waited = now.saturating_duration_since(enqueued);
+            single.run.record(waited.as_nanos() as u64);
+            single
+                .live
+                .as_ref()
+                .unwrap()
+                .record_f64(waited.as_secs_f64() * 1e6);
+        }
+        assert_eq!(batched.run.snapshot(), single.run.snapshot());
+        let live = |w: &WaitStats| w.live.as_ref().unwrap().snapshot();
+        assert_eq!(live(&batched), live(&single));
+        assert_eq!(batched.run.count(), 8);
+        assert_eq!(batched.run.snapshot().buckets.len(), 3);
+        for q in [0.5, 0.99] {
+            assert_eq!(batched.run.quantile(q), single.run.quantile(q));
+        }
     }
 
     #[test]

@@ -91,11 +91,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         budget.deadline_expired,
         budget.dropped_fraction() * 100.0,
     );
-    if run.knee.found() {
+    if let Some(step) = run.knee.saturated_step {
         println!(
-            "saturation knee: {:.0} rps ({})",
-            run.knee.knee_rps,
-            run.knee.reason.name()
+            "saturation knee: {:.0} rps (saturated at step {step})",
+            run.knee.knee_rps
         );
     } else {
         println!(

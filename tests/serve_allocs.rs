@@ -22,9 +22,12 @@
 //! the commit that added it they read 0.010 and 0.003: what is left is per
 //! run, not per request — the schedule, the transport hub and its two
 //! threads, the report — 96 and 33 allocations under 10 000 requests. Since
-//! hand-offs move in runs the sharded side reads 109: the staged runs, each
-//! worker's run and group of completions, and the coordinator's inbox each
-//! grow to an inbox's worth once per run.
+//! hand-offs move in runs the sharded side reads 107–110: the staged runs,
+//! each worker's run and group of completions, and the coordinator's inbox
+//! each grow to an inbox's worth once per run. Since a `Done` covers a group
+//! of completions it reads 99–103 (0.010 per request) and 33; the bound is
+//! 0.015, so one allocation per group (about 0.016 per request at a run of
+//! 64) fails it.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, so a second test
 //! running beside this one (or the harness reporting on it) would be
@@ -136,7 +139,7 @@ fn counted_requests_allocate_nothing_per_request() {
         assert_eq!(response.metrics.queries_executed, REQUESTS);
         assert!(response.metrics.total_traversals > 5 * REQUESTS);
         assert!(
-            per_request <= 0.05,
+            per_request <= 0.015,
             "{name}: {per_request:.4} allocations per request"
         );
         answers.push(response.metrics);
