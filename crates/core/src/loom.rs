@@ -239,11 +239,7 @@ impl LoomPartitioner {
         incoming: usize,
     ) -> PartitionId {
         partitioning
-            .best_partition(neighbours, None, |p, in_p| {
-                partitioning
-                    .has_room_for(p, incoming)
-                    .then(|| in_p as f64 * partitioning.capacity_penalty(p))
-            })
+            .ldg_choice(neighbours, |p| partitioning.has_room_for(p, incoming))
             .unwrap_or_else(|| LdgPartitioner::choose_partition(partitioning, neighbours))
     }
 

@@ -495,6 +495,10 @@ impl StreamMotifMatcher {
     /// Drop every match that involves any of the given vertices (they have
     /// been assigned and left the window).
     pub fn remove_vertices(&mut self, vertices: &[VertexId]) {
+        // With no match live the index is empty: nothing to probe.
+        if self.live == 0 {
+            return;
+        }
         for &v in vertices {
             // Dropping a match takes it off `v`'s list, and the list's entry
             // goes with its last match.
@@ -536,7 +540,11 @@ impl StreamMotifMatcher {
     pub fn cluster_for(&mut self, v: VertexId) -> &[VertexId] {
         let s = &mut self.scratch;
         s.cluster.clear();
-        // Most evicted vertices belong to no match.
+        // Most evicted vertices belong to no match, and on most orders most
+        // evictions find no match live at all.
+        if self.live == 0 {
+            return &s.cluster;
+        }
         let Some(anchored) = self.by_vertex.get(&v) else {
             return &s.cluster;
         };

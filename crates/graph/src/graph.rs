@@ -46,7 +46,7 @@
 //! | `remove_edge` | 2 | an order-preserving removal from each endpoint's list |
 //! | `remove_vertex` | 1 + 1 per neighbour | an order-preserving removal from each neighbour's list |
 //! | `vertices`, `labelled_vertices` | 0 | a slot walk |
-//! | `adjacency_sorted`, `vertices_sorted` | 0 | the index walked in id order, one slot read per vertex; only ids above the direct bound are sorted |
+//! | `adjacency_sorted`, `vertices_sorted` and their walks `adjacency_ordered`, `vertices_ordered` | 0 | the index walked in id order, one slot read per vertex; only ids above the direct bound are sorted |
 //! | `edges` | 0 | O(arcs): every list is walked, each edge yielded from its lower endpoint |
 //! | `edge_count`, `vertex_count` | 0 | a counter read |
 //! | `from_proven_lists` | 1 per vertex | one block copy per vertex; nothing checked, nothing sorted |
@@ -467,11 +467,17 @@ impl LabelledGraph {
     /// snapshot builder reads the whole graph through.
     pub fn adjacency_sorted(&self) -> Vec<(VertexId, Label, &[VertexId])> {
         let mut rows = Vec::with_capacity(self.vertex_count());
-        rows.extend(self.slot_of.ordered().map(|(v, s)| {
+        rows.extend(self.adjacency_ordered());
+        rows
+    }
+
+    /// The rows of [`LabelledGraph::adjacency_sorted`], walked rather than
+    /// collected: a reader that takes each row once holds no copy of them.
+    pub fn adjacency_ordered(&self) -> impl Iterator<Item = (VertexId, Label, &[VertexId])> + '_ {
+        self.slot_of.ordered().map(|(v, s)| {
             let slot = &self.slots[s as usize];
             (v, slot.label, self.lists.get(slot.adjacency))
-        }));
-        rows
+        })
     }
 
     /// Iterate over all vertex ids (arbitrary order).
@@ -483,8 +489,14 @@ impl LabelledGraph {
     /// Useful for deterministic iteration.
     pub fn vertices_sorted(&self) -> Vec<VertexId> {
         let mut ids = Vec::with_capacity(self.vertex_count());
-        ids.extend(self.slot_of.ordered().map(|(v, _)| v));
+        ids.extend(self.vertices_ordered());
         ids
+    }
+
+    /// The ids of [`LabelledGraph::vertices_sorted`], walked rather than
+    /// collected; no slot is read.
+    pub fn vertices_ordered(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.slot_of.ordered().map(|(v, _)| v)
     }
 
     /// Iterate over all undirected edges (arbitrary order).

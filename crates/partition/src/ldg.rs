@@ -72,15 +72,13 @@ impl LdgPartitioner {
 
     /// Pick the LDG-best partition for a vertex with the given placed
     /// neighbours: the least-loaded partition unless some partition scores
-    /// above zero. Exposed for reuse by the workload-aware extension in
-    /// `loom-core`, which scores whole motif clusters the same way.
+    /// above zero ([`Partitioning::ldg_choice`] over every partition). The
+    /// workload-aware extension in `loom-core` falls back to it when no
+    /// partition has room for a whole motif cluster.
     pub fn choose_partition(partitioning: &Partitioning, neighbours: &[VertexId]) -> PartitionId {
-        let seed = (partitioning.least_loaded(), 0.0);
         partitioning
-            .best_partition(neighbours, Some(seed), |p, in_p| {
-                Some(in_p as f64 * partitioning.capacity_penalty(p))
-            })
-            .expect("a seeded choice always holds a partition")
+            .ldg_choice(neighbours, |_| true)
+            .expect("every partition is eligible")
     }
 }
 

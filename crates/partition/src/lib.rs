@@ -8,10 +8,12 @@
 //! partitioner (in `loom-core`) reuses:
 //!
 //! * [`partition`] — partition identifiers, the assignment table
-//!   ([`Partitioning`]), capacity accounting, and the one greedy placement
-//!   rule ([`Partitioning::best_partition`]: highest score, ties to the
-//!   smaller partition) that LDG, Fennel and both LOOM placement modes call
-//!   with their own score;
+//!   ([`Partitioning`]), capacity accounting, and the two greedy placement
+//!   rules, both "highest score, ties to the smaller partition":
+//!   [`Partitioning::best_partition`], Fennel's, which scores every
+//!   partition, and [`Partitioning::ldg_choice`], which LDG and both LOOM
+//!   placement modes call and which scores only the partitions a neighbour
+//!   lives in (its docs say why that gives the full scan's answer);
 //! * [`metrics`] — edge cut, cut ratio, balance/imbalance, communication
 //!   volume and ground-truth community agreement;
 //! * [`migrate`] — the incremental re-partitioner: bounded batches of

@@ -13,6 +13,9 @@
 use crate::error::{PartitionError, Result};
 use loom_graph::{VertexId, VertexIndex};
 
+/// Partitions up to which a placement counts its neighbours on the stack.
+const INLINE_K: usize = 32;
+
 /// Identifier of a partition (`0..k`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
@@ -272,10 +275,52 @@ impl Partitioning {
         PartitionId::new(index as u32)
     }
 
-    /// The greedy placement rule every streaming partitioner here shares:
-    /// the partition with the highest score wins; scores within `1e-12` of
-    /// each other tie towards the strictly smaller partition; otherwise the
-    /// first one seen (the `seed`, then ascending partition id) stays.
+    /// Whether `candidate`, scoring `score`, displaces the `held` choice:
+    /// it scores more than `1e-12` above it, or within `1e-12` of it on a
+    /// strictly smaller partition.
+    #[inline]
+    fn beats(&self, candidate: PartitionId, score: f64, held: (PartitionId, f64)) -> bool {
+        let (held, held_score) = held;
+        score > held_score + 1e-12
+            || ((score - held_score).abs() <= 1e-12 && self.size(candidate) < self.size(held))
+    }
+
+    /// Count the assigned entries of `neighbours` per partition (an entry
+    /// listed twice counts twice; a list holds fewer than 2³² entries) and
+    /// hand `f` the counts, indexed by partition, and the partitions counted
+    /// at least once as a bitset (bit `p % 64` of word `p / 64`), so that
+    /// they are read in ascending order without a sort. On the stack up to
+    /// [`INLINE_K`] partitions (a heap allocation per placement measurably
+    /// slows ingest), spilled to the heap above it.
+    #[inline]
+    fn with_neighbour_counts<R>(
+        &self,
+        neighbours: &[VertexId],
+        f: impl FnOnce(&[u32], &[u64]) -> R,
+    ) -> R {
+        let k = self.sizes.len();
+        let mut inline = ([0u32; INLINE_K], [0u64; INLINE_K.div_ceil(64)]);
+        let mut spilled = (Vec::new(), Vec::new());
+        let (counts, touched) = if k <= INLINE_K {
+            (&mut inline.0[..k], &mut inline.1[..])
+        } else {
+            spilled.0.resize(k, 0);
+            spilled.1.resize(k.div_ceil(64), 0);
+            (&mut spilled.0[..], &mut spilled.1[..])
+        };
+        for n in neighbours {
+            if let Some(p) = self.assignment.get(*n) {
+                counts[p as usize] += 1;
+                touched[p as usize / 64] |= 1 << (p % 64);
+            }
+        }
+        f(counts, touched)
+    }
+
+    /// Fennel's placement rule: the partition with the highest score wins;
+    /// scores within `1e-12` of each other tie towards the strictly smaller
+    /// partition; otherwise the first one seen (the `seed`, then ascending
+    /// partition id) stays.
     ///
     /// `score(p, in_p)` is asked once per partition in id order, with `in_p`
     /// the number of entries of `neighbours` currently assigned to `p` (an
@@ -283,45 +328,85 @@ impl Partitioning {
     /// `None` makes `p` ineligible. `seed` is a candidate that holds unless a
     /// partition beats it by the rule above. Returns `None` only when there
     /// is no seed and every partition is ineligible.
+    ///
+    /// Every partition is scored because Fennel scores a partition holding
+    /// no neighbour above zero. LDG scores it exactly zero, and
+    /// [`ldg_choice`](Self::ldg_choice) scores only the partitions a
+    /// neighbour lives in.
     pub fn best_partition(
         &self,
         neighbours: &[VertexId],
         seed: Option<(PartitionId, f64)>,
         mut score: impl FnMut(PartitionId, usize) -> Option<f64>,
     ) -> Option<PartitionId> {
-        // Counted in one pass over `neighbours`, on the stack for the usual
-        // small k: a heap allocation per placement measurably slows ingest.
-        let k = self.sizes.len();
-        let mut inline = [0usize; 32];
-        let mut spilled = Vec::new();
-        let in_p: &mut [usize] = if k <= inline.len() {
-            &mut inline[..k]
-        } else {
-            spilled.resize(k, 0);
-            &mut spilled
-        };
-        for n in neighbours {
-            if let Some(p) = self.assignment.get(*n) {
-                in_p[p as usize] += 1;
-            }
-        }
-        let mut best = seed;
-        for p in self.partitions() {
-            let Some(score) = score(p, in_p[p.index()]) else {
-                continue;
-            };
-            let better = match best {
-                None => true,
-                Some((held, held_score)) => {
-                    score > held_score + 1e-12
-                        || ((score - held_score).abs() <= 1e-12 && self.size(p) < self.size(held))
+        self.with_neighbour_counts(neighbours, |counts, _| {
+            let mut best = seed;
+            for p in self.partitions() {
+                let Some(score) = score(p, counts[p.index()] as usize) else {
+                    continue;
+                };
+                if best.is_none_or(|held| self.beats(p, score, held)) {
+                    best = Some((p, score));
                 }
-            };
-            if better {
-                best = Some((p, score));
             }
-        }
-        best.map(|(p, _)| p)
+            best.map(|(p, _)| p)
+        })
+    }
+
+    /// LDG's placement rule (Stanton & Kliot): among the `eligible`
+    /// partitions, the one maximising `|N(v) ∩ V_i| · (1 − |V_i| / C)`
+    /// ([`capacity_penalty`](Self::capacity_penalty)) over the assigned
+    /// entries of `neighbours` (an entry listed twice counts twice), ties
+    /// broken as in [`best_partition`](Self::best_partition); when no
+    /// eligible partition holding a neighbour scores above `1e-12`, the
+    /// least-loaded eligible partition (the lowest id among equals).
+    /// Returns `None` only when no partition is eligible.
+    ///
+    /// Only the partitions a neighbour lives in are scored, in id order. The
+    /// answer is still the one a scan over all `k` partitions gives, both
+    /// the scan seeded with the least-loaded eligible partition at score 0
+    /// (LDG's own choice, `eligible` everywhere) and the unseeded scan over
+    /// the partitions with room for a group (LOOM's):
+    ///
+    /// * An eligible partition holding no neighbour scores exactly `0.0`.
+    ///   That displaces neither the seed, which is no larger, nor a
+    ///   partition scoring above `1e-12`, so leaving it out changes nothing
+    ///   once something scores above `1e-12`.
+    /// * An eligible partition holding a neighbour and with room for one
+    ///   more vertex has `|V_i| ≤ C − 1`, so it scores at least `1/C`, which
+    ///   is above `1e-12` while `C < 10¹²`. In the unseeded scan the first
+    ///   such partition therefore displaces any untouched one held before
+    ///   it, and from there on the two scans agree. Untouched partitions
+    ///   decide only when no such partition exists; then the strictly
+    ///   smaller rule leaves the least-loaded one held, which is the seed.
+    /// * A full partition holding a neighbour scores `0.0` (the penalty is
+    ///   clamped): it displaces nothing either, because no eligible
+    ///   partition is smaller than the seed.
+    pub fn ldg_choice(
+        &self,
+        neighbours: &[VertexId],
+        eligible: impl Fn(PartitionId) -> bool,
+    ) -> Option<PartitionId> {
+        let touched_best = self.with_neighbour_counts(neighbours, |counts, touched| {
+            // `None` stands for the seed, which only a score above 1e-12
+            // displaces (a smaller eligible partition does not exist).
+            let mut best = None;
+            for p in bits(touched) {
+                if !eligible(p) {
+                    continue;
+                }
+                let score = counts[p.index()] as f64 * self.capacity_penalty(p);
+                if best.map_or(score > 1e-12, |held| self.beats(p, score, held)) {
+                    best = Some((p, score));
+                }
+            }
+            best.map(|(p, _)| p)
+        });
+        touched_best.or_else(|| {
+            self.partitions()
+                .filter(|&p| eligible(p))
+                .min_by_key(|&p| (self.size(p), p))
+        })
     }
 
     /// The imbalance factor `max_i |V_i| / (n / k)` where `n` is the number of
@@ -336,6 +421,19 @@ impl Partitioning {
         let max = *self.sizes.iter().max().unwrap_or(&0);
         max as f64 / ideal
     }
+}
+
+/// The partitions whose bit is set in `words` (bit `p % 64` of word
+/// `p / 64`), ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = PartitionId> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+            rest &= rest - 1;
+            Some(PartitionId::new(w as u32 * 64 + bit))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -521,6 +619,76 @@ mod tests {
         wide.assign(v(2), p(7)).unwrap();
         let choice = wide.best_partition(&[v(0), v(1), v(2)], None, |_, in_p| Some(in_p as f64));
         assert_eq!(choice, Some(p(39)));
+    }
+
+    /// LDG's choice as it was made before [`Partitioning::ldg_choice`]:
+    /// every partition scored, seeded with the least-loaded one at 0.
+    fn ldg_full_scan(part: &Partitioning, neighbours: &[VertexId]) -> PartitionId {
+        let seed = (part.least_loaded(), 0.0);
+        part.best_partition(neighbours, Some(seed), |q, in_p| {
+            Some(in_p as f64 * part.capacity_penalty(q))
+        })
+        .expect("a seeded choice always holds a partition")
+    }
+
+    /// LOOM's choice for a group of `incoming` vertices as it was made
+    /// before [`Partitioning::ldg_choice`]: every partition with room for
+    /// the group scored, unseeded; with no room anywhere, LDG's choice.
+    fn loom_full_scan(
+        part: &Partitioning,
+        neighbours: &[VertexId],
+        incoming: usize,
+    ) -> PartitionId {
+        part.best_partition(neighbours, None, |q, in_p| {
+            part.has_room_for(q, incoming)
+                .then(|| in_p as f64 * part.capacity_penalty(q))
+        })
+        .unwrap_or_else(|| ldg_full_scan(part, neighbours))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(2_000))]
+
+        /// `ldg_choice` picks what the full scans it replaced picked: LDG's
+        /// seeded scan over every partition, and LOOM's unseeded scan over
+        /// the partitions with room for its group. k crosses the inline
+        /// count bound (32) and a word of the touched bitset (64);
+        /// partitions are empty, partly filled, full and over full;
+        /// neighbour lists repeat ids and name unassigned ones.
+        #[test]
+        fn ldg_choice_equals_the_full_scans_it_replaces(
+            k in 1u32..81,
+            capacity in 1usize..24,
+            fill in proptest::collection::vec(0usize..28, 80..81),
+            neighbours in proptest::collection::vec(0u64..80 * 28, 0..40),
+            incoming in 0usize..24,
+        ) {
+            // Partition q holds the ids q·28 .. q·28 + fill[q].
+            let mut part = Partitioning::new(k, capacity).unwrap();
+            for q in 0..k {
+                for j in 0..fill[q as usize] {
+                    part.assign(v(u64::from(q) * 28 + j as u64), p(q)).unwrap();
+                }
+            }
+            let neighbours: Vec<VertexId> = neighbours.into_iter().map(v).collect();
+            let incoming = 1 + incoming % capacity;
+
+            let ldg = part.ldg_choice(&neighbours, |_| true);
+            proptest::prop_assert_eq!(ldg, Some(ldg_full_scan(&part, &neighbours)));
+            let loom = part
+                .ldg_choice(&neighbours, |q| part.has_room_for(q, incoming))
+                .or(ldg);
+            proptest::prop_assert_eq!(loom, Some(loom_full_scan(&part, &neighbours, incoming)));
+        }
+    }
+
+    #[test]
+    fn ldg_choice_with_nothing_eligible_is_none() {
+        let part = three_partitions();
+        assert_eq!(part.ldg_choice(&[v(0), v(3)], |_| false), None);
+        // The neighbours live in p0 and p2, which are not eligible: the
+        // answer is the eligible p1, which holds none of them.
+        assert_eq!(part.ldg_choice(&[v(0), v(4)], |q| q == p(1)), Some(p(1)));
     }
 
     #[test]

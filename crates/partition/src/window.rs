@@ -15,24 +15,35 @@
 //! # Layout
 //!
 //! The window is a slab. A buffered vertex occupies one *slot* — its label
-//! and two adjacency lists (window / external) — found through one
-//! `id → slot` map that holds exactly the buffered vertices. The slots are
-//! linked oldest first, so a vertex leaves the arrival order in O(1) from
-//! anywhere in it, as a motif cluster's members do. Every adjacency
-//! list is a block of **one shared arena** of vertex ids. Blocks come in
-//! power-of-two sizes; a list that outgrows its block moves to one of twice
-//! the size and the old block goes on the free list of its size.
+//! and two adjacency lists (window / external). The slots are linked oldest
+//! first, so a vertex leaves the arrival order in O(1) from anywhere in it,
+//! as a motif cluster's members do. Every adjacency list is a block of
+//! **one shared arena** of vertex ids. Blocks come in power-of-two sizes; a
+//! list that outgrows its block moves to one of twice the size and the old
+//! block goes on the free list of its size.
 //!
-//! The re-entry index (outside vertex → the members holding an external
-//! edge to it) holds a lone member inline in the map entry, and only the
-//! second member promotes the entry to an arena list. Most outside vertices
-//! are listed by one member, so most external edges touch no block; an
-//! entry that is a list stays one until it empties.
+//! One map takes a vertex id to its place. A vertex is either buffered or
+//! outside, never both, so the map holds two kinds of entry:
+//!
+//! * a buffered vertex's slot;
+//! * for an outside vertex that some member holds an external edge to, the
+//!   members holding one, in list order: the re-entry index. A lone member
+//!   is held inline in the entry, and only the second member promotes the
+//!   entry to an arena list. Most outside vertices are listed by one member,
+//!   so most external edges touch no block; an entry that is a list stays
+//!   one until it empties.
+//!
+//! A vertex changes kind in place: an eviction turns its slot entry into
+//! its re-entry entry (or drops it, with no window neighbour to list it),
+//! and a re-entry turns it back, each with one probe. The newest slot of the
+//! arrival list is the vertex pushed last, which is the source of every
+//! edge a `GraphStream` emits after it, so such an edge finds its source
+//! without a probe.
 //!
 //! What is recycled: slots (a free list of indices) and blocks (a free list
 //! per size, shared by all slots and the re-entry index, so a hub's block is
 //! reused by the next hub wherever it lands). Once the arena, the free lists
-//! and the two maps have reached the stream's high-water mark, no operation
+//! and the map have reached the stream's high-water mark, no operation
 //! allocates.
 //!
 //! Lists keep push order; eviction removes the leaver from a neighbour's
@@ -45,11 +56,11 @@
 //!
 //! | operation | map probes | list work |
 //! |---|---|---|
-//! | `push_vertex` | 1 slot map + 1 re-entry index | on re-entry, O(members) |
-//! | `push_edge` | 2 slot map (+ 1 re-entry index when one endpoint is outside) | 1–2 pushes; none in the re-entry index for an outside vertex's first member |
-//! | `remove` | 1 slot map + 1 per neighbour (+ 1 re-entry index per external edge) | a `retain` per window neighbour; O(1) on the arrival list, for any vertex; a re-entry entry of one member is dropped without a scan |
-//! | `delete` | as `remove` | nothing is handed to the neighbours |
-//! | `remove_edge` | 2 slot map (+ 1 re-entry index) | 1–2 scans |
+//! | `push_vertex` | 1 (+ 1 per member on re-entry) | on re-entry, O(members) |
+//! | `push_edge` | 1 when the source is the newest vertex, else 2 (3 when only the target is buffered) | 1–2 pushes; none in the re-entry index for an outside vertex's first member |
+//! | `remove` | 1 for the leaver's slot and re-entry entry + 1 per window neighbour + 1 per external edge | a `retain` per window neighbour; O(1) on the arrival list, for any vertex; a re-entry entry of one member is dropped without a scan |
+//! | `delete` | as `remove`; 1 + 1 per member for an outside vertex | nothing is handed to the neighbours |
+//! | `remove_edge` | 2 (+ 1 when one endpoint is outside) | 1–2 scans |
 
 use crate::error::{PartitionError, Result};
 use crate::state::{StateReader, StateWriter};
@@ -121,6 +132,17 @@ impl Members {
     }
 }
 
+/// Where a vertex the window knows stands. A vertex is buffered or outside,
+/// never both, so one map holds both.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// Buffered in this slot.
+    Buffered(u32),
+    /// Outside the window, listed as an external neighbour by these members
+    /// (one entry per edge occurrence): the re-entry index.
+    Outside(Members),
+}
+
 /// The end of the arrival list.
 const NIL: u32 = u32::MAX;
 
@@ -146,16 +168,16 @@ pub struct StreamWindow {
     /// buffered vertices oldest first.
     first: u32,
     last: u32,
-    slot_of: FxHashMap<VertexId, usize>,
+    /// Every vertex the window knows: the buffered ones with their slot, and
+    /// the outside ones some member holds an external edge to, with those
+    /// members. The outside entries let a vertex re-entering the window
+    /// after eviction reclaim its edges as window edges in O(degree) instead
+    /// of leaving stale external entries behind — those would double-count
+    /// the edge in the LDG score once the re-entered vertex is evicted
+    /// again.
+    places: FxHashMap<VertexId, Place>,
     slots: Vec<Slot>,
     free_slots: Vec<usize>,
-    /// Reverse of the slots' external lists: for each *outside* vertex, the
-    /// window members listing it as an external neighbour (one entry per edge
-    /// occurrence). Kept so a vertex re-entering the window after eviction
-    /// can reclaim its edges as window edges in O(degree) instead of leaving
-    /// stale external entries behind — those would double-count the edge in
-    /// the LDG score once the re-entered vertex is evicted again.
-    external_rev: FxHashMap<VertexId, Members>,
     lists: ListPool,
 }
 
@@ -163,22 +185,22 @@ impl StreamWindow {
     /// Create a window holding at most `capacity` vertices (`capacity` is
     /// clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
-        // Both maps churn an entry per arrival and per eviction. Reserved at
-        // a few times their steady size they stay sparse, so a removal
-        // leaves an empty bucket rather than a tombstone and the table is
-        // not rehashed in place every few hundred operations (grown on
-        // demand, a bare window drove the `churn` stream about a quarter
-        // slower). Windows past `RESERVED_UP_TO` grow as needed.
+        // The map churns an entry per arrival, per eviction and per outside
+        // vertex. Reserved at a dozen times the window it stays sparse, so a
+        // removal leaves an empty bucket rather than a tombstone and the
+        // table is not rehashed in place every few hundred operations (grown
+        // on demand, a bare window drove the `churn` stream about a quarter
+        // slower; at half this reservation the benchmark's `ingest_eps` read
+        // × 0.93). Windows past `RESERVED_UP_TO` grow as needed.
         const RESERVED_UP_TO: usize = 4096;
         let reserved = capacity.clamp(1, RESERVED_UP_TO);
         Self {
             capacity: capacity.max(1),
             first: NIL,
             last: NIL,
-            slot_of: FxHashMap::with_capacity_and_hasher(4 * reserved, Default::default()),
+            places: FxHashMap::with_capacity_and_hasher(12 * reserved, Default::default()),
             slots: Vec::new(),
             free_slots: Vec::new(),
-            external_rev: FxHashMap::with_capacity_and_hasher(8 * reserved, Default::default()),
             lists: ListPool::default(),
         }
     }
@@ -190,12 +212,12 @@ impl StreamWindow {
 
     /// Number of vertices currently buffered.
     pub fn len(&self) -> usize {
-        self.slot_of.len()
+        self.slots.len() - self.free_slots.len()
     }
 
     /// Whether the window holds no vertices.
     pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
+        self.len() == 0
     }
 
     /// Whether the window is at (or beyond) capacity, i.e. the next vertex
@@ -204,13 +226,27 @@ impl StreamWindow {
         self.len() >= self.capacity
     }
 
+    /// The slot a buffered vertex occupies.
+    fn slot_index(&self, v: VertexId) -> Option<usize> {
+        match self.places.get(&v) {
+            Some(&Place::Buffered(s)) => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The slot of a vertex some window list names: it is buffered.
+    fn member_slot(&self, v: VertexId) -> usize {
+        self.slot_index(v)
+            .expect("a window list names only buffered vertices")
+    }
+
     fn slot(&self, v: VertexId) -> Option<&Slot> {
-        self.slot_of.get(&v).map(|&s| &self.slots[s])
+        self.slot_index(v).map(|s| &self.slots[s])
     }
 
     /// Whether a vertex is currently buffered.
     pub fn contains(&self, v: VertexId) -> bool {
-        self.slot_of.contains_key(&v)
+        self.slot_index(v).is_some()
     }
 
     /// The label of a buffered vertex.
@@ -291,23 +327,37 @@ impl StreamWindow {
             window: List::default(),
             external: List::default(),
         };
-        let s = match self.slot_of.entry(id) {
-            Entry::Occupied(held) => {
-                self.slots[*held.get()].label = label;
-                return;
-            }
+        let mut take_slot = || {
+            let s = self.free_slots.pop().unwrap_or_else(|| {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            });
+            let at = u32::try_from(s).expect("a window holds fewer than u32::MAX slots");
+            (s, Place::Buffered(at))
+        };
+        let (s, reentry) = match self.places.entry(id) {
+            Entry::Occupied(mut place) => match *place.get() {
+                Place::Buffered(held) => {
+                    self.slots[held as usize].label = label;
+                    return;
+                }
+                Place::Outside(members) => {
+                    let (s, buffered) = take_slot();
+                    *place.get_mut() = buffered;
+                    (s, Some(members))
+                }
+            },
             Entry::Vacant(vacant) => {
-                let s = self.free_slots.pop().unwrap_or_else(|| {
-                    self.slots.push(slot);
-                    self.slots.len() - 1
-                });
-                *vacant.insert(s)
+                let (s, buffered) = take_slot();
+                vacant.insert(buffered);
+                (s, None)
             }
         };
-        if let Some(members) = self.external_rev.remove(&id) {
+        if let Some(members) = reentry {
             for i in 0..members.len() {
                 let n = self.member(members, i);
-                let member = &mut self.slots[self.slot_of[&n]];
+                let at = self.member_slot(n);
+                let member = &mut self.slots[at];
                 self.lists.swap_remove_first(&mut member.external, id);
                 self.lists.push(&mut member.window, id);
                 self.lists.push(&mut slot.window, n);
@@ -319,35 +369,33 @@ impl StreamWindow {
     }
 
     /// Record an incoming edge and report where its endpoints live.
+    ///
+    /// A stream announces a vertex before its edges, so the source of an
+    /// edge is usually the newest buffered vertex: that one is found
+    /// without a map probe, and the edge costs one probe for its target.
     pub fn push_edge(&mut self, a: VertexId, b: VertexId) -> EdgePlacement {
-        let slot_a = self.slot_of.get(&a).copied();
-        let slot_b = self.slot_of.get(&b).copied();
-        match (slot_a, slot_b) {
-            (Some(sa), Some(sb)) => {
+        let slot_a = match self.slots.get(self.last as usize) {
+            Some(newest) if newest.id == a => Some(self.last as usize),
+            _ => self.slot_index(a),
+        };
+        let Some(sa) = slot_a else {
+            return match self.slot_index(b) {
+                Some(sb) => {
+                    let source = self.places.entry(a);
+                    file_external(&mut self.lists, &mut self.slots[sb], b, source)
+                }
+                None => EdgePlacement::NeitherInWindow,
+            };
+        };
+        let target = self.places.entry(b);
+        if let Entry::Occupied(place) = &target {
+            if let Place::Buffered(sb) = *place.get() {
                 self.lists.push(&mut self.slots[sa].window, b);
-                self.lists.push(&mut self.slots[sb].window, a);
-                EdgePlacement::BothInWindow
-            }
-            (Some(inside), None) => self.push_external_edge(inside, a, b),
-            (None, Some(inside)) => self.push_external_edge(inside, b, a),
-            (None, None) => EdgePlacement::NeitherInWindow,
-        }
-    }
-
-    fn push_external_edge(
-        &mut self,
-        slot: usize,
-        inside: VertexId,
-        outside: VertexId,
-    ) -> EdgePlacement {
-        self.lists.push(&mut self.slots[slot].external, outside);
-        match self.external_rev.entry(outside) {
-            Entry::Occupied(mut rev) => rev.get_mut().push(&mut self.lists, inside),
-            Entry::Vacant(rev) => {
-                rev.insert(Members::One(inside));
+                self.lists.push(&mut self.slots[sb as usize].window, a);
+                return EdgePlacement::BothInWindow;
             }
         }
-        EdgePlacement::OneInWindow { inside, outside }
+        file_external(&mut self.lists, &mut self.slots[sa], a, target)
     }
 
     /// Evict the oldest vertex (if any).
@@ -360,23 +408,42 @@ impl StreamWindow {
     /// remaining window members (its window edges become their external
     /// edges).
     pub fn remove(&mut self, id: VertexId) -> Option<EvictedVertex<'_>> {
-        let slot = self.vacate(id)?;
+        let Entry::Occupied(mut place) = self.places.entry(id) else {
+            return None;
+        };
+        let Place::Buffered(s) = *place.get() else {
+            return None;
+        };
+        let slot = self.slots[s as usize];
+        // The leaver goes outside, listed by its window neighbours in their
+        // list order (a self-loop leaves with its vertex): the same probe
+        // frees the slot and files the entry.
         let mut rev: Option<Members> = None;
         for i in 0..slot.window.len() {
             let n = self.lists.item(slot.window, i);
             if n == id {
-                continue; // a self-loop leaves with its vertex
+                continue;
             }
-            let member = &mut self.slots[self.slot_of[&n]];
-            self.lists.retain_ne(&mut member.window, id);
-            self.lists.push(&mut member.external, id);
             match &mut rev {
                 Some(members) => members.push(&mut self.lists, n),
                 None => rev = Some(Members::One(n)),
             }
         }
-        if let Some(rev) = rev {
-            self.external_rev.insert(id, rev);
+        match rev {
+            Some(members) => *place.get_mut() = Place::Outside(members),
+            None => {
+                place.remove();
+            }
+        }
+        self.vacate(s as usize, slot);
+        for i in 0..slot.window.len() {
+            let n = self.lists.item(slot.window, i);
+            if n != id {
+                let at = self.member_slot(n);
+                let member = &mut self.slots[at];
+                self.lists.retain_ne(&mut member.window, id);
+                self.lists.push(&mut member.external, id);
+            }
         }
         self.release_lists(slot);
         Some(EvictedVertex {
@@ -387,21 +454,19 @@ impl StreamWindow {
         })
     }
 
-    /// Take `id` out of the slot map and the arrival ring, free its slot and
-    /// drop the reverse entries of its external edges (they leave the
-    /// window's bookkeeping entirely, which keeps the index bounded by the
-    /// window's current external edges). The caller still owns the returned
-    /// slot's lists and ends with [`release_lists`](Self::release_lists).
-    fn vacate(&mut self, id: VertexId) -> Option<Slot> {
-        let s = self.slot_of.remove(&id)?;
+    /// Take slot `s`, which held `slot`, out of the arrival list, free it
+    /// and drop the re-entry entries of its external edges (they leave the
+    /// window's bookkeeping entirely, which keeps the map bounded by the
+    /// window's current external edges). The caller has already taken the
+    /// vertex's own entry, still owns the slot's lists and ends with
+    /// [`release_lists`](Self::release_lists).
+    fn vacate(&mut self, s: usize, slot: Slot) {
         self.unlink(s);
         self.free_slots.push(s);
-        let slot = self.slots[s];
         for i in 0..slot.external.len() {
             let outside = self.lists.item(slot.external, i);
-            self.forget_reverse(outside, id);
+            self.forget_reverse(outside, slot.id);
         }
-        Some(slot)
     }
 
     fn release_lists(&mut self, slot: Slot) {
@@ -433,16 +498,19 @@ impl StreamWindow {
 
     /// Drop one `outside → member` entry of the re-entry index.
     fn forget_reverse(&mut self, outside: VertexId, member: VertexId) {
-        if let Entry::Occupied(mut rev) = self.external_rev.entry(outside) {
-            let emptied = match rev.get_mut() {
-                Members::One(v) => *v == member,
-                Members::Many(list) => {
-                    self.lists.swap_remove_first(list, member);
-                    list.is_empty()
-                }
-            };
-            if emptied {
-                let members = rev.remove();
+        let Entry::Occupied(mut place) = self.places.entry(outside) else {
+            return;
+        };
+        let emptied = match place.get_mut() {
+            Place::Outside(Members::One(v)) => *v == member,
+            Place::Outside(Members::Many(list)) => {
+                self.lists.swap_remove_first(list, member);
+                list.is_empty()
+            }
+            Place::Buffered(_) => unreachable!("{outside} is outside the window"),
+        };
+        if emptied {
+            if let Place::Outside(members) = place.remove() {
                 self.release_members(members);
             }
         }
@@ -457,40 +525,46 @@ impl StreamWindow {
     /// already-evicted ones that window members still hold external edges to.
     /// Returns `true` if anything was dropped.
     pub fn delete(&mut self, id: VertexId) -> bool {
-        if let Some(slot) = self.vacate(id) {
-            // Buffered: drop the vertex, its window edges and its external
-            // edges without handing anything to the remaining members.
-            for i in 0..slot.window.len() {
-                let n = self.lists.item(slot.window, i);
-                if n != id {
-                    let member = &mut self.slots[self.slot_of[&n]];
-                    self.lists.retain_ne(&mut member.window, id);
+        let Entry::Occupied(place) = self.places.entry(id) else {
+            return false;
+        };
+        match place.remove() {
+            Place::Buffered(s) => {
+                // Buffered: drop the vertex, its window edges and its
+                // external edges without handing anything to the remaining
+                // members.
+                let slot = self.slots[s as usize];
+                self.vacate(s as usize, slot);
+                for i in 0..slot.window.len() {
+                    let n = self.lists.item(slot.window, i);
+                    if n != id {
+                        let at = self.member_slot(n);
+                        let member = &mut self.slots[at];
+                        self.lists.retain_ne(&mut member.window, id);
+                    }
                 }
+                self.release_lists(slot);
             }
-            self.release_lists(slot);
-            true
-        } else if let Some(members) = self.external_rev.remove(&id) {
-            // Already evicted: the members' external edges to it vanish, so
-            // later LDG scores stop counting edges into a dead vertex.
-            for i in 0..members.len() {
-                let n = self.member(members, i);
-                let member = &mut self.slots[self.slot_of[&n]];
-                self.lists.swap_remove_first(&mut member.external, id);
+            Place::Outside(members) => {
+                // Already evicted: the members' external edges to it vanish,
+                // so later LDG scores stop counting edges into a dead vertex.
+                for i in 0..members.len() {
+                    let n = self.member(members, i);
+                    let at = self.member_slot(n);
+                    let member = &mut self.slots[at];
+                    self.lists.swap_remove_first(&mut member.external, id);
+                }
+                self.release_members(members);
             }
-            self.release_members(members);
-            true
-        } else {
-            false
         }
+        true
     }
 
     /// Delete one edge from the window's bookkeeping (both-in-window,
     /// window-to-external, or absent). Returns `true` if an edge occurrence
     /// was dropped.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        let slot_a = self.slot_of.get(&a).copied();
-        let slot_b = self.slot_of.get(&b).copied();
-        match (slot_a, slot_b) {
+        match (self.slot_index(a), self.slot_index(b)) {
             (Some(sa), Some(sb)) => {
                 let removed = self.lists.swap_remove_first(&mut self.slots[sa].window, b);
                 self.lists.swap_remove_first(&mut self.slots[sb].window, a);
@@ -515,8 +589,8 @@ impl StreamWindow {
     /// Change a buffered vertex's label in place. Returns `true` if the
     /// vertex was buffered.
     pub fn relabel(&mut self, id: VertexId, label: Label) -> bool {
-        match self.slot_of.get(&id) {
-            Some(&s) => {
+        match self.slot_index(id) {
+            Some(s) => {
                 self.slots[s].label = label;
                 true
             }
@@ -542,9 +616,12 @@ impl StreamWindow {
         }
         let reversed = self.reversed_externals();
         let mut reordered: Vec<(VertexId, &[VertexId])> = self
-            .external_rev
+            .places
             .iter()
-            .map(|(&o, members)| (o, self.members(members)))
+            .filter_map(|(&o, place)| match place {
+                Place::Outside(members) => Some((o, self.members(members))),
+                Place::Buffered(_) => None,
+            })
             .filter(|&(o, members)| reversed.get(&o).map(Vec::as_slice) != Some(members))
             .collect();
         reordered.sort_unstable_by_key(|&(o, _)| o);
@@ -599,7 +676,8 @@ impl StreamWindow {
                 external: window.lists.list_from(&r.ids("external list")?),
             };
             let s = window.slots.len();
-            if window.slot_of.insert(id, s).is_some() {
+            let at = u32::try_from(s).expect("a window holds fewer than u32::MAX slots");
+            if window.places.insert(id, Place::Buffered(at)).is_some() {
                 return Err(corrupt(format!("vertex {id} buffered twice")));
             }
             window.slots.push(slot);
@@ -625,12 +703,14 @@ impl StreamWindow {
                 )));
             }
         }
+        // `check_lists` proved every external-list entry outside the window:
+        // these entries take no buffered vertex's place.
         for (outside, members) in reversed {
             let members = match members[..] {
                 [v] => Members::One(v),
                 _ => Members::Many(window.lists.list_from(&members)),
             };
-            window.external_rev.insert(outside, members);
+            window.places.insert(outside, Place::Outside(members));
         }
         Ok(window)
     }
@@ -663,6 +743,32 @@ impl StreamWindow {
             return Err(corrupt("a window edge is listed at one end only"));
         }
         Ok(())
+    }
+}
+
+/// Record the edge from `inside`, buffered in `slot`, to the vertex whose
+/// map entry `outside` is, which is not buffered: it goes on the slot's
+/// external list and `inside` joins the outside vertex's re-entry members.
+fn file_external(
+    lists: &mut ListPool,
+    slot: &mut Slot,
+    inside: VertexId,
+    outside: Entry<'_, VertexId, Place>,
+) -> EdgePlacement {
+    let id = *outside.key();
+    lists.push(&mut slot.external, id);
+    match outside {
+        Entry::Occupied(place) => match place.into_mut() {
+            Place::Outside(members) => members.push(lists, inside),
+            Place::Buffered(_) => unreachable!("{id} is outside the window"),
+        },
+        Entry::Vacant(vacant) => {
+            vacant.insert(Place::Outside(Members::One(inside)));
+        }
+    }
+    EdgePlacement::OneInWindow {
+        inside,
+        outside: id,
     }
 }
 
@@ -909,7 +1015,9 @@ mod tests {
 
     /// The re-entry entry of `outside` as `(is a list, members)`.
     fn entry(w: &StreamWindow, outside: u64) -> Option<(bool, Vec<VertexId>)> {
-        let members = w.external_rev.get(&v(outside))?;
+        let Some(Place::Outside(members)) = w.places.get(&v(outside)) else {
+            return None;
+        };
         let is_list = matches!(members, Members::Many(_));
         Some((is_list, w.members(members).to_vec()))
     }
@@ -968,7 +1076,7 @@ mod tests {
         // A window list naming a vertex outside the window is refused.
         let mut broken = StreamWindow::new(4);
         broken.push_vertex(v(1), l(0));
-        let s = broken.slot_of[&v(1)];
+        let s = broken.member_slot(v(1));
         broken.lists.push(&mut broken.slots[s].window, v(7));
         assert!(matches!(
             round_trip(&broken).1,

@@ -250,18 +250,17 @@ pub type GraphRow<'g> = (VertexId, Label, &'g [VertexId]);
 
 /// A graph's vertices in the arena's **partition-major** order — shard 0's
 /// home vertices by id, then shard 1's, …, then the unassigned tail's — by
-/// one walk of the graph's `id → slot` index in id order
-/// ([`LabelledGraph::adjacency_sorted`]) and one stable bucket pass by home,
-/// with no comparison sort of the vertices. This is the one
-/// definition of that order: [`ShardedStore::from_parts`] lays its arena out
-/// by it, and a checkpoint cut straight from a graph writes its blobs by it,
-/// so a freeze and the blobs cannot disagree.
+/// walks of the graph's `id → slot` index in id order
+/// ([`LabelledGraph::adjacency_ordered`]), one partition probe per vertex a
+/// walk: no comparison sort of the vertices and no copy of the rows. This
+/// is the one definition of that order:
+/// [`ShardedStore::from_parts`] lays its arena out by it, and a checkpoint
+/// cut straight from a graph writes its blobs by it, so a freeze and the
+/// blobs cannot disagree.
 #[derive(Debug)]
 pub struct PartitionMajor<'g> {
-    /// Every vertex, by ascending id.
-    rows: Vec<GraphRow<'g>>,
-    /// Each row's bucket: its home partition's index, or `k` for the tail.
-    buckets: Vec<u32>,
+    graph: &'g LabelledGraph,
+    partitioning: &'g Partitioning,
     /// `starts[b]..starts[b + 1]` are bucket `b`'s positions in the arena.
     starts: Vec<usize>,
 }
@@ -269,26 +268,30 @@ pub struct PartitionMajor<'g> {
 impl<'g> PartitionMajor<'g> {
     /// Lay `graph`'s vertices out by their home under `partitioning`; a
     /// vertex `partitioning` does not assign goes to the tail, and an
-    /// assignment of a vertex `graph` does not hold is ignored.
-    pub fn new(graph: &'g LabelledGraph, partitioning: &Partitioning) -> Self {
+    /// assignment of a vertex `graph` does not hold is ignored. One walk
+    /// counts each slice; the rows are read again by whoever walks the
+    /// layout.
+    pub fn new(graph: &'g LabelledGraph, partitioning: &'g Partitioning) -> Self {
         let k = partitioning.k() as usize;
-        let rows = graph.adjacency_sorted();
-        // One partition probe per vertex, in id order.
-        let mut buckets: Vec<u32> = Vec::with_capacity(rows.len());
-        let mut starts = vec![0usize; k + 2];
-        for &(v, _, _) in &rows {
-            let bucket = partitioning.partition_of(v).map_or(k, |p| p.index());
-            starts[bucket + 1] += 1;
-            buckets.push(bucket as u32);
+        let mut layout = Self {
+            graph,
+            partitioning,
+            starts: vec![0usize; k + 2],
+        };
+        for v in graph.vertices_ordered() {
+            let bucket = layout.bucket(v);
+            layout.starts[bucket + 1] += 1;
         }
         for bucket in 0..=k {
-            starts[bucket + 1] += starts[bucket];
+            layout.starts[bucket + 1] += layout.starts[bucket];
         }
-        Self {
-            rows,
-            buckets,
-            starts,
-        }
+        layout
+    }
+
+    /// `v`'s bucket: its home partition's index, or `k` for the tail.
+    fn bucket(&self, v: VertexId) -> usize {
+        let k = self.starts.len() - 2;
+        self.partitioning.partition_of(v).map_or(k, |p| p.index())
     }
 
     /// Number of shards (partitions) the layout has a slice for.
@@ -298,38 +301,32 @@ impl<'g> PartitionMajor<'g> {
 
     /// Number of vertices laid out.
     pub fn vertex_count(&self) -> usize {
-        self.rows.len()
+        self.starts[self.starts.len() - 1]
     }
 
-    /// Every vertex, in id order, with its bucket and its arena position:
-    /// the stable bucket pass, which places each vertex behind the ones of
-    /// its bucket with lower ids.
+    /// Every vertex, in id order, with its bucket: its home partition's
+    /// index, or `k` for the tail. Read in this order, each slice's rows
+    /// come in arena order.
+    pub fn bucketed(&self) -> impl Iterator<Item = (GraphRow<'g>, usize)> + '_ {
+        self.graph
+            .adjacency_ordered()
+            .map(|row| (row, self.bucket(row.0)))
+    }
+
+    /// [`PartitionMajor::bucketed`] with each vertex's arena position: the
+    /// stable bucket pass, which places each vertex behind the ones of its
+    /// bucket with lower ids.
     fn placed(&self) -> impl Iterator<Item = (GraphRow<'g>, usize, usize)> + '_ {
         let mut cursor = self.starts.clone();
-        self.rows
-            .iter()
-            .zip(&self.buckets)
-            .map(move |(&row, &bucket)| {
-                let bucket = bucket as usize;
-                cursor[bucket] += 1;
-                (row, bucket, cursor[bucket] - 1)
-            })
+        self.bucketed().map(move |(row, bucket)| {
+            cursor[bucket] += 1;
+            (row, bucket, cursor[bucket] - 1)
+        })
     }
 
-    /// Every vertex with its label and neighbours, in arena order — shard
-    /// 0's slice, …, shard `k − 1`'s, then the tail's, each in id order — by
-    /// one bucket pass; [`PartitionMajor::range`] says where each slice lies.
-    pub fn arena_rows(&self) -> Vec<GraphRow<'g>> {
-        let mut ordered = vec![(VertexId::new(0), Label::new(0), &[][..]); self.rows.len()];
-        for (row, _, pos) in self.placed() {
-            ordered[pos] = row;
-        }
-        ordered
-    }
-
-    /// The positions in [`PartitionMajor::arena_rows`] of the slice `slot`
-    /// names — shard `p`'s home vertices for `Some(p)`, the unassigned tail
-    /// for `None`. `None` for an out-of-range partition.
+    /// The arena positions of the slice `slot` names — shard `p`'s home
+    /// vertices for `Some(p)`, the unassigned tail for `None`. `None` for an
+    /// out-of-range partition.
     pub fn range(&self, slot: Option<PartitionId>) -> Option<Range<usize>> {
         let k = self.shard_count() as usize;
         let bucket = match slot {

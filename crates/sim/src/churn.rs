@@ -1,7 +1,7 @@
 //! Deletion churn: grow a motif-rich graph, then dissolve part of it.
 //!
-//! The insert-only scenarios ([`crate::growth`], [`crate::drift`]) never
-//! exercise the destructive half of the mutation stream. This scenario does:
+//! The insert-only scenario ([`crate::drift`]) never exercises the
+//! destructive half of the mutation stream. This scenario does:
 //! a background graph is planted with `abc` motif instances, streamed in as
 //! a normal build phase, and then a **dissolve phase** tears a configured
 //! fraction of the planted instances back down — edge removals first, then

@@ -43,9 +43,7 @@
 //!   motif families per phase) driving the `loom-adapt` adaptation story;
 //! * [`churn`] — the deletion-churn scenario (grow, then dissolve planted
 //!   instances through removals and relabels) driving the tombstone and
-//!   epoch-compaction story;
-//! * [`growth`] — streaming placement against periodic offline
-//!   repartitioning on a growing graph (cumulative time, cut, churn).
+//!   epoch-compaction story.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -55,7 +53,6 @@ pub mod context;
 pub mod drift;
 pub mod engine;
 pub mod executor;
-pub mod growth;
 pub mod matcher;
 pub mod plan;
 pub mod store;
@@ -65,7 +62,6 @@ pub use context::{CancelToken, RequestContext};
 pub use drift::DriftScenario;
 pub use engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget};
 pub use executor::{ExecutionMetrics, QueryExecutor, QueryMode};
-pub use growth::{GrowthCheckpoint, GrowthScenario};
 pub use matcher::{Embedding, PatternStore};
 pub use plan::{GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner};
 pub use store::PartitionedStore;
@@ -77,7 +73,6 @@ pub mod prelude {
     pub use crate::drift::DriftScenario;
     pub use crate::engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget};
     pub use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
-    pub use crate::growth::{GrowthCheckpoint, GrowthScenario};
     pub use crate::matcher::{Embedding, PatternStore};
     pub use crate::plan::{
         GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner,

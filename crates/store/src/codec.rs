@@ -93,11 +93,84 @@ fn unzigzag(code: u64) -> u64 {
     (code >> 1) ^ (code & 1).wrapping_neg()
 }
 
-/// The one blob encoder: header, then `rows` — the `vertices` live rows of
-/// the slice `slot` names (`None` is the unassigned tail), in arena order,
+/// The one blob encoder: header, then the `vertices` live rows of the slice
+/// `slot` names (`None` is the unassigned tail), gap-coded, in arena order,
 /// whichever source they are read from: a frozen store's
 /// [`ArenaSlice::rows`](loom_serve::shard::ArenaSlice::rows) or a graph's
-/// [`PartitionMajor`](loom_serve::shard::PartitionMajor) layout — gap-coded.
+/// [`PartitionMajor`](loom_serve::shard::PartitionMajor) layout. Rows are
+/// handed over one at a time ([`BlobEncoder::push`]), so a reader of a
+/// graph can fill every slot's blob in one walk of it.
+pub(crate) struct BlobEncoder {
+    buf: Vec<u8>,
+    /// End of what is written; `buf` is zeroed room past it.
+    at: usize,
+    /// The id of the last row pushed (0 before the first).
+    previous: u64,
+}
+
+impl BlobEncoder {
+    /// The header of a blob of `vertices` rows of the slice `slot` names.
+    pub(crate) fn new(slot: Option<PartitionId>, vertices: usize) -> Self {
+        let mut buf = Vec::with_capacity(16 + MAX_VARINT + vertices * 16);
+        put(&mut buf, BLOB_MAGIC.to_le_bytes());
+        put(&mut buf, BLOB_VERSION.to_le_bytes());
+        let kind = if slot.is_some() {
+            KIND_SHARD
+        } else {
+            KIND_TAIL
+        };
+        put(&mut buf, kind.to_le_bytes());
+        put(&mut buf, slot.map_or(0, |p| p.0).to_le_bytes());
+        // Varints go through a cursor into zeroed room, grown ahead of each
+        // row to its longest spelling: a store into a slice per byte, where
+        // a `Vec::push` per byte runs at half the speed.
+        let at = buf.len();
+        buf.resize(buf.capacity(), 0);
+        let at = write_varint(&mut buf, at, vertices as u64);
+        Self {
+            buf,
+            at,
+            previous: 0,
+        }
+    }
+
+    /// Append the next row.
+    #[inline]
+    pub(crate) fn push(
+        &mut self,
+        v: VertexId,
+        label: Label,
+        neighbours: impl ExactSizeIterator<Item = VertexId>,
+    ) {
+        let longest = (3 + neighbours.len()) * MAX_VARINT;
+        if self.buf.len() < self.at + longest {
+            let room = (2 * self.buf.len()).max(self.at + longest);
+            self.buf.resize(room, 0);
+        }
+        let out = self.buf.as_mut_slice();
+        // Ids ascend within a slice; a row that does not wraps to a gap the
+        // decoder refuses.
+        let v = v.raw();
+        let mut at = self.at;
+        at = write_varint(out, at, v.wrapping_sub(self.previous));
+        at = write_varint(out, at, u64::from(label.raw()));
+        at = write_varint(out, at, neighbours.len() as u64);
+        for n in neighbours {
+            at = write_varint(out, at, zigzag(n.raw().wrapping_sub(v)));
+        }
+        self.at = at;
+        self.previous = v;
+    }
+
+    /// The blob's bytes.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.buf.truncate(self.at);
+        self.buf
+    }
+}
+
+/// [`BlobEncoder`] over `rows`, the `vertices` rows of the slice `slot`
+/// names.
 pub(crate) fn encode_blob<N>(
     slot: Option<PartitionId>,
     vertices: usize,
@@ -106,42 +179,11 @@ pub(crate) fn encode_blob<N>(
 where
     N: ExactSizeIterator<Item = VertexId>,
 {
-    let mut buf = Vec::with_capacity(16 + MAX_VARINT + vertices * 16);
-    put(&mut buf, BLOB_MAGIC.to_le_bytes());
-    put(&mut buf, BLOB_VERSION.to_le_bytes());
-    let kind = if slot.is_some() {
-        KIND_SHARD
-    } else {
-        KIND_TAIL
-    };
-    put(&mut buf, kind.to_le_bytes());
-    put(&mut buf, slot.map_or(0, |p| p.0).to_le_bytes());
-    // Varints go through a cursor into zeroed room, grown ahead of each row
-    // to its longest spelling: a store into a slice per byte, where a
-    // `Vec::push` per byte runs at half the speed.
-    let mut at = buf.len();
-    buf.resize(buf.capacity(), 0);
-    at = write_varint(&mut buf, at, vertices as u64);
-    let mut previous = 0;
+    let mut blob = BlobEncoder::new(slot, vertices);
     for (v, label, neighbours) in rows {
-        let longest = (3 + neighbours.len()) * MAX_VARINT;
-        if buf.len() < at + longest {
-            buf.resize((2 * buf.len()).max(at + longest), 0);
-        }
-        let out = buf.as_mut_slice();
-        // Ids ascend within a slice; a row that does not wraps to a gap the
-        // decoder refuses.
-        let v = v.raw();
-        at = write_varint(out, at, v.wrapping_sub(previous));
-        at = write_varint(out, at, u64::from(label.raw()));
-        at = write_varint(out, at, neighbours.len() as u64);
-        for n in neighbours {
-            at = write_varint(out, at, zigzag(n.raw().wrapping_sub(v)));
-        }
-        previous = v;
+        blob.push(v, label, neighbours);
     }
-    buf.truncate(at);
-    buf
+    blob.finish()
 }
 
 /// The slice `slot` names of `store`'s arena (`None` is the unassigned

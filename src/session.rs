@@ -507,7 +507,7 @@ impl Session {
     /// past a segment it can be deleted. Then the blobs are encoded straight
     /// from the graph mirror [`Session::ingest_batch`] keeps current, laid
     /// out by the partitioner's snapshot ([`CheckpointImage::from_graph`]:
-    /// one walk of the mirror's slots, no store frozen), and written with
+    /// the mirror walked in id order, no copy of its rows, no store frozen), and written with
     /// the WAL records they fold in and the partitioner's state
     /// ([`Partitioner::encode_state`]) by [`commit_checkpoint`]. On `Ok(n)`
     /// checkpoint `n` is sealed — its `MANIFEST` on disk — the checkpoints

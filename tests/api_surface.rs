@@ -1,8 +1,8 @@
 //! Tests exercising the documented public API surface end to end:
 //! the README usage snippet, the `Session` façade, the declarative
 //! spec/registry layer (trait-object round-trips, batched vs per-element
-//! parity), graph statistics and the growth scenario — everything a
-//! downstream user would touch first.
+//! parity) and graph statistics — everything a downstream user would touch
+//! first.
 
 use loom::prelude::*;
 use loom_graph::stats::{clustering_coefficient, degree_histogram, degree_stats};
@@ -98,20 +98,25 @@ fn every_spec_round_trips_as_a_trait_object() -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
+/// FNV-1a over a byte string.
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over the id-sorted `(vertex, partition)` pairs of a partitioning.
 fn placement_digest(p: &Partitioning) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for (v, part) in sorted_assignments(p) {
-        for byte in v
-            .raw()
-            .to_le_bytes()
-            .into_iter()
-            .chain(part.0.to_le_bytes())
-        {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    let bytes: Vec<u8> = sorted_assignments(p)
+        .into_iter()
+        .flat_map(|(v, part)| {
+            v.raw()
+                .to_le_bytes()
+                .into_iter()
+                .chain(part.0.to_le_bytes())
+        })
+        .collect();
+    bytes_digest(&bytes)
 }
 
 /// Golden placements: every vertex of four seeded streams lands where it
@@ -253,6 +258,141 @@ fn every_spec_reproduces_its_golden_placement() -> Result<(), Box<dyn std::error
     Ok(())
 }
 
+/// Golden placements where LOOM clusters. The golden test above streams a
+/// Barabási–Albert graph, on which LOOM places few vertices as motif
+/// clusters; this one streams the graph `tests/ingest_allocs.rs` drives
+/// (600 `abc` paths planted in an 8-label background of 8 000 vertices)
+/// under the `abc` workload, in `Stochastic { 0.05 }` and `Dfs` order at
+/// k = 8, window 64, where about a quarter of the vertices are placed as
+/// clusters. Pinned per spec and order: the placement digest and the
+/// digest of the state blob written halfway through the stream; for LOOM
+/// also its counters. Recorded before LDG scored only the partitions a
+/// neighbour lives in and before the window kept one id map.
+#[test]
+fn every_spec_reproduces_its_golden_placement_where_loom_clusters(
+) -> Result<(), Box<dyn std::error::Error>> {
+    // (spec, [(placement, mid-stream state) on Stochastic, on Dfs])
+    const GOLDEN: [(&str, [(u64, u64); 2]); 4] = [
+        (
+            "hash",
+            [
+                (0x7c09_53ff_e882_51c3, 0x5af4_ef6d_72b9_8416),
+                (0x7c09_53ff_e882_51c3, 0x4f67_04d4_d0fb_7932),
+            ],
+        ),
+        (
+            "ldg",
+            [
+                (0xf976_321a_9a1f_ea50, 0x3858_ce3c_0ac2_0027),
+                (0xc495_82bd_208f_a77d, 0x8937_34aa_b2ee_cec2),
+            ],
+        ),
+        (
+            "fennel",
+            [
+                (0x2b5e_1f46_7ffc_7500, 0x9c8a_e583_5f5b_3c0a),
+                (0x86e2_16dd_7694_f6e9, 0x8e74_f38e_7be6_2f50),
+            ],
+        ),
+        (
+            "loom",
+            [
+                (0xe8ca_27de_f116_93af, 0x0b80_015f_60c3_cbd5),
+                (0xc495_82bd_208f_a77d, 0xcabb_577b_0046_7d76),
+            ],
+        ),
+    ];
+
+    let abc = path_graph(3, &[Label::new(0), Label::new(1), Label::new(2)]);
+    let (graph, _) = motif_planted_graph(
+        &loom_graph::generators::MotifPlantConfig {
+            background_vertices: 8_000,
+            background_edges: 20_000,
+            instances_per_motif: 600,
+            attachment_edges: 1,
+            label_count: 8,
+            seed: 17,
+        },
+        &[abc],
+    )?;
+    let query = PatternQuery::path(
+        QueryId::new(0),
+        &[Label::new(0), Label::new(1), Label::new(2)],
+    )?;
+    let tpstry = MotifMiner::default().mine(&Workload::uniform(vec![query])?)?;
+    let registry = workload_registry(&tpstry);
+    let (n, m) = (graph.vertex_count(), graph.edge_count());
+    let orders = [
+        StreamOrder::Stochastic {
+            seed: 17,
+            jump_probability: 0.05,
+        },
+        StreamOrder::Dfs,
+    ];
+
+    let mut actual = GOLDEN.map(|(tag, _)| (tag, [(0u64, 0u64); 2]));
+    let mut stats = Vec::new();
+    for (slot, order) in orders.iter().enumerate() {
+        let stream = GraphStream::from_graph(&graph, order);
+        let (head, tail) = stream.elements().split_at(stream.len() / 2);
+        for (row, (tag, spec)) in all_specs(8, n, m, 64).into_iter().enumerate() {
+            assert_eq!(tag, actual[row].0, "GOLDEN rows follow all_specs");
+            let mut partitioner = registry.build(&spec)?;
+            for batch in head.chunks(256) {
+                partitioner.ingest_batch(batch)?;
+            }
+            let state = bytes_digest(&partitioner.encode_state());
+            for batch in tail.chunks(256) {
+                partitioner.ingest_batch(batch)?;
+            }
+            let placed = partitioner.finish()?;
+            assert_eq!(placed.assigned_count(), n, "{tag} on {}", order.name());
+            actual[row].1[slot] = (placement_digest(&placed), state);
+        }
+        let mut loom = LoomPartitioner::new(LoomConfig::new(8, n).with_window_size(64), &tpstry)?;
+        partition_stream_batched(&mut loom, &stream, 256)?;
+        stats.push(loom.loom_stats());
+    }
+    assert_eq!(
+        actual, GOLDEN,
+        "placements or state moved; actual digests: {actual:#x?}"
+    );
+    assert_eq!(
+        stats,
+        [
+            LoomStats {
+                vertices_ingested: 9800,
+                edges_ingested: 21800,
+                window_edges: 8186,
+                signatures_computed: 3308,
+                motif_matches_found: 963,
+                clusters_assigned: 893,
+                cluster_vertices_assigned: 2337,
+                largest_cluster: 6,
+                clusters_split_for_balance: 0,
+                single_vertices_assigned: 7463,
+                verifications: 0,
+                false_positive_matches: 0,
+            },
+            LoomStats {
+                vertices_ingested: 9800,
+                edges_ingested: 21800,
+                window_edges: 8719,
+                signatures_computed: 3935,
+                motif_matches_found: 1017,
+                clusters_assigned: 934,
+                cluster_vertices_assigned: 2571,
+                largest_cluster: 7,
+                clusters_split_for_balance: 0,
+                single_vertices_assigned: 7229,
+                verifications: 0,
+                false_positive_matches: 0,
+            },
+        ]
+    );
+    Ok(())
+}
+
 /// Snapshots are non-destructive and stats are reported uniformly across
 /// every spec-built trait object.
 #[test]
@@ -295,28 +435,6 @@ fn graph_statistics_describe_generated_graphs() {
         clustering > 0.0 && clustering < 0.5,
         "clustering {clustering}"
     );
-}
-
-#[test]
-fn growth_scenario_contrasts_streaming_and_offline() {
-    let graph = barabasi_albert(GeneratorConfig::new(1_200, 4, 11), 2).unwrap();
-    let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 4 });
-    let scenario = GrowthScenario::new(4, 4);
-
-    let mut ldg = LdgPartitioner::new(LdgConfig::new(4, graph.vertex_count())).unwrap();
-    let streaming = scenario.run_streaming(&mut ldg, &stream).unwrap();
-    let offline = scenario.run_offline_periodic(&stream).unwrap();
-
-    assert_eq!(streaming.len(), 4);
-    assert_eq!(offline.len(), 4);
-    // Streaming adapts without migrations; offline repartitioning moves data.
-    assert!(streaming.iter().all(|c| c.churn == 0.0));
-    assert!(offline.iter().skip(1).any(|c| c.churn > 0.0));
-    // Offline ends with a cut at least as good as streaming's.
-    assert!(offline.last().unwrap().cut_ratio <= streaming.last().unwrap().cut_ratio + 0.05);
-    // Both saw the whole graph by the end.
-    assert_eq!(streaming.last().unwrap().vertices, graph.vertex_count());
-    assert_eq!(offline.last().unwrap().vertices, graph.vertex_count());
 }
 
 #[test]
