@@ -103,11 +103,6 @@ impl LoomPartitioner {
         }
     }
 
-    /// The partitioning built so far (not including buffered vertices).
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
     /// Number of vertices currently buffered in the window.
     pub fn buffered(&self) -> usize {
         self.window.len()
@@ -359,8 +354,8 @@ impl Partitioner for LoomPartitioner {
         Ok(())
     }
 
-    fn snapshot(&self) -> Partitioning {
-        self.partitioning.clone()
+    fn partitioning(&self) -> &Partitioning {
+        &self.partitioning
     }
 
     fn finish(&mut self) -> Result<Partitioning> {

@@ -26,10 +26,13 @@ pub struct DegreeStats {
 }
 
 /// Compute degree distribution statistics (all zeros for an empty graph).
-/// Each degree is read off the slot walk, not probed for by id.
+/// The percentiles are read off [`degree_histogram`]'s running counts —
+/// the degree at rank `round((n − 1) · p)` of the sorted degrees — so
+/// nothing is sorted: O(n + max degree).
 pub fn degree_stats(graph: &LabelledGraph) -> DegreeStats {
-    let mut degrees: Vec<usize> = graph.adjacency().map(|(_, _, ns)| ns.len()).collect();
-    if degrees.is_empty() {
+    let histogram = degree_histogram(graph);
+    let n: usize = histogram.iter().sum();
+    if n == 0 {
         return DegreeStats {
             min: 0,
             max: 0,
@@ -39,26 +42,44 @@ pub fn degree_stats(graph: &LabelledGraph) -> DegreeStats {
             p99: 0,
         };
     }
-    degrees.sort_unstable();
-    let percentile = |p: f64| -> usize {
-        let index = ((degrees.len() as f64 - 1.0) * p).round() as usize;
-        degrees[index.min(degrees.len() - 1)]
+    // The degree at rank `rank`: the first whose running count passes it.
+    let at = |rank: usize| -> usize {
+        let mut seen = 0;
+        histogram
+            .iter()
+            .position(|&count| {
+                seen += count;
+                seen > rank
+            })
+            .expect("rank below the vertex count")
     };
+    let percentile = |p: f64| at(((n as f64 - 1.0) * p).round() as usize);
+    let total: usize = histogram
+        .iter()
+        .enumerate()
+        .map(|(d, &count)| d * count)
+        .sum();
     DegreeStats {
-        min: degrees[0],
-        max: *degrees.last().expect("non-empty"),
-        mean: degrees.iter().sum::<usize>() as f64 / degrees.len() as f64,
+        min: at(0),
+        max: histogram.len() - 1,
+        mean: total as f64 / n as f64,
         median: percentile(0.5),
         p90: percentile(0.9),
         p99: percentile(0.99),
     }
 }
 
-/// Histogram of degrees: `histogram[d]` = number of vertices with degree `d`.
+/// Histogram of degrees: `histogram[d]` = number of vertices with degree `d`,
+/// up to the maximum degree (`[0]` for an empty graph). One walk of the
+/// slots.
 pub fn degree_histogram(graph: &LabelledGraph) -> Vec<usize> {
-    let mut histogram = vec![0usize; graph.max_degree() + 1];
+    let mut histogram = vec![0usize];
     for (_, _, neighbours) in graph.adjacency() {
-        histogram[neighbours.len()] += 1;
+        let d = neighbours.len();
+        if d >= histogram.len() {
+            histogram.resize(d + 1, 0);
+        }
+        histogram[d] += 1;
     }
     histogram
 }
@@ -143,6 +164,69 @@ mod tests {
         let ba = barabasi_albert(GeneratorConfig::new(500, 2, 3), 3).unwrap();
         let c = clustering_coefficient(&ba);
         assert!(c > 0.0 && c < 1.0, "clustering {c}");
+    }
+
+    /// What `degree_stats` returned when it sorted every degree: the
+    /// reference the histogram walk must equal.
+    fn sorted_degree_stats(graph: &LabelledGraph) -> DegreeStats {
+        let mut degrees: Vec<usize> = graph.adjacency().map(|(_, _, ns)| ns.len()).collect();
+        if degrees.is_empty() {
+            return degree_stats(graph);
+        }
+        degrees.sort_unstable();
+        let percentile = |p: f64| -> usize {
+            let index = ((degrees.len() as f64 - 1.0) * p).round() as usize;
+            degrees[index.min(degrees.len() - 1)]
+        };
+        DegreeStats {
+            min: degrees[0],
+            max: *degrees.last().expect("non-empty"),
+            mean: degrees.iter().sum::<usize>() as f64 / degrees.len() as f64,
+            median: percentile(0.5),
+            p90: percentile(0.9),
+            p99: percentile(0.99),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn degree_stats_equal_the_sorted_reference(
+            (vertices, hubs, edges) in (0usize..120, 0usize..4, proptest::collection::vec((0u64..1_000, 0u64..1_000), 0..400)),
+        ) {
+            // Random edges over `vertices` vertices, the first `hubs` of
+            // which also reach every other vertex: stars inside noise.
+            let mut graph = LabelledGraph::new();
+            let ids: Vec<_> = (0..vertices).map(|_| graph.add_vertex(Label::new(0))).collect();
+            for (a, b) in edges {
+                if vertices > 1 {
+                    let (a, b) = (ids[a as usize % vertices], ids[b as usize % vertices]);
+                    if a != b && !graph.contains_edge(a, b) {
+                        graph.add_edge(a, b).unwrap();
+                    }
+                }
+            }
+            for (h, &hub) in ids.iter().enumerate().take(hubs) {
+                for &v in &ids[h + 1..] {
+                    if !graph.contains_edge(hub, v) {
+                        graph.add_edge(hub, v).unwrap();
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(degree_stats(&graph), sorted_degree_stats(&graph));
+        }
+    }
+
+    #[test]
+    fn degree_stats_equal_the_sorted_reference_on_stars_and_the_empty_graph() {
+        for graph in [
+            LabelledGraph::new(),
+            star_graph(1, &[Label::new(0)]),
+            star_graph(9, &[Label::new(0)]),
+            star_graph(300, &[Label::new(0)]),
+            barabasi_albert(GeneratorConfig::new(2_000, 2, 9), 2).unwrap(),
+        ] {
+            assert_eq!(degree_stats(&graph), sorted_degree_stats(&graph));
+        }
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl Partitioner for HashPartitioner {
         Ok(())
     }
 
-    fn snapshot(&self) -> Partitioning {
-        self.partitioning.clone()
+    fn partitioning(&self) -> &Partitioning {
+        &self.partitioning
     }
 
     fn finish(&mut self) -> Result<Partitioning> {

@@ -85,12 +85,6 @@ impl<R: PlacementRule> PendingVertexPartitioner<R> {
         &self.rule
     }
 
-    /// Read-only access to the partitioning built so far (excluding the
-    /// pending vertex).
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
     /// The placed neighbours recorded for the pending vertex, if any.
     #[cfg(test)]
     pub(crate) fn pending_neighbours(&self) -> Option<&[VertexId]> {
@@ -199,8 +193,8 @@ impl<R: PlacementRule> Partitioner for PendingVertexPartitioner<R> {
         Ok(())
     }
 
-    fn snapshot(&self) -> Partitioning {
-        self.partitioning.clone()
+    fn partitioning(&self) -> &Partitioning {
+        &self.partitioning
     }
 
     fn finish(&mut self) -> Result<Partitioning> {

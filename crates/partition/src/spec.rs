@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn later_registrations_take_precedence() {
-        struct Stub;
+        struct Stub(Partitioning);
         impl Partitioner for Stub {
             fn name(&self) -> &'static str {
                 "stub"
@@ -309,8 +309,8 @@ mod tests {
             fn ingest(&mut self, _: &loom_graph::StreamElement) -> Result<()> {
                 Ok(())
             }
-            fn snapshot(&self) -> Partitioning {
-                Partitioning::new(1, 1).unwrap()
+            fn partitioning(&self) -> &Partitioning {
+                &self.0
             }
             fn finish(&mut self) -> Result<Partitioning> {
                 Partitioning::new(1, 1)
@@ -329,7 +329,9 @@ mod tests {
         let mut registry = PartitionerRegistry::baselines();
         registry.register(|spec| {
             Ok(match spec {
-                PartitionerSpec::Hash(_) => Some(Box::new(Stub) as Box<dyn Partitioner>),
+                PartitionerSpec::Hash(_) => {
+                    Some(Box::new(Stub(Partitioning::new(1, 1)?)) as Box<dyn Partitioner>)
+                }
                 _ => None,
             })
         });

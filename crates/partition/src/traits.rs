@@ -108,13 +108,18 @@ pub trait Partitioner: Send {
         Ok(())
     }
 
-    /// A non-destructive copy of the partitioning built so far.
+    /// The partitioning built so far, borrowed: what a checkpoint reads.
     ///
     /// Buffered vertices (a pending LDG/Fennel vertex, LOOM's window
-    /// contents) have no assignment yet and are therefore *not* part of the
-    /// snapshot; call [`Partitioner::finish`] for the complete result. This
-    /// is the explicit clone — `finish` itself never copies.
-    fn snapshot(&self) -> Partitioning;
+    /// contents) have no assignment yet and are therefore *not* part of it;
+    /// call [`Partitioner::finish`] for the complete result.
+    fn partitioning(&self) -> &Partitioning;
+
+    /// A non-destructive copy of [`Partitioner::partitioning`]. This is the
+    /// explicit clone — `finish` itself never copies.
+    fn snapshot(&self) -> Partitioning {
+        self.partitioning().clone()
+    }
 
     /// Flush any buffered elements and move the final partitioning out.
     ///
@@ -233,8 +238,8 @@ mod tests {
             Ok(())
         }
 
-        fn snapshot(&self) -> Partitioning {
-            self.partitioning.clone()
+        fn partitioning(&self) -> &Partitioning {
+            &self.partitioning
         }
 
         fn finish(&mut self) -> Result<Partitioning> {

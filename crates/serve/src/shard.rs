@@ -1278,11 +1278,20 @@ pub struct ArenaLoader {
 impl ArenaLoader {
     /// A loader for a store of `shards` shards.
     pub fn new(shards: u32) -> Self {
+        Self::with_capacity(shards, 0, 0)
+    }
+
+    /// A loader for a store of `shards` shards with room for `vertices`
+    /// vertices and `arcs` neighbour entries, so a loader told the arena's
+    /// size grows nothing while it is filled. The caller bounds both by
+    /// what it will append: this allocates them.
+    pub fn with_capacity(shards: u32, vertices: usize, arcs: usize) -> Self {
         Self {
             shards,
-            order: Vec::new(),
-            slots: Vec::new(),
-            neighbours: Vec::new(),
+            order: Vec::with_capacity(vertices),
+            // One more for the end slot `finish` appends.
+            slots: Vec::with_capacity(vertices + 1),
+            neighbours: Vec::with_capacity(arcs),
         }
     }
 
@@ -1301,7 +1310,9 @@ impl ArenaLoader {
         neighbours: impl IntoIterator<Item = VertexId>,
     ) {
         let offset = self.neighbours.len();
-        self.neighbours.extend(neighbours);
+        for u in neighbours {
+            self.neighbours.push(u);
+        }
         self.order.push(v);
         // Offsets past `u32` are refused in `finish` before any is read.
         self.slots.push(Slot {
@@ -1329,7 +1340,8 @@ impl ArenaLoader {
             neighbours,
         } = self;
         let (n, k) = (order.len(), shards as usize);
-        // Lives as long as the store: drop the slack growing it left.
+        // Lives as long as the store: drop the slack growing it left (none
+        // when the loader was sized to the arena).
         order.shrink_to_fit();
         if k == 0 {
             return Err("a store needs at least one shard".into());
@@ -1357,7 +1369,9 @@ impl ArenaLoader {
         for bucket in 0..=k {
             starts[bucket + 1] += starts[bucket];
         }
-        let mut position_of = VertexIndex::new();
+        // Rows arrive partition-major, so high ids come early: told `n`,
+        // the index lays them in its array instead of hashing them first.
+        let mut position_of = VertexIndex::with_expected(n);
         for (pos, &v) in order.iter().enumerate() {
             if position_of.try_insert(v, pos as u32).is_err() {
                 return Err(format!("{v} is listed twice"));

@@ -69,7 +69,7 @@
 //! the partitioner can decode it, and its proof — the restored partitioner
 //! must re-encode to the same bytes — is the restorer's to run.
 
-use crate::codec::{blob_crc, decode_blob, encode_slice, BlobEncoder};
+use crate::codec::{blob_crc, decode_blob, encode_slice, BlobEncoder, MIN_ROW};
 use crate::error::{Result, StoreError};
 use crate::wal::{retire_segments, sync_dir};
 use loom_graph::io::crc32;
@@ -640,10 +640,11 @@ struct ReadBlob {
 }
 
 /// Read the checkpoint in `dir` into the arena: the manifest is parsed and
-/// checksummed, then every blob — shard blobs in id order, then the tail,
-/// which is the arena's own order — is read, size- and CRC-checked against
-/// the manifest, checked to be the shard its file name says, and decoded
-/// straight into an [`ArenaLoader`] with adjacency order preserved.
+/// checksummed, then every blob is read and size- and CRC-checked against
+/// the manifest, then — shard blobs in id order, then the tail, which is the
+/// arena's own order — each is checked to be the shard its file name says
+/// and decoded straight into an [`ArenaLoader`] sized for all of them, with
+/// adjacency order preserved.
 pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     let meta = read_manifest(dir)?;
     // Each of the `shards + 1` slots of the arena must be named once.
@@ -667,12 +668,28 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
             ),
         ));
     }
-    let mut arena = ArenaLoader::new(meta.shards);
     let mut blobs = Vec::with_capacity(entries.len());
     for (id, entry) in entries {
-        let path = dir.join(&entry.name);
-        let bytes = read_blob(&path, entry)?;
-        let header = decode_blob(&bytes, &path, &mut arena)?;
+        blobs.push(ReadBlob {
+            name: entry.name.clone(),
+            slot: id.map(PartitionId::new),
+            bytes: read_blob(&dir.join(&entry.name), entry)?,
+        });
+    }
+    // The arena is sized once, from the manifest's totals, but never past
+    // what the bytes read can hold (a row takes three bytes at least, a
+    // neighbour one): a forged manifest cannot make this allocate.
+    let bytes = blobs.iter().map(|blob| blob.bytes.len()).sum::<usize>();
+    let clamp = |total: u64, most: usize| usize::try_from(total).map_or(most, |n| n.min(most));
+    let mut arena = ArenaLoader::with_capacity(
+        meta.shards,
+        clamp(meta.vertices, bytes / MIN_ROW),
+        clamp(meta.edges.saturating_mul(2), bytes),
+    );
+    for blob in &blobs {
+        let path = dir.join(&blob.name);
+        let header = decode_blob(&blob.bytes, &path, &mut arena)?;
+        let id = blob.slot.map(|p| p.0);
         if header.shard != id {
             return Err(StoreError::corrupt(
                 &path,
@@ -682,11 +699,6 @@ pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
                 ),
             ));
         }
-        blobs.push(ReadBlob {
-            name: entry.name.clone(),
-            slot: id.map(PartitionId::new),
-            bytes,
-        });
     }
     let partitioner = match state {
         Some(entry) => {

@@ -17,7 +17,13 @@
 //! * **Write-ahead log** ([`wal`]) — every ingested batch is appended as a
 //!   CRC-framed record and fsynced *before* it reaches the partitioner; a
 //!   crash mid-append leaves a torn tail that truncates cleanly back to the
-//!   last acknowledged batch. The log is cut into segments at checkpoint
+//!   last acknowledged batch. A record (v2, [`codec`]) spells each element
+//!   as a tag byte and varints — its first id as the zigzag distance from
+//!   the previous element's, then a label or the zigzag distance to its
+//!   edge's target — behind segments that start with the magic `LOOMWAL2`.
+//!   `LOOMWAL1` segments (fixed-width records) are still read; a recovery
+//!   whose newest segment is one continues the log in a new v2 segment, so
+//!   nothing writes v1 again. The log is cut into segments at checkpoint
 //!   boundaries, and a segment every kept checkpoint has folded in is
 //!   deleted.
 //! * **Committing a checkpoint** ([`commit_checkpoint`]) — a session's
@@ -38,7 +44,8 @@
 //!   state) to reproduce exact pre-crash state, and builds its graph mirror
 //!   from the arena's rows and the log's tail. What the closure built is
 //!   handed back only beside a proven checkpoint, and dropped otherwise. The
-//!   log must cover the checkpoint; its torn tail is truncated last, so a
+//!   log must cover the checkpoint; its torn tail is truncated last (and a
+//!   newest `LOOMWAL1` segment continued in a new `LOOMWAL2` one), so a
 //!   failed recovery writes nothing. Serving resumes pinned at the original
 //!   `epoch_seq`; the checkpoint's graph and partitioning are derived from
 //!   the verified arena only if asked for.
@@ -47,7 +54,8 @@
 //!
 //! ```text
 //! <root>/
-//! ├── wal-00000000000000000147.log  log segment: CRC-framed batches from
+//! ├── wal-00000000000000000147.log  log segment: `LOOMWAL2`, then
+//! │                                 CRC-framed batches from
 //! │                                 record 147, cut when checkpoint 3 took
 //! │                                 it (the one from record 0 is wal.log,
 //! │                                 retired once no kept checkpoint needs it)

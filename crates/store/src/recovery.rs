@@ -37,8 +37,9 @@
 //! report — [`RecoveryReport::replayed_from`] says where the partitioner's
 //! replay starts — and what its closure built. Only once nothing else can
 //! fail does it call [`RecoveredState::resume_wal`], which truncates the
-//! newest segment's torn tail — recovery's only write — and opens it for
-//! append. Recovery never retires a segment. A recovery that fails leaves
+//! newest segment's torn tail and opens it for append — or, when that
+//! segment is a `LOOMWAL1` file, opens a `LOOMWAL2` segment at the log's end
+//! — recovery's only writes. Recovery never retires a segment. A recovery that fails leaves
 //! the root byte-for-byte as found. Errors keep their order: the
 //! checkpoint's, then the log's, then the caller's.
 
@@ -96,9 +97,10 @@ pub struct RecoveredState {
 }
 
 impl RecoveredState {
-    /// Truncate the newest segment's torn tail and open it for append —
-    /// recovery's only write, so the caller makes it last, once nothing else
-    /// can fail.
+    /// Truncate the newest segment's torn tail and open it for append (in a
+    /// new v2 segment at the log's end when it holds v1 records) —
+    /// recovery's only writes, so the caller makes them last, once nothing
+    /// else can fail.
     pub fn resume_wal(&self) -> Result<Wal> {
         self.log.resume(&self.root)
     }

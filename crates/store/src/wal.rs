@@ -2,9 +2,12 @@
 //!
 //! A log file is a magic header followed by CRC-framed records — one record
 //! per ingested batch, in the `loom_graph::io` frame format (`[len][crc32]
-//! [payload]`). Appends are `fsync`ed before the batch reaches the
-//! partitioner, so every acknowledged batch survives a crash. A crash *mid*
-//! append leaves a torn tail whose frame fails its length or CRC check.
+//! [payload]`). The magic names the records' format: `LOOMWAL2` (varint,
+//! delta-coded ids; see [`crate::codec`]) is the only one written; a
+//! `LOOMWAL1` file (fixed-width ids) is still replayed. Appends are
+//! `fsync`ed before the batch reaches the partitioner, so every
+//! acknowledged batch survives a crash. A crash *mid* append leaves a torn
+//! tail whose frame fails its length or CRC check.
 //!
 //! A durability root's log is a chain of such files, **segments**, cut at
 //! checkpoint boundaries ([`Wal::rotate`]). The segment holding record 0 is
@@ -23,9 +26,13 @@
 //! for last: `replay_log` reads the segments from the one holding a given
 //! record on and reports, `LogReplay::resume` truncates the newest segment
 //! back to its last good frame — exactly the prefix of batches that were
-//! acknowledged — and opens it for append.
+//! acknowledged — and opens it for append. A newest segment that is a
+//! `LOOMWAL1` file is not appended to: the log continues in a new
+//! `LOOMWAL2` segment at its end, opened as [`Wal::rotate`] opens one, so a
+//! root caught mid-upgrade holds v1 segments, then v2 ones, and nothing
+//! writes v1 again.
 
-use crate::codec::{decode_elements, encode_elements};
+use crate::codec::{decode_elements, decode_elements_v1, encode_elements};
 use crate::error::{Result, StoreError};
 use loom_graph::io::{seal_frame, take_frame, FRAME_HEADER};
 use loom_graph::StreamElement;
@@ -39,8 +46,10 @@ use std::sync::Arc;
 /// that holds record 0.
 pub const WAL_FILE: &str = "wal.log";
 
-/// Magic header identifying a LOOM WAL file.
-const WAL_MAGIC: &[u8; 8] = b"LOOMWAL1";
+/// Magic header of a LOOM WAL file of v2 records: the one written.
+const WAL_MAGIC: &[u8; 8] = b"LOOMWAL2";
+/// Magic header of a LOOM WAL file of v1 (fixed-width) records: read only.
+const WAL_MAGIC_V1: &[u8; 8] = b"LOOMWAL1";
 
 /// Upper bound on a single record's payload — a batch far larger than any
 /// realistic ingest chunk, small enough that a corrupt length prefix cannot
@@ -139,7 +148,8 @@ pub struct Wal {
     first: u64,
     records: u64,
     /// The frame being appended — header reserved, payload encoded straight
-    /// behind it — kept so steady-state appends allocate nothing.
+    /// behind it — kept at its longest so steady-state appends neither
+    /// allocate nor zero-fill.
     frame: Vec<u8>,
     /// `store.fsync` histogram each append's write+sync wall clock is charged
     /// into; `None` (telemetry off) skips even the clock read.
@@ -157,6 +167,9 @@ pub struct WalReplay {
     pub truncated_bytes: u64,
     /// Length of the valid prefix (header plus good frames).
     pub valid_len: u64,
+    /// Whether the file is a `LOOMWAL1` log, which a resume does not append
+    /// to.
+    pub(crate) v1: bool,
 }
 
 impl Wal {
@@ -180,10 +193,11 @@ impl Wal {
         self.fsync_hist = Some(hist);
     }
 
-    /// Replay the log at `path` without opening it for append. A missing
-    /// file replays as empty; a torn tail is *reported* (not yet truncated);
-    /// anything that is not a LOOM WAL is a hard error — this function never
-    /// silently discards a foreign file.
+    /// Replay the log at `path` without opening it for append, decoding its
+    /// records in the format its magic names. A missing file replays as
+    /// empty; a torn tail is *reported* (not yet truncated); anything that
+    /// is not a LOOM WAL is a hard error — this function never silently
+    /// discards a foreign file.
     pub fn replay(path: &Path) -> Result<WalReplay> {
         let raw = match std::fs::read(path) {
             Ok(raw) => raw,
@@ -192,10 +206,22 @@ impl Wal {
             }
             Err(e) => return Err(StoreError::io(path, e)),
         };
-        let Some(mut bytes) = raw.strip_prefix(WAL_MAGIC) else {
-            return Err(StoreError::corrupt(path, "missing LOOMWAL1 magic header"));
+        let (mut bytes, v1) = match raw.strip_prefix(WAL_MAGIC) {
+            Some(bytes) => (bytes, false),
+            None => match raw.strip_prefix(WAL_MAGIC_V1) {
+                Some(bytes) => (bytes, true),
+                None => return Err(StoreError::corrupt(path, "missing LOOMWAL2 magic header")),
+            },
         };
-        let mut replay = WalReplay::default();
+        let decode = if v1 {
+            decode_elements_v1
+        } else {
+            decode_elements
+        };
+        let mut replay = WalReplay {
+            v1,
+            ..WalReplay::default()
+        };
         // A frame that fails its length or CRC check is the torn tail: the
         // valid prefix ends there.
         while let Ok(Some(payload)) = take_frame(&mut bytes, MAX_RECORD) {
@@ -203,24 +229,12 @@ impl Wal {
             // write (torn writes fail the CRC): it is real corruption or a
             // format break, and must be a hard error rather than a silent
             // truncation of acknowledged data.
-            replay.batches.push(decode_elements(payload, path)?);
+            replay.batches.push(decode(payload, path)?);
             replay.records += 1;
         }
         replay.truncated_bytes = bytes.len() as u64;
         replay.valid_len = (raw.len() - bytes.len()) as u64;
         Ok(replay)
-    }
-
-    /// Open the log at `path` for appending, replaying what is already
-    /// there. A torn tail is truncated off the file (and synced) so the next
-    /// append starts at a clean frame boundary. A missing file is created.
-    pub fn resume(path: &Path) -> Result<(Self, WalReplay)> {
-        let replay = Self::replay(path)?;
-        let wal = match path.exists() {
-            true => Self::reopen(path, 0, &replay)?,
-            false => Self::create(path)?,
-        };
-        Ok((wal, replay))
     }
 
     /// Open the existing file at `path`, whose first record is `first`, for
@@ -264,6 +278,14 @@ impl Wal {
         if self.records == self.first {
             return Ok(false);
         }
+        self.start_segment()?;
+        Ok(true)
+    }
+
+    /// Continue the log in a new, empty segment starting at record
+    /// [`Wal::records`], as [`Wal::rotate`] describes — in place of the
+    /// current one when that holds no record, since the two share a name.
+    fn start_segment(&mut self) -> Result<()> {
         let dir = match self.path.parent() {
             Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
             _ => PathBuf::from("."),
@@ -275,21 +297,19 @@ impl Wal {
         self.file = file;
         self.path = path;
         self.first = self.records;
-        sync_dir(&dir)?;
-        Ok(true)
+        sync_dir(&dir)
     }
 
     /// Append one batch as a single CRC-framed record and `fsync` it. On
     /// `Ok`, the batch is durable.
     pub fn append(&mut self, batch: &[StreamElement]) -> Result<()> {
-        self.frame.clear();
-        self.frame.resize(FRAME_HEADER, 0);
-        encode_elements(batch, &mut self.frame);
-        seal_frame(&mut self.frame);
+        let end = encode_elements(batch, &mut self.frame, FRAME_HEADER);
+        let frame = &mut self.frame[..end];
+        seal_frame(frame);
         let span = SpanTimer::start(self.fsync_hist.as_deref());
         let synced = self
             .file
-            .write_all(&self.frame)
+            .write_all(frame)
             .and_then(|()| self.file.sync_data());
         drop(span);
         synced.map_err(|e| StoreError::io(&self.path, e))?;
@@ -329,13 +349,18 @@ pub(crate) struct LogReplay {
 impl LogReplay {
     /// Open the log of `root` — the root this was read from — for appending:
     /// the newest segment, its torn tail truncated (and synced), or a new
-    /// [`WAL_FILE`] when the root holds no segment. The only step of
-    /// resuming a log that writes.
+    /// [`WAL_FILE`] when the root holds no segment. A newest segment of v1
+    /// records is continued in a new v2 segment at the log's end. The only
+    /// step of resuming a log that writes.
     pub(crate) fn resume(&self, root: &Path) -> Result<Wal> {
-        match &self.newest {
-            Some((segment, replay)) => Wal::reopen(&segment.path, segment.first, replay),
-            None => Wal::create(&segment_path(root, 0)),
+        let Some((segment, replay)) = &self.newest else {
+            return Wal::create(&segment_path(root, 0));
+        };
+        let mut wal = Wal::reopen(&segment.path, segment.first, replay)?;
+        if replay.v1 {
+            wal.start_segment()?;
         }
+        Ok(wal)
     }
 }
 
@@ -449,6 +474,7 @@ pub(crate) fn retire_segments(root: &Path, floor: u64) -> Result<Retired> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{v1_batches, V1_SEGMENT};
     use loom_graph::{Label, VertexId};
 
     fn batch(base: u64) -> Vec<StreamElement> {
@@ -466,6 +492,13 @@ mod tests {
                 target: VertexId::new(base + 1),
             },
         ]
+    }
+
+    /// Resume the log of `dir` as recovery does: read it whole, then open
+    /// it for append.
+    fn resume(dir: &Path) -> Result<(Wal, LogReplay)> {
+        let log = replay_log(dir, 0)?;
+        Ok((log.resume(dir)?, log))
     }
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -508,7 +541,7 @@ mod tests {
         let mut torn = raw.clone();
         torn.extend_from_slice(&[0x2A, 0x00, 0x00, 0x00, 0xDE, 0xAD]); // half a header
         std::fs::write(&path, &torn).unwrap();
-        let (mut resumed, replay) = Wal::resume(&path).unwrap();
+        let (mut resumed, replay) = resume(&dir).unwrap();
         assert_eq!(replay.records, 2);
         assert_eq!(replay.truncated_bytes, 6);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
@@ -522,7 +555,7 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let (_, replay) = Wal::resume(&path).unwrap();
+        let (_, replay) = resume(&dir).unwrap();
         assert_eq!(replay.records, 2, "corrupt trailing frame dropped");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -533,7 +566,7 @@ mod tests {
         let path = dir.join(WAL_FILE);
         let replay = Wal::replay(&path).unwrap();
         assert_eq!(replay.records, 0);
-        let (wal, replay) = Wal::resume(&path).unwrap();
+        let (wal, replay) = resume(&dir).unwrap();
         assert_eq!(replay.records, 0);
         assert_eq!(wal.records(), 0);
         assert!(path.exists());
@@ -549,10 +582,7 @@ mod tests {
             Wal::replay(&path),
             Err(StoreError::Corrupt { .. })
         ));
-        assert!(
-            Wal::resume(&path).is_err(),
-            "resume must not wipe foreign files"
-        );
+        assert!(resume(&dir).is_err(), "resume must not wipe foreign files");
         assert_eq!(std::fs::read(&path).unwrap(), b"definitely not a wal");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -699,6 +729,61 @@ mod tests {
             "torn frame after record 4 in a segment that is not the newest",
         );
         assert_eq!(replay_log(&dir, 4).unwrap().truncated_bytes, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_segment_replays_to_the_batches_its_writer_appended() {
+        let dir = tmpdir("v1");
+        let path = dir.join(WAL_FILE);
+        std::fs::write(&path, V1_SEGMENT).unwrap();
+        let replay = Wal::replay(&path).unwrap();
+        assert!(replay.v1);
+        assert_eq!((replay.records, replay.truncated_bytes), (4, 0));
+        assert_eq!(replay.batches, v1_batches());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_log_continues_in_a_v2_segment_and_is_never_appended_to() {
+        let dir = tmpdir("upgrade");
+        let v1 = segment_path(&dir, 0);
+        // A crash mid-append left half a frame behind the v1 records.
+        std::fs::write(&v1, [V1_SEGMENT, &[0x2A, 0, 0]].concat()).unwrap();
+        let (mut wal, log) = resume(&dir).unwrap();
+        assert_eq!((log.records, log.truncated_bytes), (4, 3));
+        assert_eq!(wal.path(), segment_path(&dir, 4));
+        assert_eq!(std::fs::read(wal.path()).unwrap(), b"LOOMWAL2");
+        // The v1 segment is its acknowledged records, never more.
+        assert_eq!(std::fs::read(&v1).unwrap(), V1_SEGMENT);
+        wal.append(&batch(50)).unwrap();
+        drop(wal);
+        // Recovered again, the log reads both formats and appends to v2.
+        let (mut wal, log) = resume(&dir).unwrap();
+        let mut expected = v1_batches();
+        expected.push(batch(50));
+        assert_eq!((log.first, log.records), (0, 5));
+        assert_eq!(log.batches, expected);
+        assert_eq!(wal.path(), segment_path(&dir, 4));
+        wal.append(&batch(60)).unwrap();
+        assert_eq!(firsts(&dir), [0, 4]);
+        assert_eq!(std::fs::read(&v1).unwrap(), V1_SEGMENT);
+        assert_eq!(replay_log(&dir, 4).unwrap().batches, [batch(50), batch(60)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // A newest v1 segment that holds no record is replaced, in place, by
+        // an empty v2 one: the two share a name.
+        let dir = tmpdir("upgrade-empty");
+        std::fs::write(segment_path(&dir, 0), V1_SEGMENT).unwrap();
+        std::fs::write(segment_path(&dir, 4), WAL_MAGIC_V1).unwrap();
+        let (mut wal, log) = resume(&dir).unwrap();
+        assert_eq!(log.records, 4);
+        assert_eq!(wal.path(), segment_path(&dir, 4));
+        assert_eq!(std::fs::read(wal.path()).unwrap(), WAL_MAGIC);
+        wal.append(&batch(70)).unwrap();
+        assert_eq!(firsts(&dir), [0, 4]);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "no file left");
+        assert_eq!(replay_log(&dir, 0).unwrap().records, 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -530,10 +530,13 @@ impl Session {
             ));
         };
         durable.wal.rotate()?;
-        let snapshot = self.partitioner.snapshot();
         let state = self.partitioner.encode_state();
         durable.epoch += 1;
-        let image = CheckpointImage::from_graph(&durable.graph, &snapshot, durable.epoch);
+        let image = CheckpointImage::from_graph(
+            &durable.graph,
+            self.partitioner.partitioning(),
+            durable.epoch,
+        );
         commit_checkpoint(
             &durable.root,
             &image,
@@ -728,7 +731,7 @@ impl Session {
         }
         let pinned = match state.checkpoint {
             Some(checkpoint) => checkpoint.store,
-            None => ShardedStore::from_parts(&graph, &partitioner.snapshot()),
+            None => ShardedStore::from_parts(&graph, partitioner.partitioning()),
         };
         let durable = DurableState::attach(
             &root,
