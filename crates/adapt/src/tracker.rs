@@ -100,11 +100,6 @@ impl WorkloadTracker {
         self.observed.iter().map(|&o| o / mass).collect()
     }
 
-    /// The distribution the current placement is optimised for.
-    pub fn baseline_distribution(&self) -> &[f64] {
-        &self.baseline
-    }
-
     /// Total-variation distance between the observed mix and the baseline:
     /// `0.5 · Σ |observed_i − baseline_i|`, in `[0, 1]`. Reports 0 until the
     /// decayed sample mass reaches 32 queries.

@@ -17,9 +17,8 @@
 
 use crate::context::RequestContext;
 use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
-use crate::matcher::{execute_plan_ctx, Embedding, ExecOptions, MatchScratch};
+use crate::matcher::{execute_plan_ctx, Embedding, ExecOptions, MatchScratch, PatternStore};
 use crate::plan::{resolve_plan, PlanCache, QueryPlan};
-use crate::store::PartitionedStore;
 use loom_motif::query::QueryId;
 use loom_motif::workload::Workload;
 use rand::rngs::StdRng;
@@ -345,16 +344,18 @@ pub fn resolve_schedule_plans(
     plans
 }
 
-/// Run a request through the sequential executor under `ctx` — the one
-/// sequential path: the `loom` façade's `Serving` handle and
-/// `QueryExecutor::execute_workload` both run it, and the concurrent engines
-/// are parity-tested against it. Every scheduled execution observes the
-/// context's deadline (tightened by the request's own) and cancellation
-/// token; executions scheduled after the cut are pre-flighted away at zero
-/// traversal cost, so they still count in `queries_executed` but do no work.
-pub fn run_sequential(
+/// Run a request through the sequential executor over any [`PatternStore`]
+/// under `ctx` — the one sequential path: the `loom` façade's `Serving`
+/// handle runs it over its frozen arena, `QueryExecutor::execute_workload`
+/// over the reference [`PartitionedStore`](crate::store::PartitionedStore),
+/// and the concurrent engines are parity-tested against it. Every scheduled
+/// execution observes the context's deadline (tightened by the request's
+/// own) and cancellation token; executions scheduled after the cut are
+/// pre-flighted away at zero traversal cost, so they still count in
+/// `queries_executed` but do no work.
+pub fn run_sequential<S: PatternStore + ?Sized>(
     executor: &QueryExecutor,
-    store: &PartitionedStore,
+    store: &S,
     workload: &Workload,
     request: QueryRequest,
     ctx: &RequestContext,
@@ -392,6 +393,7 @@ pub fn run_sequential(
 mod tests {
     use super::*;
     use crate::plan::{GraphStatistics, QueryPlanner};
+    use crate::store::PartitionedStore;
     use loom_graph::VertexId;
     use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
     use loom_partition::partition::{PartitionId, Partitioning};

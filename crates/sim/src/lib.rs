@@ -10,8 +10,11 @@
 //! partitions; rebuilding one would add enormous noise without changing the
 //! quantity of interest, so this crate substitutes a faithful cost model:
 //!
-//! * [`store::PartitionedStore`] — the partitioned graph: vertex data plus a
-//!   routing table mapping every vertex to its host partition;
+//! * [`store::PartitionedStore`] — the partitioned graph as hash maps:
+//!   vertex data plus a routing table mapping every vertex to its host
+//!   partition. It is the tests' reference store, the one the matcher
+//!   oracle and the parity tests hold every engine against; the `loom`
+//!   façade serves from `loom-serve`'s frozen arena and never builds it;
 //! * [`plan`] — compile-once query planning: the [`plan::QueryPlanner`]
 //!   cost-ranks candidate matching orders against graph statistics and the
 //!   [`plan::PlanCache`] shares the compiled [`plan::QueryPlan`]s (one per
@@ -26,15 +29,17 @@
 //!   metered from its arc ([`matcher::TaggedArc`]) and the whole search
 //!   runs in handle space — the same kernel, monomorphised per store, behind
 //!   the sequential executor and every concurrent worker;
-//! * [`executor`] — the sequential executor driving the matcher against a
+//! * [`executor`] — the sequential executor's settings (mode, match limit,
+//!   plan cache) and its reference entry points over a
 //!   [`store::PartitionedStore`], counting every traversal it performs and
 //!   whether the traversal stayed on the local partition or had to hop to a
 //!   remote one (with a configurable latency model);
 //! * [`engine`] — the unified [`engine::QueryEngine`] API:
 //!   [`engine::QueryRequest`] / [`engine::QueryResponse`] with a pull-based
 //!   [`engine::MatchCursor`] over concrete embeddings, with the one
-//!   sequential path ([`engine::run_sequential`]) here and the concurrent
-//!   engines in the `loom-serve` / `loom-adapt` layers;
+//!   sequential path ([`engine::run_sequential`], generic over
+//!   [`matcher::PatternStore`]) here and the concurrent engines in the
+//!   `loom-serve` / `loom-adapt` layers;
 //! * [`context`] — per-request deadlines and cooperative cancellation
 //!   ([`context::RequestContext`] / [`context::CancelToken`]), threaded from
 //!   every engine into the matcher's traversal-budget check so an expired

@@ -1,9 +1,15 @@
-//! The partitioned graph store.
+//! The reference partitioned graph store.
 //!
 //! [`PartitionedStore`] couples a data graph with a [`Partitioning`] and
 //! answers the questions a distributed query router would: where does a
 //! vertex live, what are its neighbours, and does following a given edge stay
 //! on the same partition or cross to another one?
+//!
+//! It answers them from hash maps, the simplest way, and is the tests'
+//! reference store: the matcher oracle and the serving and transport parity
+//! tests hold every engine against it. The `loom` façade does not build it —
+//! its sequential path and its concurrent engines share `loom-serve`'s frozen
+//! arena.
 //!
 //! The per-label vertex index is built **once** at construction —
 //! [`PartitionedStore::vertices_with_label`] returns slices into it, because

@@ -81,8 +81,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         session.ingest_stream(&stream)?;
         let serving = session.serve(graph.clone())?;
-        let quality = evaluate(serving.store().graph(), serving.partitioning());
-        let metrics = serving.execute(&workload, 150, 42);
+        let quality = evaluate(serving.graph(), serving.partitioning());
+        let metrics = serving
+            .run(QueryRequest::workload(150).with_seed(42))
+            .metrics;
         println!(
             "{:<11}  {:<9.4}  {:<9.3}  {:<8.4}  {:<10.3}  {:.1}",
             spec.name(),

@@ -13,12 +13,13 @@
 //!    into a [`QueryPlan`](loom_sim::plan::QueryPlan) against the graph's
 //!    statistics (with the default cost-ranked [`PlanStrategy`]), shared
 //!    through an `Arc<PlanCache>` by every layer below;
-//! 5. **serve** — the partitioned graph goes into a [`PartitionedStore`] +
-//!    [`QueryExecutor`] pair: the returned [`Serving`] is the sequential
-//!    [`QueryEngine`]. [`Serving::sharded`] freezes the store into a
-//!    `loom-serve` [`ShardedStore`] and stands up the concurrent
-//!    worker-shard engine, and [`ShardedServing::capacity`] drives it
-//!    open-loop — same plans, same metrics.
+//! 5. **serve** — the returned [`Serving`] keeps the partitioned graph and
+//!    freezes it, once and on first use, into the `loom-serve`
+//!    [`ShardedStore`] every engine it stands up runs on: it is itself the
+//!    sequential [`QueryEngine`] over that arena, [`Serving::sharded`] puts
+//!    the concurrent worker-shard engine in front of the same arena, and
+//!    [`ShardedServing::capacity`] drives that open-loop — one store, same
+//!    plans, same metrics.
 //!
 //! ```
 //! use loom::session::Session;
@@ -60,7 +61,6 @@ use loom_sim::context::RequestContext;
 use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse};
 use loom_sim::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
-use loom_sim::store::PartitionedStore;
 use loom_store::checkpoint::CHECKPOINT_DIR;
 use loom_store::recovery::{Beside, RecoverSpans, RecoveryReport};
 use loom_store::{
@@ -420,16 +420,6 @@ impl Session {
         }
     }
 
-    /// The telemetry bundle observing this session, if any.
-    pub fn telemetry_handle(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// The spec the partitioner was built from.
-    pub fn spec(&self) -> &PartitionerSpec {
-        &self.spec
-    }
-
     /// The partitioner's short, stable name.
     pub fn partitioner_name(&self) -> &'static str {
         self.partitioner.name()
@@ -615,9 +605,10 @@ impl Session {
 
     /// Finish partitioning and hand off to the serving layer: every workload
     /// query is compiled **once** into a plan against the graph's statistics
-    /// (the compile-once step every engine below reuses), and the partitioned
-    /// `graph` goes into a [`PartitionedStore`] with a [`QueryExecutor`]
-    /// configured from the session.
+    /// (the compile-once step every engine below reuses), and `graph` and the
+    /// final partitioning move into a [`Serving`] with a [`QueryExecutor`]
+    /// configured from the session. No store is built here: the arena is
+    /// frozen on the handle's first query or [`Serving::sharded`].
     ///
     /// # Errors
     ///
@@ -625,7 +616,7 @@ impl Session {
     pub fn serve(mut self, graph: LabelledGraph) -> SessionResult<Serving> {
         let partitioning = self.partitioner.finish()?;
         let plans = self.compile_plans(&graph);
-        Ok(self.serving_over(graph, partitioning, plans))
+        Ok(self.serving_over(graph, partitioning, plans, OnceLock::new()))
     }
 
     /// The compile-once step: every workload query planned against `graph`'s
@@ -638,10 +629,18 @@ impl Session {
         })
     }
 
-    /// The session's executor settings (query mode, match limit) over
-    /// `plans` — what every engine the session stands up, sequential or
-    /// sharded, is configured from.
-    fn executor(&self, plans: Option<Arc<PlanCache>>) -> QueryExecutor {
+    /// The one place a [`Serving`] is wired (live and recovered alike): the
+    /// session's executor settings (query mode, match limit) over `plans`,
+    /// which every engine the handle stands up is configured from. `store`
+    /// is empty until first use, or seeded with an arena that already holds
+    /// `graph` under `partitioning`.
+    fn serving_over(
+        &self,
+        graph: LabelledGraph,
+        partitioning: Partitioning,
+        plans: Option<Arc<PlanCache>>,
+        store: OnceLock<Arc<ShardedStore>>,
+    ) -> Serving {
         let mut executor = QueryExecutor::default().with_mode(self.query_mode);
         if let Some(limit) = self.match_limit {
             executor = executor.with_match_limit(limit);
@@ -649,19 +648,11 @@ impl Session {
         if let Some(plans) = plans {
             executor = executor.with_plan_cache(plans);
         }
-        executor
-    }
-
-    /// The one place a [`Serving`] is wired (live and recovered alike).
-    fn serving_over(
-        &self,
-        graph: LabelledGraph,
-        partitioning: Partitioning,
-        plans: Option<Arc<PlanCache>>,
-    ) -> Serving {
         Serving {
-            store: PartitionedStore::new(graph, partitioning),
-            executor: self.executor(plans),
+            graph,
+            partitioning,
+            store,
+            executor,
             workload: self.workload.clone(),
             telemetry: self.telemetry.clone(),
         }
@@ -744,8 +735,7 @@ impl Session {
             session: builder.into_session(partitioner, Some(durable)),
             store: Arc::new(pinned.with_epoch(report.epoch_seq)),
             report,
-            parts: OnceLock::new(),
-            plans: OnceLock::new(),
+            serving: OnceLock::new(),
         })
     }
 }
@@ -842,24 +832,6 @@ fn restore_partitioner(
     Ok(())
 }
 
-/// The one place a session-side [`ServeEngine`] is wired: `config` from
-/// [`serve_config`], plus the executor's compiled plan cache and the
-/// session's telemetry — shared `Arc`s, never recompiled or re-created.
-fn serve_engine(
-    config: ServeConfig,
-    plans: Option<&Arc<PlanCache>>,
-    telemetry: Option<&Arc<Telemetry>>,
-) -> ServeEngine {
-    let mut engine = ServeEngine::new(config);
-    if let Some(plans) = plans {
-        engine = engine.with_plan_cache(Arc::clone(plans));
-    }
-    if let Some(telemetry) = telemetry {
-        engine = engine.with_telemetry(Arc::clone(telemetry));
-    }
-    engine
-}
-
 /// A `workers`-shard [`ServeConfig`] inheriting `executor`'s query mode and
 /// match limit, so sharded metrics are directly comparable to (in fact,
 /// identical to) the sequential path's for the same request.
@@ -878,13 +850,13 @@ pub struct Recovered {
     session: Session,
     store: Arc<ShardedStore>,
     report: RecoveryReport,
-    /// The graph and assignment `store` holds, derived from it on first use
-    /// — never from the WAL replay, so this handle stays consistent with
-    /// the checkpoint's blobs whatever the builder's configuration says.
-    parts: OnceLock<(LabelledGraph, Partitioning)>,
-    /// Plans over the recovered graph, compiled on first use and shared by
-    /// every engine this handle stands up (the compile-once contract).
-    plans: OnceLock<Option<Arc<PlanCache>>>,
+    /// Serving over `store` itself, set up on first use: the graph and
+    /// assignment `store` holds, derived from it — never from the WAL
+    /// replay, so this handle stays consistent with the checkpoint's blobs
+    /// whatever the builder's configuration says — and plans compiled once
+    /// from that graph, shared by every engine this handle stands up (the
+    /// compile-once contract).
+    serving: OnceLock<Serving>,
 }
 
 impl Recovered {
@@ -907,17 +879,22 @@ impl Recovered {
     /// The checkpointed graph (the WAL prefix the checkpoint had folded
     /// in), derived from the recovered store on first use.
     pub fn graph(&self) -> &LabelledGraph {
-        &self.parts().0
+        self.served().graph()
     }
 
     /// The checkpointed vertex→partition assignment, derived from the
     /// recovered store on first use.
     pub fn partitioning(&self) -> &Partitioning {
-        &self.parts().1
+        self.served().partitioning()
     }
 
-    fn parts(&self) -> &(LabelledGraph, Partitioning) {
-        self.parts.get_or_init(|| self.store.to_parts())
+    fn served(&self) -> &Serving {
+        self.serving.get_or_init(|| {
+            let (graph, partitioning) = self.store.to_parts();
+            let plans = self.session.compile_plans(&graph);
+            let store = OnceLock::from(Arc::clone(&self.store));
+            self.session.serving_over(graph, partitioning, plans, store)
+        })
     }
 
     /// The live session: keep ingesting (WAL-backed), checkpoint again, or
@@ -931,72 +908,57 @@ impl Recovered {
         self.session
     }
 
-    /// Sequential serving over the recovered checkpoint state, configured
+    /// Sequential serving over the recovered store itself — no store is
+    /// rebuilt: the handle's arena is [`Recovered::store`] — configured
     /// exactly like the original session (same query mode and match limit;
     /// plans compiled once from the recovered graph's statistics, which
     /// recovery restored bit-identically, and shared with
     /// [`Recovered::sharded`]).
     pub fn serving(&self) -> Serving {
-        self.session.serving_over(
-            self.graph().clone(),
-            self.partitioning().clone(),
-            self.plans().cloned(),
-        )
+        self.served().clone()
     }
 
     /// Concurrent serving over the recovered store with `workers` worker
-    /// shards — the store keeps its pre-crash `epoch_seq`, so per-shard
-    /// metrics are directly diffable against the pre-crash run.
+    /// shards ([`Serving::sharded`] of [`Recovered::serving`]) — the store
+    /// keeps its pre-crash `epoch_seq`, so per-shard metrics are directly
+    /// diffable against the pre-crash run.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
-        let executor = self.session.executor(self.plans().cloned());
-        ShardedServing {
-            store: Arc::clone(&self.store),
-            engine: serve_engine(
-                serve_config(&executor, workers),
-                executor.plan_cache(),
-                self.session.telemetry.as_ref(),
-            ),
-            workload: self.session.workload.clone(),
-        }
-    }
-
-    fn plans(&self) -> Option<&Arc<PlanCache>> {
-        self.plans
-            .get_or_init(|| self.session.compile_plans(self.graph()))
-            .as_ref()
+        self.served().sharded(workers)
     }
 }
 
-/// The serving half of a session: a partitioned store plus an instrumented
-/// query executor, sharing the session's compiled plan cache.
+/// The serving half of a session: the graph and partitioning it finished
+/// with, the one [`ShardedStore`] every engine of this handle runs on, and an
+/// instrumented query executor sharing the session's compiled plan cache.
+/// The store is frozen from the graph on first use — by [`Serving::run`],
+/// [`Serving::sharded`] or [`Serving::store`] — and never again; a
+/// [`Recovered::serving`] handle starts with the recovered store in place.
 #[derive(Debug, Clone)]
 pub struct Serving {
-    store: PartitionedStore,
+    graph: LabelledGraph,
+    partitioning: Partitioning,
+    store: OnceLock<Arc<ShardedStore>>,
     executor: QueryExecutor,
     workload: Option<Workload>,
     telemetry: Option<Arc<Telemetry>>,
 }
 
 impl Serving {
-    /// The partitioned store.
-    pub fn store(&self) -> &PartitionedStore {
-        &self.store
+    /// The sharded store every engine of this handle runs on, frozen on the
+    /// first call.
+    pub fn store(&self) -> &Arc<ShardedStore> {
+        self.store
+            .get_or_init(|| Arc::new(ShardedStore::from_parts(&self.graph, &self.partitioning)))
+    }
+
+    /// The served graph.
+    pub fn graph(&self) -> &LabelledGraph {
+        &self.graph
     }
 
     /// The final partitioning.
     pub fn partitioning(&self) -> &Partitioning {
-        self.store.partitioning()
-    }
-
-    /// The query executor.
-    pub fn executor(&self) -> &QueryExecutor {
-        &self.executor
-    }
-
-    /// The compiled plan cache every engine spawned from this handle shares
-    /// (`None` when the session has no workload to compile).
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.executor.plan_cache()
+        &self.partitioning
     }
 
     /// The session's workload, if one was configured.
@@ -1004,38 +966,23 @@ impl Serving {
         self.workload.as_ref()
     }
 
-    /// The telemetry bundle inherited from the session, if any. Every engine
-    /// spawned from this handle ([`Serving::sharded`], [`Serving::adaptive`])
-    /// reports into it.
-    pub fn telemetry_handle(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Execute `samples` queries drawn from an explicit workload. Queries
-    /// matching the session workload (by id *and* structure) reuse its
-    /// compiled plans; structurally foreign queries — even under colliding
-    /// ids — are planned on the spot with the legacy heuristic.
-    pub fn execute(&self, workload: &Workload, samples: usize, seed: u64) -> ExecutionMetrics {
-        self.executor
-            .execute_workload(&self.store, workload, samples, seed)
-    }
-
-    /// Freeze the store into a [`ShardedStore`] and stand up the concurrent
-    /// serving engine with `workers` worker shards. The engine inherits the
-    /// session's query mode, match limit **and compiled plan cache**, so its
-    /// aggregate metrics are directly comparable to (in fact, identical to)
-    /// the sequential [`Serving::run`] path for the same request.
+    /// Stand up the concurrent serving engine with `workers` worker shards
+    /// over [`Serving::store`] — the same `Arc` for every call. The engine
+    /// inherits the session's query mode, match limit **and compiled plan
+    /// cache**, so its aggregate metrics are directly comparable to (in fact,
+    /// identical to) the sequential [`Serving::run`] path for the same
+    /// request.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
+        let mut engine = ServeEngine::new(serve_config(&self.executor, workers));
+        if let Some(plans) = self.executor.plan_cache() {
+            engine = engine.with_plan_cache(Arc::clone(plans));
+        }
+        if let Some(telemetry) = &self.telemetry {
+            engine = engine.with_telemetry(Arc::clone(telemetry));
+        }
         ShardedServing {
-            store: Arc::new(ShardedStore::from_parts(
-                self.store.graph(),
-                self.store.partitioning(),
-            )),
-            engine: serve_engine(
-                serve_config(&self.executor, workers),
-                self.executor.plan_cache(),
-                self.telemetry.as_ref(),
-            ),
+            store: Arc::clone(self.store()),
+            engine,
             workload: self.workload.clone(),
         }
     }
@@ -1057,8 +1004,8 @@ impl Serving {
             return Err(SessionError::MissingWorkload("adaptive serving"));
         };
         let mut adaptive = AdaptiveServing::new(
-            self.store.graph().clone(),
-            self.store.partitioning().clone(),
+            self.graph.clone(),
+            self.partitioning.clone(),
             workload.clone(),
             serve_config(&self.executor, workers),
             config,
@@ -1074,8 +1021,8 @@ impl Serving {
 }
 
 /// The sequential face of the unified engine API: requests run on the
-/// calling thread through the session's [`QueryExecutor`], its
-/// [`PartitionedStore`] and the shared compiled plan cache. The
+/// calling thread through the session's [`QueryExecutor`] over
+/// [`Serving::store`] and the shared compiled plan cache. The
 /// [`RequestContext`]'s deadline and cancellation token are observed by
 /// every scheduled execution.
 ///
@@ -1084,7 +1031,13 @@ impl Serving {
 impl QueryEngine for Serving {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
         match &self.workload {
-            Some(workload) => run_sequential(&self.executor, &self.store, workload, request, ctx),
+            Some(workload) => run_sequential(
+                &self.executor,
+                self.store().as_ref(),
+                workload,
+                request,
+                ctx,
+            ),
             None => QueryResponse::from_engine(
                 ExecutionMetrics::default(),
                 Vec::new(),
@@ -1099,7 +1052,8 @@ impl QueryEngine for Serving {
 }
 
 /// The concurrent serving half of a session: an immutable sharded snapshot
-/// plus the `loom-serve` engine, created by [`Serving::sharded`].
+/// plus the `loom-serve` engine, created by [`Serving::sharded`] or
+/// [`Recovered::sharded`].
 #[derive(Debug, Clone)]
 pub struct ShardedServing {
     store: Arc<ShardedStore>,
@@ -1111,22 +1065,6 @@ impl ShardedServing {
     /// The pinned sharded snapshot.
     pub fn store(&self) -> &Arc<ShardedStore> {
         &self.store
-    }
-
-    /// The serving engine.
-    pub fn engine(&self) -> &ServeEngine {
-        &self.engine
-    }
-
-    /// Serve `samples` queries drawn from an explicit workload. Queries
-    /// matching the session workload (by id *and* structure) reuse its
-    /// compiled plans; structurally foreign queries — even under colliding
-    /// ids — are planned on the spot with the legacy heuristic.
-    pub fn serve(&self, workload: &Workload, samples: usize, seed: u64) -> ServeReport {
-        let request = QueryRequest::workload(samples).with_seed(seed);
-        self.engine
-            .run(&self.store, workload, request, &RequestContext::unbounded())
-            .0
     }
 
     /// Execute a unified [`QueryRequest`] and return both the per-shard
@@ -1255,9 +1193,6 @@ mod tests {
         // The unified API serves an empty response instead of failing.
         let response = serving.run(QueryRequest::workload(10));
         assert_eq!(response.metrics.queries_executed, 0);
-        // An explicit workload still works.
-        let metrics = serving.execute(&paper_example_workload(), 10, 1);
-        assert_eq!(metrics.queries_executed, 10);
     }
 
     #[test]

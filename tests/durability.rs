@@ -213,7 +213,9 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     // them, which is post-crash work the checkpoint never saw.
     let samples = 200;
     let recovered_sharded = recovered.sharded(2);
-    let recovered_report = recovered_sharded.serve(&motif_workload(), samples, 7);
+    let recovered_report = recovered_sharded
+        .serve_request(QueryRequest::workload(samples).with_seed(7))
+        .0;
     // Compile-once: the recovered plans are built on first use and every
     // engine the handle stands up — sharded or sequential, however many
     // times — shares that one cache.
@@ -253,11 +255,17 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     assert_eq!(recovered_report.aggregate, control_report.aggregate);
     assert!(recovered_report.aggregate.matches_found > 0);
     assert_eq!(recovered_report.queries, samples);
-    // Sequential serving over the graph and assignment derived from the
-    // recovered store answers exactly as the sharded engine over the store
-    // itself, and what was derived is what the uninterrupted session held.
+    // Every engine the handle stands up runs on the recovered store itself:
+    // nothing is refrozen or reindexed for the sequential path or another
+    // worker count.
+    let serving = recovered.serving();
+    assert!(Arc::ptr_eq(serving.store(), recovered.store()));
+    assert!(Arc::ptr_eq(recovered.sharded(4).store(), recovered.store()));
+    // So sequential serving answers exactly as the sharded engine, and the
+    // graph and assignment derived from the store are what the
+    // uninterrupted session held.
     let request = QueryRequest::workload(samples).with_seed(7);
-    let sequential = recovered.serving().run(request).metrics;
+    let sequential = serving.run(request).metrics;
     assert_eq!(sequential, recovered_sharded.run(request).metrics);
     assert_eq!(
         sequential.matches_found,
@@ -302,9 +310,9 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     let control_serving = control.serve(served_graph).unwrap();
     let ingested_serving = session.serve_ingested().unwrap();
     assert_same_parts(
-        ingested_serving.store().graph(),
+        ingested_serving.graph(),
         ingested_serving.partitioning(),
-        control_serving.store().graph(),
+        control_serving.graph(),
         control_serving.partitioning(),
     );
     let ingested_metrics = ingested_serving.run(request).metrics;
@@ -388,7 +396,10 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
     // Restart-and-serve parity on the scenario workload.
     let samples = 150;
     let workload = DeletionChurnScenario::workload();
-    let recovered_report = recovered.sharded(2).serve(&workload, samples, 7);
+    let recovered_report = recovered
+        .sharded(2)
+        .serve_request(QueryRequest::workload(samples).with_seed(7))
+        .0;
     let stats = GraphStatistics::from_graph(&mid_graph);
     let plans = Arc::new(PlanCache::compile(
         &QueryPlanner::new(PlanStrategy::default()),
@@ -615,7 +626,7 @@ fn checkpoint_folds_in_every_acknowledged_batch() {
         session.ingest_batch(batch).unwrap();
     }
     let serving = session.serve_ingested().unwrap();
-    let served = serving.store().graph();
+    let served = serving.graph();
     assert_eq!(served.vertices_sorted(), whole.vertices_sorted());
     assert_eq!(served.edges_sorted(), whole.edges_sorted());
     for v in whole.vertices_sorted() {

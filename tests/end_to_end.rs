@@ -104,8 +104,9 @@ fn served(
         .ingest_stream(&GraphStream::from_graph(graph, order))
         .expect("ingests");
     let serving = session.serve(graph.clone()).expect("serves");
-    let quality = evaluate(serving.store().graph(), serving.partitioning());
-    (serving.execute(workload, samples, 42), quality)
+    let quality = evaluate(serving.graph(), serving.partitioning());
+    let request = QueryRequest::workload(samples).with_seed(42);
+    (serving.run(request).metrics, quality)
 }
 
 #[test]
@@ -334,8 +335,9 @@ fn durable_twin(
     }
     let (root, sizes) = last.expect("three runs");
     let recovered = builder(&root).recover().expect("recovers");
-    let sequential = recovered.serving().execute(workload, 100, 7);
-    let sharded = recovered.sharded(2).serve(workload, 100, 7).aggregate;
+    let request = QueryRequest::workload(100).with_seed(7);
+    let sequential = recovered.serving().run(request).metrics;
+    let sharded = recovered.sharded(2).serve_request(request).0.aggregate;
     let run = TwinRun {
         sizes,
         recovered_sizes: recovered.partitioning().sizes().to_vec(),

@@ -170,7 +170,8 @@ fn served_ipt(
         .expect("ingests");
     let serving = session.serve(graph.clone()).expect("serves");
     serving
-        .execute(workload, 2_000, 42)
+        .run(QueryRequest::workload(2_000).with_seed(42))
+        .metrics
         .inter_partition_probability()
 }
 

@@ -27,7 +27,10 @@
 //! each grow to an inbox's worth once per run. Since a `Done` covers a group
 //! of completions it reads 99–103 (0.010 per request) and 33; the bound is
 //! 0.015, so one allocation per group (about 0.016 per request at a run of
-//! 64) fails it.
+//! 64) fails it. The sequential `Serving::run` read its 33 over the hash-map
+//! `PartitionedStore`; it now runs on the sharded engine's own frozen arena
+//! (frozen once, by `sharded(2)`, before either engine is counted) and
+//! reads 33 there too, against 98–101 sharded.
 //!
 //! One `#[test]` on purpose: the counter is process-wide, so a second test
 //! running beside this one (or the harness reporting on it) would be

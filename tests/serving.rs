@@ -15,6 +15,7 @@ use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_partition::hash::HashConfig;
 use loom_partition::ldg::LdgConfig;
 use loom_partition::spec::LoomConfig;
+use loom_sim::engine::run_sequential;
 use std::sync::Arc;
 
 fn l(x: u32) -> Label {
@@ -137,10 +138,35 @@ fn session_facade_drives_the_sharded_engine() {
     // Both handles expose the same compiled plan cache instance.
     let a = serving.plan_cache().expect("plans compiled");
     let b = sharded.plan_cache().expect("plans shared");
-    assert!(std::sync::Arc::ptr_eq(a, b));
-    // Explicit-workload path agrees as well.
-    let explicit = sharded.serve(&workload, 80, 21);
-    assert_eq!(explicit.aggregate, sequential);
+    assert!(Arc::ptr_eq(a, b));
+    // One store behind every engine of the handle: the sequential path and
+    // every sharded engine run on the arena frozen once.
+    assert!(Arc::ptr_eq(serving.store(), sharded.store()));
+    assert!(Arc::ptr_eq(serving.store(), serving.sharded(2).store()));
+
+    // The façade answers as the hash-map reference store does under the same
+    // plans and mode: metrics and embeddings, query for query.
+    let reference = PartitionedStore::new(serving.graph().clone(), serving.partitioning().clone());
+    let executor = QueryExecutor::default()
+        .with_mode(QueryMode::Rooted { seed_count: 2 })
+        .with_plan_cache(Arc::clone(a));
+    assert_eq!(
+        executor.execute_workload(&reference, &workload, 80, 21),
+        sequential
+    );
+    let collect = request.collect_matches(true);
+    let expected = run_sequential(
+        &executor,
+        &reference,
+        &workload,
+        collect,
+        &RequestContext::unbounded(),
+    );
+    let (expected_metrics, expected_matches) = (expected.metrics, expected.into_cursor());
+    let served = serving.run(collect);
+    assert_eq!(served.metrics, expected_metrics);
+    assert_ne!(expected_matches.len(), 0, "the rooted mix finds matches");
+    assert!(served.into_cursor().eq(expected_matches));
 }
 
 #[test]

@@ -379,7 +379,7 @@ fn rejected_admission_latches_a_flight_dump_with_the_request_timeline() {
     let (graph, workload) = fixture();
     let serving = serve_through(session(&graph, &workload), &graph);
     let store = Arc::new(ShardedStore::from_parts(
-        serving.store().graph(),
+        serving.graph(),
         serving.partitioning(),
     ));
     let expected_epoch = store.epoch();
