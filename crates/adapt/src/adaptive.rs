@@ -201,16 +201,6 @@ impl AdaptiveServing {
         self.total_moved
     }
 
-    /// The cancellation token covering the current serving round. Execute
-    /// long-lived queries under a context carrying a clone of it
-    /// (`RequestContext::unbounded().with_cancel(...)`) to have the next
-    /// adaptation pass cancel them cooperatively instead of letting them
-    /// finish against a placement that is about to be migrated away. Rotated
-    /// (fired and replaced) at the start of every [`AdaptiveServing::adapt_now`].
-    pub fn round_token(&self) -> CancelToken {
-        self.round_cancel.clone()
-    }
-
     /// Serve `samples` queries from the *live* workload, track the observed
     /// mix, and — when it has drifted past the threshold — run one adaptation
     /// pass before returning. Queries in flight keep their pinned snapshot;
@@ -608,15 +598,15 @@ mod tests {
             ServeConfig::new(2),
             AdaptConfig::default(),
         );
-        let old_round = adaptive.round_token();
+        let old_round = adaptive.round_cancel.clone();
         assert!(!old_round.is_cancelled());
-        assert!(old_round.is_linked_to(&adaptive.round_token()));
+        assert!(old_round.is_linked_to(&adaptive.round_cancel));
         adaptive.tracker.observe_counts(&[200]);
         adaptive.adapt_now().unwrap();
         // Executions under the retired round observe the cancellation; the
         // fresh round's token is unfired and unlinked.
         assert!(old_round.is_cancelled());
-        let new_round = adaptive.round_token();
+        let new_round = adaptive.round_cancel.clone();
         assert!(!new_round.is_cancelled());
         assert!(!new_round.is_linked_to(&old_round));
         // A cancelled-round request unwinds with zero traversals.

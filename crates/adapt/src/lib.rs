@@ -25,6 +25,16 @@
 //!   [`EpochStore`](loom_serve::epoch::EpochStore) — queries in flight keep
 //!   their pinned snapshot.
 //!
+//! **Nothing here is durable.** [`adaptive::AdaptiveServing`] holds its own
+//! copy of the graph and the partitioning, in memory:
+//! [`apply_mutations`](adaptive::AdaptiveServing::apply_mutations) applies
+//! removals and relabels and ignores `AddVertex` / `AddEdge`, and none of
+//! its tombstones, compactions or
+//! [`adapt_now`](adaptive::AdaptiveServing::adapt_now) migrations reaches a
+//! write-ahead log. A crash recovers what the session's own log and
+//! checkpoints hold: the placement from before every migration. ROADMAP
+//! item 15(c) is the change that makes served changes durable.
+//!
 //! The two-phase [`DriftScenario`](loom_sim::drift::DriftScenario) in
 //! `loom-sim` (disjoint hot motif families per phase) exercises the loop end
 //! to end; `tests/adapt.rs` at the workspace root proves both migration
@@ -70,11 +80,9 @@
 pub mod adaptive;
 pub mod tracker;
 
-pub use adaptive::{AdaptConfig, AdaptOutcome, AdaptiveServing};
-pub use tracker::WorkloadTracker;
+pub use adaptive::{AdaptConfig, AdaptiveServing};
 
 /// Convenient re-exports for examples, tests and the umbrella crate.
 pub mod prelude {
-    pub use crate::adaptive::{AdaptConfig, AdaptOutcome, AdaptiveServing};
-    pub use crate::tracker::WorkloadTracker;
+    pub use crate::adaptive::{AdaptConfig, AdaptiveServing};
 }

@@ -67,12 +67,12 @@ impl WorkloadTracker {
     /// Fold one serving report's observed query mix into the histogram.
     /// Reports over a different query-set length are ignored (they cannot be
     /// aligned with the baseline).
-    pub fn observe(&mut self, report: &ServeReport) {
+    pub(crate) fn observe(&mut self, report: &ServeReport) {
         self.observe_counts(&report.query_counts);
     }
 
     /// Fold raw per-query-index counts into the decayed histogram.
-    pub fn observe_counts(&mut self, counts: &[usize]) {
+    pub(crate) fn observe_counts(&mut self, counts: &[usize]) {
         if counts.len() != self.observed.len() {
             return;
         }
@@ -86,13 +86,13 @@ impl WorkloadTracker {
     }
 
     /// Total decayed sample mass currently in the histogram.
-    pub fn sample_mass(&self) -> f64 {
+    pub(crate) fn sample_mass(&self) -> f64 {
         self.observed.iter().sum()
     }
 
     /// The normalised observed distribution (the baseline when nothing has
     /// been observed yet, so an idle tracker never reports drift).
-    pub fn observed_distribution(&self) -> Vec<f64> {
+    pub(crate) fn observed_distribution(&self) -> Vec<f64> {
         let mass = self.sample_mass();
         if mass <= 0.0 {
             return self.baseline.clone();
@@ -116,7 +116,7 @@ impl WorkloadTracker {
     }
 
     /// Whether the tracked mix has drifted past a total-variation distance of 0.15.
-    pub fn is_drifted(&self) -> bool {
+    pub(crate) fn is_drifted(&self) -> bool {
         self.drift() > THRESHOLD
     }
 
@@ -125,7 +125,7 @@ impl WorkloadTracker {
     /// its pattern's vertex labels. This is the weight map the
     /// [`MigrationPlanner`](loom_partition::migrate::MigrationPlanner) scores
     /// edges with.
-    pub fn hot_label_weights(&self) -> FxHashMap<Label, f64> {
+    pub(crate) fn hot_label_weights(&self) -> FxHashMap<Label, f64> {
         let observed = self.observed_distribution();
         let mut heat: FxHashMap<Label, f64> = FxHashMap::default();
         for (i, query) in self.workload.queries().iter().enumerate() {
@@ -150,7 +150,7 @@ impl WorkloadTracker {
     /// Accept the observed mix as the new baseline — called after the
     /// placement has been adapted to it, so drift is measured against what
     /// the partitioning is *now* optimised for.
-    pub fn rebase(&mut self) {
+    pub(crate) fn rebase(&mut self) {
         self.baseline = self.observed_distribution();
     }
 }

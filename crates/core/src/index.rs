@@ -106,19 +106,14 @@ impl FrequentMotifIndex {
     }
 
     /// Exact lookup: the frequent motif whose signature equals `signature`.
-    pub fn motif_for(&self, signature: &Signature) -> Option<MotifId> {
+    pub(crate) fn motif_for(&self, signature: &Signature) -> Option<MotifId> {
         self.by_signature.get(signature).copied()
-    }
-
-    /// Whether `signature` is exactly a frequent motif's signature.
-    pub fn is_motif_signature(&self, signature: &Signature) -> bool {
-        self.by_signature.contains_key(signature)
     }
 
     /// Whether a sub-graph with this signature could still grow into a
     /// frequent motif, i.e. whether it divides at least one frequent motif's
     /// signature. Used to stop growing candidate sub-graphs early.
-    pub fn could_grow_into_motif(&self, signature: &Signature) -> bool {
+    pub(crate) fn could_grow_into_motif(&self, signature: &Signature) -> bool {
         self.signatures.iter().any(|s| signature.divides(s))
     }
 
@@ -177,12 +172,11 @@ mod tests {
             .prime_table()
             .signature_of(&path_graph(2, &[l(0), l(1)]))
             .unwrap();
-        assert!(index.is_motif_signature(&ab));
         assert!(index.motif_for(&ab).is_some());
         // A single vertex is never indexed, however frequent.
         let single =
             loom_motif::signature::Signature::single_vertex(index.prime_table(), l(0)).unwrap();
-        assert!(!index.is_motif_signature(&single));
+        assert!(index.motif_for(&single).is_none());
     }
 
     #[test]
@@ -207,8 +201,8 @@ mod tests {
                 &[l(0), l(1), l(0), l(1)],
             ))
             .unwrap();
-        assert!(permissive.is_motif_signature(&square));
-        assert!(!strict.is_motif_signature(&square));
+        assert!(permissive.motif_for(&square).is_some());
+        assert!(strict.motif_for(&square).is_none());
     }
 
     #[test]

@@ -50,15 +50,15 @@ pub mod stats;
 pub use index::FrequentMotifIndex;
 pub use loom::LoomPartitioner;
 pub use loom_partition::spec::LoomConfig;
-pub use registry::{workload_registry, workload_registry_with_index};
+pub use registry::workload_registry;
 pub use stats::LoomStats;
 
 /// Convenient re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::index::FrequentMotifIndex;
     pub use crate::loom::LoomPartitioner;
-    pub use crate::matcher::{MotifMatch, StreamMotifMatcher};
-    pub use crate::registry::{workload_registry, workload_registry_with_index};
+    pub use crate::matcher::StreamMotifMatcher;
+    pub use crate::registry::workload_registry;
     pub use crate::stats::LoomStats;
     pub use loom_partition::prelude::*;
 }

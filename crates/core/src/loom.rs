@@ -799,14 +799,14 @@ mod tests {
         let mut loom = LoomPartitioner::new(config, &abc_tpstry()).unwrap();
         loom.ingest_batch(&[add(1, 0), add(2, 1), edge(1, 2)])
             .unwrap();
-        assert_eq!(loom.matcher.match_count(), 1);
+        assert_eq!(loom.matcher.matches().count(), 1);
 
         // The window is full. The same label again changes nothing: no
         // eviction (least of all of vertex 1 itself), the ab match stays.
         loom.ingest(&add(1, 0)).unwrap();
         assert_eq!(loom.buffered(), 2);
         assert_eq!(loom.partitioning().assigned_count(), 0);
-        assert_eq!(loom.matcher.match_count(), 1);
+        assert_eq!(loom.matcher.matches().count(), 1);
 
         // A new label is a relabel: still no eviction, and the match whose
         // signature was computed from the old label is dropped.
@@ -814,7 +814,7 @@ mod tests {
         assert_eq!(loom.buffered(), 2);
         assert_eq!(loom.partitioning().assigned_count(), 0);
         assert_eq!(loom.window.label_of(VertexId::new(1)), Some(l(3)));
-        assert_eq!(loom.matcher.match_count(), 0);
+        assert_eq!(loom.matcher.matches().count(), 0);
         assert_eq!(loom.finish().unwrap().assigned_count(), 2);
     }
 

@@ -82,7 +82,7 @@ impl MotifMatch {
 
 /// Counters the matcher feeds back into [`crate::LoomStats`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MatcherCounters {
+pub(crate) struct MatcherCounters {
     /// Signatures computed (including rejected growth attempts).
     pub signatures_computed: usize,
     /// Matches discovered (extensions of existing matches are not counted
@@ -172,17 +172,12 @@ impl StreamMotifMatcher {
     /// step, arguing collisions are rare. With verification on, every
     /// candidate match is additionally checked with exact labelled
     /// isomorphism against the motif graph; rejected candidates are counted
-    /// in [`MatcherCounters::false_positives`], which is how experiment E-F8
+    /// in `MatcherCounters::false_positives`, which is how experiment E-F8
     /// measures the collision rate empirically.
     #[must_use]
     pub fn with_verification(mut self, verify: bool) -> Self {
         self.verify = verify;
         self
-    }
-
-    /// Whether exact verification is enabled.
-    pub fn verification_enabled(&self) -> bool {
-        self.verify
     }
 
     /// The index the matcher was built over.
@@ -200,13 +195,8 @@ impl StreamMotifMatcher {
         })
     }
 
-    /// Number of currently tracked matches.
-    pub fn match_count(&self) -> usize {
-        self.live
-    }
-
     /// Counters accumulated so far.
-    pub fn counters(&self) -> MatcherCounters {
+    pub(crate) fn counters(&self) -> MatcherCounters {
         self.counters
     }
 
@@ -237,7 +227,7 @@ impl StreamMotifMatcher {
     /// [`PartitionError::CorruptState`] for a torn list, a match whose
     /// vertices are not sorted and buffered, an edge outside its match, or
     /// a match of no indexed motif.
-    pub fn decode(
+    pub(crate) fn decode(
         &mut self,
         window: &StreamWindow,
         counters: MatcherCounters,
@@ -494,7 +484,7 @@ impl StreamMotifMatcher {
 
     /// Drop every match that involves any of the given vertices (they have
     /// been assigned and left the window).
-    pub fn remove_vertices(&mut self, vertices: &[VertexId]) {
+    pub(crate) fn remove_vertices(&mut self, vertices: &[VertexId]) {
         // With no match live the index is empty: nothing to probe.
         if self.live == 0 {
             return;
@@ -756,7 +746,7 @@ mod tests {
         let mut matcher = StreamMotifMatcher::new(abc_index());
         let window = window_with(&[(1, 0), (2, 1)], &[(1, 2)]);
         matcher.on_window_edge(&window, v(1), v(2));
-        assert_eq!(matcher.match_count(), 1);
+        assert_eq!(matcher.live, 1);
         let m = matcher.matches().next().unwrap();
         assert_eq!(m.vertices, vec![v(1), v(2)]);
         assert!(matcher.counters().matches_found >= 1);
@@ -786,7 +776,7 @@ mod tests {
         // d-d edge: label pair not present in any motif.
         let window = window_with(&[(1, 3), (2, 3)], &[(1, 2)]);
         matcher.on_window_edge(&window, v(1), v(2));
-        assert_eq!(matcher.match_count(), 0);
+        assert_eq!(matcher.live, 0);
     }
 
     #[test]
@@ -827,9 +817,9 @@ mod tests {
         let window = window_with(&[(1, 0), (2, 1), (3, 2)], &[(1, 2), (2, 3)]);
         matcher.on_window_edge(&window, v(1), v(2));
         matcher.on_window_edge(&window, v(2), v(3));
-        assert!(matcher.match_count() > 0);
+        assert!(matcher.live > 0);
         matcher.remove_vertices(&[v(2)]);
-        assert_eq!(matcher.match_count(), 0);
+        assert_eq!(matcher.live, 0);
         assert!(matcher.cluster_for(v(1)).is_empty());
     }
 
@@ -842,7 +832,7 @@ mod tests {
         let mut matcher = StreamMotifMatcher::new(empty);
         let window = window_with(&[(1, 0), (2, 1)], &[(1, 2)]);
         matcher.on_window_edge(&window, v(1), v(2));
-        assert_eq!(matcher.match_count(), 0);
+        assert_eq!(matcher.live, 0);
         assert_eq!(matcher.counters().signatures_computed, 0);
     }
 
@@ -881,7 +871,7 @@ mod tests {
         // With verification the 4-vertex star candidate is rejected and the
         // collision is counted.
         let verified = run(StreamMotifMatcher::new(index).with_verification(true));
-        assert!(verified.verification_enabled());
+        assert!(verified.verify);
         assert!(verified.matches().all(|m| m.len() < 4));
         assert!(verified.counters().false_positives > 0);
         assert!(verified.counters().verifications > 0);
@@ -1267,11 +1257,11 @@ mod tests {
                             _ => continue,
                         }
                         events += 1;
-                        most_live = most_live.max(slab.match_count());
+                        most_live = most_live.max(slab.live);
                         let slab_matches: Vec<_> = slab.matches().map(seen).collect();
                         let linear_matches: Vec<_> = linear.matches.iter().map(seen).collect();
                         assert_eq!(slab_matches, linear_matches, "{at}");
-                        assert_eq!(slab.match_count(), linear.matches.len(), "{at}");
+                        assert_eq!(slab.live, linear.matches.len(), "{at}");
                         let (c, r) = (slab.counters(), linear.counters);
                         assert_eq!(
                             (c.signatures_computed, c.matches_found),

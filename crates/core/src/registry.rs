@@ -32,24 +32,6 @@ pub fn workload_registry(tpstry: &Tpstry) -> PartitionerRegistry {
     registry
 }
 
-/// Like [`workload_registry`], but sharing one pre-built
-/// [`FrequentMotifIndex`] across every LOOM instance the registry builds
-/// (the spec's `motif_threshold` is ignored in favour of the index's own
-/// threshold — use this when many runs share identical workload parameters).
-pub fn workload_registry_with_index(index: FrequentMotifIndex) -> PartitionerRegistry {
-    let mut registry = PartitionerRegistry::baselines();
-    registry.register(move |spec| {
-        Ok(match spec {
-            PartitionerSpec::Loom(config) => Some(Box::new(LoomPartitioner::with_index(
-                *config,
-                index.clone(),
-            )?) as Box<dyn Partitioner>),
-            _ => None,
-        })
-    });
-    registry
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,16 +66,5 @@ mod tests {
         let registry = workload_registry(&tpstry);
         let spec = PartitionerSpec::Ldg(loom_partition::ldg::LdgConfig::new(4, 100));
         assert_eq!(registry.build(&spec).unwrap().name(), "ldg");
-    }
-
-    #[test]
-    fn shared_index_registry_builds_loom() {
-        let tpstry = MotifMiner::default()
-            .mine(&paper_example_workload())
-            .unwrap();
-        let index = FrequentMotifIndex::new(&tpstry, 0.3);
-        let registry = workload_registry_with_index(index);
-        let spec = PartitionerSpec::Loom(LoomConfig::new(2, 8).with_window_size(4));
-        assert_eq!(registry.build(&spec).unwrap().name(), "loom");
     }
 }

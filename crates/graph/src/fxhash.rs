@@ -97,7 +97,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the fast Fx hash.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;

@@ -1,13 +1,10 @@
-//! Small regular topologies: paths, cycles, stars, cliques and random trees.
+//! Small regular topologies: paths, cycles, stars and cliques.
 //!
 //! These mirror the query-graph shapes in the paper's Figure 1 (paths and a
 //! branching query) and provide worst/best-case inputs for the partitioners.
 
-use super::rng_for;
-use crate::error::Result;
 use crate::graph::LabelledGraph;
 use crate::ids::{Label, VertexId};
-use rand::Rng;
 
 /// A path `v0 - v1 - ... - v{n-1}` with the given label sequence applied
 /// cyclically (`labels[i % labels.len()]`).
@@ -59,24 +56,6 @@ pub fn clique(n: usize, labels: &[Label]) -> LabelledGraph {
     g
 }
 
-/// A uniformly random labelled tree on `n` vertices: each vertex `i > 0`
-/// attaches to a uniformly chosen earlier vertex.
-pub fn random_tree(n: usize, label_count: u32, seed: u64) -> Result<LabelledGraph> {
-    let mut rng = rng_for(seed);
-    let label_count = label_count.max(1);
-    let mut g = LabelledGraph::with_capacity(n, n.saturating_sub(1));
-    let mut ids = Vec::with_capacity(n);
-    for i in 0..n {
-        let v = g.add_vertex(Label::new(rng.random_range(0..label_count)));
-        if i > 0 {
-            let parent = ids[rng.random_range(0..i)];
-            g.add_edge(v, parent)?;
-        }
-        ids.push(v);
-    }
-    Ok(g)
-}
-
 fn label_at(labels: &[Label], i: usize) -> Label {
     if labels.is_empty() {
         Label::new(0)
@@ -88,7 +67,6 @@ fn label_at(labels: &[Label], i: usize) -> Label {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::is_connected;
 
     fn ab() -> Vec<Label> {
         vec![Label::new(0), Label::new(1)]
@@ -132,14 +110,6 @@ mod tests {
         let g = clique(5, &ab());
         assert_eq!(g.edge_count(), 10);
         assert!(g.vertices_sorted().iter().all(|&v| g.degree(v) == 4));
-    }
-
-    #[test]
-    fn random_tree_is_connected_acyclic() {
-        let g = random_tree(200, 4, 17).unwrap();
-        assert_eq!(g.vertex_count(), 200);
-        assert_eq!(g.edge_count(), 199);
-        assert!(is_connected(&g));
     }
 
     #[test]

@@ -50,10 +50,9 @@
 //! | `edges` | 0 | O(arcs): every list is walked, each edge yielded from its lower endpoint |
 //! | `edge_count`, `vertex_count` | 0 | a counter read |
 //! | `from_proven_lists` | 1 per vertex | one block copy per vertex; nothing checked, nothing sorted |
-//! | `from_adjacency_lists` | 1 per vertex + 1 per arc | the same, then every list sorted once and both directions of every edge matched |
 
 use crate::error::{GraphError, Result};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use crate::ids::{EdgeKey, Label, VertexId};
 use crate::pool::{List, ListPool};
 use crate::stream::StreamElement;
@@ -104,92 +103,14 @@ impl LabelledGraph {
         }
     }
 
-    /// Rebuild a graph from explicit per-vertex adjacency lists (e.g. when
-    /// loading a checkpoint blob), **preserving each list's order** as the
-    /// graph's neighbour-iteration order. This matters because downstream
-    /// CSR snapshots inherit [`LabelledGraph::neighbors`] order, and match
-    /// enumeration (and therefore match-limited metrics) follows it: a
-    /// recovered graph reproduces traversals bit-for-bit only if the lists
-    /// come back in the exact order they were serialized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] if a list references an id with
-    /// no entry of its own, [`GraphError::SelfLoop`] for `v ∈ adj(v)`,
-    /// [`GraphError::DuplicateEdge`] if a neighbour repeats within one list,
-    /// and [`GraphError::Parse`] if an edge does not appear in **both**
-    /// endpoints' lists (the symmetry a well-formed undirected serialization
-    /// guarantees).
-    pub fn from_adjacency_lists<I>(lists: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (VertexId, Label, Vec<VertexId>)>,
-    {
-        let lists = lists.into_iter();
-        let mut graph = Self::with_capacity(lists.size_hint().0, 0);
-        for (v, label, neighbours) in lists {
-            graph.insert_vertex(v, label);
-            // Installed verbatim — order preserved. An id given twice keeps
-            // its last list.
-            let s = graph.slot_index(v).expect("just inserted");
-            let slot = &mut graph.slots[s];
-            graph.lists.release(slot.adjacency);
-            slot.adjacency = graph.lists.list_from(&neighbours);
-        }
-        // Each undirected edge must be named once by each endpoint: the
-        // mentions from the lower endpoint and the mentions from the higher
-        // one, both written `(lo, hi)`, must be the same set. No list
-        // repeats a neighbour, so neither side holds a key twice.
-        let mut upward: Vec<EdgeKey> = Vec::new();
-        let mut downward: Vec<EdgeKey> = Vec::new();
-        let mut sorted: Vec<VertexId> = Vec::new();
-        for (v, _, neighbours) in graph.adjacency() {
-            sorted.clear();
-            sorted.extend_from_slice(neighbours);
-            sorted.sort_unstable();
-            if let Some(twice) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                return Err(GraphError::DuplicateEdge(v, twice[0]));
-            }
-            for &u in neighbours {
-                if u == v {
-                    return Err(GraphError::SelfLoop(v));
-                }
-                if !graph.contains_vertex(u) {
-                    return Err(GraphError::MissingVertex(u));
-                }
-                let mentions = if v < u { &mut upward } else { &mut downward };
-                mentions.push(EdgeKey::new(v, u));
-            }
-        }
-        upward.sort_unstable();
-        downward.sort_unstable();
-        // The first key the two sides disagree on is named by one endpoint
-        // only, and so is the first key past the end of the shorter side.
-        let one_sided = upward
-            .iter()
-            .zip(&downward)
-            .find(|(up, down)| up != down)
-            .map(|(up, down)| up.min(down))
-            .or_else(|| upward.get(downward.len()))
-            .or_else(|| downward.get(upward.len()));
-        if let Some(key) = one_sided {
-            return Err(GraphError::Parse {
-                line: 0,
-                message: format!(
-                    "asymmetric adjacency: edge ({}, {}) is missing from one endpoint's list",
-                    key.lo, key.hi
-                ),
-            });
-        }
-        graph.edge_count = upward.len();
-        Ok(graph)
-    }
-
-    /// [`LabelledGraph::from_adjacency_lists`] for lists somebody has already
-    /// proven: each vertex once, no self-loop, no repeated neighbour, every
-    /// edge in both endpoints' lists — what a sound CSR arena holds. Nothing
-    /// is checked and nothing is sorted: one map insert and one block copy
-    /// per vertex, through one scratch buffer. `vertices` and `edges` size
-    /// the slab up front.
+    /// Rebuild a graph from per-vertex adjacency lists somebody has already
+    /// proven, **preserving each list's order** as the graph's
+    /// neighbour-iteration order (the order CSR snapshots inherit, and match
+    /// enumeration with them). Proven means: each vertex once, no self-loop,
+    /// no repeated neighbour, every edge in both endpoints' lists — what a
+    /// sound CSR arena holds. Nothing is checked and nothing is sorted: one
+    /// map insert and one block copy per vertex, through one scratch buffer.
+    /// `vertices` and `edges` size the slab up front.
     ///
     /// Lists that break the promise — a self-loop, a repeated neighbour, an
     /// edge one endpoint lists — build a graph that breaks its own
@@ -197,7 +118,7 @@ impl LabelledGraph {
     /// never panics. Recovery builds its mirror this way from an arena whose
     /// proof is still running, and such output is only ever discarded: it
     /// leaves recovery only beside a proven arena. Input nobody will prove
-    /// goes through the validating constructor instead.
+    /// is built through [`LabelledGraph::add_edge`], which refuses it.
     pub fn from_proven_lists<I, N>(vertices: usize, edges: usize, lists: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, Label, N)>,
@@ -520,7 +441,7 @@ impl LabelledGraph {
     }
 
     /// The maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         self.adjacency()
             .map(|(_, _, neighbours)| neighbours.len())
             .max()
@@ -528,7 +449,7 @@ impl LabelledGraph {
     }
 
     /// The average degree `2|E| / |V|` (0.0 for an empty graph).
-    pub fn average_degree(&self) -> f64 {
+    pub(crate) fn average_degree(&self) -> f64 {
         if self.is_empty() {
             0.0
         } else {
@@ -546,7 +467,7 @@ impl LabelledGraph {
     }
 
     /// The set of distinct labels present in the graph.
-    pub fn distinct_labels(&self) -> Vec<Label> {
+    pub(crate) fn distinct_labels(&self) -> Vec<Label> {
         let mut labels: Vec<Label> = self.label_histogram().into_keys().collect();
         labels.sort_unstable();
         labels
@@ -563,11 +484,6 @@ impl LabelledGraph {
         for e in other.edges() {
             let _ = self.add_edge_idempotent(e.lo, e.hi);
         }
-    }
-
-    /// Number of edges between `v` and vertices in `set`.
-    pub fn edges_into_set(&self, v: VertexId, set: &FxHashSet<VertexId>) -> usize {
-        self.neighbors(v).iter().filter(|n| set.contains(n)).count()
     }
 
     /// Total memory-light summary used in logs and reports.
@@ -756,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn from_adjacency_lists_preserves_neighbour_order() {
+    fn from_proven_lists_preserves_neighbour_order() {
         // Build a graph whose adjacency order differs from sorted order,
         // then round-trip it through explicit lists.
         let mut g = LabelledGraph::new();
@@ -772,68 +688,28 @@ mod tests {
             .into_iter()
             .map(|v| (v, g.label(v).unwrap(), g.neighbors(v).to_vec()))
             .collect();
-        // The validating door and the trusting one build the same graph.
-        let trusted = LabelledGraph::from_proven_lists(4, 3, lists.clone());
-        let validated = LabelledGraph::from_adjacency_lists(lists).unwrap();
-        for mut rebuilt in [validated, trusted] {
-            assert_eq!(rebuilt.vertex_count(), g.vertex_count());
-            assert_eq!(rebuilt.edge_count(), g.edge_count());
-            for v in g.vertices_sorted() {
-                assert_eq!(rebuilt.neighbors(v), g.neighbors(v), "order of {v}");
-                assert_eq!(rebuilt.label(v), g.label(v));
-            }
-            assert_eq!(rebuilt.edges_sorted(), g.edges_sorted());
-            // Fresh ids continue after the largest explicit id, and what is
-            // built stays a graph: edits land where they would have.
-            assert_eq!(rebuilt.add_vertex(Label::new(0)).raw(), 4);
-            assert!(rebuilt.remove_vertex(VertexId::new(1)));
-            assert_eq!(rebuilt.neighbors(VertexId::new(0)), &[VertexId::new(3)]);
-            assert_eq!(rebuilt.edge_count(), 1);
+        let mut rebuilt = LabelledGraph::from_proven_lists(4, 3, lists);
+        assert_eq!(rebuilt.vertex_count(), g.vertex_count());
+        assert_eq!(rebuilt.edge_count(), g.edge_count());
+        for v in g.vertices_sorted() {
+            assert_eq!(rebuilt.neighbors(v), g.neighbors(v), "order of {v}");
+            assert_eq!(rebuilt.label(v), g.label(v));
         }
-    }
-
-    #[test]
-    fn from_adjacency_lists_rejects_malformed_input() {
-        let v = |i: u64| VertexId::new(i);
-        let l = Label::new(0);
-        // Neighbour with no vertex entry.
-        assert!(matches!(
-            LabelledGraph::from_adjacency_lists(vec![(v(0), l, vec![v(9)])]),
-            Err(GraphError::MissingVertex(_))
-        ));
-        // Self-loop.
-        assert!(matches!(
-            LabelledGraph::from_adjacency_lists(vec![(v(0), l, vec![v(0)])]),
-            Err(GraphError::SelfLoop(_))
-        ));
-        // Repeated neighbour within one list.
-        assert!(matches!(
-            LabelledGraph::from_adjacency_lists(vec![
-                (v(0), l, vec![v(1), v(1)]),
-                (v(1), l, vec![v(0)]),
-            ]),
-            Err(GraphError::DuplicateEdge(_, _))
-        ));
-        // Asymmetric edge: 0 lists 1 but 1 does not list 0 — and the other
-        // way round, with a sound edge beside it either time.
-        for (zero, one) in [(vec![v(1), v(2)], vec![]), (vec![v(2)], vec![v(0)])] {
-            assert!(matches!(
-                LabelledGraph::from_adjacency_lists(vec![
-                    (v(0), l, zero),
-                    (v(1), l, one),
-                    (v(2), l, vec![v(0)]),
-                ]),
-                Err(GraphError::Parse { .. })
-            ));
-        }
+        assert_eq!(rebuilt.edges_sorted(), g.edges_sorted());
+        // Fresh ids continue after the largest explicit id, and what is
+        // built stays a graph: edits land where they would have.
+        assert_eq!(rebuilt.add_vertex(Label::new(0)).raw(), 4);
+        assert!(rebuilt.remove_vertex(VertexId::new(1)));
+        assert_eq!(rebuilt.neighbors(VertexId::new(0)), &[VertexId::new(3)]);
+        assert_eq!(rebuilt.edge_count(), 1);
     }
 
     #[test]
     fn the_trusting_builder_does_not_panic_on_unproven_lists() {
         let v = |i: u64| VertexId::new(i);
         let l = Label::new(0);
-        // What the validating door refuses, the trusting one builds — and
-        // the graph it builds takes every kind of element, in either order
+        // Lists no sound arena holds still build a graph — and the graph it
+        // builds takes every kind of element, in either order
         // of removal, without panicking: it is discarded, never read.
         let cases = [
             (
@@ -850,10 +726,6 @@ mod tests {
             ),
         ];
         for (case, lists) in cases {
-            assert!(
-                LabelledGraph::from_adjacency_lists(lists.clone()).is_err(),
-                "{case}"
-            );
             for first in [v(0), v(1)] {
                 let second = VertexId::new(1 - first.raw());
                 let mut g = LabelledGraph::from_proven_lists(3, 1, lists.clone());
@@ -897,21 +769,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn edges_into_set_counts_correctly() {
-        let mut g = LabelledGraph::new();
-        let a = g.add_vertex(Label::new(0));
-        let b = g.add_vertex(Label::new(0));
-        let c = g.add_vertex(Label::new(0));
-        let d = g.add_vertex(Label::new(0));
-        g.add_edge(a, b).unwrap();
-        g.add_edge(a, c).unwrap();
-        g.add_edge(a, d).unwrap();
-        let mut set = FxHashSet::default();
-        set.insert(b);
-        set.insert(c);
-        assert_eq!(g.edges_into_set(a, &set), 2);
-    }
     #[test]
     fn apply_is_idempotent_and_ignores_missing_targets() {
         let v = VertexId::new;

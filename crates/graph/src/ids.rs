@@ -124,12 +124,6 @@ impl EdgeKey {
         }
     }
 
-    /// Both endpoints as a tuple `(lo, hi)`.
-    #[inline]
-    pub const fn endpoints(self) -> (VertexId, VertexId) {
-        (self.lo, self.hi)
-    }
-
     /// Returns the endpoint opposite to `v`, or `None` if `v` is not an
     /// endpoint of this edge.
     #[inline]
@@ -141,18 +135,6 @@ impl EdgeKey {
         } else {
             None
         }
-    }
-
-    /// Whether `v` is one of the two endpoints.
-    #[inline]
-    pub fn touches(self, v: VertexId) -> bool {
-        v == self.lo || v == self.hi
-    }
-
-    /// Whether the edge is a self-loop.
-    #[inline]
-    pub fn is_loop(self) -> bool {
-        self.lo == self.hi
     }
 }
 
@@ -200,8 +182,8 @@ mod tests {
         assert_eq!(e1, e2);
         assert_eq!(e1.lo, b);
         assert_eq!(e1.hi, a);
-        assert!(!e1.is_loop());
-        assert!(EdgeKey::new(a, a).is_loop());
+        let self_loop = EdgeKey::new(a, a);
+        assert_eq!((self_loop.lo, self_loop.hi), (a, a));
     }
 
     #[test]
@@ -213,7 +195,6 @@ mod tests {
         assert_eq!(e.other(a), Some(b));
         assert_eq!(e.other(b), Some(a));
         assert_eq!(e.other(c), None);
-        assert!(e.touches(a) && e.touches(b) && !e.touches(c));
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl LabelInterner {
     }
 
     /// Intern `name`, returning its stable label id.
-    pub fn intern(&mut self, name: &str) -> Label {
+    pub(crate) fn intern(&mut self, name: &str) -> Label {
         if let Some(&label) = self.index.get(name) {
             return label;
         }

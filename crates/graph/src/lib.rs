@@ -78,5 +78,4 @@ pub mod prelude {
     pub use crate::stats::{clustering_coefficient, degree_stats, DegreeStats};
     pub use crate::stream::{GraphStream, StreamElement};
     pub use crate::subgraph::induced_subgraph;
-    pub use crate::traversal::{bfs_order, connected_components, dfs_order};
 }

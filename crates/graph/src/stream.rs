@@ -64,21 +64,13 @@ impl StreamElement {
     }
 
     /// Whether this element is an edge addition.
-    pub fn is_edge(&self) -> bool {
+    pub(crate) fn is_edge(&self) -> bool {
         matches!(self, StreamElement::AddEdge { .. })
     }
 
     /// Whether this element adds to the graph (vertex or edge addition).
-    pub fn is_add(&self) -> bool {
+    pub(crate) fn is_add(&self) -> bool {
         self.is_vertex() || self.is_edge()
-    }
-
-    /// Whether this element removes something from the graph.
-    pub fn is_removal(&self) -> bool {
-        matches!(
-            self,
-            StreamElement::RemoveVertex { .. } | StreamElement::RemoveEdge { .. }
-        )
     }
 
     /// Whether this element mutates existing state instead of adding
@@ -132,7 +124,7 @@ impl GraphStream {
     }
 
     /// Like [`GraphStream::from_graph`] but with an explicit vertex order.
-    pub fn from_vertex_order(graph: &LabelledGraph, vertex_order: &[VertexId]) -> Self {
+    pub(crate) fn from_vertex_order(graph: &LabelledGraph, vertex_order: &[VertexId]) -> Self {
         let mut seen = crate::fxhash::FxHashSet::default();
         let mut elements = Vec::with_capacity(graph.vertex_count() + graph.edge_count());
         for &v in vertex_order {
@@ -320,7 +312,6 @@ mod tests {
             id: VertexId::new(0),
             label: Label::new(2),
         };
-        assert!(rv.is_removal() && re.is_removal() && !rl.is_removal());
         assert!(rv.is_mutation() && re.is_mutation() && rl.is_mutation());
         assert!(!rv.is_vertex() && !rv.is_edge() && !rv.is_add());
     }

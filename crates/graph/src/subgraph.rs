@@ -63,50 +63,6 @@ pub fn edge_subgraph(
     sub
 }
 
-/// Whether the sub-graph induced by `vertices` is connected (the empty set is
-/// considered connected, matching the convention used by the motif matcher).
-pub fn is_connected_subset(graph: &LabelledGraph, vertices: &FxHashSet<VertexId>) -> bool {
-    let mut iter = vertices.iter();
-    let Some(&start) = iter.next() else {
-        return true;
-    };
-    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-    let mut stack = vec![start];
-    seen.insert(start);
-    while let Some(v) = stack.pop() {
-        for &n in graph.neighbors(v) {
-            if vertices.contains(&n) && seen.insert(n) {
-                stack.push(n);
-            }
-        }
-    }
-    seen.len() == vertices.len()
-}
-
-/// The vertex set of the connected component of `graph` containing `start`,
-/// restricted to `allowed` (useful to grow a window sub-graph around a new
-/// edge without leaving the stream window).
-pub fn component_within(
-    graph: &LabelledGraph,
-    start: VertexId,
-    allowed: &FxHashSet<VertexId>,
-) -> FxHashSet<VertexId> {
-    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-    if !allowed.contains(&start) || !graph.contains_vertex(start) {
-        return seen;
-    }
-    let mut stack = vec![start];
-    seen.insert(start);
-    while let Some(v) = stack.pop() {
-        for &n in graph.neighbors(v) {
-            if allowed.contains(&n) && seen.insert(n) {
-                stack.push(n);
-            }
-        }
-    }
-    seen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,13 +101,13 @@ mod tests {
 
     #[test]
     fn connectivity_checks() {
+        // An induced sub-graph is connected exactly when its vertex set is.
+        use crate::traversal::is_connected;
         let (g, vs) = path_of(5);
-        let all: FxHashSet<_> = vs.iter().copied().collect();
-        assert!(is_connected_subset(&g, &all));
-        let split: FxHashSet<_> = [vs[0], vs[1], vs[3], vs[4]].into_iter().collect();
-        assert!(!is_connected_subset(&g, &split));
-        let empty = FxHashSet::default();
-        assert!(is_connected_subset(&g, &empty));
+        assert!(is_connected(&induced_subgraph(&g, vs.iter().copied())));
+        let split = [vs[0], vs[1], vs[3], vs[4]];
+        assert!(!is_connected(&induced_subgraph(&g, split)));
+        assert!(is_connected(&induced_subgraph(&g, [])));
     }
 
     #[test]
@@ -177,18 +133,5 @@ mod tests {
         );
         assert_eq!(bogus.vertex_count(), 1);
         assert_eq!(bogus.edge_count(), 0);
-    }
-
-    #[test]
-    fn component_within_respects_allowed_set() {
-        let (g, vs) = path_of(6);
-        let allowed: FxHashSet<_> = [vs[0], vs[1], vs[2], vs[4], vs[5]].into_iter().collect();
-        let comp = component_within(&g, vs[0], &allowed);
-        assert_eq!(comp.len(), 3);
-        assert!(comp.contains(&vs[2]));
-        assert!(!comp.contains(&vs[4]));
-        // Start vertex outside allowed set yields empty component.
-        let none = component_within(&g, vs[3], &allowed);
-        assert!(none.is_empty());
     }
 }

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 /// traversals from the smallest unvisited vertex id whenever a component is
 /// exhausted. The result is deterministic: neighbours are visited in sorted
 /// order.
-pub fn bfs_order(graph: &LabelledGraph) -> Vec<VertexId> {
+pub(crate) fn bfs_order(graph: &LabelledGraph) -> Vec<VertexId> {
     let mut order = Vec::with_capacity(graph.vertex_count());
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     let roots = graph.vertices_sorted();
@@ -39,7 +39,7 @@ pub fn bfs_order(graph: &LabelledGraph) -> Vec<VertexId> {
 
 /// Visit every vertex in depth-first order (deterministic, sorted neighbours,
 /// components started from the smallest unvisited id).
-pub fn dfs_order(graph: &LabelledGraph) -> Vec<VertexId> {
+pub(crate) fn dfs_order(graph: &LabelledGraph) -> Vec<VertexId> {
     let mut order = Vec::with_capacity(graph.vertex_count());
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     for root in graph.vertices_sorted() {
@@ -68,7 +68,7 @@ pub fn dfs_order(graph: &LabelledGraph) -> Vec<VertexId> {
 
 /// The connected components of the graph, each a sorted vector of vertex ids.
 /// Components are returned sorted by their smallest member.
-pub fn connected_components(graph: &LabelledGraph) -> Vec<Vec<VertexId>> {
+pub(crate) fn connected_components(graph: &LabelledGraph) -> Vec<Vec<VertexId>> {
     let mut components = Vec::new();
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     for root in graph.vertices_sorted() {
@@ -95,31 +95,6 @@ pub fn connected_components(graph: &LabelledGraph) -> Vec<Vec<VertexId>> {
 /// Whether the whole graph is connected (the empty graph counts as connected).
 pub fn is_connected(graph: &LabelledGraph) -> bool {
     connected_components(graph).len() <= 1
-}
-
-/// Single-source shortest-path distances (in hops) from `source` to every
-/// reachable vertex. Unreachable vertices are absent from the result.
-pub fn bfs_distances(
-    graph: &LabelledGraph,
-    source: VertexId,
-) -> crate::fxhash::FxHashMap<VertexId, usize> {
-    let mut dist = crate::fxhash::FxHashMap::default();
-    if !graph.contains_vertex(source) {
-        return dist;
-    }
-    dist.insert(source, 0);
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[&v];
-        for &n in graph.neighbors(v) {
-            if let std::collections::hash_map::Entry::Vacant(slot) = dist.entry(n) {
-                slot.insert(d + 1);
-                queue.push_back(n);
-            }
-        }
-    }
-    dist
 }
 
 #[cfg(test)]
@@ -170,16 +145,5 @@ mod tests {
         assert_eq!(comps[1], vec![vs[3], vs[4]]);
         assert!(!is_connected(&g));
         assert!(is_connected(&LabelledGraph::new()));
-    }
-
-    #[test]
-    fn bfs_distances_computes_hop_counts() {
-        let (g, vs) = sample_graph();
-        let dist = bfs_distances(&g, vs[0]);
-        assert_eq!(dist[&vs[0]], 0);
-        assert_eq!(dist[&vs[1]], 1);
-        assert_eq!(dist[&vs[2]], 2);
-        assert!(!dist.contains_key(&vs[3]));
-        assert!(bfs_distances(&g, VertexId::new(99)).is_empty());
     }
 }

@@ -73,7 +73,7 @@ impl ArrivalProcess {
 /// The per-step arrival seed: decorrelates steps of one ramp without the
 /// caller managing more than one base seed. (SplitMix64's odd multiplicative
 /// constant keeps neighbouring steps far apart in seed space.)
-pub fn step_seed(base: u64, step: usize) -> u64 {
+pub(crate) fn step_seed(base: u64, step: usize) -> u64 {
     base.wrapping_add((step as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

@@ -37,7 +37,7 @@ pub struct LoadConfig {
     /// How inter-arrival gaps are drawn.
     pub process: ArrivalProcess,
     /// Base seed: drives both the workload sampling and (per step, via
-    /// [`step_seed`]) the arrival gaps.
+    /// `step_seed`) the arrival gaps.
     pub seed: u64,
     /// Per-request deadline, measured from the request's *arrival* instant.
     /// Admitted requests that sit queued past it are cut short by the

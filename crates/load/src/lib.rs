@@ -38,17 +38,17 @@ pub mod knee;
 pub mod ramp;
 pub mod report;
 
-pub use arrival::{step_seed, ArrivalProcess};
+pub use arrival::ArrivalProcess;
 pub use driver::{run_capacity, CapacityRun, LoadConfig};
-pub use knee::{detect_knee, Knee};
-pub use ramp::{RampSchedule, StepSpec};
+pub use knee::detect_knee;
+pub use ramp::RampSchedule;
 pub use report::StepMetrics;
 
 /// Convenient re-exports for examples, tests and the umbrella crate.
 pub mod prelude {
     pub use crate::arrival::ArrivalProcess;
     pub use crate::driver::{run_capacity, CapacityRun, LoadConfig};
-    pub use crate::knee::{detect_knee, Knee};
+    pub use crate::knee::detect_knee;
     pub use crate::ramp::RampSchedule;
     pub use crate::report::StepMetrics;
 }

@@ -37,7 +37,7 @@ impl RampSchedule {
     }
 
     /// The schedule's steps, in ramp order.
-    pub fn steps(&self) -> Vec<StepSpec> {
+    pub(crate) fn steps(&self) -> Vec<StepSpec> {
         let mut steps = Vec::new();
         let mut offered = self.initial_rps;
         loop {
@@ -56,16 +56,11 @@ impl RampSchedule {
         }
         steps
     }
-
-    /// Total scheduled wall-clock time of the ramp.
-    pub fn total_duration(&self) -> Duration {
-        self.step * self.steps().len() as u32
-    }
 }
 
 /// One step of a ramp: offer `offered_rps` for `duration`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepSpec {
+pub(crate) struct StepSpec {
     /// Position in the ramp, from 0.
     pub index: usize,
     /// The step's offered arrival rate.
@@ -85,7 +80,10 @@ mod tests {
         let offered: Vec<f64> = steps.iter().map(|s| s.offered_rps).collect();
         assert_eq!(offered, vec![100.0, 200.0, 300.0, 400.0]);
         assert!(steps.iter().enumerate().all(|(i, s)| s.index == i));
-        assert_eq!(ramp.total_duration(), Duration::from_millis(1000));
+        assert_eq!(
+            steps.iter().map(|s| s.duration).sum::<Duration>(),
+            Duration::from_millis(1000)
+        );
     }
 
     #[test]

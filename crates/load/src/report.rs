@@ -40,18 +40,6 @@ pub struct StepMetrics {
     pub inflight_end: usize,
 }
 
-impl StepMetrics {
-    /// Achieved ÷ offered (1.0 for an idle step, so an empty step never
-    /// reads as saturated).
-    pub fn achieved_ratio(&self) -> f64 {
-        if self.offered_rps <= 0.0 {
-            1.0
-        } else {
-            self.achieved_rps / self.offered_rps
-        }
-    }
-}
-
 impl CapacityRun {
     /// A human-readable report: the per-step table, then the knee.
     pub fn text_report(&self) -> String {
@@ -155,16 +143,5 @@ mod tests {
         assert!(text.contains("qwait99_us"));
         // Title, header, one row per step, knee.
         assert_eq!(text.lines().count(), 5);
-    }
-
-    #[test]
-    fn achieved_ratio_guards_idle_steps() {
-        assert_eq!(StepMetrics::default().achieved_ratio(), 1.0);
-        let s = StepMetrics {
-            offered_rps: 200.0,
-            achieved_rps: 150.0,
-            ..StepMetrics::default()
-        };
-        assert!((s.achieved_ratio() - 0.75).abs() < 1e-12);
     }
 }

@@ -11,7 +11,7 @@
 //! sequence plus adjacency matrix over all vertex permutations. Permutations
 //! are pruned by first grouping vertices into (label, degree) classes, which
 //! keeps the search practical for motif-sized graphs (≲ 10 vertices). Above
-//! [`EXACT_LIMIT`] vertices the code degrades to a strong but inexact
+//! `EXACT_LIMIT` vertices the code degrades to a strong but inexact
 //! invariant (sorted label/degree/neighbour-label profile), which is
 //! acceptable because motifs of that size are never produced by the miner's
 //! default configuration.
@@ -19,10 +19,10 @@
 use loom_graph::{LabelledGraph, VertexId};
 
 /// Maximum graph size for which the canonical code is exact.
-pub const EXACT_LIMIT: usize = 10;
+pub(crate) const EXACT_LIMIT: usize = 10;
 
 /// A canonical code: equal codes ⇔ isomorphic graphs (exact up to
-/// [`EXACT_LIMIT`] vertices, a strong invariant beyond that).
+/// `EXACT_LIMIT` vertices, a strong invariant beyond that).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CanonicalCode(Vec<u32>);
 

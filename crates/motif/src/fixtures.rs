@@ -14,13 +14,13 @@ use crate::workload::Workload;
 use loom_graph::{Label, LabelledGraph, VertexId};
 
 /// Label `a` (0), used by the fixtures.
-pub const LABEL_A: Label = Label::new(0);
+pub(crate) const LABEL_A: Label = Label::new(0);
 /// Label `b` (1), used by the fixtures.
-pub const LABEL_B: Label = Label::new(1);
+pub(crate) const LABEL_B: Label = Label::new(1);
 /// Label `c` (2), used by the fixtures.
-pub const LABEL_C: Label = Label::new(2);
+pub(crate) const LABEL_C: Label = Label::new(2);
 /// Label `d` (3), used by the fixtures.
-pub const LABEL_D: Label = Label::new(3);
+pub(crate) const LABEL_D: Label = Label::new(3);
 
 /// The example graph `G` of the paper's Figure 1.
 ///

@@ -4,9 +4,9 @@
 //! bijection onto the query graph exists that preserves edges and labels
 //! (§2). This module provides:
 //!
-//! * [`find_matches`] / [`find_matches_limited`] — enumerate embeddings of a
+//! * [`find_matches`] / `find_matches_limited` — enumerate embeddings of a
 //!   pattern into a target graph;
-//! * [`has_match`] — early-exit existence check;
+//! * `has_match` — early-exit existence check;
 //! * [`are_isomorphic`] — exact isomorphism between two graphs of the same
 //!   size, used to collapse motifs onto canonical TPSTry++ nodes and to
 //!   verify the non-authoritative signature matches.
@@ -32,7 +32,7 @@ pub fn find_matches(pattern: &LabelledGraph, target: &LabelledGraph) -> Vec<Embe
 }
 
 /// Like [`find_matches`] but stops after `limit` embeddings have been found.
-pub fn find_matches_limited(
+pub(crate) fn find_matches_limited(
     pattern: &LabelledGraph,
     target: &LabelledGraph,
     limit: usize,
@@ -56,7 +56,7 @@ pub fn find_matches_limited(
 }
 
 /// Whether at least one embedding of `pattern` into `target` exists.
-pub fn has_match(pattern: &LabelledGraph, target: &LabelledGraph) -> bool {
+pub(crate) fn has_match(pattern: &LabelledGraph, target: &LabelledGraph) -> bool {
     !find_matches_limited(pattern, target, 1).is_empty()
 }
 
@@ -177,33 +177,6 @@ impl MatchState<'_> {
     }
 }
 
-/// Check that `embedding` really is a valid embedding of `pattern` into
-/// `target` (used by property tests and by the signature verifier).
-pub fn verify_embedding(
-    pattern: &LabelledGraph,
-    target: &LabelledGraph,
-    embedding: &Embedding,
-) -> bool {
-    if embedding.len() != pattern.vertex_count() {
-        return false;
-    }
-    let mut images: FxHashSet<VertexId> = FxHashSet::default();
-    for (pv, tv) in embedding {
-        if pattern.label(*pv) != target.label(*tv) {
-            return false;
-        }
-        if !images.insert(*tv) {
-            return false;
-        }
-    }
-    pattern
-        .edges()
-        .all(|e| match (embedding.get(&e.lo), embedding.get(&e.hi)) {
-            (Some(&a), Some(&b)) => target.contains_edge(a, b),
-            _ => false,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +185,33 @@ mod tests {
 
     fn l(x: u32) -> Label {
         Label::new(x)
+    }
+
+    /// Check that `embedding` really is a valid embedding of `pattern` into
+    /// `target`: the tests' check on every match the search returns.
+    fn verify_embedding(
+        pattern: &LabelledGraph,
+        target: &LabelledGraph,
+        embedding: &Embedding,
+    ) -> bool {
+        if embedding.len() != pattern.vertex_count() {
+            return false;
+        }
+        let mut images: FxHashSet<VertexId> = FxHashSet::default();
+        for (pv, tv) in embedding {
+            if pattern.label(*pv) != target.label(*tv) {
+                return false;
+            }
+            if !images.insert(*tv) {
+                return false;
+            }
+        }
+        pattern
+            .edges()
+            .all(|e| match (embedding.get(&e.lo), embedding.get(&e.hi)) {
+                (Some(&a), Some(&b)) => target.contains_edge(a, b),
+                _ => false,
+            })
     }
 
     /// The paper's Figure 1 example graph: 8 vertices, labels

@@ -55,7 +55,7 @@ pub mod workload;
 pub use error::MotifError;
 pub use query::{PatternQuery, QueryId};
 pub use signature::{PrimeTable, Signature};
-pub use tpstry::{MotifId, MotifNode, Tpstry};
+pub use tpstry::{MotifId, Tpstry};
 pub use workload::Workload;
 
 /// Convenient re-exports for downstream crates and examples.
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::canonical::canonical_code;
     pub use crate::error::MotifError;
     pub use crate::fixtures::{paper_example_graph, paper_example_workload};
-    pub use crate::isomorphism::{find_matches, find_matches_limited, has_match};
+    pub use crate::isomorphism::find_matches;
     pub use crate::mining::MotifMiner;
     pub use crate::query::{PatternQuery, QueryId};
     pub use crate::signature::{PrimeTable, Signature};

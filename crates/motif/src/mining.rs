@@ -59,7 +59,7 @@ impl MotifMiner {
     /// # Errors
     ///
     /// See [`MotifMiner::mine`].
-    pub fn mine_with_table(&self, workload: &Workload, table: PrimeTable) -> Result<Tpstry> {
+    pub(crate) fn mine_with_table(&self, workload: &Workload, table: PrimeTable) -> Result<Tpstry> {
         if self.max_motif_vertices == 0 {
             return Err(MotifError::InvalidConfig(
                 "max_motif_vertices must be positive".into(),
@@ -80,7 +80,7 @@ impl MotifMiner {
     /// # Errors
     ///
     /// Fails if the query's labels exceed the trie's prime table alphabet.
-    pub fn weave(&self, query: &PatternQuery, weight: f64, trie: &mut Tpstry) -> Result<()> {
+    pub(crate) fn weave(&self, query: &PatternQuery, weight: f64, trie: &mut Tpstry) -> Result<()> {
         trie.record_query_weight(weight);
         let graph = query.graph();
         let mut seen: FxHashSet<SubgraphKey> = FxHashSet::default();

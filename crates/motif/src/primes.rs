@@ -6,7 +6,7 @@
 //! label pairs to distinct primes.
 
 /// Generate the first `count` prime numbers with a simple growing sieve.
-pub fn first_primes(count: usize) -> Vec<u64> {
+pub(crate) fn first_primes(count: usize) -> Vec<u64> {
     if count == 0 {
         return Vec::new();
     }
@@ -39,7 +39,7 @@ pub fn first_primes(count: usize) -> Vec<u64> {
 /// Deterministic assignment of primes to vertex labels and unordered label
 /// pairs, for a fixed label alphabet size.
 #[derive(Debug, Clone)]
-pub struct LabelPrimes {
+pub(crate) struct LabelPrimes {
     label_count: u32,
     vertex_primes: Vec<u64>,
     pair_primes: Vec<u64>,
@@ -68,12 +68,12 @@ impl LabelPrimes {
 
     /// The prime assigned to a vertex label, or `None` if it exceeds the
     /// alphabet the table was built for.
-    pub fn vertex_prime(&self, label: u32) -> Option<u64> {
+    pub(crate) fn vertex_prime(&self, label: u32) -> Option<u64> {
         self.vertex_primes.get(label as usize).copied()
     }
 
     /// The prime assigned to the unordered pair of labels `(a, b)`.
-    pub fn pair_prime(&self, a: u32, b: u32) -> Option<u64> {
+    pub(crate) fn pair_prime(&self, a: u32, b: u32) -> Option<u64> {
         if a >= self.label_count || b >= self.label_count {
             return None;
         }

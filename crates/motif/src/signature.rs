@@ -19,7 +19,7 @@
 //! product used as a cheap hash. Divisibility is multiset inclusion, which is
 //! exact with respect to the factor model and never overflows.
 //!
-//! The factors are held inline, up to [`INLINE_FACTORS`] of them, so
+//! The factors are held inline, up to `INLINE_FACTORS` of them, so
 //! copying and growing a signature allocates nothing. That bound covers
 //! every signature a stream matcher builds under the default miner caps:
 //! a motif has at most 6 vertices and 8 edges (14 factors), and a tried
@@ -32,7 +32,7 @@ use crate::primes::LabelPrimes;
 use loom_graph::{Label, LabelledGraph};
 
 /// Mapping from labels / label pairs to prime factors, shared by every
-/// signature in a pipeline. Wraps [`LabelPrimes`] with error reporting.
+/// signature in a pipeline. Wraps `LabelPrimes` with error reporting.
 #[derive(Debug, Clone)]
 pub struct PrimeTable {
     primes: LabelPrimes,
@@ -87,7 +87,7 @@ impl PrimeTable {
 }
 
 /// Factors a [`Signature`] holds without a heap allocation.
-pub const INLINE_FACTORS: usize = 16;
+pub(crate) const INLINE_FACTORS: usize = 16;
 
 /// A signature's sorted factors: inline up to [`INLINE_FACTORS`], on the
 /// heap past that.
@@ -138,7 +138,7 @@ impl Factors {
 
 /// A multiplicative graph signature: a sorted multiset of prime factors plus
 /// a 128-bit wrapping product used for fast equality short-circuiting. The
-/// factors are held inline up to [`INLINE_FACTORS`] (see the module docs).
+/// factors are held inline up to `INLINE_FACTORS` (see the module docs).
 #[derive(Clone, Default)]
 pub struct Signature {
     /// Sorted prime factors with multiplicity.
@@ -194,20 +194,6 @@ impl Signature {
         self.product = self.product.wrapping_mul(u128::from(factor));
     }
 
-    /// Return a copy with the vertex factor for `label` multiplied in.
-    pub fn with_vertex(&self, table: &PrimeTable, label: Label) -> Result<Self> {
-        let mut next = self.clone();
-        next.multiply(table.vertex_factor(label)?);
-        Ok(next)
-    }
-
-    /// Return a copy with the edge factor for `(a, b)` multiplied in.
-    pub fn with_edge(&self, table: &PrimeTable, a: Label, b: Label) -> Result<Self> {
-        let mut next = self.clone();
-        next.multiply(table.edge_factor(a, b)?);
-        Ok(next)
-    }
-
     /// Number of prime factors (vertices + edges encoded).
     pub fn factor_count(&self) -> usize {
         self.factors().len()
@@ -216,11 +202,6 @@ impl Signature {
     /// Whether this is the empty (identity) signature.
     pub fn is_empty(&self) -> bool {
         self.factors().is_empty()
-    }
-
-    /// The wrapping 128-bit product (a cheap hash, not unique).
-    pub fn product_hash(&self) -> u128 {
-        self.product
     }
 
     /// The sorted factor multiset.
@@ -255,11 +236,6 @@ impl Signature {
         }
         true
     }
-
-    /// Whether `other` divides `self`.
-    pub fn is_divisible_by(&self, other: &Signature) -> bool {
-        other.divides(self)
-    }
 }
 
 impl std::fmt::Display for Signature {
@@ -286,7 +262,7 @@ mod tests {
     fn empty_signature_is_identity() {
         let s = Signature::empty();
         assert!(s.is_empty());
-        assert_eq!(s.product_hash(), 1);
+        assert_eq!(s.product, 1);
         let other = Signature::empty();
         assert!(s.divides(&other));
         assert!(other.divides(&s));
@@ -307,7 +283,7 @@ mod tests {
         incremental.multiply(table.vertex_factor(l(1)).unwrap());
 
         assert_eq!(batch, incremental);
-        assert_eq!(batch.product_hash(), incremental.product_hash());
+        assert_eq!(batch.product, incremental.product);
     }
 
     #[test]
@@ -323,7 +299,6 @@ mod tests {
         assert!(s_ab.divides(&s_abcd));
         assert!(s_abc.divides(&s_abcd));
         assert!(!s_abcd.divides(&s_abc));
-        assert!(s_abcd.is_divisible_by(&s_abc));
     }
 
     #[test]
@@ -349,19 +324,6 @@ mod tests {
         let s_cd = table.signature_of(&cd).unwrap();
         assert!(!s_ab.divides(&s_cd));
         assert!(!s_cd.divides(&s_ab));
-    }
-
-    #[test]
-    fn with_vertex_and_with_edge_are_incremental() {
-        let table = PrimeTable::new(3);
-        let single = Signature::single_vertex(&table, l(0)).unwrap();
-        let extended = single
-            .with_vertex(&table, l(1))
-            .unwrap()
-            .with_edge(&table, l(0), l(1))
-            .unwrap();
-        let direct = table.signature_of(&path_graph(2, &[l(0), l(1)])).unwrap();
-        assert_eq!(extended, direct);
     }
 
     #[test]
@@ -441,7 +403,7 @@ mod tests {
             s.hash(&mut hashed);
             let mut expected = loom_graph::fxhash::FxHasher::default();
             s.factors().to_vec().hash(&mut expected);
-            s.product_hash().hash(&mut expected);
+            s.product.hash(&mut expected);
             assert_eq!(hashed.finish(), expected.finish(), "{n} vertices");
         }
     }

@@ -88,24 +88,9 @@ impl MotifNode {
         self.graph.edge_count()
     }
 
-    /// The motif's accumulated, frequency-weighted support.
-    pub fn support(&self) -> f64 {
-        self.support
-    }
-
-    /// The queries that contain this motif.
-    pub fn supporting_queries(&self) -> &FxHashSet<QueryId> {
-        &self.supporting_queries
-    }
-
     /// Children: motifs extending this one by a single edge.
     pub fn children(&self) -> &[MotifId] {
         &self.children
-    }
-
-    /// Parents: motifs this one extends by a single edge.
-    pub fn parents(&self) -> &[MotifId] {
-        &self.parents
     }
 }
 
@@ -114,7 +99,6 @@ impl MotifNode {
 pub struct Tpstry {
     nodes: Vec<MotifNode>,
     by_code: FxHashMap<CanonicalCode, MotifId>,
-    by_signature: FxHashMap<Signature, Vec<MotifId>>,
     roots: FxHashMap<Label, MotifId>,
     total_weight: f64,
     prime_table: PrimeTable,
@@ -126,7 +110,6 @@ impl Tpstry {
         Self {
             nodes: Vec::new(),
             by_code: FxHashMap::default(),
-            by_signature: FxHashMap::default(),
             roots: FxHashMap::default(),
             total_weight: 0.0,
             prime_table,
@@ -155,7 +138,7 @@ impl Tpstry {
 
     /// Record that a query of the given weight has been folded into the trie
     /// (increases the p-value denominator).
-    pub fn record_query_weight(&mut self, weight: f64) {
+    pub(crate) fn record_query_weight(&mut self, weight: f64) {
         self.total_weight += weight.max(0.0);
     }
 
@@ -164,7 +147,7 @@ impl Tpstry {
     /// # Errors
     ///
     /// Fails if the motif uses labels outside the prime table's alphabet.
-    pub fn insert_motif(&mut self, motif: &LabelledGraph) -> Result<MotifId> {
+    pub(crate) fn insert_motif(&mut self, motif: &LabelledGraph) -> Result<MotifId> {
         let code = canonical_code(motif);
         if let Some(&id) = self.by_code.get(&code) {
             return Ok(id);
@@ -175,7 +158,7 @@ impl Tpstry {
             id,
             graph: motif.clone(),
             code: code.clone(),
-            signature: signature.clone(),
+            signature,
             support: 0.0,
             supporting_queries: FxHashSet::default(),
             children: Vec::new(),
@@ -183,7 +166,6 @@ impl Tpstry {
         };
         self.nodes.push(node);
         self.by_code.insert(code, id);
-        self.by_signature.entry(signature).or_default().push(id);
         // Single-vertex motifs are the DAG's roots (one per label).
         if motif.vertex_count() == 1 && motif.edge_count() == 0 {
             let label = motif
@@ -200,7 +182,7 @@ impl Tpstry {
     /// (motif, query) pair, no matter how many times the query contains the
     /// motif — the p-value models "the probability a random query traverses
     /// this pattern", not the embedding count.
-    pub fn add_support(&mut self, id: MotifId, query: QueryId, weight: f64) {
+    pub(crate) fn add_support(&mut self, id: MotifId, query: QueryId, weight: f64) {
         let node = &mut self.nodes[id.index()];
         if node.supporting_queries.insert(query) {
             node.support += weight.max(0.0);
@@ -239,16 +221,6 @@ impl Tpstry {
         self.by_code.get(&canonical_code(graph)).copied()
     }
 
-    /// The node ids whose signature equals `signature` (usually 0 or 1; more
-    /// than 1 only under a signature collision between non-isomorphic
-    /// motifs, which the paper argues is rare).
-    pub fn find_by_signature(&self, signature: &Signature) -> &[MotifId] {
-        self.by_signature
-            .get(signature)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// The root node for a vertex label, if a single-vertex motif with that
     /// label has been inserted.
     pub fn root(&self, label: Label) -> Option<MotifId> {
@@ -268,11 +240,6 @@ impl Tpstry {
         } else {
             self.nodes[id.index()].support / self.total_weight
         }
-    }
-
-    /// Whether a node is *frequent* at threshold `threshold`.
-    pub fn is_frequent(&self, id: MotifId, threshold: f64) -> bool {
-        self.p_value(id) >= threshold
     }
 
     /// All frequent motif ids at threshold `threshold`, sorted by descending
@@ -380,12 +347,12 @@ mod tests {
         trie.record_query_weight(1.0);
         trie.add_support(id, QueryId::new(0), 1.0);
         trie.add_support(id, QueryId::new(0), 1.0); // duplicate, ignored
-        assert!((trie.node(id).support() - 1.0).abs() < 1e-12);
+        assert!((trie.node(id).support - 1.0).abs() < 1e-12);
         assert!((trie.p_value(id) - 1.0).abs() < 1e-12);
         trie.record_query_weight(1.0);
         trie.add_support(id, QueryId::new(1), 1.0);
         assert!((trie.p_value(id) - 1.0).abs() < 1e-12);
-        assert_eq!(trie.node(id).supporting_queries().len(), 2);
+        assert_eq!(trie.node(id).supporting_queries.len(), 2);
     }
 
     #[test]
@@ -401,8 +368,8 @@ mod tests {
         trie.add_support(ab, QueryId::new(0), 1.0);
         assert!((trie.p_value(a) - 1.0).abs() < 1e-12);
         assert!((trie.p_value(ab) - 0.5).abs() < 1e-12);
-        assert!(trie.is_frequent(a, 0.9));
-        assert!(!trie.is_frequent(ab, 0.9));
+        assert!(trie.p_value(a) >= 0.9);
+        assert!(trie.p_value(ab) < 0.9);
         let frequent = trie.frequent_motifs(0.5);
         assert_eq!(frequent, vec![a, ab]);
         let very_frequent = trie.frequent_motifs(0.75);
@@ -418,7 +385,7 @@ mod tests {
         trie.link(a, ab);
         trie.link(a, a); // self link ignored
         assert_eq!(trie.node(a).children(), &[ab]);
-        assert_eq!(trie.node(ab).parents(), &[a]);
+        assert_eq!(trie.node(ab).parents, [a]);
         assert!(trie.check_invariants().is_ok());
     }
 
@@ -432,20 +399,6 @@ mod tests {
         // Child supported by a query the parent is not: violates monotonicity.
         trie.add_support(ab, QueryId::new(0), 1.0);
         assert!(trie.check_invariants().is_err());
-    }
-
-    #[test]
-    fn signature_lookup_finds_nodes() {
-        let mut trie = Tpstry::new(PrimeTable::new(4));
-        let abc = path_graph(3, &[l(0), l(1), l(2)]);
-        let id = trie.insert_motif(&abc).unwrap();
-        let sig = trie.prime_table().signature_of(&abc).unwrap();
-        assert_eq!(trie.find_by_signature(&sig), &[id]);
-        let other = trie
-            .prime_table()
-            .signature_of(&path_graph(2, &[l(0), l(1)]))
-            .unwrap();
-        assert!(trie.find_by_signature(&other).is_empty());
     }
 
     #[test]

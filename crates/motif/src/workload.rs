@@ -134,17 +134,6 @@ impl Workload {
     }
 }
 
-/// The shape of a generated query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryShape {
-    /// A label path.
-    Path,
-    /// A star with a centre label and leaves.
-    Branch,
-    /// A label cycle.
-    Cycle,
-}
-
 /// Generator for synthetic workloads with shared motifs and skewed
 /// frequencies.
 #[derive(Debug, Clone)]
@@ -246,7 +235,7 @@ impl WorkloadGenerator {
 }
 
 /// Unnormalised Zipf weight of rank `rank` (0-based) with exponent `s`.
-pub fn zipf_weight(rank: usize, s: f64) -> f64 {
+pub(crate) fn zipf_weight(rank: usize, s: f64) -> f64 {
     if s <= 0.0 {
         1.0
     } else {

@@ -199,7 +199,7 @@ pub struct TelemetryDelta {
 
 impl TelemetryDelta {
     /// Interval length in seconds.
-    pub fn interval_secs(&self) -> f64 {
+    pub(crate) fn interval_secs(&self) -> f64 {
         self.interval_us as f64 / 1e6
     }
 
@@ -213,17 +213,6 @@ impl TelemetryDelta {
             .iter()
             .find(|(k, _)| k == key)
             .map_or(0.0, |(_, delta)| *delta as f64 / self.interval_secs())
-    }
-
-    /// Sum of a counter's interval deltas across every labelled series of
-    /// `name` (e.g. total `serve.rejected` over all shards in this ramp
-    /// step).
-    pub fn counter_sum(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, delta)| *delta)
-            .sum()
     }
 
     /// Every labelled series of histogram `name` merged into one interval
@@ -430,8 +419,12 @@ mod tests {
         };
         let delta = late.since(&early);
         // 1 + 2 + 3 rejections across the three shard series.
-        assert_eq!(delta.counter_sum("serve.rejected"), 6);
-        assert_eq!(delta.counter_sum("serve.admitted"), 0);
+        let sum = |name: &str| -> u64 {
+            let series = delta.counters.iter().filter(|(k, _)| k.name == name);
+            series.map(|(_, d)| d).sum()
+        };
+        assert_eq!(sum("serve.rejected"), 6);
+        assert_eq!(sum("serve.admitted"), 0);
         let merged = delta.histogram_merged("serve.queue_wait");
         assert_eq!(merged.count, 3);
         // The merged p99 is the largest shard's sample (log-linear bucket

@@ -11,11 +11,10 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Default ring capacity (events retained before eviction).
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
 /// What happened. Every variant is compact plain data — recording never
 /// allocates beyond the ring slot.
@@ -237,7 +236,6 @@ pub struct FlightRecorder {
     started: Instant,
     ring: parking_lot::Mutex<Ring>,
     last_dump: parking_lot::Mutex<Option<FlightDump>>,
-    dumps: AtomicU64,
 }
 
 impl Default for FlightRecorder {
@@ -254,7 +252,6 @@ impl FlightRecorder {
             started: Instant::now(),
             ring: parking_lot::Mutex::new(Ring::default()),
             last_dump: parking_lot::Mutex::new(None),
-            dumps: AtomicU64::new(0),
         }
     }
 
@@ -304,18 +301,12 @@ impl FlightRecorder {
     pub fn latch(&self, reason: &'static str) -> FlightDump {
         let dump = self.dump(reason);
         *self.last_dump.lock() = Some(dump.clone());
-        self.dumps.fetch_add(1, Ordering::Relaxed);
         dump
     }
 
     /// The most recently latched dump, if any trigger has fired.
     pub fn last_dump(&self) -> Option<FlightDump> {
         self.last_dump.lock().clone()
-    }
-
-    /// How many dumps have been latched.
-    pub fn dumps(&self) -> u64 {
-        self.dumps.load(Ordering::Relaxed)
     }
 
     /// Total events recorded (including evicted ones): the next sequence
@@ -359,7 +350,6 @@ mod tests {
         let latched = rec.last_dump().expect("latched");
         assert_eq!(latched, dump);
         assert_eq!(latched.events.len(), 2, "post-trigger events excluded");
-        assert_eq!(rec.dumps(), 1);
         let for_request = latched.events_for_request(7);
         assert_eq!(for_request.len(), 2);
         assert!(matches!(
@@ -392,6 +382,5 @@ mod tests {
         let rec = FlightRecorder::default();
         rec.record(FlightKind::EpochPublished { epoch: 1 });
         assert!(rec.last_dump().is_none());
-        assert_eq!(rec.dumps(), 0);
     }
 }

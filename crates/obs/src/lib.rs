@@ -45,11 +45,13 @@ pub mod registry;
 pub mod span;
 
 pub use export::{validate_prometheus, TelemetryDelta, TelemetrySnapshot};
-pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{Counter, Gauge, Label, MetricRegistry, RegistrySnapshot, SeriesKey};
+pub use flight::{FlightDump, FlightKind};
+pub use hist::Histogram;
+pub use registry::{Counter, Label};
 pub use span::{stage, SpanTimer};
 
+use flight::FlightRecorder;
+use registry::MetricRegistry;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,7 +92,7 @@ impl Telemetry {
     }
 
     /// Microseconds since this bundle was created.
-    pub fn uptime_us(&self) -> u64 {
+    pub(crate) fn uptime_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
     }
 

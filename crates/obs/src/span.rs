@@ -54,25 +54,6 @@ pub mod stage {
     /// replay on the calling thread, so `max(load, decode) + replay +
     /// mirror` bounds a recovery's wall clock from below.
     pub const RECOVER_MIRROR: &str = "recover.mirror";
-
-    /// Every stage above, for exporters and smoke tests that assert the
-    /// catalogue is live.
-    pub const ALL: &[&str] = &[
-        INGEST_WAL_APPEND,
-        INGEST_PARTITION,
-        SERVE_QUEUE_WAIT,
-        SERVE_EXECUTE,
-        STORE_CHECKPOINT_WRITE,
-        STORE_FSYNC,
-        ADAPT_PLAN,
-        ADAPT_MIGRATE,
-        INGEST_APPLY_DELETE,
-        SERVE_COMPACTION,
-        RECOVER_CHECKPOINT_LOAD,
-        RECOVER_WAL_DECODE,
-        RECOVER_REPLAY,
-        RECOVER_MIRROR,
-    ];
 }
 
 /// A scoped wall-clock timer charging into a stage histogram on drop.
@@ -98,12 +79,6 @@ impl<'a> SpanTimer<'a> {
     /// Whether this span will record anything.
     pub fn is_live(&self) -> bool {
         self.target.is_some()
-    }
-
-    /// End the span now and return the elapsed microseconds it recorded
-    /// (`None` for a no-op span).
-    pub fn stop(mut self) -> Option<u64> {
-        self.finish()
     }
 
     #[inline]
@@ -141,23 +116,39 @@ mod tests {
     #[test]
     fn stop_returns_the_recorded_duration() {
         let hist = Histogram::new();
-        let span = SpanTimer::start(Some(&hist));
-        let us = span.stop().expect("live span");
+        let mut span = SpanTimer::start(Some(&hist));
+        let us = span.finish().expect("live span");
         assert_eq!(hist.count(), 1);
         assert_eq!(hist.sum(), us);
     }
 
     #[test]
     fn disabled_spans_are_no_ops() {
-        let span = SpanTimer::start(None);
+        let mut span = SpanTimer::start(None);
         assert!(!span.is_live());
-        assert_eq!(span.stop(), None);
+        assert_eq!(span.finish(), None);
     }
 
     #[test]
     fn the_stage_catalogue_is_unique_and_dotted() {
+        use stage::*;
         let mut seen = std::collections::BTreeSet::new();
-        for &name in stage::ALL {
+        for name in [
+            INGEST_WAL_APPEND,
+            INGEST_PARTITION,
+            SERVE_QUEUE_WAIT,
+            SERVE_EXECUTE,
+            STORE_CHECKPOINT_WRITE,
+            STORE_FSYNC,
+            ADAPT_PLAN,
+            ADAPT_MIGRATE,
+            INGEST_APPLY_DELETE,
+            SERVE_COMPACTION,
+            RECOVER_CHECKPOINT_LOAD,
+            RECOVER_WAL_DECODE,
+            RECOVER_REPLAY,
+            RECOVER_MIRROR,
+        ] {
             assert!(name.contains('.'), "{name} is not stage-scoped");
             assert!(seen.insert(name), "{name} appears twice");
         }

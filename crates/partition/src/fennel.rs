@@ -50,7 +50,7 @@ impl FennelConfig {
 
     /// The α load-cost coefficient: `√k · m / n^{3/2}` for γ = 1.5, and the
     /// general form `m · k^{γ-1} / n^γ` otherwise.
-    pub fn alpha(&self) -> f64 {
+    pub(crate) fn alpha(&self) -> f64 {
         let n = self.expected_vertices.max(1) as f64;
         let m = self.expected_edges.max(1) as f64;
         let k = f64::from(self.k.max(1));
@@ -127,11 +127,6 @@ impl FennelPartitioner {
             Partitioning::new(config.k, hard_cap)?,
         ))
     }
-
-    /// The hard per-partition vertex cap `ν · n / k`.
-    pub fn hard_cap(&self) -> usize {
-        self.rule().hard_cap
-    }
 }
 
 #[cfg(test)]
@@ -164,9 +159,10 @@ mod tests {
     fn respects_the_hard_balance_cap() {
         let g = barabasi_albert(GeneratorConfig::new(2_000, 4, 3), 2).unwrap();
         let stream = GraphStream::from_graph(&g, &StreamOrder::Bfs);
-        let mut partitioner =
-            FennelPartitioner::new(FennelConfig::new(4, g.vertex_count(), g.edge_count())).unwrap();
-        let cap = partitioner.hard_cap();
+        let config = FennelConfig::new(4, g.vertex_count(), g.edge_count());
+        // The hard cap `ν · n / k`.
+        let cap = (g.vertex_count() as f64 / 4.0 * config.balance_cap).ceil() as usize;
+        let mut partitioner = FennelPartitioner::new(config).unwrap();
         let part = partition_stream(&mut partitioner, &stream).unwrap();
         assert_eq!(part.assigned_count(), 2_000);
         for p in part.partitions() {

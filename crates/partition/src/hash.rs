@@ -70,7 +70,7 @@ impl HashPartitioner {
     ///
     /// Propagates [`crate::PartitionError::InvalidConfig`] from
     /// [`Partitioning::new`].
-    pub fn from_config(config: HashConfig) -> Result<Self> {
+    pub(crate) fn from_config(config: HashConfig) -> Result<Self> {
         Ok(Self {
             partitioning: Partitioning::new(config.k, config.capacity)?,
             seed: config.seed,

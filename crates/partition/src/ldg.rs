@@ -132,6 +132,44 @@ mod tests {
         );
     }
 
+    /// Fraction of intra-community edges that a partitioning keeps internal,
+    /// given the planted ground-truth membership of a community graph. 1.0 means
+    /// every planted community edge is uncut: the check LDG's community test
+    /// reads.
+    fn community_agreement(
+        graph: &LabelledGraph,
+        partitioning: &Partitioning,
+        membership: &[(VertexId, usize)],
+    ) -> f64 {
+        let community_of: loom_graph::fxhash::FxHashMap<VertexId, usize> =
+            membership.iter().copied().collect();
+        let mut intra = 0usize;
+        let mut kept = 0usize;
+        for e in graph.edges() {
+            let (Some(&ca), Some(&cb)) = (community_of.get(&e.lo), community_of.get(&e.hi)) else {
+                continue;
+            };
+            if ca != cb {
+                continue;
+            }
+            let (Some(pa), Some(pb)) = (
+                partitioning.partition_of(e.lo),
+                partitioning.partition_of(e.hi),
+            ) else {
+                continue;
+            };
+            intra += 1;
+            if pa == pb {
+                kept += 1;
+            }
+        }
+        if intra == 0 {
+            1.0
+        } else {
+            kept as f64 / intra as f64
+        }
+    }
+
     #[test]
     fn keeps_communities_together_on_community_graphs() {
         let (g, membership) = community_graph(CommunityConfig {
@@ -145,7 +183,7 @@ mod tests {
         .unwrap();
         // BFS ordering gives the heuristic the locality it needs.
         let part = run_ldg(&g, 4, &StreamOrder::Bfs);
-        let agreement = crate::metrics::community_agreement(&g, &part, &membership);
+        let agreement = community_agreement(&g, &part, &membership);
         assert!(
             agreement > 0.5,
             "expected most community edges kept internal, got {agreement:.3}"

@@ -10,7 +10,7 @@
 //! * [`partition`] — partition identifiers, the assignment table
 //!   ([`Partitioning`]), capacity accounting, and the two greedy placement
 //!   rules, both "highest score, ties to the smaller partition":
-//!   [`Partitioning::best_partition`], Fennel's, which scores every
+//!   `Partitioning::best_partition`, Fennel's, which scores every
 //!   partition, and [`Partitioning::ldg_choice`], which LDG and both LOOM
 //!   placement modes call and which scores only the partitions a neighbour
 //!   lives in (its docs say why that gives the full scan's answer);
@@ -62,9 +62,9 @@ pub use error::PartitionError;
 pub use fennel::FennelPartitioner;
 pub use hash::HashPartitioner;
 pub use ldg::LdgPartitioner;
-pub use migrate::{MigrationConfig, MigrationPlan, MigrationPlanner, VertexMove};
+pub use migrate::{MigrationConfig, MigrationPlanner};
 pub use partition::{PartitionId, Partitioning};
-pub use spec::{build_baseline, LoomConfig, PartitionerRegistry, PartitionerSpec};
+pub use spec::{LoomConfig, PartitionerRegistry, PartitionerSpec};
 pub use traits::{partition_stream, partition_stream_batched, Partitioner, PartitionerStats};
 
 /// Convenient re-exports for downstream crates and examples.
@@ -74,10 +74,10 @@ pub mod prelude {
     pub use crate::hash::{HashConfig, HashPartitioner};
     pub use crate::ldg::{LdgConfig, LdgPartitioner};
     pub use crate::metrics::{PartitionQuality, QualityReport};
-    pub use crate::migrate::{MigrationConfig, MigrationPlan, MigrationPlanner, VertexMove};
+    pub use crate::migrate::{MigrationConfig, MigrationPlanner};
     pub use crate::offline::{MultilevelConfig, MultilevelPartitioner};
     pub use crate::partition::{PartitionId, Partitioning};
-    pub use crate::spec::{build_baseline, LoomConfig, PartitionerRegistry, PartitionerSpec};
+    pub use crate::spec::{LoomConfig, PartitionerRegistry, PartitionerSpec};
     pub use crate::traits::{
         partition_stream, partition_stream_batched, Partitioner, PartitionerStats,
     };

@@ -9,7 +9,7 @@
 
 use crate::partition::{PartitionId, Partitioning};
 use loom_graph::fxhash::FxHashSet;
-use loom_graph::{LabelledGraph, VertexId};
+use loom_graph::LabelledGraph;
 
 /// Aggregated quality figures for a partitioning of a specific graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,43 +94,6 @@ pub fn evaluate(graph: &LabelledGraph, partitioning: &Partitioning) -> QualityRe
     }
 }
 
-/// Fraction of intra-community edges that a partitioning keeps internal,
-/// given the planted ground-truth membership of a community graph. 1.0 means
-/// every planted community edge is uncut.
-pub fn community_agreement(
-    graph: &LabelledGraph,
-    partitioning: &Partitioning,
-    membership: &[(VertexId, usize)],
-) -> f64 {
-    let community_of: loom_graph::fxhash::FxHashMap<VertexId, usize> =
-        membership.iter().copied().collect();
-    let mut intra = 0usize;
-    let mut kept = 0usize;
-    for e in graph.edges() {
-        let (Some(&ca), Some(&cb)) = (community_of.get(&e.lo), community_of.get(&e.hi)) else {
-            continue;
-        };
-        if ca != cb {
-            continue;
-        }
-        let (Some(pa), Some(pb)) = (
-            partitioning.partition_of(e.lo),
-            partitioning.partition_of(e.hi),
-        ) else {
-            continue;
-        };
-        intra += 1;
-        if pa == pb {
-            kept += 1;
-        }
-    }
-    if intra == 0 {
-        1.0
-    } else {
-        kept as f64 / intra as f64
-    }
-}
-
 /// Convenience trait: anything that can produce a final [`Partitioning`] can
 /// be evaluated against a graph.
 pub trait PartitionQuality {
@@ -148,7 +111,7 @@ impl PartitionQuality for Partitioning {
 mod tests {
     use super::*;
     use loom_graph::generators::regular::path_graph;
-    use loom_graph::Label;
+    use loom_graph::{Label, VertexId};
 
     fn two_block_graph() -> LabelledGraph {
         // Two triangles joined by a single bridge edge.
@@ -204,29 +167,6 @@ mod tests {
         assert_eq!(report.cut_edges, 1);
         assert_eq!(report.assigned_vertices, 2);
         assert_eq!(report.graph_vertices, 4);
-    }
-
-    #[test]
-    fn community_agreement_scores_planted_structure() {
-        let g = two_block_graph();
-        let membership: Vec<(VertexId, usize)> = (0..6u64)
-            .map(|i| (VertexId::new(i), if i < 3 { 0 } else { 1 }))
-            .collect();
-        let mut aligned = Partitioning::new(2, 3).unwrap();
-        for i in 0..6u64 {
-            aligned
-                .assign(VertexId::new(i), PartitionId::new(u32::from(i >= 3)))
-                .unwrap();
-        }
-        assert!((community_agreement(&g, &aligned, &membership) - 1.0).abs() < 1e-12);
-
-        let mut scrambled = Partitioning::new(2, 3).unwrap();
-        for i in 0..6u64 {
-            scrambled
-                .assign(VertexId::new(i), PartitionId::new((i % 2) as u32))
-                .unwrap();
-        }
-        assert!(community_agreement(&g, &scrambled, &membership) < 0.5);
     }
 
     #[test]

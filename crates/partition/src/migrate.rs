@@ -89,11 +89,6 @@ impl MigrationPlan {
         self.moves.len()
     }
 
-    /// Total net gain over all planned moves.
-    pub fn total_gain(&self) -> f64 {
-        self.moves.iter().map(|m| m.gain).sum()
-    }
-
     /// Apply every move to a partitioning.
     ///
     /// # Errors
@@ -348,7 +343,7 @@ mod tests {
         let planner = MigrationPlanner::new(MigrationConfig::new(2));
         let plan = planner.plan(&g, &part, &hot(&[(0, 1.0), (1, 1.0)]));
         assert_eq!(plan.len(), 2);
-        assert!(plan.total_gain() > 0.0);
+        assert!(plan.moves.iter().map(|m| m.gain).sum::<f64>() > 0.0);
     }
 
     #[test]

@@ -142,16 +142,10 @@ impl Partitioning {
         &self.sizes
     }
 
-    /// Remaining capacity of a partition (0 if full or unknown).
-    #[inline]
-    pub fn free_capacity(&self, p: PartitionId) -> usize {
-        self.capacity.saturating_sub(self.size(p))
-    }
-
     /// The LDG capacity penalty `1 - |V_i| / C` for a partition, clamped to
     /// `[0, 1]`.
     #[inline]
-    pub fn capacity_penalty(&self, p: PartitionId) -> f64 {
+    pub(crate) fn capacity_penalty(&self, p: PartitionId) -> f64 {
         (1.0 - self.size(p) as f64 / self.capacity as f64).clamp(0.0, 1.0)
     }
 
@@ -264,7 +258,7 @@ impl Partitioning {
 
     /// The emptiest partition (smallest current size; ties broken towards the
     /// lowest id). Useful as a fallback assignment target.
-    pub fn least_loaded(&self) -> PartitionId {
+    pub(crate) fn least_loaded(&self) -> PartitionId {
         let index = self
             .sizes
             .iter()
@@ -333,7 +327,7 @@ impl Partitioning {
     /// no neighbour above zero. LDG scores it exactly zero, and
     /// [`ldg_choice`](Self::ldg_choice) scores only the partitions a
     /// neighbour lives in.
-    pub fn best_partition(
+    pub(crate) fn best_partition(
         &self,
         neighbours: &[VertexId],
         seed: Option<(PartitionId, f64)>,
@@ -355,11 +349,10 @@ impl Partitioning {
 
     /// LDG's placement rule (Stanton & Kliot): among the `eligible`
     /// partitions, the one maximising `|N(v) ∩ V_i| · (1 − |V_i| / C)`
-    /// ([`capacity_penalty`](Self::capacity_penalty)) over the assigned
-    /// entries of `neighbours` (an entry listed twice counts twice), ties
-    /// broken as in [`best_partition`](Self::best_partition); when no
-    /// eligible partition holding a neighbour scores above `1e-12`, the
-    /// least-loaded eligible partition (the lowest id among equals).
+    /// (`capacity_penalty`) over the assigned entries of `neighbours` (an
+    /// entry listed twice counts twice), ties broken as in `best_partition`;
+    /// when no eligible partition holding a neighbour scores above `1e-12`,
+    /// the least-loaded eligible partition (the lowest id among equals).
     /// Returns `None` only when no partition is eligible.
     ///
     /// Only the partitions a neighbour lives in are scored, in id order. The
@@ -524,7 +517,6 @@ mod tests {
             part.assign(v(i), p(0)).unwrap();
         }
         assert!((part.capacity_penalty(p(0)) - 0.25).abs() < 1e-12);
-        assert_eq!(part.free_capacity(p(0)), 1);
         assert!(part.has_room_for(p(0), 1));
         assert!(!part.has_room_for(p(0), 2));
         part.assign(v(3), p(0)).unwrap();

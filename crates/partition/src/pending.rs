@@ -81,10 +81,6 @@ impl<R: PlacementRule> PendingVertexPartitioner<R> {
         }
     }
 
-    pub(crate) fn rule(&self) -> &R {
-        &self.rule
-    }
-
     /// The placed neighbours recorded for the pending vertex, if any.
     #[cfg(test)]
     pub(crate) fn pending_neighbours(&self) -> Option<&[VertexId]> {

@@ -173,10 +173,10 @@ impl PartitionerSpec {
 /// Returns `Ok(None)` when the spec is not one it handles (the registry then
 /// tries the next builder), `Ok(Some(_))` on success, and `Err` when the spec
 /// *is* handled but invalid.
-pub type SpecBuilder =
+pub(crate) type SpecBuilder =
     Box<dyn Fn(&PartitionerSpec) -> Result<Option<Box<dyn Partitioner>>> + Send + Sync>;
 
-/// An ordered chain of [`SpecBuilder`]s mapping declarative
+/// An ordered chain of `SpecBuilder`s mapping declarative
 /// [`PartitionerSpec`]s to ready-to-run `Box<dyn Partitioner>` instances.
 ///
 /// Builders registered later are consulted first, so higher layers can extend
@@ -249,17 +249,6 @@ impl PartitionerRegistry {
     }
 }
 
-/// Build one of the baseline partitioners (Hash, LDG, Fennel) from a spec
-/// without constructing a registry first.
-///
-/// # Errors
-///
-/// Rejects [`PartitionerSpec::Loom`] (it needs a mined workload) and
-/// propagates configuration errors.
-pub fn build_baseline(spec: &PartitionerSpec) -> Result<Box<dyn Partitioner>> {
-    PartitionerRegistry::baselines().build(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +282,8 @@ mod tests {
     #[test]
     fn loom_spec_is_rejected_without_a_workload_registry() {
         let spec = PartitionerSpec::Loom(LoomConfig::new(4, 100));
-        let err = build_baseline(&spec)
+        let err = PartitionerRegistry::baselines()
+            .build(&spec)
             .err()
             .expect("loom spec must be rejected");
         assert!(err.to_string().contains("workload_registry"));

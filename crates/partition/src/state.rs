@@ -71,7 +71,7 @@ impl std::fmt::Display for Setting {
 }
 
 /// A partitioner's settings, in the order its state blob records them.
-pub type Settings<'a> = [(&'a str, Setting)];
+pub(crate) type Settings<'a> = [(&'a str, Setting)];
 
 /// Every live vertex of a checkpoint's arena with its home shard — `None`
 /// for the unassigned tail — as [`Partitioner::restore_state`] takes it.

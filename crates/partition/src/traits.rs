@@ -74,9 +74,11 @@ impl std::fmt::Display for PartitionerStats {
 /// The trait is object safe: the `loom::Session` façade and the benchmark
 /// drive partitioners through `Box<dyn Partitioner>`
 /// built by a [`crate::spec::PartitionerRegistry`]. `Send` is a supertrait so
-/// a boxed partitioner can ingest on a background thread while the serving
-/// engine keeps answering queries (the `loom-serve` ingest-while-serve
-/// pattern).
+/// a boxed partitioner can ingest on another thread: `examples/serving.rs`
+/// and `tests/serving.rs` do, publishing each grown snapshot to a
+/// `loom-serve` `EpochStore` by hand while the engine answers queries. The
+/// `loom::Session` façade does not (its `serve` consumes the session, so a
+/// served graph never grows).
 pub trait Partitioner: Send {
     /// A short, stable name used in reports and benchmark output.
     fn name(&self) -> &'static str;

@@ -23,7 +23,7 @@
 //!   no cache is wired in) — the router and every worker execute the same
 //!   instance, with zero per-call ordering derivation;
 //! * the coordinator (this thread) routes each query to its home shard
-//!   ([`QueryRouter::home_shard_planned`]) against the snapshot current at
+//!   (`QueryRouter::home_shard_planned`) against the snapshot current at
 //!   admission and **sends it as a message** over that worker's
 //!   [`ShardTransport`] endpoint — closed-loop admission stages a worker's
 //!   queries and sends them in runs, with deadline-aware backpressure: a
@@ -1151,8 +1151,7 @@ impl ServeEngine {
             .iter()
             .map(|l| l.peer_inbox_depth())
             .collect();
-        let (report, response) =
-            self.assemble(coordinator, depths, issued, query_counts, started, &request);
+        let (report, response) = self.assemble(coordinator, depths, issued, query_counts, started);
         (report, response, value)
     }
 
@@ -1163,7 +1162,6 @@ impl ServeEngine {
         samples: usize,
         query_counts: Vec<usize>,
         started: Instant,
-        request: &QueryRequest,
     ) -> (ServeReport, QueryResponse) {
         let Coordinator {
             logs,
@@ -1220,11 +1218,8 @@ impl ServeEngine {
             query_counts,
             error_budget,
         };
-        let response = QueryResponse::from_engine(
-            aggregate,
-            embeddings.into_iter().map(|(_, e)| e).collect(),
-            request.collect_matches,
-        );
+        let response =
+            QueryResponse::from_engine(aggregate, embeddings.into_iter().map(|(_, e)| e).collect());
         (report, response)
     }
 }

@@ -1,17 +1,22 @@
-//! Epoch-swapped snapshots: ingest-while-serve without read-side blocking.
+//! Epoch-swapped snapshots: a new store swapped in without read-side
+//! blocking.
 //!
-//! The streaming partitioner keeps ingesting batches while queries are being
-//! served; periodically it freezes its progress into a new immutable
-//! [`ShardedStore`] and publishes it through an [`EpochStore`]. Publication
-//! is an `arc-swap`-style atomic pointer exchange (an `RwLock<Arc<_>>` from
-//! the vendored `parking_lot`, held only for the pointer swap itself): a
-//! reader clones the current `Arc` and then works entirely lock-free on a
-//! *pinned* snapshot, so a query observes exactly one epoch end-to-end —
-//! never a torn mix of two — and reads never wait on an in-progress ingest
-//! batch.
+//! A writer builds a new immutable [`ShardedStore`] and publishes it through
+//! an [`EpochStore`]. In the library the writer is `loom-adapt`'s adaptive
+//! serving: each migration (`adapt_now`), tombstone batch
+//! (`apply_mutations`) and compaction (`compact_now`) is one publication.
+//! The `loom` session façade publishes nothing — `Session::serve` consumes
+//! the session, so a served graph never grows — though a caller may drive a
+//! partitioner beside an `EpochStore` and publish its snapshots by hand
+//! (`examples/serving.rs` does). Publication is an `arc-swap`-style atomic
+//! pointer exchange (an `RwLock<Arc<_>>` from the vendored `parking_lot`,
+//! held only for the pointer swap itself): a reader clones the current `Arc`
+//! and then works entirely lock-free on a *pinned* snapshot, so a query
+//! observes exactly one epoch end-to-end — never a torn mix of two — and
+//! reads never wait on the writer.
 //!
 //! Since the transport refactor, publication is additionally **broadcast**:
-//! interested parties register an [`EpochSink`] and each [`EpochStore::publish`]
+//! interested parties register an `EpochSink` and each [`EpochStore::publish`]
 //! notifies every registered sink with the fresh epoch number. The serving
 //! coordinator registers a sink that enqueues an epoch-publication message
 //! on its own transport inbox and relays it to the shard workers — workers
@@ -30,7 +35,7 @@ use std::sync::Arc;
 /// when the channel is full (any notice merely says "something newer than
 /// what you pinned exists"; a dropped one is superseded by the next publish
 /// or by the next explicit [`EpochStore::load`]).
-pub trait EpochSink: Send + Sync {
+pub(crate) trait EpochSink: Send + Sync {
     /// A new snapshot with this epoch number is now loadable.
     fn notify(&self, epoch: u64);
 }
@@ -38,7 +43,7 @@ pub trait EpochSink: Send + Sync {
 /// Handle returned by [`EpochStore::subscribe`]; pass it back to
 /// [`EpochStore::unsubscribe`] when the subscriber goes away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubscriptionId(u64);
+pub(crate) struct SubscriptionId(u64);
 
 /// A shared, atomically swappable handle to the current serving snapshot.
 #[derive(Debug)]
@@ -130,7 +135,7 @@ impl EpochStore {
 
     /// Register a sink notified on every subsequent publish. Returns the id
     /// to [`EpochStore::unsubscribe`] with.
-    pub fn subscribe(&self, sink: Arc<dyn EpochSink>) -> SubscriptionId {
+    pub(crate) fn subscribe(&self, sink: Arc<dyn EpochSink>) -> SubscriptionId {
         let id = self.next_sink.fetch_add(1, Ordering::Relaxed);
         self.sinks.lock().push((id, sink));
         SubscriptionId(id)
@@ -138,13 +143,8 @@ impl EpochStore {
 
     /// Remove a previously registered sink. Unknown ids are a no-op (the
     /// sink may already have been removed).
-    pub fn unsubscribe(&self, id: SubscriptionId) {
+    pub(crate) fn unsubscribe(&self, id: SubscriptionId) {
         self.sinks.lock().retain(|(sid, _)| *sid != id.0);
-    }
-
-    /// How many sinks are currently subscribed.
-    pub fn subscriber_count(&self) -> usize {
-        self.sinks.lock().len()
     }
 
     /// The epoch number of the latest published snapshot. Never trails the
@@ -208,12 +208,12 @@ mod tests {
         let epochs = EpochStore::new(snapshot(4));
         let recorder = Arc::new(Recorder::default());
         let id = epochs.subscribe(Arc::clone(&recorder) as Arc<dyn EpochSink>);
-        assert_eq!(epochs.subscriber_count(), 1);
+        assert_eq!(epochs.sinks.lock().len(), 1);
         epochs.publish(snapshot(6));
         epochs.publish(snapshot(8));
         assert_eq!(*recorder.0.lock().unwrap(), vec![2, 3]);
         epochs.unsubscribe(id);
-        assert_eq!(epochs.subscriber_count(), 0);
+        assert_eq!(epochs.sinks.lock().len(), 0);
         epochs.publish(snapshot(10));
         assert_eq!(*recorder.0.lock().unwrap(), vec![2, 3]);
         // Unsubscribing twice is a harmless no-op.

@@ -11,7 +11,7 @@
 //!   (its [`shard::Shard`], which keeps a per-label count of its vertices
 //!   for the router; a shard's boundary and halo are read off its slice
 //!   when asked for, never stored);
-//! * [`router`] — [`router::QueryRouter`]: anchors each rooted pattern query
+//! * [`router`] — `router::QueryRouter`: anchors each rooted pattern query
 //!   on its home shard via the label/partition indexes;
 //! * [`transport`] — [`transport::ShardTransport`]: the object-safe,
 //!   wire-shaped message channel between the coordinator and each worker.
@@ -36,12 +36,14 @@
 //!   instead of wedging. Hand-offs move in runs: the coordinator admits a
 //!   worker's staged queries in one push, a worker takes its whole inbox,
 //!   and completions come back in groups;
-//! * [`epoch`] — [`epoch::EpochStore`]: ingest-while-serve via epoch-swapped
-//!   snapshots — the streaming partitioner keeps ingesting and periodically
+//! * [`epoch`] — [`epoch::EpochStore`]: epoch-swapped snapshots — a writer
 //!   publishes a new immutable shard set through an `arc-swap`-style pointer,
 //!   so queries pin one epoch end-to-end and reads never block on writes.
-//!   Publications are broadcast to registered [`epoch::EpochSink`]s; the
-//!   serving coordinator relays them to workers as messages.
+//!   `loom-adapt`'s adaptive serving publishes its migrations, tombstone
+//!   batches and compactions this way; the `loom` session façade publishes
+//!   nothing (a served graph never grows). Publications are broadcast to
+//!   registered `epoch::EpochSink`s; the serving coordinator relays them to
+//!   workers as messages.
 //!
 //! [`metrics::ServeReport`] summarises a run: per-shard execution metrics
 //! and remote-hop fraction, peak queue depth, queue-wait p99, admission
@@ -99,14 +101,11 @@ pub mod transport;
 mod worker;
 
 pub use engine::{Admission, Completion, OpenLoopInjector, ServeConfig, ServeEngine, Source};
-pub use epoch::{EpochSink, EpochStore, SubscriptionId};
+pub use epoch::EpochStore;
 pub use metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
-pub use queue::ShardQueue;
-pub use router::QueryRouter;
-pub use shard::{MigratedStore, Shard, ShardBorder, ShardedStore};
+pub use shard::{Shard, ShardBorder, ShardedStore};
 pub use transport::{
-    InProcEndpoint, InProcHub, InProcTransport, QueryDoneMsg, QueryTaskMsg, RecvError, ShardMsg,
-    ShardReportMsg, ShardTransport, TransportError, TransportStats,
+    InProcTransport, QueryDoneMsg, QueryTaskMsg, ShardMsg, ShardReportMsg, ShardTransport,
 };
 
 /// Convenient re-exports for examples, tests and the umbrella crate.
@@ -114,10 +113,8 @@ pub mod prelude {
     pub use crate::engine::{
         Admission, Completion, OpenLoopInjector, ServeConfig, ServeEngine, Source,
     };
-    pub use crate::epoch::{EpochSink, EpochStore};
+    pub use crate::epoch::EpochStore;
     pub use crate::metrics::{ErrorBudget, ServeReport, ShardServeMetrics};
-    pub use crate::queue::ShardQueue;
-    pub use crate::router::QueryRouter;
-    pub use crate::shard::{MigratedStore, Shard, ShardBorder, ShardedStore};
+    pub use crate::shard::{Shard, ShardBorder, ShardedStore};
     pub use crate::transport::{InProcTransport, ShardMsg, ShardTransport};
 }

@@ -1,6 +1,6 @@
 //! Bounded per-shard work queues with blocking backpressure.
 //!
-//! Each worker shard owns one [`ShardQueue`]; the router pushes routed query
+//! Each worker shard owns one `ShardQueue`; the router pushes routed query
 //! tasks into it and blocks when the queue is full (the backpressure policy:
 //! a slow shard slows admission instead of growing an unbounded backlog).
 //! Workers block on pop until a task arrives or the queue is closed and
@@ -9,8 +9,8 @@
 //!
 //! There is one push and one pop. Every public entry point names how long
 //! that push or pop may park and how much it moves — one item, or a run:
-//! [`ShardQueue::push_run`] appends as much of a caller's run as there is
-//! room for, [`ShardQueue::pop_all_deadline`] takes the whole backlog — so
+//! `ShardQueue::push_run` appends as much of a caller's run as there is
+//! room for, `ShardQueue::pop_all_deadline` takes the whole backlog — so
 //! the waiter accounting below exists once per direction, and a run costs
 //! one lock acquisition and at most one wake-up however long it is.
 //!
@@ -22,7 +22,7 @@
 //! the woken thread does not run straight into the mutex — only when it is
 //! non-zero. A waiter raises its count before `Condvar::wait` releases the
 //! lock, so whoever changes the queue afterwards sees it: no wake-up is
-//! lost. [`ShardQueue::close`] notifies everybody unconditionally.
+//! lost. `ShardQueue::close` notifies everybody unconditionally.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -31,7 +31,7 @@ use std::time::Instant;
 /// Why a push was refused. The rejected item is handed back in both cases,
 /// so callers can re-route or account for it.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue stayed full for as long as the push was allowed to wait
     /// (backpressure held the whole time) — the admission-control signal a
     /// stuck worker produces instead of wedging the router forever.
@@ -42,7 +42,7 @@ pub enum PushError<T> {
 
 impl<T> PushError<T> {
     /// Recover the item the queue refused.
-    pub fn into_inner(self) -> T {
+    pub(crate) fn into_inner(self) -> T {
         match self {
             PushError::Timeout(item) | PushError::Closed(item) => item,
         }
@@ -59,7 +59,7 @@ impl<T> PushError<T> {
 
 /// Why a deadline-aware pop returned empty-handed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopError {
+pub(crate) enum PopError {
     /// Nothing arrived before the deadline; the queue is still open.
     Timeout,
     /// The queue is closed *and* drained — no item will ever arrive.
@@ -88,7 +88,7 @@ impl From<Option<Instant>> for Park {
 /// lock poisoning is recovered the same way the vendored `parking_lot`
 /// recovers it, so a panicking worker never wedges the queue.
 #[derive(Debug)]
-pub struct ShardQueue<T> {
+pub(crate) struct ShardQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -281,7 +281,11 @@ impl<T> ShardQueue<T> {
     /// [`PushError::Timeout`] when the queue stayed full until the deadline,
     /// [`PushError::Closed`] when the queue has been closed; both return the
     /// item.
-    pub fn push_deadline(&self, item: T, deadline: Option<Instant>) -> Result<(), PushError<T>> {
+    pub(crate) fn push_deadline(
+        &self,
+        item: T,
+        deadline: Option<Instant>,
+    ) -> Result<(), PushError<T>> {
         self.push_one(item, deadline.into())
     }
 
@@ -292,7 +296,7 @@ impl<T> ShardQueue<T> {
     ///
     /// [`PushError::Timeout`] when the queue is full, [`PushError::Closed`]
     /// when it has been closed; both return the item.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         self.push_one(item, Park::Never)
     }
 
@@ -307,7 +311,7 @@ impl<T> ShardQueue<T> {
     ///
     /// [`PushError::Timeout`] when the queue stayed full until the deadline,
     /// [`PushError::Closed`] when it has been closed; `run` is untouched.
-    pub fn push_run<S>(
+    pub(crate) fn push_run<S>(
         &self,
         run: &mut VecDeque<S>,
         convert: impl FnMut(S) -> T,
@@ -323,7 +327,7 @@ impl<T> ShardQueue<T> {
     ///
     /// [`PushError::Timeout`] when the queue is full, [`PushError::Closed`]
     /// when it has been closed; `run` is untouched.
-    pub fn try_push_run<S>(
+    pub(crate) fn try_push_run<S>(
         &self,
         run: &mut VecDeque<S>,
         convert: impl FnMut(S) -> T,
@@ -338,7 +342,7 @@ impl<T> ShardQueue<T> {
     ///
     /// [`PopError::Timeout`] when nothing arrived by the deadline,
     /// [`PopError::Closed`] once the queue is closed and drained.
-    pub fn pop_deadline(&self, deadline: Option<Instant>) -> Result<T, PopError> {
+    pub(crate) fn pop_deadline(&self, deadline: Option<Instant>) -> Result<T, PopError> {
         self.pop_parking(deadline.into(), |items| {
             items
                 .pop_front()
@@ -351,7 +355,7 @@ impl<T> ShardQueue<T> {
     /// `into` empty, closed or not). `into` must be empty: it trades places
     /// with the queue's buffer, so a caller that keeps handing the same
     /// `into` back moves items without allocating.
-    pub fn try_pop_all(&self, into: &mut VecDeque<T>) -> bool {
+    pub(crate) fn try_pop_all(&self, into: &mut VecDeque<T>) -> bool {
         self.pop_all_parking(into, Park::Never).is_ok()
     }
 
@@ -364,7 +368,7 @@ impl<T> ShardQueue<T> {
     ///
     /// [`PopError::Timeout`] when nothing arrived by the deadline,
     /// [`PopError::Closed`] once the queue is closed and drained.
-    pub fn pop_all_deadline(
+    pub(crate) fn pop_all_deadline(
         &self,
         into: &mut VecDeque<T>,
         deadline: Option<Instant>,
@@ -389,19 +393,14 @@ impl<T> ShardQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.lock().items.len()
-    }
-
     /// The maximum depth the queue reached so far.
-    pub fn max_depth(&self) -> usize {
+    pub(crate) fn max_depth(&self) -> usize {
         self.lock().max_depth
     }
 
     /// How many parked consumers pushes have woken so far: the system calls
     /// a consumer that keeps up with its producers costs them.
-    pub fn consumer_wake_ups(&self) -> usize {
+    pub(crate) fn consumer_wake_ups(&self) -> usize {
         self.lock().consumer_wake_ups
     }
 }
@@ -425,7 +424,7 @@ mod tests {
         let q = ShardQueue::new(4);
         push(&q, 1).unwrap();
         push(&q, 2).unwrap();
-        assert_eq!(q.depth(), 2);
+        assert_eq!(q.lock().items.len(), 2);
         assert_eq!(pop(&q), Some(1));
         assert_eq!(pop(&q), Some(2));
         assert_eq!(q.max_depth(), 2);
@@ -529,7 +528,7 @@ mod tests {
         assert_eq!(q.pop_deadline(now()), Ok(0));
         assert!(q.try_pop_all(&mut buffer));
         assert_eq!(buffer.drain(..).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(q.depth(), 0);
+        assert_eq!(q.lock().items.len(), 0);
         // The emptied buffer goes back in; the queue hands out the one it
         // was given last time.
         push(&q, 9).unwrap();

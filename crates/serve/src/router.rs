@@ -26,7 +26,7 @@ use loom_sim::plan::QueryPlan;
 
 /// Routes queries to home shards ahead of execution.
 #[derive(Debug, Clone)]
-pub struct QueryRouter {
+pub(crate) struct QueryRouter {
     mode: QueryMode,
     /// Per-shard votes of the arrival being routed.
     votes: Vec<usize>,
@@ -45,11 +45,6 @@ impl QueryRouter {
         }
     }
 
-    /// The execution mode the router resolves roots under.
-    pub fn mode(&self) -> QueryMode {
-        self.mode
-    }
-
     /// The home shard for one `(plan, root_seed)` execution: the shard
     /// hosting the plurality of the roots the matcher will anchor on —
     /// resolved from the plan's pre-compiled root label, with no ordering
@@ -60,7 +55,7 @@ impl QueryRouter {
     /// `root_seed % shards` explicitly — per-query root seeds are
     /// consecutive, so unmatched queries round-robin across shards instead
     /// of hotspotting near shard 0.
-    pub fn home_shard_planned(
+    pub(crate) fn home_shard_planned(
         &mut self,
         store: &ShardedStore,
         plan: &QueryPlan,

@@ -246,7 +246,7 @@ fn dead_counters(ranges: &[Range<usize>], slots: &[Slot]) -> (Vec<usize>, Vec<us
 
 /// One vertex as a graph hands it to a snapshot: id, label, and neighbours
 /// in [`LabelledGraph::neighbors`] order.
-pub type GraphRow<'g> = (VertexId, Label, &'g [VertexId]);
+pub(crate) type GraphRow<'g> = (VertexId, Label, &'g [VertexId]);
 
 /// A graph's vertices in the arena's **partition-major** order — shard 0's
 /// home vertices by id, then shard 1's, …, then the unassigned tail's — by
@@ -951,8 +951,9 @@ impl ShardedStore {
         }
     }
 
-    /// Tag the snapshot with an epoch number (used by the ingest-while-serve
-    /// epoch store).
+    /// Tag the snapshot with an epoch number: what an
+    /// [`EpochStore`](crate::epoch::EpochStore) publication stamps, and what
+    /// a checkpoint and its recovery carry.
     #[must_use]
     pub fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
@@ -1004,7 +1005,7 @@ impl ShardedStore {
 
     /// The shard hosting the vertex a [`PatternStore`] handle names, if it is
     /// assigned and live: a slot read, no probe.
-    pub fn home_of(&self, h: u32) -> Option<PartitionId> {
+    pub(crate) fn home_of(&self, h: u32) -> Option<PartitionId> {
         match self.slots[h as usize].home {
             UNASSIGNED | DEAD => None,
             p => Some(PartitionId::new(p)),
@@ -1036,18 +1037,6 @@ impl ShardedStore {
         border.halo.sort_unstable();
         border.halo.dedup();
         border
-    }
-
-    /// Shard `p`'s home vertices with at least one remote neighbour, sorted
-    /// by id ([`ShardedStore::border`]).
-    pub fn boundary(&self, p: PartitionId) -> Vec<VertexId> {
-        self.border(p).boundary
-    }
-
-    /// The remote vertices adjacent to shard `p` — its replicated halo —
-    /// sorted by id ([`ShardedStore::border`]).
-    pub fn halo(&self, p: PartitionId) -> Vec<VertexId> {
-        self.border(p).halo
     }
 
     /// Shard `p`'s live home vertices carrying `label`, sorted by id: a
@@ -1739,11 +1728,11 @@ mod tests {
         let store = ShardedStore::from_parts(&g, &part);
         let (p0, p1) = (PartitionId::new(0), PartitionId::new(1));
         // Vertex 1 borders partition 1's vertex 2.
-        assert_eq!(store.boundary(p0), &[vs[1]]);
-        assert_eq!(store.halo(p0), &[vs[2]]);
+        assert_eq!(store.border(p0).boundary, &[vs[1]]);
+        assert_eq!(store.border(p0).halo, &[vs[2]]);
         // Vertex 2 borders both vertex 1 (shard 0) and unassigned vertex 3.
-        assert_eq!(store.boundary(p1), &[vs[2]]);
-        assert_eq!(store.halo(p1), &[vs[1], vs[3]]);
+        assert_eq!(store.border(p1).boundary, &[vs[2]]);
+        assert_eq!(store.border(p1).halo, &[vs[1], vs[3]]);
         assert_eq!(store.border(PartitionId::new(9)), ShardBorder::default());
         // Four vertices, three halo replicas.
         assert_eq!(store.replication_factor(), 7.0 / 4.0);

@@ -16,7 +16,7 @@
 //! in-process implementation ([`InProcTransport`]) for a socket is a
 //! transport change, not an engine rewrite — which is the whole point.
 //!
-//! The in-process implementation is a hub: one bounded [`ShardQueue`] per
+//! The in-process implementation is a hub: one bounded `ShardQueue` per
 //! worker (coordinator → worker) plus one shared inbox every worker sends
 //! into (worker → coordinator). Sends are deadline-aware — backpressure can
 //! reject instead of wedging admission. Nothing on the per-message path
@@ -52,8 +52,8 @@
 //! run it took.
 //!
 //! Admission goes through the concrete [`InProcEndpoint`], not the trait:
-//! [`InProcEndpoint::try_send_run`] (closed loop, a staged run) and
-//! [`InProcEndpoint::try_send_query`] (open loop, one arrival) never wait,
+//! `InProcEndpoint::try_send_run` (closed loop, a staged run) and
+//! `InProcEndpoint::try_send_query` (open loop, one arrival) never wait,
 //! and a refusal leaves the run where it was or hands the task back by
 //! value, so a refused offer costs neither an allocation nor a system call.
 //! A socket transport would provide its own pair; everything else the
@@ -160,15 +160,6 @@ pub enum TransportError {
     Timeout(Box<ShardMsg>),
     /// The endpoint (or its peer) has shut down.
     Closed(Box<ShardMsg>),
-}
-
-impl TransportError {
-    /// Recover the message the transport refused to carry.
-    pub fn into_msg(self) -> ShardMsg {
-        match self {
-            TransportError::Timeout(msg) | TransportError::Closed(msg) => *msg,
-        }
-    }
 }
 
 /// Why a receive returned empty-handed.
@@ -357,7 +348,7 @@ impl WaitStats {
     }
 }
 
-/// One end of an in-process shard link: a pair of bounded [`ShardQueue`]s
+/// One end of an in-process shard link: a pair of bounded `ShardQueue`s
 /// (send side and receive side) plus receive-wait accounting.
 #[derive(Debug)]
 pub struct InProcEndpoint {
@@ -401,7 +392,7 @@ impl InProcEndpoint {
 
     /// Deepest the *send-side* queue (the peer's inbox) got — the
     /// coordinator reads this per worker for the serving report.
-    pub fn peer_inbox_depth(&self) -> usize {
+    pub(crate) fn peer_inbox_depth(&self) -> usize {
         self.tx.max_depth()
     }
 
@@ -427,7 +418,7 @@ impl InProcEndpoint {
     ///
     /// [`PushError::Timeout`] when the peer's inbox is full,
     /// [`PushError::Closed`] when the link is down; both return the task.
-    pub fn try_send_query(&self, task: QueryTaskMsg) -> Result<(), PushError<QueryTaskMsg>> {
+    pub(crate) fn try_send_query(&self, task: QueryTaskMsg) -> Result<(), PushError<QueryTaskMsg>> {
         self.tx
             .try_push(self.envelope(ShardMsg::Query(task)))
             .map(|()| {
@@ -450,7 +441,7 @@ impl InProcEndpoint {
     ///
     /// [`PushError::Timeout`] when the peer's inbox is full,
     /// [`PushError::Closed`] when the link is down; `run` is untouched.
-    pub fn try_send_run<S>(
+    pub(crate) fn try_send_run<S>(
         &self,
         run: &mut VecDeque<S>,
         mut msg: impl FnMut(S) -> ShardMsg,
@@ -594,7 +585,7 @@ impl ShardTransport for InProcEndpoint {
 /// when the inbox is full or closed — a notice only says "something newer
 /// exists" and is superseded by the next publish.
 #[derive(Debug)]
-pub struct InboxNoticeSink {
+pub(crate) struct InboxNoticeSink {
     inbox: Arc<ShardQueue<Envelope>>,
 }
 
@@ -614,7 +605,7 @@ impl EpochSink for InboxNoticeSink {
 /// [`ShardQueue`] is multi-producer), which every coordinator endpoint
 /// receives from.
 #[derive(Debug)]
-pub struct InProcHub {
+pub(crate) struct InProcHub {
     /// Coordinator-side endpoints, indexed by worker: endpoint `i` sends to
     /// worker `i`'s inbox and receives from the shared coordinator inbox
     /// (the engine receives on endpoint 0; any of them would do).
@@ -628,7 +619,7 @@ pub struct InProcHub {
 impl InProcHub {
     /// An [`EpochSink`] feeding epoch-publication notices into the
     /// coordinator's inbox.
-    pub fn notice_sink(&self) -> Arc<InboxNoticeSink> {
+    pub(crate) fn notice_sink(&self) -> Arc<InboxNoticeSink> {
         Arc::new(InboxNoticeSink {
             inbox: Arc::clone(&self.inbox),
         })
@@ -643,16 +634,11 @@ impl InProcTransport {
     /// Build a coordinator↔workers hub: `workers` bounded per-worker inboxes
     /// of `capacity` entries each, plus a shared coordinator inbox sized so
     /// workers returning results rarely wait for a coordinator that is
-    /// momentarily busy routing.
-    pub fn hub(workers: usize, capacity: usize) -> InProcHub {
-        Self::hub_observed(workers, capacity, None)
-    }
-
-    /// Like [`InProcTransport::hub`], with live telemetry: each worker
-    /// endpoint's receives charge their queue wait into that shard's
-    /// `serve.queue_wait{shard}` histogram. `None` builds the exact
+    /// momentarily busy routing. With `telemetry`, each worker endpoint's
+    /// receives charge their queue wait into that shard's
+    /// `serve.queue_wait{shard}` histogram; `None` builds the
     /// uninstrumented hub.
-    pub fn hub_observed(
+    pub(crate) fn hub_observed(
         workers: usize,
         capacity: usize,
         telemetry: Option<&Telemetry>,
@@ -752,7 +738,6 @@ mod tests {
         match a.send(ShardMsg::Cancel, None) {
             Err(TransportError::Closed(msg)) => {
                 assert_eq!(*msg, ShardMsg::Cancel);
-                assert_eq!(TransportError::Closed(msg).into_msg(), ShardMsg::Cancel);
             }
             other => panic!("expected closed, got {other:?}"),
         }
@@ -772,7 +757,7 @@ mod tests {
 
     #[test]
     fn hub_routes_worker_traffic_into_one_coordinator_inbox() {
-        let hub = InProcTransport::hub(3, 4);
+        let hub = InProcTransport::hub_observed(3, 4, None);
         assert_eq!(hub.coordinator.len(), 3);
         assert_eq!(hub.workers.len(), 3);
         for (w, endpoint) in hub.workers.iter().enumerate() {
@@ -822,7 +807,7 @@ mod tests {
 
     #[test]
     fn refused_queries_come_back_unboxed_and_try_recv_never_waits() {
-        let hub = InProcTransport::hub(1, 1);
+        let hub = InProcTransport::hub_observed(1, 1, None);
         let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
         let mut got = VecDeque::new();
         assert_eq!(coordinator.try_send_query(task(1)), Ok(()));
@@ -857,7 +842,7 @@ mod tests {
     /// a staged run goes in as far as it fits, in order, the rest kept.
     #[test]
     fn a_worker_end_takes_its_whole_inbox_in_one_receive() {
-        let hub = InProcTransport::hub(1, 3);
+        let hub = InProcTransport::hub_observed(1, 3, None);
         let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
         let mut staged: VecDeque<QueryTaskMsg> = (1..=5).map(task).collect();
         assert_eq!(
@@ -1000,7 +985,7 @@ mod tests {
 
     #[test]
     fn notice_sink_drops_when_the_inbox_is_full() {
-        let hub = InProcTransport::hub(1, 1);
+        let hub = InProcTransport::hub_observed(1, 1, None);
         let sink = hub.notice_sink();
         // Capacity of the shared inbox for one worker at capacity 1 is 3.
         for epoch in 0..10 {

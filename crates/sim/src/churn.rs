@@ -40,7 +40,7 @@ pub struct DeletionChurnScenario {
 
 /// Label the relabel slice retires instance heads to: outside the `abc`
 /// query alphabet, so a relabelled instance stops matching.
-pub const RETIRED_LABEL: Label = Label::new(9);
+pub(crate) const RETIRED_LABEL: Label = Label::new(9);
 
 impl DeletionChurnScenario {
     /// A scenario sized for CI smoke tests.

@@ -114,7 +114,7 @@ impl RequestContext {
     }
 
     /// Whether the deadline (if any) has already passed.
-    pub fn is_expired(&self) -> bool {
+    pub(crate) fn is_expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 

@@ -50,12 +50,12 @@ impl DriftScenario {
     }
 
     /// The `abc` motif (hot in phase A).
-    pub fn motif_a() -> LabelledGraph {
+    pub(crate) fn motif_a() -> LabelledGraph {
         path_graph(3, &[Label::new(0), Label::new(1), Label::new(2)])
     }
 
     /// The `def` motif (hot in phase B).
-    pub fn motif_b() -> LabelledGraph {
+    pub(crate) fn motif_b() -> LabelledGraph {
         path_graph(3, &[Label::new(3), Label::new(4), Label::new(5)])
     }
 

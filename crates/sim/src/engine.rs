@@ -168,24 +168,9 @@ impl QueryRequest {
 #[derive(Debug)]
 pub struct MatchCursor {
     inner: std::vec::IntoIter<Embedding>,
-    collected: bool,
 }
 
 impl MatchCursor {
-    pub(crate) fn new(embeddings: Vec<Embedding>, collected: bool) -> Self {
-        Self {
-            inner: embeddings.into_iter(),
-            collected,
-        }
-    }
-
-    /// Whether the request asked for embeddings at all. An empty cursor
-    /// from a non-collecting request means "not materialised", not "no
-    /// matches" — check the metrics' match count for that.
-    pub fn is_collected(&self) -> bool {
-        self.collected
-    }
-
     /// Embeddings remaining in the cursor.
     pub fn remaining(&self) -> usize {
         self.inner.len()
@@ -216,27 +201,19 @@ pub struct QueryResponse {
 }
 
 impl QueryResponse {
-    pub(crate) fn new(
-        metrics: ExecutionMetrics,
-        embeddings: Vec<Embedding>,
-        collected: bool,
-    ) -> Self {
+    /// Assemble a response from an engine implementation's raw parts — this
+    /// crate's sequential engine and the [`QueryEngine`] implementations
+    /// outside it (the sharded and adaptive engines). `embeddings` must be
+    /// in deterministic enumeration order; a request that did not ask for
+    /// them hands an empty list, so an empty cursor means "not
+    /// materialised" as often as "no matches" — the metrics' match count
+    /// tells which.
+    pub fn from_engine(metrics: ExecutionMetrics, embeddings: Vec<Embedding>) -> Self {
+        let inner = embeddings.into_iter();
         Self {
             metrics,
-            cursor: MatchCursor::new(embeddings, collected),
+            cursor: MatchCursor { inner },
         }
-    }
-
-    /// Assemble a response from an engine implementation's raw parts — for
-    /// [`QueryEngine`] implementations outside this crate (the sharded and
-    /// adaptive engines). `collected` states whether the request asked for
-    /// embeddings; `embeddings` must be in deterministic enumeration order.
-    pub fn from_engine(
-        metrics: ExecutionMetrics,
-        embeddings: Vec<Embedding>,
-        collected: bool,
-    ) -> Self {
-        Self::new(metrics, embeddings, collected)
     }
 
     /// Whether any execution stopped early at a limit or budget.
@@ -386,7 +363,7 @@ pub fn run_sequential<S: PatternStore + ?Sized>(
         metrics.merge(&run.metrics);
         embeddings.extend(run.embeddings);
     }
-    QueryResponse::new(metrics, embeddings, request.collect_matches)
+    QueryResponse::from_engine(metrics, embeddings)
 }
 
 #[cfg(test)]
@@ -440,7 +417,7 @@ mod tests {
         let (executor, store, workload) = &engine;
         let legacy = executor.execute_workload(store, workload, 40, 3);
         assert_eq!(response.metrics, legacy);
-        assert!(!response.into_cursor().is_collected());
+        assert_eq!(response.into_cursor().remaining(), 0);
     }
 
     #[test]
@@ -452,7 +429,6 @@ mod tests {
         let found = response.metrics.matches_found;
         assert!(found > 0);
         let cursor = response.into_cursor();
-        assert!(cursor.is_collected());
         assert_eq!(cursor.remaining(), found);
         assert_eq!(cursor.len(), found);
         assert_eq!(cursor.count(), found);
@@ -467,7 +443,6 @@ mod tests {
         );
         assert_eq!(response.metrics, ExecutionMetrics::default());
         let cursor = response.into_cursor();
-        assert!(cursor.is_collected());
         assert_eq!(cursor.remaining(), 0);
     }
 

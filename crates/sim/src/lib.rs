@@ -65,10 +65,10 @@ pub mod store;
 pub use churn::{ChurnRun, DeletionChurnScenario};
 pub use context::{CancelToken, RequestContext};
 pub use drift::DriftScenario;
-pub use engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget};
+pub use engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse};
 pub use executor::{ExecutionMetrics, QueryExecutor, QueryMode};
 pub use matcher::{Embedding, PatternStore};
-pub use plan::{GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner};
+pub use plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlan, QueryPlanner};
 pub use store::PartitionedStore;
 
 /// Convenient re-exports for examples and tests.
@@ -76,11 +76,9 @@ pub mod prelude {
     pub use crate::churn::{ChurnRun, DeletionChurnScenario};
     pub use crate::context::{CancelToken, RequestContext};
     pub use crate::drift::DriftScenario;
-    pub use crate::engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse, QueryTarget};
+    pub use crate::engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse};
     pub use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
     pub use crate::matcher::{Embedding, PatternStore};
-    pub use crate::plan::{
-        GraphStatistics, PlanCache, PlanId, PlanStrategy, QueryPlan, QueryPlanner,
-    };
+    pub use crate::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlan, QueryPlanner};
     pub use crate::store::PartitionedStore;
 }

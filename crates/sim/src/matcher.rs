@@ -197,14 +197,6 @@ impl Embedding {
         Self { pairs }
     }
 
-    /// The data vertex a pattern vertex maps to.
-    pub fn image_of(&self, pattern_vertex: VertexId) -> Option<VertexId> {
-        self.pairs
-            .binary_search_by_key(&pattern_vertex, |&(p, _)| p)
-            .ok()
-            .map(|i| self.pairs[i].1)
-    }
-
     /// Iterate over `(pattern vertex, data vertex)` pairs, sorted by
     /// pattern vertex id.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
@@ -692,10 +684,8 @@ mod tests {
                     query.graph().label(pattern_v),
                     "labels must line up"
                 );
-                assert_eq!(embedding.image_of(pattern_v), Some(data_v));
             }
             assert!(!embedding.is_empty());
-            assert_eq!(embedding.image_of(VertexId::new(9_999)), None);
         }
     }
 

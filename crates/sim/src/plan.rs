@@ -60,7 +60,7 @@ impl GraphStatistics {
     }
 
     /// Fraction of vertices carrying `label` (0.0 for an empty graph).
-    pub fn label_selectivity(&self, label: Label) -> f64 {
+    pub(crate) fn label_selectivity(&self, label: Label) -> f64 {
         if self.vertex_count == 0 {
             0.0
         } else {
@@ -249,13 +249,13 @@ impl QueryPlan {
     }
 
     /// Pattern degree at an order position.
-    pub fn degree_at(&self, position: usize) -> usize {
+    pub(crate) fn degree_at(&self, position: usize) -> usize {
         self.degrees[position]
     }
 
     /// Earlier order positions the vertex at `position` must connect to, in
     /// the pattern's stable adjacency order (the first is the anchor).
-    pub fn bindings(&self, position: usize) -> &[usize] {
+    pub(crate) fn bindings(&self, position: usize) -> &[usize] {
         &self.binding_edges[position]
     }
 
@@ -265,7 +265,7 @@ impl QueryPlan {
     /// id (a foreign workload with colliding ids) — engines fall back to a
     /// legacy plan when it fails. Runs once per distinct query per run, not
     /// per execution.
-    pub fn matches_query(&self, query: &PatternQuery) -> bool {
+    pub(crate) fn matches_query(&self, query: &PatternQuery) -> bool {
         if self.query != query.id()
             || self.order.len() != query.vertex_count()
             || self.pattern_edges != query.edge_count()
@@ -347,7 +347,7 @@ impl QueryPlanner {
     /// mean degree` — exactly the traversals the executor meters) and then
     /// shrinks the frontier by the position's label selectivity and by an
     /// edge-probability factor per extra binding edge.
-    pub fn estimate_cost(
+    pub(crate) fn estimate_cost(
         &self,
         pattern: &LabelledGraph,
         order: &[VertexId],
@@ -519,11 +519,11 @@ impl PlanCache {
 }
 
 /// The plan an engine executes `query` under: the cached instance when the
-/// cache holds a structurally matching one ([`QueryPlan::matches_query`]),
+/// cache holds a structurally matching one (`QueryPlan::matches_query`),
 /// otherwise a legacy plan compiled on the spot. The shared resolution
 /// every engine (sequential, sharded, adaptive) performs once per distinct
 /// query per run.
-pub fn resolve_plan(cache: Option<&Arc<PlanCache>>, query: &PatternQuery) -> Arc<QueryPlan> {
+pub(crate) fn resolve_plan(cache: Option<&Arc<PlanCache>>, query: &PatternQuery) -> Arc<QueryPlan> {
     cache
         .and_then(|c| c.get(query.id()))
         .filter(|plan| plan.matches_query(query))

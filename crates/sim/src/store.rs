@@ -63,11 +63,6 @@ impl PartitionedStore {
         &self.partitioning
     }
 
-    /// Number of partitions.
-    pub fn partition_count(&self) -> u32 {
-        self.partitioning.k()
-    }
-
     /// The partition hosting a vertex.
     pub fn partition_of(&self, v: VertexId) -> Option<PartitionId> {
         self.partitioning.partition_of(v)
@@ -81,15 +76,6 @@ impl PartitionedStore {
     /// Neighbours of a vertex.
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         self.graph.neighbors(v)
-    }
-
-    /// Whether following the edge `from → to` crosses a partition boundary.
-    /// Unassigned endpoints count as remote (worst case).
-    pub fn is_remote_traversal(&self, from: VertexId, to: VertexId) -> bool {
-        match (self.partition_of(from), self.partition_of(to)) {
-            (Some(a), Some(b)) => a != b,
-            _ => true,
-        }
     }
 
     /// All vertices carrying a label, sorted by id. A slice into the label
@@ -125,7 +111,7 @@ impl PatternStore for PartitionedStore {
         let home = self.partition_of(from);
         self.graph.neighbors(from).iter().map(move |&to| TaggedArc {
             to,
-            // As `is_remote_traversal`: an unassigned endpoint is remote.
+            // An unassigned endpoint is remote (the worst case).
             remote: home.is_none() || self.partition_of(to) != home,
             may_match: self.graph.label(to) == Some(label),
         })
@@ -164,7 +150,7 @@ mod tests {
     fn routing_and_lookup() {
         let s = store();
         let vs = s.graph().vertices_sorted();
-        assert_eq!(s.partition_count(), 2);
+        assert_eq!(s.partitioning().k(), 2);
         assert_eq!(s.partition_of(vs[0]), Some(PartitionId::new(0)));
         assert_eq!(s.partition_of(vs[3]), None);
         assert_eq!(s.label(vs[1]), Some(Label::new(1)));
@@ -175,10 +161,15 @@ mod tests {
     fn remote_traversal_detection() {
         let s = store();
         let vs = s.graph().vertices_sorted();
-        assert!(!s.is_remote_traversal(vs[0], vs[1]));
-        assert!(s.is_remote_traversal(vs[1], vs[2]));
+        // The remote tag on the arc `from → to`, as the search reads it.
+        let remote = |from, to| {
+            let mut arcs = s.arcs_of(from, Label::new(0));
+            arcs.find(|a| a.to == to).expect("an arc").remote
+        };
+        assert!(!remote(vs[0], vs[1]));
+        assert!(remote(vs[1], vs[2]));
         // Unassigned endpoint counts as remote.
-        assert!(s.is_remote_traversal(vs[2], vs[3]));
+        assert!(remote(vs[2], vs[3]));
     }
 
     #[test]

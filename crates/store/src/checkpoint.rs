@@ -36,7 +36,7 @@
 //! Loading ([`load_checkpoint`]) goes from the blobs straight to the arena
 //! they were cut from, in two halves:
 //!
-//! * [`read_checkpoint`] — the half that allocates. (1) Each blob is read,
+//! * `read_checkpoint` — the half that allocates. (1) Each blob is read,
 //!   size- and CRC-checked against the manifest, and decoded — shard blobs
 //!   in id order, then the tail, which is the arena's own order — into an
 //!   [`ArenaLoader`], with every count bounded by the bytes behind it and
@@ -47,7 +47,7 @@
 //!   it hashes — derives the arc tags and each shard's label counts, and
 //!   reserves the room step (3) sorts into; a vertex listed twice or a
 //!   neighbour no blob lists fails here.
-//! * [`UnverifiedCheckpoint::verify`] — the half that only reads the arena.
+//! * `UnverifiedCheckpoint::verify` — the half that only reads the arena.
 //!   (3) [`ShardedStore::check_arena`] over the whole arena: a self-loop
 //!   fails its pass over the arcs and a slice out of id order its pass over
 //!   the shards; a repeated neighbour (one position among a vertex's
@@ -55,7 +55,7 @@
 //!   from its target's sources) fail its pass over the transpose it
 //!   counting-sorts the live arcs into. (4) The vertex and edge totals must equal the
 //!   manifest's. (5) Every shard and the tail are re-encoded from the loaded
-//!   store in blob format v3, the only one [`decode_blob`] reads, and must
+//!   store in blob format v3, the only one `decode_blob` reads, and must
 //!   equal, byte for byte, the blob step (1) read and checked against the
 //!   manifest: the bit-identity proof. Each blob read is kept until its
 //!   comparison, then freed.
@@ -95,7 +95,7 @@ pub const PARTITIONER_BLOB: &str = "partitioner.blob";
 
 /// One blob recorded in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlobEntry {
+pub(crate) struct BlobEntry {
     /// File name inside the checkpoint directory.
     pub name: String,
     /// Exact size in bytes.
@@ -124,7 +124,7 @@ pub struct CheckpointMeta {
     /// Total edges in the checkpointed store.
     pub edges: u64,
     /// Every blob, in manifest order.
-    pub blobs: Vec<BlobEntry>,
+    pub(crate) blobs: Vec<BlobEntry>,
 }
 
 impl CheckpointMeta {
@@ -520,7 +520,7 @@ fn parse_u64(text: &str, what: &str, path: &Path) -> Result<u64> {
 }
 
 /// Parse and checksum-validate one `MANIFEST` file.
-pub fn read_manifest(dir: &Path) -> Result<CheckpointMeta> {
+pub(crate) fn read_manifest(dir: &Path) -> Result<CheckpointMeta> {
     let path = dir.join(MANIFEST_FILE);
     let raw = fs::read_to_string(&path).map_err(|e| StoreError::io(&path, e))?;
     let (body, trailer) = raw
@@ -618,7 +618,7 @@ fn blob_slot(name: &str, dir: &Path) -> Result<Option<u32>> {
 /// re-encode proof — allocates next to nothing, so recovery runs it on a
 /// thread of its own without growing a second heap.
 #[derive(Debug)]
-pub struct UnverifiedCheckpoint {
+pub(crate) struct UnverifiedCheckpoint {
     dir: PathBuf,
     meta: CheckpointMeta,
     /// Every arena blob as read, in arena order: what the proof compares
@@ -645,7 +645,7 @@ struct ReadBlob {
 /// arena's own order — each is checked to be the shard its file name says
 /// and decoded straight into an [`ArenaLoader`] sized for all of them, with
 /// adjacency order preserved.
-pub fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
+pub(crate) fn read_checkpoint(dir: &Path) -> Result<UnverifiedCheckpoint> {
     let meta = read_manifest(dir)?;
     // Each of the `shards + 1` slots of the arena must be named once.
     let mut entries = Vec::with_capacity(meta.blobs.len());
@@ -835,8 +835,8 @@ fn prove(
     Ok(())
 }
 
-/// Load and fully validate the checkpoint in `dir`: [`read_checkpoint`],
-/// then [`UnverifiedCheckpoint::verify`] — recovery either reproduces the
+/// Load and fully validate the checkpoint in `dir`: `read_checkpoint`,
+/// then `UnverifiedCheckpoint::verify` — recovery either reproduces the
 /// pre-crash store bit-for-bit or fails loudly (see the module docs for
 /// what is checked where).
 pub fn load_checkpoint(dir: &Path) -> Result<LoadedCheckpoint> {

@@ -300,7 +300,11 @@ impl RowSink for Vec<BlobRow> {
 /// behind the slice is refused. `path` is used only for error reporting.
 ///
 /// On `Err`, `arena` may hold part of the blob and must be discarded.
-pub fn decode_blob(bytes: &[u8], path: &Path, arena: &mut ArenaLoader) -> Result<BlobHeader> {
+pub(crate) fn decode_blob(
+    bytes: &[u8],
+    path: &Path,
+    arena: &mut ArenaLoader,
+) -> Result<BlobHeader> {
     decode_into(bytes, arena).map_err(|detail| StoreError::corrupt(path, detail))
 }
 
@@ -399,7 +403,7 @@ fn target(r: &mut Reader<'_>, source: u64, what: &str) -> Decoded<VertexId> {
 /// the batch's longest spelling; what lies past the returned end is stale,
 /// so a caller that keeps one buffer for every record pays for the room
 /// once.
-pub fn encode_elements(batch: &[StreamElement], buf: &mut Vec<u8>, at: usize) -> usize {
+pub(crate) fn encode_elements(batch: &[StreamElement], buf: &mut Vec<u8>, at: usize) -> usize {
     let longest = at + MAX_VARINT + batch.len() * MAX_ELEMENT;
     if buf.len() < longest {
         buf.resize(longest, 0);
@@ -435,7 +439,7 @@ pub fn encode_elements(batch: &[StreamElement], buf: &mut Vec<u8>, at: usize) ->
 }
 
 /// Decode one v2 WAL record payload back into its element batch.
-pub fn decode_elements(bytes: &[u8], path: &Path) -> Result<Vec<StreamElement>> {
+pub(crate) fn decode_elements(bytes: &[u8], path: &Path) -> Result<Vec<StreamElement>> {
     read_elements(bytes).map_err(|detail| StoreError::corrupt(path, detail))
 }
 
@@ -519,7 +523,7 @@ fn read_elements_v1(bytes: &[u8]) -> Decoded<Vec<StreamElement>> {
 
 /// CRC of an encoded blob — the checksum recorded in (and verified against)
 /// the checkpoint manifest.
-pub fn blob_crc(bytes: &[u8]) -> u32 {
+pub(crate) fn blob_crc(bytes: &[u8]) -> u32 {
     crc32(bytes)
 }
 

@@ -88,10 +88,9 @@ pub mod recovery;
 pub mod wal;
 
 pub use checkpoint::{
-    commit_checkpoint, latest_checkpoint, load_checkpoint, read_checkpoint, write_checkpoint,
-    BlobEntry, CheckpointImage, CheckpointMeta, LoadedCheckpoint, PartitionerBlob,
-    UnprovenCheckpoint, UnverifiedCheckpoint,
+    commit_checkpoint, latest_checkpoint, load_checkpoint, write_checkpoint, CheckpointImage,
+    PartitionerBlob,
 };
 pub use error::{Result, StoreError};
-pub use recovery::{recover, Beside, RecoverSpans, RecoveredState, RecoveryReport};
-pub use wal::{segment_path, segments, Segment, Wal, WalReplay, WAL_FILE};
+pub use recovery::{recover, Beside, RecoverSpans, RecoveryReport};
+pub use wal::{segment_path, segments, Wal, WAL_FILE};

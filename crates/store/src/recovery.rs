@@ -6,11 +6,11 @@
 //! 1. the newest checkpoint with a valid manifest is found (torn ones are
 //!    skipped) and **read** — blobs CRC-checked and decoded straight into
 //!    the CSR arena, the partitioner blob read as bytes
-//!    ([`read_checkpoint`]);
+//!    (`read_checkpoint`);
 //! 2. two branches then run side by side, because neither needs anything
 //!    the other produces. **A scoped thread proves** what was read: the
 //!    arena's invariants, the manifest's totals, the re-encode bit-identity
-//!    proof ([`crate::UnverifiedCheckpoint::verify`]). **The calling
+//!    proof (`UnverifiedCheckpoint::verify`). **The calling
 //!    thread** reads and decodes the WAL from the segment holding the
 //!    record the partitioner's replay starts at — the checkpoint's
 //!    `wal_records` when it carries the partitioner's state, else 0 — so

@@ -19,10 +19,14 @@
 //!   CSR shards, a home-shard query router, message-passing shard workers
 //!   behind the wire-shaped
 //!   [`ShardTransport`](loom_serve::transport::ShardTransport) channel, and
-//!   ingest-while-serve epoch snapshots;
+//!   an epoch store that swaps in a new snapshot without blocking reads
+//!   (adaptive serving publishes its migrations, tombstone batches and
+//!   compactions there; a served [`Session`] graph never grows, because
+//!   `serve` consumes the session);
 //! * [`loom_adapt`] — the adaptation loop: drift detection over the observed
 //!   query mix, bounded incremental migration planning, and epoch-published
-//!   shard rebuilds that never block reads;
+//!   shard rebuilds that never block reads — in memory only: no migration
+//!   or tombstone reaches the WAL;
 //! * [`loom_store`] — the durability subsystem: CRC-framed write-ahead
 //!   logging of every ingested batch, per-shard checkpoints that carry the
 //!   partitioner's state and are on disk when `checkpoint()` returns, with a

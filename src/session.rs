@@ -879,22 +879,13 @@ impl Recovered {
     /// The checkpointed graph (the WAL prefix the checkpoint had folded
     /// in), derived from the recovered store on first use.
     pub fn graph(&self) -> &LabelledGraph {
-        self.served().graph()
+        self.serving().graph()
     }
 
     /// The checkpointed vertex→partition assignment, derived from the
     /// recovered store on first use.
     pub fn partitioning(&self) -> &Partitioning {
-        self.served().partitioning()
-    }
-
-    fn served(&self) -> &Serving {
-        self.serving.get_or_init(|| {
-            let (graph, partitioning) = self.store.to_parts();
-            let plans = self.session.compile_plans(&graph);
-            let store = OnceLock::from(Arc::clone(&self.store));
-            self.session.serving_over(graph, partitioning, plans, store)
-        })
+        self.serving().partitioning()
     }
 
     /// The live session: keep ingesting (WAL-backed), checkpoint again, or
@@ -913,9 +904,15 @@ impl Recovered {
     /// exactly like the original session (same query mode and match limit;
     /// plans compiled once from the recovered graph's statistics, which
     /// recovery restored bit-identically, and shared with
-    /// [`Recovered::sharded`]).
-    pub fn serving(&self) -> Serving {
-        self.served().clone()
+    /// [`Recovered::sharded`]). Set up on the first call; every call
+    /// returns the same handle.
+    pub fn serving(&self) -> &Serving {
+        self.serving.get_or_init(|| {
+            let (graph, partitioning) = self.store.to_parts();
+            let plans = self.session.compile_plans(&graph);
+            let store = OnceLock::from(Arc::clone(&self.store));
+            self.session.serving_over(graph, partitioning, plans, store)
+        })
     }
 
     /// Concurrent serving over the recovered store with `workers` worker
@@ -923,7 +920,7 @@ impl Recovered {
     /// keeps its pre-crash `epoch_seq`, so per-shard metrics are directly
     /// diffable against the pre-crash run.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
-        self.served().sharded(workers)
+        self.serving().sharded(workers)
     }
 }
 
@@ -933,7 +930,9 @@ impl Recovered {
 /// The store is frozen from the graph on first use — by [`Serving::run`],
 /// [`Serving::sharded`] or [`Serving::store`] — and never again; a
 /// [`Recovered::serving`] handle starts with the recovered store in place.
-#[derive(Debug, Clone)]
+/// It is not `Clone`: a copy would carry the graph and the partitioning
+/// again and, before the first freeze, a store slot of its own.
+#[derive(Debug)]
 pub struct Serving {
     graph: LabelledGraph,
     partitioning: Partitioning,
@@ -995,6 +994,12 @@ impl Serving {
     /// inherits the session's query mode and match limit like
     /// [`Serving::sharded`].
     ///
+    /// The adaptive engine is not durable: it takes its own copy of the
+    /// graph and the partitioning, its `apply_mutations` ignores
+    /// `AddVertex` / `AddEdge`, and none of its tombstones, compactions or
+    /// `adapt_now` migrations reaches the session's WAL — a crash recovers
+    /// the placement from before every migration (ROADMAP item 15(c)).
+    ///
     /// # Errors
     ///
     /// Fails when the session was built without a workload — drift is
@@ -1038,11 +1043,7 @@ impl QueryEngine for Serving {
                 request,
                 ctx,
             ),
-            None => QueryResponse::from_engine(
-                ExecutionMetrics::default(),
-                Vec::new(),
-                request.collect_matches,
-            ),
+            None => QueryResponse::from_engine(ExecutionMetrics::default(), Vec::new()),
         }
     }
 
@@ -1109,11 +1110,7 @@ impl QueryEngine for ShardedServing {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
         match &self.workload {
             Some(workload) => self.engine.run(&self.store, workload, request, ctx).1,
-            None => QueryResponse::from_engine(
-                ExecutionMetrics::default(),
-                Vec::new(),
-                request.collect_matches,
-            ),
+            None => QueryResponse::from_engine(ExecutionMetrics::default(), Vec::new()),
         }
     }
 

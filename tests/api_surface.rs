@@ -7,6 +7,8 @@
 use loom::prelude::*;
 use loom_graph::stats::{clustering_coefficient, degree_histogram, degree_stats};
 use loom_graph::VertexId;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
 #[test]
 fn readme_usage_snippet_compiles_and_runs() -> Result<(), Box<dyn std::error::Error>> {
@@ -479,4 +481,192 @@ fn shard_transport_messages_are_wire_shaped_and_object_safe() {
     let received = b.recv(None).unwrap();
     assert_eq!(received, ShardMsg::EpochPublished { epoch: 3 });
     transport.shutdown();
+}
+
+/// Public names that nothing outside their crate names, kept `pub` because a
+/// public signature that outside code uses exposes them. `(crate, name)`, the
+/// crate by its directory under `crates/`; each entry names the signature.
+const PUBLIC_THROUGH_A_SIGNATURE: &[(&str, &str)] = &[
+    ("adapt", "AdaptOutcome"),    // AdaptiveServing::serve / adapt_now
+    ("adapt", "CompactOutcome"),  // AdaptiveServing::compact_now
+    ("adapt", "MutationOutcome"), // AdaptiveServing::apply_mutations
+    ("adapt", "WorkloadTracker"), // AdaptiveServing::tracker
+    ("core", "MotifMatch"),       // StreamMotifMatcher::matches
+    ("graph", "GraphSummary"),    // LabelledGraph::summary
+    ("graph", "ReadFault"),       // io::Reader::{take, u8, u32, u64, varint, count, finish}
+    ("graph", "VarintFault"),     // io::next_varint, io::Reader::varint_fault
+    ("load", "Knee"),             // detect_knee, CapacityRun::knee
+    ("motif", "CanonicalCode"),   // canonical_code
+    ("motif", "MotifNode"),       // Tpstry::{node, nodes}
+    ("obs", "FlightEvent"),       // FlightDump::{events, events_for_request}
+    ("obs", "FlightRecorder"),    // Telemetry::flight
+    ("obs", "Gauge"),             // MetricRegistry::gauge
+    ("obs", "HistogramSnapshot"), // Histogram::snapshot, TelemetryDelta::histogram_merged
+    ("obs", "MetricRegistry"),    // Telemetry::registry
+    ("obs", "RegistrySnapshot"),  // TelemetrySnapshot::registry
+    ("obs", "SeriesKey"),         // TelemetryDelta::{counters, gauges, histograms}
+    // `type FennelPartitioner = PendingVertexPartitioner<FennelRule>` and its
+    // LDG twin; `PlacementRule` bounds their `Partitioner` impl.
+    ("partition", "FennelRule"),
+    ("partition", "LdgRule"),
+    ("partition", "PendingVertexPartitioner"),
+    ("partition", "PlacementRule"),
+    // A trait, not a signature: `loom::prelude::*` brings it into scope for
+    // `Partitioning::quality` (examples/quickstart.rs).
+    ("partition", "PartitionQuality"),
+    ("partition", "MigrationPlan"),  // MigrationPlanner::plan
+    ("partition", "VertexMove"),     // MigrationPlan::moves
+    ("partition", "EvictedVertex"),  // StreamWindow::{evict_oldest, remove}
+    ("serve", "CompactedStore"),     // ShardedStore::compact
+    ("serve", "MigratedStore"),      // ShardedStore::apply_migration
+    ("serve", "MutatedStore"),       // ShardedStore::apply_mutations
+    ("serve", "InProcEndpoint"),     // InProcTransport::pair
+    ("serve", "RecvError"),          // ShardTransport::{recv, recv_all}
+    ("serve", "TransportError"),     // ShardTransport::{send, send_all, try_send}
+    ("serve", "TransportStats"),     // ShardTransport::stats
+    ("sim", "PlanExecution"), // matcher::{execute_plan, execute_plan_ctx, execute_plan_with_roots}
+    ("sim", "PlanId"),        // QueryPlan::id, ExecutionMetrics::plan
+    ("sim", "QueryTarget"),   // QueryRequest::target (struct-update syntax needs it)
+    ("store", "CheckpointMeta"), // write_checkpoint, commit_checkpoint, latest_checkpoint
+    ("store", "LoadedCheckpoint"), // load_checkpoint
+    ("store", "RecoveredState"), // recover
+    ("store", "Segment"),     // segments
+    ("store", "UnprovenCheckpoint"), // Beside::checkpoint
+    ("store", "WalReplay"),   // Wal::replay
+];
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// The identifier tokens of a file, comments and string literals included:
+/// a name in another crate's doc link or in a test's message is a use.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| c != '_' && !c.is_ascii_alphanumeric())
+        .filter(|w| w.starts_with(|c: char| c == '_' || c.is_ascii_alphabetic()))
+}
+
+/// The `pub` items (fn, struct, enum, const, trait, type, static) a file
+/// declares outside its `#[cfg(test)] mod`s, with their line numbers.
+fn public_items(text: &str) -> Vec<(usize, &str)> {
+    const KINDS: [&str; 8] = [
+        "fn ",
+        "const fn ",
+        "struct ",
+        "enum ",
+        "const ",
+        "trait ",
+        "type ",
+        "static ",
+    ];
+    let mut items = Vec::new();
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((n, line)) = lines.next() {
+        let trimmed = line.trim_start();
+        if trimmed == "#[cfg(test)]" {
+            // rustfmt closes the module at the indentation it opened at.
+            if let Some((_, module)) = lines.next_if(|(_, l)| l.trim_start().starts_with("mod ")) {
+                let close = format!("{}}}", &module[..module.len() - module.trim_start().len()]);
+                lines.by_ref().find(|(_, l)| *l == close);
+            }
+            continue;
+        }
+        let Some(rest) = trimmed.strip_prefix("pub ") else {
+            continue;
+        };
+        let Some(rest) = KINDS.iter().find_map(|k| rest.strip_prefix(k)) else {
+            continue;
+        };
+        let end = rest.find(|c: char| c != '_' && !c.is_ascii_alphanumeric());
+        items.push((n + 1, &rest[..end.unwrap_or(rest.len())]));
+    }
+    items
+}
+
+/// ROADMAP 18(c): a public item is surface every refactor must keep
+/// compiling and a reader must learn, so each one must be named by a file
+/// outside its crate — another crate's `src`, the façade, a test, an example
+/// or the benchmark — or be listed in [`PUBLIC_THROUGH_A_SIGNATURE`] with
+/// the signature that forces it. A new `pub` item with no outside caller is
+/// `pub(crate)`; one that a listed signature no longer needs leaves the list.
+#[test]
+fn every_public_item_is_named_outside_its_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // Each crate (by directory name) with the identifiers its files use, and
+    // every pub item declared under `crates/`: (crate, name, where).
+    let (mut crates, mut declared) = (Vec::new(), Vec::new());
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let dir = entry.expect("readable entry").path();
+        let name = dir
+            .file_name()
+            .expect("a crate directory")
+            .to_string_lossy()
+            .into_owned();
+        let mut used = HashSet::new();
+        for file in rust_files(&dir.join("src")) {
+            let text = std::fs::read_to_string(&file).expect("readable source");
+            used.extend(identifiers(&text).map(str::to_string));
+            let shown = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .display()
+                .to_string();
+            for (line, item) in public_items(&text) {
+                declared.push((name.clone(), item.to_string(), format!("{shown}:{line}")));
+            }
+        }
+        crates.push((name, used));
+    }
+    let mut outside = HashSet::new();
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        for file in rust_files(&root.join(dir)) {
+            let text = std::fs::read_to_string(&file).expect("readable source");
+            // The allow-list names what it lists; that is no use.
+            let text = match text.split_once("const PUBLIC_THROUGH_A_SIGNATURE") {
+                Some((head, tail)) => {
+                    head.to_string() + tail.split_once("\n];").map_or("", |t| t.1)
+                }
+                None => text,
+            };
+            outside.extend(identifiers(&text).map(str::to_string));
+        }
+    }
+
+    let allowed: HashSet<(&str, &str)> = PUBLIC_THROUGH_A_SIGNATURE.iter().copied().collect();
+    let (mut unnamed, mut kept) = (Vec::new(), HashSet::new());
+    for (owner, item, at) in &declared {
+        let named = outside.contains(item)
+            || crates
+                .iter()
+                .any(|(other, used)| other != owner && used.contains(item));
+        if named {
+            continue;
+        }
+        match allowed.get(&(owner.as_str(), item.as_str())) {
+            Some(&entry) => {
+                kept.insert(entry);
+            }
+            None => unnamed.push(format!("{at} {item}")),
+        }
+    }
+    unnamed.sort();
+    let stale: Vec<_> = allowed.difference(&kept).collect();
+    assert!(
+        unnamed.is_empty() && stale.is_empty(),
+        "{} public item(s) are named nowhere outside their crate (make them pub(crate), or list \
+         the public signature that exposes them in PUBLIC_THROUGH_A_SIGNATURE):\n{}\n\
+         allow-list entries that are no public item named only inside its crate: {stale:?}",
+        unnamed.len(),
+        unnamed.join("\n"),
+    );
 }
