@@ -19,11 +19,11 @@
 use crate::tracker::WorkloadTracker;
 use loom_graph::{LabelledGraph, StreamElement, VertexId};
 use loom_motif::workload::Workload;
-use loom_obs::{stage, FlightKind, SpanTimer, Telemetry};
+use loom_obs::{stage, FlightKind, SpanTimer};
 use loom_partition::error::Result;
 use loom_partition::migrate::{MigrationConfig, MigrationPlanner};
 use loom_partition::partition::{PartitionId, Partitioning};
-use loom_serve::engine::{ServeConfig, ServeEngine};
+use loom_serve::engine::ServeEngine;
 use loom_serve::epoch::EpochStore;
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::{record_tombstone_gauges, ShardedStore};
@@ -112,10 +112,6 @@ pub struct AdaptiveServing {
     config: AdaptConfig,
     adaptations: usize,
     total_moved: usize,
-    /// Optional telemetry: adaptation passes charge `adapt.plan` /
-    /// `adapt.migrate` spans and leave flight-recorder events; the serving
-    /// engine underneath is observed with the same handle.
-    telemetry: Option<Arc<Telemetry>>,
     /// Cancellation token covering the current serving round. An adaptation
     /// pass fires it before migrating — in-flight executions running under
     /// it unwind cooperatively against their pinned (pre-migration)
@@ -126,18 +122,22 @@ pub struct AdaptiveServing {
 impl AdaptiveServing {
     /// Stand up adaptive serving over `graph` placed by `partitioning`,
     /// tracking drift against `mined_workload` — the workload (query set
-    /// *and* frequencies) the partitioning was mined for.
+    /// *and* frequencies) the partitioning was mined for — and serving it
+    /// through `engine`: its mode, match limit, workers and plans. With
+    /// telemetry on the engine, adaptation passes also charge `adapt.plan` /
+    /// `adapt.migrate` spans and leave [`FlightKind::Migrated`] and
+    /// [`FlightKind::EpochPublished`] flight-recorder events.
     pub fn new(
         graph: LabelledGraph,
         partitioning: Partitioning,
         mined_workload: Workload,
-        serve: ServeConfig,
+        engine: ServeEngine,
         config: AdaptConfig,
     ) -> Self {
         let store = ShardedStore::from_parts(&graph, &partitioning);
         Self {
             epochs: EpochStore::new(store),
-            engine: ServeEngine::new(serve),
+            engine,
             tracker: WorkloadTracker::new(mined_workload),
             planner: MigrationPlanner::new(config.migration),
             graph,
@@ -145,29 +145,8 @@ impl AdaptiveServing {
             config,
             adaptations: 0,
             total_moved: 0,
-            telemetry: None,
             round_cancel: CancelToken::new(),
         }
-    }
-
-    /// Builder-style telemetry: the serving engine underneath populates the
-    /// shard counters and stage histograms, and adaptation passes charge
-    /// `adapt.plan` / `adapt.migrate` spans plus [`FlightKind::Migrated`] and
-    /// [`FlightKind::EpochPublished`] flight-recorder events.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.engine = std::mem::take(&mut self.engine).with_telemetry(Arc::clone(&telemetry));
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Builder-style plan cache: the serving engine underneath (router and
-    /// workers alike) executes the cache's compiled plans instead of
-    /// re-deriving matching orders per run.
-    #[must_use]
-    pub fn with_plan_cache(mut self, plans: Arc<PlanCache>) -> Self {
-        self.engine = std::mem::take(&mut self.engine).with_plan_cache(plans);
-        self
     }
 
     /// The live placement (kept in lock-step with the published snapshots).
@@ -266,14 +245,14 @@ impl AdaptiveServing {
         let touched = mutated.removed_vertices + mutated.removed_edges + mutated.relabelled;
         let epoch = if touched > 0 {
             let epoch = self.epochs.publish(mutated.store);
-            if let Some(t) = &self.telemetry {
+            if let Some(t) = self.engine.telemetry() {
                 t.flight().record(FlightKind::EpochPublished { epoch });
             }
             epoch
         } else {
             self.epochs.current_epoch()
         };
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.engine.telemetry() {
             record_tombstone_gauges(&self.epochs.load(), t);
         }
         MutationOutcome {
@@ -291,13 +270,13 @@ impl AdaptiveServing {
     /// verbatim, tombstones and all — their queries keep skipping the marks.
     ///
     /// Compaction never moves a live vertex between shards, so — unlike
-    /// [`AdaptiveServing::adapt_now`] — it does not cancel the serving round:
+    /// an adaptation pass — it does not cancel the serving round:
     /// in-flight queries finish against their pinned snapshot and observe
     /// exactly the same matches.
     pub fn compact_now(&mut self, threshold: f64) -> CompactOutcome {
         let hist = self
-            .telemetry
-            .as_ref()
+            .engine
+            .telemetry()
             .map(|t| t.stage_histogram(stage::SERVE_COMPACTION));
         let span = SpanTimer::start(hist.as_deref());
         let compacted = self.epochs.load().compact(threshold);
@@ -316,7 +295,7 @@ impl AdaptiveServing {
         let shards = compacted.compacted_shards.len();
         let epoch = self.epochs.publish(compacted.store);
         drop(span);
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.engine.telemetry() {
             t.flight().record(FlightKind::Compacted {
                 purged: compacted.purged_vertices as u64,
                 shards: shards as u32,
@@ -347,7 +326,7 @@ impl AdaptiveServing {
     /// # Errors
     ///
     /// Propagates placement errors from applying a migration plan.
-    pub fn adapt_now(&mut self) -> Result<AdaptOutcome> {
+    pub(crate) fn adapt_now(&mut self) -> Result<AdaptOutcome> {
         // Cancel whatever is still executing under the old round before the
         // placement moves underneath it; the replacement token covers the
         // rounds served against the migrated snapshot.
@@ -356,8 +335,8 @@ impl AdaptiveServing {
         let drift_before = self.tracker.drift();
         let hot = self.tracker.hot_label_weights();
         let plan_hist = self
-            .telemetry
-            .as_ref()
+            .engine
+            .telemetry()
             .map(|t| t.stage_histogram(stage::ADAPT_PLAN));
         let plan_span = SpanTimer::start(plan_hist.as_deref());
         let mut moves: Vec<(VertexId, PartitionId)> = Vec::new();
@@ -389,14 +368,14 @@ impl AdaptiveServing {
             });
         }
         let migrate_hist = self
-            .telemetry
-            .as_ref()
+            .engine
+            .telemetry()
             .map(|t| t.stage_histogram(stage::ADAPT_MIGRATE));
         let migrate_span = SpanTimer::start(migrate_hist.as_deref());
         let migrated = self.epochs.load().apply_migration(&moves);
         let epoch = self.epochs.publish(migrated.store);
         drop(migrate_span);
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.engine.telemetry() {
             t.flight().record(FlightKind::Migrated {
                 moved: migrated.moved as u64,
                 epoch,
@@ -447,6 +426,8 @@ mod tests {
     use loom_graph::generators::regular::path_graph;
     use loom_graph::Label;
     use loom_motif::query::{PatternQuery, QueryId};
+    use loom_obs::Telemetry;
+    use loom_serve::engine::ServeConfig;
 
     fn l(x: u32) -> Label {
         Label::new(x)
@@ -497,7 +478,7 @@ mod tests {
             g,
             part,
             workload.clone(),
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)),
             AdaptConfig::default(),
         );
         let request = QueryRequest::workload(60).with_seed(11);
@@ -518,7 +499,7 @@ mod tests {
             g,
             part,
             workload.clone(),
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)),
             AdaptConfig::default(),
         );
         let (report, outcome) = adaptive.serve(&workload, 50, 3).unwrap();
@@ -535,7 +516,7 @@ mod tests {
             g.clone(),
             part,
             workload.clone(),
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)),
             AdaptConfig::default(),
         );
         let before = engine_report(&adaptive, &workload, 200, 7);
@@ -573,7 +554,13 @@ mod tests {
             migration: MigrationConfig::new(1),
             max_rounds: 1,
         };
-        let mut adaptive = AdaptiveServing::new(g, part, mined, ServeConfig::new(2), config);
+        let mut adaptive = AdaptiveServing::new(
+            g,
+            part,
+            mined,
+            ServeEngine::new(ServeConfig::new(2)),
+            config,
+        );
         adaptive.tracker.observe_counts(&[0, 200]);
         assert!(adaptive.tracker.is_drifted());
         let first = adaptive.adapt_now().unwrap();
@@ -595,7 +582,7 @@ mod tests {
             g,
             part,
             workload,
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)),
             AdaptConfig::default(),
         );
         let old_round = adaptive.round_cancel.clone();
@@ -640,7 +627,7 @@ mod tests {
             g,
             part,
             workload,
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)),
             AdaptConfig::default(),
         );
         adaptive.tracker.observe_counts(&[0, 100]);
@@ -660,7 +647,7 @@ mod tests {
             g,
             part,
             workload,
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)),
             AdaptConfig::default(),
         );
         let outcome = adaptive.apply_mutations(&[StreamElement::RemoveVertex { id: dead }]);
@@ -695,10 +682,9 @@ mod tests {
             g,
             part,
             workload.clone(),
-            ServeConfig::new(2),
+            ServeEngine::new(ServeConfig::new(2)).with_telemetry(Arc::clone(&telemetry)),
             AdaptConfig::default(),
-        )
-        .with_telemetry(Arc::clone(&telemetry));
+        );
         // Nothing tombstoned yet: compaction is a no-op and keeps the epoch.
         let idle = adaptive.compact_now(0.0);
         assert_eq!(idle.compacted_shards, 0);

@@ -29,9 +29,9 @@
 //! copy of the graph and the partitioning, in memory:
 //! [`apply_mutations`](adaptive::AdaptiveServing::apply_mutations) applies
 //! removals and relabels and ignores `AddVertex` / `AddEdge`, and none of
-//! its tombstones, compactions or
-//! [`adapt_now`](adaptive::AdaptiveServing::adapt_now) migrations reaches a
-//! write-ahead log. A crash recovers what the session's own log and
+//! its tombstones, compactions or drift migrations (which
+//! [`serve`](adaptive::AdaptiveServing::serve) runs) reaches a write-ahead
+//! log. A crash recovers what the session's own log and
 //! checkpoints hold: the placement from before every migration. ROADMAP
 //! item 15(c) is the change that makes served changes durable.
 //!
@@ -47,7 +47,7 @@
 //! use loom_motif::query::{PatternQuery, QueryId};
 //! use loom_motif::workload::Workload;
 //! use loom_partition::partition::{PartitionId, Partitioning};
-//! use loom_serve::engine::ServeConfig;
+//! use loom_serve::engine::{ServeConfig, ServeEngine};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let graph = path_graph(12, &[Label::new(0), Label::new(1), Label::new(2)]);
@@ -64,7 +64,7 @@
 //!     graph,
 //!     partitioning,
 //!     workload.clone(),
-//!     ServeConfig::new(2),
+//!     ServeEngine::new(ServeConfig::new(2)),
 //!     AdaptConfig::default(),
 //! );
 //! let (report, adaptation) = serving.serve(&workload, 100, 42)?;

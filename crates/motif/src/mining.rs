@@ -281,7 +281,7 @@ mod tests {
         let w = Workload::uniform(vec![q]).unwrap();
         let trie = MotifMiner::default().mine(&w).unwrap();
         for node in trie.nodes() {
-            for &child in node.children() {
+            for &child in &node.children {
                 let child_node = trie.node(child);
                 assert_eq!(child_node.edge_count(), node.edge_count() + 1);
                 assert!(child_node.vertex_count() <= node.vertex_count() + 1);

@@ -53,7 +53,8 @@ pub struct MotifNode {
     signature: Signature,
     support: f64,
     supporting_queries: FxHashSet<QueryId>,
-    children: Vec<MotifId>,
+    /// Children: motifs extending this one by a single edge.
+    pub(crate) children: Vec<MotifId>,
     parents: Vec<MotifId>,
 }
 
@@ -86,11 +87,6 @@ impl MotifNode {
     /// Number of edges in the motif.
     pub fn edge_count(&self) -> usize {
         self.graph.edge_count()
-    }
-
-    /// Children: motifs extending this one by a single edge.
-    pub fn children(&self) -> &[MotifId] {
-        &self.children
     }
 }
 
@@ -384,7 +380,7 @@ mod tests {
         trie.link(a, ab);
         trie.link(a, ab);
         trie.link(a, a); // self link ignored
-        assert_eq!(trie.node(a).children(), &[ab]);
+        assert_eq!(trie.node(a).children, [ab]);
         assert_eq!(trie.node(ab).parents, [a]);
         assert!(trie.check_invariants().is_ok());
     }

@@ -33,7 +33,7 @@
 //!   private worker event loop) pins its snapshot at spawn, takes its whole
 //!   inbox in one receive, executes each routed query with the shared
 //!   instrumented matcher under the request's [`RequestContext`] as one
-//!   matcher run — the exact code path of the sequential executor, so
+//!   matcher run — the exact code path of [`ServeEngine::run_sequential`], so
 //!   aggregate metrics and the match cursor are bit-identical to a
 //!   sequential run for every request without a deadline or cancellation —
 //!   and sends the run's completions back as one group, in which one `Done`
@@ -114,7 +114,7 @@ use loom_obs::{stage, Counter, FlightKind, Telemetry};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::engine::{request_schedule, resolve_schedule_plans, QueryRequest, QueryResponse};
 use loom_sim::executor::{ExecutionMetrics, QueryMode};
-use loom_sim::matcher::Embedding;
+use loom_sim::matcher::{execute_plan_ctx, Embedding, ExecOptions, MatchScratch, PatternStore};
 use loom_sim::plan::{PlanCache, QueryPlan};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -195,19 +195,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self::new(4)
     }
-}
-
-/// Effective per-run execution options: the engine config with any
-/// per-request overrides applied.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunOptions {
-    pub(crate) mode: QueryMode,
-    pub(crate) match_limit: usize,
-    pub(crate) traversal_budget: Option<usize>,
-    pub(crate) collect: bool,
-    /// Whether the coordinator timestamps each completion (open-loop runs):
-    /// then every execution goes back as a `Done` of its own.
-    pub(crate) time_completions: bool,
 }
 
 /// What a run serves from — and where its workers pin their snapshots.
@@ -927,6 +914,14 @@ impl ServeEngine {
         &self.config
     }
 
+    /// Builder-style worker count (minimum 1): the same mode, match limit,
+    /// plans and telemetry over `workers` worker shards.
+    #[must_use]
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.config.workers = workers.max(1);
+        self
+    }
+
     /// Builder-style telemetry: runs charge stage histograms
     /// (`serve.execute`, `serve.queue_wait`), keep
     /// per-shard admitted/rejected counters and queue-depth gauges, and
@@ -964,9 +959,9 @@ impl ServeEngine {
     /// (`engine.run(&epochs, ..)`) — under `ctx`, and return both the serving
     /// report and the request's [`QueryResponse`] (metrics + match cursor).
     ///
-    /// The sampled load and the per-query root seeds are exactly those of
-    /// [`loom_sim::executor::QueryExecutor::execute_workload`], and each
-    /// query runs the same compiled plan through the same matcher, so the
+    /// The sampled load, the per-query root seeds and the matcher options
+    /// are exactly those of [`ServeEngine::run_sequential`], and each query
+    /// runs the same compiled plan through the same matcher, so the
     /// report's aggregate [`ExecutionMetrics`] equal a sequential run's —
     /// the parity the serving tests assert. The effective deadline is the
     /// earlier of the context's and the request's, and firing the context's
@@ -1013,16 +1008,60 @@ impl ServeEngine {
         (report, value)
     }
 
-    /// The effective run options for one request (engine config plus
-    /// overrides).
-    fn options_for(&self, request: &QueryRequest, time_completions: bool) -> RunOptions {
-        RunOptions {
+    /// The matcher options one request runs under: the engine config with
+    /// the request's overrides applied raw (no clamping). The one place a
+    /// request is resolved, so the sequential reference and every sharded
+    /// run execute under the same options; each execution fills in only its
+    /// `root_seed`.
+    fn options_for(&self, request: &QueryRequest) -> ExecOptions {
+        ExecOptions {
             mode: request.mode.unwrap_or(self.config.mode),
             match_limit: request.match_limit.unwrap_or(self.config.match_limit),
             traversal_budget: request.traversal_budget,
+            root_seed: 0,
             collect: request.collect_matches,
-            time_completions,
         }
+    }
+
+    /// Run a request sequentially on the calling thread over any
+    /// [`PatternStore`] under `ctx` — the reference every concurrent run is
+    /// parity-tested against: the `loom` façade's `Serving` handle runs it
+    /// over its frozen arena, the tests over the hash-map
+    /// [`PartitionedStore`](loom_sim::store::PartitionedStore). It shares
+    /// the schedule, the plans and the one resolution of the request's
+    /// overrides with [`ServeEngine::run`]; the engine's worker count,
+    /// queue capacity and telemetry play no part. Every scheduled execution
+    /// observes the context's deadline (tightened by the request's own) and
+    /// cancellation token; executions scheduled after the cut are
+    /// pre-flighted away at zero traversal cost, so they still count in
+    /// `queries_executed` but do no work.
+    pub fn run_sequential<S: PatternStore + ?Sized>(
+        &self,
+        store: &S,
+        workload: &Workload,
+        request: QueryRequest,
+        ctx: &RequestContext,
+    ) -> QueryResponse {
+        let options = self.options_for(&request);
+        let ctx = ctx.tightened_by(request.deadline);
+        let schedule = request_schedule(workload, &request);
+        let plans = resolve_schedule_plans(self.plans.as_ref(), workload, &schedule);
+        let mut metrics = ExecutionMetrics::default();
+        let mut embeddings = Vec::new();
+        // One scratch for the request: its executions share a root list and a
+        // mapping instead of allocating a pair each.
+        let mut scratch = MatchScratch::default();
+        for (index, root_seed) in schedule {
+            let plan = plans[index].as_ref().expect("scheduled plan resolved");
+            let opts = ExecOptions {
+                root_seed,
+                ..options
+            };
+            let run = execute_plan_ctx(store, plan, &opts, &ctx, &mut scratch);
+            metrics.merge(&run.metrics);
+            embeddings.extend(run.embeddings);
+        }
+        QueryResponse::from_engine(metrics, embeddings)
     }
 
     /// The one run scaffold: expand the schedule, resolve plans, stand up
@@ -1041,7 +1080,7 @@ impl ServeEngine {
         driver: impl FnOnce(&mut OpenLoopInjector<'_>) -> R,
     ) -> (ServeReport, QueryResponse, R) {
         let started = Instant::now();
-        let options = self.options_for(&request, time_completions);
+        let options = self.options_for(&request);
         let workers = self.config.workers.max(1);
         let effective = ctx.tightened_by(request.deadline);
         // `Instant`s do not cross the transport; per-task deadlines ride as
@@ -1051,7 +1090,7 @@ impl ServeEngine {
             .map(|d| d.saturating_duration_since(started).as_micros() as u64);
 
         // Expand the load up front through the engine-shared schedule (the
-        // exact sampling and root-seed scheme of the sequential executor).
+        // exact sampling and root-seed scheme of the sequential run).
         let schedule = request_schedule(workload, &request);
         let tasks: Vec<QueryTaskMsg> = schedule
             .iter()
@@ -1097,6 +1136,7 @@ impl ServeEngine {
                         WorkerSetup {
                             worker: w as u32,
                             options,
+                            time_completions,
                             plans,
                             run_start: started,
                             cancel,
@@ -1229,11 +1269,11 @@ mod tests {
     use super::*;
     use loom_graph::generators::regular::path_graph;
     use loom_graph::generators::{barabasi_albert, GeneratorConfig};
-    use loom_graph::Label;
+    use loom_graph::{Label, VertexId};
+    use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
     use loom_motif::query::{PatternQuery, QueryId};
     use loom_partition::partition::{PartitionId, Partitioning};
-    use loom_sim::engine::run_sequential;
-    use loom_sim::executor::QueryExecutor;
+    use loom_sim::matcher::execute_plan;
     use loom_sim::plan::{GraphStatistics, QueryPlanner};
     use loom_sim::store::PartitionedStore;
 
@@ -1441,13 +1481,8 @@ mod tests {
             (counted.with_seed(13), &cancelled),
         ];
         for (request, ctx) in mix {
-            let reference = run_sequential(
-                &QueryExecutor::default(),
-                &sequential_store,
-                &workload,
-                request,
-                ctx,
-            );
+            let reference =
+                ServeEngine::default().run_sequential(&sequential_store, &workload, request, ctx);
             let schedule = request_schedule(&workload, &request);
             let plans = resolve_schedule_plans(None, &workload, &schedule);
             let mut router = QueryRouter::new(mode);
@@ -1821,5 +1856,117 @@ mod tests {
         assert!(report.wall_clock_qps() > 0.0);
         let derived = report.queries as f64 / (report.wall_clock_us / 1e6);
         assert!((report.wall_clock_qps() - derived).abs() < 1e-9);
+    }
+
+    /// The paper example on a 2-partition split behind a sequential
+    /// full-enumeration engine, with or without a plan cache.
+    fn sequential_fixture(cache: bool) -> (ServeEngine, PartitionedStore, Workload) {
+        let graph = paper_example_graph();
+        let workload = paper_example_workload();
+        let mut part = Partitioning::new(2, 8).unwrap();
+        for v in 1..=8u64 {
+            part.assign(VertexId::new(v), PartitionId::new((v % 2) as u32))
+                .unwrap();
+        }
+        let config = ServeConfig::new(1).with_mode(QueryMode::FullEnumeration);
+        let mut engine = ServeEngine::new(config);
+        if cache {
+            let stats = GraphStatistics::from_graph(&graph);
+            engine = engine.with_plan_cache(Arc::new(PlanCache::compile(
+                &QueryPlanner::default(),
+                &workload,
+                &stats,
+            )));
+        }
+        (engine, PartitionedStore::new(graph, part), workload)
+    }
+
+    fn run_sequential(
+        (engine, store, workload): &(ServeEngine, PartitionedStore, Workload),
+        request: QueryRequest,
+    ) -> QueryResponse {
+        engine.run_sequential(store, workload, request, &RequestContext::unbounded())
+    }
+
+    #[test]
+    fn workload_requests_match_the_legacy_executor_exactly() {
+        let engine = sequential_fixture(false);
+        let request = QueryRequest::workload(40).with_seed(3);
+        let response = run_sequential(&engine, request);
+        // The legacy executor: each scheduled sample through its query's
+        // legacy plan, one matcher run at a time.
+        let (_, store, workload) = &engine;
+        let mut legacy = ExecutionMetrics::default();
+        for (index, root_seed) in request_schedule(workload, &request) {
+            let plan = QueryPlan::legacy(&workload.queries()[index]);
+            let opts = ExecOptions {
+                root_seed,
+                ..ExecOptions::default()
+            };
+            legacy.merge(&execute_plan(store, &plan, &opts).metrics);
+        }
+        assert_eq!(response.metrics, legacy);
+        assert_eq!(response.into_cursor().remaining(), 0);
+    }
+
+    #[test]
+    fn single_query_requests_collect_embeddings() {
+        let engine = sequential_fixture(true);
+        let id = engine.2.queries()[0].id();
+        let response = run_sequential(&engine, QueryRequest::query(id).collect_matches(true));
+        assert_eq!(response.metrics.queries_executed, 1);
+        let found = response.metrics.matches_found;
+        assert!(found > 0);
+        let cursor = response.into_cursor();
+        assert_eq!(cursor.remaining(), found);
+        assert_eq!(cursor.len(), found);
+        assert_eq!(cursor.count(), found);
+    }
+
+    #[test]
+    fn unknown_query_ids_execute_nothing() {
+        let engine = sequential_fixture(true);
+        let response = run_sequential(
+            &engine,
+            QueryRequest::query(QueryId::new(404)).collect_matches(true),
+        );
+        assert_eq!(response.metrics, ExecutionMetrics::default());
+        let cursor = response.into_cursor();
+        assert_eq!(cursor.remaining(), 0);
+    }
+
+    #[test]
+    fn request_overrides_mode_and_limit() {
+        let engine = sequential_fixture(true);
+        let id = engine.2.queries()[0].id();
+        let full = run_sequential(&engine, QueryRequest::query(id));
+        let limited = run_sequential(&engine, QueryRequest::query(id).with_match_limit(1));
+        assert_eq!(limited.metrics.matches_found, 1);
+        assert!(limited.matches_limited());
+        assert!(limited.metrics.total_traversals < full.metrics.total_traversals);
+        let rooted = run_sequential(
+            &engine,
+            QueryRequest::query(id)
+                .with_mode(QueryMode::Rooted { seed_count: 1 })
+                .with_seed(5),
+        );
+        assert!(rooted.metrics.total_traversals <= full.metrics.total_traversals);
+        // Budgets flag the run.
+        let budgeted = run_sequential(&engine, QueryRequest::query(id).with_traversal_budget(1));
+        assert!(budgeted.matches_limited());
+    }
+
+    #[test]
+    fn plan_cache_is_exposed_and_reused() {
+        let engine = sequential_fixture(true);
+        let cache = engine.0.plan_cache().expect("cache wired in").clone();
+        let hits_before = cache.hits();
+        run_sequential(&engine, QueryRequest::workload(10).with_seed(1));
+        // One resolution per *distinct* sampled query per run, not per
+        // sample — the amortized contract every engine shares.
+        let first_run = cache.hits() - hits_before;
+        assert!(first_run >= 1 && first_run <= engine.2.len());
+        run_sequential(&engine, QueryRequest::workload(10).with_seed(1));
+        assert_eq!(cache.hits(), hits_before + 2 * first_run, "deterministic");
     }
 }

@@ -100,11 +100,6 @@ impl ErrorBudget {
             self.dropped() as f64 / self.requests as f64
         }
     }
-
-    /// Whether the run stayed within a budget of `max_fraction` dropped.
-    pub fn within(&self, max_fraction: f64) -> bool {
-        self.dropped_fraction() <= max_fraction
-    }
 }
 
 /// The aggregate report one serving run produces.
@@ -213,10 +208,7 @@ mod tests {
         };
         assert_eq!(budget.dropped(), 10);
         assert!((budget.dropped_fraction() - 0.05).abs() < 1e-12);
-        assert!(budget.within(0.05));
-        assert!(!budget.within(0.049));
-        // An idle run dropped nothing and fits any budget, including zero.
+        // An idle run dropped nothing.
         assert_eq!(ErrorBudget::default().dropped_fraction(), 0.0);
-        assert!(ErrorBudget::default().within(0.0));
     }
 }

@@ -36,7 +36,7 @@
 //!
 //! Such a `Done` holds its one execution: nothing folds into it.
 
-use crate::engine::{RunOptions, Source};
+use crate::engine::Source;
 use crate::transport::{QueryDoneMsg, RecvError, ShardMsg, ShardReportMsg, ShardTransport};
 use loom_obs::{Histogram, SpanTimer};
 use loom_sim::context::{CancelToken, RequestContext};
@@ -66,8 +66,12 @@ fn unnamed(metrics: &ExecutionMetrics, embeddings: &[Embedding]) -> bool {
 pub(crate) struct WorkerSetup<'a> {
     /// This worker's index.
     pub worker: u32,
-    /// Effective run options (engine config + request overrides).
-    pub options: RunOptions,
+    /// The request's matcher options (engine config + request overrides);
+    /// each execution fills in its task's `root_seed`.
+    pub options: ExecOptions,
+    /// Whether the coordinator timestamps each completion (open-loop runs):
+    /// then every execution goes back as a `Done` of its own.
+    pub time_completions: bool,
     /// The run's resolved plans, indexed by workload query.
     pub plans: &'a [Option<Arc<QueryPlan>>],
     /// The instant message deadlines (`deadline_us`) are relative to.
@@ -132,18 +136,14 @@ pub(crate) fn worker_loop(
                     .as_ref()
                     .expect("scheduled plan");
                 let opts = ExecOptions {
-                    mode: setup.options.mode,
-                    match_limit: setup.options.match_limit,
-                    traversal_budget: setup.options.traversal_budget,
                     root_seed: task.root_seed,
-                    collect: setup.options.collect,
+                    ..setup.options
                 };
                 let exec = execute_plan_ctx(snapshot.as_ref(), plan, &opts, &ctx, &mut scratch);
                 drop(span);
                 held += exec.metrics.total_traversals;
                 let epoch = snapshot.epoch();
-                let foldable =
-                    !setup.options.time_completions && unnamed(&exec.metrics, &exec.embeddings);
+                let foldable = !setup.time_completions && unnamed(&exec.metrics, &exec.embeddings);
                 match done.back_mut() {
                     Some(ShardMsg::Done(last))
                         if foldable
@@ -333,13 +333,13 @@ mod tests {
             &source,
             WorkerSetup {
                 worker: 0,
-                options: RunOptions {
+                options: ExecOptions {
                     mode: QueryMode::FullEnumeration,
                     match_limit: 100,
-                    traversal_budget: None,
                     collect,
-                    time_completions: false,
+                    ..ExecOptions::default()
                 },
+                time_completions: false,
                 plans,
                 run_start: Instant::now(),
                 cancel: CancelToken::new(),

@@ -167,15 +167,21 @@ pub struct ChurnRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::QueryExecutor;
+    use crate::matcher::{execute_plan, ExecOptions};
+    use crate::plan::QueryPlan;
     use crate::store::PartitionedStore;
     use loom_partition::partition::Partitioning;
 
+    /// The embeddings of the workload's one query, enumerated in full.
     fn count_matches(graph: &LabelledGraph, workload: &Workload) -> usize {
         let part = Partitioning::new(1, graph.vertex_count().max(1)).unwrap();
         let store = PartitionedStore::new(graph.clone(), part);
-        QueryExecutor::default()
-            .execute_workload(&store, workload, 1, 0)
+        let [query] = workload.queries() else {
+            panic!("the churn workload is one query");
+        };
+        let plan = QueryPlan::legacy(query);
+        execute_plan(&store, &plan, &ExecOptions::default())
+            .metrics
             .matches_found
     }
 

@@ -10,14 +10,17 @@
 //! the request asked for them.
 //!
 //! [`QueryEngine`] is the trait tying the layers together; the `loom`
-//! façade's sequential `Serving` handle (over [`run_sequential`] here), the
-//! sharded `loom-serve` engine and adaptive `loom-adapt` serving all
-//! implement it over the *same* compiled [`PlanCache`], which is what makes
-//! their answers comparable.
+//! façade's sequential `Serving` handle, the sharded `loom-serve` engine and
+//! adaptive `loom-adapt` serving all implement it over one `loom-serve`
+//! `ServeEngine` — its mode, match limit and *same* compiled [`PlanCache`] —
+//! which is what makes their answers comparable. This module holds what
+//! every engine shares: the request, the response, the schedule a request
+//! expands to ([`request_schedule`]) and its plans
+//! ([`resolve_schedule_plans`]).
 
 use crate::context::RequestContext;
-use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
-use crate::matcher::{execute_plan_ctx, Embedding, ExecOptions, MatchScratch, PatternStore};
+use crate::executor::{ExecutionMetrics, QueryMode};
+use crate::matcher::Embedding;
 use crate::plan::{resolve_plan, PlanCache, QueryPlan};
 use loom_motif::query::QueryId;
 use loom_motif::workload::Workload;
@@ -201,9 +204,9 @@ pub struct QueryResponse {
 }
 
 impl QueryResponse {
-    /// Assemble a response from an engine implementation's raw parts — this
-    /// crate's sequential engine and the [`QueryEngine`] implementations
-    /// outside it (the sharded and adaptive engines). `embeddings` must be
+    /// Assemble a response from an engine implementation's raw parts (the
+    /// `loom-serve` engine's sequential and sharded runs, and the façade's
+    /// workload-less handles). `embeddings` must be
     /// in deterministic enumeration order; a request that did not ask for
     /// them hands an empty list, so an empty cursor means "not
     /// materialised" as often as "no matches" — the metrics' match count
@@ -271,10 +274,9 @@ pub trait QueryEngine {
 /// index, root seed)` per sample, in admission order.
 ///
 /// Every engine shares this single expansion — workload targets consume the
-/// rng exactly as `QueryExecutor::execute_workload` (one draw per sample,
-/// root seed `seed + i + 1`), single-query targets repeat that query with
-/// the same seed scheme, and an unknown query id expands to nothing — so
-/// cross-engine parity can never drift on sampling.
+/// rng once per sample, with root seed `seed + i + 1`; single-query targets
+/// repeat that query with the same seed scheme; and an unknown query id
+/// expands to nothing — so cross-engine parity can never drift on sampling.
 pub fn request_schedule(workload: &Workload, request: &QueryRequest) -> Vec<(usize, u64)> {
     match request.target {
         QueryTarget::Workload => {
@@ -319,165 +321,4 @@ pub fn resolve_schedule_plans(
         }
     }
     plans
-}
-
-/// Run a request through the sequential executor over any [`PatternStore`]
-/// under `ctx` — the one sequential path: the `loom` façade's `Serving`
-/// handle runs it over its frozen arena, `QueryExecutor::execute_workload`
-/// over the reference [`PartitionedStore`](crate::store::PartitionedStore),
-/// and the concurrent engines are parity-tested against it. Every scheduled
-/// execution observes the context's deadline (tightened by the request's
-/// own) and cancellation token; executions scheduled after the cut are
-/// pre-flighted away at zero traversal cost, so they still count in
-/// `queries_executed` but do no work.
-pub fn run_sequential<S: PatternStore + ?Sized>(
-    executor: &QueryExecutor,
-    store: &S,
-    workload: &Workload,
-    request: QueryRequest,
-    ctx: &RequestContext,
-) -> QueryResponse {
-    // Per-request overrides are applied raw (no clamping), so the
-    // sequential and sharded engines resolve the same request to the same
-    // effective options — the parity guarantee depends on it.
-    let mode = request.mode.unwrap_or(executor.mode());
-    let match_limit = request.match_limit.unwrap_or(executor.match_limit());
-    let ctx = ctx.tightened_by(request.deadline);
-    let schedule = request_schedule(workload, &request);
-    let plans = resolve_schedule_plans(executor.plan_cache(), workload, &schedule);
-    let mut metrics = ExecutionMetrics::default();
-    let mut embeddings = Vec::new();
-    // One scratch for the request: its executions share a root list and a
-    // mapping instead of allocating a pair each.
-    let mut scratch = MatchScratch::default();
-    for (index, root_seed) in schedule {
-        let plan = plans[index].as_ref().expect("scheduled plan resolved");
-        let opts = ExecOptions {
-            mode,
-            match_limit,
-            traversal_budget: request.traversal_budget,
-            root_seed,
-            collect: request.collect_matches,
-        };
-        let run = execute_plan_ctx(store, plan, &opts, &ctx, &mut scratch);
-        metrics.merge(&run.metrics);
-        embeddings.extend(run.embeddings);
-    }
-    QueryResponse::from_engine(metrics, embeddings)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plan::{GraphStatistics, QueryPlanner};
-    use crate::store::PartitionedStore;
-    use loom_graph::VertexId;
-    use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
-    use loom_partition::partition::{PartitionId, Partitioning};
-
-    /// The paper example on a 2-partition split, with or without a plan
-    /// cache.
-    fn fixture(cache: bool) -> (QueryExecutor, PartitionedStore, Workload) {
-        let graph = paper_example_graph();
-        let workload = paper_example_workload();
-        let mut part = Partitioning::new(2, 8).unwrap();
-        for v in 1..=8u64 {
-            part.assign(VertexId::new(v), PartitionId::new((v % 2) as u32))
-                .unwrap();
-        }
-        let mut executor = QueryExecutor::default();
-        if cache {
-            let stats = GraphStatistics::from_graph(&graph);
-            executor = executor.with_plan_cache(Arc::new(PlanCache::compile(
-                &QueryPlanner::default(),
-                &workload,
-                &stats,
-            )));
-        }
-        (executor, PartitionedStore::new(graph, part), workload)
-    }
-
-    fn run(
-        (executor, store, workload): &(QueryExecutor, PartitionedStore, Workload),
-        request: QueryRequest,
-    ) -> QueryResponse {
-        run_sequential(
-            executor,
-            store,
-            workload,
-            request,
-            &RequestContext::unbounded(),
-        )
-    }
-
-    #[test]
-    fn workload_requests_match_the_legacy_executor_exactly() {
-        let engine = fixture(false);
-        let response = run(&engine, QueryRequest::workload(40).with_seed(3));
-        let (executor, store, workload) = &engine;
-        let legacy = executor.execute_workload(store, workload, 40, 3);
-        assert_eq!(response.metrics, legacy);
-        assert_eq!(response.into_cursor().remaining(), 0);
-    }
-
-    #[test]
-    fn single_query_requests_collect_embeddings() {
-        let engine = fixture(true);
-        let id = engine.2.queries()[0].id();
-        let response = run(&engine, QueryRequest::query(id).collect_matches(true));
-        assert_eq!(response.metrics.queries_executed, 1);
-        let found = response.metrics.matches_found;
-        assert!(found > 0);
-        let cursor = response.into_cursor();
-        assert_eq!(cursor.remaining(), found);
-        assert_eq!(cursor.len(), found);
-        assert_eq!(cursor.count(), found);
-    }
-
-    #[test]
-    fn unknown_query_ids_execute_nothing() {
-        let engine = fixture(true);
-        let response = run(
-            &engine,
-            QueryRequest::query(QueryId::new(404)).collect_matches(true),
-        );
-        assert_eq!(response.metrics, ExecutionMetrics::default());
-        let cursor = response.into_cursor();
-        assert_eq!(cursor.remaining(), 0);
-    }
-
-    #[test]
-    fn request_overrides_mode_and_limit() {
-        let engine = fixture(true);
-        let id = engine.2.queries()[0].id();
-        let full = run(&engine, QueryRequest::query(id));
-        let limited = run(&engine, QueryRequest::query(id).with_match_limit(1));
-        assert_eq!(limited.metrics.matches_found, 1);
-        assert!(limited.matches_limited());
-        assert!(limited.metrics.total_traversals < full.metrics.total_traversals);
-        let rooted = run(
-            &engine,
-            QueryRequest::query(id)
-                .with_mode(QueryMode::Rooted { seed_count: 1 })
-                .with_seed(5),
-        );
-        assert!(rooted.metrics.total_traversals <= full.metrics.total_traversals);
-        // Budgets flag the run.
-        let budgeted = run(&engine, QueryRequest::query(id).with_traversal_budget(1));
-        assert!(budgeted.matches_limited());
-    }
-
-    #[test]
-    fn plan_cache_is_exposed_and_reused() {
-        let engine = fixture(true);
-        let cache = engine.0.plan_cache().expect("cache wired in").clone();
-        let hits_before = cache.hits();
-        run(&engine, QueryRequest::workload(10).with_seed(1));
-        // One resolution per *distinct* sampled query per run, not per
-        // sample — the amortized contract every engine shares.
-        let first_run = cache.hits() - hits_before;
-        assert!(first_run >= 1 && first_run <= engine.2.len());
-        run(&engine, QueryRequest::workload(10).with_seed(1));
-        assert_eq!(cache.hits(), hits_before + 2 * first_run, "deterministic");
-    }
 }

@@ -1,19 +1,13 @@
-//! Distributed query execution simulation.
+//! What one query execution is asked to do and what it measured.
 //!
-//! [`QueryExecutor`] answers pattern matching queries against a
-//! [`PartitionedStore`] with the shared instrumented backtracking search in
-//! [`crate::matcher`] (the same code path the concurrent `loom-serve` worker
-//! shards execute): every expansion from a matched vertex to a candidate
-//! neighbour either stays on the local partition or requires a hop to a
-//! remote partition. The remote fraction is exactly the "probability of
-//! inter-partition traversals" the paper optimises.
+//! [`QueryMode`] says how an execution is seeded; [`ExecutionMetrics`]
+//! aggregates what the instrumented matcher ([`crate::matcher`]) counted:
+//! every expansion from a matched vertex to a candidate neighbour either
+//! stays on the local partition or requires a hop to a remote partition.
+//! The remote fraction is exactly the "probability of inter-partition
+//! traversals" the paper optimises. Every engine reports in these terms.
 
-use crate::matcher::{self, ExecOptions};
-use crate::plan::{PlanCache, PlanId, QueryPlan};
-use crate::store::PartitionedStore;
-use loom_motif::query::PatternQuery;
-use loom_motif::workload::Workload;
-use std::sync::Arc;
+use crate::plan::PlanId;
 
 /// How query executions are seeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,142 +99,54 @@ impl ExecutionMetrics {
     }
 }
 
-/// The instrumented query executor.
-#[derive(Debug, Clone)]
-pub struct QueryExecutor {
-    /// Cap on embeddings enumerated per execution; keeps dense pathological
-    /// cases from dominating run time without changing the traversal ratio
-    /// materially.
-    max_matches_per_query: usize,
-    /// How executions are seeded.
-    mode: QueryMode,
-    /// Compiled plans shared with the router and the serving workers. When
-    /// absent, every execution compiles a legacy plan on the spot (the
-    /// pre-redesign behaviour, bit-identical metrics).
-    plans: Option<Arc<PlanCache>>,
-}
-
-impl Default for QueryExecutor {
-    fn default() -> Self {
-        Self {
-            max_matches_per_query: 10_000,
-            mode: QueryMode::FullEnumeration,
-            plans: None,
-        }
-    }
-}
-
-impl QueryExecutor {
-    /// Builder-style cap on enumerated embeddings per execution.
-    #[must_use]
-    pub fn with_match_limit(mut self, limit: usize) -> Self {
-        self.max_matches_per_query = limit.max(1);
-        self
-    }
-
-    /// Builder-style execution mode (full enumeration or rooted).
-    #[must_use]
-    pub fn with_mode(mut self, mode: QueryMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Builder-style plan cache: executions of workload queries reuse the
-    /// compiled plans (shared with the router and serving workers) instead
-    /// of re-deriving a matching order per call.
-    #[must_use]
-    pub fn with_plan_cache(mut self, plans: Arc<PlanCache>) -> Self {
-        self.plans = Some(plans);
-        self
-    }
-
-    /// The execution mode in use.
-    pub fn mode(&self) -> QueryMode {
-        self.mode
-    }
-
-    /// The cap on embeddings enumerated per execution.
-    pub fn match_limit(&self) -> usize {
-        self.max_matches_per_query
-    }
-
-    /// The shared plan cache, if one is wired in.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plans.as_ref()
-    }
-
-    /// The compiled plan for a query: the cached instance when the cache
-    /// holds a structurally matching one, otherwise a legacy plan compiled
-    /// on the spot (see [`crate::plan::resolve_plan`]).
-    pub(crate) fn plan_for(&self, query: &PatternQuery) -> Arc<QueryPlan> {
-        crate::plan::resolve_plan(self.plans.as_ref(), query)
-    }
-
-    /// The execution options one seeded execution runs under.
-    pub(crate) fn exec_options(&self, root_seed: u64) -> ExecOptions {
-        ExecOptions {
-            mode: self.mode,
-            match_limit: self.max_matches_per_query,
-            root_seed,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Execute a single query and return its metrics. In rooted mode the
-    /// roots are drawn deterministically from `root_seed`.
-    pub fn execute_seeded(
-        &self,
-        store: &PartitionedStore,
-        query: &PatternQuery,
-        root_seed: u64,
-    ) -> ExecutionMetrics {
-        if query.graph().is_empty() {
-            return ExecutionMetrics {
-                queries_executed: 1,
-                local_only_queries: 1,
-                ..ExecutionMetrics::default()
-            };
-        }
-        let plan = self.plan_for(query);
-        matcher::execute_plan(store, &plan, &self.exec_options(root_seed)).metrics
-    }
-
-    /// Execute a single query with the default root seed. In
-    /// [`QueryMode::FullEnumeration`] (the default) the seed is irrelevant.
-    pub fn execute(&self, store: &PartitionedStore, query: &PatternQuery) -> ExecutionMetrics {
-        self.execute_seeded(store, query, 0)
-    }
-
-    /// Execute `samples` queries drawn from the workload according to its
-    /// frequencies (deterministic for a given seed) and return the aggregate
-    /// metrics. In rooted mode each sample is anchored at fresh random
-    /// roots. Delegates to the unified engine path
-    /// ([`crate::engine::run_sequential`]), so each distinct sampled query's
-    /// plan is resolved once per call, not once per sample.
-    pub fn execute_workload(
-        &self,
-        store: &PartitionedStore,
-        workload: &Workload,
-        samples: usize,
-        seed: u64,
-    ) -> ExecutionMetrics {
-        let request = crate::engine::QueryRequest::workload(samples).with_seed(seed);
-        let ctx = crate::context::RequestContext::unbounded();
-        crate::engine::run_sequential(self, store, workload, request, &ctx).metrics
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{request_schedule, QueryRequest};
+    use crate::matcher::{execute_plan, ExecOptions};
+    use crate::plan::QueryPlan;
+    use crate::store::PartitionedStore;
     use loom_graph::generators::regular::path_graph;
     use loom_graph::{Label, LabelledGraph, VertexId};
     use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
     use loom_motif::query::{PatternQuery, QueryId};
+    use loom_motif::workload::Workload;
     use loom_partition::partition::{PartitionId, Partitioning};
 
     fn l(x: u32) -> Label {
         Label::new(x)
+    }
+
+    const ROOTED: QueryMode = QueryMode::Rooted { seed_count: 1 };
+
+    /// One execution of `query` under `opts`, through its legacy plan.
+    fn execute(
+        store: &PartitionedStore,
+        query: &PatternQuery,
+        opts: ExecOptions,
+    ) -> ExecutionMetrics {
+        execute_plan(store, &QueryPlan::legacy(query), &opts).metrics
+    }
+
+    /// `samples` executions drawn from `workload` by the schedule every
+    /// engine shares, each under `mode` with its scheduled root seed.
+    fn execute_workload(
+        store: &PartitionedStore,
+        workload: &Workload,
+        (samples, seed): (usize, u64),
+        mode: QueryMode,
+    ) -> ExecutionMetrics {
+        let request = QueryRequest::workload(samples).with_seed(seed);
+        let mut metrics = ExecutionMetrics::default();
+        for (index, root_seed) in request_schedule(workload, &request) {
+            let opts = ExecOptions {
+                mode,
+                root_seed,
+                ..ExecOptions::default()
+            };
+            metrics.merge(&execute(store, &workload.queries()[index], opts));
+        }
+        metrics
     }
 
     /// A store over the paper's Figure 1 graph with a given partition map
@@ -258,9 +164,8 @@ mod tests {
     fn single_partition_execution_has_no_remote_traversals() {
         let store = fig1_store(&(1..=8).map(|v| (v, 0)).collect::<Vec<_>>());
         let workload = paper_example_workload();
-        let executor = QueryExecutor::default();
         for (query, _) in workload.iter() {
-            let metrics = executor.execute(&store, query);
+            let metrics = execute(&store, query, ExecOptions::default());
             assert!(metrics.matches_found > 0, "query {} unmatched", query.id());
             assert_eq!(metrics.remote_traversals, 0);
             assert_eq!(metrics.local_only_queries, 1);
@@ -284,8 +189,7 @@ mod tests {
         let store = fig1_store(&assignment);
         let workload = paper_example_workload();
         let q1 = workload.query(QueryId::new(1)).unwrap();
-        let executor = QueryExecutor::default();
-        let metrics = executor.execute(&store, q1);
+        let metrics = execute(&store, q1, ExecOptions::default());
         assert!(metrics.matches_found > 0);
         assert!(metrics.remote_traversals > 0);
         assert!(metrics.inter_partition_probability() > 0.0);
@@ -306,9 +210,10 @@ mod tests {
         ]);
         let scattered = fig1_store(&(1..=8).map(|v| (v, (v % 2) as u32)).collect::<Vec<_>>());
         let workload = paper_example_workload();
-        let executor = QueryExecutor::default();
-        let aligned_metrics = executor.execute_workload(&aligned, &workload, 60, 7);
-        let scattered_metrics = executor.execute_workload(&scattered, &workload, 60, 7);
+        let aligned_metrics =
+            execute_workload(&aligned, &workload, (60, 7), QueryMode::FullEnumeration);
+        let scattered_metrics =
+            execute_workload(&scattered, &workload, (60, 7), QueryMode::FullEnumeration);
         assert!(
             aligned_metrics.inter_partition_probability()
                 < scattered_metrics.inter_partition_probability()
@@ -323,9 +228,8 @@ mod tests {
     fn workload_execution_is_deterministic_per_seed() {
         let store = fig1_store(&(1..=8).map(|v| (v, (v % 2) as u32)).collect::<Vec<_>>());
         let workload = paper_example_workload();
-        let executor = QueryExecutor::default();
-        let a = executor.execute_workload(&store, &workload, 40, 3);
-        let b = executor.execute_workload(&store, &workload, 40, 3);
+        let a = execute_workload(&store, &workload, (40, 3), QueryMode::FullEnumeration);
+        let b = execute_workload(&store, &workload, (40, 3), QueryMode::FullEnumeration);
         assert_eq!(a, b);
         assert_eq!(a.queries_executed, 40);
     }
@@ -346,9 +250,11 @@ mod tests {
         }
         let store = PartitionedStore::new(g, part);
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
-        let metrics = QueryExecutor::default()
-            .with_match_limit(5)
-            .execute(&store, &query);
+        let opts = ExecOptions {
+            match_limit: 5,
+            ..ExecOptions::default()
+        };
+        let metrics = execute(&store, &query, opts);
         assert_eq!(metrics.matches_found, 5);
     }
 
@@ -358,17 +264,18 @@ mod tests {
         let workload = paper_example_workload();
         let q2 = workload.query(QueryId::new(2)).unwrap();
 
-        let full = QueryExecutor::default().execute(&store, q2);
-        let rooted = QueryExecutor::default()
-            .with_mode(QueryMode::Rooted { seed_count: 1 })
-            .execute_seeded(&store, q2, 5);
+        let full = execute(&store, q2, ExecOptions::default());
+        let seeded = ExecOptions {
+            mode: ROOTED,
+            root_seed: 5,
+            ..ExecOptions::default()
+        };
+        let rooted = execute(&store, q2, seeded);
         // A single-rooted execution explores no more than the full scan.
         assert!(rooted.total_traversals <= full.total_traversals);
-        assert_eq!(QueryExecutor::default().mode(), QueryMode::FullEnumeration);
+        assert_eq!(ExecOptions::default().mode, QueryMode::FullEnumeration);
         // Deterministic per root seed, different seeds may pick other roots.
-        let again = QueryExecutor::default()
-            .with_mode(QueryMode::Rooted { seed_count: 1 })
-            .execute_seeded(&store, q2, 5);
+        let again = execute(&store, q2, seeded);
         assert_eq!(rooted, again);
     }
 
@@ -388,10 +295,8 @@ mod tests {
             (8, 1),
         ]);
         let workload = paper_example_workload();
-        let rooted = QueryExecutor::default()
-            .with_mode(QueryMode::Rooted { seed_count: 1 })
-            .execute_workload(&aligned, &workload, 100, 3);
-        let full = QueryExecutor::default().execute_workload(&aligned, &workload, 100, 3);
+        let rooted = execute_workload(&aligned, &workload, (100, 3), ROOTED);
+        let full = execute_workload(&aligned, &workload, (100, 3), QueryMode::FullEnumeration);
         assert!(rooted.local_only_fraction() >= full.local_only_fraction());
         assert!(rooted.local_only_fraction() > 0.0);
     }
@@ -401,7 +306,7 @@ mod tests {
         let store = fig1_store(&(1..=8).map(|v| (v, 0)).collect::<Vec<_>>());
         // No vertex carries label 9.
         let query = PatternQuery::path(QueryId::new(9), &[l(9), l(0)]).unwrap();
-        let metrics = QueryExecutor::default().execute(&store, &query);
+        let metrics = execute(&store, &query, ExecOptions::default());
         assert_eq!(metrics.matches_found, 0);
         assert_eq!(metrics.total_traversals, 0);
     }
@@ -436,7 +341,6 @@ mod tests {
 
     #[test]
     fn merge_tracks_limit_flags_and_plan_provenance() {
-        use crate::plan::PlanId;
         let run = |plan: Option<PlanId>, limited: bool| ExecutionMetrics {
             queries_executed: 1,
             plan,
@@ -472,7 +376,7 @@ mod tests {
         part.assign(vs[2], PartitionId::new(1)).unwrap();
         let store = PartitionedStore::new(g, part);
         let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap();
-        let metrics = QueryExecutor::default().execute(&store, &query);
+        let metrics = execute(&store, &query, ExecOptions::default());
         assert_eq!(metrics.matches_found, 1);
         assert!(metrics.total_traversals >= 2);
         assert!(metrics.remote_traversals >= 1);

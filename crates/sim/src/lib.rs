@@ -18,8 +18,8 @@
 //! * [`plan`] — compile-once query planning: the [`plan::QueryPlanner`]
 //!   cost-ranks candidate matching orders against graph statistics and the
 //!   [`plan::PlanCache`] shares the compiled [`plan::QueryPlan`]s (one per
-//!   workload query) with the router, the sequential executor and every
-//!   serving worker;
+//!   workload query) with the router, the sequential reference run and
+//!   every serving worker;
 //! * [`matcher`] — the one instrumented backtracking sub-graph matcher,
 //!   driven by compiled plans ([`matcher::execute_plan`]) and written
 //!   against the handle-keyed [`matcher::PatternStore`] interface: a store
@@ -28,18 +28,17 @@
 //!   roots come out of the label index as handles, every neighbour is
 //!   metered from its arc ([`matcher::TaggedArc`]) and the whole search
 //!   runs in handle space — the same kernel, monomorphised per store, behind
-//!   the sequential executor and every concurrent worker;
-//! * [`executor`] — the sequential executor's settings (mode, match limit,
-//!   plan cache) and its reference entry points over a
-//!   [`store::PartitionedStore`], counting every traversal it performs and
-//!   whether the traversal stayed on the local partition or had to hop to a
-//!   remote one (with a configurable latency model);
+//!   the sequential reference run and every concurrent worker;
+//! * [`executor`] — how an execution is seeded ([`executor::QueryMode`]) and
+//!   what it measured ([`executor::ExecutionMetrics`]): every traversal
+//!   performed, and whether it stayed on the local partition or had to hop
+//!   to a remote one;
 //! * [`engine`] — the unified [`engine::QueryEngine`] API:
 //!   [`engine::QueryRequest`] / [`engine::QueryResponse`] with a pull-based
-//!   [`engine::MatchCursor`] over concrete embeddings, with the one
-//!   sequential path ([`engine::run_sequential`], generic over
-//!   [`matcher::PatternStore`]) here and the concurrent engines in the
-//!   `loom-serve` / `loom-adapt` layers;
+//!   [`engine::MatchCursor`] over concrete embeddings, and the schedule and
+//!   plans every engine shares; the one engine value that runs them —
+//!   sequentially over any [`matcher::PatternStore`] or sharded — is
+//!   `loom-serve`'s `ServeEngine`;
 //! * [`context`] — per-request deadlines and cooperative cancellation
 //!   ([`context::RequestContext`] / [`context::CancelToken`]), threaded from
 //!   every engine into the matcher's traversal-budget check so an expired
@@ -66,7 +65,7 @@ pub use churn::{ChurnRun, DeletionChurnScenario};
 pub use context::{CancelToken, RequestContext};
 pub use drift::DriftScenario;
 pub use engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse};
-pub use executor::{ExecutionMetrics, QueryExecutor, QueryMode};
+pub use executor::{ExecutionMetrics, QueryMode};
 pub use matcher::{Embedding, PatternStore};
 pub use plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlan, QueryPlanner};
 pub use store::PartitionedStore;
@@ -77,7 +76,7 @@ pub mod prelude {
     pub use crate::context::{CancelToken, RequestContext};
     pub use crate::drift::DriftScenario;
     pub use crate::engine::{MatchCursor, QueryEngine, QueryRequest, QueryResponse};
-    pub use crate::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
+    pub use crate::executor::{ExecutionMetrics, QueryMode};
     pub use crate::matcher::{Embedding, PatternStore};
     pub use crate::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlan, QueryPlanner};
     pub use crate::store::PartitionedStore;

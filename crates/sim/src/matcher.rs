@@ -1,8 +1,7 @@
 //! The reusable, instrumented backtracking pattern matcher.
 //!
-//! Both the sequential [`crate::executor::QueryExecutor`] and the concurrent
-//! `loom-serve` worker shards execute rooted pattern queries with exactly the
-//! same search; this module is that search, written once against the
+//! The sequential reference run and the concurrent `loom-serve` worker
+//! shards execute rooted pattern queries with exactly the same search; this module is that search, written once against the
 //! [`PatternStore`] abstraction and monomorphised per store.
 //!
 //! The search runs in the store's own **handle space**. A store names its
@@ -275,7 +274,7 @@ impl<H> Default for MatchScratch<H> {
 
 /// Execute a pre-compiled plan against a store.
 ///
-/// This is the single code path behind the sequential executor, the
+/// This is the single code path behind the sequential reference run, the
 /// concurrent serving engine and adaptive serving: root selection per
 /// [`plan_roots`], then an instrumented backtracking search from each root
 /// driven entirely by the plan's pre-compiled binding edges, with

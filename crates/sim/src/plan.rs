@@ -19,8 +19,8 @@
 //!   per-position labels/degrees, binding edges), so executing a plan does
 //!   **zero** ordering work;
 //! * [`PlanCache`] — the per-workload table of compiled plans, keyed by
-//!   [`QueryId`] and shared via `Arc` by the router, the sequential
-//!   executor and every serving worker, with hit/miss counters that make
+//!   [`QueryId`] and shared via `Arc` by the router, the sequential run
+//!   and every serving worker, with hit/miss counters that make
 //!   the reuse observable.
 
 use crate::matcher::matching_order;

@@ -58,8 +58,8 @@ use loom_serve::engine::{ServeConfig, ServeEngine};
 use loom_serve::metrics::ServeReport;
 use loom_serve::shard::{ArenaView, ShardedStore};
 use loom_sim::context::RequestContext;
-use loom_sim::engine::{run_sequential, QueryEngine, QueryRequest, QueryResponse};
-use loom_sim::executor::{ExecutionMetrics, QueryExecutor, QueryMode};
+use loom_sim::engine::{QueryEngine, QueryRequest, QueryResponse};
+use loom_sim::executor::{ExecutionMetrics, QueryMode};
 use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
 use loom_store::checkpoint::CHECKPOINT_DIR;
 use loom_store::recovery::{Beside, RecoverSpans, RecoveryReport};
@@ -168,7 +168,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Query execution mode for the serving-side executor.
+    /// Query execution mode for every serving engine of the session.
     #[must_use]
     pub fn query_mode(mut self, mode: QueryMode) -> Self {
         self.query_mode = mode;
@@ -606,8 +606,8 @@ impl Session {
     /// Finish partitioning and hand off to the serving layer: every workload
     /// query is compiled **once** into a plan against the graph's statistics
     /// (the compile-once step every engine below reuses), and `graph` and the
-    /// final partitioning move into a [`Serving`] with a [`QueryExecutor`]
-    /// configured from the session. No store is built here: the arena is
+    /// final partitioning move into a [`Serving`] whose one [`ServeEngine`]
+    /// is configured from the session. No store is built here: the arena is
     /// frozen on the handle's first query or [`Serving::sharded`].
     ///
     /// # Errors
@@ -629,11 +629,11 @@ impl Session {
         })
     }
 
-    /// The one place a [`Serving`] is wired (live and recovered alike): the
-    /// session's executor settings (query mode, match limit) over `plans`,
-    /// which every engine the handle stands up is configured from. `store`
-    /// is empty until first use, or seeded with an arena that already holds
-    /// `graph` under `partitioning`.
+    /// The one place a [`Serving`] is wired (live and recovered alike): one
+    /// [`ServeEngine`] carrying the session's query mode, match limit and
+    /// telemetry over `plans`, which every engine the handle stands up
+    /// clones. `store` is empty until first use, or seeded with an arena
+    /// that already holds `graph` under `partitioning`.
     fn serving_over(
         &self,
         graph: LabelledGraph,
@@ -641,20 +641,23 @@ impl Session {
         plans: Option<Arc<PlanCache>>,
         store: OnceLock<Arc<ShardedStore>>,
     ) -> Serving {
-        let mut executor = QueryExecutor::default().with_mode(self.query_mode);
+        let mut config = ServeConfig::new(1).with_mode(self.query_mode);
         if let Some(limit) = self.match_limit {
-            executor = executor.with_match_limit(limit);
+            config = config.with_match_limit(limit);
         }
+        let mut engine = ServeEngine::new(config);
         if let Some(plans) = plans {
-            executor = executor.with_plan_cache(plans);
+            engine = engine.with_plan_cache(plans);
+        }
+        if let Some(telemetry) = &self.telemetry {
+            engine = engine.with_telemetry(Arc::clone(telemetry));
         }
         Serving {
             graph,
             partitioning,
             store,
-            executor,
+            engine,
             workload: self.workload.clone(),
-            telemetry: self.telemetry.clone(),
         }
     }
 
@@ -832,15 +835,6 @@ fn restore_partitioner(
     Ok(())
 }
 
-/// A `workers`-shard [`ServeConfig`] inheriting `executor`'s query mode and
-/// match limit, so sharded metrics are directly comparable to (in fact,
-/// identical to) the sequential path's for the same request.
-fn serve_config(executor: &QueryExecutor, workers: usize) -> ServeConfig {
-    ServeConfig::new(workers)
-        .with_mode(executor.mode())
-        .with_match_limit(executor.match_limit())
-}
-
 /// A durable session brought back by [`Session::recover`]: the live
 /// [`Session`] (ready to keep ingesting against the reopened WAL) plus the
 /// recovered checkpoint state, pinned at its pre-crash epoch, ready to
@@ -925,8 +919,10 @@ impl Recovered {
 }
 
 /// The serving half of a session: the graph and partitioning it finished
-/// with, the one [`ShardedStore`] every engine of this handle runs on, and an
-/// instrumented query executor sharing the session's compiled plan cache.
+/// with, the one [`ShardedStore`] every engine of this handle runs on, and the
+/// one [`ServeEngine`] — query mode, match limit, compiled plan cache and
+/// telemetry — that its sequential runs use and its sharded and adaptive
+/// engines clone.
 /// The store is frozen from the graph on first use — by [`Serving::run`],
 /// [`Serving::sharded`] or [`Serving::store`] — and never again; a
 /// [`Recovered::serving`] handle starts with the recovered store in place.
@@ -937,9 +933,8 @@ pub struct Serving {
     graph: LabelledGraph,
     partitioning: Partitioning,
     store: OnceLock<Arc<ShardedStore>>,
-    executor: QueryExecutor,
+    engine: ServeEngine,
     workload: Option<Workload>,
-    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl Serving {
@@ -967,21 +962,14 @@ impl Serving {
 
     /// Stand up the concurrent serving engine with `workers` worker shards
     /// over [`Serving::store`] — the same `Arc` for every call. The engine
-    /// inherits the session's query mode, match limit **and compiled plan
-    /// cache**, so its aggregate metrics are directly comparable to (in fact,
-    /// identical to) the sequential [`Serving::run`] path for the same
-    /// request.
+    /// is this handle's own with the worker count set: the session's query
+    /// mode, match limit **and compiled plan cache**, so its aggregate
+    /// metrics are directly comparable to (in fact, identical to) the
+    /// sequential [`Serving::run`] path for the same request.
     pub fn sharded(&self, workers: usize) -> ShardedServing {
-        let mut engine = ServeEngine::new(serve_config(&self.executor, workers));
-        if let Some(plans) = self.executor.plan_cache() {
-            engine = engine.with_plan_cache(Arc::clone(plans));
-        }
-        if let Some(telemetry) = &self.telemetry {
-            engine = engine.with_telemetry(Arc::clone(telemetry));
-        }
         ShardedServing {
             store: Arc::clone(self.store()),
-            engine,
+            engine: self.engine.clone().with_workers(workers),
             workload: self.workload.clone(),
         }
     }
@@ -997,7 +985,7 @@ impl Serving {
     /// The adaptive engine is not durable: it takes its own copy of the
     /// graph and the partitioning, its `apply_mutations` ignores
     /// `AddVertex` / `AddEdge`, and none of its tombstones, compactions or
-    /// `adapt_now` migrations reaches the session's WAL — a crash recovers
+    /// drift migrations reaches the session's WAL — a crash recovers
     /// the placement from before every migration (ROADMAP item 15(c)).
     ///
     /// # Errors
@@ -1008,26 +996,19 @@ impl Serving {
         let Some(workload) = &self.workload else {
             return Err(SessionError::MissingWorkload("adaptive serving"));
         };
-        let mut adaptive = AdaptiveServing::new(
+        Ok(AdaptiveServing::new(
             self.graph.clone(),
             self.partitioning.clone(),
             workload.clone(),
-            serve_config(&self.executor, workers),
+            self.engine.clone().with_workers(workers),
             config,
-        );
-        if let Some(plans) = self.executor.plan_cache() {
-            adaptive = adaptive.with_plan_cache(Arc::clone(plans));
-        }
-        if let Some(telemetry) = &self.telemetry {
-            adaptive = adaptive.with_telemetry(Arc::clone(telemetry));
-        }
-        Ok(adaptive)
+        ))
     }
 }
 
 /// The sequential face of the unified engine API: requests run on the
-/// calling thread through the session's [`QueryExecutor`] over
-/// [`Serving::store`] and the shared compiled plan cache. The
+/// calling thread through [`ServeEngine::run_sequential`] of the handle's
+/// engine over [`Serving::store`] and the shared compiled plan cache. The
 /// [`RequestContext`]'s deadline and cancellation token are observed by
 /// every scheduled execution.
 ///
@@ -1036,19 +1017,16 @@ impl Serving {
 impl QueryEngine for Serving {
     fn run_ctx(&self, request: QueryRequest, ctx: &RequestContext) -> QueryResponse {
         match &self.workload {
-            Some(workload) => run_sequential(
-                &self.executor,
-                self.store().as_ref(),
-                workload,
-                request,
-                ctx,
-            ),
+            Some(workload) => {
+                self.engine
+                    .run_sequential(self.store().as_ref(), workload, request, ctx)
+            }
             None => QueryResponse::from_engine(ExecutionMetrics::default(), Vec::new()),
         }
     }
 
     fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.executor.plan_cache()
+        self.engine.plan_cache()
     }
 }
 

@@ -22,8 +22,8 @@ fn scenario() -> DriftScenario {
     DriftScenario::small(17)
 }
 
-fn serve_config() -> ServeConfig {
-    ServeConfig::new(K as usize).with_mode(QueryMode::Rooted { seed_count: 3 })
+fn engine() -> ServeEngine {
+    ServeEngine::new(ServeConfig::new(K as usize).with_mode(QueryMode::Rooted { seed_count: 3 }))
 }
 
 fn adapt_config(vertices: usize) -> AdaptConfig {
@@ -51,7 +51,7 @@ fn mine(graph: &LabelledGraph, stream: &GraphStream, workload: &Workload) -> Par
 /// Serve one measurement batch against a fixed placement.
 fn measure(graph: &LabelledGraph, partitioning: &Partitioning, workload: &Workload) -> ServeReport {
     let store = Arc::new(ShardedStore::from_parts(graph, partitioning));
-    ServeEngine::new(serve_config())
+    engine()
         .run(
             &store,
             workload,
@@ -73,7 +73,7 @@ fn adapt_through_phase_change(
         graph.clone(),
         phase_a_partitioning,
         phase_a.clone(),
-        serve_config(),
+        engine(),
         adapt_config(graph.vertex_count()),
     );
     // A couple of in-distribution batches first: no adaptation may fire.
@@ -115,7 +115,7 @@ fn migrated_store_matches_a_from_scratch_rebuild() {
     // identically to ShardedStore::from_parts at the same placement.
     let migrated = adaptive.epochs().load();
     let rebuilt = Arc::new(ShardedStore::from_parts(&graph, adaptive.partitioning()));
-    let engine = ServeEngine::new(serve_config());
+    let engine = engine();
     for (samples, seed) in [(200usize, 3u64), (SAMPLES, MEASURE_SEED)] {
         let a = engine
             .run(

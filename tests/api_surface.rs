@@ -450,10 +450,16 @@ fn rooted_and_full_query_modes_are_both_available() {
             .unwrap();
     }
     let store = PartitionedStore::new(graph, partitioning);
-    let full = QueryExecutor::default().execute_workload(&store, &workload, 50, 1);
-    let rooted = QueryExecutor::default()
-        .with_mode(QueryMode::Rooted { seed_count: 1 })
-        .execute_workload(&store, &workload, 50, 1);
+    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(QueryMode::FullEnumeration));
+    let request = QueryRequest::workload(50).with_seed(1);
+    let ctx = RequestContext::unbounded();
+    let run = |request| {
+        engine
+            .run_sequential(&store, &workload, request, &ctx)
+            .metrics
+    };
+    let full = run(request);
+    let rooted = run(request.with_mode(QueryMode::Rooted { seed_count: 1 }));
     assert!(rooted.total_traversals <= full.total_traversals);
     assert_eq!(full.queries_executed, rooted.queries_executed);
 }
@@ -487,7 +493,7 @@ fn shard_transport_messages_are_wire_shaped_and_object_safe() {
 /// public signature that outside code uses exposes them. `(crate, name)`, the
 /// crate by its directory under `crates/`; each entry names the signature.
 const PUBLIC_THROUGH_A_SIGNATURE: &[(&str, &str)] = &[
-    ("adapt", "AdaptOutcome"),    // AdaptiveServing::serve / adapt_now
+    ("adapt", "AdaptOutcome"),    // AdaptiveServing::serve
     ("adapt", "CompactOutcome"),  // AdaptiveServing::compact_now
     ("adapt", "MutationOutcome"), // AdaptiveServing::apply_mutations
     ("adapt", "WorkloadTracker"), // AdaptiveServing::tracker
@@ -519,6 +525,7 @@ const PUBLIC_THROUGH_A_SIGNATURE: &[(&str, &str)] = &[
     ("partition", "EvictedVertex"),  // StreamWindow::{evict_oldest, remove}
     ("serve", "CompactedStore"),     // ShardedStore::compact
     ("serve", "MigratedStore"),      // ShardedStore::apply_migration
+    ("serve", "Shard"),              // ShardedStore::{shards, shard}
     ("serve", "MutatedStore"),       // ShardedStore::apply_mutations
     ("serve", "InProcEndpoint"),     // InProcTransport::pair
     ("serve", "RecvError"),          // ShardTransport::{recv, recv_all}
@@ -526,6 +533,7 @@ const PUBLIC_THROUGH_A_SIGNATURE: &[(&str, &str)] = &[
     ("serve", "TransportStats"),     // ShardTransport::stats
     ("sim", "PlanExecution"), // matcher::{execute_plan, execute_plan_ctx, execute_plan_with_roots}
     ("sim", "PlanId"),        // QueryPlan::id, ExecutionMetrics::plan
+    ("sim", "MatchCursor"),   // QueryResponse::{into_cursor, into_parts}
     ("sim", "QueryTarget"),   // QueryRequest::target (struct-update syntax needs it)
     ("store", "CheckpointMeta"), // write_checkpoint, commit_checkpoint, latest_checkpoint
     ("store", "LoadedCheckpoint"), // load_checkpoint
@@ -549,11 +557,126 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The identifier tokens of a file, comments and string literals included:
-/// a name in another crate's doc link or in a test's message is a use.
+/// The identifier tokens of `text`.
 fn identifiers(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| c != '_' && !c.is_ascii_alphanumeric())
         .filter(|w| w.starts_with(|c: char| c == '_' || c.is_ascii_alphabetic()))
+}
+
+/// The names a file uses: the identifiers of its code, of the Rust code
+/// blocks in its docs and of its intra-doc link targets. Comment prose and
+/// string literals are dropped, so an English word or a test's message
+/// keeps nothing public.
+fn used_names(text: &str) -> Vec<String> {
+    let mut code = String::with_capacity(text.len());
+    let mut names = Vec::new();
+    // Inside a doc code block: whether it is Rust, and its lines so far.
+    let mut block: Option<(bool, String)> = None;
+    let mut prev = ' ';
+    let mut rest = text;
+    while let Some(c) = rest.chars().next() {
+        if rest.starts_with("//") {
+            let end = rest.find('\n').unwrap_or(rest.len());
+            let line = &rest[..end];
+            if let Some(doc) = line.strip_prefix("///").or(line.strip_prefix("//!")) {
+                if let Some(info) = doc.trim_start().strip_prefix("```") {
+                    block = match block.take() {
+                        Some((true, doctest)) => {
+                            names.extend(used_names(&doctest));
+                            None
+                        }
+                        Some((false, _)) => None,
+                        None => Some((rust_block(info), String::new())),
+                    };
+                } else if let Some((_, doctest)) = block.as_mut() {
+                    doctest.push_str(doc);
+                    doctest.push('\n');
+                } else {
+                    link_targets(doc, &mut code);
+                }
+            }
+            rest = &rest[end..];
+        } else if let Some(len) = literal_len(rest, prev) {
+            code.push(' ');
+            rest = &rest[len..];
+        } else {
+            code.push(c);
+            rest = &rest[c.len_utf8()..];
+        }
+        prev = c;
+    }
+    names.extend(identifiers(&code).map(str::to_string));
+    names
+}
+
+/// Whether a doc code block with this info string is Rust (and compiles).
+fn rust_block(info: &str) -> bool {
+    info.trim().split(',').all(|attr| {
+        matches!(
+            attr.trim(),
+            "" | "rust" | "no_run" | "ignore" | "should_panic" | "compile_fail"
+        )
+    })
+}
+
+/// The byte length of the string or character literal `text` starts with,
+/// if it starts with one (`prev` tells a raw string from a name ending in
+/// `r`, and a character from a lifetime).
+fn literal_len(text: &str, prev: char) -> Option<usize> {
+    let raw = text.strip_prefix("br").or(text.strip_prefix('r'));
+    if let Some(after) = raw.filter(|_| prev != '_' && !prev.is_ascii_alphanumeric()) {
+        let hashes = after.len() - after.trim_start_matches('#').len();
+        if after[hashes..].starts_with('"') {
+            let open = text.len() - after.len() + hashes + 1;
+            let close = format!("\"{}", "#".repeat(hashes));
+            return text[open..].find(&close).map(|at| open + at + close.len());
+        }
+    }
+    if let Some(body) = text.strip_prefix('"') {
+        let mut escaped = false;
+        for (at, c) in body.char_indices() {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => return Some(at + 2),
+                _ => {}
+            }
+        }
+        return Some(text.len());
+    }
+    let body = text.strip_prefix('\'')?;
+    if body.starts_with('\\') {
+        return body[2..].find('\'').map(|at| at + 4);
+    }
+    let c = body.chars().next()?;
+    body[c.len_utf8()..]
+        .starts_with('\'')
+        .then(|| c.len_utf8() + 2)
+}
+
+/// Push the targets of a doc line's intra-doc links onto `code`: the path
+/// of `[`Name`]`, `[text](path)`, `[text][path]` and `[text]: path`.
+fn link_targets(doc: &str, code: &mut String) {
+    let mut rest = doc;
+    while let Some(open) = rest.find('[') {
+        rest = &rest[open + 1..];
+        let Some(close) = rest.find(']') else {
+            break;
+        };
+        let (label, tail) = (&rest[..close], &rest[close + 1..]);
+        let target = match tail.chars().next() {
+            Some('(') => tail[1..].find(')').map(|end| &tail[1..end + 1]),
+            Some('[') => tail[1..].find(']').map(|end| &tail[1..end + 1]),
+            Some(':') => Some(tail[1..].trim()),
+            _ => Some(label),
+        };
+        if let Some(target) = target.map(|t| t.trim_matches('`')) {
+            if !target.contains(char::is_whitespace) && !target.contains("://") {
+                code.push_str(target);
+                code.push(' ');
+            }
+        }
+    }
 }
 
 /// The `pub` items (fn, struct, enum, const, trait, type, static) a file
@@ -615,7 +738,7 @@ fn every_public_item_is_named_outside_its_crate() {
         let mut used = HashSet::new();
         for file in rust_files(&dir.join("src")) {
             let text = std::fs::read_to_string(&file).expect("readable source");
-            used.extend(identifiers(&text).map(str::to_string));
+            used.extend(used_names(&text));
             let shown = file
                 .strip_prefix(root)
                 .unwrap_or(&file)
@@ -631,14 +754,8 @@ fn every_public_item_is_named_outside_its_crate() {
     for dir in ["src", "tests", "examples", "benchmark/src"] {
         for file in rust_files(&root.join(dir)) {
             let text = std::fs::read_to_string(&file).expect("readable source");
-            // The allow-list names what it lists; that is no use.
-            let text = match text.split_once("const PUBLIC_THROUGH_A_SIGNATURE") {
-                Some((head, tail)) => {
-                    head.to_string() + tail.split_once("\n];").map_or("", |t| t.1)
-                }
-                None => text,
-            };
-            outside.extend(identifiers(&text).map(str::to_string));
+            // The allow-list names what it lists only in strings: no use.
+            outside.extend(used_names(&text));
         }
     }
 

@@ -235,15 +235,10 @@ fn kill_mid_ingest_recover_and_serve_identically() {
         &motif_workload(),
         &stats,
     ));
-    // Mirror the engine configuration `Recovered::sharded` derives from the
-    // session's (default-configured) executor.
-    let executor = QueryExecutor::default();
-    let control_engine = ServeEngine::new(
-        ServeConfig::new(2)
-            .with_mode(executor.mode())
-            .with_match_limit(executor.match_limit()),
-    )
-    .with_plan_cache(plans);
+    // Mirror the engine `Recovered::sharded` clones from the session's
+    // (default-configured) one.
+    let control_engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::default()))
+        .with_plan_cache(plans);
     let control_report = control_engine
         .run(
             &Arc::new(control_store),
@@ -406,13 +401,8 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
         &workload,
         &stats,
     ));
-    let executor = QueryExecutor::default();
-    let control_engine = ServeEngine::new(
-        ServeConfig::new(2)
-            .with_mode(executor.mode())
-            .with_match_limit(executor.match_limit()),
-    )
-    .with_plan_cache(plans);
+    let control_engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::default()))
+        .with_plan_cache(plans);
     let control_report = control_engine
         .run(
             &Arc::new(control_store),
@@ -2255,18 +2245,14 @@ fn a_hub_freezes_checkpoints_and_recovers_without_walking_its_list_per_arc() {
 
     let square = PatternQuery::cycle(QueryId::new(0), &[l(0), l(1), l(0), l(1)]).unwrap();
     let workload = Workload::new(vec![(square, 1.0)]).unwrap();
-    let executor = QueryExecutor::default();
-    let sequential =
-        executor.execute_workload(&PartitionedStore::new(graph, partitioning), &workload, 2, 3);
-    let engine = ServeEngine::new(
-        ServeConfig::new(2)
-            .with_mode(executor.mode())
-            .with_match_limit(executor.match_limit()),
-    );
+    let engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::FullEnumeration));
     let request = QueryRequest::workload(2).with_seed(3);
-    let sharded = engine
-        .run(&recovered, &workload, request, &RequestContext::unbounded())
-        .0;
+    let ctx = RequestContext::unbounded();
+    let reference = PartitionedStore::new(graph, partitioning);
+    let sequential = engine
+        .run_sequential(&reference, &workload, request, &ctx)
+        .metrics;
+    let sharded = engine.run(&recovered, &workload, request, &ctx).0;
     assert_eq!(sharded.aggregate, sequential);
     assert!(sequential.matches_found > 0);
 }

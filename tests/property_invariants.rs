@@ -11,7 +11,8 @@ use loom::loom_store::CheckpointImage;
 use loom::prelude::*;
 use loom_graph::{VertexId, VertexIndex};
 use loom_motif::canonical::canonical_code;
-use loom_motif::isomorphism::are_isomorphic;
+use loom_motif::isomorphism::{are_isomorphic, count_matches};
+use loom_sim::engine::request_schedule;
 use loom_sim::matcher::PatternStore;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -326,6 +327,26 @@ impl MutationScript {
         }
     }
 
+    /// Add a fresh path labelled `labels` in order: one matched instance of
+    /// the path query over the same labels.
+    fn plant_path(&mut self, labels: &[u32]) {
+        let mut previous = None;
+        for &label in labels {
+            let id = VertexId::new(self.next_id);
+            self.next_id += 1;
+            let label = Label::new(label);
+            self.graph.insert_vertex(id, label);
+            self.alive.push(id);
+            self.elements.push(StreamElement::AddVertex { id, label });
+            if let Some(source) = previous {
+                let _ = self.graph.add_edge_idempotent(source, id);
+                self.elements
+                    .push(StreamElement::AddEdge { source, target: id });
+            }
+            previous = Some(id);
+        }
+    }
+
     /// Drain the elements realised so far (the phase boundary).
     fn take_elements(&mut self) -> Vec<StreamElement> {
         std::mem::take(&mut self.elements)
@@ -402,20 +423,28 @@ proptest! {
     /// from-scratch build, (2) served from a from-scratch sharded store,
     /// (3) served from a pre-dissolve store that reached the final state
     /// through tombstoning (and from its compaction), or (4) rebuilt from a
-    /// WAL round-trip of the full mutation history. Every sharded store on
-    /// the way passes `check_arena`, and after the tombstones, after a
-    /// migration and after compaction its arc tags, label lists, shard
-    /// borders and replication factor are those of a from-scratch build of
-    /// its own parts.
+    /// WAL round-trip of the full mutation history. Every leg runs through
+    /// one full-enumeration engine, and its count is the independent VF2
+    /// count (`loom_motif::isomorphism`) on the final graph: the build
+    /// plants abc paths among its random ops, so most cases still hold
+    /// matches after the destroy phase has torn some of them down. Every
+    /// sharded store on the way passes `check_arena`, and after the
+    /// tombstones, after a migration and after compaction its arc tags,
+    /// label lists, shard borders and replication factor are those of a
+    /// from-scratch build of its own parts.
     #[test]
     fn mutation_interleavings_preserve_match_parity(
         build_ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..4), 6..40),
+        planted in 4usize..12,
         destroy_ops in proptest::collection::vec((0u8..3, 0usize..64, 0usize..64, 0u32..4), 1..16),
         seed in 0u64..1000,
     ) {
         let mut script = MutationScript::new();
         for op in build_ops {
             script.apply(op, false);
+        }
+        for _ in 0..planted {
+            script.plant_path(&[0, 1, 2]);
         }
         let build = script.take_elements();
         let pre_destroy = script.graph.clone();
@@ -447,9 +476,15 @@ proptest! {
             .max(1);
         let edges = pre_destroy.edge_count().max(1);
         let tpstry = MotifMiner::default().mine(&workload).expect("mines");
-        let executor = QueryExecutor::default();
-        let engine = ServeEngine::new(ServeConfig::new(2));
-        let samples = 8usize;
+        let engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::FullEnumeration));
+        let request = QueryRequest::workload(8).with_seed(seed);
+        let ctx = RequestContext::unbounded();
+        // The oracle: each scheduled query's VF2 embedding count on the
+        // final graph.
+        let expected: usize = request_schedule(&workload, &request)
+            .iter()
+            .map(|&(index, _)| count_matches(workload.queries()[index].graph(), &final_graph))
+            .sum();
 
         let registry = loom_core::workload_registry(&tpstry);
         let specs = [
@@ -458,7 +493,6 @@ proptest! {
             PartitionerSpec::Fennel(FennelConfig::new(2, adds, edges)),
             PartitionerSpec::Loom(LoomConfig::new(2, adds).with_window_size(4)),
         ];
-        let mut reference: Option<usize> = None;
         for spec in &specs {
             // Leg 1 (sequential, from scratch): stream the full history.
             let mut partitioner = registry.build(spec).expect("builds");
@@ -469,31 +503,21 @@ proptest! {
             for v in final_graph.vertices_sorted() {
                 prop_assert!(partitioning.partition_of(v).is_some());
             }
-            let seq = executor
-                .execute_workload(
-                    &PartitionedStore::new(final_graph.clone(), partitioning.clone()),
-                    &workload,
-                    samples,
-                    seed,
-                )
-                .matches_found;
-            // Every partitioner sees the same matches on the same graph.
-            if let Some(reference) = reference {
-                prop_assert_eq!(seq, reference);
-            }
-            reference = Some(seq);
+            let reference = PartitionedStore::new(final_graph.clone(), partitioning.clone());
+            let seq = engine.run_sequential(&reference, &workload, request, &ctx).metrics;
+            prop_assert!(!seq.matches_limited);
+            // Every partitioner sees the oracle's matches on the same graph.
+            prop_assert_eq!(seq.matches_found, expected);
 
             // Leg 2 (sharded, from scratch): same partitioning, frozen into
             // the concurrent store.
             let frozen = ShardedStore::from_parts(&final_graph, &partitioning);
             prop_assert_eq!(frozen.check_arena(), Ok(()));
-            let request = QueryRequest::workload(samples).with_seed(seed);
-            let ctx = RequestContext::unbounded();
             let sharded = engine
                 .run(&std::sync::Arc::new(frozen), &workload, request, &ctx)
                 .0
                 .aggregate;
-            prop_assert_eq!(sharded.matches_found, seq);
+            prop_assert_eq!(sharded.matches_found, expected);
 
             // Leg 3 (tombstoned): build the pre-dissolve store from scratch,
             // then apply the destroy stream as tombstones — matches must be
@@ -525,7 +549,7 @@ proptest! {
                     .run(&std::sync::Arc::new(store), &workload, request, &ctx)
                     .0
                     .aggregate;
-                prop_assert_eq!(served.matches_found, seq);
+                prop_assert_eq!(served.matches_found, expected);
             }
         }
 

@@ -9,11 +9,11 @@
 //!   full-enumeration match counts under the default cost-ranked strategy
 //!   (the embedding count of a query is order-invariant);
 //! * **compile-once reuse** — one [`QueryPlan`] instance per [`QueryId`]
-//!   per workload, observably shared by the router, the sequential
-//!   executor and the sharded workers (plan-cache hit counters);
+//!   per workload, observably shared by the router, the sequential run and
+//!   the sharded workers (plan-cache hit counters);
 //! * **cross-engine parity** — `QueryEngine::run` returns the same metrics
-//!   from the sequential executor, the sharded engine and adaptive serving
-//!   for the same request;
+//!   from the sequential run, the sharded engine and adaptive serving for
+//!   the same request;
 //! * **cursor semantics** — `MatchCursor` with an unbounded limit yields
 //!   exactly `matches_found` embeddings (property-tested over random
 //!   graphs), and a bounded limit terminates the search early (strictly
@@ -21,7 +21,6 @@
 
 use loom::prelude::*;
 use loom_graph::VertexId;
-use loom_sim::engine::run_sequential;
 use loom_sim::matcher;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -81,23 +80,27 @@ fn legacy_plans_reproduce_the_pre_redesign_path_exactly() {
             QueryMode::FullEnumeration,
             QueryMode::Rooted { seed_count: 2 },
         ] {
-            let executor = QueryExecutor::default()
-                .with_mode(mode)
+            let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode))
                 .with_plan_cache(Arc::clone(&cache));
             for (query, _) in workload.iter() {
                 for seed in 0..4u64 {
+                    // A one-sample request runs at root seed `seed + 1`.
                     let reference = matcher::execute_plan(
                         &store,
                         &QueryPlan::legacy(query),
                         &matcher::ExecOptions {
                             mode,
-                            match_limit: executor.match_limit(),
-                            root_seed: seed,
+                            match_limit: engine.config().match_limit,
+                            root_seed: seed + 1,
                             ..Default::default()
                         },
                     )
                     .metrics;
-                    let planned = executor.execute_seeded(&store, query, seed);
+                    let request = QueryRequest::query(query.id()).with_seed(seed);
+                    let ctx = RequestContext::unbounded();
+                    let planned = engine
+                        .run_sequential(&store, &workload, request, &ctx)
+                        .metrics;
                     assert_eq!(
                         planned,
                         reference,
@@ -144,8 +147,8 @@ fn cost_ranked_plans_preserve_match_counts() {
 }
 
 /// The acceptance contract: one plan instance per query id per workload,
-/// derived once and observably reused by the router, the sequential
-/// executor and the sharded workers.
+/// derived once and observably reused by the router, the sequential run
+/// and the sharded workers.
 #[test]
 fn one_plan_per_query_reused_by_router_and_executor() {
     let graph = paper_example_graph();
@@ -172,8 +175,8 @@ fn one_plan_per_query_reused_by_router_and_executor() {
     assert!(Arc::ptr_eq(&a, &b));
     let baseline = cache.hits();
 
-    // Sequential executor: one resolution per *distinct* sampled query per
-    // run — not per sample.
+    // Sequential run: one resolution per *distinct* sampled query per run —
+    // not per sample.
     serving.run(QueryRequest::workload(50).with_seed(1));
     let sequential_lookups = cache.hits() - baseline;
     assert!(sequential_lookups >= 1 && sequential_lookups <= workload.len());
@@ -194,8 +197,9 @@ fn one_plan_per_query_reused_by_router_and_executor() {
 }
 
 /// `QueryEngine::run` parity across all three engines: sequential,
-/// sharded, adaptive — identical metrics for identical requests, equal to
-/// the legacy entry points.
+/// sharded, adaptive — identical metrics and cursors for identical
+/// requests, every override (mode, match limit, traversal budget,
+/// collection) resolved alike.
 #[test]
 fn query_engine_parity_across_sequential_sharded_and_adaptive() {
     let graph = barabasi_albert(GeneratorConfig::new(300, 4, 13), 3).unwrap();
@@ -243,13 +247,30 @@ fn query_engine_parity_across_sequential_sharded_and_adaptive() {
             match_limit: Some(0),
             ..QueryRequest::workload(10).with_seed(2)
         },
+        QueryRequest::workload(60)
+            .with_seed(5)
+            .with_traversal_budget(6),
+        QueryRequest::workload(40)
+            .with_seed(11)
+            .with_mode(QueryMode::FullEnumeration)
+            .collect_matches(true),
     ] {
-        let reference = serving.run(request).metrics;
+        let (reference, cursor) = serving.run(request).into_parts();
+        let cursor: Vec<Embedding> = cursor.collect();
+        assert_eq!(
+            cursor.len(),
+            if request.collect_matches {
+                reference.matches_found
+            } else {
+                0
+            }
+        );
         for (name, engine) in engines {
-            assert_eq!(
-                engine.run(request).metrics,
-                reference,
-                "{name} diverged on {request:?}"
+            let (metrics, got) = engine.run(request).into_parts();
+            assert_eq!(metrics, reference, "{name} diverged on {request:?}");
+            assert!(
+                got.eq(cursor.iter().cloned()),
+                "{name}'s cursor diverged on {request:?}"
             );
         }
     }
@@ -269,7 +290,6 @@ fn cursors_are_identical_across_engines() {
         &workload,
         &GraphStatistics::from_graph(store.graph()),
     ));
-    let executor = QueryExecutor::default().with_plan_cache(Arc::clone(&cache));
     let sharded_store = Arc::new(ShardedStore::from_parts(
         store.graph(),
         store.partitioning(),
@@ -281,15 +301,11 @@ fn cursors_are_identical_across_engines() {
         .with_seed(2)
         .collect_matches(true);
     let unbounded = RequestContext::unbounded();
-    let a: Vec<Embedding> = run_sequential(&executor, &store, &workload, request, &unbounded)
+    let a: Vec<Embedding> = engine
+        .run_sequential(&store, &workload, request, &unbounded)
         .into_cursor()
         .collect();
-    let (_, response) = engine.run(
-        &sharded_store,
-        &workload,
-        request,
-        &RequestContext::unbounded(),
-    );
+    let (_, response) = engine.run(&sharded_store, &workload, request, &unbounded);
     let b: Vec<Embedding> = response.into_cursor().collect();
     assert_eq!(a, b);
     assert!(!a.is_empty());
@@ -316,9 +332,10 @@ fn match_limits_cut_traversals_and_bound_the_cursor() {
     ])
     .unwrap();
     let store = PartitionedStore::new(graph, part);
+    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(QueryMode::FullEnumeration));
     let run = |request| {
         let ctx = RequestContext::unbounded();
-        run_sequential(&QueryExecutor::default(), &store, &workload, request, &ctx)
+        engine.run_sequential(&store, &workload, request, &ctx)
     };
 
     let unlimited = run(QueryRequest::query(QueryId::new(0)).collect_matches(true));
@@ -380,8 +397,8 @@ proptest! {
             part.assign(v, PartitionId::new(i as u32 % split)).unwrap();
         }
         let workload = Workload::uniform(vec![query]).unwrap();
-        let response = run_sequential(
-            &QueryExecutor::default(),
+        let engine = ServeEngine::new(ServeConfig::new(1).with_mode(QueryMode::FullEnumeration));
+        let response = engine.run_sequential(
             &PartitionedStore::new(graph, part),
             &workload,
             QueryRequest::query(QueryId::new(0))

@@ -3,8 +3,8 @@
 //! Two properties matter:
 //!
 //! * **parity** — sharded parallel execution returns exactly the same
-//!   aggregate match counts and traversal metrics as the sequential
-//!   `QueryExecutor` on identical seeds (the engine parallelises the work,
+//!   aggregate match counts and traversal metrics as the same engine's
+//!   sequential run on identical seeds (the engine parallelises the work,
 //!   it must not change the answers);
 //! * **ingest-while-serve** — queries keep executing correctly while the
 //!   streaming partitioner publishes new epochs concurrently: no panics, no
@@ -15,7 +15,6 @@ use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_partition::hash::HashConfig;
 use loom_partition::ldg::LdgConfig;
 use loom_partition::spec::LoomConfig;
-use loom_sim::engine::run_sequential;
 use std::sync::Arc;
 
 fn l(x: u32) -> Label {
@@ -79,12 +78,20 @@ fn sharded_execution_matches_sequential_metrics_exactly() {
         let partitioning = partitioned(&graph, spec, &workload);
         let mode = QueryMode::Rooted { seed_count: 3 };
         let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
-        let executor = QueryExecutor::default().with_mode(mode);
-        let expected = executor.execute_workload(&sequential_store, &workload, 120, 42);
+        let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode));
+        let request = QueryRequest::workload(120).with_seed(42);
+        let expected = engine
+            .run_sequential(
+                &sequential_store,
+                &workload,
+                request,
+                &RequestContext::unbounded(),
+            )
+            .metrics;
 
         let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
         for workers in [1usize, 2, 4, 8] {
-            let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
+            let engine = engine.clone().with_workers(workers);
             let report = serve(&engine, &sharded, &workload, 120, 42);
             assert_eq!(
                 report.aggregate, expected,
@@ -105,11 +112,18 @@ fn parity_holds_under_full_enumeration_too() {
         &workload,
     );
     let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
-    let executor = QueryExecutor::default(); // FullEnumeration
-    let expected = executor.execute_workload(&sequential_store, &workload, 30, 7);
+    let engine = ServeEngine::new(ServeConfig::new(4).with_mode(QueryMode::FullEnumeration));
+    let request = QueryRequest::workload(30).with_seed(7);
+    let expected = engine
+        .run_sequential(
+            &sequential_store,
+            &workload,
+            request,
+            &RequestContext::unbounded(),
+        )
+        .metrics;
 
     let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
-    let engine = ServeEngine::new(ServeConfig::new(4).with_mode(QueryMode::FullEnumeration));
     let report = serve(&engine, &sharded, &workload, 30, 7);
     assert_eq!(report.aggregate, expected);
 }
@@ -147,21 +161,18 @@ fn session_facade_drives_the_sharded_engine() {
     // The façade answers as the hash-map reference store does under the same
     // plans and mode: metrics and embeddings, query for query.
     let reference = PartitionedStore::new(serving.graph().clone(), serving.partitioning().clone());
-    let executor = QueryExecutor::default()
-        .with_mode(QueryMode::Rooted { seed_count: 2 })
-        .with_plan_cache(Arc::clone(a));
+    let engine =
+        ServeEngine::new(ServeConfig::new(1).with_mode(QueryMode::Rooted { seed_count: 2 }))
+            .with_plan_cache(Arc::clone(a));
+    let ctx = RequestContext::unbounded();
     assert_eq!(
-        executor.execute_workload(&reference, &workload, 80, 21),
+        engine
+            .run_sequential(&reference, &workload, request, &ctx)
+            .metrics,
         sequential
     );
     let collect = request.collect_matches(true);
-    let expected = run_sequential(
-        &executor,
-        &reference,
-        &workload,
-        collect,
-        &RequestContext::unbounded(),
-    );
+    let expected = engine.run_sequential(&reference, &workload, collect, &ctx);
     let (expected_metrics, expected_matches) = (expected.metrics, expected.into_cursor());
     let served = serving.run(collect);
     assert_eq!(served.metrics, expected_metrics);

@@ -7,7 +7,7 @@
 //!   implementation detail: for every request without a deadline or
 //!   cancellation — match-limited and traversal-budgeted ones included — the
 //!   transport-backed engine returns metrics (and match cursors) identical to
-//!   the sequential executor at every worker count;
+//!   the same engine's sequential run at every worker count;
 //! * **deadlines** — an already-expired deadline short-circuits every
 //!   execution at zero traversal cost, and a mid-run deadline measurably
 //!   cuts traversals while flagging the partial result;
@@ -21,7 +21,6 @@ use loom::prelude::*;
 use loom_graph::generators::{barabasi_albert, GeneratorConfig};
 use loom_partition::hash::HashConfig;
 use loom_partition::spec::LoomConfig;
-use loom_sim::engine::run_sequential;
 use loom_sim::matcher::{execute_plan_ctx, ExecOptions, MatchScratch};
 use loom_sim::plan::GraphStatistics;
 use proptest::prelude::*;
@@ -63,7 +62,7 @@ fn partitioned(graph: &LabelledGraph, spec: PartitionerSpec, workload: &Workload
 }
 
 /// (a) Message-passing execution is metric- and cursor-identical to the
-/// sequential executor for every request without a deadline or cancellation
+/// same engine's sequential run for every request without a deadline or cancellation
 /// — unbounded, match-limited (1 and 2) and traversal-budgeted — at every
 /// worker count.
 #[test]
@@ -77,8 +76,7 @@ fn transport_engine_matches_sequential_for_every_request_without_a_deadline() {
     );
     let mode = QueryMode::Rooted { seed_count: 3 };
     let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
-    let executor = QueryExecutor::default().with_mode(mode);
-    let expected = executor.execute_workload(&sequential_store, &workload, 150, 42);
+    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode));
 
     let unbounded = QueryRequest::workload(150).with_seed(42);
     let requests = [
@@ -88,21 +86,16 @@ fn transport_engine_matches_sequential_for_every_request_without_a_deadline() {
         unbounded.with_traversal_budget(8),
     ];
     let sequential = requests.map(|request| {
-        let response = run_sequential(
-            &executor,
-            &sequential_store,
-            &workload,
-            request,
-            &RequestContext::unbounded(),
-        );
+        let ctx = RequestContext::unbounded();
+        let response = engine.run_sequential(&sequential_store, &workload, request, &ctx);
         response.metrics
     });
-    assert_eq!(sequential[0], expected);
+    assert!(!sequential[0].matches_limited);
     assert!(sequential[1..].iter().all(|m| m.matches_limited));
 
     let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
     for workers in [1usize, 2, 3, 4, 8] {
-        let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
+        let engine = engine.clone().with_workers(workers);
         for (request, expected) in requests.iter().zip(&sequential) {
             let (report, response) =
                 engine.run(&sharded, &workload, *request, &RequestContext::unbounded());
@@ -374,21 +367,15 @@ fn a_full_inbox_is_waited_out_on_completions_not_on_the_clock() {
     );
     let mode = QueryMode::Rooted { seed_count: 3 };
     let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
-    let expected = QueryExecutor::default().with_mode(mode).execute_workload(
-        &sequential_store,
-        &workload,
-        REQUESTS,
-        42,
-    );
+    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode).with_queue_capacity(2));
+    let request = QueryRequest::workload(REQUESTS).with_seed(42);
+    let ctx = RequestContext::unbounded();
+    let expected = engine
+        .run_sequential(&sequential_store, &workload, request, &ctx)
+        .metrics;
 
     let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
-    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode).with_queue_capacity(2));
-    let (report, response) = engine.run(
-        &sharded,
-        &workload,
-        QueryRequest::workload(REQUESTS).with_seed(42),
-        &RequestContext::unbounded(),
-    );
+    let (report, response) = engine.run(&sharded, &workload, request, &ctx);
     assert_eq!(report.aggregate, expected);
     assert_eq!(response.metrics, expected);
     assert_eq!(report.error_budget.dropped(), 0);
@@ -425,21 +412,16 @@ fn hand_offs_move_in_runs() {
     );
     let mode = QueryMode::Rooted { seed_count: 3 };
     let sequential_store = PartitionedStore::new(graph.clone(), partitioning.clone());
-    let expected = QueryExecutor::default().with_mode(mode).execute_workload(
-        &sequential_store,
-        &workload,
-        REQUESTS,
-        42,
-    );
+    let engine = ServeEngine::new(ServeConfig::new(1).with_mode(mode));
+    let request = QueryRequest::workload(REQUESTS).with_seed(42);
+    let ctx = RequestContext::unbounded();
+    let expected = engine
+        .run_sequential(&sequential_store, &workload, request, &ctx)
+        .metrics;
     let sharded = Arc::new(ShardedStore::from_parts(&graph, &partitioning));
     for workers in [1usize, 2] {
-        let engine = ServeEngine::new(ServeConfig::new(workers).with_mode(mode));
-        let (report, _) = engine.run(
-            &sharded,
-            &workload,
-            QueryRequest::workload(REQUESTS).with_seed(42),
-            &RequestContext::unbounded(),
-        );
+        let engine = engine.clone().with_workers(workers);
+        let (report, _) = engine.run(&sharded, &workload, request, &ctx);
         assert_eq!(report.aggregate, expected, "{workers} workers");
         let sum = |field: fn(&ShardServeMetrics) -> usize| -> usize {
             report.shards.iter().map(field).sum()

@@ -19,15 +19,17 @@ fn prelude_reexports_resolve() {
     // loom_partition (via loom_core's prelude)
     let _hash = HashPartitioner::new(2, 8).unwrap();
     let _config: LoomConfig = LoomConfig::new(2, 8);
-    // loom_sim
-    let _executor: QueryExecutor = QueryExecutor::default();
+    // loom_sim and loom_serve
+    let _mode: QueryMode = QueryMode::FullEnumeration;
+    let _engine: ServeEngine = ServeEngine::default();
 
     // The individual crates are also exposed as modules on the umbrella.
     let _ = loom::loom_graph::Label::new(1);
     let _ = loom::loom_motif::PrimeTable::new(2);
     let _ = loom::loom_partition::PartitionId::new(0);
     let _ = loom::loom_core::LoomConfig::new(2, 8);
-    let _ = loom::loom_sim::QueryExecutor::default();
+    let _ = loom::loom_sim::QueryMode::FullEnumeration;
+    let _ = loom::loom_serve::ServeEngine::default();
 }
 
 /// Generate a small graph, stream it, partition it with LOOM, and check the
