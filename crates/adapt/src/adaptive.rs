@@ -428,6 +428,7 @@ mod tests {
     use loom_motif::query::{PatternQuery, QueryId};
     use loom_obs::Telemetry;
     use loom_serve::engine::ServeConfig;
+    use loom_sim::executor::QueryMode;
 
     fn l(x: u32) -> Label {
         Label::new(x)
@@ -478,7 +479,7 @@ mod tests {
             g,
             part,
             workload.clone(),
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             AdaptConfig::default(),
         );
         let request = QueryRequest::workload(60).with_seed(11);
@@ -499,7 +500,7 @@ mod tests {
             g,
             part,
             workload.clone(),
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             AdaptConfig::default(),
         );
         let (report, outcome) = adaptive.serve(&workload, 50, 3).unwrap();
@@ -516,7 +517,7 @@ mod tests {
             g.clone(),
             part,
             workload.clone(),
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             AdaptConfig::default(),
         );
         let before = engine_report(&adaptive, &workload, 200, 7);
@@ -558,7 +559,7 @@ mod tests {
             g,
             part,
             mined,
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             config,
         );
         adaptive.tracker.observe_counts(&[0, 200]);
@@ -582,7 +583,7 @@ mod tests {
             g,
             part,
             workload,
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             AdaptConfig::default(),
         );
         let old_round = adaptive.round_cancel.clone();
@@ -627,7 +628,7 @@ mod tests {
             g,
             part,
             workload,
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             AdaptConfig::default(),
         );
         adaptive.tracker.observe_counts(&[0, 100]);
@@ -647,7 +648,7 @@ mod tests {
             g,
             part,
             workload,
-            ServeEngine::new(ServeConfig::new(2)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
             AdaptConfig::default(),
         );
         let outcome = adaptive.apply_mutations(&[StreamElement::RemoveVertex { id: dead }]);
@@ -682,7 +683,8 @@ mod tests {
             g,
             part,
             workload.clone(),
-            ServeEngine::new(ServeConfig::new(2)).with_telemetry(Arc::clone(&telemetry)),
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 }))
+                .with_telemetry(Arc::clone(&telemetry)),
             AdaptConfig::default(),
         );
         // Nothing tombstoned yet: compaction is a no-op and keeps the epoch.

@@ -48,6 +48,7 @@
 //! use loom_motif::workload::Workload;
 //! use loom_partition::partition::{PartitionId, Partitioning};
 //! use loom_serve::engine::{ServeConfig, ServeEngine};
+//! use loom_sim::executor::QueryMode;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let graph = path_graph(12, &[Label::new(0), Label::new(1), Label::new(2)]);
@@ -64,7 +65,7 @@
 //!     graph,
 //!     partitioning,
 //!     workload.clone(),
-//!     ServeEngine::new(ServeConfig::new(2)),
+//!     ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
 //!     AdaptConfig::default(),
 //! );
 //! let (report, adaptation) = serving.serve(&workload, 100, 42)?;

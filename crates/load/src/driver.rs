@@ -278,7 +278,8 @@ mod tests {
     #[test]
     fn unsaturated_run_completes_everything_it_offers() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(2));
+        let engine =
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 }));
         let config = LoadConfig::new(tiny_ramp());
         let run = run_capacity(&engine, &store, &workload, &config);
         assert_eq!(run.steps.len(), 2);
@@ -348,7 +349,8 @@ mod tests {
     #[test]
     fn capacity_runs_are_reproducible_from_the_seed() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(2));
+        let engine =
+            ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 }));
         let config = LoadConfig::new(tiny_ramp()).with_seed(31);
         let a = run_capacity(&engine, &store, &workload, &config);
         let b = run_capacity(&engine, &store, &workload, &config);

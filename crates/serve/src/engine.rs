@@ -40,6 +40,17 @@
 //!   covers a stretch of executions (a new one starts at each execution that
 //!   collected embeddings, was flagged `deadline_exceeded` or `cancelled`,
 //!   or ran on another epoch, and at every execution of an open-loop run);
+//! * except shard 0 of a closed-loop run, which the coordinator serves on
+//!   the calling thread: it has no thread and no inbox, and the coordinator
+//!   executes its staged runs itself — after each offer to the other
+//!   workers, before each wait for their credit and at the end of the
+//!   schedule — on the routing snapshot, through the same matcher call,
+//!   scratch, request context and folding, charging each group to shard 0
+//!   as a `Done` would be. So W workers start W − 1 threads (none at
+//!   W = 1), and the caller's thread matches instead of parking. An
+//!   open-loop run keeps every worker on a thread of its own: its driver's
+//!   thread must keep pacing injection, and a run executed there would hold
+//!   the next arrival back;
 //! * the coordinator owns **only transport endpoints**: results, per-shard
 //!   reports and epoch notices all arrive as messages on its inbox, never
 //!   through shared memory;
@@ -108,7 +119,7 @@ use crate::transport::{
     InProcEndpoint, InProcTransport, QueryDoneMsg, QueryTaskMsg, RecvError, ShardMsg,
     ShardReportMsg, ShardTransport, TransportError,
 };
-use crate::worker::{worker_loop, WorkerSetup};
+use crate::worker::{worker_loop, ShardExecutor, WorkerSetup};
 use loom_motif::workload::Workload;
 use loom_obs::{stage, Counter, FlightKind, Telemetry};
 use loom_sim::context::{CancelToken, RequestContext};
@@ -158,13 +169,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with `workers` worker shards and serving-oriented defaults
-    /// (rooted queries anchored at 4 seeds, queue capacity 64).
+    /// A config with `workers` worker shards, the default query mode
+    /// ([`QueryMode::default`], the full enumeration a default `Session`
+    /// also runs), a match limit of 10 000 and queue capacity 64.
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
             queue_capacity: 64,
-            mode: QueryMode::Rooted { seed_count: 4 },
+            mode: QueryMode::default(),
             match_limit: 10_000,
         }
     }
@@ -310,9 +322,21 @@ struct Staged {
 }
 
 /// The run coordinator: owns the coordinator-side transport endpoints and
-/// every piece of run state; all worker interaction is messages.
+/// every piece of run state; all worker interaction is messages. On a
+/// closed-loop run it also serves shard 0 itself.
 struct Coordinator<'a> {
+    /// One link per threaded worker, in worker order: every worker but the
+    /// local one.
     links: &'a [InProcEndpoint],
+    /// The shard this thread serves itself (shard 0 of a closed-loop run):
+    /// it has no thread and no inbox, and its staged runs are executed here
+    /// between the offers to the other workers. `None` on an open-loop run,
+    /// where every worker has a thread of its own.
+    local: Option<ShardExecutor<'a>>,
+    /// The snapshot queries are routed against: fixed for a pinned source,
+    /// re-pinned for an epoch source whenever a newer epoch is current at
+    /// admission. The local shard executes on it.
+    snapshot: Arc<ShardedStore>,
     /// Per worker, the closed-loop queries routed to it and not yet in its
     /// inbox, in admission order. Fewer than `STAGED_RUNS × run_len` stay
     /// staged once an admission returns.
@@ -356,12 +380,14 @@ struct Coordinator<'a> {
 impl<'a> Coordinator<'a> {
     fn new(
         links: &'a [InProcEndpoint],
+        local: Option<ShardExecutor<'a>>,
+        snapshot: Arc<ShardedStore>,
         run_len: usize,
         plans: &'a [Option<Arc<QueryPlan>>],
         cancel: &'a CancelToken,
         telemetry: Option<&'a Telemetry>,
     ) -> Self {
-        let workers = links.len();
+        let workers = usize::from(local.is_some()) + links.len();
         let per_shard = |name: &'static str| -> Vec<Counter> {
             telemetry.map_or_else(Vec::new, |t| {
                 (0..workers)
@@ -371,6 +397,8 @@ impl<'a> Coordinator<'a> {
         };
         Self {
             links,
+            local,
+            snapshot,
             staged: (0..workers).map(|_| VecDeque::new()).collect(),
             run_len: run_len.max(1),
             inbox: VecDeque::new(),
@@ -397,6 +425,7 @@ impl<'a> Coordinator<'a> {
     /// the open-loop admission primitive — injection timing never depends on
     /// the engine keeping up. Returns whether the request was enqueued.
     fn admit_open(&mut self, worker: usize, task: QueryTaskMsg, epoch: u64) -> bool {
+        debug_assert!(self.local.is_none(), "open-loop workers all have threads");
         if let Some(t) = self.telemetry {
             t.flight().record(FlightKind::Admitted {
                 request: task.seq,
@@ -404,7 +433,7 @@ impl<'a> Coordinator<'a> {
                 epoch,
             });
         }
-        match self.links[worker].try_send_query(task) {
+        match self.link(worker).try_send_query(task) {
             Ok(()) => {
                 self.admitted(worker, 1);
                 true
@@ -414,6 +443,17 @@ impl<'a> Coordinator<'a> {
                 false
             }
         }
+    }
+
+    /// The first worker with a thread of its own: 1 when this thread
+    /// serves shard 0, else 0.
+    fn first_threaded(&self) -> usize {
+        usize::from(self.local.is_some())
+    }
+
+    /// The link to threaded `worker`: the links start after the local shard.
+    fn link(&self, worker: usize) -> &'a InProcEndpoint {
+        &self.links[worker - self.first_threaded()]
     }
 
     fn admitted(&mut self, worker: usize, count: usize) {
@@ -456,22 +496,59 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Offer every worker's staged run to its inbox, one push each, as far
-    /// as the inbox has room: a worker's credit is admitted in one push.
+    /// Offer every threaded worker's staged run to its inbox, one push
+    /// each, as far as the inbox has room: a worker's credit is admitted in
+    /// one push. Then execute the local shard's staged run, while the
+    /// others work on theirs.
     fn offer_staged(&mut self) {
-        for worker in 0..self.links.len() {
+        for worker in self.first_threaded()..self.staged.len() {
             if self.staged[worker].is_empty() {
                 continue;
             }
-            match self.links[worker].try_send_run(&mut self.staged[worker], |staged| {
-                ShardMsg::Query(staged.task)
-            }) {
+            match self
+                .link(worker)
+                .try_send_run(&mut self.staged[worker], |staged| {
+                    ShardMsg::Query(staged.task)
+                }) {
                 Ok(sent) => self.admitted(worker, sent),
                 Err(PushError::Timeout(())) => {}
                 // The transport only closes during teardown, after admission.
                 Err(PushError::Closed(())) => self.staged[worker].clear(),
             }
         }
+        self.serve_local();
+    }
+
+    /// Execute the local shard's staged queries on this thread, on the
+    /// routing snapshot, through the matcher call, scratch, request context
+    /// and folding a worker uses, and charge the completions to `logs[0]`
+    /// exactly as a worker's group would be charged. Nothing is queued, so
+    /// nothing is refused: a query past its deadline is executed as one,
+    /// and counts as `deadline_expired`, never as `rejected`.
+    fn serve_local(&mut self) {
+        let Some(local) = self.local.as_mut() else {
+            return;
+        };
+        let count = self.staged[0].len();
+        if count == 0 {
+            return;
+        }
+        for Staged { task, .. } in self.staged[0].drain(..) {
+            local.execute(&self.snapshot, &task);
+        }
+        // The group is handled as a worker's would be; its buffer goes back
+        // for the next run.
+        let mut group = std::mem::take(&mut local.done);
+        self.admitted(0, count);
+        for msg in group.drain(..) {
+            if let ShardMsg::Done(done) = msg {
+                self.complete(done);
+            }
+        }
+        if let Some(local) = self.local.as_mut() {
+            local.done = group;
+        }
+        self.flush_deadline_events();
     }
 
     /// Admit `worker`'s staged run until at most `keep` queries of it are
@@ -507,7 +584,7 @@ impl<'a> Coordinator<'a> {
 
     /// The end of a closed-loop schedule: admit every staged query.
     fn admit_all_staged(&mut self, deadline: Option<Instant>) {
-        for worker in 0..self.links.len() {
+        for worker in 0..self.staged.len() {
             self.admit_staged(worker, 0, deadline);
         }
     }
@@ -713,14 +790,14 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Tell every worker the run is over and collect their shard reports.
-    /// `Finish` is offered and a full inbox waited out exactly as in
-    /// [`Coordinator::admit_staged`].
+    /// Tell every threaded worker the run is over and collect their shard
+    /// reports. `Finish` is offered and a full inbox waited out exactly as
+    /// in [`Coordinator::admit_staged`].
     fn finish(&mut self) {
-        for worker in 0..self.links.len() {
+        for link in self.links {
             let mut msg = ShardMsg::Finish;
             loop {
-                match self.links[worker].try_send(msg) {
+                match link.try_send(msg) {
                     Ok(()) => break,
                     Err(TransportError::Timeout(refused)) => {
                         msg = *refused;
@@ -732,8 +809,9 @@ impl<'a> Coordinator<'a> {
                 }
             }
         }
+        let threaded = self.first_threaded();
         let mut last_progress = Instant::now();
-        while self.reports.iter().any(Option::is_none) {
+        while self.reports[threaded..].iter().any(Option::is_none) {
             match self.links[0].recv_all(&mut self.inbox, Some(Instant::now() + PUMP_SLICE)) {
                 Ok(()) => {
                     last_progress = Instant::now();
@@ -764,9 +842,6 @@ pub struct OpenLoopInjector<'a> {
     coordinator: Coordinator<'a>,
     router: QueryRouter,
     source: Source<'a>,
-    /// The routing snapshot: fixed for a pinned source, re-pinned for an
-    /// epoch source whenever a newer epoch is current at admission.
-    snapshot: Arc<ShardedStore>,
     tasks: &'a [QueryTaskMsg],
     /// The run's effective deadline, bounding closed-loop admission.
     deadline: Option<Instant>,
@@ -801,22 +876,33 @@ impl OpenLoopInjector<'_> {
     /// Take the next scheduled arrival, count it as issued, and route it to
     /// its home worker against the snapshot current at admission. For an
     /// epoch source that costs one `Acquire` load per arrival; the snapshot
-    /// is re-pinned only when a newer epoch has been published.
+    /// is re-pinned only when a newer epoch has been published. With one
+    /// worker every arrival is that worker's: nothing is routed.
     fn next_routed(&mut self) -> Option<(usize, QueryTaskMsg)> {
         let task = self.tasks.get(self.next)?.clone();
         self.next += 1;
         self.query_counts[task.query as usize] += 1;
+        let coordinator = &mut self.coordinator;
         if let Source::Epochs(epochs) = self.source {
-            if epochs.current_epoch() != self.snapshot.epoch() {
-                self.snapshot = epochs.load();
+            if epochs.current_epoch() != coordinator.snapshot.epoch() {
+                coordinator.snapshot = epochs.load();
             }
         }
-        let plans = self.coordinator.plans;
-        let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
+        if self.workers == 1 {
+            return Some((0, task));
+        }
+        let plan = coordinator.plans[task.query as usize]
+            .as_ref()
+            .expect("scheduled plan");
         let shard = self
             .router
-            .home_shard_planned(&self.snapshot, plan, task.root_seed);
+            .home_shard_planned(&coordinator.snapshot, plan, task.root_seed);
         Some((shard.index() % self.workers, task))
+    }
+
+    /// The epoch of the routing snapshot.
+    fn epoch(&self) -> u64 {
+        self.coordinator.snapshot.epoch()
     }
 
     /// Closed-loop admission of the next scheduled arrival: a full home
@@ -826,8 +912,8 @@ impl OpenLoopInjector<'_> {
         let Some((worker, task)) = self.next_routed() else {
             return false;
         };
-        self.coordinator
-            .admit(worker, task, self.deadline, self.snapshot.epoch());
+        let epoch = self.epoch();
+        self.coordinator.admit(worker, task, self.deadline, epoch);
         true
     }
 
@@ -844,10 +930,8 @@ impl OpenLoopInjector<'_> {
             task.deadline_us = Some(d.saturating_duration_since(self.run_start).as_micros() as u64);
         }
         let seq = task.seq;
-        if self
-            .coordinator
-            .admit_open(shard, task, self.snapshot.epoch())
-        {
+        let epoch = self.epoch();
+        if self.coordinator.admit_open(shard, task, epoch) {
             Admission::Admitted { seq, shard }
         } else {
             Admission::Rejected { seq, shard }
@@ -861,8 +945,8 @@ impl OpenLoopInjector<'_> {
     /// sequence number, or `None` when the schedule is exhausted.
     pub fn shed_next(&mut self) -> Option<u64> {
         let (worker, task) = self.next_routed()?;
-        self.coordinator
-            .reject(worker, &task, self.snapshot.epoch());
+        let epoch = self.epoch();
+        self.coordinator.reject(worker, &task, epoch);
         Some(task.seq)
     }
 
@@ -966,6 +1050,12 @@ impl ServeEngine {
     /// the parity the serving tests assert. The effective deadline is the
     /// earlier of the context's and the request's, and firing the context's
     /// cancel token cooperatively unwinds every in-flight worker execution.
+    ///
+    /// The calling thread serves shard 0 itself and starts a thread only for
+    /// each other worker (none with one worker): shard 0 reports no runs, no
+    /// wake-ups and no queue depth, and its queries past their deadline are
+    /// executed as such and count as `deadline_expired`, never as
+    /// admission rejections.
     pub fn run<'a>(
         &self,
         source: impl Into<Source<'a>>,
@@ -981,8 +1071,9 @@ impl ServeEngine {
     }
 
     /// Run an **open-loop** load against one pinned snapshot: the engine
-    /// spins up the same workers, router, and transport as
-    /// [`ServeEngine::run`], then hands control to `driver`, which
+    /// spins up the workers, router, and transport of [`ServeEngine::run`],
+    /// but every worker, shard 0 included, on a thread of its own, and
+    /// hands control to `driver`, which
     /// owns *when* each pre-scheduled arrival is issued via the
     /// [`OpenLoopInjector`]. Admission never blocks — a full inbox rejects
     /// immediately — so the driver's injection timing is independent of the
@@ -1065,7 +1156,8 @@ impl ServeEngine {
     }
 
     /// The one run scaffold: expand the schedule, resolve plans, stand up
-    /// the transport hub and one worker per shard, hand the injector to
+    /// the transport hub and a worker thread per threaded shard (all of them
+    /// on an open-loop run, all but shard 0 otherwise), hand the injector to
     /// `driver`, then await completions, tear down and assemble the report.
     /// Only open-loop runs `time_completions`; closed-loop runs keep the
     /// sink off, read no per-completion clock, and get their completions
@@ -1108,47 +1200,56 @@ impl ServeEngine {
         // structural guard in `resolve_plan` rejects id collisions).
         let plans = resolve_schedule_plans(self.plans.as_ref(), workload, &schedule);
 
+        // A closed-loop run serves shard 0 on this thread, between its offers
+        // to the other workers, so only those get a thread and an inbox. An
+        // open-loop run keeps every worker on a thread of its own: its
+        // driver's thread must keep pacing injection.
+        let local = !time_completions;
+        let threaded = usize::from(local)..workers;
         let hub = InProcTransport::hub_observed(
-            workers,
+            threaded.clone(),
             self.config.queue_capacity,
             self.telemetry.as_deref(),
         );
         // Epoch publications reach workers as broadcast messages: the store
-        // notifies the coordinator's inbox, the coordinator relays.
+        // notifies the coordinator's inbox, the coordinator relays. The local
+        // shard needs none: it executes on the routing snapshot.
         let subscription = match source {
-            Source::Epochs(epochs) => Some((epochs, epochs.subscribe(hub.notice_sink()))),
-            Source::Pinned(_) => None,
+            Source::Epochs(epochs) if !hub.workers.is_empty() => {
+                Some((epochs, epochs.subscribe(hub.notice_sink())))
+            }
+            _ => None,
+        };
+        let setup = |w: usize| WorkerSetup {
+            worker: w as u32,
+            options,
+            time_completions,
+            plans: &plans,
+            run_start: started,
+            cancel: effective.cancel.clone(),
+            exec_hist: self
+                .telemetry
+                .as_ref()
+                .map(|t| t.shard_histogram(stage::SERVE_EXECUTE, w as u32)),
         };
 
         let (coordinator, issued, query_counts, value) = std::thread::scope(|scope| {
-            for (w, endpoint) in hub.workers.iter().enumerate() {
+            // Closing every inbox when this closure ends — by returning, or
+            // by a panic on this thread, which runs the matcher too —
+            // wakes every parked worker, so the scope can join them and a
+            // panic reaches the caller instead of hanging the run.
+            let _closing = hub.close_on_drop();
+            for (endpoint, w) in hub.workers.iter().zip(threaded) {
                 let source = &source;
-                let plans = &plans;
-                let cancel = effective.cancel.clone();
-                let exec_hist = self
-                    .telemetry
-                    .as_ref()
-                    .map(|t| t.shard_histogram(stage::SERVE_EXECUTE, w as u32));
-                scope.spawn(move || {
-                    worker_loop(
-                        endpoint,
-                        source,
-                        WorkerSetup {
-                            worker: w as u32,
-                            options,
-                            time_completions,
-                            plans,
-                            run_start: started,
-                            cancel,
-                            exec_hist,
-                        },
-                    );
-                });
+                let setup = setup(w);
+                scope.spawn(move || worker_loop(endpoint, source, setup));
             }
 
             let mut injector = OpenLoopInjector {
                 coordinator: Coordinator::new(
                     &hub.coordinator,
+                    local.then(|| ShardExecutor::new(setup(0))),
+                    source.pin(),
                     self.config.queue_capacity,
                     &plans,
                     &effective.cancel,
@@ -1156,7 +1257,6 @@ impl ServeEngine {
                 ),
                 router: QueryRouter::new(options.mode),
                 source,
-                snapshot: source.pin(),
                 tasks: &tasks,
                 deadline: effective.deadline,
                 workers,
@@ -1176,9 +1276,6 @@ impl ServeEngine {
             coordinator.admit_all_staged(deadline);
             coordinator.await_completion();
             coordinator.finish();
-            // Tear the run down: closing the shared inbox ends the epoch
-            // subscription's delivery path too.
-            hub.coordinator[0].shutdown();
             (coordinator, issued, query_counts, value)
         });
 
@@ -1186,10 +1283,9 @@ impl ServeEngine {
             epochs.unsubscribe(id);
         }
 
-        let depths: Vec<usize> = hub
-            .coordinator
-            .iter()
-            .map(|l| l.peer_inbox_depth())
+        // The local shard has no inbox: its depth is 0.
+        let depths: Vec<usize> = std::iter::repeat_n(0, usize::from(local))
+            .chain(hub.coordinator.iter().map(InProcEndpoint::peer_inbox_depth))
             .collect();
         let (report, response) = self.assemble(coordinator, depths, issued, query_counts, started);
         (report, response, value)
@@ -1281,6 +1377,12 @@ mod tests {
         Label::new(x)
     }
 
+    /// `workers` shards serving rooted queries anchored at 4 seeds: the mode
+    /// these tests were written for.
+    fn rooted(workers: usize) -> ServeConfig {
+        ServeConfig::new(workers).with_mode(QueryMode::Rooted { seed_count: 4 })
+    }
+
     /// The 12-vertex abc path over 4 partitions, vertex `i` on `shard_of(i)`.
     fn path_store(shard_of: impl Fn(usize) -> u32) -> ShardedStore {
         let g = path_graph(12, &[l(0), l(1), l(2)]);
@@ -1318,7 +1420,7 @@ mod tests {
     #[test]
     fn serve_batch_executes_every_sample() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(4));
+        let engine = ServeEngine::new(rooted(4));
         let report = serve(&engine, &store, &workload, 50, 9);
         assert_eq!(report.queries, 50);
         assert_eq!(report.aggregate.queries_executed, 50);
@@ -1333,20 +1435,8 @@ mod tests {
     #[test]
     fn serving_is_deterministic_per_seed_modulo_worker_count() {
         let (store, workload) = fixture();
-        let one = serve(
-            &ServeEngine::new(ServeConfig::new(1)),
-            &store,
-            &workload,
-            40,
-            3,
-        );
-        let four = serve(
-            &ServeEngine::new(ServeConfig::new(4)),
-            &store,
-            &workload,
-            40,
-            3,
-        );
+        let one = serve(&ServeEngine::new(rooted(1)), &store, &workload, 40, 3);
+        let four = serve(&ServeEngine::new(rooted(4)), &store, &workload, 40, 3);
         // The aggregate execution metrics do not depend on the worker count.
         assert_eq!(one.aggregate, four.aggregate);
     }
@@ -1367,13 +1457,7 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let report = serve(
-            &ServeEngine::new(ServeConfig::new(4)),
-            &store,
-            &workload,
-            60,
-            11,
-        );
+        let report = serve(&ServeEngine::new(rooted(4)), &store, &workload, 60, 11);
         assert_eq!(report.queries, 60);
         let idle: Vec<_> = report.shards.iter().filter(|s| s.queries == 0).collect();
         assert!(!idle.is_empty(), "expected idle workers beyond shard count");
@@ -1386,13 +1470,7 @@ mod tests {
     #[test]
     fn report_records_the_observed_query_mix() {
         let (store, workload) = fixture();
-        let report = serve(
-            &ServeEngine::new(ServeConfig::new(2)),
-            &store,
-            &workload,
-            80,
-            7,
-        );
+        let report = serve(&ServeEngine::new(rooted(2)), &store, &workload, 80, 7);
         assert_eq!(report.query_counts.len(), workload.len());
         assert_eq!(report.query_counts.iter().sum::<usize>(), 80);
         // A uniform 2-query workload: both queries appear.
@@ -1411,7 +1489,7 @@ mod tests {
     #[test]
     fn backpressure_keeps_queue_depth_bounded() {
         let (store, workload) = fixture();
-        let config = ServeConfig::new(2).with_queue_capacity(4);
+        let config = rooted(2).with_queue_capacity(4);
         let report = serve(&ServeEngine::new(config), &store, &workload, 100, 2);
         for shard in &report.shards {
             assert!(shard.max_queue_depth <= 4);
@@ -1422,7 +1500,9 @@ mod tests {
     /// Closed-loop admission stages each worker's queries and admits them
     /// in runs of up to an inbox's worth: at every capacity, down to one,
     /// every query is admitted once, no inbox outgrows its bound, and the
-    /// metrics and the cursor are those of one worker behind a deep queue.
+    /// metrics and the cursor are those of the sequential engine. (One
+    /// worker runs on the calling thread behind no queue, so the queues are
+    /// exercised from two workers up.)
     #[test]
     fn staged_runs_admit_every_query_once_at_every_capacity() {
         let (store, workload) = fixture();
@@ -1430,16 +1510,17 @@ mod tests {
             .with_seed(6)
             .collect_matches(true);
         let ctx = RequestContext::unbounded();
-        let (reference, cursor) =
-            ServeEngine::new(ServeConfig::new(1)).run(&store, &workload, request, &ctx);
-        let cursor: Vec<_> = cursor.into_cursor().collect();
+        let reference =
+            ServeEngine::new(rooted(1)).run_sequential(&*store, &workload, request, &ctx);
+        let (reference, cursor) = reference.into_parts();
+        let cursor: Vec<_> = cursor.collect();
         assert!(!cursor.is_empty());
         for capacity in [1, 2, 3, 64] {
-            for workers in [1, 3] {
-                let config = ServeConfig::new(workers).with_queue_capacity(capacity);
+            for workers in [2, 3] {
+                let config = rooted(workers).with_queue_capacity(capacity);
                 let (report, response) =
                     ServeEngine::new(config).run(&store, &workload, request, &ctx);
-                assert_eq!(report.aggregate, reference.aggregate);
+                assert_eq!(report.aggregate, reference);
                 assert_eq!(report.error_budget.dropped(), 0);
                 assert_eq!(report.shards.iter().map(|s| s.queries).sum::<usize>(), 90);
                 for shard in &report.shards {
@@ -1456,7 +1537,8 @@ mod tests {
     /// — on one to three workers behind inboxes one and 64 deep, each request
     /// reads the sequential engine's aggregate and cursor, every shard
     /// accounts once for each query routed to it (executed or rejected),
-    /// every expired execution is one `deadline_expired` or one `rejected`,
+    /// every expired execution is one `deadline_expired` or one `rejected`
+    /// (never a `rejected` on shard 0, which the calling thread serves),
     /// and every shard that ran a query observed the one epoch.
     #[test]
     fn grouped_completions_keep_every_count_of_a_request_mix() {
@@ -1499,7 +1581,7 @@ mod tests {
             assert_eq!(cursor.is_empty(), !request.collect_matches);
             for workers in [1, 2, 3] {
                 for capacity in [1, 64] {
-                    let config = ServeConfig::new(workers).with_queue_capacity(capacity);
+                    let config = rooted(workers).with_queue_capacity(capacity);
                     let (report, response) =
                         ServeEngine::new(config).run(&store, &workload, request, ctx);
                     let case = format!("{request:?} on {workers} x {capacity}");
@@ -1513,6 +1595,12 @@ mod tests {
                         assert_eq!(shard.execution.queries_executed, routed, "{case}");
                         let dropped = if expired { routed } else { 0 };
                         assert_eq!(shard.deadline_expired + shard.rejected, dropped, "{case}");
+                        // Shard 0 runs on the calling thread behind no
+                        // queue: its late queries are executed, never
+                        // refused.
+                        if w == 0 {
+                            assert_eq!(shard.rejected, 0, "{case}");
+                        }
                         assert_eq!(shard.epoch_seq, (routed > 0).then_some(0), "{case}");
                     }
                     if !expired {
@@ -1535,9 +1623,9 @@ mod tests {
             &workload,
             &stats,
         ));
-        let engine = ServeEngine::new(ServeConfig::new(2)).with_plan_cache(Arc::clone(&cache));
+        let engine = ServeEngine::new(rooted(2)).with_plan_cache(Arc::clone(&cache));
         assert!(engine.plan_cache().is_some());
-        let uncached = ServeEngine::new(ServeConfig::new(2));
+        let uncached = ServeEngine::new(rooted(2));
         let a = serve(&engine, &store, &workload, 60, 5);
         let b = serve(&uncached, &store, &workload, 60, 5);
         // One lookup per workload query per run, not per sample.
@@ -1555,13 +1643,13 @@ mod tests {
         let request = QueryRequest::workload(30)
             .with_seed(9)
             .collect_matches(true);
-        let (_, one) = ServeEngine::new(ServeConfig::new(1)).run(
+        let (_, one) = ServeEngine::new(rooted(1)).run(
             &store,
             &workload,
             request,
             &RequestContext::unbounded(),
         );
-        let (_, four) = ServeEngine::new(ServeConfig::new(4)).run(
+        let (_, four) = ServeEngine::new(rooted(4)).run(
             &store,
             &workload,
             request,
@@ -1577,7 +1665,7 @@ mod tests {
     #[test]
     fn single_query_requests_run_only_that_query() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(2));
+        let engine = ServeEngine::new(rooted(2));
         let (report, response) = engine.run(
             &store,
             &workload,
@@ -1603,7 +1691,7 @@ mod tests {
     #[test]
     fn expired_deadlines_reject_or_short_circuit_without_traversals() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(2));
+        let engine = ServeEngine::new(rooted(2));
         let request = QueryRequest::workload(20)
             .with_seed(4)
             .with_deadline(Instant::now() - Duration::from_secs(1));
@@ -1621,7 +1709,7 @@ mod tests {
     #[test]
     fn cancelled_context_unwinds_and_flags_the_report() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(2));
+        let engine = ServeEngine::new(rooted(2));
         let ctx = RequestContext::unbounded();
         ctx.cancel.cancel();
         let (report, response) = engine.run(
@@ -1640,8 +1728,8 @@ mod tests {
     fn observed_runs_populate_telemetry_without_changing_aggregates() {
         let (store, workload) = fixture();
         let telemetry = Telemetry::new();
-        let observed = ServeEngine::new(ServeConfig::new(2)).with_telemetry(Arc::clone(&telemetry));
-        let plain = ServeEngine::new(ServeConfig::new(2));
+        let observed = ServeEngine::new(rooted(2)).with_telemetry(Arc::clone(&telemetry));
+        let plain = ServeEngine::new(rooted(2));
         let a = serve(&observed, &store, &workload, 40, 3);
         let b = serve(&plain, &store, &workload, 40, 3);
         // Instrumentation changes nothing but this process's timings.
@@ -1742,7 +1830,7 @@ mod tests {
     #[test]
     fn open_loop_completions_and_shed_accounting() {
         let (store, workload) = fixture();
-        let engine = ServeEngine::new(ServeConfig::new(2));
+        let engine = ServeEngine::new(rooted(2));
         let request = QueryRequest::workload(20).with_seed(7);
         let (report, (completed, shed)) = engine.open_loop(&store, &workload, request, |inj| {
             for _ in 0..10 {
@@ -1800,7 +1888,7 @@ mod tests {
                     &workload,
                     request,
                     &ctx,
-                    false,
+                    true,
                     inject_all,
                 );
                 assert_eq!(closed.aggregate, open.aggregate);
@@ -1824,7 +1912,7 @@ mod tests {
     fn epoch_runs_route_and_execute_on_the_epoch_current_at_admission() {
         let (_, workload) = fixture();
         let epochs = EpochStore::new(path_store(|i| (i / 3) as u32));
-        let engine = ServeEngine::new(ServeConfig::new(4));
+        let engine = ServeEngine::new(rooted(4));
         let request = QueryRequest::workload(60).with_seed(5);
         let ctx = RequestContext::unbounded();
         let (first, _) = engine.run(&epochs, &workload, request, &ctx);
@@ -1846,16 +1934,103 @@ mod tests {
     #[test]
     fn report_carries_wall_clock_qps() {
         let (store, workload) = fixture();
-        let report = serve(
-            &ServeEngine::new(ServeConfig::new(2)),
-            &store,
-            &workload,
-            30,
-            1,
-        );
+        let report = serve(&ServeEngine::new(rooted(2)), &store, &workload, 30, 1);
         assert!(report.wall_clock_qps() > 0.0);
         let derived = report.queries as f64 / (report.wall_clock_us / 1e6);
         assert!((report.wall_clock_qps() - derived).abs() < 1e-9);
+    }
+
+    /// A closed-loop run serves shard 0 on the calling thread and starts a
+    /// thread only for the others. At every worker count, from a pinned
+    /// snapshot and from an epoch store, the aggregate and the cursor are
+    /// the sequential engine's; shard 0 executed queries without a hand-off
+    /// (no run taken, no wake-up, no inbox); and an open-loop run of the
+    /// same request, whose driver's thread paces injection, still hands
+    /// shard 0 its queries on a thread of its own.
+    #[test]
+    fn the_calling_thread_serves_shard_0_on_closed_loop_runs() {
+        let (store, workload) = fixture();
+        let epochs = EpochStore::new(path_store(|i| (i / 3) as u32));
+        let graph = path_graph(12, &[l(0), l(1), l(2)]);
+        let mut part = Partitioning::new(4, 12).unwrap();
+        for (i, v) in graph.vertices_sorted().into_iter().enumerate() {
+            part.assign(v, PartitionId::new((i / 3) as u32)).unwrap();
+        }
+        let sequential_store = PartitionedStore::new(graph, part);
+        let request = QueryRequest::workload(120)
+            .with_seed(17)
+            .collect_matches(true);
+        let ctx = RequestContext::unbounded();
+        for workers in [1, 2, 3, 4] {
+            // Inboxes that hold the whole load: back-to-back open-loop
+            // injection never rejects.
+            let engine = ServeEngine::new(rooted(workers).with_queue_capacity(120));
+            let (metrics, cursor) = engine
+                .run_sequential(&sequential_store, &workload, request, &ctx)
+                .into_parts();
+            let cursor: Vec<_> = cursor.collect();
+            assert!(!cursor.is_empty());
+            let runs = [
+                engine.run(&store, &workload, request, &ctx),
+                engine.run(&epochs, &workload, request, &ctx),
+            ];
+            for (source, (report, response)) in ["pinned", "epochs"].into_iter().zip(runs) {
+                let case = format!("{workers} workers, {source}");
+                assert_eq!(report.aggregate, metrics, "{case}");
+                assert_eq!(response.into_cursor().collect::<Vec<_>>(), cursor, "{case}");
+                let shard = &report.shards[0];
+                assert!(shard.queries > 0, "{case}: {shard:?}");
+                assert_eq!(
+                    (shard.runs, shard.wake_ups, shard.max_queue_depth),
+                    (0, 0, 0),
+                    "{case}: {shard:?}"
+                );
+            }
+            let (open, ()) = engine.open_loop(&store, &workload, request, |inj| {
+                while inj.inject_next(None) != Admission::Exhausted {}
+            });
+            assert_eq!(open.error_budget.rejected, 0);
+            assert_eq!(open.aggregate, metrics, "{workers} workers, open loop");
+            let shard = &open.shards[0];
+            assert!(
+                shard.queries > 0 && shard.runs > 0,
+                "{workers} workers: {shard:?}"
+            );
+        }
+    }
+
+    /// A panic on the calling thread — which runs the matcher, and the
+    /// driver — reaches the caller: the workers it started are not left
+    /// parked on their inboxes while the scope waits to join them.
+    #[test]
+    fn a_panic_on_the_calling_thread_reaches_the_caller() {
+        let (store, workload) = fixture();
+        let (sender, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let engine = ServeEngine::new(rooted(3));
+            let request = QueryRequest::workload(40).with_seed(2);
+            let ctx = RequestContext::unbounded();
+            let unwound = std::panic::catch_unwind(|| {
+                engine.drive(
+                    Source::Pinned(&store),
+                    &workload,
+                    request,
+                    &ctx,
+                    false,
+                    |inj| {
+                        for _ in 0..20 {
+                            inj.admit_next();
+                        }
+                        panic!("the driver fails mid-run");
+                    },
+                )
+            });
+            let _ = sender.send(unwound.is_err());
+        });
+        let unwound = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run hung instead of unwinding");
+        assert!(unwound, "the panic must reach the caller");
     }
 
     /// The paper example on a 2-partition split behind a sequential

@@ -24,10 +24,13 @@
 //!   closed-loop door — `run(source, workload, request, ctx)`, where the
 //!   [`engine::Source`] is a pinned `&Arc<ShardedStore>` or an
 //!   `&EpochStore` — beside `open_loop` for driver-paced load. It routes
-//!   queries and owns only transport endpoints; one independent worker event
-//!   loop per shard (a `std::thread::scope` thread) executes each one as a
-//!   single run of the shared instrumented matcher from `loom-sim` under
-//!   each request's
+//!   queries and owns only transport endpoints. On a closed-loop run the
+//!   calling thread also serves shard 0, between its offers to the others,
+//!   and every other shard gets an independent worker event loop (a
+//!   `std::thread::scope` thread); an open-loop run gives every shard a
+//!   thread, because its driver's thread must keep pacing injection. Each
+//!   query is executed as a single run of the shared instrumented matcher
+//!   from `loom-sim` under each request's
 //!   [`RequestContext`](loom_sim::context::RequestContext) — deadlines and
 //!   cancellation unwind searches cooperatively mid-backtrack. Admission
 //!   applies deadline-aware backpressure: a full worker inbox is waited out
@@ -58,6 +61,7 @@
 //! use loom_partition::partition::{PartitionId, Partitioning};
 //! use loom_sim::context::RequestContext;
 //! use loom_sim::engine::QueryRequest;
+//! use loom_sim::executor::QueryMode;
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,7 +76,7 @@
 //!     QueryId::new(0),
 //!     &[Label::new(0), Label::new(1)],
 //! )?])?;
-//! let engine = ServeEngine::new(ServeConfig::new(2));
+//! let engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 }));
 //! let request = QueryRequest::workload(100).with_seed(42);
 //! let ctx = RequestContext::unbounded();
 //! // One pinned snapshot …

@@ -55,6 +55,10 @@ impl QueryRouter {
     /// `root_seed % shards` explicitly — per-query root seeds are
     /// consecutive, so unmatched queries round-robin across shards instead
     /// of hotspotting near shard 0.
+    ///
+    /// A rooted execution that draws at most one root skips the vote table:
+    /// one root's home is the whole plurality, and a root without a home (or
+    /// no root at all) is the zero-vote spread, so the answer is the same.
     pub(crate) fn home_shard_planned(
         &mut self,
         store: &ShardedStore,
@@ -62,20 +66,29 @@ impl QueryRouter {
         root_seed: u64,
     ) -> PartitionId {
         let shards = store.shard_count().max(1) as usize;
+        let spread = || PartitionId::new((root_seed % shards as u64) as u32);
         let votes = &mut self.votes;
         votes.clear();
-        votes.resize(shards, 0);
         match self.mode {
             QueryMode::FullEnumeration => {
                 // Every root-label vertex anchors the scan, so each shard's
                 // vote is the count it keeps for that label — no per-vertex
                 // home lookups.
+                votes.resize(shards, 0);
                 for (vote, shard) in votes.iter_mut().zip(store.shards()) {
                     *vote = shard.label_count(plan.root_label());
                 }
             }
             QueryMode::Rooted { .. } => {
-                for &root in plan_roots(store, plan, self.mode, root_seed, &mut self.roots) {
+                let roots = plan_roots(store, plan, self.mode, root_seed, &mut self.roots);
+                if let [] | [_] = roots {
+                    return roots
+                        .first()
+                        .and_then(|&root| store.home_of(root))
+                        .unwrap_or_else(spread);
+                }
+                votes.resize(shards, 0);
+                for &root in roots {
                     if let Some(p) = store.home_of(root) {
                         votes[p.index()] += 1;
                     }
@@ -84,7 +97,7 @@ impl QueryRouter {
         }
         let best = votes.iter().copied().max().expect("at least one shard");
         if best == 0 {
-            return PartitionId::new((root_seed % shards as u64) as u32);
+            return spread();
         }
         // The seed picks among the tied shards by position, counted rather
         // than listed.
@@ -141,6 +154,53 @@ mod tests {
         );
     }
 
+    /// Path 0-1-2-3-4 with labels a,b,a,b,a; partition {0,1} / {2,3}, and
+    /// vertex 4 left unassigned.
+    fn store_with_an_unassigned_root() -> ShardedStore {
+        let g = path_graph(5, &[l(0), l(1)]);
+        let vs = g.vertices_sorted();
+        let mut part = Partitioning::new(2, 5).unwrap();
+        for (i, &v) in vs.iter().take(4).enumerate() {
+            part.assign(v, PartitionId::new((i / 2) as u32)).unwrap();
+        }
+        ShardedStore::from_parts(&g, &part)
+    }
+
+    /// The plurality vote every arrival went through before an arrival with
+    /// at most one root skipped it: the reference the router must equal.
+    fn voted_home(
+        store: &ShardedStore,
+        plan: &QueryPlan,
+        mode: QueryMode,
+        seed: u64,
+    ) -> PartitionId {
+        let shards = store.shard_count().max(1) as usize;
+        let mut votes = vec![0usize; shards];
+        match mode {
+            QueryMode::FullEnumeration => {
+                for (vote, shard) in votes.iter_mut().zip(store.shards()) {
+                    *vote = shard.label_count(plan.root_label());
+                }
+            }
+            QueryMode::Rooted { .. } => {
+                for &root in plan_roots(store, plan, mode, seed, &mut Vec::new()) {
+                    if let Some(p) = store.home_of(root) {
+                        votes[p.index()] += 1;
+                    }
+                }
+            }
+        }
+        let best = votes.iter().copied().max().unwrap();
+        if best == 0 {
+            return PartitionId::new((seed % shards as u64) as u32);
+        }
+        let tied: Vec<usize> = (0..shards).filter(|&p| votes[p] == best).collect();
+        PartitionId::new(tied[seed as usize % tied.len()] as u32)
+    }
+
+    /// Routing is a function of the seed, and equals the vote: on roots
+    /// that all have a home and on a store whose one `a` vertex has none,
+    /// for one drawn root (the path that skips the vote) and several.
     #[test]
     fn rooted_routing_is_deterministic_per_seed() {
         let store = store();
@@ -151,6 +211,23 @@ mod tests {
             let a = router.home_shard_planned(&store, &plan, seed);
             let b = router.home_shard_planned(&store, &plan, seed);
             assert_eq!(a, b);
+        }
+        let reversed = PatternQuery::path(QueryId::new(1), &[l(1), l(0)]).unwrap();
+        for store in [store, store_with_an_unassigned_root()] {
+            for query in [&query, &reversed] {
+                let plan = QueryPlan::legacy(query);
+                for seed_count in [1, 2, 3] {
+                    let mode = QueryMode::Rooted { seed_count };
+                    let mut router = QueryRouter::new(mode);
+                    for seed in 0..64 {
+                        assert_eq!(
+                            router.home_shard_planned(&store, &plan, seed),
+                            voted_home(&store, &plan, mode, seed),
+                            "{mode:?}, seed {seed}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -163,15 +240,36 @@ mod tests {
         let plan = QueryPlan::legacy(&query);
         for mode in [
             QueryMode::FullEnumeration,
+            QueryMode::Rooted { seed_count: 1 },
             QueryMode::Rooted { seed_count: 2 },
         ] {
             let mut router = QueryRouter::new(mode);
             let mut hits = [0usize; 2];
             // Consecutive root seeds, exactly as the engine assigns them.
             for seed in 1..=40u64 {
-                hits[router.home_shard_planned(&store, &plan, seed).index()] += 1;
+                let home = router.home_shard_planned(&store, &plan, seed);
+                // A label with no vertex draws no root: the vote's spread.
+                assert_eq!(home, voted_home(&store, &plan, mode, seed), "{mode:?}");
+                hits[home.index()] += 1;
             }
             assert_eq!(hits, [20, 20], "mode {mode:?} hotspots zero-vote load");
         }
+        // A root with no home is a zero vote too, whichever path routes it.
+        let store = store_with_an_unassigned_root();
+        let query = PatternQuery::path(QueryId::new(0), &[l(0), l(1)]).unwrap();
+        let plan = QueryPlan::legacy(&query);
+        let mode = QueryMode::Rooted { seed_count: 1 };
+        let mut router = QueryRouter::new(mode);
+        let mut homeless = 0;
+        for seed in 1..=40u64 {
+            let roots = plan_roots(&store, &plan, mode, seed, &mut Vec::new()).to_vec();
+            if store.home_of(roots[0]).is_none() {
+                homeless += 1;
+                let home = router.home_shard_planned(&store, &plan, seed);
+                assert_eq!(home.index() as u64, seed % 2);
+                assert_eq!(home, voted_home(&store, &plan, mode, seed));
+            }
+        }
+        assert!(homeless > 0, "the unassigned root is never drawn");
     }
 }

@@ -17,12 +17,13 @@
 //! transport change, not an engine rewrite — which is the whole point.
 //!
 //! The in-process implementation is a hub: one bounded `ShardQueue` per
-//! worker (coordinator → worker) plus one shared inbox every worker sends
-//! into (worker → coordinator). Sends are deadline-aware — backpressure can
-//! reject instead of wedging admission. Nothing on the per-message path
-//! allocates or grows: every queue buffer, and the buffer each end trades
-//! with it, is allocated whole when the hub is built, on the thread that
-//! builds it.
+//! threaded worker (coordinator → worker; shard 0 of a closed-loop run is
+//! served on the coordinator's thread and has none) plus one shared inbox
+//! every worker sends into (worker → coordinator). Sends are deadline-aware
+//! — backpressure can reject instead of wedging admission. Nothing on the
+//! per-message path allocates or grows: every queue buffer, and the buffer
+//! each end trades with it, is allocated whole when the hub is built, on the
+//! thread that builds it.
 //!
 //! **Hand-offs move in runs.** Every lock acquisition on a queue, and every
 //! wake-up of a parked peer, is paid per hand-off, not per message, so the
@@ -65,6 +66,7 @@ use loom_obs::{stage, Histogram, Telemetry};
 use loom_sim::executor::ExecutionMetrics;
 use loom_sim::matcher::Embedding;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -600,18 +602,18 @@ impl EpochSink for InboxNoticeSink {
 }
 
 /// The wired-up in-process transport for one serving run: one coordinator
-/// endpoint per worker plus the matching worker endpoints. All
+/// endpoint per threaded worker plus the matching worker endpoints. All
 /// worker→coordinator traffic lands in a single shared inbox (the
 /// [`ShardQueue`] is multi-producer), which every coordinator endpoint
 /// receives from.
 #[derive(Debug)]
 pub(crate) struct InProcHub {
-    /// Coordinator-side endpoints, indexed by worker: endpoint `i` sends to
-    /// worker `i`'s inbox and receives from the shared coordinator inbox
-    /// (the engine receives on endpoint 0; any of them would do).
+    /// Coordinator-side endpoints, one per threaded worker in worker order:
+    /// each sends to its worker's inbox and receives from the shared
+    /// coordinator inbox (the engine receives on the first; any would do).
     pub coordinator: Vec<InProcEndpoint>,
-    /// Worker-side endpoints, indexed by worker: endpoint `i` receives from
-    /// its own inbox and sends to the shared coordinator inbox.
+    /// Worker-side endpoints, in the same order: each receives from its own
+    /// inbox and sends to the shared coordinator inbox.
     pub workers: Vec<InProcEndpoint>,
     inbox: Arc<ShardQueue<Envelope>>,
 }
@@ -624,6 +626,25 @@ impl InProcHub {
             inbox: Arc::clone(&self.inbox),
         })
     }
+
+    /// A guard that closes every queue of the hub when it is dropped: each
+    /// worker's inbox and the coordinator's. A worker parked on its inbox
+    /// wakes, takes what is left and exits, and a worker's send into the
+    /// coordinator's inbox fails instead of waiting for room. Dropped at the
+    /// end of a run, or by the unwinding of a panic on the coordinator's
+    /// thread, it lets the scope that spawned the workers join them.
+    pub(crate) fn close_on_drop(&self) -> impl Drop + '_ {
+        struct Closing<'h>(&'h InProcHub);
+        impl Drop for Closing<'_> {
+            fn drop(&mut self) {
+                self.0.inbox.close();
+                for link in &self.0.coordinator {
+                    link.tx.close();
+                }
+            }
+        }
+        Closing(self)
+    }
 }
 
 /// Factory for the in-process [`ShardTransport`] implementation.
@@ -631,30 +652,30 @@ impl InProcHub {
 pub struct InProcTransport;
 
 impl InProcTransport {
-    /// Build a coordinator↔workers hub: `workers` bounded per-worker inboxes
-    /// of `capacity` entries each, plus a shared coordinator inbox sized so
+    /// Build a coordinator↔workers hub for the workers in `threaded` (the
+    /// ones that run on threads of their own): one bounded inbox of
+    /// `capacity` entries each, plus a shared coordinator inbox sized so
     /// workers returning results rarely wait for a coordinator that is
     /// momentarily busy routing. With `telemetry`, each worker endpoint's
     /// receives charge their queue wait into that shard's
     /// `serve.queue_wait{shard}` histogram; `None` builds the
     /// uninstrumented hub.
     pub(crate) fn hub_observed(
-        workers: usize,
+        threaded: Range<usize>,
         capacity: usize,
         telemetry: Option<&Telemetry>,
     ) -> InProcHub {
-        let workers = workers.max(1);
         let capacity = capacity.max(1);
         // Room for every worker's whole inbox's worth of results plus a
         // report, so a worker's group of completions (at most the inbox it
-        // took) goes in one push past a coordinator that is busy routing. Liveness does not rest on the size: a worker blocked on
-        // a full coordinator inbox stops taking queries, its own inbox
-        // fills, and a coordinator refused there waits on — and so empties
-        // — this one.
-        let inbox = Arc::new(ShardQueue::new(workers * (capacity + 2)));
-        let mut coordinator = Vec::with_capacity(workers);
-        let mut worker_ends = Vec::with_capacity(workers);
-        for w in 0..workers {
+        // took) goes in one push past a coordinator that is busy routing.
+        // Liveness does not rest on the size: a worker blocked on a full
+        // coordinator inbox stops taking queries, its own inbox fills, and a
+        // coordinator refused there waits on — and so empties — this one.
+        let inbox = Arc::new(ShardQueue::new(threaded.len() * (capacity + 2)));
+        let mut coordinator = Vec::with_capacity(threaded.len());
+        let mut worker_ends = Vec::with_capacity(threaded.len());
+        for w in threaded {
             let worker_inbox = Arc::new(ShardQueue::new(capacity));
             coordinator.push(InProcEndpoint::new(
                 Arc::clone(&worker_inbox),
@@ -757,7 +778,7 @@ mod tests {
 
     #[test]
     fn hub_routes_worker_traffic_into_one_coordinator_inbox() {
-        let hub = InProcTransport::hub_observed(3, 4, None);
+        let hub = InProcTransport::hub_observed(0..3, 4, None);
         assert_eq!(hub.coordinator.len(), 3);
         assert_eq!(hub.workers.len(), 3);
         for (w, endpoint) in hub.workers.iter().enumerate() {
@@ -807,7 +828,7 @@ mod tests {
 
     #[test]
     fn refused_queries_come_back_unboxed_and_try_recv_never_waits() {
-        let hub = InProcTransport::hub_observed(1, 1, None);
+        let hub = InProcTransport::hub_observed(0..1, 1, None);
         let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
         let mut got = VecDeque::new();
         assert_eq!(coordinator.try_send_query(task(1)), Ok(()));
@@ -842,7 +863,7 @@ mod tests {
     /// a staged run goes in as far as it fits, in order, the rest kept.
     #[test]
     fn a_worker_end_takes_its_whole_inbox_in_one_receive() {
-        let hub = InProcTransport::hub_observed(1, 3, None);
+        let hub = InProcTransport::hub_observed(0..1, 3, None);
         let (coordinator, worker) = (&hub.coordinator[0], &hub.workers[0]);
         let mut staged: VecDeque<QueryTaskMsg> = (1..=5).map(task).collect();
         assert_eq!(
@@ -928,7 +949,7 @@ mod tests {
     #[test]
     fn observed_hub_charges_queue_waits_into_the_shard_histogram() {
         let telemetry = Telemetry::new();
-        let hub = InProcTransport::hub_observed(2, 4, Some(&telemetry));
+        let hub = InProcTransport::hub_observed(0..2, 4, Some(&telemetry));
         hub.coordinator[1].send(ShardMsg::Finish, None).unwrap();
         assert_eq!(hub.workers[1].recv(None), Ok(ShardMsg::Finish));
         let waits = telemetry.shard_histogram(stage::SERVE_QUEUE_WAIT, 1);
@@ -985,7 +1006,7 @@ mod tests {
 
     #[test]
     fn notice_sink_drops_when_the_inbox_is_full() {
-        let hub = InProcTransport::hub_observed(1, 1, None);
+        let hub = InProcTransport::hub_observed(0..1, 1, None);
         let sink = hub.notice_sink();
         // Capacity of the shared inbox for one worker at capacity 1 is 3.
         for epoch in 0..10 {

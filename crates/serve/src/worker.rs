@@ -1,4 +1,6 @@
-//! The shard worker: one independent event loop per worker shard.
+//! The shard worker: one independent event loop per threaded worker shard,
+//! and the execution step it shares with the coordinator, which serves
+//! shard 0 of a closed-loop run on the calling thread ([`ShardExecutor`]).
 //!
 //! A worker owns no shared serving state. It pins its snapshot at spawn,
 //! then reacts purely to [`ShardMsg`]s arriving over its transport
@@ -37,7 +39,10 @@
 //! Such a `Done` holds its one execution: nothing folds into it.
 
 use crate::engine::Source;
-use crate::transport::{QueryDoneMsg, RecvError, ShardMsg, ShardReportMsg, ShardTransport};
+use crate::shard::ShardedStore;
+use crate::transport::{
+    QueryDoneMsg, QueryTaskMsg, RecvError, ShardMsg, ShardReportMsg, ShardTransport,
+};
 use loom_obs::{Histogram, SpanTimer};
 use loom_sim::context::{CancelToken, RequestContext};
 use loom_sim::executor::ExecutionMetrics;
@@ -60,9 +65,10 @@ fn unnamed(metrics: &ExecutionMetrics, embeddings: &[Embedding]) -> bool {
     embeddings.is_empty() && !metrics.deadline_exceeded && !metrics.cancelled
 }
 
-/// Everything a worker is handed at spawn. Deliberately snapshot-free
-/// beyond the `Source` it pins from: queries, deadlines and epoch changes
-/// all arrive as messages.
+/// Everything a shard's executions are handed: a worker's at spawn, the
+/// calling thread's shard 0 at the run's start. Deliberately snapshot-free:
+/// queries, deadlines and epoch changes all arrive as messages (or, on the
+/// calling thread, with the routing snapshot).
 pub(crate) struct WorkerSetup<'a> {
     /// This worker's index.
     pub worker: u32,
@@ -85,6 +91,73 @@ pub(crate) struct WorkerSetup<'a> {
     pub exec_hist: Option<Arc<Histogram>>,
 }
 
+/// One shard's executions, on whichever thread runs them: a worker's, or the
+/// coordinator's for the shard a closed-loop run serves on the calling
+/// thread. It holds what every execution of the run shares — one request
+/// context (the run's cancel token, each query's deadline written in) and
+/// one matcher scratch — and the completions not yet handed back, folded as
+/// the module docs say.
+pub(crate) struct ShardExecutor<'a> {
+    setup: WorkerSetup<'a>,
+    ctx: RequestContext,
+    scratch: MatchScratch<u32>,
+    /// Completions not yet handed back: kept for the whole run, so a
+    /// hand-off allocates nothing once it has grown to an inbox's worth.
+    pub done: VecDeque<ShardMsg>,
+    /// Queries executed so far.
+    executed: usize,
+}
+
+impl<'a> ShardExecutor<'a> {
+    pub(crate) fn new(setup: WorkerSetup<'a>) -> Self {
+        Self {
+            ctx: RequestContext::unbounded().with_cancel(setup.cancel.clone()),
+            setup,
+            scratch: MatchScratch::default(),
+            done: VecDeque::new(),
+            executed: 0,
+        }
+    }
+
+    /// Execute one routed query on `snapshot` and fold its completion into
+    /// [`ShardExecutor::done`]. Returns the traversals it took.
+    pub(crate) fn execute(&mut self, snapshot: &ShardedStore, task: &QueryTaskMsg) -> usize {
+        self.executed += 1;
+        let setup = &self.setup;
+        let span = SpanTimer::start(setup.exec_hist.as_deref());
+        self.ctx.deadline = task
+            .deadline_us
+            .map(|us| setup.run_start + Duration::from_micros(us));
+        let plan = setup.plans[task.query as usize]
+            .as_ref()
+            .expect("scheduled plan");
+        let opts = ExecOptions {
+            root_seed: task.root_seed,
+            ..setup.options
+        };
+        let exec = execute_plan_ctx(snapshot, plan, &opts, &self.ctx, &mut self.scratch);
+        drop(span);
+        let traversals = exec.metrics.total_traversals;
+        let epoch = snapshot.epoch();
+        let foldable = !setup.time_completions && unnamed(&exec.metrics, &exec.embeddings);
+        match self.done.back_mut() {
+            Some(ShardMsg::Done(last))
+                if foldable && last.epoch == epoch && unnamed(&last.metrics, &last.embeddings) =>
+            {
+                last.metrics.merge(&exec.metrics);
+            }
+            _ => self.done.push_back(ShardMsg::Done(QueryDoneMsg {
+                worker: setup.worker,
+                seq: task.seq,
+                epoch,
+                metrics: exec.metrics,
+                embeddings: exec.embeddings,
+            })),
+        }
+        traversals
+    }
+}
+
 /// Run one worker until `Finish` arrives (or the link drops).
 pub(crate) fn worker_loop(
     transport: &dyn ShardTransport,
@@ -94,27 +167,20 @@ pub(crate) fn worker_loop(
     // Pin once at spawn; re-pin only when an epoch-publication notice says
     // something newer exists. Queries never peek at shared state.
     let mut snapshot = source.pin();
-    let mut executed = 0usize;
-    // What every execution of the run shares: one request context — the
-    // run's cancel token, each query's deadline written in — and one
-    // matcher scratch.
-    let mut ctx = RequestContext::unbounded().with_cancel(setup.cancel.clone());
-    let mut scratch = MatchScratch::default();
-    // The run taken off the inbox and not yet handled, and the completions
-    // not yet sent back: kept for the whole run, so a hand-off allocates
-    // nothing once they have grown to an inbox's worth.
+    let mut shard = ShardExecutor::new(setup);
+    // The run taken off the inbox and not yet handled: kept for the whole
+    // run, as the completions are.
     let mut run = VecDeque::new();
-    let mut done = VecDeque::new();
-    // Traversals behind the completions in `done`.
+    // Traversals behind the completions not yet sent.
     let mut held = 0usize;
     loop {
         let Some(msg) = run.pop_front() else {
             // Take the next run before reporting the last one, then park
             // only with nothing left to report.
             let took = transport.try_recv_all(&mut run);
-            if !done.is_empty() {
-                let _ = transport.send_all(&mut done, None);
-                done.clear();
+            if !shard.done.is_empty() {
+                let _ = transport.send_all(&mut shard.done, None);
+                shard.done.clear();
                 held = 0;
             }
             if !took {
@@ -127,56 +193,24 @@ pub(crate) fn worker_loop(
         };
         match msg {
             ShardMsg::Query(task) => {
-                executed += 1;
-                let span = SpanTimer::start(setup.exec_hist.as_deref());
-                ctx.deadline = task
-                    .deadline_us
-                    .map(|us| setup.run_start + Duration::from_micros(us));
-                let plan = setup.plans[task.query as usize]
-                    .as_ref()
-                    .expect("scheduled plan");
-                let opts = ExecOptions {
-                    root_seed: task.root_seed,
-                    ..setup.options
-                };
-                let exec = execute_plan_ctx(snapshot.as_ref(), plan, &opts, &ctx, &mut scratch);
-                drop(span);
-                held += exec.metrics.total_traversals;
-                let epoch = snapshot.epoch();
-                let foldable = !setup.time_completions && unnamed(&exec.metrics, &exec.embeddings);
-                match done.back_mut() {
-                    Some(ShardMsg::Done(last))
-                        if foldable
-                            && last.epoch == epoch
-                            && unnamed(&last.metrics, &last.embeddings) =>
-                    {
-                        last.metrics.merge(&exec.metrics);
-                    }
-                    _ => done.push_back(ShardMsg::Done(QueryDoneMsg {
-                        worker: setup.worker,
-                        seq: task.seq,
-                        epoch,
-                        metrics: exec.metrics,
-                        embeddings: exec.embeddings,
-                    })),
-                }
+                held += shard.execute(&snapshot, &task);
                 if held >= GROUP_TRAVERSALS {
-                    let _ = transport.send_all(&mut done, None);
-                    done.clear();
+                    let _ = transport.send_all(&mut shard.done, None);
+                    shard.done.clear();
                     held = 0;
                 }
             }
             ShardMsg::EpochPublished { .. } => {
                 snapshot = source.pin();
             }
-            ShardMsg::Cancel => setup.cancel.cancel(),
+            ShardMsg::Cancel => shard.setup.cancel.cancel(),
             ShardMsg::Finish => {
-                let _ = transport.send_all(&mut done, None);
+                let _ = transport.send_all(&mut shard.done, None);
                 let stats = transport.stats();
                 let _ = transport.send(
                     ShardMsg::Report(ShardReportMsg {
-                        worker: setup.worker,
-                        queries: executed,
+                        worker: shard.setup.worker,
+                        queries: shard.executed,
                         queue_wait_p50_us: stats.queue_wait_p50_us,
                         queue_wait_p99_us: stats.queue_wait_p99_us,
                         max_inbox_depth: stats.max_recv_depth,
@@ -198,8 +232,7 @@ pub(crate) fn worker_loop(
 mod tests {
     use super::*;
     use crate::epoch::EpochStore;
-    use crate::shard::ShardedStore;
-    use crate::transport::{QueryTaskMsg, TransportError};
+    use crate::transport::TransportError;
     use loom_graph::generators::regular::path_graph;
     use loom_graph::{Label, LabelledGraph};
     use loom_motif::query::{PatternQuery, QueryId};

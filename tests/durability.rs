@@ -237,8 +237,7 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     ));
     // Mirror the engine `Recovered::sharded` clones from the session's
     // (default-configured) one.
-    let control_engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::default()))
-        .with_plan_cache(plans);
+    let control_engine = ServeEngine::new(ServeConfig::new(2)).with_plan_cache(plans);
     let control_report = control_engine
         .run(
             &Arc::new(control_store),
@@ -401,8 +400,7 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
         &workload,
         &stats,
     ));
-    let control_engine = ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::default()))
-        .with_plan_cache(plans);
+    let control_engine = ServeEngine::new(ServeConfig::new(2)).with_plan_cache(plans);
     let control_report = control_engine
         .run(
             &Arc::new(control_store),

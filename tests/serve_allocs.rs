@@ -30,7 +30,9 @@
 //! 64) fails it. The sequential `Serving::run` read its 33 over the hash-map
 //! `PartitionedStore`; it now runs on the sharded engine's own frozen arena
 //! (frozen once, by `sharded(2)`, before either engine is counted) and
-//! reads 33 there too, against 98–101 sharded.
+//! reads 33 there too, against 98–101 sharded. Since a closed-loop run
+//! serves shard 0 on the calling thread, one worker starts no thread and
+//! builds no queue (52 allocations) and two workers start one thread (83).
 //!
 //! One `#[test]` on purpose: the counter is process-wide, so a second test
 //! running beside this one (or the harness reporting on it) would be
@@ -126,9 +128,10 @@ fn serving() -> Serving {
 #[test]
 fn counted_requests_allocate_nothing_per_request() {
     let sequential = serving();
-    let sharded = sequential.sharded(2);
-    let engines: [(&str, &dyn QueryEngine); 2] = [
-        ("ShardedServing::run, 2 workers", &sharded),
+    let (one, two) = (sequential.sharded(1), sequential.sharded(2));
+    let engines: [(&str, &dyn QueryEngine); 3] = [
+        ("ShardedServing::run, 1 worker", &one),
+        ("ShardedServing::run, 2 workers", &two),
         ("Serving::run", &sequential),
     ];
     let request = QueryRequest::workload(REQUESTS).with_seed(5);
@@ -147,13 +150,14 @@ fn counted_requests_allocate_nothing_per_request() {
         );
         answers.push(response.metrics);
     }
-    assert_eq!(answers[0], answers[1], "sharded and sequential disagree");
+    assert_eq!(answers[0], answers[1], "one and two workers disagree");
+    assert_eq!(answers[1], answers[2], "sharded and sequential disagree");
 
     // Collecting may allocate; it must not lose the scratch. The cursors of
     // both engines hold the same embeddings in the same order, as many as
     // the counted runs found.
     let collecting = request.collect_matches(true);
-    let a = sharded.run(collecting);
+    let a = two.run(collecting);
     let b = sequential.run(collecting);
     assert_eq!(a.metrics, answers[0]);
     assert_eq!(b.metrics, answers[0]);

@@ -386,13 +386,18 @@ fn rejected_admission_latches_a_flight_dump_with_the_request_timeline() {
 
     // Capacity-1 queues and an already-expired deadline: any admission push
     // that finds its worker still busy rejects immediately. A couple of
-    // hundred samples through one worker makes that collision essentially
-    // certain; retry a few seeds to make the test timing-proof.
+    // hundred samples through two workers makes that collision essentially
+    // certain on worker 1 (worker 0 runs on the calling thread, behind no
+    // queue); retry a few seeds to make the test timing-proof.
     let mut latched: Option<(FlightDump, Vec<ShardServeMetrics>)> = None;
     for seed in 0..25 {
         let telemetry = Telemetry::new();
-        let engine = ServeEngine::new(ServeConfig::new(1).with_queue_capacity(1))
-            .with_telemetry(Arc::clone(&telemetry));
+        let engine = ServeEngine::new(
+            ServeConfig::new(2)
+                .with_mode(QueryMode::Rooted { seed_count: 4 })
+                .with_queue_capacity(1),
+        )
+        .with_telemetry(Arc::clone(&telemetry));
         let request = QueryRequest::workload(200)
             .with_seed(seed)
             .with_deadline(Instant::now() - Duration::from_secs(1));
@@ -445,8 +450,13 @@ fn rejected_admission_latches_a_flight_dump_with_the_request_timeline() {
         .unwrap();
     assert!(admitted_at < rejected_at);
     // And the report agrees: the shard stayed pinned at the store's epoch.
-    assert_eq!(shards[0].epoch_seq, Some(expected_epoch));
-    assert!(shards[0].rejected > 0);
+    let rejecting = &shards[1];
+    assert_eq!(rejecting.epoch_seq, Some(expected_epoch));
+    assert!(rejecting.rejected > 0);
+    assert_eq!(
+        shards[0].rejected, 0,
+        "the calling thread's shard has no queue"
+    );
     // The latch came from one of the two automatic triggers (whichever
     // fired last), and the dump renders human-readably for logs.
     assert!(matches!(
