@@ -1,6 +1,6 @@
 //! The adaptation driver: close the loop from observed queries to placement.
 //!
-//! [`AdaptiveServing`] owns the pieces the loop needs — the graph, the live
+//! [`AdaptiveServing`] owns the pieces the loop needs — the live
 //! [`Partitioning`], an [`EpochStore`] of immutable shard snapshots, a
 //! [`WorkloadTracker`] and a [`MigrationPlanner`] — and ties them into
 //!
@@ -11,13 +11,17 @@
 //!   publish epoch ◄── rebuild affected shards ◄── apply to partitioning
 //! ```
 //!
+//! The snapshots are its only form of the graph: the first is the shared
+//! store it is handed, never written through, and a planning pass reads the
+//! current one's graph ([`ShardedStore::to_graph`]).
+//!
 //! Adaptation never blocks reads: queries pin whatever epoch is current when
 //! they execute, the migrated snapshot is built incrementally *off to the
 //! side* ([`ShardedStore::apply_migration`] rebuilds only the shards the
 //! moves touched) and is published atomically through the epoch store.
 
 use crate::tracker::WorkloadTracker;
-use loom_graph::{LabelledGraph, StreamElement, VertexId};
+use loom_graph::{StreamElement, VertexId};
 use loom_motif::workload::Workload;
 use loom_obs::{stage, FlightKind, SpanTimer};
 use loom_partition::error::Result;
@@ -103,7 +107,6 @@ pub struct CompactOutcome {
 /// the placement underneath in-flight queries.
 #[derive(Debug)]
 pub struct AdaptiveServing {
-    graph: LabelledGraph,
     partitioning: Partitioning,
     epochs: EpochStore,
     engine: ServeEngine,
@@ -120,27 +123,26 @@ pub struct AdaptiveServing {
 }
 
 impl AdaptiveServing {
-    /// Stand up adaptive serving over `graph` placed by `partitioning`,
-    /// tracking drift against `mined_workload` — the workload (query set
-    /// *and* frequencies) the partitioning was mined for — and serving it
-    /// through `engine`: its mode, match limit, workers and plans. With
-    /// telemetry on the engine, adaptation passes also charge `adapt.plan` /
-    /// `adapt.migrate` spans and leave [`FlightKind::Migrated`] and
-    /// [`FlightKind::EpochPublished`] flight-recorder events.
+    /// Stand up adaptive serving over `store` — the frozen graph placed by
+    /// `partitioning`, served as the first epoch at the epoch it carries
+    /// ([`EpochStore::resume`]) — tracking drift against `mined_workload` —
+    /// the workload (query set *and* frequencies) the partitioning was mined
+    /// for — and serving it through `engine`: its mode, match limit, workers
+    /// and plans. With telemetry on the engine, adaptation passes also charge
+    /// `adapt.plan` / `adapt.migrate` spans and leave [`FlightKind::Migrated`]
+    /// and [`FlightKind::EpochPublished`] flight-recorder events.
     pub fn new(
-        graph: LabelledGraph,
+        store: Arc<ShardedStore>,
         partitioning: Partitioning,
         mined_workload: Workload,
         engine: ServeEngine,
         config: AdaptConfig,
     ) -> Self {
-        let store = ShardedStore::from_parts(&graph, &partitioning);
         Self {
-            epochs: EpochStore::new(store),
+            epochs: EpochStore::resume(store),
             engine,
             tracker: WorkloadTracker::new(mined_workload),
             planner: MigrationPlanner::new(config.migration),
-            graph,
             partitioning,
             config,
             adaptations: 0,
@@ -214,11 +216,11 @@ impl AdaptiveServing {
     }
 
     /// Apply a mutation batch to the live serving state: removed vertices
-    /// and edges leave the graph and the placement (so the planner can never
-    /// again propose moving a dead vertex), and the **published** snapshot
-    /// gets the matching tombstone marks — queries admitted after the publish
-    /// skip the dead entries without any shard rebuild, while in-flight
-    /// queries keep their pinned epoch. `AddVertex`/`AddEdge` elements are
+    /// leave the placement, and a copy of the current snapshot gets the
+    /// matching tombstone marks and relabels and is **published** — queries
+    /// admitted after the publish skip the dead entries without any shard
+    /// rebuild, while in-flight queries keep their pinned epoch, and the
+    /// planner can never again propose moving a dead vertex. `AddVertex`/`AddEdge` elements are
     /// ignored here: additions change shard layout and go through a full
     /// republish (checkpoint or rebuild), not a tombstone pass.
     ///
@@ -226,19 +228,8 @@ impl AdaptiveServing {
     /// triggered pass: [`AdaptiveServing::compact_now`].
     pub fn apply_mutations(&mut self, batch: &[StreamElement]) -> MutationOutcome {
         for element in batch {
-            match *element {
-                StreamElement::AddVertex { .. } | StreamElement::AddEdge { .. } => {}
-                StreamElement::RemoveVertex { id } => {
-                    if self.graph.remove_vertex(id) {
-                        self.partitioning.unassign(id);
-                    }
-                }
-                StreamElement::RemoveEdge { source, target } => {
-                    self.graph.remove_edge(source, target);
-                }
-                StreamElement::Relabel { id, label } => {
-                    let _ = self.graph.set_label(id, label);
-                }
+            if let StreamElement::RemoveVertex { id } = *element {
+                self.partitioning.unassign(id);
             }
         }
         let mutated = self.epochs.load().apply_mutations(batch);
@@ -339,11 +330,12 @@ impl AdaptiveServing {
             .telemetry()
             .map(|t| t.stage_histogram(stage::ADAPT_PLAN));
         let plan_span = SpanTimer::start(plan_hist.as_deref());
+        let graph = self.epochs.load().to_graph();
         let mut moves: Vec<(VertexId, PartitionId)> = Vec::new();
         let mut rounds = 0;
         let mut planner_ran_dry = false;
         for _ in 0..self.config.max_rounds.max(1) {
-            let plan = self.planner.plan(&self.graph, &self.partitioning, &hot);
+            let plan = self.planner.plan(&graph, &self.partitioning, &hot);
             if plan.is_empty() {
                 planner_ran_dry = true;
                 break;
@@ -352,6 +344,7 @@ impl AdaptiveServing {
             moves.extend(plan.moves.iter().map(|m| (m.vertex, m.to)));
             plan.apply(&mut self.partitioning)?;
         }
+        drop(graph);
         drop(plan_span);
         if moves.is_empty() {
             // Nothing worth moving (the placement already suits the mix):
@@ -423,8 +416,10 @@ impl QueryEngine for AdaptiveServing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use loom_graph::fxhash::FxHashMap;
     use loom_graph::generators::regular::path_graph;
-    use loom_graph::Label;
+    use loom_graph::generators::{motif_planted_graph, MotifPlantConfig};
+    use loom_graph::{Label, LabelledGraph};
     use loom_motif::query::{PatternQuery, QueryId};
     use loom_obs::Telemetry;
     use loom_serve::engine::ServeConfig;
@@ -454,6 +449,12 @@ mod tests {
             .0
     }
 
+    /// `graph` frozen under `part` and stamped epoch 1, as a served
+    /// session's store is.
+    fn frozen(graph: &LabelledGraph, part: &Partitioning) -> Arc<ShardedStore> {
+        Arc::new(ShardedStore::from_parts(graph, part).with_epoch(1))
+    }
+
     /// A 12-vertex abc-path graph over 2 partitions, deliberately splitting
     /// every abc triple across the partition boundary at vertex granularity.
     fn fixture() -> (LabelledGraph, Partitioning, Workload) {
@@ -476,7 +477,7 @@ mod tests {
     fn query_engine_run_matches_the_legacy_epoch_path() {
         let (g, part, workload) = fixture();
         let adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             workload.clone(),
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -497,7 +498,7 @@ mod tests {
     fn serving_without_drift_keeps_the_epoch() {
         let (g, part, workload) = fixture();
         let mut adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             workload.clone(),
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -514,7 +515,7 @@ mod tests {
     fn adapt_now_repairs_locality_and_publishes_an_epoch() {
         let (g, part, workload) = fixture();
         let mut adaptive = AdaptiveServing::new(
-            g.clone(),
+            frozen(&g, &part),
             part,
             workload.clone(),
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -556,7 +557,7 @@ mod tests {
             max_rounds: 1,
         };
         let mut adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             mined,
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -580,7 +581,7 @@ mod tests {
     fn adapt_now_fires_and_rotates_the_round_token() {
         let (g, part, workload) = fixture();
         let mut adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             workload,
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -625,7 +626,7 @@ mod tests {
         ])
         .unwrap();
         let mut adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             workload,
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -645,7 +646,7 @@ mod tests {
         let (g, part, workload) = fixture();
         let dead = g.vertices_sorted()[0];
         let mut adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             workload,
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),
@@ -658,7 +659,7 @@ mod tests {
         let snapshot = adaptive.epochs().load();
         assert_eq!(snapshot.home_shard(dead), None);
         assert_eq!(snapshot.tombstoned_vertices(), 1);
-        assert!(adaptive.graph.label(dead).is_none());
+        assert!(snapshot.to_graph().label(dead).is_none());
         assert!(adaptive.partitioning.assignments().all(|(v, _)| v != dead));
         // A forced adaptation pass can no longer name the dead vertex: the
         // migrated snapshot keeps it tombstoned and the placement keeps it
@@ -680,7 +681,7 @@ mod tests {
         let dead = g.vertices_sorted()[5];
         let telemetry = Arc::new(Telemetry::new());
         let mut adaptive = AdaptiveServing::new(
-            g,
+            frozen(&g, &part),
             part,
             workload.clone(),
             ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 }))
@@ -720,5 +721,85 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, FlightKind::Compacted { purged: 1, .. })));
+    }
+
+    /// The planner reads what a graph holds, not how its slots lie: over the
+    /// graph a store holds ([`ShardedStore::to_graph`], rows read back in
+    /// partition-major order) it plans exactly what it plans over the graph
+    /// the store was frozen from — fresh, after one removal-and-relabel batch
+    /// applied to both, and after a migration applied to both.
+    #[test]
+    fn plans_over_the_stores_graph_equal_plans_over_the_frozen_graph() {
+        let (path, path_part, _) = fixture();
+        let config = MotifPlantConfig {
+            background_vertices: 300,
+            background_edges: 700,
+            instances_per_motif: 40,
+            attachment_edges: 1,
+            label_count: 4,
+            seed: 7,
+        };
+        let motif = path_graph(3, &[l(0), l(1), l(2)]);
+        let (planted, _) = motif_planted_graph(&config, &[motif]).unwrap();
+        let mut planted_part = Partitioning::new(3, planted.vertex_count()).unwrap();
+        for v in planted.vertices_sorted() {
+            let p = (v.raw().wrapping_mul(0x9e37_79b9) >> 7) % 3;
+            planted_part.assign(v, PartitionId::new(p as u32)).unwrap();
+        }
+        let hot: FxHashMap<Label, f64> = [(l(0), 1.0), (l(1), 0.37), (l(2), 0.11), (l(3), 0.07)]
+            .into_iter()
+            .collect();
+        let planner = MigrationPlanner::new(MigrationConfig::new(16));
+        for (name, mut graph, mut part) in [
+            ("path", path, path_part),
+            ("planted", planted, planted_part),
+        ] {
+            let mut store = ShardedStore::from_parts(&graph, &part);
+            let fresh = planner.plan(&graph, &part, &hot);
+            assert!(!fresh.is_empty(), "{name}: a scattered placement has moves");
+            assert_eq!(
+                planner.plan(&store.to_graph(), &part, &hot),
+                fresh,
+                "{name}: fresh"
+            );
+
+            let vs = graph.vertices_sorted();
+            let (a, b) = (vs[7], graph.neighbors(vs[7])[0]);
+            let batch = [
+                StreamElement::RemoveVertex { id: vs[1] },
+                StreamElement::RemoveEdge {
+                    source: a,
+                    target: b,
+                },
+                StreamElement::Relabel {
+                    id: vs[4],
+                    label: l(3),
+                },
+            ];
+            for element in &batch {
+                graph.apply(element);
+            }
+            part.unassign(vs[1]);
+            store = store.apply_mutations(&batch).store;
+            let mutated = planner.plan(&graph, &part, &hot);
+            assert_eq!(
+                planner.plan(&store.to_graph(), &part, &hot),
+                mutated,
+                "{name}: mutated"
+            );
+
+            assert!(
+                !mutated.is_empty(),
+                "{name}: the batch leaves moves to make"
+            );
+            mutated.apply(&mut part).unwrap();
+            let moves: Vec<_> = mutated.moves.iter().map(|m| (m.vertex, m.to)).collect();
+            store = store.apply_migration(&moves).store;
+            assert_eq!(
+                planner.plan(&store.to_graph(), &part, &hot),
+                planner.plan(&graph, &part, &hot),
+                "{name}: migrated"
+            );
+        }
     }
 }

@@ -25,8 +25,9 @@
 //!   [`EpochStore`](loom_serve::epoch::EpochStore) — queries in flight keep
 //!   their pinned snapshot.
 //!
-//! **Nothing here is durable.** [`adaptive::AdaptiveServing`] holds its own
-//! copy of the graph and the partitioning, in memory:
+//! **Nothing here is durable.** [`adaptive::AdaptiveServing`] holds a copy
+//! of the partitioning and the snapshots it publishes, in memory, and no
+//! graph (its first epoch is the frozen store it is handed, shared):
 //! [`apply_mutations`](adaptive::AdaptiveServing::apply_mutations) applies
 //! removals and relabels and ignores `AddVertex` / `AddEdge`, and none of
 //! its tombstones, compactions or drift migrations (which
@@ -48,7 +49,9 @@
 //! use loom_motif::workload::Workload;
 //! use loom_partition::partition::{PartitionId, Partitioning};
 //! use loom_serve::engine::{ServeConfig, ServeEngine};
+//! use loom_serve::shard::ShardedStore;
 //! use loom_sim::executor::QueryMode;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let graph = path_graph(12, &[Label::new(0), Label::new(1), Label::new(2)]);
@@ -61,8 +64,9 @@
 //!     &[Label::new(0), Label::new(1), Label::new(2)],
 //! )?])?;
 //!
+//! let store = Arc::new(ShardedStore::from_parts(&graph, &partitioning).with_epoch(1));
 //! let mut serving = AdaptiveServing::new(
-//!     graph,
+//!     store,
 //!     partitioning,
 //!     workload.clone(),
 //!     ServeEngine::new(ServeConfig::new(2).with_mode(QueryMode::Rooted { seed_count: 4 })),

@@ -159,10 +159,13 @@ impl MigrationPlanner {
         }
 
         // Fennel-style α over the *weighted* edge mass, so the balance
-        // penalty lives in the same units as the locality gain.
+        // penalty lives in the same units as the locality gain. Summed in id
+        // order, not slot order, so a graph read back from a store plans
+        // to the last bit as the one it was frozen from.
         let weighted_mass: f64 = graph
-            .edges()
-            .map(|e| Self::edge_weight(graph, hot, e.lo, e.hi))
+            .adjacency_ordered()
+            .flat_map(|(v, _, ns)| ns.iter().filter(move |&&u| v < u).map(move |&u| (v, u)))
+            .map(|(v, u)| Self::edge_weight(graph, hot, v, u))
             .sum();
         let alpha =
             BALANCE_PENALTY * weighted_mass.max(f64::MIN_POSITIVE) * (k as f64).powf(GAMMA - 1.0)

@@ -64,18 +64,19 @@ impl std::fmt::Debug for dyn EpochSink {
 impl EpochStore {
     /// Create an epoch store serving `initial` as epoch 1.
     pub fn new(initial: ShardedStore) -> Self {
-        Self::resume(initial, 1)
+        Self::resume(Arc::new(initial.with_epoch(1)))
     }
 
-    /// Create an epoch store serving `initial` stamped with an explicit
-    /// `epoch` — the recovery path: a store rebuilt from a checkpoint keeps
-    /// its pre-crash `epoch_seq`, so the sequence numbers in
+    /// Create an epoch store serving a shared snapshot, as it is, at the
+    /// epoch it carries — a store rebuilt from a checkpoint keeps its
+    /// pre-crash `epoch_seq`, so the sequence numbers in
     /// [`crate::metrics::ShardServeMetrics`] and in checkpoint manifests stay
     /// monotonic (and diffable) across a restart. The next
-    /// [`EpochStore::publish`] is stamped `epoch + 1`.
-    pub fn resume(initial: ShardedStore, epoch: u64) -> Self {
+    /// [`EpochStore::publish`] is stamped one past it.
+    pub fn resume(initial: Arc<ShardedStore>) -> Self {
+        let epoch = initial.epoch();
         Self {
-            current: RwLock::new(Arc::new(initial.with_epoch(epoch))),
+            current: RwLock::new(initial),
             epoch: AtomicU64::new(epoch),
             sinks: Mutex::new(Vec::new()),
             next_sink: AtomicU64::new(0),

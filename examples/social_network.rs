@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         session.ingest_stream(&stream)?;
         let serving = session.serve(graph.clone())?;
-        let quality = evaluate(serving.graph(), serving.partitioning());
+        let quality = evaluate(&graph, serving.partitioning());
         let metrics = serving
             .run(QueryRequest::workload(150).with_seed(42))
             .metrics;

@@ -13,13 +13,14 @@
 //!    into a [`QueryPlan`](loom_sim::plan::QueryPlan) against the graph's
 //!    statistics (with the default cost-ranked [`PlanStrategy`]), shared
 //!    through an `Arc<PlanCache>` by every layer below;
-//! 5. **serve** — the returned [`Serving`] keeps the partitioned graph and
-//!    freezes it, once and on first use, into the `loom-serve`
-//!    [`ShardedStore`] every engine it stands up runs on: it is itself the
-//!    sequential [`QueryEngine`] over that arena, [`Serving::sharded`] puts
-//!    the concurrent worker-shard engine in front of the same arena, and
-//!    [`ShardedServing::capacity`] drives that open-loop — one store, same
-//!    plans, same metrics.
+//! 5. **serve** — the partitioned graph is frozen, once, into the
+//!    `loom-serve` [`ShardedStore`] and dropped; the returned [`Serving`]
+//!    keeps only that store, and every engine it stands up runs on it: it is
+//!    itself the sequential [`QueryEngine`] over that arena,
+//!    [`Serving::sharded`] puts the concurrent worker-shard engine in front
+//!    of the same arena, [`ShardedServing::capacity`] drives that open-loop,
+//!    and [`Serving::adaptive`] serves it as its first epoch — one store,
+//!    same plans, same metrics.
 //!
 //! ```
 //! use loom::session::Session;
@@ -605,10 +606,12 @@ impl Session {
 
     /// Finish partitioning and hand off to the serving layer: every workload
     /// query is compiled **once** into a plan against the graph's statistics
-    /// (the compile-once step every engine below reuses), and `graph` and the
-    /// final partitioning move into a [`Serving`] whose one [`ServeEngine`]
-    /// is configured from the session. No store is built here: the arena is
-    /// frozen on the handle's first query or [`Serving::sharded`].
+    /// (the compile-once step every engine below reuses), then `graph` is
+    /// frozen under the final partitioning into the one [`ShardedStore`]
+    /// every engine of the returned [`Serving`] runs on, stamped epoch 1 —
+    /// the epoch a first published snapshot carries — and dropped: no
+    /// serving handle keeps a graph. The handle's one [`ServeEngine`] is
+    /// configured from the session.
     ///
     /// # Errors
     ///
@@ -616,7 +619,8 @@ impl Session {
     pub fn serve(mut self, graph: LabelledGraph) -> SessionResult<Serving> {
         let partitioning = self.partitioner.finish()?;
         let plans = self.compile_plans(&graph);
-        Ok(self.serving_over(graph, partitioning, plans, OnceLock::new()))
+        let store = ShardedStore::from_parts(&graph, &partitioning).with_epoch(1);
+        Ok(self.serving_over(Arc::new(store), partitioning, plans))
     }
 
     /// The compile-once step: every workload query planned against `graph`'s
@@ -632,14 +636,13 @@ impl Session {
     /// The one place a [`Serving`] is wired (live and recovered alike): one
     /// [`ServeEngine`] carrying the session's query mode, match limit and
     /// telemetry over `plans`, which every engine the handle stands up
-    /// clones. `store` is empty until first use, or seeded with an arena
-    /// that already holds `graph` under `partitioning`.
+    /// clones, in front of `store`, the arena that holds the served graph
+    /// under `partitioning`.
     fn serving_over(
         &self,
-        graph: LabelledGraph,
+        store: Arc<ShardedStore>,
         partitioning: Partitioning,
         plans: Option<Arc<PlanCache>>,
-        store: OnceLock<Arc<ShardedStore>>,
     ) -> Serving {
         let mut config = ServeConfig::new(1).with_mode(self.query_mode);
         if let Some(limit) = self.match_limit {
@@ -653,9 +656,8 @@ impl Session {
             engine = engine.with_telemetry(Arc::clone(telemetry));
         }
         Serving {
-            graph,
-            partitioning,
             store,
+            partitioning,
             engine,
             workload: self.workload.clone(),
         }
@@ -844,12 +846,12 @@ pub struct Recovered {
     session: Session,
     store: Arc<ShardedStore>,
     report: RecoveryReport,
-    /// Serving over `store` itself, set up on first use: the graph and
-    /// assignment `store` holds, derived from it — never from the WAL
-    /// replay, so this handle stays consistent with the checkpoint's blobs
-    /// whatever the builder's configuration says — and plans compiled once
-    /// from that graph, shared by every engine this handle stands up (the
-    /// compile-once contract).
+    /// Serving over `store` itself, set up on first use: the assignment
+    /// `store` holds, derived from it — never from the WAL replay, so this
+    /// handle stays consistent with the checkpoint's blobs whatever the
+    /// builder's configuration says — and plans compiled once from the graph
+    /// it holds (read back for the compile, then dropped), shared by every
+    /// engine this handle stands up (the compile-once contract).
     serving: OnceLock<Serving>,
 }
 
@@ -868,12 +870,6 @@ impl Recovered {
     /// and stamped with its original epoch.
     pub fn store(&self) -> &Arc<ShardedStore> {
         &self.store
-    }
-
-    /// The checkpointed graph (the WAL prefix the checkpoint had folded
-    /// in), derived from the recovered store on first use.
-    pub fn graph(&self) -> &LabelledGraph {
-        self.serving().graph()
     }
 
     /// The checkpointed vertex→partition assignment, derived from the
@@ -899,13 +895,14 @@ impl Recovered {
     /// plans compiled once from the recovered graph's statistics, which
     /// recovery restored bit-identically, and shared with
     /// [`Recovered::sharded`]). Set up on the first call; every call
-    /// returns the same handle.
+    /// returns the same handle. Its [`Serving::adaptive`] engine starts at
+    /// [`Recovered::epoch_seq`] and publishes from the epoch after it.
     pub fn serving(&self) -> &Serving {
         self.serving.get_or_init(|| {
             let (graph, partitioning) = self.store.to_parts();
             let plans = self.session.compile_plans(&graph);
-            let store = OnceLock::from(Arc::clone(&self.store));
-            self.session.serving_over(graph, partitioning, plans, store)
+            self.session
+                .serving_over(Arc::clone(&self.store), partitioning, plans)
         })
     }
 
@@ -918,36 +915,26 @@ impl Recovered {
     }
 }
 
-/// The serving half of a session: the graph and partitioning it finished
-/// with, the one [`ShardedStore`] every engine of this handle runs on, and the
-/// one [`ServeEngine`] — query mode, match limit, compiled plan cache and
-/// telemetry — that its sequential runs use and its sharded and adaptive
-/// engines clone.
-/// The store is frozen from the graph on first use — by [`Serving::run`],
-/// [`Serving::sharded`] or [`Serving::store`] — and never again; a
-/// [`Recovered::serving`] handle starts with the recovered store in place.
-/// It is not `Clone`: a copy would carry the graph and the partitioning
-/// again and, before the first freeze, a store slot of its own.
+/// The serving half of a session: the one [`ShardedStore`] every engine of
+/// this handle runs on — the only in-memory form of the served graph, frozen
+/// by [`Session::serve`] or recovered by [`Session::recover`] — the final
+/// partitioning, and the one [`ServeEngine`] — query mode, match limit,
+/// compiled plan cache and telemetry — that its sequential runs use and its
+/// sharded and adaptive engines clone. Read the graph back with
+/// `store().to_graph()`.
+/// It is not `Clone`: a copy would carry the partitioning again.
 #[derive(Debug)]
 pub struct Serving {
-    graph: LabelledGraph,
+    store: Arc<ShardedStore>,
     partitioning: Partitioning,
-    store: OnceLock<Arc<ShardedStore>>,
     engine: ServeEngine,
     workload: Option<Workload>,
 }
 
 impl Serving {
-    /// The sharded store every engine of this handle runs on, frozen on the
-    /// first call.
+    /// The sharded store every engine of this handle runs on.
     pub fn store(&self) -> &Arc<ShardedStore> {
-        self.store
-            .get_or_init(|| Arc::new(ShardedStore::from_parts(&self.graph, &self.partitioning)))
-    }
-
-    /// The served graph.
-    pub fn graph(&self) -> &LabelledGraph {
-        &self.graph
+        &self.store
     }
 
     /// The final partitioning.
@@ -982,11 +969,13 @@ impl Serving {
     /// inherits the session's query mode and match limit like
     /// [`Serving::sharded`].
     ///
-    /// The adaptive engine is not durable: it takes its own copy of the
-    /// graph and the partitioning, its `apply_mutations` ignores
+    /// The adaptive engine shares [`Serving::store`] as its first epoch and
+    /// copies only the partitioning; its mutations, compactions and
+    /// migrations publish snapshots of its own, never writing through the
+    /// shared one. It is not durable: its `apply_mutations` ignores
     /// `AddVertex` / `AddEdge`, and none of its tombstones, compactions or
-    /// drift migrations reaches the session's WAL — a crash recovers
-    /// the placement from before every migration (ROADMAP item 15(c)).
+    /// drift migrations reaches the session's WAL — a crash recovers the
+    /// placement from before every migration (ROADMAP item 15(c)).
     ///
     /// # Errors
     ///
@@ -997,7 +986,7 @@ impl Serving {
             return Err(SessionError::MissingWorkload("adaptive serving"));
         };
         Ok(AdaptiveServing::new(
-            self.graph.clone(),
+            Arc::clone(&self.store),
             self.partitioning.clone(),
             workload.clone(),
             self.engine.clone().with_workers(workers),
@@ -1019,7 +1008,7 @@ impl QueryEngine for Serving {
         match &self.workload {
             Some(workload) => {
                 self.engine
-                    .run_sequential(self.store().as_ref(), workload, request, ctx)
+                    .run_sequential(self.store.as_ref(), workload, request, ctx)
             }
             None => QueryResponse::from_engine(ExecutionMetrics::default(), Vec::new()),
         }
@@ -1101,6 +1090,7 @@ impl QueryEngine for ShardedServing {
 mod tests {
     use super::*;
     use loom_graph::ordering::StreamOrder;
+    use loom_graph::{Label, VertexId};
     use loom_motif::fixtures::{paper_example_graph, paper_example_workload};
     use loom_partition::ldg::LdgConfig;
     use loom_partition::spec::LoomConfig;
@@ -1236,13 +1226,52 @@ mod tests {
             .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
             .unwrap();
         let serving = session.serve(graph).unwrap();
+        let full = QueryRequest::workload(40)
+            .with_seed(5)
+            .with_mode(QueryMode::FullEnumeration)
+            .collect_matches(true);
+        let before = serving.run(full);
         let workload = paper_example_workload();
         let mut adaptive = serving.adaptive(2, AdaptConfig::default()).unwrap();
+        // Before any publish the adaptive engine serves the handle's own
+        // snapshot: shared, not copied and frozen a second time.
+        let shared = Arc::clone(serving.store());
+        assert!(Arc::ptr_eq(&adaptive.epochs().load(), &shared));
         let (report, outcome) = adaptive.serve(&workload, 50, 5).unwrap();
         assert_eq!(report.queries, 50);
         // Matching traffic: no adaptation fires.
         assert!(outcome.is_none());
         assert_eq!(adaptive.current_epoch(), 1);
+
+        // A removal-and-relabel batch, a compaction and a drifted batch that
+        // adapts each publish a snapshot of the adaptive engine's own...
+        let mutated = adaptive.apply_mutations(&[
+            StreamElement::RemoveVertex {
+                id: VertexId::new(8),
+            },
+            // d → c.
+            StreamElement::Relabel {
+                id: VertexId::new(7),
+                label: Label::new(2),
+            },
+        ]);
+        assert_eq!((mutated.removed_vertices, mutated.relabelled), (1, 1));
+        assert_eq!(adaptive.compact_now(0.0).purged_vertices, 1);
+        let queries = workload.queries().iter().cloned();
+        let drifted = Workload::new(queries.zip([1.0, 1.0, 40.0]).collect()).unwrap();
+        let (_, outcome) = adaptive.serve(&drifted, 200, 6).unwrap();
+        assert!(outcome.is_some(), "the drifted mix runs an adaptation pass");
+        assert!(adaptive.current_epoch() >= 3);
+        // ...and the handle's snapshot is never written through: it is the
+        // same `Arc`, and it answers exactly as it did before.
+        assert!(Arc::ptr_eq(serving.store(), &shared));
+        assert_eq!(shared.epoch(), 1);
+        assert_eq!(shared.tombstoned_vertices(), 0);
+        assert_eq!(shared.vertex_count(), 8);
+        let after = serving.run(full);
+        assert_eq!(after.metrics, before.metrics);
+        assert!(after.metrics.matches_found > 0);
+        assert!(after.into_cursor().eq(before.into_cursor()));
     }
 
     #[test]

@@ -69,8 +69,9 @@ fn adapt_through_phase_change(
     phase_a: &Workload,
     phase_b: &Workload,
 ) -> (AdaptiveServing, usize) {
+    let store = ShardedStore::from_parts(graph, &phase_a_partitioning).with_epoch(1);
     let mut adaptive = AdaptiveServing::new(
-        graph.clone(),
+        Arc::new(store),
         phase_a_partitioning,
         phase_a.clone(),
         engine(),

@@ -266,7 +266,7 @@ fn kill_mid_ingest_recover_and_serve_identically() {
         control_report.aggregate.matches_found
     );
     assert_same_parts(
-        recovered.graph(),
+        &recovered.store().to_graph(),
         recovered.partitioning(),
         &control_graph,
         &control_snapshot,
@@ -304,9 +304,9 @@ fn kill_mid_ingest_recover_and_serve_identically() {
     let control_serving = control.serve(served_graph).unwrap();
     let ingested_serving = session.serve_ingested().unwrap();
     assert_same_parts(
-        ingested_serving.graph(),
+        &ingested_serving.store().to_graph(),
         ingested_serving.partitioning(),
-        control_serving.graph(),
+        &control_serving.store().to_graph(),
         control_serving.partitioning(),
     );
     let ingested_metrics = ingested_serving.run(request).metrics;
@@ -417,7 +417,7 @@ fn kill_mid_churn_recovers_deletes_bit_identically() {
         recovered.sharded(2).run(request).metrics
     );
     assert_same_parts(
-        recovered.graph(),
+        &recovered.store().to_graph(),
         recovered.partitioning(),
         &mid_graph,
         &control.snapshot(),
@@ -614,7 +614,7 @@ fn checkpoint_folds_in_every_acknowledged_batch() {
         session.ingest_batch(batch).unwrap();
     }
     let serving = session.serve_ingested().unwrap();
-    let served = serving.graph();
+    let served = serving.store().to_graph();
     assert_eq!(served.vertices_sorted(), whole.vertices_sorted());
     assert_eq!(served.edges_sorted(), whole.edges_sorted());
     for v in whole.vertices_sorted() {
@@ -2253,6 +2253,45 @@ fn a_hub_freezes_checkpoints_and_recovers_without_walking_its_list_per_arc() {
     let sharded = engine.run(&recovered, &workload, request, &ctx).0;
     assert_eq!(sharded.aggregate, sequential);
     assert!(sequential.matches_found > 0);
+}
+
+/// An adaptive engine stood up on a recovered handle serves the recovered
+/// store itself at the epoch its checkpoint carried, and its first publish
+/// is the epoch after it: the sequence stays monotonic across the restart,
+/// and the recovered handle's own snapshot is never written through.
+#[test]
+fn an_adaptive_engine_on_a_recovered_handle_continues_its_epochs() {
+    let root = tmproot("adaptive-epochs");
+    let graph = social_graph(120, 5);
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+    let (first, rest) = stream.elements().split_at(stream.len() / 2);
+    let mut session = loom_builder(&graph).with_durability(&root).build().unwrap();
+    session.ingest_batch(first).unwrap();
+    session.checkpoint().unwrap();
+    session.ingest_batch(rest).unwrap();
+    assert_eq!(session.checkpoint().unwrap(), 2);
+    drop(session);
+
+    let recovered = loom_builder(&graph)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    let epoch_seq = recovered.epoch_seq();
+    assert_eq!(epoch_seq, 2);
+    let mut adaptive = recovered
+        .serving()
+        .adaptive(2, AdaptConfig::default())
+        .unwrap();
+    assert_eq!(adaptive.current_epoch(), epoch_seq);
+    assert!(Arc::ptr_eq(&adaptive.epochs().load(), recovered.store()));
+    let dead = graph.vertices_sorted()[0];
+    let outcome = adaptive.apply_mutations(&[StreamElement::RemoveVertex { id: dead }]);
+    assert_eq!(outcome.removed_vertices, 1);
+    assert_eq!(outcome.epoch, epoch_seq + 1);
+    assert_eq!(adaptive.current_epoch(), epoch_seq + 1);
+    assert_eq!(recovered.store().epoch(), epoch_seq);
+    assert!(recovered.store().home_shard(dead).is_some());
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 proptest! {

@@ -104,7 +104,7 @@ fn served(
         .ingest_stream(&GraphStream::from_graph(graph, order))
         .expect("ingests");
     let serving = session.serve(graph.clone()).expect("serves");
-    let quality = evaluate(serving.graph(), serving.partitioning());
+    let quality = evaluate(graph, serving.partitioning());
     let request = QueryRequest::workload(samples).with_seed(42);
     (serving.run(request).metrics, quality)
 }
@@ -342,8 +342,8 @@ fn durable_twin(
         sizes,
         recovered_sizes: recovered.partitioning().sizes().to_vec(),
         shape: (
-            recovered.graph().vertex_count(),
-            recovered.graph().edge_count(),
+            recovered.store().vertex_count(),
+            recovered.store().edge_count(),
         ),
         sequential,
         sharded,

@@ -29,8 +29,8 @@
 //! 0.015, so one allocation per group (about 0.016 per request at a run of
 //! 64) fails it. The sequential `Serving::run` read its 33 over the hash-map
 //! `PartitionedStore`; it now runs on the sharded engine's own frozen arena
-//! (frozen once, by `sharded(2)`, before either engine is counted) and
-//! reads 33 there too, against 98–101 sharded. Since a closed-loop run
+//! (frozen once, by `serve()`, before either engine is counted) and reads 33
+//! there too, against 98–101 sharded. Since a closed-loop run
 //! serves shard 0 on the calling thread, one worker starts no thread and
 //! builds no queue (52 allocations) and two workers start one thread (83).
 //!

@@ -141,7 +141,7 @@ fn session_facade_drives_the_sharded_engine() {
     session
         .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
         .unwrap();
-    let serving = session.serve(graph).unwrap();
+    let serving = session.serve(graph.clone()).unwrap();
     let request = QueryRequest::workload(80).with_seed(21);
     let sequential = serving.run(request).metrics;
 
@@ -160,7 +160,7 @@ fn session_facade_drives_the_sharded_engine() {
 
     // The façade answers as the hash-map reference store does under the same
     // plans and mode: metrics and embeddings, query for query.
-    let reference = PartitionedStore::new(serving.graph().clone(), serving.partitioning().clone());
+    let reference = PartitionedStore::new(graph, serving.partitioning().clone());
     let engine =
         ServeEngine::new(ServeConfig::new(1).with_mode(QueryMode::Rooted { seed_count: 2 }))
             .with_plan_cache(Arc::clone(a));

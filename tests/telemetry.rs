@@ -378,10 +378,7 @@ fn adaptation_charges_plan_and_migrate_spans_and_flight_events() {
 fn rejected_admission_latches_a_flight_dump_with_the_request_timeline() {
     let (graph, workload) = fixture();
     let serving = serve_through(session(&graph, &workload), &graph);
-    let store = Arc::new(ShardedStore::from_parts(
-        serving.graph(),
-        serving.partitioning(),
-    ));
+    let store = Arc::clone(serving.store());
     let expected_epoch = store.epoch();
 
     // Capacity-1 queues and an already-expired deadline: any admission push
