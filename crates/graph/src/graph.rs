@@ -115,10 +115,9 @@ impl LabelledGraph {
     /// Lists that break the promise — a self-loop, a repeated neighbour, an
     /// edge one endpoint lists — build a graph that breaks its own
     /// invariants, but building it, and [`LabelledGraph::apply`] on it,
-    /// never panics. Recovery builds its mirror this way from an arena whose
-    /// proof is still running, and such output is only ever discarded: it
-    /// leaves recovery only beside a proven arena. Input nobody will prove
-    /// is built through [`LabelledGraph::add_edge`], which refuses it.
+    /// never panics. The one caller, `ShardedStore::to_graph`, builds only
+    /// from arenas that passed `check_arena`. Input nobody will prove is
+    /// built through [`LabelledGraph::add_edge`], which refuses it.
     pub fn from_proven_lists<I, N>(vertices: usize, edges: usize, lists: I) -> Self
     where
         I: IntoIterator<Item = (VertexId, Label, N)>,

@@ -25,47 +25,55 @@ pub struct DegreeStats {
     pub p99: usize,
 }
 
-/// Compute degree distribution statistics (all zeros for an empty graph).
-/// The percentiles are read off [`degree_histogram`]'s running counts —
-/// the degree at rank `round((n − 1) · p)` of the sorted degrees — so
-/// nothing is sorted: O(n + max degree).
+/// Compute degree distribution statistics (all zeros for an empty graph):
+/// [`DegreeStats::from_histogram`] over [`degree_histogram`].
 pub fn degree_stats(graph: &LabelledGraph) -> DegreeStats {
-    let histogram = degree_histogram(graph);
-    let n: usize = histogram.iter().sum();
-    if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-            median: 0,
-            p90: 0,
-            p99: 0,
+    DegreeStats::from_histogram(&degree_histogram(graph))
+}
+
+impl DegreeStats {
+    /// The statistics of the degrees `histogram` counts (`histogram[d]` =
+    /// vertices of degree `d`, its last entry the maximum degree's; all
+    /// zeros when it counts no vertex). The percentiles are read off its
+    /// running counts — the degree at rank `round((n − 1) · p)` of the
+    /// sorted degrees — so nothing is sorted: O(max degree).
+    pub fn from_histogram(histogram: &[usize]) -> Self {
+        let n: usize = histogram.iter().sum();
+        if n == 0 {
+            return Self {
+                min: 0,
+                max: 0,
+                mean: 0.0,
+                median: 0,
+                p90: 0,
+                p99: 0,
+            };
+        }
+        // The degree at rank `rank`: the first whose running count passes it.
+        let at = |rank: usize| -> usize {
+            let mut seen = 0;
+            histogram
+                .iter()
+                .position(|&count| {
+                    seen += count;
+                    seen > rank
+                })
+                .expect("rank below the vertex count")
         };
-    }
-    // The degree at rank `rank`: the first whose running count passes it.
-    let at = |rank: usize| -> usize {
-        let mut seen = 0;
-        histogram
+        let percentile = |p: f64| at(((n as f64 - 1.0) * p).round() as usize);
+        let total: usize = histogram
             .iter()
-            .position(|&count| {
-                seen += count;
-                seen > rank
-            })
-            .expect("rank below the vertex count")
-    };
-    let percentile = |p: f64| at(((n as f64 - 1.0) * p).round() as usize);
-    let total: usize = histogram
-        .iter()
-        .enumerate()
-        .map(|(d, &count)| d * count)
-        .sum();
-    DegreeStats {
-        min: at(0),
-        max: histogram.len() - 1,
-        mean: total as f64 / n as f64,
-        median: percentile(0.5),
-        p90: percentile(0.9),
-        p99: percentile(0.99),
+            .enumerate()
+            .map(|(d, &count)| d * count)
+            .sum();
+        Self {
+            min: at(0),
+            max: histogram.len() - 1,
+            mean: total as f64 / n as f64,
+            median: percentile(0.5),
+            p90: percentile(0.9),
+            p99: percentile(0.99),
+        }
     }
 }
 

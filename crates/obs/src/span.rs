@@ -49,10 +49,12 @@ pub mod stage {
     /// replaying the log past it — the whole log when the checkpoint carries
     /// no state. Starts once the two stages above have joined.
     pub const RECOVER_REPLAY: &str = "recover.replay";
-    /// Building the durable graph mirror during recovery: the proven
-    /// checkpoint's arena, then the log's batches past it. Follows the
-    /// replay on the calling thread, so `max(load, decode) + replay +
-    /// mirror` bounds a recovery's wall clock from below.
+    /// Building a recovered session's durable graph mirror: the proven
+    /// checkpoint's arena, then the log's batches past it, on the session's
+    /// first write, checkpoint or `serve_ingested` — not during recovery,
+    /// so a recovery from a checkpoint charges it nothing. A root with no
+    /// checkpoint has no arena: its recovery builds the mirror from the
+    /// whole log, after the replay, to freeze the recovered store from it.
     pub const RECOVER_MIRROR: &str = "recover.mirror";
 }
 

@@ -49,6 +49,7 @@ use loom_graph::fxhash::FxHashMap;
 use loom_graph::{Label, LabelledGraph, VertexId, VertexIndex};
 use loom_partition::partition::{PartitionId, Partitioning};
 use loom_sim::matcher::{PatternStore, TaggedArc};
+use loom_sim::plan::GraphStatistics;
 use std::ops::Range;
 
 /// [`Slot::home`] of a vertex without an assignment (it counts as remote to
@@ -431,22 +432,57 @@ impl ShardedStore {
         }
     }
 
-    /// The live graph the arena holds: [`ArenaView::to_graph`], the one
-    /// mirror builder.
+    /// The live graph the arena holds — every adjacency list in arena order,
+    /// so a store rebuilt from it traverses identically; tombstoned vertices
+    /// and edges are left out. Built by the trusting bulk constructor
+    /// ([`LabelledGraph::from_proven_lists`]): a store is a simple undirected
+    /// graph by [`ShardedStore::check_arena`], and an arena that has not
+    /// passed that check is no store yet ([`UncheckedArena`] lends only an
+    /// [`ArenaView`], which builds no graph).
     pub fn to_graph(&self) -> LabelledGraph {
-        self.view().to_graph()
+        let whole = ArenaSlice {
+            store: self,
+            range: 0..self.order.len(),
+        };
+        LabelledGraph::from_proven_lists(self.live_vertex_count(), self.edge_count, whole.rows())
     }
 
-    /// The store's rows, homes and totals, read-only.
+    /// The planner's summary of the live graph the arena holds — equal to
+    /// `GraphStatistics::from_graph(&self.to_graph())` on every epoch, and
+    /// read without building it: the label counts off the label index, the
+    /// degrees off the live slots' lengths.
+    pub fn statistics(&self) -> GraphStatistics {
+        let labels = self
+            .by_label
+            .iter()
+            .map(|(&label, members)| (label, members.len()))
+            .collect();
+        let mut degrees = vec![0usize];
+        let live = self.slots[..self.order.len()]
+            .iter()
+            .filter(|slot| slot.home != DEAD);
+        for slot in live {
+            let d = slot.live as usize;
+            if d >= degrees.len() {
+                degrees.resize(d + 1, 0);
+            }
+            degrees[d] += 1;
+        }
+        GraphStatistics::from_histograms(labels, &degrees)
+    }
+
+    /// The store's homes, read-only.
     fn view(&self) -> ArenaView<'_> {
         ArenaView { store: self }
     }
 
-    /// The inverse of [`ShardedStore::from_parts`]: [`ShardedStore::to_graph`]
-    /// and the vertex→partition assignment the shard ranges encode.
-    pub fn to_parts(&self) -> (LabelledGraph, Partitioning) {
-        let graph = self.to_graph();
-        let mut partitioning = Partitioning::new(self.shard_count(), graph.vertex_count().max(1))
+    /// The vertex→partition assignment the shard ranges encode, read off
+    /// [`ShardedStore::homes`] (the unassigned tail stays unassigned): with
+    /// [`ShardedStore::to_graph`], the inverse of
+    /// [`ShardedStore::from_parts`].
+    pub fn to_partitioning(&self) -> Partitioning {
+        let capacity = self.live_vertex_count().max(1);
+        let mut partitioning = Partitioning::new(self.shard_count(), capacity)
             .expect("a store has at least one shard");
         for (v, home) in self.homes() {
             if let Some(p) = home {
@@ -455,7 +491,7 @@ impl ShardedStore {
                     .expect("an arena holds each vertex once, in its home shard's range");
             }
         }
-        (graph, partitioning)
+        partitioning
     }
 
     /// Every live vertex with its home shard — `None` for the unassigned
@@ -1448,8 +1484,8 @@ impl UncheckedArena {
     }
 }
 
-/// An arena's rows, homes and totals, read-only — what a graph mirror and a
-/// restoring partitioner are built from, and nothing that answers a query.
+/// An arena's homes, read-only — what a restoring partitioner is built
+/// from, and nothing that answers a query or builds a graph.
 /// [`UncheckedArena::check_beside`] lends one over an arena nobody has
 /// proven yet, so nothing here assumes the arena is sound: every read stays
 /// in bounds whatever [`ArenaLoader::finish`] let through.
@@ -1459,24 +1495,6 @@ pub struct ArenaView<'a> {
 }
 
 impl<'a> ArenaView<'a> {
-    /// Every live vertex with its label and its live neighbours, in arena
-    /// order, each list in the order the arena stores it.
-    pub fn rows(
-        &self,
-    ) -> impl Iterator<
-        Item = (
-            VertexId,
-            Label,
-            impl ExactSizeIterator<Item = VertexId> + 'a,
-        ),
-    > + 'a {
-        let whole = ArenaSlice {
-            store: self.store,
-            range: 0..self.store.order.len(),
-        };
-        whole.rows()
-    }
-
     /// Every live vertex with its home shard — `None` for the unassigned
     /// tail — in arena order: the assignment the shard ranges encode, as a
     /// restoring partitioner takes it.
@@ -1493,26 +1511,6 @@ impl<'a> ArenaView<'a> {
                     (slot.home != UNASSIGNED).then(|| PartitionId::new(slot.home)),
                 )
             })
-    }
-
-    /// Live vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.store.live_vertex_count()
-    }
-
-    /// Undirected edges, as the arena counts them.
-    pub fn edge_count(&self) -> usize {
-        self.store.edge_count
-    }
-
-    /// The live graph the arena holds — every adjacency list in arena order,
-    /// so a store rebuilt from it traverses identically; tombstoned vertices
-    /// and edges are left out. Built by the trusting bulk constructor
-    /// ([`LabelledGraph::from_proven_lists`]): a proven arena is a simple
-    /// undirected graph by [`ShardedStore::check_arena`], and a graph built
-    /// from an unproven one is dropped unless its proof holds.
-    pub fn to_graph(&self) -> LabelledGraph {
-        LabelledGraph::from_proven_lists(self.vertex_count(), self.edge_count(), self.rows())
     }
 }
 
@@ -2218,7 +2216,7 @@ mod tests {
         assert_stores_equal(&loaded, &store, &vs);
         assert_eq!(loaded.replication_factor(), store.replication_factor());
         // And back out: the parts a store was frozen from.
-        let (graph, partitioning) = loaded.to_parts();
+        let (graph, partitioning) = (loaded.to_graph(), loaded.to_partitioning());
         assert_eq!(graph.edges_sorted(), g.edges_sorted());
         for &v in &vs {
             assert_eq!(graph.label(v), g.label(v));

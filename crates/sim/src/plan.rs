@@ -7,8 +7,9 @@
 //! step:
 //!
 //! * [`GraphStatistics`] — the summary the planner costs candidates against:
-//!   label cardinalities (the label index sizes) and the degree distribution
-//!   from [`loom_graph::stats::degree_stats`];
+//!   label cardinalities (the label index sizes) and the degree
+//!   distribution ([`DegreeStats::from_histogram`]), summarised from a
+//!   graph or read off a frozen store's label index and slots;
 //! * [`QueryPlanner`] — turns a [`PatternQuery`] into an immutable
 //!   [`QueryPlan`]: it enumerates one connectivity-respecting vertex
 //!   ordering per candidate root and keeps the cheapest under a selectivity
@@ -25,7 +26,7 @@
 
 use crate::matcher::matching_order;
 use loom_graph::fxhash::FxHashMap;
-use loom_graph::stats::{degree_stats, DegreeStats};
+use loom_graph::stats::{degree_histogram, DegreeStats};
 use loom_graph::{Label, LabelledGraph, VertexId};
 use loom_motif::query::{PatternQuery, QueryId};
 use loom_motif::workload::Workload;
@@ -37,7 +38,7 @@ use std::sync::Arc;
 ///
 /// Built once per data graph (a single pass over vertices); every plan
 /// compilation afterwards is pure arithmetic over these numbers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStatistics {
     label_counts: FxHashMap<Label, usize>,
     vertex_count: usize,
@@ -47,10 +48,20 @@ pub struct GraphStatistics {
 impl GraphStatistics {
     /// Summarise a data graph: label histogram plus degree statistics.
     pub fn from_graph(graph: &LabelledGraph) -> Self {
+        Self::from_histograms(graph.label_histogram(), &degree_histogram(graph))
+    }
+
+    /// The summary of a graph whose vertices `label_counts` counts by label
+    /// (no label counted zero times) and `degrees` by degree
+    /// (`degrees[d]` = vertices of degree `d`, as
+    /// [`loom_graph::stats::degree_histogram`] counts them) — the one
+    /// constructor, whether the counts come from a graph or from a frozen
+    /// store.
+    pub fn from_histograms(label_counts: FxHashMap<Label, usize>, degrees: &[usize]) -> Self {
         Self {
-            label_counts: graph.label_histogram(),
-            vertex_count: graph.vertex_count(),
-            degree: degree_stats(graph),
+            label_counts,
+            vertex_count: degrees.iter().sum(),
+            degree: DegreeStats::from_histogram(degrees),
         }
     }
 

@@ -61,9 +61,8 @@
 //!   comparison, then freed.
 //!
 //! Every failure is a [`StoreError::Corrupt`]. No `LabelledGraph` or
-//! `Partitioning` is built on the way: a caller that wants them
-//! ([`LoadedCheckpoint::graph`], [`LoadedCheckpoint::partitioning`]) gets
-//! them derived from the verified arena, once, on first use. The
+//! `Partitioning` is built on the way: a caller that wants them reads them
+//! off the verified store (`to_graph`, `to_partitioning`). The
 //! partitioner blob is read and checked against its size and CRC in step
 //! (1) and handed over as bytes ([`LoadedCheckpoint::partitioner`]): only
 //! the partitioner can decode it, and its proof — the restored partitioner
@@ -80,7 +79,6 @@ use loom_serve::shard::{ArenaLoader, ArenaView, PartitionMajor, ShardedStore, Un
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 /// Directory (under the durability root) that holds checkpoint epochs.
 pub const CHECKPOINT_DIR: &str = "checkpoints";
@@ -161,26 +159,6 @@ pub struct LoadedCheckpoint {
     /// The state of the partitioner that placed `store`, when the
     /// checkpoint carries one.
     pub partitioner: Option<PartitionerBlob>,
-    /// The graph and assignment `store` holds, derived on first use.
-    parts: OnceLock<(LabelledGraph, Partitioning)>,
-}
-
-impl LoadedCheckpoint {
-    /// The checkpointed data graph, adjacency order identical to pre-crash.
-    /// Derived from the verified store on first use.
-    pub fn graph(&self) -> &LabelledGraph {
-        &self.parts().0
-    }
-
-    /// The checkpointed vertex→partition assignment. Derived from the
-    /// verified store on first use.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.parts().1
-    }
-
-    fn parts(&self) -> &(LabelledGraph, Partitioning) {
-        self.parts.get_or_init(|| self.store.to_parts())
-    }
 }
 
 fn write_blob(dir: &Path, name: &str, bytes: &[u8]) -> Result<BlobEntry> {
@@ -737,8 +715,8 @@ fn read_blob(path: &Path, entry: &BlobEntry) -> Result<Vec<u8>> {
 
 /// A checkpoint read but not yet proven, lent to the calling thread while
 /// its proof runs (`UnverifiedCheckpoint::verify_beside`): the manifest,
-/// the partitioner blob and a read-only view of the arena. Whatever is
-/// built from it is dropped unless the proof holds.
+/// the partitioner blob and a read-only view of the arena's homes. Whatever
+/// is built from it is dropped unless the proof holds.
 #[derive(Debug, Clone, Copy)]
 pub struct UnprovenCheckpoint<'a> {
     /// The manifest, parsed and checksummed.
@@ -746,7 +724,7 @@ pub struct UnprovenCheckpoint<'a> {
     /// The partitioner blob, size- and CRC-checked, when the checkpoint
     /// carries one.
     pub partitioner: Option<&'a PartitionerBlob>,
-    /// The arena's rows, homes and totals, not yet proven.
+    /// The arena's homes, not yet proven.
     pub arena: ArenaView<'a>,
 }
 
@@ -793,7 +771,6 @@ impl UnverifiedCheckpoint {
             store: store.with_epoch(meta.epoch_seq),
             meta,
             partitioner,
-            parts: OnceLock::new(),
         });
         (loaded, built)
     }
@@ -922,8 +899,9 @@ mod tests {
         assert_eq!(skipped, 0);
         let loaded = load_checkpoint(&dir).unwrap();
         assert_eq!(loaded.store.epoch(), 3);
-        assert_eq!(loaded.graph().vertex_count(), g.vertex_count());
-        assert_eq!(loaded.graph().edge_count(), g.edge_count());
+        let graph = loaded.store.to_graph();
+        assert_eq!(graph.vertex_count(), g.vertex_count());
+        assert_eq!(graph.edge_count(), g.edge_count());
         // Blob-level bit identity, end to end: re-checkpointing the loaded
         // store produces byte-identical files.
         let root2 = tmproot("roundtrip2");
@@ -971,7 +949,7 @@ mod tests {
         let meta = write_checkpoint(&root, &store, 0, "loom").unwrap();
         let dir = root.join(CHECKPOINT_DIR).join(format!("{:010}", 1));
         let loaded = load_checkpoint(&dir).unwrap();
-        assert_eq!(loaded.graph().edges_sorted(), g.edges_sorted());
+        assert_eq!(loaded.store.to_graph().edges_sorted(), g.edges_sorted());
         write_checkpoint(&again, &loaded.store, 0, "loom").unwrap();
         let dir2 = again.join(CHECKPOINT_DIR).join(format!("{:010}", 1));
         for entry in &meta.blobs {

@@ -41,14 +41,16 @@
 //!   checkpoint as read: that is where a session restores its partitioner
 //!   from the checkpoint's state and the arena's homes, replays only the
 //!   log past the checkpoint (the whole log when the checkpoint carries no
-//!   state) to reproduce exact pre-crash state, and builds its graph mirror
-//!   from the arena's rows and the log's tail. What the closure built is
+//!   state) to reproduce exact pre-crash state, and counts the log's tail —
+//!   no graph is built from an arena before its proof holds; a session
+//!   builds its graph mirror from the proven arena and that tail when it
+//!   first writes. What the closure built is
 //!   handed back only beside a proven checkpoint, and dropped otherwise. The
 //!   log must cover the checkpoint; its torn tail is truncated last (and a
 //!   newest `LOOMWAL1` segment continued in a new `LOOMWAL2` one), so a
 //!   failed recovery writes nothing. Serving resumes pinned at the original
-//!   `epoch_seq`; the checkpoint's graph and partitioning are derived from
-//!   the verified arena only if asked for.
+//!   `epoch_seq`; the checkpoint's graph and partitioning are read off the
+//!   verified arena only if asked for.
 //!
 //! The on-disk layout of a durability root:
 //!

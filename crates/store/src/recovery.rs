@@ -18,9 +18,10 @@
 //!    if the log covers the checkpoint, it runs the caller's closure over
 //!    the batches and the checkpoint as read ([`Beside`]): the manifest, the
 //!    partitioner blob and a read-only view of the arena — all of it still
-//!    unproven. That is where a session restores its partitioner, replays
-//!    the log past it and builds its graph mirror from the arena's rows and
-//!    the log's tail. Both then join. The split follows the allocator: the
+//!    unproven. That is where a session restores its partitioner and
+//!    replays the log past it; it builds no graph there, because a graph
+//!    built from an unproven arena would be a second copy to throw away, and
+//!    its mirror can wait for the proven one. Both then join. The split follows the allocator: the
 //!    scoped thread only reads, so everything recovery builds is on the
 //!    calling thread's heap and the process does not grow a second one for
 //!    the length of the recovered session;
@@ -112,9 +113,10 @@ impl RecoveredState {
 /// calling thread, `recover.wal_decode` (the segments from the one holding
 /// [`RecoveryReport::replayed_from`] on), then the closure's
 /// `recover.replay` ([`RecoverSpans::replay`]: the partitioner's restore and
-/// the log past it) and `recover.mirror` ([`RecoverSpans::mirror`]). So
-/// `max(load, decode + replay + mirror)` bounds the recovery's wall clock
-/// from below. The default charges nothing and reads no clock.
+/// the log past it). So `max(load, decode + replay)` bounds the recovery's
+/// wall clock from below. `recover.mirror` ([`RecoverSpans::mirror`]) is
+/// charged once per recovered session, whenever its caller builds the
+/// graph mirror. The default charges nothing and reads no clock.
 #[derive(Debug, Default)]
 pub struct RecoverSpans {
     checkpoint_load: Option<Arc<Histogram>>,
@@ -140,8 +142,10 @@ impl RecoverSpans {
         SpanTimer::start(self.replay.as_deref())
     }
 
-    /// The `recover.mirror` span, for the closure that builds a graph mirror
-    /// beside the proof.
+    /// The `recover.mirror` span, for building a recovered session's graph
+    /// mirror: from the proven arena and [`Beside::tail`] when the session
+    /// first needs it, or from the whole log, during recovery, when the root
+    /// has no checkpoint.
     pub fn mirror(&self) -> SpanTimer<'_> {
         SpanTimer::start(self.mirror.as_deref())
     }
@@ -171,7 +175,9 @@ impl<'a> Beside<'a> {
     }
 
     /// The batches the checkpoint did not fold in — what a graph mirror
-    /// built from its arena applies; the whole log without a checkpoint.
+    /// built from its arena applies once the arena is proven (a session
+    /// keeps them, and the arena, until it first writes); the whole log
+    /// without a checkpoint.
     pub fn tail(&self) -> &'a [Vec<StreamElement>] {
         self.batches_from(self.checkpoint.map_or(0, |c| c.meta.wal_records))
     }
@@ -330,20 +336,24 @@ mod tests {
         raw.extend_from_slice(&[9, 9, 9]);
         std::fs::write(&wal_path, &raw).unwrap();
 
-        // Beside the proof, the closure sees the unproven checkpoint and
-        // the log cut where a partitioner and a mirror start from it.
-        let (state, (replay, tail, arena)) = recover(&root, &RecoverSpans::default(), |beside| {
+        // Beside the proof, the closure sees the unproven checkpoint's homes
+        // and the log cut where a partitioner and a mirror start from it.
+        let (state, (replay, tail, homes)) = recover(&root, &RecoverSpans::default(), |beside| {
             let checkpoint = beside.checkpoint.expect("the checkpoint was found");
             assert!(checkpoint.partitioner.is_none());
-            let arena = checkpoint.arena;
-            (beside.replay().len(), beside.tail().len(), arena.to_graph())
+            let homes: Vec<_> = checkpoint.arena.homes().collect();
+            (beside.replay().len(), beside.tail().len(), homes)
         })
         .unwrap();
         assert_eq!((replay, tail), (2, 1));
-        assert_eq!(arena.edges_sorted(), first.edges_sorted());
+        assert_eq!(homes.len(), first.vertex_count());
         let ckpt = state.checkpoint.as_ref().unwrap();
         assert_eq!(ckpt.meta.epoch_seq, 1);
         assert_eq!(ckpt.store.epoch(), 1);
+        assert_eq!(ckpt.store.to_graph().edges_sorted(), first.edges_sorted());
+        assert!(homes
+            .iter()
+            .all(|&(v, home)| home == ckpt.store.home_shard(v)));
         assert!(ckpt.partitioner.is_none());
         assert_eq!(state.report.wal_records, 2);
         assert_eq!(state.report.wal_records_in_checkpoint, 1);

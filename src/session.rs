@@ -11,8 +11,10 @@
 //!    ([`Session::ingest_stream`] chunks a whole [`GraphStream`]);
 //! 4. **plan** — [`Session::serve`] compiles every workload query **once**
 //!    into a [`QueryPlan`](loom_sim::plan::QueryPlan) against the graph's
-//!    statistics (with the default cost-ranked [`PlanStrategy`]), shared
-//!    through an `Arc<PlanCache>` by every layer below;
+//!    statistics, read off the frozen store
+//!    ([`ShardedStore::statistics`]; with the default cost-ranked
+//!    [`PlanStrategy`]), shared through an `Arc<PlanCache>` by every layer
+//!    below;
 //! 5. **serve** — the partitioned graph is frozen, once, into the
 //!    `loom-serve` [`ShardedStore`] and dropped; the returned [`Serving`]
 //!    keeps only that store, and every engine it stands up runs on it: it is
@@ -61,7 +63,7 @@ use loom_serve::shard::{ArenaView, ShardedStore};
 use loom_sim::context::RequestContext;
 use loom_sim::engine::{QueryEngine, QueryRequest, QueryResponse};
 use loom_sim::executor::{ExecutionMetrics, QueryMode};
-use loom_sim::plan::{GraphStatistics, PlanCache, PlanStrategy, QueryPlanner};
+use loom_sim::plan::{PlanCache, PlanStrategy, QueryPlanner};
 use loom_store::checkpoint::CHECKPOINT_DIR;
 use loom_store::recovery::{Beside, RecoverSpans, RecoveryReport};
 use loom_store::{
@@ -275,12 +277,12 @@ impl SessionBuilder {
     }
 }
 
-/// The durable half of a session: the write-ahead log, the incrementally
-/// materialised graph and the epochs of its checkpoints.
+/// The durable half of a session: the write-ahead log, the graph mirror
+/// every acknowledged batch reaches and the epochs of its checkpoints.
 struct DurableState {
     root: PathBuf,
     wal: Wal,
-    graph: LabelledGraph,
+    mirror: Mirror,
     /// The epoch the last checkpoint was taken at (recovery resumes it);
     /// the next one is taken at `epoch + 1`.
     epoch: u64,
@@ -307,6 +309,55 @@ fn create_root(root: &Path) -> SessionResult<()> {
     })
 }
 
+/// The durable session's graph: every acknowledged batch applied in order.
+enum Mirror {
+    /// The graph itself: a fresh session's, one recovered without a
+    /// checkpoint, and every session once it has written.
+    Built(LabelledGraph),
+    /// A session recovered from a checkpoint, before anything reads its
+    /// graph: the proven arena — the `Arc` [`Recovered::store`] shares — and
+    /// the log's batches past it. [`Mirror::graph`] builds the graph from
+    /// them once, on first use, so a recovered session that only serves
+    /// keeps one copy of its graph.
+    Deferred {
+        proven: Arc<ShardedStore>,
+        tail: Vec<Vec<StreamElement>>,
+        spans: RecoverSpans,
+    },
+}
+
+impl Mirror {
+    /// The mirror as a graph: a deferred one is built here — the proven
+    /// arena's graph ([`ShardedStore::to_graph`]), then the log's tail
+    /// applied — charged to `recover.mirror`, and kept.
+    fn graph(&mut self) -> &mut LabelledGraph {
+        if let Mirror::Deferred {
+            proven,
+            tail,
+            spans,
+        } = self
+        {
+            let span = spans.mirror();
+            let graph = applied(proven.to_graph(), tail);
+            drop(span);
+            *self = Mirror::Built(graph);
+        }
+        let Mirror::Built(graph) = self else {
+            unreachable!("a deferred mirror was built above")
+        };
+        graph
+    }
+}
+
+/// `graph` with `batches` applied in order ([`LabelledGraph::apply`], the
+/// semantics an acknowledged batch reaches the mirror with).
+fn applied(mut graph: LabelledGraph, batches: &[Vec<StreamElement>]) -> LabelledGraph {
+    for element in batches.iter().flatten() {
+        graph.apply(element);
+    }
+    graph
+}
+
 impl DurableState {
     /// Stand up a **fresh** durability root: refuses to clobber one that
     /// already holds any log segment or any checkpoint directory (that state
@@ -325,7 +376,10 @@ impl DurableState {
         Ok(Self::attach(
             root,
             wal,
-            LabelledGraph::with_capacity(builder.spec.expected_vertices(), 0),
+            Mirror::Built(LabelledGraph::with_capacity(
+                builder.spec.expected_vertices(),
+                0,
+            )),
             0,
             builder.telemetry.as_ref(),
         ))
@@ -337,7 +391,7 @@ impl DurableState {
     fn attach(
         root: &Path,
         mut wal: Wal,
-        graph: LabelledGraph,
+        mirror: Mirror,
         epoch_seq: u64,
         telemetry: Option<&Arc<Telemetry>>,
     ) -> Self {
@@ -347,17 +401,9 @@ impl DurableState {
         Self {
             root: root.to_path_buf(),
             wal,
-            graph,
+            mirror,
             epoch: epoch_seq,
             written: 0,
-        }
-    }
-
-    /// Mirror an acknowledged batch into the in-memory durable graph
-    /// ([`LabelledGraph::apply`], the semantics recovery replays with).
-    fn apply(&mut self, batch: &[StreamElement]) {
-        for element in batch {
-            self.graph.apply(element);
         }
     }
 }
@@ -444,8 +490,10 @@ impl Session {
     /// [`LabelledGraph`] mirror on this thread, so the mirror is never behind
     /// what was acknowledged and nothing has to be drained later. The mirror
     /// is the only copy of the adjacency an ingesting session keeps: every
-    /// checkpoint's blobs are encoded from it, and a recovery rebuilds it
-    /// from the newest checkpoint plus the log behind that.
+    /// checkpoint's blobs are encoded from it. A session recovered from a
+    /// checkpoint builds it on its first write (or checkpoint, or
+    /// `serve_ingested`) from the proven arena plus the log behind that, and
+    /// charges the build to `recover.mirror`.
     ///
     /// # Errors
     ///
@@ -462,6 +510,7 @@ impl Session {
         drop(span);
         ingested?;
         if let Some(durable) = self.durable.as_mut() {
+            let graph = durable.mirror.graph();
             // Batches carrying destructive elements charge the mirror
             // application to `ingest.apply_delete`; insert-only batches stay
             // off that series so its count is the number of mutating batches.
@@ -470,7 +519,9 @@ impl Session {
             } else {
                 SpanTimer::start(None)
             };
-            durable.apply(batch);
+            for element in batch {
+                graph.apply(element);
+            }
             drop(span);
         }
         Ok(())
@@ -524,7 +575,7 @@ impl Session {
         let state = self.partitioner.encode_state();
         durable.epoch += 1;
         let image = CheckpointImage::from_graph(
-            &durable.graph,
+            durable.mirror.graph(),
             self.partitioner.partitioning(),
             durable.epoch,
         );
@@ -564,7 +615,9 @@ impl Session {
 
     /// Finish a **durable** session and serve the graph it ingested — the
     /// durable layer mirrors every acknowledged batch, so no separate graph
-    /// argument is needed (compare [`Session::serve`]).
+    /// argument is needed (compare [`Session::serve`]). The mirror is moved
+    /// into the freeze, not copied; a recovered session that has not written
+    /// yet builds it here first, from the proven arena and the log's tail.
     ///
     /// # Errors
     ///
@@ -578,7 +631,7 @@ impl Session {
             ));
         };
         // The session is spent here: move the mirror out, do not copy it.
-        let graph = std::mem::take(&mut durable.graph);
+        let graph = std::mem::take(durable.mirror.graph());
         self.serve(graph)
     }
 
@@ -604,30 +657,33 @@ impl Session {
         Ok(self.partitioner.finish()?)
     }
 
-    /// Finish partitioning and hand off to the serving layer: every workload
-    /// query is compiled **once** into a plan against the graph's statistics
-    /// (the compile-once step every engine below reuses), then `graph` is
+    /// Finish partitioning and hand off to the serving layer: `graph` is
     /// frozen under the final partitioning into the one [`ShardedStore`]
     /// every engine of the returned [`Serving`] runs on, stamped epoch 1 —
     /// the epoch a first published snapshot carries — and dropped: no
-    /// serving handle keeps a graph. The handle's one [`ServeEngine`] is
-    /// configured from the session.
+    /// serving handle keeps a graph. Then every workload query is compiled
+    /// **once** into a plan against the store's statistics
+    /// ([`ShardedStore::statistics`], the graph's to the digit; the
+    /// compile-once step every engine below reuses). The handle's one
+    /// [`ServeEngine`] is configured from the session.
     ///
     /// # Errors
     ///
     /// Propagates partitioner assignment errors from the final flush.
     pub fn serve(mut self, graph: LabelledGraph) -> SessionResult<Serving> {
         let partitioning = self.partitioner.finish()?;
-        let plans = self.compile_plans(&graph);
         let store = ShardedStore::from_parts(&graph, &partitioning).with_epoch(1);
+        drop(graph);
+        let plans = self.compile_plans(&store);
         Ok(self.serving_over(Arc::new(store), partitioning, plans))
     }
 
-    /// The compile-once step: every workload query planned against `graph`'s
-    /// statistics (`None` without a workload).
-    fn compile_plans(&self, graph: &LabelledGraph) -> Option<Arc<PlanCache>> {
+    /// The compile-once step: every workload query planned against the
+    /// statistics of the graph `store` holds, read off the store (`None`
+    /// without a workload).
+    fn compile_plans(&self, store: &ShardedStore) -> Option<Arc<PlanCache>> {
         self.workload.as_ref().map(|workload| {
-            let stats = GraphStatistics::from_graph(graph);
+            let stats = store.statistics();
             let planner = QueryPlanner::new(PlanStrategy::default());
             Arc::new(PlanCache::compile(&planner, workload, &stats))
         })
@@ -679,10 +735,15 @@ impl Session {
     /// pre-crash state, streaming window included. A checkpoint without a
     /// partitioner blob (written by [`loom_store::write_checkpoint`], or
     /// before the blob existed) restores nothing, and the whole log is
-    /// replayed instead. The durable graph mirror is the graph the arena
-    /// holds, plus the batches the log holds past the checkpoint — with no
-    /// checkpoint, the empty graph plus the whole log. None of it is kept
-    /// unless the checkpoint's proof holds. Serving resumes pinned at the
+    /// replayed instead. None of it is kept unless the checkpoint's proof
+    /// holds. Recovery builds no graph out of the arena: the durable graph
+    /// mirror — the graph the arena holds plus the batches the log
+    /// holds past the checkpoint — is kept as that arena (the `Arc`
+    /// [`Recovered::store`] shares) and those batches, and built only when
+    /// the session first writes, checkpoints or calls
+    /// [`Session::serve_ingested`]. With no checkpoint there is no arena:
+    /// the mirror is the empty graph plus the whole log, built here, and the
+    /// recovered store is frozen from it. Serving resumes pinned at the
     /// checkpoint's original `epoch_seq`. The newest log segment's torn
     /// tail is truncated only once everything that can fail has succeeded:
     /// a recovery that fails leaves the root as found. Recovery deletes no
@@ -710,10 +771,11 @@ impl Session {
             .as_deref()
             .map(RecoverSpans::resolve)
             .unwrap_or_default();
-        let (state, rebuilt) = loom_store::recover(&root, &spans, |beside| {
-            rebuild(&builder, &root, &spans, beside)
+        let (mut state, rebuilt) = loom_store::recover(&root, &spans, |beside| {
+            let tail_len = beside.tail().len();
+            rebuild(&builder, &root, &spans, beside).map(|partitioner| (partitioner, tail_len))
         })?;
-        let (partitioner, graph) = rebuilt?;
+        let (partitioner, tail_len) = rebuilt?;
         let report = state.report.clone();
 
         // Everything that can fail has succeeded: now the only write.
@@ -725,20 +787,41 @@ impl Session {
                 });
             }
         }
-        let pinned = match state.checkpoint {
-            Some(checkpoint) => checkpoint.store,
-            None => ShardedStore::from_parts(&graph, partitioner.partitioning()),
+        // Keep only the batches past the checkpoint: what its arena lacks.
+        let mut tail = std::mem::take(&mut state.batches);
+        tail.drain(..tail.len() - tail_len);
+        let (store, mirror) = match state.checkpoint {
+            Some(checkpoint) => {
+                let store = Arc::new(checkpoint.store.with_epoch(report.epoch_seq));
+                let proven = Arc::clone(&store);
+                (
+                    store,
+                    Mirror::Deferred {
+                        proven,
+                        tail,
+                        spans,
+                    },
+                )
+            }
+            None => {
+                let span = spans.mirror();
+                let empty = LabelledGraph::with_capacity(builder.spec.expected_vertices(), 0);
+                let graph = applied(empty, &tail);
+                drop(span);
+                let store = ShardedStore::from_parts(&graph, partitioner.partitioning());
+                (Arc::new(store), Mirror::Built(graph))
+            }
         };
         let durable = DurableState::attach(
             &root,
             wal,
-            graph,
+            mirror,
             report.epoch_seq,
             builder.telemetry.as_ref(),
         );
         Ok(Recovered {
             session: builder.into_session(partitioner, Some(durable)),
-            store: Arc::new(pinned.with_epoch(report.epoch_seq)),
+            store,
             report,
             serving: OnceLock::new(),
         })
@@ -746,11 +829,11 @@ impl Session {
 }
 
 /// What [`Session::recover`] builds beside the checkpoint's proof, out of
-/// the checkpoint as read and the decoded log: the partitioner — restored
+/// the checkpoint as read and the decoded log: the partitioner, restored
 /// from the checkpoint's state when it carries one, then fed the log from
-/// where that state ends — and the durable graph mirror — the arena's rows,
-/// then the batches the checkpoint did not fold in. A checkpoint another
-/// partitioner or another `k` wrote is refused before anything is built.
+/// where that state ends. No graph is built here: the mirror waits for the
+/// proven arena ([`Mirror::Deferred`]). A checkpoint another partitioner or
+/// another `k` wrote is refused before anything is built.
 /// [`loom_store::recover`] hands the result on only once the checkpoint is
 /// proven, and drops it otherwise.
 fn rebuild(
@@ -758,7 +841,7 @@ fn rebuild(
     root: &Path,
     spans: &RecoverSpans,
     beside: Beside<'_>,
-) -> SessionResult<(Box<dyn Partitioner>, LabelledGraph)> {
+) -> SessionResult<Box<dyn Partitioner>> {
     if let Some(meta) = beside.checkpoint.map(|c| c.meta) {
         if meta.spec != builder.spec.name() {
             return Err(SessionError::Durability(format!(
@@ -791,17 +874,7 @@ fn rebuild(
         partitioner.ingest_batch(batch)?;
     }
     drop(span);
-
-    let span = spans.mirror();
-    let mut graph = match beside.checkpoint {
-        Some(checkpoint) => checkpoint.arena.to_graph(),
-        None => LabelledGraph::with_capacity(builder.spec.expected_vertices(), 0),
-    };
-    for element in beside.tail().iter().flatten() {
-        graph.apply(element);
-    }
-    drop(span);
-    Ok((partitioner, graph))
+    Ok(partitioner)
 }
 
 /// Restore a freshly built `partitioner` from a checkpoint's partitioner
@@ -847,11 +920,11 @@ pub struct Recovered {
     store: Arc<ShardedStore>,
     report: RecoveryReport,
     /// Serving over `store` itself, set up on first use: the assignment
-    /// `store` holds, derived from it — never from the WAL replay, so this
+    /// `store` holds, read off its homes — never from the WAL replay, so this
     /// handle stays consistent with the checkpoint's blobs whatever the
-    /// builder's configuration says — and plans compiled once from the graph
-    /// it holds (read back for the compile, then dropped), shared by every
-    /// engine this handle stands up (the compile-once contract).
+    /// builder's configuration says — and plans compiled once from its
+    /// statistics ([`ShardedStore::statistics`]: no graph is built), shared
+    /// by every engine this handle stands up (the compile-once contract).
     serving: OnceLock<Serving>,
 }
 
@@ -890,19 +963,19 @@ impl Recovered {
     }
 
     /// Sequential serving over the recovered store itself — no store is
-    /// rebuilt: the handle's arena is [`Recovered::store`] — configured
+    /// rebuilt and no graph is built: the handle's arena is
+    /// [`Recovered::store`], its partitioning the arena's homes — configured
     /// exactly like the original session (same query mode and match limit;
-    /// plans compiled once from the recovered graph's statistics, which
-    /// recovery restored bit-identically, and shared with
+    /// plans compiled once from the recovered store's statistics, which
+    /// equal the checkpointed graph's, and shared with
     /// [`Recovered::sharded`]). Set up on the first call; every call
     /// returns the same handle. Its [`Serving::adaptive`] engine starts at
     /// [`Recovered::epoch_seq`] and publishes from the epoch after it.
     pub fn serving(&self) -> &Serving {
         self.serving.get_or_init(|| {
-            let (graph, partitioning) = self.store.to_parts();
-            let plans = self.session.compile_plans(&graph);
+            let plans = self.session.compile_plans(&self.store);
             self.session
-                .serving_over(Arc::clone(&self.store), partitioning, plans)
+                .serving_over(Arc::clone(&self.store), self.store.to_partitioning(), plans)
         })
     }
 

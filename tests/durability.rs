@@ -18,8 +18,8 @@
 //!   every tombstone physically removed, and a tombstoned, uncompacted
 //!   epoch checkpoints to exactly what its compaction would;
 //! * **load parity** — a loaded checkpoint is bit-identical to the store
-//!   that was written, and the graph and partitioning derived from it on
-//!   first use equal the originals down to every adjacency list's order;
+//!   that was written, and the graph and partitioning read off it equal the
+//!   originals down to every adjacency list's order;
 //! * **log behind its checkpoint** — a WAL holding fewer records than the
 //!   checkpoint folded in is refused, and the root is left untouched;
 //! * **mirror never behind a reader** — every checkpoint, `serve_ingested`
@@ -28,7 +28,8 @@
 //! * **recovered mirror ≡ replayed mirror** — a session recovered from
 //!   checkpoint + log tail (or from the log alone), fed the rest of the
 //!   stream and checkpointed, leaves a root byte-identical to one that never
-//!   crashed;
+//!   crashed — whether its deferred mirror is first built by a write, by a
+//!   checkpoint or by `serve_ingested`, and across two recoveries in a row;
 //! * **pruning** — a root holds its newest checkpoint and one fallback;
 //! * **an older blob format** — a root holding a v1 or v2 blob is refused by
 //!   name (`unsupported blob version N`), by the loader and by recovery
@@ -476,17 +477,12 @@ fn compacted_store_checkpoints_with_tombstones_physically_removed() {
     let dir = root.join(CHECKPOINT_DIR).join(format!("{:010}", 5));
     let loaded = load_checkpoint(&dir).unwrap();
     assert_bit_identical(&loaded.store, &compacted);
-    assert_eq!(
-        loaded.graph().vertex_count(),
-        run.final_graph.vertex_count()
-    );
-    assert_eq!(
-        loaded.graph().edges_sorted(),
-        run.final_graph.edges_sorted()
-    );
+    let graph = loaded.store.to_graph();
+    assert_eq!(graph.vertex_count(), run.final_graph.vertex_count());
+    assert_eq!(graph.edges_sorted(), run.final_graph.edges_sorted());
     // Relabels survive the round trip too.
     for v in run.final_graph.vertices_sorted() {
-        assert_eq!(loaded.graph().label(v), run.final_graph.label(v));
+        assert_eq!(graph.label(v), run.final_graph.label(v));
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -524,19 +520,14 @@ fn tombstoned_epoch_checkpoints_to_its_compaction() {
         StreamElement::RemoveVertex { id } => Some(*id),
         _ => None,
     });
+    let graph = loaded.store.to_graph();
     for id in removed {
-        assert!(!loaded.graph().contains_vertex(id), "{id} came back");
+        assert!(!graph.contains_vertex(id), "{id} came back");
     }
-    assert_eq!(
-        loaded.graph().vertices_sorted(),
-        run.final_graph.vertices_sorted()
-    );
-    assert_eq!(
-        loaded.graph().edges_sorted(),
-        run.final_graph.edges_sorted()
-    );
+    assert_eq!(graph.vertices_sorted(), run.final_graph.vertices_sorted());
+    assert_eq!(graph.edges_sorted(), run.final_graph.edges_sorted());
     for v in run.final_graph.vertices_sorted() {
-        assert_eq!(loaded.graph().label(v), run.final_graph.label(v));
+        assert_eq!(graph.label(v), run.final_graph.label(v));
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
@@ -677,7 +668,12 @@ fn assert_checkpoint_load_parity(
     assert_eq!(loaded.store.epoch(), epoch);
     assert_eq!(loaded.store.check_arena(), Ok(()));
     assert_bit_identical(&loaded.store, &store);
-    assert_same_parts(loaded.graph(), loaded.partitioning(), graph, partitioning);
+    assert_same_parts(
+        &loaded.store.to_graph(),
+        &loaded.store.to_partitioning(),
+        graph,
+        partitioning,
+    );
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -735,54 +731,82 @@ fn relative_image(root: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
     root_image(root).into_iter().map(relative).collect()
 }
 
-/// Feed `batches` to a durable session that checkpoints after
-/// `checkpoint_after` of them (if at all) and is killed — torn WAL tail and
-/// all — after `crash_after`; recover it, feed it the rest, checkpoint. The
-/// root must come out byte for byte — log, blobs, manifests — as that of a
-/// session that took the same checkpoints and never crashed: whatever the
-/// recovered mirror was built from (the checkpoint's arena plus the log's
-/// tail, or the log alone), and however its slots and blocks came to be laid
+/// One step in the life of a durable session, for [`live_through`].
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Ingest the batches from where the session stands up to this index,
+    /// one `ingest_batch` each.
+    FeedTo(usize),
+    Checkpoint,
+    /// Kill the session mid-append — a torn WAL tail — and recover it.
+    Crash,
+}
+
+/// Stand up a durable session at `root` and take it through `steps` over
+/// `batches`. With `crashes`, every [`Step::Crash`] drops the session, tears
+/// the newest log segment and recovers it, and the report must count every
+/// acknowledged batch and the ones the last checkpoint folded in; without,
+/// the crashes are skipped: the twin that never crashed.
+fn live_through(
+    root: &Path,
+    builder: &dyn Fn() -> SessionBuilder,
+    batches: &[Vec<StreamElement>],
+    steps: &[Step],
+    crashes: bool,
+) -> Session {
+    let mut session = builder().with_durability(root).build().unwrap();
+    let (mut fed, mut folded) = (0, 0);
+    for &step in steps {
+        match step {
+            Step::FeedTo(end) => {
+                for batch in &batches[fed..end] {
+                    session.ingest_batch(batch).unwrap();
+                }
+                fed = end;
+            }
+            Step::Checkpoint => {
+                session.checkpoint().unwrap();
+                folded = fed;
+            }
+            Step::Crash if crashes => {
+                drop(session);
+                let wal_path = newest_segment(root);
+                let mut raw = std::fs::read(&wal_path).unwrap();
+                raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
+                std::fs::write(&wal_path, &raw).unwrap();
+                let recovered = builder().with_durability(root).recover().unwrap();
+                assert_eq!(recovered.report().wal_records, fed as u64);
+                assert_eq!(recovered.report().wal_records_in_checkpoint, folded as u64);
+                session = recovered.into_session();
+            }
+            Step::Crash => {}
+        }
+    }
+    session
+}
+
+/// Take a session through `steps`, then feed it the rest of `batches` and
+/// checkpoint. The root must come out byte for byte — log, blobs,
+/// manifests — as that of a twin that took the same steps and never
+/// crashed: whatever each recovered mirror was built from (the checkpoint's
+/// arena plus the log's tail, or the log alone), whichever write or
+/// checkpoint built it, and however its slots and blocks came to be laid
 /// out, nothing that is ever written can tell.
-fn assert_recovery_is_unobservable(
+fn assert_crashes_are_unobservable(
     name: &str,
     builder: &dyn Fn() -> SessionBuilder,
     batches: &[Vec<StreamElement>],
-    checkpoint_after: Option<usize>,
-    crash_after: usize,
+    steps: &[Step],
 ) {
-    let feed = |session: &mut Session, range: std::ops::Range<usize>| {
-        for (at, batch) in batches[range.clone()].iter().enumerate() {
-            session.ingest_batch(batch).unwrap();
-            if checkpoint_after == Some(range.start + at + 1) {
-                session.checkpoint().unwrap();
-            }
-        }
-    };
-
+    let whole: Vec<Step> = steps
+        .iter()
+        .copied()
+        .chain([Step::FeedTo(batches.len()), Step::Checkpoint])
+        .collect();
     let crashed = tmproot(&format!("{name}-crashed"));
-    let mut session = builder().with_durability(&crashed).build().unwrap();
-    feed(&mut session, 0..crash_after);
-    drop(session);
-    let wal_path = newest_segment(&crashed);
-    let mut raw = std::fs::read(&wal_path).unwrap();
-    raw.extend_from_slice(&[0xBE, 0xEF, 0x00]);
-    std::fs::write(&wal_path, &raw).unwrap();
-    let recovered = builder().with_durability(&crashed).recover().unwrap();
-    assert_eq!(recovered.report().wal_records, crash_after as u64);
-    assert_eq!(
-        recovered.report().wal_records_in_checkpoint,
-        checkpoint_after.map_or(0, |c| c as u64)
-    );
-    let mut session = recovered.into_session();
-    feed(&mut session, crash_after..batches.len());
-    session.checkpoint().unwrap();
-    drop(session);
-
+    drop(live_through(&crashed, builder, batches, &whole, true));
     let uncrashed = tmproot(&format!("{name}-uncrashed"));
-    let mut session = builder().with_durability(&uncrashed).build().unwrap();
-    feed(&mut session, 0..batches.len());
-    session.checkpoint().unwrap();
-    drop(session);
+    drop(live_through(&uncrashed, builder, batches, &whole, false));
 
     let (a, b) = (relative_image(&crashed), relative_image(&uncrashed));
     let paths = |image: &[(PathBuf, Vec<u8>)]| -> Vec<PathBuf> {
@@ -798,6 +822,24 @@ fn assert_recovery_is_unobservable(
     }
     std::fs::remove_dir_all(&crashed).unwrap();
     std::fs::remove_dir_all(&uncrashed).unwrap();
+}
+
+/// [`assert_crashes_are_unobservable`] for a session that checkpoints after
+/// `checkpoint_after` batches (if at all), is killed after `crash_after`,
+/// and is recovered into ingesting the rest.
+fn assert_recovery_is_unobservable(
+    name: &str,
+    builder: &dyn Fn() -> SessionBuilder,
+    batches: &[Vec<StreamElement>],
+    checkpoint_after: Option<usize>,
+    crash_after: usize,
+) {
+    let mut steps = Vec::new();
+    if let Some(checkpoint_after) = checkpoint_after {
+        steps.extend([Step::FeedTo(checkpoint_after), Step::Checkpoint]);
+    }
+    steps.extend([Step::FeedTo(crash_after), Step::Crash]);
+    assert_crashes_are_unobservable(name, builder, batches, &steps);
 }
 
 #[test]
@@ -870,6 +912,134 @@ fn recovered_mirror_equals_the_replayed_one() {
         Some(checkpoint_after),
         n - 1,
     );
+}
+
+/// The insert-only and the churn stream the deferred-mirror tests run on,
+/// each with its session builder.
+type MirrorStream = (
+    &'static str,
+    Box<dyn Fn() -> SessionBuilder>,
+    Vec<Vec<StreamElement>>,
+);
+
+fn mirror_streams() -> [MirrorStream; 2] {
+    let graph = social_graph(200, 21);
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Bfs);
+    let inserts: Vec<Vec<StreamElement>> =
+        stream.elements().chunks(37).map(<[_]>::to_vec).collect();
+    let run = DeletionChurnScenario::small(31).build().unwrap();
+    let churn = churn_batches(&run);
+    let grown = run.graph;
+    for batches in [&inserts, &churn] {
+        assert!(batches.len() >= 10, "room for five cuts");
+    }
+    [
+        ("ins", Box::new(move || loom_builder(&graph)), inserts),
+        ("churn", Box::new(move || churn_builder(&grown)), churn),
+    ]
+}
+
+/// A recovered session whose first act is a checkpoint: the checkpoint is
+/// what builds its mirror (from the proven arena plus the log's tail, or
+/// the arena alone), and nothing it writes then or later tells it from a
+/// session that never crashed.
+#[test]
+fn a_recovered_session_that_checkpoints_first_builds_its_mirror_there() {
+    use Step::{Checkpoint, Crash, FeedTo};
+    for (name, builder, batches) in mirror_streams() {
+        let n = batches.len();
+        let tail = [FeedTo(n / 2), Checkpoint, FeedTo(n - 2), Crash, Checkpoint];
+        assert_crashes_are_unobservable(&format!("{name}-first-tail"), &*builder, &batches, &tail);
+        let whole = [FeedTo(n - 2), Checkpoint, Crash, Checkpoint];
+        assert_crashes_are_unobservable(
+            &format!("{name}-first-whole"),
+            &*builder,
+            &batches,
+            &whole,
+        );
+    }
+}
+
+/// Recover, ingest, checkpoint, crash, recover again, ingest, checkpoint:
+/// the second recovery starts from a checkpoint a recovered session wrote
+/// out of a mirror it built on its first write.
+#[test]
+fn a_session_recovered_twice_writes_what_its_twin_does() {
+    use Step::{Checkpoint, Crash, FeedTo};
+    for (name, builder, batches) in mirror_streams() {
+        let cut = |fifths: usize| batches.len() * fifths / 5;
+        let tail = [
+            FeedTo(cut(1)),
+            Checkpoint,
+            FeedTo(cut(2)),
+            Crash,
+            FeedTo(cut(3)),
+            Checkpoint,
+            FeedTo(cut(4)),
+            Crash,
+        ];
+        assert_crashes_are_unobservable(&format!("{name}-twice-tail"), &*builder, &batches, &tail);
+        let whole = [
+            FeedTo(cut(1)),
+            Checkpoint,
+            Crash,
+            FeedTo(cut(3)),
+            Checkpoint,
+            Crash,
+        ];
+        assert_crashes_are_unobservable(
+            &format!("{name}-twice-whole"),
+            &*builder,
+            &batches,
+            &whole,
+        );
+    }
+}
+
+/// `serve_ingested` on a recovered session that has not written builds the
+/// mirror there and serves what the uncrashed twin serves: the same blobs,
+/// homes, plans and answers.
+#[test]
+fn serve_ingested_on_a_recovered_session_serves_what_its_twin_does() {
+    use Step::{Checkpoint, Crash, FeedTo};
+    for (name, builder, batches) in mirror_streams() {
+        let n = batches.len();
+        let cases = [
+            (
+                "tail",
+                vec![FeedTo(n / 2), Checkpoint, FeedTo(n - 2), Crash],
+            ),
+            ("whole", vec![FeedTo(n - 2), Checkpoint, Crash]),
+        ];
+        for (case, steps) in cases {
+            let roots =
+                [true, false].map(|crashed| tmproot(&format!("{name}-serve-{case}-{crashed}")));
+            let [crashed, twin] = [0, 1].map(|at| {
+                live_through(&roots[at], &*builder, &batches, &steps, at == 0)
+                    .serve_ingested()
+                    .unwrap()
+            });
+            assert_bit_identical(crashed.store(), twin.store());
+            assert_eq!(crashed.store().epoch(), twin.store().epoch());
+            assert_eq!(
+                assignment_vec(crashed.partitioning()),
+                assignment_vec(twin.partitioning()),
+                "{name}-{case}: homes"
+            );
+            let plans = |serving: &Serving| -> Vec<_> {
+                let cache = serving.plan_cache().expect("a workload compiles plans");
+                let mut ids: Vec<_> = cache.plans().map(|plan| plan.id()).collect();
+                ids.sort_unstable_by_key(|id| id.0);
+                ids
+            };
+            assert_eq!(plans(&crashed), plans(&twin), "{name}-{case}: plans");
+            let request = QueryRequest::workload(60).with_seed(4);
+            assert_eq!(crashed.run(request).metrics, twin.run(request).metrics);
+            for root in roots {
+                std::fs::remove_dir_all(root).unwrap();
+            }
+        }
+    }
 }
 
 #[test]

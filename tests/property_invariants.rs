@@ -385,7 +385,7 @@ type DerivedState = (
 /// The derived state of a store next to that of a from-scratch build of its
 /// own live parts.
 fn derived_state_against_a_rebuild(store: &ShardedStore) -> [DerivedState; 2] {
-    let (graph, partitioning) = store.to_parts();
+    let (graph, partitioning) = (store.to_graph(), store.to_partitioning());
     let rebuilt = ShardedStore::from_parts(&graph, &partitioning);
     [store, &rebuilt].map(|store| {
         let id = |h| store.vertex_of(h);

@@ -17,9 +17,16 @@
 //! * **cursor semantics** — `MatchCursor` with an unbounded limit yields
 //!   exactly `matches_found` embeddings (property-tested over random
 //!   graphs), and a bounded limit terminates the search early (strictly
-//!   fewer traversals than the unlimited run).
+//!   fewer traversals than the unlimited run);
+//! * **statistics off the store** — `ShardedStore::statistics` equals
+//!   `GraphStatistics::from_graph` of the graph the store holds on every
+//!   kind of epoch, so `Session::serve` and `Recovered::serving`, which
+//!   compile from the store, compile the plans a compile from the graph
+//!   gives.
 
 use loom::prelude::*;
+use loom_graph::generators::motif_planted::{motif_planted_graph, MotifPlantConfig};
+use loom_graph::generators::regular::{cycle_graph, path_graph};
 use loom_graph::VertexId;
 use loom_sim::matcher;
 use proptest::prelude::*;
@@ -358,6 +365,136 @@ fn match_limits_cut_traversals_and_bound_the_cursor() {
 
 /// Strategy: a random small labelled graph (path backbone plus extra
 /// edges) and a 2–3 label path query drawn from the same alphabet.
+/// A motif-planted graph — `a-b-c` paths and `a-b-a-b` squares in a random
+/// background of eight labels — with a workload over those shapes and one
+/// the background holds only by chance.
+fn planted() -> (LabelledGraph, Workload) {
+    let abc = path_graph(3, &[l(0), l(1), l(2)]);
+    let square = cycle_graph(4, &[l(0), l(1), l(0), l(1)]);
+    let config = MotifPlantConfig {
+        background_vertices: 600,
+        background_edges: 1_500,
+        instances_per_motif: 60,
+        attachment_edges: 1,
+        label_count: 8,
+        seed: 11,
+    };
+    let (graph, _) = motif_planted_graph(&config, &[abc, square]).unwrap();
+    let workload = Workload::new(vec![
+        (
+            PatternQuery::path(QueryId::new(0), &[l(0), l(1), l(2)]).unwrap(),
+            4.0,
+        ),
+        (
+            PatternQuery::cycle(QueryId::new(1), &[l(0), l(1), l(0), l(1)]).unwrap(),
+            2.0,
+        ),
+        (
+            PatternQuery::branch(QueryId::new(2), l(1), &[l(0), l(2), l(5)]).unwrap(),
+            1.0,
+        ),
+    ])
+    .unwrap();
+    (graph, workload)
+}
+
+fn planted_session(graph: &LabelledGraph, workload: &Workload) -> SessionBuilder {
+    let spec = PartitionerSpec::Loom(LoomConfig::new(3, graph.vertex_count()).with_window_size(16));
+    Session::builder(spec).workload(workload.clone())
+}
+
+/// The planner's statistics read off a store equal those of the graph it
+/// holds on every kind of epoch a store reaches: a recovered arena, a fresh
+/// freeze, a tombstoned epoch, its compaction and a migrated epoch.
+#[test]
+fn store_statistics_equal_the_graphs_on_every_epoch() {
+    let (graph, workload) = planted();
+    let pinned = |what: &str, store: &ShardedStore| {
+        let from_graph = GraphStatistics::from_graph(&store.to_graph());
+        assert_eq!(store.statistics(), from_graph, "{what}");
+    };
+
+    let root = std::env::temp_dir().join(format!("loom-plan-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut session = planted_session(&graph, &workload)
+        .with_durability(&root)
+        .build()
+        .unwrap();
+    let stream = GraphStream::from_graph(&graph, &StreamOrder::Random { seed: 3 });
+    session.ingest_stream(&stream).unwrap();
+    session.checkpoint().unwrap();
+    drop(session);
+    let recovered = planted_session(&graph, &workload)
+        .with_durability(&root)
+        .recover()
+        .unwrap();
+    pinned("recovered", recovered.store());
+
+    let fresh = ShardedStore::from_parts(&graph, recovered.partitioning());
+    pinned("fresh", &fresh);
+
+    let vs = graph.vertices_sorted();
+    let mut batch = Vec::new();
+    for (i, &v) in vs.iter().enumerate() {
+        match i % 11 {
+            0 => batch.push(StreamElement::RemoveVertex { id: v }),
+            3 => batch.push(StreamElement::Relabel { id: v, label: l(9) }),
+            5 => {
+                if let Some(&u) = graph.neighbors(v).first() {
+                    batch.push(StreamElement::RemoveEdge {
+                        source: v,
+                        target: u,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    let mutated = fresh.apply_mutations(&batch);
+    assert!(mutated.removed_vertices > 0 && mutated.removed_edges > 0 && mutated.relabelled > 0);
+    let tombstoned = mutated.store;
+    pinned("tombstoned", &tombstoned);
+    let compacted = tombstoned.compact(0.0);
+    assert!(compacted.purged_vertices > 0);
+    pinned("compacted", &compacted.store);
+
+    let moves: Vec<_> = vs
+        .iter()
+        .step_by(5)
+        .filter_map(|&v| {
+            let home = tombstoned.home_shard(v)?;
+            Some((v, PartitionId::new((home.index() as u32 + 1) % 3)))
+        })
+        .collect();
+    let migrated = tombstoned.apply_migration(&moves);
+    assert!(migrated.moved > 0);
+    pinned("migrated", &migrated.store);
+    drop(recovered);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `Session::serve` compiles its plans from the frozen store: the same
+/// plans, query by query, as a compile from the graph it froze.
+#[test]
+fn serve_compiles_from_the_store_the_plans_the_graph_compiles() {
+    let (graph, workload) = planted();
+    let mut session = planted_session(&graph, &workload).build().unwrap();
+    session
+        .ingest_stream(&GraphStream::from_graph(&graph, &StreamOrder::Bfs))
+        .unwrap();
+    let serving = session.serve(graph.clone()).unwrap();
+    let served = serving.plan_cache().expect("a workload compiles plans");
+    let planner = QueryPlanner::new(PlanStrategy::default());
+    let from_graph = PlanCache::compile(&planner, &workload, &GraphStatistics::from_graph(&graph));
+    assert_eq!(served.len(), from_graph.len());
+    for query in workload.queries() {
+        let (a, b) = (served.get(query.id()), from_graph.get(query.id()));
+        let (a, b) = (a.expect("served plan"), b.expect("graph plan"));
+        assert_eq!(a.id(), b.id(), "plan of {:?}", query.id());
+        assert_eq!(a.est_cost().to_bits(), b.est_cost().to_bits());
+    }
+}
+
 fn graph_and_query_strategy() -> impl Strategy<Value = (LabelledGraph, PatternQuery)> {
     (
         proptest::collection::vec(0u32..3, 4..12),

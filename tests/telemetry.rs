@@ -189,7 +189,9 @@ fn observed_recovery_charges_each_stage_once_and_they_overlap() {
     durable.checkpoint().unwrap();
     drop(durable);
 
-    // One observed recovery charges each of its stages exactly once.
+    // One observed recovery charges each of its stages exactly once, and
+    // builds no graph mirror: the session keeps the proven arena until it
+    // first writes.
     let telemetry = Telemetry::new();
     let started = Instant::now();
     let recovered = session(&graph, &workload)
@@ -199,32 +201,55 @@ fn observed_recovery_charges_each_stage_once_and_they_overlap() {
         .unwrap();
     let wall_us = started.elapsed().as_micros() as u64;
     assert!(recovered.report().checkpoint_found);
-    let snap = telemetry.snapshot();
-    let stage_sum = |name: &str| {
+    let charged = |name: &str| {
+        let snap = telemetry.snapshot();
         let series: Vec<_> = snap
             .registry
             .histograms
             .iter()
             .filter(|(k, _)| k.name == name)
+            .map(|(_, h)| (h.count, h.sum))
             .collect();
-        assert_eq!(series.len(), 1, "{name} is one unlabelled series");
-        assert_eq!(series[0].1.count, 1, "{name} charged once");
-        series[0].1.sum
+        assert!(series.len() <= 1, "{name} is one unlabelled series");
+        series.first().copied().unwrap_or((0, 0))
+    };
+    let stage_sum = |name: &str| {
+        let (count, sum) = charged(name);
+        assert_eq!(count, 1, "{name} charged once");
+        sum
     };
     let load = stage_sum(stage::RECOVER_CHECKPOINT_LOAD);
     let decode = stage_sum(stage::RECOVER_WAL_DECODE);
     let replay = stage_sum(stage::RECOVER_REPLAY);
-    let mirror = stage_sum(stage::RECOVER_MIRROR);
-    // The overlap as a checkable fact: the load runs beside the decode, the
-    // replay (the restore from the checkpoint as read and the log past it)
-    // and the mirror, so the longer branch — not their sum — bounds the
-    // wall clock below.
-    assert!(
-        load.max(decode + replay + mirror) <= wall_us,
-        "load {load} us beside decode {decode} us, replay {replay} us and mirror \
-         {mirror} us, wall {wall_us} us"
+    assert_eq!(
+        charged(stage::RECOVER_MIRROR).0,
+        0,
+        "recovery builds no mirror"
     );
-    drop(recovered);
+    // The overlap as a checkable fact: the load runs beside the decode and
+    // the replay (the restore from the checkpoint as read and the log past
+    // it), so the longer branch — not their sum — bounds the wall clock
+    // below.
+    assert!(
+        load.max(decode + replay) <= wall_us,
+        "load {load} us beside decode {decode} us and replay {replay} us, wall {wall_us} us"
+    );
+
+    // The first write builds the mirror, once; later writes find it built.
+    let mut session = recovered.into_session();
+    for id in [1_000, 1_001] {
+        let element = StreamElement::AddVertex {
+            id: VertexId::new(id),
+            label: l(0),
+        };
+        session.ingest_batch(&[element]).unwrap();
+        assert_eq!(
+            charged(stage::RECOVER_MIRROR).0,
+            1,
+            "the first write builds the mirror"
+        );
+    }
+    drop(session);
     let _ = std::fs::remove_dir_all(&root);
 }
 
